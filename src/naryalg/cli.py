@@ -130,14 +130,19 @@ def cohomology_suite(obj, run: CheckRun, p_max=1):
         raise ValueError("cohomology suite applies to lie or filippov files")
 
 
+def _load(path):
+    """Parse and build an algebra file whose dimension is within the cap."""
+    with open(path) as fh:
+        af = AlgebraFile.parse(fh.read())
+    if af.dim > max_dim():
+        raise ValueError(f"dimension {af.dim} above the cap {max_dim()}"
+                         " (override with NARY_MAX_DIM)")
+    return af, af.build()
+
+
 def cmd_check(args) -> int:
     try:
-        text = open(args.path).read()
-        af = AlgebraFile.parse(text)
-        if af.dim > max_dim():
-            raise ValueError(f"dimension {af.dim} above the cap {max_dim()}"
-                             " (override with NARY_MAX_DIM)")
-        obj = af.build()
+        af, obj = _load(args.path)
     except (OSError, ParseError, ValueError) as exc:
         _human(f"input error: {exc}")
         _emit({"error": str(exc)})
@@ -214,8 +219,7 @@ def _generate_object(args):
 
 def cmd_cohomology(args) -> int:
     try:
-        af = AlgebraFile.parse(open(args.path).read())
-        obj = af.build()
+        _, obj = _load(args.path)
     except (OSError, ParseError, ValueError) as exc:
         _human(f"input error: {exc}")
         return 2
@@ -231,10 +235,10 @@ def cmd_cohomology(args) -> int:
         if args.complex not in ("trivial", "module", "deformation"):
             _human("input error: n-ary complexes are trivial|module|deformation")
             return 2
-        if args.rep == "ad" and args.complex == "module":
-            rep = fa_cohomology_dims(obj, "module", args.pmax)
-        else:
-            rep = fa_cohomology_dims(obj, args.complex, args.pmax)
+        if args.rep == "ad" and args.complex != "module":
+            _human(f"input error: --rep ad applies to the module complex, not {args.complex}")
+            return 2
+        rep = fa_cohomology_dims(obj, args.complex, args.pmax)
     else:
         _human("input error: cohomology applies to lie or filippov files")
         return 2
@@ -251,8 +255,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_poisson(args) -> int:
     try:
-        af = AlgebraFile.parse(open(args.path).read())
-        obj = af.build()
+        _, obj = _load(args.path)
     except (OSError, ParseError, ValueError) as exc:
         _human(f"input error: {exc}")
         return 2
@@ -284,6 +287,13 @@ def cmd_poisson(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+def degree(text):
+    p = int(text)
+    if p < 0:
+        raise argparse.ArgumentTypeError(f"degree must be >= 0, got {p}")
+    return p
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="naryalg",
                                  description="exact checks for n-ary bracket algebras")
@@ -293,7 +303,7 @@ def main(argv=None) -> int:
     p.add_argument("path")
     p.add_argument("--suite", choices=("identity", "metric", "cohomology", "all"),
                    default="identity")
-    p.add_argument("--pmax", type=int, default=1)
+    p.add_argument("--pmax", type=degree, default=1)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("generate", help="emit a catalog algebra file")
@@ -311,7 +321,7 @@ def main(argv=None) -> int:
     p.add_argument("--complex", choices=("ce", "trivial", "module", "deformation"),
                    default="ce")
     p.add_argument("--rep", choices=("0", "ad"), default="0")
-    p.add_argument("--pmax", type=int, default=2)
+    p.add_argument("--pmax", type=degree, default=2)
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("poisson", help="multivector tensor checks")

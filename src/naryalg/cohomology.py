@@ -7,6 +7,13 @@ extensions, and deformation cocycles with their obstruction classes.
 A V-valued p-cochain is stored by coordinates Omega^A_{i_1..i_p} on the
 minimal basis of strictly increasing index tuples, one antisymmetric layer
 per target index A (A = 1 for scalar-valued cochains).
+
+The matrix of s is assembled row by row: `coboundary` runs once on the
+generic cochain whose coordinates are the linear forms x_1, x_2, .. (see
+`scalars.LinearForm`), which yields every target coordinate as a sparse row
+over the source coordinates.  Ranks and preimages then come from the sparse
+leading-column elimination of `linalg.echelon`, whose solutions set every
+non-pivot coordinate to zero.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from itertools import combinations
 
 from . import linalg
 from .lie import LieAlgebra, Representation, check_jacobi
-from .scalars import is_zero, rat
+from .scalars import LinearForm, is_zero, rat
 from .tensors import shuffle_splits, sort_sign
 
 
@@ -172,17 +179,19 @@ def coord_basis(r, p, dim_v):
 
 
 def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v):
-    """Exact matrix of s: C^p -> C^{p+1} in the canonical coordinate bases."""
+    """Sparse matrix of s: C^p -> C^{p+1} in the canonical coordinate bases,
+    as (rows, src, dst): one {column: value} row per coordinate in dst, the
+    columns indexed by src.
+
+    The rows come from a single evaluation of `coboundary` on the generic
+    cochain whose coordinate src[i] is the linear form x_i.
+    """
     src = coord_basis(alg.dim, p, dim_v)
     dst = coord_basis(alg.dim, p + 1, dim_v)
-    pos = {key: i for i, key in enumerate(dst)}
-    mat = linalg.zeros(len(dst), len(src))
-    for col, (a, idx) in enumerate(src):
-        om = Cochain(p, alg.dim, dim_v, {(a, idx): Fraction(1)})
-        out = coboundary(alg, rho, om)
-        for key, v in out.data.items():
-            mat[pos[key]][col] = v
-    return mat, src, dst
+    generic = Cochain(p, alg.dim, dim_v,
+                      {key: LinearForm({i: 1}) for i, key in enumerate(src)})
+    out = coboundary(alg, rho, generic).data
+    return [out.get(key, LinearForm()) for key in dst], src, dst
 
 
 @dataclass
@@ -192,23 +201,24 @@ class CohomologyReport:
     dims_b: dict
     dims_h: dict
 
+    @classmethod
+    def from_ranks(cls, dims_c, ranks):
+        """Z/B/H from dim C^p and the rank of each differential C^p -> C^{p+1}."""
+        dims_z = {p: c - ranks[p] for p, c in dims_c.items()}
+        dims_b = {p: ranks[p - 1] if p else 0 for p in dims_c}
+        return cls(dims_c, dims_z, dims_b, {p: dims_z[p] - dims_b[p] for p in dims_c})
+
 
 def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport:
     """Exact Z/B/H dimensions for degrees 0..p_max by ranks over Q."""
     if dim_v is None:
         dim_v = 1 if rho is None else len((rho.mats if isinstance(rho, Representation) else rho)[0])
-    ranks = {}
-    dims_c = {}
+    dims_c, ranks = {}, {}
     for p in range(0, p_max + 1):
-        dims_c[p] = len(coord_basis(alg.dim, p, dim_v))
-        m, _, _ = coboundary_matrix(alg, rho, p, dim_v)
-        ranks[p] = linalg.rank(m) if m and m[0] else 0
-    dims_z, dims_b, dims_h = {}, {}, {}
-    for p in range(0, p_max + 1):
-        dims_z[p] = dims_c[p] - ranks[p]
-        dims_b[p] = 0 if p == 0 else ranks[p - 1]
-        dims_h[p] = dims_z[p] - dims_b[p]
-    return CohomologyReport(dims_c, dims_z, dims_b, dims_h)
+        rows, src, _ = coboundary_matrix(alg, rho, p, dim_v)
+        dims_c[p] = len(src)
+        ranks[p] = linalg.sparse_rank(rows)
+    return CohomologyReport.from_ranks(dims_c, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +320,8 @@ def central_extension(alg: LieAlgebra, om2: Cochain) -> LieAlgebra:
 def trivialize_extension(alg: LieAlgebra, om2: Cochain):
     """Solve s(Om1) = Om2 for a 1-cochain; returns the basis-change vector
     Om1 (X~'_k = X~_k - Om1_k Xi) or None when the class is non-trivial."""
-    r = alg.dim
-    rows = []
-    rhs = []
-    for idx in combinations(range(1, r + 1), 2):
-        row = [Fraction(0)] * r
-        for k, v in alg.c_row(*idx).items():
-            row[k - 1] -= v
-        rows.append(row)
-        rhs.append(om2.get(1, idx))
-    return linalg.solve(rows, rhs)
+    rows, src, dst = coboundary_matrix(alg, None, 1, 1)
+    return linalg.sparse_solve(rows, len(src), [om2.get(1, idx) for _, idx in dst])
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +389,8 @@ def _in_coboundary_image(alg, rho, om):
 def _coboundary_preimage(alg, rho, om):
     """Exact solve s(beta) = om over the (p-1)-cochain coordinates."""
     p = om.order
-    mat, src, dst = coboundary_matrix(alg, rho, p - 1, om.dim_v)
-    rhs = [Fraction(0)] * len(dst)
-    pos = {key: i for i, key in enumerate(dst)}
-    for key, v in om.data.items():
-        rhs[pos[key]] = v
-    sol = linalg.solve(mat, rhs)
+    rows, src, dst = coboundary_matrix(alg, rho, p - 1, om.dim_v)
+    sol = linalg.sparse_solve(rows, len(src), [om.data.get(key, Fraction(0)) for key in dst])
     if sol is None:
         return None
     data = {src[i]: sol[i] for i in range(len(src)) if sol[i] != 0}

@@ -1,9 +1,22 @@
-"""Exact dense linear algebra over the rationals (or any exact field).
+"""Exact linear algebra over the rationals (or any exact field), dense and
+sparse.
 
-Matrices are lists of row lists.  Elimination uses exact field arithmetic
-with first-nonzero (lexicographic) pivoting, so ranks, nullspaces and solves
-are deterministic and free of rounding; this is what turns the cohomology
-dimensions into integers rather than tolerance statements.
+Dense matrices are lists of row lists, reduced by `rref` with first-nonzero
+(lexicographic) pivoting; the algebra modules use them for Killing forms,
+representation matrices and small spans.
+
+Sparse matrices are lists of row dicts {column: nonzero value}, the form in
+which the cohomology modules assemble their coboundary matrices.  `echelon`
+reduces them with leading-column pivots: rows are taken shortest first and
+each is reduced until it is zero or leads in a column no earlier row leads
+in.  The leading columns of the result depend only on the row space: they
+are the lexicographically first independent columns, the pivots `rref`
+finds.  Hence `sparse_rank` equals `rank`, and `sparse_solve` returns the
+same solution as `solve` (the one whose non-pivot coordinates are zero).
+
+All arithmetic is exact, so ranks and solutions are deterministic and free
+of rounding; this is what turns the cohomology dimensions into integers
+rather than tolerance statements.
 """
 
 from __future__ import annotations
@@ -238,3 +251,50 @@ def signature(sym):
                 for r in range(n):
                     work[r][i] -= f * work[r][k]
     return plus, minus, zero
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination
+# ---------------------------------------------------------------------------
+
+def echelon(rows):
+    """Echelon basis of the span of sparse rows: {leading column: row}, each
+    row scaled to 1 at its leading column.  The input rows are not changed."""
+    basis = {}
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        while row:
+            lead = min(row)
+            prow = basis.get(lead)
+            if prow is None:
+                inv = Fraction(1) / row[lead]
+                basis[lead] = {c: v * inv for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in prow.items():
+                w = row.get(c, 0) - f * v
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return basis
+
+
+def sparse_rank(rows) -> int:
+    return len(echelon(rows))
+
+
+def sparse_solve(rows, ncols, rhs):
+    """One exact solution x (a list of ncols values) of rows . x = rhs, with
+    every non-pivot coordinate zero, or None if inconsistent."""
+    aug = [{**row, ncols: b} if not is_zero(b) else row
+           for row, b in zip(rows, rhs, strict=True)]
+    basis = echelon(aug)
+    if ncols in basis:
+        return None
+    x = [Fraction(0)] * ncols
+    for lead in sorted(basis, reverse=True):
+        row = basis[lead]
+        x[lead] = row.get(ncols, Fraction(0)) - sum(
+            (v * x[c] for c, v in row.items() if lead < c < ncols), Fraction(0))
+    return x

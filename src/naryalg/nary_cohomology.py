@@ -16,6 +16,15 @@ last block (1-cochains are then fully antisymmetric rank-n tensors, as the
 extension problem requires).  The binary (n = 2) specialization of the
 deformation complex is the Leibniz-algebra coboundary, implemented here
 together with Leibniz extensions.
+
+Each coboundary formula exists once, as an evaluation at one argument key
+(`coboundary_{trivial,module,deformation}_eval`).  `coboundary_matrix`
+assembles the matrix of delta row by row: it applies the formula once to
+the generic cochain whose coordinates are the linear forms x_1, x_2, .. (see
+`scalars.LinearForm`), which yields each target coordinate as a sparse row
+over the source coordinates.  Cohomology dimensions and preimages then come
+from the sparse leading-column elimination of `linalg.echelon`, whose
+solutions set every non-pivot coordinate to zero.
 """
 
 from __future__ import annotations
@@ -25,31 +34,30 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg
-from .filippov import FilippovAlgebra, FundamentalSum, check_fi, fundamental_compose
-from .scalars import is_zero, rat
+from .cohomology import CohomologyReport
+from .filippov import FilippovAlgebra, check_fi
+from .scalars import LinearForm, is_zero, rat
 from .tensors import sort_sign
 
 
 # ---------------------------------------------------------------------------
-# generic n-Leibniz backend
+# brackets on basis labels
 #
 # Brackets are functions on label tuples returning {target: coeff}; for a
-# FilippovAlgebra the labels are basis indices and the bracket is f_row.  The
-# Leibniz case relaxes the in-block antisymmetry (blocks stored raw).
+# FilippovAlgebra the labels are basis indices and the bracket is f_row.
 # ---------------------------------------------------------------------------
 
 class NBracket:
-    """Multilinear bracket on basis labels with optional antisymmetry."""
+    """Multilinear bracket on basis labels."""
 
-    def __init__(self, arity, dim, row_fn, antisym=True):
+    def __init__(self, arity, dim, row_fn):
         self.arity = arity
         self.dim = dim
         self.row_fn = row_fn
-        self.antisym = antisym
 
     @classmethod
     def from_fa(cls, fa: FilippovAlgebra):
-        return cls(fa.arity, fa.dim, fa.f_row, antisym=True)
+        return cls(fa.arity, fa.dim, fa.f_row)
 
     def row(self, labels):
         return self.row_fn(tuple(labels))
@@ -138,41 +146,26 @@ class NCochain:
         return not self.data
 
 
-def _unit(dim_v, a):
-    return tuple(Fraction(1 if t == a else 0) for t in range(dim_v))
-
-
-def trivial_keys(fa, p, *, leibniz=False):
+def trivial_keys(fa, p):
     """Canonical coordinate keys of the trivial/deformation cochain spaces."""
     n, d = fa.arity, fa.dim
     rng = range(1, d + 1)
     if p == 0:
         return [(z,) for z in rng]
-    blocks = list(product(rng, repeat=n - 1)) if leibniz \
-        else list(combinations(rng, n - 1))
-    last = list(product(rng, repeat=n)) if leibniz else list(combinations(rng, n))
+    blocks = list(combinations(rng, n - 1))
+    last = list(combinations(rng, n))
     return [tuple(bs) + (l,) for bs in product(blocks, repeat=p - 1) for l in last]
 
 
-def module_keys(fa, p, *, leibniz=False):
+def module_keys(fa, p):
     n, d = fa.arity, fa.dim
-    rng = range(1, d + 1)
-    blocks = list(product(rng, repeat=n - 1)) if leibniz \
-        else list(combinations(rng, n - 1))
+    blocks = list(combinations(range(1, d + 1), n - 1))
     return list(product(blocks, repeat=p))
 
 
 # ---------------------------------------------------------------------------
 # coboundary operators (evaluated on raw argument tuples)
 # ---------------------------------------------------------------------------
-
-def _split_args(key, n, p):
-    """Raw argument key -> (list of p blocks, solitary z)."""
-    blocks = list(key[:-1])
-    last = key[-1]
-    blocks.append(tuple(last[:-1]))
-    return blocks, last[-1]
-
 
 def coboundary_trivial_eval(br: NBracket, alpha: NCochain, blocks, z):
     """(delta a)(X_1..X_{p+1}, Z) = sum_{i<j} (-1)^i a(.. X_i.X_j at j .., Z)
@@ -317,12 +310,11 @@ def fa_coboundary_deformation(fa: FilippovAlgebra, alpha: NCochain) -> NCochain:
     return _apply(br, alpha, "deformation", None)
 
 
-def _apply(br, alpha, kind, rho, *, leibniz=False):
+def _apply(br, alpha, kind, rho):
     n, d = br.arity, br.dim
     p_out = alpha.order + 1
     rng = range(1, d + 1)
-    blocks = list(product(rng, repeat=n - 1)) if leibniz \
-        else list(combinations(rng, n - 1))
+    blocks = list(combinations(rng, n - 1))
     data = {}
     if kind == "module":
         for bs in product(blocks, repeat=p_out):
@@ -334,7 +326,7 @@ def _apply(br, alpha, kind, rho, *, leibniz=False):
     # antisymmetry of the last block with the solitary slot is a tested
     # property of these complexes, see jointly_antisymmetric_in_last_slot)
     ev = coboundary_trivial_eval if kind == "trivial" else coboundary_deformation_eval
-    lasts = list(product(rng, repeat=n)) if leibniz else list(combinations(rng, n))
+    lasts = list(combinations(rng, n))
     for bs in product(blocks, repeat=p_out - 1):
         for last in lasts:
             vec = ev(br, alpha, list(bs) + [last[:-1]], last[-1])
@@ -366,10 +358,10 @@ def jointly_antisymmetric_in_last_slot(fa, out_fn, alpha, p_out) -> bool:
 # matrices and cohomology dimensions
 # ---------------------------------------------------------------------------
 
-def _complex_keys(fa, kind, p, *, leibniz=False):
+def _complex_keys(fa, kind, p):
     if kind == "module":
-        return module_keys(fa, p, leibniz=leibniz)
-    return trivial_keys(fa, p, leibniz=leibniz)
+        return module_keys(fa, p)
+    return trivial_keys(fa, p)
 
 
 def _target_dim(fa, kind, dim_v):
@@ -379,51 +371,40 @@ def _target_dim(fa, kind, dim_v):
 
 
 def coboundary_matrix(fa: FilippovAlgebra, kind, p, dim_v=1, rho=None):
-    """Matrix of delta: C^p -> C^{p+1} over the canonical coordinates; rows
-    are indexed by (evaluation key, target index)."""
+    """Sparse matrix of delta: C^p -> C^{p+1} over the canonical coordinates,
+    as (rows, src, dst): one {column: value} row per (key, target index) in
+    dst, the columns indexed by the (key, target index) pairs of src.
+
+    The rows come from a single application of the coboundary to the generic
+    cochain whose coordinate src[i] is the linear form x_i.
+    """
     br = NBracket.from_fa(fa)
     dv = _target_dim(fa, kind, dim_v)
-    src = [(key, a) for key in _complex_keys(fa, kind, p) for a in range(dv)]
-    dst_keys = _complex_keys(fa, kind, p + 1)
-    rows = {key: i for i, key in enumerate(dst_keys)}
-    mat = linalg.zeros(len(dst_keys) * dv, len(src))
-    for col, (key, a) in enumerate(src):
-        alpha = NCochain(kind, p, fa.arity, fa.dim, dv, {key: _unit(dv, a)})
-        out = _apply(br, alpha, kind, rho)
-        for okey, vec in out.data.items():
-            base = rows[okey] * dv
-            for t in range(dv):
-                if vec[t] != 0:
-                    mat[base + t][col] = vec[t]
-    return mat, src
+    keys = _complex_keys(fa, kind, p)
+    src = [(key, a) for key in keys for a in range(dv)]
+    generic = NCochain(kind, p, fa.arity, fa.dim, dv,
+                       {key: tuple(LinearForm({i * dv + a: 1}) for a in range(dv))
+                        for i, key in enumerate(keys)})
+    out = _apply(br, generic, kind, rho).data
+    dst = [(key, t) for key in _complex_keys(fa, kind, p + 1) for t in range(dv)]
+    # a target coordinate that no term reached holds the scalar 0
+    zero = (0,) * dv
+    rows = [out.get(key, zero)[t] or LinearForm() for key, t in dst]
+    return rows, src, dst
 
 
-@dataclass
-class NCohomologyReport:
-    dims_c: dict
-    dims_z: dict
-    dims_b: dict
-    dims_h: dict
-
-
-def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, dim_v=1, rho=None) -> NCohomologyReport:
+def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, dim_v=1, rho=None) -> CohomologyReport:
     """Exact Z/B/H dimensions of the chosen complex up to degree p_max."""
     if kind == "module" and rho is None:
         from .filippov import adjoint_fa_representation
         rho = adjoint_fa_representation(fa)
         dim_v = fa.dim
-    dv = _target_dim(fa, kind, dim_v)
     dims_c, ranks = {}, {}
     for p in range(0, p_max + 1):
-        dims_c[p] = len(_complex_keys(fa, kind, p)) * dv
-        mat, _ = coboundary_matrix(fa, kind, p, dim_v, rho)
-        ranks[p] = linalg.rank(mat) if mat and mat[0] else 0
-    dims_z, dims_b, dims_h = {}, {}, {}
-    for p in range(0, p_max + 1):
-        dims_z[p] = dims_c[p] - ranks[p]
-        dims_b[p] = 0 if p == 0 else ranks[p - 1]
-        dims_h[p] = dims_z[p] - dims_b[p]
-    return NCohomologyReport(dims_c, dims_z, dims_b, dims_h)
+        rows, src, _ = coboundary_matrix(fa, kind, p, dim_v, rho)
+        dims_c[p] = len(src)
+        ranks[p] = linalg.sparse_rank(rows)
+    return CohomologyReport.from_ranks(dims_c, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -522,16 +503,7 @@ def fa_central_extension(fa: FilippovAlgebra, alpha: NCochain) -> FilippovAlgebr
 def trivialize_fa_extension(fa: FilippovAlgebra, alpha: NCochain):
     """Solve alpha = delta(beta) over scalar 0-cochains; returns the basis
     change vector or None when the class is non-trivial."""
-    d = fa.dim
-    rows, rhs = [], []
-    for key in trivial_keys(fa, 1):
-        last = key[0]
-        row = [Fraction(0)] * d
-        for l, v in fa.f_row(last).items():
-            row[l - 1] -= v
-        rows.append(row)
-        rhs.append(alpha.value(key)[0])
-    return linalg.solve(rows, rhs)
+    return _preimage_coords(fa, "trivial", alpha)[0]
 
 
 def deformation_obstruction(fa: FilippovAlgebra, alpha: NCochain):
@@ -595,25 +567,26 @@ def deformation_obstruction(fa: FilippovAlgebra, alpha: NCochain):
 
 def deformation_preimage(fa: FilippovAlgebra, target: NCochain):
     """Solve delta(beta) = target over deformation (p-1)-cochains."""
-    p = target.order
-    mat, src = coboundary_matrix(fa, "deformation", p - 1)
-    dv = fa.dim
-    dst_keys = _complex_keys(fa, "deformation", p)
-    rhs = [Fraction(0)] * (len(dst_keys) * dv)
-    for i, key in enumerate(dst_keys):
-        vec = target.value(key)
-        for t in range(dv):
-            rhs[i * dv + t] = vec[t]
-    sol = linalg.solve(mat, rhs)
+    sol, src = _preimage_coords(fa, "deformation", target)
     if sol is None:
         return None
+    dv = fa.dim
     data = {}
     for col, (key, a) in enumerate(src):
         if sol[col] != 0:
             vec = list(data.get(key, (Fraction(0),) * dv))
             vec[a] += sol[col]
             data[key] = tuple(vec)
-    return NCochain("deformation", p - 1, fa.arity, fa.dim, dv, data)
+    return NCochain("deformation", target.order - 1, fa.arity, fa.dim, dv, data)
+
+
+def _preimage_coords(fa, kind, target):
+    """(x, src): the coordinates x over src of one (p-1)-cochain beta with
+    delta(beta) = target, non-pivot coordinates zero (x is None when target
+    is not a coboundary)."""
+    rows, src, dst = coboundary_matrix(fa, kind, target.order - 1)
+    rhs = [target.value(key)[t] for key, t in dst]
+    return linalg.sparse_solve(rows, len(src), rhs), src
 
 
 def mc_zero_cochain(fa: FilippovAlgebra) -> NCochain:

@@ -4,6 +4,11 @@ Plain rationals are `fractions.Fraction`; the Gaussian extension a+bi is only
 needed by the Clifford and su(n) matrix constructions.  Everything downstream
 is written against the common field protocol (+, -, *, /, ==), so tensors and
 matrices may hold either kind.
+
+A `LinearForm` is not a field element but passes through every formula that
+is linear in its inputs (sums, differences, products with a scalar, tests
+against zero).  Such a formula evaluated on forms in place of numbers returns
+each output coordinate as a form in the input coordinates: a matrix row.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ def rat(x) -> Fraction:
         if x.im != 0:
             raise ValueError(f"{x} has a nonzero imaginary part")
         return x.re
+    if isinstance(x, LinearForm):
+        return x
     return Fraction(x)
 
 
@@ -109,6 +116,67 @@ class GaussianRational:
         if self.im == 0:
             return str(self.re)
         return f"({self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i)"
+
+
+class LinearForm(dict):
+    """Sparse linear form {coordinate: nonzero coefficient}.
+
+    Forms add to forms and to zero, multiply by scalars, and compare equal to
+    0 when empty; adding a nonzero scalar or multiplying two forms is not
+    linear and raises TypeError.  No operation mutates an operand, so a sum
+    with zero or a product with 1 may return the form itself.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if isinstance(other, LinearForm):
+            out = LinearForm(self)
+            for k, v in other.items():
+                w = out.get(k, 0) + v
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
+            return out
+        if other == 0:
+            return self
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LinearForm({k: -v for k, v in self.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, c):
+        if isinstance(c, LinearForm):
+            return NotImplemented
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
+        if c == 0:
+            return LinearForm()
+        return LinearForm({k: c * v for k, v in self.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, dict):
+            return dict.__eq__(self, other)
+        if other == 0:
+            return not self
+        return NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
 
 I = GaussianRational(0, 1)

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from naryalg import linalg
 from naryalg.catalog import euclidean_rotations_2d, heisenberg, r2_abelian, su
-from naryalg.cohomology import (Cochain, basis_tuples, central_extension,
-                                coboundary, coboundary_coords, cohomology_dims,
+from naryalg.cohomology import (Cochain, _coboundary_preimage, basis_tuples,
+                                central_extension, coboundary, coboundary_coords,
+                                coboundary_matrix, cohomology_dims, coord_basis,
                                 deformation_check, laplacian_identity_holds,
                                 mc_cochain, quadratic_casimir,
                                 trivialize_extension, whitehead_homotopy)
@@ -66,6 +67,39 @@ def test_dimension_mismatch_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the matrix of s
+# ---------------------------------------------------------------------------
+
+def unit_cochain_columns(alg, rho, p, dim_v, cols):
+    """Rows of s restricted to the columns `cols`, each column the coboundary
+    of a unit cochain: the column-wise assembly, kept as the reference."""
+    src = coord_basis(alg.dim, p, dim_v)
+    dst = coord_basis(alg.dim, p + 1, dim_v)
+    images = {j: coboundary(alg, rho, Cochain(p, alg.dim, dim_v, {src[j]: Fraction(1)})).data
+              for j in cols}
+    return [{j: img[key] for j, img in images.items() if key in img} for key in dst]
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "su2", "su3"])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_row_assembly_matches_unit_cochain_columns(name, adjoint):
+    alg = {"heisenberg": heisenberg, "su2": lambda: su(2), "su3": lambda: su(3)}[name]()
+    rho = alg.adjoint_rep() if adjoint else None
+    dim_v = alg.dim if adjoint else 1
+    rng = random.Random(13)
+    for p in range(4):
+        rows, src, dst = coboundary_matrix(alg, rho, p, dim_v)
+        assert src == coord_basis(alg.dim, p, dim_v)
+        assert dst == coord_basis(alg.dim, p + 1, dim_v) and len(rows) == len(dst)
+        # every column up to 64, else a seeded sample of 16: the reference
+        # takes about 0.1 s per su(3) adjoint column of degree 3
+        cols = range(len(src)) if len(src) <= 64 else sorted(rng.sample(range(len(src)), 16))
+        restricted = [{j: row[j] for j in cols if j in row} for row in rows]
+        assert restricted == unit_cochain_columns(alg, rho, p, dim_v, cols)
+        assert all(j in range(len(src)) for row in rows for j in row)
+
+
+# ---------------------------------------------------------------------------
 # cohomology dimensions
 # ---------------------------------------------------------------------------
 
@@ -90,6 +124,13 @@ def test_su2_trivial_h3_is_structure_constants_class():
     # not a coboundary: no 2-cochain maps onto it
     from naryalg.cohomology import _coboundary_preimage
     assert _coboundary_preimage(alg, None, om) is None
+
+
+def test_su4_cohomology_through_degree_3():
+    # theory: H(su(4)) = H(S^3 x S^5 x S^7) (Chevalley-Eilenberg 1948)
+    rep = cohomology_dims(su(4), None, 3)
+    assert [rep.dims_h[p] for p in range(4)] == [1, 0, 0, 1]
+    assert [rep.dims_c[p] for p in range(4)] == [1, 15, 105, 455]
 
 
 def test_h_dims_nonnegative_everywhere():
@@ -224,3 +265,28 @@ def test_non_cocycle_deformation_detected():
     alpha = Cochain(2, 3, 3, {(1, (1, 2)): Fraction(1)})
     rep = deformation_check(alg, alpha)
     assert not rep.is_cocycle
+
+
+# ---------------------------------------------------------------------------
+# pinned preimages: the solution with every non-pivot coordinate zero
+# ---------------------------------------------------------------------------
+
+def draw(rng):
+    v = 0
+    while v == 0:
+        v = rng.randint(-3, 3)
+    return v
+
+
+def test_su3_preimage_witnesses_are_pinned():
+    rng = random.Random(2)
+    alg = su(3)
+    gamma = Cochain(1, 8, 1, {(1, (i,)): draw(rng) for i in range(1, 9)})
+    w = trivialize_extension(alg, coboundary(alg, None, gamma))
+    assert [str(v) for v in w] == ["3", "3", "-3", "-3", "-3", "-1", "3", "-2"]
+    rho = alg.adjoint_rep()
+    beta = Cochain(1, 8, 8, {(a, (i,)): draw(rng) for a in range(1, 9) for i in range(1, 9)
+                             if rng.random() < 0.3})
+    pre = _coboundary_preimage(alg, rho, coboundary(alg, rho, beta))
+    assert pre.data == {(1, (7,)): 2, (2, (6,)): -3, (3, (5,)): -2, (3, (6,)): -3,
+                        (3, (7,)): -2, (3, (8,)): 1, (6, (2,)): -1, (7, (6,)): -1}

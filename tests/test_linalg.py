@@ -29,6 +29,9 @@ def test_solve_consistent_and_inconsistent():
     a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
     assert linalg.solve(a, [Fraction(3), Fraction(6)]) is not None
     assert linalg.solve(a, [Fraction(3), Fraction(7)]) is None
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
+    assert linalg.sparse_solve(rows, 2, [Fraction(3), Fraction(6)]) == [3, 0]
+    assert linalg.sparse_solve(rows, 2, [Fraction(3), Fraction(7)]) is None
 
 
 def test_solve_returns_exact_solution():
@@ -102,3 +105,56 @@ def test_gaussian_matrix_ops():
     assert linalg.trace(a) == GaussianRational(0)
     ct = linalg.conj_transpose(a)
     assert ct[0][0] == -i and ct[1][0] == GaussianRational(1)
+
+
+# ---------------------------------------------------------------------------
+# sparse elimination against the dense reference
+# ---------------------------------------------------------------------------
+
+# about two entries in three are zero, as in the coboundary matrices
+ENTRIES = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@st.composite
+def sparse_systems(draw):
+    """(a, b): a dense matrix with some rows that are combinations of others
+    (rank deficient), shuffled, and a right side that is either a . x for a
+    drawn x (consistent) or drawn freely (mostly inconsistent)."""
+    m = draw(st.integers(1, 7))
+    a = draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(a) - 1))
+        j = draw(st.integers(0, len(a) - 1))
+        c = draw(st.integers(-2, 2))
+        a.append([x + c * y for x, y in zip(a[i], a[j])])
+    a = draw(st.permutations(a))
+    if draw(st.booleans()):
+        x = draw(st.lists(ENTRIES, min_size=m, max_size=m))
+        b = [sum((r[j] * x[j] for j in range(m)), Fraction(0)) for r in a]
+    else:
+        b = draw(st.lists(ENTRIES, min_size=len(a), max_size=len(a)))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_sparse_elimination_matches_dense(system):
+    a, b = system
+    rows = [{j: v for j, v in enumerate(r) if v} for r in a]
+    before = [dict(r) for r in rows]
+    assert linalg.sparse_rank(rows) == linalg.rank(a)
+    # both pivot on the lexicographically first independent columns, so the
+    # solutions with zero non-pivot coordinates are the same vector
+    assert linalg.sparse_solve(rows, len(a[0]), b) == linalg.solve(a, b)
+    assert rows == before
+
+
+def test_echelon_leads_in_rref_pivot_columns():
+    rng = random.Random(6)
+    for _ in range(20):
+        a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        a.append([x - y for x, y in zip(a[0], a[-1])])
+        basis = linalg.echelon([{j: v for j, v in enumerate(r) if v} for r in a])
+        assert sorted(basis) == linalg.rref(a)[1]
+        assert all(min(row) == lead and row[lead] == 1 for lead, row in basis.items())

@@ -1,0 +1,84 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from naryalg.catalog import a4, nhw
+from naryalg.filippov import adjoint_fa_representation
+from naryalg.nary_cohomology import (NCochain, coboundary_matrix, deformation_preimage,
+                                     fa_coboundary_deformation, fa_coboundary_module,
+                                     fa_coboundary_trivial, fa_cohomology_dims,
+                                     module_keys, trivial_keys, trivialize_fa_extension)
+
+ALGEBRAS = {"a4": a4, "nhw1": lambda: nhw(1)}
+
+
+def unit_cochain_matrix(fa, kind, p, rho, dv):
+    """(rows, src, dst) of delta with each column the coboundary of a unit
+    cochain, through the user-facing operators: the column-wise assembly,
+    kept as the reference."""
+    keys = module_keys if kind == "module" else trivial_keys
+    src = [(key, a) for key in keys(fa, p) for a in range(dv)]
+    dst = [(key, t) for key in keys(fa, p + 1) for t in range(dv)]
+    images = []
+    for key, a in src:
+        unit = NCochain(kind, p, fa.arity, fa.dim, dv,
+                        {key: tuple(Fraction(t == a) for t in range(dv))})
+        if kind == "trivial":
+            images.append(fa_coboundary_trivial(fa, unit))
+        elif kind == "module":
+            images.append(fa_coboundary_module(fa, rho, unit))
+        else:
+            images.append(fa_coboundary_deformation(fa, unit))
+    rows = [{j: img.value(key)[t] for j, img in enumerate(images) if img.value(key)[t]}
+            for key, t in dst]
+    return rows, src, dst
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("kind", ["trivial", "module", "deformation"])
+@pytest.mark.parametrize("p", [0, 1])
+def test_row_assembly_matches_unit_cochain_columns(name, kind, p):
+    fa = ALGEBRAS[name]()
+    rho = adjoint_fa_representation(fa) if kind == "module" else None
+    dv = 1 if kind == "trivial" else fa.dim
+    assert coboundary_matrix(fa, kind, p, dv, rho) == unit_cochain_matrix(fa, kind, p, rho, dv)
+
+
+def test_simple_a4_has_no_trivial_cohomology_through_degree_3():
+    # theory: a simple Filippov algebra has no central extensions (H^0 = H^1
+    # = 0); degrees 2 and 3 vanish as well
+    rep = fa_cohomology_dims(a4(), "trivial", 3)
+    assert [rep.dims_h[p] for p in range(4)] == [0, 0, 0, 0]
+    assert [rep.dims_c[p] for p in range(4)] == [4, 4, 24, 144]
+
+
+# ---------------------------------------------------------------------------
+# pinned preimages: the solution with every non-pivot coordinate zero
+# ---------------------------------------------------------------------------
+
+def draw(rng):
+    v = 0
+    while v == 0:
+        v = rng.randint(-3, 3)
+    return v
+
+
+def test_a4_deformation_preimage_is_pinned():
+    rng = random.Random(3)
+    fa = a4()
+    beta = NCochain("deformation", 1, 3, 4, 4,
+                    {k: tuple(rng.randint(-3, 3) for _ in range(4)) for k in trivial_keys(fa, 1)})
+    target = fa_coboundary_deformation(fa, beta)
+    w = deformation_preimage(fa, target)
+    assert fa_coboundary_deformation(fa, w).data == target.data
+    assert w.data == {((1, 2, 3),): (-1, 4, 3, 0), ((1, 2, 4),): (0, 2, 0, 0),
+                      ((1, 3, 4),): (1, 0, 0, 0)}
+
+
+def test_nhw2_extension_trivialization_is_pinned():
+    rng = random.Random(4)
+    fa = nhw(2)
+    gamma = NCochain("trivial", 0, 3, 7, 1, {(z,): (draw(rng),) for z in range(1, 8)})
+    x = trivialize_fa_extension(fa, fa_coboundary_trivial(fa, gamma))
+    assert [str(v) for v in x] == ["0", "0", "0", "0", "0", "0", "-3"]
