@@ -12,7 +12,7 @@ Subpackages by topic:
 """
 
 from .scalars import GaussianRational
-from .tensors import AntisymTensor, gen_kronecker
+from .tensors import AntisymTensor, BracketTensor, gen_kronecker
 from .poly import Poly
 from .lie import LieAlgebra, Representation, SymInvariantPoly
 from .gla import GLAlgebra
@@ -21,7 +21,7 @@ from .nary_cohomology import LeibnizAlgebra, NCochain
 from .poisson import PolyMultivector
 
 __all__ = [
-    "AntisymTensor", "FilippovAlgebra", "GaussianRational", "GLAlgebra",
+    "AntisymTensor", "BracketTensor", "FilippovAlgebra", "GaussianRational", "GLAlgebra",
     "LeibnizAlgebra", "LieAlgebra", "NCochain", "Poly", "PolyMultivector",
     "Representation", "SymInvariantPoly", "gen_kronecker",
 ]

@@ -4,10 +4,17 @@ of `i j : value` lines.  Indices are 1-based; antisymmetric kinds accept only
 strictly increasing index tuples, so files are canonical and diffable.
 Multivector files reuse the same line shape with exponent vectors in place
 of the target index.
+
+The header is checked against the kind: arity and dim are positive, `lie`
+and `leibniz` have arity 2, `gla` an even arity, and an antisymmetric kind
+has arity <= dim (otherwise no strictly increasing index tuple exists).
+The structure-constant kinds build their `BracketTensor` subclass through
+one path, chosen by the class's `kind`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,8 +25,11 @@ from .nary_cohomology import LeibnizAlgebra
 from .poisson import PolyMultivector
 from .poly import Poly
 from .scalars import GaussianRational, format_scalar, parse_scalar
+from .tensors import BracketTensor
 
-KINDS = ("lie", "gla", "filippov", "leibniz", "multivector")
+# the structure-constant kinds, each stored as a BracketTensor subclass
+BRACKETS = {cls.kind: cls for cls in (LieAlgebra, GLAlgebra, FilippovAlgebra)}
+KINDS = (*BRACKETS, "leibniz", "multivector")
 
 
 class ParseError(ValueError):
@@ -27,6 +37,20 @@ class ParseError(ValueError):
         super().__init__(f"line {line_no}, column {col}: {message}")
         self.line_no = line_no
         self.col = col
+
+
+def _int_tokens(text, line_no, col0, what):
+    """The integers of the whitespace-separated tokens of `text`, which
+    starts at column col0 of line line_no; a token that is not an integer is
+    a ParseError at its own column."""
+    out = []
+    for m in re.finditer(r"\S+", text):
+        try:
+            out.append(int(m.group()))
+        except ValueError:
+            raise ParseError(line_no, col0 + m.start(),
+                             f"{what} must be integers, got {m.group()!r}") from None
+    return tuple(out)
 
 
 @dataclass
@@ -60,16 +84,25 @@ class AlgebraFile:
         lines = text.splitlines()
         if not lines:
             raise ParseError(1, 1, "empty file")
-        head = lines[0].split()
+        head = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", lines[0])]
         if len(head) != 4:
             raise ParseError(1, 1, "header must be: kind arity dim scalar")
-        kind, arity_s, dim_s, scalar_kind = head
+        (_, kind), (arity_col, arity_s), (dim_col, dim_s), (_, scalar_kind) = head
         if kind not in KINDS:
             raise ParseError(1, 1, f"unknown kind {kind!r}")
-        try:
-            arity, dim = int(arity_s), int(dim_s)
-        except ValueError:
-            raise ParseError(1, len(kind) + 2, "arity and dim must be integers")
+        (arity,) = _int_tokens(arity_s, 1, arity_col, "arity and dim")
+        (dim,) = _int_tokens(dim_s, 1, dim_col, "arity and dim")
+        if arity < 1:
+            raise ParseError(1, arity_col, f"arity must be positive, got {arity}")
+        if dim < 1:
+            raise ParseError(1, dim_col, f"dim must be positive, got {dim}")
+        if kind in ("lie", "leibniz") and arity != 2:
+            raise ParseError(1, arity_col, f"{kind} files have arity 2, got {arity}")
+        if kind == "gla" and arity % 2:
+            raise ParseError(1, arity_col, f"gla files need an even arity, got {arity}")
+        if kind != "leibniz" and arity > dim:
+            raise ParseError(1, arity_col, f"arity {arity} exceeds dim {dim}:"
+                             " no strictly increasing index tuple exists")
         if scalar_kind not in ("rational", "gaussian"):
             raise ParseError(1, 1, f"unknown scalar kind {scalar_kind!r}")
         out = cls(kind, arity, dim, scalar_kind)
@@ -80,6 +113,7 @@ class AlgebraFile:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
+            col0 = len(line) - len(line.lstrip()) + 1  # column of stripped[0]
             if stripped == "metric":
                 in_metric = True
                 metric = [[Fraction(0)] * dim for _ in range(dim)]
@@ -90,14 +124,15 @@ class AlgebraFile:
             try:
                 value = parse_scalar(val_s)
             except (ValueError, ZeroDivisionError):
-                raise ParseError(no, stripped.rfind(":") + 2, f"bad scalar {val_s.strip()!r}")
+                raise ParseError(no, col0 + stripped.rfind(":") + 1,
+                                 f"bad scalar {val_s.strip()!r}")
             if scalar_kind == "rational" and isinstance(value, GaussianRational):
                 raise ParseError(no, 1, "gaussian literal in a rational file")
             if in_metric:
-                parts = lhs.split()
+                parts = _int_tokens(lhs, no, col0, "metric indices")
                 if len(parts) != 2:
                     raise ParseError(no, 1, "metric lines are `i j : value`")
-                i, j = (int(x) for x in parts)
+                i, j = parts
                 if not (1 <= i <= dim and 1 <= j <= dim):
                     raise ParseError(no, 1, "metric index out of range")
                 metric[i - 1][j - 1] = value
@@ -106,11 +141,8 @@ class AlgebraFile:
             if "->" not in lhs:
                 raise ParseError(no, 1, "missing '->'")
             idx_s, _, tgt_s = lhs.partition("->")
-            try:
-                idx = tuple(int(x) for x in idx_s.split())
-                tgt_parts = tuple(int(x) for x in tgt_s.split())
-            except ValueError:
-                raise ParseError(no, 1, "indices must be integers")
+            idx = _int_tokens(idx_s, no, col0, "indices")
+            tgt_parts = _int_tokens(tgt_s, no, col0 + len(idx_s) + 2, "indices")
             if kind == "multivector":
                 if len(tgt_parts) != dim:
                     raise ParseError(no, 1, f"exponent vector must have {dim} entries")
@@ -139,23 +171,14 @@ class AlgebraFile:
 
     # -- object round trip ----------------------------------------------------
     def build(self):
-        if self.kind == "lie":
-            if self.arity != 2:
-                raise ValueError("binary algebras have arity 2")
-            return LieAlgebra.from_entries(
-                self.dim, [((idx[0], idx[1], t), v) for idx, t, v in self.entries])
-        if self.kind == "gla":
+        cls = BRACKETS.get(self.kind)
+        if cls is not None:
             c = {}
             for idx, t, v in self.entries:
                 c.setdefault(idx, {})[t] = v
-            return GLAlgebra(self.arity, self.dim, c)
-        if self.kind == "filippov":
-            f = {}
-            for idx, t, v in self.entries:
-                f.setdefault(idx, {})[t] = v
-            fa = FilippovAlgebra(self.arity, self.dim, f)
-            fa.metric = self.metric
-            return fa
+            obj = cls.from_table(self.arity, self.dim, c)
+            obj.metric = self.metric
+            return obj
         if self.kind == "leibniz":
             b = {}
             for idx, t, v in self.entries:
@@ -170,26 +193,10 @@ class AlgebraFile:
         raise ValueError(f"unknown kind {self.kind!r}")
 
     @classmethod
-    def from_object(cls, obj, name_hint="") -> "AlgebraFile":
-        if isinstance(obj, LieAlgebra):
-            out = cls("lie", 2, obj.dim)
-            for (i, j), row in obj.c.items():
-                for k, v in row.items():
-                    out.entries.append(((i, j), k, v))
-            return out
-        if isinstance(obj, GLAlgebra):
-            out = cls("gla", obj.arity, obj.dim)
-            for idx, row in obj.c.items():
-                for k, v in row.items():
-                    out.entries.append((idx, k, v))
-            return out
-        if isinstance(obj, FilippovAlgebra):
-            out = cls("filippov", obj.arity, obj.dim)
-            for idx, row in obj.f.items():
-                for k, v in row.items():
-                    out.entries.append((idx, k, v))
-            out.metric = obj.metric
-            return out
+    def from_object(cls, obj) -> "AlgebraFile":
+        if isinstance(obj, BracketTensor):
+            return cls(obj.kind, obj.arity, obj.dim, entries=list(obj.entries()),
+                       metric=obj.metric)
         if isinstance(obj, LeibnizAlgebra):
             out = cls("leibniz", 2, obj.dim)
             for (i, j), row in obj.b.items():

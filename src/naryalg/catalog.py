@@ -1,4 +1,4 @@
-"""Named catalog of the algebras every suite runs against, plus sign-flipped
+"""Named catalog of the algebras every suite runs against, plus corrupted
 negative controls."""
 
 from __future__ import annotations
@@ -7,10 +7,10 @@ from fractions import Fraction
 from itertools import combinations
 from functools import lru_cache
 
-from .filippov import FilippovAlgebra, simple_fa
-from .gla import GLAlgebra, gla_from_cocycle
-from .lie import (LieAlgebra, cocycle_from_invariant_poly, killing_invariant_poly,
-                  sun_generators, symmetrized_trace_poly)
+from .filippov import FilippovAlgebra, check_fi, simple_fa
+from .gla import GLAlgebra, check_gji, gla_from_cocycle
+from .lie import (LieAlgebra, check_jacobi, cocycle_from_invariant_poly,
+                  killing_invariant_poly, sun_generators, symmetrized_trace_poly)
 from .nary_cohomology import LeibnizAlgebra
 
 
@@ -85,29 +85,7 @@ def nilpotent_leibniz() -> LeibnizAlgebra:
     return LeibnizAlgebra(3, {(2, 3): {1: Fraction(1)}, (3, 3): {1: Fraction(1)}})
 
 
-def flip_one_sign_lie(alg: LieAlgebra) -> LieAlgebra:
-    """Negative control: flip the sign of one structure-constant entry."""
-    c = {k: dict(v) for k, v in alg.c.items()}
-    key = min(c)
-    sub = min(c[key])
-    c[key][sub] = -c[key][sub]
-    return LieAlgebra(alg.dim, c)
-
-
-def flip_one_sign_fa(fa: FilippovAlgebra) -> FilippovAlgebra:
-    f = {k: dict(v) for k, v in fa.f.items()}
-    key = min(f)
-    sub = min(f[key])
-    f[key][sub] = -f[key][sub]
-    return FilippovAlgebra(fa.arity, fa.dim, f)
-
-
-def flip_one_sign_gla(g: GLAlgebra) -> GLAlgebra:
-    c = {k: dict(v) for k, v in g.c.items()}
-    key = min(c)
-    sub = min(c[key])
-    c[key][sub] = -c[key][sub]
-    return GLAlgebra(g.arity, g.dim, c)
+IDENTITY = {"lie": check_jacobi, "gla": check_gji, "filippov": check_fi}
 
 
 def corrupted(obj):
@@ -116,81 +94,27 @@ def corrupted(obj):
     Sign flips are tried first (in sorted entry order).  For the epsilon-type
     algebras every single sign flip yields another valid algebra (it merely
     toggles one basis sign in the pseudoeuclidean family), so the fallback
-    plants one off-pattern entry instead.
+    plants one off-pattern entry (+1 at each sorted index tuple and target
+    in turn) instead.
     """
-    from .filippov import check_fi
-    from .gla import check_gji
-    from .lie import check_jacobi
-
     if isinstance(obj, LieAlgebra) and obj.dim < 3:
         return None  # the identity is vacuous below three dimensions
-    if isinstance(obj, LieAlgebra):
-        entries = [(k, s) for k in sorted(obj.c) for s in sorted(obj.c[k])]
-        for key, sub in entries:
+    holds = IDENTITY[obj.kind]
+
+    def candidates():
+        for key, sub, _ in sorted(obj.entries()):
             c = {k: dict(v) for k, v in obj.c.items()}
             c[key][sub] = -c[key][sub]
-            cand = LieAlgebra(obj.dim, c)
-            if not check_jacobi(cand).ok:
-                return cand
-        for key in combinations(range(1, obj.dim + 1), 2):
+            yield c
+        for key in combinations(range(1, obj.dim + 1), obj.arity):
             for tgt in range(1, obj.dim + 1):
                 c = {k: dict(v) for k, v in obj.c.items()}
                 row = c.setdefault(key, {})
                 row[tgt] = row.get(tgt, Fraction(0)) + 1
-                cand = LieAlgebra(obj.dim, c)
-                if not check_jacobi(cand).ok:
-                    return cand
-        raise AssertionError("could not corrupt the algebra")
-    if isinstance(obj, FilippovAlgebra):
-        entries = [(k, s) for k in sorted(obj.f) for s in sorted(obj.f[k])]
-        for key, sub in entries:
-            f = {k: dict(v) for k, v in obj.f.items()}
-            f[key][sub] = -f[key][sub]
-            cand = FilippovAlgebra(obj.arity, obj.dim, f)
-            if not check_fi(cand).ok:
-                return cand
-        for key in combinations(range(1, obj.dim + 1), obj.arity):
-            for tgt in range(1, obj.dim + 1):
-                f = {k: dict(v) for k, v in obj.f.items()}
-                row = f.setdefault(key, {})
-                row[tgt] = row.get(tgt, Fraction(0)) + 1
-                cand = FilippovAlgebra(obj.arity, obj.dim, f)
-                if not check_fi(cand).ok:
-                    return cand
-        raise AssertionError("could not corrupt the algebra")
-    if isinstance(obj, GLAlgebra):
-        entries = [(k, s) for k in sorted(obj.c) for s in sorted(obj.c[k])]
-        for key, sub in entries:
-            c = {k: dict(v) for k, v in obj.c.items()}
-            c[key][sub] = -c[key][sub]
-            cand = GLAlgebra(obj.arity, obj.dim, c)
-            if not check_gji(cand).ok:
-                return cand
-        raise AssertionError("no corrupting sign flip found")
-    raise TypeError(type(obj).__name__)
+                yield c
 
-
-def lie_catalog():
-    return {
-        "su2": su(2),
-        "su3": su(3),
-        "su4": su(4),
-        "heisenberg": heisenberg(),
-        "r2-abelian": r2_abelian(),
-    }
-
-
-def fa_catalog():
-    return {
-        "a4": a4(),
-        "a13": a13(),
-        "a5": a5(),
-        "nhw1": nhw(1),
-        "nhw2": nhw(2),
-    }
-
-
-def gla_catalog():
-    return {
-        "su3-gla4": su3_gla4(),
-    }
+    for c in candidates():
+        cand = obj.from_table(obj.arity, obj.dim, c)
+        if not holds(cand).ok:
+            return cand
+    raise AssertionError("could not corrupt the algebra")

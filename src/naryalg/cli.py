@@ -13,21 +13,19 @@ import argparse
 import json
 import os
 import sys
-import time
 from fractions import Fraction
+from itertools import combinations
 
 from . import catalog, linalg
 from .algfile import AlgebraFile, ParseError
-from .filippov import (FI_FORMS, FilippovAlgebra, check_fi, check_metric_fa,
-                       inder_lie_algebra, kasymov_form, semisimplicity_check)
+from .filippov import FI_FORMS, FilippovAlgebra, check_fi, check_metric_fa
 from .gla import GLAlgebra, check_gji
-from .lie import LieAlgebra, check_jacobi, check_metric_invariance, killing_form
+from .lie import LieAlgebra, check_jacobi, check_metric_invariance
 from .nary_cohomology import LeibnizAlgebra, fa_cohomology_dims
 from .cohomology import cohomology_dims
 from .poisson import PolyMultivector, gps_check, np_check, schouten_bracket
 
 DEFAULT_MAX_DIM = 8
-DEFAULT_MAX_ARITY = 6
 
 
 def max_dim():
@@ -51,7 +49,6 @@ class CheckRun:
         self.count += 1
         if not ok:
             self.failed += 1
-        t = time.monotonic()
         rec = {"check": name, "verdict": "pass" if ok else "fail"}
         if witness is not None and not ok:
             rec["counterexample"] = _jsonable(witness)
@@ -238,7 +235,13 @@ def cmd_cohomology(args) -> int:
         if args.rep == "ad" and args.complex != "module":
             _human(f"input error: --rep ad applies to the module complex, not {args.complex}")
             return 2
-        rep = fa_cohomology_dims(obj, args.complex, args.pmax)
+        if args.complex == "module" and args.rep == "0":
+            # the one-dimensional trivial module: every rho(X) is zero
+            zero = {lab: [[Fraction(0)]]
+                    for lab in combinations(range(1, obj.dim + 1), obj.arity - 1)}
+            rep = fa_cohomology_dims(obj, "module", args.pmax, 1, zero)
+        else:
+            rep = fa_cohomology_dims(obj, args.complex, args.pmax)
     else:
         _human("input error: cohomology applies to lie or filippov files")
         return 2

@@ -5,19 +5,21 @@ the Kasymov trace form and semisimplicity, metric structure, the invariant
 tensors of the euclidean 3-algebra on four dimensions together with its
 split into two commuting su(2)-type blocks, subordinated algebras, Clifford
 (gamma-matrix) realizations, and trace-extended matrix brackets.
+`FilippovAlgebra` stores its constants as a `tensors.BracketTensor`, the one
+storage of structure constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import linalg
 from .lie import LieAlgebra, check_jacobi
-from .gla import multibracket, multibracket_weighted
-from .scalars import GaussianRational, is_zero, rat
-from .tensors import (AntisymTensor, gen_kronecker, merge_sign, perm_sign,
+from .gla import Multivector, multibracket, multibracket_weighted
+from .scalars import GaussianRational, is_zero
+from .tensors import (AntisymTensor, BracketTensor, gen_kronecker, perm_sign,
                       ray_equal, shuffle_splits, sort_sign)
 
 
@@ -25,41 +27,18 @@ from .tensors import (AntisymTensor, gen_kronecker, merge_sign, perm_sign,
 # the algebra container
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FilippovAlgebra:
-    """Arity-n algebra on 1..dim with f_{a_1..a_n}^b antisymmetric in the
-    lower block; `f` maps sorted n-tuples to {b: value}."""
+class FilippovAlgebra(BracketTensor):
+    """Arity-n algebra on 1..dim: the `BracketTensor` of f_{a_1..a_n}^b, read
+    as `f` in the notation of the n-Lie literature."""
 
-    arity: int
-    dim: int
-    f: dict = field(default_factory=dict)
-    metric: list | None = None
+    kind = "filippov"
 
-    def __post_init__(self):
-        clean = {}
-        for idx, row in self.f.items():
-            key, s = sort_sign(idx)
-            if s == 0:
-                if any(not is_zero(v) for v in row.values()):
-                    raise ValueError("repeated lower indices must read zero")
-                continue
-            row2 = {b: s * rat(v) for b, v in row.items() if not is_zero(v)}
-            if not row2:
-                continue
-            if key in clean and clean[key] != row2:
-                raise ValueError(f"inconsistent antisymmetry at {idx}")
-            clean[key] = row2
-        self.f = clean
+    @property
+    def f(self):
+        return self.c
 
-    def f_row(self, idx):
-        key, s = sort_sign(idx)
-        if s == 0:
-            return {}
-        row = self.f.get(key, {})
-        return row if s == 1 else {b: -v for b, v in row.items()}
-
-    def f_get(self, idx, b):
-        return self.f_row(idx).get(b, Fraction(0))
+    f_row = BracketTensor.row
+    f_get = BracketTensor.get
 
     def bracket(self, vectors):
         """Bracket of dense coordinate vectors."""
@@ -229,36 +208,18 @@ def vector_product(vectors):
 # fundamental objects
 # ---------------------------------------------------------------------------
 
-class FundamentalSum(dict):
-    """Formal sum of basis fundamental objects: canonical (sorted, signed)
-    wedge labels -> coefficient."""
-
-    def __init__(self, data=()):
-        super().__init__()
-        for k, v in dict(data).items():
-            self.add(k, v)
-
-    def add(self, labels, v):
-        key, s = sort_sign(labels)
-        if s == 0 or is_zero(v):
-            return
-        w = self.get(key, Fraction(0)) + s * v
-        if w == 0:
-            self.pop(key, None)
-        else:
-            self[key] = w
-
-
-def ad_of_sum(fa: FilippovAlgebra, s: FundamentalSum):
+def ad_of_sum(fa: FilippovAlgebra, s: Multivector):
     m = linalg.zeros(fa.dim, fa.dim)
     for labels, v in s.items():
         m = linalg.mat_add(m, linalg.mat_scale(v, fa.ad_matrix(labels)))
     return m
 
 
-def fundamental_compose(fa: FilippovAlgebra, x_labels, y_labels) -> FundamentalSum:
-    """X . Y = sum_i (Y_1, .., [X, Y_i], .., Y_{n-1}) on basis labels."""
-    out = FundamentalSum()
+def fundamental_compose(fa: FilippovAlgebra, x_labels, y_labels) -> Multivector:
+    """X . Y = sum_i (Y_1, .., [X, Y_i], .., Y_{n-1}) on basis labels, as a
+    formal sum of fundamental objects: an element of the exterior algebra
+    keyed by sorted, signed wedge labels."""
+    out = Multivector(fa.dim)
     for i, y in enumerate(y_labels):
         for l, v in fa.f_row(tuple(x_labels) + (y,)).items():
             out.add(tuple(y_labels[:i]) + (l,) + tuple(y_labels[i + 1:]), v)

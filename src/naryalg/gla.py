@@ -2,7 +2,8 @@
 Jacobi identity (GJI) and its mixed-order variant, bracket resolutions into
 two-brackets, higher-order algebras built from odd cocycles, coderivations
 and higher exterior derivatives on the exterior algebra, and the complete
-BRST operator on ghost variables.
+BRST operator on ghost variables.  `GLAlgebra` stores its constants as a
+`tensors.BracketTensor`, the one storage of structure constants.
 
 Residual conventions.  The epsilon-contracted identities are evaluated as
 shuffle sums over ordered block splits; these differ from the literal
@@ -12,14 +13,14 @@ affects a vanishing statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
 from .lie import LieAlgebra, killing_form
-from .scalars import is_zero, rat
-from .tensors import AntisymTensor, merge_sign, shuffle_splits, sort_sign
+from .scalars import is_zero
+from .tensors import AntisymTensor, BracketTensor, merge_sign, shuffle_splits, sort_sign
 
 
 # ---------------------------------------------------------------------------
@@ -130,41 +131,18 @@ def odd_arity_defect(mats):
 # higher-order algebras by structure constants
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GLAlgebra:
-    """Even-arity algebra: C_{i_1..i_n}^j antisymmetric in the lower block."""
+class GLAlgebra(BracketTensor):
+    """Even-arity algebra: the `BracketTensor` of C_{i_1..i_n}^j, n even."""
 
-    arity: int
-    dim: int
-    c: dict = field(default_factory=dict)  # sorted n-tuple -> {j: value}
+    kind = "gla"
 
     def __post_init__(self):
         if self.arity % 2:
             raise ValueError("bracket arity must be even")
-        clean = {}
-        for idx, row in self.c.items():
-            key, s = sort_sign(idx)
-            if s == 0:
-                if any(not is_zero(v) for v in row.values()):
-                    raise ValueError("repeated lower indices must read zero")
-                continue
-            row2 = {j: s * rat(v) for j, v in row.items() if not is_zero(v)}
-            if not row2:
-                continue
-            if key in clean and clean[key] != row2:
-                raise ValueError(f"inconsistent antisymmetry at {idx}")
-            clean[key] = row2
-        self.c = clean
+        super().__post_init__()
 
-    def c_row(self, idx):
-        key, s = sort_sign(idx)
-        if s == 0:
-            return {}
-        row = self.c.get(key, {})
-        return row if s == 1 else {j: -v for j, v in row.items()}
-
-    def c_get(self, idx, j):
-        return self.c_row(idx).get(j, Fraction(0))
+    c_row = BracketTensor.row
+    c_get = BracketTensor.get
 
 
 @dataclass
@@ -424,15 +402,10 @@ def duality_factor_holds(g: GLAlgebra, alpha: AntisymTensor, monomial) -> bool:
 # ghost representation and the complete BRST operator
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GhostOperator:
+class GhostOperator(GLAlgebra):
     """Odd operator  -1/(n)! c^{i_1}..c^{i_n} C_{i_1..i_n}^sigma d/dc^sigma
     acting on the exterior algebra of r ghosts; `c` are the structure
     constants of one even bracket (n = 2m-2)."""
-
-    arity: int
-    dim: int
-    c: dict
 
     def apply(self, mv: Multivector) -> Multivector:
         out = Multivector(self.dim)

@@ -1,7 +1,8 @@
 """Ordinary Lie algebras by structure constants: Jacobi validation, Killing
 form, metric invariance, su(n) generator bases, symmetric invariant
 polynomials, and the two-way bridge between invariant polynomials and
-odd-rank cocycles.
+odd-rank cocycles.  `LieAlgebra` is the arity-2 `tensors.BracketTensor`;
+that class is the one storage of structure constants.
 
 Conventions.  Structure constants C_{ij}^k are real rationals with
 [X_i, X_j] = C_{ij}^k X_k in an antihermitian-type basis.  The su(n)
@@ -18,43 +19,35 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from . import linalg
 from .scalars import GaussianRational, is_zero, rat
-from .tensors import AntisymTensor, perm_sign, ray_equal, shuffle_splits, sort_sign
+from .tensors import AntisymTensor, BracketTensor, ray_equal, shuffle_splits, sort_sign
 
 
 # ---------------------------------------------------------------------------
 # Lie algebras
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LieAlgebra:
-    """dim-r Lie algebra with sparse antisymmetric structure constants.
-
-    `c` maps sorted pairs (i, j), i < j, to {k: C_ij^k}; reads through
-    `c_get`/`c_row` apply the antisymmetry sign.
+class LieAlgebra(BracketTensor):
+    """dim-r Lie algebra: the arity-2 `BracketTensor`, whose table `c` maps
+    sorted pairs (i, j), i < j, to {k: C_ij^k}.  The pair reads
+    `c_get`/`c_row` take the two indices directly and apply the
+    antisymmetry sign by one comparison.
     """
 
-    dim: int
-    c: dict = field(default_factory=dict)
+    kind = "lie"
 
-    def __post_init__(self):
-        clean = {}
-        for (i, j), row in self.c.items():
-            if i == j:
-                if any(not is_zero(v) for v in row.values()):
-                    raise ValueError("C_{ii}^k must vanish")
-                continue
-            key, s = ((i, j), 1) if i < j else ((j, i), -1)
-            row2 = {k: s * rat(v) for k, v in row.items() if not is_zero(v)}
-            if not row2:
-                continue
-            if key in clean and clean[key] != row2:
-                raise ValueError(f"inconsistent antisymmetry at {key}")
-            clean[key] = row2
-        self.c = clean
+    def __init__(self, dim, c=None):
+        super().__init__(2, dim, {} if c is None else c)
+
+    @classmethod
+    def from_table(cls, arity, dim, c):
+        if arity != 2:
+            raise ValueError("binary algebras have arity 2")
+        return cls(dim, c)
 
     @classmethod
     def from_entries(cls, dim, entries):
-        """entries: iterable of ((i, j, k), value) with any index order."""
+        """entries: iterable of ((i, j, k), value) with any index order;
+        values given for the same constant add up."""
         c = {}
         for (i, j, k), v in entries:
             if i == j:
@@ -64,10 +57,6 @@ class LieAlgebra:
             key, s = ((i, j), 1) if i < j else ((j, i), -1)
             row = c.setdefault(key, {})
             row[k] = row.get(k, Fraction(0)) + s * rat(v)
-        for key in list(c):
-            c[key] = {k: v for k, v in c[key].items() if v != 0}
-            if not c[key]:
-                del c[key]
         return cls(dim, c)
 
     def c_get(self, i, j, k):

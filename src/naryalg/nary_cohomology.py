@@ -18,13 +18,15 @@ deformation complex is the Leibniz-algebra coboundary, implemented here
 together with Leibniz extensions.
 
 Each coboundary formula exists once, as an evaluation at one argument key
-(`coboundary_{trivial,module,deformation}_eval`).  `coboundary_matrix`
-assembles the matrix of delta row by row: it applies the formula once to
-the generic cochain whose coordinates are the linear forms x_1, x_2, .. (see
-`scalars.LinearForm`), which yields each target coordinate as a sparse row
-over the source coordinates.  Cohomology dimensions and preimages then come
-from the sparse leading-column elimination of `linalg.echelon`, whose
-solutions set every non-pivot coordinate to zero.
+(`coboundary_{trivial,module,deformation}_eval`); the formulas read the
+structure constants through `FilippovAlgebra.f_row` and the composite X . Y
+of fundamental objects through `filippov.fundamental_compose`.
+`coboundary_matrix` assembles the matrix of delta row by row: it applies the
+formula once to the generic cochain whose coordinates are the linear forms
+x_1, x_2, .. (see `scalars.LinearForm`), which yields each target coordinate
+as a sparse row over the source coordinates.  Cohomology dimensions and
+preimages then come from the sparse leading-column elimination of
+`linalg.echelon`, whose solutions set every non-pivot coordinate to zero.
 """
 
 from __future__ import annotations
@@ -35,42 +37,9 @@ from itertools import combinations, product
 
 from . import linalg
 from .cohomology import CohomologyReport
-from .filippov import FilippovAlgebra, check_fi
+from .filippov import FilippovAlgebra, check_fi, fundamental_compose
 from .scalars import LinearForm, is_zero, rat
 from .tensors import sort_sign
-
-
-# ---------------------------------------------------------------------------
-# brackets on basis labels
-#
-# Brackets are functions on label tuples returning {target: coeff}; for a
-# FilippovAlgebra the labels are basis indices and the bracket is f_row.
-# ---------------------------------------------------------------------------
-
-class NBracket:
-    """Multilinear bracket on basis labels."""
-
-    def __init__(self, arity, dim, row_fn):
-        self.arity = arity
-        self.dim = dim
-        self.row_fn = row_fn
-
-    @classmethod
-    def from_fa(cls, fa: FilippovAlgebra):
-        return cls(fa.arity, fa.dim, fa.f_row)
-
-    def row(self, labels):
-        return self.row_fn(tuple(labels))
-
-    def compose(self, x_labels, y_labels):
-        """(X . Y)-type composite: sum_i (Y_1 .. [X, Y_i] .. Y_{n-1}) as a
-        map from raw label blocks to coefficients."""
-        out = {}
-        for i, y in enumerate(y_labels):
-            for l, v in self.row(tuple(x_labels) + (y,)).items():
-                key = tuple(y_labels[:i]) + (l,) + tuple(y_labels[i + 1:])
-                out[key] = out.get(key, Fraction(0)) + v
-        return {k: v for k, v in out.items() if v != 0}
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +136,7 @@ def module_keys(fa, p):
 # coboundary operators (evaluated on raw argument tuples)
 # ---------------------------------------------------------------------------
 
-def coboundary_trivial_eval(br: NBracket, alpha: NCochain, blocks, z):
+def coboundary_trivial_eval(fa: FilippovAlgebra, alpha: NCochain, blocks, z):
     """(delta a)(X_1..X_{p+1}, Z) = sum_{i<j} (-1)^i a(.. X_i.X_j at j .., Z)
     + sum_i (-1)^i a(..^i.., X_i . Z); blocks has p+1 entries."""
     p1 = len(blocks)
@@ -182,7 +151,7 @@ def coboundary_trivial_eval(br: NBracket, alpha: NCochain, blocks, z):
 
     for i in range(p1):
         for j in range(i + 1, p1):
-            comp = br.compose(blocks[i], blocks[j])
+            comp = fundamental_compose(fa, blocks[i], blocks[j])
             rest = [blocks[t] for t in range(p1) if t != i]
             for lab, v in comp.items():
                 rest2 = list(rest)
@@ -192,7 +161,7 @@ def coboundary_trivial_eval(br: NBracket, alpha: NCochain, blocks, z):
                 for t in range(dim_v):
                     out[t] += sgn * vec[t]
         rest = [blocks[t] for t in range(p1) if t != i]
-        for l, v in br.row(tuple(blocks[i]) + (z,)).items():
+        for l, v in fa.f_row(tuple(blocks[i]) + (z,)).items():
             vec = alpha_at(rest, l)
             sgn = (-1) ** (i + 1) * v
             for t in range(dim_v):
@@ -200,7 +169,7 @@ def coboundary_trivial_eval(br: NBracket, alpha: NCochain, blocks, z):
     return tuple(out)
 
 
-def coboundary_module_eval(br: NBracket, rho, alpha: NCochain, blocks):
+def coboundary_module_eval(fa: FilippovAlgebra, rho, alpha: NCochain, blocks):
     """(delta a)(X_1..X_{p+1}) = sum_i (-1)^{i+1} rho(X_i) a(..^i..)
     + sum_{i<j} (-1)^i a(..^i.., X_i.X_j at j, ..)."""
     p1 = len(blocks)
@@ -226,7 +195,7 @@ def coboundary_module_eval(br: NBracket, rho, alpha: NCochain, blocks):
                         acc += m[a][b] * vec[b]
                 out[a] += sgn * acc
         for j in range(i + 1, p1):
-            comp = br.compose(blocks[i], blocks[j])
+            comp = fundamental_compose(fa, blocks[i], blocks[j])
             for lab, v in comp.items():
                 rest2 = list(rest)
                 rest2[j - 1] = lab
@@ -237,7 +206,7 @@ def coboundary_module_eval(br: NBracket, rho, alpha: NCochain, blocks):
     return tuple(out)
 
 
-def coboundary_deformation_eval(br: NBracket, alpha: NCochain, blocks, z):
+def coboundary_deformation_eval(fa: FilippovAlgebra, alpha: NCochain, blocks, z):
     """The deformation coboundary: the trivial-action terms plus the action
     of the fundamental objects on the values and the composite final term
 
@@ -257,7 +226,7 @@ def coboundary_deformation_eval(br: NBracket, alpha: NCochain, blocks, z):
         return alpha.value(key)
 
     # bracket-insertion terms (as in the trivial complex)
-    vec = coboundary_trivial_eval(br, alpha, blocks, z)
+    vec = coboundary_trivial_eval(fa, alpha, blocks, z)
     for t in range(dim_v):
         out[t] += vec[t]
     # action terms: sum_j (-1)^{j+1} X_j . a(..^j.., Z)
@@ -267,7 +236,7 @@ def coboundary_deformation_eval(br: NBracket, alpha: NCochain, blocks, z):
         for b in range(1, dim_v + 1):
             if av[b - 1] == 0:
                 continue
-            for l, v in br.row(tuple(blocks[i]) + (b,)).items():
+            for l, v in fa.f_row(tuple(blocks[i]) + (b,)).items():
                 out[l - 1] += (-1) ** i * av[b - 1] * v
     # composite final term (a(X_1..X_p, ) . X_{p+1}) . Z: replace each slot
     # Y_i of the last block by a(X_1..X_p, Y_i), then bracket with Z
@@ -283,7 +252,7 @@ def coboundary_deformation_eval(br: NBracket, alpha: NCochain, blocks, z):
             if av[b - 1] == 0:
                 continue
             lab = last[:i] + (b,) + last[i + 1:]
-            for l, v in br.row(tuple(lab) + (z,)).items():
+            for l, v in fa.f_row(tuple(lab) + (z,)).items():
                 out[l - 1] += (-1) ** p * av[b - 1] * v
     return tuple(out)
 
@@ -293,32 +262,29 @@ def coboundary_deformation_eval(br: NBracket, alpha: NCochain, blocks, z):
 # ---------------------------------------------------------------------------
 
 def fa_coboundary_trivial(fa: FilippovAlgebra, alpha: NCochain) -> NCochain:
-    br = NBracket.from_fa(fa)
-    return _apply(br, alpha, "trivial", None)
+    return _apply(fa, alpha, "trivial", None)
 
 
 def fa_coboundary_module(fa: FilippovAlgebra, rho, alpha: NCochain) -> NCochain:
     from .filippov import check_fa_representation
     if not check_fa_representation(fa, rho):
         raise ValueError("rho fails the representation conditions")
-    br = NBracket.from_fa(fa)
-    return _apply(br, alpha, "module", rho)
+    return _apply(fa, alpha, "module", rho)
 
 
 def fa_coboundary_deformation(fa: FilippovAlgebra, alpha: NCochain) -> NCochain:
-    br = NBracket.from_fa(fa)
-    return _apply(br, alpha, "deformation", None)
+    return _apply(fa, alpha, "deformation", None)
 
 
-def _apply(br, alpha, kind, rho):
-    n, d = br.arity, br.dim
+def _apply(fa, alpha, kind, rho):
+    n, d = fa.arity, fa.dim
     p_out = alpha.order + 1
     rng = range(1, d + 1)
     blocks = list(combinations(rng, n - 1))
     data = {}
     if kind == "module":
         for bs in product(blocks, repeat=p_out):
-            vec = coboundary_module_eval(br, rho, alpha, list(bs))
+            vec = coboundary_module_eval(fa, rho, alpha, list(bs))
             if any(v != 0 for v in vec):
                 data[tuple(bs)] = vec
         return NCochain(kind, p_out, n, d, alpha.dim_v, data)
@@ -329,7 +295,7 @@ def _apply(br, alpha, kind, rho):
     lasts = list(combinations(rng, n))
     for bs in product(blocks, repeat=p_out - 1):
         for last in lasts:
-            vec = ev(br, alpha, list(bs) + [last[:-1]], last[-1])
+            vec = ev(fa, alpha, list(bs) + [last[:-1]], last[-1])
             if any(v != 0 for v in vec):
                 data[tuple(bs) + (last,)] = vec
     return NCochain(kind, p_out, n, d, alpha.dim_v, data)
@@ -339,16 +305,15 @@ def jointly_antisymmetric_in_last_slot(fa, out_fn, alpha, p_out) -> bool:
     """Verify that a coboundary evaluation is antisymmetric under exchanging
     the solitary slot with any member of the last block (full joint
     antisymmetry then follows from the in-block antisymmetry)."""
-    br = NBracket.from_fa(fa)
     n, d = fa.arity, fa.dim
     rng = range(1, d + 1)
     blocks = list(combinations(rng, n - 1))
     for bs in product(blocks, repeat=p_out - 1):
         for last_blk in blocks:
             for z in rng:
-                vec = out_fn(br, alpha, list(bs) + [last_blk], z)
+                vec = out_fn(fa, alpha, list(bs) + [last_blk], z)
                 swapped = last_blk[:-1] + (z,)
-                vec2 = out_fn(br, alpha, list(bs) + [swapped], last_blk[-1])
+                vec2 = out_fn(fa, alpha, list(bs) + [swapped], last_blk[-1])
                 if tuple(-v for v in vec2) != vec:
                     return False
     return True
@@ -378,14 +343,13 @@ def coboundary_matrix(fa: FilippovAlgebra, kind, p, dim_v=1, rho=None):
     The rows come from a single application of the coboundary to the generic
     cochain whose coordinate src[i] is the linear form x_i.
     """
-    br = NBracket.from_fa(fa)
     dv = _target_dim(fa, kind, dim_v)
     keys = _complex_keys(fa, kind, p)
     src = [(key, a) for key in keys for a in range(dv)]
     generic = NCochain(kind, p, fa.arity, fa.dim, dv,
                        {key: tuple(LinearForm({i * dv + a: 1}) for a in range(dv))
                         for i, key in enumerate(keys)})
-    out = _apply(br, generic, kind, rho).data
+    out = _apply(fa, generic, kind, rho).data
     dst = [(key, t) for key in _complex_keys(fa, kind, p + 1) for t in range(dv)]
     # a target coordinate that no term reached holds the scalar 0
     zero = (0,) * dv
@@ -418,7 +382,6 @@ def homology_boundary(fa: FilippovAlgebra, chain):
         d(X_1..X_p, Z) = sum_{i<j} (-1)^i (..^i.., X_i.X_j, .., Z)
                        + sum_i (-1)^i (..^i.., X_i . Z)
     """
-    br = NBracket.from_fa(fa)
     out = {}
 
     def add(blocks, z, v):
@@ -442,7 +405,7 @@ def homology_boundary(fa: FilippovAlgebra, chain):
     for blocks, z, coeff in chain:
         p = len(blocks)
         if p == 1:
-            for l, v in br.row(tuple(blocks[0]) + (z,)).items():
+            for l, v in fa.f_row(tuple(blocks[0]) + (z,)).items():
                 key = ((), l)
                 w = out.get(key, Fraction(0)) + coeff * v
                 if w == 0:
@@ -452,21 +415,20 @@ def homology_boundary(fa: FilippovAlgebra, chain):
             continue
         for i in range(p):
             for j in range(i + 1, p):
-                comp = br.compose(blocks[i], blocks[j])
+                comp = fundamental_compose(fa, blocks[i], blocks[j])
                 rest = [blocks[t] for t in range(p) if t != i]
                 for lab, v in comp.items():
                     rest2 = list(rest)
                     rest2[j - 1] = lab
                     add(rest2, z, (-1) ** (i + 1) * coeff * v)
             rest = [blocks[t] for t in range(p) if t != i]
-            for l, v in br.row(tuple(blocks[i]) + (z,)).items():
+            for l, v in fa.f_row(tuple(blocks[i]) + (z,)).items():
                 add(rest, l, (-1) ** (i + 1) * coeff * v)
     return out
 
 
 def duality_pairing_holds(fa: FilippovAlgebra, alpha: NCochain, blocks, z) -> bool:
     """alpha(boundary(c)) = (delta alpha)(c) on the basis chain c."""
-    br = NBracket.from_fa(fa)
     lhs = Fraction(0)
     for (bs, l), v in homology_boundary(fa, [(tuple(blocks), z, Fraction(1))]).items():
         if alpha.order == 0:
@@ -474,7 +436,7 @@ def duality_pairing_holds(fa: FilippovAlgebra, alpha: NCochain, blocks, z) -> bo
         else:
             key = tuple(bs[:-1]) + (tuple(bs[-1]) + (l,),)
             lhs += v * alpha.value(key)[0]
-    rhs = coboundary_trivial_eval(br, alpha, list(blocks), z)[0]
+    rhs = coboundary_trivial_eval(fa, alpha, list(blocks), z)[0]
     return lhs == rhs
 
 
@@ -514,7 +476,6 @@ def deformation_obstruction(fa: FilippovAlgebra, alpha: NCochain):
         raise ValueError("need a deformation 1-cochain")
     if not fa_coboundary_deformation(fa, alpha).is_zero():
         raise ValueError("alpha is not a deformation 1-cocycle")
-    br = NBracket.from_fa(fa)
     n, d = fa.arity, fa.dim
     rng = range(1, d + 1)
     blocks = list(combinations(rng, n - 1))

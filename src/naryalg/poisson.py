@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from . import linalg
 from .lie import LieAlgebra
 from .poly import Poly
 from .scalars import is_zero
-from .tensors import AntisymTensor, merge_sign, perm_sign, shuffle_splits, sort_sign
+from .tensors import (AntisymTensor, BracketTensor, merge_sign, perm_sign, shuffle_splits,
+                      sort_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -262,17 +262,23 @@ def gps_check(lam: PolyMultivector) -> GPSReport:
     return GPSReport(snb_ok, coords_ok, witness)
 
 
-def lie_poisson_bivector(alg: LieAlgebra) -> PolyMultivector:
-    """Lambda^{ij} = C_ij^k x_k on the dual space."""
-    m = alg.dim
+def bracket_multivector(bt: BracketTensor) -> PolyMultivector:
+    """The linear tensor w^{i_1..i_n} = C_{i_1..i_n}^k x_k of a set of
+    structure constants: the Lie-Poisson bivector of a Lie algebra, the
+    linear even tensor of a GLA, eta_{a_1..a_n} = f_{a_1..a_n}^b x_b of a
+    Filippov algebra."""
+    m = bt.dim
     comps = {}
-    for (i, j), row in alg.c.items():
+    for idx, row in bt.c.items():
         p = Poly.zero(m)
         for k, v in row.items():
             p = p + Poly.var(m, k) * v
         if not p.is_zero():
-            comps[(i, j)] = p
-    return PolyMultivector(2, m, comps)
+            comps[idx] = p
+    return PolyMultivector(bt.arity, m, comps)
+
+
+lie_poisson_bivector = fa_linear_multivector = bracket_multivector
 
 
 def linear_multivector(omega: AntisymTensor, raised_last=None) -> PolyMultivector:
@@ -301,33 +307,11 @@ def linear_gps_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> PolyMultiv
     if cocycle_condition_residual(alg, omega) is not None:
         raise ValueError("input is not a cocycle")
     from .gla import gla_from_cocycle
-    g = gla_from_cocycle(alg, omega)
-    m = alg.dim
-    comps = {}
-    for idx, row in g.c.items():
-        p = Poly.zero(m)
-        for sig, v in row.items():
-            p = p + Poly.var(m, sig) * v
-        if not p.is_zero():
-            comps[idx] = p
-    lam = PolyMultivector(g.arity, m, comps)
+    lam = bracket_multivector(gla_from_cocycle(alg, omega))
     rep = gps_check(lam)
     if not rep.ok:
         raise AssertionError("linear tensor fails the self-bracket condition")
     return lam
-
-
-def fa_linear_multivector(fa) -> PolyMultivector:
-    """eta_{a_1..a_n} = f_{a_1..a_n}^b x_b for a structure-constant tensor."""
-    m = fa.dim
-    comps = {}
-    for idx, row in fa.f.items():
-        p = Poly.zero(m)
-        for b, v in row.items():
-            p = p + Poly.var(m, b) * v
-        if not p.is_zero():
-            comps[idx] = p
-    return PolyMultivector(fa.arity, m, comps)
 
 
 # ---------------------------------------------------------------------------

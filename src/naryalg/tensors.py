@@ -1,5 +1,6 @@
-"""Canonical antisymmetric tensors, Levi-Civita machinery, and the
-contraction kernels shared by every other module.
+"""Canonical antisymmetric tensors, the structure constants of n-ary
+brackets, Levi-Civita machinery, and the contraction kernels shared by every
+other module.
 
 Storage convention: an antisymmetric tensor keeps only strictly increasing
 index tuples (1-based indices).  Reading a permuted tuple applies the sign of
@@ -7,6 +8,11 @@ the permutation; a tuple with repeats reads zero.  The total antisymmetrizer
 follows the weight-free convention [a_1...a_n] = sum_sigma sign(sigma) a_sigma
 (no 1/n!); the weight-one variant is exposed separately so the two can never
 be silently confused.
+
+`BracketTensor` applies the convention to structure constants
+C_{i_1..i_n}^j, antisymmetric in the lower block: it is the one storage of
+Lie, generalized Lie and Filippov algebras, which differ only in their
+characteristic identity.
 
 Contractions of products of blockwise-antisymmetric factors against the
 generalized Kronecker symbol collapse to signed sums over ordered block
@@ -173,6 +179,72 @@ class AntisymTensor:
         return (isinstance(other, AntisymTensor)
                 and self.rank == other.rank and self.dim == other.dim
                 and self.entries == other.entries)
+
+
+# ---------------------------------------------------------------------------
+# structure constants of n-ary brackets
+# ---------------------------------------------------------------------------
+
+@dataclass
+class BracketTensor:
+    """Structure constants C_{i_1..i_n}^j of an n-ary bracket on basis
+    1..dim, antisymmetric in the lower indices.
+
+    `c` maps sorted n-tuples to rows {j: nonzero value}.  The constructor
+    accepts any index order and applies its permutation sign, drops zeros,
+    and rejects nonzero rows on repeated indices and inconsistent duplicates.
+    `metric` is an invariant metric g_ij when one is attached (the `.alg`
+    metric block).  Subclasses add the mathematics of one identity and name
+    their `.alg` kind.
+    """
+
+    arity: int
+    dim: int
+    c: dict = field(default_factory=dict)
+    metric: list | None = None
+
+    kind = None
+
+    def __post_init__(self):
+        clean = {}
+        for idx, row in self.c.items():
+            if len(idx) != self.arity:
+                raise ValueError(f"expected {self.arity} lower indices at {idx}")
+            key, s = sort_sign(idx)
+            if s == 0:
+                if any(not is_zero(v) for v in row.values()):
+                    raise ValueError("repeated lower indices must read zero")
+                continue
+            row2 = {j: s * rat(v) for j, v in row.items() if not is_zero(v)}
+            if not row2:
+                continue
+            if key in clean and clean[key] != row2:
+                raise ValueError(f"inconsistent antisymmetry at {idx}")
+            clean[key] = row2
+        self.c = clean
+
+    @classmethod
+    def from_table(cls, arity, dim, c):
+        """An instance of this class from the fields every kind shares
+        (`LieAlgebra` itself is built without the arity)."""
+        return cls(arity, dim, c)
+
+    def row(self, idx):
+        """{j: C_idx^j} at any index order, signed; empty on repeats."""
+        key, s = sort_sign(idx)
+        if s == 0:
+            return {}
+        row = self.c.get(key, {})
+        return row if s == 1 else {j: -v for j, v in row.items()}
+
+    def get(self, idx, j):
+        return self.row(idx).get(j, Fraction(0))
+
+    def entries(self):
+        """(sorted index tuple, j, value) for every nonzero constant."""
+        for idx, row in self.c.items():
+            for j, v in row.items():
+                yield idx, j, v
 
 
 def levi_civita(dim) -> AntisymTensor:

@@ -1,0 +1,182 @@
+"""The .alg format and the structure-constant container behind it.
+
+The pinned hashes were taken from the outputs of the code before the Lie,
+GLA and Filippov algebras shared one `BracketTensor`; they hold the
+generated and corrupted files byte for byte.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from naryalg import catalog, cli
+from naryalg.algfile import AlgebraFile
+from naryalg.filippov import FilippovAlgebra
+from naryalg.gla import GLAlgebra
+from naryalg.lie import LieAlgebra
+from naryalg.poisson import bracket_multivector
+from naryalg.poly import Poly
+
+GENERATED = {
+    ("simple-fa", "--n", "3"):
+        "f7b3bb04ddaa0496c7662bbb9a7031f9476d2930a743bc4bb6830c7f5cfc1e82",
+    ("simple-fa", "--n", "4"):
+        "17f4e523f8dbee4d673d756733d5d0b239e91ce9823807d091131f7f2d1cfff6",
+    ("simple-fa", "--n", "5"):
+        "2f2357da409a4c3f7d677cdc31617bef38649ca452605d503cfeeccd98eb4115",
+    ("simple-fa", "--n", "3", "--signs=-+++"):
+        "f1a10b181f4b0f8f0f5adc87faab5aafd3e4967ccf433f30e115aff7e42a4224",
+    ("gla-from-su",):
+        "6e3994d551a44f38211a2fe6ba38577e3090b0ac7c30d1755d50c434e59ebe56",
+    ("heisenberg",):
+        "d9639364896ec662795cfa48e71bfced0ed8bcf1f50a336ce308d8fb1afd0305",
+    ("nhw", "--N", "1"):
+        "612865f5c12bb3141e4f4b1d70f6d88b4cd90e0a6535ec709a934d9fa8d19534",
+    ("nhw", "--N", "2"):
+        "c93ab13dddcc826fb57190114c538191e1920b38992c8b9eb480db5bf2b5cbac",
+    ("clifford", "--n", "3"):
+        "f07aece862363413aa27c0b58775907746ee13005f4fc3be863565a61512e155",
+    ("clifford", "--n", "4"):
+        "aa29a5cf6c82dd44f0b1b0f8ef5e9d69f7364903def5a995589c7374f4a5efdd",
+    ("clifford", "--n", "5"):
+        "469a3146369d9499982d9588cce34244996db1776e0e0f8a9accbd6881a1dc78",
+}
+
+CORRUPTED = {
+    "su3": (lambda: catalog.su(3),
+            "76101d9166e0149bcdafea549b18aefd05dc6da8b28542d499903d28fb870d5c"),
+    "a4": (catalog.a4,
+           "bafd2e4a9bdfa387b3c2dc34e959c1518bbd91be6f9a1a953201dfc0eb24f1e3"),
+    "a5": (catalog.a5,
+           "5404b8f034c678ccbf4b5280f2019bc16d1299659f09e8f42f0de80c3269d657"),
+    "su3-gla4": (catalog.su3_gla4,
+                 "22f59c7b6fbea82c348857fffdd2229168fadc0afca8cea1e39862bfa83e0860"),
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(GENERATED), ids=" ".join)
+def test_generate_output_is_pinned(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["generate", *argv]) == 0
+    assert sha256(out.getvalue()) == GENERATED[argv]
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED))
+def test_corrupted_file_is_pinned(name):
+    build, digest = CORRUPTED[name]
+    assert sha256(AlgebraFile.from_object(catalog.corrupted(build())).emit()) == digest
+
+
+# ---------------------------------------------------------------------------
+# emit -> parse -> build -> from_object -> emit
+# ---------------------------------------------------------------------------
+
+SHAPES = [(LieAlgebra, 2, 2), (LieAlgebra, 2, 4), (GLAlgebra, 2, 3), (GLAlgebra, 4, 5),
+          (FilippovAlgebra, 3, 4), (FilippovAlgebra, 4, 5), (FilippovAlgebra, 2, 3)]
+values = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def make(cls, arity, dim, c, metric):
+    obj = LieAlgebra(dim, c) if cls is LieAlgebra else cls(arity, dim, c)
+    obj.metric = metric
+    return obj
+
+
+@st.composite
+def bracket_tensors(draw):
+    cls, arity, dim = draw(st.sampled_from(SHAPES))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    c = {}
+    for key in combinations(range(1, dim + 1), arity):
+        if draw(st.booleans()):
+            row = {j: draw(values) for j in range(1, dim + 1) if draw(st.booleans())}
+            # any index order is accepted; the sign of the permutation applies
+            shuffled = list(key)
+            rng.shuffle(shuffled)
+            sign = 1
+            for a, b in combinations(shuffled, 2):
+                sign = -sign if a > b else sign
+            c[tuple(shuffled)] = {j: sign * v for j, v in row.items()}
+    metric = None
+    if draw(st.booleans()):
+        metric = [[Fraction(0)] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                metric[i][j] = metric[j][i] = draw(values)
+    return make(cls, arity, dim, c, metric)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_tensors())
+def test_round_trip_is_byte_stable(obj):
+    text = AlgebraFile.from_object(obj).emit()
+    back = AlgebraFile.parse(text).build()
+    assert type(back) is type(obj) and back == obj
+    assert AlgebraFile.from_object(back).emit() == text
+
+
+# ---------------------------------------------------------------------------
+# the one container: canonical keys, rejected tables
+# ---------------------------------------------------------------------------
+
+KINDS = [(LieAlgebra, 2, 3), (GLAlgebra, 2, 3), (GLAlgebra, 4, 5), (FilippovAlgebra, 3, 4)]
+
+
+@pytest.mark.parametrize("cls,arity,dim", KINDS, ids=lambda x: getattr(x, "kind", x))
+def test_unsorted_key_gets_its_sign(cls, arity, dim):
+    key = tuple(range(1, arity + 1))
+    swapped = (key[1], key[0]) + key[2:]
+    obj = make(cls, arity, dim, {swapped: {dim: Fraction(3)}}, None)
+    assert obj.c == {key: {dim: Fraction(-3)}}
+    assert obj.row(swapped) == {dim: 3} and obj.row(key) == {dim: -3}
+    assert obj.get(swapped, dim) == 3 and obj.get(key, 1) == 0
+    assert list(obj.entries()) == [(key, dim, Fraction(-3))]
+
+
+@pytest.mark.parametrize("cls,arity,dim", KINDS, ids=lambda x: getattr(x, "kind", x))
+def test_nonzero_row_on_repeated_index_raises(cls, arity, dim):
+    repeated = (1,) * arity
+    assert make(cls, arity, dim, {repeated: {1: Fraction(0)}}, None).c == {}
+    with pytest.raises(ValueError, match="repeated lower indices"):
+        make(cls, arity, dim, {repeated: {1: Fraction(1)}}, None)
+
+
+@pytest.mark.parametrize("cls,arity,dim", KINDS, ids=lambda x: getattr(x, "kind", x))
+def test_inconsistent_duplicates_raise(cls, arity, dim):
+    key = tuple(range(1, arity + 1))
+    swapped = (key[1], key[0]) + key[2:]
+    consistent = make(cls, arity, dim, {key: {1: Fraction(2)}, swapped: {1: Fraction(-2)}},
+                      None)
+    assert consistent.c == {key: {1: Fraction(2)}}
+    with pytest.raises(ValueError, match="inconsistent antisymmetry"):
+        make(cls, arity, dim, {key: {1: Fraction(2)}, swapped: {1: Fraction(2)}}, None)
+
+
+def test_lie_pair_reads_agree_with_the_shared_read():
+    alg = catalog.su(3)
+    for i in range(1, 9):
+        for j in range(1, 9):
+            assert alg.c_row(i, j) == alg.row((i, j))
+            assert all(alg.c_get(i, j, k) == alg.get((i, j), k) for k in range(1, 9))
+
+
+@pytest.mark.parametrize("build", [lambda: catalog.su(2), catalog.su3_gla4, catalog.a4],
+                         ids=["lie", "gla", "filippov"])
+def test_linear_multivector_carries_the_structure_constants(build):
+    obj = build()
+    lam = bracket_multivector(obj)
+    assert lam.order == obj.arity and lam.dim == obj.dim
+    assert set(lam.comps) == set(obj.c)
+    for idx, k, v in obj.entries():
+        assert lam.comps[idx].diff(k) == Poly.const(obj.dim, v)

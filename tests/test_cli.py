@@ -66,3 +66,33 @@ def test_adjoint_rep_accepted_for_module_complex(a4_file, capsys):
     assert cli.main(["cohomology", a4_file, "--complex", "module", "--rep", "ad",
                      "--pmax", "1"]) == 0
     assert [r["dim_h"] for r in records(capsys.readouterr().out)] == [0, 0]
+
+
+def test_trivial_module_is_the_default_rep(a4_file, capsys):
+    # --rep 0: the one-dimensional module on which every rho(X) is zero
+    assert cli.main(["cohomology", a4_file, "--complex", "module", "--pmax", "1"]) == 0
+    recs = records(capsys.readouterr().out)
+    assert [r["dim_c"] for r in recs] == [1, 6]
+    assert [r["dim_h"] for r in recs] == [1, 0]
+    assert cli.main(["cohomology", a4_file, "--complex", "module", "--rep", "ad",
+                     "--pmax", "1"]) == 0
+    assert [r["dim_c"] for r in records(capsys.readouterr().out)] == [4, 24]
+
+
+@pytest.mark.parametrize("text,where", [
+    ("filippov 0 4 rational\n", "line 1, column 10: arity must be positive"),
+    ("filippov 5 4 rational\n", "line 1, column 10: arity 5 exceeds dim 4"),
+    ("lie 3 4 rational\n", "line 1, column 5: lie files have arity 2"),
+    ("leibniz 3 4 rational\n", "line 1, column 9: leibniz files have arity 2"),
+    ("gla 3 8 rational\n", "line 1, column 5: gla files need an even arity"),
+    ("filippov 3 4 rational\n1 2 3 -> 4 : 1\nmetric\n1 x : 1\n",
+     "line 4, column 3: metric indices must be integers, got 'x'"),
+    ("filippov 3 4 rational\n    1 2 3 -> 4 : x\n", "line 2, column 17: bad scalar 'x'"),
+])
+def test_malformed_file_is_an_input_error_with_its_position(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.alg"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 2
+    out = capsys.readouterr()
+    assert where in out.err
+    assert records(out.out) == [{"error": out.err.split("input error: ", 1)[1].strip()}]

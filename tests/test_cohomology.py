@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from naryalg import linalg
 from naryalg.catalog import euclidean_rotations_2d, heisenberg, r2_abelian, su

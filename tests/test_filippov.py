@@ -6,7 +6,7 @@ import pytest
 
 from naryalg import linalg
 from naryalg.catalog import a4, a5, a13, nhw
-from naryalg.filippov import (FI_FORMS, FilippovAlgebra, FundamentalSum,
+from naryalg.filippov import (FI_FORMS, FilippovAlgebra,
                               ad_of_sum, adjoint_fa_representation, append_center,
                               candidate_constants_antisymmetric, check_fa_representation,
                               check_fi, check_metric_fa, clifford_realization,
@@ -17,6 +17,7 @@ from naryalg.filippov import (FI_FORMS, FilippovAlgebra, FundamentalSum,
                               orthogonal_relations_hold, semisimplicity_check,
                               simple_fa, subordinate, trace_extension_bracket,
                               trace_extension_structure, vector_product)
+from naryalg.gla import Multivector
 from naryalg.lie import check_jacobi
 from naryalg.scalars import GaussianRational
 
@@ -132,7 +133,7 @@ def test_composition_antisymmetric_only_after_ad():
     xy = fundamental_compose(fa, (1, 3), (5, 6))
     yx = fundamental_compose(fa, (5, 6), (1, 3))
     # as formal sums they are not opposite ...
-    assert xy != FundamentalSum({k: -v for k, v in yx.items()})
+    assert xy != Multivector(fa.dim, {k: -v for k, v in yx.items()})
     # ... while the induced derivations are exactly opposite
     assert linalg.mat_eq(ad_of_sum(fa, xy),
                          linalg.mat_scale(Fraction(-1), ad_of_sum(fa, yx)))
