@@ -8,6 +8,8 @@ of the target index.
 The header is checked against the kind: arity and dim are positive, `lie`
 and `leibniz` have arity 2, `gla` an even arity, and an antisymmetric kind
 has arity <= dim (otherwise no strictly increasing index tuple exists).
+A malformed line is a `ParseError` at its line and at the column of the
+offending token (the first surplus token, or where a missing one belongs).
 The structure-constant kinds build their `BracketTensor` subclass through
 one path, chosen by the class's `kind`.
 """
@@ -40,17 +42,24 @@ class ParseError(ValueError):
 
 
 def _int_tokens(text, line_no, col0, what):
-    """The integers of the whitespace-separated tokens of `text`, which
+    """(column, integer) for each whitespace-separated token of `text`, which
     starts at column col0 of line line_no; a token that is not an integer is
     a ParseError at its own column."""
     out = []
     for m in re.finditer(r"\S+", text):
         try:
-            out.append(int(m.group()))
+            out.append((col0 + m.start(), int(m.group())))
         except ValueError:
             raise ParseError(line_no, col0 + m.start(),
                              f"{what} must be integers, got {m.group()!r}") from None
-    return tuple(out)
+    return out
+
+
+def _count_error(line_no, tokens, want, end_col, message):
+    """A ParseError for a token list whose length is not `want`: at the first
+    surplus token, or at `end_col` (where the list ends) when one is missing."""
+    col = tokens[want][0] if len(tokens) > want else end_col
+    return ParseError(line_no, col, message)
 
 
 @dataclass
@@ -87,11 +96,11 @@ class AlgebraFile:
         head = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", lines[0])]
         if len(head) != 4:
             raise ParseError(1, 1, "header must be: kind arity dim scalar")
-        (_, kind), (arity_col, arity_s), (dim_col, dim_s), (_, scalar_kind) = head
+        (kind_col, kind), (arity_col, arity_s), (dim_col, dim_s), (scalar_col, scalar_kind) = head
         if kind not in KINDS:
-            raise ParseError(1, 1, f"unknown kind {kind!r}")
-        (arity,) = _int_tokens(arity_s, 1, arity_col, "arity and dim")
-        (dim,) = _int_tokens(dim_s, 1, dim_col, "arity and dim")
+            raise ParseError(1, kind_col, f"unknown kind {kind!r}")
+        ((_, arity),) = _int_tokens(arity_s, 1, arity_col, "arity and dim")
+        ((_, dim),) = _int_tokens(dim_s, 1, dim_col, "arity and dim")
         if arity < 1:
             raise ParseError(1, arity_col, f"arity must be positive, got {arity}")
         if dim < 1:
@@ -104,7 +113,7 @@ class AlgebraFile:
             raise ParseError(1, arity_col, f"arity {arity} exceeds dim {dim}:"
                              " no strictly increasing index tuple exists")
         if scalar_kind not in ("rational", "gaussian"):
-            raise ParseError(1, 1, f"unknown scalar kind {scalar_kind!r}")
+            raise ParseError(1, scalar_col, f"unknown scalar kind {scalar_kind!r}")
         out = cls(kind, arity, dim, scalar_kind)
         in_metric = False
         metric = None
@@ -119,51 +128,60 @@ class AlgebraFile:
                 metric = [[Fraction(0)] * dim for _ in range(dim)]
                 continue
             if ":" not in stripped:
-                raise ParseError(no, 1, "missing ':' separator")
+                raise ParseError(no, col0, "missing ':' separator")
             lhs, _, val_s = stripped.rpartition(":")
+            colon_col = col0 + len(lhs)
             try:
                 value = parse_scalar(val_s)
             except (ValueError, ZeroDivisionError):
-                raise ParseError(no, col0 + stripped.rfind(":") + 1,
-                                 f"bad scalar {val_s.strip()!r}")
+                raise ParseError(no, colon_col + 1, f"bad scalar {val_s.strip()!r}")
             if scalar_kind == "rational" and isinstance(value, GaussianRational):
-                raise ParseError(no, 1, "gaussian literal in a rational file")
+                raise ParseError(no, colon_col + 1, "gaussian literal in a rational file")
             if in_metric:
                 parts = _int_tokens(lhs, no, col0, "metric indices")
                 if len(parts) != 2:
-                    raise ParseError(no, 1, "metric lines are `i j : value`")
-                i, j = parts
-                if not (1 <= i <= dim and 1 <= j <= dim):
-                    raise ParseError(no, 1, "metric index out of range")
+                    raise _count_error(no, parts, 2, colon_col,
+                                       "metric lines are `i j : value`")
+                for col, i in parts:
+                    if not 1 <= i <= dim:
+                        raise ParseError(no, col, f"metric index {i} out of range")
+                (_, i), (_, j) = parts
                 metric[i - 1][j - 1] = value
                 metric[j - 1][i - 1] = value
                 continue
             if "->" not in lhs:
-                raise ParseError(no, 1, "missing '->'")
+                raise ParseError(no, col0, "missing '->'")
             idx_s, _, tgt_s = lhs.partition("->")
-            idx = _int_tokens(idx_s, no, col0, "indices")
-            tgt_parts = _int_tokens(tgt_s, no, col0 + len(idx_s) + 2, "indices")
+            arrow_col = col0 + len(idx_s)
+            idx_tokens = _int_tokens(idx_s, no, col0, "indices")
+            tgt_tokens = _int_tokens(tgt_s, no, arrow_col + 2, "indices")
             if kind == "multivector":
-                if len(tgt_parts) != dim:
-                    raise ParseError(no, 1, f"exponent vector must have {dim} entries")
-                target = tgt_parts
+                if len(tgt_tokens) != dim:
+                    raise _count_error(no, tgt_tokens, dim, colon_col,
+                                       f"exponent vector must have {dim} entries")
+                target = tuple(t for _, t in tgt_tokens)
             else:
-                if len(tgt_parts) != 1:
-                    raise ParseError(no, len(idx_s) + 3, "exactly one target index")
-                target = tgt_parts[0]
+                if len(tgt_tokens) != 1:
+                    raise _count_error(no, tgt_tokens, 1, colon_col,
+                                       "exactly one target index")
+                ((tgt_col, target),) = tgt_tokens
                 if not 1 <= target <= dim:
-                    raise ParseError(no, 1, f"target index {target} out of range")
-            if len(idx) != arity:
-                raise ParseError(no, 1, f"expected {arity} lower indices")
-            if any(not 1 <= i <= dim for i in idx):
-                raise ParseError(no, 1, "lower index out of range")
+                    raise ParseError(no, tgt_col, f"target index {target} out of range")
+            if len(idx_tokens) != arity:
+                raise _count_error(no, idx_tokens, arity, arrow_col,
+                                   f"expected {arity} lower indices")
+            for col, i in idx_tokens:
+                if not 1 <= i <= dim:
+                    raise ParseError(no, col, f"lower index {i} out of range")
+            idx = tuple(i for _, i in idx_tokens)
             if kind != "leibniz":
-                if any(a >= b for a, b in zip(idx, idx[1:])):
-                    raise ParseError(no, 1,
-                                     f"indices must be strictly increasing, got {idx}")
+                for (_, a), (col, b) in zip(idx_tokens, idx_tokens[1:]):
+                    if a >= b:
+                        raise ParseError(no, col,
+                                         f"indices must be strictly increasing, got {idx}")
             key = (idx, target)
             if key in seen:
-                raise ParseError(no, 1, f"duplicate entry for {idx} -> {target}")
+                raise ParseError(no, col0, f"duplicate entry for {idx} -> {target}")
             seen.add(key)
             out.entries.append((idx, target, value))
         out.metric = metric

@@ -106,21 +106,38 @@ def check_fi(fa: FilippovAlgebra, form: str = "derivation") -> FIReport:
     raise ValueError(f"unknown FI form {form!r}")
 
 
+# Each form evaluates both sides for one index pair at every s at once, as
+# {s: value} dicts built from whole `f_row` reads, then compares s = 1..d in
+# order, so the first failing (.., s) is the witness a per-s scan finds.
+
+def _accumulate(out, coeff, row):
+    """out[s] += coeff * row[s] for every s of `row`."""
+    for s, w in row.items():
+        out[s] = out.get(s, 0) + coeff * w
+
+
+def _first_difference(lhs, rhs, d):
+    """The least s in 1..d at which the two {s: value} dicts differ."""
+    for s in range(1, d + 1):
+        if lhs.get(s, 0) != rhs.get(s, 0):
+            return s
+    return None
+
+
 def _fi_derivation(fa):
     n, d = fa.arity, fa.dim
     for a_idx in combinations(range(1, d + 1), n - 1):
         for b_idx in combinations(range(1, d + 1), n):
-            b_row = fa.f.get(b_idx, {})
-            for s in range(1, d + 1):
-                lhs = Fraction(0)
-                for l, v in b_row.items():
-                    lhs += v * fa.f_get(a_idx + (l,), s)
-                rhs = Fraction(0)
-                for k in range(n):
-                    for l, v in fa.f_row(a_idx + (b_idx[k],)).items():
-                        rhs += v * fa.f_get(b_idx[:k] + (l,) + b_idx[k + 1:], s)
-                if lhs != rhs:
-                    return FIReport(False, "derivation", (a_idx, b_idx, s))
+            lhs = {}
+            for l, v in fa.f.get(b_idx, {}).items():
+                _accumulate(lhs, v, fa.f_row(a_idx + (l,)))
+            rhs = {}
+            for k in range(n):
+                for l, v in fa.f_row(a_idx + (b_idx[k],)).items():
+                    _accumulate(rhs, v, fa.f_row(b_idx[:k] + (l,) + b_idx[k + 1:]))
+            s = _first_difference(lhs, rhs, d)
+            if s is not None:
+                return FIReport(False, "derivation", (a_idx, b_idx, s))
     return FIReport(True, "derivation")
 
 
@@ -128,39 +145,45 @@ def _fi_short(fa):
     # antisymmetrize (a_1..a_n, b_1) jointly; b_2..b_{n-1} stay free
     n, d = fa.arity, fa.dim
     for u in combinations(range(1, d + 1), n + 1):
+        splits = [(a_blk, b1_blk, sign, fa.f.get(a_blk, {}))
+                  for (a_blk, b1_blk), sign in shuffle_splits(u, [n, 1])]
         for spect in combinations(range(1, d + 1), n - 2):
-            for s in range(1, d + 1):
-                tot = Fraction(0)
-                for (a_blk, b1_blk), sign in shuffle_splits(u, [n, 1]):
-                    for l, v in fa.f.get(a_blk, {}).items():
-                        tot += sign * v * fa.f_get(b1_blk + spect + (l,), s)
-                if tot != 0:
-                    return FIReport(False, "short", (u, spect, s))
+            tot = {}
+            for a_blk, b1_blk, sign, a_row in splits:
+                for l, v in a_row.items():
+                    _accumulate(tot, sign * v, fa.f_row(b1_blk + spect + (l,)))
+            s = _first_difference(tot, {}, d)
+            if s is not None:
+                return FIReport(False, "short", (u, spect, s))
     return FIReport(True, "short")
 
 
 def _fi_ghost(fa):
     # f_{c..}^l f_{b.. l}^s = (-1)^{n-1}/(n-1)! * f_{b.. [c_1}^l f_{c_2..c_n] l}^s
+    # summed over all n! arrangements of c; the signs are taken once per call
     n, d = fa.arity, fa.dim
     fact = 1
     for q in range(2, n):
         fact *= q
+    weight = Fraction((-1) ** (n - 1), fact)
+    perms = [(p[0], p[1:], perm_sign(p)) for p in permutations(range(n))]
     for b_idx in combinations(range(1, d + 1), n - 1):
         for c_idx in combinations(range(1, d + 1), n):
-            for s in range(1, d + 1):
-                lhs = Fraction(0)
-                for l, v in fa.f.get(c_idx, {}).items():
-                    lhs += v * fa.f_get(b_idx + (l,), s)
-                rhs = Fraction(0)
-                for p in permutations(range(n)):
-                    sgn = perm_sign(p)
-                    first = c_idx[p[0]]
-                    rest = tuple(c_idx[i] for i in p[1:])
-                    for l, v in fa.f_row(b_idx + (first,)).items():
-                        rhs += sgn * v * fa.f_get(rest + (l,), s)
-                rhs = rhs * Fraction((-1) ** (n - 1), fact)
-                if lhs != rhs:
-                    return FIReport(False, "ghost", (b_idx, c_idx, s))
+            lhs = {}
+            for l, v in fa.f.get(c_idx, {}).items():
+                _accumulate(lhs, v, fa.f_row(b_idx + (l,)))
+            rhs = {}
+            for first, rest, sgn in perms:
+                row = fa.f_row(b_idx + (c_idx[first],))
+                if not row:
+                    continue
+                rest_idx = tuple(c_idx[i] for i in rest)
+                for l, v in row.items():
+                    _accumulate(rhs, sgn * v, fa.f_row(rest_idx + (l,)))
+            rhs = {s: weight * v for s, v in rhs.items()}
+            s = _first_difference(lhs, rhs, d)
+            if s is not None:
+                return FIReport(False, "ghost", (b_idx, c_idx, s))
     return FIReport(True, "ghost")
 
 

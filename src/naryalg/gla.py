@@ -31,7 +31,12 @@ def multibracket(mats):
     """Weight-free antisymmetrized product sum_sigma sign X_s1 .. X_sn.
 
     Evaluated by subset dynamic programming (first-slot expansion of the
-    bracket), linear instead of factorial in matrix products.
+    bracket), linear instead of factorial in matrix products.  The programme
+    runs on sparse rows {col: nonzero value}, which keeps the monomial gamma
+    matrices of the Clifford realizations cheap, and densifies once at the
+    end.  An entry is the typed zero of the inputs (Gaussian when an input
+    corner entry is, as in `linalg.mat_mul`) plus its value, so every entry
+    has the scalar type the dense evaluation gives it.
     """
     n = len(mats)
     if n == 0:
@@ -39,25 +44,40 @@ def multibracket(mats):
     size = len(mats[0])
     if any(len(m) != size or len(m[0]) != size for m in mats):
         raise ValueError("multibracket needs equal square matrices")
-    table = {1 << i: mats[i] for i in range(n)}
+    if n == 1:
+        return mats[0]
+    sparse = [[{c: v for c, v in enumerate(row) if not is_zero(v)} for row in m]
+              for m in mats]
+    table = {1 << i: sparse[i] for i in range(n)}
 
     def build(mask):
         got = table.get(mask)
         if got is not None:
             return got
-        acc = linalg.zeros(size, size)
+        acc = [{} for _ in range(size)]
         members = [i for i in range(n) if mask & (1 << i)]
         for pos, i in enumerate(members):
             sub = build(mask & ~(1 << i))
-            term = linalg.mat_mul(mats[i], sub)
-            if pos % 2:
-                acc = linalg.mat_sub(acc, term)
-            else:
-                acc = linalg.mat_add(acc, term)
+            odd = pos % 2
+            for row_a, row_o in zip(sparse[i], acc):
+                for l, v in row_a.items():
+                    sv = -v if odd else v
+                    for c, w in sub[l].items():
+                        row_o[c] = row_o.get(c, 0) + sv * w
+        for row_o in acc:
+            for c in [c for c, v in row_o.items() if is_zero(v)]:
+                del row_o[c]
         table[mask] = acc
         return acc
 
-    return build((1 << n) - 1)
+    zero = Fraction(0)
+    for m in mats:
+        zero = zero * m[0][0]
+    out = [[zero] * size for _ in range(size)]
+    for row_s, row_d in zip(build((1 << n) - 1), out):
+        for c, v in row_s.items():
+            row_d[c] = zero + v
+    return out
 
 
 def multibracket_weighted(mats):

@@ -281,25 +281,6 @@ def bracket_multivector(bt: BracketTensor) -> PolyMultivector:
 lie_poisson_bivector = fa_linear_multivector = bracket_multivector
 
 
-def linear_multivector(omega: AntisymTensor, raised_last=None) -> PolyMultivector:
-    """Components w^{i_1..i_{r-1}} = T_{i_1..i_{r-1}}^sigma x_sigma from a
-    rank-r antisymmetric tensor (the last slot becomes the coefficient)."""
-    m = omega.dim
-    comps = {}
-    for idx, v in omega.entries.items():
-        for t in range(len(idx)):
-            body = idx[:t] + idx[t + 1:]
-            move = (-1) ** (len(idx) - 1 - t)
-            p = Poly.var(m, idx[t]) * (v * move)
-            cur = comps.get(body)
-            p = p if cur is None else cur + p
-            if p.is_zero():
-                comps.pop(body, None)
-            else:
-                comps[body] = p
-    return PolyMultivector(omega.rank - 1, m, comps)
-
-
 def linear_gps_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> PolyMultivector:
     """Linear even tensor with components Omega_{i_1..i_{2m-2}}^sigma
     x_sigma; validated against the self-bracket condition."""

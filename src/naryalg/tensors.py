@@ -14,6 +14,11 @@ C_{i_1..i_n}^j, antisymmetric in the lower block: it is the one storage of
 Lie, generalized Lie and Filippov algebras, which differ only in their
 characteristic identity.
 
+The sign kernels (`perm_sign`, `sort_sign`, `merge_sign`, `gen_kronecker`)
+give their signs as plain ints in {-1, 0, 1}: they count inversions and never
+build a `Fraction`, so a sign multiplies any exact scalar without a
+conversion.
+
 Contractions of products of blockwise-antisymmetric factors against the
 generalized Kronecker symbol collapse to signed sums over ordered block
 splits ("shuffles") -- `shuffle_splits` is the hot kernel behind the
@@ -34,18 +39,21 @@ from .scalars import is_zero, rat
 # ---------------------------------------------------------------------------
 
 def perm_sign(seq) -> int:
-    """Sign of the permutation sorting `seq` (entries distinct); 0 on repeats."""
-    t = list(seq)
-    n = len(t)
-    if len(set(t)) != n:
-        return 0
-    sign = 1
-    for i in range(n):
-        m = min(range(i, n), key=t.__getitem__)
-        if m != i:
-            t[i], t[m] = t[m], t[i]
-            sign = -sign
-    return sign
+    """Sign of the permutation sorting `seq` (entries distinct); 0 on repeats.
+
+    Counts inversions over the pairs in one pass and stops at the first
+    repeated entry."""
+    n = len(seq)
+    inv = 0
+    for i in range(n - 1):
+        x = seq[i]
+        for j in range(i + 1, n):
+            y = seq[j]
+            if y < x:
+                inv += 1
+            elif y == x:
+                return 0
+    return -1 if inv & 1 else 1
 
 
 def sort_sign(seq):
@@ -93,15 +101,15 @@ def shuffle_splits(m, sizes):
 # generalized Kronecker symbol
 # ---------------------------------------------------------------------------
 
-def gen_kronecker(upper, lower):
-    """det(delta^{u_i}_{l_j}): the permutation sign when `lower` rearranges
-    `upper`, zero otherwise."""
+def gen_kronecker(upper, lower) -> int:
+    """det(delta^{u_i}_{l_j}) as a plain int: the product of the sorting
+    signs of `upper` and `lower` when `lower` rearranges `upper` (the
+    permutation taking one to the other has that sign), zero otherwise."""
     if len(upper) != len(lower):
         raise ValueError("gen_kronecker: tuples must have equal length")
-    if len(set(upper)) != len(upper) or sorted(upper) != sorted(lower):
-        return Fraction(0)
-    pos = {v: i for i, v in enumerate(upper)}
-    return Fraction(perm_sign([pos[v] for v in lower]))
+    if sorted(upper) != sorted(lower):
+        return 0
+    return perm_sign(upper) * perm_sign(lower)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +410,15 @@ class EpsReport:
     counterexample: tuple | None = None
 
 
+class _KroneckerMemo(dict):
+    """(upper, lower) -> gen_kronecker(upper, lower), filled on first read;
+    one instance lives for one identity scan."""
+
+    def __missing__(self, key):
+        v = self[key] = gen_kronecker(*key)
+        return v
+
+
 def eps_identities_check(n: int, d: int) -> EpsReport:
     """Entrywise check of the two epsilon recursions: the first-row expansion
     eps^{i..}_{j..} = sum_s (-1)^{s+1} delta^{i1}_{js} eps^{i2..}_{j..^s..}
@@ -411,24 +428,25 @@ def eps_identities_check(n: int, d: int) -> EpsReport:
     if not (1 <= n <= d <= 6):
         raise ValueError("eps_identities_check: desk-scale bounds 1 <= n <= d <= 6")
     rng = range(1, d + 1)
+    memo = _KroneckerMemo()
+    pairs = [(s, t, (-1) ** (s + t + 1), tuple(k for k in range(n) if k not in (s, t)))
+             for s in range(n) for t in range(s + 1, n)]
     for upper in product(rng, repeat=n):
+        head, tail, top, bottom = upper[0], upper[1:], upper[:2], upper[2:]
         for lower in product(rng, repeat=n):
             lhs = gen_kronecker(upper, lower)
-            tot = Fraction(0)
+            tot = 0
             for s in range(n):
-                if upper[0] == lower[s]:
-                    rest = lower[:s] + lower[s + 1:]
-                    tot += (-1) ** s * gen_kronecker(upper[1:], rest)
+                if head == lower[s]:
+                    tot += (-1) ** s * memo[tail, lower[:s] + lower[s + 1:]]
             if tot != lhs:
                 return EpsReport(False, (upper, lower, "first-row"))
             if n >= 2:
-                tot2 = Fraction(0)
-                for s in range(n):
-                    for t in range(s + 1, n):
-                        sub = gen_kronecker(upper[:2], (lower[s], lower[t]))
-                        if sub:
-                            rest = tuple(lower[k] for k in range(n) if k not in (s, t))
-                            tot2 += (-1) ** (s + t + 1) * sub * gen_kronecker(upper[2:], rest)
+                tot2 = 0
+                for s, t, sign, rest in pairs:
+                    sub = memo[top, (lower[s], lower[t])]
+                    if sub:
+                        tot2 += sign * sub * memo[bottom, tuple(lower[k] for k in rest)]
                 if tot2 != lhs:
                     return EpsReport(False, (upper, lower, "pair-resolution"))
     return EpsReport(True)
@@ -442,7 +460,7 @@ def eps_pair_expansion_check(p: int, d: int) -> bool:
     m = p + 1
     for upper in product(rng, repeat=m):
         for lower in product(rng, repeat=m):
-            tot = Fraction(0)
+            tot = 0
             for s in range(m):
                 for t in range(s + 1, m):
                     sub = gen_kronecker(upper[:2], (lower[s], lower[t]))

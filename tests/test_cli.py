@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from naryalg import cli
+from naryalg import catalog, cli
 from naryalg.algfile import AlgebraFile
 from naryalg.catalog import a4, heisenberg
 
@@ -88,6 +88,29 @@ def test_trivial_module_is_the_default_rep(a4_file, capsys):
     ("filippov 3 4 rational\n1 2 3 -> 4 : 1\nmetric\n1 x : 1\n",
      "line 4, column 3: metric indices must be integers, got 'x'"),
     ("filippov 3 4 rational\n    1 2 3 -> 4 : x\n", "line 2, column 17: bad scalar 'x'"),
+    # each error points at its own token
+    ("  bogus 3 4 rational\n", "line 1, column 3: unknown kind 'bogus'"),
+    ("filippov 3 4 complex\n", "line 1, column 14: unknown scalar kind 'complex'"),
+    ("filippov 3 4 rational\n1 2 3 -> 4 : 1+2i\n",
+     "line 2, column 13: gaussian literal in a rational file"),
+    ("filippov 3 4 rational\n1 2 3 -> 4 : 1\nmetric\n1 9 : 1\n",
+     "line 4, column 3: metric index 9 out of range"),
+    ("filippov 3 4 rational\nmetric\n  1 2 3 : 1\n",
+     "line 3, column 7: metric lines are `i j : value`"),
+    ("filippov 3 4 rational\nmetric\n  1 : 1\n",
+     "line 3, column 5: metric lines are `i j : value`"),
+    ("filippov 3 4 rational\n1 2 7 -> 4 : 1\n", "line 2, column 5: lower index 7 out of range"),
+    ("filippov 3 4 rational\n1 2 3 -> 9 : 1\n", "line 2, column 10: target index 9 out of range"),
+    ("filippov 3 4 rational\n  1 2 3 -> 4 1 : 1\n",
+     "line 2, column 14: exactly one target index"),
+    ("filippov 3 4 rational\n1 2 3 4 -> 1 : 1\n", "line 2, column 7: expected 3 lower indices"),
+    ("filippov 3 4 rational\n1 2 -> 4 : 1\n", "line 2, column 5: expected 3 lower indices"),
+    ("filippov 3 4 rational\n1 3 2 -> 4 : 1\n",
+     "line 2, column 5: indices must be strictly increasing"),
+    ("filippov 3 4 rational\n1 1 2 -> 4 : 1\n",
+     "line 2, column 3: indices must be strictly increasing"),
+    ("filippov 3 4 rational\n  1 2 3 -> 4 : 1\n  1 2 3 -> 4 : 2\n",
+     "line 3, column 3: duplicate entry for (1, 2, 3) -> 4"),
 ])
 def test_malformed_file_is_an_input_error_with_its_position(tmp_path, capsys, text, where):
     path = tmp_path / "bad.alg"
@@ -96,3 +119,63 @@ def test_malformed_file_is_an_input_error_with_its_position(tmp_path, capsys, te
     out = capsys.readouterr()
     assert where in out.err
     assert records(out.out) == [{"error": out.err.split("input error: ", 1)[1].strip()}]
+
+
+# `check --suite identity` on every catalog file of the benchmark's checks
+# workload and on its corrupted copies: exit code and JSON lines, pinned
+FI_FORMS = ("derivation", "short", "ghost")
+FI_PASS = [f'{{"check": "filippov-identity-{form}", "verdict": "pass"}}' for form in FI_FORMS]
+
+
+def fi_fail(*witnesses):
+    return [f'{{"check": "filippov-identity-{form}", "counterexample": {w}, "verdict": "fail"}}'
+            for form, w in zip(FI_FORMS, witnesses)]
+
+
+GOLDEN_IDENTITY = {
+    "su3": (0, ['{"check": "jacobi", "verdict": "pass"}']),
+    "heisenberg": (0, ['{"check": "jacobi", "verdict": "pass"}']),
+    "a4": (0, FI_PASS),
+    "a13": (0, FI_PASS),
+    "a5": (0, FI_PASS),
+    "nhw2": (0, FI_PASS),
+    "su3-gla4": (0, ['{"check": "generalized-jacobi", "verdict": "pass"}']),
+    "nilpotent-leibniz": (0, ['{"check": "left-leibniz-identity", "verdict": "pass"}']),
+    "clifford5": (0, FI_PASS),
+    "corrupted-su3": (1, [
+        '{"check": "jacobi", "counterexample": [1, 2, 3, 4], "verdict": "fail"}']),
+    "corrupted-a4": (1, fi_fail("[[1, 2], [2, 3, 4], 3]", "[[1, 2, 3, 4], [2], 3]",
+                                "[[1, 2], [2, 3, 4], 3]")),
+    "corrupted-a5": (1, fi_fail("[[1, 2, 3], [2, 3, 4, 5], 4]", "[[1, 2, 3, 4, 5], [2, 3], 4]",
+                                "[[1, 2, 3], [2, 3, 4, 5], 4]")),
+    "corrupted-su3-gla4": (1, [
+        '{"check": "generalized-jacobi", "counterexample": [[1, 2, 3, 5, 6, 7, 8], 3],'
+        ' "verdict": "fail"}']),
+}
+CATALOG = {"su3": lambda: catalog.su(3), "heisenberg": heisenberg, "a4": a4,
+           "a13": catalog.a13, "a5": catalog.a5, "nhw2": lambda: catalog.nhw(2),
+           "su3-gla4": catalog.su3_gla4, "nilpotent-leibniz": catalog.nilpotent_leibniz}
+
+
+@pytest.fixture(scope="module")
+def catalog_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("catalog")
+    files = {}
+    for name, make in CATALOG.items():
+        obj = make()
+        files[name] = root / f"{name}.alg"
+        files[name].write_text(AlgebraFile.from_object(obj).emit())
+        if f"corrupted-{name}" in GOLDEN_IDENTITY:
+            files[f"corrupted-{name}"] = root / f"corrupted-{name}.alg"
+            files[f"corrupted-{name}"].write_text(
+                AlgebraFile.from_object(catalog.corrupted(obj)).emit())
+    files["clifford5"] = root / "clifford5.alg"
+    assert cli.main(["generate", "clifford", "--n", "5", "-o", str(files["clifford5"])]) == 0
+    return files
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_IDENTITY))
+def test_identity_suite_output_is_pinned(catalog_files, capsys, name):
+    capsys.readouterr()
+    code = cli.main(["check", str(catalog_files[name]), "--suite", "identity"])
+    assert (code, capsys.readouterr().out.splitlines()) == GOLDEN_IDENTITY[name]

@@ -1,0 +1,200 @@
+"""Differential tests of the fast sign, identity-scan and multibracket kernels
+against their slow definitions: a brute-force inversion count, the
+determinant of the delta matrix, the per-s Filippov identity loops, and the
+n!-term permutation sum."""
+
+import random
+from fractions import Fraction
+from itertools import combinations, permutations, product
+
+import pytest
+
+from naryalg import linalg
+from naryalg.catalog import a4, a5, corrupted, nhw
+from naryalg.filippov import FilippovAlgebra, check_fi, simple_fa
+from naryalg.gla import multibracket
+from naryalg.scalars import GaussianRational
+from naryalg.tensors import gen_kronecker, perm_sign, shuffle_splits, sort_sign
+
+
+def inversion_sign(t):
+    """0 on a repeated entry, else (-1)^(number of inverted pairs)."""
+    if len(set(t)) != len(t):
+        return 0
+    inv = sum(1 for i in range(len(t)) for j in range(i + 1, len(t)) if t[i] > t[j])
+    return (-1) ** inv
+
+
+# ---------------------------------------------------------------------------
+# sign kernels
+# ---------------------------------------------------------------------------
+
+def test_perm_and_sort_sign_match_the_inversion_count():
+    for k in range(6):
+        for t in product(range(1, 7), repeat=k):
+            want = inversion_sign(t)
+            got = perm_sign(t)
+            assert got == want and type(got) is int, t
+            assert perm_sign(list(t)) == want
+            assert sort_sign(t) == ((tuple(sorted(t)), want) if want else (t, 0))
+
+
+def delta_det(upper, lower):
+    return linalg.det([[Fraction(int(u == l)) for l in lower] for u in upper])
+
+
+def test_gen_kronecker_is_the_delta_determinant():
+    pairs = [(u, l) for n in range(4)
+             for u in product(range(1, 5), repeat=n)
+             for l in product(range(1, 5), repeat=n)]
+    rng = random.Random(11)
+    for n in (4, 5):
+        for _ in range(1500):
+            u = tuple(rng.randint(1, 6) for _ in range(n))
+            l = list(u) if rng.random() < 0.7 else [rng.randint(1, 6) for _ in range(n)]
+            rng.shuffle(l)
+            pairs.append((u, tuple(l)))
+    for upper, lower in pairs:
+        got = gen_kronecker(upper, lower)
+        assert type(got) is int
+        if upper:
+            assert got == delta_det(upper, lower), (upper, lower)
+        else:
+            assert got == 1
+
+
+# ---------------------------------------------------------------------------
+# the Filippov identity: per-s loops as the reference
+# ---------------------------------------------------------------------------
+
+def fi_derivation_per_s(fa):
+    n, d = fa.arity, fa.dim
+    for a_idx in combinations(range(1, d + 1), n - 1):
+        for b_idx in combinations(range(1, d + 1), n):
+            b_row = fa.f.get(b_idx, {})
+            for s in range(1, d + 1):
+                lhs = Fraction(0)
+                for l, v in b_row.items():
+                    lhs += v * fa.f_get(a_idx + (l,), s)
+                rhs = Fraction(0)
+                for k in range(n):
+                    for l, v in fa.f_row(a_idx + (b_idx[k],)).items():
+                        rhs += v * fa.f_get(b_idx[:k] + (l,) + b_idx[k + 1:], s)
+                if lhs != rhs:
+                    return False, (a_idx, b_idx, s)
+    return True, None
+
+
+def fi_short_per_s(fa):
+    n, d = fa.arity, fa.dim
+    for u in combinations(range(1, d + 1), n + 1):
+        for spect in combinations(range(1, d + 1), n - 2):
+            for s in range(1, d + 1):
+                tot = Fraction(0)
+                for (a_blk, b1_blk), sign in shuffle_splits(u, [n, 1]):
+                    for l, v in fa.f.get(a_blk, {}).items():
+                        tot += sign * v * fa.f_get(b1_blk + spect + (l,), s)
+                if tot != 0:
+                    return False, (u, spect, s)
+    return True, None
+
+
+def fi_ghost_per_s(fa):
+    n, d = fa.arity, fa.dim
+    fact = 1
+    for q in range(2, n):
+        fact *= q
+    for b_idx in combinations(range(1, d + 1), n - 1):
+        for c_idx in combinations(range(1, d + 1), n):
+            for s in range(1, d + 1):
+                lhs = Fraction(0)
+                for l, v in fa.f.get(c_idx, {}).items():
+                    lhs += v * fa.f_get(b_idx + (l,), s)
+                rhs = Fraction(0)
+                for p in permutations(range(n)):
+                    sgn = inversion_sign(p)
+                    first = c_idx[p[0]]
+                    rest = tuple(c_idx[i] for i in p[1:])
+                    for l, v in fa.f_row(b_idx + (first,)).items():
+                        rhs += sgn * v * fa.f_get(rest + (l,), s)
+                rhs = rhs * Fraction((-1) ** (n - 1), fact)
+                if lhs != rhs:
+                    return False, (b_idx, c_idx, s)
+    return True, None
+
+
+REFERENCE = {"derivation": fi_derivation_per_s, "short": fi_short_per_s,
+             "ghost": fi_ghost_per_s}
+
+
+def planted(fa, seed):
+    """fa with one structure constant moved by a seeded nonzero amount."""
+    rng = random.Random(seed)
+    keys = list(combinations(range(1, fa.dim + 1), fa.arity))
+    idx, b = rng.choice(keys), rng.randint(1, fa.dim)
+    f = {k: dict(row) for k, row in fa.f.items()}
+    row = f.setdefault(idx, {})
+    row[b] = row.get(b, 0) + rng.choice([-2, -1, 1, 3])
+    return FilippovAlgebra(fa.arity, fa.dim, f)
+
+
+ALGEBRAS = {
+    "a4": a4, "a5": a5, "a6": lambda: simple_fa(5, [1] * 6),
+    "nhw1": lambda: nhw(1), "nhw2": lambda: nhw(2),
+    "a1,4": lambda: simple_fa(4, [-1, 1, 1, 1, 1]),
+    "corrupted-a4": lambda: corrupted(a4()), "corrupted-a5": lambda: corrupted(a5()),
+    "planted-a4-1": lambda: planted(a4(), 1), "planted-a4-2": lambda: planted(a4(), 2),
+    "planted-a5-3": lambda: planted(a5(), 3), "planted-nhw1-5": lambda: planted(nhw(1), 5),
+}
+
+
+@pytest.mark.parametrize("form", sorted(REFERENCE))
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_fi_forms_match_the_per_s_loops(name, form):
+    fa = ALGEBRAS[name]()
+    rep = check_fi(fa, form)
+    assert (rep.ok, rep.witness) == REFERENCE[form](fa)
+    if name.startswith(("corrupted", "planted")):
+        assert not rep.ok
+
+
+# ---------------------------------------------------------------------------
+# the matrix multibracket
+# ---------------------------------------------------------------------------
+
+def multibracket_by_permutations(mats):
+    size = len(mats[0])
+    acc = linalg.zeros(size, size)
+    for p in permutations(range(len(mats))):
+        prod = mats[p[0]]
+        for i in p[1:]:
+            prod = linalg.mat_mul(prod, mats[i])
+        acc = linalg.mat_add(acc, linalg.mat_scale(inversion_sign(p), prod))
+    return acc
+
+
+def random_matrix(rng, size, gaussian):
+    def entry():
+        if rng.random() < 0.5:
+            return GaussianRational(0) if gaussian else Fraction(0)
+        re = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        if gaussian:
+            return GaussianRational(re, rng.choice([0, 0, 1, -1, Fraction(1, 2)]))
+        return re
+    return [[entry() for _ in range(size)] for _ in range(size)]
+
+
+@pytest.mark.parametrize("kinds", ["rational", "gaussian", "mixed"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_multibracket_matches_the_permutation_sum(n, kinds):
+    rng = random.Random(100 * n + len(kinds))
+    for _ in range(6):
+        size = rng.randint(1, 4)
+        gaussian = [kinds == "gaussian" or (kinds == "mixed" and rng.random() < 0.5)
+                    for _ in range(n)]
+        mats = [random_matrix(rng, size, g) for g in gaussian]
+        got = multibracket(mats)
+        want = multibracket_by_permutations(mats)
+        assert got == want
+        assert [[type(x) for x in row] for row in got] == \
+            [[type(x) for x in row] for row in want]
