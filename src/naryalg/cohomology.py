@@ -24,7 +24,7 @@ from itertools import combinations
 
 from . import linalg
 from .lie import LieAlgebra, Representation, check_jacobi
-from .scalars import LinearForm, is_zero, rat
+from .scalars import LinearForm, accumulate, is_zero, rat
 from .tensors import shuffle_splits, sort_sign
 
 
@@ -41,13 +41,8 @@ class Cochain:
         clean = {}
         for (a, idx), v in self.data.items():
             key, s = sort_sign(idx)
-            if s == 0 or is_zero(v):
-                continue
-            val = clean.get((a, key), Fraction(0)) + s * rat(v)
-            if val == 0:
-                clean.pop((a, key), None)
-            else:
-                clean[(a, key)] = val
+            if s:
+                accumulate(clean, (a, key), s * rat(v))
         self.data = clean
 
     def get(self, a, idx):
@@ -66,11 +61,7 @@ class Cochain:
     def __add__(self, other):
         d = dict(self.data)
         for k, v in other.data.items():
-            w = d.get(k, Fraction(0)) + v
-            if w == 0:
-                d.pop(k, None)
-            else:
-                d[k] = w
+            accumulate(d, k, v)
         return Cochain(self.order, self.alg_dim, self.dim_v, d)
 
     def scale(self, c):
@@ -111,17 +102,6 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     if p >= r:
         return Cochain(p + 1, r, om.dim_v, {})
     data = {}
-
-    def add(a, idx, v):
-        if is_zero(v):
-            return
-        key = (a, idx)
-        w = data.get(key, Fraction(0)) + v
-        if w == 0:
-            data.pop(key, None)
-        else:
-            data[key] = w
-
     for idx in combinations(range(1, r + 1), p + 1):
         for a in range(1, om.dim_v + 1):
             tot = Fraction(0)
@@ -139,7 +119,8 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
                     for l, v in alg.c_row(idx[j], idx[k]).items():
                         # positions are 0-based here; the 1-based (-1)^{j+k}
                         tot += (-1) ** (j + k) * v * om.get(a, (l,) + rest)
-            add(a, idx, tot)
+            if tot:
+                data[(a, idx)] = tot
     return Cochain(p + 1, r, om.dim_v, data)
 
 

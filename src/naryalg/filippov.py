@@ -19,7 +19,7 @@ from . import linalg
 from .lie import LieAlgebra, check_jacobi
 from .gla import Multivector, multibracket, multibracket_weighted
 from .scalars import GaussianRational, is_zero
-from .tensors import (AntisymTensor, BracketTensor, gen_kronecker, perm_sign,
+from .tensors import (AntisymTensor, BracketTensor, fold_antisym, gen_kronecker, perm_sign,
                       ray_equal, shuffle_splits, sort_sign)
 
 
@@ -507,15 +507,10 @@ def check_metric_fa(fa: FilippovAlgebra, g) -> MetricFAReport:
                 if w != 0:
                     key = idx + (c,)
                     lowered_raw[key] = lowered_raw.get(key, Fraction(0)) + w
-    ent = {}
-    for key, v in lowered_raw.items():
-        skey, s = sort_sign(key)
-        if s == 0:
-            if v != 0:
-                raise AssertionError("lowered constants not antisymmetric")
-            continue
-        if ent.setdefault(skey, s * v) != s * v:
-            raise AssertionError("lowered constants not antisymmetric")
+    # a sum that cancels on a repeated index is the antisymmetric value
+    ent, _ = fold_antisym({k: v for k, v in lowered_raw.items() if v or perm_sign(k)})
+    if ent is None:
+        raise AssertionError("lowered constants not antisymmetric")
     lowered = AntisymTensor(n + 1, d, ent)
 
     # fully lowered identity: sum_i f_{a..b_i}^l f_{b_1..l@i..b_{n+1}} = 0
@@ -1009,7 +1004,14 @@ def _expand_bracket(basis, n, fixed):
         val = multibracket_weighted(args)
         row = {}
         for b in range(1, dim_fa + 1):
-            coeff = linalg.trace(linalg.mat_mul(val, basis[b - 1])) / GaussianRational(size)
+            g = basis[b - 1]
+            # Tr(val g) without forming the product
+            tr = GaussianRational(0)
+            for i, val_row in enumerate(val):
+                for k, x in enumerate(val_row):
+                    if x:
+                        tr += x * g[k][i]
+            coeff = tr / GaussianRational(size)
             if coeff.im != 0:
                 clean = False
             if coeff.re != 0:

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from . import linalg
 from .lie import LieAlgebra, killing_form
-from .scalars import is_zero
+from .scalars import accumulate, is_zero
 from .tensors import AntisymTensor, BracketTensor, merge_sign, shuffle_splits, sort_sign
 
 
@@ -199,12 +199,7 @@ def nested_bracket_residuals(c1: dict, n1: int, c2: dict, n2: int, dim: int) -> 
                 sign = merge_sign(a_idx, b_rest) * move
                 key_m = tuple(sorted(a_idx + b_rest))
                 for s, v2 in row2.items():
-                    key = (key_m, s)
-                    val = res.get(key, Fraction(0)) + sign * v1 * v2
-                    if val == 0:
-                        res.pop(key, None)
-                    else:
-                        res[key] = val
+                    accumulate(res, (key_m, s), sign * v1 * v2)
     return res
 
 
@@ -251,15 +246,9 @@ def gla_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> GLAlgebra:
         for t in range(len(idx)):
             body = idx[:t] + idx[t + 1:]
             move = (-1) ** (len(idx) - 1 - t)
+            row = c.setdefault(body, {})
             for j in range(1, alg.dim + 1):
-                w = move * v * kinv[idx[t] - 1][j - 1]
-                if w != 0:
-                    row = c.setdefault(body, {})
-                    val = row.get(j, Fraction(0)) + w
-                    if val == 0:
-                        row.pop(j, None)
-                    else:
-                        row[j] = val
+                accumulate(row, j, move * v * kinv[idx[t] - 1][j - 1])
     out = GLAlgebra(omega.rank - 1, alg.dim, {k: v for k, v in c.items() if v})
     rep = check_gji(out)
     if not rep.ok:
@@ -286,13 +275,8 @@ class Multivector(dict):
 
     def add(self, idx, v):
         key, s = sort_sign(idx)
-        if s == 0 or is_zero(v):
-            return
-        w = self.get(key, Fraction(0)) + s * v
-        if w == 0:
-            self.pop(key, None)
-        else:
-            self[key] = w
+        if s:
+            accumulate(self, key, s * v)
 
     def is_zero(self):
         return not self
@@ -375,11 +359,9 @@ def wedge_antisym(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:
     ent = {}
     for ka, va in a.entries.items():
         for kb, vb in b.entries.items():
-            if set(ka) & set(kb):
-                continue
-            key = tuple(sorted(ka + kb))
-            ent[key] = ent.get(key, Fraction(0)) + merge_sign(ka, kb) * va * vb
-    return AntisymTensor(rank, a.dim, {k: v for k, v in ent.items() if v != 0})
+            if not set(ka) & set(kb):
+                accumulate(ent, tuple(sorted(ka + kb)), merge_sign(ka, kb) * va * vb)
+    return AntisymTensor(rank, a.dim, ent)
 
 
 def leibniz_rule_holds(g: GLAlgebra, a: AntisymTensor, b: AntisymTensor) -> bool:

@@ -18,8 +18,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from . import linalg
-from .scalars import GaussianRational, is_zero, rat
-from .tensors import AntisymTensor, BracketTensor, ray_equal, shuffle_splits, sort_sign
+from .scalars import GaussianRational, accumulate, is_zero, rat
+from .tensors import (AntisymTensor, BracketTensor, fold_antisym, ray_equal, shuffle_splits,
+                      sort_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -463,24 +464,12 @@ def cocycle_from_invariant_poly(alg: LieAlgebra, k: SymInvariantPoly) -> Antisym
                         w = sign * pair_factor * c * v
                         for rho in range(1, r + 1):
                             kv = k.get((rho,) + ls + (lm,))
-                            if kv != 0:
-                                key = (rho,) + mid + (sigma,)
-                                val = raw.get(key, Fraction(0)) + w * kv
-                                if val == 0:
-                                    raw.pop(key, None)
-                                else:
-                                    raw[key] = val
+                            if kv:
+                                accumulate(raw, (rho,) + mid + (sigma,), w * kv)
 
-    ent = {}
-    for key, v in raw.items():
-        skey, s = sort_sign(key)
-        if s == 0:
-            raise ArithmeticError(f"constructed tensor not antisymmetric at {key}")
-        if skey in ent:
-            if ent[skey] != s * v:
-                raise ArithmeticError(f"constructed tensor not antisymmetric at {key}")
-        else:
-            ent[skey] = s * v
+    ent, bad = fold_antisym(raw)
+    if bad is not None:
+        raise ArithmeticError(f"constructed tensor not antisymmetric at {bad}")
     out = AntisymTensor(rank, r, ent)
     wit = cocycle_condition_residual(alg, out)
     if wit is not None:
@@ -550,13 +539,8 @@ def invariant_poly_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> SymInv
                           for u in range(1, r + 1) if kinv[u - 1][l - 1] != 0]
         for seq, w in expansions:
             skey, s = sort_sign(seq)
-            if s == 0:
-                continue
-            val = up_raw.get(skey, Fraction(0)) + s * w
-            if val == 0:
-                up_raw.pop(skey, None)
-            else:
-                up_raw[skey] = val
+            if s:
+                accumulate(up_raw, skey, s * w)
     omega_up = AntisymTensor(omega.rank, r, up_raw)
 
     dense = {}
@@ -576,12 +560,7 @@ def invariant_poly_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> SymInv
                     partial = [(seq + (u,), c * w) for seq, c in partial
                                for u, w in row.items()]
                 for seq, c in partial:
-                    key = seq + (last,)
-                    val = dense.get(key, Fraction(0)) + move_sign * sign * v * c
-                    if val == 0:
-                        dense.pop(key, None)
-                    else:
-                        dense[key] = val
+                    accumulate(dense, seq + (last,), move_sign * sign * v * c)
 
     # `dense` carries t-up on every ordered index tuple; confirm symmetry
     sym_check = {}
@@ -599,11 +578,7 @@ def invariant_poly_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> SymInv
                           for seq, w in expansions
                           for i in range(1, r + 1) if kf[i - 1][u - 1] != 0]
         for seq, w in expansions:
-            val = low.get(seq, Fraction(0)) + w
-            if val == 0:
-                low.pop(seq, None)
-            else:
-                low[seq] = val
+            accumulate(low, seq, w)
     terms = {}
     for key, v in low.items():
         skey = tuple(sorted(key))

@@ -38,8 +38,8 @@ from itertools import combinations, product
 from . import linalg
 from .cohomology import CohomologyReport
 from .filippov import FilippovAlgebra, check_fi, fundamental_compose
-from .scalars import LinearForm, is_zero, rat
-from .tensors import sort_sign
+from .scalars import LinearForm, accumulate, is_zero, rat
+from .tensors import sort_blocks, sort_sign
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ class NCochain:
             vec = tuple(rat(v) for v in vec)
             if all(v == 0 for v in vec):
                 continue
-            ckey, s = self._canon(key)
+            ckey, s = sort_blocks(key) if self.order else (key, 1)
             if s == 0:
                 continue
             vec = tuple(s * v for v in vec)
@@ -85,25 +85,12 @@ class NCochain:
                 clean[ckey] = vec
         self.data = clean
 
-    def _canon(self, key):
-        if self.order == 0:
-            return key, 1
-        sign = 1
-        blocks = []
-        for blk in key:
-            sb, s = sort_sign(blk)
-            if s == 0:
-                return key, 0
-            sign *= s
-            blocks.append(sb)
-        return tuple(blocks), sign
-
     def value(self, key):
         """Dense target vector at a raw key (blocks may be unsorted)."""
         if self.order == 0:
             vec = self.data.get(key)
             return vec if vec is not None else (Fraction(0),) * self.dim_v
-        ckey, s = self._canon(key)
+        ckey, s = sort_blocks(key)
         if s == 0:
             return (Fraction(0),) * self.dim_v
         vec = self.data.get(ckey)
@@ -385,34 +372,12 @@ def homology_boundary(fa: FilippovAlgebra, chain):
     out = {}
 
     def add(blocks, z, v):
-        if is_zero(v):
-            return
-        sign = 1
-        canon = []
-        for blk in blocks:
-            sb, s = sort_sign(blk)
-            if s == 0:
-                return
-            sign *= s
-            canon.append(sb)
-        key = (tuple(canon), z)
-        w = out.get(key, Fraction(0)) + sign * v
-        if w == 0:
-            out.pop(key, None)
-        else:
-            out[key] = w
+        canon, sign = sort_blocks(blocks)
+        if sign:
+            accumulate(out, (canon, z), sign * v)
 
     for blocks, z, coeff in chain:
         p = len(blocks)
-        if p == 1:
-            for l, v in fa.f_row(tuple(blocks[0]) + (z,)).items():
-                key = ((), l)
-                w = out.get(key, Fraction(0)) + coeff * v
-                if w == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = w
-            continue
         for i in range(p):
             for j in range(i + 1, p):
                 comp = fundamental_compose(fa, blocks[i], blocks[j])
@@ -754,10 +719,9 @@ def shifted_cocycle(lb, left, right, omega2, omega1, dim_a):
     shift = _leibniz_apply(lb, left, right, omega1, 1, dim_a)
     out = dict(omega2)
     for key, vec in shift.items():
-        cur = out.get(key, (Fraction(0),) * dim_a)
-        new = tuple(a + b for a, b in zip(cur, vec))
+        new = tuple(a + b for a, b in zip(out.get(key, (Fraction(0),) * dim_a), vec))
         if any(v != 0 for v in new):
             out[key] = new
-        else:
-            out.pop(key, None)
+        elif key in out:
+            del out[key]
     return out

@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 from .lie import LieAlgebra
 from .poly import Poly
-from .scalars import is_zero
+from .scalars import accumulate, is_zero
 from .tensors import (AntisymTensor, BracketTensor, merge_sign, perm_sign, shuffle_splits,
                       sort_sign)
 
@@ -37,15 +37,8 @@ class PolyMultivector:
         clean = {}
         for idx, p in self.comps.items():
             key, s = sort_sign(idx)
-            if s == 0 or p.is_zero():
-                continue
-            q = p if s == 1 else -p
-            if key in clean:
-                q = clean[key] + q
-            if q.is_zero():
-                clean.pop(key, None)
-            else:
-                clean[key] = q
+            if s:
+                accumulate(clean, key, p if s == 1 else -p)
         self.comps = clean
 
     def get(self, idx) -> Poly:
@@ -63,12 +56,7 @@ class PolyMultivector:
     def __add__(self, other):
         comps = dict(self.comps)
         for k, p in other.comps.items():
-            q = comps.get(k)
-            q = p if q is None else q + p
-            if q.is_zero():
-                comps.pop(k, None)
-            else:
-                comps[k] = q
+            accumulate(comps, k, p)
         return PolyMultivector(self.order, self.dim, comps)
 
     def scale(self, c):
@@ -98,16 +86,8 @@ def wedge(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
     comps = {}
     for ka, pa in a.comps.items():
         for kb, pb in b.comps.items():
-            if set(ka) & set(kb):
-                continue
-            key = tuple(sorted(ka + kb))
-            q = pa * pb * merge_sign(ka, kb)
-            cur = comps.get(key)
-            q = q if cur is None else cur + q
-            if q.is_zero():
-                comps.pop(key, None)
-            else:
-                comps[key] = q
+            if not set(ka) & set(kb):
+                accumulate(comps, tuple(sorted(ka + kb)), pa * pb * merge_sign(ka, kb))
     return PolyMultivector(a.order + b.order, a.dim, comps)
 
 
@@ -139,17 +119,6 @@ def schouten_bracket(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
     m = a.dim
     out_order = p + q - 1
     comps = {}
-
-    def add(key, poly):
-        if poly.is_zero():
-            return
-        cur = comps.get(key)
-        poly = poly if cur is None else cur + poly
-        if poly.is_zero():
-            comps.pop(key, None)
-        else:
-            comps[key] = poly
-
     for kk in combinations(range(1, m + 1), out_order):
         tot = Poly.zero(m)
         for (bi, bj), sign in shuffle_splits(kk, [p - 1, q]):
@@ -168,7 +137,8 @@ def schouten_bracket(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
                 dv = a.get(bi).diff(nu)
                 if not dv.is_zero():
                     tot = tot + bv * dv * sign * ((-1) ** p)
-        add(kk, tot)
+        if tot:
+            comps[kk] = tot
     return PolyMultivector(out_order, m, comps)
 
 
@@ -246,11 +216,14 @@ def gps_check(lam: PolyMultivector) -> GPSReport:
     for kk in combinations(range(1, m + 1), 2 * n - 1):
         tot = Poly.zero(m)
         for (bi, bj), sign in shuffle_splits(kk, [n - 1, n]):
+            wj = lam.get(bj)
+            if wj.is_zero():
+                continue
             for s in range(1, m + 1):
                 av = lam.get(bi + (s,))
                 if av.is_zero():
                     continue
-                dv = lam.get(bj).diff(s)
+                dv = wj.diff(s)
                 if not dv.is_zero():
                     tot = tot + av * dv * sign
         if not tot.is_zero():

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalars import is_zero
+from .scalars import accumulate, is_zero
 
 
 @dataclass
@@ -49,11 +49,7 @@ class Poly:
         other = self._coerce(other)
         t = dict(self.terms)
         for e, c in other.terms.items():
-            v = t.get(e, Fraction(0)) + c
-            if v == 0:
-                t.pop(e, None)
-            else:
-                t[e] = v
+            accumulate(t, e, c)
         return Poly(self.nvars, t)
 
     __radd__ = __add__
@@ -76,12 +72,7 @@ class Poly:
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = t.get(e, Fraction(0)) + c1 * c2
-                if v == 0:
-                    t.pop(e, None)
-                else:
-                    t[e] = v
+                accumulate(t, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return Poly(self.nvars, t)
 
     __rmul__ = __mul__
@@ -118,6 +109,9 @@ class Poly:
     # -- queries ------------------------------------------------------------
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)

@@ -9,6 +9,13 @@ A `LinearForm` is not a field element but passes through every formula that
 is linear in its inputs (sums, differences, products with a scalar, tests
 against zero).  Such a formula evaluated on forms in place of numbers returns
 each output coordinate as a form in the input coordinates: a matrix row.
+
+Every sparse exact map of the package (antisymmetric tensors, cochains,
+multivectors, polynomial terms) holds no zero values and grows through
+`accumulate`: d[key] += v, where a zero v changes nothing and a sum that
+cancels removes the key.  Its zero test is truthiness, which each value type
+defines as "equals zero": `Fraction`, int, `GaussianRational`, `LinearForm`
+(empty) and `poly.Poly` (no terms).
 """
 
 from __future__ import annotations
@@ -186,6 +193,20 @@ ONE = Fraction(1)
 
 def is_zero(x) -> bool:
     return not x if isinstance(x, GaussianRational) else x == 0
+
+
+def accumulate(d: dict, key, v) -> None:
+    """d[key] += v on a map without zero values: skip a zero v, and drop the
+    key when the sum cancels."""
+    if not v:
+        return
+    w = d.get(key)
+    if w is not None:
+        v = w + v
+        if not v:
+            del d[key]
+            return
+    d[key] = v
 
 
 def parse_scalar(text: str):

@@ -17,7 +17,11 @@ characteristic identity.
 The sign kernels (`perm_sign`, `sort_sign`, `merge_sign`, `gen_kronecker`)
 give their signs as plain ints in {-1, 0, 1}: they count inversions and never
 build a `Fraction`, so a sign multiplies any exact scalar without a
-conversion.
+conversion.  `sort_blocks` sorts each block of a blockwise-antisymmetric key
+(a cochain on fundamental objects) and multiplies the signs; `sort_sign` is
+its one-block case.  `fold_antisym` folds a raw {index tuple: value} map
+onto sorted keys and names the first key that breaks total antisymmetry;
+sparse sums go through `scalars.accumulate`.
 
 Contractions of products of blockwise-antisymmetric factors against the
 generalized Kronecker symbol collapse to signed sums over ordered block
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .scalars import is_zero, rat
+from .scalars import accumulate, is_zero, rat
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +66,35 @@ def sort_sign(seq):
     if s == 0:
         return tuple(seq), 0
     return tuple(sorted(seq)), s
+
+
+def sort_blocks(blocks):
+    """(tuple of sorted blocks, product of their sorting signs); sign 0 when
+    any block has a repeated index."""
+    sign = 1
+    out = []
+    for blk in blocks:
+        key, s = sort_sign(blk)
+        if s == 0:
+            return tuple(blocks), 0
+        sign *= s
+        out.append(key)
+    return tuple(out), sign
+
+
+def fold_antisym(raw):
+    """Fold a raw {index tuple: value} map onto sorted keys, entries[key] =
+    sign * value: (entries, None), or (None, idx) at the first raw key idx
+    that breaks antisymmetry -- a repeated index, or a signed value other
+    than the one an earlier permutation gave.  Zero values count like any
+    other."""
+    ent = {}
+    for idx, v in raw.items():
+        key, s = sort_sign(idx)
+        w = s * v
+        if s == 0 or ent.setdefault(key, w) != w:
+            return None, idx
+    return ent, None
 
 
 def merge_sign(a, b) -> int:
@@ -128,13 +161,8 @@ class AntisymTensor:
         clean = {}
         for idx, v in self.entries.items():
             key, s = sort_sign(idx)
-            if s == 0 or is_zero(v):
-                continue
-            val = clean.get(key, 0) + s * v
-            if is_zero(val):
-                clean.pop(key, None)
-            else:
-                clean[key] = val
+            if s:
+                accumulate(clean, key, s * v)
         self.entries = clean
 
     @classmethod
@@ -167,11 +195,7 @@ class AntisymTensor:
             raise ValueError("shape mismatch")
         ent = dict(self.entries)
         for k, v in other.entries.items():
-            w = ent.get(k, 0) + v
-            if is_zero(w):
-                ent.pop(k, None)
-            else:
-                ent[k] = w
+            accumulate(ent, k, v)
         return AntisymTensor(self.rank, self.dim, ent)
 
     def __sub__(self, other):
@@ -366,12 +390,7 @@ def contract(a, b, pairs):
             continue
         left = tuple(idx[i] for i in free_a)
         for right, w in hits:
-            key = left + right
-            tot = out.get(key, 0) + v * w
-            if is_zero(tot):
-                out.pop(key, None)
-            else:
-                out[key] = tot
+            accumulate(out, left + right, v * w)
     return DenseTensor(shape, out)
 
 
@@ -382,16 +401,9 @@ def as_antisym(t: DenseTensor):
     dim = t.shape[0] if t.shape else 0
     if any(s != dim for s in t.shape):
         return None
-    ent = {}
-    for idx, v in t.data.items():
-        key, s = sort_sign(idx)
-        if s == 0:
-            return None
-        if key in ent:
-            if ent[key] != s * v:
-                return None
-        else:
-            ent[key] = s * v
+    ent, _ = fold_antisym(t.data)
+    if ent is None:
+        return None
     # every permutation of a stored key must be present with the right value
     for key, v in ent.items():
         for p in permutations(key):

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from naryalg.catalog import a4, nhw
 from naryalg.filippov import adjoint_fa_representation
-from naryalg.nary_cohomology import (NCochain, coboundary_matrix, deformation_preimage,
-                                     fa_coboundary_deformation, fa_coboundary_module,
-                                     fa_coboundary_trivial, fa_cohomology_dims,
+from naryalg.nary_cohomology import (NCochain, coboundary_deformation_eval, coboundary_matrix,
+                                     coboundary_trivial_eval, deformation_preimage,
+                                     duality_pairing_holds, fa_coboundary_deformation,
+                                     fa_coboundary_module, fa_coboundary_trivial,
+                                     fa_cohomology_dims, jointly_antisymmetric_in_last_slot,
                                      module_keys, trivial_keys, trivialize_fa_extension)
 
 ALGEBRAS = {"a4": a4, "nhw1": lambda: nhw(1)}
@@ -82,3 +85,62 @@ def test_nhw2_extension_trivialization_is_pinned():
     gamma = NCochain("trivial", 0, 3, 7, 1, {(z,): (draw(rng),) for z in range(1, 8)})
     x = trivialize_fa_extension(fa, fa_coboundary_trivial(fa, gamma))
     assert [str(v) for v in x] == ["0", "0", "0", "0", "0", "0", "-3"]
+
+
+# ---------------------------------------------------------------------------
+# properties of the three complexes on seeded random cochains
+# ---------------------------------------------------------------------------
+
+def random_cochain(fa, kind, p, seed):
+    rng = random.Random(seed)
+    dv = 1 if kind == "trivial" else fa.dim
+    keys = module_keys(fa, p) if kind == "module" else trivial_keys(fa, p)
+    return NCochain(kind, p, fa.arity, fa.dim, dv,
+                    {key: tuple(draw(rng) for _ in range(dv)) for key in keys})
+
+
+def basis_chains(fa, p):
+    """(blocks, z) of every basis chain dual to the trivial p-cochains."""
+    blocks = list(combinations(range(1, fa.dim + 1), fa.arity - 1))
+    return [(list(bs), z) for bs in product(blocks, repeat=p + 1)
+            for z in range(1, fa.dim + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_duality_pairing_holds_on_every_basis_chain(name, p):
+    # at chain length 1 the boundary once carried the sign +1 in place of
+    # the (-1)^1 of the trivial coboundary
+    fa = ALGEBRAS[name]()
+    alpha = random_cochain(fa, "trivial", p, seed=10 + p)
+    assert not alpha.is_zero()
+    assert all(duality_pairing_holds(fa, alpha, bs, z) for bs, z in basis_chains(fa, p))
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("kind", ["trivial", "module", "deformation"])
+@pytest.mark.parametrize("p", [0, 1])
+def test_coboundary_squares_to_zero(name, kind, p):
+    fa = ALGEBRAS[name]()
+    alpha = random_cochain(fa, kind, p, seed=20 + p)
+    if kind == "trivial":
+        once = fa_coboundary_trivial(fa, alpha)
+        twice = fa_coboundary_trivial(fa, once)
+    elif kind == "module":
+        rho = adjoint_fa_representation(fa)
+        once = fa_coboundary_module(fa, rho, alpha)
+        twice = fa_coboundary_module(fa, rho, once)
+    else:
+        once = fa_coboundary_deformation(fa, alpha)
+        twice = fa_coboundary_deformation(fa, once)
+    assert twice.is_zero()
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("kind", ["trivial", "deformation"])
+@pytest.mark.parametrize("p", [0, 1])
+def test_coboundary_is_jointly_antisymmetric_in_the_last_slot(name, kind, p):
+    fa = ALGEBRAS[name]()
+    alpha = random_cochain(fa, kind, p, seed=30 + p)
+    ev = coboundary_trivial_eval if kind == "trivial" else coboundary_deformation_eval
+    assert jointly_antisymmetric_in_last_slot(fa, ev, alpha, p + 1)

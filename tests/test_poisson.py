@@ -1,0 +1,182 @@
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from naryalg.catalog import su, su3_five_cocycle
+from naryalg.poisson import (Decomposition, PluckerViolation, PolyMultivector,
+                             decompose_constant, gps_check, graded_jacobi_residual,
+                             lie_poisson_bivector, linear_gps_from_cocycle, np_check,
+                             schouten_bracket, wedge, wedge_vectors)
+from naryalg.poly import Poly
+from naryalg.tensors import merge_sign, shuffle_splits
+
+
+def random_poly(rng, m, degree=2, terms=3):
+    return Poly(m, {tuple(rng.randint(0, degree) if rng.random() < 0.5 else 0
+                          for _ in range(m)): Fraction(rng.randint(-3, 3))
+                    for _ in range(terms)})
+
+
+def random_multivector(rng, order, m, keys=3):
+    """Components on unsorted index tuples, so the constructor's signs and
+    sums take part."""
+    comps = {}
+    for _ in range(keys):
+        idx = list(rng.choice(list(combinations(range(1, m + 1), order))))
+        rng.shuffle(idx)
+        comps[tuple(idx)] = random_poly(rng, m)
+    return PolyMultivector(order, m, comps)
+
+
+# ---------------------------------------------------------------------------
+# reference loops: the wedge and Schouten bracket as first written, each
+# accumulating its components by hand
+# ---------------------------------------------------------------------------
+
+def reference_wedge(a, b):
+    comps = {}
+    for ka, pa in a.comps.items():
+        for kb, pb in b.comps.items():
+            if set(ka) & set(kb):
+                continue
+            key = tuple(sorted(ka + kb))
+            q = pa * pb * merge_sign(ka, kb)
+            cur = comps.get(key)
+            q = q if cur is None else cur + q
+            if q.is_zero():
+                comps.pop(key, None)
+            else:
+                comps[key] = q
+    return PolyMultivector(a.order + b.order, a.dim, comps)
+
+
+def reference_schouten(a, b):
+    p, q = a.order, b.order
+    m = a.dim
+    out_order = p + q - 1
+    comps = {}
+
+    def add(key, poly):
+        if poly.is_zero():
+            return
+        cur = comps.get(key)
+        poly = poly if cur is None else cur + poly
+        if poly.is_zero():
+            comps.pop(key, None)
+        else:
+            comps[key] = poly
+
+    for kk in combinations(range(1, m + 1), out_order):
+        tot = Poly.zero(m)
+        for (bi, bj), sign in shuffle_splits(kk, [p - 1, q]):
+            for nu in range(1, m + 1):
+                av = a.get((nu,) + bi)
+                if av.is_zero():
+                    continue
+                dv = b.get(bj).diff(nu)
+                if not dv.is_zero():
+                    tot = tot + av * dv * sign
+        for (bi, bj), sign in shuffle_splits(kk, [p, q - 1]):
+            for nu in range(1, m + 1):
+                bv = b.get((nu,) + bj)
+                if bv.is_zero():
+                    continue
+                dv = a.get(bi).diff(nu)
+                if not dv.is_zero():
+                    tot = tot + bv * dv * sign * ((-1) ** p)
+        add(kk, tot)
+    return PolyMultivector(out_order, m, comps)
+
+
+# ---------------------------------------------------------------------------
+# Poisson and Nambu-Poisson verdicts on su(3)
+# ---------------------------------------------------------------------------
+
+def test_lie_poisson_bivector_of_su3_is_gps_and_np():
+    lam = lie_poisson_bivector(su(3))
+    assert lam.order == 2 and lam.dim == 8
+    assert gps_check(lam).ok
+    rep = np_check(lam)
+    assert rep.ok and rep.differential_witness is None
+
+
+def test_linear_four_vector_of_su3_is_gps_but_not_np():
+    lam = linear_gps_from_cocycle(su(3), su3_five_cocycle())
+    assert lam.order == 4
+    assert gps_check(lam).ok
+    rep = np_check(lam)
+    assert not rep.ok
+    assert rep.differential_witness is not None or rep.algebraic_witness is not None
+
+
+def test_a_non_jacobi_bivector_fails_both_forms_of_gps():
+    # x3 d1^d2 + x2 d2^d3: {x1, {x2, x3}} + cycl. = -x3 != 0
+    m = 3
+    lam = PolyMultivector(2, m, {(1, 2): Poly.var(m, 3), (2, 3): Poly.var(m, 2)})
+    rep = gps_check(lam)
+    assert (rep.snb_ok, rep.coords_ok, rep.witness) == (False, False, (1, 2, 3))
+    assert schouten_bracket(lam, lam).comps == {(1, 2, 3): Poly.var(m, 3) * -2}
+
+
+# ---------------------------------------------------------------------------
+# the graded Jacobi identity and the two products against their references
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graded_jacobi_residual_vanishes(seed):
+    rng = random.Random(seed)
+    m = 3
+    a, b, c = (random_multivector(rng, rng.randint(1, 2), m) for _ in range(3))
+    assert graded_jacobi_residual(a, b, c).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_wedge_and_schouten_match_the_reference_loops(seed):
+    rng = random.Random(100 + seed)
+    m = 4
+    p, q = rng.randint(1, 3), rng.randint(1, 3)
+    a, b = random_multivector(rng, p, m), random_multivector(rng, q, m)
+    got = wedge(a, b)
+    assert got == reference_wedge(a, b)
+    assert all(not v.is_zero() for v in got.comps.values())
+    got = schouten_bracket(a, b)
+    assert got == reference_schouten(a, b)
+    assert all(not v.is_zero() for v in got.comps.values())
+
+
+def test_wedge_drops_cancelling_components():
+    m = 3
+    one = Poly.const(m, 1)
+    a = PolyMultivector(1, m, {(1,): one, (2,): one})
+    b = PolyMultivector(1, m, {(1,): one, (2,): one})
+    # (d1 + d2) ^ (d1 + d2) = d1^d2 + d2^d1 = 0
+    assert wedge(a, b).comps == {}
+    assert PolyMultivector(2, m, {(1, 2): one, (2, 1): one}).comps == {}
+
+
+# ---------------------------------------------------------------------------
+# decomposition of constant tensors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_decompose_constant_round_trips(seed):
+    rng = random.Random(seed)
+    m, n = 5, rng.randint(2, 3)
+    vectors = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(n)]
+    t = wedge_vectors(vectors, m)
+    entries = {k: p.eval([Fraction(0)] * m) for k, p in t.comps.items()}
+    dec = decompose_constant(n, m, entries)
+    assert isinstance(dec, Decomposition)
+    if not entries:
+        assert dec.vectors == [] and dec.scale == 0
+        return
+    back = wedge_vectors(dec.vectors, m).scale(dec.scale)
+    assert {k: p.eval([Fraction(0)] * m) for k, p in back.comps.items()} == entries
+
+
+def test_decompose_constant_names_a_plucker_violation():
+    # d1^d2 + d3^d4 is not decomposable
+    dec = decompose_constant(2, 4, {(1, 2): Fraction(1), (3, 4): Fraction(1)})
+    assert isinstance(dec, PluckerViolation)

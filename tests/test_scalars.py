@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from naryalg.scalars import GaussianRational, I, format_scalar, parse_scalar
+from naryalg.poly import Poly
+from naryalg.scalars import (GaussianRational, I, LinearForm, accumulate, format_scalar,
+                             parse_scalar)
 
 rationals = st.fractions(max_denominator=50)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -62,3 +64,62 @@ def test_parse_examples():
     assert parse_scalar("1/2+3/4i") == GaussianRational(Fraction(1, 2), Fraction(3, 4))
     assert parse_scalar("1/2-3/4i") == GaussianRational(Fraction(1, 2), Fraction(-3, 4))
     assert parse_scalar("0+1i") == I
+
+
+# ---------------------------------------------------------------------------
+# accumulate against "sum each key, then drop the zero sums"
+# ---------------------------------------------------------------------------
+
+small = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                         Fraction(-1, 2), Fraction(2)])
+keys = st.integers(min_value=0, max_value=3)
+
+
+def linear_forms():
+    return st.dictionaries(st.integers(0, 2), small).map(
+        lambda d: LinearForm({k: v for k, v in d.items() if v != 0}))
+
+
+def polys():
+    return st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)), small).map(
+        lambda d: Poly(2, d))
+
+
+VALUES = {
+    "fraction": small,
+    "int": st.integers(-2, 2),
+    "gaussian": st.builds(GaussianRational, small, small),
+    "linear-form": linear_forms(),
+    "poly": polys(),
+}
+
+
+def reference_accumulate(pairs):
+    sums = {}
+    for key, v in pairs:
+        sums[key] = sums[key] + v if key in sums else v
+    return {k: v for k, v in sums.items() if not v == 0}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUES))
+def test_accumulate_matches_sum_then_filter(kind):
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(keys, VALUES[kind]), max_size=12))
+    def check(pairs):
+        d = {}
+        for key, v in pairs:
+            accumulate(d, key, v)
+        assert d == reference_accumulate(pairs)
+        assert all(not v == 0 for v in d.values())
+
+    check()
+
+
+def test_accumulate_treats_an_empty_poly_and_form_as_zero():
+    d = {"p": Poly.var(2, 1), "f": LinearForm({0: Fraction(1)})}
+    accumulate(d, "p", Poly.var(2, 1) * -1)
+    accumulate(d, "f", LinearForm({0: Fraction(-1)}))
+    accumulate(d, "z", Poly.zero(2))
+    accumulate(d, "z", LinearForm())
+    assert d == {}
+    assert not Poly.zero(2) and Poly.const(2, 3)

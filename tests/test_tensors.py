@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from naryalg.tensors import (AntisymTensor, DenseTensor, antisymmetrize,
                              antisymmetrize_weighted, as_antisym, contract,
                              eps_identities_check, eps_pair_expansion_check,
-                             gen_kronecker, levi_civita, merge_sign, perm_sign,
-                             shuffle_splits, sort_sign)
+                             fold_antisym, gen_kronecker, levi_civita, merge_sign,
+                             perm_sign, shuffle_splits, sort_blocks, sort_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +250,144 @@ def test_shuffle_signs_match_merge():
 
 def test_sort_sign_zero_on_repeats():
     assert sort_sign((1, 1, 2))[1] == 0
+
+
+# ---------------------------------------------------------------------------
+# sort_blocks and fold_antisym against the loops they replace
+# ---------------------------------------------------------------------------
+
+def reference_sort_blocks(blocks):
+    """The blockwise canonicaliser of the FA cochains as first written."""
+    sign = 1
+    out = []
+    for blk in blocks:
+        sb, s = sort_sign(blk)
+        if s == 0:
+            return None, 0
+        sign *= s
+        out.append(sb)
+    return tuple(out), sign
+
+
+def test_sort_blocks_matches_the_blockwise_loop():
+    rng = random.Random(7)
+    for _ in range(2000):
+        blocks = [tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 3)))
+                  for _ in range(rng.randint(0, 3))]
+        key, s = sort_blocks(blocks)
+        ref_key, ref_s = reference_sort_blocks(blocks)
+        assert s == ref_s
+        if s:
+            assert key == ref_key
+        if len(blocks) == 1:
+            one, s1 = sort_sign(blocks[0])
+            assert (key, s) == ((one,), s1)
+
+
+def reference_as_antisym(t):
+    rank = len(t.shape)
+    dim = t.shape[0] if t.shape else 0
+    if any(s != dim for s in t.shape):
+        return None
+    ent = {}
+    for idx, v in t.data.items():
+        key, s = sort_sign(idx)
+        if s == 0:
+            return None
+        if key in ent:
+            if ent[key] != s * v:
+                return None
+        else:
+            ent[key] = s * v
+    for key, v in ent.items():
+        for p in permutations(key):
+            if t.data.get(p, Fraction(0)) != perm_sign(p) * v:
+                return None
+    return AntisymTensor(rank, dim, ent)
+
+
+def reference_cocycle_fold(raw):
+    """lie.cocycle_from_invariant_poly's check of its raw tensor."""
+    ent = {}
+    for key, v in raw.items():
+        skey, s = sort_sign(key)
+        if s == 0:
+            raise ArithmeticError(f"constructed tensor not antisymmetric at {key}")
+        if skey in ent:
+            if ent[skey] != s * v:
+                raise ArithmeticError(f"constructed tensor not antisymmetric at {key}")
+        else:
+            ent[skey] = s * v
+    return ent
+
+
+def reference_metric_fold(raw):
+    """filippov.check_metric_fa's check of its lowered constants."""
+    ent = {}
+    for key, v in raw.items():
+        skey, s = sort_sign(key)
+        if s == 0:
+            if v != 0:
+                raise AssertionError("lowered constants not antisymmetric")
+            continue
+        if ent.setdefault(skey, s * v) != s * v:
+            raise AssertionError("lowered constants not antisymmetric")
+    return ent
+
+
+def random_raw_map(rng, rank=3, dim=4):
+    """A raw {index tuple: value} map: every permutation of a few random
+    antisymmetric entries, then some of them dropped, zeroed or changed, and
+    some entries on repeated indices (zero or not) added."""
+    raw = {}
+    for key in rng.sample(list(combinations(range(1, dim + 1), rank)), rng.randint(0, 3)):
+        v = Fraction(rng.choice([-2, -1, 1, 2]))
+        perms = list(permutations(key))
+        rng.shuffle(perms)
+        for p in perms:
+            raw[p] = perm_sign(p) * v
+    for idx in list(raw):
+        roll = rng.random()
+        if roll < 0.05:
+            del raw[idx]
+        elif roll < 0.08:
+            raw[idx] = Fraction(0)
+        elif roll < 0.1:
+            raw[idx] += 1
+    for _ in range(rng.choice([0, 0, 0, 1])):
+        idx = [rng.randint(1, dim) for _ in range(rank)]
+        idx[rng.randrange(1, rank)] = idx[0]
+        raw[tuple(idx)] = Fraction(rng.choice([0, 0, 1]))
+    return raw
+
+
+def verdict(fn, raw):
+    try:
+        return fn(raw), None
+    except (ArithmeticError, AssertionError) as exc:
+        return None, str(exc)
+
+
+def test_fold_antisym_matches_the_three_loops():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(3000):
+        raw = random_raw_map(rng)
+        t = DenseTensor((4, 4, 4), raw)
+        assert as_antisym(t) == reference_as_antisym(t)
+
+        ent, bad = fold_antisym(raw)
+        ref, err = verdict(reference_cocycle_fold, raw)
+        assert ent == ref
+        assert err == (None if bad is None else
+                       f"constructed tensor not antisymmetric at {bad}")
+
+        # check_metric_fa drops a zero sum on a repeated index first
+        ent, _ = fold_antisym({k: v for k, v in raw.items() if v or perm_sign(k)})
+        ref, err = verdict(reference_metric_fold, raw)
+        assert ent == ref and (err is None) == (ent is not None)
+        seen.add((as_antisym(t) is not None, bad is None, ent is not None))
+    # all four reachable verdicts occur: everything holds; only a permutation
+    # is missing; only a zero sits on a repeated index; a value breaks it
+    assert seen == {(True, True, True), (False, True, True), (False, False, True),
+                    (False, False, False)}
