@@ -11,20 +11,26 @@ per target index A (A = 1 for scalar-valued cochains).
 The matrix of s is assembled row by row: `coboundary` runs once on the
 generic cochain whose coordinates are the linear forms x_1, x_2, .. (see
 `scalars.LinearForm`), which yields every target coordinate as a sparse row
-over the source coordinates.  Ranks and preimages then come from the sparse
-leading-column elimination of `linalg.echelon`, whose solutions set every
-non-pivot coordinate to zero.
+over the source coordinates.  It runs on D C and D rho, the structure
+constants and representation matrices scaled to plain ints by their least
+common denominator D (1 for A4, A5 and nhw2, 2 for su(3), 6 for su(4)).
+Every term of s carries exactly one constant or one rho entry, so this
+evaluation is D s, assembled without a `Fraction`; `coboundary_matrix`
+divides by D on return (int where integral, else `Fraction`).  Ranks and
+preimages then come from the fraction-free leading-column elimination of
+`linalg.integer_echelon`, whose solutions set every non-pivot coordinate to
+zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import linalg
 from .lie import LieAlgebra, Representation, check_jacobi
-from .scalars import LinearForm, accumulate, is_zero, rat
+from .scalars import ZERO, LinearForm, accumulate, common_denominator, is_zero, rat
 from .tensors import shuffle_splits, sort_sign
 
 
@@ -47,9 +53,8 @@ class Cochain:
 
     def get(self, a, idx):
         key, s = sort_sign(idx)
-        if s == 0:
-            return Fraction(0)
-        return s * self.data.get((a, key), Fraction(0))
+        v = self.data.get((a, key)) if s else None
+        return ZERO if v is None else s * v
 
     def value(self, idx):
         """Target vector at the given arguments (dense list)."""
@@ -104,7 +109,7 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     data = {}
     for idx in combinations(range(1, r + 1), p + 1):
         for a in range(1, om.dim_v + 1):
-            tot = Fraction(0)
+            tot = 0
             if mats is not None:
                 for i in range(p + 1):
                     rest = idx[:i] + idx[i + 1:]
@@ -116,9 +121,11 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
             for j in range(p + 1):
                 for k in range(j + 1, p + 1):
                     rest = tuple(idx[t] for t in range(p + 1) if t not in (j, k))
+                    # positions are 0-based here; the 1-based (-1)^{j+k}
+                    sign = (-1) ** (j + k)
                     for l, v in alg.c_row(idx[j], idx[k]).items():
-                        # positions are 0-based here; the 1-based (-1)^{j+k}
-                        tot += (-1) ** (j + k) * v * om.get(a, (l,) + rest)
+                        if l not in rest:  # a repeated index reads zero
+                            tot += sign * v * om.get(a, (l,) + rest)
             if tot:
                 data[(a, idx)] = tot
     return Cochain(p + 1, r, om.dim_v, data)
@@ -159,20 +166,45 @@ def coord_basis(r, p, dim_v):
     return [(a, idx) for a in range(1, dim_v + 1) for idx in basis_tuples(r, p)]
 
 
+def integer_scaling(alg, mats=()):
+    """(D, D C, [D m for m in mats]): D is the least common denominator of the
+    structure constants and the matrix entries, and the scaled constants and
+    matrices hold plain ints.  The entries must be rational: a Gaussian entry
+    with a nonzero imaginary part raises ValueError."""
+    mats = [[[rat(x) for x in row] for row in m] for m in mats]
+    d = common_denominator(chain((v for _, _, v in alg.entries()),
+                                (x for m in mats for row in m for x in row)))
+    return d, alg.scaled(d), [[[x.numerator * (d // x.denominator) for x in row]
+                               for row in m] for m in mats]
+
+
+def unscale_rows(rows, d):
+    """The rows of d * delta divided by d: int where integral, else Fraction."""
+    if d == 1:
+        return rows
+    return [LinearForm({c: v // d if v % d == 0 else Fraction(v, d) for c, v in row.items()})
+            for row in rows]
+
+
 def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v):
     """Sparse matrix of s: C^p -> C^{p+1} in the canonical coordinate bases,
     as (rows, src, dst): one {column: value} row per coordinate in dst, the
     columns indexed by src.
 
     The rows come from a single evaluation of `coboundary` on the generic
-    cochain whose coordinate src[i] is the linear form x_i.
+    cochain whose coordinate src[i] is the linear form x_i, with the
+    constants and representation matrices scaled by their common denominator
+    D to ints; s is linear in them, so that evaluation yields D s over the
+    integers, and the rows are divided by D on return.
     """
     src = coord_basis(alg.dim, p, dim_v)
     dst = coord_basis(alg.dim, p + 1, dim_v)
+    mats = () if rho is None else rho.mats if isinstance(rho, Representation) else rho
+    d, ialg, imats = integer_scaling(alg, mats)
     generic = Cochain(p, alg.dim, dim_v,
                       {key: LinearForm({i: 1}) for i, key in enumerate(src)})
-    out = coboundary(alg, rho, generic).data
-    return [out.get(key, LinearForm()) for key in dst], src, dst
+    out = coboundary(ialg, None if rho is None else imats, generic).data
+    return unscale_rows([out.get(key, LinearForm()) for key in dst], d), src, dst
 
 
 @dataclass
@@ -191,7 +223,8 @@ class CohomologyReport:
 
 
 def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport:
-    """Exact Z/B/H dimensions for degrees 0..p_max by ranks over Q."""
+    """Exact Z/B/H dimensions for degrees 0..p_max by ranks over Q; the
+    representation matrices must be rational."""
     if dim_v is None:
         dim_v = 1 if rho is None else len((rho.mats if isinstance(rho, Representation) else rho)[0])
     dims_c, ranks = {}, {}

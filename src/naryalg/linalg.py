@@ -5,25 +5,41 @@ Dense matrices are lists of row lists, reduced by `rref` with first-nonzero
 (lexicographic) pivoting; the algebra modules use them for Killing forms,
 representation matrices and small spans.
 
-Sparse matrices are lists of row dicts {column: nonzero value}, the form in
-which the cohomology modules assemble their coboundary matrices.  `echelon`
-reduces them with leading-column pivots: rows are taken shortest first and
-each is reduced until it is zero or leads in a column no earlier row leads
-in.  The leading columns of the result depend only on the row space: they
-are the lexicographically first independent columns, the pivots `rref`
-finds.  Hence `sparse_rank` equals `rank`, and `sparse_solve` returns the
-same solution as `solve` (the one whose non-pivot coordinates are zero).
+Sparse matrices are lists of row dicts {column: nonzero value} with int or
+`Fraction` values, the form in which the cohomology modules assemble their
+coboundary matrices.  `integer_echelon` reduces them over the integers,
+fraction-free (Bareiss, Math. Comp. 22 (1968) 565, with content removal):
+
+  * each row enters as a primitive integer row: multiplied by the lcm of its
+    denominators, then divided by the gcd of its numerators (`primitive_row`);
+  * rows are taken shortest first, with leading-column pivots.  A row r that
+    leads where basis row b leads becomes (b_lead/g) r - (r_lead/g) b, with
+    g = gcd(b_lead, r_lead), and is divided by its content again; this goes
+    on until r is zero or leads in a column no basis row leads in.
+
+Each step scales r by a nonzero rational and subtracts a multiple of b, so it
+is the Fraction step r - (r_lead/b_lead) b up to a nonzero factor, and the
+row space never changes.  The leading columns of the result depend only on
+the row space: they are the lexicographically first independent columns, the
+pivots `rref` finds.  Hence `sparse_rank` equals `rank`.  `sparse_solve`
+back-substitutes in `Fraction`s, dividing by each basis row's lead; the
+solution whose non-pivot coordinates are zero is unique, so it equals the one
+`solve` returns.  `echelon` is the same basis scaled to 1 at each lead.
+
+Exact integers need no modulus: no prime can divide a pivot by accident, so
+no certificate or fallback is needed, and content removal keeps the entries
+small (on su(4) the largest basis entry stays below 10^7).
 
 All arithmetic is exact, so ranks and solutions are deterministic and free
 of rounding; this is what turns the cohomology dimensions into integers
 rather than tolerance statements.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
-from .scalars import GaussianRational, is_zero
+from .scalars import GaussianRational, common_denominator, is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -257,44 +273,78 @@ def signature(sym):
 # sparse elimination
 # ---------------------------------------------------------------------------
 
-def echelon(rows):
-    """Echelon basis of the span of sparse rows: {leading column: row}, each
-    row scaled to 1 at its leading column.  The input rows are not changed."""
+def primitive_row(row):
+    """The row scaled by a positive rational to coprime integers: {column:
+    int}, zero values dropped.  Its span is the row's span."""
+    den = common_denominator(row.values())
+    if den == 1:
+        out = {c: v.numerator for c, v in row.items() if v}
+    else:
+        out = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+    g = gcd(*out.values())
+    if g > 1:
+        out = {c: v // g for c, v in out.items()}
+    return out
+
+
+def integer_echelon(rows):
+    """Echelon basis of the span of sparse rational rows over the integers:
+    {leading column: primitive integer row}.  The input rows are not changed.
+
+    A row leading where basis row b leads becomes (b_lead/g) row -
+    (row_lead/g) b, with g = gcd(b_lead, row_lead), and is then divided by
+    its content; no `Fraction` is built."""
     basis = {}
     for row in sorted(rows, key=len):
-        row = dict(row)
+        row = primitive_row(row)
         while row:
             lead = min(row)
             prow = basis.get(lead)
             if prow is None:
-                inv = Fraction(1) / row[lead]
-                basis[lead] = {c: v * inv for c, v in row.items()}
+                basis[lead] = row
                 break
-            f = row[lead]
+            a, f = prow[lead], row[lead]
+            g = gcd(a, f)
+            a, f = a // g, f // g
+            if a < 0:
+                a, f = -a, -f
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
             for c, v in prow.items():
                 w = row.get(c, 0) - f * v
                 if w:
                     row[c] = w
                 else:
                     del row[c]
+            g = gcd(*row.values())
+            if g > 1:
+                row = {c: v // g for c, v in row.items()}
     return basis
 
 
+def echelon(rows):
+    """Echelon basis of the span of sparse rows: {leading column: row}, each
+    row scaled to 1 at its leading column (`Fraction` values).  The input
+    rows are not changed."""
+    return {lead: {c: Fraction(v, row[lead]) for c, v in row.items()}
+            for lead, row in integer_echelon(rows).items()}
+
+
 def sparse_rank(rows) -> int:
-    return len(echelon(rows))
+    return len(integer_echelon(rows))
 
 
 def sparse_solve(rows, ncols, rhs):
-    """One exact solution x (a list of ncols values) of rows . x = rhs, with
-    every non-pivot coordinate zero, or None if inconsistent."""
+    """One exact solution x (a list of ncols `Fraction`s) of rows . x = rhs,
+    with every non-pivot coordinate zero, or None if inconsistent."""
     aug = [{**row, ncols: b} if not is_zero(b) else row
            for row, b in zip(rows, rhs, strict=True)]
-    basis = echelon(aug)
+    basis = integer_echelon(aug)
     if ncols in basis:
         return None
     x = [Fraction(0)] * ncols
     for lead in sorted(basis, reverse=True):
         row = basis[lead]
-        x[lead] = row.get(ncols, Fraction(0)) - sum(
-            (v * x[c] for c, v in row.items() if lead < c < ncols), Fraction(0))
+        x[lead] = Fraction(row.get(ncols, 0) - sum(
+            (v * x[c] for c, v in row.items() if lead < c < ncols), Fraction(0)), row[lead])
     return x

@@ -24,9 +24,14 @@ of fundamental objects through `filippov.fundamental_compose`.
 `coboundary_matrix` assembles the matrix of delta row by row: it applies the
 formula once to the generic cochain whose coordinates are the linear forms
 x_1, x_2, .. (see `scalars.LinearForm`), which yields each target coordinate
-as a sparse row over the source coordinates.  Cohomology dimensions and
-preimages then come from the sparse leading-column elimination of
-`linalg.echelon`, whose solutions set every non-pivot coordinate to zero.
+as a sparse row over the source coordinates.  The formula runs on D f and
+D rho, the structure constants and module matrices scaled to plain ints by
+their least common denominator D (`cohomology.integer_scaling`); every term
+of the three coboundaries carries exactly one constant or one rho entry, so
+the evaluation is D delta over the integers, and the rows are divided by D
+on return.  Cohomology dimensions and preimages then come from the
+fraction-free leading-column elimination of `linalg.integer_echelon`, whose
+solutions set every non-pivot coordinate to zero.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg
-from .cohomology import CohomologyReport
+from .cohomology import CohomologyReport, integer_scaling, unscale_rows
 from .filippov import FilippovAlgebra, check_fi, fundamental_compose
 from .scalars import LinearForm, accumulate, is_zero, rat
 from .tensors import sort_blocks, sort_sign
@@ -128,7 +133,7 @@ def coboundary_trivial_eval(fa: FilippovAlgebra, alpha: NCochain, blocks, z):
     + sum_i (-1)^i a(..^i.., X_i . Z); blocks has p+1 entries."""
     p1 = len(blocks)
     dim_v = alpha.dim_v
-    out = [Fraction(0)] * dim_v
+    out = [0] * dim_v
 
     def alpha_at(bs, zz):
         if not bs:
@@ -161,7 +166,7 @@ def coboundary_module_eval(fa: FilippovAlgebra, rho, alpha: NCochain, blocks):
     + sum_{i<j} (-1)^i a(..^i.., X_i.X_j at j, ..)."""
     p1 = len(blocks)
     dim_v = alpha.dim_v
-    out = [Fraction(0)] * dim_v
+    out = [0] * dim_v
 
     def rho_mat(labels):
         key, s = sort_sign(labels)
@@ -176,7 +181,7 @@ def coboundary_module_eval(fa: FilippovAlgebra, rho, alpha: NCochain, blocks):
             vec = alpha.value(tuple(rest))
             sgn = (-1) ** i * s
             for a in range(dim_v):
-                acc = Fraction(0)
+                acc = 0
                 for b in range(dim_v):
                     if vec[b] != 0 and m[a][b] != 0:
                         acc += m[a][b] * vec[b]
@@ -204,7 +209,7 @@ def coboundary_deformation_eval(fa: FilippovAlgebra, alpha: NCochain, blocks, z)
     p1 = len(blocks)
     p = p1 - 1
     dim_v = alpha.dim_v
-    out = [Fraction(0)] * dim_v
+    out = [0] * dim_v
 
     def alpha_at(bs, zz):
         if not bs:
@@ -328,24 +333,30 @@ def coboundary_matrix(fa: FilippovAlgebra, kind, p, dim_v=1, rho=None):
     dst, the columns indexed by the (key, target index) pairs of src.
 
     The rows come from a single application of the coboundary to the generic
-    cochain whose coordinate src[i] is the linear form x_i.
+    cochain whose coordinate src[i] is the linear form x_i, with the
+    constants and the module matrices scaled to ints by their common
+    denominator D (see `cohomology.coboundary_matrix`); the rows are divided
+    by D on return.
     """
     dv = _target_dim(fa, kind, dim_v)
     keys = _complex_keys(fa, kind, p)
     src = [(key, a) for key in keys for a in range(dv)]
+    labels = list(rho or ())
+    d, ifa, imats = integer_scaling(fa, [rho[lab] for lab in labels])
+    irho = None if rho is None else dict(zip(labels, imats))
     generic = NCochain(kind, p, fa.arity, fa.dim, dv,
                        {key: tuple(LinearForm({i * dv + a: 1}) for a in range(dv))
                         for i, key in enumerate(keys)})
-    out = _apply(fa, generic, kind, rho).data
+    out = _apply(ifa, generic, kind, irho).data
     dst = [(key, t) for key in _complex_keys(fa, kind, p + 1) for t in range(dv)]
     # a target coordinate that no term reached holds the scalar 0
     zero = (0,) * dv
-    rows = [out.get(key, zero)[t] or LinearForm() for key, t in dst]
-    return rows, src, dst
+    return unscale_rows([out.get(key, zero)[t] or LinearForm() for key, t in dst], d), src, dst
 
 
 def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, dim_v=1, rho=None) -> CohomologyReport:
-    """Exact Z/B/H dimensions of the chosen complex up to degree p_max."""
+    """Exact Z/B/H dimensions of the chosen complex up to degree p_max, by
+    ranks over Q; the module matrices must be rational."""
     if kind == "module" and rho is None:
         from .filippov import adjoint_fa_representation
         rho = adjoint_fa_representation(fa)

@@ -122,19 +122,25 @@ def schouten_bracket(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
     for kk in combinations(range(1, m + 1), out_order):
         tot = Poly.zero(m)
         for (bi, bj), sign in shuffle_splits(kk, [p - 1, q]):
+            db = b.get(bj)
+            if db.is_zero():
+                continue
             for nu in range(1, m + 1):
                 av = a.get((nu,) + bi)
                 if av.is_zero():
                     continue
-                dv = b.get(bj).diff(nu)
+                dv = db.diff(nu)
                 if not dv.is_zero():
                     tot = tot + av * dv * sign
         for (bi, bj), sign in shuffle_splits(kk, [p, q - 1]):
+            da = a.get(bi)
+            if da.is_zero():
+                continue
             for nu in range(1, m + 1):
                 bv = b.get((nu,) + bj)
                 if bv.is_zero():
                     continue
-                dv = a.get(bi).diff(nu)
+                dv = da.diff(nu)
                 if not dv.is_zero():
                     tot = tot + bv * dv * sign * ((-1) ** p)
         if tot:
@@ -307,10 +313,12 @@ def np_check(lam: PolyMultivector) -> NPReport:
     # dense signed lookup: raw tuple -> Poly (None when zero)
     from itertools import permutations as _perms
     dense = {}
+    signed_keys = {}  # raw tuple -> (sorted key, sign)
     for key, p in lam.comps.items():
         for perm in _perms(key):
             s = perm_sign(perm)
             dense[perm] = p if s == 1 else -p
+            signed_keys[perm] = key, s
 
     def get(idx):
         return dense.get(idx)
@@ -351,24 +359,37 @@ def np_check(lam: PolyMultivector) -> NPReport:
     alg_ok = True
     aw = None
 
+    products = {}  # (sorted key, sorted key, sign) -> signed product
+
+    def signed_product(kx, ky, sign):
+        """sign * eta_x * eta_y from the (sorted key, sign) of two nonzero
+        components; each distinct product is built once per call."""
+        (a, sa), (b, sb) = (kx, ky) if kx <= ky else (ky, kx)
+        key = (a, b, sign * sa * sb)
+        t = products.get(key)
+        if t is None:
+            t = lam.comps[a] * lam.comps[b]
+            t = products[key] = t if key[2] == 1 else -t
+        return t
+
     def sigma(it, jt):
         tot = None
-        a = get(it)
-        if a is not None:
-            b = get(jt)
-            if b is not None:
-                tot = a * b
+        kx = signed_keys.get(it)
+        if kx is not None:
+            ky = signed_keys.get(jt)
+            if ky is not None:
+                tot = signed_product(kx, ky, 1)
         head = it[:n - 1]
         pivot = it[n - 1]
         for k in range(n):
-            a = get(head + (jt[k],))
-            if a is None:
+            kx = signed_keys.get(head + (jt[k],))
+            if kx is None:
                 continue
-            b = get(jt[:k] + (pivot,) + jt[k + 1:])
-            if b is None:
+            ky = signed_keys.get(jt[:k] + (pivot,) + jt[k + 1:])
+            if ky is None:
                 continue
-            t = a * b
-            tot = -t if tot is None else tot - t
+            t = signed_product(kx, ky, -1)
+            tot = t if tot is None else tot + t
         return tot
 
     for it in product(range(1, m + 1), repeat=n):

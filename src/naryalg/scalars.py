@@ -21,6 +21,7 @@ defines as "equals zero": `Fraction`, int, `GaussianRational`, `LinearForm`
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def rat(x) -> Fraction:
@@ -193,6 +194,14 @@ ONE = Fraction(1)
 
 def is_zero(x) -> bool:
     return not x if isinstance(x, GaussianRational) else x == 0
+
+
+def common_denominator(values) -> int:
+    """The least common multiple of the denominators of rational values (int
+    or `Fraction`); 1 when there are none."""
+    # a list, not a generator: unpacking a generator grows a tuple step by
+    # step, and that churn leaves the small-object allocator fragmented
+    return lcm(*[v.denominator for v in values])
 
 
 def accumulate(d: dict, key, v) -> None:

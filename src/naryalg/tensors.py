@@ -278,6 +278,16 @@ class BracketTensor:
             for j, v in row.items():
                 yield idx, j, v
 
+    def scaled(self, factor):
+        """A shallow copy whose table holds factor * C as plain ints; factor
+        must be a multiple of every denominator of C.  The copy skips the
+        constructor, which would turn the ints back into `Fraction`s."""
+        out = object.__new__(type(self))
+        vars(out).update(vars(self))
+        out.c = {key: {j: v.numerator * (factor // v.denominator) for j, v in row.items()}
+                 for key, row in self.c.items()}
+        return out
+
 
 def levi_civita(dim) -> AntisymTensor:
     """epsilon_{1...d} = +1."""

@@ -11,7 +11,8 @@ from naryalg.cohomology import (Cochain, _coboundary_preimage, basis_tuples,
                                 deformation_check, laplacian_identity_holds,
                                 mc_cochain, quadratic_casimir,
                                 trivialize_extension, whitehead_homotopy)
-from naryalg.lie import LieAlgebra, check_jacobi
+from naryalg.lie import LieAlgebra, Representation, check_jacobi
+from naryalg.scalars import GaussianRational
 
 
 def random_cochain(rng, p, r, dim_v):
@@ -98,6 +99,36 @@ def test_row_assembly_matches_unit_cochain_columns(name, adjoint):
         assert all(j in range(len(src)) for row in rows for j in row)
 
 
+def test_row_assembly_scales_by_the_representation_denominators():
+    # the adjoint representation of su(2) conjugated by a rational matrix:
+    # its entries have denominators the constants lack, so the common
+    # denominator must come from both
+    alg = su(2)
+    q = [[Fraction(1), Fraction(1, 3), Fraction(0)],
+         [Fraction(0), Fraction(1), Fraction(2, 5)],
+         [Fraction(1, 7), Fraction(0), Fraction(1)]]
+    qinv = linalg.inverse(q)
+    rho = Representation(alg, [linalg.mat_mul(qinv, linalg.mat_mul(m, q))
+                               for m in alg.adjoint_rep().mats])
+    assert any(x.denominator > 1 for m in rho.mats for row in m for x in row)
+    for p in range(3):
+        rows, src, _ = coboundary_matrix(alg, rho, p, 3)
+        assert rows == unit_cochain_columns(alg, rho, p, 3, range(len(src)))
+    assert [cohomology_dims(alg, rho, 2).dims_h[p] for p in range(3)] == [0, 0, 0]
+
+
+def test_complex_representation_is_rejected():
+    # ranks are taken over Q: a representation with imaginary entries (here
+    # X_k -> -i sigma_k / 2 of su(2)) raises instead of giving a dimension
+    i = GaussianRational(0, 1)
+    one, zero = GaussianRational(1), GaussianRational(0)
+    sigma = ([[zero, one], [one, zero]], [[zero, -i], [i, zero]], [[one, zero], [zero, -one]])
+    rho = Representation(su(2), [[[x * i * Fraction(-1, 2) for x in row] for row in s]
+                                 for s in sigma])
+    with pytest.raises(ValueError, match="imaginary"):
+        cohomology_dims(su(2), rho, 1)
+
+
 # ---------------------------------------------------------------------------
 # cohomology dimensions
 # ---------------------------------------------------------------------------
@@ -130,6 +161,13 @@ def test_su4_cohomology_through_degree_3():
     rep = cohomology_dims(su(4), None, 3)
     assert [rep.dims_h[p] for p in range(4)] == [1, 0, 0, 1]
     assert [rep.dims_c[p] for p in range(4)] == [1, 15, 105, 455]
+
+
+def test_su4_cohomology_through_degree_5():
+    # theory: H(su(4)) = H(S^3 x S^5 x S^7), so H^4 = 0 and H^5 = 1
+    rep = cohomology_dims(su(4), None, 5)
+    assert [rep.dims_h[p] for p in range(6)] == [1, 0, 0, 1, 0, 1]
+    assert [rep.dims_c[p] for p in range(6)] == [1, 15, 105, 455, 1365, 3003]
 
 
 def test_h_dims_nonnegative_everywhere():

@@ -1,10 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from naryalg import cohomology as co
 from naryalg import linalg
+from naryalg import nary_cohomology as nc
+from naryalg.catalog import a4, nhw, su
+from naryalg.filippov import adjoint_fa_representation
 from naryalg.scalars import GaussianRational
 
 
@@ -158,3 +163,143 @@ def test_echelon_leads_in_rref_pivot_columns():
         basis = linalg.echelon([{j: v for j, v in enumerate(r) if v} for r in a])
         assert sorted(basis) == linalg.rref(a)[1]
         assert all(min(row) == lead and row[lead] == 1 for lead, row in basis.items())
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free eliminator against the Fraction elimination it replaced
+# ---------------------------------------------------------------------------
+
+def reference_echelon(rows):
+    """Leading-column elimination in `Fraction`s, shortest rows first: each
+    basis row is scaled to 1 at its lead and a row leading there loses
+    row[lead] times it.  The slow definition `echelon` must reproduce."""
+    basis = {}
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        while row:
+            lead = min(row)
+            prow = basis.get(lead)
+            if prow is None:
+                inv = Fraction(1) / row[lead]
+                basis[lead] = {c: v * inv for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in prow.items():
+                w = row.get(c, 0) - f * v
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    return basis
+
+
+def reference_solve(rows, ncols, rhs):
+    """Back substitution on the reference basis, non-pivot coordinates zero."""
+    aug = [{**row, ncols: b} if b else row for row, b in zip(rows, rhs)]
+    basis = reference_echelon(aug)
+    if ncols in basis:
+        return None
+    x = [Fraction(0)] * ncols
+    for lead in sorted(basis, reverse=True):
+        row = basis[lead]
+        x[lead] = row.get(ncols, Fraction(0)) - sum(
+            (v * x[c] for c, v in row.items() if lead < c < ncols), Fraction(0))
+    return x
+
+
+def assert_integer_basis(basis):
+    """Every row holds ints only, with content 1, and leads at its key."""
+    for lead, row in basis.items():
+        assert min(row) == lead
+        assert all(type(v) is int and v for v in row.values())
+        assert math.gcd(*row.values()) == 1
+
+
+def assert_matches_reference(rows):
+    before = [dict(r) for r in rows]
+    want = reference_echelon(rows)
+    basis = linalg.integer_echelon(rows)
+    assert sorted(basis) == sorted(want)
+    assert_integer_basis(basis)
+    got = linalg.echelon(rows)
+    assert got == want
+    assert all(type(v) is Fraction for row in got.values() for v in row.values())
+    assert linalg.sparse_rank(rows) == len(want)
+    assert rows == before
+
+
+COBOUNDARY_CASES = ([("su3", "trivial", p) for p in range(9)]
+                    + [("su3", "adjoint", p) for p in range(2)]
+                    + [(name, kind, p) for name in ("a4", "nhw1")
+                       for kind in ("trivial", "module", "deformation") for p in range(3)])
+
+
+@pytest.mark.parametrize("name,kind,p", COBOUNDARY_CASES)
+def test_echelon_matches_fraction_reference_on_coboundary_matrices(name, kind, p):
+    if name == "su3":
+        alg = su(3)
+        rho, dim_v = (alg.adjoint_rep(), alg.dim) if kind == "adjoint" else (None, 1)
+        rows = co.coboundary_matrix(alg, rho, p, dim_v)[0]
+    else:
+        fa = a4() if name == "a4" else nhw(1)
+        rho = adjoint_fa_representation(fa) if kind == "module" else None
+        rows = nc.coboundary_matrix(fa, kind, p, 1 if kind == "trivial" else fa.dim, rho)[0]
+    assert_matches_reference(rows)
+
+
+# values: small and large integers and fractions, some with large
+# denominators, and zeros, mixed in one row
+VALUES = st.one_of(
+    st.just(0), st.just(Fraction(0)),
+    st.integers(-3, 3), st.integers(-10**12, 10**12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9)))
+
+
+@st.composite
+def sparse_rows(draw):
+    """Rows over at most 8 columns, with rational combinations of earlier
+    rows appended (rows that reduce to zero), shuffled."""
+    m = draw(st.integers(1, 8))
+    dense = draw(st.lists(st.lists(VALUES, min_size=m, max_size=m), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(dense) - 1))
+        j = draw(st.integers(0, len(dense) - 1))
+        c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=10**6))
+        dense.append([x + c * y for x, y in zip(dense[i], dense[j])])
+    dense = draw(st.permutations(dense))
+    rows = [{j: v for j, v in enumerate(r) if v} for r in dense]
+    rhs = draw(st.lists(VALUES, min_size=len(rows), max_size=len(rows)))
+    return rows, m, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows())
+def test_echelon_matches_fraction_reference_on_random_rows(system):
+    rows, m, rhs = system
+    assert_matches_reference(rows)
+    for row in rows:
+        prim = linalg.primitive_row(row)
+        assert_integer_basis({min(prim): prim} if prim else {})
+        # a positive multiple of the row: equal ratios, equal signs
+        if prim:
+            c = next(iter(row))
+            scale = Fraction(prim[c]) / row[c]
+            assert scale > 0 and all(prim[k] == scale * v for k, v in row.items())
+    before = [dict(r) for r in rows]
+    got = linalg.sparse_solve(rows, m, rhs)
+    assert got == reference_solve(rows, m, rhs)
+    assert got is None or all(type(x) is Fraction for x in got)
+    assert rows == before
+
+
+def test_rows_that_reduce_to_zero_leave_no_basis_row():
+    rows = [{0: Fraction(1, 3), 2: 5}, {0: 2, 2: 30}, {1: Fraction(7, 10**9)},
+            {1: -14, 3: 0}, {}]
+    basis = linalg.integer_echelon(rows)
+    assert basis == {0: {0: 1, 2: 15}, 1: {1: 1}}
+    assert linalg.echelon(rows) == {0: {0: 1, 2: 15}, 1: {1: 1}}
+    assert linalg.sparse_solve(rows, 4, [1, 6, 0, 0, 0]) == [3, 0, 0, 0]
+    assert linalg.sparse_solve(rows, 4, [1, 5, 0, 0, 0]) is None
+    # the empty row reads 0 = 1
+    assert linalg.sparse_solve(rows, 4, [1, 6, 0, 0, 1]) is None

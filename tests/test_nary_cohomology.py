@@ -4,7 +4,8 @@ from itertools import combinations, product
 
 import pytest
 
-from naryalg.catalog import a4, nhw
+from naryalg import linalg
+from naryalg.catalog import a4, a5, nhw
 from naryalg.filippov import adjoint_fa_representation
 from naryalg.nary_cohomology import (NCochain, coboundary_deformation_eval, coboundary_matrix,
                                      coboundary_trivial_eval, deformation_preimage,
@@ -48,12 +49,49 @@ def test_row_assembly_matches_unit_cochain_columns(name, kind, p):
     assert coboundary_matrix(fa, kind, p, dv, rho) == unit_cochain_matrix(fa, kind, p, rho, dv)
 
 
+@pytest.mark.parametrize("p", [0, 1])
+def test_row_assembly_scales_by_the_module_denominators(p):
+    # the adjoint module of A4 conjugated by a rational matrix: its entries
+    # have denominators the constants lack
+    fa = a4()
+    q = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    q[0][1], q[2][3], q[3][0] = Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)
+    qinv = linalg.inverse(q)
+    rho = {lab: linalg.mat_mul(qinv, linalg.mat_mul(m, q))
+           for lab, m in adjoint_fa_representation(fa).items()}
+    assert any(x.denominator > 1 for m in rho.values() for row in m for x in row)
+    assert coboundary_matrix(fa, "module", p, 4, rho) == unit_cochain_matrix(fa, "module", p, rho, 4)
+
+
 def test_simple_a4_has_no_trivial_cohomology_through_degree_3():
     # theory: a simple Filippov algebra has no central extensions (H^0 = H^1
     # = 0); degrees 2 and 3 vanish as well
     rep = fa_cohomology_dims(a4(), "trivial", 3)
     assert [rep.dims_h[p] for p in range(4)] == [0, 0, 0, 0]
     assert [rep.dims_c[p] for p in range(4)] == [4, 4, 24, 144]
+
+
+@pytest.mark.parametrize("name,kind,p_max,dims_h,dims_c", [
+    # "pinned" marks a value taken from the Fraction elimination that the
+    # fraction-free one replaced, not from theory
+    # theory: H^0 = Der(A4) = so(4), dim 6, and A4 is rigid (H^1 = 0);
+    # H^2 = H^3 = 0 pinned
+    ("a4", "deformation", 3, [6, 0, 0, 0], [16, 16, 96, 576]),
+    # theory: H^0 = Der(A5) = so(5), dim 10, and A5 is rigid; H^2 = 0 pinned
+    ("a5", "deformation", 2, [10, 0, 0], [25, 25, 250]),
+    # theory: the n-ary Whitehead lemma, H^0 = H^1 = 0 for a simple FA (no
+    # central extensions); H^2 = 0 pinned
+    ("a5", "trivial", 2, [0, 0, 0], [5, 5, 50]),
+    # pinned
+    ("nhw2", "trivial", 1, [6, 19], [7, 35]),
+    # pinned
+    ("nhw2", "deformation", 2, [23, 51, 429], [49, 245, 5145]),
+])
+def test_fa_cohomology_is_pinned(name, kind, p_max, dims_h, dims_c):
+    fa = {"a4": a4, "a5": a5, "nhw2": lambda: nhw(2)}[name]()
+    rep = fa_cohomology_dims(fa, kind, p_max)
+    assert [rep.dims_h[p] for p in range(p_max + 1)] == dims_h
+    assert [rep.dims_c[p] for p in range(p_max + 1)] == dims_c
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -90,6 +90,47 @@ def reference_schouten(a, b):
     return PolyMultivector(out_order, m, comps)
 
 
+def reference_np_algebraic(lam):
+    """(ok, first failing (it, jt)) of the algebraic Nambu-Poisson condition
+    Sigma + P(Sigma) = 0, multiplying two components afresh for every tuple
+    pair, as np_check first did."""
+    n, m = lam.order, lam.dim
+
+    def get(idx):
+        v = lam.get(idx)
+        return None if v.is_zero() else v
+
+    def sigma(it, jt):
+        tot = None
+        a = get(it)
+        if a is not None:
+            b = get(jt)
+            if b is not None:
+                tot = a * b
+        head, pivot = it[:n - 1], it[n - 1]
+        for k in range(n):
+            a = get(head + (jt[k],))
+            if a is None:
+                continue
+            b = get(jt[:k] + (pivot,) + jt[k + 1:])
+            if b is None:
+                continue
+            t = a * b
+            tot = -t if tot is None else tot - t
+        return tot
+
+    for it in product(range(1, m + 1), repeat=n):
+        for jt in product(range(1, m + 1), repeat=n):
+            s1 = sigma(it, jt)
+            s2 = sigma((jt[0],) + it[1:], (it[0],) + jt[1:])
+            if s1 is None and s2 is None:
+                continue
+            tot = s1 if s2 is None else (s2 if s1 is None else s1 + s2)
+            if not tot.is_zero():
+                return False, (it, jt)
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # Poisson and Nambu-Poisson verdicts on su(3)
 # ---------------------------------------------------------------------------
@@ -109,6 +150,29 @@ def test_linear_four_vector_of_su3_is_gps_but_not_np():
     rep = np_check(lam)
     assert not rep.ok
     assert rep.differential_witness is not None or rep.algebraic_witness is not None
+
+
+def test_np_witnesses_of_the_linear_four_vector_are_pinned():
+    # both witnesses as found by the per-pair products of the first np_check
+    lam = linear_gps_from_cocycle(su(3), su3_five_cocycle())
+    rep = np_check(lam)
+    assert rep.differential_witness == ((1, 2, 3), (1, 2, 4, 5))
+    assert rep.algebraic_witness == ((1, 1, 2, 2), (3, 4, 5, 6))
+    assert (rep.algebraic_ok, rep.algebraic_witness) == reference_np_algebraic(lam)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_np_algebraic_condition_matches_the_reference_loop(seed):
+    # these random polynomial 3-vectors on R^5 fail; wedges of constant
+    # vectors on R^4 (decomposable, so Nambu-Poisson) pass
+    rng = random.Random(200 + seed)
+    if seed % 2:
+        lam = random_multivector(rng, 3, 5, keys=rng.randint(4, 6))
+    else:
+        lam = wedge_vectors([[Fraction(rng.randint(-2, 2)) for _ in range(4)]
+                             for _ in range(3)], 4)
+    rep = np_check(lam)
+    assert (rep.algebraic_ok, rep.algebraic_witness) == reference_np_algebraic(lam)
 
 
 def test_a_non_jacobi_bivector_fails_both_forms_of_gps():
