@@ -6,7 +6,7 @@ Subpackages by topic:
   lie, cohomology                  -- binary algebras and their complexes
   gla                              -- even multibrackets, coderivations, BRST
   filippov                         -- n-Lie algebras and their invariants
-  nary_cohomology                  -- n-ary and Leibniz complexes
+  nary_cohomology                  -- Filippov complexes as one Leibniz complex
   poisson                          -- multivector fields and tensor conditions
   catalog, algfile, cli            -- named examples, files, batch front-end
 """

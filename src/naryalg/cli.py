@@ -239,7 +239,7 @@ def cmd_cohomology(args) -> int:
             # the one-dimensional trivial module: every rho(X) is zero
             zero = {lab: [[Fraction(0)]]
                     for lab in combinations(range(1, obj.dim + 1), obj.arity - 1)}
-            rep = fa_cohomology_dims(obj, "module", args.pmax, 1, zero)
+            rep = fa_cohomology_dims(obj, "module", args.pmax, zero)
         else:
             rep = fa_cohomology_dims(obj, args.complex, args.pmax)
     else:

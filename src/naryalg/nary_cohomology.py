@@ -1,37 +1,52 @@
-"""Cohomology and homology complexes for Filippov and n-Leibniz algebras.
+"""Filippov-algebra cohomology as Leibniz cohomology of the fundamental objects.
 
-Three complexes share the fundamental-object machinery:
+The fundamental objects X = X_1 ^ .. ^ X_{n-1} of an n-Lie algebra g span a
+Leibniz algebra L = wedge^{n-1} g under the bracket
+X . Y = sum_k (Y_1, .., [X, Y_k], .., Y_{n-1}) (`filippov.fundamental_compose`),
+and L acts on g by X . Z = [X_1, .., X_{n-1}, Z] (Daletskii-Takhtajan,
+Lett. Math. Phys. 39 (1997) 127).  Every complex of this module is the
+Leibniz complex of L with coefficients in a module M with a left action l
+and a right action r (Loday-Pirashvili, Math. Ann. 296 (1993) 139):
 
-  * trivial action   -- cochains on p fundamental objects plus one element,
-                        governing central extensions (with a dual homology);
-  * module action    -- cochains on p fundamental objects valued in a module,
-                        the complex that mirrors the binary-algebra one;
-  * deformation      -- algebra-valued cochains with the extra composite
-                        action term, governing infinitesimal deformations.
+  (delta w)(X_1..X_{p+1}) = sum_{i<=p} (-1)^{i+1} l_{X_i} w(..^i..)
+                          + (-1)^{p+1} r_{X_{p+1}} w(X_1..X_p)
+                          + sum_{i<j} (-1)^i w(..^i.., X_i . X_j at j, ..)
 
-Cochain coordinates are stored block-canonically: each fundamental-object
-block is a sorted (n-1)-tuple with signs tracked on reads; the solitary
-element slot of the trivial and deformation complexes is absorbed into the
-last block (1-cochains are then fully antisymmetric rank-n tensors, as the
-extension problem requires).  The binary (n = 2) specialization of the
-deformation complex is the Leibniz-algebra coboundary, implemented here
-together with Leibniz extensions.
+One function, `_leibniz_delta`, evaluates it.  The complexes differ only in
+their coefficient module and in the keys of their coordinates:
 
-Each coboundary formula exists once, as an evaluation at one argument key
-(`coboundary_{trivial,module,deformation}_eval`); the formulas read the
-structure constants through `FilippovAlgebra.f_row` and the composite X . Y
-of fundamental objects through `filippov.fundamental_compose`.
-`coboundary_matrix` assembles the matrix of delta row by row: it applies the
-formula once to the generic cochain whose coordinates are the linear forms
-x_1, x_2, .. (see `scalars.LinearForm`), which yields each target coordinate
-as a sparse row over the source coordinates.  The formula runs on D f and
-D rho, the structure constants and module matrices scaled to plain ints by
-their least common denominator D (`cohomology.integer_scaling`); every term
-of the three coboundaries carries exactly one constant or one rho entry, so
-the evaluation is D delta over the integers, and the rows are divided by D
-on return.  Cohomology dimensions and preimages then come from the
-fraction-free leading-column elimination of `linalg.integer_echelon`, whose
-solutions set every non-pivot coordinate to zero.
+  complex      M      l_X                        r_X                     keys
+  trivial      g*     w -> -w(X . -)             -l_X                    trivial_keys
+  module       V      rho(X)                     -rho(X)                 module_keys
+  deformation  End g  f -> X . f(-) - f(X . -)   -l_X f - (f . X) . (-)  trivial_keys
+  binary       given  left[X]                    right[X]                all p-tuples
+
+where (f . X) . Z = sum_k [X_1, .., f(X_k), .., X_{n-1}, Z]; the binary row
+is `leibniz_coboundary` on a `LeibnizAlgebra` with given action matrices.
+
+A value in g* or End g is a function of one element Z, so a trivial or
+deformation p-cochain is a function w(X_1..X_p)(Z) of p fundamental objects
+and one solitary element.  Its keys absorb Z into the last block: a key is
+(X_1, .., X_{p-1}, X_p ^ Z) with X_p ^ Z a sorted n-tuple.  The 1-cochains
+are then the rank-n antisymmetric tensors that the extension problem needs,
+since a central extension adds constants f(X_1..X_{n-1}, Z) antisymmetric in
+all n arguments; that the coboundary keeps this joint antisymmetry is a
+tested property (`jointly_antisymmetric_in_last_slot`).  Module keys are the
+p-tuples of sorted blocks.  Signs of unsorted blocks are tracked on reads.
+
+`_leibniz_delta` reads L's bracket and L's action on g from tables that each
+application builds once (`fundamental_tables`).  `coboundary_matrix`
+assembles the matrix of delta row by row: it applies the coboundary once to
+the generic cochain whose coordinates are the linear forms x_1, x_2, ..
+(see `scalars.LinearForm`), which yields each target coordinate as a sparse
+row over the source coordinates.  The tables are built from D f and D rho,
+the structure constants and module matrices scaled to plain ints by their
+least common denominator D (`cohomology.integer_scaling`); every term of
+delta carries exactly one constant or one rho entry, so the evaluation is
+D delta over the integers, and the rows are divided by D on return.
+Cohomology dimensions and preimages then come from the fraction-free
+leading-column elimination of `linalg.integer_echelon`, whose solutions set
+every non-pivot coordinate to zero.
 """
 
 from __future__ import annotations
@@ -53,7 +68,7 @@ from .tensors import sort_blocks, sort_sign
 
 @dataclass
 class NCochain:
-    """Cochain for one of the three complexes.
+    """Cochain for one of the three Filippov complexes.
 
     complex_kind: 'trivial' | 'module' | 'deformation'
     order p; arity n; dim_v target dimension (1 for scalars; the algebra
@@ -125,128 +140,143 @@ def module_keys(fa, p):
 
 
 # ---------------------------------------------------------------------------
-# coboundary operators (evaluated on raw argument tuples)
+# the Leibniz coboundary
 # ---------------------------------------------------------------------------
 
+def _leibniz_delta(bracket, left, right, read, size, args):
+    """{key: (delta w)(X_1..X_{p+1}) at the point} over args, an iterable of
+    (key, (X_1, .., X_{p+1}), point); only nonzero values are kept.
+
+    bracket[X, Y] is X . Y as {element of L: value}.  An action table maps
+    (X, point) to {point Q: [(t, b, v), ..]}: coordinate t of the action of
+    X on w, at the point, is the sum of v * w(Q)[b].  read(xs, Q) is the
+    value of w(xs) at Q, a vector of length size.
+    """
+    out = {}
+    for key, xs, point in args:
+        vec = [0] * size
+        last = len(xs) - 1
+        for i, x in enumerate(xs):
+            rest = xs[:i] + xs[i + 1:]
+            sgn = (-1) ** i
+            # (-1)^{i+1} l_{X_i} for i <= p, (-1)^{p+1} r_{X_{p+1}} (1-based)
+            acts, asgn = (left, sgn) if i < last else (right, -sgn)
+            for q, terms in acts[x, point].items():
+                w = read(rest, q)
+                for t, b, v in terms:
+                    vec[t] += asgn * v * w[b]
+            for j in range(i + 1, last + 1):
+                for y, v in bracket[x, xs[j]].items():
+                    w = read(rest[:j - 1] + (y,) + rest[j:], point)
+                    c = -sgn * v
+                    for t in range(size):
+                        vec[t] += c * w[t]
+        if any(vec):
+            out[key] = tuple(vec)
+    return out
+
+
+def _matrix_terms(m, sign=1):
+    """The action terms of sign * m on the whole fiber."""
+    return [(a, b, sign * v) for a, row in enumerate(m) for b, v in enumerate(row) if v]
+
+
+# ---------------------------------------------------------------------------
+# the Filippov complexes
+# ---------------------------------------------------------------------------
+
+def fundamental_tables(fa: FilippovAlgebra):
+    """(blocks, bracket, action) of L = wedge^{n-1} g: the sorted blocks,
+    bracket[X, Y] = X . Y as {block: value} and action[X, z] = X . z as
+    {l: value}, for sorted blocks X, Y and z in 1..dim."""
+    rng = range(1, fa.dim + 1)
+    blocks = list(combinations(rng, fa.arity - 1))
+    bracket = {(x, y): fundamental_compose(fa, x, y) for x in blocks for y in blocks}
+    action = {(x, z): fa.f_row(x + (z,)) for x in blocks for z in rng}
+    return blocks, bracket, action
+
+
+def _fa_actions(fa, kind, rho, size):
+    """(bracket, left, right) of the complex `kind` on cochains of dimension
+    size, as `_leibniz_delta` reads them (see the module docstring)."""
+    blocks, bracket, action = fundamental_tables(fa)
+    if kind == "module":
+        left = {(x, None): {None: _matrix_terms(rho[x])} for x in blocks}
+        right = {(x, None): {None: _matrix_terms(rho[x], -1)} for x in blocks}
+        return bracket, left, right
+    rng = range(1, fa.dim + 1)
+    left, right = {}, {}
+    for (x, z), row in action.items():
+        # -w(X . z) and its negative, on each coordinate of the fiber
+        lq = {l: [(t, t, -v) for t in range(size)] for l, v in row.items()}
+        rq = {l: [(t, t, v) for t in range(size)] for l, v in row.items()}
+        if kind == "deformation":
+            # X . f(z), and -(f . X) . z = -sum_k [X_1, .., f(X_k), .., X_{n-1}, z]
+            ad = [(l - 1, b - 1, v) for b in rng for l, v in action[x, b].items()]
+            lq.setdefault(z, []).extend(ad)
+            rq.setdefault(z, []).extend((t, b, -v) for t, b, v in ad)
+            for k, y in enumerate(x):
+                for b in rng:
+                    lab, s = sort_sign(x[:k] + (b,) + x[k + 1:])
+                    if s:
+                        rq.setdefault(y, []).extend((l - 1, b - 1, -s * v)
+                                                    for l, v in action[lab, z].items())
+        left[x, z], right[x, z] = lq, rq
+    return bracket, left, right
+
+
+def _target_dim(fa, kind, rho=None):
+    """dim_v of the complex: 1 for trivial, the size of the rho matrices for
+    module, fa.dim for deformation."""
+    if kind == "module":
+        return len(next(iter(rho.values())))
+    return fa.dim if kind == "deformation" else 1
+
+
+def _check_dim_v(fa, kind, rho, cochain):
+    want = _target_dim(fa, kind, rho)
+    if cochain.dim_v != want:
+        raise ValueError(f"a cochain of dim_v {cochain.dim_v} does not fit the {kind} "
+                         f"complex (dim_v {want})")
+
+
+def _fa_delta(fa, alpha, kind, rho, args):
+    """`_leibniz_delta` of the complex `kind` on alpha over args.  The trivial
+    complex takes any dim_v: the trivial module tensored with Q^dim_v."""
+    if kind != "trivial":
+        _check_dim_v(fa, kind, rho, alpha)
+    bracket, left, right = _fa_actions(fa, kind, rho, alpha.dim_v)
+    if kind == "module":
+        def read(xs, _):
+            return alpha.value(xs)
+    else:
+        def read(xs, z):
+            return alpha.value(xs[:-1] + (xs[-1] + (z,),)) if xs else alpha.value((z,))
+    return _leibniz_delta(bracket, left, right, read, alpha.dim_v, args)
+
+
+def _eval(fa, alpha, kind, rho, blocks, z):
+    """delta alpha at raw blocks (sorted here, with their sign) and z."""
+    xs, s = sort_blocks(blocks)
+    zero = (0,) * alpha.dim_v
+    vec = _fa_delta(fa, alpha, kind, rho, [(None, xs, z)]).get(None, zero) if s else zero
+    return tuple(s * v for v in vec)
+
+
 def coboundary_trivial_eval(fa: FilippovAlgebra, alpha: NCochain, blocks, z):
-    """(delta a)(X_1..X_{p+1}, Z) = sum_{i<j} (-1)^i a(.. X_i.X_j at j .., Z)
-    + sum_i (-1)^i a(..^i.., X_i . Z); blocks has p+1 entries."""
-    p1 = len(blocks)
-    dim_v = alpha.dim_v
-    out = [0] * dim_v
-
-    def alpha_at(bs, zz):
-        if not bs:
-            return alpha.value((zz,))
-        key = tuple(tuple(b) for b in bs[:-1]) + (tuple(bs[-1]) + (zz,),)
-        return alpha.value(key)
-
-    for i in range(p1):
-        for j in range(i + 1, p1):
-            comp = fundamental_compose(fa, blocks[i], blocks[j])
-            rest = [blocks[t] for t in range(p1) if t != i]
-            for lab, v in comp.items():
-                rest2 = list(rest)
-                rest2[j - 1] = lab
-                vec = alpha_at(rest2, z)
-                sgn = (-1) ** (i + 1) * v
-                for t in range(dim_v):
-                    out[t] += sgn * vec[t]
-        rest = [blocks[t] for t in range(p1) if t != i]
-        for l, v in fa.f_row(tuple(blocks[i]) + (z,)).items():
-            vec = alpha_at(rest, l)
-            sgn = (-1) ** (i + 1) * v
-            for t in range(dim_v):
-                out[t] += sgn * vec[t]
-    return tuple(out)
+    """(delta alpha)(X_1..X_{p+1}, Z) of the trivial complex; blocks has p+1
+    entries."""
+    return _eval(fa, alpha, "trivial", None, blocks, z)
 
 
 def coboundary_module_eval(fa: FilippovAlgebra, rho, alpha: NCochain, blocks):
-    """(delta a)(X_1..X_{p+1}) = sum_i (-1)^{i+1} rho(X_i) a(..^i..)
-    + sum_{i<j} (-1)^i a(..^i.., X_i.X_j at j, ..)."""
-    p1 = len(blocks)
-    dim_v = alpha.dim_v
-    out = [0] * dim_v
-
-    def rho_mat(labels):
-        key, s = sort_sign(labels)
-        if s == 0:
-            return None, 0
-        return rho[key], s
-
-    for i in range(p1):
-        rest = [blocks[t] for t in range(p1) if t != i]
-        m, s = rho_mat(tuple(blocks[i]))
-        if s:
-            vec = alpha.value(tuple(rest))
-            sgn = (-1) ** i * s
-            for a in range(dim_v):
-                acc = 0
-                for b in range(dim_v):
-                    if vec[b] != 0 and m[a][b] != 0:
-                        acc += m[a][b] * vec[b]
-                out[a] += sgn * acc
-        for j in range(i + 1, p1):
-            comp = fundamental_compose(fa, blocks[i], blocks[j])
-            for lab, v in comp.items():
-                rest2 = list(rest)
-                rest2[j - 1] = lab
-                vec = alpha.value(tuple(rest2))
-                sgn = (-1) ** (i + 1) * v
-                for a in range(dim_v):
-                    out[a] += sgn * vec[a]
-    return tuple(out)
+    """(delta alpha)(X_1..X_{p+1}) of the module complex of rho."""
+    return _eval(fa, alpha, "module", rho, blocks, None)
 
 
 def coboundary_deformation_eval(fa: FilippovAlgebra, alpha: NCochain, blocks, z):
-    """The deformation coboundary: the trivial-action terms plus the action
-    of the fundamental objects on the values and the composite final term
-
-        (-1)^p (a(X_1..X_p, ) . X_{p+1}) . Z ,
-
-    where the inner dot inserts a(.., Y_i) into each slot of the last block.
-    """
-    p1 = len(blocks)
-    p = p1 - 1
-    dim_v = alpha.dim_v
-    out = [0] * dim_v
-
-    def alpha_at(bs, zz):
-        if not bs:
-            return alpha.value((zz,))
-        key = tuple(tuple(b) for b in bs[:-1]) + (tuple(bs[-1]) + (zz,),)
-        return alpha.value(key)
-
-    # bracket-insertion terms (as in the trivial complex)
-    vec = coboundary_trivial_eval(fa, alpha, blocks, z)
-    for t in range(dim_v):
-        out[t] += vec[t]
-    # action terms: sum_j (-1)^{j+1} X_j . a(..^j.., Z)
-    for i in range(p1):
-        rest = [blocks[t] for t in range(p1) if t != i]
-        av = alpha_at(rest, z)
-        for b in range(1, dim_v + 1):
-            if av[b - 1] == 0:
-                continue
-            for l, v in fa.f_row(tuple(blocks[i]) + (b,)).items():
-                out[l - 1] += (-1) ** i * av[b - 1] * v
-    # composite final term (a(X_1..X_p, ) . X_{p+1}) . Z: replace each slot
-    # Y_i of the last block by a(X_1..X_p, Y_i), then bracket with Z
-    last = blocks[-1]
-    first = blocks[:-1]
-    for i in range(len(last)):
-        if p == 0:
-            av = alpha.value((last[i],))
-        else:
-            key = tuple(tuple(b) for b in first[:-1]) + (tuple(first[-1]) + (last[i],),)
-            av = alpha.value(key)
-        for b in range(1, dim_v + 1):
-            if av[b - 1] == 0:
-                continue
-            lab = last[:i] + (b,) + last[i + 1:]
-            for l, v in fa.f_row(tuple(lab) + (z,)).items():
-                out[l - 1] += (-1) ** p * av[b - 1] * v
-    return tuple(out)
+    """(delta alpha)(X_1..X_{p+1}, Z) of the deformation complex."""
+    return _eval(fa, alpha, "deformation", None, blocks, z)
 
 
 # ---------------------------------------------------------------------------
@@ -269,28 +299,13 @@ def fa_coboundary_deformation(fa: FilippovAlgebra, alpha: NCochain) -> NCochain:
 
 
 def _apply(fa, alpha, kind, rho):
-    n, d = fa.arity, fa.dim
-    p_out = alpha.order + 1
-    rng = range(1, d + 1)
-    blocks = list(combinations(rng, n - 1))
-    data = {}
+    keys = _complex_keys(fa, kind, alpha.order + 1)
     if kind == "module":
-        for bs in product(blocks, repeat=p_out):
-            vec = coboundary_module_eval(fa, rho, alpha, list(bs))
-            if any(v != 0 for v in vec):
-                data[tuple(bs)] = vec
-        return NCochain(kind, p_out, n, d, alpha.dim_v, data)
-    # trivial/deformation: evaluate each canonical key once (the joint
-    # antisymmetry of the last block with the solitary slot is a tested
-    # property of these complexes, see jointly_antisymmetric_in_last_slot)
-    ev = coboundary_trivial_eval if kind == "trivial" else coboundary_deformation_eval
-    lasts = list(combinations(rng, n))
-    for bs in product(blocks, repeat=p_out - 1):
-        for last in lasts:
-            vec = ev(fa, alpha, list(bs) + [last[:-1]], last[-1])
-            if any(v != 0 for v in vec):
-                data[tuple(bs) + (last,)] = vec
-    return NCochain(kind, p_out, n, d, alpha.dim_v, data)
+        args = ((key, key, None) for key in keys)
+    else:  # the last block of a key is X_{p+1} ^ Z
+        args = ((key, key[:-1] + (key[-1][:-1],), key[-1][-1]) for key in keys)
+    data = _fa_delta(fa, alpha, kind, rho, args)
+    return NCochain(kind, alpha.order + 1, fa.arity, fa.dim, alpha.dim_v, data)
 
 
 def jointly_antisymmetric_in_last_slot(fa, out_fn, alpha, p_out) -> bool:
@@ -321,13 +336,7 @@ def _complex_keys(fa, kind, p):
     return trivial_keys(fa, p)
 
 
-def _target_dim(fa, kind, dim_v):
-    if kind == "deformation":
-        return fa.dim
-    return dim_v
-
-
-def coboundary_matrix(fa: FilippovAlgebra, kind, p, dim_v=1, rho=None):
+def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None):
     """Sparse matrix of delta: C^p -> C^{p+1} over the canonical coordinates,
     as (rows, src, dst): one {column: value} row per (key, target index) in
     dst, the columns indexed by the (key, target index) pairs of src.
@@ -338,7 +347,7 @@ def coboundary_matrix(fa: FilippovAlgebra, kind, p, dim_v=1, rho=None):
     denominator D (see `cohomology.coboundary_matrix`); the rows are divided
     by D on return.
     """
-    dv = _target_dim(fa, kind, dim_v)
+    dv = _target_dim(fa, kind, rho)
     keys = _complex_keys(fa, kind, p)
     src = [(key, a) for key in keys for a in range(dv)]
     labels = list(rho or ())
@@ -354,16 +363,16 @@ def coboundary_matrix(fa: FilippovAlgebra, kind, p, dim_v=1, rho=None):
     return unscale_rows([out.get(key, zero)[t] or LinearForm() for key, t in dst], d), src, dst
 
 
-def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, dim_v=1, rho=None) -> CohomologyReport:
+def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> CohomologyReport:
     """Exact Z/B/H dimensions of the chosen complex up to degree p_max, by
-    ranks over Q; the module matrices must be rational."""
+    ranks over Q; the module matrices must be rational, and the module
+    complex defaults to the adjoint module."""
     if kind == "module" and rho is None:
         from .filippov import adjoint_fa_representation
         rho = adjoint_fa_representation(fa)
-        dim_v = fa.dim
     dims_c, ranks = {}, {}
     for p in range(0, p_max + 1):
-        rows, src, _ = coboundary_matrix(fa, kind, p, dim_v, rho)
+        rows, src, _ = coboundary_matrix(fa, kind, p, rho)
         dims_c[p] = len(src)
         ranks[p] = linalg.sparse_rank(rows)
     return CohomologyReport.from_ranks(dims_c, ranks)
@@ -521,6 +530,7 @@ def _preimage_coords(fa, kind, target):
     """(x, src): the coordinates x over src of one (p-1)-cochain beta with
     delta(beta) = target, non-pivot coordinates zero (x is None when target
     is not a coboundary)."""
+    _check_dim_v(fa, kind, None, target)
     rows, src, dst = coboundary_matrix(fa, kind, target.order - 1)
     rhs = [target.value(key)[t] for key, t in dst]
     return linalg.sparse_solve(rows, len(src), rhs), src
@@ -634,66 +644,27 @@ def leibniz_rep_conditions(lb: LeibnizAlgebra, left, right):
 
 
 def leibniz_coboundary(lb: LeibnizAlgebra, left, right, omega: dict, p: int, dim_v: int):
-    """Coboundary on raw p-cochains omega: tuple(length p) -> target vector:
-
-        (s w)(X_1..X_{p+1}) = sum_{i<=p} (-1)^{i+1} l_{X_i} w(..^i..)
-          + sum_{i<j} (-1)^i w(..^i.., [X_i, X_j] at j, ..)
-          + (-1)^{p+1} r_{X_{p+1}} w(X_1..X_p)
-
-    Note the first sum stops at p, not p+1.
-    """
+    """The Leibniz coboundary of the module docstring on raw p-cochains
+    omega: tuple (length p) -> target vector, with l_X = left[X - 1] and
+    r_X = right[X - 1]; returns the nonzero values of delta omega on all
+    (p+1)-tuples.  Note that the first sum stops at p, not p+1."""
     wit = leibniz_rep_conditions(lb, left, right)
     if wit is not None:
         raise ValueError(f"actions fail the representation conditions at {wit}")
-    return _leibniz_apply(lb, left, right, omega, p, dim_v)
-
-
-def _leibniz_apply(lb, left, right, omega, p, dim_v):
-    d = lb.dim
-    out = {}
-
-    def get(key):
-        return omega.get(key, (Fraction(0),) * dim_v)
-
-    for key in product(range(1, d + 1), repeat=p + 1):
-        vec = [Fraction(0)] * dim_v
-        for i in range(p):  # left actions: first p slots only
-            rest = key[:i] + key[i + 1:]
-            av = get(rest)
-            m = left[key[i] - 1]
-            for a in range(dim_v):
-                acc = Fraction(0)
-                for b in range(dim_v):
-                    if av[b] != 0 and m[a][b] != 0:
-                        acc += m[a][b] * av[b]
-                vec[a] += (-1) ** i * acc
-        for i in range(p + 1):
-            for j in range(i + 1, p + 1):
-                for l, v in lb.row(key[i], key[j]).items():
-                    rest = list(key[:i] + key[i + 1:])
-                    rest[j - 1] = l
-                    av = get(tuple(rest))
-                    for a in range(dim_v):
-                        vec[a] += (-1) ** (i + 1) * v * av[a]
-        av = get(key[:p])
-        m = right[key[p] - 1]
-        for a in range(dim_v):
-            acc = Fraction(0)
-            for b in range(dim_v):
-                if av[b] != 0 and m[a][b] != 0:
-                    acc += m[a][b] * av[b]
-            vec[a] += (-1) ** (p + 1) * acc
-        if any(v != 0 for v in vec):
-            out[key] = tuple(vec)
-    return out
+    rng = range(1, lb.dim + 1)
+    bracket = {(x, y): lb.row(x, y) for x in rng for y in rng}
+    lt = {(x, None): {None: _matrix_terms(left[x - 1])} for x in rng}
+    rt = {(x, None): {None: _matrix_terms(right[x - 1])} for x in rng}
+    zero = (0,) * dim_v
+    args = ((xs, xs, None) for xs in product(rng, repeat=p + 1))
+    return _leibniz_delta(bracket, lt, rt, lambda xs, _: omega.get(xs, zero), dim_v, args)
 
 
 def leibniz_extension(lb: LeibnizAlgebra, left, right, omega2: dict, dim_a: int) -> LeibnizAlgebra:
     """Extension on A + L with bracket
     [(A1,X1),(A2,X2)] = (l_{X1} A2 + r_{X2} A1 + w(X1,X2), [X1,X2]);
     basis order: A-part first (1..dim_a), then L-part."""
-    s_omega = _leibniz_apply(lb, left, right, omega2, 2, dim_a)
-    if s_omega:
+    if leibniz_coboundary(lb, left, right, omega2, 2, dim_a):
         raise ValueError("omega2 is not a 2-cocycle")
     d = lb.dim
     b = {}
@@ -701,38 +672,16 @@ def leibniz_extension(lb: LeibnizAlgebra, left, right, omega2: dict, dim_a: int)
         b[(dim_a + i, dim_a + j)] = {dim_a + k: v for k, v in row.items()}
     for i in range(1, d + 1):
         for j in range(1, d + 1):
-            row = b.setdefault((dim_a + i, dim_a + j), {})
-            vec = omega2.get((i, j))
-            if vec:
-                for a in range(dim_a):
-                    if vec[a] != 0:
-                        row[a + 1] = row.get(a + 1, Fraction(0)) + vec[a]
+            vec = omega2.get((i, j), ())
+            b.setdefault((dim_a + i, dim_a + j), {}).update((a + 1, v) for a, v in enumerate(vec))
         for a in range(1, dim_a + 1):
-            # [X_i, A_a] = left action; [A_a, X_i] = right action
-            lrow = {t + 1: left[i - 1][t][a - 1] for t in range(dim_a)
-                    if left[i - 1][t][a - 1] != 0}
-            if lrow:
-                b[(dim_a + i, a)] = lrow
-            rrow = {t + 1: right[i - 1][t][a - 1] for t in range(dim_a)
-                    if right[i - 1][t][a - 1] != 0}
-            if rrow:
-                b[(a, dim_a + i)] = rrow
+            # [X_i, A_a] = left action; [A_a, X_i] = right action (the
+            # constructor drops the zeros)
+            b[(dim_a + i, a)] = {t + 1: left[i - 1][t][a - 1] for t in range(dim_a)}
+            b[(a, dim_a + i)] = {t + 1: right[i - 1][t][a - 1] for t in range(dim_a)}
     ext = LeibnizAlgebra(dim_a + d, b)
     wit = ext.left_identity_witness()
     if wit is not None:
         raise AssertionError(f"extension fails the left identity at {wit}")
     return ext
 
-
-def shifted_cocycle(lb, left, right, omega2, omega1, dim_a):
-    """omega2 + s(omega1): cocycles differing by a coboundary give isomorphic
-    extensions under (A, X) -> (A + omega1(X), X)."""
-    shift = _leibniz_apply(lb, left, right, omega1, 1, dim_a)
-    out = dict(omega2)
-    for key, vec in shift.items():
-        new = tuple(a + b for a, b in zip(out.get(key, (Fraction(0),) * dim_a), vec))
-        if any(v != 0 for v in new):
-            out[key] = new
-        elif key in out:
-            del out[key]
-    return out

@@ -6,13 +6,15 @@ import pytest
 
 from naryalg import linalg
 from naryalg.catalog import a4, a5, nhw
-from naryalg.filippov import adjoint_fa_representation
+from naryalg.filippov import adjoint_fa_representation, check_fi
 from naryalg.nary_cohomology import (NCochain, coboundary_deformation_eval, coboundary_matrix,
-                                     coboundary_trivial_eval, deformation_preimage,
-                                     duality_pairing_holds, fa_coboundary_deformation,
+                                     coboundary_trivial_eval, deformation_obstruction,
+                                     deformation_preimage, duality_pairing_holds,
+                                     fa_central_extension, fa_coboundary_deformation,
                                      fa_coboundary_module, fa_coboundary_trivial,
                                      fa_cohomology_dims, jointly_antisymmetric_in_last_slot,
-                                     module_keys, trivial_keys, trivialize_fa_extension)
+                                     mc_zero_cochain, module_keys, trivial_keys,
+                                     trivialize_fa_extension)
 
 ALGEBRAS = {"a4": a4, "nhw1": lambda: nhw(1)}
 
@@ -46,7 +48,7 @@ def test_row_assembly_matches_unit_cochain_columns(name, kind, p):
     fa = ALGEBRAS[name]()
     rho = adjoint_fa_representation(fa) if kind == "module" else None
     dv = 1 if kind == "trivial" else fa.dim
-    assert coboundary_matrix(fa, kind, p, dv, rho) == unit_cochain_matrix(fa, kind, p, rho, dv)
+    assert coboundary_matrix(fa, kind, p, rho) == unit_cochain_matrix(fa, kind, p, rho, dv)
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -60,7 +62,7 @@ def test_row_assembly_scales_by_the_module_denominators(p):
     rho = {lab: linalg.mat_mul(qinv, linalg.mat_mul(m, q))
            for lab, m in adjoint_fa_representation(fa).items()}
     assert any(x.denominator > 1 for m in rho.values() for row in m for x in row)
-    assert coboundary_matrix(fa, "module", p, 4, rho) == unit_cochain_matrix(fa, "module", p, rho, 4)
+    assert coboundary_matrix(fa, "module", p, rho) == unit_cochain_matrix(fa, "module", p, rho, 4)
 
 
 def test_simple_a4_has_no_trivial_cohomology_through_degree_3():
@@ -182,3 +184,112 @@ def test_coboundary_is_jointly_antisymmetric_in_the_last_slot(name, kind, p):
     alpha = random_cochain(fa, kind, p, seed=30 + p)
     ev = coboundary_trivial_eval if kind == "trivial" else coboundary_deformation_eval
     assert jointly_antisymmetric_in_last_slot(fa, ev, alpha, p + 1)
+
+
+# ---------------------------------------------------------------------------
+# the dimension of the coefficients comes from the complex
+# ---------------------------------------------------------------------------
+
+def test_module_complex_takes_its_dimension_from_rho():
+    # theory: a simple FA has no invariants and no outer derivations in the
+    # adjoint module, H^0 = H^1 = 0; a dim_v knob once defaulted to 1 here
+    # and gave dims_c 1, 6 and H 1, 0
+    rep = fa_cohomology_dims(a4(), "module", 1, rho=adjoint_fa_representation(a4()))
+    assert [rep.dims_c[p] for p in range(2)] == [4, 24]
+    assert [rep.dims_h[p] for p in range(2)] == [0, 0]
+
+
+def test_the_dimension_of_the_coefficients_is_not_a_parameter():
+    # with dim_v=2 the adjoint module complex of A4 once gave H^1 = -2
+    rho = adjoint_fa_representation(a4())
+    with pytest.raises(TypeError):
+        fa_cohomology_dims(a4(), "module", 1, dim_v=2, rho=rho)
+    with pytest.raises(TypeError):
+        coboundary_matrix(a4(), "module", 1, 2, rho)
+
+
+def test_a_target_of_the_wrong_dimension_is_refused():
+    # the coboundary of mc_zero_cochain has dim_v = dim: trivialising it as
+    # an extension once solved coordinate 0 alone and returned the zero
+    # vector as a preimage
+    fa = nhw(1)
+    target = fa_coboundary_trivial(fa, mc_zero_cochain(fa))
+    assert target.dim_v == 4 and not target.is_zero()
+    with pytest.raises(ValueError, match="dim_v"):
+        trivialize_fa_extension(fa, target)
+    with pytest.raises(ValueError, match="dim_v"):
+        deformation_preimage(fa, NCochain("deformation", 1, 3, 4, 1, {((1, 2, 3),): (1,)}))
+    rho = adjoint_fa_representation(fa)
+    with pytest.raises(ValueError, match="dim_v"):
+        fa_coboundary_module(fa, rho, NCochain("module", 0, 3, 4, 1, {(): (1,)}))
+    with pytest.raises(ValueError, match="dim_v"):
+        fa_coboundary_deformation(fa, NCochain("deformation", 0, 3, 4, 1, {(1,): (1,)}))
+
+
+# ---------------------------------------------------------------------------
+# statements of the paper on mc_zero_cochain, central extensions and the
+# deformation obstruction
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["a4", "a5", "nhw1"])
+def test_coboundary_of_mc_zero_cochain_is_the_structure_constants(name):
+    fa = {"a4": a4, "a5": a5, "nhw1": lambda: nhw(1)}[name]()
+    delta = fa_coboundary_trivial(fa, mc_zero_cochain(fa))
+    for (idx,) in (key for key in trivial_keys(fa, 1)):
+        assert delta.value((idx,)) == tuple(fa.f_get(idx, t) for t in range(1, fa.dim + 1))
+    if name == "a4":
+        assert delta.data[((1, 2, 3),)] == (0, 0, 0, -1)
+
+
+def test_central_extension_by_a_trivial_one_cocycle():
+    fa = nhw(1)
+    rep = fa_cohomology_dims(fa, "trivial", 1)
+    assert rep.dims_z[1] == 4
+    alpha = random_cochain(fa, "trivial", 1, seed=50)
+    assert fa_coboundary_trivial(fa, alpha).is_zero()
+    ext = fa_central_extension(fa, alpha)
+    assert ext.dim == 5 and check_fi(ext).ok
+    for (idx,), (v,) in alpha.data.items():
+        assert ext.f_get(idx, 5) == v
+
+
+def test_central_extension_by_a_non_cocycle_is_refused():
+    # every trivial 1-cochain of nhw1 is a cocycle; nhw2 has Z^1 = 20 < 35
+    fa = nhw(2)
+    alpha = random_cochain(fa, "trivial", 1, seed=51)
+    assert not fa_coboundary_trivial(fa, alpha).is_zero()
+    with pytest.raises(ValueError, match="not a 1-cocycle"):
+        fa_central_extension(fa, alpha)
+
+
+def deformation_cocycles(fa, seed, count):
+    """Seeded integer combinations of a basis of the deformation 1-cocycles."""
+    rows, src, _ = coboundary_matrix(fa, "deformation", 1)
+    basis = linalg.nullspace([[row.get(c, 0) for c in range(len(src))] for row in rows])
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        cs = [rng.randint(-2, 2) for _ in basis]
+        data = {}
+        for col, (key, a) in enumerate(src):
+            data.setdefault(key, [0] * fa.dim)[a] = sum(c * b[col] for c, b in zip(cs, basis))
+        out.append(NCochain("deformation", 1, fa.arity, fa.dim, fa.dim,
+                            {k: tuple(v) for k, v in data.items()}))
+    return out
+
+
+@pytest.mark.parametrize("name", ["a4", "nhw1"])
+def test_deformation_obstruction_is_a_two_cocycle(name):
+    # theory: the obstruction to integrating an infinitesimal deformation is
+    # a 2-cocycle; A4 is rigid (H^1 = 0), so its gamma vanishes, while nhw1
+    # (H^1 = 9) gives a gamma with 9 entries that is not a coboundary
+    fa = a4() if name == "a4" else nhw(1)
+    assert fa_cohomology_dims(fa, "deformation", 1).dims_h[1] == (0 if name == "a4" else 9)
+    for alpha in deformation_cocycles(fa, seed=7, count=3):
+        assert not alpha.is_zero()
+        gamma, is_cocycle, pre = deformation_obstruction(fa, alpha)
+        assert is_cocycle
+        if name == "a4":
+            assert gamma.is_zero() and pre is not None
+        else:
+            assert len(gamma.data) == 9 and pre is None
