@@ -6,8 +6,10 @@ Multivector files reuse the same line shape with exponent vectors in place
 of the target index.
 
 The header is checked against the kind: arity and dim are positive, `lie`
-and `leibniz` have arity 2, `gla` an even arity, and an antisymmetric kind
-has arity <= dim (otherwise no strictly increasing index tuple exists).
+and `leibniz` have arity 2, `filippov` an arity of at least 2, `gla` an even
+arity, and an antisymmetric kind has arity <= dim (otherwise no strictly
+increasing index tuple exists).  A `gaussian` file may write metric values
+over Q(i); its entry values must still be real.
 A malformed line is a `ParseError` at its line and at the column of the
 offending token (the first surplus token, or where a missing one belongs).
 The structure-constant kinds build their `BracketTensor` subclass through
@@ -105,6 +107,8 @@ class AlgebraFile:
             raise ParseError(1, arity_col, f"arity must be positive, got {arity}")
         if dim < 1:
             raise ParseError(1, dim_col, f"dim must be positive, got {dim}")
+        if kind == "filippov" and arity < 2:
+            raise ParseError(1, arity_col, f"filippov files need arity >= 2, got {arity}")
         if kind in ("lie", "leibniz") and arity != 2:
             raise ParseError(1, arity_col, f"{kind} files have arity 2, got {arity}")
         if kind == "gla" and arity % 2:
@@ -149,6 +153,11 @@ class AlgebraFile:
                 metric[i - 1][j - 1] = value
                 metric[j - 1][i - 1] = value
                 continue
+            if isinstance(value, GaussianRational):
+                if value.im:
+                    raise ParseError(no, colon_col + 1,
+                                     f"entry values must be real, got {val_s.strip()!r}")
+                value = value.re
             if "->" not in lhs:
                 raise ParseError(no, col0, "missing '->'")
             idx_s, _, tgt_s = lhs.partition("->")

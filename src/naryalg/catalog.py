@@ -59,10 +59,6 @@ def nhw(n_blocks=1) -> FilippovAlgebra:
     return FilippovAlgebra(3, d + 1, f)
 
 
-def abelian_fa(arity, dim) -> FilippovAlgebra:
-    return FilippovAlgebra(arity, dim, {})
-
-
 @lru_cache(maxsize=None)
 def su3_five_cocycle():
     basis = sun_basis(3)

@@ -231,7 +231,7 @@ def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport
     for p in range(0, p_max + 1):
         rows, src, _ = coboundary_matrix(alg, rho, p, dim_v)
         dims_c[p] = len(src)
-        ranks[p] = linalg.sparse_rank(rows)
+        ranks[p] = linalg.rank(rows)
     return CohomologyReport.from_ranks(dims_c, ranks)
 
 
@@ -242,10 +242,7 @@ def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport
 def quadratic_casimir(alg: LieAlgebra, rho):
     """I_2(rho) = k^{ij} rho_i rho_j; raises through the inverse Killing form."""
     from .lie import killing_form
-    kf = killing_form(alg)
-    if linalg.rank(kf) < alg.dim:
-        raise ValueError("singular Killing form")
-    kinv = linalg.inverse(kf)
+    kinv = linalg.inverse(killing_form(alg))
     mats = rho.mats if isinstance(rho, Representation) else rho
     n = len(mats[0])
     out = linalg.zeros(n, n)
@@ -260,8 +257,7 @@ def quadratic_casimir(alg: LieAlgebra, rho):
 def homotopy_contraction(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     """(tau Om)^A_{i_1..i_{p-1}} = k^{ij} rho(X_i)^A_B Om^B_{j i_1..i_{p-1}}."""
     from .lie import killing_form
-    kf = killing_form(alg)
-    kinv = linalg.inverse(kf)
+    kinv = linalg.inverse(killing_form(alg))
     mats = rho.mats if isinstance(rho, Representation) else rho
     p = om.order
     data = {}
@@ -335,7 +331,7 @@ def trivialize_extension(alg: LieAlgebra, om2: Cochain):
     """Solve s(Om1) = Om2 for a 1-cochain; returns the basis-change vector
     Om1 (X~'_k = X~_k - Om1_k Xi) or None when the class is non-trivial."""
     rows, src, dst = coboundary_matrix(alg, None, 1, 1)
-    return linalg.sparse_solve(rows, len(src), [om2.get(1, idx) for _, idx in dst])
+    return linalg.solve(rows, len(src), [om2.get(1, idx) for _, idx in dst])
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +400,7 @@ def _coboundary_preimage(alg, rho, om):
     """Exact solve s(beta) = om over the (p-1)-cochain coordinates."""
     p = om.order
     rows, src, dst = coboundary_matrix(alg, rho, p - 1, om.dim_v)
-    sol = linalg.sparse_solve(rows, len(src), [om.data.get(key, Fraction(0)) for key in dst])
+    sol = linalg.solve(rows, len(src), [om.data.get(key, Fraction(0)) for key in dst])
     if sol is None:
         return None
     data = {src[i]: sol[i] for i in range(len(src)) if sol[i] != 0}

@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from . import linalg
 from .lie import LieAlgebra, check_jacobi
 from .gla import Multivector, multibracket, multibracket_weighted
-from .scalars import GaussianRational, is_zero
+from .scalars import GaussianRational, accumulate, is_zero
 from .tensors import (AntisymTensor, BracketTensor, fold_antisym, gen_kronecker, perm_sign,
                       ray_equal, shuffle_splits, sort_sign)
 
@@ -270,36 +270,39 @@ class InDerAlgebra:
     projection: dict            # wedge label -> coords in the basis
 
 
+def _flat(m):
+    return [x for row in m for x in row]
+
+
+def _span_rows(mats, size):
+    """The system sum_k x_k mats[k] = M as sparse rows, one per entry (i, j)
+    of a size x size matrix M: {k: mats[k][i][j]}.  `linalg.solve(rows,
+    len(mats), _flat(M))` gives the coordinates of M in the span of mats, or
+    None when M lies outside it."""
+    return [{k: m[i][j] for k, m in enumerate(mats) if m[i][j]}
+            for i in range(size) for j in range(size)]
+
+
 def inder_lie_algebra(fa: FilippovAlgebra) -> InDerAlgebra:
     """Span of the inner-derivation matrices, with a deterministic basis
     (greedy in lexicographic wedge-label order), commutator closure, and the
     Lie structure constants of the span."""
     d = fa.dim
     labels = list(combinations(range(1, d + 1), fa.arity - 1))
-    mats = {lab: fa.ad_matrix(lab) for lab in labels}
-
-    def vec(m):
-        return [m[i][j] for i in range(d) for j in range(d)]
-
-    basis_labels, basis_rows = [], []
-    for lab in labels:
-        v = vec(mats[lab])
-        if any(x != 0 for x in v):
-            cand = basis_rows + [v]
-            if linalg.rank(cand) > len(basis_rows):
-                basis_rows.append(v)
-                basis_labels.append(lab)
-    basis_mats = [mats[lab] for lab in basis_labels]
-    span_t = linalg.transpose(basis_rows) if basis_rows else []
+    mats = [fa.ad_matrix(lab) for lab in labels]
+    # the leading columns of the echelon basis are the first ad matrices
+    # independent of those before them: the greedy basis
+    leads = sorted(linalg.integer_echelon(_span_rows(mats, d)))
+    basis_labels = [labels[t] for t in leads]
+    basis_mats = [mats[t] for t in leads]
+    span = _span_rows(basis_mats, d)
 
     def coords(m):
-        if not basis_rows:
-            return [] if linalg.is_zero_matrix(m) else None
-        return linalg.solve(span_t, vec(m))
+        return linalg.solve(span, len(basis_mats), _flat(m))
 
     projection = {}
-    for lab in labels:
-        co = coords(mats[lab])
+    for lab, m in zip(labels, mats):
+        co = coords(m)
         if co is None:
             raise AssertionError("ad matrix escaped its own span")
         projection[lab] = co
@@ -437,35 +440,30 @@ def kasymov_form(fa: FilippovAlgebra):
 
 def semisimplicity_check(fa: FilippovAlgebra) -> bool:
     """Kasymov's criterion: k(Z, G, .., G) = 0 for all fillers forces Z = 0,
-    decided by an exact nullspace computation over the first slot."""
+    decided by the exact rank of the equations in the first slot."""
     d, n = fa.dim, fa.arity
     rows = []
     fillers = list(combinations(range(1, d + 1), n - 2))
     partner = list(combinations(range(1, d + 1), n - 1))
     for fill in fillers:
         for lb in partner:
-            row = [Fraction(0)] * d
-            nonzero = False
+            row = {}
             for z in range(1, d + 1):
                 tot = Fraction(0)
                 for c in range(1, d + 1):
                     for l, v in fa.f_row(lb + (c,)).items():
                         tot += v * fa.f_get((z,) + fill + (l,), c)
                 if tot != 0:
-                    nonzero = True
-                row[z - 1] = tot
-            if nonzero:
-                rows.append(row)
-    if not rows:
-        return d == 0
-    return not linalg.nullspace(rows)
+                    row[z] = tot
+            rows.append(row)
+    return linalg.rank(rows) == d
 
 
 def kasymov_bilinear_nondegenerate(fa: FilippovAlgebra) -> bool:
     """Naive non-degeneracy of k on the whole wedge space (fails already for
     direct sums of simple algebras, unlike the criterion above)."""
     _, _, mat = kasymov_form(fa)
-    return linalg.rank(mat) == len(mat)
+    return not is_zero(linalg.det(mat))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +484,7 @@ def check_metric_fa(fa: FilippovAlgebra, g) -> MetricFAReport:
     d, n = fa.dim, fa.arity
     if any(g[i][j] != g[j][i] for i in range(d) for j in range(d)):
         raise ValueError("metric must be symmetric")
-    if linalg.rank(g) < d:
+    if is_zero(linalg.det(g)):
         raise ValueError("metric must be non-degenerate")
     for a_idx in combinations(range(1, d + 1), n - 1):
         for b in range(1, d + 1):
@@ -679,9 +677,8 @@ def k2_invariant_and_so4_split(fa: FilippovAlgebra) -> So4SplitReport:
     sum_ok = diff_ok = False
     if pattern_ok and commutes:
         basis = p_mats + q_mats
-        wedge_vecs = [[x for row in fa.ad_matrix(pa) for x in row] for pa in pairs]
-        wedge_t = linalg.transpose(wedge_vecs)
-        coords_new = [linalg.solve(wedge_t, [x for row in m for x in row]) for m in basis]
+        span = _span_rows([fa.ad_matrix(pa) for pa in pairs], 4)
+        coords_new = [linalg.solve(span, 6, _flat(m)) for m in basis]
         k1_new = [[sum(coords_new[u][i] * coords_new[v][j] * k1_mat[i][j]
                        for i in range(6) for j in range(6)) for v in range(6)]
                   for u in range(6)]
@@ -702,10 +699,10 @@ def k2_invariant_and_so4_split(fa: FilippovAlgebra) -> So4SplitReport:
 
         def _ad3(ms, i):
             # adjoint matrix of the 3-dim span in its own basis
-            t3 = linalg.transpose([[x for row in m for x in row] for m in ms])
+            span = _span_rows(ms, len(ms[0]))
             out = linalg.zeros(3, 3)
             for j in range(3):
-                co = linalg.solve(t3, [x for row in linalg.commutator(ms[i], ms[j]) for x in row])
+                co = linalg.solve(span, 3, _flat(linalg.commutator(ms[i], ms[j])))
                 for k in range(3):
                     out[k][j] = co[k]
             return out
@@ -787,28 +784,23 @@ def append_center(fa: FilippovAlgebra, extra=1) -> FilippovAlgebra:
 
 def derivation_space_dim(fa: FilippovAlgebra) -> int:
     """Dimension of all D in End(G) with D[X..] = sum_i [X.. D X_i ..]:
-    exact nullspace of the derivation equations in the D entries."""
+    d^2 minus the exact rank of the derivation equations in the D entries."""
     d, n = fa.dim, fa.arity
+
+    def dslot(r_, c_):
+        return (r_ - 1) * d + (c_ - 1)
+
     rows = []
     for idx in combinations(range(1, d + 1), n):
         for b in range(1, d + 1):
-            row = [Fraction(0)] * (d * d)
-
-            def dslot(r_, c_):
-                return (r_ - 1) * d + (c_ - 1)
-
+            row = {}
             for l, v in fa.f_row(idx).items():
-                row[dslot(b, l)] += v
+                accumulate(row, dslot(b, l), v)
             for i in range(n):
                 for l in range(1, d + 1):
-                    v = fa.f_get(idx[:i] + (l,) + idx[i + 1:], b)
-                    if v != 0:
-                        row[dslot(l, idx[i])] -= v
-            if any(x != 0 for x in row):
-                rows.append(row)
-    if not rows:
-        return d * d
-    return len(linalg.nullspace(rows))
+                    accumulate(row, dslot(l, idx[i]), -fa.f_get(idx[:i] + (l,) + idx[i + 1:], b))
+            rows.append(row)
+    return d * d - linalg.rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,13 +1039,12 @@ def trace_extension_structure(bracket_n, basis) -> FilippovAlgebra:
     into structure constants and validate the characteristic identity."""
     d = len(basis)
     size = len(basis[0])
-    vecs = [[m[i][j] for i in range(size) for j in range(size)] for m in basis]
-    span_t = linalg.transpose(vecs)
+    span = _span_rows(basis, size)
     n = getattr(bracket_n, "arity")
     f = {}
     for idx in combinations(range(1, d + 1), n):
         val = bracket_n([basis[i - 1] for i in idx])
-        co = linalg.solve(span_t, [val[i][j] for i in range(size) for j in range(size)])
+        co = linalg.solve(span, d, _flat(val))
         if co is None:
             raise ValueError("bracket leaves the span of the basis")
         row = {b + 1: co[b] for b in range(d) if co[b] != 0}

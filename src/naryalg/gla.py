@@ -236,10 +236,7 @@ def gla_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> GLAlgebra:
     from .lie import cocycle_condition_residual
     if cocycle_condition_residual(alg, omega) is not None:
         raise ValueError("input is not a cocycle")
-    kf = killing_form(alg)
-    if linalg.rank(kf) < alg.dim:
-        raise ValueError("degenerate Killing form")
-    kinv = linalg.inverse(kf)
+    kinv = linalg.inverse(killing_form(alg))
     c = {}
     for idx, v in omega.entries.items():
         # every slot of the sorted entry may play the raised index

@@ -146,11 +146,12 @@ class MetricReport:
 
 
 def check_metric_invariance(alg: LieAlgebra, g) -> MetricReport:
-    """C_{li}^s g_{sj} + C_{lj}^s g_{is} = 0 for all l, i, j; plus exact rank."""
+    """C_{li}^s g_{sj} + C_{lj}^s g_{is} = 0 for all l, i, j; plus an exact
+    determinant test of nondegeneracy (g may be Gaussian)."""
     r = alg.dim
     if any(g[i][j] != g[j][i] for i in range(r) for j in range(r)):
         raise ValueError("metric must be symmetric")
-    nondeg = linalg.rank(g) == r
+    nondeg = not is_zero(linalg.det(g))
     for l in range(1, r + 1):
         for i in range(1, r + 1):
             row_li = alg.c_row(l, i)
@@ -525,8 +526,6 @@ def invariant_poly_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> SymInv
     r = alg.dim
     m = (omega.rank + 1) // 2
     kf = killing_form(alg)
-    if linalg.rank(kf) < r:
-        raise ValueError("degenerate Killing form: cannot raise indices")
     kinv = linalg.inverse(kf)
 
     # raise every index of Omega

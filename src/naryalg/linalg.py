@@ -1,14 +1,13 @@
-"""Exact linear algebra over the rationals (or any exact field), dense and
-sparse.
+"""Exact linear algebra over the rationals, with one eliminator.
 
-Dense matrices are lists of row lists, reduced by `rref` with first-nonzero
-(lexicographic) pivoting; the algebra modules use them for Killing forms,
-representation matrices and small spans.
+Dense matrices are lists of row lists: Killing forms, metrics and
+representation matrices.  Sparse matrices are lists of row dicts {column:
+nonzero value} with int or `Fraction` values: the coboundary matrices of the
+cohomology modules and the small linear systems of the algebra modules.
 
-Sparse matrices are lists of row dicts {column: nonzero value} with int or
-`Fraction` values, the form in which the cohomology modules assemble their
-coboundary matrices.  `integer_echelon` reduces them over the integers,
-fraction-free (Bareiss, Math. Comp. 22 (1968) 565, with content removal):
+Every rank, solve and inverse runs through `integer_echelon`, which reduces
+sparse rows over the integers, fraction-free (Bareiss, Math. Comp. 22 (1968)
+565, with content removal):
 
   * each row enters as a primitive integer row: multiplied by the lcm of its
     denominators, then divided by the gcd of its numerators (`primitive_row`);
@@ -17,18 +16,24 @@ fraction-free (Bareiss, Math. Comp. 22 (1968) 565, with content removal):
     g = gcd(b_lead, r_lead), and is divided by its content again; this goes
     on until r is zero or leads in a column no basis row leads in.
 
-Each step scales r by a nonzero rational and subtracts a multiple of b, so it
-is the Fraction step r - (r_lead/b_lead) b up to a nonzero factor, and the
-row space never changes.  The leading columns of the result depend only on
-the row space: they are the lexicographically first independent columns, the
-pivots `rref` finds.  Hence `sparse_rank` equals `rank`.  `sparse_solve`
-back-substitutes in `Fraction`s, dividing by each basis row's lead; the
-solution whose non-pivot coordinates are zero is unique, so it equals the one
-`solve` returns.  `echelon` is the same basis scaled to 1 at each lead.
+Each step scales r by a nonzero rational and subtracts a multiple of b, so
+the row space never changes.  The leading columns of the result depend only
+on the row space: they are the lexicographically first independent columns.
+`rank` counts them.  `solve` back-substitutes in `Fraction`s, dividing by
+each basis row's lead, and sets every non-pivot coordinate to zero; that
+solution is unique.  `inverse` solves for each column of the identity, and
+`echelon` is the basis scaled to 1 at each lead.
 
 Exact integers need no modulus: no prime can divide a pivot by accident, so
 no certificate or fallback is needed, and content removal keeps the entries
 small (on su(4) the largest basis entry stays below 10^7).
+
+`integer_echelon` reads `.numerator` and `.denominator`, so its entries are
+rational.  Two reductions keep their own loops.  `det` runs in any exact
+field: an `.alg` metric block may be written over Q(i), and a metric is
+nondegenerate exactly when its determinant is nonzero.  `signature` reduces
+rows and columns together (a congruence, not a row echelon form), since
+Sylvester's law of inertia is about congruence.
 
 All arithmetic is exact, so ranks and solutions are deterministic and free
 of rounding; this is what turns the cohomology dimensions into integers
@@ -123,79 +128,8 @@ def conj_transpose(a):
 
 
 # ---------------------------------------------------------------------------
-# elimination
+# determinant and signature
 # ---------------------------------------------------------------------------
-
-def rref(mat):
-    """Reduced row-echelon form; returns (rref_matrix, pivot_columns)."""
-    m = [row[:] for row in mat]
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not is_zero(m[i][c])), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and not is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def rank(mat) -> int:
-    return len(rref(mat)[1])
-
-
-def nullspace(mat):
-    """Basis of the right nullspace (deterministic: free columns in order)."""
-    if not mat:
-        return []
-    r, pivots = rref(mat)
-    cols = len(mat[0])
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i][fc]
-        basis.append(v)
-    return basis
-
-
-def solve(a, b):
-    """One exact solution x of a x = b, or None if inconsistent."""
-    if not a:
-        return [] if all(is_zero(x) for x in b) else None
-    rows, cols = len(a), len(a[0])
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i][cols]
-    return x
-
-
-def inverse(a):
-    n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
-
 
 def det(a):
     """Exact determinant by fraction-free-style elimination with row swaps."""
@@ -270,7 +204,7 @@ def signature(sym):
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination
+# the eliminator
 # ---------------------------------------------------------------------------
 
 def primitive_row(row):
@@ -330,11 +264,11 @@ def echelon(rows):
             for lead, row in integer_echelon(rows).items()}
 
 
-def sparse_rank(rows) -> int:
+def rank(rows) -> int:
     return len(integer_echelon(rows))
 
 
-def sparse_solve(rows, ncols, rhs):
+def solve(rows, ncols, rhs):
     """One exact solution x (a list of ncols `Fraction`s) of rows . x = rhs,
     with every non-pivot coordinate zero, or None if inconsistent."""
     aug = [{**row, ncols: b} if not is_zero(b) else row
@@ -348,3 +282,14 @@ def sparse_solve(rows, ncols, rhs):
         x[lead] = Fraction(row.get(ncols, 0) - sum(
             (v * x[c] for c, v in row.items() if lead < c < ncols), Fraction(0)), row[lead])
     return x
+
+
+def inverse(a):
+    """The inverse of a square rational matrix (dense rows in and out): its
+    column j solves a x = e_j.  Raises ValueError when a is singular."""
+    n = len(a)
+    rows = [{j: v for j, v in enumerate(row) if v} for row in a]
+    cols = [solve(rows, n, [int(i == j) for i in range(n)]) for j in range(n)]
+    if None in cols:
+        raise ValueError("matrix is singular")
+    return transpose(cols)

@@ -374,7 +374,7 @@ def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> Cohomology
     for p in range(0, p_max + 1):
         rows, src, _ = coboundary_matrix(fa, kind, p, rho)
         dims_c[p] = len(src)
-        ranks[p] = linalg.sparse_rank(rows)
+        ranks[p] = linalg.rank(rows)
     return CohomologyReport.from_ranks(dims_c, ranks)
 
 
@@ -533,7 +533,7 @@ def _preimage_coords(fa, kind, target):
     _check_dim_v(fa, kind, None, target)
     rows, src, dst = coboundary_matrix(fa, kind, target.order - 1)
     rhs = [target.value(key)[t] for key, t in dst]
-    return linalg.sparse_solve(rows, len(src), rhs), src
+    return linalg.solve(rows, len(src), rhs), src
 
 
 def mc_zero_cochain(fa: FilippovAlgebra) -> NCochain:
@@ -583,23 +583,6 @@ class LeibnizAlgebra:
                         if tot != 0:
                             return (x, y, z, s)
         return None
-
-    def double_bracket_anticommutativity(self):
-        """[[X,Y],Z] = -[[Y,X],Z], the residual antisymmetry any valid
-        bracket retains."""
-        d = self.dim
-        for x in range(1, d + 1):
-            for y in range(1, d + 1):
-                for z in range(1, d + 1):
-                    for s in range(1, d + 1):
-                        tot = Fraction(0)
-                        for l, v in self.row(x, y).items():
-                            tot += v * self.row(l, z).get(s, Fraction(0))
-                        for l, v in self.row(y, x).items():
-                            tot += v * self.row(l, z).get(s, Fraction(0))
-                        if tot != 0:
-                            return False
-        return True
 
 
 def leibniz_rep_conditions(lb: LeibnizAlgebra, left, right):

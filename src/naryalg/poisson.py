@@ -74,11 +74,6 @@ class PolyMultivector:
         return all(p.is_constant() for p in self.comps.values())
 
 
-def coordinate_vector(m, i) -> PolyMultivector:
-    """The field d/dx_i."""
-    return PolyMultivector(1, m, {(i,): Poly.const(m, 1)})
-
-
 def wedge(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
     """Shuffle-normalized wedge: (a ^ b)^M = sum_{I+J=M} sign a^I b^J."""
     if a.dim != b.dim:

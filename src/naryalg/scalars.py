@@ -116,10 +116,6 @@ class GaussianRational:
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __repr__(self):
         if self.im == 0:
             return str(self.re)
@@ -219,8 +215,11 @@ def accumulate(d: dict, key, v) -> None:
 
 
 def parse_scalar(text: str):
-    """Parse `p/q` or `p/q+r/si` (Gaussian) literals used by .alg files."""
-    s = text.strip().replace(" ", "")
+    """Parse `p/q` or `p/q+r/si` (Gaussian) literals used by .alg files.  A
+    literal holds no whitespace: `1 2` is an error, not 12."""
+    s = text.strip()
+    if any(c.isspace() for c in s):
+        raise ValueError(f"whitespace inside the scalar {s!r}")
     if s.endswith("i"):
         body = s[:-1]
         # split at the sign that separates real and imaginary parts

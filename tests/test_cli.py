@@ -111,6 +111,14 @@ def test_trivial_module_is_the_default_rep(a4_file, capsys):
      "line 2, column 3: indices must be strictly increasing"),
     ("filippov 3 4 rational\n  1 2 3 -> 4 : 1\n  1 2 3 -> 4 : 2\n",
      "line 3, column 3: duplicate entry for (1, 2, 3) -> 4"),
+    # a 1-ary bracket has no Filippov identity to check
+    ("filippov 1 3 rational\n1 -> 2 : 1\n", "line 1, column 10: filippov files need arity >= 2"),
+    # a scalar holds no inner space; it is not read as 12
+    ("lie 2 3 rational\n1 2 -> 3 : 1 2\n", "line 2, column 11: bad scalar '1 2'"),
+    # only metric values may be Gaussian
+    ("multivector 1 2 gaussian\n1 -> 0 0 : 1i\n",
+     "line 2, column 11: entry values must be real, got '1i'"),
+    ("lie 2 3 gaussian\n1 2 -> 3 : 1i\n", "line 2, column 11: entry values must be real, got '1i'"),
 ])
 def test_malformed_file_is_an_input_error_with_its_position(tmp_path, capsys, text, where):
     path = tmp_path / "bad.alg"
@@ -179,3 +187,34 @@ def test_identity_suite_output_is_pinned(catalog_files, capsys, name):
     capsys.readouterr()
     code = cli.main(["check", str(catalog_files[name]), "--suite", "identity"])
     assert (code, capsys.readouterr().out.splitlines()) == GOLDEN_IDENTITY[name]
+
+
+# `check --suite metric` on metric blocks over Q(i): exit code and JSON lines,
+# pinned; nondegeneracy is an exact determinant test, which runs over Q(i)
+SU2_GAUSSIAN = "lie 2 3 gaussian\n1 2 -> 3 : 1\n1 3 -> 2 : -1\n2 3 -> 1 : 1\nmetric\n"
+A4_GAUSSIAN = ("filippov 3 4 gaussian\n1 2 3 -> 4 : -1\n1 2 4 -> 3 : 1\n1 3 4 -> 2 : -1\n"
+               "2 3 4 -> 1 : 1\nmetric\n")
+SINGULAR = "1 1 : 1\n1 2 : 1i\n2 2 : -1\n3 3 : 1\n"  # rows 1 and 2 are proportional
+GOLDEN_METRIC = {
+    "su2-scaled": (SU2_GAUSSIAN + "".join(f"{i} {i} : 1+1i\n" for i in (1, 2, 3)), 0, [
+        '{"check": "metric-invariance", "verdict": "pass"}',
+        '{"check": "metric-nondegenerate", "verdict": "pass"}']),
+    "su2-singular": (SU2_GAUSSIAN + SINGULAR, 1, [
+        '{"check": "metric-invariance", "counterexample": [1, 1, 3], "verdict": "fail"}',
+        '{"check": "metric-nondegenerate", "verdict": "fail"}']),
+    "a4-imaginary": (A4_GAUSSIAN + "".join(f"{i} {i} : 1i\n" for i in (1, 2, 3, 4)), 0, [
+        '{"check": "metric-nondegenerate", "verdict": "pass"}',
+        '{"check": "metric-invariance", "verdict": "pass"}']),
+    "a4-singular": (A4_GAUSSIAN + SINGULAR, 1, [
+        '{"check": "metric-nondegenerate", "counterexample": "metric must be non-degenerate",'
+        ' "verdict": "fail"}']),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_METRIC))
+def test_gaussian_metric_verdicts_are_pinned(tmp_path, capsys, name):
+    text, code, lines = GOLDEN_METRIC[name]
+    path = tmp_path / f"{name}.alg"
+    path.write_text(text)
+    assert cli.main(["check", str(path), "--suite", "metric"]) == code
+    assert capsys.readouterr().out.splitlines() == lines

@@ -288,7 +288,7 @@ def test_rotation_translation_algebra_admits_true_deformation():
     deformed = LieAlgebra.from_entries(3, entries)
     assert check_jacobi(deformed).ok
     from naryalg.lie import killing_form
-    assert linalg.rank(killing_form(deformed)) == 3  # became semisimple
+    assert linalg.det(killing_form(deformed)) != 0  # became semisimple
 
 
 def test_zero_deformation():

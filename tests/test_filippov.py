@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import dense_reference as dense
 from naryalg import linalg
 from naryalg.catalog import a4, a5, a13, nhw
 from naryalg.filippov import (FI_FORMS, FilippovAlgebra,
@@ -211,6 +212,82 @@ def test_direct_sum_semisimple_but_naive_form_degenerate():
     assert check_fi(both).ok
     assert semisimplicity_check(both)
     assert not kasymov_bilinear_nondegenerate(both)
+
+
+# ---------------------------------------------------------------------------
+# the spans, ranks and nondegeneracy above against dense Gauss-Jordan: each
+# reference is the computation as first written, on `dense_reference`
+# ---------------------------------------------------------------------------
+
+def reference_inder(fa):
+    """(basis labels, projection, Lie constants): a greedy basis that keeps
+    an ad matrix when it raises the dense rank, and dense coordinate solves."""
+    d = fa.dim
+    labels = list(combinations(range(1, d + 1), fa.arity - 1))
+    vecs = {lab: [x for row in fa.ad_matrix(lab) for x in row] for lab in labels}
+    basis_labels, basis_rows = [], []
+    for lab in labels:
+        if dense.rank(basis_rows + [vecs[lab]]) > len(basis_rows):
+            basis_rows.append(vecs[lab])
+            basis_labels.append(lab)
+    span_t = linalg.transpose(basis_rows) if basis_rows else []
+
+    def coords(v):
+        return dense.solve(span_t, v) if basis_rows else []
+
+    projection = {lab: coords(vecs[lab]) for lab in labels}
+    mats = [fa.ad_matrix(lab) for lab in basis_labels]
+    entries = {}
+    for i, j in combinations(range(len(mats)), 2):
+        co = coords([x for row in linalg.commutator(mats[i], mats[j]) for x in row])
+        entries.update({(i + 1, j + 1, t + 1): v for t, v in enumerate(co) if v})
+    return basis_labels, projection, entries
+
+
+def reference_semisimple(fa):
+    d, n = fa.dim, fa.arity
+    rows = []
+    for fill in combinations(range(1, d + 1), n - 2):
+        for lb in combinations(range(1, d + 1), n - 1):
+            rows.append([sum((v * fa.f_get((z,) + fill + (l,), c)
+                              for c in range(1, d + 1) for l, v in fa.f_row(lb + (c,)).items()),
+                             Fraction(0)) for z in range(1, d + 1)])
+    return not dense.nullspace(rows) if rows else d == 0
+
+
+def reference_derivation_dim(fa):
+    d, n = fa.dim, fa.arity
+    rows = []
+    for idx in combinations(range(1, d + 1), n):
+        for b in range(1, d + 1):
+            row = [Fraction(0)] * (d * d)
+            for l, v in fa.f_row(idx).items():
+                row[(b - 1) * d + l - 1] += v
+            for i in range(n):
+                for l in range(1, d + 1):
+                    row[(l - 1) * d + idx[i] - 1] -= fa.f_get(idx[:i] + (l,) + idx[i + 1:], b)
+            rows.append(row)
+    return len(dense.nullspace(rows))
+
+
+DIFFERENTIAL = {"a4": a4, "a5": a5, "nhw1": lambda: nhw(1), "nhw2": lambda: nhw(2),
+                **{f"simple{n}": (lambda n=n: simple_fa(n, [1] * (n + 1))) for n in (3, 4, 5)},
+                "simple3-lorentzian": lambda: simple_fa(3, (1, 1, 1, -1)),
+                "a4+center": lambda: append_center(a4())}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL))
+def test_spans_and_ranks_match_dense_reference(name):
+    fa = DIFFERENTIAL[name]()
+    ind = inder_lie_algebra(fa)
+    labels, projection, entries = reference_inder(fa)
+    assert ind.basis_labels == labels
+    assert ind.projection == projection
+    assert {idx + (j,): v for idx, j, v in ind.lie.entries()} == entries
+    assert semisimplicity_check(fa) == reference_semisimple(fa)
+    assert derivation_space_dim(fa) == reference_derivation_dim(fa)
+    _, _, k = kasymov_form(fa)
+    assert kasymov_bilinear_nondegenerate(fa) == (dense.rank(k) == len(k))
 
 
 # ---------------------------------------------------------------------------

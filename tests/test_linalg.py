@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_reference as dense
 from naryalg import cohomology as co
 from naryalg import linalg
 from naryalg import nary_cohomology as nc
@@ -22,8 +23,8 @@ def test_rank_and_nullspace_consistency():
     for _ in range(20):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         a = rand_matrix(rng, n, m)
-        r = linalg.rank(a)
-        ns = linalg.nullspace(a)
+        r = linalg.rank(dense.sparse(a))
+        ns = dense.nullspace(a)
         assert r + len(ns) == m
         for v in ns:
             out = [sum(a[i][j] * v[j] for j in range(m)) for i in range(n)]
@@ -31,12 +32,11 @@ def test_rank_and_nullspace_consistency():
 
 
 def test_solve_consistent_and_inconsistent():
-    a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert linalg.solve(a, [Fraction(3), Fraction(6)]) is not None
-    assert linalg.solve(a, [Fraction(3), Fraction(7)]) is None
     rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(2), 1: Fraction(4)}]
-    assert linalg.sparse_solve(rows, 2, [Fraction(3), Fraction(6)]) == [3, 0]
-    assert linalg.sparse_solve(rows, 2, [Fraction(3), Fraction(7)]) is None
+    assert linalg.solve(rows, 2, [Fraction(3), Fraction(6)]) == [3, 0]
+    assert linalg.solve(rows, 2, [Fraction(3), Fraction(7)]) is None
+    # no rows: every right side is zero, so any x solves; x = 0
+    assert linalg.solve([], 2, []) == [0, 0]
 
 
 def test_solve_returns_exact_solution():
@@ -47,7 +47,7 @@ def test_solve_returns_exact_solution():
         a = rand_matrix(rng, n, m)
         x = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
         b = [sum(a[i][j] * x[j] for j in range(m)) for i in range(n)]
-        sol = linalg.solve(a, b)
+        sol = linalg.solve(dense.sparse(a), m, b)
         assert sol is not None
         out = [sum(a[i][j] * sol[j] for j in range(m)) for i in range(n)]
         assert out == b
@@ -62,11 +62,14 @@ def test_inverse_roundtrip():
             continue
         found += 1
         assert linalg.mat_eq(linalg.mat_mul(a, linalg.inverse(a)), linalg.identity(3))
+    assert linalg.inverse([]) == []
 
 
 def test_inverse_singular_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular"):
         linalg.inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+    with pytest.raises(ValueError, match="singular"):
+        linalg.inverse([[Fraction(0)]])
 
 
 def test_det_multiplicative():
@@ -113,7 +116,7 @@ def test_gaussian_matrix_ops():
 
 
 # ---------------------------------------------------------------------------
-# sparse elimination against the dense reference
+# the eliminator against dense Gauss-Jordan
 # ---------------------------------------------------------------------------
 
 # about two entries in three are zero, as in the coboundary matrices
@@ -146,12 +149,13 @@ def sparse_systems(draw):
 @given(sparse_systems())
 def test_sparse_elimination_matches_dense(system):
     a, b = system
-    rows = [{j: v for j, v in enumerate(r) if v} for r in a]
+    rows = dense.sparse(a)
     before = [dict(r) for r in rows]
-    assert linalg.sparse_rank(rows) == linalg.rank(a)
-    # both pivot on the lexicographically first independent columns, so the
-    # solutions with zero non-pivot coordinates are the same vector
-    assert linalg.sparse_solve(rows, len(a[0]), b) == linalg.solve(a, b)
+    # the row space fixes the leading columns: they are the lexicographically
+    # first independent columns, the pivots of Gauss-Jordan, so the ranks
+    # agree and the solutions with zero non-pivot coordinates are one vector
+    assert linalg.rank(rows) == dense.rank(a)
+    assert linalg.solve(rows, len(a[0]), b) == dense.solve(a, b)
     assert rows == before
 
 
@@ -160,8 +164,8 @@ def test_echelon_leads_in_rref_pivot_columns():
     for _ in range(20):
         a = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         a.append([x - y for x, y in zip(a[0], a[-1])])
-        basis = linalg.echelon([{j: v for j, v in enumerate(r) if v} for r in a])
-        assert sorted(basis) == linalg.rref(a)[1]
+        basis = linalg.echelon(dense.sparse(a))
+        assert sorted(basis) == dense.rref(a)[1]
         assert all(min(row) == lead and row[lead] == 1 for lead, row in basis.items())
 
 
@@ -224,7 +228,7 @@ def assert_matches_reference(rows):
     got = linalg.echelon(rows)
     assert got == want
     assert all(type(v) is Fraction for row in got.values() for v in row.values())
-    assert linalg.sparse_rank(rows) == len(want)
+    assert linalg.rank(rows) == len(want)
     assert rows == before
 
 
@@ -287,7 +291,7 @@ def test_echelon_matches_fraction_reference_on_random_rows(system):
             scale = Fraction(prim[c]) / row[c]
             assert scale > 0 and all(prim[k] == scale * v for k, v in row.items())
     before = [dict(r) for r in rows]
-    got = linalg.sparse_solve(rows, m, rhs)
+    got = linalg.solve(rows, m, rhs)
     assert got == reference_solve(rows, m, rhs)
     assert got is None or all(type(x) is Fraction for x in got)
     assert rows == before
@@ -299,7 +303,7 @@ def test_rows_that_reduce_to_zero_leave_no_basis_row():
     basis = linalg.integer_echelon(rows)
     assert basis == {0: {0: 1, 2: 15}, 1: {1: 1}}
     assert linalg.echelon(rows) == {0: {0: 1, 2: 15}, 1: {1: 1}}
-    assert linalg.sparse_solve(rows, 4, [1, 6, 0, 0, 0]) == [3, 0, 0, 0]
-    assert linalg.sparse_solve(rows, 4, [1, 5, 0, 0, 0]) is None
+    assert linalg.solve(rows, 4, [1, 6, 0, 0, 0]) == [3, 0, 0, 0]
+    assert linalg.solve(rows, 4, [1, 5, 0, 0, 0]) is None
     # the empty row reads 0 = 1
-    assert linalg.sparse_solve(rows, 4, [1, 6, 0, 0, 1]) is None
+    assert linalg.solve(rows, 4, [1, 6, 0, 0, 1]) is None

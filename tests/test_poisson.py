@@ -4,11 +4,14 @@ from itertools import combinations, product
 
 import pytest
 
-from naryalg.catalog import su, su3_five_cocycle
+from naryalg.catalog import a4, su, su3_five_cocycle
 from naryalg.poisson import (Decomposition, PluckerViolation, PolyMultivector,
-                             decompose_constant, gps_check, graded_jacobi_residual,
-                             lie_poisson_bivector, linear_gps_from_cocycle, np_check,
-                             schouten_bracket, wedge, wedge_vectors)
+                             bracket_multivector, decompose_constant, gps_check,
+                             graded_jacobi_residual, hamiltonian_derivation_residual,
+                             lie_poisson_bivector, linear_gps_from_cocycle, nambu_bracket,
+                             nambu_fi_residual, nambu_leibniz_residual, nhw_realization_check,
+                             np_check, np_even_implies_gps, schouten_bracket, wedge,
+                             wedge_vectors)
 from naryalg.poly import Poly
 from naryalg.tensors import merge_sign, shuffle_splits
 
@@ -244,3 +247,47 @@ def test_decompose_constant_names_a_plucker_violation():
     # d1^d2 + d3^d4 is not decomposable
     dec = decompose_constant(2, 4, {(1, 2): Fraction(1), (3, 4): Fraction(1)})
     assert isinstance(dec, PluckerViolation)
+
+
+# ---------------------------------------------------------------------------
+# Jacobian (Nambu) brackets and the Hamiltonian derivation property
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(3))
+def test_jacobian_bracket_satisfies_the_fi_and_the_leibniz_rule(seed):
+    # {f_1 f_2 f_3} = det(d f_i / d x_j) / e on R^3 is a Nambu bracket: the
+    # fundamental identity holds and each slot is a derivation
+    rng = random.Random(seed)
+    fs = [random_poly(rng, 3) for _ in range(2)]
+    gs = [random_poly(rng, 3) + Poly.var(3, i) for i in (1, 2, 3)]
+    g, h = random_poly(rng, 3), random_poly(rng, 3) + Poly.var(3, 1)
+    assert not nambu_bracket(gs).is_zero()
+    for density in (Fraction(1), Fraction(-2, 3)):
+        assert nambu_fi_residual(fs, gs, density).is_zero()
+        for slot in range(3):
+            assert nambu_leibniz_residual(gs, g, h, slot, density).is_zero()
+
+
+def test_hamiltonian_flows_are_derivations_exactly_for_nambu_poisson():
+    x = [Poly.var(8, i) for i in range(1, 9)]
+    # the Lie-Poisson bracket of su(3): the Jacobi identity
+    lam = lie_poisson_bivector(su(3))
+    assert hamiltonian_derivation_residual(lam, [x[0] + x[3]], [x[1], x[2] * x[4]]).is_zero()
+    # the linear 4-vector of the su(3) 5-cocycle is GPS but not Nambu-Poisson
+    lin4 = linear_gps_from_cocycle(su(3), su3_five_cocycle())
+    residual = hamiltonian_derivation_residual(lin4, x[:3], [x[0], x[1], x[3], x[4]])
+    assert not residual.is_zero()
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3])
+def test_block_jacobians_realize_the_extended_abelian_algebra(n_blocks):
+    # {x^a, y^b, z^c} = delta^{abc} on R^{3N}: the nhw(N) three-bracket
+    assert nhw_realization_check(n_blocks)
+
+
+def test_even_nambu_poisson_tensor_is_gps():
+    assert np_even_implies_gps(lie_poisson_bivector(su(3)))
+    with pytest.raises(ValueError, match="even order"):
+        np_even_implies_gps(bracket_multivector(a4()))
+    with pytest.raises(ValueError, match="Nambu-Poisson"):
+        np_even_implies_gps(linear_gps_from_cocycle(su(3), su3_five_cocycle()))
