@@ -5,6 +5,14 @@ and higher exterior derivatives on the exterior algebra, and the complete
 BRST operator on ghost variables.  `GLAlgebra` stores its constants as a
 `tensors.BracketTensor`, the one storage of structure constants.
 
+Matrix multibrackets run over integer-scaled Z[i]: `multibracket` scales
+every entry by the common denominator D of all real and imaginary parts,
+runs its subset programme on int (re, im) pairs that carry a flag for "a
+Gaussian factor contributed", and divides by D^n once.  Type rule: an
+output entry is the typed zero of the inputs (Gaussian when an input corner
+entry is) plus its value, Gaussian when the flag is set -- the types the
+dense `Fraction`/`GaussianRational` evaluation gives.
+
 Residual conventions.  The epsilon-contracted identities are evaluated as
 shuffle sums over ordered block splits; these differ from the literal
 Levi-Civita contraction by the product of the block factorials, which never
@@ -19,7 +27,7 @@ from itertools import combinations
 
 from . import linalg
 from .lie import LieAlgebra, killing_form
-from .scalars import accumulate, is_zero
+from .scalars import GaussianRational, accumulate, common_denominator, is_zero
 from .tensors import AntisymTensor, BracketTensor, merge_sign, shuffle_splits, sort_sign
 
 
@@ -33,10 +41,15 @@ def multibracket(mats):
     Evaluated by subset dynamic programming (first-slot expansion of the
     bracket), linear instead of factorial in matrix products.  The programme
     runs on sparse rows {col: nonzero value}, which keeps the monomial gamma
-    matrices of the Clifford realizations cheap, and densifies once at the
-    end.  An entry is the typed zero of the inputs (Gaussian when an input
-    corner entry is, as in `linalg.mat_mul`) plus its value, so every entry
-    has the scalar type the dense evaluation gives it.
+    matrices of the Clifford realizations cheap, and on integers: every
+    entry is scaled by D, the common denominator of all real and imaginary
+    parts, and held as [re, im, gaussian] with int parts and a flag that
+    records whether a Gaussian factor contributed; the result is divided by
+    D^n once at the end.  Rational, Gaussian and mixed inputs take this one
+    path.  An output entry is the typed zero of the inputs (Gaussian when an
+    input corner entry is, as in `linalg.mat_mul`) plus its value, which is
+    Gaussian when its flag is set, so every entry has the scalar type the
+    dense evaluation gives it.
     """
     n = len(mats)
     if n == 0:
@@ -46,37 +59,59 @@ def multibracket(mats):
         raise ValueError("multibracket needs equal square matrices")
     if n == 1:
         return mats[0]
-    sparse = [[{c: v for c, v in enumerate(row) if not is_zero(v)} for row in m]
-              for m in mats]
-    table = {1 << i: sparse[i] for i in range(n)}
+    parts = []
+    for m in mats:
+        for row in m:
+            for v in row:
+                if isinstance(v, GaussianRational):
+                    parts += (v.re, v.im)
+                else:
+                    parts.append(v)
+    scale = common_denominator(parts)
 
-    def build(mask):
-        got = table.get(mask)
-        if got is not None:
-            return got
+    def scaled(x):
+        return x.numerator * (scale // x.denominator)
+
+    sparse = [[{c: ((scaled(v.re), scaled(v.im), True) if isinstance(v, GaussianRational)
+                    else (scaled(v), 0, False))
+                for c, v in enumerate(row) if not is_zero(v)} for row in m]
+              for m in mats]
+    # every proper subset mask is numerically smaller than its superset
+    table = {1 << i: sparse[i] for i in range(n)}
+    for mask in range(3, 1 << n):
+        if mask in table:
+            continue
         acc = [{} for _ in range(size)]
         members = [i for i in range(n) if mask & (1 << i)]
         for pos, i in enumerate(members):
-            sub = build(mask & ~(1 << i))
+            sub = table[mask & ~(1 << i)]
             odd = pos % 2
             for row_a, row_o in zip(sparse[i], acc):
-                for l, v in row_a.items():
-                    sv = -v if odd else v
-                    for c, w in sub[l].items():
-                        row_o[c] = row_o.get(c, 0) + sv * w
+                for l, (vr, vi, vg) in row_a.items():
+                    if odd:
+                        vr, vi = -vr, -vi
+                    for c, (wr, wi, wg) in sub[l].items():
+                        t = row_o.get(c)
+                        if t is None:
+                            row_o[c] = [vr * wr - vi * wi, vr * wi + vi * wr, vg or wg]
+                        else:
+                            t[0] += vr * wr - vi * wi
+                            t[1] += vr * wi + vi * wr
+                            t[2] = t[2] or vg or wg
         for row_o in acc:
-            for c in [c for c, v in row_o.items() if is_zero(v)]:
+            for c in [c for c, (re, im, _) in row_o.items() if not re and not im]:
                 del row_o[c]
         table[mask] = acc
-        return acc
 
     zero = Fraction(0)
     for m in mats:
         zero = zero * m[0][0]
+    denom = scale ** n
     out = [[zero] * size for _ in range(size)]
-    for row_s, row_d in zip(build((1 << n) - 1), out):
-        for c, v in row_s.items():
-            row_d[c] = zero + v
+    for row_s, row_d in zip(table[(1 << n) - 1], out):
+        for c, (re, im, gaussian) in row_s.items():
+            v = Fraction(re, denom)
+            row_d[c] = zero + (GaussianRational(v, Fraction(im, denom)) if gaussian else v)
     return out
 
 

@@ -5,6 +5,15 @@ n-brackets, and decomposability of constant tensors.
 
 Everything is exact: conditions on tensors are polynomial identities checked
 monomial by monomial, never numerically.
+
+A `PolyMultivector` stores its components on sorted index tuples and reads
+them through one signed component table: a raw index tuple maps to the
+stored `Poly`, to its negation (built once per component), or to one shared
+zero, filled on first read.  The table hands out the stored objects, so the
+components of a multivector, and the Polys a read returns, are never
+mutated after construction.  `schouten_bracket`, `gps_check` and
+`np_check` read the table directly and collect each output's sum of
+products c*a*b in one term map (`poly.add_product`).
 """
 
 from __future__ import annotations
@@ -14,24 +23,52 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .lie import LieAlgebra
-from .poly import Poly
+from .poly import Poly, add_product
 from .scalars import accumulate, is_zero
-from .tensors import (AntisymTensor, BracketTensor, merge_sign, perm_sign, shuffle_splits,
-                      sort_sign)
+from .tensors import AntisymTensor, BracketTensor, merge_sign, shuffle_splits, sort_sign
 
 
 # ---------------------------------------------------------------------------
 # multivectors
 # ---------------------------------------------------------------------------
 
+class _SignedComponents(dict):
+    """Raw index tuple -> the component it reads: the stored Poly, its
+    negation, or the shared zero `self.zero`.  A missing tuple is sorted
+    once and stored."""
+
+    __slots__ = ("comps", "zero", "negated")
+
+    def __init__(self, comps, dim):
+        super().__init__()
+        self.comps = comps
+        self.zero = Poly.zero(dim)
+        self.negated = {}  # sorted key -> the negated component
+
+    def __missing__(self, idx):
+        key, s = sort_sign(idx)
+        p = self.comps.get(key) if s else None
+        if p is None:
+            p = self.zero
+        elif s < 0:
+            q = self.negated.get(key)
+            if q is None:
+                q = self.negated[key] = -p
+            p = q
+        self[idx] = p
+        return p
+
+
 @dataclass
 class PolyMultivector:
     """Order-p antisymmetric contravariant tensor on R^m with Poly entries,
-    stored on sorted index tuples."""
+    stored on sorted index tuples; `signed` is the component table every
+    read goes through."""
 
     order: int
     dim: int
     comps: dict = field(default_factory=dict)  # sorted tuple -> Poly
+    signed: _SignedComponents = field(init=False, repr=False)
 
     def __post_init__(self):
         clean = {}
@@ -40,15 +77,10 @@ class PolyMultivector:
             if s:
                 accumulate(clean, key, p if s == 1 else -p)
         self.comps = clean
+        self.signed = _SignedComponents(clean, self.dim)
 
     def get(self, idx) -> Poly:
-        key, s = sort_sign(idx)
-        if s == 0:
-            return Poly.zero(self.dim)
-        p = self.comps.get(key)
-        if p is None:
-            return Poly.zero(self.dim)
-        return p if s == 1 else -p
+        return self.signed[tuple(idx)]
 
     def is_zero(self):
         return not self.comps
@@ -113,33 +145,36 @@ def schouten_bracket(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
     p, q = a.order, b.order
     m = a.dim
     out_order = p + q - 1
+    at, bt = a.signed, b.signed
+    a_zero, b_zero = at.zero, bt.zero
+    sign_p = (-1) ** p
     comps = {}
     for kk in combinations(range(1, m + 1), out_order):
-        tot = Poly.zero(m)
+        terms = {}
         for (bi, bj), sign in shuffle_splits(kk, [p - 1, q]):
-            db = b.get(bj)
-            if db.is_zero():
+            db = bt[bj]
+            if db is b_zero:
                 continue
             for nu in range(1, m + 1):
-                av = a.get((nu,) + bi)
-                if av.is_zero():
+                av = at[(nu,) + bi]
+                if av is a_zero:
                     continue
                 dv = db.diff(nu)
-                if not dv.is_zero():
-                    tot = tot + av * dv * sign
+                if dv:
+                    add_product(terms, sign, av, dv)
         for (bi, bj), sign in shuffle_splits(kk, [p, q - 1]):
-            da = a.get(bi)
-            if da.is_zero():
+            da = at[bi]
+            if da is a_zero:
                 continue
             for nu in range(1, m + 1):
-                bv = b.get((nu,) + bj)
-                if bv.is_zero():
+                bv = bt[(nu,) + bj]
+                if bv is b_zero:
                     continue
                 dv = da.diff(nu)
-                if not dv.is_zero():
-                    tot = tot + bv * dv * sign * ((-1) ** p)
-        if tot:
-            comps[kk] = tot
+                if dv:
+                    add_product(terms, sign * sign_p, bv, dv)
+        if terms:
+            comps[kk] = Poly._canonical(m, terms)
     return PolyMultivector(out_order, m, comps)
 
 
@@ -212,22 +247,23 @@ def gps_check(lam: PolyMultivector) -> GPSReport:
     snb_ok = snb.is_zero()
     n = lam.order
     m = lam.dim
+    table, zero = lam.signed, lam.signed.zero
     coords_ok = True
     witness = None
     for kk in combinations(range(1, m + 1), 2 * n - 1):
-        tot = Poly.zero(m)
+        terms = {}
         for (bi, bj), sign in shuffle_splits(kk, [n - 1, n]):
-            wj = lam.get(bj)
-            if wj.is_zero():
+            wj = table[bj]
+            if wj is zero:
                 continue
             for s in range(1, m + 1):
-                av = lam.get(bi + (s,))
-                if av.is_zero():
+                av = table[bi + (s,)]
+                if av is zero:
                     continue
                 dv = wj.diff(s)
-                if not dv.is_zero():
-                    tot = tot + av * dv * sign
-        if not tot.is_zero():
+                if dv:
+                    add_product(terms, sign, av, dv)
+        if terms:
             coords_ok = False
             witness = kk
             break
@@ -301,47 +337,38 @@ def np_check(lam: PolyMultivector) -> NPReport:
                         - sum_k eta_{i_1..i_{n-1} j_k} eta_{j_1.. i_n @k ..j_n}
 
     and P swaps i_1 with j_1.  For n = 2 the algebraic condition is reported
-    vacuously true (it is absent for ordinary Poisson tensors).
+    vacuously true (it is absent for ordinary Poisson tensors).  Both
+    conditions are scanned in a fixed order and the first failing tuple is
+    the witness; rows i whose middle block i_2..i_{n-1} repeats an index are
+    skipped, since every component either Sigma term reads then repeats it.
     """
     n = lam.order
     m = lam.dim
-    # dense signed lookup: raw tuple -> Poly (None when zero)
-    from itertools import permutations as _perms
-    dense = {}
-    signed_keys = {}  # raw tuple -> (sorted key, sign)
-    for key, p in lam.comps.items():
-        for perm in _perms(key):
-            s = perm_sign(perm)
-            dense[perm] = p if s == 1 else -p
-            signed_keys[perm] = key, s
-
-    def get(idx):
-        return dense.get(idx)
+    table, zero = lam.signed, lam.signed.zero
 
     dw = None
     diff_ok = True
     for it in combinations(range(1, m + 1), n - 1):
         for jt in combinations(range(1, m + 1), n):
-            tot = Poly.zero(m)
+            terms = {}
+            d_jt = table[jt]
             for rho in range(1, m + 1):
-                e1 = get(it + (rho,))
-                if e1 is not None:
-                    d = get(jt)
-                    if d is not None:
-                        d = d.diff(rho)
-                        if not d.is_zero():
-                            tot = tot + e1 * d
+                e1 = table[it + (rho,)]
+                if e1 is not zero and d_jt is not zero:
+                    d = d_jt.diff(rho)
+                    if d:
+                        add_product(terms, 1, e1, d)
                 for k in range(n):
-                    e2 = get((rho,) + jt[:k] + jt[k + 1:])
-                    if e2 is None:
+                    e2 = table[(rho,) + jt[:k] + jt[k + 1:]]
+                    if e2 is zero:
                         continue
-                    d = get(it + (jt[k],))
-                    if d is None:
+                    d = table[it + (jt[k],)]
+                    if d is zero:
                         continue
                     d = d.diff(rho)
-                    if not d.is_zero():
-                        tot = tot - d * e2 * ((-1) ** k)
-            if not tot.is_zero():
+                    if d:
+                        add_product(terms, (-1) ** (k + 1), d, e2)
+            if terms:
                 diff_ok = False
                 dw = (it, jt)
                 break
@@ -354,47 +381,33 @@ def np_check(lam: PolyMultivector) -> NPReport:
     alg_ok = True
     aw = None
 
-    products = {}  # (sorted key, sorted key, sign) -> signed product
-
-    def signed_product(kx, ky, sign):
-        """sign * eta_x * eta_y from the (sorted key, sign) of two nonzero
-        components; each distinct product is built once per call."""
-        (a, sa), (b, sb) = (kx, ky) if kx <= ky else (ky, kx)
-        key = (a, b, sign * sa * sb)
-        t = products.get(key)
-        if t is None:
-            t = lam.comps[a] * lam.comps[b]
-            t = products[key] = t if key[2] == 1 else -t
-        return t
-
-    def sigma(it, jt):
-        tot = None
-        kx = signed_keys.get(it)
-        if kx is not None:
-            ky = signed_keys.get(jt)
-            if ky is not None:
-                tot = signed_product(kx, ky, 1)
+    def add_sigma(terms, it, jt):
+        """terms += Sigma_{it jt}."""
+        x = table[it]
+        if x is not zero:
+            y = table[jt]
+            if y is not zero:
+                add_product(terms, 1, x, y)
         head = it[:n - 1]
         pivot = it[n - 1]
         for k in range(n):
-            kx = signed_keys.get(head + (jt[k],))
-            if kx is None:
+            x = table[head + (jt[k],)]
+            if x is zero:
                 continue
-            ky = signed_keys.get(jt[:k] + (pivot,) + jt[k + 1:])
-            if ky is None:
-                continue
-            t = signed_product(kx, ky, -1)
-            tot = t if tot is None else tot + t
-        return tot
+            y = table[jt[:k] + (pivot,) + jt[k + 1:]]
+            if y is not zero:
+                add_product(terms, -1, x, y)
 
     for it in product(range(1, m + 1), repeat=n):
+        if len(set(it[1:n - 1])) < n - 2:
+            # every component both Sigma terms read holds it[1:n-1], which
+            # repeats an index: the whole row of pairs reads zero
+            continue
         for jt in product(range(1, m + 1), repeat=n):
-            s1 = sigma(it, jt)
-            s2 = sigma((jt[0],) + it[1:], (it[0],) + jt[1:])
-            if s1 is None and s2 is None:
-                continue
-            tot = s1 if s2 is None else (s2 if s1 is None else s1 + s2)
-            if not tot.is_zero():
+            terms = {}
+            add_sigma(terms, it, jt)
+            add_sigma(terms, (jt[0],) + it[1:], (it[0],) + jt[1:])
+            if terms:
                 alg_ok = False
                 aw = (it, jt)
                 break

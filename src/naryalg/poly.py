@@ -3,12 +3,21 @@
 Canonical form: term map from exponent vector to nonzero coefficient, with a
 fixed variable list.  Only the operations the Poisson module needs: ring
 arithmetic, partial derivatives, evaluation.
+
+The constructor validates and cleans its term map.  The ring operations and
+`diff` produce canonical maps by construction (`accumulate` drops what
+cancels, and a product or derivative of nonzero `Fraction`s with a nonzero
+int is nonzero), so they build their results through `Poly._canonical`,
+which skips that pass; only this module and `poisson` call it.
+`add_product` collects a sum of products c*a*b in one term map, so a
+contraction builds one Poly per output instead of one per partial sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .scalars import accumulate, is_zero
 
@@ -30,8 +39,18 @@ class Poly:
 
     # -- constructors -------------------------------------------------------
     @classmethod
+    def _canonical(cls, nvars, terms):
+        """A Poly on a term map already in canonical form: exponent tuples of
+        length nvars, nonzero `Fraction` coefficients.  Takes the map as it
+        is, without the constructor's pass over it."""
+        out = object.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, nvars):
-        return cls(nvars, {})
+        return cls._canonical(nvars, {})
 
     @classmethod
     def const(cls, nvars, c):
@@ -50,12 +69,12 @@ class Poly:
         t = dict(self.terms)
         for e, c in other.terms.items():
             accumulate(t, e, c)
-        return Poly(self.nvars, t)
+        return Poly._canonical(self.nvars, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly._canonical(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -67,13 +86,10 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly.zero(self.nvars)
-            return Poly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        other = self._coerce(other)
+            return Poly._canonical(self.nvars, {e: c * other for e, c in self.terms.items()})
         t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                accumulate(t, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Poly(self.nvars, t)
+        add_product(t, 1, self, self._coerce(other))
+        return Poly._canonical(self.nvars, t)
 
     __rmul__ = __mul__
 
@@ -94,7 +110,7 @@ class Poly:
                 e2 = list(e)
                 e2[i - 1] -= 1
                 t[tuple(e2)] = c * k
-        return Poly(self.nvars, t)
+        return Poly._canonical(self.nvars, t)
 
     def eval(self, point):
         tot = Fraction(0)
@@ -137,3 +153,13 @@ class Poly:
                     parts.append(f"x{i+1}^{k}")
             return "*".join(parts) or str(c)
         return " + ".join(mono(e, c) for e, c in sorted(self.terms.items()))
+
+
+def add_product(terms: dict, c, a: Poly, b: Poly) -> None:
+    """terms += c * a * b on a canonical term map, for a nonzero int or
+    `Fraction` c."""
+    for e1, c1 in a.terms.items():
+        if c != 1:
+            c1 = c * c1
+        for e2, c2 in b.terms.items():
+            accumulate(terms, tuple(map(add, e1, e2)), c1 * c2)

@@ -216,10 +216,15 @@ def accumulate(d: dict, key, v) -> None:
 
 def parse_scalar(text: str):
     """Parse `p/q` or `p/q+r/si` (Gaussian) literals used by .alg files.  A
-    literal holds no whitespace: `1 2` is an error, not 12."""
+    literal holds no whitespace: `1 2` is an error, not 12.  Nor does it
+    hold the exponents and digit separators `Fraction` would accept:
+    `1e1000000` would build a million-digit integer from nine bytes, and
+    `format_scalar` writes neither form."""
     s = text.strip()
     if any(c.isspace() for c in s):
         raise ValueError(f"whitespace inside the scalar {s!r}")
+    if any(c in "eE_" for c in s):
+        raise ValueError(f"exponent or digit separator in the scalar {s!r}")
     if s.endswith("i"):
         body = s[:-1]
         # split at the sign that separates real and imaginary parts

@@ -27,6 +27,12 @@ Contractions of products of blockwise-antisymmetric factors against the
 generalized Kronecker symbol collapse to signed sums over ordered block
 splits ("shuffles") -- `shuffle_splits` is the hot kernel behind the
 generalized-Jacobi, Filippov and Poisson residuals.
+
+The epsilon scan `eps_identities_check` sorts each index tuple once: a
+table per tuple holds its (sorted key, sign), and the keyed signs of its
+first-row minors and pair splits.  A Kronecker symbol of two rows is then
+the product of their signs when their keys match, else 0, so the scan
+compares every (upper, lower) entry without a `gen_kronecker` call per pair.
 """
 
 from __future__ import annotations
@@ -432,13 +438,36 @@ class EpsReport:
     counterexample: tuple | None = None
 
 
-class _KroneckerMemo(dict):
-    """(upper, lower) -> gen_kronecker(upper, lower), filled on first read;
-    one instance lives for one identity scan."""
+def _eps_tables(n, d):
+    """Per-tuple tables of the epsilon scan over {1..d}^n, in `product`
+    order: (tuple, sort_sign of the tuple, its sort_sign-keyed pieces as an
+    upper index row, its first-row minors, its pair splits) -- everything the
+    scan reads, sorted once per tuple.
 
-    def __missing__(self, key):
-        v = self[key] = gen_kronecker(*key)
-        return v
+    As an upper row the pieces are the sort_sign of the tail u[1:], of the
+    top pair u[:2] and of the bottom u[2:].  As a lower row, `minors` maps a
+    value v to [(sign, minor key)] over the slots s with l[s] = v, sign =
+    (-1)^s times the minor's sorting sign; `splits` maps the sorted key of a
+    pair (l[s], l[t]) to [(sign, rest key)], sign = (-1)^(s+t+1) times the
+    sorting signs of the pair and of the rest.  Entries whose sorting sign
+    is 0 would only add zero and are left out."""
+    pairs = [(s, t, (-1) ** (s + t + 1)) for s in range(n) for t in range(s + 1, n)]
+    tables = []
+    for tup in product(range(1, d + 1), repeat=n):
+        minors = {}
+        for s in range(n):
+            key, sign = sort_sign(tup[:s] + tup[s + 1:])
+            if sign:
+                minors.setdefault(tup[s], []).append(((-1) ** s * sign, key))
+        splits = {}
+        for s, t, sign in pairs:
+            pkey, psign = sort_sign((tup[s], tup[t]))
+            rkey, rsign = sort_sign(tuple(tup[k] for k in range(n) if k not in (s, t)))
+            if psign and rsign:
+                splits.setdefault(pkey, []).append((sign * psign * rsign, rkey))
+        pieces = (sort_sign(tup[1:]), sort_sign(tup[:2]), sort_sign(tup[2:]))
+        tables.append((tup, sort_sign(tup), pieces, minors, splits))
+    return tables
 
 
 def eps_identities_check(n: int, d: int) -> EpsReport:
@@ -446,29 +475,33 @@ def eps_identities_check(n: int, d: int) -> EpsReport:
     eps^{i..}_{j..} = sum_s (-1)^{s+1} delta^{i1}_{js} eps^{i2..}_{j..^s..}
     and the pairwise resolution
     eps^{i..}_{j..} = sum_{t>s} (-1)^{s+t+1} eps^{i1 i2}_{js jt} eps^{i3..}_{rest}.
+
+    A generalized Kronecker symbol of two rows is the product of their
+    sorting signs when their `sort_sign` keys agree, else 0 (`gen_kronecker`
+    by another route), so the scan reads every sign from tables built once
+    per tuple (`_eps_tables`) and calls no kernel per (upper, lower) pair.
+    It still evaluates and compares every entry, in the order of the two
+    nested `product` loops.
     """
     if not (1 <= n <= d <= 6):
         raise ValueError("eps_identities_check: desk-scale bounds 1 <= n <= d <= 6")
-    rng = range(1, d + 1)
-    memo = _KroneckerMemo()
-    pairs = [(s, t, (-1) ** (s + t + 1), tuple(k for k in range(n) if k not in (s, t)))
-             for s in range(n) for t in range(s + 1, n)]
-    for upper in product(rng, repeat=n):
-        head, tail, top, bottom = upper[0], upper[1:], upper[:2], upper[2:]
-        for lower in product(rng, repeat=n):
-            lhs = gen_kronecker(upper, lower)
+    tables = _eps_tables(n, d)
+    for upper, (ukey, usign), pieces, _, _ in tables:
+        head = upper[0]
+        (tkey, tsign), (topkey, topsign), (bkey, bsign) = pieces
+        for lower, (lkey, lsign), _, minors, splits in tables:
+            lhs = usign * lsign if ukey == lkey else 0
             tot = 0
-            for s in range(n):
-                if head == lower[s]:
-                    tot += (-1) ** s * memo[tail, lower[:s] + lower[s + 1:]]
+            for sign, key in minors.get(head, ()):
+                if key == tkey:
+                    tot += sign * tsign
             if tot != lhs:
                 return EpsReport(False, (upper, lower, "first-row"))
             if n >= 2:
                 tot2 = 0
-                for s, t, sign, rest in pairs:
-                    sub = memo[top, (lower[s], lower[t])]
-                    if sub:
-                        tot2 += sign * sub * memo[bottom, tuple(lower[k] for k in rest)]
+                for sign, key in splits.get(topkey, ()):
+                    if key == bkey:
+                        tot2 += sign * topsign * bsign
                 if tot2 != lhs:
                     return EpsReport(False, (upper, lower, "pair-resolution"))
     return EpsReport(True)

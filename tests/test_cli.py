@@ -115,6 +115,18 @@ def test_trivial_module_is_the_default_rep(a4_file, capsys):
     ("filippov 1 3 rational\n1 -> 2 : 1\n", "line 1, column 10: filippov files need arity >= 2"),
     # a scalar holds no inner space; it is not read as 12
     ("lie 2 3 rational\n1 2 -> 3 : 1 2\n", "line 2, column 11: bad scalar '1 2'"),
+    # nor an exponent (unbounded work) or a digit separator, in either part
+    ("lie 2 3 rational\n1 2 -> 3 : 1e1000000\n", "line 2, column 11: bad scalar '1e1000000'"),
+    ("lie 2 3 rational\n1 2 -> 3 : 2E3\n", "line 2, column 11: bad scalar '2E3'"),
+    ("lie 2 3 rational\n1 2 -> 3 : 1_0\n", "line 2, column 11: bad scalar '1_0'"),
+    ("lie 2 3 gaussian\n1 2 -> 3 : 1\nmetric\n1 1 : 1e9+1i\n",
+     "line 4, column 6: bad scalar '1e9+1i'"),
+    ("lie 2 3 gaussian\n1 2 -> 3 : 1\nmetric\n1 1 : 1+1/2e7i\n",
+     "line 4, column 6: bad scalar '1+1/2e7i'"),
+    ("lie 2 3 gaussian\n1 2 -> 3 : 1\nmetric\n1 1 : 1_0+1i\n",
+     "line 4, column 6: bad scalar '1_0+1i'"),
+    ("lie 2 3 gaussian\n1 2 -> 3 : 1\nmetric\n1 1 : 1+1_0i\n",
+     "line 4, column 6: bad scalar '1+1_0i'"),
     # only metric values may be Gaussian
     ("multivector 1 2 gaussian\n1 -> 0 0 : 1i\n",
      "line 2, column 11: entry values must be real, got '1i'"),

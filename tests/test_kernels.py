@@ -1,7 +1,8 @@
 """Differential tests of the fast sign, identity-scan and multibracket kernels
 against their slow definitions: a brute-force inversion count, the
-determinant of the delta matrix, the per-s Filippov identity loops, and the
-n!-term permutation sum."""
+determinant of the delta matrix, the per-s Filippov identity loops, the
+epsilon scan with one `gen_kronecker` call per symbol, and the n!-term
+permutation sum."""
 
 import random
 from fractions import Fraction
@@ -9,12 +10,13 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from naryalg import linalg
+from naryalg import linalg, tensors
 from naryalg.catalog import a4, a5, corrupted, nhw
 from naryalg.filippov import FilippovAlgebra, check_fi, simple_fa
 from naryalg.gla import multibracket
 from naryalg.scalars import GaussianRational
-from naryalg.tensors import gen_kronecker, perm_sign, shuffle_splits, sort_sign
+from naryalg.tensors import (EpsReport, eps_identities_check, gen_kronecker, perm_sign,
+                             shuffle_splits, sort_sign)
 
 
 def inversion_sign(t):
@@ -61,6 +63,70 @@ def test_gen_kronecker_is_the_delta_determinant():
             assert got == delta_det(upper, lower), (upper, lower)
         else:
             assert got == 1
+
+
+# ---------------------------------------------------------------------------
+# the epsilon scan: one memoized gen_kronecker call per symbol as the
+# reference
+# ---------------------------------------------------------------------------
+
+class KroneckerMemo(dict):
+    def __missing__(self, key):
+        v = self[key] = gen_kronecker(*key)
+        return v
+
+
+def eps_identities_by_kronecker(n, d):
+    rng = range(1, d + 1)
+    memo = KroneckerMemo()
+    pairs = [(s, t, (-1) ** (s + t + 1), tuple(k for k in range(n) if k not in (s, t)))
+             for s in range(n) for t in range(s + 1, n)]
+    for upper in product(rng, repeat=n):
+        head, tail, top, bottom = upper[0], upper[1:], upper[:2], upper[2:]
+        for lower in product(rng, repeat=n):
+            lhs = gen_kronecker(upper, lower)
+            tot = 0
+            for s in range(n):
+                if head == lower[s]:
+                    tot += (-1) ** s * memo[tail, lower[:s] + lower[s + 1:]]
+            if tot != lhs:
+                return EpsReport(False, (upper, lower, "first-row"))
+            if n >= 2:
+                tot2 = 0
+                for s, t, sign, rest in pairs:
+                    sub = memo[top, (lower[s], lower[t])]
+                    if sub:
+                        tot2 += sign * sub * memo[bottom, tuple(lower[k] for k in rest)]
+                if tot2 != lhs:
+                    return EpsReport(False, (upper, lower, "pair-resolution"))
+    return EpsReport(True)
+
+
+EPS_SHAPES = [(n, d) for d in range(1, 6) for n in range(1, min(d, 4) + 1)]
+
+
+@pytest.mark.parametrize("n,d", EPS_SHAPES)
+def test_eps_scan_matches_the_kronecker_loop(n, d):
+    got = eps_identities_check(n, d)
+    assert (got.ok, got.counterexample) == (True, None)
+    want = eps_identities_by_kronecker(n, d)
+    assert (got.ok, got.counterexample) == (want.ok, want.counterexample)
+
+
+def sign_ignoring_inversions(seq):
+    """A broken sign kernel: 1 on every repeat-free tuple."""
+    return 0 if len(set(seq)) < len(seq) else 1
+
+
+@pytest.mark.parametrize("n,d", EPS_SHAPES)
+def test_eps_scan_reads_the_sign_kernel(monkeypatch, n, d):
+    # negative control: with the kernel broken, both scans must fail at the
+    # same entry; a length-1 row has no inversion, so n = 1 still passes
+    monkeypatch.setattr(tensors, "perm_sign", sign_ignoring_inversions)
+    got = eps_identities_check(n, d)
+    want = eps_identities_by_kronecker(n, d)
+    assert (got.ok, got.counterexample) == (want.ok, want.counterexample)
+    assert got.ok == (n == 1)
 
 
 # ---------------------------------------------------------------------------

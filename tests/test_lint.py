@@ -1,7 +1,8 @@
 """Lint scans of the package: sparse exact maps accumulate through
 `scalars.accumulate` alone (no module pops a key by hand with
-`.pop(key, None)`), and every public function, class, method or property
-has a caller in `src/` or a test."""
+`.pop(key, None)`), the non-validating `Poly._canonical` constructor is
+called from `poly.py` and `poisson.py` alone, and every public function,
+class, method or property has a caller in `src/` or a test."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,36 @@ def test_scan_sees_a_hand_rolled_pop():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_hand_rolled_accumulation(path):
     assert hand_rolled_pops(path.read_text(), path.name) == []
+
+
+# ---------------------------------------------------------------------------
+# the non-validating Poly constructor stays in the modules that keep its
+# contract (canonical term maps by construction)
+# ---------------------------------------------------------------------------
+
+FAST_CONSTRUCTOR = "_canonical"
+FAST_CONSTRUCTOR_USERS = {"poly.py", "poisson.py"}
+
+
+def fast_constructor_uses(source, filename):
+    """Line of every `<expr>._canonical` read in a module outside the
+    allowed ones."""
+    if filename in FAST_CONSTRUCTOR_USERS:
+        return []
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == FAST_CONSTRUCTOR)
+
+
+def test_scan_sees_a_fast_constructor_call():
+    source = ("from .poly import Poly\ndef f(m, t):\n    return Poly._canonical(m, t)\n"
+              "def g(m):\n    make = Poly._canonical\n    return Poly(m, {}), make\n")
+    assert fast_constructor_uses(source, "lie.py") == [3, 5]
+    assert fast_constructor_uses(source, "poisson.py") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_fast_constructor_stays_in_poly_and_poisson(path):
+    assert fast_constructor_uses(path.read_text(), path.name) == []
 
 
 # ---------------------------------------------------------------------------
