@@ -472,20 +472,27 @@ def kasymov_bilinear_nondegenerate(fa: FilippovAlgebra) -> bool:
 
 @dataclass
 class MetricFAReport:
-    metric: bool
+    invariant: bool
+    nondegenerate: bool
     witness: tuple | None
-    lowered: AntisymTensor | None   # the invariant (n+1)-form when metric
+    lowered: AntisymTensor | None   # the invariant (n+1)-form when invariant
+
+    @property
+    def metric(self):
+        """g is an invariant metric: invariant and nondegenerate."""
+        return self.invariant and self.nondegenerate
 
 
 def check_metric_fa(fa: FilippovAlgebra, g) -> MetricFAReport:
     """Invariance f_{a.. b}^l g_{lc} + f_{a.. c}^l g_{bl} = 0 for all slots;
     builds the fully lowered constants, asserts their total antisymmetry, and
-    verifies the equivalent fully-lowered form of the identity."""
+    verifies the equivalent fully-lowered form of the identity.  A singular g
+    is reported (nondegenerate False) and its invariance still checked; an
+    asymmetric g raises ValueError."""
     d, n = fa.dim, fa.arity
     if any(g[i][j] != g[j][i] for i in range(d) for j in range(d)):
         raise ValueError("metric must be symmetric")
-    if is_zero(linalg.det(g)):
-        raise ValueError("metric must be non-degenerate")
+    nondeg = not is_zero(linalg.det(g))
     for a_idx in combinations(range(1, d + 1), n - 1):
         for b in range(1, d + 1):
             for c in range(b, d + 1):
@@ -495,7 +502,7 @@ def check_metric_fa(fa: FilippovAlgebra, g) -> MetricFAReport:
                 for l, v in fa.f_row(a_idx + (c,)).items():
                     tot += v * g[b - 1][l - 1]
                 if tot != 0:
-                    return MetricFAReport(False, (a_idx, b, c), None)
+                    return MetricFAReport(False, nondeg, (a_idx, b, c), None)
 
     lowered_raw = {}
     for idx, row in fa.f.items():
@@ -520,7 +527,7 @@ def check_metric_fa(fa: FilippovAlgebra, g) -> MetricFAReport:
                     tot += v * lowered.get(b_idx[:i] + (l,) + b_idx[i + 1:])
             if tot != 0:
                 raise AssertionError(f"lowered-form identity fails at {(a_idx, b_idx)}")
-    return MetricFAReport(True, None, lowered)
+    return MetricFAReport(True, nondeg, None, lowered)
 
 
 # ---------------------------------------------------------------------------
@@ -862,45 +869,44 @@ def adjoint_fa_representation(fa: FilippovAlgebra) -> dict:
 def gamma_matrices(d_even: int):
     """Euclidean gamma matrices of even dimension with entries in {0, +-1,
     +-i}, built by the recursive sigma-block pattern; returns (gammas,
-    chirality) with chirality^2 = 1."""
+    chirality) with chirality^2 = 1.
+
+    The construction and every check ({g_a, g_b} = 2 delta_ab, and the
+    square of the chirality) run on sparse ℤ[i] matrices; only the returned
+    matrices are dense."""
     if d_even % 2 or d_even < 2:
         raise ValueError("need even dimension >= 2")
-    s1 = [[GaussianRational(0), GaussianRational(1)], [GaussianRational(1), GaussianRational(0)]]
-    s2 = [[GaussianRational(0), GaussianRational(0, -1)], [GaussianRational(0, 1), GaussianRational(0)]]
-    s3 = [[GaussianRational(1), GaussianRational(0)], [GaussianRational(0), GaussianRational(-1)]]
+    s1 = {(0, 1): (1, 0), (1, 0): (1, 0)}
+    s2 = {(0, 1): (0, -1), (1, 0): (0, 1)}
     gam = [s1, s2]
+    size = 2
     while len(gam) < d_even:
         prev = gam
-        chi = _chirality(prev)
-        ident = [[GaussianRational(1) if i == j else GaussianRational(0)
-                  for j in range(len(prev[0]))] for i in range(len(prev[0]))]
-        gam = [linalg.kron(g, s1) for g in prev]
-        gam.append(linalg.kron(chi, s1))
-        gam.append(linalg.kron(ident, s2))
-    size = len(gam[0])
+        chi = _chirality(prev, size)
+        gam = [linalg.zi_kron(g, s1, 2) for g in prev]
+        gam.append(linalg.zi_kron(chi, s1, 2))
+        gam.append(linalg.zi_kron(linalg.zi_identity(size), s2, 2))
+        size *= 2
+    twice = {(i, i): (2, 0) for i in range(size)}
     for a in range(d_even):
         for b in range(d_even):
-            m = linalg.anticommutator(gam[a], gam[b])
-            want = 2 if a == b else 0
-            assert all(m[i][j] == (GaussianRational(want) if i == j else GaussianRational(0))
-                       for i in range(size) for j in range(size))
-    return gam, _chirality(gam)
+            assert linalg.zi_anticommutator(gam[a], gam[b]) == (twice if a == b else {})
+    return ([linalg.zi_to_dense(g, size) for g in gam],
+            linalg.zi_to_dense(_chirality(gam, size), size))
 
 
-def _chirality(gammas):
-    """c * g_1..g_D with c in {1, -1, i, -i} chosen so the square is +1."""
+def _chirality(gammas, size):
+    """c * g_1..g_D with c in {1, -1, i, -i} chosen so the square is +1, on
+    sparse ℤ[i] matrices of the given size."""
     prod = gammas[0]
     for g in gammas[1:]:
-        prod = linalg.mat_mul(prod, g)
-    sq = linalg.mat_mul(prod, prod)
-    size = len(prod)
-    ident = [[GaussianRational(1) if i == j else GaussianRational(0)
-              for j in range(size)] for i in range(size)]
-    if linalg.mat_eq(sq, ident):
+        prod = linalg.zi_mul(prod, g)
+    sq = linalg.zi_mul(prod, prod)
+    ident = linalg.zi_identity(size)
+    if sq == ident:
         return prod
-    neg = linalg.mat_scale(GaussianRational(-1), ident)
-    if linalg.mat_eq(sq, neg):
-        return linalg.mat_scale(GaussianRational(0, 1), prod)
+    if sq == linalg.zi_scale((-1, 0), ident):
+        return linalg.zi_scale((0, 1), prod)
     raise AssertionError("chirality square is not +-1")
 
 

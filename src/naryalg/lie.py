@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from . import linalg
-from .scalars import GaussianRational, accumulate, is_zero, rat
+from .scalars import accumulate, is_zero, rat
 from .tensors import (AntisymTensor, BracketTensor, fold_antisym, ray_equal, shuffle_splits,
                       sort_sign)
 
@@ -193,13 +193,28 @@ class Representation:
 
 
 def closure_residual(alg: LieAlgebra, mats):
-    """None when [rho_i, rho_j] - C_ij^k rho_k = 0 exactly; else first (i, j)."""
+    """None when [rho_i, rho_j] - C_ij^k rho_k = 0 exactly; else first (i, j).
+
+    Each matrix is read once into {(a, b): nonzero entry} and into its rows
+    of (b, nonzero entry) pairs; each residual is accumulated on those."""
+    sparse = [{(a, b): v for a, row in enumerate(m) for b, v in enumerate(row) if v}
+              for m in mats]
+    rows = [[[(b, v) for b, v in enumerate(row) if v] for row in m] for m in mats]
+
+    def add_product(out, x, y_rows, sign):
+        for (a, b), v in x.items():
+            for c, w in y_rows[b]:
+                accumulate(out, (a, c), sign * v * w)
+
     for i in range(1, alg.dim + 1):
         for j in range(i + 1, alg.dim + 1):
-            m = linalg.commutator(mats[i - 1], mats[j - 1])
+            res = {}
+            add_product(res, sparse[i - 1], rows[j - 1], 1)
+            add_product(res, sparse[j - 1], rows[i - 1], -1)
             for k, v in alg.c_row(i, j).items():
-                m = linalg.mat_sub(m, linalg.mat_scale(v, mats[k - 1]))
-            if not linalg.is_zero_matrix(m):
+                for key, w in sparse[k - 1].items():
+                    accumulate(res, key, -v * w)
+            if res:
                 return (i, j)
     return None
 
@@ -235,6 +250,7 @@ class SunBasis:
     rep: Representation            # antihermitian matrices, real closure
     hermitian: list                # X_i = i * rep.mats[i-1]
     trace_norms: list              # Tr(X_i X_i), rational, diagonal metric
+    doubled: list                  # Y_i = 2 X_i as sparse ℤ[i] matrices
 
     @property
     def algebra(self):
@@ -250,51 +266,54 @@ def sun_generators(n: int) -> SunBasis:
     them is irrational, hence unavailable in Q(i).  The basis stays
     trace-orthogonal, which is all the structure-constant extraction needs;
     for n = 2 the normalization is exactly 1/2 * identity.
+
+    The arithmetic runs on the doubled generators Y_i = 2 X_i, sparse ℤ[i]
+    matrices (`linalg.zi_mul` and its kin) with entries in {±1, ±i} off the
+    diagonal and in {1, -l} on the l-th Cartan diagonal.  With
+    [X_i, X_j] = i C_ij^k X_k and trace orthogonality,
+
+        Tr(X_i X_i) = Tr(Y_i Y_i) / 4,
+        C_ij^k = Im Tr([Y_i, Y_j] Y_k) / (2 Tr(Y_k Y_k)),
+
+    and Re Tr([Y_i, Y_j] Y_k) must vanish (real constants).  The dense
+    `hermitian` matrices Y_i / 2 and `rep.mats` -i Y_i / 2 are built once at
+    the end, and the representation checks its own closure.
     """
     if not 2 <= n <= 4:
         raise ValueError("sun_generators: desk scale is 2 <= n <= 4")
-    half = Fraction(1, 2)
-
-    def gmat(f):
-        return [[f(a, b) for b in range(n)] for a in range(n)]
-
-    herm = []
+    doubled = []
     for a in range(n):
         for b in range(a + 1, n):
-            herm.append(gmat(lambda x, y, a=a, b=b:
-                             GaussianRational(half) if (x, y) in ((a, b), (b, a))
-                             else GaussianRational(0)))
-            herm.append(gmat(lambda x, y, a=a, b=b:
-                             GaussianRational(0, -half) if (x, y) == (a, b)
-                             else GaussianRational(0, half) if (x, y) == (b, a)
-                             else GaussianRational(0)))
+            doubled.append({(a, b): (1, 0), (b, a): (1, 0)})
+            doubled.append({(a, b): (0, -1), (b, a): (0, 1)})
     for l in range(1, n):
-        herm.append(gmat(lambda x, y, l=l:
-                         GaussianRational(half) if x == y and x < l
-                         else GaussianRational(-Fraction(l, 2)) if x == y == l
-                         else GaussianRational(0)))
+        diag = {(x, x): (1, 0) for x in range(l)}
+        diag[(l, l)] = (-l, 0)
+        doubled.append(diag)
 
     r = n * n - 1
-    norms = []
-    for m in herm:
-        t = linalg.trace(linalg.mat_mul(m, m))
-        assert t.im == 0
-        norms.append(t.re)
+    sq_norms = []
+    for y in doubled:
+        re, im = linalg.zi_trace(y, y)
+        assert im == 0
+        sq_norms.append(re)
     # real structure constants: [X_i, X_j] = i C_ij^k X_k in the hermitian basis
     entries = []
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            cm = linalg.commutator(herm[i - 1], herm[j - 1])
+            cm = linalg.zi_commutator(doubled[i - 1], doubled[j - 1])
             for k in range(1, r + 1):
-                coeff = linalg.trace(linalg.mat_mul(cm, herm[k - 1]))
-                c = GaussianRational(0, -1) * coeff / GaussianRational(norms[k - 1])
-                assert c.im == 0, "structure constants must be real"
-                if c.re != 0:
-                    entries.append(((i, j, k), c.re))
+                re, im = linalg.zi_trace(cm, doubled[k - 1])
+                assert re == 0, "structure constants must be real"
+                if im:
+                    entries.append(((i, j, k), Fraction(im, 2 * sq_norms[k - 1])))
     alg = LieAlgebra.from_entries(r, entries)
-    antiherm = [linalg.mat_scale(GaussianRational(0, -1), m) for m in herm]
+    half = Fraction(1, 2)
+    herm = [linalg.zi_to_dense(y, n, half) for y in doubled]
+    antiherm = [linalg.zi_to_dense(linalg.zi_scale((0, -1), y), n, half) for y in doubled]
     rep = Representation(alg, antiherm)
-    return SunBasis(rep=rep, hermitian=herm, trace_norms=norms)
+    return SunBasis(rep=rep, hermitian=herm, trace_norms=[Fraction(t, 4) for t in sq_norms],
+                    doubled=doubled)
 
 
 # ---------------------------------------------------------------------------
@@ -357,34 +376,38 @@ def _n_arrangements(idx):
 
 def symmetrized_trace_poly(basis: SunBasis, m: int) -> SymInvariantPoly:
     """k_{i_1..i_m} = sTr(X_{i_1}..X_{i_m}), weight-one symmetrization, in
-    the hermitian basis, where the values come out real rationals."""
+    the hermitian basis, where the values come out real rationals.
+
+    The traces are taken on the doubled ℤ[i] generators Y_i = 2 X_i, whose
+    prefix products are built once each; the integer sum over the distinct
+    arrangements is divided by 2^m m! once, at the end."""
     if m < 2:
         raise ValueError("order must be >= 2")
-    herm = basis.hermitian
-    r = len(herm)
+    gens = basis.doubled
+    r = len(gens)
     prefix = {}
 
     def product_of(seq):
         if len(seq) == 1:
-            return herm[seq[0] - 1]
+            return gens[seq[0] - 1]
         got = prefix.get(seq)
         if got is None:
-            got = linalg.mat_mul(product_of(seq[:-1]), herm[seq[-1] - 1])
+            got = linalg.zi_mul(product_of(seq[:-1]), gens[seq[-1] - 1])
             prefix[seq] = got
         return got
 
     fact = _factorial(m)
+    den = 2 ** m * fact
     terms = {}
     for idx in combinations_with_replacement(range(1, r + 1), m):
-        mult = fact // _n_arrangements(idx)
-        tot = GaussianRational(0)
+        re = im = 0
         for p in set(permutations(idx)):
-            tot = tot + linalg.trace(product_of(p))
-        tot = tot * mult
-        assert tot.im == 0, "symmetrized trace of hermitian matrices is real"
-        v = tot.re / fact
-        if v != 0:
-            terms[idx] = v
+            t_re, t_im = linalg.zi_trace(product_of(p[:-1]), gens[p[-1] - 1])
+            re += t_re
+            im += t_im
+        assert im == 0, "symmetrized trace of hermitian matrices is real"
+        if re:
+            terms[idx] = Fraction(re * (fact // _n_arrangements(idx)), den)
     return SymInvariantPoly(m, r, terms)
 
 

@@ -5,6 +5,17 @@ representation matrices.  Sparse matrices are lists of row dicts {column:
 nonzero value} with int or `Fraction` values: the coboundary matrices of the
 cohomology modules and the small linear systems of the algebra modules.
 
+The su(n) generators and the gamma matrices are built on a third kind: a
+sparse Gaussian-integer (ℤ[i]) matrix {(row, column): (re, im)} with int
+parts and no zero entries.  Every generalized Gell-Mann matrix, doubled, and
+every gamma matrix has at most one nonzero per row, in {±1, ±i} (or a small
+integer on a doubled Cartan diagonal), so their products stay as sparse and
+exact, and their arithmetic is integer products and sums.  `zi_mul`,
+`zi_trace`, `zi_commutator`, `zi_anticommutator`, `zi_kron` and `zi_scale`
+are the kernel's operations; `zi_to_dense` returns the dense
+`GaussianRational` lists the rest of the package reads, scaled by a
+rational (1/2 undoes the doubling).
+
 Every rank, solve and inverse runs through `integer_echelon`, which reduces
 sparse rows over the integers, fraction-free (Bareiss, Math. Comp. 22 (1968)
 565, with content removal):
@@ -110,13 +121,6 @@ def anticommutator(a, b):
     return mat_add(mat_mul(a, b), mat_mul(b, a))
 
 
-def kron(a, b):
-    n, m = len(a), len(b)
-    na, ma = len(a[0]), len(b[0])
-    return [[a[i // m][j // ma] * b[i % m][j % ma]
-             for j in range(na * ma)] for i in range(n * m)]
-
-
 def is_zero_matrix(a):
     return all(is_zero(x) for row in a for x in row)
 
@@ -125,6 +129,88 @@ def conj_transpose(a):
     def c(x):
         return x.conjugate() if isinstance(x, GaussianRational) else x
     return [[c(a[j][i]) for j in range(len(a))] for i in range(len(a[0]))]
+
+
+# ---------------------------------------------------------------------------
+# sparse Gaussian-integer matrices
+# ---------------------------------------------------------------------------
+
+def _zi_add(out, key, re, im):
+    """out[key] += re + im i, for a nonzero re + im i, on a map without zero
+    values."""
+    old = out.get(key)
+    if old is not None:
+        re += old[0]
+        im += old[1]
+        if not (re or im):
+            del out[key]
+            return
+    out[key] = (re, im)
+
+
+def zi_mul(a, b):
+    """The product of two ℤ[i] matrices."""
+    rows = {}
+    for (k, j), w in b.items():
+        rows.setdefault(k, []).append((j, w))
+    out = {}
+    for (i, k), (ar, ai) in a.items():
+        for j, (br, bi) in rows.get(k, ()):
+            _zi_add(out, (i, j), ar * br - ai * bi, ar * bi + ai * br)
+    return out
+
+
+def zi_trace(a, b):
+    """Tr ab as (re, im), without forming the product."""
+    re = im = 0
+    for (i, k), (ar, ai) in a.items():
+        w = b.get((k, i))
+        if w is not None:
+            br, bi = w
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+    return re, im
+
+
+def zi_scale(c, a):
+    """The ℤ[i] matrix c a, for a nonzero Gaussian integer c = (re, im)."""
+    cr, ci = c
+    return {key: (cr * ar - ci * ai, cr * ai + ci * ar) for key, (ar, ai) in a.items()}
+
+
+def _zi_bracket(a, b, sign):
+    out = zi_mul(a, b)
+    for key, (re, im) in zi_mul(b, a).items():
+        _zi_add(out, key, sign * re, sign * im)
+    return out
+
+
+def zi_commutator(a, b):
+    return _zi_bracket(a, b, -1)
+
+
+def zi_anticommutator(a, b):
+    return _zi_bracket(a, b, 1)
+
+
+def zi_kron(a, b, b_size):
+    """The Kronecker product of a ℤ[i] matrix and a b_size-square one; row
+    (i, k) of the product is row i * b_size + k."""
+    return {(i * b_size + k, j * b_size + l): (ar * br - ai * bi, ar * bi + ai * br)
+            for (i, j), (ar, ai) in a.items() for (k, l), (br, bi) in b.items()}
+
+
+def zi_identity(size):
+    return {(i, i): (1, 0) for i in range(size)}
+
+
+def zi_to_dense(a, size, scale=1):
+    """The size x size matrix of `GaussianRational`s scale * a."""
+    zero = GaussianRational(0)
+    out = [[zero] * size for _ in range(size)]
+    for (i, j), (re, im) in a.items():
+        out[i][j] = GaussianRational(scale * re, scale * im)
+    return out
 
 
 # ---------------------------------------------------------------------------

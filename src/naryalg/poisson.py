@@ -13,7 +13,10 @@ zero, filled on first read.  The table hands out the stored objects, so the
 components of a multivector, and the Polys a read returns, are never
 mutated after construction.  `schouten_bracket`, `gps_check` and
 `np_check` read the table directly and collect each output's sum of
-products c*a*b in one term map (`poly.add_product`).
+products c*a*b in one term map (`poly.add_product`).  `schouten_bracket`
+and `gps_check` take each partial derivative once per component, through a
+gradient table local to the call that lists only the variables the
+component depends on.
 """
 
 from __future__ import annotations
@@ -132,6 +135,24 @@ def wedge_vectors(vectors, m) -> PolyMultivector:
 # Schouten-Nijenhuis bracket
 # ---------------------------------------------------------------------------
 
+class _Gradients(dict):
+    """Sorted index tuple -> [(nu, d_nu of the component)] over the
+    variables the component of a signed table depends on, ascending: each
+    derivative is taken once per component and nu."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, key):
+        p = self.table[key]
+        used = sorted({nu for e in p.terms for nu, k in enumerate(e, 1) if k})
+        out = self[key] = [(nu, p.diff(nu)) for nu in used]
+        return out
+
+
 def schouten_bracket(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
     """[A, B]^{k_1..k_{p+q-1}} =
         1/(p-1)!q!  eps^{k..}_{i.. j..} A^{nu i..} d_nu B^{j..}
@@ -147,31 +168,21 @@ def schouten_bracket(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
     out_order = p + q - 1
     at, bt = a.signed, b.signed
     a_zero, b_zero = at.zero, bt.zero
+    a_grad = _Gradients(at)
+    b_grad = a_grad if b is a else _Gradients(bt)
     sign_p = (-1) ** p
     comps = {}
     for kk in combinations(range(1, m + 1), out_order):
         terms = {}
         for (bi, bj), sign in shuffle_splits(kk, [p - 1, q]):
-            db = bt[bj]
-            if db is b_zero:
-                continue
-            for nu in range(1, m + 1):
+            for nu, dv in b_grad[bj]:
                 av = at[(nu,) + bi]
-                if av is a_zero:
-                    continue
-                dv = db.diff(nu)
-                if dv:
+                if av is not a_zero:
                     add_product(terms, sign, av, dv)
         for (bi, bj), sign in shuffle_splits(kk, [p, q - 1]):
-            da = at[bi]
-            if da is a_zero:
-                continue
-            for nu in range(1, m + 1):
+            for nu, dv in a_grad[bi]:
                 bv = bt[(nu,) + bj]
-                if bv is b_zero:
-                    continue
-                dv = da.diff(nu)
-                if dv:
+                if bv is not b_zero:
                     add_product(terms, sign * sign_p, bv, dv)
         if terms:
             comps[kk] = Poly._canonical(m, terms)
@@ -248,20 +259,15 @@ def gps_check(lam: PolyMultivector) -> GPSReport:
     n = lam.order
     m = lam.dim
     table, zero = lam.signed, lam.signed.zero
+    grad = _Gradients(table)
     coords_ok = True
     witness = None
     for kk in combinations(range(1, m + 1), 2 * n - 1):
         terms = {}
         for (bi, bj), sign in shuffle_splits(kk, [n - 1, n]):
-            wj = table[bj]
-            if wj is zero:
-                continue
-            for s in range(1, m + 1):
+            for s, dv in grad[bj]:
                 av = table[bi + (s,)]
-                if av is zero:
-                    continue
-                dv = wj.diff(s)
-                if dv:
+                if av is not zero:
                     add_product(terms, sign, av, dv)
         if terms:
             coords_ok = False

@@ -218,8 +218,8 @@ GOLDEN_METRIC = {
         '{"check": "metric-nondegenerate", "verdict": "pass"}',
         '{"check": "metric-invariance", "verdict": "pass"}']),
     "a4-singular": (A4_GAUSSIAN + SINGULAR, 1, [
-        '{"check": "metric-nondegenerate", "counterexample": "metric must be non-degenerate",'
-        ' "verdict": "fail"}']),
+        '{"check": "metric-nondegenerate", "verdict": "fail"}',
+        '{"check": "metric-invariance", "counterexample": [[1, 2], 3, 4], "verdict": "fail"}']),
 }
 
 

@@ -314,8 +314,14 @@ def test_stretched_metric_fails():
 
 
 def test_degenerate_metric_rejected():
-    with pytest.raises(ValueError):
-        check_metric_fa(a4(), linalg.zeros(4, 4))
+    # the zero form is invariant but singular: reported, not raised
+    rep = check_metric_fa(a4(), linalg.zeros(4, 4))
+    assert rep.invariant and not rep.nondegenerate and not rep.metric
+    assert rep.witness is None and rep.lowered.entries == {}
+    g = linalg.identity(4)
+    g[0][1] = Fraction(1)
+    with pytest.raises(ValueError, match="symmetric"):
+        check_metric_fa(a4(), g)
 
 
 def test_subordinated_metric_algebra_stays_metric():

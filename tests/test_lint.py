@@ -1,8 +1,9 @@
 """Lint scans of the package: sparse exact maps accumulate through
 `scalars.accumulate` alone (no module pops a key by hand with
 `.pop(key, None)`), the non-validating `Poly._canonical` constructor is
-called from `poly.py` and `poisson.py` alone, and every public function,
-class, method or property has a caller in `src/` or a test."""
+called from `poly.py` and `poisson.py` alone, every public function,
+class, method or property has a caller in `src/` or a test, and the su(n)
+and gamma-matrix constructions make no dense `linalg` product."""
 
 import ast
 from pathlib import Path
@@ -131,3 +132,45 @@ def test_scan_sees_an_unreferenced_definition():
 def test_every_public_definition_is_used_or_tested():
     sources = {path.name: path.read_text() for path in MODULES}
     assert unreferenced(sources, [path.read_text() for path in TESTS]) == []
+
+
+# ---------------------------------------------------------------------------
+# the su(n) and gamma constructions stay on the sparse ℤ[i] kernel
+# ---------------------------------------------------------------------------
+
+KERNEL_FUNCTIONS = {"sun_generators", "symmetrized_trace_poly", "closure_residual",
+                    "gamma_matrices", "_chirality"}
+DENSE_PRODUCTS = {"mat_mul", "commutator", "anticommutator", "trace"}
+
+
+def dense_product_calls(source):
+    """(function, dense operation) of every call of a dense `linalg` product
+    (as `linalg.<name>` or a bare imported name) inside the kernel
+    functions, nested definitions included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in KERNEL_FUNCTIONS:
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                        and f.value.id == "linalg" and f.attr in DENSE_PRODUCTS):
+                    found.append((node.name, f.attr))
+                elif isinstance(f, ast.Name) and f.id in DENSE_PRODUCTS:
+                    found.append((node.name, f.id))
+    return found
+
+
+def test_scan_sees_a_dense_product():
+    source = ("def closure_residual(a, b):\n    def inner(x):\n"
+              "        return linalg.trace(x)\n    return commutator(a, b)\n"
+              "def other(a, b):\n    return linalg.mat_mul(a, b)\n"
+              "def gamma_matrices(d):\n    return linalg.zi_mul(d, d), linalg.mat_sub(d, d)\n")
+    assert sorted(dense_product_calls(source)) == [("closure_residual", "commutator"),
+                                                   ("closure_residual", "trace")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_su_and_gamma_constructions_use_the_integer_kernel(path):
+    assert dense_product_calls(path.read_text()) == []
