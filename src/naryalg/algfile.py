@@ -9,7 +9,10 @@ The header is checked against the kind: arity and dim are positive, `lie`
 and `leibniz` have arity 2, `filippov` an arity of at least 2, `gla` an even
 arity, and an antisymmetric kind has arity <= dim (otherwise no strictly
 increasing index tuple exists).  A `gaussian` file may write metric values
-over Q(i); its entry values must still be real.
+over Q(i); its entry values must still be real.  A file holds at most one
+`metric` block, and the block names each pair i <= j at most once; `emit`
+writes only symmetric dim x dim metrics, so every metric reads back as
+written.
 A malformed line is a `ParseError` at its line and at the column of the
 offending token (the first surplus token, or where a missing one belongs).
 The structure-constant kinds build their `BracketTensor` subclass through
@@ -75,6 +78,12 @@ class AlgebraFile:
 
     # -- text round trip -----------------------------------------------------
     def emit(self) -> str:
+        if self.metric is not None:
+            d = self.dim
+            if len(self.metric) != d or any(len(row) != d for row in self.metric):
+                raise ValueError(f"the metric must be {d} x {d}")
+            if any(self.metric[i][j] != self.metric[j][i] for i in range(d) for j in range(i)):
+                raise ValueError("the metric must be symmetric")
         lines = [f"{self.kind} {self.arity} {self.dim} {self.scalar_kind}"]
         for idx, target, value in sorted(self.entries):
             head = " ".join(str(i) for i in idx)
@@ -122,12 +131,15 @@ class AlgebraFile:
         in_metric = False
         metric = None
         seen = set()
+        metric_pairs = set()
         for no, line in enumerate(lines[1:], start=2):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             col0 = len(line) - len(line.lstrip()) + 1  # column of stripped[0]
             if stripped == "metric":
+                if in_metric:
+                    raise ParseError(no, col0, "a second metric block")
                 in_metric = True
                 metric = [[Fraction(0)] * dim for _ in range(dim)]
                 continue
@@ -150,6 +162,10 @@ class AlgebraFile:
                     if not 1 <= i <= dim:
                         raise ParseError(no, col, f"metric index {i} out of range")
                 (_, i), (_, j) = parts
+                pair = (min(i, j), max(i, j))
+                if pair in metric_pairs:
+                    raise ParseError(no, col0, f"duplicate metric entry for {pair}")
+                metric_pairs.add(pair)
                 metric[i - 1][j - 1] = value
                 metric[j - 1][i - 1] = value
                 continue
@@ -222,8 +238,10 @@ class AlgebraFile:
     @classmethod
     def from_object(cls, obj) -> "AlgebraFile":
         if isinstance(obj, BracketTensor):
-            return cls(obj.kind, obj.arity, obj.dim, entries=list(obj.entries()),
-                       metric=obj.metric)
+            gaussian = obj.metric is not None and any(
+                isinstance(v, GaussianRational) and v.im for row in obj.metric for v in row)
+            return cls(obj.kind, obj.arity, obj.dim, "gaussian" if gaussian else "rational",
+                       list(obj.entries()), obj.metric)
         if isinstance(obj, LeibnizAlgebra):
             out = cls("leibniz", 2, obj.dim)
             for (i, j), row in obj.b.items():

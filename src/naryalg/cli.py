@@ -18,7 +18,7 @@ from itertools import combinations
 
 from . import catalog, linalg
 from .algfile import AlgebraFile, ParseError
-from .filippov import FI_FORMS, FilippovAlgebra, check_fi, check_metric_fa
+from .filippov import FI_FORMS, FARepresentation, FilippovAlgebra, check_fi, check_metric_fa
 from .gla import GLAlgebra, check_gji
 from .lie import LieAlgebra, check_jacobi, check_metric_invariance
 from .nary_cohomology import LeibnizAlgebra, fa_cohomology_dims
@@ -233,8 +233,8 @@ def cmd_cohomology(args) -> int:
             return 2
         if args.complex == "module" and args.rep == "0":
             # the one-dimensional trivial module: every rho(X) is zero
-            zero = {lab: [[Fraction(0)]]
-                    for lab in combinations(range(1, obj.dim + 1), obj.arity - 1)}
+            zero = FARepresentation({lab: {} for lab in
+                                     combinations(range(1, obj.dim + 1), obj.arity - 1)}, 1)
             rep = fa_cohomology_dims(obj, "module", args.pmax, zero)
         else:
             rep = fa_cohomology_dims(obj, args.complex, args.pmax)

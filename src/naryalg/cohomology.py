@@ -94,14 +94,14 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
         (s Om)(X_1..X_{p+1}) = sum_i (-1)^{i+1} rho(X_i) Om(..^i..)
                              + sum_{j<k} (-1)^{j+k} Om([X_j,X_k], ..^j..^k..)
 
-    `rho` is None for the trivial representation, else a Representation (or a
-    bare list of matrices) acting on the target.
+    `rho` is None for the trivial representation, else a Representation
+    acting on the target.
     """
-    mats = None
+    rows = None
     if rho is not None:
-        mats = rho.mats if isinstance(rho, Representation) else rho
-        if len(mats[0]) != om.dim_v:
+        if rho.dim_v != om.dim_v:
             raise ValueError("representation/target dimension mismatch")
+        rows = [_matrix_rows(m) for m in rho.mats]
     p = om.order
     r = om.alg_dim
     if p >= r:
@@ -110,14 +110,11 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     for idx in combinations(range(1, r + 1), p + 1):
         for a in range(1, om.dim_v + 1):
             tot = 0
-            if mats is not None:
+            if rows is not None:
                 for i in range(p + 1):
                     rest = idx[:i] + idx[i + 1:]
-                    m = mats[idx[i] - 1]
-                    for b in range(1, om.dim_v + 1):
-                        coeff = m[a - 1][b - 1]
-                        if not is_zero(coeff):
-                            tot += (-1) ** i * coeff * om.get(b, rest)
+                    for b, coeff in rows[idx[i] - 1].get(a - 1, ()):
+                        tot += (-1) ** i * coeff * om.get(b + 1, rest)
             for j in range(p + 1):
                 for k in range(j + 1, p + 1):
                     rest = tuple(idx[t] for t in range(p + 1) if t not in (j, k))
@@ -129,6 +126,14 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
             if tot:
                 data[(a, idx)] = tot
     return Cochain(p + 1, r, om.dim_v, data)
+
+
+def _matrix_rows(m):
+    """{row: [(column, value), ..]} of a sparse matrix, columns ascending."""
+    rows = {}
+    for (a, b), v in sorted(m.items()):
+        rows.setdefault(a, []).append((b, v))
+    return rows
 
 
 def coboundary_coords(alg: LieAlgebra, om: Cochain) -> Cochain:
@@ -168,14 +173,14 @@ def coord_basis(r, p, dim_v):
 
 def integer_scaling(alg, mats=()):
     """(D, D C, [D m for m in mats]): D is the least common denominator of the
-    structure constants and the matrix entries, and the scaled constants and
-    matrices hold plain ints.  The entries must be rational: a Gaussian entry
-    with a nonzero imaginary part raises ValueError."""
-    mats = [[[rat(x) for x in row] for row in m] for m in mats]
+    structure constants and the values of the sparse matrices, and the scaled
+    constants and matrices hold plain ints.  The values must be rational: a
+    Gaussian value with a nonzero imaginary part raises ValueError."""
+    mats = [{key: rat(v) for key, v in m.items()} for m in mats]
     d = common_denominator(chain((v for _, _, v in alg.entries()),
-                                (x for m in mats for row in m for x in row)))
-    return d, alg.scaled(d), [[[x.numerator * (d // x.denominator) for x in row]
-                               for row in m] for m in mats]
+                                (v for m in mats for v in m.values())))
+    return d, alg.scaled(d), [{key: v.numerator * (d // v.denominator) for key, v in m.items()}
+                              for m in mats]
 
 
 def unscale_rows(rows, d):
@@ -199,11 +204,11 @@ def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v):
     """
     src = coord_basis(alg.dim, p, dim_v)
     dst = coord_basis(alg.dim, p + 1, dim_v)
-    mats = () if rho is None else rho.mats if isinstance(rho, Representation) else rho
-    d, ialg, imats = integer_scaling(alg, mats)
+    d, ialg, imats = integer_scaling(alg, () if rho is None else rho.mats)
+    irho = None if rho is None else Representation(ialg, imats, rho.dim_v, check=False)
     generic = Cochain(p, alg.dim, dim_v,
                       {key: LinearForm({i: 1}) for i, key in enumerate(src)})
-    out = coboundary(ialg, None if rho is None else imats, generic).data
+    out = coboundary(ialg, irho, generic).data
     return unscale_rows([out.get(key, LinearForm()) for key in dst], d), src, dst
 
 
@@ -226,7 +231,7 @@ def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport
     """Exact Z/B/H dimensions for degrees 0..p_max by ranks over Q; the
     representation matrices must be rational."""
     if dim_v is None:
-        dim_v = 1 if rho is None else len((rho.mats if isinstance(rho, Representation) else rho)[0])
+        dim_v = 1 if rho is None else rho.dim_v
     dims_c, ranks = {}, {}
     for p in range(0, p_max + 1):
         rows, src, _ = coboundary_matrix(alg, rho, p, dim_v)
@@ -239,26 +244,21 @@ def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport
 # Whitehead homotopy operator
 # ---------------------------------------------------------------------------
 
-def quadratic_casimir(alg: LieAlgebra, rho):
-    """I_2(rho) = k^{ij} rho_i rho_j; raises through the inverse Killing form."""
+def quadratic_casimir(alg: LieAlgebra, rho: Representation):
+    """I_2(rho) = k^{ij} rho_i rho_j as a sparse matrix; raises through the
+    inverse Killing form."""
     from .lie import killing_form
     kinv = linalg.inverse(killing_form(alg))
-    mats = rho.mats if isinstance(rho, Representation) else rho
-    n = len(mats[0])
-    out = linalg.zeros(n, n)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            if kinv[i][j] != 0:
-                out = linalg.mat_add(out, linalg.mat_scale(kinv[i][j],
-                                                           linalg.mat_mul(mats[i], mats[j])))
-    return out
+    mats = rho.mats
+    return linalg.sp_sum((kinv[i][j], linalg.sp_mul(mats[i], mats[j]))
+                         for i in range(alg.dim) for j in range(alg.dim) if kinv[i][j] != 0)
 
 
 def homotopy_contraction(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     """(tau Om)^A_{i_1..i_{p-1}} = k^{ij} rho(X_i)^A_B Om^B_{j i_1..i_{p-1}}."""
     from .lie import killing_form
     kinv = linalg.inverse(killing_form(alg))
-    mats = rho.mats if isinstance(rho, Representation) else rho
+    rows = [_matrix_rows(m) for m in rho.mats]
     p = om.order
     data = {}
     for idx in combinations(range(1, om.alg_dim + 1), p - 1):
@@ -269,11 +269,8 @@ def homotopy_contraction(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
                     kij = kinv[i - 1][j - 1]
                     if kij == 0:
                         continue
-                    m = mats[i - 1]
-                    for b in range(1, om.dim_v + 1):
-                        coeff = m[a - 1][b - 1]
-                        if not is_zero(coeff):
-                            tot += kij * coeff * om.get(b, (j,) + idx)
+                    for b, coeff in rows[i - 1].get(a - 1, ()):
+                        tot += kij * coeff * om.get(b + 1, (j,) + idx)
             if tot != 0:
                 data[(a, idx)] = tot
     return Cochain(p - 1, om.alg_dim, om.dim_v, data)
@@ -284,9 +281,8 @@ def whitehead_homotopy(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     reproduces the cocycle Om (requires invertible Killing form and a scalar,
     invertible quadratic Casimir)."""
     cas = quadratic_casimir(alg, rho)
-    n = len(cas)
-    c0 = cas[0][0]
-    if any(cas[i][j] != (c0 if i == j else 0) for i in range(n) for j in range(n)):
+    c0 = cas.get((0, 0), 0)
+    if cas != linalg.sp_scale(c0, linalg.sp_identity(rho.dim_v)):
         raise ValueError("quadratic Casimir is not scalar (rho not irreducible)")
     if c0 == 0:
         raise ValueError("quadratic Casimir is singular (rho trivial?)")
@@ -295,8 +291,7 @@ def whitehead_homotopy(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
 
 def laplacian_identity_holds(alg: LieAlgebra, rho, om: Cochain) -> bool:
     """(s tau + tau s) Om = I_2(rho) Om entrywise on the given cochain."""
-    cas = quadratic_casimir(alg, rho)
-    c0 = cas[0][0]
+    c0 = quadratic_casimir(alg, rho).get((0, 0), 0)
     left = coboundary(alg, rho, homotopy_contraction(alg, rho, om)) \
         + homotopy_contraction(alg, rho, coboundary(alg, rho, om))
     return left == om.scale(c0)

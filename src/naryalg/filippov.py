@@ -7,6 +7,11 @@ split into two commuting su(2)-type blocks, subordinated algebras, Clifford
 (gamma-matrix) realizations, and trace-extended matrix brackets.
 `FilippovAlgebra` stores its constants as a `tensors.BracketTensor`, the one
 storage of structure constants.
+
+Every operator here -- an ad map, a representation matrix, a gamma matrix
+and the brackets built from them -- is a sparse map {(row, column): nonzero
+value} (see `linalg`), so "as matrices" means equal maps; the metric, the
+Kasymov form and k2 are bilinear forms and stay dense lists of rows.
 """
 
 from __future__ import annotations
@@ -54,15 +59,13 @@ class FilippovAlgebra(BracketTensor):
         return out
 
     def ad_matrix(self, labels):
-        """(ad_{a_1..a_{n-1}})^l_b = f_{a_1..a_{n-1} b}^l."""
-        m = linalg.zeros(self.dim, self.dim)
+        """(ad_{a_1..a_{n-1}})^l_b = f_{a_1..a_{n-1} b}^l as a sparse dim x dim
+        matrix."""
         key, s = sort_sign(labels)
         if s == 0:
-            return m
-        for b in range(1, self.dim + 1):
-            for l, v in self.f_row(key + (b,)).items():
-                m[l - 1][b - 1] = s * v
-        return m
+            return {}
+        return {(l - 1, b - 1): s * v for b in range(1, self.dim + 1)
+                for l, v in self.f_row(key + (b,)).items()}
 
 
 def _alternant(vectors, idx):
@@ -232,10 +235,7 @@ def vector_product(vectors):
 # ---------------------------------------------------------------------------
 
 def ad_of_sum(fa: FilippovAlgebra, s: Multivector):
-    m = linalg.zeros(fa.dim, fa.dim)
-    for labels, v in s.items():
-        m = linalg.mat_add(m, linalg.mat_scale(v, fa.ad_matrix(labels)))
-    return m
+    return linalg.sp_sum((v, fa.ad_matrix(labels)) for labels, v in s.items())
 
 
 def fundamental_compose(fa: FilippovAlgebra, x_labels, y_labels) -> Multivector:
@@ -250,10 +250,9 @@ def fundamental_compose(fa: FilippovAlgebra, x_labels, y_labels) -> Multivector:
 
 
 def compose_matches_commutator(fa: FilippovAlgebra, x_labels, y_labels) -> bool:
-    """ad_{X.Y} = [ad_X, ad_Y] as matrices."""
+    """ad_{X.Y} = [ad_X, ad_Y] as sparse matrices."""
     lhs = ad_of_sum(fa, fundamental_compose(fa, x_labels, y_labels))
-    rhs = linalg.commutator(fa.ad_matrix(x_labels), fa.ad_matrix(y_labels))
-    return linalg.mat_eq(lhs, rhs)
+    return lhs == linalg.sp_commutator(fa.ad_matrix(x_labels), fa.ad_matrix(y_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +269,22 @@ class InDerAlgebra:
     projection: dict            # wedge label -> coords in the basis
 
 
-def _flat(m):
-    return [x for row in m for x in row]
+def _span_system(mats):
+    """The system sum_k x_k mats[k] = M as {(i, j): {k: mats[k][i, j]}}, one
+    sparse row per entry (i, j) that some matrix of mats holds."""
+    rows = {}
+    for k, m in enumerate(mats):
+        for key, v in m.items():
+            rows.setdefault(key, {})[k] = v
+    return rows
 
 
-def _span_rows(mats, size):
-    """The system sum_k x_k mats[k] = M as sparse rows, one per entry (i, j)
-    of a size x size matrix M: {k: mats[k][i][j]}.  `linalg.solve(rows,
-    len(mats), _flat(M))` gives the coordinates of M in the span of mats, or
-    None when M lies outside it."""
-    return [{k: m[i][j] for k, m in enumerate(mats) if m[i][j]}
-            for i in range(size) for j in range(size)]
+def _coordinates(system, ncols, m):
+    """The coordinates of the matrix m in the span of the ncols matrices of
+    `_span_system`, or None when m lies outside it."""
+    if any(key not in system for key in m):
+        return None
+    return linalg.solve(list(system.values()), ncols, [m.get(key, 0) for key in system])
 
 
 def inder_lie_algebra(fa: FilippovAlgebra) -> InDerAlgebra:
@@ -292,13 +296,13 @@ def inder_lie_algebra(fa: FilippovAlgebra) -> InDerAlgebra:
     mats = [fa.ad_matrix(lab) for lab in labels]
     # the leading columns of the echelon basis are the first ad matrices
     # independent of those before them: the greedy basis
-    leads = sorted(linalg.integer_echelon(_span_rows(mats, d)))
+    leads = sorted(linalg.integer_echelon(_span_system(mats).values()))
     basis_labels = [labels[t] for t in leads]
     basis_mats = [mats[t] for t in leads]
-    span = _span_rows(basis_mats, d)
+    span = _span_system(basis_mats)
 
     def coords(m):
-        return linalg.solve(span, len(basis_mats), _flat(m))
+        return _coordinates(span, len(basis_mats), m)
 
     projection = {}
     for lab, m in zip(labels, mats):
@@ -311,8 +315,7 @@ def inder_lie_algebra(fa: FilippovAlgebra) -> InDerAlgebra:
     k = len(basis_labels)
     for i in range(k):
         for j in range(i + 1, k):
-            cm = linalg.commutator(basis_mats[i], basis_mats[j])
-            co = coords(cm)
+            co = coords(linalg.sp_commutator(basis_mats[i], basis_mats[j]))
             if co is None:
                 raise AssertionError("inner derivations do not close")
             for t, v in enumerate(co):
@@ -367,15 +370,10 @@ def so_dual_generators(fa: FilippovAlgebra):
     contracted block, so on sorted labels M~^{ab} = sum_rest sign * ad_rest.
     Returns the dict (a, b) -> matrix, a < b."""
     d = fa.dim
-    out = {}
-    for a, b in combinations(range(1, d + 1), 2):
-        m = linalg.zeros(d, d)
-        for rest in combinations(range(1, d + 1), d - 2):
-            sign = gen_kronecker(tuple(range(1, d + 1)), (a, b) + rest)
-            if sign:
-                m = linalg.mat_add(m, linalg.mat_scale(Fraction(sign), fa.ad_matrix(rest)))
-        out[(a, b)] = m
-    return out
+    top = tuple(range(1, d + 1))
+    return {(a, b): linalg.sp_sum((gen_kronecker(top, (a, b) + rest), fa.ad_matrix(rest))
+                                  for rest in combinations(top, d - 2))
+            for a, b in combinations(top, 2)}
 
 
 def orthogonal_relations_hold(fa: FilippovAlgebra) -> bool:
@@ -393,23 +391,20 @@ def orthogonal_relations_hold(fa: FilippovAlgebra) -> bool:
 
     def m(a, b):
         if a == b:
-            return linalg.zeros(d, d)
+            return {}
         if a < b:
-            return linalg.mat_scale(overall, mt[(a, b)])
-        return linalg.mat_scale(-overall, mt[(b, a)])
+            return linalg.sp_scale(overall, mt[(a, b)])
+        return linalg.sp_scale(-overall, mt[(b, a)])
 
     def delta(a, b):
-        return Fraction(1 if a == b else 0)
+        return int(a == b)
 
     for a1, a2 in combinations(range(1, d + 1), 2):
         for b1, b2 in combinations(range(1, d + 1), 2):
-            lhs = linalg.commutator(m(a1, a2), m(b1, b2))
-            rhs = linalg.zeros(d, d)
-            for c, mm in ((-delta(a1, b2), m(a2, b1)), (-delta(a2, b1), m(a1, b2)),
-                          (delta(a1, b1), m(a2, b2)), (delta(a2, b2), m(a1, b1))):
-                if c:
-                    rhs = linalg.mat_add(rhs, linalg.mat_scale(c, mm))
-            if not linalg.mat_eq(lhs, rhs):
+            lhs = linalg.sp_commutator(m(a1, a2), m(b1, b2))
+            rhs = linalg.sp_sum([(-delta(a1, b2), m(a2, b1)), (-delta(a2, b1), m(a1, b2)),
+                                 (delta(a1, b1), m(a2, b2)), (delta(a2, b2), m(a1, b1))])
+            if lhs != rhs:
                 return False
     return True
 
@@ -640,33 +635,26 @@ def k2_invariant_and_so4_split(fa: FilippovAlgebra) -> So4SplitReport:
     p_mats, q_mats = [], []
     for i in (1, 2, 3):
         base = duals[(i, 4)]
-        extra = linalg.zeros(4, 4)
-        for a, b in combinations((1, 2, 3), 2):
-            s = eps3(i, a, b)
-            if s:
-                extra = linalg.mat_add(extra, linalg.mat_scale(Fraction(s), duals[(a, b)]))
-        p_mats.append(linalg.mat_scale(half, linalg.mat_add(base, extra)))
-        q_mats.append(linalg.mat_scale(half, linalg.mat_sub(base, extra)))
+        extra = linalg.sp_sum((eps3(i, a, b), duals[(a, b)])
+                              for a, b in combinations((1, 2, 3), 2))
+        p_mats.append(linalg.sp_sum([(half, base), (half, extra)]))
+        q_mats.append(linalg.sp_sum([(half, base), (-half, extra)]))
 
-    commutes = all(linalg.is_zero_matrix(linalg.commutator(p, q))
-                   for p in p_mats for q in q_mats)
+    commutes = all(not linalg.sp_commutator(p, q) for p in p_mats for q in q_mats)
 
     def su2_pattern(ms):
         # [T_i, T_j] = c eps_{ijk} T_k for one fixed nonzero c
         scale = None
         for i, j in combinations((1, 2, 3), 2):
-            cm = linalg.commutator(ms[i - 1], ms[j - 1])
+            cm = linalg.sp_commutator(ms[i - 1], ms[j - 1])
             k = next(x for x in (1, 2, 3) if x not in (i, j))
-            s = eps3(i, j, k)
-            target = linalg.mat_scale(Fraction(s), ms[k - 1])
-            # find c with cm = c * target
-            flat_t = [x for row in target for x in row]
-            flat_c = [x for row in cm for x in row]
-            nz = next((t for t, x in enumerate(flat_t) if x != 0), None)
-            if nz is None:
+            target = linalg.sp_scale(eps3(i, j, k), ms[k - 1])
+            # find c with cm = c * target, read at target's first entry
+            if not target:
                 return None
-            c = flat_c[nz] / flat_t[nz]
-            if any(flat_c[t] != c * flat_t[t] for t in range(len(flat_t))):
+            key = min(target)
+            c = cm.get(key, 0) / target[key]
+            if cm != linalg.sp_scale(c, target):
                 return None
             if scale is None:
                 scale = c
@@ -684,8 +672,8 @@ def k2_invariant_and_so4_split(fa: FilippovAlgebra) -> So4SplitReport:
     sum_ok = diff_ok = False
     if pattern_ok and commutes:
         basis = p_mats + q_mats
-        span = _span_rows([fa.ad_matrix(pa) for pa in pairs], 4)
-        coords_new = [linalg.solve(span, 6, _flat(m)) for m in basis]
+        span = _span_system([fa.ad_matrix(pa) for pa in pairs])
+        coords_new = [_coordinates(span, 6, m) for m in basis]
         k1_new = [[sum(coords_new[u][i] * coords_new[v][j] * k1_mat[i][j]
                        for i in range(6) for j in range(6)) for v in range(6)]
                   for u in range(6)]
@@ -701,18 +689,12 @@ def k2_invariant_and_so4_split(fa: FilippovAlgebra) -> So4SplitReport:
             return a, b, off1, off2
 
         def kill3(ms):
-            return [[linalg.trace(linalg.mat_mul(_ad3(ms, i), _ad3(ms, j)))
-                     for j in range(3)] for i in range(3)]
-
-        def _ad3(ms, i):
-            # adjoint matrix of the 3-dim span in its own basis
-            span = _span_rows(ms, len(ms[0]))
-            out = linalg.zeros(3, 3)
-            for j in range(3):
-                co = linalg.solve(span, 3, _flat(linalg.commutator(ms[i], ms[j])))
-                for k in range(3):
-                    out[k][j] = co[k]
-            return out
+            # the adjoint matrices of the 3-dim span in its own basis
+            span = _span_system(ms)
+            ads = [{(k, j): v for j in range(3)
+                    for k, v in enumerate(_coordinates(span, 3, linalg.sp_commutator(mi, ms[j])))
+                    if v} for mi in ms]
+            return [[linalg.sp_trace(ads[i], ads[j]) for j in range(3)] for i in range(3)]
 
         kp = kill3(p_mats)
         kq = kill3(q_mats)
@@ -722,7 +704,7 @@ def k2_invariant_and_so4_split(fa: FilippovAlgebra) -> So4SplitReport:
             # returns (lam_p, lam_q) or None
             a, b, o1, o2 = blocks(form)
             zero33 = linalg.zeros(3, 3)
-            if not (linalg.mat_eq(o1, zero33) and linalg.mat_eq(o2, zero33)):
+            if not (o1 == zero33 and o2 == zero33):
                 return None
             out = []
             for blk, ref in ((a, kpm), (b, kqm)):
@@ -814,9 +796,17 @@ def derivation_space_dim(fa: FilippovAlgebra) -> int:
 # representations in the fundamental-object sense
 # ---------------------------------------------------------------------------
 
-def check_fa_representation(fa: FilippovAlgebra, rho) -> bool:
-    """rho: sorted wedge label -> matrix, extended with antisymmetry.  Both
-    defining conditions must hold as matrix identities:
+@dataclass
+class FARepresentation:
+    """rho: sorted wedge label -> sparse dim_v x dim_v matrix (see `linalg`),
+    extended to unsorted labels with antisymmetry."""
+
+    mats: dict
+    dim_v: int
+
+
+def check_fa_representation(fa: FilippovAlgebra, rho: FARepresentation) -> bool:
+    """Both defining conditions must hold as identities of sparse matrices:
 
       [rho(X), rho(Y)] = rho(X.Y)
       rho(X_1..X_{n-2}, [Y_1..Y_n]) =
@@ -824,42 +814,35 @@ def check_fa_representation(fa: FilippovAlgebra, rho) -> bool:
     """
     d, n = fa.dim, fa.arity
     labels = list(combinations(range(1, d + 1), n - 1))
-    size = len(rho[labels[0]])
 
     def rho_get(lab):
         key, s = sort_sign(lab)
-        if s == 0:
-            return linalg.zeros(size, size)
-        m = rho[key]
-        return m if s == 1 else linalg.mat_scale(Fraction(-1), m)
+        return linalg.sp_scale(s, rho.mats[key]) if s else {}
 
     for x in labels:
         for y in labels:
-            lhs = linalg.commutator(rho_get(x), rho_get(y))
-            rhs = linalg.zeros(size, size)
-            for lab, v in fundamental_compose(fa, x, y).items():
-                rhs = linalg.mat_add(rhs, linalg.mat_scale(v, rho_get(lab)))
-            if not linalg.mat_eq(lhs, rhs):
+            lhs = linalg.sp_commutator(rho_get(x), rho_get(y))
+            rhs = linalg.sp_sum((v, rho_get(lab))
+                                for lab, v in fundamental_compose(fa, x, y).items())
+            if lhs != rhs:
                 return False
 
     for xs in combinations(range(1, d + 1), n - 2):
         for ys in combinations(range(1, d + 1), n):
-            lhs = linalg.zeros(size, size)
-            for l, v in fa.f.get(ys, {}).items():
-                lhs = linalg.mat_add(lhs, linalg.mat_scale(v, rho_get(xs + (l,))))
-            rhs = linalg.zeros(size, size)
-            for i in range(n):
-                rest = ys[:i] + ys[i + 1:]
-                term = linalg.mat_mul(rho_get(rest), rho_get(xs + (ys[i],)))
-                rhs = linalg.mat_add(rhs, linalg.mat_scale(Fraction((-1) ** (n - i - 1)), term))
-            if not linalg.mat_eq(lhs, rhs):
+            lhs = linalg.sp_sum((v, rho_get(xs + (l,))) for l, v in fa.f.get(ys, {}).items())
+            rhs = linalg.sp_sum(
+                ((-1) ** (n - i - 1), linalg.sp_mul(rho_get(ys[:i] + ys[i + 1:]),
+                                                    rho_get(xs + (ys[i],))))
+                for i in range(n))
+            if lhs != rhs:
                 return False
     return True
 
 
-def adjoint_fa_representation(fa: FilippovAlgebra) -> dict:
-    return {lab: fa.ad_matrix(lab)
-            for lab in combinations(range(1, fa.dim + 1), fa.arity - 1)}
+def adjoint_fa_representation(fa: FilippovAlgebra) -> FARepresentation:
+    return FARepresentation({lab: fa.ad_matrix(lab)
+                             for lab in combinations(range(1, fa.dim + 1), fa.arity - 1)},
+                            fa.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -872,8 +855,8 @@ def gamma_matrices(d_even: int):
     chirality) with chirality^2 = 1.
 
     The construction and every check ({g_a, g_b} = 2 delta_ab, and the
-    square of the chirality) run on sparse ℤ[i] matrices; only the returned
-    matrices are dense."""
+    square of the chirality) run on the ℤ[i] kernel; the returned sparse
+    matrices hold `GaussianRational` values and are 2^(d_even/2) square."""
     if d_even % 2 or d_even < 2:
         raise ValueError("need even dimension >= 2")
     s1 = {(0, 1): (1, 0), (1, 0): (1, 0)}
@@ -891,8 +874,7 @@ def gamma_matrices(d_even: int):
     for a in range(d_even):
         for b in range(d_even):
             assert linalg.zi_anticommutator(gam[a], gam[b]) == (twice if a == b else {})
-    return ([linalg.zi_to_dense(g, size) for g in gam],
-            linalg.zi_to_dense(_chirality(gam, size), size))
+    return [linalg.zi_wrap(g) for g in gam], linalg.zi_wrap(_chirality(gam, size))
 
 
 def _chirality(gammas, size):
@@ -936,34 +918,32 @@ def clifford_realization(n: int) -> CliffordReport:
         basis = gam
         prod = gam[0]
         for g in gam[1:]:
-            prod = linalg.mat_mul(prod, g)
+            prod = linalg.sp_mul(prod, g)
         ref = simple_fa(n, [1] * (n + 1))
 
         # the normalization of the top gamma is free; fix the phase by the
         # bracket identity itself, probing one tuple before full expansion
         probe_idx = tuple(range(1, n + 1))
         want_b = n + 1
-        want = linalg.mat_scale(
-            GaussianRational(-gen_kronecker(tuple(range(1, d + 1)), probe_idx + (want_b,))),
-            gam[want_b - 1])
+        want = linalg.sp_scale(
+            -gen_kronecker(tuple(range(1, d + 1)), probe_idx + (want_b,)), gam[want_b - 1])
         chosen = None
         for phase in (GaussianRational(1), GaussianRational(-1),
                       GaussianRational(0, 1), GaussianRational(0, -1)):
-            fixed = linalg.mat_scale(phase, prod)
-            val = multibracket_weighted([gam[i - 1] for i in probe_idx] + [fixed])
-            if linalg.mat_eq(val, want):
+            fixed = linalg.sp_scale(phase, prod)
+            if multibracket_weighted([gam[i - 1] for i in probe_idx] + [fixed]) == want:
                 chosen = fixed
                 break
         if chosen is None:
-            f, identity_ok = _expand_bracket(basis, n, prod)
+            f, identity_ok = _expand_bracket(basis, n, prod, 2 ** (d // 2))
         else:
-            f, clean = _expand_bracket(basis, n, chosen)
+            f, clean = _expand_bracket(basis, n, chosen, 2 ** (d // 2))
             identity_ok = clean and f == ref.f
     else:
         d = n
         gam, chi = gamma_matrices(d)
         basis = gam + [chi]
-        f, identity_ok = _expand_bracket(basis, n, None)
+        f, identity_ok = _expand_bracket(basis, n, None, 2 ** (d // 2))
 
     dim_fa = n + 1
     induced = FilippovAlgebra(n, dim_fa, f)
@@ -981,20 +961,19 @@ def clifford_realization(n: int) -> CliffordReport:
         for a in range(4):
             for b in range(4):
                 for c in range(4):
-                    lhs = linalg.mat_scale(GaussianRational(6), linalg.commutator(
-                        linalg.mat_mul(linalg.commutator(gam[a], gam[b]), top), gam[c]))
-                    rhs = multibracket([top, gam[a], gam[b], gam[c]])
-                    if not linalg.mat_eq(lhs, rhs):
+                    lhs = linalg.sp_scale(6, linalg.sp_commutator(
+                        linalg.sp_mul(linalg.sp_commutator(gam[a], gam[b]), top), gam[c]))
+                    if lhs != multibracket([top, gam[a], gam[b], gam[c]]):
                         dc = False
     return CliffordReport(n, identity_ok, dc, induced, matches)
 
 
-def _expand_bracket(basis, n, fixed):
+def _expand_bracket(basis, n, fixed, size):
     """Structure constants of the weight-one multibracket over the given
-    matrix basis (with an optional fixed extra slot), expanded by trace
-    orthogonality Tr(g_a g_b) = size * delta_ab; returns (f, all_real)."""
+    basis of size x size matrices (with an optional fixed extra slot),
+    expanded by trace orthogonality Tr(g_a g_b) = size * delta_ab; returns
+    (f, all_real)."""
     dim_fa = len(basis)
-    size = len(basis[0])
     f = {}
     clean = True
     for idx in combinations(range(1, dim_fa + 1), n):
@@ -1002,14 +981,7 @@ def _expand_bracket(basis, n, fixed):
         val = multibracket_weighted(args)
         row = {}
         for b in range(1, dim_fa + 1):
-            g = basis[b - 1]
-            # Tr(val g) without forming the product
-            tr = GaussianRational(0)
-            for i, val_row in enumerate(val):
-                for k, x in enumerate(val_row):
-                    if x:
-                        tr += x * g[k][i]
-            coeff = tr / GaussianRational(size)
+            coeff = linalg.sp_trace(val, basis[b - 1]) / GaussianRational(size)
             if coeff.im != 0:
                 clean = False
             if coeff.re != 0:
@@ -1026,35 +998,26 @@ def _expand_bracket(basis, n, fixed):
 def trace_extension_bracket(bracket_n1, traces, mats):
     """[A_1..A_n] = sum_i (-1)^{i-1} <A_i> [A_1..^i..A_n] given an
     (n-1)-bracket and a linear `traces` functional."""
-    out = None
+    terms = []
     for i, a in enumerate(mats):
         t = traces(a)
-        if is_zero(t):
-            continue
-        sub = bracket_n1([m for q, m in enumerate(mats) if q != i])
-        term = linalg.mat_scale(t * Fraction((-1) ** i), sub)
-        out = term if out is None else linalg.mat_add(out, term)
-    if out is None:
-        size = len(mats[0])
-        return linalg.zeros(size, size)
-    return out
+        if not is_zero(t):
+            terms.append(((-1) ** i * t, bracket_n1([m for q, m in enumerate(mats) if q != i])))
+    return linalg.sp_sum(terms)
 
 
 def trace_extension_structure(bracket_n, basis) -> FilippovAlgebra:
     """Expand an antisymmetric matrix n-bracket over the given matrix basis
     into structure constants and validate the characteristic identity."""
     d = len(basis)
-    size = len(basis[0])
-    span = _span_rows(basis, size)
+    span = _span_system(basis)
     n = getattr(bracket_n, "arity")
     f = {}
     for idx in combinations(range(1, d + 1), n):
-        val = bracket_n([basis[i - 1] for i in idx])
-        co = linalg.solve(span, d, _flat(val))
+        co = _coordinates(span, d, bracket_n([basis[i - 1] for i in idx]))
         if co is None:
             raise ValueError("bracket leaves the span of the basis")
         row = {b + 1: co[b] for b in range(d) if co[b] != 0}
         if row:
             f[idx] = row
-    fa = FilippovAlgebra(n, d, f)
-    return fa
+    return FilippovAlgebra(n, d, f)

@@ -5,13 +5,11 @@ and higher exterior derivatives on the exterior algebra, and the complete
 BRST operator on ghost variables.  `GLAlgebra` stores its constants as a
 `tensors.BracketTensor`, the one storage of structure constants.
 
-Matrix multibrackets run over integer-scaled Z[i]: `multibracket` scales
-every entry by the common denominator D of all real and imaginary parts,
-runs its subset programme on int (re, im) pairs that carry a flag for "a
-Gaussian factor contributed", and divides by D^n once.  Type rule: an
-output entry is the typed zero of the inputs (Gaussian when an input corner
-entry is) plus its value, Gaussian when the flag is set -- the types the
-dense `Fraction`/`GaussianRational` evaluation gives.
+Matrix multibrackets take and return the sparse operator matrices of
+`linalg` and run on its ℤ[i] kernel: `multibracket` scales every value by
+the common denominator D of all real and imaginary parts, runs its subset
+programme on int (re, im) pairs, and divides by D^n once.  Its values are
+`GaussianRational` when some input value is, else `Fraction`.
 
 Residual conventions.  The epsilon-contracted identities are evaluated as
 shuffle sums over ordered block splits; these differ from the literal
@@ -27,7 +25,7 @@ from itertools import combinations
 
 from . import linalg
 from .lie import LieAlgebra, killing_form
-from .scalars import GaussianRational, accumulate, common_denominator, is_zero
+from .scalars import GaussianRational, accumulate, common_denominator
 from .tensors import AntisymTensor, BracketTensor, merge_sign, shuffle_splits, sort_sign
 
 
@@ -39,89 +37,54 @@ def multibracket(mats):
     """Weight-free antisymmetrized product sum_sigma sign X_s1 .. X_sn.
 
     Evaluated by subset dynamic programming (first-slot expansion of the
-    bracket), linear instead of factorial in matrix products.  The programme
-    runs on sparse rows {col: nonzero value}, which keeps the monomial gamma
-    matrices of the Clifford realizations cheap, and on integers: every
-    entry is scaled by D, the common denominator of all real and imaginary
-    parts, and held as [re, im, gaussian] with int parts and a flag that
-    records whether a Gaussian factor contributed; the result is divided by
-    D^n once at the end.  Rational, Gaussian and mixed inputs take this one
-    path.  An output entry is the typed zero of the inputs (Gaussian when an
-    input corner entry is, as in `linalg.mat_mul`) plus its value, which is
-    Gaussian when its flag is set, so every entry has the scalar type the
-    dense evaluation gives it.
+    bracket), linear instead of factorial in matrix products, on the ℤ[i]
+    kernel, which keeps the monomial gamma matrices of the Clifford
+    realizations cheap: every value is scaled by D, the common denominator of
+    all real and imaginary parts, to an int pair (re, im), and the result is
+    divided by D^n once at the end.  Rational, Gaussian and mixed inputs take
+    this one path; the values come back `GaussianRational` when some input
+    value is one, else `Fraction`.
     """
     n = len(mats)
     if n == 0:
         raise ValueError("empty multibracket")
-    size = len(mats[0])
-    if any(len(m) != size or len(m[0]) != size for m in mats):
-        raise ValueError("multibracket needs equal square matrices")
     if n == 1:
         return mats[0]
+    gaussian = any(isinstance(v, GaussianRational) for m in mats for v in m.values())
     parts = []
     for m in mats:
-        for row in m:
-            for v in row:
-                if isinstance(v, GaussianRational):
-                    parts += (v.re, v.im)
-                else:
-                    parts.append(v)
+        for v in m.values():
+            if isinstance(v, GaussianRational):
+                parts += (v.re, v.im)
+            else:
+                parts.append(v)
     scale = common_denominator(parts)
 
     def scaled(x):
         return x.numerator * (scale // x.denominator)
 
-    sparse = [[{c: ((scaled(v.re), scaled(v.im), True) if isinstance(v, GaussianRational)
-                    else (scaled(v), 0, False))
-                for c, v in enumerate(row) if not is_zero(v)} for row in m]
-              for m in mats]
+    zi = [{key: (scaled(v.re), scaled(v.im)) if isinstance(v, GaussianRational)
+           else (scaled(v), 0) for key, v in m.items()} for m in mats]
     # every proper subset mask is numerically smaller than its superset
-    table = {1 << i: sparse[i] for i in range(n)}
+    table = {1 << i: zi[i] for i in range(n)}
     for mask in range(3, 1 << n):
-        if mask in table:
-            continue
-        acc = [{} for _ in range(size)]
-        members = [i for i in range(n) if mask & (1 << i)]
-        for pos, i in enumerate(members):
-            sub = table[mask & ~(1 << i)]
-            odd = pos % 2
-            for row_a, row_o in zip(sparse[i], acc):
-                for l, (vr, vi, vg) in row_a.items():
-                    if odd:
-                        vr, vi = -vr, -vi
-                    for c, (wr, wi, wg) in sub[l].items():
-                        t = row_o.get(c)
-                        if t is None:
-                            row_o[c] = [vr * wr - vi * wi, vr * wi + vi * wr, vg or wg]
-                        else:
-                            t[0] += vr * wr - vi * wi
-                            t[1] += vr * wi + vi * wr
-                            t[2] = t[2] or vg or wg
-        for row_o in acc:
-            for c in [c for c, (re, im, _) in row_o.items() if not re and not im]:
-                del row_o[c]
-        table[mask] = acc
-
-    zero = Fraction(0)
-    for m in mats:
-        zero = zero * m[0][0]
+        if mask not in table:
+            members = [i for i in range(n) if mask & (1 << i)]
+            table[mask] = linalg.zi_sum(
+                ((-1) ** pos, linalg.zi_mul(zi[i], table[mask & ~(1 << i)]))
+                for pos, i in enumerate(members))
     denom = scale ** n
-    out = [[zero] * size for _ in range(size)]
-    for row_s, row_d in zip(table[(1 << n) - 1], out):
-        for c, (re, im, gaussian) in row_s.items():
-            v = Fraction(re, denom)
-            row_d[c] = zero + (GaussianRational(v, Fraction(im, denom)) if gaussian else v)
-    return out
+    if gaussian:
+        return linalg.zi_wrap(table[(1 << n) - 1], Fraction(1, denom))
+    return {key: Fraction(re, denom) for key, (re, _) in table[(1 << n) - 1].items()}
 
 
 def multibracket_weighted(mats):
     """Weight-one variant: multibracket / n!."""
-    out = multibracket(mats)
     f = 1
     for q in range(2, len(mats) + 1):
         f *= q
-    return linalg.mat_scale(Fraction(1, f), out)
+    return linalg.sp_scale(Fraction(1, f), multibracket(mats))
 
 
 def resolve_even_bracket(mats):
@@ -145,17 +108,16 @@ def resolve_even_bracket(mats):
                     out.append((sign * sub_sign, [(positions[s], positions[t])] + pairs))
         return out
 
-    terms = expand(list(range(n)))
-    size = len(mats[0])
-    acc = linalg.zeros(size, size)
-    for sign, pairs in terms:
+    def product(pairs):
         prod = None
-        for (i, j) in pairs:
-            cm = linalg.commutator(mats[i], mats[j])
-            prod = cm if prod is None else linalg.mat_mul(prod, cm)
-        acc = linalg.mat_add(acc, linalg.mat_scale(Fraction(sign), prod))
-    direct = multibracket(mats)
-    if not linalg.mat_eq(acc, direct):
+        for i, j in pairs:
+            cm = linalg.sp_commutator(mats[i], mats[j])
+            prod = cm if prod is None else linalg.sp_mul(prod, cm)
+        return prod
+
+    terms = expand(list(range(n)))
+    acc = linalg.sp_sum((sign, product(pairs)) for sign, pairs in terms)
+    if acc != multibracket(mats):
         raise AssertionError("two-bracket resolution disagrees with the multibracket")
     return terms, acc
 
@@ -170,16 +132,13 @@ def odd_arity_defect(mats):
     n = (total + 1) // 2
     if n % 2 == 0 or total != 2 * n - 1:
         raise ValueError("need 2n-1 matrices with n odd")
-    size = len(mats[0])
-    acc = linalg.zeros(size, size)
+    terms = []
     for aidx in combinations(range(total), n):
         rest = [i for i in range(total) if i not in aidx]
-        sign = merge_sign(aidx, tuple(rest))
         inner = multibracket([mats[i] for i in aidx])
-        outer = multibracket([inner] + [mats[i] for i in rest])
-        acc = linalg.mat_add(acc, linalg.mat_scale(Fraction(sign), outer))
-    rhs = linalg.mat_scale(Fraction(n), multibracket(mats))
-    return acc, rhs
+        terms.append((merge_sign(aidx, tuple(rest)),
+                      multibracket([inner] + [mats[i] for i in rest])))
+    return linalg.sp_sum(terms), linalg.sp_scale(n, multibracket(mats))
 
 
 # ---------------------------------------------------------------------------

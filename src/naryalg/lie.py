@@ -85,16 +85,13 @@ class LieAlgebra(BracketTensor):
         return out
 
     def ad_matrix(self, i):
-        """(ad_{X_i})^k_j = C_{ij}^k as a dim x dim matrix."""
-        m = linalg.zeros(self.dim, self.dim)
-        for j in range(1, self.dim + 1):
-            for k, v in self.c_row(i, j).items():
-                m[k - 1][j - 1] = v
-        return m
+        """(ad_{X_i})^k_j = C_{ij}^k as a sparse dim x dim matrix."""
+        return {(k - 1, j - 1): v for j in range(1, self.dim + 1)
+                for k, v in self.c_row(i, j).items()}
 
     def adjoint_rep(self):
         return Representation(self, [self.ad_matrix(i) for i in range(1, self.dim + 1)],
-                              check=False)
+                              self.dim, check=False)
 
 
 @dataclass
@@ -172,10 +169,12 @@ def check_metric_invariance(alg: LieAlgebra, g) -> MetricReport:
 
 @dataclass
 class Representation:
-    """Matrices rho_i with [rho_i, rho_j] = C_ij^k rho_k, entrywise exact."""
+    """Sparse dim_v x dim_v matrices rho_i (see `linalg`) with
+    [rho_i, rho_j] = C_ij^k rho_k, entrywise exact."""
 
     algebra: LieAlgebra
     mats: list
+    dim_v: int
     check: bool = True
 
     def __post_init__(self):
@@ -184,35 +183,14 @@ class Representation:
             if bad is not None:
                 raise ValueError(f"not a representation: residual at {bad}")
 
-    def mat(self, i):
-        return self.mats[i - 1]
-
-    @property
-    def dim_v(self):
-        return len(self.mats[0])
-
 
 def closure_residual(alg: LieAlgebra, mats):
-    """None when [rho_i, rho_j] - C_ij^k rho_k = 0 exactly; else first (i, j).
-
-    Each matrix is read once into {(a, b): nonzero entry} and into its rows
-    of (b, nonzero entry) pairs; each residual is accumulated on those."""
-    sparse = [{(a, b): v for a, row in enumerate(m) for b, v in enumerate(row) if v}
-              for m in mats]
-    rows = [[[(b, v) for b, v in enumerate(row) if v] for row in m] for m in mats]
-
-    def add_product(out, x, y_rows, sign):
-        for (a, b), v in x.items():
-            for c, w in y_rows[b]:
-                accumulate(out, (a, c), sign * v * w)
-
+    """None when [rho_i, rho_j] - C_ij^k rho_k = 0 exactly; else first (i, j)."""
     for i in range(1, alg.dim + 1):
         for j in range(i + 1, alg.dim + 1):
-            res = {}
-            add_product(res, sparse[i - 1], rows[j - 1], 1)
-            add_product(res, sparse[j - 1], rows[i - 1], -1)
+            res = linalg.sp_commutator(mats[i - 1], mats[j - 1])
             for k, v in alg.c_row(i, j).items():
-                for key, w in sparse[k - 1].items():
+                for key, w in mats[k - 1].items():
                     accumulate(res, key, -v * w)
             if res:
                 return (i, j)
@@ -222,21 +200,19 @@ def closure_residual(alg: LieAlgebra, mats):
 def associator_check(mats) -> bool:
     """The alternated associator of any three matrices equals
     [[A,B],C] + [[B,C],A] + [[C,A],B] and both vanish (associativity)."""
+    mul, com = linalg.sp_mul, linalg.sp_commutator
+
     def assoc(a, b, c):
-        return linalg.mat_sub(linalg.mat_mul(linalg.mat_mul(a, b), c),
-                              linalg.mat_mul(a, linalg.mat_mul(b, c)))
+        return linalg.sp_sum([(1, mul(mul(a, b), c)), (-1, mul(a, mul(b, c)))])
     for a in mats:
         for b in mats:
             for c in mats:
-                alt = linalg.zeros(len(a), len(a))
-                for s, (x, y, z) in [(1, (a, b, c)), (1, (b, c, a)), (1, (c, a, b)),
-                                     (-1, (b, a, c)), (-1, (a, c, b)), (-1, (c, b, a))]:
-                    alt = linalg.mat_add(alt, linalg.mat_scale(Fraction(s), assoc(x, y, z)))
-                cyc = linalg.mat_add(
-                    linalg.commutator(linalg.commutator(a, b), c),
-                    linalg.mat_add(linalg.commutator(linalg.commutator(b, c), a),
-                                   linalg.commutator(linalg.commutator(c, a), b)))
-                if not linalg.mat_eq(alt, cyc) or not linalg.is_zero_matrix(cyc):
+                alt = linalg.sp_sum((s, assoc(x, y, z)) for s, (x, y, z) in [
+                    (1, (a, b, c)), (1, (b, c, a)), (1, (c, a, b)),
+                    (-1, (b, a, c)), (-1, (a, c, b)), (-1, (c, b, a))])
+                cyc = linalg.sp_sum((1, com(com(x, y), z))
+                                    for x, y, z in [(a, b, c), (b, c, a), (c, a, b)])
+                if alt != cyc or cyc:
                     return False
     return True
 
@@ -248,7 +224,7 @@ def associator_check(mats) -> bool:
 @dataclass
 class SunBasis:
     rep: Representation            # antihermitian matrices, real closure
-    hermitian: list                # X_i = i * rep.mats[i-1]
+    hermitian: list                # X_i = i * rep.mats[i-1], sparse
     trace_norms: list              # Tr(X_i X_i), rational, diagonal metric
     doubled: list                  # Y_i = 2 X_i as sparse ℤ[i] matrices
 
@@ -275,9 +251,10 @@ def sun_generators(n: int) -> SunBasis:
         Tr(X_i X_i) = Tr(Y_i Y_i) / 4,
         C_ij^k = Im Tr([Y_i, Y_j] Y_k) / (2 Tr(Y_k Y_k)),
 
-    and Re Tr([Y_i, Y_j] Y_k) must vanish (real constants).  The dense
-    `hermitian` matrices Y_i / 2 and `rep.mats` -i Y_i / 2 are built once at
-    the end, and the representation checks its own closure.
+    and Re Tr([Y_i, Y_j] Y_k) must vanish (real constants).  The
+    `GaussianRational` matrices `hermitian` Y_i / 2 and `rep.mats` -i Y_i / 2
+    are wrapped once at the end, and the representation checks its own
+    closure.
     """
     if not 2 <= n <= 4:
         raise ValueError("sun_generators: desk scale is 2 <= n <= 4")
@@ -309,9 +286,9 @@ def sun_generators(n: int) -> SunBasis:
                     entries.append(((i, j, k), Fraction(im, 2 * sq_norms[k - 1])))
     alg = LieAlgebra.from_entries(r, entries)
     half = Fraction(1, 2)
-    herm = [linalg.zi_to_dense(y, n, half) for y in doubled]
-    antiherm = [linalg.zi_to_dense(linalg.zi_scale((0, -1), y), n, half) for y in doubled]
-    rep = Representation(alg, antiherm)
+    herm = [linalg.zi_wrap(y, half) for y in doubled]
+    antiherm = [linalg.zi_wrap(linalg.zi_scale((0, -1), y), half) for y in doubled]
+    rep = Representation(alg, antiherm, n)
     return SunBasis(rep=rep, hermitian=herm, trace_norms=[Fraction(t, 4) for t in sq_norms],
                     doubled=doubled)
 

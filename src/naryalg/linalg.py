@@ -1,24 +1,32 @@
-"""Exact linear algebra over the rationals, with one eliminator.
+"""Exact linear algebra over the rationals: one sparse operator-matrix
+format, one eliminator, and the reductions of bilinear forms.
 
-Dense matrices are lists of row lists: Killing forms, metrics and
-representation matrices.  Sparse matrices are lists of row dicts {column:
-nonzero value} with int or `Fraction` values: the coboundary matrices of the
-cohomology modules and the small linear systems of the algebra modules.
+Operator matrices -- ad maps, representation matrices, su(n) generators,
+gamma matrices and their multibrackets -- are sparse maps {(row, column):
+nonzero value} with 0-based indices and int, `Fraction` or
+`GaussianRational` values; no zero is stored, so a matrix is zero exactly
+when its map is empty, and two matrices are equal exactly when their maps
+are.  A map does not know its size: the object that holds the matrices
+(`lie.Representation.dim_v`, the dimension of an algebra) does.  The
+kernel is `sp_mul`, `sp_commutator`, `sp_anticommutator`, `sp_trace` (Tr ab
+without forming ab), `sp_scale`, `sp_identity` and `sp_sum` (linear
+combinations, through `scalars.accumulate`).
 
-The su(n) generators and the gamma matrices are built on a third kind: a
-sparse Gaussian-integer (ℤ[i]) matrix {(row, column): (re, im)} with int
-parts and no zero entries.  Every generalized Gell-Mann matrix, doubled, and
-every gamma matrix has at most one nonzero per row, in {±1, ±i} (or a small
-integer on a doubled Cartan diagonal), so their products stay as sparse and
-exact, and their arithmetic is integer products and sums.  `zi_mul`,
-`zi_trace`, `zi_commutator`, `zi_anticommutator`, `zi_kron` and `zi_scale`
-are the kernel's operations; `zi_to_dense` returns the dense
-`GaussianRational` lists the rest of the package reads, scaled by a
-rational (1/2 undoes the doubling).
+The su(n) generators and the gamma matrices are built on the same format
+with Gaussian-integer (ℤ[i]) values held as int pairs (re, im): every
+generalized Gell-Mann matrix, doubled, and every gamma matrix has at most
+one nonzero per row, in {±1, ±i} (or a small integer on a doubled Cartan
+diagonal), so their arithmetic is integer products and sums.  `zi_mul`,
+`zi_trace`, `zi_commutator`, `zi_anticommutator`, `zi_kron`, `zi_scale`
+and `zi_sum` are that kernel's operations, and `zi_wrap` turns a ℤ[i] matrix, scaled by
+a rational (1/2 undoes the doubling), into `GaussianRational` values.
+
+Bilinear forms -- metrics, Killing and Kasymov forms -- stay dense r x r
+lists of rows; `det`, `signature` and `inverse` read them that way.
 
 Every rank, solve and inverse runs through `integer_echelon`, which reduces
-sparse rows over the integers, fraction-free (Bareiss, Math. Comp. 22 (1968)
-565, with content removal):
+sparse rows {column: nonzero value} over the integers, fraction-free
+(Bareiss, Math. Comp. 22 (1968) 565, with content removal):
 
   * each row enters as a primitive integer row: multiplied by the lcm of its
     denominators, then divided by the gcd of its numerators (`primitive_row`);
@@ -55,11 +63,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .scalars import GaussianRational, common_denominator, is_zero
+from .scalars import GaussianRational, accumulate, common_denominator, is_zero
 
 
 # ---------------------------------------------------------------------------
-# construction / basic ops
+# dense bilinear forms
 # ---------------------------------------------------------------------------
 
 def zeros(n, m):
@@ -70,65 +78,63 @@ def identity(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+# ---------------------------------------------------------------------------
+# sparse operator matrices
+# ---------------------------------------------------------------------------
+
+def sp_identity(size):
+    return {(i, i): 1 for i in range(size)}
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def sp_scale(c, a):
+    """The matrix c a."""
+    return {key: c * v for key, v in a.items()} if c else {}
 
 
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    zero = Fraction(0) * a[0][0] * b[0][0]
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        row_a = a[i]
-        row_o = out[i]
-        for l in range(k):
-            v = row_a[l]
-            if is_zero(v):
-                continue
-            row_b = b[l]
-            for j in range(m):
-                w = row_b[j]
-                if not is_zero(w):
-                    row_o[j] = row_o[j] + v * w
+def sp_sum(terms):
+    """The matrix sum c m over the (c, m) pairs of terms."""
+    out = {}
+    for c, m in terms:
+        for key, v in m.items():
+            accumulate(out, key, c * v)
     return out
 
 
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+def sp_mul(a, b):
+    """The product of two matrices."""
+    rows = {}
+    for (k, j), w in b.items():
+        rows.setdefault(k, []).append((j, w))
+    out = {}
+    for (i, k), v in a.items():
+        for j, w in rows.get(k, ()):
+            accumulate(out, (i, j), v * w)
+    return out
 
 
-def transpose(a):
-    return [list(r) for r in zip(*a)]
+def sp_trace(a, b):
+    """Tr ab, without forming the product."""
+    tot = 0
+    for (i, k), v in a.items():
+        w = b.get((k, i))
+        if w is not None:
+            tot += v * w
+    return tot
 
 
-def trace(a):
-    return sum((a[i][i] for i in range(len(a))), Fraction(0) * a[0][0])
+def _sp_bracket(a, b, sign):
+    out = sp_mul(a, b)
+    for key, v in sp_mul(b, a).items():
+        accumulate(out, key, sign * v)
+    return out
 
 
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+def sp_commutator(a, b):
+    return _sp_bracket(a, b, -1)
 
 
-def anticommutator(a, b):
-    return mat_add(mat_mul(a, b), mat_mul(b, a))
-
-
-def is_zero_matrix(a):
-    return all(is_zero(x) for row in a for x in row)
-
-
-def conj_transpose(a):
-    def c(x):
-        return x.conjugate() if isinstance(x, GaussianRational) else x
-    return [[c(a[j][i]) for j in range(len(a))] for i in range(len(a[0]))]
+def sp_anticommutator(a, b):
+    return _sp_bracket(a, b, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +184,17 @@ def zi_scale(c, a):
     return {key: (cr * ar - ci * ai, cr * ai + ci * ar) for key, (ar, ai) in a.items()}
 
 
-def _zi_bracket(a, b, sign):
-    out = zi_mul(a, b)
-    for key, (re, im) in zi_mul(b, a).items():
-        _zi_add(out, key, sign * re, sign * im)
+def zi_sum(terms):
+    """The ℤ[i] matrix sum c m over the (c, m) pairs of terms, int c."""
+    out = {}
+    for c, m in terms:
+        for key, (re, im) in m.items():
+            _zi_add(out, key, c * re, c * im)
     return out
+
+
+def _zi_bracket(a, b, sign):
+    return zi_sum([(1, zi_mul(a, b)), (sign, zi_mul(b, a))])
 
 
 def zi_commutator(a, b):
@@ -204,13 +216,9 @@ def zi_identity(size):
     return {(i, i): (1, 0) for i in range(size)}
 
 
-def zi_to_dense(a, size, scale=1):
-    """The size x size matrix of `GaussianRational`s scale * a."""
-    zero = GaussianRational(0)
-    out = [[zero] * size for _ in range(size)]
-    for (i, j), (re, im) in a.items():
-        out[i][j] = GaussianRational(scale * re, scale * im)
-    return out
+def zi_wrap(a, scale=1):
+    """The matrix scale * a with `GaussianRational` values."""
+    return {key: GaussianRational(scale * re, scale * im) for key, (re, im) in a.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -378,4 +386,4 @@ def inverse(a):
     cols = [solve(rows, n, [int(i == j) for i in range(n)]) for j in range(n)]
     if None in cols:
         raise ValueError("matrix is singular")
-    return transpose(cols)
+    return [list(row) for row in zip(*cols)]

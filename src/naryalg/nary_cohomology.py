@@ -57,7 +57,7 @@ from itertools import combinations, product
 
 from . import linalg
 from .cohomology import CohomologyReport, integer_scaling, unscale_rows
-from .filippov import FilippovAlgebra, check_fi, fundamental_compose
+from .filippov import FARepresentation, FilippovAlgebra, check_fi, fundamental_compose
 from .scalars import LinearForm, accumulate, is_zero, rat
 from .tensors import sort_blocks, sort_sign
 
@@ -177,8 +177,8 @@ def _leibniz_delta(bracket, left, right, read, size, args):
 
 
 def _matrix_terms(m, sign=1):
-    """The action terms of sign * m on the whole fiber."""
-    return [(a, b, sign * v) for a, row in enumerate(m) for b, v in enumerate(row) if v]
+    """The action terms of sign * m, a sparse matrix, on the whole fiber."""
+    return [(a, b, sign * v) for (a, b), v in sorted(m.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +201,8 @@ def _fa_actions(fa, kind, rho, size):
     size, as `_leibniz_delta` reads them (see the module docstring)."""
     blocks, bracket, action = fundamental_tables(fa)
     if kind == "module":
-        left = {(x, None): {None: _matrix_terms(rho[x])} for x in blocks}
-        right = {(x, None): {None: _matrix_terms(rho[x], -1)} for x in blocks}
+        left = {(x, None): {None: _matrix_terms(rho.mats[x])} for x in blocks}
+        right = {(x, None): {None: _matrix_terms(rho.mats[x], -1)} for x in blocks}
         return bracket, left, right
     rng = range(1, fa.dim + 1)
     left, right = {}, {}
@@ -226,10 +226,10 @@ def _fa_actions(fa, kind, rho, size):
 
 
 def _target_dim(fa, kind, rho=None):
-    """dim_v of the complex: 1 for trivial, the size of the rho matrices for
-    module, fa.dim for deformation."""
+    """dim_v of the complex: 1 for trivial, rho.dim_v for module, fa.dim for
+    deformation."""
     if kind == "module":
-        return len(next(iter(rho.values())))
+        return rho.dim_v
     return fa.dim if kind == "deformation" else 1
 
 
@@ -350,9 +350,9 @@ def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None):
     dv = _target_dim(fa, kind, rho)
     keys = _complex_keys(fa, kind, p)
     src = [(key, a) for key in keys for a in range(dv)]
-    labels = list(rho or ())
-    d, ifa, imats = integer_scaling(fa, [rho[lab] for lab in labels])
-    irho = None if rho is None else dict(zip(labels, imats))
+    labels = [] if rho is None else list(rho.mats)
+    d, ifa, imats = integer_scaling(fa, [rho.mats[lab] for lab in labels])
+    irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), dv)
     generic = NCochain(kind, p, fa.arity, fa.dim, dv,
                        {key: tuple(LinearForm({i * dv + a: 1}) for a in range(dv))
                         for i, key in enumerate(keys)})
@@ -586,7 +586,8 @@ class LeibnizAlgebra:
 
 
 def leibniz_rep_conditions(lb: LeibnizAlgebra, left, right):
-    """The three compatibility conditions of a (left, right) action pair:
+    """The three compatibility conditions of a (left, right) action pair of
+    sparse matrices:
 
         [l_X, l_Y] = l_{[X,Y]}
         [l_X, r_Y] = r_{[X,Y]}
@@ -594,43 +595,29 @@ def leibniz_rep_conditions(lb: LeibnizAlgebra, left, right):
 
     as exact matrix identities; returns the first violation or None.
     """
-    d = lb.dim
-
-    def lmat(i):
-        return left[i - 1]
-
-    def rmat(i):
-        return right[i - 1]
-
-    size = len(left[0])
-
     def bracket_mat(mats, i, j):
-        out = linalg.zeros(size, size)
-        for k, v in lb.row(i, j).items():
-            out = linalg.mat_add(out, linalg.mat_scale(v, mats[k - 1]))
-        return out
+        return linalg.sp_sum((v, mats[k - 1]) for k, v in lb.row(i, j).items())
 
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            c1 = linalg.mat_sub(linalg.commutator(lmat(i), lmat(j)), bracket_mat(left, i, j))
-            if not linalg.is_zero_matrix(c1):
+    for i in range(1, lb.dim + 1):
+        li, ri = left[i - 1], right[i - 1]
+        for j in range(1, lb.dim + 1):
+            lj, rj = left[j - 1], right[j - 1]
+            if linalg.sp_commutator(li, lj) != bracket_mat(left, i, j):
                 return ("left-left", i, j)
-            c2 = linalg.mat_sub(linalg.commutator(lmat(i), rmat(j)), bracket_mat(right, i, j))
-            if not linalg.is_zero_matrix(c2):
+            if linalg.sp_commutator(li, rj) != bracket_mat(right, i, j):
                 return ("left-right", i, j)
-            c3 = linalg.mat_sub(bracket_mat(right, i, j),
-                                linalg.mat_add(linalg.mat_mul(rmat(j), rmat(i)),
-                                               linalg.mat_mul(lmat(i), rmat(j))))
-            if not linalg.is_zero_matrix(c3):
+            if bracket_mat(right, i, j) != linalg.sp_sum([(1, linalg.sp_mul(rj, ri)),
+                                                          (1, linalg.sp_mul(li, rj))]):
                 return ("right-compat", i, j)
     return None
 
 
 def leibniz_coboundary(lb: LeibnizAlgebra, left, right, omega: dict, p: int, dim_v: int):
     """The Leibniz coboundary of the module docstring on raw p-cochains
-    omega: tuple (length p) -> target vector, with l_X = left[X - 1] and
-    r_X = right[X - 1]; returns the nonzero values of delta omega on all
-    (p+1)-tuples.  Note that the first sum stops at p, not p+1."""
+    omega: tuple (length p) -> target vector of length dim_v, with the sparse
+    matrices l_X = left[X - 1] and r_X = right[X - 1]; returns the nonzero
+    values of delta omega on all (p+1)-tuples.  Note that the first sum stops
+    at p, not p+1."""
     wit = leibniz_rep_conditions(lb, left, right)
     if wit is not None:
         raise ValueError(f"actions fail the representation conditions at {wit}")
@@ -657,11 +644,11 @@ def leibniz_extension(lb: LeibnizAlgebra, left, right, omega2: dict, dim_a: int)
         for j in range(1, d + 1):
             vec = omega2.get((i, j), ())
             b.setdefault((dim_a + i, dim_a + j), {}).update((a + 1, v) for a, v in enumerate(vec))
-        for a in range(1, dim_a + 1):
-            # [X_i, A_a] = left action; [A_a, X_i] = right action (the
-            # constructor drops the zeros)
-            b[(dim_a + i, a)] = {t + 1: left[i - 1][t][a - 1] for t in range(dim_a)}
-            b[(a, dim_a + i)] = {t + 1: right[i - 1][t][a - 1] for t in range(dim_a)}
+        # [X_i, A_a] = left action; [A_a, X_i] = right action
+        for (t, a), v in left[i - 1].items():
+            b.setdefault((dim_a + i, a + 1), {})[t + 1] = v
+        for (t, a), v in right[i - 1].items():
+            b.setdefault((a + 1, dim_a + i), {})[t + 1] = v
     ext = LeibnizAlgebra(dim_a + d, b)
     wit = ext.left_identity_witness()
     if wit is not None:

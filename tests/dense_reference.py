@@ -10,14 +10,23 @@ coordinate to zero.
 The su(n) generators, the closure residual, the symmetrized traces and the
 gamma matrices on dense `GaussianRational` products, the references for the
 sparse ℤ[i] kernel of `linalg`.
+
+The dense operator-matrix layer (`mat_mul`, `commutator`, `trace`, ..) and
+every function of the package that acts on operator matrices, as first
+written on it: the references for the sparse {(row, column): value} maps
+that the package uses.  `to_dense` and `to_map` convert between the two.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 from naryalg import linalg
-from naryalg.lie import LieAlgebra, SymInvariantPoly
+from naryalg.filippov import (CliffordReport, FilippovAlgebra, So4SplitReport,
+                              _invariance_residual_on_pairs, _wedge_pairs, check_metric_fa,
+                              fundamental_compose, kasymov_form, simple_fa)
+from naryalg.lie import LieAlgebra, SymInvariantPoly, killing_form
 from naryalg.scalars import GaussianRational, is_zero
+from naryalg.tensors import gen_kronecker, merge_sign, ray_equal, sort_sign
 
 
 def rref(mat):
@@ -119,21 +128,21 @@ def sun_generators(n):
     r = n * n - 1
     norms = []
     for m in herm:
-        t = linalg.trace(linalg.mat_mul(m, m))
+        t = trace(mat_mul(m, m))
         assert t.im == 0
         norms.append(t.re)
     entries = []
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            cm = linalg.commutator(herm[i - 1], herm[j - 1])
+            cm = commutator(herm[i - 1], herm[j - 1])
             for k in range(1, r + 1):
-                coeff = linalg.trace(linalg.mat_mul(cm, herm[k - 1]))
+                coeff = trace(mat_mul(cm, herm[k - 1]))
                 c = GaussianRational(0, -1) * coeff / GaussianRational(norms[k - 1])
                 assert c.im == 0, "structure constants must be real"
                 if c.re != 0:
                     entries.append(((i, j, k), c.re))
     alg = LieAlgebra.from_entries(r, entries)
-    antiherm = [linalg.mat_scale(GaussianRational(0, -1), m) for m in herm]
+    antiherm = [mat_scale(GaussianRational(0, -1), m) for m in herm]
     return alg, herm, norms, antiherm
 
 
@@ -141,10 +150,10 @@ def closure_residual(alg, mats):
     """None when [rho_i, rho_j] - C_ij^k rho_k = 0 exactly; else first (i, j)."""
     for i in range(1, alg.dim + 1):
         for j in range(i + 1, alg.dim + 1):
-            m = linalg.commutator(mats[i - 1], mats[j - 1])
+            m = commutator(mats[i - 1], mats[j - 1])
             for k, v in alg.c_row(i, j).items():
-                m = linalg.mat_sub(m, linalg.mat_scale(v, mats[k - 1]))
-            if not linalg.is_zero_matrix(m):
+                m = mat_sub(m, mat_scale(v, mats[k - 1]))
+            if not is_zero_matrix(m):
                 return (i, j)
     return None
 
@@ -166,7 +175,7 @@ def symmetrized_trace_poly(herm, m):
             return herm[seq[0] - 1]
         got = prefix.get(seq)
         if got is None:
-            got = linalg.mat_mul(product_of(seq[:-1]), herm[seq[-1] - 1])
+            got = mat_mul(product_of(seq[:-1]), herm[seq[-1] - 1])
             prefix[seq] = got
         return got
 
@@ -176,7 +185,7 @@ def symmetrized_trace_poly(herm, m):
         perms = set(permutations(idx))
         tot = GaussianRational(0)
         for p in perms:
-            tot = tot + linalg.trace(product_of(p))
+            tot = tot + trace(product_of(p))
         tot = tot * (fact // len(perms))
         assert tot.im == 0
         v = tot.re / fact
@@ -205,12 +214,12 @@ def gamma_matrices(d_even):
     def chirality(gammas):
         prod = gammas[0]
         for g in gammas[1:]:
-            prod = linalg.mat_mul(prod, g)
-        sq = linalg.mat_mul(prod, prod)
-        if linalg.mat_eq(sq, ident(len(prod))):
+            prod = mat_mul(prod, g)
+        sq = mat_mul(prod, prod)
+        if mat_eq(sq, ident(len(prod))):
             return prod
-        assert linalg.mat_eq(sq, linalg.mat_scale(-g1, ident(len(prod))))
-        return linalg.mat_scale(gi, prod)
+        assert mat_eq(sq, mat_scale(-g1, ident(len(prod))))
+        return mat_scale(gi, prod)
 
     gam = [s1, s2]
     while len(gam) < d_even:
@@ -219,3 +228,690 @@ def gamma_matrices(d_even):
         gam.append(kron(chirality(prev), s1))
         gam.append(kron(ident(len(prev[0])), s2))
     return gam, chirality(gam)
+
+# ---------------------------------------------------------------------------
+# the dense operator-matrix layer
+# ---------------------------------------------------------------------------
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(c, a):
+    return [[c * x for x in row] for row in a]
+
+
+def mat_mul(a, b):
+    n, k, m = len(a), len(b), len(b[0])
+    zero = Fraction(0) * a[0][0] * b[0][0]
+    out = [[zero] * m for _ in range(n)]
+    for i in range(n):
+        row_a = a[i]
+        row_o = out[i]
+        for l in range(k):
+            v = row_a[l]
+            if is_zero(v):
+                continue
+            row_b = b[l]
+            for j in range(m):
+                w = row_b[j]
+                if not is_zero(w):
+                    row_o[j] = row_o[j] + v * w
+    return out
+
+
+def mat_eq(a, b):
+    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+
+
+def transpose(a):
+    return [list(r) for r in zip(*a)]
+
+
+def trace(a):
+    return sum((a[i][i] for i in range(len(a))), Fraction(0) * a[0][0])
+
+
+def commutator(a, b):
+    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+
+
+def anticommutator(a, b):
+    return mat_add(mat_mul(a, b), mat_mul(b, a))
+
+
+def is_zero_matrix(a):
+    return all(is_zero(x) for row in a for x in row)
+
+
+def to_dense(m, size):
+    """The size x size dense matrix of a sparse {(row, column): value} map."""
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for (i, j), v in m.items():
+        out[i][j] = v
+    return out
+
+
+def to_map(a):
+    """The sparse {(row, column): nonzero value} map of a dense matrix."""
+    return {(i, j): v for i, row in enumerate(a) for j, v in enumerate(row) if not is_zero(v)}
+
+
+def lie_ad_matrix(alg, i):
+    """(ad_{X_i})^k_j = C_{ij}^k as a dim x dim matrix."""
+    m = linalg.zeros(alg.dim, alg.dim)
+    for j in range(1, alg.dim + 1):
+        for k, v in alg.c_row(i, j).items():
+            m[k - 1][j - 1] = v
+    return m
+
+
+def fa_ad_matrix(fa, labels):
+    """(ad_{a_1..a_{n-1}})^l_b = f_{a_1..a_{n-1} b}^l."""
+    m = linalg.zeros(fa.dim, fa.dim)
+    key, s = sort_sign(labels)
+    if s == 0:
+        return m
+    for b in range(1, fa.dim + 1):
+        for l, v in fa.f_row(key + (b,)).items():
+            m[l - 1][b - 1] = s * v
+    return m
+
+
+def multibracket(mats):
+    """sum_sigma sign X_s1 .. X_sn by subset dynamic programming on dense
+    products (first-slot expansion of the bracket)."""
+    n = len(mats)
+    if n == 1:
+        return mats[0]
+    table = {1 << i: mats[i] for i in range(n)}
+    for mask in range(3, 1 << n):
+        if mask in table:
+            continue
+        acc = None
+        for pos, i in enumerate(i for i in range(n) if mask & (1 << i)):
+            term = mat_scale((-1) ** pos, mat_mul(mats[i], table[mask & ~(1 << i)]))
+            acc = term if acc is None else mat_add(acc, term)
+        table[mask] = acc
+    return table[(1 << n) - 1]
+
+
+def multibracket_weighted(mats):
+    f = 1
+    for q in range(2, len(mats) + 1):
+        f *= q
+    return mat_scale(Fraction(1, f), multibracket(mats))
+
+
+# ---------------------------------------------------------------------------
+# the package's operator-matrix functions on dense matrices
+# ---------------------------------------------------------------------------
+
+def associator_check(mats) -> bool:
+    """The alternated associator of any three matrices equals
+    [[A,B],C] + [[B,C],A] + [[C,A],B] and both vanish (associativity)."""
+    def assoc(a, b, c):
+        return mat_sub(mat_mul(mat_mul(a, b), c),
+                              mat_mul(a, mat_mul(b, c)))
+    for a in mats:
+        for b in mats:
+            for c in mats:
+                alt = linalg.zeros(len(a), len(a))
+                for s, (x, y, z) in [(1, (a, b, c)), (1, (b, c, a)), (1, (c, a, b)),
+                                     (-1, (b, a, c)), (-1, (a, c, b)), (-1, (c, b, a))]:
+                    alt = mat_add(alt, mat_scale(Fraction(s), assoc(x, y, z)))
+                cyc = mat_add(
+                    commutator(commutator(a, b), c),
+                    mat_add(commutator(commutator(b, c), a),
+                                   commutator(commutator(c, a), b)))
+                if not mat_eq(alt, cyc) or not is_zero_matrix(cyc):
+                    return False
+    return True
+
+
+def resolve_even_bracket(mats):
+    """Expansion of a 2s-bracket into ordered products of two-brackets via the
+    pairwise epsilon resolution; returns (terms, matrix) where each term is
+    (sign, [(i, j), ...]) with 0-based positions, and asserts the expansion
+    equals the direct multibracket on the given matrices."""
+    n = len(mats)
+    if n % 2 or n > 6:
+        raise ValueError("resolution implemented for even n <= 6")
+
+    def expand(positions):
+        if len(positions) == 2:
+            return [(1, [tuple(positions)])]
+        out = []
+        for s in range(len(positions)):
+            for t in range(s + 1, len(positions)):
+                rest = [positions[q] for q in range(len(positions)) if q not in (s, t)]
+                sign = (-1) ** (s + t + 1)
+                for sub_sign, pairs in expand(rest):
+                    out.append((sign * sub_sign, [(positions[s], positions[t])] + pairs))
+        return out
+
+    terms = expand(list(range(n)))
+    size = len(mats[0])
+    acc = linalg.zeros(size, size)
+    for sign, pairs in terms:
+        prod = None
+        for (i, j) in pairs:
+            cm = commutator(mats[i], mats[j])
+            prod = cm if prod is None else mat_mul(prod, cm)
+        acc = mat_add(acc, mat_scale(Fraction(sign), prod))
+    direct = multibracket(mats)
+    if not mat_eq(acc, direct):
+        raise AssertionError("two-bracket resolution disagrees with the multibracket")
+    return terms, acc
+
+
+def odd_arity_defect(mats):
+    """For an odd number n of matrices, the shuffle-alternated double bracket
+
+        sum_{|A|=n} sign(A, rest) [[X_A], X_rest]
+
+    equals n times the full (2n-1)-bracket; returns (lhs, n * bracket)."""
+    total = len(mats)
+    n = (total + 1) // 2
+    if n % 2 == 0 or total != 2 * n - 1:
+        raise ValueError("need 2n-1 matrices with n odd")
+    size = len(mats[0])
+    acc = linalg.zeros(size, size)
+    for aidx in combinations(range(total), n):
+        rest = [i for i in range(total) if i not in aidx]
+        sign = merge_sign(aidx, tuple(rest))
+        inner = multibracket([mats[i] for i in aidx])
+        outer = multibracket([inner] + [mats[i] for i in rest])
+        acc = mat_add(acc, mat_scale(Fraction(sign), outer))
+    rhs = mat_scale(Fraction(n), multibracket(mats))
+    return acc, rhs
+
+
+def ad_of_sum(fa, s):
+    m = linalg.zeros(fa.dim, fa.dim)
+    for labels, v in s.items():
+        m = mat_add(m, mat_scale(v, fa_ad_matrix(fa, labels)))
+    return m
+
+
+def compose_matches_commutator(fa, x_labels, y_labels) -> bool:
+    """ad_{X.Y} = [ad_X, ad_Y] as matrices."""
+    lhs = ad_of_sum(fa, fundamental_compose(fa, x_labels, y_labels))
+    rhs = commutator(fa_ad_matrix(fa, x_labels), fa_ad_matrix(fa, y_labels))
+    return mat_eq(lhs, rhs)
+
+
+def _flat(m):
+    return [x for row in m for x in row]
+
+
+def _span_rows(mats, size):
+    """The system sum_k x_k mats[k] = M as sparse rows, one per entry (i, j)
+    of a size x size matrix M: {k: mats[k][i][j]}.  `linalg.solve(rows,
+    len(mats), _flat(M))` gives the coordinates of M in the span of mats, or
+    None when M lies outside it."""
+    return [{k: m[i][j] for k, m in enumerate(mats) if m[i][j]}
+            for i in range(size) for j in range(size)]
+
+
+def so_dual_generators(fa):
+    """For the euclidean simple algebras: M~^{a b} = 1/(n-1)! eps^{a b c..}
+    ad_{c..}; the 1/(n-1)! exactly cancels the sum over arrangements of the
+    contracted block, so on sorted labels M~^{ab} = sum_rest sign * ad_rest.
+    Returns the dict (a, b) -> matrix, a < b."""
+    d = fa.dim
+    out = {}
+    for a, b in combinations(range(1, d + 1), 2):
+        m = linalg.zeros(d, d)
+        for rest in combinations(range(1, d + 1), d - 2):
+            sign = gen_kronecker(tuple(range(1, d + 1)), (a, b) + rest)
+            if sign:
+                m = mat_add(m, mat_scale(Fraction(sign), fa_ad_matrix(fa, rest)))
+        out[(a, b)] = m
+    return out
+
+
+def orthogonal_relations_hold(fa) -> bool:
+    """[M~^{a1 a2}, M~^{b1 b2}] = -d^{a1 b2} M~^{a2 b1} - d^{a2 b1} M~^{a1 b2}
+    + d^{a1 b1} M~^{a2 b2} + d^{a2 b2} M~^{a1 b1}, entrywise.
+
+    The generators carry an extra (-1)^n: the lowered structure constants of
+    the euclidean simple algebras are (-1)^n eps, and the relations as
+    written fix the +eps representative (the global generator sign is a basis
+    choice; the commutator side is quadratic in it, the right side linear).
+    """
+    d = fa.dim
+    mt = so_dual_generators(fa)
+    overall = Fraction((-1) ** fa.arity)
+
+    def m(a, b):
+        if a == b:
+            return linalg.zeros(d, d)
+        if a < b:
+            return mat_scale(overall, mt[(a, b)])
+        return mat_scale(-overall, mt[(b, a)])
+
+    def delta(a, b):
+        return Fraction(1 if a == b else 0)
+
+    for a1, a2 in combinations(range(1, d + 1), 2):
+        for b1, b2 in combinations(range(1, d + 1), 2):
+            lhs = commutator(m(a1, a2), m(b1, b2))
+            rhs = linalg.zeros(d, d)
+            for c, mm in ((-delta(a1, b2), m(a2, b1)), (-delta(a2, b1), m(a1, b2)),
+                          (delta(a1, b1), m(a2, b2)), (delta(a2, b2), m(a1, b1))):
+                if c:
+                    rhs = mat_add(rhs, mat_scale(c, mm))
+            if not mat_eq(lhs, rhs):
+                return False
+    return True
+
+
+def k2_invariant_and_so4_split(fa):
+    """The two rank-two invariants of the euclidean 3-algebra on R^4 and the
+    plus/minus split of its inner-derivation algebra.
+
+    k1 (the Killing form on wedge pairs) must equal
+    -(d_{a1b1} d_{a2b2} - d_{b1a2} d_{a1b2}); k2 (the lowered structure
+    constants read as a pair form) must be a ray multiple of the rank-4
+    epsilon with split signature (3,3).  The combinations
+    P_i = (M_{i4} + 1/2 eps_{iab} M_{ab})/2 and the minus partner must give
+    two commuting su(2)-pattern blocks, and in the (P, Q) basis k1 and k2
+    must be the sum and the difference of the two block Killing forms.
+    """
+    if fa.arity != 3 or fa.dim != 4:
+        raise ValueError("this analysis is specific to the euclidean 3-algebra on R^4")
+    pairs = _wedge_pairs(4)
+
+    # k1 = Tr(ad ad); ray-equal to the pattern
+    # -(d_{a1b1} d_{a2b2} - d_{b1a2} d_{a1b2})  (here: -2x the pattern)
+    _, k1_vals, k1_mat = kasymov_form(fa)
+    pattern = {}
+    for i, (a1, a2) in enumerate(pairs):
+        for j, (b1, b2) in enumerate(pairs):
+            if i <= j:
+                want = -(Fraction(1 if a1 == b1 and a2 == b2 else 0)
+                         - Fraction(1 if b1 == a2 and a1 == b2 else 0))
+                if want:
+                    pattern[((a1, a2), (b1, b2))] = want
+    k1_ok = ray_equal(k1_vals, pattern)
+
+    # k2 = lowered structure constants as a pair form
+    met = check_metric_fa(fa, linalg.identity(4))
+    low = met.lowered
+    k2_vals = {}
+    k2_mat = linalg.zeros(6, 6)
+    for i, pa in enumerate(pairs):
+        for j, pb in enumerate(pairs):
+            v = low.get(pa + pb)
+            k2_mat[i][j] = v
+            if i <= j and v != 0:
+                k2_vals[(pa, pb)] = v
+    eps_vals = {}
+    for i, pa in enumerate(pairs):
+        for j, pb in enumerate(pairs):
+            if i <= j:
+                v = gen_kronecker((1, 2, 3, 4), pa + pb)
+                if v:
+                    eps_vals[(pa, pb)] = v
+    k2_eps = ray_equal(k2_vals, eps_vals)
+    k2_sig = linalg.signature(k2_mat)[:2]
+
+    k1_inv = _invariance_residual_on_pairs(fa, k1_vals) is None
+    k2_inv = _invariance_residual_on_pairs(fa, k2_vals) is None
+
+    # plus/minus generators, built on the dual rotation basis of iCS16;
+    # the sorted-pair sum absorbs the 1/2 of the epsilon contraction
+    half = Fraction(1, 2)
+    duals = so_dual_generators(fa)
+
+    def eps3(i, a, b):
+        return gen_kronecker((1, 2, 3), (i, a, b))
+
+    p_mats, q_mats = [], []
+    for i in (1, 2, 3):
+        base = duals[(i, 4)]
+        extra = linalg.zeros(4, 4)
+        for a, b in combinations((1, 2, 3), 2):
+            s = eps3(i, a, b)
+            if s:
+                extra = mat_add(extra, mat_scale(Fraction(s), duals[(a, b)]))
+        p_mats.append(mat_scale(half, mat_add(base, extra)))
+        q_mats.append(mat_scale(half, mat_sub(base, extra)))
+
+    commutes = all(is_zero_matrix(commutator(p, q))
+                   for p in p_mats for q in q_mats)
+
+    def su2_pattern(ms):
+        # [T_i, T_j] = c eps_{ijk} T_k for one fixed nonzero c
+        scale = None
+        for i, j in combinations((1, 2, 3), 2):
+            cm = commutator(ms[i - 1], ms[j - 1])
+            k = next(x for x in (1, 2, 3) if x not in (i, j))
+            s = eps3(i, j, k)
+            target = mat_scale(Fraction(s), ms[k - 1])
+            # find c with cm = c * target
+            flat_t = [x for row in target for x in row]
+            flat_c = [x for row in cm for x in row]
+            nz = next((t for t, x in enumerate(flat_t) if x != 0), None)
+            if nz is None:
+                return None
+            c = flat_c[nz] / flat_t[nz]
+            if any(flat_c[t] != c * flat_t[t] for t in range(len(flat_t))):
+                return None
+            if scale is None:
+                scale = c
+            elif scale != c:
+                return None
+        return scale if scale else None
+
+    sp = su2_pattern(p_mats)
+    sq = su2_pattern(q_mats)
+    pattern_ok = sp is not None and sq is not None
+
+    # express k1, k2 in the (P, Q) basis and compare with block Killing forms:
+    # write each new generator in wedge-pair coordinates, then transform the
+    # bilinear forms.
+    sum_ok = diff_ok = False
+    if pattern_ok and commutes:
+        basis = p_mats + q_mats
+        span = _span_rows([fa_ad_matrix(fa, pa) for pa in pairs], 4)
+        coords_new = [linalg.solve(span, 6, _flat(m)) for m in basis]
+        k1_new = [[sum(coords_new[u][i] * coords_new[v][j] * k1_mat[i][j]
+                       for i in range(6) for j in range(6)) for v in range(6)]
+                  for u in range(6)]
+        k2_new = [[sum(coords_new[u][i] * coords_new[v][j] * k2_mat[i][j]
+                       for i in range(6) for j in range(6)) for v in range(6)]
+                  for u in range(6)]
+
+        def blocks(m):
+            a = [row[:3] for row in m[:3]]
+            b = [row[3:] for row in m[3:]]
+            off1 = [row[3:] for row in m[:3]]
+            off2 = [row[:3] for row in m[3:]]
+            return a, b, off1, off2
+
+        def kill3(ms):
+            return [[trace(mat_mul(_ad3(ms, i), _ad3(ms, j)))
+                     for j in range(3)] for i in range(3)]
+
+        def _ad3(ms, i):
+            # adjoint matrix of the 3-dim span in its own basis
+            span = _span_rows(ms, len(ms[0]))
+            out = linalg.zeros(3, 3)
+            for j in range(3):
+                co = linalg.solve(span, 3, _flat(commutator(ms[i], ms[j])))
+                for k in range(3):
+                    out[k][j] = co[k]
+            return out
+
+        kp = kill3(p_mats)
+        kq = kill3(q_mats)
+
+        def block_scales(form, kpm, kqm):
+            # form must be block-diagonal with blocks lam_p * kp, lam_q * kq;
+            # returns (lam_p, lam_q) or None
+            a, b, o1, o2 = blocks(form)
+            zero33 = linalg.zeros(3, 3)
+            if not (mat_eq(o1, zero33) and mat_eq(o2, zero33)):
+                return None
+            out = []
+            for blk, ref in ((a, kpm), (b, kqm)):
+                flat_b = [x for row in blk for x in row]
+                flat_r = [x for row in ref for x in row]
+                nz = next((t for t, x in enumerate(flat_r) if x != 0), None)
+                if nz is None:
+                    return None
+                lam = flat_b[nz] / flat_r[nz]
+                if any(flat_b[t] != lam * flat_r[t] for t in range(9)):
+                    return None
+                out.append(lam)
+            return tuple(out)
+
+        # "sum": both blocks on one common positive ray of the block Killing
+        # forms; "difference": same common ray with opposite signs.
+        s1 = block_scales(k1_new, kp, kq)
+        sum_ok = s1 is not None and s1[0] == s1[1] and s1[0] != 0
+        s2 = block_scales(k2_new, kp, kq)
+        diff_ok = s2 is not None and s2[0] == -s2[1] and s2[0] != 0
+
+    return So4SplitReport(k1_ok, k2_eps, k2_sig, k1_inv, k2_inv,
+                          commutes, pattern_ok, sum_ok, diff_ok)
+
+
+def check_fa_representation(fa, rho) -> bool:
+    """rho: sorted wedge label -> matrix, extended with antisymmetry.  Both
+    defining conditions must hold as matrix identities:
+
+      [rho(X), rho(Y)] = rho(X.Y)
+      rho(X_1..X_{n-2}, [Y_1..Y_n]) =
+          sum_i (-1)^{n-i} rho(Y_1..^i..Y_n) rho(X_1..X_{n-2} Y_i)
+    """
+    d, n = fa.dim, fa.arity
+    labels = list(combinations(range(1, d + 1), n - 1))
+    size = len(rho[labels[0]])
+
+    def rho_get(lab):
+        key, s = sort_sign(lab)
+        if s == 0:
+            return linalg.zeros(size, size)
+        m = rho[key]
+        return m if s == 1 else mat_scale(Fraction(-1), m)
+
+    for x in labels:
+        for y in labels:
+            lhs = commutator(rho_get(x), rho_get(y))
+            rhs = linalg.zeros(size, size)
+            for lab, v in fundamental_compose(fa, x, y).items():
+                rhs = mat_add(rhs, mat_scale(v, rho_get(lab)))
+            if not mat_eq(lhs, rhs):
+                return False
+
+    for xs in combinations(range(1, d + 1), n - 2):
+        for ys in combinations(range(1, d + 1), n):
+            lhs = linalg.zeros(size, size)
+            for l, v in fa.f.get(ys, {}).items():
+                lhs = mat_add(lhs, mat_scale(v, rho_get(xs + (l,))))
+            rhs = linalg.zeros(size, size)
+            for i in range(n):
+                rest = ys[:i] + ys[i + 1:]
+                term = mat_mul(rho_get(rest), rho_get(xs + (ys[i],)))
+                rhs = mat_add(rhs, mat_scale(Fraction((-1) ** (n - i - 1)), term))
+            if not mat_eq(lhs, rhs):
+                return False
+    return True
+
+
+def clifford_realization(n: int):
+    """Gamma-matrix realization of the euclidean simple algebras.
+
+    n odd (3, 5): weight-one bracket [g_{a_1},..,g_{a_n}, chirality]' equals
+    -eps_{a_1..a_{n+1}} g_{a_{n+1}} on D = n+1 gammas.  n even (4): the D = n
+    gammas plus the chirality obey [g^{A_1},..,g^{A_n}]' = eps^{A_1..A_{n+1}}
+    g^{A_{n+1}}.  Either way the induced structure constants are compared
+    entrywise against the determinant-product algebra of the same arity.
+    """
+    if not 3 <= n <= 5:
+        raise ValueError("desk scale is 3 <= n <= 5")
+    if n % 2:
+        d = n + 1
+        gam, _ = gamma_matrices(d)
+        basis = gam
+        prod = gam[0]
+        for g in gam[1:]:
+            prod = mat_mul(prod, g)
+        ref = simple_fa(n, [1] * (n + 1))
+
+        # the normalization of the top gamma is free; fix the phase by the
+        # bracket identity itself, probing one tuple before full expansion
+        probe_idx = tuple(range(1, n + 1))
+        want_b = n + 1
+        want = mat_scale(
+            GaussianRational(-gen_kronecker(tuple(range(1, d + 1)), probe_idx + (want_b,))),
+            gam[want_b - 1])
+        chosen = None
+        for phase in (GaussianRational(1), GaussianRational(-1),
+                      GaussianRational(0, 1), GaussianRational(0, -1)):
+            fixed = mat_scale(phase, prod)
+            val = multibracket_weighted([gam[i - 1] for i in probe_idx] + [fixed])
+            if mat_eq(val, want):
+                chosen = fixed
+                break
+        if chosen is None:
+            f, identity_ok = _expand_bracket(basis, n, prod)
+        else:
+            f, clean = _expand_bracket(basis, n, chosen)
+            identity_ok = clean and f == ref.f
+    else:
+        d = n
+        gam, chi = gamma_matrices(d)
+        basis = gam + [chi]
+        f, identity_ok = _expand_bracket(basis, n, None)
+
+    dim_fa = n + 1
+    induced = FilippovAlgebra(n, dim_fa, f)
+    ref = simple_fa(n, [1] * (n + 1))
+    # n odd: the gamma identity carries -eps = (-1)^n eps; n even: +eps.
+    # simple_fa uses (-1)^n eps in both cases, so the two must coincide.
+    matches = induced.arity == ref.arity and induced.dim == ref.dim and induced.f == ref.f
+    identity_ok = identity_ok and matches
+
+    dc = None
+    if n == 3:
+        # both sides are linear in the top gamma, so the plain product serves
+        top = prod
+        dc = True
+        for a in range(4):
+            for b in range(4):
+                for c in range(4):
+                    lhs = mat_scale(GaussianRational(6), commutator(
+                        mat_mul(commutator(gam[a], gam[b]), top), gam[c]))
+                    rhs = multibracket([top, gam[a], gam[b], gam[c]])
+                    if not mat_eq(lhs, rhs):
+                        dc = False
+    return CliffordReport(n, identity_ok, dc, induced, matches)
+
+
+def _expand_bracket(basis, n, fixed):
+    """Structure constants of the weight-one multibracket over the given
+    matrix basis (with an optional fixed extra slot), expanded by trace
+    orthogonality Tr(g_a g_b) = size * delta_ab; returns (f, all_real)."""
+    dim_fa = len(basis)
+    size = len(basis[0])
+    f = {}
+    clean = True
+    for idx in combinations(range(1, dim_fa + 1), n):
+        args = [basis[i - 1] for i in idx] + ([fixed] if fixed is not None else [])
+        val = multibracket_weighted(args)
+        row = {}
+        for b in range(1, dim_fa + 1):
+            g = basis[b - 1]
+            # Tr(val g) without forming the product
+            tr = GaussianRational(0)
+            for i, val_row in enumerate(val):
+                for k, x in enumerate(val_row):
+                    if x:
+                        tr += x * g[k][i]
+            coeff = tr / GaussianRational(size)
+            if coeff.im != 0:
+                clean = False
+            if coeff.re != 0:
+                row[b] = coeff.re
+        if row:
+            f[idx] = row
+    return f, clean
+
+
+def trace_extension_bracket(bracket_n1, traces, mats):
+    """[A_1..A_n] = sum_i (-1)^{i-1} <A_i> [A_1..^i..A_n] given an
+    (n-1)-bracket and a linear `traces` functional."""
+    out = None
+    for i, a in enumerate(mats):
+        t = traces(a)
+        if is_zero(t):
+            continue
+        sub = bracket_n1([m for q, m in enumerate(mats) if q != i])
+        term = mat_scale(t * Fraction((-1) ** i), sub)
+        out = term if out is None else mat_add(out, term)
+    if out is None:
+        size = len(mats[0])
+        return linalg.zeros(size, size)
+    return out
+
+
+def trace_extension_structure(bracket_n, basis):
+    """Expand an antisymmetric matrix n-bracket over the given matrix basis
+    into structure constants and validate the characteristic identity."""
+    d = len(basis)
+    size = len(basis[0])
+    span = _span_rows(basis, size)
+    n = getattr(bracket_n, "arity")
+    f = {}
+    for idx in combinations(range(1, d + 1), n):
+        val = bracket_n([basis[i - 1] for i in idx])
+        co = linalg.solve(span, d, _flat(val))
+        if co is None:
+            raise ValueError("bracket leaves the span of the basis")
+        row = {b + 1: co[b] for b in range(d) if co[b] != 0}
+        if row:
+            f[idx] = row
+    fa = FilippovAlgebra(n, d, f)
+    return fa
+
+
+def leibniz_rep_conditions(lb, left, right):
+    """The three compatibility conditions of a (left, right) action pair:
+
+        [l_X, l_Y] = l_{[X,Y]}
+        [l_X, r_Y] = r_{[X,Y]}
+        r_{[X,Y]}  = r_Y r_X + l_X r_Y
+
+    as exact matrix identities; returns the first violation or None.
+    """
+    d = lb.dim
+
+    def lmat(i):
+        return left[i - 1]
+
+    def rmat(i):
+        return right[i - 1]
+
+    size = len(left[0])
+
+    def bracket_mat(mats, i, j):
+        out = linalg.zeros(size, size)
+        for k, v in lb.row(i, j).items():
+            out = mat_add(out, mat_scale(v, mats[k - 1]))
+        return out
+
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            c1 = mat_sub(commutator(lmat(i), lmat(j)), bracket_mat(left, i, j))
+            if not is_zero_matrix(c1):
+                return ("left-left", i, j)
+            c2 = mat_sub(commutator(lmat(i), rmat(j)), bracket_mat(right, i, j))
+            if not is_zero_matrix(c2):
+                return ("left-right", i, j)
+            c3 = mat_sub(bracket_mat(right, i, j),
+                                mat_add(mat_mul(rmat(j), rmat(i)),
+                                               mat_mul(lmat(i), rmat(j))))
+            if not is_zero_matrix(c3):
+                return ("right-compat", i, j)
+    return None
+
+
+def quadratic_casimir(alg, mats):
+    """I_2(rho) = k^{ij} rho_i rho_j; raises through the inverse Killing form."""
+    kinv = linalg.inverse(killing_form(alg))
+    n = len(mats[0])
+    out = linalg.zeros(n, n)
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            if kinv[i][j] != 0:
+                out = mat_add(out, mat_scale(kinv[i][j],
+                                                           mat_mul(mats[i], mats[j])))
+    return out

@@ -22,6 +22,7 @@ from naryalg.gla import GLAlgebra
 from naryalg.lie import LieAlgebra
 from naryalg.poisson import bracket_multivector
 from naryalg.poly import Poly
+from naryalg.scalars import GaussianRational
 
 GENERATED = {
     ("simple-fa", "--n", "3"):
@@ -124,6 +125,35 @@ def test_round_trip_is_byte_stable(obj):
     back = AlgebraFile.parse(text).build()
     assert type(back) is type(obj) and back == obj
     assert AlgebraFile.from_object(back).emit() == text
+
+
+def test_gaussian_metric_writes_a_gaussian_file():
+    # A4 with metric i * delta once got a `rational` header, and its own
+    # output failed with "gaussian literal in a rational file"
+    obj = catalog.a4()
+    obj.metric = [[GaussianRational(0, int(i == j)) for j in range(4)] for i in range(4)]
+    af = AlgebraFile.from_object(obj)
+    assert af.scalar_kind == "gaussian"
+    text = af.emit()
+    assert text.startswith("filippov 3 4 gaussian\n")
+    back = AlgebraFile.parse(text).build()
+    assert back == obj and back.metric == obj.metric
+    assert AlgebraFile.from_object(back).emit() == text
+    obj.metric = [[GaussianRational(int(i == j)) for j in range(4)] for i in range(4)]
+    assert AlgebraFile.from_object(obj).scalar_kind == "rational"
+
+
+@pytest.mark.parametrize("metric,message", [
+    ([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)]], "symmetric"),
+    ([[Fraction(1)]], "2 x 2"),
+    ([[Fraction(1), Fraction(0)], [Fraction(0)]], "2 x 2"),
+])
+def test_emit_refuses_a_metric_it_cannot_write_back(metric, message):
+    # an asymmetric metric was written as its upper triangle, a 1 x 1 one as
+    # a 1 x 1 block: both read back as a different metric
+    af = AlgebraFile("lie", 2, 2, entries=[((1, 2), 1, Fraction(1))], metric=metric)
+    with pytest.raises(ValueError, match=message):
+        af.emit()
 
 
 # ---------------------------------------------------------------------------

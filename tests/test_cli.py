@@ -131,6 +131,14 @@ def test_trivial_module_is_the_default_rep(a4_file, capsys):
     ("multivector 1 2 gaussian\n1 -> 0 0 : 1i\n",
      "line 2, column 11: entry values must be real, got '1i'"),
     ("lie 2 3 gaussian\n1 2 -> 3 : 1i\n", "line 2, column 11: entry values must be real, got '1i'"),
+    # a metric pair or a metric block given twice: the last value once won,
+    # and a second header once reset the block to zeros
+    ("lie 2 3 rational\n1 2 -> 3 : 1\nmetric\n1 2 : 3\n  2 1 : 5\n",
+     "line 5, column 3: duplicate metric entry for (1, 2)"),
+    ("lie 2 3 rational\n1 2 -> 3 : 1\nmetric\n1 2 : 3\n1 2 : 5\n",
+     "line 5, column 1: duplicate metric entry for (1, 2)"),
+    ("lie 2 3 rational\nmetric\n1 1 : 1\n  metric\n2 2 : 1\n",
+     "line 4, column 3: a second metric block"),
 ])
 def test_malformed_file_is_an_input_error_with_its_position(tmp_path, capsys, text, where):
     path = tmp_path / "bad.alg"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import dense_reference as dense
 from naryalg import linalg
 from naryalg.catalog import euclidean_rotations_2d, heisenberg, r2_abelian, su
 from naryalg.cohomology import (Cochain, _coboundary_preimage, basis_tuples,
@@ -107,10 +108,11 @@ def test_row_assembly_scales_by_the_representation_denominators():
     q = [[Fraction(1), Fraction(1, 3), Fraction(0)],
          [Fraction(0), Fraction(1), Fraction(2, 5)],
          [Fraction(1, 7), Fraction(0), Fraction(1)]]
-    qinv = linalg.inverse(q)
-    rho = Representation(alg, [linalg.mat_mul(qinv, linalg.mat_mul(m, q))
-                               for m in alg.adjoint_rep().mats])
-    assert any(x.denominator > 1 for m in rho.mats for row in m for x in row)
+    qinv = dense.to_map(linalg.inverse(q))
+    q = dense.to_map(q)
+    rho = Representation(alg, [linalg.sp_mul(qinv, linalg.sp_mul(m, q))
+                               for m in alg.adjoint_rep().mats], 3)
+    assert any(x.denominator > 1 for m in rho.mats for x in m.values())
     for p in range(3):
         rows, src, _ = coboundary_matrix(alg, rho, p, 3)
         assert rows == unit_cochain_columns(alg, rho, p, 3, range(len(src)))
@@ -121,10 +123,8 @@ def test_complex_representation_is_rejected():
     # ranks are taken over Q: a representation with imaginary entries (here
     # X_k -> -i sigma_k / 2 of su(2)) raises instead of giving a dimension
     i = GaussianRational(0, 1)
-    one, zero = GaussianRational(1), GaussianRational(0)
-    sigma = ([[zero, one], [one, zero]], [[zero, -i], [i, zero]], [[one, zero], [zero, -one]])
-    rho = Representation(su(2), [[[x * i * Fraction(-1, 2) for x in row] for row in s]
-                                 for s in sigma])
+    sigma = ({(0, 1): 1, (1, 0): 1}, {(0, 1): -i, (1, 0): i}, {(0, 0): 1, (1, 1): -1})
+    rho = Representation(su(2), [linalg.sp_scale(i * Fraction(-1, 2), s) for s in sigma], 2)
     with pytest.raises(ValueError, match="imaginary"):
         cohomology_dims(su(2), rho, 1)
 
@@ -183,7 +183,7 @@ def test_h_dims_nonnegative_everywhere():
 def test_casimir_is_scalar_for_su2_adjoint():
     alg = su(2)
     cas = quadratic_casimir(alg, alg.adjoint_rep())
-    assert cas == linalg.mat_scale(cas[0][0], linalg.identity(3)) and cas[0][0] != 0
+    assert cas == linalg.sp_identity(3)
 
 
 def test_homotopy_inverts_coboundary_on_cocycles():

@@ -21,7 +21,9 @@ from naryalg.tensors import AntisymTensor, ray_equal
 
 
 def rmat(rng, n=3):
-    return [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    """A random n x n sparse matrix with small integer `Fraction` values."""
+    entries = {(i, j): Fraction(rng.randint(-3, 3)) for i in range(n) for j in range(n)}
+    return {key: v for key, v in entries.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -31,22 +33,19 @@ def rmat(rng, n=3):
 def test_two_bracket_is_commutator():
     rng = random.Random(0)
     a, b = rmat(rng), rmat(rng)
-    assert linalg.mat_eq(multibracket([a, b]), linalg.commutator(a, b))
+    assert multibracket([a, b]) == linalg.sp_commutator(a, b)
 
 
 def test_three_bracket_expansions():
     rng = random.Random(1)
     x1, x2, x3 = (rmat(rng) for _ in range(3))
     mb = multibracket([x1, x2, x3])
-    left = linalg.mat_add(
-        linalg.mat_sub(linalg.mat_mul(x1, linalg.commutator(x2, x3)),
-                       linalg.mat_mul(x2, linalg.commutator(x1, x3))),
-        linalg.mat_mul(x3, linalg.commutator(x1, x2)))
-    right = linalg.mat_add(
-        linalg.mat_sub(linalg.mat_mul(linalg.commutator(x2, x3), x1),
-                       linalg.mat_mul(linalg.commutator(x1, x3), x2)),
-        linalg.mat_mul(linalg.commutator(x1, x2), x3))
-    assert linalg.mat_eq(mb, left) and linalg.mat_eq(mb, right)
+    mul, com = linalg.sp_mul, linalg.sp_commutator
+    left = linalg.sp_sum([(1, mul(x1, com(x2, x3))), (-1, mul(x2, com(x1, x3))),
+                          (1, mul(x3, com(x1, x2)))])
+    right = linalg.sp_sum([(1, mul(com(x2, x3), x1)), (-1, mul(com(x1, x3), x2)),
+                           (1, mul(com(x1, x2), x3))])
+    assert mb == left and mb == right
 
 
 def test_multibracket_fully_antisymmetric():
@@ -54,21 +53,20 @@ def test_multibracket_fully_antisymmetric():
     ms = [rmat(rng) for _ in range(4)]
     base = multibracket(ms)
     swapped = multibracket([ms[1], ms[0], ms[2], ms[3]])
-    assert linalg.mat_eq(swapped, linalg.mat_scale(Fraction(-1), base))
+    assert swapped == linalg.sp_scale(-1, base)
 
 
 def test_weighted_variant_divides_by_factorial():
     rng = random.Random(3)
     ms = [rmat(rng) for _ in range(3)]
-    assert linalg.mat_eq(multibracket_weighted(ms),
-                         linalg.mat_scale(Fraction(1, 6), multibracket(ms)))
+    assert multibracket_weighted(ms) == linalg.sp_scale(Fraction(1, 6), multibracket(ms))
 
 
 def test_odd_arity_double_bracket_equals_n_times_full():
     rng = random.Random(4)
     ms = [rmat(rng) for _ in range(5)]
     lhs, rhs = odd_arity_defect(ms)
-    assert linalg.mat_eq(lhs, rhs)
+    assert lhs and lhs == rhs
 
 
 def test_resolution_n4_has_six_ordered_terms():

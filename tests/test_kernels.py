@@ -10,6 +10,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+import dense_reference as dense
 from naryalg import linalg, tensors
 from naryalg.catalog import a4, a5, corrupted, nhw
 from naryalg.filippov import FilippovAlgebra, check_fi, simple_fa
@@ -229,13 +230,14 @@ def test_fi_forms_match_the_per_s_loops(name, form):
 # ---------------------------------------------------------------------------
 
 def multibracket_by_permutations(mats):
+    """The n!-term permutation sum on dense matrices."""
     size = len(mats[0])
     acc = linalg.zeros(size, size)
     for p in permutations(range(len(mats))):
         prod = mats[p[0]]
         for i in p[1:]:
-            prod = linalg.mat_mul(prod, mats[i])
-        acc = linalg.mat_add(acc, linalg.mat_scale(inversion_sign(p), prod))
+            prod = dense.mat_mul(prod, mats[i])
+        acc = dense.mat_add(acc, dense.mat_scale(inversion_sign(p), prod))
     return acc
 
 
@@ -259,8 +261,9 @@ def test_multibracket_matches_the_permutation_sum(n, kinds):
         gaussian = [kinds == "gaussian" or (kinds == "mixed" and rng.random() < 0.5)
                     for _ in range(n)]
         mats = [random_matrix(rng, size, g) for g in gaussian]
-        got = multibracket(mats)
-        want = multibracket_by_permutations(mats)
-        assert got == want
-        assert [[type(x) for x in row] for row in got] == \
-            [[type(x) for x in row] for row in want]
+        sparse = [dense.to_map(m) for m in mats]
+        got = multibracket(sparse)
+        assert got == dense.to_map(multibracket_by_permutations(mats))
+        # Gaussian values come back when some input value is Gaussian
+        some = any(isinstance(v, GaussianRational) for m in sparse for v in m.values())
+        assert all(isinstance(v, GaussianRational) == some for v in got.values())

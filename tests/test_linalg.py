@@ -11,7 +11,7 @@ from naryalg import linalg
 from naryalg import nary_cohomology as nc
 from naryalg.catalog import a4, nhw, su
 from naryalg.filippov import adjoint_fa_representation
-from naryalg.scalars import GaussianRational
+from naryalg.scalars import GaussianRational, is_zero
 
 
 def rand_matrix(rng, n, m):
@@ -61,7 +61,7 @@ def test_inverse_roundtrip():
         if linalg.det(a) == 0:
             continue
         found += 1
-        assert linalg.mat_eq(linalg.mat_mul(a, linalg.inverse(a)), linalg.identity(3))
+        assert dense.mat_mul(a, linalg.inverse(a)) == linalg.identity(3)
     assert linalg.inverse([]) == []
 
 
@@ -76,7 +76,7 @@ def test_det_multiplicative():
     rng = random.Random(3)
     for _ in range(10):
         a, b = rand_matrix(rng, 3, 3), rand_matrix(rng, 3, 3)
-        assert linalg.det(linalg.mat_mul(a, b)) == linalg.det(a) * linalg.det(b)
+        assert linalg.det(dense.mat_mul(a, b)) == linalg.det(a) * linalg.det(b)
 
 
 def test_signature_diagonal():
@@ -101,18 +101,47 @@ def test_signature_congruence_invariance():
         s = rand_matrix(rng, 3, 3)
         if linalg.det(s) == 0:
             continue
-        m = linalg.mat_mul(linalg.transpose(s), linalg.mat_mul(base, s))
+        m = dense.mat_mul(dense.transpose(s), dense.mat_mul(base, s))
         assert linalg.signature(m) == sig
 
 
 def test_gaussian_matrix_ops():
     i = GaussianRational(0, 1)
-    a = [[i, GaussianRational(1)], [GaussianRational(0), -i]]
-    sq = linalg.mat_mul(a, a)
-    assert sq[0][0] == GaussianRational(-1)
-    assert linalg.trace(a) == GaussianRational(0)
-    ct = linalg.conj_transpose(a)
-    assert ct[0][0] == -i and ct[1][0] == GaussianRational(1)
+    a = {(0, 0): i, (0, 1): GaussianRational(1), (1, 1): -i}
+    # a^2 = -1: the off-diagonal entries i - i cancel and are not stored
+    assert linalg.sp_mul(a, a) == linalg.sp_scale(-1, linalg.sp_identity(2))
+    assert linalg.sp_trace(a, linalg.sp_identity(2)) == 0
+    assert linalg.sp_commutator(a, a) == {}
+
+
+def random_sparse(rng, size, gaussian):
+    """A random size x size sparse matrix, and its dense twin."""
+    def entry():
+        if rng.random() < 0.5:
+            return Fraction(0)
+        re = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        return GaussianRational(re, rng.choice([0, 1, -1])) if gaussian else re
+    m = [[entry() for _ in range(size)] for _ in range(size)]
+    return dense.to_map(m), m
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_kernel_matches_dense(seed, gaussian):
+    rng = random.Random(seed)
+    size = rng.randint(1, 5)
+    (a, da), (b, db) = random_sparse(rng, size, gaussian), random_sparse(rng, size, gaussian)
+    c = Fraction(rng.randint(-3, 3), 2)
+    for got, want in [(linalg.sp_mul(a, b), dense.mat_mul(da, db)),
+                      (linalg.sp_commutator(a, b), dense.commutator(da, db)),
+                      (linalg.sp_anticommutator(a, b), dense.anticommutator(da, db)),
+                      (linalg.sp_scale(c, a), dense.mat_scale(c, da)),
+                      (linalg.sp_sum([(c, a), (1, b), (-c, a)]), db),
+                      (linalg.sp_identity(size), linalg.identity(size))]:
+        assert all(not is_zero(v) for v in got.values())
+        assert got == dense.to_map(want)
+        assert dense.to_dense(got, size) == want
+    assert linalg.sp_trace(a, b) == dense.trace(dense.mat_mul(da, db))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 `scalars.accumulate` alone (no module pops a key by hand with
 `.pop(key, None)`), the non-validating `Poly._canonical` constructor is
 called from `poly.py` and `poisson.py` alone, every public function,
-class, method or property has a caller in `src/` or a test, and the su(n)
-and gamma-matrix constructions make no dense `linalg` product."""
+class, method or property has a caller in `src/` or a test, no module
+defines, imports, reads or calls a name of the deleted dense matrix layer
+(`mat_mul`, `commutator`, `trace`, ..), and the su(n) and gamma-matrix
+constructions make no generic sparse product (they stay on `zi_*`)."""
 
 import ast
 from pathlib import Path
@@ -135,42 +137,75 @@ def test_every_public_definition_is_used_or_tested():
 
 
 # ---------------------------------------------------------------------------
-# the su(n) and gamma constructions stay on the sparse ℤ[i] kernel
+# one operator-matrix format: the dense matrix layer stays out of src/, and
+# the su(n) and gamma constructions stay on the ℤ[i] kernel
 # ---------------------------------------------------------------------------
 
-KERNEL_FUNCTIONS = {"sun_generators", "symmetrized_trace_poly", "closure_residual",
-                    "gamma_matrices", "_chirality"}
-DENSE_PRODUCTS = {"mat_mul", "commutator", "anticommutator", "trace"}
+DENSE_NAMES = {"mat_add", "mat_sub", "mat_scale", "mat_mul", "mat_eq", "transpose", "trace",
+               "commutator", "anticommutator", "is_zero_matrix", "conj_transpose", "zi_to_dense"}
+KERNEL_FUNCTIONS = {"sun_generators", "symmetrized_trace_poly", "gamma_matrices", "_chirality"}
+GENERIC_PRODUCTS = {"sp_mul", "sp_commutator", "sp_anticommutator", "sp_trace"}
 
 
-def dense_product_calls(source):
-    """(function, dense operation) of every call of a dense `linalg` product
-    (as `linalg.<name>` or a bare imported name) inside the kernel
-    functions, nested definitions included."""
+def called_name(call):
+    """The name a call reads: `f(..)` or `<module>.f(..)`."""
+    f = call.func
+    if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+        return f.attr
+    return f.id if isinstance(f, ast.Name) else None
+
+
+def dense_layer_uses(source):
+    """(line, name) of every definition, import, `linalg.<name>` read or call
+    of a deleted dense matrix name, anywhere in the module."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.FunctionDef) and node.name in KERNEL_FUNCTIONS:
-            for call in ast.walk(node):
-                if not isinstance(call, ast.Call):
-                    continue
-                f = call.func
-                if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                        and f.value.id == "linalg" and f.attr in DENSE_PRODUCTS):
-                    found.append((node.name, f.attr))
-                elif isinstance(f, ast.Name) and f.id in DENSE_PRODUCTS:
-                    found.append((node.name, f.id))
-    return found
+        if isinstance(node, DEFS) and node.name in DENSE_NAMES:
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.alias) and node.name in DENSE_NAMES:
+            found.append((node.lineno, node.name))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "linalg" and node.attr in DENSE_NAMES):
+            found.append((node.lineno, node.attr))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in DENSE_NAMES):
+            found.append((node.lineno, node.func.id))
+    return sorted(found)
 
 
-def test_scan_sees_a_dense_product():
-    source = ("def closure_residual(a, b):\n    def inner(x):\n"
-              "        return linalg.trace(x)\n    return commutator(a, b)\n"
-              "def other(a, b):\n    return linalg.mat_mul(a, b)\n"
-              "def gamma_matrices(d):\n    return linalg.zi_mul(d, d), linalg.mat_sub(d, d)\n")
-    assert sorted(dense_product_calls(source)) == [("closure_residual", "commutator"),
-                                                   ("closure_residual", "trace")]
+def generic_product_calls(source):
+    """(function, operation) of every generic sparse product called inside
+    the ℤ[i] construction functions, nested definitions included."""
+    return [(node.name, called_name(call))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name in KERNEL_FUNCTIONS
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and called_name(call) in GENERIC_PRODUCTS]
+
+
+def test_scan_sees_the_dense_layer():
+    source = ("from .linalg import mat_mul\n"
+              "def f(a, b):\n    def inner(x):\n        return linalg.trace(x)\n"
+              "    return commutator(a, b), linalg.sp_commutator(a, b)\n"
+              "g = linalg.mat_eq\n"
+              "def transpose(a):\n    return a.trace()\n")
+    assert dense_layer_uses(source) == [(1, "mat_mul"), (4, "trace"), (5, "commutator"),
+                                        (6, "mat_eq"), (7, "transpose")]
+
+
+def test_scan_sees_a_generic_product_in_the_integer_kernel():
+    source = ("def gamma_matrices(d):\n    return linalg.zi_mul(d, d), linalg.sp_mul(d, d)\n"
+              "def closure_residual(a, b):\n    return linalg.sp_commutator(a, b)\n"
+              "def _chirality(g):\n    def inner(x):\n        return sp_trace(x, x)\n")
+    assert generic_product_calls(source) == [("gamma_matrices", "sp_mul"),
+                                             ("_chirality", "sp_trace")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dense_matrix_layer_in_src(path):
+    assert dense_layer_uses(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_su_and_gamma_constructions_use_the_integer_kernel(path):
-    assert dense_product_calls(path.read_text()) == []
+    assert generic_product_calls(path.read_text()) == []

@@ -7,7 +7,7 @@ import pytest
 import dense_reference as dense
 from naryalg import linalg
 from naryalg.catalog import a4, a5, nhw
-from naryalg.filippov import adjoint_fa_representation, check_fi
+from naryalg.filippov import FARepresentation, adjoint_fa_representation, check_fi
 from naryalg.nary_cohomology import (NCochain, coboundary_deformation_eval, coboundary_matrix,
                                      coboundary_trivial_eval, deformation_obstruction,
                                      deformation_preimage, duality_pairing_holds,
@@ -59,10 +59,11 @@ def test_row_assembly_scales_by_the_module_denominators(p):
     fa = a4()
     q = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
     q[0][1], q[2][3], q[3][0] = Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)
-    qinv = linalg.inverse(q)
-    rho = {lab: linalg.mat_mul(qinv, linalg.mat_mul(m, q))
-           for lab, m in adjoint_fa_representation(fa).items()}
-    assert any(x.denominator > 1 for m in rho.values() for row in m for x in row)
+    qinv = dense.to_map(linalg.inverse(q))
+    q = dense.to_map(q)
+    rho = FARepresentation({lab: linalg.sp_mul(qinv, linalg.sp_mul(m, q))
+                            for lab, m in adjoint_fa_representation(fa).mats.items()}, 4)
+    assert any(x.denominator > 1 for m in rho.mats.values() for x in m.values())
     assert coboundary_matrix(fa, "module", p, rho) == unit_cochain_matrix(fa, "module", p, rho, 4)
 
 

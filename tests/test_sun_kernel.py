@@ -1,6 +1,7 @@
 """The sparse ℤ[i] matrix kernel of `linalg` against dense `GaussianRational`
 arithmetic, and the su(n) generators, closure residual, symmetrized traces
-and gamma matrices built on it against their dense references."""
+and gamma matrices built on it against their dense references; the sparse
+generators and gamma matrices are compared through `to_dense`."""
 
 import hashlib
 import random
@@ -29,7 +30,7 @@ def rand_zi(rng, size, fill):
 
 
 def dense_of(a, size):
-    return linalg.zi_to_dense(a, size)
+    return dense.to_dense(linalg.zi_wrap(a), size)
 
 
 def no_zero_entries(a):
@@ -42,14 +43,16 @@ def test_kernel_matches_dense_gaussian_arithmetic(seed):
     size = rng.randint(1, 5)
     a, b = rand_zi(rng, size, 0.4), rand_zi(rng, size, 0.4)
     da, db = dense_of(a, size), dense_of(b, size)
-    for got, want in [(linalg.zi_mul(a, b), linalg.mat_mul(da, db)),
-                      (linalg.zi_commutator(a, b), linalg.commutator(da, db)),
-                      (linalg.zi_anticommutator(a, b), linalg.anticommutator(da, db)),
+    for got, want in [(linalg.zi_mul(a, b), dense.mat_mul(da, db)),
+                      (linalg.zi_commutator(a, b), dense.commutator(da, db)),
+                      (linalg.zi_anticommutator(a, b), dense.anticommutator(da, db)),
                       (linalg.zi_scale((0, -1), a),
-                       linalg.mat_scale(GaussianRational(0, -1), da))]:
+                       dense.mat_scale(GaussianRational(0, -1), da)),
+                      (linalg.zi_sum([(2, a), (-3, b)]),
+                       dense.mat_sub(dense.mat_scale(2, da), dense.mat_scale(3, db)))]:
         assert no_zero_entries(got)
         assert dense_of(got, size) == want
-    tr = linalg.trace(linalg.mat_mul(da, db))
+    tr = GaussianRational(0) + dense.trace(dense.mat_mul(da, db))
     assert linalg.zi_trace(a, b) == (tr.re, tr.im)
     small = rand_zi(rng, 2, 0.6)
     kron = linalg.zi_kron(a, small, 2)
@@ -61,9 +64,9 @@ def test_kernel_drops_cancelled_entries():
     x = {(0, 1): (1, 0), (1, 0): (1, 0)}
     assert linalg.zi_commutator(x, x) == {}
     assert linalg.zi_mul(x, x) == linalg.zi_identity(2)
-    half = linalg.zi_to_dense({(0, 0): (1, -3)}, 2, Fraction(1, 2))
-    assert half == [[GaussianRational(Fraction(1, 2), Fraction(-3, 2)), GaussianRational(0)],
-                    [GaussianRational(0), GaussianRational(0)]]
+    assert linalg.zi_sum([(1, x), (-1, x)]) == {}
+    half = linalg.zi_wrap({(0, 0): (1, -3)}, Fraction(1, 2))
+    assert half == {(0, 0): GaussianRational(Fraction(1, 2), Fraction(-3, 2))}
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +80,11 @@ def test_sun_generators_match_dense_reference(n):
     assert basis.algebra.c == alg.c
     assert list(basis.algebra.entries()) == list(alg.entries())
     assert basis.trace_norms == norms
-    assert basis.hermitian == herm
-    assert basis.rep.mats == antiherm
-    assert [linalg.zi_to_dense(y, n, Fraction(1, 2)) for y in basis.doubled] == herm
+    assert basis.rep.dim_v == n
+    assert [dense.to_dense(m, n) for m in basis.hermitian] == herm
+    assert [dense.to_dense(m, n) for m in basis.rep.mats] == antiherm
+    assert [dense.to_map(m) for m in herm] == basis.hermitian
+    assert [linalg.zi_wrap(y, Fraction(1, 2)) for y in basis.doubled] == basis.hermitian
     assert dense.closure_residual(alg, antiherm) is None
 
 
@@ -89,8 +94,8 @@ SYM_TRACE_CASES = [(n, m) for n in (2, 3) for m in (2, 3, 4)] + [(4, 2), (4, 3)]
 @pytest.mark.parametrize("n,m", SYM_TRACE_CASES)
 def test_symmetrized_trace_matches_dense_reference(n, m):
     basis = catalog.sun_basis(n)
-    assert symmetrized_trace_poly(basis, m).terms == \
-        dense.symmetrized_trace_poly(basis.hermitian, m).terms
+    herm = [dense.to_dense(x, n) for x in basis.hermitian]
+    assert symmetrized_trace_poly(basis, m).terms == dense.symmetrized_trace_poly(herm, m).terms
 
 
 def sorted_terms_sha256(k):
@@ -127,14 +132,14 @@ def test_flipped_sign_gives_the_dense_witness(n):
     basis = catalog.sun_basis(n)
     alg = basis.algebra
     for k in range(alg.dim):
-        mats = [[row[:] for row in m] for m in basis.rep.mats]
-        a, b = next((a, b) for a in range(n) for b in range(n) if mats[k][a][b])
-        mats[k][a][b] = -mats[k][a][b]
+        mats = [dict(m) for m in basis.rep.mats]
+        key = min(mats[k])
+        mats[k][key] = -mats[k][key]
         wit = closure_residual(alg, mats)
         assert wit is not None
-        assert wit == dense.closure_residual(alg, mats)
+        assert wit == dense.closure_residual(alg, [dense.to_dense(m, n) for m in mats])
         with pytest.raises(ValueError, match="not a representation"):
-            Representation(alg, mats)
+            Representation(alg, mats, n)
 
 
 # ---------------------------------------------------------------------------
@@ -143,4 +148,9 @@ def test_flipped_sign_gives_the_dense_witness(n):
 
 @pytest.mark.parametrize("d", [2, 4, 6])
 def test_gamma_matrices_match_dense_reference(d):
-    assert gamma_matrices(d) == dense.gamma_matrices(d)
+    gam, chi = gamma_matrices(d)
+    dgam, dchi = dense.gamma_matrices(d)
+    size = 2 ** (d // 2)
+    assert [dense.to_dense(g, size) for g in gam] == dgam
+    assert dense.to_dense(chi, size) == dchi
+    assert [dense.to_map(g) for g in dgam] == gam and dense.to_map(dchi) == chi
