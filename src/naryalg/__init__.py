@@ -18,10 +18,9 @@ from .lie import LieAlgebra, Representation, SymInvariantPoly
 from .gla import GLAlgebra
 from .filippov import FilippovAlgebra
 from .nary_cohomology import LeibnizAlgebra, NCochain
-from .poisson import PolyMultivector
 
 __all__ = [
     "AntisymTensor", "BracketTensor", "FilippovAlgebra", "GaussianRational", "GLAlgebra",
-    "LeibnizAlgebra", "LieAlgebra", "NCochain", "Poly", "PolyMultivector",
-    "Representation", "SymInvariantPoly", "gen_kronecker",
+    "LeibnizAlgebra", "LieAlgebra", "NCochain", "Poly", "Representation",
+    "SymInvariantPoly", "gen_kronecker",
 ]

@@ -29,10 +29,9 @@ from .filippov import FilippovAlgebra
 from .gla import GLAlgebra
 from .lie import LieAlgebra
 from .nary_cohomology import LeibnizAlgebra
-from .poisson import PolyMultivector
 from .poly import Poly
 from .scalars import GaussianRational, format_scalar, parse_scalar
-from .tensors import BracketTensor
+from .tensors import AntisymTensor, BracketTensor
 
 # the structure-constant kinds, each stored as a BracketTensor subclass
 BRACKETS = {cls.kind: cls for cls in (LieAlgebra, GLAlgebra, FilippovAlgebra)}
@@ -232,7 +231,7 @@ class AlgebraFile:
             for idx, exps, v in self.entries:
                 p = comps.get(idx, Poly.zero(self.dim))
                 comps[idx] = p + Poly(self.dim, {tuple(exps): v})
-            return PolyMultivector(self.arity, self.dim, comps)
+            return AntisymTensor(self.arity, self.dim, comps, Poly.zero(self.dim))
         raise ValueError(f"unknown kind {self.kind!r}")
 
     @classmethod
@@ -248,9 +247,9 @@ class AlgebraFile:
                 for k, v in row.items():
                     out.entries.append(((i, j), k, v))
             return out
-        if isinstance(obj, PolyMultivector):
-            out = cls("multivector", obj.order, obj.dim)
-            for idx, p in obj.comps.items():
+        if isinstance(obj, AntisymTensor) and isinstance(obj.zero, Poly):
+            out = cls("multivector", obj.rank, obj.dim)
+            for idx, p in obj.entries.items():
                 for exps, c in sorted(p.terms.items()):
                     out.entries.append((idx, exps, c))
             return out

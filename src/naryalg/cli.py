@@ -23,7 +23,8 @@ from .gla import GLAlgebra, check_gji
 from .lie import LieAlgebra, check_jacobi, check_metric_invariance
 from .nary_cohomology import LeibnizAlgebra, fa_cohomology_dims
 from .cohomology import cohomology_dims
-from .poisson import PolyMultivector, gps_check, np_check, schouten_bracket
+from .poisson import gps_check, np_check, schouten_bracket
+from .tensors import AntisymTensor
 
 DEFAULT_MAX_DIM = 8
 
@@ -258,7 +259,7 @@ def cmd_poisson(args) -> int:
     except (OSError, ParseError, ValueError) as exc:
         _human(f"input error: {exc}")
         return 2
-    if not isinstance(obj, PolyMultivector):
+    if not isinstance(obj, AntisymTensor):
         _human("input error: poisson checks apply to multivector files")
         return 2
     run = CheckRun()

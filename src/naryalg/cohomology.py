@@ -4,9 +4,10 @@ its epsilon-contracted coordinates form, exact cohomology dimensions,
 the Casimir-built homotopy operator behind Whitehead's lemma, central
 extensions, and deformation cocycles with their obstruction classes.
 
-A V-valued p-cochain is stored by coordinates Omega^A_{i_1..i_p} on the
-minimal basis of strictly increasing index tuples, one antisymmetric layer
-per target index A (A = 1 for scalar-valued cochains).
+A V-valued p-cochain (`Cochain`) is a rank-p `tensors.AntisymTensor`: its
+value at a strictly increasing index tuple is the target vector with
+coordinates Omega^A_{i_1..i_p}, held as a sparse `LinearForm` {A: value}
+(A = 1 for scalar-valued cochains).
 
 The matrix of s is assembled row by row: `coboundary` runs once on the
 generic cochain whose coordinates are the linear forms x_1, x_2, .. (see
@@ -24,64 +25,49 @@ zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
 from . import linalg
 from .lie import LieAlgebra, Representation, check_jacobi
-from .scalars import ZERO, LinearForm, accumulate, common_denominator, is_zero, rat
-from .tensors import shuffle_splits, sort_sign
+from .scalars import ZERO, LinearForm, common_denominator, rat
+from .tensors import AntisymTensor, shuffle_splits
 
 
-@dataclass
-class Cochain:
-    """Order-p cochain with values in a dim_v target (dim_v = 1: scalars)."""
+class Cochain(AntisymTensor):
+    """Order-p cochain with values in a dim_v target (dim_v = 1: scalars):
+    the rank-p `AntisymTensor` on 1..alg_dim whose value at i_1..i_p is the
+    target vector {A: Omega^A_{i_1..i_p}}, a sparse `LinearForm`.
 
-    order: int
-    alg_dim: int
-    dim_v: int = 1
-    data: dict = field(default_factory=dict)  # (A, sorted tuple) -> value
+    It is built from, and `data` gives back, coordinates keyed (A, index
+    tuple); a target A outside 1..dim_v is rejected.  `get(a, idx)` reads
+    one coordinate and `value(idx)` the dense target vector, both through
+    the tensor's signed read.
+    """
 
-    def __post_init__(self):
-        clean = {}
-        for (a, idx), v in self.data.items():
-            key, s = sort_sign(idx)
-            if s:
-                accumulate(clean, (a, key), s * rat(v))
-        self.data = clean
+    def __init__(self, order, alg_dim, dim_v=1, data=None):
+        vectors = {}
+        for (a, idx), v in (data or {}).items():
+            if not 1 <= a <= dim_v:
+                raise ValueError(f"target index {a} outside 1..{dim_v}")
+            if v:
+                vectors.setdefault(idx, LinearForm())[a] = v
+        self.dim_v = dim_v
+        super().__init__(order, alg_dim, vectors, LinearForm())
+
+    @property
+    def data(self):
+        """{(A, sorted index tuple): nonzero coordinate}."""
+        return {(a, key): v for key, vec in self.entries.items() for a, v in sorted(vec.items())}
 
     def get(self, a, idx):
-        key, s = sort_sign(idx)
-        v = self.data.get((a, key)) if s else None
-        return ZERO if v is None else s * v
+        return super().get(idx).get(a, ZERO)
 
     def value(self, idx):
         """Target vector at the given arguments (dense list)."""
-        return [self.get(a, idx) for a in range(1, self.dim_v + 1)]
-
-    def is_zero(self):
-        return not self.data
-
-    def __add__(self, other):
-        d = dict(self.data)
-        for k, v in other.data.items():
-            accumulate(d, k, v)
-        return Cochain(self.order, self.alg_dim, self.dim_v, d)
-
-    def scale(self, c):
-        if is_zero(c):
-            return Cochain(self.order, self.alg_dim, self.dim_v, {})
-        return Cochain(self.order, self.alg_dim, self.dim_v,
-                       {k: c * v for k, v in self.data.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.order == other.order
-                and self.alg_dim == other.alg_dim and self.dim_v == other.dim_v
-                and self.data == other.data)
+        vec = super().get(idx)
+        return [vec.get(a, ZERO) for a in range(1, self.dim_v + 1)]
 
 
 def basis_tuples(r, p):
@@ -102,8 +88,8 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
         if rho.dim_v != om.dim_v:
             raise ValueError("representation/target dimension mismatch")
         rows = [_matrix_rows(m) for m in rho.mats]
-    p = om.order
-    r = om.alg_dim
+    p = om.rank
+    r = om.dim
     if p >= r:
         return Cochain(p + 1, r, om.dim_v, {})
     data = {}
@@ -148,8 +134,8 @@ def coboundary_coords(alg: LieAlgebra, om: Cochain) -> Cochain:
     """
     if om.dim_v != 1:
         raise ValueError("coordinates form applies to scalar-valued cochains")
-    p = om.order
-    r = om.alg_dim
+    p = om.rank
+    r = om.dim
     data = {}
     for idx in combinations(range(1, r + 1), p + 1):
         tot = Fraction(0)
@@ -259,13 +245,13 @@ def homotopy_contraction(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     from .lie import killing_form
     kinv = linalg.inverse(killing_form(alg))
     rows = [_matrix_rows(m) for m in rho.mats]
-    p = om.order
+    p = om.rank
     data = {}
-    for idx in combinations(range(1, om.alg_dim + 1), p - 1):
+    for idx in combinations(range(1, om.dim + 1), p - 1):
         for a in range(1, om.dim_v + 1):
             tot = Fraction(0)
-            for i in range(1, om.alg_dim + 1):
-                for j in range(1, om.alg_dim + 1):
+            for i in range(1, om.dim + 1):
+                for j in range(1, om.dim + 1):
                     kij = kinv[i - 1][j - 1]
                     if kij == 0:
                         continue
@@ -273,7 +259,7 @@ def homotopy_contraction(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
                         tot += kij * coeff * om.get(b + 1, (j,) + idx)
             if tot != 0:
                 data[(a, idx)] = tot
-    return Cochain(p - 1, om.alg_dim, om.dim_v, data)
+    return Cochain(p - 1, om.dim, om.dim_v, data)
 
 
 def whitehead_homotopy(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
@@ -304,7 +290,7 @@ def laplacian_identity_holds(alg: LieAlgebra, rho, om: Cochain) -> bool:
 def central_extension(alg: LieAlgebra, om2: Cochain) -> LieAlgebra:
     """Extend by one central generator using a scalar 2-cocycle:
     [X~_i, X~_j] = C_ij^k X~_k + Om(X_i, X_j) Xi."""
-    if om2.order != 2 or om2.dim_v != 1:
+    if om2.rank != 2 or om2.dim_v != 1:
         raise ValueError("need a scalar 2-cochain")
     if not coboundary(alg, None, om2).is_zero():
         raise ValueError("not a 2-cocycle: extension would break the Jacobi identity")
@@ -350,7 +336,7 @@ def deformation_check(alg: LieAlgebra, alpha: Cochain) -> DeformationReport:
     obstruction gamma(X,Y,Z) = alpha(X, alpha(Y,Z)) + cycl., verifies it is a
     3-cocycle, and classifies it in degree-3 cohomology by an exact solve.
     """
-    if alpha.order != 2 or alpha.dim_v != alg.dim:
+    if alpha.rank != 2 or alpha.dim_v != alg.dim:
         raise ValueError("need an algebra-valued 2-cochain")
     rho = alg.adjoint_rep()
     s_alpha = coboundary(alg, rho, alpha)
@@ -393,13 +379,14 @@ def _in_coboundary_image(alg, rho, om):
 
 def _coboundary_preimage(alg, rho, om):
     """Exact solve s(beta) = om over the (p-1)-cochain coordinates."""
-    p = om.order
+    p = om.rank
     rows, src, dst = coboundary_matrix(alg, rho, p - 1, om.dim_v)
-    sol = linalg.solve(rows, len(src), [om.data.get(key, Fraction(0)) for key in dst])
+    coords = om.data
+    sol = linalg.solve(rows, len(src), [coords.get(key, ZERO) for key in dst])
     if sol is None:
         return None
     data = {src[i]: sol[i] for i in range(len(src)) if sol[i] != 0}
-    return Cochain(p - 1, om.alg_dim, om.dim_v, data)
+    return Cochain(p - 1, om.dim, om.dim_v, data)
 
 
 def mc_cochain(alg: LieAlgebra) -> Cochain:

@@ -22,7 +22,7 @@ from itertools import combinations, permutations
 
 from . import linalg
 from .lie import LieAlgebra, check_jacobi
-from .gla import Multivector, multibracket, multibracket_weighted
+from .gla import multibracket, multibracket_weighted
 from .scalars import GaussianRational, accumulate, is_zero
 from .tensors import (AntisymTensor, BracketTensor, fold_antisym, gen_kronecker, perm_sign,
                       ray_equal, shuffle_splits, sort_sign)
@@ -234,19 +234,19 @@ def vector_product(vectors):
 # fundamental objects
 # ---------------------------------------------------------------------------
 
-def ad_of_sum(fa: FilippovAlgebra, s: Multivector):
+def ad_of_sum(fa: FilippovAlgebra, s: AntisymTensor):
     return linalg.sp_sum((v, fa.ad_matrix(labels)) for labels, v in s.items())
 
 
-def fundamental_compose(fa: FilippovAlgebra, x_labels, y_labels) -> Multivector:
+def fundamental_compose(fa: FilippovAlgebra, x_labels, y_labels) -> AntisymTensor:
     """X . Y = sum_i (Y_1, .., [X, Y_i], .., Y_{n-1}) on basis labels, as a
-    formal sum of fundamental objects: an element of the exterior algebra
-    keyed by sorted, signed wedge labels."""
-    out = Multivector(fa.dim)
+    formal sum of fundamental objects: a rank-(n-1) tensor keyed by sorted,
+    signed wedge labels."""
+    raw = {}
     for i, y in enumerate(y_labels):
         for l, v in fa.f_row(tuple(x_labels) + (y,)).items():
-            out.add(tuple(y_labels[:i]) + (l,) + tuple(y_labels[i + 1:]), v)
-    return out
+            accumulate(raw, tuple(y_labels[:i]) + (l,) + tuple(y_labels[i + 1:]), v)
+    return AntisymTensor(fa.arity - 1, fa.dim, raw)
 
 
 def compose_matches_commutator(fa: FilippovAlgebra, x_labels, y_labels) -> bool:
@@ -912,6 +912,7 @@ def clifford_realization(n: int) -> CliffordReport:
     """
     if not 3 <= n <= 5:
         raise ValueError("desk scale is 3 <= n <= 5")
+    ref = simple_fa(n, [1] * (n + 1))
     if n % 2:
         d = n + 1
         gam, _ = gamma_matrices(d)
@@ -919,7 +920,6 @@ def clifford_realization(n: int) -> CliffordReport:
         prod = gam[0]
         for g in gam[1:]:
             prod = linalg.sp_mul(prod, g)
-        ref = simple_fa(n, [1] * (n + 1))
 
         # the normalization of the top gamma is free; fix the phase by the
         # bracket identity itself, probing one tuple before full expansion
@@ -947,7 +947,6 @@ def clifford_realization(n: int) -> CliffordReport:
 
     dim_fa = n + 1
     induced = FilippovAlgebra(n, dim_fa, f)
-    ref = simple_fa(n, [1] * (n + 1))
     # n odd: the gamma identity carries -eps = (-1)^n eps; n even: +eps.
     # simple_fa uses (-1)^n eps in both cases, so the two must coincide.
     matches = induced.arity == ref.arity and induced.dim == ref.dim and induced.f == ref.f
@@ -957,14 +956,10 @@ def clifford_realization(n: int) -> CliffordReport:
     if n == 3:
         # both sides are linear in the top gamma, so the plain product serves
         top = prod
-        dc = True
-        for a in range(4):
-            for b in range(4):
-                for c in range(4):
-                    lhs = linalg.sp_scale(6, linalg.sp_commutator(
-                        linalg.sp_mul(linalg.sp_commutator(gam[a], gam[b]), top), gam[c]))
-                    if lhs != multibracket([top, gam[a], gam[b], gam[c]]):
-                        dc = False
+        dc = all(linalg.sp_scale(6, linalg.sp_commutator(
+                     linalg.sp_mul(linalg.sp_commutator(gam[a], gam[b]), top), gam[c]))
+                 == multibracket([top, gam[a], gam[b], gam[c]])
+                 for a in range(4) for b in range(4) for c in range(4))
     return CliffordReport(n, identity_ok, dc, induced, matches)
 
 
@@ -1008,7 +1003,9 @@ def trace_extension_bracket(bracket_n1, traces, mats):
 
 def trace_extension_structure(bracket_n, basis) -> FilippovAlgebra:
     """Expand an antisymmetric matrix n-bracket over the given matrix basis
-    into structure constants and validate the characteristic identity."""
+    into structure constants and validate the characteristic identity: a
+    bracket that leaves the span, or whose constants fail `check_fi`, raises
+    ValueError (the latter with the witness)."""
     d = len(basis)
     span = _span_system(basis)
     n = getattr(bracket_n, "arity")
@@ -1020,4 +1017,8 @@ def trace_extension_structure(bracket_n, basis) -> FilippovAlgebra:
         row = {b + 1: co[b] for b in range(d) if co[b] != 0}
         if row:
             f[idx] = row
-    return FilippovAlgebra(n, d, f)
+    fa = FilippovAlgebra(n, d, f)
+    rep = check_fi(fa)
+    if not rep.ok:
+        raise ValueError(f"the bracket fails the Filippov identity at {rep.witness}")
+    return fa

@@ -5,6 +5,12 @@ and higher exterior derivatives on the exterior algebra, and the complete
 BRST operator on ghost variables.  `GLAlgebra` stores its constants as a
 `tensors.BracketTensor`, the one storage of structure constants.
 
+Every element of the exterior algebra here is homogeneous and is a
+`tensors.AntisymTensor` of known degree: a ghost monomial and its images
+under the ghost operators, the image of a coderivation, and a scalar
+cochain of the higher exterior derivative.  Their product is the one
+shuffle wedge, `tensors.wedge`.
+
 Matrix multibrackets take and return the sparse operator matrices of
 `linalg` and run on its ℤ[i] kernel: `multibracket` scales every value by
 the common denominator D of all real and imaginary parts, runs its subset
@@ -26,7 +32,7 @@ from itertools import combinations
 from . import linalg
 from .lie import LieAlgebra, killing_form
 from .scalars import GaussianRational, accumulate, common_denominator
-from .tensors import AntisymTensor, BracketTensor, merge_sign, shuffle_splits, sort_sign
+from .tensors import AntisymTensor, BracketTensor, merge_sign, shuffle_splits, sort_sign, wedge
 
 
 # ---------------------------------------------------------------------------
@@ -254,51 +260,31 @@ def gla_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> GLAlgebra:
 # exterior algebra: multivectors and coderivations
 # ---------------------------------------------------------------------------
 
-class Multivector(dict):
-    """Element of the exterior algebra on generators 1..dim: canonical map
-    from sorted tuples to coefficients."""
-
-    def __init__(self, dim, data=()):
-        super().__init__()
-        self.dim = dim
-        for idx, v in dict(data).items():
-            self.add(idx, v)
-
-    def add(self, idx, v):
-        key, s = sort_sign(idx)
-        if s:
-            accumulate(self, key, s * v)
-
-    def is_zero(self):
-        return not self
-
-
-def coderivation_apply(g: GLAlgebra, monomial, dim=None) -> Multivector:
-    """partial_s on a wedge monomial (tuple of generator labels):
+def coderivation_apply(g: GLAlgebra, monomial, dim=None) -> AntisymTensor:
+    """partial_s on a wedge monomial (tuple of q generator labels):
 
         sum over s-subsets A: sign(A, rest) [X_A] wedge X_rest
 
-    which realizes the epsilon definition with its 1/s!(q-s)! weights.
+    which realizes the epsilon definition with its 1/s!(q-s)! weights; the
+    image has degree q - s + 1 and is empty when q < s.
     """
     dim = dim if dim is not None else g.dim
     key, sgn = sort_sign(monomial)
-    out = Multivector(dim)
-    if sgn == 0 or len(key) < g.arity:
-        return out
     s = g.arity
-    for blocks, sign in shuffle_splits(key, [s, len(key) - s]):
-        a, rest = blocks
-        for j, v in g.c.get(a, {}).items():
-            out.add((j,) + rest, sgn * sign * v)
-    return out
+    raw = {}
+    if sgn and len(key) >= s:
+        for (a, rest), sign in shuffle_splits(key, [s, len(key) - s]):
+            for j, v in g.c.get(a, {}).items():
+                accumulate(raw, (j,) + rest, sgn * sign * v)
+    return AntisymTensor(len(key) - s + 1, dim, raw)
 
 
-def coderivation_on_multivector(g: GLAlgebra, mv: Multivector) -> Multivector:
-    out = Multivector(mv.dim)
+def coderivation_on_multivector(g: GLAlgebra, mv: AntisymTensor) -> AntisymTensor:
+    raw = {}
     for idx, v in mv.items():
         for idx2, w in coderivation_apply(g, idx, mv.dim).items():
-            out.add(idx2, v * w)
-    return out
+            accumulate(raw, idx2, v * w)
+    return AntisymTensor(mv.rank - g.arity + 1, mv.dim, raw)
 
 
 def coderivation_nilpotency(g: GLAlgebra, q_max=None) -> bool:
@@ -342,24 +328,11 @@ def basis_one_form(r, sigma) -> AntisymTensor:
     return AntisymTensor(1, r, {(sigma,): Fraction(1)})
 
 
-def wedge_antisym(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:
-    """Weight-free wedge on coordinates: (a ^ b)_M = shuffle sum a_A b_B."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    rank = a.rank + b.rank
-    ent = {}
-    for ka, va in a.entries.items():
-        for kb, vb in b.entries.items():
-            if not set(ka) & set(kb):
-                accumulate(ent, tuple(sorted(ka + kb)), merge_sign(ka, kb) * va * vb)
-    return AntisymTensor(rank, a.dim, ent)
-
-
 def leibniz_rule_holds(g: GLAlgebra, a: AntisymTensor, b: AntisymTensor) -> bool:
     """d~(a ^ b) = d~a ^ b + (-1)^p a ^ d~b."""
-    left = higher_exterior_derivative(g, wedge_antisym(a, b))
-    right = wedge_antisym(higher_exterior_derivative(g, a), b) \
-        + wedge_antisym(a, higher_exterior_derivative(g, b)).scale(Fraction((-1) ** a.rank))
+    left = higher_exterior_derivative(g, wedge(a, b))
+    right = wedge(higher_exterior_derivative(g, a), b) \
+        + wedge(a, higher_exterior_derivative(g, b)).scale(Fraction((-1) ** a.rank))
     return left == right
 
 
@@ -400,8 +373,10 @@ class GhostOperator(GLAlgebra):
     acting on the exterior algebra of r ghosts; `c` are the structure
     constants of one even bracket (n = 2m-2)."""
 
-    def apply(self, mv: Multivector) -> Multivector:
-        out = Multivector(self.dim)
+    def apply(self, mv: AntisymTensor) -> AntisymTensor:
+        """The image of a homogeneous element of degree q, of degree
+        q + n - 1."""
+        raw = {}
         for mono, coeff in mv.items():
             for pos, sigma in enumerate(mono):
                 rest = mono[:pos] + mono[pos + 1:]
@@ -410,10 +385,10 @@ class GhostOperator(GLAlgebra):
                     v = row.get(sigma)
                     if v is None or set(idx) & set(rest):
                         continue
-                    # coefficient of the arrangement c^idx c^rest; `add`
-                    # canonicalizes the ordering itself
-                    out.add(idx + rest, -coeff * dsign * v)
-        return out
+                    # coefficient of the arrangement c^idx c^rest; the
+                    # constructor canonicalizes the ordering
+                    accumulate(raw, idx + rest, -coeff * dsign * v)
+        return AntisymTensor(mv.rank + self.arity - 1, self.dim, raw)
 
 
 def ghost_operators(alg: LieAlgebra, cocycles) -> list[GhostOperator]:
@@ -434,11 +409,9 @@ def brst_nilpotency(alg: LieAlgebra, cocycles) -> bool:
     for a in range(len(ops)):
         for b in range(a, len(ops)):
             for mono in monos:
-                mv = Multivector(r, {mono: Fraction(1)})
+                mv = AntisymTensor(len(mono), r, {mono: Fraction(1)})
                 first = ops[b].apply(ops[a].apply(mv))
                 second = ops[a].apply(ops[b].apply(mv))
-                for k, v in second.items():
-                    first.add(k, v)
-                if not first.is_zero():
+                if not (first + second).is_zero():
                     return False
     return True

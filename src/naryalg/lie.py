@@ -19,8 +19,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from . import linalg
 from .scalars import accumulate, is_zero, rat
-from .tensors import (AntisymTensor, BracketTensor, fold_antisym, ray_equal, shuffle_splits,
-                      sort_sign)
+from .tensors import AntisymTensor, BracketTensor, fold_antisym, ray_equal, shuffle_splits
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +536,7 @@ def invariant_poly_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> SymInv
                           for seq, w in expansions
                           for u in range(1, r + 1) if kinv[u - 1][l - 1] != 0]
         for seq, w in expansions:
-            skey, s = sort_sign(seq)
-            if s:
-                accumulate(up_raw, skey, s * w)
+            accumulate(up_raw, seq, w)
     omega_up = AntisymTensor(omega.rank, r, up_raw)
 
     dense = {}

@@ -191,7 +191,7 @@ def fundamental_tables(fa: FilippovAlgebra):
     {l: value}, for sorted blocks X, Y and z in 1..dim."""
     rng = range(1, fa.dim + 1)
     blocks = list(combinations(rng, fa.arity - 1))
-    bracket = {(x, y): fundamental_compose(fa, x, y) for x in blocks for y in blocks}
+    bracket = {(x, y): fundamental_compose(fa, x, y).entries for x in blocks for y in blocks}
     action = {(x, z): fa.f_row(x + (z,)) for x in blocks for z in rng}
     return blocks, bracket, action
 

@@ -6,127 +6,39 @@ n-brackets, and decomposability of constant tensors.
 Everything is exact: conditions on tensors are polynomial identities checked
 monomial by monomial, never numerically.
 
-A `PolyMultivector` stores its components on sorted index tuples and reads
-them through one signed component table: a raw index tuple maps to the
-stored `Poly`, to its negation (built once per component), or to one shared
-zero, filled on first read.  The table hands out the stored objects, so the
-components of a multivector, and the Polys a read returns, are never
-mutated after construction.  `schouten_bracket`, `gps_check` and
-`np_check` read the table directly and collect each output's sum of
-products c*a*b in one term map (`poly.add_product`).  `schouten_bracket`
-and `gps_check` take each partial derivative once per component, through a
-gradient table local to the call that lists only the variables the
-component depends on.
+A multivector field of order p on R^m is a rank-p `tensors.AntisymTensor`
+with `Poly` components whose `zero` is the zero Poly in m variables.
+`schouten_bracket`, `gps_check` and `np_check` read its signed table
+directly: a raw index tuple maps to the stored Poly, to its negation (built
+once per component), or to that shared zero, which they recognize by
+identity.  They collect each output's sum of products c*a*b in one term map
+(`poly.add_product`).  `schouten_bracket` and `gps_check` take each partial
+derivative once per component, through a gradient table local to the call
+that lists only the variables the component depends on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from .lie import LieAlgebra
 from .poly import Poly, add_product
-from .scalars import accumulate, is_zero
-from .tensors import AntisymTensor, BracketTensor, merge_sign, shuffle_splits, sort_sign
+from .scalars import is_zero
+from .tensors import AntisymTensor, BracketTensor, shuffle_splits, wedge
 
 
 # ---------------------------------------------------------------------------
 # multivectors
 # ---------------------------------------------------------------------------
 
-class _SignedComponents(dict):
-    """Raw index tuple -> the component it reads: the stored Poly, its
-    negation, or the shared zero `self.zero`.  A missing tuple is sorted
-    once and stored."""
-
-    __slots__ = ("comps", "zero", "negated")
-
-    def __init__(self, comps, dim):
-        super().__init__()
-        self.comps = comps
-        self.zero = Poly.zero(dim)
-        self.negated = {}  # sorted key -> the negated component
-
-    def __missing__(self, idx):
-        key, s = sort_sign(idx)
-        p = self.comps.get(key) if s else None
-        if p is None:
-            p = self.zero
-        elif s < 0:
-            q = self.negated.get(key)
-            if q is None:
-                q = self.negated[key] = -p
-            p = q
-        self[idx] = p
-        return p
-
-
-@dataclass
-class PolyMultivector:
-    """Order-p antisymmetric contravariant tensor on R^m with Poly entries,
-    stored on sorted index tuples; `signed` is the component table every
-    read goes through."""
-
-    order: int
-    dim: int
-    comps: dict = field(default_factory=dict)  # sorted tuple -> Poly
-    signed: _SignedComponents = field(init=False, repr=False)
-
-    def __post_init__(self):
-        clean = {}
-        for idx, p in self.comps.items():
-            key, s = sort_sign(idx)
-            if s:
-                accumulate(clean, key, p if s == 1 else -p)
-        self.comps = clean
-        self.signed = _SignedComponents(clean, self.dim)
-
-    def get(self, idx) -> Poly:
-        return self.signed[tuple(idx)]
-
-    def is_zero(self):
-        return not self.comps
-
-    def __add__(self, other):
-        comps = dict(self.comps)
-        for k, p in other.comps.items():
-            accumulate(comps, k, p)
-        return PolyMultivector(self.order, self.dim, comps)
-
-    def scale(self, c):
-        return PolyMultivector(self.order, self.dim,
-                               {k: p * c for k, p in self.comps.items()})
-
-    def __sub__(self, other):
-        return self + other.scale(Fraction(-1))
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyMultivector) and self.order == other.order
-                and self.dim == other.dim and self.comps == other.comps)
-
-    def is_constant(self):
-        return all(p.is_constant() for p in self.comps.values())
-
-
-def wedge(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
-    """Shuffle-normalized wedge: (a ^ b)^M = sum_{I+J=M} sign a^I b^J."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    comps = {}
-    for ka, pa in a.comps.items():
-        for kb, pb in b.comps.items():
-            if not set(ka) & set(kb):
-                accumulate(comps, tuple(sorted(ka + kb)), pa * pb * merge_sign(ka, kb))
-    return PolyMultivector(a.order + b.order, a.dim, comps)
-
-
-def wedge_vectors(vectors, m) -> PolyMultivector:
+def wedge_vectors(vectors, m) -> AntisymTensor:
     """Wedge of constant coordinate vectors (lists of scalars)."""
     out = None
     for v in vectors:
-        mv = PolyMultivector(1, m, {(i + 1,): Poly.const(m, c)
-                                    for i, c in enumerate(v) if not is_zero(c)})
+        mv = AntisymTensor(1, m, {(i + 1,): Poly.const(m, c)
+                                  for i, c in enumerate(v) if not is_zero(c)}, Poly.zero(m))
         out = mv if out is None else wedge(out, mv)
     return out
 
@@ -153,7 +65,7 @@ class _Gradients(dict):
         return out
 
 
-def schouten_bracket(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
+def schouten_bracket(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:
     """[A, B]^{k_1..k_{p+q-1}} =
         1/(p-1)!q!  eps^{k..}_{i.. j..} A^{nu i..} d_nu B^{j..}
       + (-1)^p / p!(q-1)! eps^{k..}_{i.. j..} B^{nu j..} d_nu A^{i..}
@@ -163,7 +75,7 @@ def schouten_bracket(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    p, q = a.order, b.order
+    p, q = a.rank, b.rank
     m = a.dim
     out_order = p + q - 1
     at, bt = a.signed, b.signed
@@ -186,12 +98,12 @@ def schouten_bracket(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
                     add_product(terms, sign * sign_p, bv, dv)
         if terms:
             comps[kk] = Poly._canonical(m, terms)
-    return PolyMultivector(out_order, m, comps)
+    return AntisymTensor(out_order, m, comps, a.zero)
 
 
-def graded_jacobi_residual(a, b, c) -> PolyMultivector:
+def graded_jacobi_residual(a, b, c) -> AntisymTensor:
     """(-1)^{pr}[[A,B],C] + (-1)^{qp}[[B,C],A] + (-1)^{rq}[[C,A],B]."""
-    p, q, r = a.order, b.order, c.order
+    p, q, r = a.rank, b.rank, c.rank
     t1 = schouten_bracket(schouten_bracket(a, b), c).scale(Fraction((-1) ** (p * r)))
     t2 = schouten_bracket(schouten_bracket(b, c), a).scale(Fraction((-1) ** (q * p)))
     t3 = schouten_bracket(schouten_bracket(c, a), b).scale(Fraction((-1) ** (r * q)))
@@ -202,15 +114,15 @@ def graded_jacobi_residual(a, b, c) -> PolyMultivector:
 # brackets of functions from a multivector
 # ---------------------------------------------------------------------------
 
-def bracket_of_functions(lam: PolyMultivector, fs) -> Poly:
+def bracket_of_functions(lam: AntisymTensor, fs) -> Poly:
     """{f_1..f_n} = sum_{sorted I} lam^I det(d f_k / d x_{I_l})."""
-    n = lam.order
+    n = lam.rank
     if len(fs) != n:
         raise ValueError("wrong number of functions")
     m = lam.dim
     grads = [[f.diff(i) for i in range(1, m + 1)] for f in fs]
     out = Poly.zero(m)
-    for idx, comp in lam.comps.items():
+    for idx, comp in lam.entries.items():
         sub = [[grads[k][i - 1] for i in idx] for k in range(n)]
         out = out + comp * _poly_det(sub)
     return out
@@ -248,17 +160,17 @@ class GPSReport:
         return self.ok
 
 
-def gps_check(lam: PolyMultivector) -> GPSReport:
+def gps_check(lam: AntisymTensor) -> GPSReport:
     """[Lambda, Lambda] = 0 via the Schouten bracket AND via the coordinates
     condition  w_{s[j_1..j_{2s-1}} d^s w_{j_{2s}..j_{4s-1}]} = 0; the two
     verdicts must agree (they are computed independently)."""
-    if lam.order % 2:
+    if lam.rank % 2:
         raise ValueError("the self-bracket condition is empty for odd order")
     snb = schouten_bracket(lam, lam)
     snb_ok = snb.is_zero()
-    n = lam.order
+    n = lam.rank
     m = lam.dim
-    table, zero = lam.signed, lam.signed.zero
+    table, zero = lam.signed, lam.zero
     grad = _Gradients(table)
     coords_ok = True
     witness = None
@@ -278,7 +190,7 @@ def gps_check(lam: PolyMultivector) -> GPSReport:
     return GPSReport(snb_ok, coords_ok, witness)
 
 
-def bracket_multivector(bt: BracketTensor) -> PolyMultivector:
+def bracket_multivector(bt: BracketTensor) -> AntisymTensor:
     """The linear tensor w^{i_1..i_n} = C_{i_1..i_n}^k x_k of a set of
     structure constants: the Lie-Poisson bivector of a Lie algebra, the
     linear even tensor of a GLA, eta_{a_1..a_n} = f_{a_1..a_n}^b x_b of a
@@ -291,13 +203,13 @@ def bracket_multivector(bt: BracketTensor) -> PolyMultivector:
             p = p + Poly.var(m, k) * v
         if not p.is_zero():
             comps[idx] = p
-    return PolyMultivector(bt.arity, m, comps)
+    return AntisymTensor(bt.arity, m, comps, Poly.zero(m))
 
 
 lie_poisson_bivector = fa_linear_multivector = bracket_multivector
 
 
-def linear_gps_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> PolyMultivector:
+def linear_gps_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> AntisymTensor:
     """Linear even tensor with components Omega_{i_1..i_{2m-2}}^sigma
     x_sigma; validated against the self-bracket condition."""
     from .lie import cocycle_condition_residual
@@ -331,7 +243,7 @@ class NPReport:
         return self.ok
 
 
-def np_check(lam: PolyMultivector) -> NPReport:
+def np_check(lam: AntisymTensor) -> NPReport:
     """Differential condition
 
         eta_{i.. rho} d^rho eta_{j_1..j_n}
@@ -348,9 +260,9 @@ def np_check(lam: PolyMultivector) -> NPReport:
     the witness; rows i whose middle block i_2..i_{n-1} repeats an index are
     skipped, since every component either Sigma term reads then repeats it.
     """
-    n = lam.order
+    n = lam.rank
     m = lam.dim
-    table, zero = lam.signed, lam.signed.zero
+    table, zero = lam.signed, lam.zero
 
     dw = None
     diff_ok = True
@@ -422,10 +334,10 @@ def np_check(lam: PolyMultivector) -> NPReport:
     return NPReport(diff_ok, dw, alg_ok, aw, _decomposable_hint(lam))
 
 
-def np_even_implies_gps(lam: PolyMultivector) -> bool:
+def np_even_implies_gps(lam: AntisymTensor) -> bool:
     """For an even-order tensor passing both Nambu-Poisson conditions, the
     self-bracket condition holds as well (computed, not assumed)."""
-    if lam.order % 2:
+    if lam.rank % 2:
         raise ValueError("even order required")
     rep = np_check(lam)
     if not rep.ok:
@@ -449,11 +361,11 @@ class PluckerViolation:
     j_tuple: tuple
 
 
-def _decomposable_hint(lam: PolyMultivector):
-    if not lam.comps or not lam.is_constant():
+def _decomposable_hint(lam: AntisymTensor):
+    if not lam.entries or not all(p.is_constant() for p in lam.entries.values()):
         return None
-    const = {k: p.eval([Fraction(0)] * lam.dim) for k, p in lam.comps.items()}
-    return decompose_constant(lam.order, lam.dim, const)
+    const = {k: p.eval([Fraction(0)] * lam.dim) for k, p in lam.entries.items()}
+    return decompose_constant(lam.rank, lam.dim, const)
 
 
 def decompose_constant(n, m, entries):
@@ -463,13 +375,7 @@ def decompose_constant(n, m, entries):
     relation fails and a violated instance is returned."""
     if not entries:
         return Decomposition([], Fraction(0))
-
-    def get(idx):
-        key, s = sort_sign(idx)
-        if s == 0:
-            return Fraction(0)
-        return s * entries.get(key, Fraction(0))
-
+    get = AntisymTensor(n, m, entries).get
     pivot = min(entries)
     pv = entries[pivot]
     vectors = []
@@ -478,7 +384,7 @@ def decompose_constant(n, m, entries):
         vectors.append(vec)
     w = wedge_vectors(vectors, m)
     want = {k: v * pv ** (n - 1) for k, v in entries.items()}
-    got = {k: p.eval([Fraction(0)] * m) for k, p in w.comps.items()}
+    got = {k: p.eval([Fraction(0)] * m) for k, p in w.entries.items()}
     if got == want:
         return Decomposition(vectors, Fraction(1) / pv ** (n - 1))
     # find a violated Plucker relation:
@@ -534,10 +440,10 @@ def nambu_leibniz_residual(fs, g, h, slot, density=Fraction(1)) -> Poly:
         - nambu_bracket(fs_g, density) * h
 
 
-def hamiltonian_derivation_residual(lam: PolyMultivector, hs, gs) -> Poly:
+def hamiltonian_derivation_residual(lam: AntisymTensor, hs, gs) -> Poly:
     """For the bracket of lam: {H_1..H_{n-1}, {g_1..g_n}} - sum_i {g_1..,
     {H.., g_i}, ..}; vanishes when lam is a Nambu-Poisson tensor."""
-    n = lam.order
+    n = lam.rank
     lhs = bracket_of_functions(lam, list(hs) + [bracket_of_functions(lam, gs)])
     out = lhs
     for i in range(n):

@@ -3,11 +3,20 @@ brackets, Levi-Civita machinery, and the contraction kernels shared by every
 other module.
 
 Storage convention: an antisymmetric tensor keeps only strictly increasing
-index tuples (1-based indices).  Reading a permuted tuple applies the sign of
-the permutation; a tuple with repeats reads zero.  The total antisymmetrizer
-follows the weight-free convention [a_1...a_n] = sum_sigma sign(sigma) a_sigma
-(no 1/n!); the weight-one variant is exposed separately so the two can never
-be silently confused.
+index tuples (1-based indices) with nonzero values.  Reading a permuted
+tuple applies the sign of the permutation; a tuple with repeats reads zero.
+The total antisymmetrizer follows the weight-free convention
+[a_1...a_n] = sum_sigma sign(sigma) a_sigma (no 1/n!); the weight-one
+variant is exposed separately so the two can never be silently confused.
+
+`AntisymTensor` is the one container of this kind.  Its values may be exact
+scalars, `scalars.LinearForm`s or `poly.Poly`s: it holds the scalar cocycles
+of `lie` and `gla`, the V-valued cochains of `cohomology` (whose values are
+sparse target vectors), the formal sums of fundamental objects and ghost
+monomials, and the multivector fields of `poisson`.  Its one constructor
+folds a raw map onto sorted keys; sums and multiples stay canonical; every
+read goes through one signed table per tensor, filled on first read, and
+`wedge` is the one shuffle wedge.
 
 `BracketTensor` applies the convention to structure constants
 C_{i_1..i_n}^j, antisymmetric in the lower block: it is the one storage of
@@ -38,10 +47,11 @@ compares every (upper, lower) entry without a `gen_kronecker` call per pair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from .scalars import accumulate, is_zero, rat
+from .scalars import ZERO, accumulate, is_zero, rat
 
 
 # ---------------------------------------------------------------------------
@@ -155,20 +165,59 @@ def gen_kronecker(upper, lower) -> int:
 # canonical antisymmetric tensors
 # ---------------------------------------------------------------------------
 
+class _SignedTable(dict):
+    """Raw index tuple -> the entry it reads: the stored value, its negation
+    (built once per entry), or the tensor's zero.  A missing tuple is sorted
+    once and stored."""
+
+    __slots__ = ("entries", "zero", "negated")
+
+    def __init__(self, entries, zero):
+        super().__init__()
+        self.entries = entries
+        self.zero = zero
+        self.negated = {}  # sorted key -> the negated entry
+
+    def __missing__(self, idx):
+        key, s = sort_sign(idx)
+        v = self.entries.get(key) if s else None
+        if v is None:
+            v = self.zero
+        elif s < 0:
+            w = self.negated.get(key)
+            if w is None:
+                w = self.negated[key] = -v
+            v = w
+        self[idx] = v
+        return v
+
+
 @dataclass
 class AntisymTensor:
-    """Fully antisymmetric rank-r tensor on indices 1..dim, sparse canonical."""
+    """Fully antisymmetric rank-r tensor on indices 1..dim, sparse canonical:
+    `entries` maps sorted index tuples to nonzero values.
+
+    The constructor takes any index order, applies the permutation sign,
+    sums duplicates and drops what cancels; it rejects a key whose length is
+    not the rank or which holds an index outside 1..dim.  `zero` is what a
+    read of an absent entry returns; it is the zero of the value type when
+    that is not a number (`Poly.zero(dim)` for multivector fields).
+    """
 
     rank: int
     dim: int
-    entries: dict = field(default_factory=dict)  # sorted tuple -> nonzero scalar
+    entries: dict = field(default_factory=dict)
+    zero: object = field(default=ZERO, repr=False, compare=False)
 
     def __post_init__(self):
         clean = {}
         for idx, v in self.entries.items():
+            if len(idx) != self.rank or (idx and not 1 <= min(idx) <= max(idx) <= self.dim):
+                raise ValueError(f"index tuple {idx} does not fit rank {self.rank} "
+                                 f"on 1..{self.dim}")
             key, s = sort_sign(idx)
             if s:
-                accumulate(clean, key, s * v)
+                accumulate(clean, key, v if s == 1 else -v)
         self.entries = clean
 
     @classmethod
@@ -180,12 +229,16 @@ class AntisymTensor:
                 ent[idx] = v
         return cls(rank, dim, ent)
 
+    @cached_property
+    def signed(self) -> _SignedTable:
+        """The signed read table, built on the first read.  It hands out the
+        stored values and one negation per entry; nothing mutates a tensor
+        or its values after construction, so the table never goes stale."""
+        return _SignedTable(self.entries, self.zero)
+
     def get(self, idx):
-        key, s = sort_sign(idx)
-        if s == 0:
-            return Fraction(0)
-        v = self.entries.get(key)
-        return Fraction(0) if v is None else s * v
+        """The signed entry at any index order; `zero` on a repeat."""
+        return self.signed[tuple(idx)]
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -196,27 +249,43 @@ class AntisymTensor:
     def items(self):
         return self.entries.items()
 
+    def _with(self, entries):
+        """This tensor (its class and attributes, the read table aside) on
+        another canonical entry map: sums and nonzero multiples of canonical
+        maps are canonical, so they skip the constructor's fold."""
+        out = object.__new__(type(self))
+        vars(out).update({k: v for k, v in vars(self).items() if k != "signed"},
+                         entries=entries)
+        return out
+
     def __add__(self, other):
-        if (self.rank, self.dim) != (other.rank, other.dim):
+        if type(other) is not type(self) or (self.rank, self.dim) != (other.rank, other.dim):
             raise ValueError("shape mismatch")
         ent = dict(self.entries)
         for k, v in other.entries.items():
             accumulate(ent, k, v)
-        return AntisymTensor(self.rank, self.dim, ent)
+        return self._with(ent)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         if is_zero(c):
-            return AntisymTensor(self.rank, self.dim, {})
-        return AntisymTensor(self.rank, self.dim,
-                             {k: c * v for k, v in self.entries.items()})
+            return self._with({})
+        return self._with({k: v * c for k, v in self.entries.items()})
 
-    def __eq__(self, other):
-        return (isinstance(other, AntisymTensor)
-                and self.rank == other.rank and self.dim == other.dim
-                and self.entries == other.entries)
+
+def wedge(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:
+    """Weight-free shuffle wedge: (a ^ b)_M = sum_{I+J=M} sign(I, J) a_I b_J
+    over the splits of M into sorted blocks."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    ent = {}
+    for ka, va in a.entries.items():
+        for kb, vb in b.entries.items():
+            if not set(ka) & set(kb):
+                accumulate(ent, tuple(sorted(ka + kb)), va * vb * merge_sign(ka, kb))
+    return AntisymTensor(a.rank + b.rank, a.dim, ent, a.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +299,8 @@ class BracketTensor:
 
     `c` maps sorted n-tuples to rows {j: nonzero value}.  The constructor
     accepts any index order and applies its permutation sign, drops zeros,
-    and rejects nonzero rows on repeated indices and inconsistent duplicates.
+    and rejects indices outside 1..dim, nonzero rows on repeated indices and
+    inconsistent duplicates.
     `metric` is an invariant metric g_ij when one is attached (the `.alg`
     metric block).  Subclasses add the mathematics of one identity and name
     their `.alg` kind.
@@ -248,6 +318,8 @@ class BracketTensor:
         for idx, row in self.c.items():
             if len(idx) != self.arity:
                 raise ValueError(f"expected {self.arity} lower indices at {idx}")
+            if not all(1 <= i <= self.dim for i in (*idx, *row)):
+                raise ValueError(f"index outside 1..{self.dim} at {idx} -> {sorted(row)}")
             key, s = sort_sign(idx)
             if s == 0:
                 if any(not is_zero(v) for v in row.values()):

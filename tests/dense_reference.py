@@ -15,8 +15,15 @@ The dense operator-matrix layer (`mat_mul`, `commutator`, `trace`, ..) and
 every function of the package that acts on operator matrices, as first
 written on it: the references for the sparse {(row, column): value} maps
 that the package uses.  `to_dense` and `to_map` convert between the two.
+
+The four antisymmetric containers and the two wedges as they stood before
+`tensors.AntisymTensor` replaced them: the CE `Cochain`, the Poly-valued
+`PolyMultivector` with its `_SignedComponents` read table and its `wedge`,
+the exterior-algebra `Multivector` and `wedge_antisym`.  They are the
+references of the container parity tests.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -25,8 +32,9 @@ from naryalg.filippov import (CliffordReport, FilippovAlgebra, So4SplitReport,
                               _invariance_residual_on_pairs, _wedge_pairs, check_metric_fa,
                               fundamental_compose, kasymov_form, simple_fa)
 from naryalg.lie import LieAlgebra, SymInvariantPoly, killing_form
-from naryalg.scalars import GaussianRational, is_zero
-from naryalg.tensors import gen_kronecker, merge_sign, ray_equal, sort_sign
+from naryalg.poly import Poly
+from naryalg.scalars import ZERO, GaussianRational, accumulate, is_zero, rat
+from naryalg.tensors import AntisymTensor, gen_kronecker, merge_sign, ray_equal, sort_sign
 
 
 def rref(mat):
@@ -915,3 +923,175 @@ def quadratic_casimir(alg, mats):
                 out = mat_add(out, mat_scale(kinv[i][j],
                                                            mat_mul(mats[i], mats[j])))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the antisymmetric containers before AntisymTensor
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Cochain:
+    """Order-p cochain with values in a dim_v target (dim_v = 1: scalars)."""
+
+    order: int
+    alg_dim: int
+    dim_v: int = 1
+    data: dict = field(default_factory=dict)  # (A, sorted tuple) -> value
+
+    def __post_init__(self):
+        clean = {}
+        for (a, idx), v in self.data.items():
+            key, s = sort_sign(idx)
+            if s:
+                accumulate(clean, (a, key), s * rat(v))
+        self.data = clean
+
+    def get(self, a, idx):
+        key, s = sort_sign(idx)
+        v = self.data.get((a, key)) if s else None
+        return ZERO if v is None else s * v
+
+    def value(self, idx):
+        """Target vector at the given arguments (dense list)."""
+        return [self.get(a, idx) for a in range(1, self.dim_v + 1)]
+
+    def is_zero(self):
+        return not self.data
+
+    def __add__(self, other):
+        d = dict(self.data)
+        for k, v in other.data.items():
+            accumulate(d, k, v)
+        return Cochain(self.order, self.alg_dim, self.dim_v, d)
+
+    def scale(self, c):
+        if is_zero(c):
+            return Cochain(self.order, self.alg_dim, self.dim_v, {})
+        return Cochain(self.order, self.alg_dim, self.dim_v,
+                       {k: c * v for k, v in self.data.items()})
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __eq__(self, other):
+        return (isinstance(other, Cochain) and self.order == other.order
+                and self.alg_dim == other.alg_dim and self.dim_v == other.dim_v
+                and self.data == other.data)
+
+
+class _SignedComponents(dict):
+    """Raw index tuple -> the component it reads: the stored Poly, its
+    negation, or the shared zero `self.zero`.  A missing tuple is sorted
+    once and stored."""
+
+    __slots__ = ("comps", "zero", "negated")
+
+    def __init__(self, comps, dim):
+        super().__init__()
+        self.comps = comps
+        self.zero = Poly.zero(dim)
+        self.negated = {}  # sorted key -> the negated component
+
+    def __missing__(self, idx):
+        key, s = sort_sign(idx)
+        p = self.comps.get(key) if s else None
+        if p is None:
+            p = self.zero
+        elif s < 0:
+            q = self.negated.get(key)
+            if q is None:
+                q = self.negated[key] = -p
+            p = q
+        self[idx] = p
+        return p
+
+
+@dataclass
+class PolyMultivector:
+    """Order-p antisymmetric contravariant tensor on R^m with Poly entries,
+    stored on sorted index tuples; `signed` is the component table every
+    read goes through."""
+
+    order: int
+    dim: int
+    comps: dict = field(default_factory=dict)  # sorted tuple -> Poly
+    signed: _SignedComponents = field(init=False, repr=False)
+
+    def __post_init__(self):
+        clean = {}
+        for idx, p in self.comps.items():
+            key, s = sort_sign(idx)
+            if s:
+                accumulate(clean, key, p if s == 1 else -p)
+        self.comps = clean
+        self.signed = _SignedComponents(clean, self.dim)
+
+    def get(self, idx) -> Poly:
+        return self.signed[tuple(idx)]
+
+    def is_zero(self):
+        return not self.comps
+
+    def __add__(self, other):
+        comps = dict(self.comps)
+        for k, p in other.comps.items():
+            accumulate(comps, k, p)
+        return PolyMultivector(self.order, self.dim, comps)
+
+    def scale(self, c):
+        return PolyMultivector(self.order, self.dim,
+                               {k: p * c for k, p in self.comps.items()})
+
+    def __sub__(self, other):
+        return self + other.scale(Fraction(-1))
+
+    def __eq__(self, other):
+        return (isinstance(other, PolyMultivector) and self.order == other.order
+                and self.dim == other.dim and self.comps == other.comps)
+
+    def is_constant(self):
+        return all(p.is_constant() for p in self.comps.values())
+
+
+def wedge(a: PolyMultivector, b: PolyMultivector) -> PolyMultivector:
+    """Shuffle-normalized wedge: (a ^ b)^M = sum_{I+J=M} sign a^I b^J."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    comps = {}
+    for ka, pa in a.comps.items():
+        for kb, pb in b.comps.items():
+            if not set(ka) & set(kb):
+                accumulate(comps, tuple(sorted(ka + kb)), pa * pb * merge_sign(ka, kb))
+    return PolyMultivector(a.order + b.order, a.dim, comps)
+
+
+class Multivector(dict):
+    """Element of the exterior algebra on generators 1..dim: canonical map
+    from sorted tuples to coefficients."""
+
+    def __init__(self, dim, data=()):
+        super().__init__()
+        self.dim = dim
+        for idx, v in dict(data).items():
+            self.add(idx, v)
+
+    def add(self, idx, v):
+        key, s = sort_sign(idx)
+        if s:
+            accumulate(self, key, s * v)
+
+    def is_zero(self):
+        return not self
+
+
+def wedge_antisym(a, b) -> AntisymTensor:
+    """Weight-free wedge on coordinates: (a ^ b)_M = shuffle sum a_A b_B."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    rank = a.rank + b.rank
+    ent = {}
+    for ka, va in a.entries.items():
+        for kb, vb in b.entries.items():
+            if not set(ka) & set(kb):
+                accumulate(ent, tuple(sorted(ka + kb)), merge_sign(ka, kb) * va * vb)
+    return AntisymTensor(rank, a.dim, ent)

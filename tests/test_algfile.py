@@ -206,7 +206,15 @@ def test_lie_pair_reads_agree_with_the_shared_read():
 def test_linear_multivector_carries_the_structure_constants(build):
     obj = build()
     lam = bracket_multivector(obj)
-    assert lam.order == obj.arity and lam.dim == obj.dim
-    assert set(lam.comps) == set(obj.c)
+    assert lam.rank == obj.arity and lam.dim == obj.dim
+    assert set(lam.entries) == set(obj.c)
     for idx, k, v in obj.entries():
-        assert lam.comps[idx].diff(k) == Poly.const(obj.dim, v)
+        assert lam.entries[idx].diff(k) == Poly.const(obj.dim, v)
+
+
+def test_only_poly_valued_tensors_are_multivector_files():
+    lam = bracket_multivector(catalog.su(3))
+    back = AlgebraFile.parse(AlgebraFile.from_object(lam).emit()).build()
+    assert back == lam and back.zero == Poly.zero(8)
+    with pytest.raises(TypeError):
+        AlgebraFile.from_object(catalog.su3_three_cocycle())

@@ -248,6 +248,19 @@ def test_su2_extensions_always_trivialize():
     assert coboundary(alg, None, om1p) == om2
 
 
+def test_cochain_rejects_keys_outside_its_spaces():
+    with pytest.raises(ValueError, match="target index 2 outside 1..1"):
+        Cochain(2, 3, 1, {(2, (1, 2)): Fraction(1)})
+    with pytest.raises(ValueError, match="target index 0 outside 1..3"):
+        Cochain(1, 3, 3, {(0, (1,)): Fraction(1)})
+    with pytest.raises(ValueError, match="does not fit"):
+        Cochain(2, 3, 1, {(1, (1, 2, 3)): Fraction(1)})
+    # the 2-cochain on su(2) at (1, 9) used to extend to a dim-4 algebra
+    # with a bracket at (1, 9) that passed check_jacobi
+    with pytest.raises(ValueError, match="does not fit"):
+        central_extension(su(2), Cochain(2, 3, 1, {(1, (1, 9)): 1}))
+
+
 def test_non_cocycle_rejected():
     alg = su(2)
     bad = Cochain(2, 3, 1, {(1, (1, 2)): Fraction(1)})

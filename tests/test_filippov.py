@@ -6,7 +6,7 @@ import pytest
 
 import dense_reference as dense
 from naryalg import linalg
-from naryalg.catalog import a4, a5, a13, nhw
+from naryalg.catalog import a4, a5, a13, corrupted, nhw
 from naryalg.filippov import (FI_FORMS, FilippovAlgebra,
                               ad_of_sum, adjoint_fa_representation, append_center,
                               candidate_constants_antisymmetric, check_fa_representation,
@@ -18,8 +18,8 @@ from naryalg.filippov import (FI_FORMS, FilippovAlgebra,
                               orthogonal_relations_hold, semisimplicity_check,
                               simple_fa, subordinate, trace_extension_bracket,
                               trace_extension_structure, vector_product)
-from naryalg.gla import Multivector
 from naryalg.lie import check_jacobi
+from naryalg.tensors import AntisymTensor
 
 
 def basis_vec(i, d):
@@ -133,7 +133,7 @@ def test_composition_antisymmetric_only_after_ad():
     xy = fundamental_compose(fa, (1, 3), (5, 6))
     yx = fundamental_compose(fa, (5, 6), (1, 3))
     # as formal sums they are not opposite ...
-    assert xy != Multivector(fa.dim, {k: -v for k, v in yx.items()})
+    assert xy != AntisymTensor(fa.arity - 1, fa.dim, {k: -v for k, v in yx.items()})
     # ... while the induced derivations are exactly opposite
     assert ad_of_sum(fa, xy) == linalg.sp_scale(-1, ad_of_sum(fa, yx))
 
@@ -454,6 +454,22 @@ def test_traceless_inputs_bracket_to_zero():
         for b in sl:
             for c in sl:
                 assert three_bracket([a, b, c]) == {}
+
+
+def diagonal_bracket(fa):
+    """fa's bracket on the diagonal unit matrices E_11, .., E_dd."""
+    def bracket(ms):
+        vectors = [[m.get((i, i), 0) for i in range(fa.dim)] for m in ms]
+        return {(b, b): v for b, v in enumerate(fa.bracket(vectors)) if v}
+    bracket.arity = fa.arity
+    return bracket
+
+
+def test_trace_extension_structure_checks_the_identity():
+    basis = [{(i, i): Fraction(1)} for i in range(4)]
+    assert trace_extension_structure(diagonal_bracket(a4()), basis).f == a4().f
+    with pytest.raises(ValueError, match=r"Filippov identity at \(\(1, 2\), \(2, 3, 4\), 3\)"):
+        trace_extension_structure(diagonal_bracket(corrupted(a4())), basis)
 
 
 def test_iterated_trace_extension_still_valid():

@@ -4,8 +4,11 @@
 called from `poly.py` and `poisson.py` alone, every public function,
 class, method or property has a caller in `src/` or a test, no module
 defines, imports, reads or calls a name of the deleted dense matrix layer
-(`mat_mul`, `commutator`, `trace`, ..), and the su(n) and gamma-matrix
-constructions make no generic sparse product (they stay on `zi_*`)."""
+(`mat_mul`, `commutator`, `trace`, ..), the su(n) and gamma-matrix
+constructions make no generic sparse product (they stay on `zi_*`), and no
+`__init__`, `__post_init__` or `__missing__` outside `tensors.py` sorts a key
+with `sort_sign`: the one sign-canonical container is
+`tensors.AntisymTensor`."""
 
 import ast
 from pathlib import Path
@@ -209,3 +212,44 @@ def test_no_dense_matrix_layer_in_src(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_su_and_gamma_constructions_use_the_integer_kernel(path):
     assert generic_product_calls(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# one sign-canonical container: only tensors.py folds keys by their sign
+# while building or filling a map
+# ---------------------------------------------------------------------------
+
+CONTAINER_HOOKS = {"__init__", "__post_init__", "__missing__"}
+
+
+def sign_canonical_containers(source, filename):
+    """(line, hook) of every `sort_sign` call inside an `__init__`,
+    `__post_init__` or `__missing__` outside `tensors.py`: the mark of a
+    second sign-canonical container."""
+    if filename == "tensors.py":
+        return []
+    return sorted((call.lineno, node.name)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef) and node.name in CONTAINER_HOOKS
+                  for call in ast.walk(node)
+                  if isinstance(call, ast.Call) and called_name(call) == "sort_sign")
+
+
+def test_scan_sees_a_second_sign_canonical_container():
+    source = ("class Planted(dict):\n"
+              "    def __post_init__(self):\n"
+              "        self.data = {sort_sign(k)[0]: v for k, v in self.data.items()}\n"
+              "    def __missing__(self, idx):\n"
+              "        key, s = tensors.sort_sign(idx)\n"
+              "    def __init__(self, dim):\n"
+              "        self.dim = dim\n"
+              "    def get(self, idx):\n"
+              "        return sort_sign(idx)\n")
+    assert sign_canonical_containers(source, "poisson.py") == [(3, "__post_init__"),
+                                                               (5, "__missing__")]
+    assert sign_canonical_containers(source, "tensors.py") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_sign_canonical_container(path):
+    assert sign_canonical_containers(path.read_text(), path.name) == []

@@ -7,15 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naryalg.catalog import a4, su, su3_five_cocycle
-from naryalg.poisson import (Decomposition, PluckerViolation, PolyMultivector,
+from naryalg.poisson import (Decomposition, PluckerViolation,
                              bracket_multivector, decompose_constant, gps_check,
                              graded_jacobi_residual, hamiltonian_derivation_residual,
                              lie_poisson_bivector, linear_gps_from_cocycle, nambu_bracket,
                              nambu_fi_residual, nambu_leibniz_residual, nhw_realization_check,
-                             np_check, np_even_implies_gps, schouten_bracket, wedge,
+                             np_check, np_even_implies_gps, schouten_bracket,
                              wedge_vectors)
 from naryalg.poly import Poly
-from naryalg.tensors import merge_sign, shuffle_splits, sort_sign
+from naryalg.tensors import AntisymTensor, merge_sign, shuffle_splits, sort_sign, wedge
+
+
+def multivector(order, m, comps):
+    """An order-p multivector field on R^m: Poly components, zero Poly reads."""
+    return AntisymTensor(order, m, comps, Poly.zero(m))
 
 
 def random_poly(rng, m, degree=2, terms=3):
@@ -32,7 +37,7 @@ def random_multivector(rng, order, m, keys=3):
         idx = list(rng.choice(list(combinations(range(1, m + 1), order))))
         rng.shuffle(idx)
         comps[tuple(idx)] = random_poly(rng, m)
-    return PolyMultivector(order, m, comps)
+    return multivector(order, m, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -42,8 +47,8 @@ def random_multivector(rng, order, m, keys=3):
 
 def reference_wedge(a, b):
     comps = {}
-    for ka, pa in a.comps.items():
-        for kb, pb in b.comps.items():
+    for ka, pa in a.entries.items():
+        for kb, pb in b.entries.items():
             if set(ka) & set(kb):
                 continue
             key = tuple(sorted(ka + kb))
@@ -54,11 +59,11 @@ def reference_wedge(a, b):
                 comps.pop(key, None)
             else:
                 comps[key] = q
-    return PolyMultivector(a.order + b.order, a.dim, comps)
+    return multivector(a.rank + b.rank, a.dim, comps)
 
 
 def reference_schouten(a, b):
-    p, q = a.order, b.order
+    p, q = a.rank, b.rank
     m = a.dim
     out_order = p + q - 1
     comps = {}
@@ -92,14 +97,14 @@ def reference_schouten(a, b):
                 if not dv.is_zero():
                     tot = tot + bv * dv * sign * ((-1) ** p)
         add(kk, tot)
-    return PolyMultivector(out_order, m, comps)
+    return multivector(out_order, m, comps)
 
 
 def reference_np_algebraic(lam):
     """(ok, first failing (it, jt)) of the algebraic Nambu-Poisson condition
     Sigma + P(Sigma) = 0, multiplying two components afresh for every tuple
     pair, as np_check first did."""
-    n, m = lam.order, lam.dim
+    n, m = lam.rank, lam.dim
 
     def get(idx):
         v = lam.get(idx)
@@ -144,7 +149,7 @@ def reference_get(lam, idx):
     """The component at a raw index tuple from its definition: sort, read,
     negate on an odd sign, zero on a repeat."""
     key, s = sort_sign(idx)
-    p = lam.comps.get(key) if s else None
+    p = lam.entries.get(key) if s else None
     if p is None:
         return Poly.zero(lam.dim)
     return p if s == 1 else -p
@@ -163,17 +168,17 @@ def test_get_is_the_signed_component_read(which):
             # one object per raw tuple, and one negation per component
             assert lam.get(list(idx)) is got
             key, s = sort_sign(idx)
-            if s and key in lam.comps:
-                assert got is (lam.comps[key] if s == 1 else lam.get(key[1::-1] + key[2:]))
+            if s and key in lam.entries:
+                assert got is (lam.entries[key] if s == 1 else lam.get(key[1::-1] + key[2:]))
 
 
 coefficients = st.one_of(st.fractions(max_denominator=6), st.integers(-3, 3))
 exponents = st.tuples(*[st.integers(0, 2) for _ in range(3)])
 polys = st.dictionaries(exponents, coefficients, max_size=4).map(lambda t: Poly(3, t))
 bivectors = st.dictionaries(st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 2), (2, 3)]),
-                            polys, max_size=3).map(lambda c: PolyMultivector(2, 3, c))
+                            polys, max_size=3).map(lambda c: multivector(2, 3, c))
 vectors = st.dictionaries(st.sampled_from([(1,), (2,), (3,)]), polys,
-                          max_size=3).map(lambda c: PolyMultivector(1, 3, c))
+                          max_size=3).map(lambda c: multivector(1, 3, c))
 
 
 def assert_canonical(p):
@@ -197,8 +202,8 @@ def test_fast_built_polys_are_canonical(a, b, c, lam, other):
     with mock.patch.object(Poly, "_canonical", classmethod(spy)):
         results = [a + b, a - b, a * b, a * c, c * a, a + c, c - a, -a,
                    a.diff(1), a.diff(3)]
-        results += schouten_bracket(lam, other).comps.values()
-        results += schouten_bracket(other, lam).comps.values()
+        results += schouten_bracket(lam, other).entries.values()
+        results += schouten_bracket(other, lam).entries.values()
         rep = gps_check(lam)
         results += [lam.get(idx) for idx in product(range(1, 4), repeat=2)]
     assert rep.snb_ok == rep.coords_ok
@@ -212,7 +217,7 @@ def test_fast_built_polys_are_canonical(a, b, c, lam, other):
 
 def test_lie_poisson_bivector_of_su3_is_gps_and_np():
     lam = lie_poisson_bivector(su(3))
-    assert lam.order == 2 and lam.dim == 8
+    assert lam.rank == 2 and lam.dim == 8
     assert gps_check(lam).ok
     rep = np_check(lam)
     assert rep.ok and rep.differential_witness is None
@@ -220,7 +225,7 @@ def test_lie_poisson_bivector_of_su3_is_gps_and_np():
 
 def test_linear_four_vector_of_su3_is_gps_but_not_np():
     lam = linear_gps_from_cocycle(su(3), su3_five_cocycle())
-    assert lam.order == 4
+    assert lam.rank == 4
     assert gps_check(lam).ok
     rep = np_check(lam)
     assert not rep.ok
@@ -269,10 +274,10 @@ def test_np_algebraic_condition_of_four_vectors_matches_the_reference_loop(seed)
 def test_a_non_jacobi_bivector_fails_both_forms_of_gps():
     # x3 d1^d2 + x2 d2^d3: {x1, {x2, x3}} + cycl. = -x3 != 0
     m = 3
-    lam = PolyMultivector(2, m, {(1, 2): Poly.var(m, 3), (2, 3): Poly.var(m, 2)})
+    lam = multivector(2, m, {(1, 2): Poly.var(m, 3), (2, 3): Poly.var(m, 2)})
     rep = gps_check(lam)
     assert (rep.snb_ok, rep.coords_ok, rep.witness) == (False, False, (1, 2, 3))
-    assert schouten_bracket(lam, lam).comps == {(1, 2, 3): Poly.var(m, 3) * -2}
+    assert schouten_bracket(lam, lam).entries == {(1, 2, 3): Poly.var(m, 3) * -2}
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +300,20 @@ def test_wedge_and_schouten_match_the_reference_loops(seed):
     a, b = random_multivector(rng, p, m), random_multivector(rng, q, m)
     got = wedge(a, b)
     assert got == reference_wedge(a, b)
-    assert all(not v.is_zero() for v in got.comps.values())
+    assert all(not v.is_zero() for v in got.entries.values())
     got = schouten_bracket(a, b)
     assert got == reference_schouten(a, b)
-    assert all(not v.is_zero() for v in got.comps.values())
+    assert all(not v.is_zero() for v in got.entries.values())
 
 
 def test_wedge_drops_cancelling_components():
     m = 3
     one = Poly.const(m, 1)
-    a = PolyMultivector(1, m, {(1,): one, (2,): one})
-    b = PolyMultivector(1, m, {(1,): one, (2,): one})
+    a = multivector(1, m, {(1,): one, (2,): one})
+    b = multivector(1, m, {(1,): one, (2,): one})
     # (d1 + d2) ^ (d1 + d2) = d1^d2 + d2^d1 = 0
-    assert wedge(a, b).comps == {}
-    assert PolyMultivector(2, m, {(1, 2): one, (2, 1): one}).comps == {}
+    assert wedge(a, b).entries == {}
+    assert multivector(2, m, {(1, 2): one, (2, 1): one}).entries == {}
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +326,14 @@ def test_decompose_constant_round_trips(seed):
     m, n = 5, rng.randint(2, 3)
     vectors = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(n)]
     t = wedge_vectors(vectors, m)
-    entries = {k: p.eval([Fraction(0)] * m) for k, p in t.comps.items()}
+    entries = {k: p.eval([Fraction(0)] * m) for k, p in t.entries.items()}
     dec = decompose_constant(n, m, entries)
     assert isinstance(dec, Decomposition)
     if not entries:
         assert dec.vectors == [] and dec.scale == 0
         return
     back = wedge_vectors(dec.vectors, m).scale(dec.scale)
-    assert {k: p.eval([Fraction(0)] * m) for k, p in back.comps.items()} == entries
+    assert {k: p.eval([Fraction(0)] * m) for k, p in back.entries.items()} == entries
 
 
 def test_decompose_constant_names_a_plucker_violation():

@@ -5,7 +5,8 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naryalg.tensors import (AntisymTensor, DenseTensor, antisymmetrize,
+from naryalg.lie import LieAlgebra
+from naryalg.tensors import (AntisymTensor, BracketTensor, DenseTensor, antisymmetrize,
                              antisymmetrize_weighted, as_antisym, contract,
                              eps_identities_check, eps_pair_expansion_check,
                              fold_antisym, gen_kronecker, levi_civita, merge_sign,
@@ -98,6 +99,26 @@ def test_equality_is_entrywise():
     a = AntisymTensor(2, 3, {(2, 1): Fraction(-1)})
     b = AntisymTensor(2, 3, {(1, 2): Fraction(1)})
     assert a == b
+
+
+@pytest.mark.parametrize("key", [(1, 2, 3), (1,), (0, 2), (1, 4), (4, 4)])
+def test_tensor_rejects_a_key_that_does_not_fit(key):
+    # a key of the wrong length, or with an index outside 1..dim, raises
+    # even when it repeats an index and would read zero
+    with pytest.raises(ValueError, match="does not fit"):
+        AntisymTensor(2, 3, {key: Fraction(1)})
+
+
+@pytest.mark.parametrize("entry", [((1, 9, 4), 1), ((0, 2, 1), 1), ((1, 2, 5), 1),
+                                   ((1, 2, 0), 0)])
+def test_structure_constants_reject_indices_outside_the_basis(entry):
+    # lower indices and targets alike; the dim-4 algebra with a bracket at
+    # (1, 9) used to be accepted and passed check_jacobi
+    with pytest.raises(ValueError, match="outside 1..4"):
+        LieAlgebra.from_entries(4, [entry])
+    (i, j, k), v = entry
+    with pytest.raises(ValueError, match="outside 1..4"):
+        BracketTensor(2, 4, {(i, j): {k: v}})
 
 
 # ---------------------------------------------------------------------------
