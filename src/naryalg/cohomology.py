@@ -1,24 +1,24 @@
 """Chevalley-Eilenberg cohomology for an arbitrary representation: the
-coboundary in both its argument form and (for the trivial representation)
-its epsilon-contracted coordinates form, exact cohomology dimensions,
-the Casimir-built homotopy operator behind Whitehead's lemma, central
-extensions, and deformation cocycles with their obstruction classes.
+coboundary, exact cohomology dimensions, the Casimir-built homotopy operator
+behind Whitehead's lemma, central extensions, and deformation cocycles with
+their obstruction classes.
 
 A V-valued p-cochain (`Cochain`) is a rank-p `tensors.AntisymTensor`: its
 value at a strictly increasing index tuple is the target vector with
 coordinates Omega^A_{i_1..i_p}, held as a sparse `LinearForm` {A: value}
 (A = 1 for scalar-valued cochains).
 
-The matrix of s is assembled row by row: `coboundary` runs once on the
-generic cochain whose coordinates are the linear forms x_1, x_2, .. (see
-`scalars.LinearForm`), which yields every target coordinate as a sparse row
-over the source coordinates.  It runs on D C and D rho, the structure
-constants and representation matrices scaled to plain ints by their least
-common denominator D (1 for A4, A5 and nhw2, 2 for su(3), 6 for su(4)).
-Every term of s carries exactly one constant or one rho entry, so this
-evaluation is D s, assembled without a `Fraction`; `coboundary_matrix`
-divides by D on return (int where integral, else `Fraction`).  Ranks and
-preimages then come from the fraction-free leading-column elimination of
+The coboundary s is evaluated in one place, `_ce_rows`: it writes D s into
+sparse integer rows {column: int}, one per target coordinate of
+`coord_basis`, column (A, idx) of C^p at (A - 1) * C(dim, p) + the index of
+idx in `basis_tuples`.  It reads D C and D rho, the constants and matrices
+scaled to plain ints by their least common denominator D (1 for A4, A5 and
+nhw2, 2 for su(3), 6 for su(4); `integer_scaling`): every term of s carries
+one constant or one rho entry.  A bracket term places l of C_{i_j i_k}^l
+into the sorted remaining indices by one bisection (`tensors.insert_sign`).
+`coboundary_matrix` divides the rows by D (int where integral, else
+`Fraction`); `coboundary` dots them with a cochain's coordinates and divides
+by D.  Ranks and preimages come from the fraction-free elimination of
 `linalg.integer_echelon`, whose solutions set every non-pivot coordinate to
 zero.
 """
@@ -31,8 +31,8 @@ from itertools import chain, combinations
 
 from . import linalg
 from .lie import LieAlgebra, Representation, check_jacobi
-from .scalars import ZERO, LinearForm, common_denominator, rat
-from .tensors import AntisymTensor, shuffle_splits
+from .scalars import ZERO, LinearForm, accumulate, common_denominator, rat
+from .tensors import AntisymTensor, insert_sign
 
 
 class Cochain(AntisymTensor):
@@ -81,37 +81,46 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
                              + sum_{j<k} (-1)^{j+k} Om([X_j,X_k], ..^j..^k..)
 
     `rho` is None for the trivial representation, else a Representation
-    acting on the target.
+    acting on the target; its matrices must be rational.
     """
-    rows = None
-    if rho is not None:
-        if rho.dim_v != om.dim_v:
-            raise ValueError("representation/target dimension mismatch")
-        rows = [_matrix_rows(m) for m in rho.mats]
-    p = om.rank
-    r = om.dim
-    if p >= r:
-        return Cochain(p + 1, r, om.dim_v, {})
-    data = {}
-    for idx in combinations(range(1, r + 1), p + 1):
-        for a in range(1, om.dim_v + 1):
-            tot = 0
-            if rows is not None:
-                for i in range(p + 1):
-                    rest = idx[:i] + idx[i + 1:]
-                    for b, coeff in rows[idx[i] - 1].get(a - 1, ()):
-                        tot += (-1) ** i * coeff * om.get(b + 1, rest)
-            for j in range(p + 1):
-                for k in range(j + 1, p + 1):
-                    rest = tuple(idx[t] for t in range(p + 1) if t not in (j, k))
-                    # positions are 0-based here; the 1-based (-1)^{j+k}
-                    sign = (-1) ** (j + k)
-                    for l, v in alg.c_row(idx[j], idx[k]).items():
-                        if l not in rest:  # a repeated index reads zero
-                            tot += sign * v * om.get(a, (l,) + rest)
-            if tot:
-                data[(a, idx)] = tot
-    return Cochain(p + 1, r, om.dim_v, data)
+    p, r = om.rank, alg.dim
+    d, rows = _ce_rows(alg, rho, p, om.dim_v)
+    col = {idx: i for i, idx in enumerate(basis_tuples(r, p))}
+    x = {(a - 1) * len(col) + col[idx]: v for idx, vec in om.entries.items()
+         for a, v in vec.items()}
+    values = apply_rows(rows, x, d)
+    return Cochain(p + 1, r, om.dim_v, dict(zip(coord_basis(r, p + 1, om.dim_v), values)))
+
+
+def _ce_rows(alg, rho, p, dim_v):
+    """(D, the rows of D s: C^p -> C^{p+1}) with target dimension dim_v: one
+    {column: int} per coordinate of `coord_basis(dim, p + 1, dim_v)` (see the
+    module docstring for the columns)."""
+    if rho is not None and rho.dim_v != dim_v:
+        raise ValueError("representation/target dimension mismatch")
+    d, ialg, imats = integer_scaling(alg, () if rho is None else rho.mats)
+    col = {idx: i for i, idx in enumerate(basis_tuples(ialg.dim, p))}
+    mrows = [_matrix_rows(m) for m in imats] if imats else [{}] * ialg.dim
+    targets = basis_tuples(ialg.dim, p + 1)
+    rows = [None] * (dim_v * len(targets))
+    for n, idx in enumerate(targets):
+        br = {}  # the bracket terms, the same for every target coordinate A
+        for j, k in combinations(range(p + 1), 2):
+            # positions are 0-based here; the 1-based (-1)^{j+k}
+            sign, rest = -1 if (j + k) & 1 else 1, idx[:j] + idx[j + 1:k] + idx[k + 1:]
+            for l, v in ialg.c.get((idx[j], idx[k]), {}).items():
+                key, s = insert_sign(rest, 0, l)
+                if s:  # a repeated index reads zero
+                    accumulate(br, col[key], s * sign * v)
+        for a in range(dim_v):
+            row = rows[a * len(targets) + n] = {a * len(col) + i: v for i, v in br.items()}
+            for i, x in enumerate(idx):
+                terms = mrows[x - 1].get(a)
+                if terms:
+                    rest = col[idx[:i] + idx[i + 1:]]
+                    for b, v in terms:
+                        accumulate(row, b * len(col) + rest, -v if i & 1 else v)
+    return d, rows
 
 
 def _matrix_rows(m):
@@ -120,33 +129,6 @@ def _matrix_rows(m):
     for (a, b), v in sorted(m.items()):
         rows.setdefault(a, []).append((b, v))
     return rows
-
-
-def coboundary_coords(alg: LieAlgebra, om: Cochain) -> Cochain:
-    """Coordinates form for the trivial representation:
-
-        (s Om)_{i_1..i_{p+1}} = -1/2 * 1/(p-1)! *
-            eps^{j..}_{i..} C_{j_1 j_2}^k Om_{k j_3..j_{p+1}}
-
-    The epsilon contraction is the shuffle sum over (2, p-1) splits times
-    2 (pair arrangements) times (p-1)! (tail arrangements), so the
-    prefactors cancel against a bare shuffle sum up to the -1/2 * 2 = -1.
-    """
-    if om.dim_v != 1:
-        raise ValueError("coordinates form applies to scalar-valued cochains")
-    p = om.rank
-    r = om.dim
-    data = {}
-    for idx in combinations(range(1, r + 1), p + 1):
-        tot = Fraction(0)
-        for (pair, rest), sign in shuffle_splits(idx, [2, p - 1]):
-            row = alg.c.get(pair)
-            if row:
-                for k, v in row.items():
-                    tot += sign * v * om.get(1, (k,) + rest)
-        if tot != 0:
-            data[(1, idx)] = -tot
-    return Cochain(p + 1, r, 1, data)
 
 
 # ---------------------------------------------------------------------------
@@ -173,29 +155,25 @@ def unscale_rows(rows, d):
     """The rows of d * delta divided by d: int where integral, else Fraction."""
     if d == 1:
         return rows
-    return [LinearForm({c: v // d if v % d == 0 else Fraction(v, d) for c, v in row.items()})
-            for row in rows]
+    # one division per distinct value; the rows share the immutable quotients
+    quo = {v: Fraction(v, d) if v % d else v // d for v in {v for r in rows for v in r.values()}}
+    return [{c: quo[v] for c, v in row.items()} for row in rows]
+
+
+def apply_rows(rows, x, d):
+    """The values row . x / d of the rows of d * delta on the coordinates x,
+    a sparse {column: value} vector."""
+    scale = 1 if d == 1 else Fraction(1, d)
+    return [sum(v * x[c] for c, v in row.items() if c in x) * scale for row in rows]
 
 
 def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v):
     """Sparse matrix of s: C^p -> C^{p+1} in the canonical coordinate bases,
     as (rows, src, dst): one {column: value} row per coordinate in dst, the
-    columns indexed by src.
-
-    The rows come from a single evaluation of `coboundary` on the generic
-    cochain whose coordinate src[i] is the linear form x_i, with the
-    constants and representation matrices scaled by their common denominator
-    D to ints; s is linear in them, so that evaluation yields D s over the
-    integers, and the rows are divided by D on return.
+    columns indexed by src: the rows of `_ce_rows` divided by D.
     """
-    src = coord_basis(alg.dim, p, dim_v)
-    dst = coord_basis(alg.dim, p + 1, dim_v)
-    d, ialg, imats = integer_scaling(alg, () if rho is None else rho.mats)
-    irho = None if rho is None else Representation(ialg, imats, rho.dim_v, check=False)
-    generic = Cochain(p, alg.dim, dim_v,
-                      {key: LinearForm({i: 1}) for i, key in enumerate(src)})
-    out = coboundary(ialg, irho, generic).data
-    return unscale_rows([out.get(key, LinearForm()) for key in dst], d), src, dst
+    d, rows = _ce_rows(alg, rho, p, dim_v)
+    return unscale_rows(rows, d), coord_basis(alg.dim, p, dim_v), coord_basis(alg.dim, p + 1, dim_v)
 
 
 @dataclass
@@ -343,7 +321,7 @@ def deformation_check(alg: LieAlgebra, alpha: Cochain) -> DeformationReport:
     if not s_alpha.is_zero():
         return DeformationReport(False, False, None, None, None, None)
 
-    is_cob = _in_coboundary_image(alg, rho, alpha)
+    is_cob = _coboundary_preimage(alg, rho, alpha) is not None
 
     r = alg.dim
     gdata = {}
@@ -371,10 +349,6 @@ def _alpha_nested_cyclic(alg, alpha, idx):
             for a in range(1, r + 1):
                 out[a - 1] += inner[l - 1] * alpha.get(a, (i, l))
     return out
-
-
-def _in_coboundary_image(alg, rho, om):
-    return _coboundary_preimage(alg, rho, om) is not None
 
 
 def _coboundary_preimage(alg, rho, om):

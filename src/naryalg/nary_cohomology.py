@@ -34,19 +34,20 @@ all n arguments; that the coboundary keeps this joint antisymmetry is a
 tested property (`jointly_antisymmetric_in_last_slot`).  Module keys are the
 p-tuples of sorted blocks.  Signs of unsorted blocks are tracked on reads.
 
-`_leibniz_delta` reads L's bracket and L's action on g from tables that each
-application builds once (`fundamental_tables`).  `coboundary_matrix`
-assembles the matrix of delta row by row: it applies the coboundary once to
-the generic cochain whose coordinates are the linear forms x_1, x_2, ..
-(see `scalars.LinearForm`), which yields each target coordinate as a sparse
-row over the source coordinates.  The tables are built from D f and D rho,
-the structure constants and module matrices scaled to plain ints by their
-least common denominator D (`cohomology.integer_scaling`); every term of
-delta carries exactly one constant or one rho entry, so the evaluation is
-D delta over the integers, and the rows are divided by D on return.
-Cohomology dimensions and preimages then come from the fraction-free
-leading-column elimination of `linalg.integer_echelon`, whose solutions set
-every non-pivot coordinate to zero.
+`_leibniz_delta` is the one evaluation of delta: it writes delta straight
+into sparse rows {column: value}, one per target coordinate, over the
+coordinates of w.  It reads L's bracket and L's action on g from tables
+built once per call (`fundamental_tables`), and reads columns through a
+table of keys, placing Z into the last block of a trivial or deformation
+key by one bisection (`tensors.insert_sign`).  The tables are built from
+D f and D rho, the constants and module matrices scaled to plain ints by
+their least common denominator D (`cohomology.integer_scaling`); every term
+carries one constant or one rho entry, so the rows are those of D delta.
+`coboundary_matrix` divides them by D; `fa_coboundary_*`, `coboundary_*_eval`
+(one point) and `leibniz_coboundary` (given rational actions, D = 1) dot them
+with the cochain's coordinates and divide by D.  Ranks and preimages come
+from the fraction-free elimination of `linalg.integer_echelon`, whose
+solutions set every non-pivot coordinate to zero.
 """
 
 from __future__ import annotations
@@ -56,10 +57,10 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import linalg
-from .cohomology import CohomologyReport, integer_scaling, unscale_rows
+from .cohomology import CohomologyReport, apply_rows, integer_scaling, unscale_rows
 from .filippov import FARepresentation, FilippovAlgebra, check_fi, fundamental_compose
-from .scalars import LinearForm, accumulate, is_zero, rat
-from .tensors import sort_blocks, sort_sign
+from .scalars import accumulate, is_zero, rat
+from .tensors import insert_sign, sort_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +105,16 @@ class NCochain:
             else:
                 clean[ckey] = vec
         self.data = clean
+        self._zero = (Fraction(0),) * self.dim_v
 
     def value(self, key):
-        """Dense target vector at a raw key (blocks may be unsorted)."""
-        if self.order == 0:
-            vec = self.data.get(key)
-            return vec if vec is not None else (Fraction(0),) * self.dim_v
-        ckey, s = sort_blocks(key)
-        if s == 0:
-            return (Fraction(0),) * self.dim_v
-        vec = self.data.get(ckey)
+        """Dense target vector at a raw key (blocks may be unsorted); a key
+        with no value reads the one zero vector of the cochain."""
+        ckey, s = sort_blocks(key) if self.order else (key, 1)
+        vec = self.data.get(ckey) if s else None
         if vec is None:
-            return (Fraction(0),) * self.dim_v
-        return tuple(s * v for v in vec)
+            return self._zero
+        return vec if s == 1 else tuple(-v for v in vec)
 
     def is_zero(self):
         return not self.data
@@ -144,36 +142,43 @@ def module_keys(fa, p):
 # ---------------------------------------------------------------------------
 
 def _leibniz_delta(bracket, left, right, read, size, args):
-    """{key: (delta w)(X_1..X_{p+1}) at the point} over args, an iterable of
-    (key, (X_1, .., X_{p+1}), point); only nonzero values are kept.
+    """The rows of delta at each (X_1..X_{p+1}, point) of args, in order:
+    `size` rows {column: value} per point, the row of target coordinate t
+    holding (delta w)(X_1..X_{p+1}) at the point, coordinate t, as a form in
+    the coordinates of w.
 
     bracket[X, Y] is X . Y as {element of L: value}.  An action table maps
     (X, point) to {point Q: [(t, b, v), ..]}: coordinate t of the action of
     X on w, at the point, is the sum of v * w(Q)[b].  read(xs, Q) is the
-    value of w(xs) at Q, a vector of length size.
+    pair (base, sign) with w(xs)(Q)[b] = sign * (coordinate base + b), or
+    None where w(xs)(Q) reads zero.
     """
-    out = {}
-    for key, xs, point in args:
-        vec = [0] * size
+    rows = []
+    for xs, point in args:
+        vec = [{} for _ in range(size)]
         last = len(xs) - 1
         for i, x in enumerate(xs):
             rest = xs[:i] + xs[i + 1:]
-            sgn = (-1) ** i
+            sgn = -1 if i & 1 else 1
             # (-1)^{i+1} l_{X_i} for i <= p, (-1)^{p+1} r_{X_{p+1}} (1-based)
             acts, asgn = (left, sgn) if i < last else (right, -sgn)
             for q, terms in acts[x, point].items():
-                w = read(rest, q)
-                for t, b, v in terms:
-                    vec[t] += asgn * v * w[b]
+                at = read(rest, q)
+                if at is not None:
+                    base, s = at
+                    s *= asgn
+                    for t, b, v in terms:
+                        accumulate(vec[t], base + b, s * v)
             for j in range(i + 1, last + 1):
                 for y, v in bracket[x, xs[j]].items():
-                    w = read(rest[:j - 1] + (y,) + rest[j:], point)
-                    c = -sgn * v
-                    for t in range(size):
-                        vec[t] += c * w[t]
-        if any(vec):
-            out[key] = tuple(vec)
-    return out
+                    at = read(rest[:j - 1] + (y,) + rest[j:], point)
+                    if at is not None:
+                        base, s = at
+                        c = -sgn * s * v
+                        for t in range(size):
+                            accumulate(vec[t], base + t, c)
+        rows.extend(vec)
+    return rows
 
 
 def _matrix_terms(m, sign=1):
@@ -188,11 +193,20 @@ def _matrix_terms(m, sign=1):
 def fundamental_tables(fa: FilippovAlgebra):
     """(blocks, bracket, action) of L = wedge^{n-1} g: the sorted blocks,
     bracket[X, Y] = X . Y as {block: value} and action[X, z] = X . z as
-    {l: value}, for sorted blocks X, Y and z in 1..dim."""
+    {l: value}, for sorted blocks X, Y and z in 1..dim.  The bracket is
+    read off the action: X . Y = sum_k (Y_1, .., X . Y_k, .., Y_{n-1})."""
     rng = range(1, fa.dim + 1)
     blocks = list(combinations(rng, fa.arity - 1))
-    bracket = {(x, y): fundamental_compose(fa, x, y).entries for x in blocks for y in blocks}
     action = {(x, z): fa.f_row(x + (z,)) for x in blocks for z in rng}
+    bracket = {}
+    for x in blocks:
+        for y in blocks:
+            out = bracket[x, y] = {}
+            for k, yk in enumerate(y):
+                for l, v in action[x, yk].items():
+                    key, s = insert_sign(y[:k] + y[k + 1:], k, l)
+                    if s:
+                        accumulate(out, key, s * v)
     return blocks, bracket, action
 
 
@@ -206,22 +220,24 @@ def _fa_actions(fa, kind, rho, size):
         return bracket, left, right
     rng = range(1, fa.dim + 1)
     left, right = {}, {}
-    for (x, z), row in action.items():
-        # -w(X . z) and its negative, on each coordinate of the fiber
-        lq = {l: [(t, t, -v) for t in range(size)] for l, v in row.items()}
-        rq = {l: [(t, t, v) for t in range(size)] for l, v in row.items()}
-        if kind == "deformation":
-            # X . f(z), and -(f . X) . z = -sum_k [X_1, .., f(X_k), .., X_{n-1}, z]
+    for x in blocks:
+        if kind == "deformation":  # X . f(-) and the f(X_k) -> b substitutions, independent of z
             ad = [(l - 1, b - 1, v) for b in rng for l, v in action[x, b].items()]
-            lq.setdefault(z, []).extend(ad)
-            rq.setdefault(z, []).extend((t, b, -v) for t, b, v in ad)
-            for k, y in enumerate(x):
-                for b in rng:
-                    lab, s = sort_sign(x[:k] + (b,) + x[k + 1:])
+            subs = [(y, b - 1, *insert_sign(x[:k] + x[k + 1:], k, b))
+                    for k, y in enumerate(x) for b in rng]
+        for z in rng:
+            # -w(X . z) and its negative, on each coordinate of the fiber
+            lq = {l: [(t, t, -v) for t in range(size)] for l, v in action[x, z].items()}
+            rq = {l: [(t, t, v) for t in range(size)] for l, v in action[x, z].items()}
+            if kind == "deformation":
+                # X . f(z), and -(f . X) . z = -sum_k [X_1, .., f(X_k), .., X_{n-1}, z]
+                lq.setdefault(z, []).extend(ad)
+                rq.setdefault(z, []).extend((t, b, -v) for t, b, v in ad)
+                for y, b, lab, s in subs:
                     if s:
-                        rq.setdefault(y, []).extend((l - 1, b - 1, -s * v)
+                        rq.setdefault(y, []).extend((l - 1, b, -s * v)
                                                     for l, v in action[lab, z].items())
-        left[x, z], right[x, z] = lq, rq
+            left[x, z], right[x, z] = lq, rq
     return bracket, left, right
 
 
@@ -240,27 +256,51 @@ def _check_dim_v(fa, kind, rho, cochain):
                          f"complex (dim_v {want})")
 
 
-def _fa_delta(fa, alpha, kind, rho, args):
-    """`_leibniz_delta` of the complex `kind` on alpha over args.  The trivial
-    complex takes any dim_v: the trivial module tensored with Q^dim_v."""
-    if kind != "trivial":
-        _check_dim_v(fa, kind, rho, alpha)
-    bracket, left, right = _fa_actions(fa, kind, rho, alpha.dim_v)
+def _fa_rows(fa, kind, rho, p, size, args):
+    """(D, the rows of D delta at args, {key: first column}) of the complex
+    `kind` on p-cochains of target dimension size, coordinate (key, a) at
+    column i * size + a for the i-th key.  The trivial complex takes any
+    size: the trivial module tensored with Q^size."""
+    cols = {key: i * size for i, key in enumerate(_complex_keys(fa, kind, p))}
+    labels = [] if rho is None else list(rho.mats)
+    d, ifa, imats = integer_scaling(fa, [rho.mats[lab] for lab in labels])
+    irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), size)
+    bracket, left, right = _fa_actions(ifa, kind, irho, size)
     if kind == "module":
         def read(xs, _):
-            return alpha.value(xs)
+            return cols[xs], 1
     else:
-        def read(xs, z):
-            return alpha.value(xs[:-1] + (xs[-1] + (z,),)) if xs else alpha.value((z,))
-    return _leibniz_delta(bracket, left, right, read, alpha.dim_v, args)
+        def read(xs, z):  # the last block of a key absorbs z: X_p ^ Z, sorted
+            if not xs:
+                return cols[(z,)], 1
+            key, s = insert_sign(xs[-1], len(xs[-1]), z)
+            return (cols[xs[:-1] + (key,)], s) if s else None
+    return d, _leibniz_delta(bracket, left, right, read, size, args), cols
+
+
+def _coords(cols, data):
+    """The coordinates of the vectors {key: vector} as {column: value}."""
+    return {cols[key] + a: v for key, vec in data.items() if key in cols
+            for a, v in enumerate(vec) if v}
+
+
+def _fa_values(fa, kind, rho, alpha, args):
+    """delta alpha at args: the rows dotted with the coordinates of alpha and
+    divided by D, `alpha.dim_v` values per point."""
+    if kind != "trivial":
+        _check_dim_v(fa, kind, rho, alpha)
+    d, rows, cols = _fa_rows(fa, kind, rho, alpha.order, alpha.dim_v, args)
+    return apply_rows(rows, _coords(cols, alpha.data), d)
 
 
 def _eval(fa, alpha, kind, rho, blocks, z):
     """delta alpha at raw blocks (sorted here, with their sign) and z."""
+    if len(blocks) != alpha.order + 1:
+        raise ValueError(f"a {alpha.order}-cochain's coboundary takes {alpha.order + 1} blocks")
     xs, s = sort_blocks(blocks)
-    zero = (0,) * alpha.dim_v
-    vec = _fa_delta(fa, alpha, kind, rho, [(None, xs, z)]).get(None, zero) if s else zero
-    return tuple(s * v for v in vec)
+    if not s:
+        return (0,) * alpha.dim_v
+    return tuple(s * v for v in _fa_values(fa, kind, rho, alpha, [(xs, z)]))
 
 
 def coboundary_trivial_eval(fa: FilippovAlgebra, alpha: NCochain, blocks, z):
@@ -298,14 +338,23 @@ def fa_coboundary_deformation(fa: FilippovAlgebra, alpha: NCochain) -> NCochain:
     return _apply(fa, alpha, "deformation", None)
 
 
+def _vectors(values, size):
+    """The values grouped into consecutive tuples of length size."""
+    return [tuple(values[i:i + size]) for i in range(0, len(values), size)]
+
+
+def _points(kind, keys):
+    """(X_1..X_{p+1}, point) of each key; a trivial or deformation key ends in X_{p+1} ^ Z."""
+    if kind == "module":
+        return [(key, None) for key in keys]
+    return [(key[:-1] + (key[-1][:-1],), key[-1][-1]) for key in keys]
+
+
 def _apply(fa, alpha, kind, rho):
     keys = _complex_keys(fa, kind, alpha.order + 1)
-    if kind == "module":
-        args = ((key, key, None) for key in keys)
-    else:  # the last block of a key is X_{p+1} ^ Z
-        args = ((key, key[:-1] + (key[-1][:-1],), key[-1][-1]) for key in keys)
-    data = _fa_delta(fa, alpha, kind, rho, args)
-    return NCochain(kind, alpha.order + 1, fa.arity, fa.dim, alpha.dim_v, data)
+    values = _fa_values(fa, kind, rho, alpha, _points(kind, keys))
+    return NCochain(kind, alpha.order + 1, fa.arity, fa.dim, alpha.dim_v,
+                    dict(zip(keys, _vectors(values, alpha.dim_v))))
 
 
 def jointly_antisymmetric_in_last_slot(fa, out_fn, alpha, p_out) -> bool:
@@ -339,28 +388,16 @@ def _complex_keys(fa, kind, p):
 def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None):
     """Sparse matrix of delta: C^p -> C^{p+1} over the canonical coordinates,
     as (rows, src, dst): one {column: value} row per (key, target index) in
-    dst, the columns indexed by the (key, target index) pairs of src.
-
-    The rows come from a single application of the coboundary to the generic
-    cochain whose coordinate src[i] is the linear form x_i, with the
-    constants and the module matrices scaled to ints by their common
-    denominator D (see `cohomology.coboundary_matrix`); the rows are divided
-    by D on return.
+    dst, the columns indexed by the (key, target index) pairs of src.  The
+    rows are those of `_leibniz_delta` on the constants and module matrices
+    scaled to ints, divided by their common denominator D.
     """
     dv = _target_dim(fa, kind, rho)
-    keys = _complex_keys(fa, kind, p)
-    src = [(key, a) for key in keys for a in range(dv)]
-    labels = [] if rho is None else list(rho.mats)
-    d, ifa, imats = integer_scaling(fa, [rho.mats[lab] for lab in labels])
-    irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), dv)
-    generic = NCochain(kind, p, fa.arity, fa.dim, dv,
-                       {key: tuple(LinearForm({i * dv + a: 1}) for a in range(dv))
-                        for i, key in enumerate(keys)})
-    out = _apply(ifa, generic, kind, irho).data
-    dst = [(key, t) for key in _complex_keys(fa, kind, p + 1) for t in range(dv)]
-    # a target coordinate that no term reached holds the scalar 0
-    zero = (0,) * dv
-    return unscale_rows([out.get(key, zero)[t] or LinearForm() for key, t in dst], d), src, dst
+    out = _complex_keys(fa, kind, p + 1)
+    d, rows, cols = _fa_rows(fa, kind, rho, p, dv, _points(kind, out))
+    src = [(key, a) for key in cols for a in range(dv)]
+    dst = [(key, t) for key in out for t in range(dv)]
+    return unscale_rows(rows, d), src, dst
 
 
 def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> CohomologyReport:
@@ -399,14 +436,13 @@ def homology_boundary(fa: FilippovAlgebra, chain):
     for blocks, z, coeff in chain:
         p = len(blocks)
         for i in range(p):
+            rest = [blocks[t] for t in range(p) if t != i]
             for j in range(i + 1, p):
                 comp = fundamental_compose(fa, blocks[i], blocks[j])
-                rest = [blocks[t] for t in range(p) if t != i]
                 for lab, v in comp.items():
                     rest2 = list(rest)
                     rest2[j - 1] = lab
                     add(rest2, z, (-1) ** (i + 1) * coeff * v)
-            rest = [blocks[t] for t in range(p) if t != i]
             for l, v in fa.f_row(tuple(blocks[i]) + (z,)).items():
                 add(rest, l, (-1) ** (i + 1) * coeff * v)
     return out
@@ -416,11 +452,8 @@ def duality_pairing_holds(fa: FilippovAlgebra, alpha: NCochain, blocks, z) -> bo
     """alpha(boundary(c)) = (delta alpha)(c) on the basis chain c."""
     lhs = Fraction(0)
     for (bs, l), v in homology_boundary(fa, [(tuple(blocks), z, Fraction(1))]).items():
-        if alpha.order == 0:
-            lhs += v * alpha.value((l,))[0]
-        else:
-            key = tuple(bs[:-1]) + (tuple(bs[-1]) + (l,),)
-            lhs += v * alpha.value(key)[0]
+        key = tuple(bs[:-1]) + (tuple(bs[-1]) + (l,),) if alpha.order else (l,)
+        lhs += v * alpha.value(key)[0]
     rhs = coboundary_trivial_eval(fa, alpha, list(blocks), z)[0]
     return lhs == rhs
 
@@ -465,44 +498,27 @@ def deformation_obstruction(fa: FilippovAlgebra, alpha: NCochain):
     rng = range(1, d + 1)
     blocks = list(combinations(rng, n - 1))
 
-    def a_val(block, z):
+    def a_val(block, z):  # raw blocks: alpha.value applies their sign
         return alpha.value((tuple(block) + (z,),))
+
+    def add(out, sign, av, vec_at):
+        """out += sign * sum_b av[b] vec_at(b)."""
+        for b, c in enumerate(av, 1):
+            if c:
+                for t, w in enumerate(vec_at(b)):
+                    out[t] += sign * c * w
 
     data = {}
     for bx in blocks:
         for by in blocks:
             for z in rng:
                 out = [Fraction(0)] * d
-                # a(X, a(Y,Z))
-                av = a_val(by, z)
-                for b in range(1, d + 1):
-                    if av[b - 1] == 0:
-                        continue
-                    vec = a_val(bx, b)
-                    for t in range(d):
-                        out[t] += av[b - 1] * vec[t]
-                # - a(Y, a(X,Z))
-                av = a_val(bx, z)
-                for b in range(1, d + 1):
-                    if av[b - 1] == 0:
-                        continue
-                    vec = a_val(by, b)
-                    for t in range(d):
-                        out[t] -= av[b - 1] * vec[t]
-                # - a( a(X, ).Y , Z): insert a(X, Y_i) into slot i of Y
-                for i in range(n - 1):
-                    av = a_val(bx, by[i])
-                    for b in range(1, d + 1):
-                        if av[b - 1] == 0:
-                            continue
-                        lab = by[:i] + (b,) + by[i + 1:]
-                        key, s = sort_sign(lab)
-                        if s == 0:
-                            continue
-                        vec = a_val(key, z)
-                        for t in range(d):
-                            out[t] -= s * av[b - 1] * vec[t]
-                if any(v != 0 for v in out):
+                add(out, 1, a_val(by, z), lambda b: a_val(bx, b))  # a(X, a(Y, Z))
+                add(out, -1, a_val(bx, z), lambda b: a_val(by, b))  # -a(Y, a(X, Z))
+                for i in range(n - 1):  # -a(a(X, ).Y, Z): a(X, Y_i) into slot i of Y
+                    add(out, -1, a_val(bx, by[i]),
+                        lambda b: a_val(by[:i] + (b,) + by[i + 1:], z))
+                if any(out):
                     data[(bx, by + (z,))] = tuple(out)
     gamma = NCochain("deformation", 2, n, d, d, data)
     # gamma must be consistent on raw keys: rebuild via evaluations is implicit
@@ -517,13 +533,8 @@ def deformation_preimage(fa: FilippovAlgebra, target: NCochain):
     if sol is None:
         return None
     dv = fa.dim
-    data = {}
-    for col, (key, a) in enumerate(src):
-        if sol[col] != 0:
-            vec = list(data.get(key, (Fraction(0),) * dv))
-            vec[a] += sol[col]
-            data[key] = tuple(vec)
-    return NCochain("deformation", target.order - 1, fa.arity, fa.dim, dv, data)
+    return NCochain("deformation", target.order - 1, fa.arity, fa.dim, dv,
+                    dict(zip((key for key, _ in src[::dv]), _vectors(sol, dv))))
 
 
 def _preimage_coords(fa, kind, target):
@@ -532,7 +543,8 @@ def _preimage_coords(fa, kind, target):
     is not a coboundary)."""
     _check_dim_v(fa, kind, None, target)
     rows, src, dst = coboundary_matrix(fa, kind, target.order - 1)
-    rhs = [target.value(key)[t] for key, t in dst]
+    data = target.data
+    rhs = [data[key][t] if key in data else 0 for key, t in dst]
     return linalg.solve(rows, len(src), rhs), src
 
 
@@ -625,9 +637,12 @@ def leibniz_coboundary(lb: LeibnizAlgebra, left, right, omega: dict, p: int, dim
     bracket = {(x, y): lb.row(x, y) for x in rng for y in rng}
     lt = {(x, None): {None: _matrix_terms(left[x - 1])} for x in rng}
     rt = {(x, None): {None: _matrix_terms(right[x - 1])} for x in rng}
-    zero = (0,) * dim_v
-    args = ((xs, xs, None) for xs in product(rng, repeat=p + 1))
-    return _leibniz_delta(bracket, lt, rt, lambda xs, _: omega.get(xs, zero), dim_v, args)
+    cols = {key: i * dim_v for i, key in enumerate(product(rng, repeat=p))}
+    keys = list(product(rng, repeat=p + 1))
+    rows = _leibniz_delta(bracket, lt, rt, lambda xs, _: (cols[xs], 1), dim_v,
+                          [(xs, None) for xs in keys])
+    return {key: vec for key, vec in zip(keys, _vectors(apply_rows(rows, _coords(cols, omega), 1),
+                                                        dim_v)) if any(vec)}
 
 
 def leibniz_extension(lb: LeibnizAlgebra, left, right, omega2: dict, dim_a: int) -> LeibnizAlgebra:

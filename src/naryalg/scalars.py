@@ -5,10 +5,10 @@ needed by the Clifford and su(n) matrix constructions.  Everything downstream
 is written against the common field protocol (+, -, *, /, ==), so tensors and
 matrices may hold either kind.
 
-A `LinearForm` is not a field element but passes through every formula that
-is linear in its inputs (sums, differences, products with a scalar, tests
-against zero).  Such a formula evaluated on forms in place of numbers returns
-each output coordinate as a form in the input coordinates: a matrix row.
+A `LinearForm` is a sparse vector {coordinate: nonzero value}, the target
+vector of a `cohomology.Cochain` at an index tuple.  Not a field element, it
+passes through every formula linear in its inputs (sums, differences,
+products with a scalar, tests against zero), so cochains add and scale.
 
 Every sparse exact map of the package (antisymmetric tensors, cochains,
 multivectors, polynomial terms) holds no zero values and grows through

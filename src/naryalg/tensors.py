@@ -28,7 +28,8 @@ give their signs as plain ints in {-1, 0, 1}: they count inversions and never
 build a `Fraction`, so a sign multiplies any exact scalar without a
 conversion.  `sort_blocks` sorts each block of a blockwise-antisymmetric key
 (a cochain on fundamental objects) and multiplies the signs; `sort_sign` is
-its one-block case.  `fold_antisym` folds a raw {index tuple: value} map
+its one-block case, and `insert_sign` places one more index into a sorted
+tuple by bisection.  `fold_antisym` folds a raw {index tuple: value} map
 onto sorted keys and names the first key that breaks total antisymmetry;
 sparse sums go through `scalars.accumulate`.
 
@@ -46,6 +47,7 @@ compares every (upper, lower) entry without a `gen_kronecker` call per pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -96,6 +98,15 @@ def sort_blocks(blocks):
         sign *= s
         out.append(key)
     return tuple(out), sign
+
+
+def insert_sign(seq, k, x):
+    """(sorted tuple, sign) of seq[:k] + (x,) + seq[k:], seq strictly increasing:
+    one bisection places x; sign 0 when x is already in seq."""
+    pos = bisect_left(seq, x)
+    if pos < len(seq) and seq[pos] == x:
+        return seq, 0
+    return seq[:pos] + (x,) + seq[pos:], -1 if (k - pos) & 1 else 1
 
 
 def fold_antisym(raw):

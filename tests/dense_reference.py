@@ -21,20 +21,26 @@ The four antisymmetric containers and the two wedges as they stood before
 `PolyMultivector` with its `_SignedComponents` read table and its `wedge`,
 the exterior-algebra `Multivector` and `wedge_antisym`.  They are the
 references of the container parity tests.
+
+The CE coboundary as first written, term by term on a `cohomology.Cochain`,
+its epsilon-contracted coordinates form for scalar cochains, and its matrix
+from one evaluation on the generic cochain of linear forms: the references
+of the integer row kernel of `cohomology`.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
-from naryalg import linalg
+from naryalg import cohomology, linalg
 from naryalg.filippov import (CliffordReport, FilippovAlgebra, So4SplitReport,
                               _invariance_residual_on_pairs, _wedge_pairs, check_metric_fa,
                               fundamental_compose, kasymov_form, simple_fa)
-from naryalg.lie import LieAlgebra, SymInvariantPoly, killing_form
+from naryalg.lie import LieAlgebra, Representation, SymInvariantPoly, killing_form
 from naryalg.poly import Poly
-from naryalg.scalars import ZERO, GaussianRational, accumulate, is_zero, rat
-from naryalg.tensors import AntisymTensor, gen_kronecker, merge_sign, ray_equal, sort_sign
+from naryalg.scalars import ZERO, GaussianRational, LinearForm, accumulate, is_zero, rat
+from naryalg.tensors import (AntisymTensor, gen_kronecker, merge_sign, ray_equal, shuffle_splits,
+                            sort_sign)
 
 
 def rref(mat):
@@ -1095,3 +1101,94 @@ def wedge_antisym(a, b) -> AntisymTensor:
             if not set(ka) & set(kb):
                 accumulate(ent, tuple(sorted(ka + kb)), merge_sign(ka, kb) * va * vb)
     return AntisymTensor(rank, a.dim, ent)
+
+
+# ---------------------------------------------------------------------------
+# the CE coboundary on LinearForm cochains, before the integer row kernel
+# ---------------------------------------------------------------------------
+
+def ce_coboundary(alg, rho, om):
+    """The argument form of the CE coboundary evaluated term by term on a
+    `cohomology.Cochain`, every read through the cochain's signed table:
+
+        (s Om)(X_1..X_{p+1}) = sum_i (-1)^{i+1} rho(X_i) Om(..^i..)
+                             + sum_{j<k} (-1)^{j+k} Om([X_j,X_k], ..^j..^k..)
+    """
+    rows = None
+    if rho is not None:
+        if rho.dim_v != om.dim_v:
+            raise ValueError("representation/target dimension mismatch")
+        rows = []
+        for m in rho.mats:
+            by_row = {}
+            for (a, b), v in sorted(m.items()):
+                by_row.setdefault(a, []).append((b, v))
+            rows.append(by_row)
+    p, r = om.rank, om.dim
+    if p >= r:
+        return cohomology.Cochain(p + 1, r, om.dim_v, {})
+    data = {}
+    for idx in combinations(range(1, r + 1), p + 1):
+        for a in range(1, om.dim_v + 1):
+            tot = 0
+            if rows is not None:
+                for i in range(p + 1):
+                    rest = idx[:i] + idx[i + 1:]
+                    for b, coeff in rows[idx[i] - 1].get(a - 1, ()):
+                        tot += (-1) ** i * coeff * om.get(b + 1, rest)
+            for j in range(p + 1):
+                for k in range(j + 1, p + 1):
+                    rest = tuple(idx[t] for t in range(p + 1) if t not in (j, k))
+                    sign = (-1) ** (j + k)
+                    for l, v in alg.c_row(idx[j], idx[k]).items():
+                        if l not in rest:
+                            tot += sign * v * om.get(a, (l,) + rest)
+            if tot:
+                data[(a, idx)] = tot
+    return cohomology.Cochain(p + 1, r, om.dim_v, data)
+
+
+def ce_coboundary_coords(alg, om):
+    """Coordinates form for the trivial representation:
+
+        (s Om)_{i_1..i_{p+1}} = -1/2 * 1/(p-1)! *
+            eps^{j..}_{i..} C_{j_1 j_2}^k Om_{k j_3..j_{p+1}}
+
+    The epsilon contraction is the shuffle sum over (2, p-1) splits times
+    2 (pair arrangements) times (p-1)! (tail arrangements), so the
+    prefactors cancel against a bare shuffle sum up to the -1/2 * 2 = -1.
+    """
+    if om.dim_v != 1:
+        raise ValueError("coordinates form applies to scalar-valued cochains")
+    p = om.rank
+    r = om.dim
+    data = {}
+    for idx in combinations(range(1, r + 1), p + 1):
+        tot = Fraction(0)
+        for (pair, rest), sign in shuffle_splits(idx, [2, p - 1]):
+            row = alg.c.get(pair)
+            if row:
+                for k, v in row.items():
+                    tot += sign * v * om.get(1, (k,) + rest)
+        if tot != 0:
+            data[(1, idx)] = -tot
+    return cohomology.Cochain(p + 1, r, 1, data)
+
+
+def ce_coboundary_matrix(alg, rho, p, dim_v):
+    """(rows, src, dst) of s from one `ce_coboundary` on the generic cochain
+    whose coordinate src[i] is the linear form x_i, on the constants and
+    matrices scaled to ints by their common denominator D; the rows are
+    divided by D."""
+    src = cohomology.coord_basis(alg.dim, p, dim_v)
+    dst = cohomology.coord_basis(alg.dim, p + 1, dim_v)
+    d, ialg, imats = cohomology.integer_scaling(alg, () if rho is None else rho.mats)
+    irho = None if rho is None else Representation(ialg, imats, rho.dim_v, check=False)
+    generic = cohomology.Cochain(p, alg.dim, dim_v,
+                                 {key: LinearForm({i: 1}) for i, key in enumerate(src)})
+    out = ce_coboundary(ialg, irho, generic).data
+    rows = [out.get(key, LinearForm()) for key in dst]
+    if d != 1:
+        rows = [{c: v // d if v % d == 0 else Fraction(v, d) for c, v in row.items()}
+                for row in rows]
+    return rows, src, dst

@@ -2,15 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dense_reference as dense
 from naryalg import linalg
 from naryalg.catalog import euclidean_rotations_2d, heisenberg, r2_abelian, su
 from naryalg.cohomology import (Cochain, _coboundary_preimage, basis_tuples,
-                                central_extension, coboundary, coboundary_coords,
-                                coboundary_matrix, cohomology_dims, coord_basis,
-                                deformation_check, laplacian_identity_holds,
-                                mc_cochain, quadratic_casimir,
+                                central_extension, coboundary, coboundary_matrix,
+                                cohomology_dims, coord_basis, deformation_check,
+                                laplacian_identity_holds, mc_cochain, quadratic_casimir,
                                 trivialize_extension, whitehead_homotopy)
 from naryalg.lie import LieAlgebra, Representation, check_jacobi
 from naryalg.scalars import GaussianRational
@@ -57,7 +57,7 @@ def test_coordinates_form_agrees_with_argument_form():
     for alg in (su(2), heisenberg(), euclidean_rotations_2d()):
         for p in (1, 2):
             om = random_cochain(rng, p, alg.dim, 1)
-            assert coboundary(alg, None, om) == coboundary_coords(alg, om)
+            assert coboundary(alg, None, om) == dense.ce_coboundary_coords(alg, om)
 
 
 def test_dimension_mismatch_rejected():
@@ -72,12 +72,12 @@ def test_dimension_mismatch_rejected():
 # ---------------------------------------------------------------------------
 
 def unit_cochain_columns(alg, rho, p, dim_v, cols):
-    """Rows of s restricted to the columns `cols`, each column the coboundary
-    of a unit cochain: the column-wise assembly, kept as the reference."""
+    """Rows of s restricted to the columns `cols`, each column the reference
+    coboundary of a unit cochain: the column-wise assembly."""
     src = coord_basis(alg.dim, p, dim_v)
     dst = coord_basis(alg.dim, p + 1, dim_v)
-    images = {j: coboundary(alg, rho, Cochain(p, alg.dim, dim_v, {src[j]: Fraction(1)})).data
-              for j in cols}
+    units = {j: Cochain(p, alg.dim, dim_v, {src[j]: Fraction(1)}) for j in cols}
+    images = {j: dense.ce_coboundary(alg, rho, unit).data for j, unit in units.items()}
     return [{j: img[key] for j, img in images.items() if key in img} for key in dst]
 
 
@@ -98,6 +98,45 @@ def test_row_assembly_matches_unit_cochain_columns(name, adjoint):
         restricted = [{j: row[j] for j in cols if j in row} for row in rows]
         assert restricted == unit_cochain_columns(alg, rho, p, dim_v, cols)
         assert all(j in range(len(src)) for row in rows for j in row)
+
+
+@pytest.mark.parametrize("name,adjoint,p", [("su4", False, p) for p in range(3)]
+                         + [("su3", True, p) for p in range(2)])
+def test_rows_equal_the_generic_cochain_reference(name, adjoint, p):
+    # D = 6 for su(4) and 2 for su(3): the same rows, dict for dict, and the
+    # same scalar types as one reference coboundary of the generic cochain
+    alg = su(int(name[2]))
+    rho = alg.adjoint_rep() if adjoint else None
+    dim_v = alg.dim if adjoint else 1
+    got = coboundary_matrix(alg, rho, p, dim_v)
+    want = dense.ce_coboundary_matrix(alg, rho, p, dim_v)
+    assert got == want
+    assert [{c: type(v) for c, v in row.items()} for row in got[0]] == \
+        [{c: type(v) for c, v in row.items()} for row in want[0]]
+
+
+PARITY_ALGEBRAS = {"heisenberg": heisenberg(), "su2": su(2), "su3": su(3)}
+fractions = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=6)).map(Fraction)
+
+
+@st.composite
+def cochains(draw):
+    """(algebra, representation, cochain): a random Fraction-valued cochain
+    of degree 0..3, scalar or adjoint-valued."""
+    alg = PARITY_ALGEBRAS[draw(st.sampled_from(sorted(PARITY_ALGEBRAS)))]
+    adjoint = draw(st.booleans())
+    dim_v = alg.dim if adjoint else 1
+    p = draw(st.integers(0, 3))
+    keys = st.tuples(st.integers(1, dim_v), st.sampled_from(basis_tuples(alg.dim, p)))
+    data = draw(st.dictionaries(keys, fractions, max_size=10))
+    return alg, alg.adjoint_rep() if adjoint else None, Cochain(p, alg.dim, dim_v, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cochains())
+def test_coboundary_equals_the_term_by_term_reference(case):
+    alg, rho, om = case
+    assert coboundary(alg, rho, om) == dense.ce_coboundary(alg, rho, om)
 
 
 def test_row_assembly_scales_by_the_representation_denominators():

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from naryalg import LeibnizAlgebra, linalg
 from naryalg.catalog import a4, a5, corrupted, nhw, nilpotent_leibniz, su
@@ -18,8 +19,10 @@ from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_repr
                               fundamental_compose)
 from naryalg.nary_cohomology import (NCochain, coboundary_deformation_eval, coboundary_matrix,
                                      coboundary_module_eval, coboundary_trivial_eval,
-                                     fundamental_tables, leibniz_coboundary, leibniz_extension,
-                                     module_keys, trivial_keys)
+                                     fa_coboundary_deformation, fa_coboundary_module,
+                                     fa_coboundary_trivial, fundamental_tables,
+                                     leibniz_coboundary, leibniz_extension, module_keys,
+                                     trivial_keys)
 from naryalg.scalars import LinearForm
 from naryalg.tensors import sort_sign
 
@@ -260,6 +263,64 @@ def test_named_evaluations_on_raw_blocks_equal_the_formulas(name, p):
                 ref_trivial_eval(fa, triv, blocks, z)
             assert coboundary_deformation_eval(fa, deform, blocks, z) == \
                 ref_deformation_eval(fa, deform, blocks, z)
+
+
+PARITY_ALGEBRAS = {name: ALGEBRAS[name]() for name in ("a4", "a5", "nhw1")}
+ADJOINT = {name: adjoint_fa_representation(fa) for name, fa in PARITY_ALGEBRAS.items()}
+fractions = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=6)).map(Fraction)
+
+
+def fa_cochains(name, kind):
+    """Random Fraction-valued nonzero cochains of degree 0 or 1 of one
+    complex of one algebra."""
+    fa = PARITY_ALGEBRAS[name]
+    dv = 1 if kind == "trivial" else fa.dim
+    vectors = st.lists(fractions, min_size=dv, max_size=dv).map(tuple)
+    keys = module_keys if kind == "module" else trivial_keys
+
+    def cochain(p):
+        data = st.dictionaries(st.sampled_from(keys(fa, p)), vectors, min_size=1, max_size=6)
+        return data.map(lambda d: NCochain(kind, p, fa.arity, fa.dim, dv, d))
+    return st.integers(0, 1).flatmap(cochain)
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_ALGEBRAS))
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_operators_equal_the_three_formulas(name, kind, data):
+    fa, rho = PARITY_ALGEBRAS[name], ADJOINT[name]
+    alpha = data.draw(fa_cochains(name, kind))
+    got = {"trivial": lambda: fa_coboundary_trivial(fa, alpha),
+           "module": lambda: fa_coboundary_module(fa, rho, alpha),
+           "deformation": lambda: fa_coboundary_deformation(fa, alpha)}[kind]()
+    assert got == ref_apply(fa, alpha, kind, rho)
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_ALGEBRAS))
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_evaluations_on_raw_blocks_equal_the_three_formulas(name, kind, data):
+    # raw blocks: any order, mostly distinct indices but some repeated, and
+    # a solitary slot that may repeat an index of the last block
+    fa, rho = PARITY_ALGEBRAS[name], ADJOINT[name]
+    alpha = data.draw(fa_cochains(name, kind))
+    labels = st.integers(1, fa.dim)
+    m = fa.arity - 1
+    block = st.one_of(st.permutations(range(1, fa.dim + 1)).map(lambda t: tuple(t[:m])),
+                      st.lists(labels, min_size=m, max_size=m).map(tuple))
+    chain = st.lists(block, min_size=alpha.order + 1, max_size=alpha.order + 1)
+    for blocks, z in data.draw(st.lists(st.tuples(chain, labels), min_size=1, max_size=8)):
+        if kind == "module":
+            assert coboundary_module_eval(fa, rho, alpha, blocks) == \
+                ref_module_eval(fa, rho, alpha, blocks)
+        elif kind == "trivial":
+            assert coboundary_trivial_eval(fa, alpha, blocks, z) == \
+                ref_trivial_eval(fa, alpha, blocks, z)
+        else:
+            assert coboundary_deformation_eval(fa, alpha, blocks, z) == \
+                ref_deformation_eval(fa, alpha, blocks, z)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ defines, imports, reads or calls a name of the deleted dense matrix layer
 constructions make no generic sparse product (they stay on `zi_*`), and no
 `__init__`, `__post_init__` or `__missing__` outside `tensors.py` sorts a key
 with `sort_sign`: the one sign-canonical container is
-`tensors.AntisymTensor`."""
+`tensors.AntisymTensor`.  The two coboundary row kernels (`_ce_rows`,
+`_leibniz_delta`) build no `LinearForm` and call no sort kernel."""
 
 import ast
 from pathlib import Path
@@ -91,36 +92,44 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def public_definitions(tree):
-    """Public module-level functions and classes, and the public methods and
-    properties of the module-level classes."""
-    nodes = list(tree.body)
-    nodes += [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
-    return [node.name for node in nodes
+    """(name, member) of the public module-level functions and classes
+    (member False), and of the public methods and properties of the
+    module-level classes (member True)."""
+    nodes = [(node, False) for node in tree.body]
+    nodes += [(node, True) for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for node in cls.body]
+    return [(node.name, member) for node, member in nodes
             if isinstance(node, DEFS) and not node.name.startswith("_")]
 
 
 def referenced_names(tree):
-    """Every name a module reads, the attributes it takes and the names it
-    imports; a definition alone is not a reference."""
-    names = set()
+    """(names, attributes): every name a module reads or imports, and every
+    attribute it takes; a definition alone is not a reference."""
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attrs.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    return names
+    return names, attrs
 
 
 def unreferenced(sources, others):
     """(module, name) of each public definition in sources (name -> text)
-    that no source and no other text references."""
-    refs = set()
+    that no source and no other text references.  A module-level
+    definition is referenced by a name, an import or an attribute
+    (`module.f`); a method or property only by an attribute, so a local
+    variable of the same spelling does not count."""
+    names, attrs = set(), set()
     for text in list(sources.values()) + list(others):
-        refs |= referenced_names(ast.parse(text))
+        n, a = referenced_names(ast.parse(text))
+        names |= n
+        attrs |= a
     return [(name, d) for name, text in sources.items()
-            for d in public_definitions(ast.parse(text)) if d not in refs]
+            for d, member in public_definitions(ast.parse(text))
+            if d not in attrs and (member or d not in names)]
 
 
 def test_scan_sees_an_unreferenced_definition():
@@ -132,6 +141,13 @@ def test_scan_sees_an_unreferenced_definition():
                         "    def _q(self):\n        pass\n")}
     assert unreferenced(sources, []) == [("a.py", "f"), ("b.py", "D"), ("b.py", "m")]
     assert unreferenced(sources, ["import a, b\na.f()\nb.D().m()\n"]) == []
+    # a bare name of a method's spelling (a local, an argument) is not a call
+    # of the method, while the same name does reference a module-level def
+    local = "def t(m, f):\n    mat = m\n    return mat, f, D\n"
+    assert unreferenced(sources, [local]) == [("b.py", "m")]
+    member = {"c.py": "class E:\n    def mat(self):\n        pass\n"}
+    assert unreferenced(member, [local]) == [("c.py", "E"), ("c.py", "mat")]
+    assert unreferenced(member, ["def t(x):\n    return x.mat(), E\n"]) == []
 
 
 def test_every_public_definition_is_used_or_tested():
@@ -253,3 +269,37 @@ def test_scan_sees_a_second_sign_canonical_container():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_one_sign_canonical_container(path):
     assert sign_canonical_containers(path.read_text(), path.name) == []
+
+
+# ---------------------------------------------------------------------------
+# the two coboundary row kernels write integer rows: no generic cochain of
+# linear forms and no re-sorting of keys inside them
+# ---------------------------------------------------------------------------
+
+ROW_KERNELS = {"_ce_rows", "_leibniz_delta"}
+SLOW_MACHINERY = {"LinearForm", "sort_sign", "sort_blocks", "perm_sign"}
+
+
+def slow_kernel_calls(source):
+    """(function, name) of every `LinearForm` built or sort kernel called
+    inside a row kernel, nested definitions included."""
+    return [(node.name, called_name(call))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name in ROW_KERNELS
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and called_name(call) in SLOW_MACHINERY]
+
+
+def test_scan_sees_slow_machinery_in_a_row_kernel():
+    source = ("def _ce_rows(alg, p):\n    return scalars.LinearForm({p: 1}), insert_sign(p, 0, 1)\n"
+              "def coboundary(alg, om):\n    return sort_sign(om)\n"
+              "def _leibniz_delta(args):\n    def read(xs):\n"
+              "        return tensors.sort_blocks(xs), perm_sign(xs)\n    return read\n")
+    assert slow_kernel_calls(source) == [("_ce_rows", "LinearForm"),
+                                         ("_leibniz_delta", "sort_blocks"),
+                                         ("_leibniz_delta", "perm_sign")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_row_kernels_build_no_linear_form_and_sort_no_key(path):
+    assert slow_kernel_calls(path.read_text()) == []

@@ -228,6 +228,20 @@ def test_a_target_of_the_wrong_dimension_is_refused():
         fa_coboundary_deformation(fa, NCochain("deformation", 0, 3, 4, 1, {(1,): (1,)}))
 
 
+def test_an_evaluation_takes_one_block_more_than_the_order():
+    # a 1-cochain's coboundary is read at two blocks; three once read zero
+    # and one raised a TypeError from inside the key sort
+    fa = a4()
+    alpha = random_cochain(fa, "trivial", 1, seed=52)
+    assert coboundary_trivial_eval(fa, alpha, [(1, 2), (3, 4)], 1) == \
+        fa_coboundary_trivial(fa, alpha).value(((1, 2), (3, 4, 1)))
+    with pytest.raises(ValueError, match="takes 2 blocks"):
+        coboundary_trivial_eval(fa, alpha, [(1, 2)], 3)
+    with pytest.raises(ValueError, match="takes 2 blocks"):
+        coboundary_deformation_eval(fa, random_cochain(fa, "deformation", 1, seed=53),
+                                    [(1, 2), (2, 3), (3, 4)], 1)
+
+
 # ---------------------------------------------------------------------------
 # statements of the paper on mc_zero_cochain, central extensions and the
 # deformation obstruction

@@ -10,7 +10,7 @@ from naryalg.tensors import (AntisymTensor, BracketTensor, DenseTensor, antisymm
                              antisymmetrize_weighted, as_antisym, contract,
                              eps_identities_check, eps_pair_expansion_check,
                              fold_antisym, gen_kronecker, levi_civita, merge_sign,
-                             perm_sign, shuffle_splits, sort_blocks, sort_sign)
+                             insert_sign, perm_sign, shuffle_splits, sort_blocks, sort_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +271,15 @@ def test_shuffle_signs_match_merge():
 
 def test_sort_sign_zero_on_repeats():
     assert sort_sign((1, 1, 2))[1] == 0
+
+
+@given(st.sets(st.integers(1, 7), max_size=5), st.integers(1, 7), st.data())
+def test_insert_sign_is_sort_sign_of_the_inserted_tuple(members, x, data):
+    seq = tuple(sorted(members))
+    k = data.draw(st.integers(0, len(seq)))
+    key, s = insert_sign(seq, k, x)
+    ref_key, ref_s = sort_sign(seq[:k] + (x,) + seq[k:])
+    assert s == ref_s and (s == 0 or key == ref_key)
 
 
 # ---------------------------------------------------------------------------
