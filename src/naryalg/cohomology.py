@@ -17,7 +17,8 @@ nhw2, 2 for su(3), 6 for su(4); `integer_scaling`): every term of s carries
 one constant or one rho entry.  A bracket term places l of C_{i_j i_k}^l
 into the sorted remaining indices by one bisection (`tensors.insert_sign`).
 `coboundary_matrix` divides the rows by D (int where integral, else
-`Fraction`); `coboundary` dots them with a cochain's coordinates and divides
+`Fraction`), except for `cohomology_dims`, whose ranks it hands the integer
+rows of D s; `coboundary` dots them with a cochain's coordinates and divides
 by D.  Ranks and preimages come from the fraction-free elimination of
 `linalg.integer_echelon`, whose solutions set every non-pivot coordinate to
 zero.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 from . import linalg
 from .lie import LieAlgebra, Representation, check_jacobi
@@ -142,13 +143,13 @@ def coord_basis(r, p, dim_v):
 def integer_scaling(alg, mats=()):
     """(D, D C, [D m for m in mats]): D is the least common denominator of the
     structure constants and the values of the sparse matrices, and the scaled
-    constants and matrices hold plain ints.  The values must be rational: a
-    Gaussian value with a nonzero imaginary part raises ValueError."""
+    constants (`BracketTensor.integer_scaled`) and matrices hold plain ints.
+    The values must be rational: a Gaussian value with a nonzero imaginary
+    part raises ValueError."""
     mats = [{key: rat(v) for key, v in m.items()} for m in mats]
-    d = common_denominator(chain((v for _, _, v in alg.entries()),
-                                (v for m in mats for v in m.values())))
-    return d, alg.scaled(d), [{key: v.numerator * (d // v.denominator) for key, v in m.items()}
-                              for m in mats]
+    d, ialg = alg.integer_scaled(common_denominator([v for m in mats for v in m.values()]))
+    return d, ialg, [{key: v.numerator * (d // v.denominator) for key, v in m.items()}
+                     for m in mats]
 
 
 def unscale_rows(rows, d):
@@ -167,13 +168,17 @@ def apply_rows(rows, x, d):
     return [sum(v * x[c] for c, v in row.items() if c in x) * scale for row in rows]
 
 
-def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v):
+def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v, *, integer=False):
     """Sparse matrix of s: C^p -> C^{p+1} in the canonical coordinate bases,
     as (rows, src, dst): one {column: value} row per coordinate in dst, the
-    columns indexed by src: the rows of `_ce_rows` divided by D.
+    columns indexed by src: the rows of `_ce_rows` divided by D.  With
+    integer=True the rows of D s come back undivided, as ints: they span
+    what the rows of s span, so they give the same rank.
     """
     d, rows = _ce_rows(alg, rho, p, dim_v)
-    return unscale_rows(rows, d), coord_basis(alg.dim, p, dim_v), coord_basis(alg.dim, p + 1, dim_v)
+    if not integer:
+        rows = unscale_rows(rows, d)
+    return rows, coord_basis(alg.dim, p, dim_v), coord_basis(alg.dim, p + 1, dim_v)
 
 
 @dataclass
@@ -198,7 +203,7 @@ def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport
         dim_v = 1 if rho is None else rho.dim_v
     dims_c, ranks = {}, {}
     for p in range(0, p_max + 1):
-        rows, src, _ = coboundary_matrix(alg, rho, p, dim_v)
+        rows, src, _ = coboundary_matrix(alg, rho, p, dim_v, integer=True)
         dims_c[p] = len(src)
         ranks[p] = linalg.rank(rows)
     return CohomologyReport.from_ranks(dims_c, ranks)

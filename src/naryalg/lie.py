@@ -103,34 +103,43 @@ class JacobiReport:
 
 
 def check_jacobi(alg: LieAlgebra) -> JacobiReport:
-    """Exact residual scan of C_{[ij}^l C_{k]l}^s = 0 over all (i<j<k, s)."""
-    r = alg.dim
-    for i, j, k in combinations(range(1, r + 1), 3):
-        for s in range(1, r + 1):
-            tot = Fraction(0)
-            for l, v in alg.c_row(i, j).items():
-                tot += v * alg.c_get(l, k, s)
-            for l, v in alg.c_row(j, k).items():
-                tot += v * alg.c_get(l, i, s)
-            for l, v in alg.c_row(k, i).items():
-                tot += v * alg.c_get(l, j, s)
-            if tot != 0:
-                return JacobiReport(False, (i, j, k, s))
+    """Exact residual scan of C_{[ij}^l C_{k]l}^s = 0 over all (i<j<k, s).
+
+    Each (i<j<k) gets its whole residual {s: value} from rows of the signed
+    row table of D C (`BracketTensor.integer_scaled`), each index pair
+    sorted once per call; the identity is quadratic in C, so the factor D^2
+    moves no zero, and the least s with a nonzero residual is the witness
+    of a scan over s = 1..dim.
+    """
+    rows = alg.integer_scaled()[1].signed
+    for i, j, k in combinations(range(1, alg.dim + 1), 3):
+        res = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, v in rows[a, b].items():
+                for s, w in rows[l, c].items():
+                    accumulate(res, s, v * w)
+        if res:
+            return JacobiReport(False, (i, j, k, min(res)))
     return JacobiReport(True)
 
 
 def killing_form(alg: LieAlgebra):
-    """k_ij = C_il^s C_js^l (= Tr ad_i ad_j), symmetric by construction."""
+    """k_ij = C_il^s C_js^l (= Tr ad_i ad_j), symmetric by construction:
+    summed on the signed rows of D C (`BracketTensor.integer_scaled`) and
+    divided by D^2 once per entry."""
     r = alg.dim
+    d, ialg = alg.integer_scaled()
+    rows = ialg.signed
     k = linalg.zeros(r, r)
     for i in range(1, r + 1):
         for j in range(i, r + 1):
-            tot = Fraction(0)
+            tot = 0
             for l in range(1, r + 1):
-                for s, v in alg.c_row(i, l).items():
-                    tot += v * alg.c_get(j, s, l)
-            k[i - 1][j - 1] = tot
-            k[j - 1][i - 1] = tot
+                for s, v in rows[i, l].items():
+                    row = rows[j, s]
+                    if l in row:
+                        tot += v * row[l]
+            k[i - 1][j - 1] = k[j - 1][i - 1] = Fraction(tot, d * d)
     return k
 
 
@@ -143,19 +152,22 @@ class MetricReport:
 
 def check_metric_invariance(alg: LieAlgebra, g) -> MetricReport:
     """C_{li}^s g_{sj} + C_{lj}^s g_{is} = 0 for all l, i, j; plus an exact
-    determinant test of nondegeneracy (g may be Gaussian)."""
+    determinant test of nondegeneracy (g may be Gaussian).  The sums run on
+    the signed rows of D C (`BracketTensor.integer_scaled`): the condition
+    is linear in C, so the factor D moves no zero."""
     r = alg.dim
     if any(g[i][j] != g[j][i] for i in range(r) for j in range(r)):
         raise ValueError("metric must be symmetric")
     nondeg = not is_zero(linalg.det(g))
+    rows = alg.integer_scaled()[1].signed
     for l in range(1, r + 1):
         for i in range(1, r + 1):
-            row_li = alg.c_row(l, i)
+            row_li = rows[l, i]
             for j in range(i, r + 1):
-                tot = Fraction(0)
+                tot = 0
                 for s, v in row_li.items():
                     tot += v * g[s - 1][j - 1]
-                for s, v in alg.c_row(l, j).items():
+                for s, v in rows[l, j].items():
                     tot += v * g[i - 1][s - 1]
                 if tot != 0:
                     return MetricReport(False, nondeg, (l, i, j))

@@ -43,11 +43,14 @@ key by one bisection (`tensors.insert_sign`).  The tables are built from
 D f and D rho, the constants and module matrices scaled to plain ints by
 their least common denominator D (`cohomology.integer_scaling`); every term
 carries one constant or one rho entry, so the rows are those of D delta.
-`coboundary_matrix` divides them by D; `fa_coboundary_*`, `coboundary_*_eval`
-(one point) and `leibniz_coboundary` (given rational actions, D = 1) dot them
-with the cochain's coordinates and divide by D.  Ranks and preimages come
-from the fraction-free elimination of `linalg.integer_echelon`, whose
-solutions set every non-pivot coordinate to zero.
+`coboundary_matrix` divides them by D (`fa_cohomology_dims` ranks them
+undivided); `fa_coboundary_*`, `coboundary_*_eval` (one point), the checks
+that evaluate many points at once (`jointly_antisymmetric_in_last_slot`,
+`duality_pairing_holds`) and `leibniz_coboundary` (given rational actions,
+D = 1) dot them with the cochain's coordinates and divide by D.  Ranks and
+preimages come from the fraction-free elimination of
+`linalg.integer_echelon`, whose solutions set every non-pivot coordinate to
+zero.
 """
 
 from __future__ import annotations
@@ -293,30 +296,37 @@ def _fa_values(fa, kind, rho, alpha, args):
     return apply_rows(rows, _coords(cols, alpha.data), d)
 
 
-def _eval(fa, alpha, kind, rho, blocks, z):
-    """delta alpha at raw blocks (sorted here, with their sign) and z."""
-    if len(blocks) != alpha.order + 1:
-        raise ValueError(f"a {alpha.order}-cochain's coboundary takes {alpha.order + 1} blocks")
-    xs, s = sort_blocks(blocks)
-    if not s:
-        return (0,) * alpha.dim_v
-    return tuple(s * v for v in _fa_values(fa, kind, rho, alpha, [(xs, z)]))
+def _evals(fa, alpha, kind, rho, points):
+    """delta alpha at each (raw blocks, z) of points, in order, from one set
+    of tables: the blocks are sorted here, and their sign applied."""
+    args, signs = [], []
+    for blocks, z in points:
+        if len(blocks) != alpha.order + 1:
+            raise ValueError(f"a {alpha.order}-cochain's coboundary takes "
+                             f"{alpha.order + 1} blocks")
+        xs, s = sort_blocks(blocks)
+        signs.append(s)
+        if s:
+            args.append((xs, z))
+    values = iter(_vectors(_fa_values(fa, kind, rho, alpha, args), alpha.dim_v) if args else ())
+    zero = (0,) * alpha.dim_v
+    return [tuple(s * v for v in next(values)) if s else zero for s in signs]
 
 
 def coboundary_trivial_eval(fa: FilippovAlgebra, alpha: NCochain, blocks, z):
     """(delta alpha)(X_1..X_{p+1}, Z) of the trivial complex; blocks has p+1
     entries."""
-    return _eval(fa, alpha, "trivial", None, blocks, z)
+    return _evals(fa, alpha, "trivial", None, [(blocks, z)])[0]
 
 
 def coboundary_module_eval(fa: FilippovAlgebra, rho, alpha: NCochain, blocks):
     """(delta alpha)(X_1..X_{p+1}) of the module complex of rho."""
-    return _eval(fa, alpha, "module", rho, blocks, None)
+    return _evals(fa, alpha, "module", rho, [(blocks, None)])[0]
 
 
 def coboundary_deformation_eval(fa: FilippovAlgebra, alpha: NCochain, blocks, z):
     """(delta alpha)(X_1..X_{p+1}, Z) of the deformation complex."""
-    return _eval(fa, alpha, "deformation", None, blocks, z)
+    return _evals(fa, alpha, "deformation", None, [(blocks, z)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +367,23 @@ def _apply(fa, alpha, kind, rho):
                     dict(zip(keys, _vectors(values, alpha.dim_v))))
 
 
-def jointly_antisymmetric_in_last_slot(fa, out_fn, alpha, p_out) -> bool:
-    """Verify that a coboundary evaluation is antisymmetric under exchanging
-    the solitary slot with any member of the last block (full joint
-    antisymmetry then follows from the in-block antisymmetry)."""
+def jointly_antisymmetric_in_last_slot(fa, kind, alpha, p_out) -> bool:
+    """Verify that the coboundary of a trivial or deformation cochain is
+    antisymmetric under exchanging the solitary slot with any member of the
+    last block (full joint antisymmetry then follows from the in-block
+    antisymmetry).  Every point and its exchange are evaluated at once."""
     n, d = fa.arity, fa.dim
     rng = range(1, d + 1)
     blocks = list(combinations(rng, n - 1))
+    points, swapped = [], []
     for bs in product(blocks, repeat=p_out - 1):
         for last_blk in blocks:
             for z in rng:
-                vec = out_fn(fa, alpha, list(bs) + [last_blk], z)
-                swapped = last_blk[:-1] + (z,)
-                vec2 = out_fn(fa, alpha, list(bs) + [swapped], last_blk[-1])
-                if tuple(-v for v in vec2) != vec:
-                    return False
-    return True
+                points.append(([*bs, last_blk], z))
+                swapped.append(([*bs, last_blk[:-1] + (z,)], last_blk[-1]))
+    values = _evals(fa, alpha, kind, None, points + swapped)
+    return all(tuple(-v for v in vec2) == vec
+               for vec, vec2 in zip(values[:len(points)], values[len(points):]))
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +396,20 @@ def _complex_keys(fa, kind, p):
     return trivial_keys(fa, p)
 
 
-def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None):
+def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None, *, integer=False):
     """Sparse matrix of delta: C^p -> C^{p+1} over the canonical coordinates,
     as (rows, src, dst): one {column: value} row per (key, target index) in
     dst, the columns indexed by the (key, target index) pairs of src.  The
     rows are those of `_leibniz_delta` on the constants and module matrices
-    scaled to ints, divided by their common denominator D.
+    scaled to ints, divided by their common denominator D; with integer=True
+    they come back undivided, as ints, which give the same rank.
     """
     dv = _target_dim(fa, kind, rho)
     out = _complex_keys(fa, kind, p + 1)
     d, rows, cols = _fa_rows(fa, kind, rho, p, dv, _points(kind, out))
     src = [(key, a) for key in cols for a in range(dv)]
     dst = [(key, t) for key in out for t in range(dv)]
-    return unscale_rows(rows, d), src, dst
+    return rows if integer else unscale_rows(rows, d), src, dst
 
 
 def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> CohomologyReport:
@@ -409,7 +421,7 @@ def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> Cohomology
         rho = adjoint_fa_representation(fa)
     dims_c, ranks = {}, {}
     for p in range(0, p_max + 1):
-        rows, src, _ = coboundary_matrix(fa, kind, p, rho)
+        rows, src, _ = coboundary_matrix(fa, kind, p, rho, integer=True)
         dims_c[p] = len(src)
         ranks[p] = linalg.rank(rows)
     return CohomologyReport.from_ranks(dims_c, ranks)
@@ -448,14 +460,18 @@ def homology_boundary(fa: FilippovAlgebra, chain):
     return out
 
 
-def duality_pairing_holds(fa: FilippovAlgebra, alpha: NCochain, blocks, z) -> bool:
-    """alpha(boundary(c)) = (delta alpha)(c) on the basis chain c."""
-    lhs = Fraction(0)
-    for (bs, l), v in homology_boundary(fa, [(tuple(blocks), z, Fraction(1))]).items():
-        key = tuple(bs[:-1]) + (tuple(bs[-1]) + (l,),) if alpha.order else (l,)
-        lhs += v * alpha.value(key)[0]
-    rhs = coboundary_trivial_eval(fa, alpha, list(blocks), z)[0]
-    return lhs == rhs
+def duality_pairing_holds(fa: FilippovAlgebra, alpha: NCochain, chains) -> bool:
+    """alpha(boundary(c)) = (delta alpha)(c) on every basis chain c =
+    (blocks, z) of chains; delta alpha is evaluated at all of them at once."""
+    chains = [(list(blocks), z) for blocks, z in chains]
+    for (blocks, z), rhs in zip(chains, _evals(fa, alpha, "trivial", None, chains)):
+        lhs = Fraction(0)
+        for (bs, l), v in homology_boundary(fa, [(tuple(blocks), z, Fraction(1))]).items():
+            key = tuple(bs[:-1]) + (tuple(bs[-1]) + (l,),) if alpha.order else (l,)
+            lhs += v * alpha.value(key)[0]
+        if lhs != rhs[0]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ read goes through one signed table per tensor, filled on first read, and
 `BracketTensor` applies the convention to structure constants
 C_{i_1..i_n}^j, antisymmetric in the lower block: it is the one storage of
 Lie, generalized Lie and Filippov algebras, which differ only in their
-characteristic identity.
+characteristic identity.  The same signed table, with whole rows {j: value}
+as its entries, serves the identity scans; `integer_scaled` gives the copy
+holding D C as ints, D the least common denominator of the constants.
 
 The sign kernels (`perm_sign`, `sort_sign`, `merge_sign`, `gen_kronecker`)
 give their signs as plain ints in {-1, 0, 1}: they count inversions and never
@@ -52,8 +54,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
+from operator import neg
 
-from .scalars import ZERO, accumulate, is_zero, rat
+from .scalars import ZERO, accumulate, common_denominator, is_zero, rat
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +182,16 @@ def gen_kronecker(upper, lower) -> int:
 
 class _SignedTable(dict):
     """Raw index tuple -> the entry it reads: the stored value, its negation
-    (built once per entry), or the tensor's zero.  A missing tuple is sorted
-    once and stored."""
+    (built once per entry by `negate`), or the zero.  A missing tuple is
+    sorted once and stored."""
 
-    __slots__ = ("entries", "zero", "negated")
+    __slots__ = ("entries", "zero", "negate", "negated")
 
-    def __init__(self, entries, zero):
+    def __init__(self, entries, zero, negate=neg):
         super().__init__()
         self.entries = entries
         self.zero = zero
+        self.negate = negate
         self.negated = {}  # sorted key -> the negated entry
 
     def __missing__(self, idx):
@@ -197,7 +202,7 @@ class _SignedTable(dict):
         elif s < 0:
             w = self.negated.get(key)
             if w is None:
-                w = self.negated[key] = -v
+                w = self.negated[key] = self.negate(v)
             v = w
         self[idx] = v
         return v
@@ -315,6 +320,11 @@ class BracketTensor:
     `metric` is an invariant metric g_ij when one is attached (the `.alg`
     metric block).  Subclasses add the mathematics of one identity and name
     their `.alg` kind.
+
+    `row` sorts its tuple on every read.  The identity scans read `signed`
+    instead, a table from raw lower-index tuples to signed rows that sorts
+    each tuple once, on its first read; they read it on the copy of
+    `integer_scaled`, so their sums run on ints.
     """
 
     arity: int
@@ -361,6 +371,13 @@ class BracketTensor:
     def get(self, idx, j):
         return self.row(idx).get(j, Fraction(0))
 
+    @cached_property
+    def signed(self) -> _SignedTable:
+        """The signed row table: any lower-index tuple -> {j: C_idx^j}, one
+        negated row per stored row, and one shared empty row on a repeat or
+        an absent tuple.  Readers must not change the rows it hands out."""
+        return _SignedTable(self.c, {}, _negated_row)
+
     def entries(self):
         """(sorted index tuple, j, value) for every nonzero constant."""
         for idx, row in self.c.items():
@@ -370,12 +387,23 @@ class BracketTensor:
     def scaled(self, factor):
         """A shallow copy whose table holds factor * C as plain ints; factor
         must be a multiple of every denominator of C.  The copy skips the
-        constructor, which would turn the ints back into `Fraction`s."""
+        constructor, which would turn the ints back into `Fraction`s, and
+        starts without a `signed` table of its own."""
         out = object.__new__(type(self))
-        vars(out).update(vars(self))
+        vars(out).update({k: v for k, v in vars(self).items() if k != "signed"})
         out.c = {key: {j: v.numerator * (factor // v.denominator) for j, v in row.items()}
                  for key, row in self.c.items()}
         return out
+
+    def integer_scaled(self, d=1):
+        """(D, the `scaled` copy holding D * C): D is the least common
+        multiple of d and of the denominators of the constants."""
+        d = lcm(d, common_denominator([v for _, _, v in self.entries()]))
+        return d, self.scaled(d)
+
+
+def _negated_row(row):
+    return {j: -v for j, v in row.items()}
 
 
 def levi_civita(dim) -> AntisymTensor:

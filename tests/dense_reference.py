@@ -26,6 +26,12 @@ The CE coboundary as first written, term by term on a `cohomology.Cochain`,
 its epsilon-contracted coordinates form for scalar cochains, and its matrix
 from one evaluation on the generic cochain of linear forms: the references
 of the integer row kernel of `cohomology`.
+
+The identity scans as they stood before they read the signed row table of
+the integer-scaled constants: the Jacobi scan with one `c_get` per (l, s),
+the three forms of the Filippov identity on `f_row` reads of `Fraction`
+constants, the Killing form and the metric invariance scan.  They are the
+references of the identity parity tests.
 """
 
 from dataclasses import dataclass, field
@@ -33,14 +39,15 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from naryalg import cohomology, linalg
-from naryalg.filippov import (CliffordReport, FilippovAlgebra, So4SplitReport,
+from naryalg.filippov import (CliffordReport, FilippovAlgebra, FIReport, So4SplitReport,
                               _invariance_residual_on_pairs, _wedge_pairs, check_metric_fa,
                               fundamental_compose, kasymov_form, simple_fa)
-from naryalg.lie import LieAlgebra, Representation, SymInvariantPoly, killing_form
+from naryalg.lie import (JacobiReport, LieAlgebra, MetricReport, Representation,
+                        SymInvariantPoly, killing_form)
 from naryalg.poly import Poly
 from naryalg.scalars import ZERO, GaussianRational, LinearForm, accumulate, is_zero, rat
-from naryalg.tensors import (AntisymTensor, gen_kronecker, merge_sign, ray_equal, shuffle_splits,
-                            sort_sign)
+from naryalg.tensors import (AntisymTensor, gen_kronecker, merge_sign, perm_sign, ray_equal,
+                             shuffle_splits, sort_sign)
 
 
 def rref(mat):
@@ -1192,3 +1199,140 @@ def ce_coboundary_matrix(alg, rho, p, dim_v):
         rows = [{c: v // d if v % d == 0 else Fraction(v, d) for c, v in row.items()}
                 for row in rows]
     return rows, src, dst
+
+
+# ---------------------------------------------------------------------------
+# the identity scans on per-read sorting accessors and Fraction constants
+# ---------------------------------------------------------------------------
+
+def check_jacobi(alg):
+    """Exact residual scan of C_{[ij}^l C_{k]l}^s = 0 over all (i<j<k, s)."""
+    r = alg.dim
+    for i, j, k in combinations(range(1, r + 1), 3):
+        for s in range(1, r + 1):
+            tot = Fraction(0)
+            for l, v in alg.c_row(i, j).items():
+                tot += v * alg.c_get(l, k, s)
+            for l, v in alg.c_row(j, k).items():
+                tot += v * alg.c_get(l, i, s)
+            for l, v in alg.c_row(k, i).items():
+                tot += v * alg.c_get(l, j, s)
+            if tot != 0:
+                return JacobiReport(False, (i, j, k, s))
+    return JacobiReport(True)
+
+
+def killing_form_by_rows(alg):
+    """k_ij = C_il^s C_js^l (= Tr ad_i ad_j), symmetric by construction."""
+    r = alg.dim
+    k = linalg.zeros(r, r)
+    for i in range(1, r + 1):
+        for j in range(i, r + 1):
+            tot = Fraction(0)
+            for l in range(1, r + 1):
+                for s, v in alg.c_row(i, l).items():
+                    tot += v * alg.c_get(j, s, l)
+            k[i - 1][j - 1] = tot
+            k[j - 1][i - 1] = tot
+    return k
+
+
+def check_metric_invariance(alg, g):
+    """C_{li}^s g_{sj} + C_{lj}^s g_{is} = 0 for all l, i, j; plus an exact
+    determinant test of nondegeneracy (g may be Gaussian)."""
+    r = alg.dim
+    if any(g[i][j] != g[j][i] for i in range(r) for j in range(r)):
+        raise ValueError("metric must be symmetric")
+    nondeg = not is_zero(linalg.det(g))
+    for l in range(1, r + 1):
+        for i in range(1, r + 1):
+            row_li = alg.c_row(l, i)
+            for j in range(i, r + 1):
+                tot = Fraction(0)
+                for s, v in row_li.items():
+                    tot += v * g[s - 1][j - 1]
+                for s, v in alg.c_row(l, j).items():
+                    tot += v * g[i - 1][s - 1]
+                if tot != 0:
+                    return MetricReport(False, nondeg, (l, i, j))
+    return MetricReport(True, nondeg, None)
+
+
+def _fi_accumulate(out, coeff, row):
+    """out[s] += coeff * row[s] for every s of `row`."""
+    for s, w in row.items():
+        out[s] = out.get(s, 0) + coeff * w
+
+
+def _first_difference(lhs, rhs, d):
+    """The least s in 1..d at which the two {s: value} dicts differ."""
+    for s in range(1, d + 1):
+        if lhs.get(s, 0) != rhs.get(s, 0):
+            return s
+    return None
+
+
+def fi_derivation(fa):
+    n, d = fa.arity, fa.dim
+    for a_idx in combinations(range(1, d + 1), n - 1):
+        for b_idx in combinations(range(1, d + 1), n):
+            lhs = {}
+            for l, v in fa.f.get(b_idx, {}).items():
+                _fi_accumulate(lhs, v, fa.f_row(a_idx + (l,)))
+            rhs = {}
+            for k in range(n):
+                for l, v in fa.f_row(a_idx + (b_idx[k],)).items():
+                    _fi_accumulate(rhs, v, fa.f_row(b_idx[:k] + (l,) + b_idx[k + 1:]))
+            s = _first_difference(lhs, rhs, d)
+            if s is not None:
+                return FIReport(False, "derivation", (a_idx, b_idx, s))
+    return FIReport(True, "derivation")
+
+
+def fi_short(fa):
+    # antisymmetrize (a_1..a_n, b_1) jointly; b_2..b_{n-1} stay free
+    n, d = fa.arity, fa.dim
+    for u in combinations(range(1, d + 1), n + 1):
+        splits = [(a_blk, b1_blk, sign, fa.f.get(a_blk, {}))
+                  for (a_blk, b1_blk), sign in shuffle_splits(u, [n, 1])]
+        for spect in combinations(range(1, d + 1), n - 2):
+            tot = {}
+            for a_blk, b1_blk, sign, a_row in splits:
+                for l, v in a_row.items():
+                    _fi_accumulate(tot, sign * v, fa.f_row(b1_blk + spect + (l,)))
+            s = _first_difference(tot, {}, d)
+            if s is not None:
+                return FIReport(False, "short", (u, spect, s))
+    return FIReport(True, "short")
+
+
+def fi_ghost(fa):
+    # f_{c..}^l f_{b.. l}^s = (-1)^{n-1}/(n-1)! * f_{b.. [c_1}^l f_{c_2..c_n] l}^s
+    # summed over all n! arrangements of c; the signs are taken once per call
+    n, d = fa.arity, fa.dim
+    fact = 1
+    for q in range(2, n):
+        fact *= q
+    weight = Fraction((-1) ** (n - 1), fact)
+    perms = [(p[0], p[1:], perm_sign(p)) for p in permutations(range(n))]
+    for b_idx in combinations(range(1, d + 1), n - 1):
+        for c_idx in combinations(range(1, d + 1), n):
+            lhs = {}
+            for l, v in fa.f.get(c_idx, {}).items():
+                _fi_accumulate(lhs, v, fa.f_row(b_idx + (l,)))
+            rhs = {}
+            for first, rest, sgn in perms:
+                row = fa.f_row(b_idx + (c_idx[first],))
+                if not row:
+                    continue
+                rest_idx = tuple(c_idx[i] for i in rest)
+                for l, v in row.items():
+                    _fi_accumulate(rhs, sgn * v, fa.f_row(rest_idx + (l,)))
+            rhs = {s: weight * v for s, v in rhs.items()}
+            s = _first_difference(lhs, rhs, d)
+            if s is not None:
+                return FIReport(False, "ghost", (b_idx, c_idx, s))
+    return FIReport(True, "ghost")
+
+
+FI_REFERENCE = {"derivation": fi_derivation, "short": fi_short, "ghost": fi_ghost}

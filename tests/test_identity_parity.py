@@ -1,0 +1,105 @@
+"""Parity of the identity scans with the scans they replaced.
+
+`lie.check_jacobi`, the three forms of `filippov.check_fi`, `lie.killing_form`
+and `lie.check_metric_invariance` read whole signed rows of the
+integer-scaled constants; their references in `dense_reference` read one
+`c_get`/`f_row` at a time on `Fraction` constants.  Random bracket tables --
+arity 2 to 5, dimension up to 6, keys in any index order, values with
+denominators, most of them failing their identity -- the catalog algebras
+and their corrupted copies go into both sides, which must give equal
+reports: the same verdict and the same witness.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dense_reference as ref
+from naryalg.catalog import (a4, a5, a13, corrupted, euclidean_rotations_2d, heisenberg, nhw,
+                             r2_abelian, su)
+from naryalg.filippov import FI_FORMS, FilippovAlgebra, check_fi, inder_lie_algebra, simple_fa
+from naryalg.lie import LieAlgebra, check_jacobi, check_metric_invariance, killing_form
+
+values = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def bracket_tables(draw, arities=st.integers(2, 5)):
+    """(arity, dim, {lower index tuple in any order: {j: value}})."""
+    n = draw(arities)
+    d = draw(st.integers(max(n, 3), 6))
+    keys = list(combinations(range(1, d + 1), n))
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, min_size=min(len(keys), 3),
+                           max_size=min(len(keys), 8)))
+    return n, d, {tuple(draw(st.permutations(key))):
+                  draw(st.dictionaries(st.integers(1, d), values, min_size=1, max_size=3))
+                  for key in chosen}
+
+
+@st.composite
+def symmetric_forms(draw, d):
+    """A d x d symmetric matrix of small rationals, mostly zero."""
+    g = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            if draw(st.integers(0, 2)) == 0:
+                g[i][j] = g[j][i] = draw(values)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_tables())
+def test_fi_forms_equal_the_reference_scans(table):
+    fa = FilippovAlgebra(*table)
+    for form in FI_FORMS:
+        assert check_fi(fa, form) == ref.FI_REFERENCE[form](fa)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket_tables(st.just(2)), st.data())
+def test_lie_scans_equal_the_reference_scans(table, data):
+    _, d, c = table
+    alg = LieAlgebra(d, c)
+    assert check_jacobi(alg) == ref.check_jacobi(alg)
+    k = killing_form(alg)
+    assert k == ref.killing_form_by_rows(alg)
+    for g in (k, data.draw(symmetric_forms(d))):
+        assert check_metric_invariance(alg, g) == ref.check_metric_invariance(alg, g)
+
+
+LIE = {"su2": lambda: su(2), "su3": lambda: su(3), "su4": lambda: su(4),
+       "heisenberg": heisenberg, "e2": euclidean_rotations_2d, "r2": r2_abelian,
+       "inder-a4": lambda: inder_lie_algebra(a4()).lie}
+FILIPPOV = {"a4": a4, "a13": a13, "a5": a5, "a6": lambda: simple_fa(5, [1] * 6),
+            "a1,4": lambda: simple_fa(4, [-1, 1, 1, 1, 1]), "nhw1": lambda: nhw(1),
+            "nhw2": lambda: nhw(2)}
+
+
+# the Jacobi identity is vacuous below three dimensions: r2 has no corrupted copy
+LIE_CASES = [(name, False) for name in sorted(LIE)] + [(name, True) for name in sorted(LIE)
+                                                      if name != "r2"]
+
+
+@pytest.mark.parametrize("name,corrupt", LIE_CASES)
+def test_lie_catalog_scans_equal_the_reference_scans(name, corrupt):
+    alg = corrupted(LIE[name]()) if corrupt else LIE[name]()
+    rep = check_jacobi(alg)
+    assert rep == ref.check_jacobi(alg)
+    assert rep.ok != corrupt
+    k = killing_form(alg)
+    assert k == ref.killing_form_by_rows(alg)
+    unit = [[Fraction(int(i == j)) for j in range(alg.dim)] for i in range(alg.dim)]
+    for g in (k, unit):
+        assert check_metric_invariance(alg, g) == ref.check_metric_invariance(alg, g)
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["catalog", "corrupted"])
+@pytest.mark.parametrize("name", sorted(FILIPPOV))
+def test_filippov_catalog_scans_equal_the_reference_scans(name, corrupt):
+    fa = corrupted(FILIPPOV[name]()) if corrupt else FILIPPOV[name]()
+    for form in FI_FORMS:
+        rep = check_fi(fa, form)
+        assert rep == ref.FI_REFERENCE[form](fa)
+        assert rep.ok != corrupt

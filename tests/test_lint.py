@@ -9,7 +9,9 @@ constructions make no generic sparse product (they stay on `zi_*`), and no
 `__init__`, `__post_init__` or `__missing__` outside `tensors.py` sorts a key
 with `sort_sign`: the one sign-canonical container is
 `tensors.AntisymTensor`.  The two coboundary row kernels (`_ce_rows`,
-`_leibniz_delta`) build no `LinearForm` and call no sort kernel."""
+`_leibniz_delta`) build no `LinearForm` and call no sort kernel, and the
+identity scans (Jacobi, the three Filippov forms, the Killing form and the
+metric invariance scan) call no accessor that sorts its key on every read."""
 
 import ast
 from pathlib import Path
@@ -303,3 +305,54 @@ def test_scan_sees_slow_machinery_in_a_row_kernel():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_row_kernels_build_no_linear_form_and_sort_no_key(path):
     assert slow_kernel_calls(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# the identity scans read the signed row table, which sorts each key once:
+# no per-read sorting accessor inside them
+# ---------------------------------------------------------------------------
+
+SCANS = {"check_jacobi", "_fi_derivation", "_fi_short", "_fi_ghost", "killing_form",
+         "check_metric_invariance"}
+PER_READ_ACCESSORS = {"row", "get", "c_row", "c_get", "f_row", "f_get", "sort_sign"}
+
+
+def accessor_name(call):
+    """The name a call reads: `f(..)` or `<any expression>.f(..)`."""
+    f = call.func
+    if isinstance(f, ast.Attribute):
+        return f.attr
+    return f.id if isinstance(f, ast.Name) else None
+
+
+def per_read_accessor_calls(source):
+    """(function, name) of every per-read sorting accessor called inside an
+    identity scan, nested definitions included."""
+    return [(node.name, accessor_name(call))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name in SCANS
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and accessor_name(call) in PER_READ_ACCESSORS]
+
+
+def test_scan_sees_a_per_read_accessor_in_an_identity_scan():
+    source = ("def check_jacobi(alg):\n    rows = alg.integer_scaled()[1].signed\n"
+              "    return rows[1, 2], alg.c_get(1, 2, 3)\n"
+              "def _fi_ghost(fa):\n    def read(idx):\n"
+              "        return fa.f.get(idx, {}), tensors.sort_sign(idx)\n    return read\n"
+              "def killing_form(alg):\n    return [alg.row((i, j)) for i, j in alg.c]\n"
+              "def bracket(alg, i, j):\n    return alg.c_row(i, j), f_get(i, j)\n")
+    assert per_read_accessor_calls(source) == [("check_jacobi", "c_get"), ("_fi_ghost", "get"),
+                                               ("_fi_ghost", "sort_sign"), ("killing_form", "row")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_identity_scans_read_rows_sorted_once(path):
+    assert per_read_accessor_calls(path.read_text()) == []
+
+
+def test_every_identity_scan_is_in_the_tree():
+    # a renamed scan would leave the lint above with nothing to look at
+    defined = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert SCANS <= defined

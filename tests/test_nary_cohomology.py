@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 import dense_reference as dense
-from naryalg import linalg
+from naryalg import linalg, nary_cohomology
 from naryalg.catalog import a4, a5, nhw
 from naryalg.filippov import FARepresentation, adjoint_fa_representation, check_fi
 from naryalg.nary_cohomology import (NCochain, coboundary_deformation_eval, coboundary_matrix,
@@ -156,7 +156,7 @@ def test_duality_pairing_holds_on_every_basis_chain(name, p):
     fa = ALGEBRAS[name]()
     alpha = random_cochain(fa, "trivial", p, seed=10 + p)
     assert not alpha.is_zero()
-    assert all(duality_pairing_holds(fa, alpha, bs, z) for bs, z in basis_chains(fa, p))
+    assert duality_pairing_holds(fa, alpha, basis_chains(fa, p))
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
@@ -184,8 +184,23 @@ def test_coboundary_squares_to_zero(name, kind, p):
 def test_coboundary_is_jointly_antisymmetric_in_the_last_slot(name, kind, p):
     fa = ALGEBRAS[name]()
     alpha = random_cochain(fa, kind, p, seed=30 + p)
-    ev = coboundary_trivial_eval if kind == "trivial" else coboundary_deformation_eval
-    assert jointly_antisymmetric_in_last_slot(fa, ev, alpha, p + 1)
+    assert jointly_antisymmetric_in_last_slot(fa, kind, alpha, p + 1)
+
+
+@pytest.mark.parametrize("kind,p", [("trivial", 2), ("deformation", 1)])
+def test_one_evaluation_of_many_points_reads_each_point(kind, p):
+    # the checks above evaluate all their points at once: each point must get
+    # its own value, in order, at raw block orders and at repeated indices
+    # (the trivial coboundary of every A4 1-cochain vanishes, hence p = 2)
+    fa = a4()
+    alpha = random_cochain(fa, kind, p, seed=54)
+    delta = (fa_coboundary_trivial if kind == "trivial" else fa_coboundary_deformation)(fa, alpha)
+    rng = random.Random(54)
+    points = [([tuple(rng.sample(range(1, 5), 2)) for _ in range(p + 1)], rng.randint(1, 4))
+              for _ in range(60)] + [([(1, 1)] + [(2, 3)] * p, 4)]
+    got = nary_cohomology._evals(fa, alpha, kind, None, points)
+    assert got == [delta.value((*bs[:-1], bs[-1] + (z,))) for bs, z in points]
+    assert any(any(vec) for vec in got) and any(not any(vec) for vec in got)
 
 
 # ---------------------------------------------------------------------------

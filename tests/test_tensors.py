@@ -121,6 +121,31 @@ def test_structure_constants_reject_indices_outside_the_basis(entry):
         BracketTensor(2, 4, {(i, j): {k: v}})
 
 
+def test_signed_rows_read_every_index_order():
+    # one negated row per stored row, shared by the odd orders; a repeat or
+    # an absent tuple reads the empty row
+    t = BracketTensor(3, 4, {(1, 2, 3): {4: Fraction(1, 2), 1: Fraction(-3)}})
+    for idx in permutations((1, 2, 3)):
+        assert t.signed[idx] == t.row(idx)
+    assert t.signed[2, 1, 3] is t.signed[1, 3, 2] is t.signed[3, 2, 1]
+    assert t.signed[1, 2, 3] is t.c[(1, 2, 3)]
+    assert t.signed[1, 1, 3] == t.signed[1, 2, 4] == {}
+
+
+def test_scaled_copy_reads_its_own_rows():
+    # a copy that took the original's cached table would read unscaled rows
+    alg = LieAlgebra.from_entries(3, [((1, 2, 3), Fraction(1, 2)), ((2, 3, 1), Fraction(1, 3))])
+    assert alg.signed[2, 1] == {3: Fraction(-1, 2)}
+    d, ialg = alg.integer_scaled()
+    assert d == 6
+    assert ialg.signed[2, 1] == {3: -3} and ialg.signed[3, 2] == {1: -2}
+    assert all(type(v) is int for row in ialg.c.values() for v in row.values())
+    assert alg.signed[2, 1] == {3: Fraction(-1, 2)}
+    assert alg.scaled(12).signed[1, 2] == {3: 6}
+    # an extra factor joins the denominators in the least common multiple
+    assert alg.integer_scaled(4)[0] == 12 and alg.integer_scaled(5)[0] == 30
+
+
 # ---------------------------------------------------------------------------
 # antisymmetrization
 # ---------------------------------------------------------------------------
