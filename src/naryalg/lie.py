@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from . import linalg
-from .scalars import accumulate, is_zero, rat
+from .scalars import GaussianRational, accumulate, common_denominator, is_zero, rat
 from .tensors import AntisymTensor, BracketTensor, fold_antisym, ray_equal, shuffle_splits
 
 
@@ -150,27 +150,46 @@ class MetricReport:
     witness: tuple | None = None
 
 
+def _integer_parts(g):
+    """D g as int matrices: its real part, and its imaginary part when g has
+    one (g may be Gaussian); D is the least common multiple of the
+    denominators of both.  A real linear condition holds on g exactly when
+    it holds on every part."""
+    parts = [[[x.re if isinstance(x, GaussianRational) else x for x in row] for row in g]]
+    im = [[x.im if isinstance(x, GaussianRational) else 0 for x in row] for row in g]
+    if any(map(any, im)):
+        parts.append(im)
+    d = common_denominator([x for part in parts for row in part for x in row])
+    return [[[x.numerator * (d // x.denominator) for x in row] for row in part]
+            for part in parts]
+
+
 def check_metric_invariance(alg: LieAlgebra, g) -> MetricReport:
     """C_{li}^s g_{sj} + C_{lj}^s g_{is} = 0 for all l, i, j; plus an exact
     determinant test of nondegeneracy (g may be Gaussian).  The sums run on
-    the signed rows of D C (`BracketTensor.integer_scaled`): the condition
-    is linear in C, so the factor D moves no zero."""
+    the signed rows of D C (`BracketTensor.integer_scaled`) and on the
+    integer parts of D' g: the condition is linear in C and in g, so the
+    factors move no zero."""
     r = alg.dim
     if any(g[i][j] != g[j][i] for i in range(r) for j in range(r)):
         raise ValueError("metric must be symmetric")
     nondeg = not is_zero(linalg.det(g))
     rows = alg.integer_scaled()[1].signed
+    parts = _integer_parts(g)
     for l in range(1, r + 1):
         for i in range(1, r + 1):
             row_li = rows[l, i]
             for j in range(i, r + 1):
-                tot = 0
-                for s, v in row_li.items():
-                    tot += v * g[s - 1][j - 1]
-                for s, v in rows[l, j].items():
-                    tot += v * g[i - 1][s - 1]
-                if tot != 0:
-                    return MetricReport(False, nondeg, (l, i, j))
+                row_lj = rows[l, j]
+                for h in parts:
+                    hi, hj = h[i - 1], h[j - 1]  # g is symmetric
+                    tot = 0
+                    for s, v in row_li.items():
+                        tot += v * hj[s - 1]
+                    for s, v in row_lj.items():
+                        tot += v * hi[s - 1]
+                    if tot:
+                        return MetricReport(False, nondeg, (l, i, j))
     return MetricReport(True, nondeg, None)
 
 

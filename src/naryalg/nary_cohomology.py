@@ -62,7 +62,7 @@ from itertools import combinations, product
 from . import linalg
 from .cohomology import CohomologyReport, apply_rows, integer_scaling, unscale_rows
 from .filippov import FARepresentation, FilippovAlgebra, check_fi, fundamental_compose
-from .scalars import accumulate, is_zero, rat
+from .scalars import ZERO, accumulate, is_zero, rat
 from .tensors import insert_sign, sort_blocks
 
 
@@ -109,6 +109,16 @@ class NCochain:
                 clean[ckey] = vec
         self.data = clean
         self._zero = (Fraction(0),) * self.dim_v
+
+    @classmethod
+    def _canonical(cls, complex_kind, order, arity, dim, dim_v, data):
+        """A cochain on data already in canonical form: keys of sorted
+        blocks, `Fraction` vectors of length dim_v, none of them zero.
+        Takes the map as it is, without the constructor's pass over it."""
+        out = object.__new__(cls)
+        vars(out).update(complex_kind=complex_kind, order=order, arity=arity, dim=dim,
+                         dim_v=dim_v, data=data, _zero=(Fraction(0),) * dim_v)
+        return out
 
     def value(self, key):
         """Dense target vector at a raw key (blocks may be unsorted); a key
@@ -361,10 +371,12 @@ def _points(kind, keys):
 
 
 def _apply(fa, alpha, kind, rho):
+    """delta alpha on the canonical keys of its complex; a value that sums no
+    term is the int 0, which becomes the `Fraction` zero."""
     keys = _complex_keys(fa, kind, alpha.order + 1)
-    values = _fa_values(fa, kind, rho, alpha, _points(kind, keys))
-    return NCochain(kind, alpha.order + 1, fa.arity, fa.dim, alpha.dim_v,
-                    dict(zip(keys, _vectors(values, alpha.dim_v))))
+    values = [v or ZERO for v in _fa_values(fa, kind, rho, alpha, _points(kind, keys))]
+    data = {key: vec for key, vec in zip(keys, _vectors(values, alpha.dim_v)) if any(vec)}
+    return NCochain._canonical(kind, alpha.order + 1, fa.arity, fa.dim, alpha.dim_v, data)
 
 
 def jointly_antisymmetric_in_last_slot(fa, kind, alpha, p_out) -> bool:

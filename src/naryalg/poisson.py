@@ -8,13 +8,23 @@ monomial by monomial, never numerically.
 
 A multivector field of order p on R^m is a rank-p `tensors.AntisymTensor`
 with `Poly` components whose `zero` is the zero Poly in m variables.
-`schouten_bracket`, `gps_check` and `np_check` read its signed table
-directly: a raw index tuple maps to the stored Poly, to its negation (built
-once per component), or to that shared zero, which they recognize by
-identity.  They collect each output's sum of products c*a*b in one term map
-(`poly.add_product`).  `schouten_bracket` and `gps_check` take each partial
-derivative once per component, through a gradient table local to the call
-that lists only the variables the component depends on.
+`schouten_bracket`, `gps_check` and `np_check` read a signed table of term
+maps {exponent: coefficient} (`AntisymTensor.signed_maps`): a raw index
+tuple maps to a component's map, to its negation (built once per
+component), or to one shared empty map, which they recognize by identity.
+They collect each output's sum of products c*a*b in one term map
+(`poly.add_product`), and take each partial derivative once per tuple,
+through a gradient table local to the call that lists only the variables
+the map depends on.  `schouten_bracket` reads the `Fraction` maps of its
+arguments and returns `Fraction` Polys.
+
+`gps_check` and `np_check` read the table of D Lambda instead, D the least
+common multiple of the coefficient denominators, whose maps hold plain ints.
+The self-bracket [Lambda, Lambda], the coordinates condition and both
+Nambu-Poisson conditions are homogeneous quadratic in Lambda, so on D Lambda
+each component is D^2 times its value on Lambda: the same components vanish,
+and the same first failing tuple is the witness.  The self-bracket test only
+asks whether each component is zero, so it builds no Poly.
 """
 
 from __future__ import annotations
@@ -22,10 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import attrgetter
 
 from .lie import LieAlgebra
-from .poly import Poly, add_product
-from .scalars import is_zero
+from .poly import Poly, add_product, diff_terms
+from .scalars import common_denominator, is_zero, scaled_to_ints
 from .tensors import AntisymTensor, BracketTensor, shuffle_splits, wedge
 
 
@@ -47,10 +58,23 @@ def wedge_vectors(vectors, m) -> AntisymTensor:
 # Schouten-Nijenhuis bracket
 # ---------------------------------------------------------------------------
 
+def _check_rank(t):
+    if t.rank < 1:
+        raise ValueError(f"a multivector field of rank {t.rank}: the Schouten bracket "
+                         "and the Poisson conditions need rank >= 1")
+
+
+def _integer_table(lam):
+    """The signed table of D * lam on integer term maps {exponent: int}, D the
+    least common multiple of the coefficient denominators."""
+    d = common_denominator([c for p in lam.entries.values() for c in p.terms.values()])
+    return lam.signed_maps(lambda p: scaled_to_ints(p.terms, d))
+
+
 class _Gradients(dict):
-    """Sorted index tuple -> [(nu, d_nu of the component)] over the
-    variables the component of a signed table depends on, ascending: each
-    derivative is taken once per component and nu."""
+    """Raw index tuple -> {nu: d_nu of its term map} over the variables the
+    term map depends on, ascending: each derivative is taken once per tuple
+    and nu."""
 
     __slots__ = ("table",)
 
@@ -59,10 +83,32 @@ class _Gradients(dict):
         self.table = table
 
     def __missing__(self, key):
-        p = self.table[key]
-        used = sorted({nu for e in p.terms for nu, k in enumerate(e, 1) if k})
-        out = self[key] = [(nu, p.diff(nu)) for nu in used]
+        t = self.table[key]
+        used = sorted({nu for e in t for nu, k in enumerate(e, 1) if k})
+        out = self[key] = {nu: diff_terms(t, nu) for nu in used}
         return out
+
+
+def _schouten_terms(a_grad, b_grad, p, q, m):
+    """(kk, term map) of the component [A, B]^kk at each sorted kk, from the
+    gradient tables of A (order p) and B (order q) on R^m and the term
+    tables they read; the map is empty where the component vanishes."""
+    at, bt = a_grad.table, b_grad.table
+    a_zero, b_zero = at.zero, bt.zero
+    sign_p = (-1) ** p
+    for kk in combinations(range(1, m + 1), p + q - 1):
+        terms = {}
+        for (bi, bj), sign in shuffle_splits(kk, [p - 1, q]):
+            for nu, dv in b_grad[bj].items():
+                av = at[(nu,) + bi]
+                if av is not a_zero:
+                    add_product(terms, sign, av, dv)
+        for (bi, bj), sign in shuffle_splits(kk, [p, q - 1]):
+            for nu, dv in a_grad[bi].items():
+                bv = bt[(nu,) + bj]
+                if bv is not b_zero:
+                    add_product(terms, sign * sign_p, bv, dv)
+        yield kk, terms
 
 
 def schouten_bracket(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:
@@ -75,30 +121,14 @@ def schouten_bracket(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    p, q = a.rank, b.rank
+    _check_rank(a)
+    _check_rank(b)
+    a_grad = _Gradients(a.signed_maps(attrgetter("terms")))
+    b_grad = a_grad if b is a else _Gradients(b.signed_maps(attrgetter("terms")))
     m = a.dim
-    out_order = p + q - 1
-    at, bt = a.signed, b.signed
-    a_zero, b_zero = at.zero, bt.zero
-    a_grad = _Gradients(at)
-    b_grad = a_grad if b is a else _Gradients(bt)
-    sign_p = (-1) ** p
-    comps = {}
-    for kk in combinations(range(1, m + 1), out_order):
-        terms = {}
-        for (bi, bj), sign in shuffle_splits(kk, [p - 1, q]):
-            for nu, dv in b_grad[bj]:
-                av = at[(nu,) + bi]
-                if av is not a_zero:
-                    add_product(terms, sign, av, dv)
-        for (bi, bj), sign in shuffle_splits(kk, [p, q - 1]):
-            for nu, dv in a_grad[bi]:
-                bv = bt[(nu,) + bj]
-                if bv is not b_zero:
-                    add_product(terms, sign * sign_p, bv, dv)
-        if terms:
-            comps[kk] = Poly._canonical(m, terms)
-    return AntisymTensor(out_order, m, comps, a.zero)
+    comps = {kk: Poly._canonical(m, terms)
+             for kk, terms in _schouten_terms(a_grad, b_grad, a.rank, b.rank, m) if terms}
+    return AntisymTensor(a.rank + b.rank - 1, m, comps, a.zero)
 
 
 def graded_jacobi_residual(a, b, c) -> AntisymTensor:
@@ -163,21 +193,23 @@ class GPSReport:
 def gps_check(lam: AntisymTensor) -> GPSReport:
     """[Lambda, Lambda] = 0 via the Schouten bracket AND via the coordinates
     condition  w_{s[j_1..j_{2s-1}} d^s w_{j_{2s}..j_{4s-1}]} = 0; the two
-    verdicts must agree (they are computed independently)."""
+    verdicts must agree (they are separate contractions of the integer table
+    of D Lambda)."""
+    _check_rank(lam)
     if lam.rank % 2:
         raise ValueError("the self-bracket condition is empty for odd order")
-    snb = schouten_bracket(lam, lam)
-    snb_ok = snb.is_zero()
     n = lam.rank
     m = lam.dim
-    table, zero = lam.signed, lam.zero
+    table = _integer_table(lam)
+    zero = table.zero
     grad = _Gradients(table)
+    snb_ok = not any(terms for _, terms in _schouten_terms(grad, grad, n, n, m))
     coords_ok = True
     witness = None
     for kk in combinations(range(1, m + 1), 2 * n - 1):
         terms = {}
         for (bi, bj), sign in shuffle_splits(kk, [n - 1, n]):
-            for s, dv in grad[bj]:
+            for s, dv in grad[bj].items():
                 av = table[bi + (s,)]
                 if av is not zero:
                     add_product(terms, sign, av, dv)
@@ -256,34 +288,40 @@ def np_check(lam: AntisymTensor) -> NPReport:
 
     and P swaps i_1 with j_1.  For n = 2 the algebraic condition is reported
     vacuously true (it is absent for ordinary Poisson tensors).  Both
-    conditions are scanned in a fixed order and the first failing tuple is
-    the witness; rows i whose middle block i_2..i_{n-1} repeats an index are
-    skipped, since every component either Sigma term reads then repeats it.
+    conditions are scanned on the integer table of D eta in a fixed order,
+    and the first failing tuple is the witness.  The algebraic scan passes
+    over the pairs whose Sigma and P(Sigma) both vanish term by term, so no
+    skipped pair could be the witness.  A Sigma_{i j} vanishes so when i_n
+    is among the j (the term of j_k = i_n cancels eta_i eta_j, and every
+    other term repeats i_n), when its i_2..i_{n-1} repeats an index, and
+    when eta_i is zero and no j_k completes i_1..i_{n-1} to a nonzero
+    component; P keeps i_2..i_n and j_2..j_n.
     """
+    _check_rank(lam)
     n = lam.rank
     m = lam.dim
-    table, zero = lam.signed, lam.zero
+    rng = range(1, m + 1)
+    table = _integer_table(lam)
+    zero = table.zero
+    grad = _Gradients(table)
 
     dw = None
     diff_ok = True
-    for it in combinations(range(1, m + 1), n - 1):
-        for jt in combinations(range(1, m + 1), n):
+    for it in combinations(rng, n - 1):
+        for jt in combinations(rng, n):
             terms = {}
-            d_jt = table[jt]
-            for rho in range(1, m + 1):
+            d_jt = grad[jt]
+            for rho in rng:
                 e1 = table[it + (rho,)]
-                if e1 is not zero and d_jt is not zero:
-                    d = d_jt.diff(rho)
+                if e1 is not zero:
+                    d = d_jt.get(rho)
                     if d:
                         add_product(terms, 1, e1, d)
                 for k in range(n):
                     e2 = table[(rho,) + jt[:k] + jt[k + 1:]]
                     if e2 is zero:
                         continue
-                    d = table[it + (jt[k],)]
-                    if d is zero:
-                        continue
-                    d = d.diff(rho)
+                    d = grad[it + (jt[k],)].get(rho)
                     if d:
                         add_product(terms, (-1) ** (k + 1), d, e2)
             if terms:
@@ -296,42 +334,66 @@ def np_check(lam: AntisymTensor) -> NPReport:
     if n == 2:
         return NPReport(diff_ok, dw, True, None, _decomposable_hint(lam))
 
-    alg_ok = True
     aw = None
-
-    def add_sigma(terms, it, jt):
-        """terms += Sigma_{it jt}."""
-        x = table[it]
-        if x is not zero:
-            y = table[jt]
-            if y is not zero:
-                add_product(terms, 1, x, y)
-        head = it[:n - 1]
-        pivot = it[n - 1]
-        for k in range(n):
-            x = table[head + (jt[k],)]
-            if x is zero:
-                continue
-            y = table[jt[:k] + (pivot,) + jt[k + 1:]]
-            if y is not zero:
-                add_product(terms, -1, x, y)
-
-    for it in product(range(1, m + 1), repeat=n):
-        if len(set(it[1:n - 1])) < n - 2:
-            # every component both Sigma terms read holds it[1:n-1], which
-            # repeats an index: the whole row of pairs reads zero
-            continue
-        for jt in product(range(1, m + 1), repeat=n):
-            terms = {}
-            add_sigma(terms, it, jt)
-            add_sigma(terms, (jt[0],) + it[1:], (it[0],) + jt[1:])
-            if terms:
-                alg_ok = False
-                aw = (it, jt)
-                break
-        if not alg_ok:
+    for it, jt, it2, jt2 in _sigma_pairs(table, n, m):
+        terms = {}
+        _add_sigma(terms, table, n, it, jt)
+        _add_sigma(terms, table, n, it2, jt2)
+        if terms:
+            aw = (it, jt)
             break
-    return NPReport(diff_ok, dw, alg_ok, aw, _decomposable_hint(lam))
+    return NPReport(diff_ok, dw, aw is None, aw, _decomposable_hint(lam))
+
+
+def _add_sigma(terms, table, n, it, jt):
+    """terms += Sigma_{it jt} on a term table of an order-n field."""
+    zero = table.zero
+    x = table[it]
+    if x is not zero:
+        y = table[jt]
+        if y is not zero:
+            add_product(terms, 1, x, y)
+    head = it[:n - 1]
+    pivot = it[n - 1]
+    for k in range(n):
+        x = table[head + (jt[k],)]
+        if x is zero:
+            continue
+        y = table[jt[:k] + (pivot,) + jt[k + 1:]]
+        if y is not zero:
+            add_product(terms, -1, x, y)
+
+
+def _sigma_pairs(table, n, m):
+    """(it, jt, P(it), P(jt)) in the scan order of `np_check`, past the pairs
+    whose Sigma and P(Sigma) both vanish term by term."""
+    rng = range(1, m + 1)
+    zero = table.zero
+
+    def heads(it):
+        """The j completing it[:n-1] to a nonzero component; it[n-1] is
+        among them when eta_it is nonzero."""
+        head = it[:n - 1]
+        return {j for j in rng if table[head + (j,)] is not zero}
+
+    for it in product(rng, repeat=n):
+        if len(set(it[1:n - 1])) < n - 2:
+            continue
+        pivot = it[n - 1]
+        js = heads(it)
+        others = [j for j in rng if j != pivot]  # jt[1:], shared with P(jt)
+        for j0 in rng:
+            it2 = (j0,) + it[1:]
+            js2 = heads(it2)
+            may1 = j0 != pivot and js
+            may2 = it[0] != pivot and js2
+            if not (may1 or may2):
+                continue
+            for rest in product(others, repeat=n - 1):
+                jt, jt2 = (j0,) + rest, (it[0],) + rest
+                if (may1 and (pivot in js or not js.isdisjoint(jt))
+                        or may2 and (pivot in js2 or not js2.isdisjoint(jt2))):
+                    yield it, jt, it2, jt2
 
 
 def np_even_implies_gps(lam: AntisymTensor) -> bool:

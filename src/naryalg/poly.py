@@ -9,8 +9,10 @@ The constructor validates and cleans its term map.  The ring operations and
 cancels, and a product or derivative of nonzero `Fraction`s with a nonzero
 int is nonzero), so they build their results through `Poly._canonical`,
 which skips that pass; only this module and `poisson` call it.
-`add_product` collects a sum of products c*a*b in one term map, so a
-contraction builds one Poly per output instead of one per partial sum.
+`add_product` collects a sum of products c*a*b of term maps in one term
+map, so a contraction builds one Poly per output instead of one per partial
+sum; it and `diff_terms` take term maps with any nonzero exact coefficients,
+the integer maps of the Poisson scans included.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ class Poly:
                 return Poly.zero(self.nvars)
             return Poly._canonical(self.nvars, {e: c * other for e, c in self.terms.items()})
         t = {}
-        add_product(t, 1, self, self._coerce(other))
+        add_product(t, 1, self.terms, self._coerce(other).terms)
         return Poly._canonical(self.nvars, t)
 
     __rmul__ = __mul__
@@ -103,14 +105,7 @@ class Poly:
     # -- calculus ------------------------------------------------------------
     def diff(self, i):
         """Partial derivative with respect to x_i (1-based)."""
-        t = {}
-        for e, c in self.terms.items():
-            k = e[i - 1]
-            if k:
-                e2 = list(e)
-                e2[i - 1] -= 1
-                t[tuple(e2)] = c * k
-        return Poly._canonical(self.nvars, t)
+        return Poly._canonical(self.nvars, diff_terms(self.terms, i))
 
     def eval(self, point):
         tot = Fraction(0)
@@ -155,11 +150,23 @@ class Poly:
         return " + ".join(mono(e, c) for e, c in sorted(self.terms.items()))
 
 
-def add_product(terms: dict, c, a: Poly, b: Poly) -> None:
-    """terms += c * a * b on a canonical term map, for a nonzero int or
-    `Fraction` c."""
-    for e1, c1 in a.terms.items():
+def add_product(terms: dict, c, a: dict, b: dict) -> None:
+    """terms += c * a * b on term maps {exponent: coefficient}, for a nonzero
+    int or `Fraction` c."""
+    for e1, c1 in a.items():
         if c != 1:
             c1 = c * c1
-        for e2, c2 in b.terms.items():
+        for e2, c2 in b.items():
             accumulate(terms, tuple(map(add, e1, e2)), c1 * c2)
+
+
+def diff_terms(terms: dict, i) -> dict:
+    """The term map of the partial derivative with respect to x_i (1-based)."""
+    t = {}
+    for e, c in terms.items():
+        k = e[i - 1]
+        if k:
+            e2 = list(e)
+            e2[i - 1] -= 1
+            t[tuple(e2)] = c * k
+    return t

@@ -200,6 +200,12 @@ def common_denominator(values) -> int:
     return lcm(*[v.denominator for v in values])
 
 
+def scaled_to_ints(values: dict, d: int) -> dict:
+    """{key: d * v} as plain ints, d a multiple of every denominator of the
+    rational values."""
+    return {k: v.numerator * (d // v.denominator) for k, v in values.items()}
+
+
 def accumulate(d: dict, key, v) -> None:
     """d[key] += v on a map without zero values: skip a zero v, and drop the
     key when the sum cancels."""

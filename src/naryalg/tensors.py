@@ -15,8 +15,9 @@ of `lie` and `gla`, the V-valued cochains of `cohomology` (whose values are
 sparse target vectors), the formal sums of fundamental objects and ghost
 monomials, and the multivector fields of `poisson`.  Its one constructor
 folds a raw map onto sorted keys; sums and multiples stay canonical; every
-read goes through one signed table per tensor, filled on first read, and
-`wedge` is the one shuffle wedge.
+read goes through one signed table per tensor, filled on first read
+(`signed_maps` gives such a table over the entries mapped to sparse maps,
+the term maps of `poisson`), and `wedge` is the one shuffle wedge.
 
 `BracketTensor` applies the convention to structure constants
 C_{i_1..i_n}^j, antisymmetric in the lower block: it is the one storage of
@@ -38,7 +39,11 @@ sparse sums go through `scalars.accumulate`.
 Contractions of products of blockwise-antisymmetric factors against the
 generalized Kronecker symbol collapse to signed sums over ordered block
 splits ("shuffles") -- `shuffle_splits` is the hot kernel behind the
-generalized-Jacobi, Filippov and Poisson residuals.
+generalized-Jacobi, Filippov, cocycle and Poisson residuals.  Its signs
+depend only on the shape (len(m), block sizes) of a sorted tuple m, so it
+derives the splits of each shape once, on positions, by the recursion on the
+first block, and caches them with one itemgetter per block: a call maps the
+cached position blocks onto m and derives no sign.
 
 The epsilon scan `eps_identities_check` sorts each index tuple once: a
 table per tuple holds its (sorted key, sign), and the keyed signs of its
@@ -51,13 +56,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
-from operator import neg
+from operator import itemgetter, neg
 
-from .scalars import ZERO, accumulate, common_denominator, is_zero, rat
+from .scalars import ZERO, accumulate, common_denominator, is_zero, rat, scaled_to_ints
 
 
 # ---------------------------------------------------------------------------
@@ -138,15 +143,9 @@ def merge_sign(a, b) -> int:
     return -1 if inv % 2 else 1
 
 
-def shuffle_splits(m, sizes):
-    """Yield (blocks, sign) over ordered partitions of sorted tuple `m`.
-
-    Each block comes out sorted; `sign` is the parity of the arrangement
-    block_1 + block_2 + ... relative to m.  The number of terms is the
-    multinomial coefficient; together with in-block antisymmetry this
-    reproduces the full Levi-Civita contraction up to the product of the
-    block factorials.
-    """
+def _shuffle_positions(m, sizes):
+    """(blocks, sign) over the ordered partitions of the sorted tuple m, by
+    recursion on the first block: the splits `shuffle_splits` caches."""
     if not sizes:
         yield (), 1
         return
@@ -157,8 +156,44 @@ def shuffle_splits(m, sizes):
         block = tuple(m[i] for i in chosen)
         rest = tuple(m[i] for i in idx if i not in chosen)
         s = merge_sign(block, rest)
-        for blocks, s2 in shuffle_splits(rest, rest_sizes):
+        for blocks, s2 in _shuffle_positions(rest, rest_sizes):
             yield (block,) + blocks, s * s2
+
+
+# (len(m), sizes) -> [(one getter per block, sign)]: one entry per shape a
+# caller uses, never handed out, so no caller can change it
+_SPLITS = {}
+
+
+@cache
+def _block_getter(block):
+    """m -> the entries of m at the positions of block, as a tuple; one
+    getter per position block, shared by every shape."""
+    if len(block) < 2:  # itemgetter of one index gives the entry, not a tuple
+        return itemgetter(slice(block[0], block[0] + 1) if block else slice(0, 0))
+    return itemgetter(*block)
+
+
+def shuffle_splits(m, sizes):
+    """The (blocks, sign) of the ordered partitions of sorted tuple `m`.
+
+    Each block comes out sorted; `sign` is the parity of the arrangement
+    block_1 + block_2 + ... relative to m.  The number of terms is the
+    multinomial coefficient; together with in-block antisymmetry this
+    reproduces the full Levi-Civita contraction up to the product of the
+    block factorials.  The splits of a shape (len(m), sizes) are derived
+    once, on the positions 0..len(m)-1, and cached: the signs of a strictly
+    increasing m are those of its positions, so a call only maps the
+    position blocks onto m's entries.
+    """
+    shape = (len(m), tuple(sizes))
+    splits = _SPLITS.get(shape)
+    if splits is None:
+        splits = _SPLITS[shape] = [
+            (tuple(map(_block_getter, blocks)), sign)
+            for blocks, sign in _shuffle_positions(range(shape[0]), shape[1])]
+    m = tuple(m)
+    return [(tuple([get(m) for get in getters]), sign) for getters, sign in splits]
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +286,13 @@ class AntisymTensor:
         stored values and one negation per entry; nothing mutates a tensor
         or its values after construction, so the table never goes stale."""
         return _SignedTable(self.entries, self.zero)
+
+    def signed_maps(self, f) -> _SignedTable:
+        """The signed read table of the entries mapped through f, which
+        gives each entry as a sparse map {key: number}: one negated map per
+        entry, and one shared empty map on a repeat or an absent tuple.
+        Readers must not change the maps it hands out."""
+        return _SignedTable({k: f(v) for k, v in self.entries.items()}, {}, _negated_row)
 
     def get(self, idx):
         """The signed entry at any index order; `zero` on a repeat."""
@@ -391,8 +433,7 @@ class BracketTensor:
         starts without a `signed` table of its own."""
         out = object.__new__(type(self))
         vars(out).update({k: v for k, v in vars(self).items() if k != "signed"})
-        out.c = {key: {j: v.numerator * (factor // v.denominator) for j, v in row.items()}
-                 for key, row in self.c.items()}
+        out.c = {key: scaled_to_ints(row, factor) for key, row in self.c.items()}
         return out
 
     def integer_scaled(self, d=1):

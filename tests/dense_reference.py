@@ -32,11 +32,19 @@ the integer-scaled constants: the Jacobi scan with one `c_get` per (l, s),
 the three forms of the Filippov identity on `f_row` reads of `Fraction`
 constants, the Killing form and the metric invariance scan.  They are the
 references of the identity parity tests.
+
+`shuffle_splits` as the recursive generator that derived the signs of every
+index tuple afresh, and the Schouten bracket, `gps_check` and `np_check` as
+they stood before they read integer term maps: `Fraction` Polys from the
+signed table of the tensor, with the self-bracket computed as a whole
+`schouten_bracket` and every Sigma pair of the Nambu-Poisson algebraic scan
+read.  They are the references of the Poisson parity tests; every
+reference here takes its shuffles from this `shuffle_splits`.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from naryalg import cohomology, linalg
 from naryalg.filippov import (CliffordReport, FilippovAlgebra, FIReport, So4SplitReport,
@@ -44,10 +52,11 @@ from naryalg.filippov import (CliffordReport, FilippovAlgebra, FIReport, So4Spli
                               fundamental_compose, kasymov_form, simple_fa)
 from naryalg.lie import (JacobiReport, LieAlgebra, MetricReport, Representation,
                         SymInvariantPoly, killing_form)
-from naryalg.poly import Poly
+from naryalg.poisson import GPSReport, NPReport, _decomposable_hint
+from naryalg.poly import Poly, add_product
 from naryalg.scalars import ZERO, GaussianRational, LinearForm, accumulate, is_zero, rat
 from naryalg.tensors import (AntisymTensor, gen_kronecker, merge_sign, perm_sign, ray_equal,
-                             shuffle_splits, sort_sign)
+                             sort_sign)
 
 
 def rref(mat):
@@ -1336,3 +1345,170 @@ def fi_ghost(fa):
 
 
 FI_REFERENCE = {"derivation": fi_derivation, "short": fi_short, "ghost": fi_ghost}
+
+
+# ---------------------------------------------------------------------------
+# shuffles, the Schouten bracket and the Poisson scans on Fraction Polys
+# ---------------------------------------------------------------------------
+
+def shuffle_splits(m, sizes):
+    """Yield (blocks, sign) over ordered partitions of sorted tuple `m`."""
+    if not sizes:
+        yield (), 1
+        return
+    k = sizes[0]
+    rest_sizes = sizes[1:]
+    idx = range(len(m))
+    for chosen in combinations(idx, k):
+        block = tuple(m[i] for i in chosen)
+        rest = tuple(m[i] for i in idx if i not in chosen)
+        s = merge_sign(block, rest)
+        for blocks, s2 in shuffle_splits(rest, rest_sizes):
+            yield (block,) + blocks, s * s2
+
+
+class _PolyGradients(dict):
+    """Index tuple -> [(nu, d_nu of the Poly component)] over the variables
+    the component depends on, ascending."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, key):
+        p = self.table[key]
+        used = sorted({nu for e in p.terms for nu, k in enumerate(e, 1) if k})
+        out = self[key] = [(nu, p.diff(nu)) for nu in used]
+        return out
+
+
+def schouten_bracket(a, b):
+    """[A, B] on the signed Poly tables of A and B, one term map per output."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    p, q = a.rank, b.rank
+    m = a.dim
+    out_order = p + q - 1
+    at, bt = a.signed, b.signed
+    a_zero, b_zero = at.zero, bt.zero
+    a_grad = _PolyGradients(at)
+    b_grad = a_grad if b is a else _PolyGradients(bt)
+    sign_p = (-1) ** p
+    comps = {}
+    for kk in combinations(range(1, m + 1), out_order):
+        terms = {}
+        for (bi, bj), sign in shuffle_splits(kk, [p - 1, q]):
+            for nu, dv in b_grad[bj]:
+                av = at[(nu,) + bi]
+                if av is not a_zero:
+                    add_product(terms, sign, av.terms, dv.terms)
+        for (bi, bj), sign in shuffle_splits(kk, [p, q - 1]):
+            for nu, dv in a_grad[bi]:
+                bv = bt[(nu,) + bj]
+                if bv is not b_zero:
+                    add_product(terms, sign * sign_p, bv.terms, dv.terms)
+        if terms:
+            comps[kk] = Poly(m, terms)
+    return AntisymTensor(out_order, m, comps, a.zero)
+
+
+def gps_check(lam):
+    """The self-bracket through a whole `schouten_bracket`, and the
+    coordinates condition on the Fraction Polys."""
+    if lam.rank % 2:
+        raise ValueError("the self-bracket condition is empty for odd order")
+    snb_ok = schouten_bracket(lam, lam).is_zero()
+    n = lam.rank
+    m = lam.dim
+    table, zero = lam.signed, lam.zero
+    grad = _PolyGradients(table)
+    coords_ok = True
+    witness = None
+    for kk in combinations(range(1, m + 1), 2 * n - 1):
+        terms = {}
+        for (bi, bj), sign in shuffle_splits(kk, [n - 1, n]):
+            for s, dv in grad[bj]:
+                av = table[bi + (s,)]
+                if av is not zero:
+                    add_product(terms, sign, av.terms, dv.terms)
+        if terms:
+            coords_ok = False
+            witness = kk
+            break
+    if snb_ok != coords_ok:
+        raise AssertionError("the two self-bracket evaluations disagree")
+    return GPSReport(snb_ok, coords_ok, witness)
+
+
+def np_check(lam):
+    """Both Nambu-Poisson conditions on the Fraction Polys, every Sigma pair
+    of a row read (rows whose middle block repeats an index skipped)."""
+    n = lam.rank
+    m = lam.dim
+    table, zero = lam.signed, lam.zero
+
+    dw = None
+    diff_ok = True
+    for it in combinations(range(1, m + 1), n - 1):
+        for jt in combinations(range(1, m + 1), n):
+            terms = {}
+            d_jt = table[jt]
+            for rho in range(1, m + 1):
+                e1 = table[it + (rho,)]
+                if e1 is not zero and d_jt is not zero:
+                    d = d_jt.diff(rho)
+                    if d:
+                        add_product(terms, 1, e1.terms, d.terms)
+                for k in range(n):
+                    e2 = table[(rho,) + jt[:k] + jt[k + 1:]]
+                    if e2 is zero:
+                        continue
+                    d = table[it + (jt[k],)]
+                    if d is zero:
+                        continue
+                    d = d.diff(rho)
+                    if d:
+                        add_product(terms, (-1) ** (k + 1), d.terms, e2.terms)
+            if terms:
+                diff_ok = False
+                dw = (it, jt)
+                break
+        if not diff_ok:
+            break
+
+    if n == 2:
+        return NPReport(diff_ok, dw, True, None, _decomposable_hint(lam))
+
+    alg_ok = True
+    aw = None
+
+    def add_sigma(terms, it, jt):
+        x = table[it]
+        if x is not zero:
+            y = table[jt]
+            if y is not zero:
+                add_product(terms, 1, x.terms, y.terms)
+        head = it[:n - 1]
+        pivot = it[n - 1]
+        for k in range(n):
+            x = table[head + (jt[k],)]
+            if x is zero:
+                continue
+            y = table[jt[:k] + (pivot,) + jt[k + 1:]]
+            if y is not zero:
+                add_product(terms, -1, x.terms, y.terms)
+
+    for it in product(range(1, m + 1), repeat=n):
+        if len(set(it[1:n - 1])) < n - 2:
+            continue
+        for jt in product(range(1, m + 1), repeat=n):
+            terms = {}
+            add_sigma(terms, it, jt)
+            add_sigma(terms, (jt[0],) + it[1:], (it[0],) + jt[1:])
+            if terms:
+                alg_ok = False
+                aw = (it, jt)
+                break
+        if not alg_ok:
+            break
+    return NPReport(diff_ok, dw, alg_ok, aw, _decomposable_hint(lam))

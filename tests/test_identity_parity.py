@@ -21,6 +21,7 @@ from naryalg.catalog import (a4, a5, a13, corrupted, euclidean_rotations_2d, hei
                              r2_abelian, su)
 from naryalg.filippov import FI_FORMS, FilippovAlgebra, check_fi, inder_lie_algebra, simple_fa
 from naryalg.lie import LieAlgebra, check_jacobi, check_metric_invariance, killing_form
+from naryalg.scalars import GaussianRational
 
 values = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
 
@@ -93,6 +94,21 @@ def test_lie_catalog_scans_equal_the_reference_scans(name, corrupt):
     unit = [[Fraction(int(i == j)) for j in range(alg.dim)] for i in range(alg.dim)]
     for g in (k, unit):
         assert check_metric_invariance(alg, g) == ref.check_metric_invariance(alg, g)
+
+
+@pytest.mark.parametrize("name,corrupt", LIE_CASES)
+def test_gaussian_metric_scans_equal_the_reference_scan(name, corrupt):
+    # g = c k for Gaussian c, and k plus an imaginary part with denominators
+    # that only the imaginary half of the scan can find not invariant
+    alg = corrupted(LIE[name]()) if corrupt else LIE[name]()
+    k = killing_form(alg)
+    d = alg.dim
+    mixed = [[k[i][j] + GaussianRational(0, Fraction((i + 1) * (j + 1) % 3, 2))
+              for j in range(d)] for i in range(d)]
+    for c in (GaussianRational(0, Fraction(2, 3)), GaussianRational(Fraction(1, 2), 5)):
+        g = [[c * v for v in row] for row in k]
+        assert check_metric_invariance(alg, g) == ref.check_metric_invariance(alg, g)
+    assert check_metric_invariance(alg, mixed) == ref.check_metric_invariance(alg, mixed)
 
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["catalog", "corrupted"])

@@ -1,7 +1,8 @@
 """Lint scans of the package: sparse exact maps accumulate through
 `scalars.accumulate` alone (no module pops a key by hand with
 `.pop(key, None)`), the non-validating `Poly._canonical` constructor is
-called from `poly.py` and `poisson.py` alone, every public function,
+called from `poly.py` and `poisson.py` alone (and `NCochain._canonical`
+from `nary_cohomology.py` alone), every public function,
 class, method or property has a caller in `src/` or a test, no module
 defines, imports, reads or calls a name of the deleted dense matrix layer
 (`mat_mul`, `commutator`, `trace`, ..), the su(n) and gamma-matrix
@@ -11,7 +12,10 @@ with `sort_sign`: the one sign-canonical container is
 `tensors.AntisymTensor`.  The two coboundary row kernels (`_ce_rows`,
 `_leibniz_delta`) build no `LinearForm` and call no sort kernel, and the
 identity scans (Jacobi, the three Filippov forms, the Killing form and the
-metric invariance scan) call no accessor that sorts its key on every read."""
+metric invariance scan) call no accessor that sorts its key on every read.
+The Poisson scans (`gps_check`, `np_check`) build no `Fraction` Poly and
+take no Schouten bracket: they read integer term maps; `shuffle_splits`
+derives no sign, which its cache holds per shape."""
 
 import ast
 from pathlib import Path
@@ -62,15 +66,20 @@ def test_no_hand_rolled_accumulation(path):
 
 FAST_CONSTRUCTOR = "_canonical"
 FAST_CONSTRUCTOR_USERS = {"poly.py", "poisson.py"}
+# a class's own non-validating constructor, for the module whose kernels
+# build its instances in canonical form
+OWN_FAST_CONSTRUCTORS = {"nary_cohomology.py": "NCochain"}
 
 
 def fast_constructor_uses(source, filename):
     """Line of every `<expr>._canonical` read in a module outside the
-    allowed ones."""
+    allowed ones, other than the module's own class's `<Class>._canonical`."""
     if filename in FAST_CONSTRUCTOR_USERS:
         return []
+    own = OWN_FAST_CONSTRUCTORS.get(filename)
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute) and node.attr == FAST_CONSTRUCTOR)
+                  if isinstance(node, ast.Attribute) and node.attr == FAST_CONSTRUCTOR
+                  and not (isinstance(node.value, ast.Name) and node.value.id == own))
 
 
 def test_scan_sees_a_fast_constructor_call():
@@ -78,6 +87,10 @@ def test_scan_sees_a_fast_constructor_call():
               "def g(m):\n    make = Poly._canonical\n    return Poly(m, {}), make\n")
     assert fast_constructor_uses(source, "lie.py") == [3, 5]
     assert fast_constructor_uses(source, "poisson.py") == []
+    assert fast_constructor_uses(source, "nary_cohomology.py") == [3, 5]
+    own = "def h(k, d):\n    return NCochain._canonical(k, 1, 3, 4, 1, d)\n"
+    assert fast_constructor_uses(own, "nary_cohomology.py") == []
+    assert fast_constructor_uses(own, "filippov.py") == [2]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -356,3 +369,51 @@ def test_every_identity_scan_is_in_the_tree():
     defined = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert SCANS <= defined
+
+
+# ---------------------------------------------------------------------------
+# the Poisson scans read integer term maps, and shuffle_splits reads the
+# signs cached per shape
+# ---------------------------------------------------------------------------
+
+POLY_CALLS = {"schouten_bracket", "Poly", "_canonical", "zero", "const", "var", "diff", "eval",
+              "is_zero", "scale"}
+# the scans and the helpers that read their integer tables
+POISSON_SCANS = {"gps_check", "np_check", "_integer_table", "_schouten_terms", "_add_sigma",
+                 "_sigma_pairs"}
+FORBIDDEN_CALLS = {**dict.fromkeys(POISSON_SCANS, POLY_CALLS), "shuffle_splits": {"merge_sign"}}
+
+
+def forbidden_calls(source):
+    """(function, name) of every forbidden call inside a Poisson scan, a
+    helper of one, or `shuffle_splits`, nested definitions included, on any
+    receiver."""
+    return [(node.name, accessor_name(call))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name in FORBIDDEN_CALLS
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and accessor_name(call) in FORBIDDEN_CALLS[node.name]]
+
+
+def test_scan_sees_poly_arithmetic_in_a_poisson_scan():
+    source = ("def gps_check(lam):\n    snb = schouten_bracket(lam, lam)\n"
+              "    return snb.is_zero(), lam.get((1, 2)).diff(1)\n"
+              "def np_check(lam):\n    def sigma(it):\n        return poly.Poly(3, {})\n"
+              "    return add_product({}, 1, {}, {}), sigma\n"
+              "def shuffle_splits(m, sizes):\n    return tensors.merge_sign(m, sizes)\n"
+              "def wedge(a, b):\n    return merge_sign(a, b), Poly.zero(3)\n")
+    assert forbidden_calls(source) == [("gps_check", "schouten_bracket"),
+                                       ("gps_check", "is_zero"), ("gps_check", "diff"),
+                                       ("np_check", "Poly"), ("shuffle_splits", "merge_sign")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_poisson_scans_read_integer_maps_and_splits_read_the_cache(path):
+    assert forbidden_calls(path.read_text()) == []
+
+
+def test_every_poisson_scan_and_split_kernel_is_in_the_tree():
+    defined = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert set(FORBIDDEN_CALLS) <= defined

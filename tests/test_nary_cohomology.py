@@ -141,6 +141,32 @@ def random_cochain(fa, kind, p, seed):
                     {key: tuple(draw(rng) for _ in range(dv)) for key in keys})
 
 
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@pytest.mark.parametrize("kind", ["trivial", "module", "deformation"])
+def test_kernel_built_cochains_are_what_the_constructor_makes(name, kind):
+    # the coboundary operators skip the constructor's pass: their data must
+    # already be canonical, also where a value sums no term (unit cochains)
+    fa = ALGEBRAS[name]()
+    rho = adjoint_fa_representation(fa) if kind == "module" else None
+    keys = module_keys if kind == "module" else trivial_keys
+    for p in (0, 1):
+        dv = 1 if kind == "trivial" else fa.dim
+        unit = NCochain(kind, p, fa.arity, fa.dim, dv, {keys(fa, p)[-1]: (Fraction(1),) * dv})
+        for alpha in (unit, random_cochain(fa, kind, p, 11)):
+            if kind == "trivial":
+                out = fa_coboundary_trivial(fa, alpha)
+            elif kind == "module":
+                out = fa_coboundary_module(fa, rho, alpha)
+            else:
+                out = fa_coboundary_deformation(fa, alpha)
+            rebuilt = NCochain(kind, p + 1, fa.arity, fa.dim, dv, dict(out.data))
+            assert out == rebuilt
+            assert all(type(v) is Fraction for vec in out.data.values() for v in vec)
+            assert all(any(vec) for vec in out.data.values())
+            assert ([out.value(key) for key in keys(fa, p + 1)]
+                    == [rebuilt.value(key) for key in keys(fa, p + 1)])
+
+
 def basis_chains(fa, p):
     """(blocks, z) of every basis chain dual to the trivial p-cochains."""
     blocks = list(combinations(range(1, fa.dim + 1), fa.arity - 1))

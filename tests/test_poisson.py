@@ -280,6 +280,18 @@ def test_a_non_jacobi_bivector_fails_both_forms_of_gps():
     assert schouten_bracket(lam, lam).entries == {(1, 2, 3): Poly.var(m, 3) * -2}
 
 
+def test_rank_zero_fields_are_rejected_with_their_rank():
+    m = 3
+    scalar = multivector(0, m, {(): Poly.var(m, 1)})
+    vector = multivector(1, m, {(1,): Poly.var(m, 2)})
+    calls = [lambda: schouten_bracket(scalar, scalar), lambda: schouten_bracket(vector, scalar),
+             lambda: schouten_bracket(scalar, vector), lambda: gps_check(scalar),
+             lambda: np_check(scalar)]
+    for call in calls:
+        with pytest.raises(ValueError, match="rank 0"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # the graded Jacobi identity and the two products against their references
 # ---------------------------------------------------------------------------
