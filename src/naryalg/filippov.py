@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 from . import linalg
 from .lie import LieAlgebra, check_jacobi
-from .gla import multibracket, multibracket_weighted
+from .gla import multibracket, multibrackets
 from .scalars import GaussianRational, accumulate, is_zero
 from .tensors import (AntisymTensor, BracketTensor, fold_antisym, gen_kronecker, perm_sign,
                       ray_equal, shuffle_splits, sort_sign)
@@ -926,74 +927,60 @@ def clifford_realization(n: int) -> CliffordReport:
     if n % 2:
         d = n + 1
         gam, _ = gamma_matrices(d)
-        basis = gam
-        prod = gam[0]
+        basis, top = gam, gam[0]
         for g in gam[1:]:
-            prod = linalg.sp_mul(prod, g)
-
-        # the normalization of the top gamma is free; fix the phase by the
-        # bracket identity itself, probing one tuple before full expansion
-        probe_idx = tuple(range(1, n + 1))
-        want_b = n + 1
-        want = linalg.sp_scale(
-            -gen_kronecker(tuple(range(1, d + 1)), probe_idx + (want_b,)), gam[want_b - 1])
-        chosen = None
-        for phase in (GaussianRational(1), GaussianRational(-1),
-                      GaussianRational(0, 1), GaussianRational(0, -1)):
-            fixed = linalg.sp_scale(phase, prod)
-            if multibracket_weighted([gam[i - 1] for i in probe_idx] + [fixed]) == want:
-                chosen = fixed
-                break
-        if chosen is None:
-            f, identity_ok = _expand_bracket(basis, n, prod, 2 ** (d // 2))
-        else:
-            f, clean = _expand_bracket(basis, n, chosen, 2 ** (d // 2))
-            identity_ok = clean and f == ref.f
+            top = linalg.sp_mul(top, g)
+        extra = [top]
     else:
         d = n
         gam, chi = gamma_matrices(d)
-        basis = gam + [chi]
-        f, identity_ok = _expand_bracket(basis, n, None, 2 ** (d // 2))
+        basis, extra = gam + [chi], []
+    # every bracket of the expansion, over the basis and the top slot, is read
+    # off one subset table
+    tail = tuple(range(len(basis), len(basis) + len(extra)))
+    subsets = {idx: tuple(i - 1 for i in idx) + tail
+               for idx in combinations(range(1, len(basis) + 1), n)}
+    table = multibrackets(basis + extra, list(subsets.values()))
+    factor = Fraction(1, factorial(n + len(extra)))
+    if n % 2:
+        # the normalization of the top gamma is free; fix its phase (1 when
+        # none fits) by the bracket identity itself on one probe tuple: the
+        # bracket is linear in the top slot, so a phase scales the probe
+        probe = table[subsets[tuple(range(1, n + 1))]]
+        want = linalg.sp_scale(-1, gam[d - 1])  # -eps_{1..d} g_d
+        phases = (GaussianRational(1), GaussianRational(-1),
+                  GaussianRational(0, 1), GaussianRational(0, -1))
+        factor *= next((p for p in phases if linalg.sp_scale(p * factor, probe) == want),
+                       phases[0])
 
-    dim_fa = n + 1
-    induced = FilippovAlgebra(n, dim_fa, f)
-    # n odd: the gamma identity carries -eps = (-1)^n eps; n even: +eps.
-    # simple_fa uses (-1)^n eps in both cases, so the two must coincide.
-    matches = induced.arity == ref.arity and induced.dim == ref.dim and induced.f == ref.f
-    identity_ok = identity_ok and matches
-
-    dc = None
-    if n == 3:
-        # both sides are linear in the top gamma, so the plain product serves
-        top = prod
-        dc = all(linalg.sp_scale(6, linalg.sp_commutator(
-                     linalg.sp_mul(linalg.sp_commutator(gam[a], gam[b]), top), gam[c]))
-                 == multibracket([top, gam[a], gam[b], gam[c]])
-                 for a in range(4) for b in range(4) for c in range(4))
-    return CliffordReport(n, identity_ok, dc, induced, matches)
-
-
-def _expand_bracket(basis, n, fixed, size):
-    """Structure constants of the weight-one multibracket over the given
-    basis of size x size matrices (with an optional fixed extra slot),
-    expanded by trace orthogonality Tr(g_a g_b) = size * delta_ab; returns
-    (f, all_real)."""
-    dim_fa = len(basis)
+    # expand by trace orthogonality Tr(g_a g_b) = size * delta_ab; an
+    # imaginary coefficient fails the identity
+    size = GaussianRational(2 ** (d // 2))
     f = {}
     clean = True
-    for idx in combinations(range(1, dim_fa + 1), n):
-        args = [basis[i - 1] for i in idx] + ([fixed] if fixed is not None else [])
-        val = multibracket_weighted(args)
+    for idx, s in subsets.items():
         row = {}
-        for b in range(1, dim_fa + 1):
-            coeff = linalg.sp_trace(val, basis[b - 1]) / GaussianRational(size)
+        for b in range(1, len(basis) + 1):
+            coeff = factor * linalg.sp_trace(table[s], basis[b - 1]) / size
             if coeff.im != 0:
                 clean = False
             if coeff.re != 0:
                 row[b] = coeff.re
         if row:
             f[idx] = row
-    return f, clean
+    induced = FilippovAlgebra(n, n + 1, f)
+    # n odd: the gamma identity carries -eps = (-1)^n eps; n even: +eps.
+    # simple_fa uses (-1)^n eps in both cases, so the two must coincide.
+    matches = induced.arity == ref.arity and induced.dim == ref.dim and induced.f == ref.f
+
+    dc = None
+    if n == 3:
+        # both sides are linear in the top gamma, so the plain product serves
+        dc = all(linalg.sp_scale(6, linalg.sp_commutator(
+                     linalg.sp_mul(linalg.sp_commutator(gam[a], gam[b]), top), gam[c]))
+                 == multibracket([top, gam[a], gam[b], gam[c]])
+                 for a in range(4) for b in range(4) for c in range(4))
+    return CliffordReport(n, clean and matches, dc, induced, matches)
 
 
 # ---------------------------------------------------------------------------

@@ -40,23 +40,26 @@ from .tensors import AntisymTensor, BracketTensor, merge_sign, shuffle_splits, s
 # ---------------------------------------------------------------------------
 
 def multibracket(mats):
-    """Weight-free antisymmetrized product sum_sigma sign X_s1 .. X_sn.
+    """Weight-free antisymmetrized product sum_sigma sign X_s1 .. X_sn: the
+    one-subset call of `multibrackets`."""
+    whole = tuple(range(len(mats)))
+    return multibrackets(mats, [whole])[whole]
 
-    Evaluated by subset dynamic programming (first-slot expansion of the
-    bracket), linear instead of factorial in matrix products, on the ℤ[i]
-    kernel, which keeps the monomial gamma matrices of the Clifford
-    realizations cheap: every value is scaled by D, the common denominator of
-    all real and imaginary parts, to an int pair (re, im), and the result is
-    divided by D^n once at the end.  Rational, Gaussian and mixed inputs take
-    this one path; the values come back `GaussianRational` when some input
-    value is one, else `Fraction`.
-    """
-    n = len(mats)
-    if n == 0:
+
+def multibrackets(mats, subsets):
+    """{s: multibracket([mats[i] for i in s])} over a list of strictly
+    increasing position tuples s, read off one table of the subset dynamic
+    programme (first-slot expansion, linear instead of factorial in matrix
+    products) over the requested subsets and their sub-subsets, filled one
+    size at a time and dropping the size below.  It runs on the ℤ[i] kernel:
+    every value is scaled once by D, the common denominator of all real and
+    imaginary parts of the list, to an int pair (re, im), and a bracket of k
+    matrices is divided by D^k at the end.  A bracket's values are
+    `GaussianRational` when some value of its own matrices is one, else
+    `Fraction`."""
+    if not all(subsets):
         raise ValueError("empty multibracket")
-    if n == 1:
-        return mats[0]
-    gaussian = any(isinstance(v, GaussianRational) for m in mats for v in m.values())
+    gaussian = [any(isinstance(v, GaussianRational) for v in m.values()) for m in mats]
     parts = []
     for m in mats:
         for v in m.values():
@@ -71,18 +74,32 @@ def multibracket(mats):
 
     zi = [{key: (scaled(v.re), scaled(v.im)) if isinstance(v, GaussianRational)
            else (scaled(v), 0) for key, v in m.items()} for m in mats]
-    # every proper subset mask is numerically smaller than its superset
-    table = {1 << i: zi[i] for i in range(n)}
-    for mask in range(3, 1 << n):
-        if mask not in table:
-            members = [i for i in range(n) if mask & (1 << i)]
-            table[mask] = linalg.zi_sum(
-                ((-1) ** pos, linalg.zi_mul(zi[i], table[mask & ~(1 << i)]))
-                for pos, i in enumerate(members))
-    denom = scale ** n
-    if gaussian:
-        return linalg.zi_wrap(table[(1 << n) - 1], Fraction(1, denom))
-    return {key: Fraction(re, denom) for key, (re, _) in table[(1 << n) - 1].items()}
+
+    def members(mask):
+        return [i for i in range(len(mats)) if mask >> i & 1]
+
+    masks = {s: sum(1 << i for i in s) for s in subsets}
+    levels = {}
+    for m in masks.values():
+        levels.setdefault(m.bit_count(), set()).add(m)
+    top = max(levels, default=1)
+    for k in range(top, 2, -1):
+        levels.setdefault(k - 1, set()).update(
+            m & ~(1 << i) for m in levels[k] for i in members(m))
+    out = dict.fromkeys(subsets)
+    table = {1 << i: m for i, m in enumerate(zi)}
+    for k in range(1, top + 1):
+        if k > 1:
+            table = {m: linalg.zi_sum(((-1) ** pos, linalg.zi_mul(zi[i], table[m & ~(1 << i)]))
+                                      for pos, i in enumerate(members(m)))
+                     for m in levels[k]}
+        denom = scale ** k
+        for s, m in masks.items():
+            if len(s) == k:
+                out[s] = (linalg.zi_wrap(table[m], Fraction(1, denom))
+                          if any(gaussian[i] for i in s)
+                          else {key: Fraction(re, denom) for key, (re, _) in table[m].items()})
+    return out
 
 
 def multibracket_weighted(mats):

@@ -243,10 +243,8 @@ lie_poisson_bivector = fa_linear_multivector = bracket_multivector
 
 def linear_gps_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> AntisymTensor:
     """Linear even tensor with components Omega_{i_1..i_{2m-2}}^sigma
-    x_sigma; validated against the self-bracket condition."""
-    from .lie import cocycle_condition_residual
-    if cocycle_condition_residual(alg, omega) is not None:
-        raise ValueError("input is not a cocycle")
+    x_sigma; validated against the self-bracket condition (`gla_from_cocycle`
+    raises ValueError on a non-cocycle)."""
     from .gla import gla_from_cocycle
     lam = bracket_multivector(gla_from_cocycle(alg, omega))
     rep = gps_check(lam)

@@ -45,11 +45,14 @@ derives the splits of each shape once, on positions, by the recursion on the
 first block, and caches them with one itemgetter per block: a call maps the
 cached position blocks onto m and derives no sign.
 
-The epsilon scan `eps_identities_check` sorts each index tuple once: a
-table per tuple holds its (sorted key, sign), and the keyed signs of its
+The epsilon scan `eps_identities_check` sorts each distinct index tuple once
+per call into a table of its (sorted key, sign) and the keyed signs of its
 first-row minors and pair splits.  A Kronecker symbol of two rows is then
-the product of their signs when their keys match, else 0, so the scan
-compares every (upper, lower) entry without a `gen_kronecker` call per pair.
+the product of their signs when their keys match, else 0.  An (upper,
+lower) entry can be nonzero on either side only where the lower shares the
+upper's key or holds the minor or split that the upper's sums read; the
+lowers are indexed by those keys, and every other entry, 0 = 0 on both
+sides, is skipped.
 """
 
 from __future__ import annotations
@@ -594,7 +597,7 @@ def _eps_tables(n, d):
     """Per-tuple tables of the epsilon scan over {1..d}^n, in `product`
     order: (tuple, sort_sign of the tuple, its sort_sign-keyed pieces as an
     upper index row, its first-row minors, its pair splits) -- everything the
-    scan reads, sorted once per tuple.
+    scan reads, each distinct sub-tuple sorted once per call.
 
     As an upper row the pieces are the sort_sign of the tail u[1:], of the
     top pair u[:2] and of the bottom u[2:].  As a lower row, `minors` maps a
@@ -603,22 +606,30 @@ def _eps_tables(n, d):
     pair (l[s], l[t]) to [(sign, rest key)], sign = (-1)^(s+t+1) times the
     sorting signs of the pair and of the rest.  Entries whose sorting sign
     is 0 would only add zero and are left out."""
+    memo = {}
+
+    def signed(seq):
+        got = memo.get(seq)
+        if got is None:
+            got = memo[seq] = sort_sign(seq)
+        return got
+
     pairs = [(s, t, (-1) ** (s + t + 1)) for s in range(n) for t in range(s + 1, n)]
     tables = []
     for tup in product(range(1, d + 1), repeat=n):
         minors = {}
         for s in range(n):
-            key, sign = sort_sign(tup[:s] + tup[s + 1:])
+            key, sign = signed(tup[:s] + tup[s + 1:])
             if sign:
                 minors.setdefault(tup[s], []).append(((-1) ** s * sign, key))
         splits = {}
         for s, t, sign in pairs:
-            pkey, psign = sort_sign((tup[s], tup[t]))
-            rkey, rsign = sort_sign(tuple(tup[k] for k in range(n) if k not in (s, t)))
+            pkey, psign = signed((tup[s], tup[t]))
+            rkey, rsign = signed(tuple(tup[k] for k in range(n) if k not in (s, t)))
             if psign and rsign:
                 splits.setdefault(pkey, []).append((sign * psign * rsign, rkey))
-        pieces = (sort_sign(tup[1:]), sort_sign(tup[:2]), sort_sign(tup[2:]))
-        tables.append((tup, sort_sign(tup), pieces, minors, splits))
+        pieces = (signed(tup[1:]), signed(tup[:2]), signed(tup[2:]))
+        tables.append((tup, signed(tup), pieces, minors, splits))
     return tables
 
 
@@ -632,16 +643,31 @@ def eps_identities_check(n: int, d: int) -> EpsReport:
     sorting signs when their `sort_sign` keys agree, else 0 (`gen_kronecker`
     by another route), so the scan reads every sign from tables built once
     per tuple (`_eps_tables`) and calls no kernel per (upper, lower) pair.
-    It still evaluates and compares every entry, in the order of the two
-    nested `product` loops.
+    It skips the entries where both sides read 0 = 0: the left side needs
+    equal keys with a nonzero sign, the first-row sum a minor of the lower
+    at (u_1, key of u[1:]), the pair sum a split at (key of u[:2], key of
+    u[2:]).  The lowers are indexed by these keys once, and each upper scans
+    the union of its three position lists in `product` order, so the first
+    failing entry is the one the full nested scan finds.
     """
     if not (1 <= n <= d <= 6):
         raise ValueError("eps_identities_check: desk-scale bounds 1 <= n <= d <= 6")
     tables = _eps_tables(n, d)
+    by_key, by_minor, by_split = {}, {}, {}
+    for pos, (_, (lkey, lsign), _, minors, splits) in enumerate(tables):
+        if lsign:
+            by_key.setdefault(lkey, []).append(pos)
+        for index, terms in ((by_minor, minors), (by_split, splits)):
+            for first, entries in terms.items():
+                for _, key in entries:
+                    index.setdefault((first, key), []).append(pos)
     for upper, (ukey, usign), pieces, _, _ in tables:
         head = upper[0]
         (tkey, tsign), (topkey, topsign), (bkey, bsign) = pieces
-        for lower, (lkey, lsign), _, minors, splits in tables:
+        near = set(by_key.get(ukey, ()))
+        near.update(by_minor.get((head, tkey), ()), by_split.get((topkey, bkey), ()))
+        for pos in sorted(near):
+            lower, (lkey, lsign), _, minors, splits = tables[pos]
             lhs = usign * lsign if ukey == lkey else 0
             tot = 0
             for sign, key in minors.get(head, ()):
@@ -657,23 +683,3 @@ def eps_identities_check(n: int, d: int) -> EpsReport:
                 if tot2 != lhs:
                     return EpsReport(False, (upper, lower, "pair-resolution"))
     return EpsReport(True)
-
-
-def eps_pair_expansion_check(p: int, d: int) -> bool:
-    """Check sum_{s<t} (-1)^{s+t+1} eps^{j1 j2}_{is it} eps^{j3..}_{i-rest}
-    equals eps^{j1..j_{p+1}}_{i1..i_{p+1}} entrywise (the identity behind the
-    coordinates form of the coboundary operator)."""
-    rng = range(1, d + 1)
-    m = p + 1
-    for upper in product(rng, repeat=m):
-        for lower in product(rng, repeat=m):
-            tot = 0
-            for s in range(m):
-                for t in range(s + 1, m):
-                    sub = gen_kronecker(upper[:2], (lower[s], lower[t]))
-                    if sub:
-                        rest = tuple(lower[k] for k in range(m) if k not in (s, t))
-                        tot += (-1) ** (s + t + 1) * sub * gen_kronecker(upper[2:], rest)
-            if tot != gen_kronecker(upper, lower):
-                return False
-    return True

@@ -40,6 +40,10 @@ signed table of the tensor, with the self-bracket computed as a whole
 `schouten_bracket` and every Sigma pair of the Nambu-Poisson algebraic scan
 read.  They are the references of the Poisson parity tests; every
 reference here takes its shuffles from this `shuffle_splits`.
+
+The pair resolution of the epsilon symbol with one `gen_kronecker` call per
+symbol, the slow reference of the pair half of
+`tensors.eps_identities_check`.
 """
 
 from dataclasses import dataclass, field
@@ -1512,3 +1516,27 @@ def np_check(lam):
         if not alg_ok:
             break
     return NPReport(diff_ok, dw, alg_ok, aw, _decomposable_hint(lam))
+
+
+# ---------------------------------------------------------------------------
+# the epsilon pair resolution, one Kronecker symbol per pair
+# ---------------------------------------------------------------------------
+
+def eps_pair_expansion_check(p: int, d: int) -> bool:
+    """Check sum_{s<t} (-1)^{s+t+1} eps^{j1 j2}_{is it} eps^{j3..}_{i-rest}
+    equals eps^{j1..j_{p+1}}_{i1..i_{p+1}} entrywise (the identity behind the
+    coordinates form of the coboundary operator)."""
+    rng = range(1, d + 1)
+    m = p + 1
+    for upper in product(rng, repeat=m):
+        for lower in product(rng, repeat=m):
+            tot = 0
+            for s in range(m):
+                for t in range(s + 1, m):
+                    sub = gen_kronecker(upper[:2], (lower[s], lower[t]))
+                    if sub:
+                        rest = tuple(lower[k] for k in range(m) if k not in (s, t))
+                        tot += (-1) ** (s + t + 1) * sub * gen_kronecker(upper[2:], rest)
+            if tot != gen_kronecker(upper, lower):
+                return False
+    return True

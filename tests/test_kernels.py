@@ -1,8 +1,9 @@
 """Differential tests of the fast sign, identity-scan and multibracket kernels
 against their slow definitions: a brute-force inversion count, the
 determinant of the delta matrix, the per-s Filippov identity loops, the
-epsilon scan with one `gen_kronecker` call per symbol, and the n!-term
-permutation sum."""
+epsilon scan with one `gen_kronecker` call per symbol, the n!-term
+permutation sum and one multibracket per subset; and work guards that count
+kernel calls, not time."""
 
 import random
 from fractions import Fraction
@@ -13,8 +14,9 @@ import pytest
 import dense_reference as dense
 from naryalg import linalg, tensors
 from naryalg.catalog import a4, a5, corrupted, nhw
-from naryalg.filippov import FilippovAlgebra, check_fi, simple_fa
-from naryalg.gla import multibracket
+from naryalg.filippov import (FilippovAlgebra, check_fi, clifford_realization, gamma_matrices,
+                              simple_fa)
+from naryalg.gla import multibracket, multibrackets
 from naryalg.scalars import GaussianRational
 from naryalg.tensors import (EpsReport, eps_identities_check, gen_kronecker, perm_sign,
                              shuffle_splits, sort_sign)
@@ -128,6 +130,34 @@ def test_eps_scan_reads_the_sign_kernel(monkeypatch, n, d):
     want = eps_identities_by_kronecker(n, d)
     assert (got.ok, got.counterexample) == (want.ok, want.counterexample)
     assert got.ok == (n == 1)
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 4), (4, 4), (3, 5)])
+def test_eps_scan_finds_a_sign_broken_on_one_late_tuple(monkeypatch, n, d):
+    # negative control: the kernel is wrong only on the last repeat-free
+    # tuple in `product` order; both scans first fail at it as the lower of
+    # its sorted upper, deep in both scans
+    late = tuple(range(d, d - n, -1))
+    right = tensors.perm_sign
+    monkeypatch.setattr(tensors, "perm_sign",
+                        lambda seq: -right(seq) if tuple(seq) == late else right(seq))
+    got = eps_identities_check(n, d)
+    want = eps_identities_by_kronecker(n, d)
+    assert (got.ok, got.counterexample) == (want.ok, want.counterexample)
+    assert got.counterexample == (tuple(sorted(late)), late, "first-row")
+
+
+def test_eps_tables_sort_each_distinct_tuple_once(monkeypatch):
+    calls = {}
+    right = tensors.sort_sign
+
+    def counted(seq):
+        calls[seq] = calls.get(seq, 0) + 1
+        return right(seq)
+
+    monkeypatch.setattr(tensors, "sort_sign", counted)
+    tensors._eps_tables(4, 4)
+    assert len(calls) == 336 and max(calls.values()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +297,44 @@ def test_multibracket_matches_the_permutation_sum(n, kinds):
         # Gaussian values come back when some input value is Gaussian
         some = any(isinstance(v, GaussianRational) for m in sparse for v in m.values())
         assert all(isinstance(v, GaussianRational) == some for v in got.values())
+
+
+def test_multibrackets_match_one_bracket_per_subset():
+    rng = random.Random(16)
+    for kinds in ("rational", "gaussian", "mixed"):
+        for _ in range(4):
+            n, size = rng.randint(2, 5), rng.randint(1, 4)
+            gaussian = [kinds == "gaussian" or (kinds == "mixed" and i % 2 == 1)
+                        for i in range(n)]
+            mats = [dense.to_map(random_matrix(rng, size, g)) for g in gaussian]
+            if kinds == "mixed":
+                mats[1][0, 0] = GaussianRational(1, 1)
+            subsets = [s for k in range(1, n + 1) for s in combinations(range(n), k)]
+            got = multibrackets(mats, subsets)
+            assert list(got) == subsets
+            for s in subsets:
+                assert got[s] == multibracket([mats[i] for i in s]), s
+                # the value type follows the subset's own matrices
+                some = any(isinstance(v, GaussianRational) for i in s for v in mats[i].values())
+                assert all(isinstance(v, GaussianRational) == some for v in got[s].values())
+            if kinds == "mixed" and n >= 3 and got[(0, 2)]:
+                assert all(type(v) is Fraction for v in got[(0, 2)].values())
+
+
+def test_clifford_realization_reads_one_bracket_table(monkeypatch):
+    # every bracket of the n = 5 expansion, over the 6 gammas and the top
+    # slot, comes from one subset table of 7 matrices: at most 7 * 2^6
+    # products beyond the construction of the gammas
+    calls = [0]
+    right = linalg.zi_mul
+
+    def counted(a, b):
+        calls[0] += 1
+        return right(a, b)
+
+    monkeypatch.setattr(linalg, "zi_mul", counted)
+    gamma_matrices(6)
+    construction = calls[0]
+    calls[0] = 0
+    assert clifford_realization(5).identity_ok
+    assert calls[0] - construction <= 7 * 2 ** 6

@@ -232,6 +232,13 @@ def test_linear_four_vector_of_su3_is_gps_but_not_np():
     assert rep.differential_witness is not None or rep.algebraic_witness is not None
 
 
+def test_linear_gps_from_a_non_cocycle_raises():
+    omega = su3_five_cocycle()
+    bad = omega + AntisymTensor(5, 8, {(1, 2, 3, 4, 5): Fraction(1)})
+    with pytest.raises(ValueError, match="input is not a cocycle"):
+        linear_gps_from_cocycle(su(3), bad)
+
+
 def test_np_witnesses_of_the_linear_four_vector_are_pinned():
     # both witnesses as found by the per-pair products of the first np_check
     lam = linear_gps_from_cocycle(su(3), su3_five_cocycle())

@@ -5,11 +5,12 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_reference as dense
 from naryalg.lie import LieAlgebra
 from naryalg.tensors import (AntisymTensor, BracketTensor, DenseTensor, antisymmetrize,
                              antisymmetrize_weighted, as_antisym, contract,
-                             eps_identities_check, eps_pair_expansion_check,
-                             fold_antisym, gen_kronecker, levi_civita, merge_sign,
+                             eps_identities_check, fold_antisym, gen_kronecker,
+                             levi_civita, merge_sign,
                              insert_sign, perm_sign, shuffle_splits, sort_blocks, sort_sign)
 
 
@@ -60,7 +61,12 @@ def test_eps_identities(n, d):
 
 
 def test_eps_pair_expansion_p2_d3():
-    assert eps_pair_expansion_check(2, 3)
+    assert dense.eps_pair_expansion_check(2, 3)
+
+
+@pytest.mark.parametrize("p,d", [(p, d) for d in range(2, 5) for p in range(1, d)])
+def test_eps_pair_expansion_agrees_with_the_scan(p, d):
+    assert dense.eps_pair_expansion_check(p, d) == eps_identities_check(p + 1, d).ok
 
 
 def test_eps_desk_scale_guard():
