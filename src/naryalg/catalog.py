@@ -52,6 +52,8 @@ def a5() -> FilippovAlgebra:
 def nhw(n_blocks=1) -> FilippovAlgebra:
     """Central extension of the abelian 3N-dim ternary algebra by the
     block-diagonal cocycle (the Jacobian-bracket algebra of N triples)."""
+    if n_blocks < 1:
+        raise ValueError(f"nhw needs N >= 1 blocks, got {n_blocks}")
     d = 3 * n_blocks
     f = {}
     for a in range(1, n_blocks + 1):

@@ -187,9 +187,11 @@ def cmd_generate(args) -> int:
 def _generate_object(args):
     kind = args.kind
     if kind == "simple-fa":
-        signs = [1 if ch == "+" else -1 for ch in (args.signs or "+" * (args.n + 1))]
+        signs = args.signs or "+" * (args.n + 1)
+        if set(signs) - {"+", "-"}:
+            raise ValueError(f"--signs takes only + and -, got {signs!r}")
         from .filippov import simple_fa
-        return simple_fa(args.n, signs)
+        return simple_fa(args.n, [1 if ch == "+" else -1 for ch in signs])
     if kind == "gla-from-su":
         if (args.n, args.m) != (3, 3):
             raise ValueError("available desk-scale generation: n=3 m=3")

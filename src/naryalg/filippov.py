@@ -1,17 +1,18 @@
 """Filippov (n-Lie) algebras: validation of the characteristic identity in
 its derivation, short and ghost forms, the simple algebras and their vector
 products, fundamental objects and the Lie algebra of inner derivations,
-the Kasymov trace form and semisimplicity, metric structure, the invariant
-tensors of the euclidean 3-algebra on four dimensions together with its
-split into two commuting su(2)-type blocks, subordinated algebras, Clifford
-(gamma-matrix) realizations, and trace-extended matrix brackets.
+the Kasymov trace form and semisimplicity, metric structure, the BLG gauge
+algebra Inder(g) of a metric 3-Lie algebra with its two Chern-Simons forms
+and their levels, subordinated algebras, Clifford (gamma-matrix)
+realizations, and trace-extended matrix brackets.
 `FilippovAlgebra` stores its constants as a `tensors.BracketTensor`, the one
 storage of structure constants.
 
 Every operator here -- an ad map, a representation matrix, a gamma matrix
 and the brackets built from them -- is a sparse map {(row, column): nonzero
 value} (see `linalg`), so "as matrices" means equal maps; the metric, the
-Kasymov form and k2 are bilinear forms and stay dense lists of rows.
+Kasymov form and the gauge forms k1, k2 are bilinear forms and stay dense
+lists of rows.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, isqrt
+from operator import mul
 
 from . import linalg
-from .lie import LieAlgebra, check_jacobi
+from .lie import LieAlgebra, check_jacobi, check_metric_invariance
 from .gla import multibracket, multibrackets
-from .scalars import GaussianRational, accumulate, is_zero
+from .scalars import GaussianRational, accumulate, common_denominator, is_zero
 from .tensors import (AntisymTensor, BracketTensor, fold_antisym, gen_kronecker, perm_sign,
-                      ray_equal, shuffle_splits, sort_sign)
+                      shuffle_splits, sort_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,8 @@ def simple_fa(n: int, signs) -> FilippovAlgebra:
     """The (n+1)-dimensional simple algebras:
     f_{a_1..a_n}^b = (-1)^n eps_b eps_{a_1..a_n b} with eps_{1..n+1} = +1."""
     signs = list(signs)
+    if n < 2:
+        raise ValueError(f"a simple algebra needs arity n >= 2, got {n}")
     if len(signs) != n + 1 or any(s not in (1, -1) for s in signs):
         raise ValueError("need n+1 signs of +-1")
     d = n + 1
@@ -425,23 +429,18 @@ def orthogonal_relations_hold(fa: FilippovAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 def kasymov_form(fa: FilippovAlgebra):
-    """k(X, Y) = Tr(ad_X ad_Y) on sorted wedge-label pairs, as a dict and as
-    a symmetric matrix over the wedge labels."""
+    """(wedge labels, k): k(X, Y) = Tr(ad_X ad_Y) as a symmetric matrix over
+    the sorted wedge labels."""
     labels = list(combinations(range(1, fa.dim + 1), fa.arity - 1))
-    vals = {}
     mat = linalg.zeros(len(labels), len(labels))
     for i, la in enumerate(labels):
         for j in range(i, len(labels)):
-            lb = labels[j]
             tot = Fraction(0)
             for c in range(1, fa.dim + 1):
-                for l, v in fa.f_row(lb + (c,)).items():
+                for l, v in fa.f_row(labels[j] + (c,)).items():
                     tot += v * fa.f_get(la + (l,), c)
-            if tot != 0:
-                vals[(la, lb)] = tot
-            mat[i][j] = tot
-            mat[j][i] = tot
-    return labels, vals, mat
+            mat[i][j] = mat[j][i] = tot
+    return labels, mat
 
 
 def semisimplicity_check(fa: FilippovAlgebra) -> bool:
@@ -468,8 +467,7 @@ def semisimplicity_check(fa: FilippovAlgebra) -> bool:
 def kasymov_bilinear_nondegenerate(fa: FilippovAlgebra) -> bool:
     """Naive non-degeneracy of k on the whole wedge space (fails already for
     direct sums of simple algebras, unlike the criterion above)."""
-    _, _, mat = kasymov_form(fa)
-    return not is_zero(linalg.det(mat))
+    return not is_zero(linalg.det(kasymov_form(fa)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -537,208 +535,121 @@ def check_metric_fa(fa: FilippovAlgebra, g) -> MetricFAReport:
 
 
 # ---------------------------------------------------------------------------
-# invariant tensors of the euclidean 3-algebra on 4 dimensions
+# the BLG gauge algebra
 # ---------------------------------------------------------------------------
 
 @dataclass
-class So4SplitReport:
-    k1_matches_pattern: bool
-    k2_is_epsilon_ray: bool
-    k2_signature: tuple
+class GaugeAlgebra:
+    """Inder(g) with its two invariant forms, dense on `inder.basis_labels`."""
+    inder: InDerAlgebra
+    k1: list                        # Tr(ad_X ad_Y), the Kasymov form
+    k2: list                        # k2(x^y, z^w) = <[x, y, z], w>
+    ill_defined_at: tuple | None    # first wedge-label pair off the pull-back of k2
     k1_invariant: bool
     k2_invariant: bool
-    split_commutes: bool
-    split_su2_pattern: bool
-    k1_sum_of_blocks: bool
-    k2_difference_of_blocks: bool
+    k2_signature: tuple
+    levels: dict | None             # rational eigenvalue of k1^-1 k2 -> its eigenspace
 
 
-def _wedge_pairs(d):
-    return list(combinations(range(1, d + 1), 2))
+def gauge_algebra(fa: FilippovAlgebra, g) -> GaugeAlgebra:
+    """The gauge algebra of the BLG model on a metric 3-Lie algebra: Inder(g)
+    with the Chern-Simons forms k1 and k2 (Van Raamsdonk arXiv:0803.3803).
+
+    k2 is read on the basis labels of Inder and compared with its value on
+    every pair of wedge labels through `inder.projection`; they agree, as
+    k2(X, z^w) = <ad_X z, w> reads X only through ad_X, and the scan proves
+    it on the given constants.  When k1 is nondegenerate, J = k1^-1 k2
+    is defined, and invariance of both forms gives k1 J ad_X = k2 ad_X =
+    -ad_X^T k2 = -ad_X^T k1 J = k1 ad_X J, so J commutes with every ad.
+    Each eigenspace of J is then an ideal, on which k2 = lambda k1: the
+    rational eigenvalues lambda are the levels of the Chern-Simons terms,
+    (k, -k) on Inder(A4) = su(2) + su(2).  An eigenvalue outside Q (so(3,1)
+    of A13, simple over R) gives no level.  Raises ValueError on an arity
+    other than 3 and on a metric that is not invariant or is singular."""
+    if fa.arity != 3:
+        raise ValueError(f"the gauge algebra is defined for 3-Lie algebras, not arity {fa.arity}")
+    met = check_metric_fa(fa, g)
+    if not met.invariant:
+        raise ValueError(f"the metric is not invariant (at {met.witness})")
+    if not met.nondegenerate:
+        raise ValueError("the metric is singular")
+    inder = inder_lie_algebra(fa)
+    labels, kas = kasymov_form(fa)
+    at = [labels.index(lab) for lab in inder.basis_labels]
+    k1 = [[kas[i][j] for j in at] for i in at]
+    k2 = [[met.lowered.get(x + y) for y in inder.basis_labels] for x in inder.basis_labels]
+    pulled = {x: [sum(map(mul, row, inder.projection[x])) for row in k2] for x in labels}
+    ill = next(((x, y) for x in labels for y in labels
+                if met.lowered.get(x + y) != sum(map(mul, pulled[x], inder.projection[y]))),
+               None)
+    levels = None
+    if not is_zero(linalg.det(k1)):
+        j = _mat_mul(linalg.inverse(k1), k2)
+        levels = {lam: _kernel([[v - lam * (r == c) for c, v in enumerate(row)]
+                                for r, row in enumerate(j)])
+                  for lam in _rational_roots(_minimal_polynomial(j))}
+    return GaugeAlgebra(inder, k1, k2, ill,
+                        check_metric_invariance(inder.lie, k1).invariant,
+                        check_metric_invariance(inder.lie, k2).invariant,
+                        linalg.signature(k2), levels)
 
 
-def _invariance_residual_on_pairs(fa, kval):
-    """Z . k(X, Y) = k(Z.X, Y) + k(X, Z.Y) = 0 over basis wedge labels, where
-    k is a dict on sorted wedge-label pairs."""
-    def kread(x, y):
-        kx, sx = sort_sign(x)
-        ky, sy = sort_sign(y)
-        if sx == 0 or sy == 0:
-            return Fraction(0)
-        key = (kx, ky) if (kx, ky) in kval else (ky, kx)
-        return sx * sy * kval.get(key, Fraction(0))
-
-    labels = _wedge_pairs(fa.dim)
-    for z in labels:
-        for x in labels:
-            for y in labels:
-                tot = Fraction(0)
-                for lab, v in fundamental_compose(fa, z, x).items():
-                    tot += v * kread(lab, y)
-                for lab, v in fundamental_compose(fa, z, y).items():
-                    tot += v * kread(x, lab)
-                if tot != 0:
-                    return (z, x, y)
-    return None
+def _mat_mul(a, b):
+    return [[sum(map(mul, row, col)) for col in zip(*b)] for row in a]
 
 
-def k2_invariant_and_so4_split(fa: FilippovAlgebra) -> So4SplitReport:
-    """The two rank-two invariants of the euclidean 3-algebra on R^4 and the
-    plus/minus split of its inner-derivation algebra.
+def _minimal_polynomial(m):
+    """[c_0, .., c_{k-1}] of the minimal polynomial x^k - sum c_i x^i of the
+    square matrix m: the first power of m in the span of the powers before
+    it, found by an exact solve."""
+    powers = [linalg.identity(len(m))]
+    while True:
+        top = _mat_mul(powers[-1], m)
+        rows = [{t: p[i][j] for t, p in enumerate(powers) if p[i][j]}
+                for i in range(len(m)) for j in range(len(m))]
+        c = linalg.solve(rows, len(powers), [x for row in top for x in row])
+        if c is not None:
+            return c
+        powers.append(top)
 
-    k1 (the Killing form on wedge pairs) must equal
-    -(d_{a1b1} d_{a2b2} - d_{b1a2} d_{a1b2}); k2 (the lowered structure
-    constants read as a pair form) must be a ray multiple of the rank-4
-    epsilon with split signature (3,3).  The combinations
-    P_i = (M_{i4} + 1/2 eps_{iab} M_{ab})/2 and the minus partner must give
-    two commuting su(2)-pattern blocks, and in the (P, Q) basis k1 and k2
-    must be the sum and the difference of the two block Killing forms.
-    """
-    if fa.arity != 3 or fa.dim != 4:
-        raise ValueError("this analysis is specific to the euclidean 3-algebra on R^4")
-    pairs = _wedge_pairs(4)
 
-    # k1 = Tr(ad ad); ray-equal to the pattern
-    # -(d_{a1b1} d_{a2b2} - d_{b1a2} d_{a1b2})  (here: -2x the pattern)
-    _, k1_vals, k1_mat = kasymov_form(fa)
-    pattern = {}
-    for i, (a1, a2) in enumerate(pairs):
-        for j, (b1, b2) in enumerate(pairs):
-            if i <= j:
-                want = -(Fraction(1 if a1 == b1 and a2 == b2 else 0)
-                         - Fraction(1 if b1 == a2 and a1 == b2 else 0))
-                if want:
-                    pattern[((a1, a2), (b1, b2))] = want
-    k1_ok = ray_equal(k1_vals, pattern)
+def _rational_roots(c):
+    """The rational roots, ascending, of x^k - sum c_i x^i: each is p/q with
+    p dividing the lowest and q the leading integer coefficient."""
+    den = common_denominator(c)
+    a = [-int(v * den) for v in c] + [den]
+    roots = set()
+    while a[0] == 0:
+        roots.add(Fraction(0))
+        a = a[1:]
+    for p in _divisors(a[0]):
+        for q in _divisors(a[-1]):
+            for x in (Fraction(p, q), Fraction(-p, q)):
+                if sum(ai * x ** i for i, ai in enumerate(a)) == 0:
+                    roots.add(x)
+    return sorted(roots)
 
-    # k2 = lowered structure constants as a pair form
-    met = check_metric_fa(fa, linalg.identity(4))
-    low = met.lowered
-    k2_vals = {}
-    k2_mat = linalg.zeros(6, 6)
-    for i, pa in enumerate(pairs):
-        for j, pb in enumerate(pairs):
-            v = low.get(pa + pb)
-            k2_mat[i][j] = v
-            if i <= j and v != 0:
-                k2_vals[(pa, pb)] = v
-    eps_vals = {}
-    for i, pa in enumerate(pairs):
-        for j, pb in enumerate(pairs):
-            if i <= j:
-                v = gen_kronecker((1, 2, 3, 4), pa + pb)
-                if v:
-                    eps_vals[(pa, pb)] = v
-    k2_eps = ray_equal(k2_vals, eps_vals)
-    k2_sig = linalg.signature(k2_mat)[:2]
 
-    k1_inv = _invariance_residual_on_pairs(fa, k1_vals) is None
-    k2_inv = _invariance_residual_on_pairs(fa, k2_vals) is None
+def _divisors(n):
+    n = abs(n)
+    small = [t for t in range(1, isqrt(n) + 1) if n % t == 0]
+    return small + [n // t for t in small]
 
-    # plus/minus generators, built on the dual rotation basis of iCS16;
-    # the sorted-pair sum absorbs the 1/2 of the epsilon contraction
-    half = Fraction(1, 2)
-    duals = so_dual_generators(fa)
 
-    def eps3(i, a, b):
-        return gen_kronecker((1, 2, 3), (i, a, b))
-
-    p_mats, q_mats = [], []
-    for i in (1, 2, 3):
-        base = duals[(i, 4)]
-        extra = linalg.sp_sum((eps3(i, a, b), duals[(a, b)])
-                              for a, b in combinations((1, 2, 3), 2))
-        p_mats.append(linalg.sp_sum([(half, base), (half, extra)]))
-        q_mats.append(linalg.sp_sum([(half, base), (-half, extra)]))
-
-    commutes = all(not linalg.sp_commutator(p, q) for p in p_mats for q in q_mats)
-
-    def su2_pattern(ms):
-        # [T_i, T_j] = c eps_{ijk} T_k for one fixed nonzero c
-        scale = None
-        for i, j in combinations((1, 2, 3), 2):
-            cm = linalg.sp_commutator(ms[i - 1], ms[j - 1])
-            k = next(x for x in (1, 2, 3) if x not in (i, j))
-            target = linalg.sp_scale(eps3(i, j, k), ms[k - 1])
-            # find c with cm = c * target, read at target's first entry
-            if not target:
-                return None
-            key = min(target)
-            c = cm.get(key, 0) / target[key]
-            if cm != linalg.sp_scale(c, target):
-                return None
-            if scale is None:
-                scale = c
-            elif scale != c:
-                return None
-        return scale if scale else None
-
-    sp = su2_pattern(p_mats)
-    sq = su2_pattern(q_mats)
-    pattern_ok = sp is not None and sq is not None
-
-    # express k1, k2 in the (P, Q) basis and compare with block Killing forms:
-    # write each new generator in wedge-pair coordinates, then transform the
-    # bilinear forms.
-    sum_ok = diff_ok = False
-    if pattern_ok and commutes:
-        basis = p_mats + q_mats
-        span = _span_system([fa.ad_matrix(pa) for pa in pairs])
-        coords_new = [_coordinates(span, 6, m) for m in basis]
-        k1_new = [[sum(coords_new[u][i] * coords_new[v][j] * k1_mat[i][j]
-                       for i in range(6) for j in range(6)) for v in range(6)]
-                  for u in range(6)]
-        k2_new = [[sum(coords_new[u][i] * coords_new[v][j] * k2_mat[i][j]
-                       for i in range(6) for j in range(6)) for v in range(6)]
-                  for u in range(6)]
-
-        def blocks(m):
-            a = [row[:3] for row in m[:3]]
-            b = [row[3:] for row in m[3:]]
-            off1 = [row[3:] for row in m[:3]]
-            off2 = [row[:3] for row in m[3:]]
-            return a, b, off1, off2
-
-        def kill3(ms):
-            # the adjoint matrices of the 3-dim span in its own basis
-            span = _span_system(ms)
-            ads = [{(k, j): v for j in range(3)
-                    for k, v in enumerate(_coordinates(span, 3, linalg.sp_commutator(mi, ms[j])))
-                    if v} for mi in ms]
-            return [[linalg.sp_trace(ads[i], ads[j]) for j in range(3)] for i in range(3)]
-
-        kp = kill3(p_mats)
-        kq = kill3(q_mats)
-
-        def block_scales(form, kpm, kqm):
-            # form must be block-diagonal with blocks lam_p * kp, lam_q * kq;
-            # returns (lam_p, lam_q) or None
-            a, b, o1, o2 = blocks(form)
-            zero33 = linalg.zeros(3, 3)
-            if not (o1 == zero33 and o2 == zero33):
-                return None
-            out = []
-            for blk, ref in ((a, kpm), (b, kqm)):
-                flat_b = [x for row in blk for x in row]
-                flat_r = [x for row in ref for x in row]
-                nz = next((t for t, x in enumerate(flat_r) if x != 0), None)
-                if nz is None:
-                    return None
-                lam = flat_b[nz] / flat_r[nz]
-                if any(flat_b[t] != lam * flat_r[t] for t in range(9)):
-                    return None
-                out.append(lam)
-            return tuple(out)
-
-        # "sum": both blocks on one common positive ray of the block Killing
-        # forms; "difference": same common ray with opposite signs.
-        s1 = block_scales(k1_new, kp, kq)
-        sum_ok = s1 is not None and s1[0] == s1[1] and s1[0] != 0
-        s2 = block_scales(k2_new, kp, kq)
-        diff_ok = s2 is not None and s2[0] == -s2[1] and s2[0] != 0
-
-    return So4SplitReport(k1_ok, k2_eps, k2_sig, k1_inv, k2_inv,
-                          commutes, pattern_ok, sum_ok, diff_ok)
+def _kernel(m):
+    """A basis of the kernel of the dense matrix m: one vector for each
+    non-pivot column f, with coordinate f set to 1 and every other non-pivot
+    coordinate 0 (dropping a non-pivot column keeps the pivots of the rest)."""
+    rows = [{j: v for j, v in enumerate(row) if v} for row in m]
+    pivots = linalg.integer_echelon(rows)
+    out = []
+    for f in range(len(m[0])):
+        if f not in pivots:
+            x = linalg.solve([{j: v for j, v in row.items() if j != f} for row in rows],
+                             len(m[0]), [-row.get(f, 0) for row in rows])
+            x[f] = Fraction(1)
+            out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from itertools import combinations, product
 
 from . import linalg
 from .cohomology import CohomologyReport, apply_rows, integer_scaling, unscale_rows
-from .filippov import FARepresentation, FilippovAlgebra, check_fi, fundamental_compose
+from .filippov import FARepresentation, FilippovAlgebra, check_fi
 from .scalars import ZERO, accumulate, is_zero, rat
 from .tensors import insert_sign, sort_blocks
 
@@ -449,36 +449,36 @@ def homology_boundary(fa: FilippovAlgebra, chain):
 
         d(X_1..X_p, Z) = sum_{i<j} (-1)^i (..^i.., X_i.X_j, .., Z)
                        + sum_i (-1)^i (..^i.., X_i . Z)
-    """
+
+    with X_i.X_j and X_i . Z read from `fundamental_tables`."""
+    return _boundary(fundamental_tables(fa), chain)
+
+
+def _boundary(tables, chain):
+    _, bracket, action = tables
     out = {}
-
-    def add(blocks, z, v):
-        canon, sign = sort_blocks(blocks)
-        if sign:
-            accumulate(out, (canon, z), sign * v)
-
     for blocks, z, coeff in chain:
-        p = len(blocks)
-        for i in range(p):
-            rest = [blocks[t] for t in range(p) if t != i]
-            for j in range(i + 1, p):
-                comp = fundamental_compose(fa, blocks[i], blocks[j])
-                for lab, v in comp.items():
-                    rest2 = list(rest)
-                    rest2[j - 1] = lab
-                    add(rest2, z, (-1) ** (i + 1) * coeff * v)
-            for l, v in fa.f_row(tuple(blocks[i]) + (z,)).items():
-                add(rest, l, (-1) ** (i + 1) * coeff * v)
+        blocks, sign = sort_blocks(blocks)  # the boundary is linear in each block
+        for i in range(len(blocks) if sign else 0):
+            rest = blocks[:i] + blocks[i + 1:]
+            c = (-1) ** (i + 1) * sign * coeff
+            for j in range(i + 1, len(blocks)):
+                for lab, v in bracket[blocks[i], blocks[j]].items():
+                    accumulate(out, (rest[:j - 1] + (lab,) + rest[j:], z), c * v)
+            for l, v in action[blocks[i], z].items():
+                accumulate(out, (rest, l), c * v)
     return out
 
 
 def duality_pairing_holds(fa: FilippovAlgebra, alpha: NCochain, chains) -> bool:
     """alpha(boundary(c)) = (delta alpha)(c) on every basis chain c =
-    (blocks, z) of chains; delta alpha is evaluated at all of them at once."""
+    (blocks, z) of chains; delta alpha is evaluated at all of them at once,
+    and the boundaries read one set of `fundamental_tables`."""
+    tables = fundamental_tables(fa)
     chains = [(list(blocks), z) for blocks, z in chains]
     for (blocks, z), rhs in zip(chains, _evals(fa, alpha, "trivial", None, chains)):
         lhs = Fraction(0)
-        for (bs, l), v in homology_boundary(fa, [(tuple(blocks), z, Fraction(1))]).items():
+        for (bs, l), v in _boundary(tables, [(tuple(blocks), z, Fraction(1))]).items():
             key = tuple(bs[:-1]) + (tuple(bs[-1]) + (l,),) if alpha.order else (l,)
             lhs += v * alpha.value(key)[0]
         if lhs != rhs[0]:

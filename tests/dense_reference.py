@@ -44,6 +44,13 @@ reference here takes its shuffles from this `shuffle_splits`.
 The pair resolution of the epsilon symbol with one `gen_kronecker` call per
 symbol, the slow reference of the pair half of
 `tensors.eps_identities_check`.
+
+The plus/minus split of the inner derivations of the euclidean 3-algebra on
+R^4 into two su(2) blocks, with its report type and its invariance scan on
+wedge-label pairs: the A4 reference of `filippov.gauge_algebra`.  The
+homology boundary as first written, with one `fundamental_compose` tensor
+per block pair and one `f_row` per (block, z): the reference of
+`nary_cohomology.homology_boundary`, which reads `fundamental_tables`.
 """
 
 from dataclasses import dataclass, field
@@ -51,8 +58,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from naryalg import cohomology, linalg
-from naryalg.filippov import (CliffordReport, FilippovAlgebra, FIReport, So4SplitReport,
-                              _invariance_residual_on_pairs, _wedge_pairs, check_metric_fa,
+from naryalg.filippov import (CliffordReport, FilippovAlgebra, FIReport, check_metric_fa,
                               fundamental_compose, kasymov_form, simple_fa)
 from naryalg.lie import (JacobiReport, LieAlgebra, MetricReport, Representation,
                         SymInvariantPoly, killing_form)
@@ -60,7 +66,7 @@ from naryalg.poisson import GPSReport, NPReport, _decomposable_hint
 from naryalg.poly import Poly, add_product
 from naryalg.scalars import ZERO, GaussianRational, LinearForm, accumulate, is_zero, rat
 from naryalg.tensors import (AntisymTensor, gen_kronecker, merge_sign, perm_sign, ray_equal,
-                             sort_sign)
+                             sort_blocks, sort_sign)
 
 
 def rref(mat):
@@ -545,6 +551,48 @@ def orthogonal_relations_hold(fa) -> bool:
     return True
 
 
+@dataclass
+class So4SplitReport:
+    k1_matches_pattern: bool
+    k2_is_epsilon_ray: bool
+    k2_signature: tuple
+    k1_invariant: bool
+    k2_invariant: bool
+    split_commutes: bool
+    split_su2_pattern: bool
+    k1_sum_of_blocks: bool
+    k2_difference_of_blocks: bool
+
+
+def _wedge_pairs(d):
+    return list(combinations(range(1, d + 1), 2))
+
+
+def _invariance_residual_on_pairs(fa, kval):
+    """Z . k(X, Y) = k(Z.X, Y) + k(X, Z.Y) = 0 over basis wedge labels, where
+    k is a dict on sorted wedge-label pairs."""
+    def kread(x, y):
+        kx, sx = sort_sign(x)
+        ky, sy = sort_sign(y)
+        if sx == 0 or sy == 0:
+            return Fraction(0)
+        key = (kx, ky) if (kx, ky) in kval else (ky, kx)
+        return sx * sy * kval.get(key, Fraction(0))
+
+    labels = _wedge_pairs(fa.dim)
+    for z in labels:
+        for x in labels:
+            for y in labels:
+                tot = Fraction(0)
+                for lab, v in fundamental_compose(fa, z, x).items():
+                    tot += v * kread(lab, y)
+                for lab, v in fundamental_compose(fa, z, y).items():
+                    tot += v * kread(x, lab)
+                if tot != 0:
+                    return (z, x, y)
+    return None
+
+
 def k2_invariant_and_so4_split(fa):
     """The two rank-two invariants of the euclidean 3-algebra on R^4 and the
     plus/minus split of its inner-derivation algebra.
@@ -563,7 +611,9 @@ def k2_invariant_and_so4_split(fa):
 
     # k1 = Tr(ad ad); ray-equal to the pattern
     # -(d_{a1b1} d_{a2b2} - d_{b1a2} d_{a1b2})  (here: -2x the pattern)
-    _, k1_vals, k1_mat = kasymov_form(fa)
+    _, k1_mat = kasymov_form(fa)
+    k1_vals = {(pairs[i], pairs[j]): k1_mat[i][j]
+               for i in range(6) for j in range(i, 6) if k1_mat[i][j]}
     pattern = {}
     for i, (a1, a2) in enumerate(pairs):
         for j, (b1, b2) in enumerate(pairs):
@@ -715,6 +765,35 @@ def k2_invariant_and_so4_split(fa):
 
     return So4SplitReport(k1_ok, k2_eps, k2_sig, k1_inv, k2_inv,
                           commutes, pattern_ok, sum_ok, diff_ok)
+
+
+def homology_boundary(fa, chain):
+    """chain: (blocks tuple, z, coeff) triples; boundary per the dual of the
+    trivial coboundary:
+
+        d(X_1..X_p, Z) = sum_{i<j} (-1)^i (..^i.., X_i.X_j, .., Z)
+                       + sum_i (-1)^i (..^i.., X_i . Z)
+    """
+    out = {}
+
+    def add(blocks, z, v):
+        canon, sign = sort_blocks(blocks)
+        if sign:
+            accumulate(out, (canon, z), sign * v)
+
+    for blocks, z, coeff in chain:
+        p = len(blocks)
+        for i in range(p):
+            rest = [blocks[t] for t in range(p) if t != i]
+            for j in range(i + 1, p):
+                comp = fundamental_compose(fa, blocks[i], blocks[j])
+                for lab, v in comp.items():
+                    rest2 = list(rest)
+                    rest2[j - 1] = lab
+                    add(rest2, z, (-1) ** (i + 1) * coeff * v)
+            for l, v in fa.f_row(tuple(blocks[i]) + (z,)).items():
+                add(rest, l, (-1) ** (i + 1) * coeff * v)
+    return out
 
 
 def check_fa_representation(fa, rho) -> bool:

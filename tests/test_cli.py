@@ -54,6 +54,21 @@ def test_negative_pmax_is_an_input_error(tmp_path, capsys, command):
     assert "degree must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["simple-fa", "--n", "0"], "arity n >= 2, got 0"),
+    (["simple-fa", "--n", "1"], "arity n >= 2, got 1"),
+    (["nhw", "--N", "0"], "N >= 1 blocks, got 0"),
+    (["nhw", "--N", "-1"], "N >= 1 blocks, got -1"),
+    (["simple-fa", "--signs", "++x+"], "--signs takes only + and -, got '++x+'"),
+])
+def test_generate_rejects_what_it_cannot_write(tmp_path, capsys, args, message):
+    # each of these once wrote a file, exit 0, that `check` then refused
+    out = tmp_path / "out.alg"
+    assert cli.main(["generate", *args, "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("complex_kind", ["trivial", "deformation"])
 def test_adjoint_rep_rejected_where_it_has_no_meaning(a4_file, capsys, complex_kind):
     assert cli.main(["cohomology", a4_file, "--complex", complex_kind, "--rep", "ad"]) == 2

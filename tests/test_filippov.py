@@ -13,13 +13,14 @@ from naryalg.filippov import (FI_FORMS, FilippovAlgebra,
                               check_fi, check_metric_fa, clifford_realization,
                               compose_matches_commutator, derivation_space_dim,
                               direct_sum, fundamental_compose, gamma_matrices,
-                              inder_lie_algebra, k2_invariant_and_so4_split,
+                              gauge_algebra, inder_lie_algebra,
                               kasymov_bilinear_nondegenerate, kasymov_form,
                               orthogonal_relations_hold, semisimplicity_check,
                               simple_fa, subordinate, trace_extension_bracket,
                               trace_extension_structure, vector_product)
-from naryalg.lie import check_jacobi
-from naryalg.tensors import AntisymTensor
+from naryalg.lie import check_jacobi, killing_form
+from naryalg.nary_cohomology import fa_cohomology_dims
+from naryalg.tensors import AntisymTensor, gen_kronecker, ray_equal
 
 
 def basis_vec(i, d):
@@ -185,18 +186,18 @@ def test_all_derivations_inner_for_simple():
 
 def test_kasymov_su2_proportional_to_minus_identity():
     fa = simple_fa(2, (1, 1, 1))
-    _, _, mat = kasymov_form(fa)
+    _, mat = kasymov_form(fa)
     assert mat == [[-2 * x for x in row] for row in linalg.identity(3)]
 
 
 def test_kasymov_a4_diagonal_nonzero():
-    labels, vals, mat = kasymov_form(a4())
+    labels, mat = kasymov_form(a4())
     assert all(mat[i][i] != 0 for i in range(len(labels)))
     assert all(mat[i][j] == 0 for i in range(6) for j in range(6) if i != j)
 
 
 def test_kasymov_abelian_zero():
-    _, _, mat = kasymov_form(FilippovAlgebra(3, 4, {}))
+    _, mat = kasymov_form(FilippovAlgebra(3, 4, {}))
     assert mat == linalg.zeros(6, 6)
 
 
@@ -284,7 +285,7 @@ def test_spans_and_ranks_match_dense_reference(name):
     assert {idx + (j,): v for idx, j, v in ind.lie.entries()} == entries
     assert semisimplicity_check(fa) == reference_semisimple(fa)
     assert derivation_space_dim(fa) == reference_derivation_dim(fa)
-    _, _, k = kasymov_form(fa)
+    _, k = kasymov_form(fa)
     assert kasymov_bilinear_nondegenerate(fa) == (dense.rank(k) == len(k))
 
 
@@ -328,11 +329,119 @@ def test_subordinated_metric_algebra_stays_metric():
 
 
 # ---------------------------------------------------------------------------
-# the rank-two invariants and the plus/minus split
+# the BLG gauge algebra
 # ---------------------------------------------------------------------------
 
+def w_so3():
+    """W(so(3)) on u = e1, so(3) = e2..e4 with kappa = delta, v = e5:
+    [u, x, y] = [x, y] and [x, y, z] = -kappa([x, y], z) v, with the metric
+    <u, v> = 1 and kappa on e2..e4 (Gomis-Milanesi-Russo arXiv:0805.1012)."""
+    f = {(1, 2, 3): {4: Fraction(1)}, (1, 2, 4): {3: Fraction(-1)},
+         (1, 3, 4): {2: Fraction(1)}, (2, 3, 4): {5: Fraction(-1)}}
+    g = linalg.zeros(5, 5)
+    g[0][4] = g[4][0] = g[1][1] = g[2][2] = g[3][3] = Fraction(1)
+    return FilippovAlgebra(3, 5, f), g
+
+
+def a13_metric():
+    g = linalg.identity(4)
+    g[0][0] = Fraction(-1)
+    return g
+
+
+GAUGE = {"a4": lambda: (a4(), linalg.identity(4)),
+         "a13": lambda: (a13(), a13_metric()),
+         "a4+a4": lambda: (direct_sum(a4(), a4()), linalg.identity(8)),
+         "w_so3": w_so3}
+
+
+@pytest.mark.parametrize("name,dim_inder,signature,levels", [
+    # pinned: the four rows below were computed, not derived
+    ("a4", 6, (3, 3, 0), {Fraction(-1, 2): 3, Fraction(1, 2): 3}),
+    ("a13", 6, (3, 3, 0), {}),
+    ("a4+a4", 12, (6, 6, 0), {Fraction(-1, 2): 6, Fraction(1, 2): 6}),
+    ("w_so3", 6, (3, 3, 0), None),
+])
+def test_gauge_algebra_is_pinned(name, dim_inder, signature, levels):
+    ga = gauge_algebra(*GAUGE[name]())
+    assert len(ga.inder.basis_labels) == dim_inder
+    assert ga.k2_signature == signature
+    assert ga.ill_defined_at is None
+    assert ga.k1_invariant and ga.k2_invariant
+    if levels is None:
+        assert ga.levels is None and linalg.det(ga.k1) == 0
+    else:
+        assert {lam: len(basis) for lam, basis in ga.levels.items()} == levels
+
+
+def restrict(k, basis):
+    return [[sum(u[i] * k[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+             for v in basis] for u in basis]
+
+
+@pytest.mark.parametrize("name", ["a4", "a13", "a4+a4"])
+def test_levels_are_eigenspaces_where_k2_is_lambda_k1(name):
+    ga = gauge_algebra(*GAUGE[name]())
+    j = dense.mat_mul(linalg.inverse(ga.k1), ga.k2)
+    for lam, basis in ga.levels.items():
+        assert linalg.rank([{t: x for t, x in enumerate(u) if x} for u in basis]) == len(basis)
+        assert all(dense.mat_mul(j, [[x] for x in u]) == [[lam * x] for x in u] for u in basis)
+        assert restrict(ga.k2, basis) == [[lam * x for x in row] for row in restrict(ga.k1, basis)]
+        # an ideal: the bracket of the basis with the whole algebra stays inside
+        for u in basis:
+            for e in linalg.identity(len(j)):
+                w = ga.inder.lie.bracket(u, e)
+                assert linalg.solve([{t: b[r] for t, b in enumerate(basis) if b[r]}
+                                     for r in range(len(w))], len(basis), w) is not None
+    if name == "a13":
+        # so(3,1) is simple over R: J^2 = -1/4 has no rational eigenvalue
+        assert dense.mat_mul(j, j) == [[Fraction(-1, 4) * x for x in row]
+                                 for row in linalg.identity(len(j))]
+
+
+def so4_split_from_gauge_algebra():
+    """The nine fields of the A4 so(4) split, read off the gauge algebra:
+    the level ideals are the two su(2) blocks."""
+    ga = gauge_algebra(a4(), linalg.identity(4))
+    labels = ga.inder.basis_labels
+    assert labels == list(combinations(range(1, 5), 2))
+    r = len(labels)
+    # on sorted pairs -(d_{a1b1} d_{a2b2} - d_{b1a2} d_{a1b2}) is -1 on the diagonal
+    k1_pattern = ray_equal({(i, j): v for i, row in enumerate(ga.k1) for j, v in enumerate(row)
+                            if v}, {(i, i): -1 for i in range(r)})
+    eps = {(i, j): gen_kronecker((1, 2, 3, 4), labels[i] + labels[j])
+           for i in range(r) for j in range(r)}
+    k2_eps = ray_equal({(i, j): v for i, row in enumerate(ga.k2) for j, v in enumerate(row)
+                        if v}, {key: v for key, v in eps.items() if v})
+    blocks = [ga.levels[lam] for lam in sorted(ga.levels)]
+    killing = killing_form(ga.inder.lie)
+    commutes = all(not any(ga.inder.lie.bracket(u, v)) for u in blocks[0] for v in blocks[1])
+    su2 = all(linalg.signature(restrict(killing, b)) == (0, 3, 0) for b in blocks)
+
+    def scales(k):
+        # the block scales lam with k = lam * Killing on each block, or None
+        # when k couples the blocks or is off the Killing ray on one
+        if any(restrict(k, blocks[0] + blocks[1])[i][j] for i in range(3) for j in range(3, 6)):
+            return None
+        out = []
+        for b in blocks:
+            kb, ref = restrict(k, b), restrict(killing, b)
+            lam = kb[0][0] / ref[0][0]
+            if kb != [[lam * x for x in row] for row in ref]:
+                return None
+            out.append(lam)
+        return out
+
+    s1, s2 = scales(ga.k1), scales(ga.k2)
+    assert s1 == [Fraction(1, 2)] * 2 and s2 == [Fraction(-1, 4), Fraction(1, 4)]
+    return dense.So4SplitReport(k1_pattern, k2_eps, ga.k2_signature[:2], ga.k1_invariant,
+                                ga.k2_invariant, commutes, su2,
+                                s1 is not None and s1[0] == s1[1] != 0,
+                                s2 is not None and s2[0] == -s2[1] != 0)
+
+
 def test_so4_split_report_all_green():
-    rep = k2_invariant_and_so4_split(a4())
+    rep = dense.k2_invariant_and_so4_split(a4())
     assert rep.k1_matches_pattern
     assert rep.k2_is_epsilon_ray
     assert rep.k2_signature == (3, 3)
@@ -341,9 +450,35 @@ def test_so4_split_report_all_green():
     assert rep.k1_sum_of_blocks and rep.k2_difference_of_blocks
 
 
-def test_so4_split_rejects_wrong_algebra():
-    with pytest.raises(ValueError):
-        k2_invariant_and_so4_split(a5())
+def test_so4_split_is_read_off_the_gauge_algebra():
+    assert so4_split_from_gauge_algebra() == dense.k2_invariant_and_so4_split(a4())
+
+
+def stretched():
+    g = linalg.identity(4)
+    g[3][3] = Fraction(2)
+    return g
+
+
+@pytest.mark.parametrize("fa,g,match", [
+    (a5, lambda: linalg.identity(5), "arity 4"),
+    (a4, stretched, "not invariant"),
+    (a4, lambda: linalg.zeros(4, 4), "singular"),
+])
+def test_gauge_algebra_rejects_what_has_none(fa, g, match):
+    with pytest.raises(ValueError, match=match):
+        gauge_algebra(fa(), g())
+
+
+def test_w_so3_is_pinned():
+    # pinned: computed values, not derived
+    fa, g = w_so3()
+    assert all(check_fi(fa, form).ok for form in FI_FORMS)
+    assert check_metric_fa(fa, g).metric and linalg.signature(g) == (4, 1, 0)
+    assert derivation_space_dim(fa) == 8
+    assert len(inder_lie_algebra(fa).basis_labels) == 6
+    assert fa_cohomology_dims(fa, "trivial", 1).dims_h == {0: 1, 1: 0}
+    assert fa_cohomology_dims(fa, "deformation", 1).dims_h == {0: 8, 1: 1}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from naryalg.catalog import a4, a5, nhw, su, sun_basis
 from naryalg.cohomology import quadratic_casimir
 from naryalg.filippov import (adjoint_fa_representation, ad_of_sum, check_fa_representation,
                               clifford_realization, compose_matches_commutator,
-                              fundamental_compose, gamma_matrices, k2_invariant_and_so4_split,
+                              fundamental_compose, gamma_matrices,
                               orthogonal_relations_hold, so_dual_generators,
                               trace_extension_bracket, trace_extension_structure)
 from naryalg.gla import multibracket, multibracket_weighted, odd_arity_defect, resolve_even_bracket
@@ -118,7 +118,7 @@ def test_associator_check_matches_dense(n):
 
 
 # ---------------------------------------------------------------------------
-# the euclidean simple algebras and the so(4) split
+# the euclidean simple algebras
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["a4", "a5"])
@@ -128,10 +128,6 @@ def test_so_dual_generators_and_relations_match_dense(name):
     assert sorted(got) == sorted(want)
     assert all(dense.to_dense(got[key], fa.dim) == want[key] for key in want)
     assert orthogonal_relations_hold(fa) == dense.orthogonal_relations_hold(fa) is True
-
-
-def test_so4_split_matches_dense():
-    assert k2_invariant_and_so4_split(a4()) == dense.k2_invariant_and_so4_split(a4())
 
 
 # ---------------------------------------------------------------------------
