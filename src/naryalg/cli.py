@@ -314,7 +314,8 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--N", type=int, default=1)
-    p.add_argument("--signs", default=None, help="e.g. ++++ or -+++")
+    p.add_argument("--signs", default=None,
+                   help="e.g. --signs ++++, or --signs=-+++ for a string that starts with -")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_generate)
 

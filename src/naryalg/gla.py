@@ -17,6 +17,11 @@ the common denominator D of all real and imaginary parts, runs its subset
 programme on int (re, im) pairs, and divides by D^n once.  Its values are
 `GaussianRational` when some input value is, else `Fraction`.
 
+Integer tables.  The GJI and the mixed identity read the tables of D C
+(`BracketTensor.integer_scaled`); they are bilinear in their tables, so the
+factors move no zero and no witness.  `gla_from_cocycle` raises D' Omega
+through the sparse int rows of D'' kinv and divides each constant once.
+
 Residual conventions.  The epsilon-contracted identities are evaluated as
 shuffle sums over ordered block splits; these differ from the literal
 Levi-Civita contraction by the product of the block factorials, which never
@@ -31,7 +36,7 @@ from itertools import combinations
 
 from . import linalg
 from .lie import LieAlgebra, killing_form
-from .scalars import GaussianRational, accumulate, common_denominator
+from .scalars import GaussianRational, accumulate, common_denominator, scaled_to_ints
 from .tensors import AntisymTensor, BracketTensor, merge_sign, shuffle_splits, sort_sign, wedge
 
 
@@ -196,36 +201,41 @@ def nested_bracket_residuals(c1: dict, n1: int, c2: dict, n2: int, dim: int) -> 
 
         R_M^s = sum_{A+B=M} sign sum_l c1_A^l c2_{B l}^s
 
-    over sorted (n1 + n2 - 1)-tuples M; only nonzero residuals are returned.
-    Used for the GJI (c1 = c2), the mixed identity, and the short form of the
-    Filippov identity.
+    over sorted (n1 + n2 - 1)-tuples M; only nonzero residuals are returned,
+    in the value type of the tables.  Used for the GJI (c1 = c2) and the
+    mixed identity.  Index sets are bitmasks while the sums run.
     """
-    by_member = {}
+    by_member = {}  # l -> [(mask of B, sign moving l to the end, row)]
     for idx, row in c2.items():
+        mask = sum(1 << i for i in idx)
         for pos, l in enumerate(idx):
-            by_member.setdefault(l, []).append((idx, pos, row))
+            move = -1 if (len(idx) - 1 - pos) & 1 else 1
+            by_member.setdefault(l, []).append((mask & ~(1 << l), move, row))
     res = {}
     for a_idx, row1 in c1.items():
+        a_mask = sum(1 << i for i in a_idx)
+        below = [(1 << x) - 1 for x in a_idx]
         for l, v1 in row1.items():
-            for (b_full, pos, row2) in by_member.get(l, []):
-                b_rest = b_full[:pos] + b_full[pos + 1:]
-                if set(a_idx) & set(b_rest):
+            for b_mask, move, row2 in by_member.get(l, ()):
+                if a_mask & b_mask:
                     continue
-                # value of c2 at (b_rest..., l): move l from pos to the end
-                move = (-1) ** (len(b_full) - 1 - pos)
-                sign = merge_sign(a_idx, b_rest) * move
-                key_m = tuple(sorted(a_idx + b_rest))
+                inv = 0
+                for lo in below:
+                    inv += (b_mask & lo).bit_count()
+                coeff = -move * v1 if inv & 1 else move * v1
+                key_m = a_mask | b_mask
                 for s, v2 in row2.items():
-                    accumulate(res, (key_m, s), sign * v1 * v2)
-    return res
+                    accumulate(res, (key_m, s), coeff * v2)
+    return {(tuple(i for i in range(1, dim + 1) if key_m >> i & 1), s): v
+            for (key_m, s), v in res.items()}
 
 
 def check_gji(g: GLAlgebra) -> IdentityReport:
     """C_{[j_1..j_n}^l C_{j_{n+1}..j_{2n-1}]l}^s = 0, shuffle-normalized."""
-    res = nested_bracket_residuals(g.c, g.arity, g.c, g.arity, g.dim)
+    c = g.integer_scaled()[1].c
+    res = nested_bracket_residuals(c, g.arity, c, g.arity, g.dim)
     if res:
-        key = min(res)
-        return IdentityReport(False, key)
+        return IdentityReport(False, min(res))
     return IdentityReport(True)
 
 
@@ -234,8 +244,8 @@ def check_mgji(g1: GLAlgebra, g2: GLAlgebra) -> IdentityReport:
     two even-arity algebras on the same space (both nesting orders)."""
     if g1.dim != g2.dim:
         raise ValueError("dimension mismatch")
-    for ca, na, cb, nb in ((g1.c, g1.arity, g2.c, g2.arity),
-                           (g2.c, g2.arity, g1.c, g1.arity)):
+    c1, c2 = g1.integer_scaled()[1].c, g2.integer_scaled()[1].c
+    for ca, na, cb, nb in ((c1, g1.arity, c2, g2.arity), (c2, g2.arity, c1, g1.arity)):
         res = nested_bracket_residuals(ca, na, cb, nb, g1.dim)
         if res:
             return IdentityReport(False, min(res))
@@ -254,16 +264,21 @@ def gla_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> GLAlgebra:
     if cocycle_condition_residual(alg, omega) is not None:
         raise ValueError("input is not a cocycle")
     kinv = linalg.inverse(killing_form(alg))
+    dk = common_denominator([x for row in kinv for x in row])
+    up = [scaled_to_ints({j: x for j, x in enumerate(row, 1) if x}, dk) for row in kinv]
+    dw = common_denominator(omega.entries.values())
     c = {}
-    for idx, v in omega.entries.items():
+    for idx, w in scaled_to_ints(omega.entries, dw).items():
         # every slot of the sorted entry may play the raised index
         for t in range(len(idx)):
-            body = idx[:t] + idx[t + 1:]
-            move = (-1) ** (len(idx) - 1 - t)
-            row = c.setdefault(body, {})
-            for j in range(1, alg.dim + 1):
-                accumulate(row, j, move * v * kinv[idx[t] - 1][j - 1])
-    out = GLAlgebra(omega.rank - 1, alg.dim, {k: v for k, v in c.items() if v})
+            row = c.setdefault(idx[:t] + idx[t + 1:], {})
+            w_t = -w if (len(idx) - 1 - t) & 1 else w
+            for j, x in up[idx[t] - 1].items():
+                accumulate(row, j, w_t * x)
+    den = dw * dk
+    out = GLAlgebra(omega.rank - 1, alg.dim,
+                    {body: {j: Fraction(v, den) for j, v in row.items()}
+                     for body, row in c.items() if row})
     rep = check_gji(out)
     if not rep.ok:
         raise AssertionError(f"GJI failed at {rep.witness}")

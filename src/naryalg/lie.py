@@ -4,6 +4,13 @@ polynomials, and the two-way bridge between invariant polynomials and
 odd-rank cocycles.  `LieAlgebra` is the arity-2 `tensors.BracketTensor`;
 that class is the one storage of structure constants.
 
+Integer tables.  The Jacobi, Killing and metric scans, `check_invariance`,
+`cocycle_from_invariant_poly` and `cocycle_condition_residual` sum ints:
+the rows of D C (`BracketTensor.integer_scaled`), the tail table of D' k
+(`_poly_table`) and D'' Omega.  Every residual is linear in each of them,
+so the factors move no zero and no witness; an output entry is divided by
+its factor once, into a `Fraction`.
+
 Conventions.  Structure constants C_{ij}^k are real rationals with
 [X_i, X_j] = C_{ij}^k X_k in an antihermitian-type basis.  The su(n)
 constructor also returns the hermitian-pattern matrices used for trace
@@ -13,12 +20,14 @@ real constants serve both.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from . import linalg
-from .scalars import GaussianRational, accumulate, common_denominator, is_zero, rat
+from .scalars import (GaussianRational, accumulate, common_denominator, is_zero, rat,
+                      scaled_to_ints)
 from .tensors import AntisymTensor, BracketTensor, fold_antisym, ray_equal, shuffle_splits
 
 
@@ -349,18 +358,39 @@ class SymInvariantPoly:
         return not self.terms
 
 
+def _poly_table(k: SymInvariantPoly):
+    """(D, table): D the common denominator of k's values, and the table
+    from each sorted tail (k's last m-1 slots) to {rho: D k_{rho tail}},
+    rho ascending; it holds k's nonzero values alone."""
+    d = common_denominator(k.terms.values())
+    table = {}
+    for idx, v in scaled_to_ints(k.terms, d).items():
+        for pos, rho in enumerate(idx):
+            if pos == 0 or idx[pos - 1] != rho:
+                table.setdefault(idx[:pos] + idx[pos + 1:], {})[rho] = v
+    return d, {tail: dict(sorted(row.items())) for tail, row in table.items()}
+
+
 def check_invariance(alg: LieAlgebra, k: SymInvariantPoly):
-    """First violation of sum_s C_{l i_s}^t k_{i_1..t..i_m} = 0, or None."""
-    m = k.order
-    for l in range(1, alg.dim + 1):
-        for idx in combinations_with_replacement(range(1, alg.dim + 1), m):
-            tot = Fraction(0)
-            for s in range(m):
-                for t, v in alg.c_row(l, idx[s]).items():
-                    tot += v * k.get(idx[:s] + (t,) + idx[s + 1:])
-            if tot != 0:
-                return (l, idx)
-    return None
+    """First violation of sum_s C_{l i_s}^t k_{i_1..t..i_m} = 0, or None.
+
+    The residual is scattered from k's nonzero terms: a term K and a slot
+    value t of K add count_i(idx) C_{li}^t k_K at (l, idx), idx = sorted(K
+    - t + i).  The least nonzero (l, idx) is the first a scan over l and
+    the sorted multisets idx reaches."""
+    cols = {}  # (l, t) -> {i: D C_{li}^t}
+    for (a, b), row in alg.integer_scaled()[1].c.items():
+        for t, v in row.items():
+            cols.setdefault((a, t), {})[b] = v
+            cols.setdefault((b, t), {})[a] = -v
+    res = {}
+    for tail, row in _poly_table(k)[1].items():
+        for t, w in row.items():
+            for l in range(1, alg.dim + 1):
+                for i, v in cols.get((l, t), {}).items():
+                    idx = tuple(sorted(tail + (i,)))
+                    accumulate(res, (l, idx), idx.count(i) * v * w)
+    return min(res) if res else None
 
 
 def _factorial(m):
@@ -462,6 +492,9 @@ def cocycle_from_invariant_poly(alg: LieAlgebra, k: SymInvariantPoly) -> Antisym
     one single slot, times 2 per pair for the in-pair arrangements.  Rejects
     non-invariant k; verifies the raw output is totally antisymmetric and a
     cocycle before returning it.
+
+    The tail table, read at every arrangement of a tail, gives every nonzero
+    k_{rho ..} at once; each entry is scaled by 2^{m-2}/(D^{m-1} D') once.
     """
     wit = check_invariance(alg, k)
     if wit is not None:
@@ -471,15 +504,18 @@ def cocycle_from_invariant_poly(alg: LieAlgebra, k: SymInvariantPoly) -> Antisym
     rank = 2 * m - 1
     if rank > r:
         return AntisymTensor(rank, r, {})
-    pair_factor = Fraction(2 ** (m - 2))
+    d, ialg = alg.integer_scaled()
+    rows = ialg.signed
+    dk, table = _poly_table(k)
+    table = {p: row for tail, row in table.items() for p in set(permutations(tail))}
 
     raw = {}
     for mid in combinations(range(1, r + 1), rank - 2):
         for blocks, sign in shuffle_splits(mid, [2] * (m - 2) + [1]):
             pairs, single = blocks[:-1], blocks[-1][0]
-            partial = [((), Fraction(1))]
+            partial = [((), sign)]
             for p in pairs:
-                row = alg.c.get(p)
+                row = ialg.c.get(p)
                 if not row:
                     partial = []
                     break
@@ -487,21 +523,20 @@ def cocycle_from_invariant_poly(alg: LieAlgebra, k: SymInvariantPoly) -> Antisym
             if not partial:
                 continue
             for sigma in range(1, r + 1):
-                last_row = alg.c_row(single, sigma)
-                if not last_row:
-                    continue
+                last_row = rows[single, sigma]
                 for ls, c in partial:
                     for lm, v in last_row.items():
-                        w = sign * pair_factor * c * v
-                        for rho in range(1, r + 1):
-                            kv = k.get((rho,) + ls + (lm,))
-                            if kv:
+                        k_row = table.get(ls + (lm,))
+                        if k_row:
+                            w = c * v
+                            for rho, kv in k_row.items():
                                 accumulate(raw, (rho,) + mid + (sigma,), w * kv)
 
     ent, bad = fold_antisym(raw)
     if bad is not None:
         raise ArithmeticError(f"constructed tensor not antisymmetric at {bad}")
-    out = AntisymTensor(rank, r, ent)
+    den = d ** (m - 1) * dk
+    out = AntisymTensor(rank, r, {key: Fraction(2 ** (m - 2) * v, den) for key, v in ent.items()})
     wit = cocycle_condition_residual(alg, out)
     if wit is not None:
         raise ArithmeticError(f"output fails the cocycle condition at {wit}")
@@ -510,19 +545,30 @@ def cocycle_from_invariant_poly(alg: LieAlgebra, k: SymInvariantPoly) -> Antisym
 
 def cocycle_condition_residual(alg: LieAlgebra, omega: AntisymTensor):
     """First violation of C_{[j1 j2}^k Omega_{i_1..i_{p-1}]k} = 0, or None;
-    the antisymmetrization is the shuffle sum over (2, p-1) splits."""
+    the antisymmetrization is the shuffle sum over (2, p-1) splits.
+
+    The residual is scattered from Omega's nonzero entries: one whose slot
+    t holds k adds sign * C_{ab}^k Omega at the sorted merge M of (a, b)
+    with its other p-1 slots.  The least nonzero M is the first a scan over
+    the sorted (p+1)-tuples reaches."""
     p = omega.rank
-    r = alg.dim
-    for m in combinations(range(1, r + 1), p + 1):
-        tot = Fraction(0)
-        for (pair, rest), sign in shuffle_splits(m, [2, p - 1]):
-            row = alg.c.get(pair)
-            if row:
-                for kk, v in row.items():
-                    tot += sign * v * omega.get(rest + (kk,))
-        if tot != 0:
-            return m
-    return None
+    into = {}  # k -> [(a, b, D C_{ab}^k)]
+    for (a, b), row in alg.integer_scaled()[1].c.items():
+        for kk, v in row.items():
+            into.setdefault(kk, []).append((a, b, v))
+    dw = common_denominator(omega.entries.values())
+    res = {}
+    for key, w in scaled_to_ints(omega.entries, dw).items():
+        for t, kk in enumerate(key):
+            rest = key[:t] + key[t + 1:]
+            w_t = -w if (p - 1 - t) & 1 else w  # Omega_{rest kk}
+            for a, b, v in into.get(kk, ()):
+                pa, pb = bisect_left(rest, a), bisect_left(rest, b)
+                if rest[pa:pa + 1] == (a,) or rest[pb:pb + 1] == (b,):
+                    continue
+                m_key = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
+                accumulate(res, m_key, -v * w_t if (pa + pb) & 1 else v * w_t)
+    return min(res) if res else None
 
 
 def invariance_condition_residual(alg: LieAlgebra, omega: AntisymTensor):

@@ -51,6 +51,15 @@ wedge-label pairs: the A4 reference of `filippov.gauge_algebra`.  The
 homology boundary as first written, with one `fundamental_compose` tensor
 per block pair and one `f_row` per (block, z): the reference of
 `nary_cohomology.homology_boundary`, which reads `fundamental_tables`.
+
+The bridge from invariant polynomials to cocycles and generalized Lie
+algebras as it stood before it ran on integer tables: the invariance scan
+over every (l, multiset) with one sorting `k.get` per term, the cocycle
+construction with one `k.get` per rho, the cocycle residual scan over every
+sorted (p+1)-tuple, the nested-bracket residuals with one `merge_sign` and
+one sort per term, the GJI and mixed-identity checks on the `Fraction`
+tables, and the raised-index GLA constants over dense inverse-Killing rows.
+They are the references of the bridge parity tests.
 """
 
 from dataclasses import dataclass, field
@@ -60,13 +69,14 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from naryalg import cohomology, linalg
 from naryalg.filippov import (CliffordReport, FilippovAlgebra, FIReport, check_metric_fa,
                               fundamental_compose, kasymov_form, simple_fa)
+from naryalg.gla import GLAlgebra, IdentityReport, lie_as_gla
 from naryalg.lie import (JacobiReport, LieAlgebra, MetricReport, Representation,
                         SymInvariantPoly, killing_form)
 from naryalg.poisson import GPSReport, NPReport, _decomposable_hint
 from naryalg.poly import Poly, add_product
 from naryalg.scalars import ZERO, GaussianRational, LinearForm, accumulate, is_zero, rat
-from naryalg.tensors import (AntisymTensor, gen_kronecker, merge_sign, perm_sign, ray_equal,
-                             sort_blocks, sort_sign)
+from naryalg.tensors import (AntisymTensor, fold_antisym, gen_kronecker, merge_sign, perm_sign,
+                             ray_equal, sort_blocks, sort_sign)
 
 
 def rref(mat):
@@ -1619,3 +1629,149 @@ def eps_pair_expansion_check(p: int, d: int) -> bool:
             if tot != gen_kronecker(upper, lower):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the polynomial -> cocycle -> GLA bridge on Fraction sums and sorting reads
+# ---------------------------------------------------------------------------
+
+def check_invariance(alg, k):
+    """First violation of sum_s C_{l i_s}^t k_{i_1..t..i_m} = 0, or None."""
+    m = k.order
+    for l in range(1, alg.dim + 1):
+        for idx in combinations_with_replacement(range(1, alg.dim + 1), m):
+            tot = Fraction(0)
+            for s in range(m):
+                for t, v in alg.c_row(l, idx[s]).items():
+                    tot += v * k.get(idx[:s] + (t,) + idx[s + 1:])
+            if tot != 0:
+                return (l, idx)
+    return None
+
+
+def cocycle_from_invariant_poly(alg, k):
+    """Rank-(2m-1) cocycle from an order-m invariant, one `k.get` per rho."""
+    wit = check_invariance(alg, k)
+    if wit is not None:
+        raise ValueError(f"polynomial is not invariant; residual at {wit}")
+    m = k.order
+    r = alg.dim
+    rank = 2 * m - 1
+    if rank > r:
+        return AntisymTensor(rank, r, {})
+    pair_factor = Fraction(2 ** (m - 2))
+
+    raw = {}
+    for mid in combinations(range(1, r + 1), rank - 2):
+        for blocks, sign in shuffle_splits(mid, [2] * (m - 2) + [1]):
+            pairs, single = blocks[:-1], blocks[-1][0]
+            partial = [((), Fraction(1))]
+            for p in pairs:
+                row = alg.c.get(p)
+                if not row:
+                    partial = []
+                    break
+                partial = [(ls + (l,), c * v) for ls, c in partial for l, v in row.items()]
+            if not partial:
+                continue
+            for sigma in range(1, r + 1):
+                last_row = alg.c_row(single, sigma)
+                if not last_row:
+                    continue
+                for ls, c in partial:
+                    for lm, v in last_row.items():
+                        w = sign * pair_factor * c * v
+                        for rho in range(1, r + 1):
+                            kv = k.get((rho,) + ls + (lm,))
+                            if kv:
+                                accumulate(raw, (rho,) + mid + (sigma,), w * kv)
+
+    ent, bad = fold_antisym(raw)
+    if bad is not None:
+        raise ArithmeticError(f"constructed tensor not antisymmetric at {bad}")
+    out = AntisymTensor(rank, r, ent)
+    wit = cocycle_condition_residual(alg, out)
+    if wit is not None:
+        raise ArithmeticError(f"output fails the cocycle condition at {wit}")
+    return out
+
+
+def cocycle_condition_residual(alg, omega):
+    """First violation of C_{[j1 j2}^k Omega_{i_1..i_{p-1}]k} = 0, or None,
+    scanning every sorted (p+1)-tuple."""
+    p = omega.rank
+    r = alg.dim
+    for m in combinations(range(1, r + 1), p + 1):
+        tot = Fraction(0)
+        for (pair, rest), sign in shuffle_splits(m, [2, p - 1]):
+            row = alg.c.get(pair)
+            if row:
+                for kk, v in row.items():
+                    tot += sign * v * omega.get(rest + (kk,))
+        if tot != 0:
+            return m
+    return None
+
+
+def nested_bracket_residuals(c1, n1, c2, n2, dim):
+    """R_M^s = sum_{A+B=M} sign sum_l c1_A^l c2_{B l}^s, nonzero entries only,
+    with one `merge_sign` and one sort per term."""
+    by_member = {}
+    for idx, row in c2.items():
+        for pos, l in enumerate(idx):
+            by_member.setdefault(l, []).append((idx, pos, row))
+    res = {}
+    for a_idx, row1 in c1.items():
+        for l, v1 in row1.items():
+            for (b_full, pos, row2) in by_member.get(l, []):
+                b_rest = b_full[:pos] + b_full[pos + 1:]
+                if set(a_idx) & set(b_rest):
+                    continue
+                move = (-1) ** (len(b_full) - 1 - pos)
+                sign = merge_sign(a_idx, b_rest) * move
+                key_m = tuple(sorted(a_idx + b_rest))
+                for s, v2 in row2.items():
+                    accumulate(res, (key_m, s), sign * v1 * v2)
+    return res
+
+
+def check_gji(g):
+    res = nested_bracket_residuals(g.c, g.arity, g.c, g.arity, g.dim)
+    if res:
+        return IdentityReport(False, min(res))
+    return IdentityReport(True)
+
+
+def check_mgji(g1, g2):
+    if g1.dim != g2.dim:
+        raise ValueError("dimension mismatch")
+    for ca, na, cb, nb in ((g1.c, g1.arity, g2.c, g2.arity),
+                           (g2.c, g2.arity, g1.c, g1.arity)):
+        res = nested_bracket_residuals(ca, na, cb, nb, g1.dim)
+        if res:
+            return IdentityReport(False, min(res))
+    return IdentityReport(True)
+
+
+def gla_from_cocycle(alg, omega):
+    """The raised-index constants over dense inverse-Killing rows, validated
+    by the reference GJI and mixed identity."""
+    if cocycle_condition_residual(alg, omega) is not None:
+        raise ValueError("input is not a cocycle")
+    kinv = linalg.inverse(killing_form(alg))
+    c = {}
+    for idx, v in omega.entries.items():
+        for t in range(len(idx)):
+            body = idx[:t] + idx[t + 1:]
+            move = (-1) ** (len(idx) - 1 - t)
+            row = c.setdefault(body, {})
+            for j in range(1, alg.dim + 1):
+                accumulate(row, j, move * v * kinv[idx[t] - 1][j - 1])
+    out = GLAlgebra(omega.rank - 1, alg.dim, {k: v for k, v in c.items() if v})
+    rep = check_gji(out)
+    if not rep.ok:
+        raise AssertionError(f"GJI failed at {rep.witness}")
+    rep = check_mgji(lie_as_gla(alg), out)
+    if not rep.ok:
+        raise AssertionError(f"mixed identity failed at {rep.witness}")
+    return out

@@ -69,6 +69,17 @@ def test_generate_rejects_what_it_cannot_write(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+def test_generate_takes_a_sign_string_that_starts_with_minus(tmp_path, capsys):
+    # argparse reads "--signs -+++" as a second option; the help gives the = form
+    out = tmp_path / "a13.alg"
+    assert cli.main(["generate", "simple-fa", "--n", "3", "--signs=-+++", "-o", str(out)]) == 0
+    assert out.read_text() == AlgebraFile.from_object(catalog.a13()).emit()
+    with pytest.raises(SystemExit):
+        cli.main(["generate", "--help"])
+    # the help is wrapped to the terminal, which may break a line at a hyphen
+    assert "--signs=-+++" in "".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("complex_kind", ["trivial", "deformation"])
 def test_adjoint_rep_rejected_where_it_has_no_meaning(a4_file, capsys, complex_kind):
     assert cli.main(["cohomology", a4_file, "--complex", complex_kind, "--rep", "ad"]) == 2

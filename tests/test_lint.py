@@ -11,11 +11,14 @@ constructions make no generic sparse product (they stay on `zi_*`), and no
 with `sort_sign`: the one sign-canonical container is
 `tensors.AntisymTensor`.  The two coboundary row kernels (`_ce_rows`,
 `_leibniz_delta`) build no `LinearForm` and call no sort kernel, and the
-identity scans (Jacobi, the three Filippov forms, the Killing form and the
-metric invariance scan) call no accessor that sorts its key on every read.
+identity scans (Jacobi, the derivation and short Filippov forms, the
+Killing form and the metric invariance scan) call no accessor that sorts
+its key on every read.
 The Poisson scans (`gps_check`, `np_check`) build no `Fraction` Poly and
 take no Schouten bracket: they read integer term maps; `shuffle_splits`
-derives no sign, which its cache holds per shape."""
+derives no sign, which its cache holds per shape.  The invariant-polynomial
+-> cocycle -> GLA bridge reads no sorting accessor of k, Omega or C and
+builds a `Fraction` only in the final division of an output entry."""
 
 import ast
 from pathlib import Path
@@ -325,7 +328,7 @@ def test_row_kernels_build_no_linear_form_and_sort_no_key(path):
 # no per-read sorting accessor inside them
 # ---------------------------------------------------------------------------
 
-SCANS = {"check_jacobi", "_fi_derivation", "_fi_short", "_fi_ghost", "killing_form",
+SCANS = {"check_jacobi", "_fi_derivation", "_fi_short", "killing_form",
          "check_metric_invariance"}
 PER_READ_ACCESSORS = {"row", "get", "c_row", "c_get", "f_row", "f_get", "sort_sign"}
 
@@ -351,12 +354,12 @@ def per_read_accessor_calls(source):
 def test_scan_sees_a_per_read_accessor_in_an_identity_scan():
     source = ("def check_jacobi(alg):\n    rows = alg.integer_scaled()[1].signed\n"
               "    return rows[1, 2], alg.c_get(1, 2, 3)\n"
-              "def _fi_ghost(fa):\n    def read(idx):\n"
+              "def _fi_short(fa):\n    def read(idx):\n"
               "        return fa.f.get(idx, {}), tensors.sort_sign(idx)\n    return read\n"
               "def killing_form(alg):\n    return [alg.row((i, j)) for i, j in alg.c]\n"
               "def bracket(alg, i, j):\n    return alg.c_row(i, j), f_get(i, j)\n")
-    assert per_read_accessor_calls(source) == [("check_jacobi", "c_get"), ("_fi_ghost", "get"),
-                                               ("_fi_ghost", "sort_sign"), ("killing_form", "row")]
+    assert per_read_accessor_calls(source) == [("check_jacobi", "c_get"), ("_fi_short", "get"),
+                                               ("_fi_short", "sort_sign"), ("killing_form", "row")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -417,3 +420,64 @@ def test_every_poisson_scan_and_split_kernel_is_in_the_tree():
     defined = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert set(FORBIDDEN_CALLS) <= defined
+
+
+# ---------------------------------------------------------------------------
+# the invariant-polynomial -> cocycle -> GLA bridge runs on integer tables:
+# no sorting read of k, Omega or C inside it, and `Fraction` only in the
+# final division of an output entry
+# ---------------------------------------------------------------------------
+
+BRIDGE_SCANS = {"_poly_table", "check_invariance", "cocycle_from_invariant_poly",
+                "cocycle_condition_residual", "gla_from_cocycle", "nested_bracket_residuals",
+                "check_gji", "check_mgji"}
+SORTING_READS = {"c_row", "c_get", "row", "sort_sign", "perm_sign"}
+# `SymInvariantPoly.get` and `AntisymTensor.get` sort their key on every read
+SORTING_RECEIVERS = {"k", "omega"}
+
+
+def bridge_violations(source):
+    """(function, name) of every sorting read, `.get` on k or omega, and
+    `Fraction` call other than a two-argument division inside a bridge
+    kernel, nested definitions included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name in BRIDGE_SCANS):
+            continue
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            name, f = accessor_name(call), call.func
+            if (name in SORTING_READS
+                    or (name == "get" and isinstance(f, ast.Attribute)
+                        and isinstance(f.value, ast.Name) and f.value.id in SORTING_RECEIVERS)
+                    or (name == "Fraction" and len(call.args) != 2)):
+                found.append((node.name, name))
+    return found
+
+
+def test_scan_sees_a_sorting_read_in_the_bridge():
+    source = ("def check_invariance(alg, k):\n    rows = alg.integer_scaled()[1].c\n"
+              "    return rows.get((1, 2)), k.get((1, 1)), alg.c_row(1, 2)\n"
+              "def cocycle_from_invariant_poly(alg, k):\n    def read(idx):\n"
+              "        return tensors.sort_sign(idx), Fraction(0)\n"
+              "    return read, Fraction(3, 4)\n"
+              "def nested_bracket_residuals(c1, n1, c2, n2, dim):\n"
+              "    return omega.get((1, 2)), c1.get((1, 2))\n"
+              "def killing_form(alg):\n    return k.get((1,)), Fraction(1)\n")
+    assert bridge_violations(source) == [("check_invariance", "get"),
+                                         ("check_invariance", "c_row"),
+                                         ("cocycle_from_invariant_poly", "sort_sign"),
+                                         ("cocycle_from_invariant_poly", "Fraction"),
+                                         ("nested_bracket_residuals", "get")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_bridge_reads_integer_tables(path):
+    assert bridge_violations(path.read_text()) == []
+
+
+def test_every_bridge_kernel_is_in_the_tree():
+    defined = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert BRIDGE_SCANS <= defined
