@@ -22,6 +22,18 @@ rows of D s; `coboundary` dots them with a cochain's coordinates and divides
 by D.  Ranks and preimages come from the fraction-free elimination of
 `linalg.integer_echelon`, whose solutions set every non-pivot coordinate to
 zero.
+
+Poincare duality.  For the trivial representation (any dim_v) of a
+unimodular algebra, tr ad_X = sum_j C_{ij}^j = 0 for every X_i, the Hodge
+star conjugates s on C^p, by a signed permutation, to the transpose of s on
+C^{n-1-p} (n = dim g), so the two differentials have the same rank: the
+duality behind H^p = H^{n-p} (Koszul, Bull. SMF 78 (1950) 65).  The identity
+needs only an antisymmetric table, not the Jacobi identity, but it fails
+without unimodularity: on r2, [X_1, X_2] = X_2, H = 1, 1, 0 while the
+mirrored ranks would give 1, 2, 1.  `cohomology_dims` therefore tests the
+trace exactly once per call and, when it vanishes, ranks only the degrees p
+with p <= n-1-p, reading every higher one from its mirror; module complexes
+and non-unimodular algebras rank every degree.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from . import linalg
 from .lie import LieAlgebra, Representation, check_jacobi
@@ -196,13 +209,35 @@ class CohomologyReport:
         return cls(dims_c, dims_z, dims_b, {p: dims_z[p] - dims_b[p] for p in dims_c})
 
 
+def _unimodular(alg: LieAlgebra):
+    """tr ad_{X_i} = sum_j C_{ij}^j = 0 for every i, summed exactly."""
+    tr = [0] * (alg.dim + 1)
+    for (a, b), row in alg.c.items():
+        tr[a] += row.get(b, 0)
+        tr[b] -= row.get(a, 0)
+    return not any(tr)
+
+
 def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport:
     """Exact Z/B/H dimensions for degrees 0..p_max by ranks over Q; the
-    representation matrices must be rational."""
+    representation matrices must be rational.
+
+    With rho None and a unimodular algebra (tr ad_X = 0, tested exactly
+    once per call), a degree p above its mirror q = n-1-p takes rank s_p =
+    rank s_q (0 when q < 0) by Poincare duality (Koszul, Bull. SMF 78
+    (1950) 65; see the module docstring), and is neither assembled nor
+    eliminated.  Module complexes and other algebras rank every degree."""
     if dim_v is None:
         dim_v = 1 if rho is None else rho.dim_v
+    n = alg.dim
+    mirror = rho is None and _unimodular(alg)
     dims_c, ranks = {}, {}
     for p in range(0, p_max + 1):
+        q = n - 1 - p
+        if mirror and q < p:
+            dims_c[p] = comb(n, p) * dim_v
+            ranks[p] = ranks[q] if q >= 0 else 0
+            continue
         rows, src, _ = coboundary_matrix(alg, rho, p, dim_v, integer=True)
         dims_c[p] = len(src)
         ranks[p] = linalg.rank(rows)

@@ -5,11 +5,12 @@ odd-rank cocycles.  `LieAlgebra` is the arity-2 `tensors.BracketTensor`;
 that class is the one storage of structure constants.
 
 Integer tables.  The Jacobi, Killing and metric scans, `check_invariance`,
-`cocycle_from_invariant_poly` and `cocycle_condition_residual` sum ints:
-the rows of D C (`BracketTensor.integer_scaled`), the tail table of D' k
-(`_poly_table`) and D'' Omega.  Every residual is linear in each of them,
-so the factors move no zero and no witness; an output entry is divided by
-its factor once, into a `Fraction`.
+`cocycle_from_invariant_poly`, `cocycle_condition_residual`,
+`invariance_condition_residual` and `check_poly_vanishing_identity` sum
+ints: the rows of D C (`BracketTensor.integer_scaled`), the tail table of
+D' k (`_poly_table`) and D'' Omega.  Every residual is linear in each of
+them, so the factors move no zero and no witness; an output entry is
+divided by its factor once, into a `Fraction`.
 
 Conventions.  Structure constants C_{ij}^k are real rationals with
 [X_i, X_j] = C_{ij}^k X_k in an antihermitian-type basis.  The su(n)
@@ -572,17 +573,30 @@ def cocycle_condition_residual(alg: LieAlgebra, omega: AntisymTensor):
 
 
 def invariance_condition_residual(alg: LieAlgebra, omega: AntisymTensor):
-    """First violation of sum_s C_{i j_s}^k Omega_{j_1.. k ..j_p} = 0, or None."""
-    p = omega.rank
-    for i in range(1, alg.dim + 1):
-        for idx in combinations(range(1, alg.dim + 1), p):
-            tot = Fraction(0)
-            for s in range(p):
-                for kk, v in alg.c_row(i, idx[s]).items():
-                    tot += v * omega.get(idx[:s] + (kk,) + idx[s + 1:])
-            if tot != 0:
-                return (i, idx)
-    return None
+    """First violation of sum_s C_{i j_s}^k Omega_{j_1.. k ..j_p} = 0, or None.
+
+    The residual is scattered from Omega's nonzero entries: one whose slot
+    s holds k adds, for every (i, j) with C_{ij}^k != 0, sign * C_{ij}^k
+    Omega at (i, its key with slot s set to j, sign-sorted).  The least
+    nonzero (i, idx) is the first a scan over i and the sorted p-tuples
+    reaches."""
+    into = {}  # k -> [(i, j, D C_{ij}^k)]
+    for (a, b), row in alg.integer_scaled()[1].c.items():
+        for kk, v in row.items():
+            into.setdefault(kk, []).extend(((a, b, v), (b, a, -v)))
+    dw = common_denominator(omega.entries.values())
+    res = {}
+    for key, w in scaled_to_ints(omega.entries, dw).items():
+        for s, kk in enumerate(key):
+            rest = key[:s] + key[s + 1:]
+            for i, j, v in into.get(kk, ()):
+                pj = bisect_left(rest, j)
+                if rest[pj:pj + 1] == (j,):
+                    continue
+                # j moves from slot s to slot pj of the sorted key
+                accumulate(res, (i, rest[:pj] + (j,) + rest[pj:]),
+                           -v * w if (s - pj) & 1 else v * w)
+    return min(res) if res else None
 
 
 def invariant_poly_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> SymInvariantPoly:
@@ -663,30 +677,55 @@ def invariant_poly_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> SymInv
     return poly
 
 
+def _matching_sum(c, memo, s):
+    """{sorted l-tuple: sum over the perfect matchings of the sorted tuple s
+    of sign * prod C^{l_a}_{pair_a}}, C read from the table c, expanded
+    along s's first index as a Pfaffian; memo holds every tuple done."""
+    got = memo.get(s)
+    if got is None:
+        got = {}
+        for j in range(1, len(s)):
+            row = c.get((s[0], s[j]))
+            if not row:
+                continue
+            sub = _matching_sum(c, memo, s[1:j] + s[j + 1:])
+            for tail, w in sub.items():
+                w = -w if (j - 1) & 1 else w
+                for l, v in row.items():
+                    pl = bisect_left(tail, l)
+                    accumulate(got, tail[:pl] + (l,) + tail[pl:], v * w)
+        memo[s] = got
+    return got
+
+
 def check_poly_vanishing_identity(alg: LieAlgebra, k: SymInvariantPoly) -> bool:
     """eps^{j_1..j_{2m}}_{i..} C^{l_1}_{j_1 j_2} .. C^{l_m}_{j_{2m-1} j_{2m}}
     k_{l_1..l_m} = 0: total antisymmetrization over 2m indices of the m-fold
-    C-product contracted with an invariant k."""
+    C-product contracted with an invariant k.
+
+    The m! orderings of a pair matching give equal terms, so each sorted
+    2m-tuple sums its matchings once, expanded along its first index: the
+    first pair's row of D C against the tail table of D' k, at the sorted
+    l-tuples of the matchings of the rest (`_matching_sum`)."""
     m = k.order
     r = alg.dim
     if 2 * m > r:
         return True  # epsilon over more indices than the dimension
+    c = alg.integer_scaled()[1].c
+    table = _poly_table(k)[1]
+    memo = {(): {(): 1}}
     for idx in combinations(range(1, r + 1), 2 * m):
-        tot = Fraction(0)
-        for blocks, sign in shuffle_splits(idx, [2] * m):
-            partial = [((), Fraction(1))]
-            for pair in blocks:
-                row = alg.c.get(pair)
-                if not row:
-                    partial = []
-                    break
-                partial = [(seq + (l,), c * v) for seq, c in partial
-                           for l, v in row.items()]
-            for seq, c in partial:
-                kv = k.get(seq)
-                if kv != 0:
-                    tot += sign * c * kv
-        if tot != 0:
+        tot = 0
+        for j in range(1, 2 * m):
+            row = c.get((idx[0], idx[j]))
+            if not row:
+                continue
+            sign = -1 if (j - 1) & 1 else 1
+            for tail, w in _matching_sum(c, memo, idx[1:j] + idx[j + 1:]).items():
+                k_row = table.get(tail)
+                if k_row:
+                    tot += sign * w * sum(v * k_row[l] for l, v in row.items() if l in k_row)
+        if tot:
             return False
     return True
 

@@ -58,8 +58,14 @@ over every (l, multiset) with one sorting `k.get` per term, the cocycle
 construction with one `k.get` per rho, the cocycle residual scan over every
 sorted (p+1)-tuple, the nested-bracket residuals with one `merge_sign` and
 one sort per term, the GJI and mixed-identity checks on the `Fraction`
-tables, and the raised-index GLA constants over dense inverse-Killing rows.
-They are the references of the bridge parity tests.
+tables, and the raised-index GLA constants over dense inverse-Killing rows;
+the invariance scan of a cocycle over every (i, sorted tuple) and the
+polynomial vanishing identity over every ordered pair split, both with one
+sorting read per term.  They are the references of the bridge parity tests.
+
+`cohomology_dims` ranking every degree, before the upper half of the trivial
+complex of a unimodular algebra was read from its Poincare mirror: the
+reference of the duality tests.
 """
 
 from dataclasses import dataclass, field
@@ -1303,6 +1309,19 @@ def ce_coboundary_matrix(alg, rho, p, dim_v):
     return rows, src, dst
 
 
+def cohomology_dims_all_degrees(alg, rho, p_max, dim_v=None):
+    """`cohomology.cohomology_dims` as it stood before it read ranks from
+    their Poincare mirror: every degree 0..p_max assembled and ranked."""
+    if dim_v is None:
+        dim_v = 1 if rho is None else rho.dim_v
+    dims_c, ranks = {}, {}
+    for p in range(0, p_max + 1):
+        rows, src, _ = cohomology.coboundary_matrix(alg, rho, p, dim_v, integer=True)
+        dims_c[p] = len(src)
+        ranks[p] = linalg.rank(rows)
+    return cohomology.CohomologyReport.from_ranks(dims_c, ranks)
+
+
 # ---------------------------------------------------------------------------
 # the identity scans on per-read sorting accessors and Fraction constants
 # ---------------------------------------------------------------------------
@@ -1711,6 +1730,48 @@ def cocycle_condition_residual(alg, omega):
         if tot != 0:
             return m
     return None
+
+
+def invariance_condition_residual(alg, omega):
+    """First violation of sum_s C_{i j_s}^k Omega_{j_1.. k ..j_p} = 0, or
+    None, scanning every (i, sorted p-tuple) with one sorting read each."""
+    p = omega.rank
+    for i in range(1, alg.dim + 1):
+        for idx in combinations(range(1, alg.dim + 1), p):
+            tot = Fraction(0)
+            for s in range(p):
+                for kk, v in alg.c_row(i, idx[s]).items():
+                    tot += v * omega.get(idx[:s] + (kk,) + idx[s + 1:])
+            if tot != 0:
+                return (i, idx)
+    return None
+
+
+def check_poly_vanishing_identity(alg, k):
+    """The epsilon-contracted m-fold C-product against k over every ordered
+    pair split, with one sorting `k.get` per (split, l-tuple)."""
+    m = k.order
+    r = alg.dim
+    if 2 * m > r:
+        return True
+    for idx in combinations(range(1, r + 1), 2 * m):
+        tot = Fraction(0)
+        for blocks, sign in shuffle_splits(idx, [2] * m):
+            partial = [((), Fraction(1))]
+            for pair in blocks:
+                row = alg.c.get(pair)
+                if not row:
+                    partial = []
+                    break
+                partial = [(seq + (l,), c * v) for seq, c in partial
+                           for l, v in row.items()]
+            for seq, c in partial:
+                kv = k.get(seq)
+                if kv != 0:
+                    tot += sign * c * kv
+        if tot != 0:
+            return False
+    return True
 
 
 def nested_bracket_residuals(c1, n1, c2, n2, dim):

@@ -2,14 +2,16 @@
 bodies it replaced.
 
 `lie.check_invariance`, `lie.cocycle_from_invariant_poly`,
-`lie.cocycle_condition_residual`, `gla.gla_from_cocycle` and
+`lie.cocycle_condition_residual`, `lie.invariance_condition_residual`,
+`lie.check_poly_vanishing_identity`, `gla.gla_from_cocycle` and
 `gla.nested_bracket_residuals` (under `check_gji` and `check_mgji`) run on
 integer tables; their references in `dense_reference` sum `Fraction`
 products with one sorting read per term.  Both sides must give `==`
 outputs: the same cocycle entries and GLA constants as `Fraction`s, the same
-witnesses, and the same exceptions.
+witnesses, verdicts and exceptions.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -21,7 +23,8 @@ from naryalg.catalog import sun_basis
 from naryalg.gla import (GLAlgebra, check_gji, check_mgji, gla_from_cocycle,
                          nested_bracket_residuals)
 from naryalg.lie import (LieAlgebra, SymInvariantPoly, check_invariance,
-                         cocycle_condition_residual, cocycle_from_invariant_poly,
+                         check_poly_vanishing_identity, cocycle_condition_residual,
+                         cocycle_from_invariant_poly, invariance_condition_residual,
                          killing_invariant_poly, symmetrized_product, symmetrized_trace_poly)
 from naryalg.tensors import AntisymTensor
 
@@ -48,6 +51,8 @@ def test_bridge_equals_the_reference_on_su2_and_su3(n, m):
     assert ref.check_invariance(alg, k) is None
     om = cocycle_from_invariant_poly(alg, k)
     assert om == ref.cocycle_from_invariant_poly(alg, k)
+    assert invariance_condition_residual(alg, om) is None
+    assert ref.invariance_condition_residual(alg, om) is None
     assert all(type(v) is Fraction for v in om.entries.values())
     if m in (4, "kk"):
         assert om.is_zero()  # no primitive invariant of order 4 on su(2), su(3)
@@ -90,6 +95,7 @@ def test_invariance_witness_equals_the_reference(table, m, data):
     k = SymInvariantPoly(m, alg.dim, perturbed(data, alg.dim, m, start, distinct=False))
     wit = check_invariance(alg, k)
     assert wit == ref.check_invariance(alg, k)
+    assert check_poly_vanishing_identity(alg, k) == ref.check_poly_vanishing_identity(alg, k)
     if wit is not None:
         with pytest.raises(ValueError) as fast:
             cocycle_from_invariant_poly(alg, k)
@@ -112,10 +118,36 @@ def test_cocycle_residual_witness_equals_the_reference(table, rank, data):
     om = AntisymTensor(rank, alg.dim, perturbed(data, alg.dim, rank, start, distinct=True))
     wit = cocycle_condition_residual(alg, om)
     assert wit == ref.cocycle_condition_residual(alg, om)
+    assert invariance_condition_residual(alg, om) == ref.invariance_condition_residual(alg, om)
     if wit is not None and rank % 2:
         for make in (gla_from_cocycle, ref.gla_from_cocycle):
             with pytest.raises(ValueError, match="not a cocycle"):
                 make(alg, om)
+
+
+def seeded_perturbation(k, seed):
+    """k with three seeded multisets shifted by nonzero integers."""
+    rng = random.Random(seed)
+    terms = dict(k.terms)
+    for _ in range(3):
+        key = tuple(sorted(rng.choices(range(1, k.dim + 1), k=k.order)))
+        terms[key] = terms.get(key, 0) + rng.choice((-2, -1, 1, 2))
+    return SymInvariantPoly(k.order, k.dim, terms)
+
+
+VANISHING = [(n, m) for n in (2, 3, 4) for m in ("killing", 3)]
+
+
+@pytest.mark.parametrize("n,m", VANISHING, ids=[f"su{n}-{m}" for n, m in VANISHING])
+def test_vanishing_identity_verdict_is_the_reference_on_sun(n, m):
+    basis = sun_basis(n)
+    alg = basis.algebra
+    k = killing_invariant_poly(alg) if m == "killing" else symmetrized_trace_poly(basis, m)
+    for seed, poly in [(None, k)] + [(s, seeded_perturbation(k, s)) for s in range(3)]:
+        got = check_poly_vanishing_identity(alg, poly)
+        assert got == ref.check_poly_vanishing_identity(alg, poly), seed
+        if seed is None:
+            assert got  # an invariant polynomial satisfies the identity
 
 
 @st.composite

@@ -26,6 +26,28 @@ def test_cohomology_reports_every_degree(a4_file, capsys):
     assert [(r["degree"], r["dim_h"]) for r in recs] == [(0, 0), (1, 0)]
 
 
+def test_cohomology_of_a_non_unimodular_algebra_is_pinned(tmp_path, capsys):
+    # r2, [X_1, X_2] = X_2: tr ad_{X_1} = 1, so no degree is read from its
+    # Poincare mirror (which would give H = 1, 2, 1)
+    path = tmp_path / "r2.alg"
+    path.write_text("lie 2 2 rational\n1 2 -> 2 : 1\n")
+    assert cli.main(["cohomology", str(path)]) == 0
+    assert records(capsys.readouterr().out) == [
+        {"degree": 0, "dim_b": 0, "dim_c": 1, "dim_h": 1, "dim_z": 1},
+        {"degree": 1, "dim_b": 0, "dim_c": 2, "dim_h": 1, "dim_z": 1},
+        {"degree": 2, "dim_b": 1, "dim_c": 1, "dim_h": 0, "dim_z": 1}]
+
+
+def test_su3_cohomology_through_the_top_degree_is_pinned(tmp_path, capsys):
+    path = tmp_path / "su3.alg"
+    path.write_text(AlgebraFile.from_object(catalog.su(3)).emit())
+    assert cli.main(["cohomology", str(path), "--pmax", "8"]) == 0
+    recs = records(capsys.readouterr().out)
+    assert [r["dim_h"] for r in recs] == [1, 0, 0, 1, 0, 1, 0, 0, 1]
+    assert [r["dim_b"] for r in recs] == [0, 0, 8, 20, 35, 35, 20, 8, 0]
+    assert [r["dim_c"] for r in recs] == [1, 8, 28, 56, 70, 56, 28, 8, 1]
+
+
 @pytest.mark.parametrize("command,text", [
     ("cohomology", "lie 2 40 rational\n1 2 -> 3 : 1\n"),
     ("poisson", "multivector 2 40 rational\n1 2 -> " + "0 " * 39 + "1 : 1\n"),

@@ -17,8 +17,12 @@ its key on every read.
 The Poisson scans (`gps_check`, `np_check`) build no `Fraction` Poly and
 take no Schouten bracket: they read integer term maps; `shuffle_splits`
 derives no sign, which its cache holds per shape.  The invariant-polynomial
--> cocycle -> GLA bridge reads no sorting accessor of k, Omega or C and
-builds a `Fraction` only in the final division of an output entry."""
+-> cocycle -> GLA bridge, the cocycle invariance scan and the polynomial
+vanishing identity read no sorting accessor of k, Omega or C and build a
+`Fraction` only in the final division of an output entry.  The two
+cohomology-dimension functions reach assembly only through a call of
+`coboundary_matrix` by name, never a row builder directly, so the spans a
+tracer wraps around `coboundary_matrix` see every matrix they rank."""
 
 import ast
 from pathlib import Path
@@ -429,8 +433,9 @@ def test_every_poisson_scan_and_split_kernel_is_in_the_tree():
 # ---------------------------------------------------------------------------
 
 BRIDGE_SCANS = {"_poly_table", "check_invariance", "cocycle_from_invariant_poly",
-                "cocycle_condition_residual", "gla_from_cocycle", "nested_bracket_residuals",
-                "check_gji", "check_mgji"}
+                "cocycle_condition_residual", "invariance_condition_residual",
+                "check_poly_vanishing_identity", "_matching_sum", "gla_from_cocycle",
+                "nested_bracket_residuals", "check_gji", "check_mgji"}
 SORTING_READS = {"c_row", "c_get", "row", "sort_sign", "perm_sign"}
 # `SymInvariantPoly.get` and `AntisymTensor.get` sort their key on every read
 SORTING_RECEIVERS = {"k", "omega"}
@@ -481,3 +486,54 @@ def test_every_bridge_kernel_is_in_the_tree():
     defined = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.FunctionDef)}
     assert BRIDGE_SCANS <= defined
+
+
+# ---------------------------------------------------------------------------
+# the cohomology dimensions assemble through the named coboundary_matrix
+# ---------------------------------------------------------------------------
+
+RANKED_DIMS = {"cohomology_dims", "fa_cohomology_dims"}
+ROW_BUILDERS = {"_ce_rows", "_fa_rows"}
+ASSEMBLY = "coboundary_matrix"
+
+
+def assembly_bypasses(source):
+    """(function, name) of every row builder a cohomology-dimension function
+    reads (called or not), and (function, None) for one that never calls
+    `coboundary_matrix` by name, nested definitions included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name in RANKED_DIMS):
+            continue
+        found += [(node.name, name.id) for name in ast.walk(node)
+                  if isinstance(name, ast.Name) and name.id in ROW_BUILDERS]
+        found += [(node.name, attr.attr) for attr in ast.walk(node)
+                  if isinstance(attr, ast.Attribute) and attr.attr in ROW_BUILDERS]
+        if not any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                   and call.func.id == ASSEMBLY for call in ast.walk(node)):
+            found.append((node.name, None))
+    return found
+
+
+def test_scan_sees_assembly_around_coboundary_matrix():
+    source = ("def cohomology_dims(alg, rho, p_max):\n"
+              "    d, rows = _ce_rows(alg, rho, 0, 1)\n"
+              "    return coboundary_matrix(alg, rho, 1, 1, integer=True)\n"
+              "def fa_cohomology_dims(fa, kind, p_max):\n"
+              "    build = nary_cohomology._fa_rows\n"
+              "    return cohomology.coboundary_matrix(fa, kind, 0), build\n"
+              "def coboundary(alg, rho, om):\n    return _ce_rows(alg, rho, 1, 1)\n")
+    assert assembly_bypasses(source) == [("cohomology_dims", "_ce_rows"),
+                                         ("fa_cohomology_dims", "_fa_rows"),
+                                         ("fa_cohomology_dims", None)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_cohomology_dims_assemble_through_coboundary_matrix(path):
+    assert assembly_bypasses(path.read_text()) == []
+
+
+def test_every_cohomology_dims_function_is_in_the_tree():
+    defined = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert RANKED_DIMS | ROW_BUILDERS <= defined
