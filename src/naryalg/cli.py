@@ -15,6 +15,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from . import catalog, linalg
 from .algfile import AlgebraFile, ParseError
@@ -27,6 +28,10 @@ from .poisson import gps_check, np_check, schouten_bracket
 from .tensors import AntisymTensor
 
 DEFAULT_MAX_DIM = 8
+# the most coordinates a cochain space may have before a coboundary into it
+# is assembled: above every complex the tests and the benchmark reach (nhw2's
+# deformation C^3 has 108,045), far below A4's trivial C^10 at --pmax 9 (40.3M)
+MAX_COCHAIN_DIM = 250_000
 
 
 def max_dim():
@@ -124,6 +129,33 @@ def cohomology_suite(obj, run: CheckRun, p_max=1):
         raise ValueError("cohomology suite applies to lie or filippov files")
 
 
+def _cochain_dim(obj, kind, p, dim_v):
+    """dim C^p counted from the numbers of keys, none of them built: C(d, p)
+    for a Lie algebra; blocks^p for the module complex and d, or blocks^(p-1)
+    C(d, n), for the trivial and deformation complexes; times dim_v."""
+    d = obj.dim
+    if isinstance(obj, LieAlgebra):
+        return comb(d, p) * dim_v
+    blocks = comb(d, obj.arity - 1)
+    if kind == "module":
+        return blocks ** p * dim_v
+    return (blocks ** (p - 1) * comb(d, obj.arity) if p else d) * dim_v
+
+
+def _oversized(obj, kind, p_max, dim_v):
+    """The message for the first cochain space C^p, p <= p_max + 1 (the
+    target of delta_{p_max}), with more than MAX_COCHAIN_DIM coordinates;
+    None when every one fits (every space above a zero one is zero)."""
+    for p in range(p_max + 2):
+        size = _cochain_dim(obj, kind, p, dim_v)
+        if size > MAX_COCHAIN_DIM:
+            return (f"C^{p} of the {kind} complex has {size:,} coordinates, "
+                    f"above the ceiling of {MAX_COCHAIN_DIM:,}: lower --pmax")
+        if not size:
+            break
+    return None
+
+
 def _load(path):
     """Parse and build an algebra file whose dimension is within the cap."""
     with open(path) as fh:
@@ -141,9 +173,17 @@ def cmd_check(args) -> int:
         _human(f"input error: {exc}")
         _emit({"error": str(exc)})
         return 2
+    suites = ("identity", "metric", "cohomology") if args.suite == "all" else (args.suite,)
+    if "cohomology" in suites and isinstance(obj, (LieAlgebra, FilippovAlgebra)):
+        lie = isinstance(obj, LieAlgebra)
+        msg = _oversized(obj, "ce" if lie else "trivial",
+                         min(args.pmax + 1, obj.dim) if lie else args.pmax, 1)
+        if msg:
+            _human(f"input error: {msg}")
+            _emit({"error": msg})
+            return 2
     run = CheckRun()
     _human(f"{args.path}: {af.kind} arity={af.arity} dim={af.dim}")
-    suites = ("identity", "metric", "cohomology") if args.suite == "all" else (args.suite,)
     for suite in suites:
         if suite == "identity":
             identity_suite(obj, run)
@@ -223,10 +263,8 @@ def cmd_cohomology(args) -> int:
         if args.complex not in ("ce", "trivial"):
             _human("input error: binary algebras use the ce complex")
             return 2
-        rho = None
-        if args.rep == "ad":
-            rho = obj.adjoint_rep()
-        rep = cohomology_dims(obj, rho, args.pmax)
+        rho = obj.adjoint_rep() if args.rep == "ad" else None
+        kind, dim_v = "ce", 1 if rho is None else obj.dim
     elif isinstance(obj, FilippovAlgebra):
         if args.complex not in ("trivial", "module", "deformation"):
             _human("input error: n-ary complexes are trivial|module|deformation")
@@ -234,16 +272,22 @@ def cmd_cohomology(args) -> int:
         if args.rep == "ad" and args.complex != "module":
             _human(f"input error: --rep ad applies to the module complex, not {args.complex}")
             return 2
+        rho = None
         if args.complex == "module" and args.rep == "0":
             # the one-dimensional trivial module: every rho(X) is zero
-            zero = FARepresentation({lab: {} for lab in
-                                     combinations(range(1, obj.dim + 1), obj.arity - 1)}, 1)
-            rep = fa_cohomology_dims(obj, "module", args.pmax, zero)
-        else:
-            rep = fa_cohomology_dims(obj, args.complex, args.pmax)
+            rho = FARepresentation({lab: {} for lab in
+                                    combinations(range(1, obj.dim + 1), obj.arity - 1)}, 1)
+        kind = args.complex
+        dim_v = 1 if rho is not None or kind == "trivial" else obj.dim
     else:
         _human("input error: cohomology applies to lie or filippov files")
         return 2
+    msg = _oversized(obj, kind, args.pmax, dim_v)
+    if msg:
+        _human(f"input error: {msg}")
+        return 2
+    rep = (cohomology_dims(obj, rho, args.pmax) if kind == "ce"
+           else fa_cohomology_dims(obj, kind, args.pmax, rho))
     for p in sorted(rep.dims_h):
         _emit({"degree": p, "dim_c": rep.dims_c[p], "dim_z": rep.dims_z[p],
                "dim_b": rep.dims_b[p], "dim_h": rep.dims_h[p]})

@@ -18,8 +18,9 @@ one constant or one rho entry.  A bracket term places l of C_{i_j i_k}^l
 into the sorted remaining indices by one bisection (`tensors.insert_sign`).
 `coboundary_matrix` divides the rows by D (int where integral, else
 `Fraction`), except for `cohomology_dims`, whose ranks it hands the integer
-rows of D s; `coboundary` dots them with a cochain's coordinates and divides
-by D.  Ranks and preimages come from the fraction-free elimination of
+rows of D s, read from one scaled copy (`_ce_tables`) made once per call;
+`coboundary` dots them with a cochain's coordinates and divides by D.
+Ranks and preimages come from the fraction-free elimination of
 `linalg.integer_echelon`, whose solutions set every non-pivot coordinate to
 zero.
 
@@ -106,15 +107,22 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     return Cochain(p + 1, r, om.dim_v, dict(zip(coord_basis(r, p + 1, om.dim_v), values)))
 
 
-def _ce_rows(alg, rho, p, dim_v):
+def _ce_tables(alg, rho):
+    """(D, D C, the rows of each D rho matrix): what `_ce_rows` reads in
+    every degree, built once per call."""
+    d, ialg, imats = integer_scaling(alg, () if rho is None else rho.mats)
+    return d, ialg, [_matrix_rows(m) for m in imats] if imats else [{}] * ialg.dim
+
+
+def _ce_rows(alg, rho, p, dim_v, tables=None):
     """(D, the rows of D s: C^p -> C^{p+1}) with target dimension dim_v: one
     {column: int} per coordinate of `coord_basis(dim, p + 1, dim_v)` (see the
-    module docstring for the columns)."""
+    module docstring for the columns), read from tables (`_ce_tables`,
+    built here when None)."""
     if rho is not None and rho.dim_v != dim_v:
         raise ValueError("representation/target dimension mismatch")
-    d, ialg, imats = integer_scaling(alg, () if rho is None else rho.mats)
+    d, ialg, mrows = tables or _ce_tables(alg, rho)
     col = {idx: i for i, idx in enumerate(basis_tuples(ialg.dim, p))}
-    mrows = [_matrix_rows(m) for m in imats] if imats else [{}] * ialg.dim
     targets = basis_tuples(ialg.dim, p + 1)
     rows = [None] * (dim_v * len(targets))
     for n, idx in enumerate(targets):
@@ -181,14 +189,15 @@ def apply_rows(rows, x, d):
     return [sum(v * x[c] for c, v in row.items() if c in x) * scale for row in rows]
 
 
-def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v, *, integer=False):
+def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v, *, integer=False, _tables=None):
     """Sparse matrix of s: C^p -> C^{p+1} in the canonical coordinate bases,
     as (rows, src, dst): one {column: value} row per coordinate in dst, the
     columns indexed by src: the rows of `_ce_rows` divided by D.  With
     integer=True the rows of D s come back undivided, as ints: they span
-    what the rows of s span, so they give the same rank.
+    what the rows of s span, so they give the same rank.  A caller that
+    assembles several degrees passes the `_ce_tables` of its call.
     """
-    d, rows = _ce_rows(alg, rho, p, dim_v)
+    d, rows = _ce_rows(alg, rho, p, dim_v, _tables)
     if not integer:
         rows = unscale_rows(rows, d)
     return rows, coord_basis(alg.dim, p, dim_v), coord_basis(alg.dim, p + 1, dim_v)
@@ -231,6 +240,7 @@ def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport
         dim_v = 1 if rho is None else rho.dim_v
     n = alg.dim
     mirror = rho is None and _unimodular(alg)
+    tables = _ce_tables(alg, rho)
     dims_c, ranks = {}, {}
     for p in range(0, p_max + 1):
         q = n - 1 - p
@@ -238,7 +248,7 @@ def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport
             dims_c[p] = comb(n, p) * dim_v
             ranks[p] = ranks[q] if q >= 0 else 0
             continue
-        rows, src, _ = coboundary_matrix(alg, rho, p, dim_v, integer=True)
+        rows, src, _ = coboundary_matrix(alg, rho, p, dim_v, integer=True, _tables=tables)
         dims_c[p] = len(src)
         ranks[p] = linalg.rank(rows)
     return CohomologyReport.from_ranks(dims_c, ranks)

@@ -36,12 +36,14 @@ p-tuples of sorted blocks.  Signs of unsorted blocks are tracked on reads.
 
 `_leibniz_delta` is the one evaluation of delta: it writes delta straight
 into sparse rows {column: value}, one per target coordinate, over the
-coordinates of w.  It reads L's bracket and L's action on g from tables
-built once per call (`fundamental_tables`), and reads columns through a
-table of keys, placing Z into the last block of a trivial or deformation
-key by one bisection (`tensors.insert_sign`).  The tables are built from
-D f and D rho, the constants and module matrices scaled to plain ints by
-their least common denominator D (`cohomology.integer_scaling`); every term
+coordinates of w.  It reads L's bracket and the complex's actions from one
+`_Tables` built once per call and handed to every degree: D, the constants
+and module matrices scaled to plain ints by their least common denominator
+D (`cohomology.integer_scaling`), the bracket and actions built on them
+(`fundamental_tables`, `_fa_actions`), and a placement table of Z into the
+last block of a trivial or deformation key ({(X, Z): `tensors.insert_sign`
+of X ^ Z}), built when a degree p >= 1 first reads it.  Nothing outlives the
+call.  Columns are read through a table of keys per degree.  Every term
 carries one constant or one rho entry, so the rows are those of D delta.
 `coboundary_matrix` divides them by D (`fa_cohomology_dims` ranks them
 undivided); `fa_coboundary_*`, `coboundary_*_eval` (one point), the checks
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from . import linalg
@@ -254,12 +257,40 @@ def _fa_actions(fa, kind, rho, size):
     return bracket, left, right
 
 
+KINDS = ("trivial", "module", "deformation")
+
+
 def _target_dim(fa, kind, rho=None):
     """dim_v of the complex: 1 for trivial, rho.dim_v for module, fa.dim for
-    deformation."""
+    deformation; an unknown kind raises ValueError."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown complex kind {kind!r}: expected one of {', '.join(KINDS)}")
     if kind == "module":
         return rho.dim_v
     return fa.dim if kind == "deformation" else 1
+
+
+class _Tables:
+    """What every degree of the complex `kind` on cochains of target
+    dimension size (default: the complex's own) reads, built once per call:
+    D, and L's bracket and the complex's left and right actions
+    (`_fa_actions`) on the constants and module matrices scaled by D.  The
+    trivial complex takes any size: the trivial module tensored with Q^size."""
+
+    def __init__(self, fa, kind, rho, size=None):
+        want = _target_dim(fa, kind, rho)  # rejects an unknown kind
+        size = size or want
+        labels = [] if rho is None else list(rho.mats)
+        self.d, ifa, imats = integer_scaling(fa, [rho.mats[lab] for lab in labels])
+        irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), size)
+        self.fa, self.kind, self.size = fa, kind, size
+        self.bracket, self.left, self.right = _fa_actions(ifa, kind, irho, size)
+
+    @cached_property
+    def place(self):
+        """{(X, z): insert_sign(X, len(X), z)} over the sorted blocks X and
+        z in 1..dim (the keys of a trivial or deformation action table)."""
+        return {(x, z): insert_sign(x, len(x), z) for x, z in self.left}
 
 
 def _check_dim_v(fa, kind, rho, cochain):
@@ -269,26 +300,25 @@ def _check_dim_v(fa, kind, rho, cochain):
                          f"complex (dim_v {want})")
 
 
-def _fa_rows(fa, kind, rho, p, size, args):
-    """(D, the rows of D delta at args, {key: first column}) of the complex
-    `kind` on p-cochains of target dimension size, coordinate (key, a) at
-    column i * size + a for the i-th key.  The trivial complex takes any
-    size: the trivial module tensored with Q^size."""
-    cols = {key: i * size for i, key in enumerate(_complex_keys(fa, kind, p))}
-    labels = [] if rho is None else list(rho.mats)
-    d, ifa, imats = integer_scaling(fa, [rho.mats[lab] for lab in labels])
-    irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), size)
-    bracket, left, right = _fa_actions(ifa, kind, irho, size)
+def _fa_rows(tables, p, args):
+    """(the rows of D delta at args, {key: first column}) of the complex of
+    tables on p-cochains, coordinate (key, a) at column i * size + a for
+    the i-th key."""
+    kind, size = tables.kind, tables.size
+    cols = {key: i * size for i, key in enumerate(_complex_keys(tables.fa, kind, p))}
     if kind == "module":
         def read(xs, _):
             return cols[xs], 1
+    elif p == 0:
+        def read(_, z):
+            return cols[(z,)], 1
     else:
+        place = tables.place
+
         def read(xs, z):  # the last block of a key absorbs z: X_p ^ Z, sorted
-            if not xs:
-                return cols[(z,)], 1
-            key, s = insert_sign(xs[-1], len(xs[-1]), z)
+            key, s = place[xs[-1], z]
             return (cols[xs[:-1] + (key,)], s) if s else None
-    return d, _leibniz_delta(bracket, left, right, read, size, args), cols
+    return _leibniz_delta(tables.bracket, tables.left, tables.right, read, size, args), cols
 
 
 def _coords(cols, data):
@@ -302,8 +332,9 @@ def _fa_values(fa, kind, rho, alpha, args):
     divided by D, `alpha.dim_v` values per point."""
     if kind != "trivial":
         _check_dim_v(fa, kind, rho, alpha)
-    d, rows, cols = _fa_rows(fa, kind, rho, alpha.order, alpha.dim_v, args)
-    return apply_rows(rows, _coords(cols, alpha.data), d)
+    tables = _Tables(fa, kind, rho, alpha.dim_v)
+    rows, cols = _fa_rows(tables, alpha.order, args)
+    return apply_rows(rows, _coords(cols, alpha.data), tables.d)
 
 
 def _evals(fa, alpha, kind, rho, points):
@@ -408,32 +439,36 @@ def _complex_keys(fa, kind, p):
     return trivial_keys(fa, p)
 
 
-def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None, *, integer=False):
+def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None, *, integer=False, _tables=None):
     """Sparse matrix of delta: C^p -> C^{p+1} over the canonical coordinates,
     as (rows, src, dst): one {column: value} row per (key, target index) in
     dst, the columns indexed by the (key, target index) pairs of src.  The
     rows are those of `_leibniz_delta` on the constants and module matrices
     scaled to ints, divided by their common denominator D; with integer=True
-    they come back undivided, as ints, which give the same rank.
+    they come back undivided, as ints, which give the same rank.  A caller
+    that assembles several degrees passes the `_Tables` of its call.
     """
-    dv = _target_dim(fa, kind, rho)
+    tables = _tables or _Tables(fa, kind, rho)
+    dv = tables.size
     out = _complex_keys(fa, kind, p + 1)
-    d, rows, cols = _fa_rows(fa, kind, rho, p, dv, _points(kind, out))
+    rows, cols = _fa_rows(tables, p, _points(kind, out))
     src = [(key, a) for key in cols for a in range(dv)]
     dst = [(key, t) for key in out for t in range(dv)]
-    return rows if integer else unscale_rows(rows, d), src, dst
+    return rows if integer else unscale_rows(rows, tables.d), src, dst
 
 
 def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> CohomologyReport:
     """Exact Z/B/H dimensions of the chosen complex up to degree p_max, by
     ranks over Q; the module matrices must be rational, and the module
-    complex defaults to the adjoint module."""
+    complex defaults to the adjoint module.  Every degree reads the one
+    `_Tables` of the call."""
     if kind == "module" and rho is None:
         from .filippov import adjoint_fa_representation
         rho = adjoint_fa_representation(fa)
+    tables = _Tables(fa, kind, rho)
     dims_c, ranks = {}, {}
     for p in range(0, p_max + 1):
-        rows, src, _ = coboundary_matrix(fa, kind, p, rho, integer=True)
+        rows, src, _ = coboundary_matrix(fa, kind, p, rho, integer=True, _tables=tables)
         dims_c[p] = len(src)
         ranks[p] = linalg.rank(rows)
     return CohomologyReport.from_ranks(dims_c, ranks)

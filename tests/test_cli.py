@@ -5,8 +5,11 @@ import json
 import pytest
 
 from naryalg import catalog, cli
+from naryalg import cohomology as co
+from naryalg import nary_cohomology as nc
 from naryalg.algfile import AlgebraFile
 from naryalg.catalog import a4, heisenberg
+from naryalg.filippov import adjoint_fa_representation
 
 
 @pytest.fixture
@@ -286,3 +289,33 @@ def test_gaussian_metric_verdicts_are_pinned(tmp_path, capsys, name):
     path.write_text(text)
     assert cli.main(["check", str(path), "--suite", "metric"]) == code
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_a_filippov_complex_too_large_to_assemble_is_refused(a4_file, capsys):
+    # delta_9 of A4's trivial complex has 4 * 6^9 = 40.3M rows; the sizes
+    # are counted, so the refusal comes before any assembly
+    assert cli.main(["cohomology", a4_file, "--complex", "trivial", "--pmax", "9"]) == 2
+    assert "C^8 of the trivial complex has 1,119,744 coordinates" in capsys.readouterr().err
+    assert cli.main(["check", a4_file, "--suite", "cohomology", "--pmax", "9"]) == 2
+    assert records(capsys.readouterr().out) == [
+        {"error": "C^8 of the trivial complex has 1,119,744 coordinates, "
+                  "above the ceiling of 250,000: lower --pmax"}]
+    assert cli.main(["cohomology", a4_file, "--complex", "deformation",
+                     "--pmax", "1000000000"]) == 2
+    assert "C^7 of the deformation complex has 746,496 coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["ce", "trivial", "module", "deformation"])
+def test_counted_cochain_sizes_are_the_assembled_ones(kind):
+    # the ceiling reads counts, so they must be the column counts of the
+    # coboundaries the command would assemble
+    for obj in ((catalog.su(3), heisenberg()) if kind == "ce" else (a4(), catalog.nhw(1))):
+        if kind == "ce":
+            dim_v, rho = obj.dim, obj.adjoint_rep()
+        else:
+            rho = adjoint_fa_representation(obj) if kind == "module" else None
+            dim_v = 1 if kind == "trivial" else obj.dim
+        for p in range(4):
+            src = (co.coboundary_matrix(obj, rho, p, dim_v) if kind == "ce"
+                   else nc.coboundary_matrix(obj, kind, p, rho))[1]
+            assert cli._cochain_dim(obj, kind, p, dim_v) == len(src), (kind, p)

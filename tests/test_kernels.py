@@ -12,7 +12,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 import dense_reference as dense
-from naryalg import linalg, tensors
+from naryalg import linalg, nary_cohomology, tensors
 from naryalg.catalog import a4, a5, corrupted, nhw
 from naryalg.filippov import (FilippovAlgebra, check_fi, clifford_realization, gamma_matrices,
                               simple_fa)
@@ -338,3 +338,23 @@ def test_clifford_realization_reads_one_bracket_table(monkeypatch):
     calls[0] = 0
     assert clifford_realization(5).identity_ok
     assert calls[0] - construction <= 7 * 2 ** 6
+
+
+# ---------------------------------------------------------------------------
+# the Filippov complexes: one table set per call
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["trivial", "module", "deformation"])
+def test_fa_cohomology_builds_one_table_set_per_call(monkeypatch, kind):
+    calls = [0]
+    right = nary_cohomology.fundamental_tables
+
+    def counted(fa):
+        calls[0] += 1
+        return right(fa)
+
+    monkeypatch.setattr(nary_cohomology, "fundamental_tables", counted)
+    for p_max in range(4):
+        calls[0] = 0
+        nary_cohomology.fa_cohomology_dims(a4(), kind, p_max)
+        assert calls[0] == 1, p_max

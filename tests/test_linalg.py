@@ -336,3 +336,82 @@ def test_rows_that_reduce_to_zero_leave_no_basis_row():
     assert linalg.solve(rows, 4, [1, 5, 0, 0, 0]) is None
     # the empty row reads 0 = 1
     assert linalg.solve(rows, 4, [1, 6, 0, 0, 1]) is None
+
+
+# ---------------------------------------------------------------------------
+# rank on the transpose of tall matrices
+# ---------------------------------------------------------------------------
+
+def transpose_rows(rows):
+    out = {}
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out.setdefault(c, {})[i] = v
+    return list(out.values())
+
+
+def echelon_input(rows):
+    """(linalg.rank(rows), the rows `rank` handed to `integer_echelon`)."""
+    fed, right = [], linalg.integer_echelon
+
+    def spy(given):
+        fed.extend(given)
+        return right(fed)
+
+    linalg.integer_echelon = spy
+    try:
+        return linalg.rank(rows), fed
+    finally:
+        linalg.integer_echelon = right
+
+
+@st.composite
+def shaped_matrices(draw):
+    """A dense matrix drawn tall (rows more than twice the columns), wide or
+    near square, with zero rows and copies of its rows mixed in."""
+    m = draw(st.integers(1, 5))
+    lo, hi = {"tall": (2 * m + 1, 4 * m), "wide": (1, m), "square": (m, 2 * m)}[
+        draw(st.sampled_from(("tall", "wide", "square")))]
+    a = draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=lo, max_size=hi))
+    a += [[Fraction(0)] * m] * draw(st.integers(0, 3))
+    a += [list(a[draw(st.integers(0, len(a) - 1))]) for _ in range(draw(st.integers(0, 3)))]
+    return draw(st.permutations(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_matrices())
+def test_rank_is_the_rank_of_the_transpose(a):
+    rows = dense.sparse(a)
+    nonzero = [row for row in rows if row]
+    ncols = len(set().union(*nonzero))
+    got, fed = echelon_input(rows)
+    assert got == linalg.rank(transpose_rows(rows)) == dense.rank(a)
+    # the nonzero rows, or the nonzero columns when the rows outnumber them
+    # more than twice
+    assert len(fed) == (ncols if len(nonzero) > 2 * ncols else len(nonzero))
+
+
+def test_rank_transposes_past_twice_the_columns_only():
+    # 7 nonzero rows over 3 columns are ranked on the transpose, 6 are not;
+    # the empty rows count toward neither
+    base = [{0: 1, 1: 2}, {1: 1, 2: -1}, {0: 1, 1: 3, 2: -1}]
+    for copies, transposed in ((6, False), (7, True)):
+        rows = [dict(base[i % 3]) for i in range(copies)] + [{}] * 9
+        got, fed = echelon_input(rows)
+        assert got == 2
+        assert len(fed) == (3 if transposed else copies)
+        assert sorted(map(len, fed)) == (sorted(map(len, transpose_rows(rows))) if transposed
+                                         else sorted(map(len, rows[:copies])))
+
+
+def test_empty_rows_are_dropped_before_elimination(monkeypatch):
+    seen = []
+    right = linalg.primitive_row
+
+    def counted(row):
+        seen.append(row)
+        return right(row)
+
+    monkeypatch.setattr(linalg, "primitive_row", counted)
+    assert linalg.integer_echelon([{}, {0: 2}, {}, {0: 1, 1: 1}, {}]) == {0: {0: 1}, 1: {1: 1}}
+    assert all(seen) and len(seen) == 2

@@ -7,7 +7,8 @@ import pytest
 import dense_reference as dense
 from naryalg import linalg, nary_cohomology
 from naryalg.catalog import a4, a5, nhw
-from naryalg.filippov import FARepresentation, adjoint_fa_representation, check_fi
+from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
+                              check_fi)
 from naryalg.nary_cohomology import (NCochain, coboundary_deformation_eval, coboundary_matrix,
                                      coboundary_trivial_eval, deformation_obstruction,
                                      deformation_preimage, duality_pairing_holds,
@@ -17,6 +18,7 @@ from naryalg.nary_cohomology import (NCochain, coboundary_deformation_eval, cobo
                                      jointly_antisymmetric_in_last_slot,
                                      mc_zero_cochain, module_keys, trivial_keys,
                                      trivialize_fa_extension)
+from naryalg.tensors import insert_sign
 
 ALGEBRAS = {"a4": a4, "nhw1": lambda: nhw(1)}
 
@@ -372,3 +374,75 @@ def test_deformation_obstruction_is_a_two_cocycle(name):
             assert gamma.is_zero() and pre is not None
         else:
             assert len(gamma.data) == 9 and pre is None
+
+
+# ---------------------------------------------------------------------------
+# one table set per call: the degrees of a call share D, the actions and the
+# placement table, and read what each degree alone reads
+# ---------------------------------------------------------------------------
+
+def fa_shear_copy(fa, rng, steps=8):
+    """The copy of fa in the basis X'_j = sum_i P_ij X_i, P a product of
+    elementary integer shears (det 1, so P^{-1} is integral too)."""
+    d = fa.dim
+    p = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(steps):
+        i, j = rng.sample(range(d), 2)
+        s = rng.choice((-1, 1))
+        for row in p:
+            row[j] += s * row[i]
+    pinv = linalg.inverse([[Fraction(x) for x in row] for row in p])
+    cols = [[Fraction(p[r][j]) for r in range(d)] for j in range(d)]
+    f = {}
+    for idx in combinations(range(d), fa.arity):
+        w = fa.bracket([cols[a] for a in idx])
+        row = {k + 1: v for k in range(d) if (v := sum(pinv[k][r] * w[r] for r in range(d)))}
+        if row:
+            f[tuple(a + 1 for a in idx)] = row
+    return FilippovAlgebra(fa.arity, d, f)
+
+
+SHARED = {"a4": a4, "a5": a5, "nhw2": lambda: nhw(2),
+          "a4-shear": lambda: fa_shear_copy(a4(), random.Random(5))}
+
+
+def test_shear_copy_is_a_denser_a4():
+    fa = SHARED["a4-shear"]()
+    assert check_fi(fa).ok
+    assert sum(map(len, fa.f.values())) > sum(map(len, a4().f.values()))
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+@pytest.mark.parametrize("kind", ["trivial", "module", "deformation"])
+def test_degrees_read_the_same_rows_from_one_table_set(name, kind):
+    fa = SHARED[name]()
+    rho = adjoint_fa_representation(fa) if kind == "module" else None
+    tables = nary_cohomology._Tables(fa, kind, rho)
+    for p in range(3):
+        for integer in (False, True):
+            alone = coboundary_matrix(fa, kind, p, rho, integer=integer)
+            shared = coboundary_matrix(fa, kind, p, rho, integer=integer, _tables=tables)
+            assert shared == alone
+            assert [list(row.items()) for row in shared[0]] == \
+                [list(row.items()) for row in alone[0]]
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+def test_placement_table_is_insert_sign(name):
+    fa = SHARED[name]()
+    rng = range(1, fa.dim + 1)
+    for kind in ("trivial", "deformation"):
+        place = nary_cohomology._Tables(fa, kind, None, 1).place
+        assert place == {(x, z): insert_sign(x, fa.arity - 1, z)
+                         for x in combinations(rng, fa.arity - 1) for z in rng}
+
+
+def test_a_misspelled_complex_kind_is_refused():
+    # "deformaton" once fell through every branch and ran the trivial complex
+    fa = a4()
+    for call in (lambda: fa_cohomology_dims(fa, "deformaton", 1),
+                 lambda: coboundary_matrix(fa, "deformaton", 0),
+                 lambda: jointly_antisymmetric_in_last_slot(
+                     fa, "deformaton", random_cochain(fa, "deformation", 0, seed=3), 1)):
+        with pytest.raises(ValueError, match="'deformaton'.*trivial, module, deformation"):
+            call()
