@@ -15,15 +15,14 @@ import os
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from . import catalog, linalg
 from .algfile import AlgebraFile, ParseError
 from .filippov import FI_FORMS, FARepresentation, FilippovAlgebra, check_fi, check_metric_fa
 from .gla import GLAlgebra, check_gji
 from .lie import LieAlgebra, check_jacobi, check_metric_invariance
-from .nary_cohomology import LeibnizAlgebra, fa_cohomology_dims
-from .cohomology import cohomology_dims
+from .nary_cohomology import FAComplex, LeibnizAlgebra
+from .cohomology import CEComplex, complex_dims
 from .poisson import gps_check, np_check, schouten_bracket
 from .tensors import AntisymTensor
 
@@ -116,40 +115,22 @@ def metric_suite(obj, metric, run: CheckRun):
         raise ValueError("metric suite applies to binary or n-ary bracket algebras")
 
 
-def cohomology_suite(obj, run: CheckRun, p_max=1):
-    if isinstance(obj, LieAlgebra):
-        rep = cohomology_dims(obj, None, min(p_max + 1, obj.dim))
-        _emit({"check": "cohomology-dims", "H": _jsonable(rep.dims_h)})
-        run.record("cohomology-consistent", all(v >= 0 for v in rep.dims_h.values()))
-    elif isinstance(obj, FilippovAlgebra):
-        rep = fa_cohomology_dims(obj, "trivial", p_max)
-        _emit({"check": "cohomology-dims", "complex": "trivial", "H": _jsonable(rep.dims_h)})
-        run.record("cohomology-consistent", all(v >= 0 for v in rep.dims_h.values()))
-    else:
-        raise ValueError("cohomology suite applies to lie or filippov files")
+def cohomology_suite(cx, run: CheckRun, p_max):
+    rep = complex_dims(cx, p_max)
+    kind = {} if cx.kind == "ce" else {"complex": cx.kind}
+    _emit({"check": "cohomology-dims", **kind, "H": _jsonable(rep.dims_h)})
+    run.record("cohomology-consistent", all(v >= 0 for v in rep.dims_h.values()))
 
 
-def _cochain_dim(obj, kind, p, dim_v):
-    """dim C^p counted from the numbers of keys, none of them built: C(d, p)
-    for a Lie algebra; blocks^p for the module complex and d, or blocks^(p-1)
-    C(d, n), for the trivial and deformation complexes; times dim_v."""
-    d = obj.dim
-    if isinstance(obj, LieAlgebra):
-        return comb(d, p) * dim_v
-    blocks = comb(d, obj.arity - 1)
-    if kind == "module":
-        return blocks ** p * dim_v
-    return (blocks ** (p - 1) * comb(d, obj.arity) if p else d) * dim_v
-
-
-def _oversized(obj, kind, p_max, dim_v):
-    """The message for the first cochain space C^p, p <= p_max + 1 (the
-    target of delta_{p_max}), with more than MAX_COCHAIN_DIM coordinates;
-    None when every one fits (every space above a zero one is zero)."""
+def _oversized(cx, p_max):
+    """The message for the first cochain space C^p of the complex cx, p <=
+    p_max + 1 (the target of delta_{p_max}), with more than MAX_COCHAIN_DIM
+    coordinates; None when every one fits (every space above a zero one is
+    zero)."""
     for p in range(p_max + 2):
-        size = _cochain_dim(obj, kind, p, dim_v)
+        size = cx.dim(p)
         if size > MAX_COCHAIN_DIM:
-            return (f"C^{p} of the {kind} complex has {size:,} coordinates, "
+            return (f"C^{p} of the {cx.kind} complex has {size:,} coordinates, "
                     f"above the ceiling of {MAX_COCHAIN_DIM:,}: lower --pmax")
         if not size:
             break
@@ -174,10 +155,12 @@ def cmd_check(args) -> int:
         _emit({"error": str(exc)})
         return 2
     suites = ("identity", "metric", "cohomology") if args.suite == "all" else (args.suite,)
+    cx = None  # the complex of the cohomology suite, for a Lie or Filippov algebra
     if "cohomology" in suites and isinstance(obj, (LieAlgebra, FilippovAlgebra)):
         lie = isinstance(obj, LieAlgebra)
-        msg = _oversized(obj, "ce" if lie else "trivial",
-                         min(args.pmax + 1, obj.dim) if lie else args.pmax, 1)
+        cx = CEComplex(obj) if lie else FAComplex(obj, "trivial")
+        p_max = min(args.pmax + 1, obj.dim) if lie else args.pmax
+        msg = _oversized(cx, p_max)
         if msg:
             _human(f"input error: {msg}")
             _emit({"error": msg})
@@ -194,11 +177,11 @@ def cmd_check(args) -> int:
                 continue
             metric_suite(obj, af.metric, run)
         elif suite == "cohomology":
-            if isinstance(obj, (GLAlgebra, LeibnizAlgebra)):
+            if cx is None:
                 if args.suite != "all":
                     _human("  cohomology suite not applicable; skipping")
                 continue
-            cohomology_suite(obj, run, args.pmax)
+            cohomology_suite(cx, run, p_max)
     _human(f"{run.count - run.failed}/{run.count} checks passed")
     return run.exit_code
 
@@ -259,12 +242,13 @@ def cmd_cohomology(args) -> int:
     except (OSError, ParseError, ValueError) as exc:
         _human(f"input error: {exc}")
         return 2
+    p_max = args.pmax
     if isinstance(obj, LieAlgebra):
         if args.complex not in ("ce", "trivial"):
             _human("input error: binary algebras use the ce complex")
             return 2
-        rho = obj.adjoint_rep() if args.rep == "ad" else None
-        kind, dim_v = "ce", 1 if rho is None else obj.dim
+        cx = CEComplex(obj, obj.adjoint_rep() if args.rep == "ad" else None)
+        p_max = min(p_max, obj.dim)  # every cochain space above the dimension is zero
     elif isinstance(obj, FilippovAlgebra):
         if args.complex not in ("trivial", "module", "deformation"):
             _human("input error: n-ary complexes are trivial|module|deformation")
@@ -272,22 +256,20 @@ def cmd_cohomology(args) -> int:
         if args.rep == "ad" and args.complex != "module":
             _human(f"input error: --rep ad applies to the module complex, not {args.complex}")
             return 2
-        rho = None
+        rho = None  # the module complex of rho None is the adjoint one
         if args.complex == "module" and args.rep == "0":
             # the one-dimensional trivial module: every rho(X) is zero
             rho = FARepresentation({lab: {} for lab in
                                     combinations(range(1, obj.dim + 1), obj.arity - 1)}, 1)
-        kind = args.complex
-        dim_v = 1 if rho is not None or kind == "trivial" else obj.dim
+        cx = FAComplex(obj, args.complex, rho)
     else:
         _human("input error: cohomology applies to lie or filippov files")
         return 2
-    msg = _oversized(obj, kind, args.pmax, dim_v)
+    msg = _oversized(cx, p_max)
     if msg:
         _human(f"input error: {msg}")
         return 2
-    rep = (cohomology_dims(obj, rho, args.pmax) if kind == "ce"
-           else fa_cohomology_dims(obj, kind, args.pmax, rho))
+    rep = complex_dims(cx, p_max)
     for p in sorted(rep.dims_h):
         _emit({"degree": p, "dim_c": rep.dims_c[p], "dim_z": rep.dims_z[p],
                "dim_b": rep.dims_b[p], "dim_h": rep.dims_h[p]})

@@ -17,9 +17,10 @@ nhw2, 2 for su(3), 6 for su(4); `integer_scaling`): every term of s carries
 one constant or one rho entry.  A bracket term places l of C_{i_j i_k}^l
 into the sorted remaining indices by one bisection (`tensors.insert_sign`).
 `coboundary_matrix` divides the rows by D (int where integral, else
-`Fraction`), except for `cohomology_dims`, whose ranks it hands the integer
-rows of D s, read from one scaled copy (`_ce_tables`) made once per call;
-`coboundary` dots them with a cochain's coordinates and divides by D.
+`Fraction`); `coboundary` dots them with a cochain's coordinates and divides
+by D.  A `CEComplex` holds what every degree reads, built once per call, and
+`complex_dims`, the one ranking driver of this module and of
+`nary_cohomology`, ranks its integer rows of D s.
 Ranks and preimages come from the fraction-free elimination of
 `linalg.integer_echelon`, whose solutions set every non-pivot coordinate to
 zero.
@@ -31,10 +32,10 @@ C^{n-1-p} (n = dim g), so the two differentials have the same rank: the
 duality behind H^p = H^{n-p} (Koszul, Bull. SMF 78 (1950) 65).  The identity
 needs only an antisymmetric table, not the Jacobi identity, but it fails
 without unimodularity: on r2, [X_1, X_2] = X_2, H = 1, 1, 0 while the
-mirrored ranks would give 1, 2, 1.  `cohomology_dims` therefore tests the
-trace exactly once per call and, when it vanishes, ranks only the degrees p
-with p <= n-1-p, reading every higher one from its mirror; module complexes
-and non-unimodular algebras rank every degree.
+mirrored ranks would give 1, 2, 1.  A `CEComplex` therefore tests the
+trace exactly once and, when it vanishes, names the mirror of every degree p
+with n-1-p < p, whose rank `complex_dims` reads instead of ranking it;
+module complexes and non-unimodular algebras rank every degree.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     acting on the target; its matrices must be rational.
     """
     p, r = om.rank, alg.dim
-    d, rows = _ce_rows(alg, rho, p, om.dim_v)
+    d, rows = _ce_rows(CEComplex(alg, rho, om.dim_v), p)
     col = {idx: i for i, idx in enumerate(basis_tuples(r, p))}
     x = {(a - 1) * len(col) + col[idx]: v for idx, vec in om.entries.items()
          for a, v in vec.items()}
@@ -107,21 +108,11 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     return Cochain(p + 1, r, om.dim_v, dict(zip(coord_basis(r, p + 1, om.dim_v), values)))
 
 
-def _ce_tables(alg, rho):
-    """(D, D C, the rows of each D rho matrix): what `_ce_rows` reads in
-    every degree, built once per call."""
-    d, ialg, imats = integer_scaling(alg, () if rho is None else rho.mats)
-    return d, ialg, [_matrix_rows(m) for m in imats] if imats else [{}] * ialg.dim
-
-
-def _ce_rows(alg, rho, p, dim_v, tables=None):
-    """(D, the rows of D s: C^p -> C^{p+1}) with target dimension dim_v: one
+def _ce_rows(cx, p):
+    """(D, the rows of D s: C^p -> C^{p+1}) of the complex cx: one
     {column: int} per coordinate of `coord_basis(dim, p + 1, dim_v)` (see the
-    module docstring for the columns), read from tables (`_ce_tables`,
-    built here when None)."""
-    if rho is not None and rho.dim_v != dim_v:
-        raise ValueError("representation/target dimension mismatch")
-    d, ialg, mrows = tables or _ce_tables(alg, rho)
+    module docstring for the columns)."""
+    d, ialg, mrows, dim_v = cx.d, cx.ialg, cx.mrows, cx.dim_v
     col = {idx: i for i, idx in enumerate(basis_tuples(ialg.dim, p))}
     targets = basis_tuples(ialg.dim, p + 1)
     rows = [None] * (dim_v * len(targets))
@@ -195,9 +186,9 @@ def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v, *, integer=False, _tables=
     columns indexed by src: the rows of `_ce_rows` divided by D.  With
     integer=True the rows of D s come back undivided, as ints: they span
     what the rows of s span, so they give the same rank.  A caller that
-    assembles several degrees passes the `_ce_tables` of its call.
+    assembles several degrees passes the `CEComplex` of its call.
     """
-    d, rows = _ce_rows(alg, rho, p, dim_v, _tables)
+    d, rows = _ce_rows(_tables or CEComplex(alg, rho, dim_v), p)
     if not integer:
         rows = unscale_rows(rows, d)
     return rows, coord_basis(alg.dim, p, dim_v), coord_basis(alg.dim, p + 1, dim_v)
@@ -227,31 +218,55 @@ def _unimodular(alg: LieAlgebra):
     return not any(tr)
 
 
-def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport:
-    """Exact Z/B/H dimensions for degrees 0..p_max by ranks over Q; the
-    representation matrices must be rational.
+class CEComplex:
+    """The complex of rho (None: the trivial module Q^dim_v, dim_v default
+    1) as `complex_dims` reads it: D, D C and the rows of each D rho matrix
+    for `_ce_rows`, dim C^p and the mirror rule (module docstring)."""
 
-    With rho None and a unimodular algebra (tr ad_X = 0, tested exactly
-    once per call), a degree p above its mirror q = n-1-p takes rank s_p =
-    rank s_q (0 when q < 0) by Poincare duality (Koszul, Bull. SMF 78
-    (1950) 65; see the module docstring), and is neither assembled nor
-    eliminated.  Module complexes and other algebras rank every degree."""
-    if dim_v is None:
-        dim_v = 1 if rho is None else rho.dim_v
-    n = alg.dim
-    mirror = rho is None and _unimodular(alg)
-    tables = _ce_tables(alg, rho)
+    kind = "ce"
+
+    def __init__(self, alg, rho=None, dim_v=None):
+        if dim_v is None:
+            dim_v = 1 if rho is None else rho.dim_v
+        elif rho is not None and rho.dim_v != dim_v:
+            raise ValueError("representation/target dimension mismatch")
+        self.alg, self.rho, self.dim_v = alg, rho, dim_v
+        self.d, self.ialg, imats = integer_scaling(alg, () if rho is None else rho.mats)
+        self.mrows = [_matrix_rows(m) for m in imats] if imats else [{}] * alg.dim
+        self.unimodular = rho is None and _unimodular(alg)
+
+    def dim(self, p):
+        return comb(self.alg.dim, p) * self.dim_v
+
+    def mirror(self, p):
+        """n-1-p when the complex is trivial, the algebra unimodular and n-1-p < p."""
+        q = self.alg.dim - 1 - p
+        return q if self.unimodular and q < p else None
+
+    def matrix(self, p):
+        """The integer rows of D s_p."""
+        return coboundary_matrix(self.alg, self.rho, p, self.dim_v, integer=True, _tables=self)[0]
+
+
+def complex_dims(cx, p_max) -> CohomologyReport:
+    """Exact Z/B/H dimensions of the complex cx (`CEComplex`,
+    `nary_cohomology.FAComplex`) for degrees 0..p_max, by ranks over Q.  A
+    degree with a mirror q takes rank s_q (0 when q < 0) and is neither
+    assembled nor eliminated; every other degree ranks `cx.matrix`."""
     dims_c, ranks = {}, {}
-    for p in range(0, p_max + 1):
-        q = n - 1 - p
-        if mirror and q < p:
-            dims_c[p] = comb(n, p) * dim_v
-            ranks[p] = ranks[q] if q >= 0 else 0
-            continue
-        rows, src, _ = coboundary_matrix(alg, rho, p, dim_v, integer=True, _tables=tables)
-        dims_c[p] = len(src)
-        ranks[p] = linalg.rank(rows)
+    for p in range(p_max + 1):
+        dims_c[p] = cx.dim(p)
+        q = cx.mirror(p)
+        ranks[p] = linalg.rank(cx.matrix(p)) if q is None else ranks.get(q, 0)
     return CohomologyReport.from_ranks(dims_c, ranks)
+
+
+def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport:
+    """Exact Z/B/H dimensions of the complex of rho (None: trivial) for
+    degrees 0..p_max; the representation matrices must be rational.  With
+    rho None and a unimodular algebra, a degree p above its mirror n-1-p
+    takes its rank from the mirror (`CEComplex.mirror`)."""
+    return complex_dims(CEComplex(alg, rho, dim_v), p_max)
 
 
 # ---------------------------------------------------------------------------

@@ -37,22 +37,23 @@ p-tuples of sorted blocks.  Signs of unsorted blocks are tracked on reads.
 `_leibniz_delta` is the one evaluation of delta: it writes delta straight
 into sparse rows {column: value}, one per target coordinate, over the
 coordinates of w.  It reads L's bracket and the complex's actions from one
-`_Tables` built once per call and handed to every degree: D, the constants
-and module matrices scaled to plain ints by their least common denominator
-D (`cohomology.integer_scaling`), the bracket and actions built on them
-(`fundamental_tables`, `_fa_actions`), and a placement table of Z into the
-last block of a trivial or deformation key ({(X, Z): `tensors.insert_sign`
-of X ^ Z}), built when a degree p >= 1 first reads it.  Nothing outlives the
-call.  Columns are read through a table of keys per degree.  Every term
-carries one constant or one rho entry, so the rows are those of D delta.
-`coboundary_matrix` divides them by D (`fa_cohomology_dims` ranks them
-undivided); `fa_coboundary_*`, `coboundary_*_eval` (one point), the checks
-that evaluate many points at once (`jointly_antisymmetric_in_last_slot`,
-`duality_pairing_holds`) and `leibniz_coboundary` (given rational actions,
-D = 1) dot them with the cochain's coordinates and divide by D.  Ranks and
-preimages come from the fraction-free elimination of
-`linalg.integer_echelon`, whose solutions set every non-pivot coordinate to
-zero.
+`FAComplex`, built once per call and handed to every degree: D, the
+constants and module matrices scaled to plain ints by their least common
+denominator D (`cohomology.integer_scaling`), the bracket and actions built
+on them (`fundamental_tables`, `_fa_actions`), and a placement table of Z
+into the last block of a trivial or deformation key ({(X, Z):
+`tensors.insert_sign` of X ^ Z}), built when a degree p >= 1 first reads
+it.  The complex also gives its keys per degree, through which columns are
+read, and dim C^p, counted without building a key.  Every term carries one
+constant or one rho entry, so the rows are those of D delta.
+`coboundary_matrix` divides them by D (`cohomology.complex_dims`, the one
+ranking driver, ranks them undivided); `fa_coboundary_*`, `coboundary_at`
+(delta at given points), the checks built on it
+(`jointly_antisymmetric_in_last_slot`, `duality_pairing_holds`) and
+`leibniz_coboundary` (given rational actions, D = 1) dot them with the
+cochain's coordinates and divide by D.  Ranks and preimages come from the
+fraction-free elimination of `linalg.integer_echelon`, whose solutions set
+every non-pivot coordinate to zero.
 """
 
 from __future__ import annotations
@@ -61,9 +62,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
+from math import comb
 
 from . import linalg
-from .cohomology import CohomologyReport, apply_rows, integer_scaling, unscale_rows
+from .cohomology import (CohomologyReport, apply_rows, complex_dims, integer_scaling,
+                         unscale_rows)
 from .filippov import FARepresentation, FilippovAlgebra, check_fi
 from .scalars import ZERO, accumulate, is_zero, rat
 from .tensors import insert_sign, sort_blocks
@@ -260,31 +263,46 @@ def _fa_actions(fa, kind, rho, size):
 KINDS = ("trivial", "module", "deformation")
 
 
-def _target_dim(fa, kind, rho=None):
-    """dim_v of the complex: 1 for trivial, rho.dim_v for module, fa.dim for
-    deformation; an unknown kind raises ValueError."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown complex kind {kind!r}: expected one of {', '.join(KINDS)}")
-    if kind == "module":
-        return rho.dim_v
-    return fa.dim if kind == "deformation" else 1
+class FAComplex:
+    """The complex `kind` of fa on cochains of target dimension size as
+    `cohomology.complex_dims` reads it, its tables built once: D, and L's
+    bracket and the complex's left and right actions (`_fa_actions`) on the
+    constants and module matrices scaled by D.  The module complex defaults
+    to the adjoint module; the trivial complex takes any size (the trivial
+    module tensored with Q^size), the others only their own dim_v."""
 
-
-class _Tables:
-    """What every degree of the complex `kind` on cochains of target
-    dimension size (default: the complex's own) reads, built once per call:
-    D, and L's bracket and the complex's left and right actions
-    (`_fa_actions`) on the constants and module matrices scaled by D.  The
-    trivial complex takes any size: the trivial module tensored with Q^size."""
-
-    def __init__(self, fa, kind, rho, size=None):
-        want = _target_dim(fa, kind, rho)  # rejects an unknown kind
-        size = size or want
+    def __init__(self, fa, kind, rho=None, size=None):
+        if kind not in KINDS:
+            raise ValueError(f"unknown complex kind {kind!r}: expected one of {', '.join(KINDS)}")
+        if kind == "module" and rho is None:
+            from .filippov import adjoint_fa_representation
+            rho = adjoint_fa_representation(fa)
+        own = rho.dim_v if kind == "module" else fa.dim if kind == "deformation" else 1
+        if size is not None and size != own and kind != "trivial":
+            raise _misfit(kind, size, own)
+        self.fa, self.kind, self.rho, self.size = fa, kind, rho, size or own
         labels = [] if rho is None else list(rho.mats)
         self.d, ifa, imats = integer_scaling(fa, [rho.mats[lab] for lab in labels])
-        irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), size)
-        self.fa, self.kind, self.size = fa, kind, size
-        self.bracket, self.left, self.right = _fa_actions(ifa, kind, irho, size)
+        irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), self.size)
+        self.bracket, self.left, self.right = _fa_actions(ifa, kind, irho, self.size)
+
+    def keys(self, p):
+        return (module_keys if self.kind == "module" else trivial_keys)(self.fa, p)
+
+    def dim(self, p):
+        """dim C^p, counted: blocks^p keys for the module complex, else
+        blocks^(p-1) C(d, n) (d for p = 0), times size."""
+        d, n = self.fa.dim, self.fa.arity
+        if self.kind == "module":
+            return comb(d, n - 1) ** p * self.size
+        return (comb(d, n - 1) ** (p - 1) * comb(d, n) if p else d) * self.size
+
+    def mirror(self, p):
+        return None
+
+    def matrix(self, p):
+        """The integer rows of D delta_p."""
+        return coboundary_matrix(self.fa, self.kind, p, self.rho, integer=True, _tables=self)[0]
 
     @cached_property
     def place(self):
@@ -293,19 +311,16 @@ class _Tables:
         return {(x, z): insert_sign(x, len(x), z) for x, z in self.left}
 
 
-def _check_dim_v(fa, kind, rho, cochain):
-    want = _target_dim(fa, kind, rho)
-    if cochain.dim_v != want:
-        raise ValueError(f"a cochain of dim_v {cochain.dim_v} does not fit the {kind} "
-                         f"complex (dim_v {want})")
+def _misfit(kind, size, want):
+    return ValueError(f"a cochain of dim_v {size} does not fit the {kind} complex (dim_v {want})")
 
 
-def _fa_rows(tables, p, args):
-    """(the rows of D delta at args, {key: first column}) of the complex of
-    tables on p-cochains, coordinate (key, a) at column i * size + a for
-    the i-th key."""
-    kind, size = tables.kind, tables.size
-    cols = {key: i * size for i, key in enumerate(_complex_keys(tables.fa, kind, p))}
+def _fa_rows(cx, p, args):
+    """(the rows of D delta at args, {key: first column}) of the complex cx
+    on p-cochains, coordinate (key, a) at column i * size + a for the i-th
+    key."""
+    kind, size = cx.kind, cx.size
+    cols = {key: i * size for i, key in enumerate(cx.keys(p))}
     if kind == "module":
         def read(xs, _):
             return cols[xs], 1
@@ -313,12 +328,12 @@ def _fa_rows(tables, p, args):
         def read(_, z):
             return cols[(z,)], 1
     else:
-        place = tables.place
+        place = cx.place
 
         def read(xs, z):  # the last block of a key absorbs z: X_p ^ Z, sorted
             key, s = place[xs[-1], z]
             return (cols[xs[:-1] + (key,)], s) if s else None
-    return _leibniz_delta(tables.bracket, tables.left, tables.right, read, size, args), cols
+    return _leibniz_delta(cx.bracket, cx.left, cx.right, read, size, args), cols
 
 
 def _coords(cols, data):
@@ -327,19 +342,17 @@ def _coords(cols, data):
             for a, v in enumerate(vec) if v}
 
 
-def _fa_values(fa, kind, rho, alpha, args):
-    """delta alpha at args: the rows dotted with the coordinates of alpha and
-    divided by D, `alpha.dim_v` values per point."""
-    if kind != "trivial":
-        _check_dim_v(fa, kind, rho, alpha)
-    tables = _Tables(fa, kind, rho, alpha.dim_v)
-    rows, cols = _fa_rows(tables, alpha.order, args)
-    return apply_rows(rows, _coords(cols, alpha.data), tables.d)
+def _fa_values(cx, alpha, args):
+    """delta alpha at args on the complex cx: the rows dotted with the
+    coordinates of alpha and divided by D, `alpha.dim_v` values per point."""
+    rows, cols = _fa_rows(cx, alpha.order, args)
+    return apply_rows(rows, _coords(cols, alpha.data), cx.d)
 
 
-def _evals(fa, alpha, kind, rho, points):
-    """delta alpha at each (raw blocks, z) of points, in order, from one set
-    of tables: the blocks are sorted here, and their sign applied."""
+def coboundary_at(fa: FilippovAlgebra, kind, alpha: NCochain, points, rho=None):
+    """(delta alpha)(X_1..X_{p+1}, Z) of the complex `kind` at each (raw
+    blocks, Z) of points (Z None for the module complex), in order, from one
+    `FAComplex`: the blocks are sorted here, and their sign applied."""
     args, signs = [], []
     for blocks, z in points:
         if len(blocks) != alpha.order + 1:
@@ -349,25 +362,10 @@ def _evals(fa, alpha, kind, rho, points):
         signs.append(s)
         if s:
             args.append((xs, z))
-    values = iter(_vectors(_fa_values(fa, kind, rho, alpha, args), alpha.dim_v) if args else ())
+    cx = FAComplex(fa, kind, rho, alpha.dim_v)
+    values = iter(_vectors(_fa_values(cx, alpha, args), alpha.dim_v) if args else ())
     zero = (0,) * alpha.dim_v
     return [tuple(s * v for v in next(values)) if s else zero for s in signs]
-
-
-def coboundary_trivial_eval(fa: FilippovAlgebra, alpha: NCochain, blocks, z):
-    """(delta alpha)(X_1..X_{p+1}, Z) of the trivial complex; blocks has p+1
-    entries."""
-    return _evals(fa, alpha, "trivial", None, [(blocks, z)])[0]
-
-
-def coboundary_module_eval(fa: FilippovAlgebra, rho, alpha: NCochain, blocks):
-    """(delta alpha)(X_1..X_{p+1}) of the module complex of rho."""
-    return _evals(fa, alpha, "module", rho, [(blocks, None)])[0]
-
-
-def coboundary_deformation_eval(fa: FilippovAlgebra, alpha: NCochain, blocks, z):
-    """(delta alpha)(X_1..X_{p+1}, Z) of the deformation complex."""
-    return _evals(fa, alpha, "deformation", None, [(blocks, z)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +402,9 @@ def _points(kind, keys):
 def _apply(fa, alpha, kind, rho):
     """delta alpha on the canonical keys of its complex; a value that sums no
     term is the int 0, which becomes the `Fraction` zero."""
-    keys = _complex_keys(fa, kind, alpha.order + 1)
-    values = [v or ZERO for v in _fa_values(fa, kind, rho, alpha, _points(kind, keys))]
+    cx = FAComplex(fa, kind, rho, alpha.dim_v)
+    keys = cx.keys(alpha.order + 1)
+    values = [v or ZERO for v in _fa_values(cx, alpha, _points(kind, keys))]
     data = {key: vec for key, vec in zip(keys, _vectors(values, alpha.dim_v)) if any(vec)}
     return NCochain._canonical(kind, alpha.order + 1, fa.arity, fa.dim, alpha.dim_v, data)
 
@@ -424,7 +423,7 @@ def jointly_antisymmetric_in_last_slot(fa, kind, alpha, p_out) -> bool:
             for z in rng:
                 points.append(([*bs, last_blk], z))
                 swapped.append(([*bs, last_blk[:-1] + (z,)], last_blk[-1]))
-    values = _evals(fa, alpha, kind, None, points + swapped)
+    values = coboundary_at(fa, kind, alpha, points + swapped)
     return all(tuple(-v for v in vec2) == vec
                for vec, vec2 in zip(values[:len(points)], values[len(points):]))
 
@@ -433,12 +432,6 @@ def jointly_antisymmetric_in_last_slot(fa, kind, alpha, p_out) -> bool:
 # matrices and cohomology dimensions
 # ---------------------------------------------------------------------------
 
-def _complex_keys(fa, kind, p):
-    if kind == "module":
-        return module_keys(fa, p)
-    return trivial_keys(fa, p)
-
-
 def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None, *, integer=False, _tables=None):
     """Sparse matrix of delta: C^p -> C^{p+1} over the canonical coordinates,
     as (rows, src, dst): one {column: value} row per (key, target index) in
@@ -446,32 +439,22 @@ def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None, *, integer=False, 
     rows are those of `_leibniz_delta` on the constants and module matrices
     scaled to ints, divided by their common denominator D; with integer=True
     they come back undivided, as ints, which give the same rank.  A caller
-    that assembles several degrees passes the `_Tables` of its call.
+    that assembles several degrees passes the `FAComplex` of its call.
     """
-    tables = _tables or _Tables(fa, kind, rho)
-    dv = tables.size
-    out = _complex_keys(fa, kind, p + 1)
-    rows, cols = _fa_rows(tables, p, _points(kind, out))
+    cx = _tables or FAComplex(fa, kind, rho)
+    dv = cx.size
+    out = cx.keys(p + 1)
+    rows, cols = _fa_rows(cx, p, _points(kind, out))
     src = [(key, a) for key in cols for a in range(dv)]
     dst = [(key, t) for key in out for t in range(dv)]
-    return rows if integer else unscale_rows(rows, tables.d), src, dst
+    return rows if integer else unscale_rows(rows, cx.d), src, dst
 
 
 def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> CohomologyReport:
     """Exact Z/B/H dimensions of the chosen complex up to degree p_max, by
     ranks over Q; the module matrices must be rational, and the module
-    complex defaults to the adjoint module.  Every degree reads the one
-    `_Tables` of the call."""
-    if kind == "module" and rho is None:
-        from .filippov import adjoint_fa_representation
-        rho = adjoint_fa_representation(fa)
-    tables = _Tables(fa, kind, rho)
-    dims_c, ranks = {}, {}
-    for p in range(0, p_max + 1):
-        rows, src, _ = coboundary_matrix(fa, kind, p, rho, integer=True, _tables=tables)
-        dims_c[p] = len(src)
-        ranks[p] = linalg.rank(rows)
-    return CohomologyReport.from_ranks(dims_c, ranks)
+    complex defaults to the adjoint module."""
+    return complex_dims(FAComplex(fa, kind, rho), p_max)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +494,7 @@ def duality_pairing_holds(fa: FilippovAlgebra, alpha: NCochain, chains) -> bool:
     and the boundaries read one set of `fundamental_tables`."""
     tables = fundamental_tables(fa)
     chains = [(list(blocks), z) for blocks, z in chains]
-    for (blocks, z), rhs in zip(chains, _evals(fa, alpha, "trivial", None, chains)):
+    for (blocks, z), rhs in zip(chains, coboundary_at(fa, "trivial", alpha, chains)):
         lhs = Fraction(0)
         for (bs, l), v in _boundary(tables, [(tuple(blocks), z, Fraction(1))]).items():
             key = tuple(bs[:-1]) + (tuple(bs[-1]) + (l,),) if alpha.order else (l,)
@@ -604,8 +587,10 @@ def _preimage_coords(fa, kind, target):
     """(x, src): the coordinates x over src of one (p-1)-cochain beta with
     delta(beta) = target, non-pivot coordinates zero (x is None when target
     is not a coboundary)."""
-    _check_dim_v(fa, kind, None, target)
-    rows, src, dst = coboundary_matrix(fa, kind, target.order - 1)
+    cx = FAComplex(fa, kind)
+    if target.dim_v != cx.size:
+        raise _misfit(kind, target.dim_v, cx.size)
+    rows, src, dst = coboundary_matrix(fa, kind, target.order - 1, _tables=cx)
     data = target.data
     rhs = [data[key][t] if key in data else 0 for key, t in dst]
     return linalg.solve(rows, len(src), rhs), src

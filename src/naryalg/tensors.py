@@ -5,9 +5,8 @@ other module.
 Storage convention: an antisymmetric tensor keeps only strictly increasing
 index tuples (1-based indices) with nonzero values.  Reading a permuted
 tuple applies the sign of the permutation; a tuple with repeats reads zero.
-The total antisymmetrizer follows the weight-free convention
-[a_1...a_n] = sum_sigma sign(sigma) a_sigma (no 1/n!); the weight-one
-variant is exposed separately so the two can never be silently confused.
+Antisymmetrized sums follow the weight-free convention
+[a_1...a_n] = sum_sigma sign(sigma) a_sigma (no 1/n!).
 
 `AntisymTensor` is the one container of this kind.  Its values may be exact
 scalars, `scalars.LinearForm`s or `poly.Poly`s: it holds the scalar cocycles
@@ -61,7 +60,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import lcm
 from operator import itemgetter, neg
 
@@ -465,122 +464,6 @@ def ray_equal(a: dict, b: dict) -> bool:
     va, vb = a[k0], b[k0]
     # cross-multiplied comparison avoids choosing which side to divide
     return all(a[k] * vb == b[k] * va for k in a)
-
-
-# ---------------------------------------------------------------------------
-# dense arrays (small, exact)
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DenseTensor:
-    """Dense exact array keyed by full 1-based index tuples; zero-suppressed."""
-
-    shape: tuple
-    data: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_function(cls, shape, f):
-        d = {}
-        for idx in product(*(range(1, s + 1) for s in shape)):
-            v = f(*idx)
-            if not is_zero(v):
-                d[idx] = v
-        return cls(shape, d)
-
-    @classmethod
-    def from_antisym(cls, t: AntisymTensor):
-        d = {}
-        for key, v in t.entries.items():
-            for p in permutations(key):
-                d[p] = perm_sign(p) * v
-        return cls((t.dim,) * t.rank, d)
-
-    def get(self, idx):
-        return self.data.get(tuple(idx), Fraction(0))
-
-    def __eq__(self, other):
-        return (isinstance(other, DenseTensor)
-                and self.shape == other.shape and self.data == other.data)
-
-
-def antisymmetrize(t: DenseTensor) -> AntisymTensor:
-    """Weight-free total antisymmetrization: sum over all permutations with
-    signs (no 1/n!)."""
-    rank = len(t.shape)
-    dim = t.shape[0]
-    if any(s != dim for s in t.shape):
-        raise ValueError("antisymmetrize needs equal axis dimensions")
-    ent = {}
-    for key in combinations(range(1, dim + 1), rank):
-        tot = Fraction(0)
-        for p in permutations(key):
-            v = t.data.get(p)
-            if v is not None:
-                tot += perm_sign(p) * v
-        if not is_zero(tot):
-            ent[key] = tot
-    return AntisymTensor(rank, dim, ent)
-
-
-def antisymmetrize_weighted(t: DenseTensor) -> AntisymTensor:
-    """Weight-one variant: divides by rank! (idempotent on antisym input)."""
-    out = antisymmetrize(t)
-    f = Fraction(1)
-    for k in range(2, out.rank + 1):
-        f *= k
-    return out.scale(Fraction(1, 1) / f)
-
-
-def contract(a, b, pairs):
-    """Exact contraction of two arrays over the given (axis_a, axis_b) pairs.
-
-    Axes are 0-based positions; AntisymTensor inputs are densified first.
-    Result axes: unpaired axes of `a` then of `b`, in order.
-    """
-    ta = DenseTensor.from_antisym(a) if isinstance(a, AntisymTensor) else a
-    tb = DenseTensor.from_antisym(b) if isinstance(b, AntisymTensor) else b
-    pa = [p for p, _ in pairs]
-    pb = [q for _, q in pairs]
-    for p, q in pairs:
-        if ta.shape[p] != tb.shape[q]:
-            raise ValueError(f"contract: axis dim mismatch {p}/{q}")
-    free_a = [i for i in range(len(ta.shape)) if i not in pa]
-    free_b = [i for i in range(len(tb.shape)) if i not in pb]
-    shape = tuple(ta.shape[i] for i in free_a) + tuple(tb.shape[i] for i in free_b)
-
-    # bucket b's entries by their paired-index signature
-    buckets = {}
-    for idx, v in tb.data.items():
-        sig = tuple(idx[q] for q in pb)
-        buckets.setdefault(sig, []).append((tuple(idx[i] for i in free_b), v))
-    out = {}
-    for idx, v in ta.data.items():
-        sig = tuple(idx[p] for p in pa)
-        hits = buckets.get(sig)
-        if not hits:
-            continue
-        left = tuple(idx[i] for i in free_a)
-        for right, w in hits:
-            accumulate(out, left + right, v * w)
-    return DenseTensor(shape, out)
-
-
-def as_antisym(t: DenseTensor):
-    """Return the canonical AntisymTensor equal to `t`, or None if `t` is not
-    fully antisymmetric."""
-    rank = len(t.shape)
-    dim = t.shape[0] if t.shape else 0
-    if any(s != dim for s in t.shape):
-        return None
-    ent, _ = fold_antisym(t.data)
-    if ent is None:
-        return None
-    # every permutation of a stored key must be present with the right value
-    for key, v in ent.items():
-        for p in permutations(key):
-            if t.data.get(p, Fraction(0)) != perm_sign(p) * v:
-                return None
-    return AntisymTensor(rank, dim, ent)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Input handling of the command-line front-end, run in-process."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -9,7 +10,7 @@ from naryalg import cohomology as co
 from naryalg import nary_cohomology as nc
 from naryalg.algfile import AlgebraFile
 from naryalg.catalog import a4, heisenberg
-from naryalg.filippov import adjoint_fa_representation
+from naryalg.filippov import FARepresentation
 
 
 @pytest.fixture
@@ -305,17 +306,42 @@ def test_a_filippov_complex_too_large_to_assemble_is_refused(a4_file, capsys):
     assert "C^7 of the deformation complex has 746,496 coordinates" in capsys.readouterr().err
 
 
+def complexes(kind):
+    """(complex, degrees) for the size tests: su(3) and heisenberg (past its
+    top degree) with trivial and adjoint coefficients, or A4 and nhw1 with
+    the complex's default module, and for the module complex also the
+    one-dimensional module of --rep 0."""
+    if kind == "ce":
+        return [(co.CEComplex(alg, rho), range(deg)) for alg, deg in
+                ((catalog.su(3), 4), (heisenberg(), 6)) for rho in (None, alg.adjoint_rep())]
+    out = [(nc.FAComplex(fa, kind), range(4)) for fa in (a4(), catalog.nhw(1))]
+    if kind == "module":
+        zero = FARepresentation({lab: {} for lab in combinations(range(1, 5), 2)}, 1)
+        out.append((nc.FAComplex(a4(), kind, zero), range(4)))
+    return out
+
+
 @pytest.mark.parametrize("kind", ["ce", "trivial", "module", "deformation"])
 def test_counted_cochain_sizes_are_the_assembled_ones(kind):
-    # the ceiling reads counts, so they must be the column counts of the
-    # coboundaries the command would assemble
-    for obj in ((catalog.su(3), heisenberg()) if kind == "ce" else (a4(), catalog.nhw(1))):
-        if kind == "ce":
-            dim_v, rho = obj.dim, obj.adjoint_rep()
-        else:
-            rho = adjoint_fa_representation(obj) if kind == "module" else None
-            dim_v = 1 if kind == "trivial" else obj.dim
-        for p in range(4):
-            src = (co.coboundary_matrix(obj, rho, p, dim_v) if kind == "ce"
-                   else nc.coboundary_matrix(obj, kind, p, rho))[1]
-            assert cli._cochain_dim(obj, kind, p, dim_v) == len(src), (kind, p)
+    # the ceiling reads the counted cx.dim(p), so it must be the column
+    # count of the coboundary the command would assemble
+    for cx, degrees in complexes(kind):
+        for p in degrees:
+            src = (co.coboundary_matrix(cx.alg, cx.rho, p, cx.dim_v) if kind == "ce"
+                   else nc.coboundary_matrix(cx.fa, kind, p, cx.rho))[1]
+            assert cx.dim(p) == len(src), (kind, p)
+            assert cx.dim(p) or kind == "ce" and p > cx.alg.dim
+
+
+def test_lie_cohomology_stops_at_the_dimension(tmp_path, capsys):
+    # every cochain space above the dimension is zero: heisenberg at --pmax
+    # 20 once printed 21 records, and --pmax had no bound
+    path = tmp_path / "h.alg"
+    path.write_text(AlgebraFile.from_object(heisenberg()).emit())
+    for pmax in ("20", "200000"):
+        assert cli.main(["cohomology", str(path), "--pmax", pmax]) == 0
+        assert records(capsys.readouterr().out) == [
+            {"degree": 0, "dim_b": 0, "dim_c": 1, "dim_h": 1, "dim_z": 1},
+            {"degree": 1, "dim_b": 0, "dim_c": 3, "dim_h": 2, "dim_z": 2},
+            {"degree": 2, "dim_b": 1, "dim_c": 3, "dim_h": 2, "dim_z": 3},
+            {"degree": 3, "dim_b": 0, "dim_c": 1, "dim_h": 1, "dim_z": 1}]

@@ -17,8 +17,7 @@ from naryalg.catalog import a4, a5, corrupted, nhw, nilpotent_leibniz, su
 from naryalg.cohomology import Cochain, basis_tuples, coboundary, integer_scaling, unscale_rows
 from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
                               fundamental_compose)
-from naryalg.nary_cohomology import (NCochain, coboundary_deformation_eval, coboundary_matrix,
-                                     coboundary_module_eval, coboundary_trivial_eval,
+from naryalg.nary_cohomology import (NCochain, coboundary_at, coboundary_matrix,
                                      fa_coboundary_deformation, fa_coboundary_module,
                                      fa_coboundary_trivial, fundamental_tables,
                                      leibniz_coboundary, leibniz_extension, module_keys,
@@ -255,14 +254,14 @@ def test_named_evaluations_on_raw_blocks_equal_the_formulas(name, p):
     rng = random.Random(60 + p)
     rho = adjoint_fa_representation(fa)
     triv, mod, deform = (seeded_cochain(fa, kind, p, rng) for kind in KINDS)
-    for blocks in product(product(range(1, fa.dim + 1), repeat=2), repeat=p + 1):
-        assert coboundary_module_eval(fa, rho, mod, blocks) == \
-            ref_module_eval(fa, rho, mod, blocks)
-        for z in range(1, fa.dim + 1):
-            assert coboundary_trivial_eval(fa, triv, blocks, z) == \
-                ref_trivial_eval(fa, triv, blocks, z)
-            assert coboundary_deformation_eval(fa, deform, blocks, z) == \
-                ref_deformation_eval(fa, deform, blocks, z)
+    chains = list(product(product(range(1, fa.dim + 1), repeat=2), repeat=p + 1))
+    assert coboundary_at(fa, "module", mod, [(bs, None) for bs in chains], rho) == \
+        [ref_module_eval(fa, rho, mod, bs) for bs in chains]
+    points = [(bs, z) for bs in chains for z in range(1, fa.dim + 1)]
+    assert coboundary_at(fa, "trivial", triv, points) == \
+        [ref_trivial_eval(fa, triv, bs, z) for bs, z in points]
+    assert coboundary_at(fa, "deformation", deform, points) == \
+        [ref_deformation_eval(fa, deform, bs, z) for bs, z in points]
 
 
 PARITY_ALGEBRAS = {name: ALGEBRAS[name]() for name in ("a4", "a5", "nhw1")}
@@ -313,14 +312,14 @@ def test_evaluations_on_raw_blocks_equal_the_three_formulas(name, kind, data):
     chain = st.lists(block, min_size=alpha.order + 1, max_size=alpha.order + 1)
     for blocks, z in data.draw(st.lists(st.tuples(chain, labels), min_size=1, max_size=8)):
         if kind == "module":
-            assert coboundary_module_eval(fa, rho, alpha, blocks) == \
-                ref_module_eval(fa, rho, alpha, blocks)
+            assert coboundary_at(fa, kind, alpha, [(blocks, None)], rho) == \
+                [ref_module_eval(fa, rho, alpha, blocks)]
         elif kind == "trivial":
-            assert coboundary_trivial_eval(fa, alpha, blocks, z) == \
-                ref_trivial_eval(fa, alpha, blocks, z)
+            assert coboundary_at(fa, kind, alpha, [(blocks, z)]) == \
+                [ref_trivial_eval(fa, alpha, blocks, z)]
         else:
-            assert coboundary_deformation_eval(fa, alpha, blocks, z) == \
-                ref_deformation_eval(fa, alpha, blocks, z)
+            assert coboundary_at(fa, kind, alpha, [(blocks, z)]) == \
+                [ref_deformation_eval(fa, alpha, blocks, z)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,11 @@ take no Schouten bracket: they read integer term maps; `shuffle_splits`
 derives no sign, which its cache holds per shape.  The invariant-polynomial
 -> cocycle -> GLA bridge, the cocycle invariance scan and the polynomial
 vanishing identity read no sorting accessor of k, Omega or C and build a
-`Fraction` only in the final division of an output entry.  The two
-cohomology-dimension functions reach assembly only through a call of
-`coboundary_matrix` by name, never a row builder directly, so the spans a
-tracer wraps around `coboundary_matrix` see every matrix they rank."""
+`Fraction` only in the final division of an output entry.  The ranking
+driver `complex_dims` reaches matrices only through `cx.matrix`, and every
+complex's `matrix` method calls `coboundary_matrix` by name, never a row
+builder directly, so the spans a tracer wraps around `coboundary_matrix`
+see every matrix the driver ranks."""
 
 import ast
 from pathlib import Path
@@ -489,43 +490,70 @@ def test_every_bridge_kernel_is_in_the_tree():
 
 
 # ---------------------------------------------------------------------------
-# the cohomology dimensions assemble through the named coboundary_matrix
+# the ranking driver reaches matrices only through cx.matrix, and every
+# complex's matrix method assembles through the named coboundary_matrix
 # ---------------------------------------------------------------------------
 
-RANKED_DIMS = {"cohomology_dims", "fa_cohomology_dims"}
+DRIVER = "complex_dims"
+MATRIX = "matrix"
 ROW_BUILDERS = {"_ce_rows", "_fa_rows"}
 ASSEMBLY = "coboundary_matrix"
 
 
+def _reads(node, names):
+    """Every name of names a function reads, as a name or an attribute."""
+    return ([name.id for name in ast.walk(node) if isinstance(name, ast.Name) and name.id in names]
+            + [attr.attr for attr in ast.walk(node)
+               if isinstance(attr, ast.Attribute) and attr.attr in names])
+
+
+def _calls_by_name(node, name):
+    return any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+               and call.func.id == name for call in ast.walk(node))
+
+
 def assembly_bypasses(source):
-    """(function, name) of every row builder a cohomology-dimension function
-    reads (called or not), and (function, None) for one that never calls
-    `coboundary_matrix` by name, nested definitions included."""
+    """(function, name) of every row builder, and every `coboundary_matrix`
+    in the driver, that the driver or a `matrix` method of a class reads
+    (called or not, nested definitions included); (function, None) for a
+    driver that calls no `<complex>.matrix`, or a `matrix` method that never
+    calls `coboundary_matrix` by name."""
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.FunctionDef) and node.name in RANKED_DIMS):
-            continue
-        found += [(node.name, name.id) for name in ast.walk(node)
-                  if isinstance(name, ast.Name) and name.id in ROW_BUILDERS]
-        found += [(node.name, attr.attr) for attr in ast.walk(node)
-                  if isinstance(attr, ast.Attribute) and attr.attr in ROW_BUILDERS]
-        if not any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                   and call.func.id == ASSEMBLY for call in ast.walk(node)):
-            found.append((node.name, None))
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == DRIVER:
+            found += [(DRIVER, name) for name in _reads(node, ROW_BUILDERS | {ASSEMBLY})]
+            if not any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                       and call.func.attr == MATRIX for call in ast.walk(node)):
+                found.append((DRIVER, None))
+    for cls in ast.walk(tree):
+        for node in cls.body if isinstance(cls, ast.ClassDef) else ():
+            if isinstance(node, ast.FunctionDef) and node.name == MATRIX:
+                found += [(f"{cls.name}.{MATRIX}", name) for name in _reads(node, ROW_BUILDERS)]
+                if not _calls_by_name(node, ASSEMBLY):
+                    found.append((f"{cls.name}.{MATRIX}", None))
     return found
 
 
 def test_scan_sees_assembly_around_coboundary_matrix():
-    source = ("def cohomology_dims(alg, rho, p_max):\n"
-              "    d, rows = _ce_rows(alg, rho, 0, 1)\n"
-              "    return coboundary_matrix(alg, rho, 1, 1, integer=True)\n"
-              "def fa_cohomology_dims(fa, kind, p_max):\n"
-              "    build = nary_cohomology._fa_rows\n"
-              "    return cohomology.coboundary_matrix(fa, kind, 0), build\n"
+    source = ("def complex_dims(cx, p_max):\n"
+              "    d, rows = _ce_rows(cx, 0)\n"
+              "    return linalg.rank(rows), cohomology.coboundary_matrix\n"
+              "class CEComplex:\n"
+              "    def matrix(self, p):\n"
+              "        return coboundary_matrix(self.alg, None, p, 1, _tables=self)[0]\n"
+              "class FAComplex:\n"
+              "    def matrix(self, p):\n"
+              "        build = nary_cohomology._fa_rows\n"
+              "        return nary_cohomology.coboundary_matrix(self.fa, p), build\n"
               "def coboundary(alg, rho, om):\n    return _ce_rows(alg, rho, 1, 1)\n")
-    assert assembly_bypasses(source) == [("cohomology_dims", "_ce_rows"),
-                                         ("fa_cohomology_dims", "_fa_rows"),
-                                         ("fa_cohomology_dims", None)]
+    assert assembly_bypasses(source) == [("complex_dims", "_ce_rows"),
+                                         ("complex_dims", "coboundary_matrix"),
+                                         ("complex_dims", None),
+                                         ("FAComplex.matrix", "_fa_rows"),
+                                         ("FAComplex.matrix", None)]
+    driver = "def complex_dims(cx, p_max):\n    return linalg.rank(cx.matrix(p_max))\n"
+    assert assembly_bypasses(driver) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -534,6 +562,12 @@ def test_cohomology_dims_assemble_through_coboundary_matrix(path):
 
 
 def test_every_cohomology_dims_function_is_in_the_tree():
-    defined = {node.name for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)}
-    assert RANKED_DIMS | ROW_BUILDERS <= defined
+    assert {DRIVER} | ROW_BUILDERS <= defined
+    # the two complexes, each with its matrix method
+    assert {cls.name for tree in trees for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            and any(isinstance(f, ast.FunctionDef) and f.name == MATRIX for f in cls.body)} \
+        >= {"CEComplex", "FAComplex"}

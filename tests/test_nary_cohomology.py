@@ -5,12 +5,12 @@ from itertools import combinations, product
 import pytest
 
 import dense_reference as dense
-from naryalg import linalg, nary_cohomology
+from naryalg import linalg
 from naryalg.catalog import a4, a5, nhw
 from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
                               check_fi)
-from naryalg.nary_cohomology import (NCochain, coboundary_deformation_eval, coboundary_matrix,
-                                     coboundary_trivial_eval, deformation_obstruction,
+from naryalg.nary_cohomology import (FAComplex, NCochain, coboundary_at, coboundary_matrix,
+                                     deformation_obstruction,
                                      deformation_preimage, duality_pairing_holds,
                                      fa_central_extension, fa_coboundary_deformation,
                                      fa_coboundary_module, fa_coboundary_trivial,
@@ -45,11 +45,15 @@ def unit_cochain_matrix(fa, kind, p, rho, dv):
     return rows, src, dst
 
 
-@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+# A5 has arity 4: its blocks have odd length, so a sign (-1)^len(X) shows
+UNIT_PARITY = {**ALGEBRAS, "a5": a5}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_PARITY))
 @pytest.mark.parametrize("kind", ["trivial", "module", "deformation"])
 @pytest.mark.parametrize("p", [0, 1])
 def test_row_assembly_matches_unit_cochain_columns(name, kind, p):
-    fa = ALGEBRAS[name]()
+    fa = UNIT_PARITY[name]()
     rho = adjoint_fa_representation(fa) if kind == "module" else None
     dv = 1 if kind == "trivial" else fa.dim
     assert coboundary_matrix(fa, kind, p, rho) == unit_cochain_matrix(fa, kind, p, rho, dv)
@@ -248,7 +252,7 @@ def test_one_evaluation_of_many_points_reads_each_point(kind, p):
     rng = random.Random(54)
     points = [([tuple(rng.sample(range(1, 5), 2)) for _ in range(p + 1)], rng.randint(1, 4))
               for _ in range(60)] + [([(1, 1)] + [(2, 3)] * p, 4)]
-    got = nary_cohomology._evals(fa, alpha, kind, None, points)
+    got = coboundary_at(fa, kind, alpha, points)
     assert got == [delta.value((*bs[:-1], bs[-1] + (z,))) for bs, z in points]
     assert any(any(vec) for vec in got) and any(not any(vec) for vec in got)
 
@@ -264,6 +268,15 @@ def test_module_complex_takes_its_dimension_from_rho():
     rep = fa_cohomology_dims(a4(), "module", 1, rho=adjoint_fa_representation(a4()))
     assert [rep.dims_c[p] for p in range(2)] == [4, 24]
     assert [rep.dims_h[p] for p in range(2)] == [0, 0]
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_the_module_complex_defaults_to_the_adjoint_module(name):
+    fa = ALGEBRAS[name]()
+    rho = adjoint_fa_representation(fa)
+    for p in range(3):
+        assert coboundary_matrix(fa, "module", p) == coboundary_matrix(fa, "module", p, rho)
+    assert fa_cohomology_dims(fa, "module", 1) == fa_cohomology_dims(fa, "module", 1, rho)
 
 
 def test_the_dimension_of_the_coefficients_is_not_a_parameter():
@@ -298,13 +311,13 @@ def test_an_evaluation_takes_one_block_more_than_the_order():
     # and one raised a TypeError from inside the key sort
     fa = a4()
     alpha = random_cochain(fa, "trivial", 1, seed=52)
-    assert coboundary_trivial_eval(fa, alpha, [(1, 2), (3, 4)], 1) == \
-        fa_coboundary_trivial(fa, alpha).value(((1, 2), (3, 4, 1)))
+    assert coboundary_at(fa, "trivial", alpha, [([(1, 2), (3, 4)], 1)]) == \
+        [fa_coboundary_trivial(fa, alpha).value(((1, 2), (3, 4, 1)))]
     with pytest.raises(ValueError, match="takes 2 blocks"):
-        coboundary_trivial_eval(fa, alpha, [(1, 2)], 3)
+        coboundary_at(fa, "trivial", alpha, [([(1, 2)], 3)])
     with pytest.raises(ValueError, match="takes 2 blocks"):
-        coboundary_deformation_eval(fa, random_cochain(fa, "deformation", 1, seed=53),
-                                    [(1, 2), (2, 3), (3, 4)], 1)
+        coboundary_at(fa, "deformation", random_cochain(fa, "deformation", 1, seed=53),
+                      [([(1, 2), (2, 3), (3, 4)], 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +430,7 @@ def test_shear_copy_is_a_denser_a4():
 def test_degrees_read_the_same_rows_from_one_table_set(name, kind):
     fa = SHARED[name]()
     rho = adjoint_fa_representation(fa) if kind == "module" else None
-    tables = nary_cohomology._Tables(fa, kind, rho)
+    tables = FAComplex(fa, kind, rho)
     for p in range(3):
         for integer in (False, True):
             alone = coboundary_matrix(fa, kind, p, rho, integer=integer)
@@ -432,7 +445,7 @@ def test_placement_table_is_insert_sign(name):
     fa = SHARED[name]()
     rng = range(1, fa.dim + 1)
     for kind in ("trivial", "deformation"):
-        place = nary_cohomology._Tables(fa, kind, None, 1).place
+        place = FAComplex(fa, kind).place
         assert place == {(x, z): insert_sign(x, fa.arity - 1, z)
                          for x in combinations(rng, fa.arity - 1) for z in rng}
 

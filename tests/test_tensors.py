@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as dense
 from naryalg.lie import LieAlgebra
-from naryalg.tensors import (AntisymTensor, BracketTensor, DenseTensor, antisymmetrize,
-                             antisymmetrize_weighted, as_antisym, contract,
+from naryalg.tensors import (AntisymTensor, BracketTensor,
                              eps_identities_check, fold_antisym, gen_kronecker,
                              levi_civita, merge_sign,
                              insert_sign, perm_sign, shuffle_splits, sort_blocks, sort_sign)
@@ -153,81 +153,24 @@ def test_scaled_copy_reads_its_own_rows():
 
 
 # ---------------------------------------------------------------------------
-# antisymmetrization
+# contractions of the Kronecker and Levi-Civita symbols
 # ---------------------------------------------------------------------------
-
-def test_antisymmetrize_rank2_delta_pattern():
-    t = DenseTensor((2, 2), {(1, 2): Fraction(1)})
-    out = antisymmetrize(t)
-    assert out.get((1, 2)) == 1 and out.get((2, 1)) == -1
-
-
-def test_antisymmetrize_kills_symmetric():
-    t = DenseTensor.from_function((3, 3), lambda i, j: Fraction(i * j))
-    assert antisymmetrize(t).is_zero()
-
-
-def test_antisymmetrize_triple_products_equal_det():
-    rng = random.Random(1)
-    x, y, z = ([Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3))
-    t = DenseTensor.from_function((3, 3, 3),
-                                  lambda i, j, k: x[i - 1] * y[j - 1] * z[k - 1])
-    out = antisymmetrize(t)
-    # brute-force determinant over all 27 tuples
-    det = Fraction(0)
-    for p in permutations((0, 1, 2)):
-        det += perm_sign(p) * x[p[0]] * y[p[1]] * z[p[2]]
-    for idx in permutations((1, 2, 3)):
-        assert out.get(idx) == perm_sign(idx) * det
-
-
-def test_double_antisymmetrization_scales_by_factorial():
-    rng = random.Random(2)
-    t = DenseTensor.from_function((3, 3, 3),
-                                  lambda *i: Fraction(rng.randint(-3, 3)))
-    once = antisymmetrize(t)
-    twice = antisymmetrize(DenseTensor.from_antisym(once))
-    assert twice == once.scale(Fraction(6))  # 3!
-
-
-def test_weighted_variant_idempotent():
-    rng = random.Random(3)
-    t = DenseTensor.from_function((4, 4), lambda *i: Fraction(rng.randint(-3, 3)))
-    once = antisymmetrize_weighted(t)
-    twice = antisymmetrize_weighted(DenseTensor.from_antisym(once))
-    assert once == twice
-
-
-# ---------------------------------------------------------------------------
-# contraction
-# ---------------------------------------------------------------------------
-
-def eps_tensor(p, d):
-    return DenseTensor(tuple([d] * (2 * p)), {
-        u + l: gen_kronecker(u, l)
-        for u in product(range(1, d + 1), repeat=p)
-        for l in product(range(1, d + 1), repeat=p)
-        if gen_kronecker(u, l) != 0})
-
 
 def test_contract_eps_with_delta_d3():
-    # eps^{ij}_{kl} delta^k_i = (d - 1) delta^j_l at d = 3
-    e = eps_tensor(2, 3)
-    delta = DenseTensor.from_function((3, 3), lambda k, i: Fraction(1 if k == i else 0))
-    out = contract(e, delta, [(0, 1), (2, 0)])
+    # eps^{ij}_{kl} delta^k_i = sum_i eps^{ij}_{il} = (d - 1) delta^j_l at d = 3
     for j in range(1, 4):
         for l in range(1, 4):
-            assert out.get((j, l)) == (2 if j == l else 0)
+            assert sum(gen_kronecker((i, j), (i, l)) for i in range(1, 4)) == \
+                (2 if j == l else 0)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_full_self_contraction_of_levi_civita(d):
-    e = DenseTensor.from_antisym(levi_civita(d))
-    out = contract(e, e, [(i, i) for i in range(d)])
-    fact = 1
-    for q in range(2, d + 1):
-        fact *= q
-    assert out.get(()) == fact
+    # eps stores the one entry (1..d) -> 1, and its signed read squares to 1
+    # on each of the d! permutations: eps_{i..} eps_{i..} = d!
+    eps = levi_civita(d)
+    assert eps.entries == {tuple(range(1, d + 1)): 1}
+    assert sum(eps.get(idx) ** 2 for idx in permutations(range(1, d + 1))) == factorial(d)
 
 
 def test_eps_expansion_relation_p2_d3():
@@ -244,44 +187,6 @@ def test_eps_expansion_relation_p2_d3():
                         rest = tuple(lower[q] for q in range(p + 1) if q not in (s, t))
                         tot += (-1) ** (s + t + 1) * sub * gen_kronecker(upper[2:], rest)
             assert tot == gen_kronecker(upper, lower)
-
-
-def test_contract_dimension_mismatch():
-    a = DenseTensor((2, 2), {})
-    b = DenseTensor((3,), {})
-    with pytest.raises(ValueError):
-        contract(a, b, [(0, 0)])
-
-
-@given(st.integers(0, 100))
-@settings(max_examples=20)
-def test_contract_bilinear_and_order_independent(seed):
-    rng = random.Random(seed)
-
-    def rnd(shape):
-        return DenseTensor.from_function(shape, lambda *i: Fraction(rng.randint(-2, 2)))
-
-    def dsum(x, y):
-        data = {k: x.get(k) + y.get(k) for k in set(x.data) | set(y.data)}
-        return DenseTensor(x.shape, {k: v for k, v in data.items() if v != 0})
-
-    a, a2 = rnd((3, 3)), rnd((3, 3))
-    b = rnd((3, 3, 3))
-    both = contract(dsum(a, a2), b, [(1, 0)])
-    assert both == dsum(contract(a, b, [(1, 0)]), contract(a2, b, [(1, 0)]))
-    # chaining in either order gives the same full contraction
-    c = rnd((3,))
-    one = contract(contract(a, b, [(1, 0)]), c, [(1, 0)])
-    pre = contract(b, c, [(1, 0)])
-    two = contract(a, pre, [(1, 0)])
-    assert one == two
-
-
-def test_as_antisym_roundtrip():
-    t = levi_civita(3)
-    assert as_antisym(DenseTensor.from_antisym(t)) == t
-    bad = DenseTensor((2, 2), {(1, 2): Fraction(1)})  # missing the mirror entry
-    assert as_antisym(bad) is None
 
 
 # ---------------------------------------------------------------------------
@@ -343,28 +248,6 @@ def test_sort_blocks_matches_the_blockwise_loop():
         if len(blocks) == 1:
             one, s1 = sort_sign(blocks[0])
             assert (key, s) == ((one,), s1)
-
-
-def reference_as_antisym(t):
-    rank = len(t.shape)
-    dim = t.shape[0] if t.shape else 0
-    if any(s != dim for s in t.shape):
-        return None
-    ent = {}
-    for idx, v in t.data.items():
-        key, s = sort_sign(idx)
-        if s == 0:
-            return None
-        if key in ent:
-            if ent[key] != s * v:
-                return None
-        else:
-            ent[key] = s * v
-    for key, v in ent.items():
-        for p in permutations(key):
-            if t.data.get(p, Fraction(0)) != perm_sign(p) * v:
-                return None
-    return AntisymTensor(rank, dim, ent)
 
 
 def reference_cocycle_fold(raw):
@@ -434,9 +317,6 @@ def test_fold_antisym_matches_the_three_loops():
     seen = set()
     for _ in range(3000):
         raw = random_raw_map(rng)
-        t = DenseTensor((4, 4, 4), raw)
-        assert as_antisym(t) == reference_as_antisym(t)
-
         ent, bad = fold_antisym(raw)
         ref, err = verdict(reference_cocycle_fold, raw)
         assert ent == ref
@@ -447,8 +327,7 @@ def test_fold_antisym_matches_the_three_loops():
         ent, _ = fold_antisym({k: v for k, v in raw.items() if v or perm_sign(k)})
         ref, err = verdict(reference_metric_fold, raw)
         assert ent == ref and (err is None) == (ent is not None)
-        seen.add((as_antisym(t) is not None, bad is None, ent is not None))
-    # all four reachable verdicts occur: everything holds; only a permutation
-    # is missing; only a zero sits on a repeated index; a value breaks it
-    assert seen == {(True, True, True), (False, True, True), (False, False, True),
-                    (False, False, False)}
+        seen.add((bad is None, ent is not None))
+    # all three reachable verdicts occur: everything holds; only a zero sits
+    # on a repeated index; a value breaks it
+    assert seen == {(True, True), (False, True), (False, False)}
