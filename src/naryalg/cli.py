@@ -91,28 +91,23 @@ def identity_suite(obj, run: CheckRun):
         for form in FI_FORMS:
             rep = check_fi(obj, form)
             run.record(f"filippov-identity-{form}", rep.ok, rep.witness)
-    elif isinstance(obj, LeibnizAlgebra):
+    else:  # a Leibniz algebra: `cmd_check` refuses a multivector file
         wit = obj.left_identity_witness()
         run.record("left-leibniz-identity", wit is None, wit)
-    else:
-        raise ValueError("identity suite applies to algebra files")
 
 
 def metric_suite(obj, metric, run: CheckRun):
     if metric is None:
-        ident = linalg.identity(obj.dim)
-        metric = ident
+        metric = linalg.identity(obj.dim)
         _human("  (no metric block; using the identity matrix)")
     if isinstance(obj, LieAlgebra):
         rep = check_metric_invariance(obj, metric)
         run.record("metric-invariance", rep.invariant, rep.witness)
         run.record("metric-nondegenerate", rep.nondegenerate)
-    elif isinstance(obj, FilippovAlgebra):
+    else:  # a Filippov algebra: `cmd_check` runs the suite on these two alone
         rep = check_metric_fa(obj, metric)
         run.record("metric-nondegenerate", rep.nondegenerate)
         run.record("metric-invariance", rep.invariant, rep.witness)
-    else:
-        raise ValueError("metric suite applies to binary or n-ary bracket algebras")
 
 
 def cohomology_suite(cx, run: CheckRun, p_max):
@@ -147,13 +142,26 @@ def _load(path):
     return af, af.build()
 
 
+def _input_error(msg):
+    """Report an input error on stderr; returns exit code 2."""
+    _human(f"input error: {msg}")
+    return 2
+
+
+def _refuse(msg):
+    """Report an input error of `check` on stderr and as an error record."""
+    _emit({"error": msg})
+    return _input_error(msg)
+
+
 def cmd_check(args) -> int:
     try:
         af, obj = _load(args.path)
     except (OSError, ParseError, ValueError) as exc:
-        _human(f"input error: {exc}")
-        _emit({"error": str(exc)})
-        return 2
+        return _refuse(str(exc))
+    if af.kind == "multivector" and args.suite != "cohomology":
+        return _refuse(f"--suite {args.suite} applies to algebra files: "
+                       "check a multivector file with naryalg poisson")
     suites = ("identity", "metric", "cohomology") if args.suite == "all" else (args.suite,)
     cx = None  # the complex of the cohomology suite, for a Lie or Filippov algebra
     if "cohomology" in suites and isinstance(obj, (LieAlgebra, FilippovAlgebra)):
@@ -162,9 +170,7 @@ def cmd_check(args) -> int:
         p_max = min(args.pmax + 1, obj.dim) if lie else args.pmax
         msg = _oversized(cx, p_max)
         if msg:
-            _human(f"input error: {msg}")
-            _emit({"error": msg})
-            return 2
+            return _refuse(msg)
     run = CheckRun()
     _human(f"{args.path}: {af.kind} arity={af.arity} dim={af.dim}")
     for suite in suites:
@@ -194,8 +200,7 @@ def cmd_generate(args) -> int:
     try:
         obj = _generate_object(args)
     except ValueError as exc:
-        _human(f"input error: {exc}")
-        return 2
+        return _input_error(str(exc))
     af = AlgebraFile.from_object(obj)
     text = af.emit()
     if args.output:
@@ -240,22 +245,18 @@ def cmd_cohomology(args) -> int:
     try:
         _, obj = _load(args.path)
     except (OSError, ParseError, ValueError) as exc:
-        _human(f"input error: {exc}")
-        return 2
+        return _input_error(str(exc))
     p_max = args.pmax
     if isinstance(obj, LieAlgebra):
         if args.complex not in ("ce", "trivial"):
-            _human("input error: binary algebras use the ce complex")
-            return 2
+            return _input_error("binary algebras use the ce complex")
         cx = CEComplex(obj, obj.adjoint_rep() if args.rep == "ad" else None)
         p_max = min(p_max, obj.dim)  # every cochain space above the dimension is zero
     elif isinstance(obj, FilippovAlgebra):
         if args.complex not in ("trivial", "module", "deformation"):
-            _human("input error: n-ary complexes are trivial|module|deformation")
-            return 2
+            return _input_error("n-ary complexes are trivial|module|deformation")
         if args.rep == "ad" and args.complex != "module":
-            _human(f"input error: --rep ad applies to the module complex, not {args.complex}")
-            return 2
+            return _input_error(f"--rep ad applies to the module complex, not {args.complex}")
         rho = None  # the module complex of rho None is the adjoint one
         if args.complex == "module" and args.rep == "0":
             # the one-dimensional trivial module: every rho(X) is zero
@@ -263,12 +264,10 @@ def cmd_cohomology(args) -> int:
                                     combinations(range(1, obj.dim + 1), obj.arity - 1)}, 1)
         cx = FAComplex(obj, args.complex, rho)
     else:
-        _human("input error: cohomology applies to lie or filippov files")
-        return 2
+        return _input_error("cohomology applies to lie or filippov files")
     msg = _oversized(cx, p_max)
     if msg:
-        _human(f"input error: {msg}")
-        return 2
+        return _input_error(msg)
     rep = complex_dims(cx, p_max)
     for p in sorted(rep.dims_h):
         _emit({"degree": p, "dim_c": rep.dims_c[p], "dim_z": rep.dims_z[p],
@@ -285,18 +284,15 @@ def cmd_poisson(args) -> int:
     try:
         _, obj = _load(args.path)
     except (OSError, ParseError, ValueError) as exc:
-        _human(f"input error: {exc}")
-        return 2
+        return _input_error(str(exc))
     if not isinstance(obj, AntisymTensor):
-        _human("input error: poisson checks apply to multivector files")
-        return 2
+        return _input_error("poisson checks apply to multivector files")
     run = CheckRun()
     if args.check == "gps":
         try:
             rep = gps_check(obj)
         except ValueError as exc:
-            _human(f"input error: {exc}")
-            return 2
+            return _input_error(str(exc))
         run.record("self-bracket-zero", rep.ok, rep.witness)
     elif args.check == "np":
         rep = np_check(obj)

@@ -17,13 +17,14 @@ nhw2, 2 for su(3), 6 for su(4); `integer_scaling`): every term of s carries
 one constant or one rho entry.  A bracket term places l of C_{i_j i_k}^l
 into the sorted remaining indices by one bisection (`tensors.insert_sign`).
 `coboundary_matrix` divides the rows by D (int where integral, else
-`Fraction`); `coboundary` dots them with a cochain's coordinates and divides
-by D.  A `CEComplex` holds what every degree reads, built once per call, and
-`complex_dims`, the one ranking driver of this module and of
-`nary_cohomology`, ranks its integer rows of D s.
-Ranks and preimages come from the fraction-free elimination of
-`linalg.integer_echelon`, whose solutions set every non-pivot coordinate to
-zero.
+`Fraction`).  A `CEComplex` holds what every degree reads, built once per
+call.  For every complex of this module and of `nary_cohomology`, s is
+ranked, applied and inverted in one place each, on the rows of D s that
+`cx.matrix(p)` gives: `complex_dims` ranks them, `apply` dots them with a
+cochain's coordinates and divides by D, and `preimage` solves D s x' = y and
+returns x = D x', the solution of s x = y.  Ranks and preimages come from
+the fraction-free elimination of `linalg.integer_echelon`, whose solutions
+set every non-pivot coordinate to zero.
 
 Poincare duality.  For the trivial representation (any dim_v) of a
 unimodular algebra, tr ad_X = sum_j C_{ij}^j = 0 for every X_i, the Hodge
@@ -99,13 +100,8 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     `rho` is None for the trivial representation, else a Representation
     acting on the target; its matrices must be rational.
     """
-    p, r = om.rank, alg.dim
-    d, rows = _ce_rows(CEComplex(alg, rho, om.dim_v), p)
-    col = {idx: i for i, idx in enumerate(basis_tuples(r, p))}
-    x = {(a - 1) * len(col) + col[idx]: v for idx, vec in om.entries.items()
-         for a, v in vec.items()}
-    values = apply_rows(rows, x, d)
-    return Cochain(p + 1, r, om.dim_v, dict(zip(coord_basis(r, p + 1, om.dim_v), values)))
+    cx, p = CEComplex(alg, rho, om.dim_v), om.rank
+    return Cochain(p + 1, alg.dim, om.dim_v, dict(zip(cx.coords(p + 1), apply(cx, p, om.data))))
 
 
 def _ce_rows(cx, p):
@@ -180,6 +176,31 @@ def apply_rows(rows, x, d):
     return [sum(v * x[c] for c, v in row.items() if c in x) * scale for row in rows]
 
 
+def column_vector(cx, p, x):
+    """x, a sparse {coordinate: value} over `cx.coords(p)`, keyed by column;
+    a coordinate outside C^p reads nothing."""
+    col = {c: i for i, c in enumerate(cx.coords(p))}
+    return {col[c]: v for c, v in x.items() if c in col}
+
+
+def apply(cx, p, x):
+    """delta_p x on the complex cx, x a sparse {coordinate: value} over
+    `cx.coords(p)`: one value per coordinate of `cx.coords(p + 1)`, in order,
+    the rows of D delta_p (`cx.matrix`) dotted with x and divided by D."""
+    return apply_rows(cx.matrix(p), column_vector(cx, p, x), cx.d)
+
+
+def preimage(cx, p, y):
+    """One x with delta_p x = y, as a list over `cx.coords(p)` with every
+    non-pivot coordinate zero, or None when y, a sparse {coordinate: value}
+    over `cx.coords(p + 1)`, is not a coboundary.  It solves D delta_p x' = y
+    on the rows of `cx.matrix(p)` and returns x = D x': those augmented rows
+    are the rows of delta_p x = y with each column of x scaled by D, so the
+    elimination takes the same pivots and x is the same solution."""
+    x = linalg.solve(cx.matrix(p), cx.dim(p), [y.get(c, 0) for c in cx.coords(p + 1)])
+    return x if x is None or cx.d == 1 else [v * cx.d if v else v for v in x]
+
+
 def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v, *, integer=False, _tables=None):
     """Sparse matrix of s: C^p -> C^{p+1} in the canonical coordinate bases,
     as (rows, src, dst): one {column: value} row per coordinate in dst, the
@@ -188,10 +209,9 @@ def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v, *, integer=False, _tables=
     what the rows of s span, so they give the same rank.  A caller that
     assembles several degrees passes the `CEComplex` of its call.
     """
-    d, rows = _ce_rows(_tables or CEComplex(alg, rho, dim_v), p)
-    if not integer:
-        rows = unscale_rows(rows, d)
-    return rows, coord_basis(alg.dim, p, dim_v), coord_basis(alg.dim, p + 1, dim_v)
+    cx = _tables or CEComplex(alg, rho, dim_v)
+    d, rows = _ce_rows(cx, p)
+    return rows if integer else unscale_rows(rows, d), cx.coords(p), cx.coords(p + 1)
 
 
 @dataclass
@@ -220,8 +240,9 @@ def _unimodular(alg: LieAlgebra):
 
 class CEComplex:
     """The complex of rho (None: the trivial module Q^dim_v, dim_v default
-    1) as `complex_dims` reads it: D, D C and the rows of each D rho matrix
-    for `_ce_rows`, dim C^p and the mirror rule (module docstring)."""
+    1) as `complex_dims`, `apply` and `preimage` read it: D, D C and the rows
+    of each D rho matrix for `_ce_rows`, dim C^p, its coordinates and the
+    mirror rule (module docstring)."""
 
     kind = "ce"
 
@@ -238,6 +259,10 @@ class CEComplex:
     def dim(self, p):
         return comb(self.alg.dim, p) * self.dim_v
 
+    def coords(self, p):
+        """The coordinates (A, idx) of C^p, in column order."""
+        return coord_basis(self.alg.dim, p, self.dim_v)
+
     def mirror(self, p):
         """n-1-p when the complex is trivial, the algebra unimodular and n-1-p < p."""
         q = self.alg.dim - 1 - p
@@ -250,9 +275,10 @@ class CEComplex:
 
 def complex_dims(cx, p_max) -> CohomologyReport:
     """Exact Z/B/H dimensions of the complex cx (`CEComplex`,
-    `nary_cohomology.FAComplex`) for degrees 0..p_max, by ranks over Q.  A
-    degree with a mirror q takes rank s_q (0 when q < 0) and is neither
-    assembled nor eliminated; every other degree ranks `cx.matrix`."""
+    `nary_cohomology.FAComplex` or `LeibnizComplex`) for degrees 0..p_max, by
+    ranks over Q.  A degree with a mirror q takes rank s_q (0 when q < 0) and
+    is neither assembled nor eliminated; every other degree ranks
+    `cx.matrix`."""
     dims_c, ranks = {}, {}
     for p in range(p_max + 1):
         dims_c[p] = cx.dim(p)
@@ -338,12 +364,8 @@ def central_extension(alg: LieAlgebra, om2: Cochain) -> LieAlgebra:
     if not coboundary(alg, None, om2).is_zero():
         raise ValueError("not a 2-cocycle: extension would break the Jacobi identity")
     r = alg.dim
-    entries = []
-    for (i, j), row in alg.c.items():
-        for k, v in row.items():
-            entries.append(((i, j, k), v))
-    for (a, idx), v in om2.data.items():
-        entries.append(((idx[0], idx[1], r + 1), v))
+    entries = [((i, j, k), v) for (i, j), row in alg.c.items() for k, v in row.items()]
+    entries += [((i, j, r + 1), v) for (_, (i, j)), v in om2.data.items()]
     ext = LieAlgebra.from_entries(r + 1, entries)
     rep = check_jacobi(ext)
     if not rep.ok:
@@ -354,8 +376,7 @@ def central_extension(alg: LieAlgebra, om2: Cochain) -> LieAlgebra:
 def trivialize_extension(alg: LieAlgebra, om2: Cochain):
     """Solve s(Om1) = Om2 for a 1-cochain; returns the basis-change vector
     Om1 (X~'_k = X~_k - Om1_k Xi) or None when the class is non-trivial."""
-    rows, src, dst = coboundary_matrix(alg, None, 1, 1)
-    return linalg.solve(rows, len(src), [om2.get(1, idx) for _, idx in dst])
+    return preimage(CEComplex(alg), 1, om2.data)
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +410,8 @@ def deformation_check(alg: LieAlgebra, alpha: Cochain) -> DeformationReport:
     is_cob = _coboundary_preimage(alg, rho, alpha) is not None
 
     r = alg.dim
-    gdata = {}
-    for idx in combinations(range(1, r + 1), 3):
-        vec = _alpha_nested_cyclic(alg, alpha, idx)
-        for a in range(1, r + 1):
-            if vec[a - 1] != 0:
-                gdata[(a, idx)] = vec[a - 1]
-    gamma = Cochain(3, r, r, gdata)
+    gamma = Cochain(3, r, r, {(a, idx): v for idx in basis_tuples(r, 3)
+                              for a, v in enumerate(_alpha_nested_cyclic(alg, alpha, idx), 1)})
     g_cocycle = coboundary(alg, rho, gamma).is_zero()
     pot = _coboundary_preimage(alg, rho, gamma)
     return DeformationReport(True, is_cob, gamma, g_cocycle, pot is not None, pot)
@@ -418,14 +434,9 @@ def _alpha_nested_cyclic(alg, alpha, idx):
 
 def _coboundary_preimage(alg, rho, om):
     """Exact solve s(beta) = om over the (p-1)-cochain coordinates."""
-    p = om.rank
-    rows, src, dst = coboundary_matrix(alg, rho, p - 1, om.dim_v)
-    coords = om.data
-    sol = linalg.solve(rows, len(src), [coords.get(key, ZERO) for key in dst])
-    if sol is None:
-        return None
-    data = {src[i]: sol[i] for i in range(len(src)) if sol[i] != 0}
-    return Cochain(p - 1, om.dim, om.dim_v, data)
+    cx, p = CEComplex(alg, rho, om.dim_v), om.rank - 1
+    sol = preimage(cx, p, om.data)
+    return None if sol is None else Cochain(p, om.dim, om.dim_v, dict(zip(cx.coords(p), sol)))
 
 
 def mc_cochain(alg: LieAlgebra) -> Cochain:

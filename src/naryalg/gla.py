@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from . import linalg
 from .lie import LieAlgebra, killing_form
@@ -109,10 +110,7 @@ def multibrackets(mats, subsets):
 
 def multibracket_weighted(mats):
     """Weight-one variant: multibracket / n!."""
-    f = 1
-    for q in range(2, len(mats) + 1):
-        f *= q
-    return linalg.sp_scale(Fraction(1, f), multibracket(mats))
+    return linalg.sp_scale(Fraction(1, factorial(len(mats))), multibracket(mats))
 
 
 def resolve_even_bracket(mats):
@@ -375,10 +373,7 @@ def derivative_squared_vanishes(g: GLAlgebra, alpha: AntisymTensor) -> bool:
 def evaluate_cochain(alpha: AntisymTensor, monomial) -> Fraction:
     """alpha(X_{m_1} ^ .. ^ X_{m_q}) = q! alpha_{m_1..m_q} (weight-free wedge
     of vectors against the coordinate normalization)."""
-    f = 1
-    for k in range(2, alpha.rank + 1):
-        f *= k
-    return f * alpha.get(monomial)
+    return factorial(alpha.rank) * alpha.get(monomial)
 
 
 def duality_factor_holds(g: GLAlgebra, alpha: AntisymTensor, monomial) -> bool:
@@ -390,10 +385,7 @@ def duality_factor_holds(g: GLAlgebra, alpha: AntisymTensor, monomial) -> bool:
     rhs = Fraction(0)
     for idx, v in coderivation_apply(g, monomial).items():
         rhs += v * evaluate_cochain(alpha, idx)
-    f = Fraction(1)
-    for k in range(p + 1, p + n):
-        f *= k
-    return lhs == f * rhs
+    return lhs == factorial(p + n - 1) // factorial(p) * rhs
 
 
 # ---------------------------------------------------------------------------

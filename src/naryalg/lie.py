@@ -25,6 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from math import factorial
 
 from . import linalg
 from .scalars import (GaussianRational, accumulate, common_denominator, is_zero, rat,
@@ -394,21 +395,14 @@ def check_invariance(alg: LieAlgebra, k: SymInvariantPoly):
     return min(res) if res else None
 
 
-def _factorial(m):
-    f = 1
-    for q in range(2, m + 1):
-        f *= q
-    return f
-
-
 def _n_arrangements(idx):
     """Distinct arrangements of a multiset tuple."""
-    f = _factorial(len(idx))
+    f = factorial(len(idx))
     counts = {}
     for x in idx:
         counts[x] = counts.get(x, 0) + 1
     for c in counts.values():
-        f //= _factorial(c)
+        f //= factorial(c)
     return f
 
 
@@ -434,7 +428,7 @@ def symmetrized_trace_poly(basis: SunBasis, m: int) -> SymInvariantPoly:
             prefix[seq] = got
         return got
 
-    fact = _factorial(m)
+    fact = factorial(m)
     den = 2 ** m * fact
     terms = {}
     for idx in combinations_with_replacement(range(1, r + 1), m):
@@ -465,7 +459,7 @@ def symmetrized_product(k1: SymInvariantPoly, k2: SymInvariantPoly) -> SymInvari
     if k1.dim != k2.dim:
         raise ValueError("dimension mismatch")
     m = k1.order + k2.order
-    fact = _factorial(m)
+    fact = factorial(m)
     terms = {}
     for idx in combinations_with_replacement(range(1, k1.dim + 1), m):
         mult = fact // _n_arrangements(idx)

@@ -22,7 +22,7 @@ their coefficient module and in the keys of their coordinates:
   binary       given  left[X]                    right[X]                all p-tuples
 
 where (f . X) . Z = sum_k [X_1, .., f(X_k), .., X_{n-1}, Z]; the binary row
-is `leibniz_coboundary` on a `LeibnizAlgebra` with given action matrices.
+is `LeibnizComplex`, a `LeibnizAlgebra` with given action matrices.
 
 A value in g* or End g is a function of one element Z, so a trivial or
 deformation p-cochain is a function w(X_1..X_p)(Z) of p fundamental objects
@@ -43,30 +43,30 @@ denominator D (`cohomology.integer_scaling`), the bracket and actions built
 on them (`fundamental_tables`, `_fa_actions`), and a placement table of Z
 into the last block of a trivial or deformation key ({(X, Z):
 `tensors.insert_sign` of X ^ Z}), built when a degree p >= 1 first reads
-it.  The complex also gives its keys per degree, through which columns are
-read, and dim C^p, counted without building a key.  Every term carries one
+it.  The complex also lists its keys once per degree, through which columns
+are read, and counts dim C^p without building a key.  Every term carries one
 constant or one rho entry, so the rows are those of D delta.
-`coboundary_matrix` divides them by D (`cohomology.complex_dims`, the one
-ranking driver, ranks them undivided); `fa_coboundary_*`, `coboundary_at`
-(delta at given points), the checks built on it
-(`jointly_antisymmetric_in_last_slot`, `duality_pairing_holds`) and
-`leibniz_coboundary` (given rational actions, D = 1) dot them with the
-cochain's coordinates and divide by D.  Ranks and preimages come from the
-fraction-free elimination of `linalg.integer_echelon`, whose solutions set
-every non-pivot coordinate to zero.
+`coboundary_matrix` divides them by D; `cohomology.complex_dims` ranks
+them undivided, `fa_coboundary_*` and `leibniz_coboundary` (a
+`LeibnizComplex`: given rational actions, D = 1) apply delta through
+`cohomology.apply`, and `deformation_preimage` and `trivialize_fa_extension`
+invert it through `cohomology.preimage`, on coordinates (key, a).
+`coboundary_at` (delta at given points) and the checks built on it
+(`jointly_antisymmetric_in_last_slot`, `duality_pairing_holds`) dot the
+rows at those points alone with the coordinates and divide by D.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, product
 from math import comb
 
 from . import linalg
-from .cohomology import (CohomologyReport, apply_rows, complex_dims, integer_scaling,
-                         unscale_rows)
+from .cohomology import (CohomologyReport, apply, apply_rows, column_vector, complex_dims,
+                         integer_scaling, preimage, unscale_rows)
 from .filippov import FARepresentation, FilippovAlgebra, check_fi
 from .scalars import ZERO, accumulate, is_zero, rat
 from .tensors import insert_sign, sort_blocks
@@ -261,11 +261,54 @@ def _fa_actions(fa, kind, rho, size):
 
 
 KINDS = ("trivial", "module", "deformation")
+PLAIN = ("module", "binary")  # the kinds whose keys hold no solitary slot Z
 
 
-class FAComplex:
-    """The complex `kind` of fa on cochains of target dimension size as
-    `cohomology.complex_dims` reads it, its tables built once: D, and L's
+class LeibnizComplex:
+    """The Leibniz complex of lb with coefficients in Q^size, l_X = left[X - 1]
+    and r_X = right[X - 1] (sparse matrices), as `cohomology.complex_dims`,
+    `apply` and `preimage` read it: the binary row of the module docstring,
+    keyed by all p-tuples of 1..dim, its tables on the rational constants and
+    matrices as given (D = 1).  Actions that fail `leibniz_rep_conditions`
+    raise ValueError: their delta does not square to zero."""
+
+    kind, d = "binary", 1
+
+    def __init__(self, lb: LeibnizAlgebra, left, right, size):
+        wit = leibniz_rep_conditions(lb, left, right)
+        if wit is not None:
+            raise ValueError(f"actions fail the representation conditions at {wit}")
+        rng = range(1, lb.dim + 1)
+        self.lb, self.size, self._key_lists = lb, size, {}
+        self._list_keys = lambda p: list(product(rng, repeat=p))
+        self.bracket = {(x, y): lb.row(x, y) for x in rng for y in rng}
+        self.left = {(x, None): {None: _matrix_terms(left[x - 1])} for x in rng}
+        self.right = {(x, None): {None: _matrix_terms(right[x - 1])} for x in rng}
+
+    def keys(self, p):
+        """The keys of C^p (`_list_keys`), listed once per degree."""
+        if p not in self._key_lists:
+            self._key_lists[p] = self._list_keys(p)
+        return self._key_lists[p]
+
+    def coords(self, p):
+        """The coordinates (key, a) of C^p, in column order."""
+        return list(product(self.keys(p), range(self.size)))
+
+    def dim(self, p):
+        return self.lb.dim ** p * self.size
+
+    def mirror(self, p):
+        return None
+
+    def matrix(self, p):
+        """The rows of delta_p."""
+        return coboundary_matrix(self.lb, self.kind, p, integer=True, _tables=self)[0]
+
+
+class FAComplex(LeibnizComplex):
+    """The complex `kind` of fa on cochains of target dimension size: the
+    Leibniz complex of L on its own keys, its tables built once: D, and L's
     bracket and the complex's left and right actions (`_fa_actions`) on the
     constants and module matrices scaled by D.  The module complex defaults
     to the adjoint module; the trivial complex takes any size (the trivial
@@ -281,13 +324,12 @@ class FAComplex:
         if size is not None and size != own and kind != "trivial":
             raise _misfit(kind, size, own)
         self.fa, self.kind, self.rho, self.size = fa, kind, rho, size or own
+        self._key_lists = {}
+        self._list_keys = partial(module_keys if kind == "module" else trivial_keys, fa)
         labels = [] if rho is None else list(rho.mats)
         self.d, ifa, imats = integer_scaling(fa, [rho.mats[lab] for lab in labels])
         irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), self.size)
         self.bracket, self.left, self.right = _fa_actions(ifa, kind, irho, self.size)
-
-    def keys(self, p):
-        return (module_keys if self.kind == "module" else trivial_keys)(self.fa, p)
 
     def dim(self, p):
         """dim C^p, counted: blocks^p keys for the module complex, else
@@ -296,9 +338,6 @@ class FAComplex:
         if self.kind == "module":
             return comb(d, n - 1) ** p * self.size
         return (comb(d, n - 1) ** (p - 1) * comb(d, n) if p else d) * self.size
-
-    def mirror(self, p):
-        return None
 
     def matrix(self, p):
         """The integer rows of D delta_p."""
@@ -316,12 +355,12 @@ def _misfit(kind, size, want):
 
 
 def _fa_rows(cx, p, args):
-    """(the rows of D delta at args, {key: first column}) of the complex cx
-    on p-cochains, coordinate (key, a) at column i * size + a for the i-th
-    key."""
+    """The rows of D delta at args of the complex cx (a `FAComplex` or a
+    `LeibnizComplex`) on p-cochains, coordinate (key, a) at column
+    i * size + a for the i-th key."""
     kind, size = cx.kind, cx.size
     cols = {key: i * size for i, key in enumerate(cx.keys(p))}
-    if kind == "module":
+    if kind in PLAIN:
         def read(xs, _):
             return cols[xs], 1
     elif p == 0:
@@ -333,20 +372,13 @@ def _fa_rows(cx, p, args):
         def read(xs, z):  # the last block of a key absorbs z: X_p ^ Z, sorted
             key, s = place[xs[-1], z]
             return (cols[xs[:-1] + (key,)], s) if s else None
-    return _leibniz_delta(cx.bracket, cx.left, cx.right, read, size, args), cols
+    return _leibniz_delta(cx.bracket, cx.left, cx.right, read, size, args)
 
 
-def _coords(cols, data):
-    """The coordinates of the vectors {key: vector} as {column: value}."""
-    return {cols[key] + a: v for key, vec in data.items() if key in cols
-            for a, v in enumerate(vec) if v}
-
-
-def _fa_values(cx, alpha, args):
-    """delta alpha at args on the complex cx: the rows dotted with the
-    coordinates of alpha and divided by D, `alpha.dim_v` values per point."""
-    rows, cols = _fa_rows(cx, alpha.order, args)
-    return apply_rows(rows, _coords(cols, alpha.data), cx.d)
+def _flat(data):
+    """The nonzero coordinates {(key, a): value} of the vectors {key: vector},
+    as the `coords` of a `LeibnizComplex` or `FAComplex` name them."""
+    return {(key, a): v for key, vec in data.items() for a, v in enumerate(vec) if v}
 
 
 def coboundary_at(fa: FilippovAlgebra, kind, alpha: NCochain, points, rho=None):
@@ -362,8 +394,9 @@ def coboundary_at(fa: FilippovAlgebra, kind, alpha: NCochain, points, rho=None):
         signs.append(s)
         if s:
             args.append((xs, z))
-    cx = FAComplex(fa, kind, rho, alpha.dim_v)
-    values = iter(_vectors(_fa_values(cx, alpha, args), alpha.dim_v) if args else ())
+    cx, p = FAComplex(fa, kind, rho, alpha.dim_v), alpha.order
+    x = column_vector(cx, p, _flat(alpha.data))
+    values = iter(_vectors(apply_rows(_fa_rows(cx, p, args), x, cx.d), alpha.dim_v))
     zero = (0,) * alpha.dim_v
     return [tuple(s * v for v in next(values)) if s else zero for s in signs]
 
@@ -394,7 +427,7 @@ def _vectors(values, size):
 
 def _points(kind, keys):
     """(X_1..X_{p+1}, point) of each key; a trivial or deformation key ends in X_{p+1} ^ Z."""
-    if kind == "module":
+    if kind in PLAIN:
         return [(key, None) for key in keys]
     return [(key[:-1] + (key[-1][:-1],), key[-1][-1]) for key in keys]
 
@@ -402,11 +435,10 @@ def _points(kind, keys):
 def _apply(fa, alpha, kind, rho):
     """delta alpha on the canonical keys of its complex; a value that sums no
     term is the int 0, which becomes the `Fraction` zero."""
-    cx = FAComplex(fa, kind, rho, alpha.dim_v)
-    keys = cx.keys(alpha.order + 1)
-    values = [v or ZERO for v in _fa_values(cx, alpha, _points(kind, keys))]
-    data = {key: vec for key, vec in zip(keys, _vectors(values, alpha.dim_v)) if any(vec)}
-    return NCochain._canonical(kind, alpha.order + 1, fa.arity, fa.dim, alpha.dim_v, data)
+    cx, p = FAComplex(fa, kind, rho, alpha.dim_v), alpha.order
+    values = [v or ZERO for v in apply(cx, p, _flat(alpha.data))]
+    data = {key: vec for key, vec in zip(cx.keys(p + 1), _vectors(values, alpha.dim_v)) if any(vec)}
+    return NCochain._canonical(kind, p + 1, fa.arity, fa.dim, alpha.dim_v, data)
 
 
 def jointly_antisymmetric_in_last_slot(fa, kind, alpha, p_out) -> bool:
@@ -439,15 +471,12 @@ def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None, *, integer=False, 
     rows are those of `_leibniz_delta` on the constants and module matrices
     scaled to ints, divided by their common denominator D; with integer=True
     they come back undivided, as ints, which give the same rank.  A caller
-    that assembles several degrees passes the `FAComplex` of its call.
+    that assembles several degrees passes the `FAComplex` of its call; the
+    binary complex (kind "binary") is always given by its `LeibnizComplex`.
     """
     cx = _tables or FAComplex(fa, kind, rho)
-    dv = cx.size
-    out = cx.keys(p + 1)
-    rows, cols = _fa_rows(cx, p, _points(kind, out))
-    src = [(key, a) for key in cols for a in range(dv)]
-    dst = [(key, t) for key in out for t in range(dv)]
-    return rows if integer else unscale_rows(rows, cx.d), src, dst
+    rows = _fa_rows(cx, p, _points(cx.kind, cx.keys(p + 1)))
+    return rows if integer else unscale_rows(rows, cx.d), cx.coords(p), cx.coords(p + 1)
 
 
 def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> CohomologyReport:
@@ -516,9 +545,8 @@ def fa_central_extension(fa: FilippovAlgebra, alpha: NCochain) -> FilippovAlgebr
         raise ValueError("not a 1-cocycle: the extension would violate the identity")
     d = fa.dim
     f = {k: dict(row) for k, row in fa.f.items()}
-    for (key,), vec in ((k, v) for k, v in alpha.data.items()):
-        row = f.setdefault(key, {})
-        row[d + 1] = vec[0]
+    for (key,), vec in alpha.data.items():
+        f.setdefault(key, {})[d + 1] = vec[0]
     ext = FilippovAlgebra(fa.arity, d + 1, f)
     rep = check_fi(ext)
     if not rep.ok:
@@ -529,7 +557,9 @@ def fa_central_extension(fa: FilippovAlgebra, alpha: NCochain) -> FilippovAlgebr
 def trivialize_fa_extension(fa: FilippovAlgebra, alpha: NCochain):
     """Solve alpha = delta(beta) over scalar 0-cochains; returns the basis
     change vector or None when the class is non-trivial."""
-    return _preimage_coords(fa, "trivial", alpha)[0]
+    if alpha.dim_v != 1:
+        raise _misfit("trivial", alpha.dim_v, 1)
+    return preimage(FAComplex(fa, "trivial"), alpha.order - 1, _flat(alpha.data))
 
 
 def deformation_obstruction(fa: FilippovAlgebra, alpha: NCochain):
@@ -567,7 +597,6 @@ def deformation_obstruction(fa: FilippovAlgebra, alpha: NCochain):
                 if any(out):
                     data[(bx, by + (z,))] = tuple(out)
     gamma = NCochain("deformation", 2, n, d, d, data)
-    # gamma must be consistent on raw keys: rebuild via evaluations is implicit
     g_cocycle = fa_coboundary_deformation(fa, gamma).is_zero()
     pre = deformation_preimage(fa, gamma)
     return gamma, g_cocycle, pre
@@ -575,25 +604,12 @@ def deformation_obstruction(fa: FilippovAlgebra, alpha: NCochain):
 
 def deformation_preimage(fa: FilippovAlgebra, target: NCochain):
     """Solve delta(beta) = target over deformation (p-1)-cochains."""
-    sol, src = _preimage_coords(fa, "deformation", target)
+    cx, p = FAComplex(fa, "deformation", size=target.dim_v), target.order - 1
+    sol = preimage(cx, p, _flat(target.data))
     if sol is None:
         return None
-    dv = fa.dim
-    return NCochain("deformation", target.order - 1, fa.arity, fa.dim, dv,
-                    dict(zip((key for key, _ in src[::dv]), _vectors(sol, dv))))
-
-
-def _preimage_coords(fa, kind, target):
-    """(x, src): the coordinates x over src of one (p-1)-cochain beta with
-    delta(beta) = target, non-pivot coordinates zero (x is None when target
-    is not a coboundary)."""
-    cx = FAComplex(fa, kind)
-    if target.dim_v != cx.size:
-        raise _misfit(kind, target.dim_v, cx.size)
-    rows, src, dst = coboundary_matrix(fa, kind, target.order - 1, _tables=cx)
-    data = target.data
-    rhs = [data[key][t] if key in data else 0 for key, t in dst]
-    return linalg.solve(rows, len(src), rhs), src
+    return NCochain("deformation", p, fa.arity, fa.dim, cx.size,
+                    dict(zip(cx.keys(p), _vectors(sol, cx.size))))
 
 
 def mc_zero_cochain(fa: FilippovAlgebra) -> NCochain:
@@ -677,20 +693,11 @@ def leibniz_coboundary(lb: LeibnizAlgebra, left, right, omega: dict, p: int, dim
     omega: tuple (length p) -> target vector of length dim_v, with the sparse
     matrices l_X = left[X - 1] and r_X = right[X - 1]; returns the nonzero
     values of delta omega on all (p+1)-tuples.  Note that the first sum stops
-    at p, not p+1."""
-    wit = leibniz_rep_conditions(lb, left, right)
-    if wit is not None:
-        raise ValueError(f"actions fail the representation conditions at {wit}")
-    rng = range(1, lb.dim + 1)
-    bracket = {(x, y): lb.row(x, y) for x in rng for y in rng}
-    lt = {(x, None): {None: _matrix_terms(left[x - 1])} for x in rng}
-    rt = {(x, None): {None: _matrix_terms(right[x - 1])} for x in rng}
-    cols = {key: i * dim_v for i, key in enumerate(product(rng, repeat=p))}
-    keys = list(product(rng, repeat=p + 1))
-    rows = _leibniz_delta(bracket, lt, rt, lambda xs, _: (cols[xs], 1), dim_v,
-                          [(xs, None) for xs in keys])
-    return {key: vec for key, vec in zip(keys, _vectors(apply_rows(rows, _coords(cols, omega), 1),
-                                                        dim_v)) if any(vec)}
+    at p, not p+1; actions that fail the representation conditions raise
+    ValueError (`LeibnizComplex`)."""
+    cx = LeibnizComplex(lb, left, right, dim_v)
+    values = _vectors(apply(cx, p, _flat(omega)), dim_v)
+    return {key: vec for key, vec in zip(cx.keys(p + 1), values) if any(vec)}
 
 
 def leibniz_extension(lb: LeibnizAlgebra, left, right, omega2: dict, dim_a: int) -> LeibnizAlgebra:

@@ -475,16 +475,19 @@ def nambu_bracket(fs, density=Fraction(1)) -> Poly:
     return _poly_det(rows) * (Fraction(1) / Fraction(density))
 
 
-def nambu_fi_residual(fs, gs, density=Fraction(1)) -> Poly:
-    """{f_1..f_{n-1}, {g_1..g_n}} - sum_i {g_1.., {f.., g_i}, ..g_n} as a
-    polynomial (identically zero for the Jacobian bracket)."""
-    n = len(gs)
-    lhs = nambu_bracket(list(fs) + [nambu_bracket(gs, density)], density)
-    out = lhs
-    for i in range(n):
-        inner = nambu_bracket(list(fs) + [gs[i]], density)
-        out = out - nambu_bracket(gs[:i] + [inner] + gs[i + 1:], density)
+def _fi_residual(bracket, fs, gs) -> Poly:
+    """{f_1..f_{n-1}, {g_1..g_n}} - sum_i {g_1.., {f.., g_i}, ..g_n} for the
+    bracket of functions `bracket` (a callable on a list of polynomials)."""
+    out = bracket(list(fs) + [bracket(gs)])
+    for i in range(len(gs)):
+        out = out - bracket(gs[:i] + [bracket(list(fs) + [gs[i]])] + gs[i + 1:])
     return out
+
+
+def nambu_fi_residual(fs, gs, density=Fraction(1)) -> Poly:
+    """The fundamental-identity residual (`_fi_residual`) of the Jacobian
+    bracket as a polynomial: identically zero."""
+    return _fi_residual(lambda args: nambu_bracket(args, density), fs, gs)
 
 
 def nambu_leibniz_residual(fs, g, h, slot, density=Fraction(1)) -> Poly:
@@ -502,14 +505,9 @@ def nambu_leibniz_residual(fs, g, h, slot, density=Fraction(1)) -> Poly:
 
 def hamiltonian_derivation_residual(lam: AntisymTensor, hs, gs) -> Poly:
     """For the bracket of lam: {H_1..H_{n-1}, {g_1..g_n}} - sum_i {g_1..,
-    {H.., g_i}, ..}; vanishes when lam is a Nambu-Poisson tensor."""
-    n = lam.rank
-    lhs = bracket_of_functions(lam, list(hs) + [bracket_of_functions(lam, gs)])
-    out = lhs
-    for i in range(n):
-        inner = bracket_of_functions(lam, list(hs) + [gs[i]])
-        out = out - bracket_of_functions(lam, gs[:i] + [inner] + gs[i + 1:])
-    return out
+    {H.., g_i}, ..} (`_fi_residual`); vanishes when lam is a Nambu-Poisson
+    tensor."""
+    return _fi_residual(lambda args: bracket_of_functions(lam, args), hs, gs)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from naryalg import nary_cohomology as nc
 from naryalg.algfile import AlgebraFile
 from naryalg.catalog import a4, heisenberg
 from naryalg.filippov import FARepresentation
+from naryalg.poisson import lie_poisson_bivector
 
 
 @pytest.fixture
@@ -345,3 +346,18 @@ def test_lie_cohomology_stops_at_the_dimension(tmp_path, capsys):
             {"degree": 1, "dim_b": 0, "dim_c": 3, "dim_h": 2, "dim_z": 2},
             {"degree": 2, "dim_b": 1, "dim_c": 3, "dim_h": 2, "dim_z": 3},
             {"degree": 3, "dim_b": 0, "dim_c": 1, "dim_h": 1, "dim_z": 1}]
+
+
+@pytest.mark.parametrize("suite", ["identity", "metric", "all"])
+def test_check_suites_refuse_a_multivector_file(tmp_path, capsys, suite):
+    # these suites once ended in an uncaught ValueError traceback
+    path = tmp_path / "lp.alg"
+    path.write_text(AlgebraFile.from_object(lie_poisson_bivector(catalog.su(2))).emit())
+    assert cli.main(["check", str(path), "--suite", suite]) == 2
+    out = capsys.readouterr()
+    msg = f"--suite {suite} applies to algebra files: check a multivector file with naryalg poisson"
+    assert records(out.out) == [{"error": msg}]
+    assert f"input error: {msg}" in out.err
+    # the cohomology suite still skips it
+    assert cli.main(["check", str(path), "--suite", "cohomology"]) == 0
+    assert "cohomology suite not applicable; skipping" in capsys.readouterr().err

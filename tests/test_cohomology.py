@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -379,3 +380,21 @@ def test_su3_preimage_witnesses_are_pinned():
     pre = _coboundary_preimage(alg, rho, coboundary(alg, rho, beta))
     assert pre.data == {(1, (7,)): 2, (2, (6,)): -3, (3, (5,)): -2, (3, (6,)): -3,
                         (3, (7,)): -2, (3, (8,)): 1, (6, (2,)): -1, (7, (6,)): -1}
+
+
+def test_su3_deformation_potential_is_pinned():
+    # the obstruction of a trivial deformation alpha = s(beta) of su(3) is a
+    # coboundary; its potential is the solution with non-pivot coordinates zero
+    rng = random.Random(7)
+    alg = su(3)
+    rho = alg.adjoint_rep()
+    beta = Cochain(1, 8, 8, {(a, (i,)): draw(rng) for a in range(1, 9) for i in range(1, 9)
+                             if rng.random() < 0.3})
+    rep = deformation_check(alg, coboundary(alg, rho, beta))
+    pot = rep.obstruction_potential
+    assert rep.obstruction_is_coboundary and coboundary(alg, rho, pot) == rep.obstruction
+    assert len(pot.data) == 162
+    assert sorted(pot.data.items())[:3] == [((1, (1, 2)), Fraction(9, 2)),
+                                            ((1, (1, 3)), Fraction(-15, 4)), ((1, (1, 4)), -2)]
+    assert hashlib.sha256(repr(sorted(pot.data.items())).encode()).hexdigest() == \
+        "e6cfc168d4ba0d135aefa5506ae52195a067509ef3b5be842339252816c649f2"

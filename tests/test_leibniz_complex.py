@@ -13,15 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naryalg import LeibnizAlgebra, linalg
-from naryalg.catalog import a4, a5, corrupted, nhw, nilpotent_leibniz, su
-from naryalg.cohomology import Cochain, basis_tuples, coboundary, integer_scaling, unscale_rows
+from naryalg.catalog import a4, a5, corrupted, heisenberg, nhw, nilpotent_leibniz, su
+from naryalg.cohomology import (Cochain, basis_tuples, coboundary, complex_dims, integer_scaling,
+                                unscale_rows)
 from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
                               fundamental_compose)
-from naryalg.nary_cohomology import (NCochain, coboundary_at, coboundary_matrix,
-                                     fa_coboundary_deformation, fa_coboundary_module,
-                                     fa_coboundary_trivial, fundamental_tables,
-                                     leibniz_coboundary, leibniz_extension, module_keys,
-                                     trivial_keys)
+from naryalg.nary_cohomology import (LeibnizComplex, NCochain, coboundary_at,
+                                     coboundary_matrix, fa_coboundary_deformation,
+                                     fa_coboundary_module, fa_coboundary_trivial,
+                                     fundamental_tables, leibniz_coboundary, leibniz_extension,
+                                     leibniz_rep_conditions, module_keys, trivial_keys)
 from naryalg.scalars import LinearForm
 from naryalg.tensors import sort_sign
 
@@ -388,6 +389,61 @@ def test_ce_complex_is_a_subcomplex_of_the_leibniz_complex(n, p):
     assert want.data
     for key in product(range(1, d + 1), repeat=p + 1):
         assert got.get(key, zero) == tuple(want.value(key)), key
+
+
+def with_trivial(lb):
+    zero = [{} for _ in range(lb.dim)]
+    return lb, zero, zero, 1
+
+
+def with_regular(lb):
+    """l_X = [X, -] and r_X = [-, X] as sparse matrices on lb itself."""
+    rng = range(1, lb.dim + 1)
+    return (lb, [{(k - 1, y - 1): v for y in rng for k, v in lb.row(x, y).items()} for x in rng],
+            [{(k - 1, y - 1): v for y in rng for k, v in lb.row(y, x).items()} for x in rng],
+            lb.dim)
+
+
+LEIBNIZ_COMPLEXES = {
+    "heisenberg-adjoint": lambda: (*as_leibniz(heisenberg()), 3),
+    "heisenberg-trivial": lambda: with_trivial(as_leibniz(heisenberg())[0]),
+    "nilpotent-regular": lambda: with_regular(nilpotent_leibniz()),
+    "nilpotent-trivial": lambda: with_trivial(nilpotent_leibniz()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEIBNIZ_COMPLEXES))
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_leibniz_complex_matrix_is_the_dense_coboundary(name, p):
+    lb, left, right, size = LEIBNIZ_COMPLEXES[name]()
+    assert leibniz_rep_conditions(lb, left, right) is None
+    cx = LeibnizComplex(lb, left, right, size)
+    # the generic cochain: coordinate i of cx.coords(p) is the form x_i
+    generic = {key: tuple(LinearForm({i * size + a: 1}) for a in range(size))
+               for i, key in enumerate(cx.keys(p))}
+    out = ref_leibniz_apply(lb, left, right, generic, p, size)
+    zero = (0,) * size
+    assert cx.matrix(p) == [out.get(key, zero)[a] or LinearForm() for key, a in cx.coords(p + 1)]
+    assert len(cx.coords(p)) == cx.dim(p)
+
+
+@pytest.mark.parametrize("n,h", [(2, [1, 0, 0, 0, 0]), (3, [1, 0, 0])])
+def test_leibniz_cohomology_of_su_n_vanishes_above_degree_zero(n, h):
+    # theory: HL^p(g) = 0 for p >= 1 with trivial coefficients when g is
+    # semisimple (Pirashvili, Ann. Inst. Fourier 44 (1994) 401)
+    lb = as_leibniz(su(n))[0]
+    rep = complex_dims(LeibnizComplex(*with_trivial(lb)), len(h) - 1)
+    assert [rep.dims_h[p] for p in sorted(rep.dims_h)] == h
+    assert rep.dims_c == {p: lb.dim ** p for p in range(len(h))}
+
+
+def test_a_leibniz_complex_refuses_actions_that_are_no_representation():
+    # r_X = ad_X with l = 0 fails r_[X,Y] = r_Y r_X + l_X r_Y; ranked anyway,
+    # its delta does not square to zero and su(2) read H = 0, -3, -9
+    lb, ad, _ = as_leibniz(su(2))
+    zero = [{} for _ in range(3)]
+    with pytest.raises(ValueError, match="representation conditions at .'right-compat', 1, 1"):
+        LeibnizComplex(lb, zero, ad, 3)
 
 
 def test_leibniz_coboundary_squares_to_zero_on_a_non_lie_algebra():

@@ -20,10 +20,12 @@ derives no sign, which its cache holds per shape.  The invariant-polynomial
 -> cocycle -> GLA bridge, the cocycle invariance scan and the polynomial
 vanishing identity read no sorting accessor of k, Omega or C and build a
 `Fraction` only in the final division of an output entry.  The ranking
-driver `complex_dims` reaches matrices only through `cx.matrix`, and every
-complex's `matrix` method calls `coboundary_matrix` by name, never a row
-builder directly, so the spans a tracer wraps around `coboundary_matrix`
-see every matrix the driver ranks."""
+driver `complex_dims` and the one `apply` and one `preimage` of the
+coboundary reach matrices only through `cx.matrix`, and every complex's
+`matrix` method calls `coboundary_matrix` by name, never a row builder
+directly, so the spans a tracer wraps around `coboundary_matrix` see every
+matrix they read.  In the cohomology modules `linalg.solve` is read only by
+`preimage`, and `apply_rows` only by `apply` and `coboundary_at`."""
 
 import ast
 from pathlib import Path
@@ -490,11 +492,12 @@ def test_every_bridge_kernel_is_in_the_tree():
 
 
 # ---------------------------------------------------------------------------
-# the ranking driver reaches matrices only through cx.matrix, and every
-# complex's matrix method assembles through the named coboundary_matrix
+# the ranking driver, apply and preimage reach matrices only through
+# cx.matrix, and every complex's matrix method assembles through the named
+# coboundary_matrix
 # ---------------------------------------------------------------------------
 
-DRIVER = "complex_dims"
+DRIVERS = {"complex_dims", "apply", "preimage"}
 MATRIX = "matrix"
 ROW_BUILDERS = {"_ce_rows", "_fa_rows"}
 ASSEMBLY = "coboundary_matrix"
@@ -514,18 +517,19 @@ def _calls_by_name(node, name):
 
 def assembly_bypasses(source):
     """(function, name) of every row builder, and every `coboundary_matrix`
-    in the driver, that the driver or a `matrix` method of a class reads
-    (called or not, nested definitions included); (function, None) for a
-    driver that calls no `<complex>.matrix`, or a `matrix` method that never
-    calls `coboundary_matrix` by name."""
+    in a driver, that a module-level driver (`complex_dims`, `apply`,
+    `preimage`) or a `matrix` method of a class reads (called or not, nested
+    definitions included); (function, None) for a driver that calls no
+    `<complex>.matrix`, or a `matrix` method that never calls
+    `coboundary_matrix` by name."""
     found = []
     tree = ast.parse(source)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == DRIVER:
-            found += [(DRIVER, name) for name in _reads(node, ROW_BUILDERS | {ASSEMBLY})]
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in DRIVERS:
+            found += [(node.name, name) for name in _reads(node, ROW_BUILDERS | {ASSEMBLY})]
             if not any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
                        and call.func.attr == MATRIX for call in ast.walk(node)):
-                found.append((DRIVER, None))
+                found.append((node.name, None))
     for cls in ast.walk(tree):
         for node in cls.body if isinstance(cls, ast.ClassDef) else ():
             if isinstance(node, ast.FunctionDef) and node.name == MATRIX:
@@ -546,13 +550,20 @@ def test_scan_sees_assembly_around_coboundary_matrix():
               "    def matrix(self, p):\n"
               "        build = nary_cohomology._fa_rows\n"
               "        return nary_cohomology.coboundary_matrix(self.fa, p), build\n"
-              "def coboundary(alg, rho, om):\n    return _ce_rows(alg, rho, 1, 1)\n")
+              "def coboundary(alg, rho, om):\n    return _ce_rows(alg, rho, 1, 1)\n"
+              "def apply(cx, p, x):\n    return apply_rows(_fa_rows(cx, p, x), x, cx.d)\n"
+              "def preimage(cx, p, y):\n"
+              "    return linalg.solve(coboundary_matrix(cx.alg, p)[0], cx.dim(p), y)\n"
+              "class Operator:\n    def apply(self, mv):\n        return mv\n")
     assert assembly_bypasses(source) == [("complex_dims", "_ce_rows"),
                                          ("complex_dims", "coboundary_matrix"),
                                          ("complex_dims", None),
+                                         ("apply", "_fa_rows"), ("apply", None),
+                                         ("preimage", "coboundary_matrix"), ("preimage", None),
                                          ("FAComplex.matrix", "_fa_rows"),
                                          ("FAComplex.matrix", None)]
-    driver = "def complex_dims(cx, p_max):\n    return linalg.rank(cx.matrix(p_max))\n"
+    driver = ("def complex_dims(cx, p_max):\n    return linalg.rank(cx.matrix(p_max))\n"
+              "def apply(cx, p, x):\n    return apply_rows(cx.matrix(p), x, cx.d)\n")
     assert assembly_bypasses(driver) == []
 
 
@@ -565,9 +576,52 @@ def test_every_cohomology_dims_function_is_in_the_tree():
     trees = [ast.parse(path.read_text()) for path in MODULES]
     defined = {node.name for tree in trees for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef)}
-    assert {DRIVER} | ROW_BUILDERS <= defined
-    # the two complexes, each with its matrix method
+    assert DRIVERS | ROW_BUILDERS <= defined
+    # the three complexes, each with its matrix method
     assert {cls.name for tree in trees for cls in ast.walk(tree)
             if isinstance(cls, ast.ClassDef)
             and any(isinstance(f, ast.FunctionDef) and f.name == MATRIX for f in cls.body)} \
-        >= {"CEComplex", "FAComplex"}
+        >= {"CEComplex", "FAComplex", "LeibnizComplex"}
+
+
+# ---------------------------------------------------------------------------
+# one path per job in the cohomology modules: the exact solve only in
+# preimage, the dot product of rows only in apply and coboundary_at
+# ---------------------------------------------------------------------------
+
+COHOMOLOGY_MODULES = [SRC / "cohomology.py", SRC / "nary_cohomology.py"]
+READ_ONLY_IN = {"solve": {"preimage"}, "apply_rows": {"apply", "coboundary_at"}}
+
+
+def reads_outside_their_function(source):
+    """(enclosing module-level definition, name) of every read of a name of
+    `READ_ONLY_IN`, as a name or an attribute, outside the module-level
+    functions allowed to read it ("<module>" for a read at module level)."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        found += [(owner, name) for name in _reads(node, READ_ONLY_IN)
+                  if not (isinstance(node, ast.FunctionDef) and owner in READ_ONLY_IN[name])]
+    return found
+
+
+def test_scan_sees_a_second_solve_or_dot_product():
+    source = ("def preimage(cx, p, y):\n    return linalg.solve(cx.matrix(p), 3, y)\n"
+              "def trivialize(alg, om):\n    return linalg.solve(rows, 3, rhs)\n"
+              "class FAComplex:\n    def values(self, x):\n        return apply_rows(x, x, 1)\n"
+              "def coboundary_at(cx, x):\n    return apply_rows(cx.rows, x, cx.d)\n"
+              "SOLVE = solve\n")
+    assert reads_outside_their_function(source) == [("trivialize", "solve"),
+                                                    ("FAComplex", "apply_rows"),
+                                                    ("<module>", "solve")]
+
+
+@pytest.mark.parametrize("path", COHOMOLOGY_MODULES, ids=lambda p: p.name)
+def test_one_solve_and_one_dot_product_per_job(path):
+    assert reads_outside_their_function(path.read_text()) == []
+
+
+def test_the_solve_and_the_dot_product_are_in_the_tree():
+    defined = {node.name for path in COHOMOLOGY_MODULES
+               for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
+    assert set().union(*READ_ONLY_IN.values()) <= defined
