@@ -37,14 +37,16 @@ p-tuples of sorted blocks.  Signs of unsorted blocks are tracked on reads.
 `_leibniz_delta` is the one evaluation of delta: it writes delta straight
 into sparse rows {column: value}, one per target coordinate, over the
 coordinates of w.  It reads L's bracket and the complex's actions from one
-`FAComplex`, built once per call and handed to every degree: D, the
-constants and module matrices scaled to plain ints by their least common
-denominator D (`cohomology.integer_scaling`), the bracket and actions built
-on them (`fundamental_tables`, `_fa_actions`), and a placement table of Z
-into the last block of a trivial or deformation key ({(X, Z):
-`tensors.insert_sign` of X ^ Z}), built when a degree p >= 1 first reads
-it.  The complex also lists its keys once per degree, through which columns
-are read, and counts dim C^p without building a key.  Every term carries one
+`FAComplex`, handed to every degree: D, the constants and module matrices
+scaled to plain ints by their least common denominator D
+(`cohomology.integer_scaling`), the bracket and actions built on them
+(`fundamental_tables`, `_fa_actions`), and a placement table of Z into the
+last block of a trivial or deformation key ({(X, Z): `tensors.insert_sign`
+of X ^ Z}), built when a degree p >= 1 first reads it.  The complex also
+lists its keys once per degree, through which columns are read, and counts
+dim C^p without building a key.  `cohomology.complex_of` builds it once
+per algebra, kind and size when rho is None, the three kinds sharing one
+`fundamental_tables`, and never keeps a matrix.  Every term carries one
 constant or one rho entry, so the rows are those of D delta.
 `coboundary_matrix` divides them by D; `cohomology.complex_dims` ranks
 them undivided, `fa_coboundary_*` and `leibniz_coboundary` (a
@@ -66,8 +68,9 @@ from math import comb
 
 from . import linalg
 from .cohomology import (CohomologyReport, apply, apply_rows, column_vector, complex_dims,
-                         integer_scaling, preimage, unscale_rows)
-from .filippov import FARepresentation, FilippovAlgebra, check_fi
+                         complex_of, integer_scaling, preimage, unscale_rows)
+from .filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
+                       check_fa_representation, check_fi)
 from .scalars import ZERO, accumulate, is_zero, rat
 from .tensors import insert_sign, sort_blocks
 
@@ -213,26 +216,28 @@ def fundamental_tables(fa: FilippovAlgebra):
     """(blocks, bracket, action) of L = wedge^{n-1} g: the sorted blocks,
     bracket[X, Y] = X . Y as {block: value} and action[X, z] = X . z as
     {l: value}, for sorted blocks X, Y and z in 1..dim.  The bracket is
-    read off the action: X . Y = sum_k (Y_1, .., X . Y_k, .., Y_{n-1})."""
+    read off the action: X . Y = sum_k (Y_1, .., X . Y_k, .., Y_{n-1});
+    every X . Y = 0 reads one shared empty map, which readers must not change."""
     rng = range(1, fa.dim + 1)
     blocks = list(combinations(rng, fa.arity - 1))
     action = {(x, z): fa.f_row(x + (z,)) for x in blocks for z in rng}
-    bracket = {}
+    bracket, empty = {}, {}
     for x in blocks:
         for y in blocks:
-            out = bracket[x, y] = {}
+            out = {}
             for k, yk in enumerate(y):
                 for l, v in action[x, yk].items():
                     key, s = insert_sign(y[:k] + y[k + 1:], k, l)
                     if s:
                         accumulate(out, key, s * v)
+            bracket[x, y] = out or empty
     return blocks, bracket, action
 
 
-def _fa_actions(fa, kind, rho, size):
+def _fa_actions(fa, tables, kind, rho, size):
     """(bracket, left, right) of the complex `kind` on cochains of dimension
-    size, as `_leibniz_delta` reads them (see the module docstring)."""
-    blocks, bracket, action = fundamental_tables(fa)
+    size, from the `fundamental_tables` of fa, as `_leibniz_delta` reads them."""
+    blocks, bracket, action = tables
     if kind == "module":
         left = {(x, None): {None: _matrix_terms(rho.mats[x])} for x in blocks}
         right = {(x, None): {None: _matrix_terms(rho.mats[x], -1)} for x in blocks}
@@ -312,13 +317,16 @@ class FAComplex(LeibnizComplex):
     bracket and the complex's left and right actions (`_fa_actions`) on the
     constants and module matrices scaled by D.  The module complex defaults
     to the adjoint module; the trivial complex takes any size (the trivial
-    module tensored with Q^size), the others only their own dim_v."""
+    module tensored with Q^size), the others only their own dim_v.  A given
+    rho that fails `filippov.check_fa_representation` raises ValueError."""
 
     def __init__(self, fa, kind, rho=None, size=None):
         if kind not in KINDS:
             raise ValueError(f"unknown complex kind {kind!r}: expected one of {', '.join(KINDS)}")
-        if kind == "module" and rho is None:
-            from .filippov import adjoint_fa_representation
+        default = rho is None
+        if not default and not check_fa_representation(fa, rho):
+            raise ValueError("rho fails the representation conditions")
+        if kind == "module" and default:
             rho = adjoint_fa_representation(fa)
         own = rho.dim_v if kind == "module" else fa.dim if kind == "deformation" else 1
         if size is not None and size != own and kind != "trivial":
@@ -329,7 +337,9 @@ class FAComplex(LeibnizComplex):
         labels = [] if rho is None else list(rho.mats)
         self.d, ifa, imats = integer_scaling(fa, [rho.mats[lab] for lab in labels])
         irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), self.size)
-        self.bracket, self.left, self.right = _fa_actions(ifa, kind, irho, self.size)
+        build = partial(fundamental_tables, ifa)
+        tables = fa.memoized("fundamental", build) if default else build()
+        self.bracket, self.left, self.right = _fa_actions(ifa, tables, kind, irho, self.size)
 
     def dim(self, p):
         """dim C^p, counted: blocks^p keys for the module complex, else
@@ -394,7 +404,7 @@ def coboundary_at(fa: FilippovAlgebra, kind, alpha: NCochain, points, rho=None):
         signs.append(s)
         if s:
             args.append((xs, z))
-    cx, p = FAComplex(fa, kind, rho, alpha.dim_v), alpha.order
+    cx, p = complex_of(fa, kind, rho, alpha.dim_v), alpha.order
     x = column_vector(cx, p, _flat(alpha.data))
     values = iter(_vectors(apply_rows(_fa_rows(cx, p, args), x, cx.d), alpha.dim_v))
     zero = (0,) * alpha.dim_v
@@ -410,9 +420,6 @@ def fa_coboundary_trivial(fa: FilippovAlgebra, alpha: NCochain) -> NCochain:
 
 
 def fa_coboundary_module(fa: FilippovAlgebra, rho, alpha: NCochain) -> NCochain:
-    from .filippov import check_fa_representation
-    if not check_fa_representation(fa, rho):
-        raise ValueError("rho fails the representation conditions")
     return _apply(fa, alpha, "module", rho)
 
 
@@ -435,7 +442,7 @@ def _points(kind, keys):
 def _apply(fa, alpha, kind, rho):
     """delta alpha on the canonical keys of its complex; a value that sums no
     term is the int 0, which becomes the `Fraction` zero."""
-    cx, p = FAComplex(fa, kind, rho, alpha.dim_v), alpha.order
+    cx, p = complex_of(fa, kind, rho, alpha.dim_v), alpha.order
     values = [v or ZERO for v in apply(cx, p, _flat(alpha.data))]
     data = {key: vec for key, vec in zip(cx.keys(p + 1), _vectors(values, alpha.dim_v)) if any(vec)}
     return NCochain._canonical(kind, p + 1, fa.arity, fa.dim, alpha.dim_v, data)
@@ -474,7 +481,7 @@ def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None, *, integer=False, 
     that assembles several degrees passes the `FAComplex` of its call; the
     binary complex (kind "binary") is always given by its `LeibnizComplex`.
     """
-    cx = _tables or FAComplex(fa, kind, rho)
+    cx = _tables or complex_of(fa, kind, rho)
     rows = _fa_rows(cx, p, _points(cx.kind, cx.keys(p + 1)))
     return rows if integer else unscale_rows(rows, cx.d), cx.coords(p), cx.coords(p + 1)
 
@@ -483,7 +490,7 @@ def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> Cohomology
     """Exact Z/B/H dimensions of the chosen complex up to degree p_max, by
     ranks over Q; the module matrices must be rational, and the module
     complex defaults to the adjoint module."""
-    return complex_dims(FAComplex(fa, kind, rho), p_max)
+    return complex_dims(complex_of(fa, kind, rho), p_max)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +566,7 @@ def trivialize_fa_extension(fa: FilippovAlgebra, alpha: NCochain):
     change vector or None when the class is non-trivial."""
     if alpha.dim_v != 1:
         raise _misfit("trivial", alpha.dim_v, 1)
-    return preimage(FAComplex(fa, "trivial"), alpha.order - 1, _flat(alpha.data))
+    return preimage(complex_of(fa, "trivial"), alpha.order - 1, _flat(alpha.data))
 
 
 def deformation_obstruction(fa: FilippovAlgebra, alpha: NCochain):
@@ -604,7 +611,7 @@ def deformation_obstruction(fa: FilippovAlgebra, alpha: NCochain):
 
 def deformation_preimage(fa: FilippovAlgebra, target: NCochain):
     """Solve delta(beta) = target over deformation (p-1)-cochains."""
-    cx, p = FAComplex(fa, "deformation", size=target.dim_v), target.order - 1
+    cx, p = complex_of(fa, "deformation", size=target.dim_v), target.order - 1
     sol = preimage(cx, p, _flat(target.data))
     if sol is None:
         return None

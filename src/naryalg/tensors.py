@@ -23,7 +23,8 @@ C_{i_1..i_n}^j, antisymmetric in the lower block: it is the one storage of
 Lie, generalized Lie and Filippov algebras, which differ only in their
 characteristic identity.  The same signed table, with whole rows {j: value}
 as its entries, serves the identity scans; `integer_scaled` gives the copy
-holding D C as ints, D the least common denominator of the constants.
+holding D C as ints, D the least common denominator of the constants;
+`memoized` keeps what later layers build on one algebra, never on a copy.
 
 The sign kernels (`perm_sign`, `sort_sign`, `merge_sign`, `gen_kronecker`)
 give their signs as plain ints in {-1, 0, 1}: they count inversions and never
@@ -65,6 +66,8 @@ from math import lcm
 from operator import itemgetter, neg
 
 from .scalars import ZERO, accumulate, common_denominator, is_zero, rat, scaled_to_ints
+
+_PER_OBJECT = ("signed", "_memo")  # built on one tensor, never copied to another
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +317,7 @@ class AntisymTensor:
         another canonical entry map: sums and nonzero multiples of canonical
         maps are canonical, so they skip the constructor's fold."""
         out = object.__new__(type(self))
-        vars(out).update({k: v for k, v in vars(self).items() if k != "signed"},
+        vars(out).update({k: v for k, v in vars(self).items() if k not in _PER_OBJECT},
                          entries=entries)
         return out
 
@@ -432,11 +435,19 @@ class BracketTensor:
         """A shallow copy whose table holds factor * C as plain ints; factor
         must be a multiple of every denominator of C.  The copy skips the
         constructor, which would turn the ints back into `Fraction`s, and
-        starts without a `signed` table of its own."""
+        starts without a `signed` table or a memo of its own."""
         out = object.__new__(type(self))
-        vars(out).update({k: v for k, v in vars(self).items() if k != "signed"})
+        vars(out).update({k: v for k, v in vars(self).items() if k not in _PER_OBJECT})
         out.c = {key: scaled_to_ints(row, factor) for key, row in self.c.items()}
         return out
+
+    def memoized(self, key, build):
+        """build() kept under key on this tensor from its first call (a raise
+        keeps nothing); nothing mutates a tensor, so it never goes stale."""
+        memo = vars(self).setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
 
     def integer_scaled(self, d=1):
         """(D, the `scaled` copy holding D * C): D is the least common

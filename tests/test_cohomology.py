@@ -382,19 +382,41 @@ def test_su3_preimage_witnesses_are_pinned():
                         (3, (7,)): -2, (3, (8,)): 1, (6, (2,)): -1, (7, (6,)): -1}
 
 
-def test_su3_deformation_potential_is_pinned():
-    # the obstruction of a trivial deformation alpha = s(beta) of su(3) is a
-    # coboundary; its potential is the solution with non-pivot coordinates zero
+SU3_POTENTIAL_SHA256 = "e6cfc168d4ba0d135aefa5506ae52195a067509ef3b5be842339252816c649f2"
+
+
+def su3_deformation_potential(alg):
+    """The obstruction potential of a seeded trivial deformation of alg
+    (su(3)), checked to map onto the obstruction."""
     rng = random.Random(7)
-    alg = su(3)
     rho = alg.adjoint_rep()
     beta = Cochain(1, 8, 8, {(a, (i,)): draw(rng) for a in range(1, 9) for i in range(1, 9)
                              if rng.random() < 0.3})
     rep = deformation_check(alg, coboundary(alg, rho, beta))
     pot = rep.obstruction_potential
     assert rep.obstruction_is_coboundary and coboundary(alg, rho, pot) == rep.obstruction
+    return pot
+
+
+def sha256_of(pot):
+    return hashlib.sha256(repr(sorted(pot.data.items())).encode()).hexdigest()
+
+
+def test_su3_deformation_potential_is_pinned():
+    # the obstruction of a trivial deformation alpha = s(beta) of su(3) is a
+    # coboundary; its potential is the solution with non-pivot coordinates zero
+    pot = su3_deformation_potential(su(3))
     assert len(pot.data) == 162
     assert sorted(pot.data.items())[:3] == [((1, (1, 2)), Fraction(9, 2)),
                                             ((1, (1, 3)), Fraction(-15, 4)), ((1, (1, 4)), -2)]
-    assert hashlib.sha256(repr(sorted(pot.data.items())).encode()).hexdigest() == \
-        "e6cfc168d4ba0d135aefa5506ae52195a067509ef3b5be842339252816c649f2"
+    assert sha256_of(pot) == SU3_POTENTIAL_SHA256
+
+
+@pytest.mark.parametrize("warm", ["first", "twice", "after"])
+def test_su3_deformation_potential_does_not_depend_on_the_memo(warm):
+    # su(3) is one shared catalog object, so "first" runs on a new copy
+    alg = LieAlgebra(8, {key: dict(row) for key, row in su(3).c.items()})
+    if warm == "after":
+        cohomology_dims(alg, None, 8)
+    for _ in range(2 if warm == "twice" else 1):
+        assert sha256_of(su3_deformation_potential(alg)) == SU3_POTENTIAL_SHA256

@@ -341,7 +341,7 @@ def test_clifford_realization_reads_one_bracket_table(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the Filippov complexes: one table set per call
+# the Filippov complexes: one table set per call, and per algebra
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind", ["trivial", "module", "deformation"])
@@ -358,3 +358,20 @@ def test_fa_cohomology_builds_one_table_set_per_call(monkeypatch, kind):
         calls[0] = 0
         nary_cohomology.fa_cohomology_dims(a4(), kind, p_max)
         assert calls[0] == 1, p_max
+
+
+def test_fa_cohomology_builds_one_table_set_per_algebra(monkeypatch):
+    calls = [0]
+    right = nary_cohomology.fundamental_tables
+
+    def counted(fa):
+        calls[0] += 1
+        return right(fa)
+
+    monkeypatch.setattr(nary_cohomology, "fundamental_tables", counted)
+    for built in (1, 2):  # a second algebra builds its own tables once more
+        fa = a4()
+        for kind in ("trivial", "module", "deformation"):
+            for p_max in range(4):
+                nary_cohomology.fa_cohomology_dims(fa, kind, p_max)
+                assert calls[0] == built, (kind, p_max)

@@ -25,7 +25,9 @@ coboundary reach matrices only through `cx.matrix`, and every complex's
 `matrix` method calls `coboundary_matrix` by name, never a row builder
 directly, so the spans a tracer wraps around `coboundary_matrix` see every
 matrix they read.  In the cohomology modules `linalg.solve` is read only by
-`preimage`, and `apply_rows` only by `apply` and `coboundary_at`."""
+`preimage`, and `apply_rows` only by `apply` and `coboundary_at`.  Every
+`CEComplex` and `FAComplex` in `src/` is built by `cohomology.complex_of`,
+the one helper that memoizes them on their algebra."""
 
 import ast
 from pathlib import Path
@@ -625,3 +627,50 @@ def test_the_solve_and_the_dot_product_are_in_the_tree():
     defined = {node.name for path in COHOMOLOGY_MODULES
                for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
     assert set().union(*READ_ONLY_IN.values()) <= defined
+
+
+# ---------------------------------------------------------------------------
+# one construction site per complex: every CEComplex and FAComplex in src/
+# comes from the memoizing helper, so no entry point rebuilds tables
+# ---------------------------------------------------------------------------
+
+MEMOIZED_COMPLEXES = {"CEComplex", "FAComplex"}
+COMPLEX_HELPER = "complex_of"
+
+
+def complex_constructions(source):
+    """(enclosing module-level definition, name) of every read of a
+    memoized complex class, called or handed on (`partial(FAComplex, ..)`),
+    as a name or an attribute, outside `complex_of` ("<module>" for a read
+    at module level); a class statement and an import are not reads."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        if owner != COMPLEX_HELPER:
+            found += [(owner, name) for name in _reads(node, MEMOIZED_COMPLEXES)]
+    return found
+
+
+def test_scan_sees_a_complex_built_outside_the_helper():
+    source = ("from .nary_cohomology import FAComplex\n"
+              "def complex_of(obj, kind):\n"
+              "    return CEComplex(obj) if kind == 'ce' else FAComplex(obj, kind)\n"
+              "def cohomology_dims(alg, p):\n    return complex_dims(CEComplex(alg), p)\n"
+              "def _apply(fa, kind):\n"
+              "    return partial(nary_cohomology.FAComplex, fa, kind)()\n"
+              "class FAComplex(LeibnizComplex):\n    pass\n"
+              "DEFAULT = CEComplex\n")
+    assert complex_constructions(source) == [("cohomology_dims", "CEComplex"),
+                                             ("_apply", "FAComplex"), ("<module>", "CEComplex")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_complexes_are_built_by_the_memoizing_helper(path):
+    assert complex_constructions(path.read_text()) == []
+
+
+def test_the_complex_helper_builds_both_complexes():
+    helpers = [node for path in MODULES for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == COMPLEX_HELPER]
+    assert len(helpers) == 1
+    assert set(_reads(helpers[0], MEMOIZED_COMPLEXES)) == MEMOIZED_COMPLEXES

@@ -8,7 +8,7 @@ import dense_reference as dense
 from naryalg import linalg
 from naryalg.catalog import a4, a5, nhw
 from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
-                              check_fi)
+                              check_fa_representation, check_fi)
 from naryalg.nary_cohomology import (FAComplex, NCochain, coboundary_at, coboundary_matrix,
                                      deformation_obstruction,
                                      deformation_preimage, duality_pairing_holds,
@@ -116,24 +116,50 @@ def draw(rng):
     return v
 
 
-def test_a4_deformation_preimage_is_pinned():
+A4_DEFORMATION_WITNESS = {((1, 2, 3),): (-1, 4, 3, 0), ((1, 2, 4),): (0, 2, 0, 0),
+                          ((1, 3, 4),): (1, 0, 0, 0)}
+NHW2_TRIVIALIZATION = ["0", "0", "0", "0", "0", "0", "-3"]
+
+
+def a4_deformation_witness(fa):
+    """The preimage of the coboundary of a seeded deformation 1-cochain of
+    fa (A4), checked to map onto it."""
     rng = random.Random(3)
-    fa = a4()
     beta = NCochain("deformation", 1, 3, 4, 4,
                     {k: tuple(rng.randint(-3, 3) for _ in range(4)) for k in trivial_keys(fa, 1)})
     target = fa_coboundary_deformation(fa, beta)
     w = deformation_preimage(fa, target)
     assert fa_coboundary_deformation(fa, w).data == target.data
-    assert w.data == {((1, 2, 3),): (-1, 4, 3, 0), ((1, 2, 4),): (0, 2, 0, 0),
-                      ((1, 3, 4),): (1, 0, 0, 0)}
+    return w.data
+
+
+def nhw2_trivialization(fa):
+    """The basis change that trivializes the extension by the coboundary of
+    a seeded 0-cochain of fa (nhw(2))."""
+    rng = random.Random(4)
+    gamma = NCochain("trivial", 0, 3, 7, 1, {(z,): (draw(rng),) for z in range(1, 8)})
+    return [str(v) for v in trivialize_fa_extension(fa, fa_coboundary_trivial(fa, gamma))]
+
+
+def test_a4_deformation_preimage_is_pinned():
+    assert a4_deformation_witness(a4()) == A4_DEFORMATION_WITNESS
 
 
 def test_nhw2_extension_trivialization_is_pinned():
-    rng = random.Random(4)
-    fa = nhw(2)
-    gamma = NCochain("trivial", 0, 3, 7, 1, {(z,): (draw(rng),) for z in range(1, 8)})
-    x = trivialize_fa_extension(fa, fa_coboundary_trivial(fa, gamma))
-    assert [str(v) for v in x] == ["0", "0", "0", "0", "0", "0", "-3"]
+    assert nhw2_trivialization(nhw(2)) == NHW2_TRIVIALIZATION
+
+
+@pytest.mark.parametrize("warm", ["twice", "after"])
+def test_pinned_preimages_do_not_depend_on_the_memo(warm):
+    # the pinned tests call on a fresh algebra; here its complexes are in use:
+    # the same call again, or every complex of the algebra ranked first
+    for fa, witness, want in ((a4(), a4_deformation_witness, A4_DEFORMATION_WITNESS),
+                              (nhw(2), nhw2_trivialization, NHW2_TRIVIALIZATION)):
+        if warm == "after":
+            for kind in ("trivial", "module", "deformation"):
+                fa_cohomology_dims(fa, kind, 1)
+        for _ in range(2 if warm == "twice" else 1):
+            assert witness(fa) == want
 
 
 # ---------------------------------------------------------------------------
@@ -458,4 +484,21 @@ def test_a_misspelled_complex_kind_is_refused():
                  lambda: jointly_antisymmetric_in_last_slot(
                      fa, "deformaton", random_cochain(fa, "deformation", 0, seed=3), 1)):
         with pytest.raises(ValueError, match="'deformaton'.*trivial, module, deformation"):
+            call()
+
+
+def test_a_module_that_fails_the_representation_conditions_is_refused():
+    # the one-dimensional rho sending X_1 ^ X_2 to 1 and every other block to
+    # 0 is no A4-module; its complex once reported H = 0, -1, -6 through p = 2
+    fa = a4()
+    rho = FARepresentation({lab: {(0, 0): 1} if lab == (1, 2) else {}
+                            for lab in combinations(range(1, 5), 2)}, 1)
+    assert not check_fa_representation(fa, rho)
+    alpha = NCochain("module", 0, 3, 4, 1, {(): (1,)})
+    for call in (lambda: fa_cohomology_dims(fa, "module", 2, rho),
+                 lambda: FAComplex(fa, "module", rho),
+                 lambda: coboundary_matrix(fa, "module", 0, rho),
+                 lambda: fa_coboundary_module(fa, rho, alpha),
+                 lambda: coboundary_at(fa, "module", alpha, [([(1, 2)], None)], rho)):
+        with pytest.raises(ValueError, match="representation conditions"):
             call()
