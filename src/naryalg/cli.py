@@ -21,8 +21,8 @@ from .algfile import AlgebraFile, ParseError
 from .filippov import FI_FORMS, FARepresentation, FilippovAlgebra, check_fi, check_metric_fa
 from .gla import GLAlgebra, check_gji
 from .lie import LieAlgebra, check_jacobi, check_metric_invariance
-from .nary_cohomology import LeibnizAlgebra
-from .cohomology import complex_dims, complex_of
+from .nary_cohomology import FAComplex, LeibnizAlgebra
+from .cohomology import CEComplex, complex_dims
 from .poisson import gps_check, np_check, schouten_bracket
 from .tensors import AntisymTensor
 
@@ -166,7 +166,7 @@ def cmd_check(args) -> int:
     cx = None  # the complex of the cohomology suite, for a Lie or Filippov algebra
     if "cohomology" in suites and isinstance(obj, (LieAlgebra, FilippovAlgebra)):
         lie = isinstance(obj, LieAlgebra)
-        cx = complex_of(obj, "ce" if lie else "trivial")
+        cx = CEComplex(obj) if lie else FAComplex(obj, "trivial")
         p_max = min(args.pmax + 1, obj.dim) if lie else args.pmax
         msg = _oversized(cx, p_max)
         if msg:
@@ -250,7 +250,7 @@ def cmd_cohomology(args) -> int:
     if isinstance(obj, LieAlgebra):
         if args.complex not in ("ce", "trivial"):
             return _input_error("binary algebras use the ce complex")
-        cx = complex_of(obj, "ce", obj.adjoint_rep() if args.rep == "ad" else None)
+        cx = CEComplex(obj, obj.adjoint_rep() if args.rep == "ad" else None)
         p_max = min(p_max, obj.dim)  # every cochain space above the dimension is zero
     elif isinstance(obj, FilippovAlgebra):
         if args.complex not in ("trivial", "module", "deformation"):
@@ -262,7 +262,7 @@ def cmd_cohomology(args) -> int:
             # the one-dimensional trivial module: every rho(X) is zero
             rho = FARepresentation({lab: {} for lab in
                                     combinations(range(1, obj.dim + 1), obj.arity - 1)}, 1)
-        cx = complex_of(obj, args.complex, rho)
+        cx = FAComplex(obj, args.complex, rho)
     else:
         return _input_error("cohomology applies to lie or filippov files")
     msg = _oversized(cx, p_max)

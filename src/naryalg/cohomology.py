@@ -17,17 +17,17 @@ nhw2, 2 for su(3), 6 for su(4); `integer_scaling`): every term of s carries
 one constant or one rho entry.  A bracket term places l of C_{i_j i_k}^l
 into the sorted remaining indices by one bisection (`tensors.insert_sign`).
 `coboundary_matrix` divides the rows by D (int where integral, else
-`Fraction`).  A `CEComplex` holds what every degree reads.  `complex_of`
-builds every complex of this module and of `nary_cohomology` once per
-algebra, kind and size when rho is None, and keeps it on the algebra; a given
-rho, a mutable map, gets a new one.  Only tables are kept: every call
-assembles and eliminates its matrices anew.  For every complex, s is ranked,
-applied and inverted in one place each, on the rows of D s that
-`cx.matrix(p)` gives: `complex_dims` ranks them, `apply` dots them with a
-cochain's coordinates and divides by D, and `preimage` solves D s x' = y and
-returns x = D x', the solution of s x = y.  Ranks and preimages come from
-the fraction-free elimination of `linalg.integer_echelon`, whose solutions
-set every non-pivot coordinate to zero.
+`Fraction`).  A `CEComplex` holds what every degree reads.  With rho None
+its D, D C and unimodular flag (below) are built once per algebra, for every
+dim_v, and memoized on it (`BracketTensor.memoized`); a given rho builds
+them anew, and no list, matrix, rank or solution is kept.  For every complex
+of this module and of `nary_cohomology`, s is ranked, applied and inverted
+in one place each, on the rows of D s that `cx.matrix(p)` gives:
+`complex_dims` ranks them, `apply` dots them with a cochain's coordinates
+and divides by D, and `preimage` solves D s x' = y and returns x = D x', the
+solution of s x = y.  Ranks and preimages come from the fraction-free
+elimination of `linalg.integer_echelon`, whose solutions set every non-pivot
+coordinate to zero.
 
 Poincare duality.  For the trivial representation (any dim_v) of a
 unimodular algebra, tr ad_X = sum_j C_{ij}^j = 0 for every X_i, the Hodge
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -104,7 +103,7 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     `rho` is None for the trivial representation, else a Representation
     acting on the target; its matrices must be rational.
     """
-    cx, p = complex_of(alg, "ce", rho, om.dim_v), om.rank
+    cx, p = CEComplex(alg, rho, om.dim_v), om.rank
     return Cochain(p + 1, alg.dim, om.dim_v, dict(zip(cx.coords(p + 1), apply(cx, p, om.data))))
 
 
@@ -213,7 +212,7 @@ def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v, *, integer=False, _tables=
     what the rows of s span, so they give the same rank.  A caller that
     assembles several degrees passes the `CEComplex` of its call.
     """
-    cx = _tables or complex_of(alg, "ce", rho, dim_v)
+    cx = _tables or CEComplex(alg, rho, dim_v)
     d, rows = _ce_rows(cx, p)
     return rows if integer else unscale_rows(rows, d), cx.coords(p), cx.coords(p + 1)
 
@@ -256,19 +255,20 @@ class CEComplex:
         elif rho is not None and rho.dim_v != dim_v:
             raise ValueError("representation/target dimension mismatch")
         self.alg, self.rho, self.dim_v = alg, rho, dim_v
-        self.d, self.ialg, imats = integer_scaling(alg, () if rho is None else rho.mats)
-        self.mrows = [_matrix_rows(m) for m in imats] if imats else [{}] * alg.dim
-        self.unimodular = rho is None and _unimodular(alg)
-        self._coords = {}
+        if rho is None:
+            self.d, self.ialg, self.unimodular = alg.memoized("ce", lambda: (
+                *integer_scaling(alg)[:2], _unimodular(alg)))
+            self.mrows = [{}] * alg.dim
+        else:
+            self.d, self.ialg, imats = integer_scaling(alg, rho.mats)
+            self.mrows, self.unimodular = [_matrix_rows(m) for m in imats], False
 
     def dim(self, p):
         return comb(self.alg.dim, p) * self.dim_v
 
     def coords(self, p):
-        """The coordinates (A, idx) of C^p, in column order, listed once per degree."""
-        if p not in self._coords:
-            self._coords[p] = coord_basis(self.alg.dim, p, self.dim_v)
-        return self._coords[p]
+        """The coordinates (A, idx) of C^p, in column order."""
+        return coord_basis(self.alg.dim, p, self.dim_v)
 
     def mirror(self, p):
         """n-1-p when the complex is trivial, the algebra unimodular and n-1-p < p."""
@@ -278,19 +278,6 @@ class CEComplex:
     def matrix(self, p):
         """The integer rows of D s_p."""
         return coboundary_matrix(self.alg, self.rho, p, self.dim_v, integer=True, _tables=self)[0]
-
-
-def complex_of(obj, kind, rho=None, size=None):
-    """The `CEComplex` (kind "ce") or `nary_cohomology.FAComplex` of obj on
-    cochains of dimension size (None: the complex's own); with rho None it is
-    built once per object, kind and size, and memoized on obj."""
-    from .nary_cohomology import FAComplex
-    build = (partial(CEComplex, obj, rho, size) if kind == "ce"
-             else partial(FAComplex, obj, kind, rho, size))
-    if rho is not None:
-        return build()
-    own = 1 if kind in ("ce", "trivial") else obj.dim  # values in g: deformation, adjoint module
-    return obj.memoized((kind, own if size is None else size), build)
 
 
 def complex_dims(cx, p_max) -> CohomologyReport:
@@ -312,7 +299,7 @@ def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport
     degrees 0..p_max; the representation matrices must be rational.  With
     rho None and a unimodular algebra, a degree p above its mirror n-1-p
     takes its rank from the mirror (`CEComplex.mirror`)."""
-    return complex_dims(complex_of(alg, "ce", rho, dim_v), p_max)
+    return complex_dims(CEComplex(alg, rho, dim_v), p_max)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +383,7 @@ def central_extension(alg: LieAlgebra, om2: Cochain) -> LieAlgebra:
 def trivialize_extension(alg: LieAlgebra, om2: Cochain):
     """Solve s(Om1) = Om2 for a 1-cochain; returns the basis-change vector
     Om1 (X~'_k = X~_k - Om1_k Xi) or None when the class is non-trivial."""
-    return preimage(complex_of(alg, "ce"), 1, om2.data)
+    return preimage(CEComplex(alg), 1, om2.data)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +441,7 @@ def _alpha_nested_cyclic(alg, alpha, idx):
 
 def _coboundary_preimage(alg, rho, om):
     """Exact solve s(beta) = om over the (p-1)-cochain coordinates."""
-    cx, p = complex_of(alg, "ce", rho, om.dim_v), om.rank - 1
+    cx, p = CEComplex(alg, rho, om.dim_v), om.rank - 1
     sol = preimage(cx, p, om.data)
     return None if sol is None else Cochain(p, om.dim, om.dim_v, dict(zip(cx.coords(p), sol)))
 

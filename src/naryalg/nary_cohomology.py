@@ -44,10 +44,13 @@ scaled to plain ints by their least common denominator D
 last block of a trivial or deformation key ({(X, Z): `tensors.insert_sign`
 of X ^ Z}), built when a degree p >= 1 first reads it.  The complex also
 lists its keys once per degree, through which columns are read, and counts
-dim C^p without building a key.  `cohomology.complex_of` builds it once
-per algebra, kind and size when rho is None, the three kinds sharing one
-`fundamental_tables`, and never keeps a matrix.  Every term carries one
-constant or one rho entry, so the rows are those of D delta.
+dim C^p without building a key.  With rho None, D, the bracket and the
+actions (`_fa_tables`) are built once per algebra, kind and size and
+memoized on the algebra (`BracketTensor.memoized`), the three kinds sharing
+one `fundamental_tables`; a given rho builds them anew.  The placement
+table and the key lists are the complex's own, and no matrix is kept.
+Every term carries one constant or one rho entry, so the rows are those of
+D delta.
 `coboundary_matrix` divides them by D; `cohomology.complex_dims` ranks
 them undivided, `fa_coboundary_*` and `leibniz_coboundary` (a
 `LeibnizComplex`: given rational actions, D = 1) apply delta through
@@ -68,7 +71,7 @@ from math import comb
 
 from . import linalg
 from .cohomology import (CohomologyReport, apply, apply_rows, column_vector, complex_dims,
-                         complex_of, integer_scaling, preimage, unscale_rows)
+                         integer_scaling, preimage, unscale_rows)
 from .filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
                        check_fa_representation, check_fi)
 from .scalars import ZERO, accumulate, is_zero, rat
@@ -234,6 +237,22 @@ def fundamental_tables(fa: FilippovAlgebra):
     return blocks, bracket, action
 
 
+def _fa_tables(fa, kind, rho, size):
+    """(D, bracket, left, right) of the complex `kind` of fa on cochains of
+    dimension size: `_fa_actions` on the constants and module matrices scaled
+    by D.  rho None is the trivial module, or the adjoint one for the module
+    complex, and then the kinds share one `fundamental_tables` on fa's memo."""
+    default = rho is None
+    if kind == "module" and default:
+        rho = adjoint_fa_representation(fa)
+    labels = [] if rho is None else list(rho.mats)
+    d, ifa, imats = integer_scaling(fa, [rho.mats[lab] for lab in labels])
+    irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), size)
+    build = partial(fundamental_tables, ifa)
+    tables = fa.memoized("fundamental", build) if default else build()
+    return (d, *_fa_actions(ifa, tables, kind, irho, size))
+
+
 def _fa_actions(fa, tables, kind, rho, size):
     """(bracket, left, right) of the complex `kind` on cochains of dimension
     size, from the `fundamental_tables` of fa, as `_leibniz_delta` reads them."""
@@ -313,33 +332,30 @@ class LeibnizComplex:
 
 class FAComplex(LeibnizComplex):
     """The complex `kind` of fa on cochains of target dimension size: the
-    Leibniz complex of L on its own keys, its tables built once: D, and L's
-    bracket and the complex's left and right actions (`_fa_actions`) on the
-    constants and module matrices scaled by D.  The module complex defaults
-    to the adjoint module; the trivial complex takes any size (the trivial
-    module tensored with Q^size), the others only their own dim_v.  A given
-    rho that fails `filippov.check_fa_representation` raises ValueError."""
+    Leibniz complex of L on its own keys, and its tables (`_fa_tables`): D,
+    and L's bracket and the complex's left and right actions on the constants
+    and module matrices scaled by D, memoized on fa when rho is None.  The
+    module complex defaults to the adjoint module; the trivial complex takes
+    any size (the trivial module tensored with Q^size), the others only their
+    own dim_v.  A given rho that fails `filippov.check_fa_representation`
+    raises ValueError."""
 
     def __init__(self, fa, kind, rho=None, size=None):
         if kind not in KINDS:
             raise ValueError(f"unknown complex kind {kind!r}: expected one of {', '.join(KINDS)}")
-        default = rho is None
-        if not default and not check_fa_representation(fa, rho):
+        if rho is not None and not check_fa_representation(fa, rho):
             raise ValueError("rho fails the representation conditions")
-        if kind == "module" and default:
-            rho = adjoint_fa_representation(fa)
-        own = rho.dim_v if kind == "module" else fa.dim if kind == "deformation" else 1
+        own = 1 if kind == "trivial" else fa.dim  # the deformation and adjoint modules: g
+        if kind == "module" and rho is not None:
+            own = rho.dim_v
         if size is not None and size != own and kind != "trivial":
             raise _misfit(kind, size, own)
         self.fa, self.kind, self.rho, self.size = fa, kind, rho, size or own
         self._key_lists = {}
         self._list_keys = partial(module_keys if kind == "module" else trivial_keys, fa)
-        labels = [] if rho is None else list(rho.mats)
-        self.d, ifa, imats = integer_scaling(fa, [rho.mats[lab] for lab in labels])
-        irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), self.size)
-        build = partial(fundamental_tables, ifa)
-        tables = fa.memoized("fundamental", build) if default else build()
-        self.bracket, self.left, self.right = _fa_actions(ifa, tables, kind, irho, self.size)
+        build = partial(_fa_tables, fa, kind, rho, self.size)
+        self.d, self.bracket, self.left, self.right = (
+            build() if rho is not None else fa.memoized((kind, self.size), build))
 
     def dim(self, p):
         """dim C^p, counted: blocks^p keys for the module complex, else
@@ -404,7 +420,7 @@ def coboundary_at(fa: FilippovAlgebra, kind, alpha: NCochain, points, rho=None):
         signs.append(s)
         if s:
             args.append((xs, z))
-    cx, p = complex_of(fa, kind, rho, alpha.dim_v), alpha.order
+    cx, p = FAComplex(fa, kind, rho, alpha.dim_v), alpha.order
     x = column_vector(cx, p, _flat(alpha.data))
     values = iter(_vectors(apply_rows(_fa_rows(cx, p, args), x, cx.d), alpha.dim_v))
     zero = (0,) * alpha.dim_v
@@ -442,7 +458,7 @@ def _points(kind, keys):
 def _apply(fa, alpha, kind, rho):
     """delta alpha on the canonical keys of its complex; a value that sums no
     term is the int 0, which becomes the `Fraction` zero."""
-    cx, p = complex_of(fa, kind, rho, alpha.dim_v), alpha.order
+    cx, p = FAComplex(fa, kind, rho, alpha.dim_v), alpha.order
     values = [v or ZERO for v in apply(cx, p, _flat(alpha.data))]
     data = {key: vec for key, vec in zip(cx.keys(p + 1), _vectors(values, alpha.dim_v)) if any(vec)}
     return NCochain._canonical(kind, p + 1, fa.arity, fa.dim, alpha.dim_v, data)
@@ -481,7 +497,7 @@ def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None, *, integer=False, 
     that assembles several degrees passes the `FAComplex` of its call; the
     binary complex (kind "binary") is always given by its `LeibnizComplex`.
     """
-    cx = _tables or complex_of(fa, kind, rho)
+    cx = _tables or FAComplex(fa, kind, rho)
     rows = _fa_rows(cx, p, _points(cx.kind, cx.keys(p + 1)))
     return rows if integer else unscale_rows(rows, cx.d), cx.coords(p), cx.coords(p + 1)
 
@@ -490,7 +506,7 @@ def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> Cohomology
     """Exact Z/B/H dimensions of the chosen complex up to degree p_max, by
     ranks over Q; the module matrices must be rational, and the module
     complex defaults to the adjoint module."""
-    return complex_dims(complex_of(fa, kind, rho), p_max)
+    return complex_dims(FAComplex(fa, kind, rho), p_max)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +582,7 @@ def trivialize_fa_extension(fa: FilippovAlgebra, alpha: NCochain):
     change vector or None when the class is non-trivial."""
     if alpha.dim_v != 1:
         raise _misfit("trivial", alpha.dim_v, 1)
-    return preimage(complex_of(fa, "trivial"), alpha.order - 1, _flat(alpha.data))
+    return preimage(FAComplex(fa, "trivial"), alpha.order - 1, _flat(alpha.data))
 
 
 def deformation_obstruction(fa: FilippovAlgebra, alpha: NCochain):
@@ -611,7 +627,7 @@ def deformation_obstruction(fa: FilippovAlgebra, alpha: NCochain):
 
 def deformation_preimage(fa: FilippovAlgebra, target: NCochain):
     """Solve delta(beta) = target over deformation (p-1)-cochains."""
-    cx, p = complex_of(fa, "deformation", size=target.dim_v), target.order - 1
+    cx, p = FAComplex(fa, "deformation", size=target.dim_v), target.order - 1
     sol = preimage(cx, p, _flat(target.data))
     if sol is None:
         return None

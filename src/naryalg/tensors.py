@@ -67,8 +67,6 @@ from operator import itemgetter, neg
 
 from .scalars import ZERO, accumulate, common_denominator, is_zero, rat, scaled_to_ints
 
-_PER_OBJECT = ("signed", "_memo")  # built on one tensor, never copied to another
-
 
 # ---------------------------------------------------------------------------
 # permutation helpers
@@ -317,7 +315,7 @@ class AntisymTensor:
         another canonical entry map: sums and nonzero multiples of canonical
         maps are canonical, so they skip the constructor's fold."""
         out = object.__new__(type(self))
-        vars(out).update({k: v for k, v in vars(self).items() if k not in _PER_OBJECT},
+        vars(out).update({k: v for k, v in vars(self).items() if k != "signed"},
                          entries=entries)
         return out
 
@@ -437,7 +435,7 @@ class BracketTensor:
         constructor, which would turn the ints back into `Fraction`s, and
         starts without a `signed` table or a memo of its own."""
         out = object.__new__(type(self))
-        vars(out).update({k: v for k, v in vars(self).items() if k not in _PER_OBJECT})
+        vars(out).update({k: v for k, v in vars(self).items() if k not in ("signed", "_memo")})
         out.c = {key: scaled_to_ints(row, factor) for key, row in self.c.items()}
         return out
 

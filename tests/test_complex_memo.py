@@ -1,7 +1,8 @@
-"""The complexes `cohomology.complex_of` memoizes on their algebra: a
-memoized complex gives the matrices, coordinates, dimensions and mirrors of
-one built on a new copy of the algebra; the default size and the complex's
-own size are one complex; a given rho, a copy of the algebra and a
+"""The tables `CEComplex` and `FAComplex` memoize on their algebra: a
+complex on memoized tables gives the matrices, coordinates, dimensions and
+mirrors of one built on a new copy of the algebra; the default size and the
+complex's own size read one table set; the memo keeps tables alone, never a
+key or coordinate list; a given rho, a copy of the algebra and a
 construction that raises keep nothing; and the memo lives and dies with the
 algebra object, not with an equal one."""
 
@@ -13,7 +14,7 @@ from itertools import combinations
 import pytest
 
 from naryalg.catalog import a4, a5, heisenberg, nhw, su
-from naryalg.cohomology import CEComplex, Cochain, cohomology_dims, complex_of
+from naryalg.cohomology import CEComplex, coboundary_matrix, cohomology_dims
 from naryalg.filippov import FARepresentation, adjoint_fa_representation
 from naryalg.lie import LieAlgebra
 from naryalg.nary_cohomology import (FAComplex, NCochain, fa_coboundary_trivial,
@@ -54,8 +55,9 @@ FILIPPOV = {"a4": a4, "a5": a5, "nhw1": lambda: nhw(1), "nhw2": lambda: nhw(2)}
 def test_a_memoized_ce_complex_is_a_fresh_one(name, dim_v):
     alg = LIE[name]()
     cohomology_dims(alg, None, alg.dim, dim_v)  # builds the memo and ranks on it
-    cx = complex_of(alg, "ce", size=dim_v)
+    cx = CEComplex(alg, None, dim_v)
     new = CEComplex(fresh(alg), None, dim_v)
+    assert cx.ialg is CEComplex(alg).ialg and new.ialg is not cx.ialg
     assert (cx.d, cx.unimodular) == (new.d, new.unimodular)
     for p in range(alg.dim + 1):
         assert rows(cx.matrix(p)) == rows(new.matrix(p)), p
@@ -69,8 +71,9 @@ def test_a_memoized_fa_complex_is_a_fresh_one(name, kind):
     fa = FILIPPOV[name]()
     p_max = 2 if name == "a4" else 1
     fa_cohomology_dims(fa, kind, p_max)
-    cx = complex_of(fa, kind)
+    cx = FAComplex(fa, kind)
     new = FAComplex(fresh(fa), kind)
+    assert cx.left is FAComplex(fa, kind).left and new.left is not cx.left
     assert (cx.d, cx.size) == (new.d, new.size)
     for p in range(p_max + 1):
         assert rows(cx.matrix(p)) == rows(new.matrix(p)), p
@@ -84,20 +87,19 @@ def test_a_memoized_fa_complex_is_a_fresh_one(name, kind):
 
 def test_the_default_size_is_the_complexs_own():
     alg, fa = fresh(su(3)), a4()
-    assert complex_of(alg, "ce") is complex_of(alg, "ce", size=1)
-    assert complex_of(alg, "ce", size=2) is not complex_of(alg, "ce")
+    assert CEComplex(alg).ialg is CEComplex(alg, None, 1).ialg is CEComplex(alg, None, 2).ialg
     for kind, own in (("trivial", 1), ("module", 4), ("deformation", 4)):
-        assert complex_of(fa, kind) is complex_of(fa, kind, size=own)
-    assert complex_of(fa, "trivial", size=4) is not complex_of(fa, "trivial")
+        assert FAComplex(fa, kind).left is FAComplex(fa, kind, size=own).left
+    assert FAComplex(fa, "trivial", size=4).left is not FAComplex(fa, "trivial").left
 
 
 def test_the_three_kinds_share_one_table_set():
     fa = nhw(1)
-    brackets = {id(complex_of(fa, kind).bracket) for kind in KINDS}
+    brackets = {id(FAComplex(fa, kind).bracket) for kind in KINDS}
     assert len(brackets) == 1
 
 
-def test_the_extension_solve_and_check_share_one_complex():
+def test_the_extension_solve_and_check_share_one_table_set():
     # trivialize_fa_extension asks for size None, fa_coboundary_trivial for 1
     fa = nhw(2)
     gamma = NCochain("trivial", 0, 3, 7, 1, {(z,): (z,) for z in range(1, 8)})
@@ -105,47 +107,61 @@ def test_the_extension_solve_and_check_share_one_complex():
     assert set(memo(fa)) == {"fundamental", ("trivial", 1)}
 
 
-def test_a_given_rho_builds_a_complex_per_call():
+def test_the_memo_keeps_tables_and_no_lists():
+    # the key and coordinate lists, and the placement table, belong to one
+    # complex: a caller that changes them changes no later complex
+    alg, fa = fresh(su(3)), a4()
+    cohomology_dims(alg, None, 8, 2)
+    for kind in KINDS:
+        fa_cohomology_dims(fa, kind, 2)
+    assert set(memo(alg)) == {"ce"}
+    assert set(memo(fa)) == {"fundamental", ("trivial", 1), ("module", 4), ("deformation", 4)}
+    one, two = FAComplex(fa, "deformation"), FAComplex(fa, "deformation")
+    assert one.keys(2) == two.keys(2) and one.keys(2) is not two.keys(2)
+    assert one.place == two.place and one.place is not two.place
+    src = coboundary_matrix(alg, None, 2, 1)[1]
+    want = list(src)
+    src.reverse()
+    assert coboundary_matrix(alg, None, 2, 1)[1] == CEComplex(alg).coords(2) == want
+
+
+def test_a_given_rho_builds_its_tables_per_call():
     fa, alg = a4(), fresh(su(3))
     rho, ad = adjoint_fa_representation(fa), alg.adjoint_rep()
-    assert complex_of(fa, "module", rho) is not complex_of(fa, "module", rho)
-    assert complex_of(alg, "ce", ad) is not complex_of(alg, "ce", ad)
+    assert FAComplex(fa, "module", rho).left is not FAComplex(fa, "module", rho).left
+    assert CEComplex(alg, ad).ialg is not CEComplex(alg, ad).ialg
     assert memo(fa) == memo(alg) == {}
 
 
 def test_copies_leave_the_memo_behind():
     # a scaled copy that took the memo would read the tables of C, not D C
     alg = fresh(su(3))
-    cx = complex_of(alg, "ce")
+    cx = CEComplex(alg)
     d, ialg = alg.integer_scaled()
     assert d == 2 and memo(alg) and not memo(ialg) and not memo(alg.scaled(4))
-    assert complex_of(ialg, "ce") is not cx and complex_of(ialg, "ce").d == 1
-    cochain = Cochain(1, 3, 1, {(1, (1,)): 1, (1, (2,)): 2})
-    assert cochain.get(1, (2,)) == 2
-    vars(cochain)["_memo"] = {"kept": True}
-    for copy in (cochain.scale(3), cochain + cochain, cochain - cochain):
-        assert "_memo" not in vars(copy) and "signed" not in vars(copy)
+    assert CEComplex(ialg).ialg is not cx.ialg and CEComplex(ialg).d == 1
 
 
 def test_a_construction_that_raises_stores_nothing():
     fa = a4()
     no_module = FARepresentation({lab: {(0, 0): 1} if lab == (1, 2) else {}
                                   for lab in combinations(range(1, 5), 2)}, 1)
-    for call, match in ((lambda: complex_of(fa, "deformaton"), "unknown complex kind"),
-                        (lambda: complex_of(fa, "deformation", size=3), "dim_v 3"),
-                        (lambda: complex_of(fa, "module", size=1), "dim_v 1"),
-                        (lambda: complex_of(fa, "module", no_module), "representation")):
+    for call, match in ((lambda: FAComplex(fa, "deformaton"), "unknown complex kind"),
+                        (lambda: FAComplex(fa, "deformation", size=3), "dim_v 3"),
+                        (lambda: FAComplex(fa, "module", size=1), "dim_v 1"),
+                        (lambda: FAComplex(fa, "module", no_module), "representation")):
         with pytest.raises(ValueError, match=match):
             call()
         assert memo(fa) == {}
-    assert complex_of(fa, "deformation") is complex_of(fa, "deformation", size=4)
+    assert FAComplex(fa, "deformation").left is FAComplex(fa, "deformation", size=4).left
 
 
 def test_the_memo_lives_and_dies_with_its_algebra():
     one, two = a4(), a4()
     assert one == two
-    assert complex_of(one, "trivial") is not complex_of(two, "trivial")
-    ref = weakref.ref(complex_of(one, "deformation"))
+    assert FAComplex(one, "trivial").left is not FAComplex(two, "trivial").left
+    ref = weakref.ref(one)
+    FAComplex(one, "deformation")
     del one
     gc.collect()
     assert ref() is None

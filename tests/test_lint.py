@@ -25,9 +25,9 @@ coboundary reach matrices only through `cx.matrix`, and every complex's
 `matrix` method calls `coboundary_matrix` by name, never a row builder
 directly, so the spans a tracer wraps around `coboundary_matrix` see every
 matrix they read.  In the cohomology modules `linalg.solve` is read only by
-`preimage`, and `apply_rows` only by `apply` and `coboundary_at`.  Every
-`CEComplex` and `FAComplex` in `src/` is built by `cohomology.complex_of`,
-the one helper that memoizes them on their algebra."""
+`preimage`, and `apply_rows` only by `apply` and `coboundary_at`.  The
+builders of a complex's tables (`_fa_tables`, `_fa_actions`, `_unimodular`)
+are read only by the constructor that memoizes them on the algebra."""
 
 import ast
 from pathlib import Path
@@ -630,47 +630,45 @@ def test_the_solve_and_the_dot_product_are_in_the_tree():
 
 
 # ---------------------------------------------------------------------------
-# one construction site per complex: every CEComplex and FAComplex in src/
-# comes from the memoizing helper, so no entry point rebuilds tables
+# one table build per complex: the builders of a complex's tables are read
+# only by the constructor that memoizes them, so no entry point rebuilds them
 # ---------------------------------------------------------------------------
 
-MEMOIZED_COMPLEXES = {"CEComplex", "FAComplex"}
-COMPLEX_HELPER = "complex_of"
+TABLES_READ_ONLY_IN = {"_fa_tables": "FAComplex", "_fa_actions": "_fa_tables",
+                       "_unimodular": "CEComplex"}
 
 
-def complex_constructions(source):
-    """(enclosing module-level definition, name) of every read of a
-    memoized complex class, called or handed on (`partial(FAComplex, ..)`),
-    as a name or an attribute, outside `complex_of` ("<module>" for a read
-    at module level); a class statement and an import are not reads."""
+def table_builds_outside_their_owner(source):
+    """(enclosing module-level definition, name) of every read of a table
+    builder of `TABLES_READ_ONLY_IN`, called or handed on, as a name or an
+    attribute, outside the one definition allowed to read it ("<module>" for
+    a read at module level)."""
     found = []
     for node in ast.parse(source).body:
         owner = getattr(node, "name", "<module>")
-        if owner != COMPLEX_HELPER:
-            found += [(owner, name) for name in _reads(node, MEMOIZED_COMPLEXES)]
+        found += [(owner, name) for name in _reads(node, TABLES_READ_ONLY_IN)
+                  if owner != TABLES_READ_ONLY_IN[name]]
     return found
 
 
-def test_scan_sees_a_complex_built_outside_the_helper():
-    source = ("from .nary_cohomology import FAComplex\n"
-              "def complex_of(obj, kind):\n"
-              "    return CEComplex(obj) if kind == 'ce' else FAComplex(obj, kind)\n"
-              "def cohomology_dims(alg, p):\n    return complex_dims(CEComplex(alg), p)\n"
-              "def _apply(fa, kind):\n"
-              "    return partial(nary_cohomology.FAComplex, fa, kind)()\n"
-              "class FAComplex(LeibnizComplex):\n    pass\n"
-              "DEFAULT = CEComplex\n")
-    assert complex_constructions(source) == [("cohomology_dims", "CEComplex"),
-                                             ("_apply", "FAComplex"), ("<module>", "CEComplex")]
+def test_scan_sees_tables_built_outside_their_constructor():
+    source = ("class FAComplex(LeibnizComplex):\n"
+              "    def __init__(self, fa, kind):\n"
+              "        self.tables = fa.memoized(kind, partial(_fa_tables, fa, kind))\n"
+              "def _fa_tables(fa, kind):\n    return _fa_actions(fa, kind)\n"
+              "def _apply(fa, kind):\n    return _fa_tables(fa, kind)\n"
+              "def cohomology_dims(alg, p):\n    return cohomology._unimodular(alg)\n"
+              "TABLES = _fa_actions\n")
+    assert table_builds_outside_their_owner(source) == [
+        ("_apply", "_fa_tables"), ("cohomology_dims", "_unimodular"), ("<module>", "_fa_actions")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_complexes_are_built_by_the_memoizing_helper(path):
-    assert complex_constructions(path.read_text()) == []
+def test_tables_are_built_by_their_constructor(path):
+    assert table_builds_outside_their_owner(path.read_text()) == []
 
 
-def test_the_complex_helper_builds_both_complexes():
-    helpers = [node for path in MODULES for node in ast.parse(path.read_text()).body
-               if isinstance(node, ast.FunctionDef) and node.name == COMPLEX_HELPER]
-    assert len(helpers) == 1
-    assert set(_reads(helpers[0], MEMOIZED_COMPLEXES)) == MEMOIZED_COMPLEXES
+def test_the_table_builders_are_in_the_tree():
+    defined = {node.name for path in MODULES for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(TABLES_READ_ONLY_IN) | set(TABLES_READ_ONLY_IN.values()) <= defined
