@@ -204,8 +204,11 @@ def cmd_generate(args) -> int:
     af = AlgebraFile.from_object(obj)
     text = af.emit()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _input_error(f"cannot write {args.output}: {exc.strerror or exc}")
         _human(f"wrote {args.output}")
     else:
         sys.stdout.write(text)

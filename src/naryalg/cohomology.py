@@ -14,8 +14,12 @@ sparse integer rows {column: int}, one per target coordinate of
 idx in `basis_tuples`.  It reads D C and D rho, the constants and matrices
 scaled to plain ints by their least common denominator D (1 for A4, A5 and
 nhw2, 2 for su(3), 6 for su(4); `integer_scaling`): every term of s carries
-one constant or one rho entry.  A bracket term places l of C_{i_j i_k}^l
-into the sorted remaining indices by one bisection (`tensors.insert_sign`).
+one constant or one rho entry.  Once per degree it lists the slot pairs
+(j, k) with their signs, the constants as a table [i][j] of (l, value)
+pairs, and for every sorted (p-1)-tuple r the placement of each l into r:
+the column of r + l and the sign of the one bisection that sorts it, or
+None when l is in r.  A term is then one list read, and with dim_v = 1 the
+bracket terms of a target are its row, not a copy.
 `coboundary_matrix` divides the rows by D (int where integral, else
 `Fraction`).  A `CEComplex` holds what every degree reads.  With rho None
 its D, D C and unimodular flag (below) are built once per algebra, for every
@@ -44,6 +48,7 @@ module complexes and non-unimodular algebras rank every degree.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -52,7 +57,7 @@ from math import comb
 from . import linalg
 from .lie import LieAlgebra, Representation, check_jacobi
 from .scalars import ZERO, LinearForm, accumulate, common_denominator, rat
-from .tensors import AntisymTensor, insert_sign
+from .tensors import AntisymTensor
 
 
 class Cochain(AntisymTensor):
@@ -110,28 +115,44 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
 def _ce_rows(cx, p):
     """(D, the rows of D s: C^p -> C^{p+1}) of the complex cx: one
     {column: int} per coordinate of `coord_basis(dim, p + 1, dim_v)` (see the
-    module docstring for the columns)."""
-    d, ialg, mrows, dim_v = cx.d, cx.ialg, cx.mrows, cx.dim_v
-    col = {idx: i for i, idx in enumerate(basis_tuples(ialg.dim, p))}
-    targets = basis_tuples(ialg.dim, p + 1)
+    module docstring for the columns and the tables of a degree)."""
+    d, mrows, dim_v, n = cx.d, cx.mrows, cx.dim_v, cx.alg.dim
+    col = {idx: i for i, idx in enumerate(basis_tuples(n, p))}
+    targets = basis_tuples(n, p + 1)
+    # positions are 0-based here; the 1-based (-1)^{j+k}
+    pairs = [(j, k, -1 if (j + k) & 1 else 1) for j, k in combinations(range(p + 1), 2)]
+    bracket, place = [], {}
+    if pairs:  # p >= 1: the constants [i][j] and the placements into each (p-1)-tuple
+        bracket = [[()] * (n + 1) for _ in range(n + 1)]
+        for (i, j), row in cx.ialg.c.items():
+            bracket[i][j] = tuple(row.items())
+        for rest in basis_tuples(n, p - 1):
+            put = place[rest] = [None] * (n + 1)
+            for l in range(1, n + 1):
+                pos = bisect_left(rest, l)
+                if pos == len(rest) or rest[pos] != l:  # a repeated index reads zero
+                    put[l] = col[rest[:pos] + (l,) + rest[pos:]], -1 if pos & 1 else 1
+    acts = any(mrows)
     rows = [None] * (dim_v * len(targets))
-    for n, idx in enumerate(targets):
+    for m, idx in enumerate(targets):
         br = {}  # the bracket terms, the same for every target coordinate A
-        for j, k in combinations(range(p + 1), 2):
-            # positions are 0-based here; the 1-based (-1)^{j+k}
-            sign, rest = -1 if (j + k) & 1 else 1, idx[:j] + idx[j + 1:k] + idx[k + 1:]
-            for l, v in ialg.c.get((idx[j], idx[k]), {}).items():
-                key, s = insert_sign(rest, 0, l)
-                if s:  # a repeated index reads zero
-                    accumulate(br, col[key], s * sign * v)
-        for a in range(dim_v):
-            row = rows[a * len(targets) + n] = {a * len(col) + i: v for i, v in br.items()}
-            for i, x in enumerate(idx):
-                terms = mrows[x - 1].get(a)
-                if terms:
-                    rest = col[idx[:i] + idx[i + 1:]]
-                    for b, v in terms:
-                        accumulate(row, b * len(col) + rest, -v if i & 1 else v)
+        for j, k, sign in pairs:
+            terms = bracket[idx[j]][idx[k]]
+            if terms:
+                put = place[idx[:j] + idx[j + 1:k] + idx[k + 1:]]
+                for l, v in terms:
+                    at = put[l]
+                    if at:
+                        accumulate(br, at[0], at[1] * sign * v)
+        # (-1)^i rho(X_i) on the column of idx without i
+        faces = [(col[idx[:i] + idx[i + 1:]], -1 if i & 1 else 1, mrows[x - 1])
+                 for i, x in enumerate(idx)] if acts else ()
+        for a in range(dim_v):  # a single target coordinate keeps br itself
+            row = rows[a * len(targets) + m] = br if dim_v == 1 else {
+                a * len(col) + i: v for i, v in br.items()}
+            for rest, s, mr in faces:
+                for b, v in mr.get(a, ()):
+                    accumulate(row, b * len(col) + rest, s * v)
     return d, rows
 
 

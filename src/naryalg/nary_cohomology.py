@@ -34,24 +34,26 @@ all n arguments; that the coboundary keeps this joint antisymmetry is a
 tested property (`jointly_antisymmetric_in_last_slot`).  Module keys are the
 p-tuples of sorted blocks.  Signs of unsorted blocks are tracked on reads.
 
-`_leibniz_delta` is the one evaluation of delta: it writes delta straight
-into sparse rows {column: value}, one per target coordinate, over the
-coordinates of w.  It reads L's bracket and the complex's actions from one
-`FAComplex`, handed to every degree: D, the constants and module matrices
-scaled to plain ints by their least common denominator D
-(`cohomology.integer_scaling`), the bracket and actions built on them
-(`fundamental_tables`, `_fa_actions`), and a placement table of Z into the
-last block of a trivial or deformation key ({(X, Z): `tensors.insert_sign`
-of X ^ Z}), built when a degree p >= 1 first reads it.  The complex also
-lists its keys once per degree, through which columns are read, and counts
-dim C^p without building a key.  With rho None, D, the bracket and the
-actions (`_fa_tables`) are built once per algebra, kind and size and
-memoized on the algebra (`BracketTensor.memoized`), the three kinds sharing
-one `fundamental_tables`; a given rho builds them anew.  The placement
-table and the key lists are the complex's own, and no matrix is kept.
-Every term carries one constant or one rho entry, so the rows are those of
-D delta.
-`coboundary_matrix` divides them by D; `cohomology.complex_dims` ranks
+`_leibniz_delta` is the one evaluation of delta: it writes D delta straight
+into sparse integer rows {column: int}, one per target coordinate.  Its
+tables are index-coded: the B sorted blocks are numbered 0..B-1, a point z
+in 1..dim is z - 1 (the plain kinds have the one point 0), and L's bracket
+[X][Y], the left and right actions [X][z] and the placement [X][z] of z into
+the last block, (number of X ^ z among the N sorted n-tuples, sign) or None,
+are tuples indexed by these numbers, a zero entry empty (`fundamental_tables`,
+`_fa_actions`).  They hold the constants and module matrices scaled to ints
+by their least common denominator D (`cohomology.integer_scaling`).  Columns
+are computed: a trivial or deformation coordinate (X_1..X_{p-1}, X_p ^ Z; a),
+p >= 1, is column ((X_1 B + .. + X_{p-1}) N + l) size + a, l the number of
+its last block; a module or binary key is its block numbers in mixed radix B
+(N = B, the identity placement), and (z; a) of degree 0 is z size + a.  The
+kernel walks the target points grouped by their first p blocks, works out
+what those fix once per group, and builds and hashes no key.  With rho
+None, D and the tables are memoized on the algebra per kind and size
+(`BracketTensor.memoized`), the kinds sharing one `fundamental_tables`; a
+given rho builds them anew.  A complex lists its keys, for its coordinates,
+once per degree, counts dim C^p without them, and keeps no matrix.
+`coboundary_matrix` divides the rows by D; `cohomology.complex_dims` ranks
 them undivided, `fa_coboundary_*` and `leibniz_coboundary` (a
 `LeibnizComplex`: given rational actions, D = 1) apply delta through
 `cohomology.apply`, and `deformation_preimage` and `trivialize_fa_extension`
@@ -65,9 +67,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import combinations, product
 from math import comb
+from operator import mul
 
 from . import linalg
 from .cohomology import (CohomologyReport, apply, apply_rows, column_vector, complex_dims,
@@ -104,17 +107,17 @@ class NCochain:
     data: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
+        clean = {}  # tuples from lists, as in `scalars.common_denominator`
         for key, vec in self.data.items():
-            vec = tuple(rat(v) for v in vec)
+            vec = tuple([rat(v) for v in vec])
             if all(v == 0 for v in vec):
                 continue
             ckey, s = sort_blocks(key) if self.order else (key, 1)
             if s == 0:
                 continue
-            vec = tuple(s * v for v in vec)
+            vec = tuple([s * v for v in vec])
             if ckey in clean:
-                clean[ckey] = tuple(a + b for a, b in zip(clean[ckey], vec))
+                clean[ckey] = tuple([a + b for a, b in zip(clean[ckey], vec)])
                 if all(v == 0 for v in clean[ckey]):
                     del clean[ckey]
             else:
@@ -166,49 +169,76 @@ def module_keys(fa, p):
 # the Leibniz coboundary
 # ---------------------------------------------------------------------------
 
-def _leibniz_delta(bracket, left, right, read, size, args):
-    """The rows of delta at each (X_1..X_{p+1}, point) of args, in order:
-    `size` rows {column: value} per point, the row of target coordinate t
-    holding (delta w)(X_1..X_{p+1}) at the point, coordinate t, as a form in
-    the coordinates of w.
-
-    bracket[X, Y] is X . Y as {element of L: value}.  An action table maps
-    (X, point) to {point Q: [(t, b, v), ..]}: coordinate t of the action of
-    X on w, at the point, is the sum of v * w(Q)[b].  read(xs, Q) is the
-    pair (base, sign) with w(xs)(Q)[b] = sign * (coordinate base + b), or
-    None where w(xs)(Q) reads zero.
-    """
+def _leibniz_delta(cx, p, groups):
+    """The rows of D delta_p of the complex cx: for each (X_1..X_p, tails)
+    of groups and each (X_{p+1}, z) of tails, in order, `cx.size` rows
+    {column: int}, row t holding coordinate t of (delta w)(X_1..X_{p+1}) at
+    z as a form in the coordinates of w.  Blocks, points, tables and columns
+    are those of the module docstring; action[X][z] is ((q, ((t, b, v),
+    ..)), ..): coordinate t of X acting on w at z is the sum of v w(q)[b]."""
+    bracket, left, right, place, size = cx.bracket, cx.left, cx.right, cx.place, cx.size
+    nb, nlast, span = len(bracket), len(cx.split), range(size)
+    weight = [nb ** (p - 2 - k) * nlast for k in range(p - 1)]  # of each leading slot
+    unplaced = [] if p else [(q, 1) for q in range(len(left[0]) if left else 0)]  # p = 0
+    rsgn = 1 if p & 1 else -1
     rows = []
-    for xs, point in args:
-        vec = [{} for _ in range(size)]
-        last = len(xs) - 1
-        for i, x in enumerate(xs):
-            rest = xs[:i] + xs[i + 1:]
-            sgn = -1 if i & 1 else 1
-            # (-1)^{i+1} l_{X_i} for i <= p, (-1)^{p+1} r_{X_{p+1}} (1-based)
-            acts, asgn = (left, sgn) if i < last else (right, -sgn)
-            for q, terms in acts[x, point].items():
-                at = read(rest, q)
-                if at is not None:
-                    base, s = at
-                    s *= asgn
+    for head, tails in groups:
+        # (-1)^{i+1} l_{X_i}, i <= p (1-based), reads w(X_1..^i..X_{p+1}): per
+        # X_i its sign, actions, brackets, the worth of the key's leading
+        # blocks, and (worth, weight, X_i . X_j) of each nonzero leading X_j
+        lead = []
+        for i, x in enumerate(head):
+            slots = [(head[j] * weight[j - 1], weight[j - 1], bracket[x][head[j]])
+                     for j in range(i + 1, p) if bracket[x][head[j]]]
+            lead.append((-1 if i & 1 else 1, left[x], bracket[x],
+                         sum(map(mul, head[:i] + head[i + 1:], weight)), slots))
+        # (-1)^{p+1} r_{X_{p+1}} reads w(X_1..X_p)
+        hp, atp = sum(map(mul, head[:-1], weight)), place[head[-1]] if p else unplaced
+        for xl, z in tails:
+            vec = [{} for _ in span]
+            at = place[xl]
+            kept = at[z]
+            for sgn, lx, bx, h, slots in lead:
+                for q, terms in lx[z]:
+                    pq = at[q]
+                    if pq is not None:
+                        base, s = (h + pq[0]) * size, sgn * pq[1]
+                        for t, b, v in terms:
+                            accumulate(vec[t], base + b, s * v)
+                if kept is not None:  # X_i . X_j in a leading slot keeps X_{p+1}
+                    for shift, w, pairs in slots:
+                        base, s = h + kept[0] - shift, -sgn * kept[1]
+                        for y, v in pairs:
+                            col, c = (base + y * w) * size, s * v
+                            for t in span:
+                                accumulate(vec[t], col + t, c)
+                for y, v in bx[xl]:  # X_i . X_{p+1} is the last block
+                    py = place[y][z]
+                    if py is not None:
+                        col, c = (h + py[0]) * size, -sgn * py[1] * v
+                        for t in span:
+                            accumulate(vec[t], col + t, c)
+            for q, terms in right[xl][z]:
+                pq = atp[q]
+                if pq is not None:
+                    base, s = (hp + pq[0]) * size, rsgn * pq[1]
                     for t, b, v in terms:
                         accumulate(vec[t], base + b, s * v)
-            for j in range(i + 1, last + 1):
-                for y, v in bracket[x, xs[j]].items():
-                    at = read(rest[:j - 1] + (y,) + rest[j:], point)
-                    if at is not None:
-                        base, s = at
-                        c = -sgn * s * v
-                        for t in range(size):
-                            accumulate(vec[t], base + t, c)
-        rows.extend(vec)
+            rows.extend(vec)
     return rows
 
 
 def _matrix_terms(m, sign=1):
-    """The action terms of sign * m, a sparse matrix, on the whole fiber."""
-    return [(a, b, sign * v) for (a, b), v in sorted(m.items())]
+    """The action terms of sign * m, a sparse matrix, on the whole fiber,
+    as the one entry of a plain action table."""
+    terms = tuple((a, b, sign * v) for (a, b), v in sorted(m.items()))
+    return ((0, terms),) if terms else ()
+
+
+def _plain(nb):
+    """(place, split) of a plain complex on nb blocks: a key's last block is
+    numbered as itself, and the one point is 0."""
+    return tuple(((x, 1),) for x in range(nb)), tuple((x, 0) for x in range(nb))
 
 
 # ---------------------------------------------------------------------------
@@ -216,32 +246,41 @@ def _matrix_terms(m, sign=1):
 # ---------------------------------------------------------------------------
 
 def fundamental_tables(fa: FilippovAlgebra):
-    """(blocks, bracket, action) of L = wedge^{n-1} g: the sorted blocks,
-    bracket[X, Y] = X . Y as {block: value} and action[X, z] = X . z as
-    {l: value}, for sorted blocks X, Y and z in 1..dim.  The bracket is
-    read off the action: X . Y = sum_k (Y_1, .., X . Y_k, .., Y_{n-1});
-    every X . Y = 0 reads one shared empty map, which readers must not change."""
+    """(blocks, bracket, action, place, split) of L = wedge^{n-1} g by
+    number (module docstring), all tuples: bracket[X][Y] = X . Y =
+    sum_k (Y_1, .., X . Y_k, .., Y_{n-1}), action[X][z] = X . z as ((l,
+    value), ..), place[X][z] and, per sorted n-tuple L, split[L] = (X, z)
+    with X ^ z = L and z last."""
     rng = range(1, fa.dim + 1)
-    blocks = list(combinations(rng, fa.arity - 1))
-    action = {(x, z): fa.f_row(x + (z,)) for x in blocks for z in rng}
-    bracket, empty = {}, {}
-    for x in blocks:
+    blocks = tuple(combinations(rng, fa.arity - 1))
+    num = {x: i for i, x in enumerate(blocks)}
+    action = tuple(tuple(tuple((l - 1, v) for l, v in fa.f_row(x + (z,)).items()) for z in rng)
+                   for x in blocks)
+    bracket = []
+    for acts in action:
+        row = []
         for y in blocks:
             out = {}
             for k, yk in enumerate(y):
-                for l, v in action[x, yk].items():
-                    key, s = insert_sign(y[:k] + y[k + 1:], k, l)
+                for l, v in acts[yk - 1]:
+                    key, s = insert_sign(y[:k] + y[k + 1:], k, l + 1)
                     if s:
-                        accumulate(out, key, s * v)
-            bracket[x, y] = out or empty
-    return blocks, bracket, action
+                        accumulate(out, num[key], s * v)
+            row.append(tuple(out.items()))
+        bracket.append(tuple(row))
+    lasts = {y: i for i, y in enumerate(combinations(rng, fa.arity))}
+    place = tuple(tuple((lasts[key], s) if s else None
+                        for key, s in (insert_sign(x, len(x), z) for z in rng)) for x in blocks)
+    return (blocks, tuple(bracket), action, place,
+            tuple((num[y[:-1]], y[-1] - 1) for y in lasts))
 
 
 def _fa_tables(fa, kind, rho, size):
-    """(D, bracket, left, right) of the complex `kind` of fa on cochains of
-    dimension size: `_fa_actions` on the constants and module matrices scaled
-    by D.  rho None is the trivial module, or the adjoint one for the module
-    complex, and then the kinds share one `fundamental_tables` on fa's memo."""
+    """(D, bracket, left, right, place, split) of the complex `kind` of fa on
+    cochains of dimension size: `_fa_actions` on the constants and module
+    matrices scaled by D.  rho None is the trivial module, or the adjoint one
+    for the module complex, and then the kinds share one `fundamental_tables`
+    on fa's memo."""
     default = rho is None
     if kind == "module" and default:
         rho = adjoint_fa_representation(fa)
@@ -254,34 +293,45 @@ def _fa_tables(fa, kind, rho, size):
 
 
 def _fa_actions(fa, tables, kind, rho, size):
-    """(bracket, left, right) of the complex `kind` on cochains of dimension
-    size, from the `fundamental_tables` of fa, as `_leibniz_delta` reads them."""
-    blocks, bracket, action = tables
+    """(bracket, left, right, place, split) of the complex `kind` on cochains
+    of dimension size, from the `fundamental_tables` of fa, as `_leibniz_delta`
+    reads them; an action entry with no term is left out."""
+    blocks, bracket, action, place, split = tables
     if kind == "module":
-        left = {(x, None): {None: _matrix_terms(rho.mats[x])} for x in blocks}
-        right = {(x, None): {None: _matrix_terms(rho.mats[x], -1)} for x in blocks}
-        return bracket, left, right
-    rng = range(1, fa.dim + 1)
-    left, right = {}, {}
-    for x in blocks:
+        left = tuple((_matrix_terms(rho.mats[x]),) for x in blocks)
+        right = tuple((_matrix_terms(rho.mats[x], -1),) for x in blocks)
+        return (bracket, left, right, *_plain(len(blocks)))
+    rng, fiber = range(fa.dim), range(size)
+    num = {x: i for i, x in enumerate(blocks)}
+    left, right = [], []
+    for i, x in enumerate(blocks):
         if kind == "deformation":  # X . f(-) and the f(X_k) -> b substitutions, independent of z
-            ad = [(l - 1, b - 1, v) for b in rng for l, v in action[x, b].items()]
-            subs = [(y, b - 1, *insert_sign(x[:k] + x[k + 1:], k, b))
+            ad = [(l, b, v) for b in rng for l, v in action[i][b]]
+            subs = [(y - 1, b, *insert_sign(x[:k] + x[k + 1:], k, b + 1))
                     for k, y in enumerate(x) for b in rng]
+        lx, rx = [], []
         for z in rng:
             # -w(X . z) and its negative, on each coordinate of the fiber
-            lq = {l: [(t, t, -v) for t in range(size)] for l, v in action[x, z].items()}
-            rq = {l: [(t, t, v) for t in range(size)] for l, v in action[x, z].items()}
+            lq = {l: [(t, t, -v) for t in fiber] for l, v in action[i][z]}
+            rq = {l: [(t, t, v) for t in fiber] for l, v in action[i][z]}
             if kind == "deformation":
                 # X . f(z), and -(f . X) . z = -sum_k [X_1, .., f(X_k), .., X_{n-1}, z]
                 lq.setdefault(z, []).extend(ad)
                 rq.setdefault(z, []).extend((t, b, -v) for t, b, v in ad)
                 for y, b, lab, s in subs:
                     if s:
-                        rq.setdefault(y, []).extend((l - 1, b, -s * v)
-                                                    for l, v in action[lab, z].items())
-            left[x, z], right[x, z] = lq, rq
-    return bracket, left, right
+                        rq.setdefault(y, []).extend((l, b, -s * v) for l, v in action[num[lab]][z])
+            lx.append(_frozen(lq))
+            rx.append(_frozen(rq))
+        left.append(tuple(lx))
+        right.append(tuple(rx))
+    return bracket, tuple(left), tuple(right), place, split
+
+
+def _frozen(acts):
+    """An action table entry {q: [terms]} as ((q, (terms)), ..), without the
+    q that carry no term."""
+    return tuple([(q, tuple(terms)) for q, terms in acts.items() if terms])
 
 
 KINDS = ("trivial", "module", "deformation")
@@ -293,8 +343,9 @@ class LeibnizComplex:
     and r_X = right[X - 1] (sparse matrices), as `cohomology.complex_dims`,
     `apply` and `preimage` read it: the binary row of the module docstring,
     keyed by all p-tuples of 1..dim, its tables on the rational constants and
-    matrices as given (D = 1).  Actions that fail `leibniz_rep_conditions`
-    raise ValueError: their delta does not square to zero."""
+    matrices as given (D = 1), the elements numbered from 0 as blocks of a
+    plain complex.  Actions that fail `leibniz_rep_conditions` raise
+    ValueError: their delta does not square to zero."""
 
     kind, d = "binary", 1
 
@@ -305,9 +356,11 @@ class LeibnizComplex:
         rng = range(1, lb.dim + 1)
         self.lb, self.size, self._key_lists = lb, size, {}
         self._list_keys = lambda p: list(product(rng, repeat=p))
-        self.bracket = {(x, y): lb.row(x, y) for x in rng for y in rng}
-        self.left = {(x, None): {None: _matrix_terms(left[x - 1])} for x in rng}
-        self.right = {(x, None): {None: _matrix_terms(right[x - 1])} for x in rng}
+        self.bracket = tuple(tuple(tuple((k - 1, v) for k, v in lb.row(x, y).items())
+                                   for y in rng) for x in rng)
+        self.left = tuple((_matrix_terms(m),) for m in left)
+        self.right = tuple((_matrix_terms(m),) for m in right)
+        self.place, self.split = _plain(lb.dim)
 
     def keys(self, p):
         """The keys of C^p (`_list_keys`), listed once per degree."""
@@ -333,12 +386,12 @@ class LeibnizComplex:
 class FAComplex(LeibnizComplex):
     """The complex `kind` of fa on cochains of target dimension size: the
     Leibniz complex of L on its own keys, and its tables (`_fa_tables`): D,
-    and L's bracket and the complex's left and right actions on the constants
-    and module matrices scaled by D, memoized on fa when rho is None.  The
-    module complex defaults to the adjoint module; the trivial complex takes
-    any size (the trivial module tensored with Q^size), the others only their
-    own dim_v.  A given rho that fails `filippov.check_fa_representation`
-    raises ValueError."""
+    and L's bracket, the complex's left and right actions on the constants
+    and module matrices scaled by D, and its placement table, memoized on fa
+    when rho is None.  The module complex defaults to the adjoint module;
+    the trivial complex takes any size (the trivial module tensored with
+    Q^size), the others only their own dim_v.  A given rho that fails
+    `filippov.check_fa_representation` raises ValueError."""
 
     def __init__(self, fa, kind, rho=None, size=None):
         if kind not in KINDS:
@@ -354,7 +407,7 @@ class FAComplex(LeibnizComplex):
         self._key_lists = {}
         self._list_keys = partial(module_keys if kind == "module" else trivial_keys, fa)
         build = partial(_fa_tables, fa, kind, rho, self.size)
-        self.d, self.bracket, self.left, self.right = (
+        self.d, self.bracket, self.left, self.right, self.place, self.split = (
             build() if rho is not None else fa.memoized((kind, self.size), build))
 
     def dim(self, p):
@@ -369,36 +422,9 @@ class FAComplex(LeibnizComplex):
         """The integer rows of D delta_p."""
         return coboundary_matrix(self.fa, self.kind, p, self.rho, integer=True, _tables=self)[0]
 
-    @cached_property
-    def place(self):
-        """{(X, z): insert_sign(X, len(X), z)} over the sorted blocks X and
-        z in 1..dim (the keys of a trivial or deformation action table)."""
-        return {(x, z): insert_sign(x, len(x), z) for x, z in self.left}
-
 
 def _misfit(kind, size, want):
     return ValueError(f"a cochain of dim_v {size} does not fit the {kind} complex (dim_v {want})")
-
-
-def _fa_rows(cx, p, args):
-    """The rows of D delta at args of the complex cx (a `FAComplex` or a
-    `LeibnizComplex`) on p-cochains, coordinate (key, a) at column
-    i * size + a for the i-th key."""
-    kind, size = cx.kind, cx.size
-    cols = {key: i * size for i, key in enumerate(cx.keys(p))}
-    if kind in PLAIN:
-        def read(xs, _):
-            return cols[xs], 1
-    elif p == 0:
-        def read(_, z):
-            return cols[(z,)], 1
-    else:
-        place = cx.place
-
-        def read(xs, z):  # the last block of a key absorbs z: X_p ^ Z, sorted
-            key, s = place[xs[-1], z]
-            return (cols[xs[:-1] + (key,)], s) if s else None
-    return _leibniz_delta(cx.bracket, cx.left, cx.right, read, size, args)
 
 
 def _flat(data):
@@ -409,20 +435,24 @@ def _flat(data):
 
 def coboundary_at(fa: FilippovAlgebra, kind, alpha: NCochain, points, rho=None):
     """(delta alpha)(X_1..X_{p+1}, Z) of the complex `kind` at each (raw
-    blocks, Z) of points (Z None for the module complex), in order, from one
-    `FAComplex`: the blocks are sorted here, and their sign applied."""
-    args, signs = [], []
+    blocks, Z) of points (Z None for the module complex, else in 1..dim), in
+    order, from one `FAComplex`: the blocks are sorted here, and their sign
+    applied."""
+    cx, p = FAComplex(fa, kind, rho, alpha.dim_v), alpha.order
+    num = {x: i for i, x in enumerate(combinations(range(1, fa.dim + 1), fa.arity - 1))}
+    plain, groups, signs = kind in PLAIN, [], []
     for blocks, z in points:
-        if len(blocks) != alpha.order + 1:
-            raise ValueError(f"a {alpha.order}-cochain's coboundary takes "
-                             f"{alpha.order + 1} blocks")
+        if len(blocks) != p + 1:
+            raise ValueError(f"a {p}-cochain's coboundary takes {p + 1} blocks")
+        if not (plain or z in range(1, fa.dim + 1)):
+            raise ValueError(f"point {z!r} outside 1..{fa.dim}")
         xs, s = sort_blocks(blocks)
         signs.append(s)
         if s:
-            args.append((xs, z))
-    cx, p = FAComplex(fa, kind, rho, alpha.dim_v), alpha.order
+            xs = [num[x] for x in xs]
+            groups.append((tuple(xs[:-1]), ((xs[-1], 0 if plain else z - 1),)))
     x = column_vector(cx, p, _flat(alpha.data))
-    values = iter(_vectors(apply_rows(_fa_rows(cx, p, args), x, cx.d), alpha.dim_v))
+    values = iter(_vectors(apply_rows(_leibniz_delta(cx, p, groups), x, cx.d), alpha.dim_v))
     zero = (0,) * alpha.dim_v
     return [tuple(s * v for v in next(values)) if s else zero for s in signs]
 
@@ -446,13 +476,6 @@ def fa_coboundary_deformation(fa: FilippovAlgebra, alpha: NCochain) -> NCochain:
 def _vectors(values, size):
     """The values grouped into consecutive tuples of length size."""
     return [tuple(values[i:i + size]) for i in range(0, len(values), size)]
-
-
-def _points(kind, keys):
-    """(X_1..X_{p+1}, point) of each key; a trivial or deformation key ends in X_{p+1} ^ Z."""
-    if kind in PLAIN:
-        return [(key, None) for key in keys]
-    return [(key[:-1] + (key[-1][:-1],), key[-1][-1]) for key in keys]
 
 
 def _apply(fa, alpha, kind, rho):
@@ -498,7 +521,8 @@ def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None, *, integer=False, 
     binary complex (kind "binary") is always given by its `LeibnizComplex`.
     """
     cx = _tables or FAComplex(fa, kind, rho)
-    rows = _fa_rows(cx, p, _points(cx.kind, cx.keys(p + 1)))
+    rows = _leibniz_delta(cx, p, [(head, cx.split)  # the keys of C^{p+1}, in order
+                                  for head in product(range(len(cx.bracket)), repeat=p)])
     return rows if integer else unscale_rows(rows, cx.d), cx.coords(p), cx.coords(p + 1)
 
 
@@ -525,18 +549,19 @@ def homology_boundary(fa: FilippovAlgebra, chain):
 
 
 def _boundary(tables, chain):
-    _, bracket, action = tables
+    blocks, bracket, action = tables[:3]
+    num = {x: i for i, x in enumerate(blocks)}
     out = {}
-    for blocks, z, coeff in chain:
-        blocks, sign = sort_blocks(blocks)  # the boundary is linear in each block
-        for i in range(len(blocks) if sign else 0):
-            rest = blocks[:i] + blocks[i + 1:]
+    for raw, z, coeff in chain:
+        xs, sign = sort_blocks(raw)  # the boundary is linear in each block
+        for i in range(len(xs) if sign else 0):
+            rest, x = xs[:i] + xs[i + 1:], num[xs[i]]
             c = (-1) ** (i + 1) * sign * coeff
-            for j in range(i + 1, len(blocks)):
-                for lab, v in bracket[blocks[i], blocks[j]].items():
-                    accumulate(out, (rest[:j - 1] + (lab,) + rest[j:], z), c * v)
-            for l, v in action[blocks[i], z].items():
-                accumulate(out, (rest, l), c * v)
+            for j in range(i + 1, len(xs)):
+                for y, v in bracket[x][num[xs[j]]]:
+                    accumulate(out, (rest[:j - 1] + (blocks[y],) + rest[j:], z), c * v)
+            for l, v in action[x][z - 1]:
+                accumulate(out, (rest, l + 1), c * v)
     return out
 
 

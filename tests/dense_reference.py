@@ -63,6 +63,12 @@ the invariance scan of a cocycle over every (i, sorted tuple) and the
 polynomial vanishing identity over every ordered pair split, both with one
 sorting read per term.  They are the references of the bridge parity tests.
 
+The two coboundary row kernels as they stood before they read index-coded
+tables: the CE rows with one `insert_sign` and one tuple-keyed column read
+per term, and the Leibniz rows on the tuple-keyed fundamental tables, their
+(block, point)-keyed actions, a placement by `insert_sign` and a read
+closure per term.  They are the references of the row-kernel parity tests.
+
 `cohomology_dims` ranking every degree, before the upper half of the trivial
 complex of a unimodular algebra was read from its Poincare mirror: the
 reference of the duality tests.
@@ -72,17 +78,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from naryalg import cohomology, linalg
-from naryalg.filippov import (CliffordReport, FilippovAlgebra, FIReport, check_metric_fa,
-                              fundamental_compose, kasymov_form, simple_fa)
+from naryalg import cohomology, linalg, nary_cohomology
+from naryalg.filippov import (CliffordReport, FARepresentation, FilippovAlgebra, FIReport,
+                              adjoint_fa_representation, check_metric_fa, fundamental_compose,
+                              kasymov_form, simple_fa)
 from naryalg.gla import GLAlgebra, IdentityReport, lie_as_gla
 from naryalg.lie import (JacobiReport, LieAlgebra, MetricReport, Representation,
                         SymInvariantPoly, killing_form)
 from naryalg.poisson import GPSReport, NPReport, _decomposable_hint
 from naryalg.poly import Poly, add_product
 from naryalg.scalars import ZERO, GaussianRational, LinearForm, accumulate, is_zero, rat
-from naryalg.tensors import (AntisymTensor, fold_antisym, gen_kronecker, merge_sign, perm_sign,
-                             ray_equal, sort_blocks, sort_sign)
+from naryalg.tensors import (AntisymTensor, fold_antisym, gen_kronecker, insert_sign, merge_sign,
+                             perm_sign, ray_equal, sort_blocks, sort_sign)
 
 
 def rref(mat):
@@ -1320,6 +1327,172 @@ def cohomology_dims_all_degrees(alg, rho, p_max, dim_v=None):
         dims_c[p] = len(src)
         ranks[p] = linalg.rank(rows)
     return cohomology.CohomologyReport.from_ranks(dims_c, ranks)
+
+
+# ---------------------------------------------------------------------------
+# the coboundary row kernels on tuple-keyed tables, before index coding
+# ---------------------------------------------------------------------------
+
+def ce_rows(cx, p):
+    """(D, the rows of D s: C^p -> C^{p+1}) of the `cohomology.CEComplex`
+    cx, read from its D, D C and D rho rows: one {column: int} per
+    coordinate of `coord_basis(dim, p + 1, dim_v)`, every l of C_{i_j i_k}^l
+    placed by `insert_sign` and every column read from a map keyed by index
+    tuples."""
+    d, ialg, mrows, dim_v = cx.d, cx.ialg, cx.mrows, cx.dim_v
+    col = {idx: i for i, idx in enumerate(cohomology.basis_tuples(ialg.dim, p))}
+    targets = cohomology.basis_tuples(ialg.dim, p + 1)
+    rows = [None] * (dim_v * len(targets))
+    for n, idx in enumerate(targets):
+        br = {}  # the bracket terms, the same for every target coordinate A
+        for j, k in combinations(range(p + 1), 2):
+            # positions are 0-based here; the 1-based (-1)^{j+k}
+            sign, rest = -1 if (j + k) & 1 else 1, idx[:j] + idx[j + 1:k] + idx[k + 1:]
+            for l, v in ialg.c.get((idx[j], idx[k]), {}).items():
+                key, s = insert_sign(rest, 0, l)
+                if s:  # a repeated index reads zero
+                    accumulate(br, col[key], s * sign * v)
+        for a in range(dim_v):
+            row = rows[a * len(targets) + n] = {a * len(col) + i: v for i, v in br.items()}
+            for i, x in enumerate(idx):
+                terms = mrows[x - 1].get(a)
+                if terms:
+                    rest = col[idx[:i] + idx[i + 1:]]
+                    for b, v in terms:
+                        accumulate(row, b * len(col) + rest, -v if i & 1 else v)
+    return d, rows
+
+
+def leibniz_delta(bracket, left, right, read, size, args):
+    """The rows of delta at each (X_1..X_{p+1}, point) of args, in order:
+    `size` rows {column: value} per point.  bracket[X, Y] is X . Y as
+    {element of L: value}; an action table maps (X, point) to {point Q:
+    [(t, b, v), ..]}; read(xs, Q) is (base, sign) with w(xs)(Q)[b] = sign *
+    (coordinate base + b), or None where w(xs)(Q) reads zero."""
+    rows = []
+    for xs, point in args:
+        vec = [{} for _ in range(size)]
+        last = len(xs) - 1
+        for i, x in enumerate(xs):
+            rest = xs[:i] + xs[i + 1:]
+            sgn = -1 if i & 1 else 1
+            # (-1)^{i+1} l_{X_i} for i <= p, (-1)^{p+1} r_{X_{p+1}} (1-based)
+            acts, asgn = (left, sgn) if i < last else (right, -sgn)
+            for q, terms in acts[x, point].items():
+                at = read(rest, q)
+                if at is not None:
+                    base, s = at
+                    s *= asgn
+                    for t, b, v in terms:
+                        accumulate(vec[t], base + b, s * v)
+            for j in range(i + 1, last + 1):
+                for y, v in bracket[x, xs[j]].items():
+                    at = read(rest[:j - 1] + (y,) + rest[j:], point)
+                    if at is not None:
+                        base, s = at
+                        c = -sgn * s * v
+                        for t in range(size):
+                            accumulate(vec[t], base + t, c)
+        rows.extend(vec)
+    return rows
+
+
+def _matrix_terms(m, sign=1):
+    return [(a, b, sign * v) for (a, b), v in sorted(m.items())]
+
+
+def keyed_fundamental_tables(fa):
+    """(blocks, bracket, action) of L = wedge^{n-1} g keyed by sorted
+    blocks: bracket[X, Y] = X . Y as {block: value}, action[X, z] = X . z
+    as {l: value}."""
+    rng = range(1, fa.dim + 1)
+    blocks = list(combinations(rng, fa.arity - 1))
+    action = {(x, z): fa.f_row(x + (z,)) for x in blocks for z in rng}
+    bracket = {}
+    for x in blocks:
+        for y in blocks:
+            out = {}
+            for k, yk in enumerate(y):
+                for l, v in action[x, yk].items():
+                    key, s = insert_sign(y[:k] + y[k + 1:], k, l)
+                    if s:
+                        accumulate(out, key, s * v)
+            bracket[x, y] = out
+    return blocks, bracket, action
+
+
+def keyed_fa_actions(fa, tables, kind, rho, size):
+    """(bracket, left, right) of the complex `kind`, keyed by (block, point)."""
+    blocks, bracket, action = tables
+    if kind == "module":
+        left = {(x, None): {None: _matrix_terms(rho.mats[x])} for x in blocks}
+        right = {(x, None): {None: _matrix_terms(rho.mats[x], -1)} for x in blocks}
+        return bracket, left, right
+    rng = range(1, fa.dim + 1)
+    left, right = {}, {}
+    for x in blocks:
+        if kind == "deformation":
+            ad = [(l - 1, b - 1, v) for b in rng for l, v in action[x, b].items()]
+            subs = [(y, b - 1, *insert_sign(x[:k] + x[k + 1:], k, b))
+                    for k, y in enumerate(x) for b in rng]
+        for z in rng:
+            lq = {l: [(t, t, -v) for t in range(size)] for l, v in action[x, z].items()}
+            rq = {l: [(t, t, v) for t in range(size)] for l, v in action[x, z].items()}
+            if kind == "deformation":
+                lq.setdefault(z, []).extend(ad)
+                rq.setdefault(z, []).extend((t, b, -v) for t, b, v in ad)
+                for y, b, lab, s in subs:
+                    if s:
+                        rq.setdefault(y, []).extend((l - 1, b, -s * v)
+                                                    for l, v in action[lab, z].items())
+            left[x, z], right[x, z] = lq, rq
+    return bracket, left, right
+
+
+def fa_rows(fa, kind, p, rho=None, size=None, points=None):
+    """(D, the rows of D delta_p) of the Filippov complex `kind` on
+    tuple-keyed tables: at the canonical points of C^{p+1} in key order, or
+    at the given (sorted blocks, z) points (z None for the module complex).
+    Column (key, a) of the i-th key of C^p is i * size + a."""
+    if kind == "module" and rho is None:
+        rho = adjoint_fa_representation(fa)
+    size = size or (1 if kind == "trivial" else fa.dim if rho is None else rho.dim_v)
+    labels = [] if rho is None else list(rho.mats)
+    d, ifa, imats = cohomology.integer_scaling(fa, [rho.mats[lab] for lab in labels])
+    irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), size)
+    bracket, left, right = keyed_fa_actions(ifa, keyed_fundamental_tables(ifa), kind, irho, size)
+    keys = nary_cohomology.module_keys if kind == "module" else nary_cohomology.trivial_keys
+    if points is None:
+        points = ([(key, None) for key in keys(fa, p + 1)] if kind == "module" else
+                  [(key[:-1] + (key[-1][:-1],), key[-1][-1]) for key in keys(fa, p + 1)])
+    cols = {key: i * size for i, key in enumerate(keys(fa, p))}
+    if kind == "module":
+        def read(xs, _):
+            return cols[xs], 1
+    elif p == 0:
+        def read(_, z):
+            return cols[(z,)], 1
+    else:
+        def read(xs, z):
+            key, s = insert_sign(xs[-1], len(xs[-1]), z)
+            return (cols[xs[:-1] + (key,)], s) if s else None
+    return d, leibniz_delta(bracket, left, right, read, size, points)
+
+
+def leibniz_rows(lb, left, right, size, p):
+    """The rows of delta_p of the Leibniz complex of lb with the sparse
+    action matrices l_X = left[X - 1], r_X = right[X - 1], keyed by all
+    p-tuples of 1..dim."""
+    rng = range(1, lb.dim + 1)
+    bracket = {(x, y): lb.row(x, y) for x in rng for y in rng}
+    lq = {(x, None): {None: _matrix_terms(left[x - 1])} for x in rng}
+    rq = {(x, None): {None: _matrix_terms(right[x - 1])} for x in rng}
+    cols = {key: i * size for i, key in enumerate(product(rng, repeat=p))}
+
+    def read(xs, _):
+        return cols[xs], 1
+    return leibniz_delta(bracket, lq, rq, read, size,
+                         [(key, None) for key in product(rng, repeat=p + 1)])
 
 
 # ---------------------------------------------------------------------------

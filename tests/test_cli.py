@@ -96,6 +96,17 @@ def test_generate_rejects_what_it_cannot_write(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing/x.alg", ""])
+def test_generate_names_an_output_path_it_cannot_open(tmp_path, capsys, where):
+    # an output in a missing directory, or a directory itself, once ended in
+    # an OSError traceback with exit 1
+    out = tmp_path / where
+    assert cli.main(["generate", "heisenberg", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_generate_takes_a_sign_string_that_starts_with_minus(tmp_path, capsys):
     # argparse reads "--signs -+++" as a second option; the help gives the = form
     out = tmp_path / "a13.alg"

@@ -42,6 +42,14 @@ def rows(matrix):
     return [list(row.items()) for row in matrix]
 
 
+def read_only(table):
+    """Whether table is built of tuples alone, down to ints and None: no
+    dict, so no table keyed by tuples, and nothing a reader could change."""
+    if isinstance(table, tuple):
+        return all(map(read_only, table))
+    return table is None or type(table) is int
+
+
 LIE = {"su2": lambda: su(2), "su3": lambda: su(3), "heisenberg": heisenberg, "r2": r2}
 FILIPPOV = {"a4": a4, "a5": a5, "nhw1": lambda: nhw(1), "nhw2": lambda: nhw(2)}
 
@@ -108,8 +116,9 @@ def test_the_extension_solve_and_check_share_one_table_set():
 
 
 def test_the_memo_keeps_tables_and_no_lists():
-    # the key and coordinate lists, and the placement table, belong to one
-    # complex: a caller that changes them changes no later complex
+    # the key and coordinate lists belong to one complex: a caller that
+    # changes them changes no later complex; the placement table is one of
+    # the algebra's tables, shared, and read-only (nested tuples)
     alg, fa = fresh(su(3)), a4()
     cohomology_dims(alg, None, 8, 2)
     for kind in KINDS:
@@ -118,11 +127,28 @@ def test_the_memo_keeps_tables_and_no_lists():
     assert set(memo(fa)) == {"fundamental", ("trivial", 1), ("module", 4), ("deformation", 4)}
     one, two = FAComplex(fa, "deformation"), FAComplex(fa, "deformation")
     assert one.keys(2) == two.keys(2) and one.keys(2) is not two.keys(2)
-    assert one.place == two.place and one.place is not two.place
+    assert one.place is two.place and read_only(one.place)
     src = coboundary_matrix(alg, None, 2, 1)[1]
     want = list(src)
     src.reverse()
     assert coboundary_matrix(alg, None, 2, 1)[1] == CEComplex(alg).coords(2) == want
+
+
+@pytest.mark.parametrize("name", sorted(FILIPPOV))
+def test_each_fa_memo_entry_holds_int_tables_alone(name):
+    # the blocks by number, never the tuple-keyed `fundamental_tables`
+    fa = FILIPPOV[name]()
+    for kind in KINDS:
+        fa_cohomology_dims(fa, kind, 1)
+    blocks, *tables = memo(fa)["fundamental"]
+    assert blocks == tuple(combinations(range(1, fa.dim + 1), fa.arity - 1))
+    assert len(tables) == 4 and all(map(read_only, tables))
+    for kind in KINDS:
+        entry = memo(fa)[kind, FAComplex(fa, kind).size]
+        assert len(entry) == 6 and read_only(entry)
+        assert entry[1] is tables[0]  # every kind reads the one bracket
+        if kind != "module":
+            assert entry[4:] == tuple(tables[2:])  # and the one placement
 
 
 def test_a_given_rho_builds_its_tables_per_call():

@@ -330,10 +330,10 @@ def test_evaluations_on_raw_blocks_equal_the_three_formulas(name, kind, data):
 def fundamental_leibniz(fa):
     """The bracket table of `fundamental_tables`, with the blocks relabelled
     1..C(dim, n-1) in their order."""
-    blocks, bracket, _ = fundamental_tables(fa)
-    label = {blk: i for i, blk in enumerate(blocks, 1)}
-    return LeibnizAlgebra(len(blocks), {(label[x], label[y]): {label[z]: v for z, v in row.items()}
-                                        for (x, y), row in bracket.items()})
+    blocks, bracket, *_ = fundamental_tables(fa)
+    return LeibnizAlgebra(len(blocks), {(x, y): {z + 1: v for z, v in row}
+                                        for x, rows in enumerate(bracket, 1)
+                                        for y, row in enumerate(rows, 1)})
 
 
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))

@@ -501,7 +501,7 @@ def test_every_bridge_kernel_is_in_the_tree():
 
 DRIVERS = {"complex_dims", "apply", "preimage"}
 MATRIX = "matrix"
-ROW_BUILDERS = {"_ce_rows", "_fa_rows"}
+ROW_BUILDERS = {"_ce_rows", "_leibniz_delta"}
 ASSEMBLY = "coboundary_matrix"
 
 
@@ -550,19 +550,19 @@ def test_scan_sees_assembly_around_coboundary_matrix():
               "        return coboundary_matrix(self.alg, None, p, 1, _tables=self)[0]\n"
               "class FAComplex:\n"
               "    def matrix(self, p):\n"
-              "        build = nary_cohomology._fa_rows\n"
+              "        build = nary_cohomology._leibniz_delta\n"
               "        return nary_cohomology.coboundary_matrix(self.fa, p), build\n"
               "def coboundary(alg, rho, om):\n    return _ce_rows(alg, rho, 1, 1)\n"
-              "def apply(cx, p, x):\n    return apply_rows(_fa_rows(cx, p, x), x, cx.d)\n"
+              "def apply(cx, p, x):\n    return apply_rows(_leibniz_delta(cx, p, x), x, cx.d)\n"
               "def preimage(cx, p, y):\n"
               "    return linalg.solve(coboundary_matrix(cx.alg, p)[0], cx.dim(p), y)\n"
               "class Operator:\n    def apply(self, mv):\n        return mv\n")
     assert assembly_bypasses(source) == [("complex_dims", "_ce_rows"),
                                          ("complex_dims", "coboundary_matrix"),
                                          ("complex_dims", None),
-                                         ("apply", "_fa_rows"), ("apply", None),
+                                         ("apply", "_leibniz_delta"), ("apply", None),
                                          ("preimage", "coboundary_matrix"), ("preimage", None),
-                                         ("FAComplex.matrix", "_fa_rows"),
+                                         ("FAComplex.matrix", "_leibniz_delta"),
                                          ("FAComplex.matrix", None)]
     driver = ("def complex_dims(cx, p_max):\n    return linalg.rank(cx.matrix(p_max))\n"
               "def apply(cx, p, x):\n    return apply_rows(cx.matrix(p), x, cx.d)\n")

@@ -471,9 +471,12 @@ def test_placement_table_is_insert_sign(name):
     fa = SHARED[name]()
     rng = range(1, fa.dim + 1)
     for kind in ("trivial", "deformation"):
-        place = FAComplex(fa, kind).place
-        assert place == {(x, z): insert_sign(x, fa.arity - 1, z)
-                         for x in combinations(rng, fa.arity - 1) for z in rng}
+        # place[X][z - 1]: X ^ z by its number among the sorted n-tuples, and its sign
+        last = {y: i for i, y in enumerate(combinations(rng, fa.arity))}
+        want = [[(last[key], s) if s else None
+                 for key, s in (insert_sign(x, fa.arity - 1, z) for z in rng)]
+                for x in combinations(rng, fa.arity - 1)]
+        assert [list(row) for row in FAComplex(fa, kind).place] == want
 
 
 def test_a_misspelled_complex_kind_is_refused():
