@@ -82,18 +82,15 @@ def _jsonable(x):
 
 def identity_suite(obj, run: CheckRun):
     if isinstance(obj, LieAlgebra):
-        rep = check_jacobi(obj)
-        run.record("jacobi", rep.ok, rep.witness)
+        reports = [("jacobi", check_jacobi(obj))]
     elif isinstance(obj, GLAlgebra):
-        rep = check_gji(obj)
-        run.record("generalized-jacobi", rep.ok, rep.witness)
+        reports = [("generalized-jacobi", check_gji(obj))]
     elif isinstance(obj, FilippovAlgebra):
-        for form in FI_FORMS:
-            rep = check_fi(obj, form)
-            run.record(f"filippov-identity-{form}", rep.ok, rep.witness)
+        reports = [(f"filippov-identity-{form}", check_fi(obj, form)) for form in FI_FORMS]
     else:  # a Leibniz algebra: `cmd_check` refuses a multivector file
-        wit = obj.left_identity_witness()
-        run.record("left-leibniz-identity", wit is None, wit)
+        reports = [("left-leibniz-identity", obj.check_left_identity())]
+    for name, rep in reports:
+        run.record(name, rep.ok, rep.witness)
 
 
 def metric_suite(obj, metric, run: CheckRun):

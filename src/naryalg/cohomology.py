@@ -55,7 +55,7 @@ from itertools import combinations
 from math import comb
 
 from . import linalg
-from .lie import LieAlgebra, Representation, check_jacobi
+from .lie import LieAlgebra, Representation, check_jacobi, killing_form
 from .scalars import ZERO, LinearForm, accumulate, common_denominator, rat
 from .tensors import AntisymTensor
 
@@ -330,7 +330,6 @@ def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport
 def quadratic_casimir(alg: LieAlgebra, rho: Representation):
     """I_2(rho) = k^{ij} rho_i rho_j as a sparse matrix; raises through the
     inverse Killing form."""
-    from .lie import killing_form
     kinv = linalg.inverse(killing_form(alg))
     mats = rho.mats
     return linalg.sp_sum((kinv[i][j], linalg.sp_mul(mats[i], mats[j]))
@@ -339,7 +338,6 @@ def quadratic_casimir(alg: LieAlgebra, rho: Representation):
 
 def homotopy_contraction(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     """(tau Om)^A_{i_1..i_{p-1}} = k^{ij} rho(X_i)^A_B Om^B_{j i_1..i_{p-1}}."""
-    from .lie import killing_form
     kinv = linalg.inverse(killing_form(alg))
     rows = [_matrix_rows(m) for m in rho.mats]
     p = om.rank

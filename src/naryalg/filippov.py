@@ -13,22 +13,26 @@ and the brackets built from them -- is a sparse map {(row, column): nonzero
 value} (see `linalg`), so "as matrices" means equal maps; the metric, the
 Kasymov form and the gauge forms k1, k2 are bilinear forms and stay dense
 lists of rows.
+
+The Kasymov form is `lie.trace_form` and the metric invariance scan is
+`lie.metric_scan`, the scans of the Killing form and its invariance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, isqrt
 from operator import mul
 
 from . import linalg
-from .lie import LieAlgebra, check_jacobi, check_metric_invariance
+from .lie import (LieAlgebra, MetricReport, check_jacobi, check_metric_invariance, metric_scan,
+                  trace_form)
 from .gla import multibracket, multibrackets
 from .scalars import GaussianRational, accumulate, common_denominator, is_zero
-from .tensors import (AntisymTensor, BracketTensor, fold_antisym, gen_kronecker, perm_sign,
-                      shuffle_splits, sort_sign)
+from .tensors import (AntisymTensor, BracketTensor, IdentityReport, fold_antisym, gen_kronecker,
+                      perm_sign, shuffle_splits, sort_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -82,17 +86,7 @@ def _alternant(vectors, idx):
 # the characteristic identity, three ways
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FIReport:
-    ok: bool
-    form: str
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_fi(fa: FilippovAlgebra, form: str = "derivation") -> FIReport:
+def check_fi(fa: FilippovAlgebra, form: str = "derivation") -> IdentityReport:
     """Exact residual scan of the characteristic identity.
 
     form='derivation': f_{b..}^l f_{a.. l}^s = sum_k f_{a.. b_k}^l f_{b.. l@k ..}^s
@@ -106,7 +100,7 @@ def check_fi(fa: FilippovAlgebra, form: str = "derivation") -> FIReport:
     per call; both sides are quadratic in f, so the factor D^2 moves no zero
     and the witness is the one the scan finds on f itself.
 
-    The ghost form is the derivation scan, reported under its own name.
+    The ghost form is the derivation scan.
     Its right side sums sign(p) f_{b.. c_p1}^l f_{c_p2..c_pn l}^s over the n!
     arrangements p of c.  On an antisymmetric f, the (n-1)! arrangements
     with first slot c_k (k = 1..n) give one signed product each,
@@ -117,31 +111,21 @@ def check_fi(fa: FilippovAlgebra, form: str = "derivation") -> FIReport:
     this is the derivation form, term for term, times (n-1)!.  The first s
     where the two sides differ, and so the witness, is the same.
     """
-    if form == "derivation":
+    if form in ("derivation", "ghost"):
         return _fi_derivation(fa)
     if form == "short":
         return _fi_short(fa)
-    if form == "ghost":
-        return replace(_fi_derivation(fa), form="ghost")
     raise ValueError(f"unknown FI form {form!r}")
 
 
-# Each form evaluates both sides for one index pair at every s at once, as
-# {s: int} dicts of whole signed rows of D f, then compares s = 1..d in
-# order, so the first failing (.., s) is the witness a per-s scan finds.
+# Each form sums its residual for one index pair at every s at once, as a
+# sparse {s: int} map of whole signed rows of D f, so the least s of a
+# nonzero residual is the witness a per-s scan finds.
 
 def _accumulate(out, coeff, row):
-    """out[s] += coeff * row[s] for every s of `row`."""
+    """out[s] += coeff * row[s] for every s of `row`, zeros dropped."""
     for s, w in row.items():
-        out[s] = out.get(s, 0) + coeff * w
-
-
-def _first_difference(lhs, rhs, d):
-    """The least s in 1..d at which the two {s: value} dicts differ."""
-    for s in range(1, d + 1):
-        if lhs.get(s, 0) != rhs.get(s, 0):
-            return s
-    return None
+        accumulate(out, s, coeff * w)
 
 
 def _fi_derivation(fa):
@@ -149,17 +133,15 @@ def _fi_derivation(fa):
     rows = fa.integer_scaled()[1].signed
     for a_idx in combinations(range(1, d + 1), n - 1):
         for b_idx in combinations(range(1, d + 1), n):
-            lhs = {}
+            res = {}  # left side minus right side
             for l, v in rows[b_idx].items():
-                _accumulate(lhs, v, rows[a_idx + (l,)])
-            rhs = {}
+                _accumulate(res, v, rows[a_idx + (l,)])
             for k in range(n):
                 for l, v in rows[a_idx + (b_idx[k],)].items():
-                    _accumulate(rhs, v, rows[b_idx[:k] + (l,) + b_idx[k + 1:]])
-            s = _first_difference(lhs, rhs, d)
-            if s is not None:
-                return FIReport(False, "derivation", (a_idx, b_idx, s))
-    return FIReport(True, "derivation")
+                    _accumulate(res, -v, rows[b_idx[:k] + (l,) + b_idx[k + 1:]])
+            if res:
+                return IdentityReport(False, (a_idx, b_idx, min(res)))
+    return IdentityReport(True)
 
 
 def _fi_short(fa):
@@ -174,10 +156,9 @@ def _fi_short(fa):
             for b1_blk, sign, a_row in splits:
                 for l, v in a_row.items():
                     _accumulate(tot, sign * v, rows[b1_blk + spect + (l,)])
-            s = _first_difference(tot, {}, d)
-            if s is not None:
-                return FIReport(False, "short", (u, spect, s))
-    return FIReport(True, "short")
+            if tot:
+                return IdentityReport(False, (u, spect, min(tot)))
+    return IdentityReport(True)
 
 
 FI_FORMS = ("derivation", "short", "ghost")
@@ -407,37 +388,25 @@ def orthogonal_relations_hold(fa: FilippovAlgebra) -> bool:
 
 def kasymov_form(fa: FilippovAlgebra):
     """(wedge labels, k): k(X, Y) = Tr(ad_X ad_Y) as a symmetric matrix over
-    the sorted wedge labels."""
-    labels = list(combinations(range(1, fa.dim + 1), fa.arity - 1))
-    mat = linalg.zeros(len(labels), len(labels))
-    for i, la in enumerate(labels):
-        for j in range(i, len(labels)):
-            tot = Fraction(0)
-            for c in range(1, fa.dim + 1):
-                for l, v in fa.f_row(labels[j] + (c,)).items():
-                    tot += v * fa.f_get(la + (l,), c)
-            mat[i][j] = mat[j][i] = tot
-    return labels, mat
+    the sorted wedge labels, read off `lie.trace_form`."""
+    return trace_form(fa)
 
 
 def semisimplicity_check(fa: FilippovAlgebra) -> bool:
     """Kasymov's criterion: k(Z, G, .., G) = 0 for all fillers forces Z = 0,
-    decided by the exact rank of the equations in the first slot."""
-    d, n = fa.dim, fa.arity
+    decided by the exact rank of the equations in the first slot, whose
+    entries k((z,) + fill, Y) are signed reads of the Kasymov form."""
+    d = fa.dim
+    labels, k = kasymov_form(fa)
+    at = {lab: i for i, lab in enumerate(labels)}
     rows = []
-    fillers = list(combinations(range(1, d + 1), n - 2))
-    partner = list(combinations(range(1, d + 1), n - 1))
-    for fill in fillers:
-        for lb in partner:
-            row = {}
-            for z in range(1, d + 1):
-                tot = Fraction(0)
-                for c in range(1, d + 1):
-                    for l, v in fa.f_row(lb + (c,)).items():
-                        tot += v * fa.f_get((z,) + fill + (l,), c)
-                if tot != 0:
-                    row[z] = tot
-            rows.append(row)
+    for fill in combinations(range(1, d + 1), fa.arity - 2):
+        slots = []  # (z, sign, the row of k at the label of (z,) + fill)
+        for z in range(1, d + 1):
+            key, s = sort_sign((z,) + fill)
+            if s:
+                slots.append((z, s, k[at[key]]))
+        rows += ({z: s * k_x[y] for z, s, k_x in slots if k_x[y]} for y in range(len(labels)))
     return linalg.rank(rows) == d
 
 
@@ -451,39 +420,17 @@ def kasymov_bilinear_nondegenerate(fa: FilippovAlgebra) -> bool:
 # metric structure
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MetricFAReport:
-    invariant: bool
-    nondegenerate: bool
-    witness: tuple | None
-    lowered: AntisymTensor | None   # the invariant (n+1)-form when invariant
-
-    @property
-    def metric(self):
-        """g is an invariant metric: invariant and nondegenerate."""
-        return self.invariant and self.nondegenerate
-
-
-def check_metric_fa(fa: FilippovAlgebra, g) -> MetricFAReport:
-    """Invariance f_{a.. b}^l g_{lc} + f_{a.. c}^l g_{bl} = 0 for all slots;
-    builds the fully lowered constants, asserts their total antisymmetry, and
+def check_metric_fa(fa: FilippovAlgebra, g) -> MetricReport:
+    """Invariance f_{a.. b}^l g_{lc} + f_{a.. c}^l g_{bl} = 0 for all slots,
+    the first failing (a.., b, c) its witness (`lie.metric_scan`); builds
+    the fully lowered constants, asserts their total antisymmetry, and
     verifies the equivalent fully-lowered form of the identity.  A singular g
     is reported (nondegenerate False) and its invariance still checked; an
     asymmetric g raises ValueError."""
     d, n = fa.dim, fa.arity
-    if any(g[i][j] != g[j][i] for i in range(d) for j in range(d)):
-        raise ValueError("metric must be symmetric")
-    nondeg = not is_zero(linalg.det(g))
-    for a_idx in combinations(range(1, d + 1), n - 1):
-        for b in range(1, d + 1):
-            for c in range(b, d + 1):
-                tot = Fraction(0)
-                for l, v in fa.f_row(a_idx + (b,)).items():
-                    tot += v * g[l - 1][c - 1]
-                for l, v in fa.f_row(a_idx + (c,)).items():
-                    tot += v * g[b - 1][l - 1]
-                if tot != 0:
-                    return MetricFAReport(False, nondeg, (a_idx, b, c), None)
+    nondeg, wit = metric_scan(fa, g)
+    if wit is not None:
+        return MetricReport(False, nondeg, wit)
 
     lowered_raw = {}
     for idx, row in fa.f.items():
@@ -508,7 +455,7 @@ def check_metric_fa(fa: FilippovAlgebra, g) -> MetricFAReport:
                     tot += v * lowered.get(b_idx[:i] + (l,) + b_idx[i + 1:])
             if tot != 0:
                 raise AssertionError(f"lowered-form identity fails at {(a_idx, b_idx)}")
-    return MetricFAReport(True, nondeg, None, lowered)
+    return MetricReport(True, nondeg, lowered=lowered)
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +524,17 @@ def _mat_mul(a, b):
 
 def _minimal_polynomial(m):
     """[c_0, .., c_{k-1}] of the minimal polynomial x^k - sum c_i x^i of the
-    square matrix m: the first power of m in the span of the powers before
-    it, found by an exact solve."""
-    powers = [linalg.identity(len(m))]
+    square matrix m: the first power of m, the identity included, in the
+    span of the powers before it (for the empty m, 1: [])."""
+    powers, top = [], linalg.identity(len(m))
     while True:
-        top = _mat_mul(powers[-1], m)
         rows = [{t: p[i][j] for t, p in enumerate(powers) if p[i][j]}
                 for i in range(len(m)) for j in range(len(m))]
         c = linalg.solve(rows, len(powers), [x for row in top for x in row])
         if c is not None:
             return c
         powers.append(top)
+        top = _mat_mul(top, m)
 
 
 def _rational_roots(c):
@@ -614,17 +561,18 @@ def _divisors(n):
 
 
 def _kernel(m):
-    """A basis of the kernel of the dense matrix m: one vector for each
-    non-pivot column f, with coordinate f set to 1 and every other non-pivot
-    coordinate 0 (dropping a non-pivot column keeps the pivots of the rest)."""
-    rows = [{j: v for j, v in enumerate(row) if v} for row in m]
-    pivots = linalg.integer_echelon(rows)
+    """A basis of the kernel of the dense square matrix m, read off its
+    echelon basis: one vector for each non-pivot column f, with coordinate f
+    set to 1 and every other non-pivot coordinate 0."""
+    basis = linalg.echelon([{j: v for j, v in enumerate(row) if v} for row in m])
     out = []
-    for f in range(len(m[0])):
-        if f not in pivots:
-            x = linalg.solve([{j: v for j, v in row.items() if j != f} for row in rows],
-                             len(m[0]), [-row.get(f, 0) for row in rows])
+    for f in range(len(m)):
+        if f not in basis:
+            x = [Fraction(0)] * len(m)
             x[f] = Fraction(1)
+            for lead in sorted(basis, reverse=True):
+                x[lead] = -sum((v * x[c] for c, v in basis[lead].items() if c > lead),
+                               Fraction(0))
             out.append(x)
     return out
 

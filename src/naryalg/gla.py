@@ -18,8 +18,10 @@ programme on int (re, im) pairs, and divides by D^n once.  Its values are
 `GaussianRational` when some input value is, else `Fraction`.
 
 Integer tables.  The GJI and the mixed identity read the tables of D C
-(`BracketTensor.integer_scaled`); they are bilinear in their tables, so the
-factors move no zero and no witness.  `gla_from_cocycle` raises D' Omega
+(`BracketTensor.integer_scaled`) through `tensors.nested_bracket_residuals`,
+the one nested-bracket scan, which also decides the Jacobi identity of
+`lie`; they are bilinear in their tables, so the factors move no zero and
+no witness.  `gla_from_cocycle` raises D' Omega
 through the sparse int rows of D'' kinv and divides each constant once.
 
 Residual conventions.  The epsilon-contracted identities are evaluated as
@@ -30,7 +32,6 @@ affects a vanishing statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -38,7 +39,8 @@ from math import factorial
 from . import linalg
 from .lie import LieAlgebra, killing_form
 from .scalars import GaussianRational, accumulate, common_denominator, scaled_to_ints
-from .tensors import AntisymTensor, BracketTensor, merge_sign, shuffle_splits, sort_sign, wedge
+from .tensors import (AntisymTensor, BracketTensor, IdentityReport, merge_sign,
+                      nested_bracket_residuals, shuffle_splits, sort_sign, wedge)
 
 
 # ---------------------------------------------------------------------------
@@ -185,53 +187,10 @@ class GLAlgebra(BracketTensor):
     c_get = BracketTensor.get
 
 
-@dataclass
-class IdentityReport:
-    ok: bool
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def nested_bracket_residuals(c1: dict, n1: int, c2: dict, n2: int, dim: int) -> dict:
-    """Sparse accumulation of the shuffle-antisymmetrized nesting
-
-        R_M^s = sum_{A+B=M} sign sum_l c1_A^l c2_{B l}^s
-
-    over sorted (n1 + n2 - 1)-tuples M; only nonzero residuals are returned,
-    in the value type of the tables.  Used for the GJI (c1 = c2) and the
-    mixed identity.  Index sets are bitmasks while the sums run.
-    """
-    by_member = {}  # l -> [(mask of B, sign moving l to the end, row)]
-    for idx, row in c2.items():
-        mask = sum(1 << i for i in idx)
-        for pos, l in enumerate(idx):
-            move = -1 if (len(idx) - 1 - pos) & 1 else 1
-            by_member.setdefault(l, []).append((mask & ~(1 << l), move, row))
-    res = {}
-    for a_idx, row1 in c1.items():
-        a_mask = sum(1 << i for i in a_idx)
-        below = [(1 << x) - 1 for x in a_idx]
-        for l, v1 in row1.items():
-            for b_mask, move, row2 in by_member.get(l, ()):
-                if a_mask & b_mask:
-                    continue
-                inv = 0
-                for lo in below:
-                    inv += (b_mask & lo).bit_count()
-                coeff = -move * v1 if inv & 1 else move * v1
-                key_m = a_mask | b_mask
-                for s, v2 in row2.items():
-                    accumulate(res, (key_m, s), coeff * v2)
-    return {(tuple(i for i in range(1, dim + 1) if key_m >> i & 1), s): v
-            for (key_m, s), v in res.items()}
-
-
 def check_gji(g: GLAlgebra) -> IdentityReport:
     """C_{[j_1..j_n}^l C_{j_{n+1}..j_{2n-1}]l}^s = 0, shuffle-normalized."""
     c = g.integer_scaled()[1].c
-    res = nested_bracket_residuals(c, g.arity, c, g.arity, g.dim)
+    res = nested_bracket_residuals(c, c, g.dim)
     if res:
         return IdentityReport(False, min(res))
     return IdentityReport(True)
@@ -243,8 +202,8 @@ def check_mgji(g1: GLAlgebra, g2: GLAlgebra) -> IdentityReport:
     if g1.dim != g2.dim:
         raise ValueError("dimension mismatch")
     c1, c2 = g1.integer_scaled()[1].c, g2.integer_scaled()[1].c
-    for ca, na, cb, nb in ((c1, g1.arity, c2, g2.arity), (c2, g2.arity, c1, g1.arity)):
-        res = nested_bracket_residuals(ca, na, cb, nb, g1.dim)
+    for ca, cb in ((c1, c2), (c2, c1)):
+        res = nested_bracket_residuals(ca, cb, g1.dim)
         if res:
             return IdentityReport(False, min(res))
     return IdentityReport(True)

@@ -4,7 +4,11 @@ polynomials, and the two-way bridge between invariant polynomials and
 odd-rank cocycles.  `LieAlgebra` is the arity-2 `tensors.BracketTensor`;
 that class is the one storage of structure constants.
 
-Integer tables.  The Jacobi, Killing and metric scans, `check_invariance`,
+`check_jacobi` reads the arity-2 residual of
+`tensors.nested_bracket_residuals`; `trace_form` is the one Tr(ad_X ad_Y)
+scan, the Killing form at arity 2 and `filippov.kasymov_form` above it.
+
+Integer tables.  The Jacobi, trace-form and metric scans, `check_invariance`,
 `cocycle_from_invariant_poly`, `cocycle_condition_residual`,
 `invariance_condition_residual` and `check_poly_vanishing_identity` sum
 ints: the rows of D C (`BracketTensor.integer_scaled`), the tail table of
@@ -30,7 +34,8 @@ from math import factorial
 from . import linalg
 from .scalars import (GaussianRational, accumulate, common_denominator, is_zero, rat,
                       scaled_to_ints)
-from .tensors import AntisymTensor, BracketTensor, fold_antisym, ray_equal, shuffle_splits
+from .tensors import (AntisymTensor, BracketTensor, IdentityReport, fold_antisym,
+                      nested_bracket_residuals, ray_equal, shuffle_splits)
 
 
 # ---------------------------------------------------------------------------
@@ -104,54 +109,44 @@ class LieAlgebra(BracketTensor):
                               self.dim, check=False)
 
 
-@dataclass
-class JacobiReport:
-    ok: bool
-    witness: tuple | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_jacobi(alg: LieAlgebra) -> JacobiReport:
-    """Exact residual scan of C_{[ij}^l C_{k]l}^s = 0 over all (i<j<k, s).
-
-    Each (i<j<k) gets its whole residual {s: value} from rows of the signed
-    row table of D C (`BracketTensor.integer_scaled`), each index pair
-    sorted once per call; the identity is quadratic in C, so the factor D^2
-    moves no zero, and the least s with a nonzero residual is the witness
-    of a scan over s = 1..dim.
-    """
-    rows = alg.integer_scaled()[1].signed
-    for i, j, k in combinations(range(1, alg.dim + 1), 3):
-        res = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for l, v in rows[a, b].items():
-                for s, w in rows[l, c].items():
-                    accumulate(res, s, v * w)
-        if res:
-            return JacobiReport(False, (i, j, k, min(res)))
-    return JacobiReport(True)
+def check_jacobi(alg: LieAlgebra) -> IdentityReport:
+    """C_{[ij}^l C_{k]l}^s = 0 over all (i<j<k, s), read off the residual of
+    `tensors.nested_bracket_residuals` on the table of D C; the least
+    ((i, j, k), s) with a nonzero residual is the witness."""
+    c = alg.integer_scaled()[1].c
+    res = nested_bracket_residuals(c, c, alg.dim)
+    if res:
+        (i, j, k), s = min(res)
+        return IdentityReport(False, (i, j, k, s))
+    return IdentityReport(True)
 
 
-def killing_form(alg: LieAlgebra):
-    """k_ij = C_il^s C_js^l (= Tr ad_i ad_j), symmetric by construction:
-    summed on the signed rows of D C (`BracketTensor.integer_scaled`) and
-    divided by D^2 once per entry."""
+def trace_form(alg: BracketTensor):
+    """(labels, k): k(X, Y) = Tr(ad_X ad_Y) = C_{X b}^l C_{Y l}^b over the
+    sorted (arity-1)-tuples X, Y, summed on the signed rows of D C
+    (`BracketTensor.integer_scaled`) and divided by D^2 once per entry."""
     r = alg.dim
     d, ialg = alg.integer_scaled()
     rows = ialg.signed
-    k = linalg.zeros(r, r)
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
+    labels = list(combinations(range(1, r + 1), alg.arity - 1))
+    ad = [[rows[x + (b,)] for b in range(1, r + 1)] for x in labels]
+    k = linalg.zeros(len(labels), len(labels))
+    for i, ad_x in enumerate(ad):
+        for j in range(i, len(labels)):
+            ad_y = ad[j]
             tot = 0
-            for l in range(1, r + 1):
-                for s, v in rows[i, l].items():
-                    row = rows[j, s]
-                    if l in row:
-                        tot += v * row[l]
-            k[i - 1][j - 1] = k[j - 1][i - 1] = Fraction(tot, d * d)
-    return k
+            for b, row in enumerate(ad_x, 1):
+                for l, v in row.items():
+                    row_y = ad_y[l - 1]
+                    if b in row_y:
+                        tot += v * row_y[b]
+            k[i][j] = k[j][i] = Fraction(tot, d * d)
+    return labels, k
+
+
+def killing_form(alg: LieAlgebra):
+    """k_ij = C_il^s C_js^l (= Tr ad_i ad_j): the matrix of `trace_form`."""
+    return trace_form(alg)[1]
 
 
 @dataclass
@@ -159,6 +154,12 @@ class MetricReport:
     invariant: bool
     nondegenerate: bool
     witness: tuple | None = None
+    lowered: AntisymTensor | None = None  # a Filippov metric's invariant (n+1)-form
+
+    @property
+    def metric(self):
+        """g is an invariant metric: invariant and nondegenerate."""
+        return self.invariant and self.nondegenerate
 
 
 def _integer_parts(g):
@@ -175,33 +176,42 @@ def _integer_parts(g):
             for part in parts]
 
 
-def check_metric_invariance(alg: LieAlgebra, g) -> MetricReport:
-    """C_{li}^s g_{sj} + C_{lj}^s g_{is} = 0 for all l, i, j; plus an exact
-    determinant test of nondegeneracy (g may be Gaussian).  The sums run on
-    the signed rows of D C (`BracketTensor.integer_scaled`) and on the
-    integer parts of D' g: the condition is linear in C and in g, so the
-    factors move no zero."""
+def metric_scan(alg: BracketTensor, g):
+    """(nondegenerate, witness) of a symmetric metric g, which may be
+    Gaussian: an exact determinant test, and the first (X, i, j), X over the
+    sorted (arity-1)-labels and i <= j, with C_{X i}^s g_{sj} + C_{X j}^s
+    g_{is} != 0, or None.  The sums run on the signed rows of D C
+    (`BracketTensor.integer_scaled`) and on the integer parts of D' g: the
+    condition is linear in C and in g, so the factors move no zero."""
     r = alg.dim
     if any(g[i][j] != g[j][i] for i in range(r) for j in range(r)):
         raise ValueError("metric must be symmetric")
     nondeg = not is_zero(linalg.det(g))
     rows = alg.integer_scaled()[1].signed
     parts = _integer_parts(g)
-    for l in range(1, r + 1):
-        for i in range(1, r + 1):
-            row_li = rows[l, i]
-            for j in range(i, r + 1):
-                row_lj = rows[l, j]
+    for x in combinations(range(1, r + 1), alg.arity - 1):
+        ad = [rows[x + (i,)] for i in range(1, r + 1)]
+        for i in range(r):
+            for j in range(i, r):
                 for h in parts:
-                    hi, hj = h[i - 1], h[j - 1]  # g is symmetric
+                    hi, hj = h[i], h[j]  # g is symmetric
                     tot = 0
-                    for s, v in row_li.items():
+                    for s, v in ad[i].items():
                         tot += v * hj[s - 1]
-                    for s, v in row_lj.items():
+                    for s, v in ad[j].items():
                         tot += v * hi[s - 1]
                     if tot:
-                        return MetricReport(False, nondeg, (l, i, j))
-    return MetricReport(True, nondeg, None)
+                        return nondeg, (x, i + 1, j + 1)
+    return nondeg, None
+
+
+def check_metric_invariance(alg: LieAlgebra, g) -> MetricReport:
+    """`metric_scan` at arity 2, its witness ((l,), i, j) read as (l, i, j)."""
+    nondeg, wit = metric_scan(alg, g)
+    if wit is None:
+        return MetricReport(True, nondeg)
+    (l,), i, j = wit
+    return MetricReport(False, nondeg, (l, i, j))
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ from .cohomology import (CohomologyReport, apply, apply_rows, column_vector, com
 from .filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
                        check_fa_representation, check_fi)
 from .scalars import ZERO, accumulate, is_zero, rat
-from .tensors import insert_sign, sort_blocks
+from .tensors import IdentityReport, insert_sign, sort_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -691,22 +691,23 @@ class LeibnizAlgebra:
     def row(self, i, j):
         return self.b.get((i, j), {})
 
-    def left_identity_witness(self):
-        d = self.dim
-        for x in range(1, d + 1):
-            for y in range(1, d + 1):
-                for z in range(1, d + 1):
-                    for s in range(1, d + 1):
-                        tot = Fraction(0)
-                        for l, v in self.row(y, z).items():
-                            tot += v * self.row(x, l).get(s, Fraction(0))
-                        for l, v in self.row(x, y).items():
-                            tot -= v * self.row(l, z).get(s, Fraction(0))
-                        for l, v in self.row(x, z).items():
-                            tot -= v * self.row(y, l).get(s, Fraction(0))
-                        if tot != 0:
-                            return (x, y, z, s)
-        return None
+    def check_left_identity(self) -> IdentityReport:
+        """The residual at every (x, y, z), over all s at once; the witness
+        is the first failing (x, y, z) and its least s."""
+        for x, y, z in product(range(1, self.dim + 1), repeat=3):
+            res = {}
+            for l, v in self.row(y, z).items():
+                for s, w in self.row(x, l).items():
+                    accumulate(res, s, v * w)
+            for l, v in self.row(x, y).items():
+                for s, w in self.row(l, z).items():
+                    accumulate(res, s, -v * w)
+            for l, v in self.row(x, z).items():
+                for s, w in self.row(y, l).items():
+                    accumulate(res, s, -v * w)
+            if res:
+                return IdentityReport(False, (x, y, z, min(res)))
+        return IdentityReport(True)
 
 
 def leibniz_rep_conditions(lb: LeibnizAlgebra, left, right):
@@ -768,8 +769,8 @@ def leibniz_extension(lb: LeibnizAlgebra, left, right, omega2: dict, dim_a: int)
         for (t, a), v in right[i - 1].items():
             b.setdefault((a + 1, dim_a + i), {})[t + 1] = v
     ext = LeibnizAlgebra(dim_a + d, b)
-    wit = ext.left_identity_witness()
-    if wit is not None:
-        raise AssertionError(f"extension fails the left identity at {wit}")
+    rep = ext.check_left_identity()
+    if not rep.ok:
+        raise AssertionError(f"extension fails the left identity at {rep.witness}")
     return ext
 

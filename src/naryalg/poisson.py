@@ -238,7 +238,7 @@ def bracket_multivector(bt: BracketTensor) -> AntisymTensor:
     return AntisymTensor(bt.arity, m, comps, Poly.zero(m))
 
 
-lie_poisson_bivector = fa_linear_multivector = bracket_multivector
+lie_poisson_bivector = bracket_multivector
 
 
 def linear_gps_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> AntisymTensor:

@@ -185,7 +185,6 @@ class LinearForm(dict):
 
 I = GaussianRational(0, 1)
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def is_zero(x) -> bool:

@@ -45,6 +45,11 @@ derives the splits of each shape once, on positions, by the recursion on the
 first block, and caches them with one itemgetter per block: a call maps the
 cached position blocks onto m and derives no sign.
 
+`nested_bracket_residuals` is the one nested-bracket scan: it decides the
+generalized and mixed Jacobi identities (`gla`) and, at arity 2, the Jacobi
+identity (`lie.check_jacobi`).  Every identity check returns an
+`IdentityReport`.
+
 The epsilon scan `eps_identities_check` sorts each distinct index tuple once
 per call into a table of its (sorted key, sign) and the keyed signs of its
 first-row minors and pair splits.  A Kronecker symbol of two rows is then
@@ -476,14 +481,57 @@ def ray_equal(a: dict, b: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Levi-Civita recursion identities
+# identity reports and the nested-bracket residual
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EpsReport:
+class IdentityReport:
+    """The verdict of an identity check and its first failing entry."""
     ok: bool
-    counterexample: tuple | None = None
+    witness: tuple | None = None
 
+    def __bool__(self):
+        return self.ok
+
+
+def nested_bracket_residuals(c1: dict, c2: dict, dim: int) -> dict:
+    """Sparse accumulation of the shuffle-antisymmetrized nesting
+
+        R_M^s = sum_{A+B=M} sign sum_l c1_A^l c2_{B l}^s
+
+    over sorted tuples M; only nonzero residuals are returned, in the value
+    type of the tables.  Used for the GJI (c1 = c2), the mixed identity, and
+    the Jacobi identity, whose residual is R up to sign.  Index sets are
+    bitmasks while the sums run.
+    """
+    by_member = {}  # l -> [(mask of B, sign moving l to the end, row)]
+    for idx, row in c2.items():
+        mask = sum(1 << i for i in idx)
+        for pos, l in enumerate(idx):
+            move = -1 if (len(idx) - 1 - pos) & 1 else 1
+            by_member.setdefault(l, []).append((mask & ~(1 << l), move, row))
+    res = {}
+    for a_idx, row1 in c1.items():
+        a_mask = sum(1 << i for i in a_idx)
+        below = [(1 << x) - 1 for x in a_idx]
+        for l, v1 in row1.items():
+            for b_mask, move, row2 in by_member.get(l, ()):
+                if a_mask & b_mask:
+                    continue
+                inv = 0
+                for lo in below:
+                    inv += (b_mask & lo).bit_count()
+                coeff = -move * v1 if inv & 1 else move * v1
+                key_m = a_mask | b_mask
+                for s, v2 in row2.items():
+                    accumulate(res, (key_m, s), coeff * v2)
+    return {(tuple(i for i in range(1, dim + 1) if key_m >> i & 1), s): v
+            for (key_m, s), v in res.items()}
+
+
+# ---------------------------------------------------------------------------
+# Levi-Civita recursion identities
+# ---------------------------------------------------------------------------
 
 def _eps_tables(n, d):
     """Per-tuple tables of the epsilon scan over {1..d}^n, in `product`
@@ -525,7 +573,7 @@ def _eps_tables(n, d):
     return tables
 
 
-def eps_identities_check(n: int, d: int) -> EpsReport:
+def eps_identities_check(n: int, d: int) -> IdentityReport:
     """Entrywise check of the two epsilon recursions: the first-row expansion
     eps^{i..}_{j..} = sum_s (-1)^{s+1} delta^{i1}_{js} eps^{i2..}_{j..^s..}
     and the pairwise resolution
@@ -566,12 +614,12 @@ def eps_identities_check(n: int, d: int) -> EpsReport:
                 if key == tkey:
                     tot += sign * tsign
             if tot != lhs:
-                return EpsReport(False, (upper, lower, "first-row"))
+                return IdentityReport(False, (upper, lower, "first-row"))
             if n >= 2:
                 tot2 = 0
                 for sign, key in splits.get(topkey, ()):
                     if key == bkey:
                         tot2 += sign * topsign * bsign
                 if tot2 != lhs:
-                    return EpsReport(False, (upper, lower, "pair-resolution"))
-    return EpsReport(True)
+                    return IdentityReport(False, (upper, lower, "pair-resolution"))
+    return IdentityReport(True)

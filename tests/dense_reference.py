@@ -30,8 +30,10 @@ of the integer row kernel of `cohomology`.
 The identity scans as they stood before they read the signed row table of
 the integer-scaled constants: the Jacobi scan with one `c_get` per (l, s),
 the three forms of the Filippov identity on `f_row` reads of `Fraction`
-constants, the Killing form and the metric invariance scan.  They are the
-references of the identity parity tests.
+constants, the Killing form, the Kasymov form as a `Fraction` loop of
+`f_row`/`f_get` reads, and the metric invariance scans of a Lie and of a
+Filippov algebra.  They are the references of the identity, trace-form and
+metric parity tests.
 
 `shuffle_splits` as the recursive generator that derived the signs of every
 index tuple afresh, and the Schouten bracket, `gps_check` and `np_check` as
@@ -79,17 +81,16 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from naryalg import cohomology, linalg, nary_cohomology
-from naryalg.filippov import (CliffordReport, FARepresentation, FilippovAlgebra, FIReport,
+from naryalg.filippov import (CliffordReport, FARepresentation, FilippovAlgebra,
                               adjoint_fa_representation, check_metric_fa, fundamental_compose,
-                              kasymov_form, simple_fa)
-from naryalg.gla import GLAlgebra, IdentityReport, lie_as_gla
-from naryalg.lie import (JacobiReport, LieAlgebra, MetricReport, Representation,
-                        SymInvariantPoly, killing_form)
+                              simple_fa)
+from naryalg.gla import GLAlgebra, lie_as_gla
+from naryalg.lie import LieAlgebra, MetricReport, Representation, SymInvariantPoly, killing_form
 from naryalg.poisson import GPSReport, NPReport, _decomposable_hint
 from naryalg.poly import Poly, add_product
 from naryalg.scalars import ZERO, GaussianRational, LinearForm, accumulate, is_zero, rat
-from naryalg.tensors import (AntisymTensor, fold_antisym, gen_kronecker, insert_sign, merge_sign,
-                             perm_sign, ray_equal, sort_blocks, sort_sign)
+from naryalg.tensors import (AntisymTensor, IdentityReport, fold_antisym, gen_kronecker,
+                             insert_sign, merge_sign, perm_sign, ray_equal, sort_blocks, sort_sign)
 
 
 def rref(mat):
@@ -634,7 +635,7 @@ def k2_invariant_and_so4_split(fa):
 
     # k1 = Tr(ad ad); ray-equal to the pattern
     # -(d_{a1b1} d_{a2b2} - d_{b1a2} d_{a1b2})  (here: -2x the pattern)
-    _, k1_mat = kasymov_form(fa)
+    _, k1_mat = kasymov_form_by_rows(fa)
     k1_vals = {(pairs[i], pairs[j]): k1_mat[i][j]
                for i in range(6) for j in range(i, 6) if k1_mat[i][j]}
     pattern = {}
@@ -1512,8 +1513,8 @@ def check_jacobi(alg):
             for l, v in alg.c_row(k, i).items():
                 tot += v * alg.c_get(l, j, s)
             if tot != 0:
-                return JacobiReport(False, (i, j, k, s))
-    return JacobiReport(True)
+                return IdentityReport(False, (i, j, k, s))
+    return IdentityReport(True)
 
 
 def killing_form_by_rows(alg):
@@ -1529,6 +1530,22 @@ def killing_form_by_rows(alg):
             k[i - 1][j - 1] = tot
             k[j - 1][i - 1] = tot
     return k
+
+
+def kasymov_form_by_rows(fa):
+    """(wedge labels, k): k(X, Y) = Tr(ad_X ad_Y) as a symmetric matrix over
+    the sorted wedge labels, on `f_row`/`f_get` reads of `Fraction`
+    constants."""
+    labels = list(combinations(range(1, fa.dim + 1), fa.arity - 1))
+    mat = linalg.zeros(len(labels), len(labels))
+    for i, la in enumerate(labels):
+        for j in range(i, len(labels)):
+            tot = Fraction(0)
+            for c in range(1, fa.dim + 1):
+                for l, v in fa.f_row(labels[j] + (c,)).items():
+                    tot += v * fa.f_get(la + (l,), c)
+            mat[i][j] = mat[j][i] = tot
+    return labels, mat
 
 
 def check_metric_invariance(alg, g):
@@ -1550,6 +1567,27 @@ def check_metric_invariance(alg, g):
                 if tot != 0:
                     return MetricReport(False, nondeg, (l, i, j))
     return MetricReport(True, nondeg, None)
+
+
+def metric_fa_scan(fa, g):
+    """(invariant, nondegenerate, witness) of the invariance of g under a
+    Filippov algebra, f_{a.. b}^l g_{lc} + f_{a.. c}^l g_{bl} = 0 for all
+    (a.., b <= c), on `f_row` reads of `Fraction` constants."""
+    d, n = fa.dim, fa.arity
+    if any(g[i][j] != g[j][i] for i in range(d) for j in range(d)):
+        raise ValueError("metric must be symmetric")
+    nondeg = not is_zero(linalg.det(g))
+    for a_idx in combinations(range(1, d + 1), n - 1):
+        for b in range(1, d + 1):
+            for c in range(b, d + 1):
+                tot = Fraction(0)
+                for l, v in fa.f_row(a_idx + (b,)).items():
+                    tot += v * g[l - 1][c - 1]
+                for l, v in fa.f_row(a_idx + (c,)).items():
+                    tot += v * g[b - 1][l - 1]
+                if tot != 0:
+                    return False, nondeg, (a_idx, b, c)
+    return True, nondeg, None
 
 
 def _fi_accumulate(out, coeff, row):
@@ -1579,8 +1617,8 @@ def fi_derivation(fa):
                     _fi_accumulate(rhs, v, fa.f_row(b_idx[:k] + (l,) + b_idx[k + 1:]))
             s = _first_difference(lhs, rhs, d)
             if s is not None:
-                return FIReport(False, "derivation", (a_idx, b_idx, s))
-    return FIReport(True, "derivation")
+                return IdentityReport(False, (a_idx, b_idx, s))
+    return IdentityReport(True)
 
 
 def fi_short(fa):
@@ -1596,8 +1634,8 @@ def fi_short(fa):
                     _fi_accumulate(tot, sign * v, fa.f_row(b1_blk + spect + (l,)))
             s = _first_difference(tot, {}, d)
             if s is not None:
-                return FIReport(False, "short", (u, spect, s))
-    return FIReport(True, "short")
+                return IdentityReport(False, (u, spect, s))
+    return IdentityReport(True)
 
 
 def fi_ghost(fa):
@@ -1625,8 +1663,8 @@ def fi_ghost(fa):
             rhs = {s: weight * v for s, v in rhs.items()}
             s = _first_difference(lhs, rhs, d)
             if s is not None:
-                return FIReport(False, "ghost", (b_idx, c_idx, s))
-    return FIReport(True, "ghost")
+                return IdentityReport(False, (b_idx, c_idx, s))
+    return IdentityReport(True)
 
 
 FI_REFERENCE = {"derivation": fi_derivation, "short": fi_short, "ghost": fi_ghost}

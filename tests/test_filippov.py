@@ -17,7 +17,8 @@ from naryalg.filippov import (FI_FORMS, FilippovAlgebra,
                               kasymov_bilinear_nondegenerate, kasymov_form,
                               orthogonal_relations_hold, semisimplicity_check,
                               simple_fa, subordinate, trace_extension_bracket,
-                              trace_extension_structure, vector_product)
+                              trace_extension_structure, vector_product, _kernel,
+                              _minimal_polynomial)
 from naryalg.lie import check_jacobi, killing_form
 from naryalg.nary_cohomology import fa_cohomology_dims
 from naryalg.tensors import AntisymTensor, gen_kronecker, ray_equal
@@ -289,6 +290,27 @@ def test_spans_and_ranks_match_dense_reference(name):
     assert kasymov_bilinear_nondegenerate(fa) == (dense.rank(k) == len(k))
 
 
+# the Kasymov form is `lie.trace_form`, the scan that gives the Killing form:
+# equal labels and `Fraction` matrix to the loop it replaced
+TRACE_FORM = {**DIFFERENTIAL, "simple2": lambda: simple_fa(2, (1, 1, 1)),
+              "a4+a13": lambda: direct_sum(a4(), a13())}
+
+
+@pytest.mark.parametrize("name", list(TRACE_FORM))
+def test_kasymov_form_is_the_reference_loop(name):
+    fa = TRACE_FORM[name]()
+    assert kasymov_form(fa) == dense.kasymov_form_by_rows(fa)
+
+
+@pytest.mark.parametrize("name,semisimple", [
+    ("a4+a4", True), ("a4+a13", True), ("a5+a5", True), ("a4+center", False), ("nhw2", False)])
+def test_semisimplicity_on_sums_and_extensions_is_pinned(name, semisimple):
+    make = {"a4+a4": lambda: direct_sum(a4(), a4()), "a4+a13": lambda: direct_sum(a4(), a13()),
+            "a5+a5": lambda: direct_sum(a5(), a5()), "a4+center": lambda: append_center(a4()),
+            "nhw2": lambda: nhw(2)}[name]
+    assert semisimplicity_check(make()) is semisimple
+
+
 # ---------------------------------------------------------------------------
 # metric structure
 # ---------------------------------------------------------------------------
@@ -372,6 +394,27 @@ def test_gauge_algebra_is_pinned(name, dim_inder, signature, levels):
         assert ga.levels is None and linalg.det(ga.k1) == 0
     else:
         assert {lam: len(basis) for lam, basis in ga.levels.items()} == levels
+
+
+def test_gauge_algebra_of_an_abelian_algebra_has_no_level():
+    # Inder = 0: the empty J has the minimal polynomial 1, so no eigenvalue
+    assert _minimal_polynomial([]) == []
+    ga = gauge_algebra(FilippovAlgebra(3, 4, {}), linalg.identity(4))
+    assert ga.inder.basis_labels == [] and ga.k1 == [] and ga.k2 == []
+    assert ga.levels == {} and ga.k2_signature == (0, 0, 0)
+    assert _kernel([]) == []
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kernel_is_the_dense_nullspace(seed):
+    # square matrices of rank below their size, as J - lambda I is
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(rng.randint(0, n - 1))]
+    m = [[sum(rng.randint(-2, 2) * row[j] for row in rows) for j in range(n)]
+         for _ in range(n)] if rows else linalg.zeros(n, n)
+    assert _kernel(m) == dense.nullspace(m)
 
 
 def restrict(k, basis):

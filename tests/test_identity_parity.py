@@ -1,9 +1,13 @@
 """Parity of the identity scans with the scans they replaced.
 
-`lie.check_jacobi`, the three forms of `filippov.check_fi`, `lie.killing_form`
-and `lie.check_metric_invariance` read whole signed rows of the
+`lie.check_jacobi`, the three forms of `filippov.check_fi`, `lie.killing_form`,
+`lie.check_metric_invariance` and the invariance scan of
+`filippov.check_metric_fa` (both `lie.metric_scan`) read whole signed rows of the
 integer-scaled constants; their references in `dense_reference` read one
-`c_get`/`f_row` at a time on `Fraction` constants.  Random bracket tables --
+`c_get`/`f_row` at a time on `Fraction` constants.  `check_jacobi` reads the
+arity-2 residual of `tensors.nested_bracket_residuals`, so the first failing
+triple and its least s must come out of the whole residual as the reference
+scan finds them.  Random bracket tables --
 arity 2 to 5, dimension up to 6, keys in any index order, values with
 denominators, most of them failing their identity -- the catalog algebras
 and their corrupted copies go into both sides, which must give equal
@@ -19,7 +23,9 @@ from hypothesis import given, settings, strategies as st
 import dense_reference as ref
 from naryalg.catalog import (a4, a5, a13, corrupted, euclidean_rotations_2d, heisenberg, nhw,
                              r2_abelian, su)
-from naryalg.filippov import FI_FORMS, FilippovAlgebra, check_fi, inder_lie_algebra, simple_fa
+from naryalg import linalg
+from naryalg.filippov import (FI_FORMS, FilippovAlgebra, check_fi, check_metric_fa,
+                              inder_lie_algebra, simple_fa)
 from naryalg.lie import LieAlgebra, check_jacobi, check_metric_invariance, killing_form
 from naryalg.scalars import GaussianRational
 
@@ -96,6 +102,29 @@ def test_lie_catalog_scans_equal_the_reference_scans(name, corrupt):
         assert check_metric_invariance(alg, g) == ref.check_metric_invariance(alg, g)
 
 
+# Jacobi-failing inputs with their witnesses, pinned: the corrupted su(3)
+# witness is the CLI record of `tests/test_cli.py`; the planted [X_2, X_3] =
+# X_2 on the Heisenberg algebra leaves the residual nonzero at s = 3 alone;
+# [X_2, X_4] = X_2 planted on [X_2, X_3] = X_4 first fails at the last triple
+JACOBI_FAILING = {
+    "corrupted-su3": (lambda: corrupted(su(3)), (1, 2, 3, 4)),
+    "corrupted-su4": (lambda: corrupted(su(4)), (1, 2, 3, 4)),
+    "heisenberg-planted": (lambda: LieAlgebra.from_entries(
+        3, [((1, 2, 3), 1), ((2, 3, 2), 1)]), (1, 2, 3, 3)),
+    "late-triple": (lambda: LieAlgebra.from_entries(
+        4, [((2, 3, 4), 1), ((2, 4, 2), 1)]), (2, 3, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(JACOBI_FAILING))
+def test_jacobi_witness_through_the_shared_kernel_is_the_reference_witness(name):
+    make, witness = JACOBI_FAILING[name]
+    alg = make()
+    rep = check_jacobi(alg)
+    assert rep == ref.check_jacobi(alg)
+    assert (rep.ok, rep.witness) == (False, witness)
+
+
 @pytest.mark.parametrize("name,corrupt", LIE_CASES)
 def test_gaussian_metric_scans_equal_the_reference_scan(name, corrupt):
     # g = c k for Gaussian c, and k plus an imaginary part with denominators
@@ -109,6 +138,33 @@ def test_gaussian_metric_scans_equal_the_reference_scan(name, corrupt):
         g = [[c * v for v in row] for row in k]
         assert check_metric_invariance(alg, g) == ref.check_metric_invariance(alg, g)
     assert check_metric_invariance(alg, mixed) == ref.check_metric_invariance(alg, mixed)
+
+
+def metric_fa_report(fa, g):
+    rep = check_metric_fa(fa, g)
+    return rep.invariant, rep.nondegenerate, rep.witness
+
+
+@settings(max_examples=100, deadline=None)
+@given(bracket_tables(st.integers(3, 4)), st.data())
+def test_filippov_metric_scan_equals_the_reference_scan(table, data):
+    fa = FilippovAlgebra(*table)
+    for g in (linalg.identity(fa.dim), data.draw(symmetric_forms(fa.dim))):
+        assert metric_fa_report(fa, g) == ref.metric_fa_scan(fa, g)
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["catalog", "corrupted"])
+@pytest.mark.parametrize("name", sorted(FILIPPOV))
+def test_filippov_catalog_metric_scans_equal_the_reference_scan(name, corrupt):
+    # the unit, a Lorentzian and a Gaussian metric with denominators
+    fa = corrupted(FILIPPOV[name]()) if corrupt else FILIPPOV[name]()
+    d = fa.dim
+    lorentz = linalg.identity(d)
+    lorentz[0][0] = Fraction(-1)
+    gaussian = [[GaussianRational(int(i == j), Fraction((i + 1) * (j + 1) % 3, 2))
+                 for j in range(d)] for i in range(d)]
+    for g in (linalg.identity(d), lorentz, gaussian):
+        assert metric_fa_report(fa, g) == ref.metric_fa_scan(fa, g)
 
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["catalog", "corrupted"])

@@ -18,7 +18,7 @@ from naryalg.filippov import (FilippovAlgebra, check_fi, clifford_realization, g
                               simple_fa)
 from naryalg.gla import multibracket, multibrackets
 from naryalg.scalars import GaussianRational
-from naryalg.tensors import (EpsReport, eps_identities_check, gen_kronecker, perm_sign,
+from naryalg.tensors import (IdentityReport, eps_identities_check, gen_kronecker, perm_sign,
                              shuffle_splits, sort_sign)
 
 
@@ -93,7 +93,7 @@ def eps_identities_by_kronecker(n, d):
                 if head == lower[s]:
                     tot += (-1) ** s * memo[tail, lower[:s] + lower[s + 1:]]
             if tot != lhs:
-                return EpsReport(False, (upper, lower, "first-row"))
+                return IdentityReport(False, (upper, lower, "first-row"))
             if n >= 2:
                 tot2 = 0
                 for s, t, sign, rest in pairs:
@@ -101,8 +101,8 @@ def eps_identities_by_kronecker(n, d):
                     if sub:
                         tot2 += sign * sub * memo[bottom, tuple(lower[k] for k in rest)]
                 if tot2 != lhs:
-                    return EpsReport(False, (upper, lower, "pair-resolution"))
-    return EpsReport(True)
+                    return IdentityReport(False, (upper, lower, "pair-resolution"))
+    return IdentityReport(True)
 
 
 EPS_SHAPES = [(n, d) for d in range(1, 6) for n in range(1, min(d, 4) + 1)]
@@ -111,9 +111,9 @@ EPS_SHAPES = [(n, d) for d in range(1, 6) for n in range(1, min(d, 4) + 1)]
 @pytest.mark.parametrize("n,d", EPS_SHAPES)
 def test_eps_scan_matches_the_kronecker_loop(n, d):
     got = eps_identities_check(n, d)
-    assert (got.ok, got.counterexample) == (True, None)
+    assert (got.ok, got.witness) == (True, None)
     want = eps_identities_by_kronecker(n, d)
-    assert (got.ok, got.counterexample) == (want.ok, want.counterexample)
+    assert (got.ok, got.witness) == (want.ok, want.witness)
 
 
 def sign_ignoring_inversions(seq):
@@ -128,7 +128,7 @@ def test_eps_scan_reads_the_sign_kernel(monkeypatch, n, d):
     monkeypatch.setattr(tensors, "perm_sign", sign_ignoring_inversions)
     got = eps_identities_check(n, d)
     want = eps_identities_by_kronecker(n, d)
-    assert (got.ok, got.counterexample) == (want.ok, want.counterexample)
+    assert (got.ok, got.witness) == (want.ok, want.witness)
     assert got.ok == (n == 1)
 
 
@@ -143,8 +143,8 @@ def test_eps_scan_finds_a_sign_broken_on_one_late_tuple(monkeypatch, n, d):
                         lambda seq: -right(seq) if tuple(seq) == late else right(seq))
     got = eps_identities_check(n, d)
     want = eps_identities_by_kronecker(n, d)
-    assert (got.ok, got.counterexample) == (want.ok, want.counterexample)
-    assert got.counterexample == (tuple(sorted(late)), late, "first-row")
+    assert (got.ok, got.witness) == (want.ok, want.witness)
+    assert got.witness == (tuple(sorted(late)), late, "first-row")
 
 
 def test_eps_tables_sort_each_distinct_tuple_once(monkeypatch):

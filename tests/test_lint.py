@@ -12,8 +12,8 @@ with `sort_sign`: the one sign-canonical container is
 `tensors.AntisymTensor`.  The two coboundary row kernels (`_ce_rows`,
 `_leibniz_delta`) build no `LinearForm` and call no sort kernel, and the
 identity scans (Jacobi, the derivation and short Filippov forms, the
-Killing form and the metric invariance scan) call no accessor that sorts
-its key on every read.
+trace form with the Killing form, and the metric invariance scans) call no
+accessor that sorts its key on every read.
 The Poisson scans (`gps_check`, `np_check`) build no `Fraction` Poly and
 take no Schouten bracket: they read integer term maps; `shuffle_splits`
 derives no sign, which its cache holds per shape.  The invariant-polynomial
@@ -118,23 +118,35 @@ TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def assigned_names(node):
+    """The names a module-level assignment binds (every target of a chained
+    `a = b = ..`); none for any other statement."""
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def public_definitions(tree):
-    """(name, member) of the public module-level functions and classes
-    (member False), and of the public methods and properties of the
-    module-level classes (member True)."""
+    """(name, member) of the public module-level functions, classes and
+    assigned names (member False), and of the public methods and properties
+    of the module-level classes (member True)."""
     nodes = [(node, False) for node in tree.body]
     nodes += [(node, True) for cls in tree.body if isinstance(cls, ast.ClassDef)
               for node in cls.body]
-    return [(node.name, member) for node, member in nodes
-            if isinstance(node, DEFS) and not node.name.startswith("_")]
+    found = [(node.name, member) for node, member in nodes if isinstance(node, DEFS)]
+    found += [(name, False) for node in tree.body for name in assigned_names(node)]
+    return [(name, member) for name, member in found if not name.startswith("_")]
 
 
 def referenced_names(tree):
     """(names, attributes): every name a module reads or imports, and every
-    attribute it takes; a definition alone is not a reference."""
+    attribute it takes; a definition or an assignment alone is not a
+    reference."""
     names, attrs = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             attrs.add(node.attr)
@@ -175,6 +187,15 @@ def test_scan_sees_an_unreferenced_definition():
     member = {"c.py": "class E:\n    def mat(self):\n        pass\n"}
     assert unreferenced(member, [local]) == [("c.py", "E"), ("c.py", "mat")]
     assert unreferenced(member, ["def t(x):\n    return x.mat(), E\n"]) == []
+
+
+def test_scan_sees_an_unreferenced_module_level_name():
+    sources = {"a.py": ("X = 1\nY = Z = 2\nW: int = 3\n_P = 4\n__all__ = []\n"
+                        "def f():\n    return Y\n"),
+               "b.py": "from .a import W\nX, V = 5, 6\n"}
+    # binding a name is not reading it; a tuple target binds no public name
+    assert unreferenced(sources, []) == [("a.py", "f"), ("a.py", "X"), ("a.py", "Z")]
+    assert unreferenced(sources, ["import a\nprint(a.X, a.Z, a.f)\n"]) == []
 
 
 def test_every_public_definition_is_used_or_tested():
@@ -337,8 +358,8 @@ def test_row_kernels_build_no_linear_form_and_sort_no_key(path):
 # no per-read sorting accessor inside them
 # ---------------------------------------------------------------------------
 
-SCANS = {"check_jacobi", "_fi_derivation", "_fi_short", "killing_form",
-         "check_metric_invariance"}
+SCANS = {"check_jacobi", "_fi_derivation", "_fi_short", "killing_form", "trace_form",
+         "check_metric_invariance", "metric_scan"}
 PER_READ_ACCESSORS = {"row", "get", "c_row", "c_get", "f_row", "f_get", "sort_sign"}
 
 
