@@ -22,16 +22,32 @@ None when l is in r.  A term is then one list read, and with dim_v = 1 the
 bracket terms of a target are its row, not a copy.
 `coboundary_matrix` divides the rows by D (int where integral, else
 `Fraction`).  A `CEComplex` holds what every degree reads.  With rho None
-its D, D C and unimodular flag (below) are built once per algebra, for every
-dim_v, and memoized on it (`BracketTensor.memoized`); a given rho builds
-them anew, and no list, matrix, rank or solution is kept.  For every complex
-of this module and of `nary_cohomology`, s is ranked, applied and inverted
-in one place each, on the rows of D s that `cx.matrix(p)` gives:
-`complex_dims` ranks them, `apply` dots them with a cochain's coordinates
-and divides by D, and `preimage` solves D s x' = y and returns x = D x', the
-solution of s x = y.  Ranks and preimages come from the fraction-free
-elimination of `linalg.integer_echelon`, whose solutions set every non-pivot
-coordinate to zero.
+its D, D C, unimodular flag (below) and Jacobi verdict are built once per
+algebra, for every dim_v, and memoized on it (`BracketTensor.memoized`); a
+given rho builds them anew, and no list, matrix, rank or solution is kept.
+For every complex of this module and of `nary_cohomology`, s is ranked,
+applied and inverted in one place each, on the rows of D s that
+`cx.matrix(p)` gives: `complex_dims` ranks them, `apply` dots them with a
+cochain's coordinates and divides by D, and `preimage` solves D s x' = y and
+returns x = D x', the solution of s x = y.
+
+Ranks and preimages.  Both come from the fraction-free elimination of
+`linalg.integer_echelon`, whose solutions set every non-pivot coordinate to
+zero.  `complex_dims` ranks each degree on a complement of the image before
+it.  Since im s_{p-1} lies in ker s_p, the coordinates of C^p where an
+echelon basis of im s_{p-1} leads (the pinned coordinates) can be left out:
+the others span a complement of im s_{p-1}, on which s_p has its full rank.
+`linalg.complement_rank` eliminates s_p on its transpose, one row per
+unpinned column, with the coordinates of C^{p+1} numbered shortest row of
+D s first, and its leads pin the coordinates of C^{p+1}.  Exactly dim H^p of
+its rows reduce to zero, against dim C^p - rank s_p from scratch.  The step
+needs s^2 = 0, so only a closed complex (`cx.closed`) pins: the trivial
+`CEComplex` of an algebra that satisfies the Jacobi identity (the verdict is
+memoized with its tables), a `nary_cohomology.FAComplex` of one that
+satisfies the FI, and a `LeibnizComplex` whose algebra satisfies the left
+identity.  A CE complex with a given rho is not tested, since the test costs
+more than the step saves.  On a complex that is not closed nothing is
+pinned, and the same loop ranks every degree in full.
 
 Poincare duality.  For the trivial representation (any dim_v) of a
 unimodular algebra, tr ad_X = sum_j C_{ij}^j = 0 for every X_i, the Hodge
@@ -55,7 +71,7 @@ from itertools import combinations
 from math import comb
 
 from . import linalg
-from .lie import LieAlgebra, Representation, check_jacobi, killing_form
+from .lie import LieAlgebra, Representation, check_jacobi, inverse_killing_form
 from .scalars import ZERO, LinearForm, accumulate, common_denominator, rat
 from .tensors import AntisymTensor
 
@@ -265,8 +281,8 @@ def _unimodular(alg: LieAlgebra):
 class CEComplex:
     """The complex of rho (None: the trivial module Q^dim_v, dim_v default
     1) as `complex_dims`, `apply` and `preimage` read it: D, D C and the rows
-    of each D rho matrix for `_ce_rows`, dim C^p, its coordinates and the
-    mirror rule (module docstring)."""
+    of each D rho matrix for `_ce_rows`, dim C^p, its coordinates, the
+    mirror rule and whether it is closed (module docstring)."""
 
     kind = "ce"
 
@@ -277,12 +293,13 @@ class CEComplex:
             raise ValueError("representation/target dimension mismatch")
         self.alg, self.rho, self.dim_v = alg, rho, dim_v
         if rho is None:
-            self.d, self.ialg, self.unimodular = alg.memoized("ce", lambda: (
-                *integer_scaling(alg)[:2], _unimodular(alg)))
+            self.d, self.ialg, self.unimodular, self.closed = alg.memoized("ce", lambda: (
+                *integer_scaling(alg)[:2], _unimodular(alg), check_jacobi(alg).ok))
             self.mrows = [{}] * alg.dim
-        else:
+        else:  # a given rho is not tested for closure: the test costs more than it saves
             self.d, self.ialg, imats = integer_scaling(alg, rho.mats)
-            self.mrows, self.unimodular = [_matrix_rows(m) for m in imats], False
+            self.mrows = [_matrix_rows(m) for m in imats]
+            self.unimodular = self.closed = False
 
     def dim(self, p):
         return comb(self.alg.dim, p) * self.dim_v
@@ -305,13 +322,20 @@ def complex_dims(cx, p_max) -> CohomologyReport:
     """Exact Z/B/H dimensions of the complex cx (`CEComplex`,
     `nary_cohomology.FAComplex` or `LeibnizComplex`) for degrees 0..p_max, by
     ranks over Q.  A degree with a mirror q takes rank s_q (0 when q < 0) and
-    is neither assembled nor eliminated; every other degree ranks
-    `cx.matrix`."""
-    dims_c, ranks = {}, {}
+    is neither assembled nor eliminated.  Every other degree ranks
+    `cx.matrix` by `linalg.complement_rank` outside the coordinates the
+    degree before it pinned; only a closed complex (`cx.closed`) pins
+    (module docstring)."""
+    dims_c, ranks, pinned, closed = {}, {}, set(), cx.closed
     for p in range(p_max + 1):
         dims_c[p] = cx.dim(p)
         q = cx.mirror(p)
-        ranks[p] = linalg.rank(cx.matrix(p)) if q is None else ranks.get(q, 0)
+        if q is None:
+            ranks[p], leads = linalg.complement_rank(cx.matrix(p), pinned)
+            if closed:
+                pinned = leads
+        else:
+            ranks[p] = ranks.get(q, 0)
     return CohomologyReport.from_ranks(dims_c, ranks)
 
 
@@ -330,7 +354,7 @@ def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport
 def quadratic_casimir(alg: LieAlgebra, rho: Representation):
     """I_2(rho) = k^{ij} rho_i rho_j as a sparse matrix; raises through the
     inverse Killing form."""
-    kinv = linalg.inverse(killing_form(alg))
+    kinv = inverse_killing_form(alg)
     mats = rho.mats
     return linalg.sp_sum((kinv[i][j], linalg.sp_mul(mats[i], mats[j]))
                          for i in range(alg.dim) for j in range(alg.dim) if kinv[i][j] != 0)
@@ -338,7 +362,7 @@ def quadratic_casimir(alg: LieAlgebra, rho: Representation):
 
 def homotopy_contraction(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     """(tau Om)^A_{i_1..i_{p-1}} = k^{ij} rho(X_i)^A_B Om^B_{j i_1..i_{p-1}}."""
-    kinv = linalg.inverse(killing_form(alg))
+    kinv = inverse_killing_form(alg)
     rows = [_matrix_rows(m) for m in rho.mats]
     p = om.rank
     data = {}

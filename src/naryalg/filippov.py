@@ -424,9 +424,11 @@ def check_metric_fa(fa: FilippovAlgebra, g) -> MetricReport:
     """Invariance f_{a.. b}^l g_{lc} + f_{a.. c}^l g_{bl} = 0 for all slots,
     the first failing (a.., b, c) its witness (`lie.metric_scan`); builds
     the fully lowered constants, asserts their total antisymmetry, and
-    verifies the equivalent fully-lowered form of the identity.  A singular g
-    is reported (nondegenerate False) and its invariance still checked; an
-    asymmetric g raises ValueError."""
+    verifies the equivalent fully-lowered form of the identity.  An
+    invariant g on an algebra that fails the FI fails that form: the report
+    is then not invariant, and its witness is the first failing (a.., b).
+    A singular g is reported (nondegenerate False) and its invariance still
+    checked; an asymmetric g raises ValueError."""
     d, n = fa.dim, fa.arity
     nondeg, wit = metric_scan(fa, g)
     if wit is not None:
@@ -453,8 +455,8 @@ def check_metric_fa(fa: FilippovAlgebra, g) -> MetricReport:
             for i in range(n + 1):
                 for l, v in fa.f_row(a_idx + (b_idx[i],)).items():
                     tot += v * lowered.get(b_idx[:i] + (l,) + b_idx[i + 1:])
-            if tot != 0:
-                raise AssertionError(f"lowered-form identity fails at {(a_idx, b_idx)}")
+            if tot != 0:  # g is invariant, but fa fails the FI
+                return MetricReport(False, nondeg, (a_idx, b_idx))
     return MetricReport(True, nondeg, lowered=lowered)
 
 

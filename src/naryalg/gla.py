@@ -37,7 +37,7 @@ from itertools import combinations
 from math import factorial
 
 from . import linalg
-from .lie import LieAlgebra, killing_form
+from .lie import LieAlgebra, inverse_killing_form
 from .scalars import GaussianRational, accumulate, common_denominator, scaled_to_ints
 from .tensors import (AntisymTensor, BracketTensor, IdentityReport, merge_sign,
                       nested_bracket_residuals, shuffle_splits, sort_sign, wedge)
@@ -220,7 +220,7 @@ def gla_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> GLAlgebra:
     from .lie import cocycle_condition_residual
     if cocycle_condition_residual(alg, omega) is not None:
         raise ValueError("input is not a cocycle")
-    kinv = linalg.inverse(killing_form(alg))
+    kinv = inverse_killing_form(alg)
     dk = common_denominator([x for row in kinv for x in row])
     up = [scaled_to_ints({j: x for j, x in enumerate(row, 1) if x}, dk) for row in kinv]
     dw = common_denominator(omega.entries.values())

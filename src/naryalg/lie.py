@@ -149,6 +149,13 @@ def killing_form(alg: LieAlgebra):
     return trace_form(alg)[1]
 
 
+def inverse_killing_form(alg: LieAlgebra):
+    """k^ij, the inverse of `killing_form`, as nested tuples that no caller
+    can change, built once per algebra (`BracketTensor.memoized`); raises
+    ValueError when k is singular."""
+    return alg.memoized("kinv", lambda: tuple(map(tuple, linalg.inverse(killing_form(alg)))))
+
+
 @dataclass
 class MetricReport:
     invariant: bool
@@ -619,8 +626,7 @@ def invariant_poly_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> SymInv
         raise ValueError("input is not a cocycle")
     r = alg.dim
     m = (omega.rank + 1) // 2
-    kf = killing_form(alg)
-    kinv = linalg.inverse(kf)
+    kf, kinv = killing_form(alg), inverse_killing_form(alg)
 
     # raise every index of Omega
     up_raw = {}

@@ -345,7 +345,8 @@ class LeibnizComplex:
     keyed by all p-tuples of 1..dim, its tables on the rational constants and
     matrices as given (D = 1), the elements numbered from 0 as blocks of a
     plain complex.  Actions that fail `leibniz_rep_conditions` raise
-    ValueError: their delta does not square to zero."""
+    ValueError: their delta does not square to zero.  The complex is closed
+    (`cohomology.complex_dims` pins) when lb satisfies the left identity."""
 
     kind, d = "binary", 1
 
@@ -355,6 +356,7 @@ class LeibnizComplex:
             raise ValueError(f"actions fail the representation conditions at {wit}")
         rng = range(1, lb.dim + 1)
         self.lb, self.size, self._key_lists = lb, size, {}
+        self.closed = lb.check_left_identity().ok
         self._list_keys = lambda p: list(product(rng, repeat=p))
         self.bracket = tuple(tuple(tuple((k - 1, v) for k, v in lb.row(x, y).items())
                                    for y in rng) for x in rng)
@@ -409,6 +411,13 @@ class FAComplex(LeibnizComplex):
         build = partial(_fa_tables, fa, kind, rho, self.size)
         self.d, self.bracket, self.left, self.right, self.place, self.split = (
             build() if rho is not None else fa.memoized((kind, self.size), build))
+
+    @property
+    def closed(self):
+        """Whether fa satisfies the FI, which makes delta square to zero
+        (a given rho is a representation, tested by the constructor):
+        `check_fi`'s verdict, memoized on fa."""
+        return self.fa.memoized("fi", lambda: check_fi(self.fa).ok)
 
     def dim(self, p):
         """dim C^p, counted: blocks^p keys for the module complex, else

@@ -304,6 +304,32 @@ def test_gaussian_metric_verdicts_are_pinned(tmp_path, capsys, name):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+# omega = e1234 + e3456 on R^6 as a 3-bracket f_{abc}^d = omega_{abcd}, with
+# the unit metric: invariant, but the bracket fails the FI, so the lowered
+# form of the identity fails too and is reported, not raised
+OMEGA = ("filippov 3 6 rational\n1 2 3 -> 4 : 1\n1 2 4 -> 3 : -1\n1 3 4 -> 2 : 1\n"
+         "2 3 4 -> 1 : -1\n3 4 5 -> 6 : 1\n3 4 6 -> 5 : -1\n3 5 6 -> 4 : 1\n"
+         "4 5 6 -> 3 : -1\nmetric\n" + "".join(f"{i} {i} : 1\n" for i in range(1, 7)))
+OMEGA_METRIC = [{"check": "metric-nondegenerate", "verdict": "pass"},
+                {"check": "metric-invariance", "counterexample": [[1, 3], [2, 3, 5, 6]],
+                 "verdict": "fail"}]
+
+
+@pytest.mark.parametrize("suite", ["metric", "all"])
+def test_a_metric_on_a_bracket_that_fails_the_fi_gives_records(tmp_path, capsys, suite):
+    path = tmp_path / "omega.alg"
+    path.write_text(OMEGA)
+    assert cli.main(["check", str(path), "--suite", suite]) == 1
+    captured = capsys.readouterr()
+    recs = records(captured.out)
+    assert "Traceback" not in captured.out + captured.err
+    assert [r for r in recs if r["check"].startswith("metric")] == OMEGA_METRIC
+    if suite == "all":
+        fi = [r for r in recs if r["check"] == "filippov-identity-derivation"]
+        assert fi == [{"check": "filippov-identity-derivation",
+                       "counterexample": [[1, 3], [2, 3, 5], 6], "verdict": "fail"}]
+
+
 def test_a_filippov_complex_too_large_to_assemble_is_refused(a4_file, capsys):
     # delta_9 of A4's trivial complex has 4 * 6^9 = 40.3M rows; the sizes
     # are counted, so the refusal comes before any assembly

@@ -210,6 +210,13 @@ def test_su4_cohomology_through_degree_5():
     assert [rep.dims_c[p] for p in range(6)] == [1, 15, 105, 455, 1365, 3003]
 
 
+def test_su4_cohomology_through_degree_8():
+    # theory: H(su(4)) = H(S^3 x S^5 x S^7): Poincare polynomial
+    # (1 + t^3)(1 + t^5)(1 + t^7), so H^8 = 1 (t^3 t^5) and H^7 = 1
+    rep = cohomology_dims(su(4), None, 8)
+    assert [rep.dims_h[p] for p in range(9)] == [1, 0, 0, 1, 0, 1, 0, 1, 1]
+
+
 def test_h_dims_nonnegative_everywhere():
     for alg in (su(2), heisenberg(), r2_abelian()):
         rep = cohomology_dims(alg, None, min(3, alg.dim))

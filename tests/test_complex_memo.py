@@ -1,10 +1,11 @@
 """The tables `CEComplex` and `FAComplex` memoize on their algebra: a
 complex on memoized tables gives the matrices, coordinates, dimensions and
 mirrors of one built on a new copy of the algebra; the default size and the
-complex's own size read one table set; the memo keeps tables alone, never a
-key or coordinate list; a given rho, a copy of the algebra and a
-construction that raises keep nothing; and the memo lives and dies with the
-algebra object, not with an equal one."""
+complex's own size read one table set; the memo keeps tables and the
+closure verdicts (Jacobi, FI) alone, never a key or coordinate list; a
+given rho, a copy of the algebra and a construction that raises keep
+nothing; and the memo lives and dies with the algebra object, not with an
+equal one."""
 
 import gc
 import weakref
@@ -124,7 +125,10 @@ def test_the_memo_keeps_tables_and_no_lists():
     for kind in KINDS:
         fa_cohomology_dims(fa, kind, 2)
     assert set(memo(alg)) == {"ce"}
-    assert set(memo(fa)) == {"fundamental", ("trivial", 1), ("module", 4), ("deformation", 4)}
+    # and the FI verdict that gates `complex_dims`'s complement ranking
+    assert set(memo(fa)) == {"fundamental", ("trivial", 1), ("module", 4), ("deformation", 4),
+                             "fi"}
+    assert memo(fa)["fi"] is True and memo(alg)["ce"][3] is True
     one, two = FAComplex(fa, "deformation"), FAComplex(fa, "deformation")
     assert one.keys(2) == two.keys(2) and one.keys(2) is not two.keys(2)
     assert one.place is two.place and read_only(one.place)

@@ -21,7 +21,7 @@ from naryalg.filippov import (FI_FORMS, FilippovAlgebra,
                               _minimal_polynomial)
 from naryalg.lie import check_jacobi, killing_form
 from naryalg.nary_cohomology import fa_cohomology_dims
-from naryalg.tensors import AntisymTensor, gen_kronecker, ray_equal
+from naryalg.tensors import AntisymTensor, gen_kronecker, ray_equal, sort_sign
 
 
 def basis_vec(i, d):
@@ -343,6 +343,27 @@ def test_degenerate_metric_rejected():
     g[0][1] = Fraction(1)
     with pytest.raises(ValueError, match="symmetric"):
         check_metric_fa(a4(), g)
+
+
+def omega_bracket():
+    """f_{abc}^d = omega_{abcd} of omega = e1234 + e3456 on R^6: the unit
+    metric is invariant, but the bracket fails the FI."""
+    omega = {(1, 2, 3, 4): 1, (3, 4, 5, 6): 1}
+    f = {}
+    for abc in combinations(range(1, 7), 3):
+        for d in range(1, 7):
+            key, s = sort_sign(abc + (d,))
+            if s and key in omega:
+                f.setdefault(abc, {})[d] = Fraction(s * omega[key])
+    return FilippovAlgebra(3, 6, f)
+
+
+def test_an_invariant_metric_on_a_bracket_that_fails_the_fi_is_reported():
+    fa = omega_bracket()
+    assert check_fi(fa).witness == ((1, 3), (2, 3, 5), 6)
+    rep = check_metric_fa(fa, linalg.identity(6))
+    assert not rep.invariant and rep.nondegenerate and not rep.metric
+    assert rep.witness == ((1, 3), (2, 3, 5, 6)) and rep.lowered is None
 
 
 def test_subordinated_metric_algebra_stays_metric():

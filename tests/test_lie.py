@@ -5,14 +5,16 @@ from itertools import combinations
 import pytest
 
 from naryalg import linalg
-from naryalg.catalog import heisenberg, su, sun_basis
+from naryalg.catalog import heisenberg, su, su3_three_cocycle, sun_basis
+from naryalg.cohomology import Cochain, homotopy_contraction, quadratic_casimir
+from naryalg.gla import gla_from_cocycle
 from naryalg.lie import (LieAlgebra, Representation, SymInvariantPoly,
                          antisym_ray_equal, associator_check, check_invariance,
                          check_jacobi, check_metric_invariance,
                          check_poly_vanishing_identity, closure_residual,
                          cocycle_condition_residual, cocycle_from_invariant_poly,
                          invariance_condition_residual, invariant_poly_from_cocycle,
-                         killing_form, killing_invariant_poly, sun_generators,
+                         inverse_killing_form, killing_form, killing_invariant_poly, sun_generators,
                          sym_ray_equal, symmetrized_product, symmetrized_trace_poly)
 from naryalg.tensors import AntisymTensor, gen_kronecker
 
@@ -241,6 +243,33 @@ def test_degenerate_killing_rejected():
     assert cocycle_condition_residual(alg, om) is None
     with pytest.raises(ValueError):
         invariant_poly_from_cocycle(alg, om)
+    assert "kinv" not in vars(alg).get("_memo", {})  # a raise keeps nothing
+
+
+def killing_inverse_readers(alg, om, coc):
+    """The outputs of the four readers of the inverse Killing form."""
+    rho = alg.adjoint_rep()
+    return (gla_from_cocycle(alg, om), invariant_poly_from_cocycle(alg, om),
+            quadratic_casimir(alg, rho), homotopy_contraction(alg, rho, coc))
+
+
+def test_the_inverse_killing_form_is_built_once_per_algebra(monkeypatch):
+    # the four readers share one inverse per algebra, nested tuples equal
+    # to linalg.inverse of the Killing form, and give on it what they give
+    # on a new copy of the algebra, which builds its own
+    om, rng = su3_three_cocycle(), random.Random(4)
+    coc = Cochain(2, 8, 8, {(a, idx): Fraction(rng.randint(-2, 2))
+                            for a in range(1, 9) for idx in combinations(range(1, 9), 2)})
+    inverse, built = linalg.inverse, []
+    monkeypatch.setattr(linalg, "inverse", lambda a: built.append(1) or inverse(a))
+    alg, new = (LieAlgebra(8, {key: dict(row) for key, row in su(3).c.items()}) for _ in "ab")
+    first = killing_inverse_readers(alg, om, coc)
+    assert killing_inverse_readers(alg, om, coc) == first and len(built) == 1
+    kinv = inverse_killing_form(alg)
+    assert kinv is vars(alg)["_memo"]["kinv"] and len(built) == 1
+    assert type(kinv) is tuple and all(type(row) is tuple for row in kinv)
+    assert kinv == tuple(map(tuple, inverse(killing_form(alg))))
+    assert killing_inverse_readers(new, om, coc) == first and len(built) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ directly, so the spans a tracer wraps around `coboundary_matrix` see every
 matrix they read.  In the cohomology modules `linalg.solve` is read only by
 `preimage`, and `apply_rows` only by `apply` and `coboundary_at`.  The
 builders of a complex's tables (`_fa_tables`, `_fa_actions`, `_unimodular`)
-are read only by the constructor that memoizes them on the algebra."""
+are read only by the constructor that memoizes them on the algebra, and the
+complement-ranking kernel `linalg.complement_rank` only by `complex_dims`."""
 
 import ast
 from pathlib import Path
@@ -659,16 +660,15 @@ TABLES_READ_ONLY_IN = {"_fa_tables": "FAComplex", "_fa_actions": "_fa_tables",
                        "_unimodular": "CEComplex"}
 
 
-def table_builds_outside_their_owner(source):
-    """(enclosing module-level definition, name) of every read of a table
-    builder of `TABLES_READ_ONLY_IN`, called or handed on, as a name or an
-    attribute, outside the one definition allowed to read it ("<module>" for
-    a read at module level)."""
+def table_builds_outside_their_owner(source, owners=TABLES_READ_ONLY_IN):
+    """(enclosing module-level definition, name) of every read of a name of
+    owners (by default the table builders), called or handed on, as a name
+    or an attribute, outside the one definition allowed to read it
+    ("<module>" for a read at module level)."""
     found = []
     for node in ast.parse(source).body:
         owner = getattr(node, "name", "<module>")
-        found += [(owner, name) for name in _reads(node, TABLES_READ_ONLY_IN)
-                  if owner != TABLES_READ_ONLY_IN[name]]
+        found += [(owner, name) for name in _reads(node, owners) if owner != owners[name]]
     return found
 
 
@@ -693,3 +693,33 @@ def test_the_table_builders_are_in_the_tree():
     defined = {node.name for path in MODULES for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert set(TABLES_READ_ONLY_IN) | set(TABLES_READ_ONLY_IN.values()) <= defined
+
+
+# ---------------------------------------------------------------------------
+# the complement-ranking kernel is read by the ranking driver alone: it
+# needs delta^2 = 0, which `complex_dims` establishes through `cx.closed`
+# ---------------------------------------------------------------------------
+
+KERNEL_READ_ONLY_IN = {"complement_rank": "complex_dims"}
+
+
+def test_scan_sees_the_complement_kernel_outside_the_driver():
+    source = ("def complex_dims(cx, p_max):\n"
+              "    return linalg.complement_rank(cx.matrix(0), set())\n"
+              "def rank_all(cx):\n    return complement_rank(cx.matrix(1), ())\n"
+              "class FAComplex:\n    kernel = staticmethod(linalg.complement_rank)\n"
+              "RANK = complement_rank\n")
+    assert table_builds_outside_their_owner(source, KERNEL_READ_ONLY_IN) == [
+        ("rank_all", "complement_rank"), ("FAComplex", "complement_rank"),
+        ("<module>", "complement_rank")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_complement_kernel_is_read_by_complex_dims_alone(path):
+    assert table_builds_outside_their_owner(path.read_text(), KERNEL_READ_ONLY_IN) == []
+
+
+def test_the_complement_kernel_and_its_driver_are_in_the_tree():
+    defined = {path.name: {node.name for node in ast.parse(path.read_text()).body
+                           if isinstance(node, ast.FunctionDef)} for path in MODULES}
+    assert "complement_rank" in defined["linalg.py"] and "complex_dims" in defined["cohomology.py"]
