@@ -5,6 +5,10 @@ dimension reports, and run the Poisson-tensor checks.
 Machine-readable results go to stdout as JSON lines; a human summary goes to
 stderr.  Exit codes: 0 all checks passed, 1 at least one check failed,
 2 input error.
+
+The argument parser is built on the first `main` call and reused by every
+later one in the process (`_parser`): `parse_args` keeps nothing on it, so a
+call sees the parser a fresh process would build.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from . import catalog, linalg
@@ -318,7 +323,9 @@ def degree(text):
     return p
 
 
-def main(argv=None) -> int:
+@cache
+def _parser():
+    """The parser of every `main` call, built on the first one."""
     ap = argparse.ArgumentParser(prog="naryalg",
                                  description="exact checks for n-ary bracket algebras")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -354,7 +361,11 @@ def main(argv=None) -> int:
     p.add_argument("--check", choices=("gps", "np", "snb-self"), default="np")
     p.set_defaults(func=cmd_poisson)
 
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

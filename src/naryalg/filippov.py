@@ -110,9 +110,15 @@ def check_fi(fa: FilippovAlgebra, form: str = "derivation") -> IdentityReport:
     and (-1)^(n-k) is the sign that moves l from slot k of c to the end:
     this is the derivation form, term for term, times (n-1)!.  The first s
     where the two sides differ, and so the witness, is the same.
+
+    The derivation and ghost forms return the one report of the derivation
+    scan, memoized on fa under "fi" (`BracketTensor.memoized`), which
+    `nary_cohomology.FAComplex.closed` reads too; the report is frozen, so no
+    caller changes what the next one reads.  The short form, the independent
+    scan, runs afresh on every call.
     """
     if form in ("derivation", "ghost"):
-        return _fi_derivation(fa)
+        return fa.memoized("fi", lambda: _fi_derivation(fa))
     if form == "short":
         return _fi_short(fa)
     raise ValueError(f"unknown FI form {form!r}")

@@ -484,9 +484,10 @@ def ray_equal(a: dict, b: dict) -> bool:
 # identity reports and the nested-bracket residual
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class IdentityReport:
-    """The verdict of an identity check and its first failing entry."""
+    """The verdict of an identity check and its first failing entry; frozen,
+    since a memoized report is shared by every caller."""
     ok: bool
     witness: tuple | None = None
 

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from naryalg import catalog, cli
+from naryalg import catalog, cli, filippov
 from naryalg import cohomology as co
 from naryalg import nary_cohomology as nc
 from naryalg.algfile import AlgebraFile
@@ -398,3 +398,52 @@ def test_check_suites_refuse_a_multivector_file(tmp_path, capsys, suite):
     # the cohomology suite still skips it
     assert cli.main(["check", str(path), "--suite", "cohomology"]) == 0
     assert "cohomology suite not applicable; skipping" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: `main` builds it on its first call and reuses it
+# ---------------------------------------------------------------------------
+
+def test_main_carries_no_state_from_one_call_to_the_next(a4_file, capsys):
+    built = cli._parser()
+    assert cli._parser() is built
+    calls = [["check", a4_file], ["frobnicate"], ["--help"],
+             ["check", a4_file, "--pmax", "-1"], ["check", a4_file]]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit {exc.code}"
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    shared = [run(argv) for argv in calls]
+    assert cli._parser() is built
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, "SystemExit 2", "SystemExit 0",
+                                               "SystemExit 2", 0]
+    assert shared[0][1].splitlines() == shared[-1][1].splitlines() == FI_PASS
+
+
+def test_check_all_runs_the_derivation_scan_once(a4_file, monkeypatch, capsys):
+    # the derivation and ghost forms of the identity suite and the closure
+    # gate of the cohomology suite read one report, memoized on the algebra
+    calls = []
+    scan = filippov._fi_derivation
+
+    def counted(fa):
+        calls.append(fa)
+        return scan(fa)
+
+    monkeypatch.setattr(filippov, "_fi_derivation", counted)
+    assert cli.main(["check", a4_file, "--suite", "all"]) == 0
+    assert len(calls) == 1
+    recs = records(capsys.readouterr().out)
+    assert [r["check"] for r in recs if r.get("verdict") == "pass"] == [
+        "filippov-identity-derivation", "filippov-identity-short", "filippov-identity-ghost",
+        "metric-nondegenerate", "metric-invariance", "cohomology-consistent"]

@@ -1,8 +1,8 @@
 """The tables `CEComplex` and `FAComplex` memoize on their algebra: a
 complex on memoized tables gives the matrices, coordinates, dimensions and
 mirrors of one built on a new copy of the algebra; the default size and the
-complex's own size read one table set; the memo keeps tables and the
-closure verdicts (Jacobi, FI) alone, never a key or coordinate list; a
+complex's own size read one table set; the memo keeps tables, the Jacobi
+verdict and the FI report alone, never a key or coordinate list; a
 given rho, a copy of the algebra and a construction that raises keep
 nothing; and the memo lives and dies with the algebra object, not with an
 equal one."""
@@ -20,6 +20,7 @@ from naryalg.filippov import FARepresentation, adjoint_fa_representation
 from naryalg.lie import LieAlgebra
 from naryalg.nary_cohomology import (FAComplex, NCochain, fa_coboundary_trivial,
                                      fa_cohomology_dims, trivialize_fa_extension)
+from naryalg.tensors import IdentityReport
 
 KINDS = ("trivial", "module", "deformation")
 
@@ -125,10 +126,10 @@ def test_the_memo_keeps_tables_and_no_lists():
     for kind in KINDS:
         fa_cohomology_dims(fa, kind, 2)
     assert set(memo(alg)) == {"ce"}
-    # and the FI verdict that gates `complex_dims`'s complement ranking
+    # and the FI report whose verdict gates `complex_dims`'s complement ranking
     assert set(memo(fa)) == {"fundamental", ("trivial", 1), ("module", 4), ("deformation", 4),
                              "fi"}
-    assert memo(fa)["fi"] is True and memo(alg)["ce"][3] is True
+    assert memo(fa)["fi"] == IdentityReport(True) and memo(alg)["ce"][3] is True
     one, two = FAComplex(fa, "deformation"), FAComplex(fa, "deformation")
     assert one.keys(2) == two.keys(2) and one.keys(2) is not two.keys(2)
     assert one.place is two.place and read_only(one.place)

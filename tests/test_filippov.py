@@ -1,11 +1,12 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 import dense_reference as dense
-from naryalg import linalg
+from naryalg import filippov, linalg
 from naryalg.catalog import a4, a5, a13, corrupted, nhw
 from naryalg.filippov import (FI_FORMS, FilippovAlgebra,
                               ad_of_sum, adjoint_fa_representation, append_center,
@@ -21,7 +22,8 @@ from naryalg.filippov import (FI_FORMS, FilippovAlgebra,
                               _minimal_polynomial)
 from naryalg.lie import check_jacobi, killing_form
 from naryalg.nary_cohomology import fa_cohomology_dims
-from naryalg.tensors import AntisymTensor, gen_kronecker, ray_equal, sort_sign
+from naryalg.tensors import (AntisymTensor, IdentityReport, gen_kronecker, ray_equal,
+                            sort_sign)
 
 
 def basis_vec(i, d):
@@ -58,6 +60,36 @@ def test_violation_carries_a_witness():
                                  (1, 4, 5): {2: Fraction(1)}})
     rep = check_fi(bad)
     assert not rep.ok and rep.witness is not None
+
+
+def test_the_short_form_scans_on_every_call(monkeypatch):
+    # the independent form is never read from the memo of the derivation scan
+    calls = []
+    scan = filippov._fi_short
+
+    def counted(fa):
+        calls.append(fa)
+        return scan(fa)
+
+    monkeypatch.setattr(filippov, "_fi_short", counted)
+    fa = a4()
+    assert [check_fi(fa, "short") for _ in range(3)] == [IdentityReport(True)] * 3
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("make", [lambda: corrupted(a4()), lambda: corrupted(a5()),
+                                  lambda: omega_bracket()], ids=["corrupted-a4", "corrupted-a5",
+                                                                 "omega"])
+def test_memoized_reports_equal_the_reference_scans(make):
+    # `corrupted` has run check_fi on its output, omega has not: both passes
+    # read one memoized derivation report and run a new short scan
+    fa = make()
+    for _ in range(2):
+        reports = {form: check_fi(fa, form) for form in FI_FORMS}
+        assert reports == {form: dense.FI_REFERENCE[form](fa) for form in FI_FORMS}
+        assert not reports["short"].ok and reports["ghost"] is reports["derivation"]
+    with pytest.raises(FrozenInstanceError):  # no reader changes what the next one reads
+        reports["derivation"].ok = True
 
 
 # ---------------------------------------------------------------------------

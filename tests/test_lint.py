@@ -28,7 +28,9 @@ matrix they read.  In the cohomology modules `linalg.solve` is read only by
 `preimage`, and `apply_rows` only by `apply` and `coboundary_at`.  The
 builders of a complex's tables (`_fa_tables`, `_fa_actions`, `_unimodular`)
 are read only by the constructor that memoizes them on the algebra, and the
-complement-ranking kernel `linalg.complement_rank` only by `complex_dims`."""
+complement-ranking kernel `linalg.complement_rank` only by `complex_dims`.
+`argparse.ArgumentParser` is read only by `cli._parser`, which is cached, so
+a process builds its parser once."""
 
 import ast
 from pathlib import Path
@@ -723,3 +725,47 @@ def test_the_complement_kernel_and_its_driver_are_in_the_tree():
     defined = {path.name: {node.name for node in ast.parse(path.read_text()).body
                            if isinstance(node, ast.FunctionDef)} for path in MODULES}
     assert "complement_rank" in defined["linalg.py"] and "complex_dims" in defined["cohomology.py"]
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process: `argparse.ArgumentParser` is read only by
+# the cached builder `cli._parser`, so no entry point builds a second one
+# ---------------------------------------------------------------------------
+
+PARSER_BUILDER = ("cli.py", "_parser")
+
+
+def parser_builds_outside_the_builder(source, filename):
+    """(file, enclosing module-level definition) of every read of
+    `ArgumentParser`, as a name or an attribute, outside `cli._parser`
+    ("<module>" for a read at module level)."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        if (filename, owner) != PARSER_BUILDER:
+            found += [(filename, owner) for _ in _reads(node, {"ArgumentParser"})]
+    return found
+
+
+def test_scan_sees_a_parser_built_outside_the_builder():
+    source = ("@cache\ndef _parser():\n    return argparse.ArgumentParser(prog='naryalg')\n"
+              "def main(argv=None):\n    return ArgumentParser().parse_args(argv)\n"
+              "PARSER = argparse.ArgumentParser\n")
+    assert parser_builds_outside_the_builder(source, "cli.py") == [("cli.py", "main"),
+                                                                   ("cli.py", "<module>")]
+    assert parser_builds_outside_the_builder(source, "algfile.py") == [
+        ("algfile.py", "_parser"), ("algfile.py", "main"), ("algfile.py", "<module>")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_the_parser_is_built_by_its_cached_builder_alone(path):
+    assert parser_builds_outside_the_builder(path.read_text(), path.name) == []
+
+
+def test_the_cached_parser_builder_is_in_the_tree():
+    filename, name = PARSER_BUILDER
+    builder = [node for node in ast.parse((SRC / filename).read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert len(builder) == 1
+    assert [d.id for d in builder[0].decorator_list if isinstance(d, ast.Name)] == ["cache"]
+    assert _reads(builder[0], {"ArgumentParser"})
