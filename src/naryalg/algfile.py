@@ -2,8 +2,8 @@
 entry per line `i1 i2 ... in -> k : value`, with an optional `metric` block
 of `i j : value` lines.  Indices are 1-based; antisymmetric kinds accept only
 strictly increasing index tuples, so files are canonical and diffable.
-Multivector files reuse the same line shape with exponent vectors in place
-of the target index.
+Multivector files reuse the same line shape with exponent vectors, which
+hold no negative exponent, in place of the target index.
 
 The header is checked against the kind: arity and dim are positive, `lie`
 and `leibniz` have arity 2, `filippov` an arity of at least 2, `gla` an even
@@ -183,6 +183,8 @@ class AlgebraFile:
                 if len(tgt_tokens) != dim:
                     raise _count_error(no, tgt_tokens, dim, colon_col,
                                        f"exponent vector must have {dim} entries")
+                if neg := next(((col, t) for col, t in tgt_tokens if t < 0), None):
+                    raise ParseError(no, neg[0], f"negative exponent {neg[1]}")
                 target = tuple(t for _, t in tgt_tokens)
             else:
                 if len(tgt_tokens) != 1:

@@ -8,23 +8,23 @@ monomial by monomial, never numerically.
 
 A multivector field of order p on R^m is a rank-p `tensors.AntisymTensor`
 with `Poly` components whose `zero` is the zero Poly in m variables.
-`schouten_bracket`, `gps_check` and `np_check` read a signed table of term
-maps {exponent: coefficient} (`AntisymTensor.signed_maps`): a raw index
-tuple maps to a component's map, to its negation (built once per
-component), or to one shared empty map, which they recognize by identity.
-They collect each output's sum of products c*a*b in one term map
-(`poly.add_product`), and take each partial derivative once per tuple,
-through a gradient table local to the call that lists only the variables
-the map depends on.  `schouten_bracket` reads the `Fraction` maps of its
-arguments and returns `Fraction` Polys.
+`schouten_bracket`, `gps_check` and `np_check` read D Lambda, D the least
+common multiple of the coefficient denominators, as int term maps keyed by
+packed exponents (`poly.pack`), through a signed table
+(`AntisymTensor.signed_maps`) whose one shared empty map they recognize by
+identity, and build each stored component's gradient once.  The conditions
+are homogeneous quadratic in Lambda, so on D Lambda each component is D^2
+times its value on Lambda: the same components vanish, and the same least
+failing tuple is the witness.
 
-`gps_check` and `np_check` read the table of D Lambda instead, D the least
-common multiple of the coefficient denominators, whose maps hold plain ints.
-The self-bracket [Lambda, Lambda], the coordinates condition and both
-Nambu-Poisson conditions are homogeneous quadratic in Lambda, so on D Lambda
-each component is D^2 times its value on Lambda: the same components vanish,
-and the same first failing tuple is the witness.  The self-bracket test only
-asks whether each component is zero, so it builds no Poly.
+The bracket and the coordinates condition, shuffle sums over the splits of
+each sorted kk, are scattered from the pairs (entry J, entry K holding a nu
+that J depends on) with K - nu and J disjoint, onto kk = K - nu + J with
+that shuffle's sign: the cost follows the nonzero entries, not C(m, p+q-1).
+Index sets are bit masks, so a pair costs one test and one parity count.
+The Nambu-Poisson scans stop at the first failing tuple of a fixed order;
+the differential one loops rho only over the variables of the entries it
+differentiates.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from operator import attrgetter
 
 from .lie import LieAlgebra
-from .poly import Poly, add_product, diff_terms
-from .scalars import common_denominator, is_zero, scaled_to_ints
-from .tensors import AntisymTensor, BracketTensor, shuffle_splits, wedge
+from .poly import Poly, add_packed_product, pack, unpack
+from .scalars import common_denominator, is_zero
+from .tensors import AntisymTensor, BracketTensor, insert_sign, wedge
 
 
 # ---------------------------------------------------------------------------
@@ -64,51 +63,77 @@ def _check_rank(t):
                          "and the Poisson conditions need rank >= 1")
 
 
-def _integer_table(lam):
-    """The signed table of D * lam on integer term maps {exponent: int}, D the
-    least common multiple of the coefficient denominators."""
+def _radix(*fields):
+    """2 * (the largest exponent) + 1, above every exponent of a product."""
+    return 2 * max((k for f in fields for p in f.entries.values() for e in p.terms for k in e),
+                   default=0) + 1
+
+
+def _integer_table(lam, radix):
+    """(D, signed table, gradients) of D * lam on integer term maps keyed by
+    packed exponents, D the least common multiple of the coefficient
+    denominators; the gradients map each stored key to {nu: d_nu of its
+    term map} over the variables the map depends on."""
     d = common_denominator([c for p in lam.entries.values() for c in p.terms.values()])
-    return lam.signed_maps(lambda p: scaled_to_ints(p.terms, d))
+    table = lam.signed_maps(lambda p: {pack(e, radix): c.numerator * (d // c.denominator)
+                                       for e, c in p.terms.items()})
+    grads = {key: {} for key in table.entries}
+    for key, t in table.entries.items():
+        for e, c in t.items():
+            for nu, x in enumerate(unpack(e, radix, lam.dim)):
+                if x:
+                    grads[key].setdefault(nu + 1, {})[e - radix ** nu] = c * x
+    return d, table, grads
 
 
-class _Gradients(dict):
-    """Raw index tuple -> {nu: d_nu of its term map} over the variables the
-    term map depends on, ascending: each derivative is taken once per tuple
-    and nu."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table):
-        super().__init__()
-        self.table = table
-
-    def __missing__(self, key):
-        t = self.table[key]
-        used = sorted({nu for e in t for nu, k in enumerate(e, 1) if k})
-        out = self[key] = {nu: diff_terms(t, nu) for nu in used}
-        return out
+def _key(bits):
+    """The sorted key of a bit mask, index i at bit i."""
+    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
-def _schouten_terms(a_grad, b_grad, p, q, m):
-    """(kk, term map) of the component [A, B]^kk at each sorted kk, from the
-    gradient tables of A (order p) and B (order q) on R^m and the term
-    tables they read; the map is empty where the component vanishes."""
-    at, bt = a_grad.table, b_grad.table
-    a_zero, b_zero = at.zero, bt.zero
-    sign_p = (-1) ** p
-    for kk in combinations(range(1, m + 1), p + q - 1):
-        terms = {}
-        for (bi, bj), sign in shuffle_splits(kk, [p - 1, q]):
-            for nu, dv in b_grad[bj].items():
-                av = at[(nu,) + bi]
-                if av is not a_zero:
-                    add_product(terms, sign, av, dv)
-        for (bi, bj), sign in shuffle_splits(kk, [p, q - 1]):
-            for nu, dv in a_grad[bi].items():
-                bv = bt[(nu,) + bj]
-                if bv is not b_zero:
-                    add_product(terms, sign * sign_p, bv, dv)
-        yield kk, terms
+def _holders(entries, at_end):
+    """nu -> [(bits of rest, sign, term map)] over the stored keys K holding
+    nu: rest is K without nu, and the entry at (nu,) + rest, or at rest +
+    (nu,) when at_end, is sign times the entry at K."""
+    out = {}
+    for key, t in entries.items():
+        last, bits = len(key) - 1, sum(1 << i for i in key)
+        for pos, nu in enumerate(key):
+            flips = last - pos if at_end else pos
+            out.setdefault(nu, []).append((bits ^ (1 << nu), -1 if flips & 1 else 1, t))
+    return out
+
+
+def _scatter(out, grads, holders, c):
+    """out[bits of kk] += c * sign(rest + J -> kk) * H^{nu rest} d_nu F^J
+    over the stored keys J of F (grads its gradients), the nu F^J depends
+    on, and the holders (rest, sign, map) of nu in H disjoint from J: the
+    shuffle sum over the splits (rest, J) of each sorted kk; returns out.
+    The sign counts the x in rest above an odd number of indices of J."""
+    for j, grad in grads.items():
+        jm, odd = sum(1 << i for i in j), 0
+        for i in range(0, len(j), 2):  # x in (j[i], j[i+1]]; above j[-1] when i is last
+            odd |= (1 << (j[i + 1] + 1) if i + 1 < len(j) else 0) - (1 << (j[i] + 1))
+        for nu, dt in grad.items():
+            for rm, s, t in holders.get(nu, ()):
+                if not rm & jm:
+                    terms = out.get(rm | jm)
+                    if terms is None:
+                        terms = out[rm | jm] = {}
+                    add_packed_product(terms, -c * s if (odd & rm).bit_count() & 1 else c * s,
+                                       t, dt)
+    return out
+
+
+def _bracket_terms(a, b, p, q):
+    """bits of kk -> packed term map (empty where its terms cancel) of
+    [A, B]^kk from the integer tables a and b of A (order p), B (order q)."""
+    (_, a_table, a_grads), (_, b_table, b_grads) = a, b
+    a_front = _holders(a_table.entries, False)
+    out = _scatter({}, b_grads, a_front, 1)
+    # (-1)^p B^{nu bj} d_nu A^{bi}, with the split (bi, bj) read as (bj, bi)
+    return _scatter(out, a_grads, a_front if b is a else _holders(b_table.entries, False),
+                    (-1) ** (p * q))
 
 
 def schouten_bracket(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:
@@ -117,18 +142,22 @@ def schouten_bracket(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:
       + (-1)^p / p!(q-1)! eps^{k..}_{i.. j..} B^{nu j..} d_nu A^{i..}
 
     with the epsilon contractions realized as shuffle sums over sorted
-    blocks (sizes p-1, q and p, q-1 respectively).
+    blocks (sizes p-1, q and p, q-1 respectively), scattered over the pairs
+    of entries of D_A A and D_B B and divided by D_A D_B.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     _check_rank(a)
     _check_rank(b)
-    a_grad = _Gradients(a.signed_maps(attrgetter("terms")))
-    b_grad = a_grad if b is a else _Gradients(b.signed_maps(attrgetter("terms")))
     m = a.dim
-    comps = {kk: Poly._canonical(m, terms)
-             for kk, terms in _schouten_terms(a_grad, b_grad, a.rank, b.rank, m) if terms}
-    return AntisymTensor(a.rank + b.rank - 1, m, comps, a.zero)
+    radix = _radix(a, b)
+    at = _integer_table(a, radix)
+    bt = at if b is a else _integer_table(b, radix)
+    d = at[0] * bt[0]
+    comps = {_key(kk): Poly._canonical(m, {unpack(e, radix, m): Fraction(c, d)
+                                           for e, c in terms.items()})
+             for kk, terms in _bracket_terms(at, bt, a.rank, b.rank).items() if terms}
+    return AntisymTensor(a.rank + b.rank - 1, m, dict(sorted(comps.items())), a.zero)
 
 
 def graded_jacobi_residual(a, b, c) -> AntisymTensor:
@@ -151,25 +180,16 @@ def bracket_of_functions(lam: AntisymTensor, fs) -> Poly:
         raise ValueError("wrong number of functions")
     m = lam.dim
     grads = [[f.diff(i) for i in range(1, m + 1)] for f in fs]
-    out = Poly.zero(m)
-    for idx, comp in lam.entries.items():
-        sub = [[grads[k][i - 1] for i in idx] for k in range(n)]
-        out = out + comp * _poly_det(sub)
-    return out
+    return sum((comp * _poly_det([[grads[k][i - 1] for i in idx] for k in range(n)])
+                for idx, comp in lam.entries.items()), Poly.zero(m))
 
 
 def _poly_det(rows):
-    n = len(rows)
-    if n == 1:
+    """Laplace expansion along the first row."""
+    if len(rows) == 1:
         return rows[0][0]
-    out = None
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _poly_det(minor)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    return out
+    return sum((rows[0][j] * _poly_det([r[:j] + r[j + 1:] for r in rows[1:]]) * (-1) ** j
+                for j in range(len(rows))), Poly.zero(rows[0][0].nvars))
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +214,16 @@ def gps_check(lam: AntisymTensor) -> GPSReport:
     """[Lambda, Lambda] = 0 via the Schouten bracket AND via the coordinates
     condition  w_{s[j_1..j_{2s-1}} d^s w_{j_{2s}..j_{4s-1}]} = 0; the two
     verdicts must agree (they are separate contractions of the integer table
-    of D Lambda)."""
+    of D Lambda).  The witness is the least failing j_1..j_{2s-1}."""
     _check_rank(lam)
     if lam.rank % 2:
         raise ValueError("the self-bracket condition is empty for odd order")
     n = lam.rank
-    m = lam.dim
-    table = _integer_table(lam)
-    zero = table.zero
-    grad = _Gradients(table)
-    snb_ok = not any(terms for _, terms in _schouten_terms(grad, grad, n, n, m))
-    coords_ok = True
-    witness = None
-    for kk in combinations(range(1, m + 1), 2 * n - 1):
-        terms = {}
-        for (bi, bj), sign in shuffle_splits(kk, [n - 1, n]):
-            for s, dv in grad[bj].items():
-                av = table[bi + (s,)]
-                if av is not zero:
-                    add_product(terms, sign, av, dv)
-        if terms:
-            coords_ok = False
-            witness = kk
-            break
+    tab = _, table, grads = _integer_table(lam, _radix(lam))
+    snb_ok = not any(_bracket_terms(tab, tab, n, n).values())
+    coords = _scatter({}, grads, _holders(table.entries, True), 1)
+    witness = min((_key(kk) for kk, terms in coords.items() if terms), default=None)
+    coords_ok = witness is None
     if snb_ok != coords_ok:
         raise AssertionError("the two self-bracket evaluations disagree")
     return GPSReport(snb_ok, coords_ok, witness)
@@ -228,13 +235,8 @@ def bracket_multivector(bt: BracketTensor) -> AntisymTensor:
     linear even tensor of a GLA, eta_{a_1..a_n} = f_{a_1..a_n}^b x_b of a
     Filippov algebra."""
     m = bt.dim
-    comps = {}
-    for idx, row in bt.c.items():
-        p = Poly.zero(m)
-        for k, v in row.items():
-            p = p + Poly.var(m, k) * v
-        if not p.is_zero():
-            comps[idx] = p
+    comps = {idx: p for idx, row in bt.c.items()
+             if (p := sum((Poly.var(m, k) * v for k, v in row.items()), Poly.zero(m)))}
     return AntisymTensor(bt.arity, m, comps, Poly.zero(m))
 
 
@@ -247,8 +249,7 @@ def linear_gps_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> AntisymTen
     raises ValueError on a non-cocycle)."""
     from .gla import gla_from_cocycle
     lam = bracket_multivector(gla_from_cocycle(alg, omega))
-    rep = gps_check(lam)
-    if not rep.ok:
+    if not gps_check(lam).ok:
         raise AssertionError("linear tensor fails the self-bracket condition")
     return lam
 
@@ -296,41 +297,36 @@ def np_check(lam: AntisymTensor) -> NPReport:
     component; P keeps i_2..i_n and j_2..j_n.
     """
     _check_rank(lam)
-    n = lam.rank
-    m = lam.dim
+    n, m = lam.rank, lam.dim
     rng = range(1, m + 1)
-    table = _integer_table(lam)
+    _, table, grads = _integer_table(lam, _radix(lam))
     zero = table.zero
-    grad = _Gradients(table)
 
     dw = None
-    diff_ok = True
     for it in combinations(rng, n - 1):
+        row = [None] + [insert_sign(it, n - 1, x) for x in rng]  # it + (x,): (key, sign)
         for jt in combinations(rng, n):
             terms = {}
-            d_jt = grad[jt]
-            for rho in rng:
+            for rho, d in grads.get(jt, {}).items():
                 e1 = table[it + (rho,)]
                 if e1 is not zero:
-                    d = d_jt.get(rho)
-                    if d:
-                        add_product(terms, 1, e1, d)
-                for k in range(n):
-                    e2 = table[(rho,) + jt[:k] + jt[k + 1:]]
-                    if e2 is zero:
-                        continue
-                    d = grad[it + (jt[k],)].get(rho)
-                    if d:
-                        add_product(terms, (-1) ** (k + 1), d, e2)
+                    add_packed_product(terms, 1, e1, d)
+            for k in range(n):
+                key, s = row[jt[k]]
+                if s and key in grads:
+                    rest = jt[:k] + jt[k + 1:]
+                    for rho, d in grads[key].items():
+                        e2 = table[(rho,) + rest]
+                        if e2 is not zero:
+                            add_packed_product(terms, s if k & 1 else -s, d, e2)
             if terms:
-                diff_ok = False
                 dw = (it, jt)
                 break
-        if not diff_ok:
+        if dw:
             break
 
     if n == 2:
-        return NPReport(diff_ok, dw, True, None, _decomposable_hint(lam))
+        return NPReport(dw is None, dw, True, None, _decomposable_hint(lam))
 
     aw = None
     for it, jt, it2, jt2 in _sigma_pairs(table, n, m):
@@ -340,7 +336,7 @@ def np_check(lam: AntisymTensor) -> NPReport:
         if terms:
             aw = (it, jt)
             break
-    return NPReport(diff_ok, dw, aw is None, aw, _decomposable_hint(lam))
+    return NPReport(dw is None, dw, aw is None, aw, _decomposable_hint(lam))
 
 
 def _add_sigma(terms, table, n, it, jt):
@@ -350,7 +346,7 @@ def _add_sigma(terms, table, n, it, jt):
     if x is not zero:
         y = table[jt]
         if y is not zero:
-            add_product(terms, 1, x, y)
+            add_packed_product(terms, 1, x, y)
     head = it[:n - 1]
     pivot = it[n - 1]
     for k in range(n):
@@ -359,7 +355,7 @@ def _add_sigma(terms, table, n, it, jt):
             continue
         y = table[jt[:k] + (pivot,) + jt[k + 1:]]
         if y is not zero:
-            add_product(terms, -1, x, y)
+            add_packed_product(terms, -1, x, y)
 
 
 def _sigma_pairs(table, n, m):
@@ -399,8 +395,7 @@ def np_even_implies_gps(lam: AntisymTensor) -> bool:
     self-bracket condition holds as well (computed, not assumed)."""
     if lam.rank % 2:
         raise ValueError("even order required")
-    rep = np_check(lam)
-    if not rep.ok:
+    if not np_check(lam).ok:
         raise ValueError("input does not satisfy the Nambu-Poisson conditions")
     return gps_check(lam).ok
 
@@ -438,10 +433,8 @@ def decompose_constant(n, m, entries):
     get = AntisymTensor(n, m, entries).get
     pivot = min(entries)
     pv = entries[pivot]
-    vectors = []
-    for k in range(n):
-        vec = [get(pivot[:k] + (j,) + pivot[k + 1:]) for j in range(1, m + 1)]
-        vectors.append(vec)
+    vectors = [[get(pivot[:k] + (j,) + pivot[k + 1:]) for j in range(1, m + 1)]
+               for k in range(n)]
     w = wedge_vectors(vectors, m)
     want = {k: v * pv ** (n - 1) for k, v in entries.items()}
     got = {k: p.eval([Fraction(0)] * m) for k, p in w.entries.items()}
@@ -449,13 +442,10 @@ def decompose_constant(n, m, entries):
         return Decomposition(vectors, Fraction(1) / pv ** (n - 1))
     # find a violated Plucker relation:
     # sum_k (-1)^k T_{i_1..i_{n-1} j_k} T_{j_0..^k..j_n} = 0
-    for it in combinations(range(1, m + 1), n - 1):
-        for jt in combinations(range(1, m + 1), n + 1):
-            tot = Fraction(0)
-            for k in range(n + 1):
-                tot += (-1) ** k * get(it + (jt[k],)) * get(jt[:k] + jt[k + 1:])
-            if tot != 0:
-                return PluckerViolation(it, jt)
+    rng = range(1, m + 1)
+    for it, jt in product(combinations(rng, n - 1), combinations(rng, n + 1)):
+        if sum((-1) ** k * get(it + (jt[k],)) * get(jt[:k] + jt[k + 1:]) for k in range(n + 1)):
+            return PluckerViolation(it, jt)
     raise AssertionError("pivot factorization failed but no violated relation found")
 
 
@@ -466,8 +456,7 @@ def decompose_constant(n, m, entries):
 def nambu_bracket(fs, density=Fraction(1)) -> Poly:
     """{f_1..f_n} = det(d f_i / d x_j) / e for a nonzero constant density e."""
     n = len(fs)
-    m = fs[0].nvars
-    if m != n:
+    if fs[0].nvars != n:
         raise ValueError("need n polynomials in n variables")
     if is_zero(density):
         raise ValueError("density must be a nonzero constant")
@@ -493,14 +482,10 @@ def nambu_fi_residual(fs, gs, density=Fraction(1)) -> Poly:
 def nambu_leibniz_residual(fs, g, h, slot, density=Fraction(1)) -> Poly:
     """Leibniz rule in the chosen slot: {.. f_slot = g h ..} - g{..h..} -
     {..g..}h."""
-    fs_gh = list(fs)
-    fs_gh[slot] = g * h
-    fs_g = list(fs)
-    fs_g[slot] = g
-    fs_h = list(fs)
-    fs_h[slot] = h
-    return nambu_bracket(fs_gh, density) - g * nambu_bracket(fs_h, density) \
-        - nambu_bracket(fs_g, density) * h
+    def at_slot(f):
+        return nambu_bracket(list(fs[:slot]) + [f] + list(fs[slot + 1:]), density)
+
+    return at_slot(g * h) - g * at_slot(h) - at_slot(g) * h
 
 
 def hamiltonian_derivation_residual(lam: AntisymTensor, hs, gs) -> Poly:
@@ -532,21 +517,9 @@ def nhw_realization_check(n_blocks: int = 2) -> bool:
     """{x^a, y^b, z^c} = 1 exactly when a = b = c (0 otherwise), and any two
     coordinates from the same family bracket to zero."""
     m = 3 * n_blocks
-    x = [Poly.var(m, a) for a in range(1, n_blocks + 1)]
-    y = [Poly.var(m, n_blocks + a) for a in range(1, n_blocks + 1)]
-    z = [Poly.var(m, 2 * n_blocks + a) for a in range(1, n_blocks + 1)]
-    for a in range(n_blocks):
-        for b in range(n_blocks):
-            for c in range(n_blocks):
-                want = Poly.const(m, 1 if a == b == c else 0)
-                if nhw_bracket([x[a], y[b], z[c]], n_blocks) != want:
-                    return False
+    x, y, z = ([Poly.var(m, f * n_blocks + a) for a in range(1, n_blocks + 1)] for f in range(3))
     # same-family pairs kill the determinant columns across blocks
-    for a in range(n_blocks):
-        for b in range(n_blocks):
-            for c in range(n_blocks):
-                if not nhw_bracket([x[a], x[b], z[c]], n_blocks).is_zero():
-                    return False
-                if not nhw_bracket([y[a], z[b], z[c]], n_blocks).is_zero():
-                    return False
-    return True
+    return all(nhw_bracket([x[a], y[b], z[c]], n_blocks) == (1 if a == b == c else 0)
+               and not nhw_bracket([x[a], x[b], z[c]], n_blocks)
+               and not nhw_bracket([y[a], z[b], z[c]], n_blocks)
+               for a, b, c in product(range(n_blocks), repeat=3))

@@ -10,9 +10,11 @@ cancels, and a product or derivative of nonzero `Fraction`s with a nonzero
 int is nonzero), so they build their results through `Poly._canonical`,
 which skips that pass; only this module and `poisson` call it.
 `add_product` collects a sum of products c*a*b of term maps in one term
-map, so a contraction builds one Poly per output instead of one per partial
-sum; it and `diff_terms` take term maps with any nonzero exact coefficients,
-the integer maps of the Poisson scans included.
+map.  The Poisson scans key their int term maps by packed exponents instead:
+`pack` writes an exponent vector as one int in a base B above every exponent
+a product can reach, so `add_packed_product` adds two keys where
+`add_product` adds two tuples, and d/dx_i subtracts B^(i-1); no digit
+carries or borrows, as the constructor rejects negative exponents.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ class Poly:
             e = tuple(e)
             if len(e) != self.nvars:
                 raise ValueError("exponent length mismatch")
+            if any(k < 0 for k in e):
+                raise ValueError(f"negative exponent in {e}")
             if not is_zero(c):
                 clean[e] = Fraction(c) if not isinstance(c, Fraction) else c
         self.terms = clean
@@ -105,7 +109,12 @@ class Poly:
     # -- calculus ------------------------------------------------------------
     def diff(self, i):
         """Partial derivative with respect to x_i (1-based)."""
-        return Poly._canonical(self.nvars, diff_terms(self.terms, i))
+        t = {}
+        for e, c in self.terms.items():
+            k = e[i - 1]
+            if k:
+                t[e[:i - 1] + (k - 1,) + e[i:]] = c * k
+        return Poly._canonical(self.nvars, t)
 
     def eval(self, point):
         tot = Fraction(0)
@@ -160,13 +169,28 @@ def add_product(terms: dict, c, a: dict, b: dict) -> None:
             accumulate(terms, tuple(map(add, e1, e2)), c1 * c2)
 
 
-def diff_terms(terms: dict, i) -> dict:
-    """The term map of the partial derivative with respect to x_i (1-based)."""
-    t = {}
-    for e, c in terms.items():
-        k = e[i - 1]
-        if k:
-            e2 = list(e)
-            e2[i - 1] -= 1
-            t[tuple(e2)] = c * k
-    return t
+def add_packed_product(terms: dict, c, a: dict, b: dict) -> None:
+    """terms += c * a * b on int term maps keyed by packed exponents, for a
+    nonzero int c: the key of a product is the sum of the keys."""
+    for e1, c1 in a.items():
+        c1 *= c
+        for e2, c2 in b.items():
+            accumulate(terms, e1 + e2, c1 * c2)
+
+
+def pack(e, radix) -> int:
+    """The exponent vector e as one int in base radix, x_1 in the lowest
+    digit; every exponent must be below radix."""
+    key = 0
+    for k in reversed(e):
+        key = key * radix + k
+    return key
+
+
+def unpack(key, radix, nvars) -> tuple:
+    """The exponent vector of a packed key."""
+    e = []
+    for _ in range(nvars):
+        key, k = divmod(key, radix)
+        e.append(k)
+    return tuple(e)

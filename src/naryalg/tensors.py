@@ -39,7 +39,7 @@ sparse sums go through `scalars.accumulate`.
 Contractions of products of blockwise-antisymmetric factors against the
 generalized Kronecker symbol collapse to signed sums over ordered block
 splits ("shuffles") -- `shuffle_splits` is the hot kernel behind the
-generalized-Jacobi, Filippov, cocycle and Poisson residuals.  Its signs
+generalized-Jacobi, Filippov and cocycle residuals.  Its signs
 depend only on the shape (len(m), block sizes) of a sorted tuple m, so it
 derives the splits of each shape once, on positions, by the recursion on the
 first block, and caches them with one itemgetter per block: a call maps the

@@ -191,6 +191,8 @@ def test_trivial_module_is_the_default_rep(a4_file, capsys):
      "line 4, column 6: bad scalar '1_0+1i'"),
     ("lie 2 3 gaussian\n1 2 -> 3 : 1\nmetric\n1 1 : 1+1_0i\n",
      "line 4, column 6: bad scalar '1+1_0i'"),
+    # a negative exponent once parsed to a Laurent component
+    ("multivector 2 3 rational\n1 2 -> 0 -2 1 : 1\n", "line 2, column 10: negative exponent -2"),
     # only metric values may be Gaussian
     ("multivector 1 2 gaussian\n1 -> 0 0 : 1i\n",
      "line 2, column 11: entry values must be real, got '1i'"),
@@ -447,3 +449,50 @@ def test_check_all_runs_the_derivation_scan_once(a4_file, monkeypatch, capsys):
     assert [r["check"] for r in recs if r.get("verdict") == "pass"] == [
         "filippov-identity-derivation", "filippov-identity-short", "filippov-identity-ghost",
         "metric-nondegenerate", "metric-invariance", "cohomology-consistent"]
+
+
+# ---------------------------------------------------------------------------
+# poisson: every check on two constant bivectors and a Lie-Poisson bivector
+# ---------------------------------------------------------------------------
+
+PASS = "pass"
+POISSON_FILES = {
+    "d12": "multivector 2 3 rational\n1 2 -> 0 0 0 : 1\n",
+    "d12+d34": "multivector 2 4 rational\n1 2 -> 0 0 0 0 : 1\n3 4 -> 0 0 0 0 : 1\n",
+    "lie-su3": AlgebraFile.from_object(lie_poisson_bivector(catalog.su(3))).emit(),
+}
+NP_RECORDS = [{"check": "differential-condition", "verdict": PASS},
+              {"check": "algebraic-condition", "verdict": PASS}]
+
+
+@pytest.mark.parametrize("name,check,want", [
+    ("d12", "gps", [{"check": "self-bracket-zero", "verdict": PASS}]),
+    ("d12", "np", NP_RECORDS + [{"decomposable": True}]),
+    ("d12", "snb-self", [{"check": "snb-self", "verdict": PASS}]),
+    ("d12+d34", "gps", [{"check": "self-bracket-zero", "verdict": PASS}]),
+    ("d12+d34", "np", NP_RECORDS + [{"decomposable": False}]),
+    ("d12+d34", "snb-self", [{"check": "snb-self", "verdict": PASS}]),
+    ("lie-su3", "gps", [{"check": "self-bracket-zero", "verdict": PASS}]),
+    ("lie-su3", "np", NP_RECORDS),
+    ("lie-su3", "snb-self", [{"check": "snb-self", "verdict": PASS}]),
+])
+def test_poisson_checks_give_their_records(tmp_path, capsys, name, check, want):
+    # a constant bivector is Poisson, and decomposable only as one plane
+    path = tmp_path / f"{name}.alg"
+    path.write_text(POISSON_FILES[name])
+    assert cli.main(["poisson", str(path), "--check", check]) == 0
+    out = capsys.readouterr()
+    assert records(out.out) == want
+    n = sum("check" in r for r in want)
+    assert out.err.endswith(f"{n}/{n} checks passed\n")
+
+
+@pytest.mark.parametrize("check", ["gps", "np", "snb-self"])
+def test_a_negative_exponent_is_an_input_error(tmp_path, capsys, check):
+    # x1^-1 x3 d1^d2 + x3 d2^d3 once parsed to a Laurent component, and
+    # every check passed on it
+    path = tmp_path / "laurent.alg"
+    path.write_text("multivector 2 3 rational\n1 2 -> -1 0 1 : 1\n2 3 -> 0 0 1 : 1\n")
+    assert cli.main(["poisson", str(path), "--check", check]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "input error: line 2, column 8: negative exponent -1\n")

@@ -6,7 +6,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naryalg.catalog import a4, su, su3_five_cocycle
+from naryalg.catalog import a4, a5, a13, nhw, su, su3_five_cocycle
+from naryalg.filippov import append_center, direct_sum
 from naryalg.poisson import (Decomposition, PluckerViolation,
                              bracket_multivector, decompose_constant, gps_check,
                              graded_jacobi_residual, hamiltonian_derivation_residual,
@@ -403,3 +404,33 @@ def test_even_nambu_poisson_tensor_is_gps():
         np_even_implies_gps(bracket_multivector(a4()))
     with pytest.raises(ValueError, match="Nambu-Poisson"):
         np_even_implies_gps(linear_gps_from_cocycle(su(3), su3_five_cocycle()))
+
+
+# ---------------------------------------------------------------------------
+# which Filippov algebras are linear Nambu-Poisson
+# ---------------------------------------------------------------------------
+
+# theory: for n >= 3 a Nambu-Poisson tensor is decomposable where it is
+# nonzero (Alekseevsky-Guha 1996, Gautheron 1996), so the FI of an algebra
+# does not make its linear tensor eta = f_{a..}^b x_b d_a^.. Nambu-Poisson.
+# The five that are hold an n-vector in at most n + 1 directions, where
+# every n-vector is decomposable; nhw(2) and A4 + A4 are not decomposable at a
+# generic point and fail the algebraic condition.  None fails the
+# differential condition.
+NP_TABLE = {
+    "a4": (a4, None),
+    "a13": (a13, None),
+    "nhw1": (lambda: nhw(1), None),
+    "a4+center": (lambda: append_center(a4()), None),
+    "a5": (a5, None),
+    "nhw2": (lambda: nhw(2), ((1, 2, 3), (4, 5, 6))),
+    "a4+a4": (lambda: direct_sum(a4(), a4()), ((1, 2, 3), (5, 6, 7))),
+}
+
+
+@pytest.mark.parametrize("name", list(NP_TABLE))
+def test_linear_tensors_of_filippov_algebras_are_nambu_poisson_as_theory_says(name):
+    build, witness = NP_TABLE[name]
+    rep = np_check(bracket_multivector(build()))
+    assert (rep.differential_ok, rep.differential_witness) == (True, None)
+    assert (rep.algebraic_ok, rep.algebraic_witness) == (witness is None, witness)

@@ -2,11 +2,14 @@
 they replaced.
 
 `tensors.shuffle_splits` reads (blocks, sign) lists cached per shape, and
-`poisson.gps_check`/`np_check` scan integer term maps of D Lambda; their
-references in `dense_reference` derive the splits of every tuple afresh and
-scan `Fraction` Polys.  The splits must come out equal and in the same
-order; the reports must be equal, witnesses included, on random fields and
-on every Poisson tensor the benchmark builds.
+`poisson.schouten_bracket`, `gps_check` and `np_check` read integer term
+maps of D Lambda keyed by packed exponents, the bracket and the coordinates
+condition scattered over pairs of entries; their references in
+`dense_reference` derive the splits of every tuple afresh and scan every
+sorted kk on `Fraction` Polys.  The splits must come out equal and in the
+same order; the brackets must be equal, and the reports equal, witnesses
+included, on random fields (of degree up to 4, so the packed keys carry
+digits above 1) and on every Poisson tensor the benchmark builds.
 """
 
 from fractions import Fraction
@@ -17,9 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
 from naryalg.catalog import su, su3_five_cocycle
-from naryalg.poisson import (_add_sigma, _integer_table, _sigma_pairs, gps_check,
-                             lie_poisson_bivector, linear_gps_from_cocycle, np_check,
-                             schouten_bracket)
+from naryalg.poisson import (_add_sigma, _integer_table, _radix, _sigma_pairs, gps_check,
+                             graded_jacobi_residual, lie_poisson_bivector,
+                             linear_gps_from_cocycle, np_check, schouten_bracket)
 from naryalg.poly import Poly
 from naryalg.tensors import AntisymTensor, shuffle_splits
 
@@ -82,8 +85,17 @@ def components(m):
         lambda terms: Poly(m, terms))
 
 
+def higher_components(m):
+    """Polys on R^m of one to three monomials of degree 2 to 4, exponents up
+    to 4: packed keys with digits above 1, and products that need them."""
+    monomials = st.lists(st.integers(0, m - 1), min_size=2, max_size=4).map(
+        lambda xs: tuple(xs.count(i) for i in range(m)))
+    return st.dictionaries(monomials, coefficients, min_size=1, max_size=3).map(
+        lambda terms: Poly(m, terms))
+
+
 @st.composite
-def fields(draw, m=None, ranks=st.sampled_from([1, 2, 2, 3, 3, 4])):
+def fields(draw, m=None, ranks=st.sampled_from([1, 2, 2, 3, 3, 4]), comps=components):
     """Multivector fields: f d_S on one key S (Nambu-Poisson, and Poisson
     of even order), or a sum over two to four keys (mostly failing), keys
     in any index order.  Rank 4 lives on R^6, with two components on
@@ -105,7 +117,7 @@ def fields(draw, m=None, ranks=st.sampled_from([1, 2, 2, 3, 3, 4])):
     else:
         chosen = draw(st.lists(st.sampled_from(keys), min_size=min(2, len(keys)), max_size=4,
                                unique=True))
-    return AntisymTensor(n, m, {tuple(draw(st.permutations(k))): draw(components(m))
+    return AntisymTensor(n, m, {tuple(draw(st.permutations(k))): draw(comps(m))
                                 for k in chosen}, Poly.zero(m))
 
 
@@ -130,6 +142,45 @@ def test_poisson_scans_equal_the_reference_scans(lam, data):
     assert_bracket_equals_the_reference(lam, other)
 
 
+@settings(max_examples=60, deadline=None)
+@given(fields(comps=higher_components))
+def test_scans_of_higher_degree_fields_equal_the_reference_scans(lam):
+    # most of these fields fail: the gps witness is the least failing kk,
+    # and the coordinates condition is -1/2 [Lambda, Lambda] entry by entry
+    assert_scans_equal_the_reference(lam)
+    if lam.rank % 2 == 0:
+        assert gps_check(lam).witness == min(ref.schouten_bracket(lam, lam).entries, default=None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_brackets_of_two_fields_of_different_ranks_equal_the_reference(data):
+    m = data.draw(st.integers(2, 5))
+    p, q = data.draw(st.lists(st.integers(1, min(3, m)), min_size=2, max_size=2, unique=True))
+    a = data.draw(fields(m, st.just(p), higher_components))
+    b = data.draw(fields(m, st.just(q), data.draw(st.sampled_from([components,
+                                                                   higher_components]))))
+    assert_bracket_equals_the_reference(a, b)
+    assert_bracket_equals_the_reference(b, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_brackets_with_a_vector_field_equal_the_reference(data):
+    m = data.draw(st.integers(2, 5))
+    v = data.draw(fields(m, st.just(1), higher_components))
+    a = data.draw(fields(m, st.integers(1, min(3, m)), higher_components))
+    for x, y in ((v, v), (v, a), (a, v)):
+        assert_bracket_equals_the_reference(x, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_graded_jacobi_residual_of_higher_degree_fields_is_zero(data):
+    a, b, c = (data.draw(fields(3, st.integers(1, 2), higher_components)) for _ in range(3))
+    assert graded_jacobi_residual(a, b, c).is_zero()
+
+
 def test_poisson_scans_of_a_rank_4_nambu_poisson_field_equal_the_reference_scans():
     # f d_1^d_2^d_3^d_4 on R^4 passes both conditions: every pair is read
     m = 4
@@ -148,7 +199,7 @@ def test_the_algebraic_scan_skips_only_pairs_that_read_zero(data):
     n = data.draw(st.sampled_from([3, 3, 4]))
     m = data.draw(st.integers(3, 5) if n == 3 else st.just(4))
     lam = data.draw(fields(m, st.just(n)))
-    table = _integer_table(lam)
+    _, table, _ = _integer_table(lam, _radix(lam))
     kept = [(it, jt) for it, jt, _, _ in _sigma_pairs(table, n, m)]
     assert kept == sorted(set(kept))
     kept = set(kept)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from naryalg.poly import Poly
@@ -64,3 +65,9 @@ def test_zero_and_negation(p):
 def test_canonical_strips_zeros():
     p = Poly(2, {(1, 0): Fraction(0), (0, 1): Fraction(2)})
     assert (1, 0) not in p.terms and p.terms[(0, 1)] == 2
+
+
+def test_a_negative_exponent_is_rejected():
+    # packed exponent keys hold no negative digit
+    with pytest.raises(ValueError, match=r"negative exponent in \(0, -1\)"):
+        Poly(2, {(0, -1): Fraction(1)})
