@@ -22,15 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial, isqrt
+from itertools import combinations, permutations, product
+from math import isqrt
 from operator import mul
 
 from . import linalg
 from .lie import (LieAlgebra, MetricReport, check_jacobi, check_metric_invariance, metric_scan,
                   trace_form)
-from .gla import multibracket, multibrackets
-from .scalars import GaussianRational, accumulate, common_denominator, is_zero
+from .scalars import accumulate, common_denominator, is_zero
 from .tensors import (AntisymTensor, BracketTensor, IdentityReport, fold_antisym, gen_kronecker,
                       perm_sign, shuffle_splits, sort_sign)
 
@@ -712,6 +711,13 @@ def gamma_matrices(d_even: int):
     The construction and every check ({g_a, g_b} = 2 delta_ab, and the
     square of the chirality) run on the ℤ[i] kernel; the returned sparse
     matrices hold `GaussianRational` values and are 2^(d_even/2) square."""
+    gam, size = _zi_gammas(d_even)
+    return [linalg.zi_wrap(g) for g in gam], linalg.zi_wrap(_chirality(gam, size))
+
+
+def _zi_gammas(d_even):
+    """(gammas, size) of `gamma_matrices` as sparse ℤ[i] matrices, with
+    {g_a, g_b} = 2 delta_ab checked once per unordered pair."""
     if d_even % 2 or d_even < 2:
         raise ValueError("need even dimension >= 2")
     s1 = {(0, 1): (1, 0), (1, 0): (1, 0)}
@@ -727,9 +733,10 @@ def gamma_matrices(d_even: int):
         size *= 2
     twice = {(i, i): (2, 0) for i in range(size)}
     for a in range(d_even):
-        for b in range(d_even):
-            assert linalg.zi_anticommutator(gam[a], gam[b]) == (twice if a == b else {})
-    return [linalg.zi_wrap(g) for g in gam], linalg.zi_wrap(_chirality(gam, size))
+        for b in range(a, d_even):
+            if linalg.zi_anticommutator(gam[a], gam[b]) != (twice if a == b else {}):
+                raise AssertionError(f"gammas {a} and {b} break the Clifford relation")
+    return gam, size
 
 
 def _chirality(gammas, size):
@@ -747,6 +754,34 @@ def _chirality(gammas, size):
     raise AssertionError("chirality square is not +-1")
 
 
+def anticommuting_brackets(mats, tuples, known=0):
+    """{t: X_{t_1} .. X_{t_k}} over index tuples t into the sparse ℤ[i]
+    matrices mats: the weight-one multibracket (1/k!) sum_sigma sign(sigma)
+    X_{t_sigma(1)} .. X_{t_sigma(k)}, read through the anticommutation lemma.
+    When X_1..X_k anticommute pairwise, reordering a product by sigma
+    multiplies it by sign(sigma), so all k! terms of the sum equal
+    X_1 .. X_k and the sum is k! X_1 .. X_k.  A tuple with a repeated index
+    gives {}, since the bracket is alternating.
+
+    The lemma is used only after its precondition is checked exactly:
+    {X_i, X_j} = 0 for every pair i < j of mats with j >= known, the first
+    `known` matrices being pairwise anticommuting already (the gammas, whose
+    relations `_zi_gammas` checks); a pair that fails raises ValueError."""
+    for j in range(known, len(mats)):
+        for i in range(j):
+            if linalg.zi_anticommutator(mats[i], mats[j]):
+                raise ValueError(f"matrices {i} and {j} do not anticommute")
+    out = {}
+    for t in tuples:
+        prod = {}
+        if len(set(t)) == len(t):
+            prod = mats[t[0]]
+            for i in t[1:]:
+                prod = linalg.zi_mul(prod, mats[i])
+        out[t] = prod
+    return out
+
+
 @dataclass
 class CliffordReport:
     n: int
@@ -759,57 +794,61 @@ class CliffordReport:
 def clifford_realization(n: int) -> CliffordReport:
     """Gamma-matrix realization of the euclidean simple algebras.
 
-    n odd (3, 5): weight-one bracket [g_{a_1},..,g_{a_n}, chirality]' equals
-    -eps_{a_1..a_{n+1}} g_{a_{n+1}} on D = n+1 gammas.  n even (4): the D = n
-    gammas plus the chirality obey [g^{A_1},..,g^{A_n}]' = eps^{A_1..A_{n+1}}
-    g^{A_{n+1}}.  Either way the induced structure constants are compared
-    entrywise against the determinant-product algebra of the same arity.
+    n odd (3, 5): weight-one bracket [g_{a_1},..,g_{a_n}, top]' equals
+    -eps_{a_1..a_{n+1}} g_{a_{n+1}} on D = n+1 gammas, top = g_1 .. g_D up to
+    a phase.  n even (4): the D = n gammas plus the chirality obey
+    [g^{A_1},..,g^{A_n}]' = eps^{A_1..A_{n+1}} g^{A_{n+1}}.  Either way the
+    induced structure constants are compared entrywise against the
+    determinant-product algebra of the same arity.
+
+    Every matrix anticommutes with every other: distinct gammas by the
+    Clifford relation, and the chirality or top with each gamma since D is
+    even.  By the lemma of `anticommuting_brackets`, which checks exactly
+    that {g_a, top} = 0, or {g_a, chirality} = 0, for every a before it is
+    used, each weight-one bracket is the ordered product of its matrices:
+    n - 1 ℤ[i] products, and one more for the top slot.  The expansion
+    reads its coefficients by trace orthogonality Tr(g_a g_b) = size
+    delta_ab on Gaussian integers; an imaginary coefficient fails the
+    identity.
     """
     if not 3 <= n <= 5:
         raise ValueError("desk scale is 3 <= n <= 5")
     ref = simple_fa(n, [1] * (n + 1))
+    d = n + n % 2
+    gam, size = _zi_gammas(d)
     if n % 2:
-        d = n + 1
-        gam, _ = gamma_matrices(d)
-        basis, top = gam, gam[0]
+        top = gam[0]
         for g in gam[1:]:
-            top = linalg.sp_mul(top, g)
-        extra = [top]
+            top = linalg.zi_mul(top, g)
+        mats, tail = gam + [top], (d,)
     else:
-        d = n
-        gam, chi = gamma_matrices(d)
-        basis, extra = gam + [chi], []
-    # every bracket of the expansion, over the basis and the top slot, is read
-    # off one subset table
-    tail = tuple(range(len(basis), len(basis) + len(extra)))
+        mats, tail = gam + [_chirality(gam, size)], ()
     subsets = {idx: tuple(i - 1 for i in idx) + tail
-               for idx in combinations(range(1, len(basis) + 1), n)}
-    table = multibrackets(basis + extra, list(subsets.values()))
-    factor = Fraction(1, factorial(n + len(extra)))
+               for idx in combinations(range(1, n + 2), n)}
+    dc_tuples = list(product((d,), range(4), range(4), range(4))) if n == 3 else []
+    table = anticommuting_brackets(mats, list(subsets.values()) + dc_tuples, known=d)
+    phase = (1, 0)
     if n % 2:
         # the normalization of the top gamma is free; fix its phase (1 when
         # none fits) by the bracket identity itself on one probe tuple: the
         # bracket is linear in the top slot, so a phase scales the probe
         probe = table[subsets[tuple(range(1, n + 1))]]
-        want = linalg.sp_scale(-1, gam[d - 1])  # -eps_{1..d} g_d
-        phases = (GaussianRational(1), GaussianRational(-1),
-                  GaussianRational(0, 1), GaussianRational(0, -1))
-        factor *= next((p for p in phases if linalg.sp_scale(p * factor, probe) == want),
-                       phases[0])
+        want = linalg.zi_scale((-1, 0), gam[d - 1])  # -eps_{1..d} g_d
+        phase = next((p for p in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                      if linalg.zi_scale(p, probe) == want), phase)
 
-    # expand by trace orthogonality Tr(g_a g_b) = size * delta_ab; an
-    # imaginary coefficient fails the identity
-    size = GaussianRational(2 ** (d // 2))
+    pr, pi = phase
     f = {}
     clean = True
     for idx, s in subsets.items():
         row = {}
-        for b in range(1, len(basis) + 1):
-            coeff = factor * linalg.sp_trace(table[s], basis[b - 1]) / size
-            if coeff.im != 0:
+        for b in range(1, n + 2):
+            tr, ti = linalg.zi_trace(table[s], mats[b - 1])
+            if tr * pi + ti * pr:
                 clean = False
-            if coeff.re != 0:
-                row[b] = coeff.re
+            re = tr * pr - ti * pi
+            if re:
+                row[b] = Fraction(re, size)
         if row:
             f[idx] = row
     induced = FilippovAlgebra(n, n + 1, f)
@@ -819,11 +858,13 @@ def clifford_realization(n: int) -> CliffordReport:
 
     dc = None
     if n == 3:
-        # both sides are linear in the top gamma, so the plain product serves
-        dc = all(linalg.sp_scale(6, linalg.sp_commutator(
-                     linalg.sp_mul(linalg.sp_commutator(gam[a], gam[b]), top), gam[c]))
-                 == multibracket([top, gam[a], gam[b], gam[c]])
-                 for a in range(4) for b in range(4) for c in range(4))
+        # 6 [[g_a, g_b] top, g_c] = [top, g_a, g_b, g_c], the right side 4!
+        # times its ordered product; both sides are linear in the top gamma,
+        # so the plain product serves
+        dc = all(linalg.zi_scale((6, 0), linalg.zi_commutator(
+                     linalg.zi_mul(linalg.zi_commutator(gam[a], gam[b]), top), gam[c]))
+                 == linalg.zi_scale((24, 0), table[d, a, b, c])
+                 for _, a, b, c in dc_tuples)
     return CliffordReport(n, clean and matches, dc, induced, matches)
 
 

@@ -15,7 +15,8 @@ Matrix multibrackets take and return the sparse operator matrices of
 `linalg` and run on its ℤ[i] kernel: `multibracket` scales every value by
 the common denominator D of all real and imaginary parts, runs its subset
 programme on int (re, im) pairs, and divides by D^n once.  Its values are
-`GaussianRational` when some input value is, else `Fraction`.
+`GaussianRational` when some input value is, else `Fraction`.  These
+brackets assume nothing about how their matrices commute.
 
 Integer tables.  The GJI and the mixed identity read the tables of D C
 (`BracketTensor.integer_scaled`) through `tensors.nested_bracket_residuals`,
@@ -59,7 +60,10 @@ def multibrackets(mats, subsets):
     increasing position tuples s, read off one table of the subset dynamic
     programme (first-slot expansion, linear instead of factorial in matrix
     products) over the requested subsets and their sub-subsets, filled one
-    size at a time and dropping the size below.  It runs on the ℤ[i] kernel:
+    size at a time and dropping the size below: up to k 2^(k-1) products
+    over k matrices.  The Clifford realization no longer reads this table:
+    its pairwise anticommuting gammas need k - 1 products per bracket
+    (`filippov.anticommuting_brackets`).  It runs on the ℤ[i] kernel:
     every value is scaled once by D, the common denominator of all real and
     imaginary parts of the list, to an int pair (re, im), and a bracket of k
     matrices is divided by D^k at the end.  A bracket's values are

@@ -2,8 +2,8 @@
 format, one eliminator, and the reductions of bilinear forms.
 
 Operator matrices -- ad maps, representation matrices, su(n) generators,
-gamma matrices and their multibrackets -- are sparse maps {(row, column):
-nonzero value} with 0-based indices and int, `Fraction` or
+gamma matrices and the brackets built from them -- are sparse maps {(row,
+column): nonzero value} with 0-based indices and int, `Fraction` or
 `GaussianRational` values; no zero is stored, so a matrix is zero exactly
 when its map is empty, and two matrices are equal exactly when their maps
 are.  A map does not know its size: the object that holds the matrices
@@ -19,7 +19,10 @@ one nonzero per row, in {±1, ±i} (or a small integer on a doubled Cartan
 diagonal), so their arithmetic is integer products and sums.  `zi_mul`,
 `zi_trace`, `zi_commutator`, `zi_anticommutator`, `zi_kron`, `zi_scale`
 and `zi_sum` are that kernel's operations, and `zi_wrap` turns a ℤ[i] matrix, scaled by
-a rational (1/2 undoes the doubling), into `GaussianRational` values.
+a rational (1/2 undoes the doubling), into `GaussianRational` values.  The
+Clifford realization stays on this kernel throughout: its brackets of
+pairwise anticommuting gammas are ordered products
+(`filippov.anticommuting_brackets`), expanded by `zi_trace`.
 
 Bilinear forms -- metrics, Killing and Kasymov forms -- stay dense r x r
 lists of rows; `det`, `signature` and `inverse` read them that way.

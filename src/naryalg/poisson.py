@@ -129,11 +129,14 @@ def _bracket_terms(a, b, p, q):
     """bits of kk -> packed term map (empty where its terms cancel) of
     [A, B]^kk from the integer tables a and b of A (order p), B (order q)."""
     (_, a_table, a_grads), (_, b_table, b_grads) = a, b
+    if b is a:
+        # the second scatter would repeat the first times (-1)^(p p) = (-1)^p:
+        # the first doubles for even p, and the two cancel for odd p
+        return {} if p % 2 else _scatter({}, a_grads, _holders(a_table.entries, False), 2)
     a_front = _holders(a_table.entries, False)
     out = _scatter({}, b_grads, a_front, 1)
     # (-1)^p B^{nu bj} d_nu A^{bi}, with the split (bi, bj) read as (bj, bi)
-    return _scatter(out, a_grads, a_front if b is a else _holders(b_table.entries, False),
-                    (-1) ** (p * q))
+    return _scatter(out, a_grads, _holders(b_table.entries, False), (-1) ** (p * q))
 
 
 def schouten_bracket(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:

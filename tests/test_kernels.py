@@ -2,24 +2,26 @@
 against their slow definitions: a brute-force inversion count, the
 determinant of the delta matrix, the per-s Filippov identity loops, the
 epsilon scan with one `gen_kronecker` call per symbol, the n!-term
-permutation sum and one multibracket per subset; and work guards that count
-kernel calls, not time."""
+permutation sum and one multibracket per subset, and the multibracket
+against the ordered products of anticommuting matrices; and work guards
+that count kernel calls, not time."""
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 
 import dense_reference as dense
-from naryalg import linalg, nary_cohomology, tensors
-from naryalg.catalog import a4, a5, corrupted, nhw
-from naryalg.filippov import (FilippovAlgebra, check_fi, clifford_realization, gamma_matrices,
-                              simple_fa)
+from naryalg import filippov, linalg, nary_cohomology, poisson, tensors
+from naryalg.catalog import a4, a5, corrupted, nhw, su
+from naryalg.filippov import FilippovAlgebra, check_fi, clifford_realization, simple_fa
 from naryalg.gla import multibracket, multibrackets
+from naryalg.poly import Poly
 from naryalg.scalars import GaussianRational
-from naryalg.tensors import (IdentityReport, eps_identities_check, gen_kronecker, perm_sign,
-                             shuffle_splits, sort_sign)
+from naryalg.tensors import (AntisymTensor, IdentityReport, eps_identities_check, gen_kronecker,
+                             perm_sign, shuffle_splits, sort_sign)
 
 
 def inversion_sign(t):
@@ -321,10 +323,64 @@ def test_multibrackets_match_one_bracket_per_subset():
                 assert all(type(v) is Fraction for v in got[(0, 2)].values())
 
 
-def test_clifford_realization_reads_one_bracket_table(monkeypatch):
-    # every bracket of the n = 5 expansion, over the 6 gammas and the top
-    # slot, comes from one subset table of 7 matrices: at most 7 * 2^6
-    # products beyond the construction of the gammas
+def zi_gammas_with(d):
+    """The d ℤ[i] gammas and, as matrix d, the top gamma g_1 .. g_d (d = 6)
+    or the chirality (d = 4)."""
+    gam, size = filippov._zi_gammas(d)
+    if d == 4:
+        return gam + [filippov._chirality(gam, size)]
+    top = gam[0]
+    for g in gam[1:]:
+        top = linalg.zi_mul(top, g)
+    return gam + [top]
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_anticommuting_brackets_match_the_multibracket_on_every_subset(d):
+    # the weight-one bracket of each subset, in increasing and in reversed
+    # order, is 1/k! times the permutation-sum multibracket
+    mats = zi_gammas_with(d)
+    wrapped = [linalg.zi_wrap(m) for m in mats]
+    tuples = list(dict.fromkeys(t for k in range(1, d + 2)
+                                for s in combinations(range(d + 1), k) for t in (s, s[::-1])))
+    got = filippov.anticommuting_brackets(mats, tuples, known=d)
+    assert list(got) == tuples
+    for t in tuples:
+        want = multibracket([wrapped[i] for i in t])
+        assert linalg.zi_wrap(got[t], factorial(len(t))) == want, t
+        assert got[t]
+
+
+def test_anticommuting_brackets_vanish_on_a_repeated_index():
+    mats = zi_gammas_with(6)
+    tuples = [(0, 0), (6, 6), (1, 2, 1), (6, 3, 4, 6), (0, 1, 2, 3, 4, 5, 0)]
+    got = filippov.anticommuting_brackets(mats, tuples, known=6)
+    assert got == dict.fromkeys(tuples, {})
+    assert all(multibracket([linalg.zi_wrap(mats[i]) for i in t]) == {} for t in tuples)
+
+
+@pytest.mark.parametrize("known", [0, 4])
+def test_anticommuting_brackets_raise_on_a_commuting_pair(known):
+    # the identity commutes with every gamma: the lemma's precondition fails
+    mats = zi_gammas_with(4)[:4] + [linalg.zi_identity(4)]
+    with pytest.raises(ValueError, match="do not anticommute"):
+        filippov.anticommuting_brackets(mats, [(0, 4)], known=known)
+    with pytest.raises(ValueError, match="do not anticommute"):
+        filippov.anticommuting_brackets(mats[:1] + mats[4:], [(0,)])
+
+
+def clifford_products(n):
+    """The ℤ[i] products clifford_realization(n) makes beyond the gammas,
+    for n = 4, 5: the top gamma (n odd, n products) or the chirality (n
+    even, n - 1 and its square), two per anticommutator of that matrix with
+    each of the n + n % 2 gammas, and the n + 1 weight-one brackets, each
+    the ordered product of n matrices and, for n odd, the top slot."""
+    d = n + n % 2
+    return n + 2 * d + (n + 1) * (n - 1 + n % 2)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_clifford_realization_makes_one_ordered_product_per_bracket(monkeypatch, n):
     calls = [0]
     right = linalg.zi_mul
 
@@ -333,11 +389,32 @@ def test_clifford_realization_reads_one_bracket_table(monkeypatch):
         return right(a, b)
 
     monkeypatch.setattr(linalg, "zi_mul", counted)
-    gamma_matrices(6)
+    filippov._zi_gammas(n + n % 2)
     construction = calls[0]
     calls[0] = 0
-    assert clifford_realization(5).identity_ok
-    assert calls[0] - construction <= 7 * 2 ** 6
+    assert clifford_realization(n).identity_ok
+    assert calls[0] - construction == clifford_products(n)
+
+
+def test_gps_self_bracket_scatters_once(monkeypatch):
+    # one scatter for [Lambda, Lambda], one for the coordinates condition;
+    # an odd-order self-bracket cancels without a scatter
+    calls = [0]
+    right = poisson._scatter
+
+    def counted(*args):
+        calls[0] += 1
+        return right(*args)
+
+    monkeypatch.setattr(poisson, "_scatter", counted)
+    assert poisson.gps_check(poisson.lie_poisson_bivector(su(3))).ok
+    assert calls[0] == 2
+    calls[0] = 0
+    for n in (1, 3):
+        odd = AntisymTensor(n, 3, {tuple(range(1, n + 1)): Poly(3, {(0, 1, 1): Fraction(2)})},
+                            Poly.zero(3))
+        assert poisson.schouten_bracket(odd, odd).is_zero()
+    assert calls[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,18 @@ def test_scans_of_higher_degree_fields_equal_the_reference_scans(lam):
 
 
 @settings(max_examples=60, deadline=None)
+@given(fields(ranks=st.sampled_from([1, 2, 3, 4]), comps=higher_components))
+def test_self_brackets_of_even_and_odd_rank_equal_the_reference(lam):
+    # the self-bracket scatters once and doubles for even rank, and
+    # vanishes without a scatter for odd rank
+    assert_bracket_equals_the_reference(lam, lam)
+    if lam.rank % 2:
+        assert schouten_bracket(lam, lam).is_zero()
+    else:
+        assert gps_check(lam) == ref.gps_check(lam)
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_brackets_of_two_fields_of_different_ranks_equal_the_reference(data):
     m = data.draw(st.integers(2, 5))
