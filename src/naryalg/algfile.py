@@ -15,8 +15,15 @@ writes only symmetric dim x dim metrics, so every metric reads back as
 written.
 A malformed line is a `ParseError` at its line and at the column of the
 offending token (the first surplus token, or where a missing one belongs).
-The structure-constant kinds build their `BracketTensor` subclass through
-one path, chosen by the class's `kind`.
+
+`parse` reads a file in one pass: it splits each line once at its ':' and
+'->' and reads the indices with `str.split` and `int`; columns are worked
+out (`_column`) only for an error.  Each distinct scalar text is parsed once
+per file and shared, as `Fraction`s are immutable.  A caller's cap on the
+dimension (`check_dim`) runs on the header, before the body allocates a
+metric block.  The structure-constant kinds build their `BracketTensor`
+subclass through one path, chosen by the class's `kind`, and a multivector
+component is one `Poly` of all its terms.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import lt
 
 from .filippov import FilippovAlgebra
 from .gla import GLAlgebra
@@ -45,25 +53,63 @@ class ParseError(ValueError):
         self.col = col
 
 
-def _int_tokens(text, line_no, col0, what):
-    """(column, integer) for each whitespace-separated token of `text`, which
-    starts at column col0 of line line_no; a token that is not an integer is
-    a ParseError at its own column."""
-    out = []
-    for m in re.finditer(r"\S+", text):
+def _column(line, start, text="", k=0):
+    """The column, in `line`, of the k-th whitespace-separated token of
+    `text`, the piece of the stripped line at offset `start`; the column
+    just past `text` when it has no k-th token.  Only errors ask for one."""
+    tokens = [m.start() for m in re.finditer(r"\S+", text)]
+    indent = len(line) - len(line.lstrip())
+    return indent + start + (tokens[k] if k < len(tokens) else len(text)) + 1
+
+
+def _ints(text, what, error, start=0):
+    """The integers of the tokens of `text`, the piece of the stripped line
+    at offset `start`; a token that is not one is an `error` at its column."""
+    tokens = text.split()
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for k, tok in enumerate(tokens):
+            try:
+                int(tok)
+            except ValueError:
+                raise error(f"{what} must be integers, got {tok!r}", start, text, k) from None
+
+
+def _header(line):
+    """(kind, arity, dim, scalar kind) of the header line, checked against
+    each other."""
+    head = line.split()
+    if len(head) != 4:
+        raise ParseError(1, 1, "header must be: kind arity dim scalar")
+
+    def error(message, k):  # at the k-th token
+        return ParseError(1, _column(line, 0, line.strip(), k), message)
+
+    if head[0] not in KINDS:
+        raise error(f"unknown kind {head[0]!r}", 0)
+    for k in (1, 2):
         try:
-            out.append((col0 + m.start(), int(m.group())))
+            head[k] = int(head[k])
         except ValueError:
-            raise ParseError(line_no, col0 + m.start(),
-                             f"{what} must be integers, got {m.group()!r}") from None
-    return out
-
-
-def _count_error(line_no, tokens, want, end_col, message):
-    """A ParseError for a token list whose length is not `want`: at the first
-    surplus token, or at `end_col` (where the list ends) when one is missing."""
-    col = tokens[want][0] if len(tokens) > want else end_col
-    return ParseError(line_no, col, message)
+            raise error(f"arity and dim must be integers, got {head[k]!r}", k) from None
+    kind, arity, dim, scalar_kind = head
+    if arity < 1:
+        raise error(f"arity must be positive, got {arity}", 1)
+    if dim < 1:
+        raise error(f"dim must be positive, got {dim}", 2)
+    if kind == "filippov" and arity < 2:
+        raise error(f"filippov files need arity >= 2, got {arity}", 1)
+    if kind in ("lie", "leibniz") and arity != 2:
+        raise error(f"{kind} files have arity 2, got {arity}", 1)
+    if kind == "gla" and arity % 2:
+        raise error(f"gla files need an even arity, got {arity}", 1)
+    if kind != "leibniz" and arity > dim:
+        raise error(f"arity {arity} exceeds dim {dim}:"
+                    " no strictly increasing index tuple exists", 1)
+    if scalar_kind not in ("rational", "gaussian"):
+        raise error(f"unknown scalar kind {scalar_kind!r}", 3)
+    return kind, arity, dim, scalar_kind
 
 
 @dataclass
@@ -77,162 +123,124 @@ class AlgebraFile:
 
     # -- text round trip -----------------------------------------------------
     def emit(self) -> str:
-        if self.metric is not None:
-            d = self.dim
-            if len(self.metric) != d or any(len(row) != d for row in self.metric):
-                raise ValueError(f"the metric must be {d} x {d}")
-            if any(self.metric[i][j] != self.metric[j][i] for i in range(d) for j in range(i)):
-                raise ValueError("the metric must be symmetric")
-        lines = [f"{self.kind} {self.arity} {self.dim} {self.scalar_kind}"]
+        g, d = self.metric, self.dim
+        if g is not None and (len(g) != d or any(len(row) != d for row in g)):
+            raise ValueError(f"the metric must be {d} x {d}")
+        if g is not None and any(g[i][j] != g[j][i] for i in range(d) for j in range(i)):
+            raise ValueError("the metric must be symmetric")
+        lines = [f"{self.kind} {self.arity} {d} {self.scalar_kind}"]
         for idx, target, value in sorted(self.entries):
-            head = " ".join(str(i) for i in idx)
-            tgt = " ".join(str(t) for t in target) if isinstance(target, tuple) \
-                else str(target)
-            lines.append(f"{head} -> {tgt} : {format_scalar(value)}")
-        if self.metric is not None:
+            tgt = " ".join(map(str, target)) if isinstance(target, tuple) else target
+            lines.append(f"{' '.join(map(str, idx))} -> {tgt} : {format_scalar(value)}")
+        if g is not None:
             lines.append("metric")
-            d = len(self.metric)
-            for i in range(d):
-                for j in range(i, d):
-                    if self.metric[i][j] != 0:
-                        lines.append(f"{i + 1} {j + 1} : {format_scalar(self.metric[i][j])}")
+            lines += [f"{i + 1} {j + 1} : {format_scalar(g[i][j])}"
+                      for i in range(d) for j in range(i, d) if g[i][j] != 0]
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def parse(cls, text: str) -> "AlgebraFile":
+    def parse(cls, text: str, check_dim=None) -> "AlgebraFile":
+        """The file `text`; `check_dim(dim)`, when given, runs on the header
+        before any line of the body is read."""
         lines = text.splitlines()
         if not lines:
             raise ParseError(1, 1, "empty file")
-        head = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", lines[0])]
-        if len(head) != 4:
-            raise ParseError(1, 1, "header must be: kind arity dim scalar")
-        (kind_col, kind), (arity_col, arity_s), (dim_col, dim_s), (scalar_col, scalar_kind) = head
-        if kind not in KINDS:
-            raise ParseError(1, kind_col, f"unknown kind {kind!r}")
-        ((_, arity),) = _int_tokens(arity_s, 1, arity_col, "arity and dim")
-        ((_, dim),) = _int_tokens(dim_s, 1, dim_col, "arity and dim")
-        if arity < 1:
-            raise ParseError(1, arity_col, f"arity must be positive, got {arity}")
-        if dim < 1:
-            raise ParseError(1, dim_col, f"dim must be positive, got {dim}")
-        if kind == "filippov" and arity < 2:
-            raise ParseError(1, arity_col, f"filippov files need arity >= 2, got {arity}")
-        if kind in ("lie", "leibniz") and arity != 2:
-            raise ParseError(1, arity_col, f"{kind} files have arity 2, got {arity}")
-        if kind == "gla" and arity % 2:
-            raise ParseError(1, arity_col, f"gla files need an even arity, got {arity}")
-        if kind != "leibniz" and arity > dim:
-            raise ParseError(1, arity_col, f"arity {arity} exceeds dim {dim}:"
-                             " no strictly increasing index tuple exists")
-        if scalar_kind not in ("rational", "gaussian"):
-            raise ParseError(1, scalar_col, f"unknown scalar kind {scalar_kind!r}")
-        out = cls(kind, arity, dim, scalar_kind)
-        in_metric = False
-        metric = None
-        seen = set()
-        metric_pairs = set()
+        kind, arity, dim, scalar_kind = _header(lines[0])
+        if check_dim is not None:
+            check_dim(dim)
+        entries, metric = [], None
+        seen, metric_pairs, values = set(), set(), {}
+
+        def error(message, start=0, text="", k=0):  # at the current line
+            return ParseError(no, _column(line, start, text, k), message)
+
         for no, line in enumerate(lines[1:], start=2):
             stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
+            if not stripped or stripped[0] == "#":
                 continue
-            col0 = len(line) - len(line.lstrip()) + 1  # column of stripped[0]
             if stripped == "metric":
-                if in_metric:
-                    raise ParseError(no, col0, "a second metric block")
-                in_metric = True
+                if metric is not None:
+                    raise error("a second metric block")
                 metric = [[Fraction(0)] * dim for _ in range(dim)]
                 continue
-            if ":" not in stripped:
-                raise ParseError(no, col0, "missing ':' separator")
-            lhs, _, val_s = stripped.rpartition(":")
-            colon_col = col0 + len(lhs)
-            try:
-                value = parse_scalar(val_s)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(no, colon_col + 1, f"bad scalar {val_s.strip()!r}")
-            if scalar_kind == "rational" and isinstance(value, GaussianRational):
-                raise ParseError(no, colon_col + 1, "gaussian literal in a rational file")
-            if in_metric:
-                parts = _int_tokens(lhs, no, col0, "metric indices")
-                if len(parts) != 2:
-                    raise _count_error(no, parts, 2, colon_col,
-                                       "metric lines are `i j : value`")
-                for col, i in parts:
+            lhs, colon, val_s = stripped.rpartition(":")
+            if not colon:
+                raise error("missing ':' separator")
+            value = values.get(val_s)
+            if value is None:
+                try:
+                    value = parse_scalar(val_s)
+                except (ValueError, ZeroDivisionError):
+                    raise error(f"bad scalar {val_s.strip()!r}", len(lhs) + 1)
+                if scalar_kind == "rational" and isinstance(value, GaussianRational):
+                    raise error("gaussian literal in a rational file", len(lhs) + 1)
+                values[val_s] = value
+            if metric is not None:
+                ij = _ints(lhs, "metric indices", error)
+                if len(ij) != 2:
+                    raise error("metric lines are `i j : value`", 0, lhs, 2)
+                for k, i in enumerate(ij):
                     if not 1 <= i <= dim:
-                        raise ParseError(no, col, f"metric index {i} out of range")
-                (_, i), (_, j) = parts
+                        raise error(f"metric index {i} out of range", 0, lhs, k)
+                i, j = ij
                 pair = (min(i, j), max(i, j))
                 if pair in metric_pairs:
-                    raise ParseError(no, col0, f"duplicate metric entry for {pair}")
+                    raise error(f"duplicate metric entry for {pair}")
                 metric_pairs.add(pair)
-                metric[i - 1][j - 1] = value
-                metric[j - 1][i - 1] = value
+                metric[i - 1][j - 1] = metric[j - 1][i - 1] = value
                 continue
             if isinstance(value, GaussianRational):
                 if value.im:
-                    raise ParseError(no, colon_col + 1,
-                                     f"entry values must be real, got {val_s.strip()!r}")
+                    raise error(f"entry values must be real, got {val_s.strip()!r}", len(lhs) + 1)
                 value = value.re
-            if "->" not in lhs:
-                raise ParseError(no, col0, "missing '->'")
-            idx_s, _, tgt_s = lhs.partition("->")
-            arrow_col = col0 + len(idx_s)
-            idx_tokens = _int_tokens(idx_s, no, col0, "indices")
-            tgt_tokens = _int_tokens(tgt_s, no, arrow_col + 2, "indices")
+            idx_s, arrow, tgt_s = lhs.partition("->")
+            if not arrow:
+                raise error("missing '->'")
+            idx = _ints(idx_s, "indices", error)
+            at = len(idx_s) + 2  # the offset of tgt_s
+            target = _ints(tgt_s, "indices", error, at)
             if kind == "multivector":
-                if len(tgt_tokens) != dim:
-                    raise _count_error(no, tgt_tokens, dim, colon_col,
-                                       f"exponent vector must have {dim} entries")
-                if neg := next(((col, t) for col, t in tgt_tokens if t < 0), None):
-                    raise ParseError(no, neg[0], f"negative exponent {neg[1]}")
-                target = tuple(t for _, t in tgt_tokens)
+                if len(target) != dim:
+                    raise error(f"exponent vector must have {dim} entries", at, tgt_s, dim)
+                if min(target) < 0:
+                    k = next(k for k, t in enumerate(target) if t < 0)
+                    raise error(f"negative exponent {target[k]}", at, tgt_s, k)
+                target = tuple(target)
             else:
-                if len(tgt_tokens) != 1:
-                    raise _count_error(no, tgt_tokens, 1, colon_col,
-                                       "exactly one target index")
-                ((tgt_col, target),) = tgt_tokens
+                if len(target) != 1:
+                    raise error("exactly one target index", at, tgt_s, 1)
+                (target,) = target
                 if not 1 <= target <= dim:
-                    raise ParseError(no, tgt_col, f"target index {target} out of range")
-            if len(idx_tokens) != arity:
-                raise _count_error(no, idx_tokens, arity, arrow_col,
-                                   f"expected {arity} lower indices")
-            for col, i in idx_tokens:
-                if not 1 <= i <= dim:
-                    raise ParseError(no, col, f"lower index {i} out of range")
-            idx = tuple(i for _, i in idx_tokens)
-            if kind != "leibniz":
-                for (_, a), (col, b) in zip(idx_tokens, idx_tokens[1:]):
-                    if a >= b:
-                        raise ParseError(no, col,
-                                         f"indices must be strictly increasing, got {idx}")
-            key = (idx, target)
-            if key in seen:
-                raise ParseError(no, col0, f"duplicate entry for {idx} -> {target}")
-            seen.add(key)
-            out.entries.append((idx, target, value))
-        out.metric = metric
-        return out
+                    raise error(f"target index {target} out of range", at, tgt_s)
+            if len(idx) != arity:
+                raise error(f"expected {arity} lower indices", 0, idx_s, arity)
+            if min(idx) < 1 or max(idx) > dim:
+                k = next(k for k, i in enumerate(idx) if not 1 <= i <= dim)
+                raise error(f"lower index {idx[k]} out of range", 0, idx_s, k)
+            idx = tuple(idx)
+            if kind != "leibniz" and not all(map(lt, idx, idx[1:])):
+                k = next(k for k in range(1, arity) if idx[k - 1] >= idx[k])
+                raise error(f"indices must be strictly increasing, got {idx}", 0, idx_s, k)
+            if (idx, target) in seen:
+                raise error(f"duplicate entry for {idx} -> {target}")
+            seen.add((idx, target))
+            entries.append((idx, target, value))
+        return cls(kind, arity, dim, scalar_kind, entries, metric)
 
     # -- object round trip ----------------------------------------------------
     def build(self):
+        rows = {}  # index tuple -> {target or exponent vector: value}
+        for idx, t, v in self.entries:
+            rows.setdefault(idx, {})[t] = v
         cls = BRACKETS.get(self.kind)
         if cls is not None:
-            c = {}
-            for idx, t, v in self.entries:
-                c.setdefault(idx, {})[t] = v
-            obj = cls.from_table(self.arity, self.dim, c)
+            obj = cls.from_table(self.arity, self.dim, rows)
             obj.metric = self.metric
             return obj
         if self.kind == "leibniz":
-            b = {}
-            for idx, t, v in self.entries:
-                b.setdefault(idx, {})[t] = v
-            return LeibnizAlgebra(self.dim, b)
+            return LeibnizAlgebra(self.dim, rows)
         if self.kind == "multivector":
-            comps = {}
-            for idx, exps, v in self.entries:
-                p = comps.get(idx, Poly.zero(self.dim))
-                comps[idx] = p + Poly(self.dim, {tuple(exps): v})
+            comps = {idx: Poly(self.dim, terms) for idx, terms in rows.items()}
             return AntisymTensor(self.arity, self.dim, comps, Poly.zero(self.dim))
         raise ValueError(f"unknown kind {self.kind!r}")
 
@@ -244,15 +252,10 @@ class AlgebraFile:
             return cls(obj.kind, obj.arity, obj.dim, "gaussian" if gaussian else "rational",
                        list(obj.entries()), obj.metric)
         if isinstance(obj, LeibnizAlgebra):
-            out = cls("leibniz", 2, obj.dim)
-            for (i, j), row in obj.b.items():
-                for k, v in row.items():
-                    out.entries.append(((i, j), k, v))
-            return out
+            return cls("leibniz", 2, obj.dim, entries=[
+                (ij, k, v) for ij, row in obj.b.items() for k, v in row.items()])
         if isinstance(obj, AntisymTensor) and isinstance(obj.zero, Poly):
-            out = cls("multivector", obj.rank, obj.dim)
-            for idx, p in obj.entries.items():
-                for exps, c in sorted(p.terms.items()):
-                    out.entries.append((idx, exps, c))
-            return out
+            return cls("multivector", obj.rank, obj.dim, entries=[
+                (idx, exps, c) for idx, p in obj.entries.items()
+                for exps, c in sorted(p.terms.items())])
         raise TypeError(f"cannot serialize {type(obj).__name__}")

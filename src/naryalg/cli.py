@@ -134,13 +134,17 @@ def _oversized(cx, p_max):
     return None
 
 
-def _load(path):
-    """Parse and build an algebra file whose dimension is within the cap."""
-    with open(path) as fh:
-        af = AlgebraFile.parse(fh.read())
-    if af.dim > max_dim():
-        raise ValueError(f"dimension {af.dim} above the cap {max_dim()}"
+def _check_dim(dim):
+    if dim > max_dim():
+        raise ValueError(f"dimension {dim} above the cap {max_dim()}"
                          " (override with NARY_MAX_DIM)")
+
+
+def _load(path):
+    """Parse and build an algebra file whose dimension is within the cap,
+    which is checked on the header, before the body is read."""
+    with open(path) as fh:
+        af = AlgebraFile.parse(fh.read(), _check_dim)
     return af, af.build()
 
 

@@ -134,10 +134,21 @@ def _accumulate(out, coeff, row):
 
 
 def _fi_derivation(fa):
+    # every term of a pair's residual reads the row at a + (x,) for some x,
+    # and the terms of f_b also need b stored: so only the a below a stored
+    # key are scanned, and of their b only those stored or holding such an x
     n, d = fa.arity, fa.dim
-    rows = fa.integer_scaled()[1].signed
-    for a_idx in combinations(range(1, d + 1), n - 1):
-        for b_idx in combinations(range(1, d + 1), n):
+    scaled = fa.integer_scaled()[1]
+    rows, stored = scaled.signed, scaled.c
+    above = {}  # a -> the x with a + (x,) stored
+    for key in stored:
+        for k in range(n):
+            above.setdefault(key[:k] + key[k + 1:], set()).add(key[k])
+    every_b = list(combinations(range(1, d + 1), n))
+    for a_idx, xs in sorted(above.items()):
+        for b_idx in every_b:
+            if b_idx not in stored and xs.isdisjoint(b_idx):
+                continue
             res = {}  # left side minus right side
             for l, v in rows[b_idx].items():
                 _accumulate(res, v, rows[a_idx + (l,)])

@@ -49,29 +49,17 @@ from .tensors import (AntisymTensor, BracketTensor, IdentityReport, merge_sign,
 # ---------------------------------------------------------------------------
 
 def multibracket(mats):
-    """Weight-free antisymmetrized product sum_sigma sign X_s1 .. X_sn: the
-    one-subset call of `multibrackets`."""
-    whole = tuple(range(len(mats)))
-    return multibrackets(mats, [whole])[whole]
-
-
-def multibrackets(mats, subsets):
-    """{s: multibracket([mats[i] for i in s])} over a list of strictly
-    increasing position tuples s, read off one table of the subset dynamic
-    programme (first-slot expansion, linear instead of factorial in matrix
-    products) over the requested subsets and their sub-subsets, filled one
-    size at a time and dropping the size below: up to k 2^(k-1) products
-    over k matrices.  The Clifford realization no longer reads this table:
-    its pairwise anticommuting gammas need k - 1 products per bracket
-    (`filippov.anticommuting_brackets`).  It runs on the ℤ[i] kernel:
-    every value is scaled once by D, the common denominator of all real and
-    imaginary parts of the list, to an int pair (re, im), and a bracket of k
-    matrices is divided by D^k at the end.  A bracket's values are
-    `GaussianRational` when some value of its own matrices is one, else
-    `Fraction`."""
-    if not all(subsets):
+    """Weight-free antisymmetrized product sum_sigma sign X_s1 .. X_sn, by
+    the subset dynamic programme: the first-slot expansion of the bracket of
+    every subset of the matrices, filled one size at a time from the size
+    below, up to n 2^(n-1) products instead of n!.  It runs on the ℤ[i]
+    kernel: every value is scaled once by D, the common denominator of all
+    real and imaginary parts, to an int pair (re, im), and the bracket is
+    divided by D^n at the end.  Its values are `GaussianRational` when some
+    input value is one, else `Fraction`."""
+    if not mats:
         raise ValueError("empty multibracket")
-    gaussian = [any(isinstance(v, GaussianRational) for v in m.values()) for m in mats]
+    gaussian = any(isinstance(v, GaussianRational) for m in mats for v in m.values())
     parts = []
     for m in mats:
         for v in m.values():
@@ -86,32 +74,17 @@ def multibrackets(mats, subsets):
 
     zi = [{key: (scaled(v.re), scaled(v.im)) if isinstance(v, GaussianRational)
            else (scaled(v), 0) for key, v in m.items()} for m in mats]
-
-    def members(mask):
-        return [i for i in range(len(mats)) if mask >> i & 1]
-
-    masks = {s: sum(1 << i for i in s) for s in subsets}
-    levels = {}
-    for m in masks.values():
-        levels.setdefault(m.bit_count(), set()).add(m)
-    top = max(levels, default=1)
-    for k in range(top, 2, -1):
-        levels.setdefault(k - 1, set()).update(
-            m & ~(1 << i) for m in levels[k] for i in members(m))
-    out = dict.fromkeys(subsets)
-    table = {1 << i: m for i, m in enumerate(zi)}
-    for k in range(1, top + 1):
-        if k > 1:
-            table = {m: linalg.zi_sum(((-1) ** pos, linalg.zi_mul(zi[i], table[m & ~(1 << i)]))
-                                      for pos, i in enumerate(members(m)))
-                     for m in levels[k]}
-        denom = scale ** k
-        for s, m in masks.items():
-            if len(s) == k:
-                out[s] = (linalg.zi_wrap(table[m], Fraction(1, denom))
-                          if any(gaussian[i] for i in s)
-                          else {key: Fraction(re, denom) for key, (re, _) in table[m].items()})
-    return out
+    n = len(mats)
+    table = {(i,): m for i, m in enumerate(zi)}
+    for k in range(2, n + 1):
+        table = {s: linalg.zi_sum(((-1) ** pos, linalg.zi_mul(zi[i], table[s[:pos] + s[pos + 1:]]))
+                                  for pos, i in enumerate(s))
+                 for s in combinations(range(n), k)}
+    (whole,) = table.values()
+    denom = scale ** n
+    if gaussian:
+        return linalg.zi_wrap(whole, Fraction(1, denom))
+    return {key: Fraction(re, denom) for key, (re, _) in whole.items()}
 
 
 def multibracket_weighted(mats):

@@ -52,12 +52,14 @@ identity (`lie.check_jacobi`).  Every identity check returns an
 
 The epsilon scan `eps_identities_check` sorts each distinct index tuple once
 per call into a table of its (sorted key, sign) and the keyed signs of its
-first-row minors and pair splits.  A Kronecker symbol of two rows is then
-the product of their signs when their keys match, else 0.  An (upper,
-lower) entry can be nonzero on either side only where the lower shares the
-upper's key or holds the minor or split that the upper's sums read; the
-lowers are indexed by those keys, and every other entry, 0 = 0 on both
-sides, is skipped.
+first-row minors and pair splits; the slots of each minor and split, and
+their signs, depend on n alone, so they are taken once as getters
+(`_block_getter`) through which every tuple reads its pieces.  A Kronecker
+symbol of two rows is then the product of their signs when their keys
+match, else 0.  An (upper, lower) entry can be nonzero on either side only
+where the lower shares the upper's key or holds the minor or split that the
+upper's sums read; the lowers are indexed by those keys, and every other
+entry, 0 = 0 on both sides, is skipped.
 """
 
 from __future__ import annotations
@@ -396,7 +398,7 @@ class BracketTensor:
                 if any(not is_zero(v) for v in row.values()):
                     raise ValueError("repeated lower indices must read zero")
                 continue
-            row2 = {j: s * rat(v) for j, v in row.items() if not is_zero(v)}
+            row2 = {j: rat(v) if s == 1 else -rat(v) for j, v in row.items() if not is_zero(v)}
             if not row2:
                 continue
             if key in clean and clean[key] != row2:
@@ -546,27 +548,30 @@ def _eps_tables(n, d):
     (-1)^s times the minor's sorting sign; `splits` maps the sorted key of a
     pair (l[s], l[t]) to [(sign, rest key)], sign = (-1)^(s+t+1) times the
     sorting signs of the pair and of the rest.  Entries whose sorting sign
-    is 0 would only add zero and are left out."""
-    memo = {}
+    is 0 would only add zero and are left out.  The slots of every minor,
+    pair and rest, and the signs (-1)^s and (-1)^(s+t+1), are fixed by n:
+    they are taken once, as one getter per slot block, and each tuple reads
+    its pieces through them, each sorted through the per-call memo."""
+    signed = cache(lambda seq: sort_sign(seq))  # sort_sign read at call time
+    slots = range(n)
 
-    def signed(seq):
-        got = memo.get(seq)
-        if got is None:
-            got = memo[seq] = sort_sign(seq)
-        return got
+    def without(*out):
+        return _block_getter(tuple(k for k in slots if k not in out))
 
-    pairs = [(s, t, (-1) ** (s + t + 1)) for s in range(n) for t in range(s + 1, n)]
+    minor_slots = [(s, (-1) ** s, without(s)) for s in slots]
+    split_slots = [(_block_getter((s, t)), without(s, t), (-1) ** (s + t + 1))
+                   for s in slots for t in range(s + 1, n)]
     tables = []
     for tup in product(range(1, d + 1), repeat=n):
         minors = {}
-        for s in range(n):
-            key, sign = signed(tup[:s] + tup[s + 1:])
-            if sign:
-                minors.setdefault(tup[s], []).append(((-1) ** s * sign, key))
+        for s, sign, minor in minor_slots:
+            key, msign = signed(minor(tup))
+            if msign:
+                minors.setdefault(tup[s], []).append((sign * msign, key))
         splits = {}
-        for s, t, sign in pairs:
-            pkey, psign = signed((tup[s], tup[t]))
-            rkey, rsign = signed(tuple(tup[k] for k in range(n) if k not in (s, t)))
+        for pair, rest, sign in split_slots:
+            pkey, psign = signed(pair(tup))
+            rkey, rsign = signed(rest(tup))
             if psign and rsign:
                 splits.setdefault(pkey, []).append((sign * psign * rsign, rkey))
         pieces = (signed(tup[1:]), signed(tup[:2]), signed(tup[2:]))

@@ -74,13 +74,20 @@ closure per term.  They are the references of the row-kernel parity tests.
 `cohomology_dims` ranking every degree, before the upper half of the trivial
 complex of a unimodular algebra was read from its Poincare mirror: the
 reference of the duality tests.
+
+`parse_alg`, the .alg reader as it stood before it split each line once and
+memoized its scalars: one regex match per token, each token's column worked
+out as it is read.  It is the reference of the parser fuzz test, for the
+parsed file and for the line, column and message of every `ParseError`.
 """
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from naryalg import cohomology, linalg, nary_cohomology
+from naryalg.algfile import KINDS, AlgebraFile, ParseError
 from naryalg.filippov import (CliffordReport, FARepresentation, FilippovAlgebra,
                               adjoint_fa_representation, check_metric_fa, fundamental_compose,
                               simple_fa)
@@ -88,7 +95,8 @@ from naryalg.gla import GLAlgebra, lie_as_gla
 from naryalg.lie import LieAlgebra, MetricReport, Representation, SymInvariantPoly, killing_form
 from naryalg.poisson import GPSReport, NPReport, _decomposable_hint
 from naryalg.poly import Poly, add_product
-from naryalg.scalars import ZERO, GaussianRational, LinearForm, accumulate, is_zero, rat
+from naryalg.scalars import (ZERO, GaussianRational, LinearForm, accumulate, is_zero, parse_scalar,
+                             rat)
 from naryalg.tensors import (AntisymTensor, IdentityReport, fold_antisym, gen_kronecker,
                              insert_sign, merge_sign, perm_sign, ray_equal, sort_blocks, sort_sign)
 
@@ -2046,4 +2054,144 @@ def gla_from_cocycle(alg, omega):
     rep = check_mgji(lie_as_gla(alg), out)
     if not rep.ok:
         raise AssertionError(f"mixed identity failed at {rep.witness}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the .alg reader with a regex match per token
+# ---------------------------------------------------------------------------
+
+def _int_tokens(text, line_no, col0, what):
+    """(column, integer) for each whitespace-separated token of `text`, which
+    starts at column col0 of line line_no; a token that is not an integer is
+    a ParseError at its own column."""
+    out = []
+    for m in re.finditer(r"\S+", text):
+        try:
+            out.append((col0 + m.start(), int(m.group())))
+        except ValueError:
+            raise ParseError(line_no, col0 + m.start(),
+                             f"{what} must be integers, got {m.group()!r}") from None
+    return out
+
+
+def _count_error(line_no, tokens, want, end_col, message):
+    """A ParseError for a token list whose length is not `want`: at the first
+    surplus token, or at `end_col` (where the list ends) when one is missing."""
+    col = tokens[want][0] if len(tokens) > want else end_col
+    return ParseError(line_no, col, message)
+
+
+def parse_alg(text):
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(1, 1, "empty file")
+    head = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", lines[0])]
+    if len(head) != 4:
+        raise ParseError(1, 1, "header must be: kind arity dim scalar")
+    (kind_col, kind), (arity_col, arity_s), (dim_col, dim_s), (scalar_col, scalar_kind) = head
+    if kind not in KINDS:
+        raise ParseError(1, kind_col, f"unknown kind {kind!r}")
+    ((_, arity),) = _int_tokens(arity_s, 1, arity_col, "arity and dim")
+    ((_, dim),) = _int_tokens(dim_s, 1, dim_col, "arity and dim")
+    if arity < 1:
+        raise ParseError(1, arity_col, f"arity must be positive, got {arity}")
+    if dim < 1:
+        raise ParseError(1, dim_col, f"dim must be positive, got {dim}")
+    if kind == "filippov" and arity < 2:
+        raise ParseError(1, arity_col, f"filippov files need arity >= 2, got {arity}")
+    if kind in ("lie", "leibniz") and arity != 2:
+        raise ParseError(1, arity_col, f"{kind} files have arity 2, got {arity}")
+    if kind == "gla" and arity % 2:
+        raise ParseError(1, arity_col, f"gla files need an even arity, got {arity}")
+    if kind != "leibniz" and arity > dim:
+        raise ParseError(1, arity_col, f"arity {arity} exceeds dim {dim}:"
+                         " no strictly increasing index tuple exists")
+    if scalar_kind not in ("rational", "gaussian"):
+        raise ParseError(1, scalar_col, f"unknown scalar kind {scalar_kind!r}")
+    out = AlgebraFile(kind, arity, dim, scalar_kind)
+    in_metric = False
+    metric = None
+    seen = set()
+    metric_pairs = set()
+    for no, line in enumerate(lines[1:], start=2):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        col0 = len(line) - len(line.lstrip()) + 1  # column of stripped[0]
+        if stripped == "metric":
+            if in_metric:
+                raise ParseError(no, col0, "a second metric block")
+            in_metric = True
+            metric = [[Fraction(0)] * dim for _ in range(dim)]
+            continue
+        if ":" not in stripped:
+            raise ParseError(no, col0, "missing ':' separator")
+        lhs, _, val_s = stripped.rpartition(":")
+        colon_col = col0 + len(lhs)
+        try:
+            value = parse_scalar(val_s)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(no, colon_col + 1, f"bad scalar {val_s.strip()!r}")
+        if scalar_kind == "rational" and isinstance(value, GaussianRational):
+            raise ParseError(no, colon_col + 1, "gaussian literal in a rational file")
+        if in_metric:
+            parts = _int_tokens(lhs, no, col0, "metric indices")
+            if len(parts) != 2:
+                raise _count_error(no, parts, 2, colon_col,
+                                   "metric lines are `i j : value`")
+            for col, i in parts:
+                if not 1 <= i <= dim:
+                    raise ParseError(no, col, f"metric index {i} out of range")
+            (_, i), (_, j) = parts
+            pair = (min(i, j), max(i, j))
+            if pair in metric_pairs:
+                raise ParseError(no, col0, f"duplicate metric entry for {pair}")
+            metric_pairs.add(pair)
+            metric[i - 1][j - 1] = value
+            metric[j - 1][i - 1] = value
+            continue
+        if isinstance(value, GaussianRational):
+            if value.im:
+                raise ParseError(no, colon_col + 1,
+                                 f"entry values must be real, got {val_s.strip()!r}")
+            value = value.re
+        if "->" not in lhs:
+            raise ParseError(no, col0, "missing '->'")
+        idx_s, _, tgt_s = lhs.partition("->")
+        arrow_col = col0 + len(idx_s)
+        idx_tokens = _int_tokens(idx_s, no, col0, "indices")
+        tgt_tokens = _int_tokens(tgt_s, no, arrow_col + 2, "indices")
+        if kind == "multivector":
+            if len(tgt_tokens) != dim:
+                raise _count_error(no, tgt_tokens, dim, colon_col,
+                                   f"exponent vector must have {dim} entries")
+            if neg := next(((col, t) for col, t in tgt_tokens if t < 0), None):
+                raise ParseError(no, neg[0], f"negative exponent {neg[1]}")
+            target = tuple(t for _, t in tgt_tokens)
+        else:
+            if len(tgt_tokens) != 1:
+                raise _count_error(no, tgt_tokens, 1, colon_col,
+                                   "exactly one target index")
+            ((tgt_col, target),) = tgt_tokens
+            if not 1 <= target <= dim:
+                raise ParseError(no, tgt_col, f"target index {target} out of range")
+        if len(idx_tokens) != arity:
+            raise _count_error(no, idx_tokens, arity, arrow_col,
+                               f"expected {arity} lower indices")
+        for col, i in idx_tokens:
+            if not 1 <= i <= dim:
+                raise ParseError(no, col, f"lower index {i} out of range")
+        idx = tuple(i for _, i in idx_tokens)
+        if kind != "leibniz":
+            for (_, a), (col, b) in zip(idx_tokens, idx_tokens[1:]):
+                if a >= b:
+                    raise ParseError(no, col,
+                                     f"indices must be strictly increasing, got {idx}")
+        key = (idx, target)
+        if key in seen:
+            raise ParseError(no, col0, f"duplicate entry for {idx} -> {target}")
+        seen.add(key)
+        out.entries.append((idx, target, value))
+    out.metric = metric
     return out

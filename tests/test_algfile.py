@@ -6,21 +6,24 @@ generated and corrupted files byte for byte.
 """
 
 import contextlib
+import copy
 import hashlib
 import io
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from naryalg import catalog, cli
-from naryalg.algfile import AlgebraFile
+import dense_reference as dense
+from naryalg import algfile, catalog, cli
+from naryalg.algfile import AlgebraFile, ParseError
 from naryalg.filippov import FilippovAlgebra
 from naryalg.gla import GLAlgebra
-from naryalg.lie import LieAlgebra
-from naryalg.poisson import bracket_multivector
+from naryalg.lie import LieAlgebra, killing_form
+from naryalg.poisson import bracket_multivector, lie_poisson_bivector, linear_gps_from_cocycle
 from naryalg.poly import Poly
 from naryalg.scalars import GaussianRational
 
@@ -65,12 +68,17 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("argv", sorted(GENERATED), ids=" ".join)
-def test_generate_output_is_pinned(argv):
+def generate(argv):
+    """The file `naryalg generate <argv>` writes to stdout."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(["generate", *argv]) == 0
-    assert sha256(out.getvalue()) == GENERATED[argv]
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("argv", sorted(GENERATED), ids=" ".join)
+def test_generate_output_is_pinned(argv):
+    assert sha256(generate(argv)) == GENERATED[argv]
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTED))
@@ -218,3 +226,126 @@ def test_only_poly_valued_tensors_are_multivector_files():
     assert back == lam and back.zero == Poly.zero(8)
     with pytest.raises(TypeError):
         AlgebraFile.from_object(catalog.su3_three_cocycle())
+
+
+# ---------------------------------------------------------------------------
+# the one-pass reader against the reader with a regex match per token
+# ---------------------------------------------------------------------------
+
+def with_metric(obj, metric):
+    """A copy of obj with the metric; the catalog shares su(n) objects."""
+    obj = copy.copy(obj)
+    obj.metric = metric
+    return obj
+
+
+def checks_files():
+    """The text of every file the benchmark's checks workload reads: the
+    catalog algebras, their corrupted copies, two metric files, two
+    multivector fields and the two generated Filippov algebras."""
+    su3, a13 = catalog.su(3), catalog.a13()
+    objs = {"su3": su3, "heisenberg": catalog.heisenberg(), "a4": catalog.a4(), "a13": a13,
+            "a5": catalog.a5(), "nhw2": catalog.nhw(2), "su3-gla4": catalog.su3_gla4(),
+            "nilpotent-leibniz": catalog.nilpotent_leibniz()}
+    texts = {name: AlgebraFile.from_object(obj).emit() for name, obj in objs.items()}
+    for name in ("su3", "a4", "a5", "su3-gla4"):
+        texts[f"corrupted-{name}"] = AlgebraFile.from_object(catalog.corrupted(objs[name])).emit()
+    af = AlgebraFile.from_object(su3)
+    af.metric = killing_form(su3)
+    texts["su3-killing"] = af.emit()
+    af = AlgebraFile.from_object(a13)
+    af.metric = [[Fraction(s if i == j else 0) for j in range(4)]
+                 for i, s in enumerate((-1, 1, 1, 1))]
+    texts["a13-signature"] = af.emit()
+    texts["lie-su3"] = AlgebraFile.from_object(lie_poisson_bivector(su3)).emit()
+    texts["lin4-su3"] = AlgebraFile.from_object(
+        linear_gps_from_cocycle(su3, catalog.su3_five_cocycle())).emit()
+    for argv in (("clifford", "--n", "5"), ("simple-fa", "--n", "5")):
+        texts[" ".join(argv)] = generate(argv)
+    return texts
+
+
+def test_clean_files_take_the_fast_path(monkeypatch):
+    # no column is worked out and each distinct scalar text is parsed once
+    # per file, on every file the checks workload reads and every catalog
+    # file; equal to the reference reader on each
+    texts = {**checks_files(), **{" ".join(argv): generate(argv) for argv in GENERATED}}
+    columns, scalars = [], []
+    right_column, right_scalar = algfile._column, algfile.parse_scalar
+    monkeypatch.setattr(algfile, "_column", lambda *a: columns.append(a) or right_column(*a))
+    monkeypatch.setattr(algfile, "parse_scalar", lambda s: scalars.append(s) or right_scalar(s))
+    for name, text in texts.items():
+        scalars.clear()
+        af = AlgebraFile.parse(text)
+        assert repr(af) == repr(dense.parse_alg(text)), name
+        assert len(scalars) == len(set(scalars)) == len({ln.rpartition(":")[2]
+                                                         for ln in text.splitlines()[1:]
+                                                         if ":" in ln}), name
+    assert columns == []
+    assert len(texts) == 18 + 11 - 3  # heisenberg and the two n = 5 files are in both
+
+
+FUZZ_SOURCES = [
+    AlgebraFile.from_object(obj).emit()
+    for obj in (catalog.su(2), catalog.heisenberg(), catalog.a4(), catalog.nhw(1),
+                catalog.nilpotent_leibniz(), lie_poisson_bivector(catalog.su(2)),
+                bracket_multivector(catalog.a4()),
+                with_metric(catalog.su(2), killing_form(catalog.su(2))),
+                with_metric(catalog.a13(), [[GaussianRational(int(i == j), int(i + j == 3))
+                                             for j in range(4)] for i in range(4)]))
+] + [AlgebraFile.from_object(catalog.corrupted(catalog.a4())).emit()]
+INSERTS = [" ", "  ", "\t", ":", "->", "#", "-", "/", "i", "0", "9", "x", "metric", "1/0"]
+
+
+@st.composite
+def mutated_files(draw):
+    """A catalog file with a few of its tokens swapped, deleted, duplicated
+    or changed, separators, spaces and comment marks put in, lines dropped
+    or repeated, and metric lines added."""
+    lines = draw(st.sampled_from(FUZZ_SOURCES)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        no = draw(st.integers(0, len(lines) - 1))
+        line = lines[no]
+        spans = [m.span() for m in re.finditer(r"\S+", line)]
+        op = draw(st.sampled_from(["swap", "delete", "duplicate", "digit", "insert",
+                                   "metric", "drop", "repeat"]))
+        if op in ("swap", "delete", "duplicate") and spans:
+            a, b = sorted(draw(st.lists(st.sampled_from(spans), min_size=2, max_size=2)))
+            tok_a, tok_b = line[a[0]:a[1]], line[b[0]:b[1]]
+            if op == "swap" and a != b:
+                line = line[:a[0]] + tok_b + line[a[1]:b[0]] + tok_a + line[b[1]:]
+            elif op == "delete":
+                line = line[:a[0]] + line[a[1]:]
+            else:
+                line = line[:a[1]] + " " + tok_a + line[a[1]:]
+        elif op == "digit":
+            digits = [k for k, c in enumerate(line) if c.isdigit()]
+            if digits:
+                k = draw(st.sampled_from(digits))
+                line = line[:k] + draw(st.sampled_from([*"0123456789-+/xi", "-1"])) + line[k + 1:]
+        elif op == "insert":
+            k = draw(st.integers(0, len(line)))
+            line = line[:k] + draw(st.sampled_from(INSERTS)) + line[k:]
+        elif op == "metric":
+            lines.insert(no + 1, draw(st.sampled_from(
+                ["metric", "1 1 : 1", "  2 1 : -1/2", "1 2 : 1+1i", "3 3 3 : 1", "1 : 2"])))
+        elif op == "drop" and no:
+            del lines[no]
+            continue
+        elif op == "repeat":
+            lines.insert(no, line)
+        lines[no] = line
+    return "\n".join(lines) + "\n"
+
+
+def outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except ParseError as exc:
+        return exc.line_no, exc.col, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_files())
+def test_the_reader_agrees_with_the_reference_on_mutated_files(text):
+    assert outcome(AlgebraFile.parse, text) == outcome(dense.parse_alg, text)

@@ -1,6 +1,7 @@
 """Input handling of the command-line front-end, run in-process."""
 
 import json
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -69,6 +70,25 @@ def test_dimension_cap_follows_the_environment(a4_file, monkeypatch, capsys):
     monkeypatch.setenv("NARY_MAX_DIM", "3")
     assert cli.main(["cohomology", a4_file, "--complex", "trivial"]) == 2
     assert "dimension 4 above the cap 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "cohomology", "poisson"])
+def test_dimension_cap_is_checked_before_the_body_is_read(tmp_path, monkeypatch, capsys,
+                                                          command):
+    # a metric header once allocated its dim x dim block (68 MB at dim 3000)
+    # before the cap was checked
+    monkeypatch.delenv("NARY_MAX_DIM", raising=False)
+    path = tmp_path / "wide.alg"
+    path.write_text("lie 2 3000 rational\nmetric\n")
+    tracemalloc.start()
+    try:
+        assert cli.main([command, str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    err = capsys.readouterr().err
+    assert err == "input error: dimension 3000 above the cap 8 (override with NARY_MAX_DIM)\n"
 
 
 @pytest.mark.parametrize("command", ["cohomology", "check"])

@@ -7,7 +7,7 @@ class, method or property has a caller in `src/` or a test, no module
 defines, imports, reads or calls a name of the deleted dense matrix layer
 (`mat_mul`, `commutator`, `trace`, ..), the su(n) and gamma-matrix
 constructions and the Clifford realization with its anticommutation lemma
-make no generic sparse product and no subset multibracket (they stay on
+make no generic sparse product and no multibracket (they stay on
 `zi_*`), and no
 `__init__`, `__post_init__` or `__missing__` outside `tensors.py` sorts a key
 with `sort_sign`: the one sign-canonical container is
@@ -218,8 +218,7 @@ DENSE_NAMES = {"mat_add", "mat_sub", "mat_scale", "mat_mul", "mat_eq", "transpos
                "commutator", "anticommutator", "is_zero_matrix", "conj_transpose", "zi_to_dense"}
 KERNEL_FUNCTIONS = {"sun_generators", "symmetrized_trace_poly", "gamma_matrices", "_zi_gammas",
                     "_chirality", "anticommuting_brackets", "clifford_realization"}
-GENERIC_PRODUCTS = {"sp_mul", "sp_commutator", "sp_anticommutator", "sp_trace", "multibracket",
-                    "multibrackets"}
+GENERIC_PRODUCTS = {"sp_mul", "sp_commutator", "sp_anticommutator", "sp_trace", "multibracket"}
 
 
 def called_name(call):
@@ -272,10 +271,10 @@ def test_scan_sees_a_generic_product_in_the_integer_kernel():
     source = ("def gamma_matrices(d):\n    return linalg.zi_mul(d, d), linalg.sp_mul(d, d)\n"
               "def closure_residual(a, b):\n    return linalg.sp_commutator(a, b)\n"
               "def _chirality(g):\n    def inner(x):\n        return sp_trace(x, x)\n"
-              "def clifford_realization(n):\n    return gla.multibrackets(n, [])\n")
+              "def clifford_realization(n):\n    return gla.multibracket(n)\n")
     assert generic_product_calls(source) == [("gamma_matrices", "sp_mul"),
                                              ("_chirality", "sp_trace"),
-                                             ("clifford_realization", "multibrackets")]
+                                             ("clifford_realization", "multibracket")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
