@@ -29,7 +29,6 @@ component is one `Poly` of all its terms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import lt
 
@@ -39,7 +38,7 @@ from .lie import LieAlgebra
 from .nary_cohomology import LeibnizAlgebra
 from .poly import Poly
 from .scalars import GaussianRational, format_scalar, parse_scalar
-from .tensors import AntisymTensor, BracketTensor
+from .tensors import AntisymTensor, BracketTensor, FieldEq
 
 # the structure-constant kinds, each stored as a BracketTensor subclass
 BRACKETS = {cls.kind: cls for cls in (LieAlgebra, GLAlgebra, FilippovAlgebra)}
@@ -112,14 +111,13 @@ def _header(line):
     return kind, arity, dim, scalar_kind
 
 
-@dataclass
-class AlgebraFile:
-    kind: str
-    arity: int
-    dim: int
-    scalar_kind: str = "rational"
-    entries: list = field(default_factory=list)  # (tuple, target, value)
-    metric: list | None = None
+class AlgebraFile(FieldEq):
+    _fields = ("kind", "arity", "dim", "scalar_kind", "entries", "metric")
+
+    def __init__(self, kind, arity, dim, scalar_kind="rational", entries=None, metric=None):
+        self.kind, self.arity, self.dim, self.scalar_kind = kind, arity, dim, scalar_kind
+        self.entries = [] if entries is None else entries  # (tuple, target, value)
+        self.metric = metric
 
     # -- text round trip -----------------------------------------------------
     def emit(self) -> str:

@@ -1,11 +1,17 @@
 """Named catalog of the algebras every suite runs against, plus corrupted
-negative controls."""
+negative controls.
+
+su(n) and the su(3) cocycles and GLA are built once per process and kept;
+each call hands out a copy of the kept object (`copy`), so a caller that
+sets a metric, edits a table row or plants a memo on its result changes no
+later call.  `sun_basis` hands out the kept generator basis itself, whose
+algebra the copies are taken from: its readers must not change it."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from functools import lru_cache
 
 from .filippov import FilippovAlgebra, check_fi, simple_fa
 from .gla import GLAlgebra, check_gji, gla_from_cocycle
@@ -14,13 +20,22 @@ from .lie import (LieAlgebra, check_jacobi, cocycle_from_invariant_poly,
 from .nary_cohomology import LeibnizAlgebra
 
 
-@lru_cache(maxsize=None)
+@cache
 def sun_basis(n):
     return sun_generators(n)
 
 
 def su(n) -> LieAlgebra:
-    return sun_basis(n).algebra
+    return sun_basis(n).algebra.copy()
+
+
+def _copies(build):
+    """build, run once; every call returns a copy of its result."""
+    kept = cache(build)
+
+    def copy_of():
+        return kept().copy()
+    return copy_of
 
 
 def heisenberg() -> LieAlgebra:
@@ -61,20 +76,21 @@ def nhw(n_blocks=1) -> FilippovAlgebra:
     return FilippovAlgebra(3, d + 1, f)
 
 
-@lru_cache(maxsize=None)
+@_copies
 def su3_five_cocycle():
     basis = sun_basis(3)
     return cocycle_from_invariant_poly(basis.algebra, symmetrized_trace_poly(basis, 3))
 
 
-@lru_cache(maxsize=None)
+@_copies
 def su3_three_cocycle():
-    return cocycle_from_invariant_poly(su(3), killing_invariant_poly(su(3)))
+    alg = sun_basis(3).algebra
+    return cocycle_from_invariant_poly(alg, killing_invariant_poly(alg))
 
 
-@lru_cache(maxsize=None)
+@_copies
 def su3_gla4() -> GLAlgebra:
-    return gla_from_cocycle(su(3), su3_five_cocycle())
+    return gla_from_cocycle(sun_basis(3).algebra, su3_five_cocycle())
 
 
 def nilpotent_leibniz() -> LeibnizAlgebra:

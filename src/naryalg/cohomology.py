@@ -65,7 +65,6 @@ module complexes and non-unimodular algebras rank every degree.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -73,7 +72,7 @@ from math import comb
 from . import linalg
 from .lie import LieAlgebra, Representation, check_jacobi, inverse_killing_form
 from .scalars import ZERO, LinearForm, accumulate, common_denominator, rat
-from .tensors import AntisymTensor
+from .tensors import AntisymTensor, FieldEq
 
 
 class Cochain(AntisymTensor):
@@ -254,12 +253,11 @@ def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v, *, integer=False, _tables=
     return rows if integer else unscale_rows(rows, d), cx.coords(p), cx.coords(p + 1)
 
 
-@dataclass
-class CohomologyReport:
-    dims_c: dict
-    dims_z: dict
-    dims_b: dict
-    dims_h: dict
+class CohomologyReport(FieldEq):
+    _fields = ("dims_c", "dims_z", "dims_b", "dims_h")
+
+    def __init__(self, dims_c, dims_z, dims_b, dims_h):
+        self.dims_c, self.dims_z, self.dims_b, self.dims_h = dims_c, dims_z, dims_b, dims_h
 
     @classmethod
     def from_ranks(cls, dims_c, ranks):
@@ -433,14 +431,14 @@ def trivialize_extension(alg: LieAlgebra, om2: Cochain):
 # deformations
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DeformationReport:
-    is_cocycle: bool
-    is_coboundary: bool
-    obstruction: Cochain | None
-    obstruction_is_cocycle: bool | None
-    obstruction_is_coboundary: bool | None
-    obstruction_potential: Cochain | None
+    def __init__(self, is_cocycle, is_coboundary, obstruction, obstruction_is_cocycle,
+                 obstruction_is_coboundary, obstruction_potential):
+        self.is_cocycle, self.is_coboundary = is_cocycle, is_coboundary
+        self.obstruction = obstruction  # the Cochain gamma, or None
+        self.obstruction_is_cocycle = obstruction_is_cocycle
+        self.obstruction_is_coboundary = obstruction_is_coboundary
+        self.obstruction_potential = obstruction_potential  # a Cochain, or None
 
 
 def deformation_check(alg: LieAlgebra, alpha: Cochain) -> DeformationReport:

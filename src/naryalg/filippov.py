@@ -20,7 +20,6 @@ The Kasymov form is `lie.trace_form` and the metric invariance scan is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import isqrt
@@ -248,14 +247,14 @@ def compose_matches_commutator(fa: FilippovAlgebra, x_labels, y_labels) -> bool:
 # the Lie algebra of inner derivations
 # ---------------------------------------------------------------------------
 
-@dataclass
 class InDerAlgebra:
-    fa: FilippovAlgebra
-    wedge_labels: list          # all sorted (n-1)-tuples
-    basis_labels: list          # subset whose ad matrices form a basis
-    basis_mats: list
-    lie: LieAlgebra             # structure constants of the span
-    projection: dict            # wedge label -> coords in the basis
+    def __init__(self, fa, wedge_labels, basis_labels, basis_mats, lie, projection):
+        self.fa = fa
+        self.wedge_labels = wedge_labels  # all sorted (n-1)-tuples
+        self.basis_labels = basis_labels  # subset whose ad matrices form a basis
+        self.basis_mats = basis_mats
+        self.lie = lie                    # structure constants of the span
+        self.projection = projection      # wedge label -> coords in the basis
 
 
 def _span_system(mats):
@@ -480,17 +479,18 @@ def check_metric_fa(fa: FilippovAlgebra, g) -> MetricReport:
 # the BLG gauge algebra
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GaugeAlgebra:
     """Inder(g) with its two invariant forms, dense on `inder.basis_labels`."""
-    inder: InDerAlgebra
-    k1: list                        # Tr(ad_X ad_Y), the Kasymov form
-    k2: list                        # k2(x^y, z^w) = <[x, y, z], w>
-    ill_defined_at: tuple | None    # first wedge-label pair off the pull-back of k2
-    k1_invariant: bool
-    k2_invariant: bool
-    k2_signature: tuple
-    levels: dict | None             # rational eigenvalue of k1^-1 k2 -> its eigenspace
+
+    def __init__(self, inder, k1, k2, ill_defined_at, k1_invariant, k2_invariant,
+                 k2_signature, levels):
+        self.inder = inder
+        self.k1 = k1                          # Tr(ad_X ad_Y), the Kasymov form
+        self.k2 = k2                          # k2(x^y, z^w) = <[x, y, z], w>
+        self.ill_defined_at = ill_defined_at  # first wedge-label pair off the pull-back of k2
+        self.k1_invariant, self.k2_invariant = k1_invariant, k2_invariant
+        self.k2_signature = k2_signature
+        self.levels = levels                  # rational eigenvalue of k1^-1 k2 -> its eigenspace
 
 
 def gauge_algebra(fa: FilippovAlgebra, g) -> GaugeAlgebra:
@@ -661,13 +661,12 @@ def derivation_space_dim(fa: FilippovAlgebra) -> int:
 # representations in the fundamental-object sense
 # ---------------------------------------------------------------------------
 
-@dataclass
 class FARepresentation:
     """rho: sorted wedge label -> sparse dim_v x dim_v matrix (see `linalg`),
     extended to unsorted labels with antisymmetry."""
 
-    mats: dict
-    dim_v: int
+    def __init__(self, mats, dim_v):
+        self.mats, self.dim_v = mats, dim_v
 
 
 def check_fa_representation(fa: FilippovAlgebra, rho: FARepresentation) -> bool:
@@ -793,13 +792,11 @@ def anticommuting_brackets(mats, tuples, known=0):
     return out
 
 
-@dataclass
 class CliffordReport:
-    n: int
-    identity_ok: bool
-    double_commutator_ok: bool | None
-    induced: FilippovAlgebra
-    matches_simple: bool
+    def __init__(self, n, identity_ok, double_commutator_ok, induced, matches_simple):
+        self.n, self.identity_ok = n, identity_ok
+        self.double_commutator_ok = double_commutator_ok  # None unless n = 3
+        self.induced, self.matches_simple = induced, matches_simple
 
 
 def clifford_realization(n: int) -> CliffordReport:

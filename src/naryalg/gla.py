@@ -87,11 +87,6 @@ def multibracket(mats):
     return {key: Fraction(re, denom) for key, (re, _) in whole.items()}
 
 
-def multibracket_weighted(mats):
-    """Weight-one variant: multibracket / n!."""
-    return linalg.sp_scale(Fraction(1, factorial(len(mats))), multibracket(mats))
-
-
 def resolve_even_bracket(mats):
     """Expansion of a 2s-bracket into ordered products of two-brackets via the
     pairwise epsilon resolution; returns (terms, matrix) where each term is
@@ -155,10 +150,10 @@ class GLAlgebra(BracketTensor):
 
     kind = "gla"
 
-    def __post_init__(self):
-        if self.arity % 2:
+    def __init__(self, arity, dim, c=None, metric=None):
+        if arity % 2:
             raise ValueError("bracket arity must be even")
-        super().__post_init__()
+        super().__init__(arity, dim, c, metric)
 
     c_row = BracketTensor.row
     c_get = BracketTensor.get

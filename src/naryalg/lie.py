@@ -26,7 +26,6 @@ real constants serve both.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
@@ -34,8 +33,8 @@ from math import factorial
 from . import linalg
 from .scalars import (GaussianRational, accumulate, common_denominator, is_zero, rat,
                       scaled_to_ints)
-from .tensors import (AntisymTensor, BracketTensor, IdentityReport, fold_antisym,
-                      nested_bracket_residuals, ray_equal, shuffle_splits)
+from .tensors import (AntisymTensor, BracketTensor, FieldEq, IdentityReport, fold_antisym,
+                      nested_bracket_residuals, shuffle_splits)
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +155,12 @@ def inverse_killing_form(alg: LieAlgebra):
     return alg.memoized("kinv", lambda: tuple(map(tuple, linalg.inverse(killing_form(alg)))))
 
 
-@dataclass
-class MetricReport:
-    invariant: bool
-    nondegenerate: bool
-    witness: tuple | None = None
-    lowered: AntisymTensor | None = None  # a Filippov metric's invariant (n+1)-form
+class MetricReport(FieldEq):
+    _fields = ("invariant", "nondegenerate", "witness", "lowered")
+
+    def __init__(self, invariant, nondegenerate, witness=None, lowered=None):
+        self.invariant, self.nondegenerate, self.witness = invariant, nondegenerate, witness
+        self.lowered = lowered  # a Filippov metric's invariant (n+1)-form
 
     @property
     def metric(self):
@@ -225,21 +224,22 @@ def check_metric_invariance(alg: LieAlgebra, g) -> MetricReport:
 # representations
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Representation:
     """Sparse dim_v x dim_v matrices rho_i (see `linalg`) with
-    [rho_i, rho_j] = C_ij^k rho_k, entrywise exact."""
+    [rho_i, rho_j] = C_ij^k rho_k, entrywise exact.
 
-    algebra: LieAlgebra
-    mats: list
-    dim_v: int
-    check: bool = True
+    The constructor checks the closure with `closure_residual` and raises
+    ValueError at the first failing pair.  Two builders pass check=False,
+    as the scan would repeat a check made elsewhere: `adjoint_rep`, whose
+    closure is the Jacobi identity (`check_jacobi`), and `sun_generators`,
+    which checks the closure on the doubled ℤ[i] generators it holds."""
 
-    def __post_init__(self):
-        if self.check:
-            bad = closure_residual(self.algebra, self.mats)
+    def __init__(self, algebra, mats, dim_v, check=True):
+        if check:
+            bad = closure_residual(algebra, mats)
             if bad is not None:
                 raise ValueError(f"not a representation: residual at {bad}")
+        self.algebra, self.mats, self.dim_v = algebra, mats, dim_v
 
 
 def closure_residual(alg: LieAlgebra, mats):
@@ -279,12 +279,12 @@ def associator_check(mats) -> bool:
 # su(n) generators
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SunBasis:
-    rep: Representation            # antihermitian matrices, real closure
-    hermitian: list                # X_i = i * rep.mats[i-1], sparse
-    trace_norms: list              # Tr(X_i X_i), rational, diagonal metric
-    doubled: list                  # Y_i = 2 X_i as sparse ℤ[i] matrices
+    def __init__(self, rep, hermitian, trace_norms, doubled):
+        self.rep = rep                  # antihermitian matrices, real closure
+        self.hermitian = hermitian      # X_i = i * rep.mats[i-1], sparse
+        self.trace_norms = trace_norms  # Tr(X_i X_i), rational, diagonal metric
+        self.doubled = doubled          # Y_i = 2 X_i as sparse ℤ[i] matrices
 
     @property
     def algebra(self):
@@ -309,10 +309,19 @@ def sun_generators(n: int) -> SunBasis:
         Tr(X_i X_i) = Tr(Y_i Y_i) / 4,
         C_ij^k = Im Tr([Y_i, Y_j] Y_k) / (2 Tr(Y_k Y_k)),
 
-    and Re Tr([Y_i, Y_j] Y_k) must vanish (real constants).  The
-    `GaussianRational` matrices `hermitian` Y_i / 2 and `rep.mats` -i Y_i / 2
-    are wrapped once at the end, and the representation checks its own
-    closure.
+    and Re Tr([Y_i, Y_j] Y_k) must vanish (real constants).
+
+    The closure is checked on the doubled generators too, where it reads
+    [Y_i, Y_j] = 2i C_ij^k Y_k.  With C read back from the built algebra and
+    D the common denominator of its constants, every pair i < j must satisfy
+
+        -i D [Y_i, Y_j] = sum_k 2 D C_ij^k Y_k
+
+    in ℤ[i], on the commutator the extraction computed; a residual raises
+    ValueError at the first failing (i, j).  The `GaussianRational` matrices
+    `hermitian` Y_i / 2 and `rep.mats` -i Y_i / 2 are wrapped once at the
+    end, into a representation that skips its own `closure_residual` scan:
+    that scan would repeat the check in `GaussianRational` arithmetic.
     """
     if not 2 <= n <= 4:
         raise ValueError("sun_generators: desk scale is 2 <= n <= 4")
@@ -333,20 +342,25 @@ def sun_generators(n: int) -> SunBasis:
         assert im == 0
         sq_norms.append(re)
     # real structure constants: [X_i, X_j] = i C_ij^k X_k in the hermitian basis
-    entries = []
+    entries, commutators = [], {}
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            cm = linalg.zi_commutator(doubled[i - 1], doubled[j - 1])
+            cm = commutators[i, j] = linalg.zi_commutator(doubled[i - 1], doubled[j - 1])
             for k in range(1, r + 1):
                 re, im = linalg.zi_trace(cm, doubled[k - 1])
                 assert re == 0, "structure constants must be real"
                 if im:
                     entries.append(((i, j, k), Fraction(im, 2 * sq_norms[k - 1])))
     alg = LieAlgebra.from_entries(r, entries)
+    d, ialg = alg.integer_scaled()
+    for (i, j), cm in commutators.items():
+        want = linalg.zi_sum((2 * v, doubled[k - 1]) for k, v in ialg.c.get((i, j), {}).items())
+        if linalg.zi_scale((0, -d), cm) != want:
+            raise ValueError(f"not a representation: residual at {(i, j)}")
     half = Fraction(1, 2)
     herm = [linalg.zi_wrap(y, half) for y in doubled]
     antiherm = [linalg.zi_wrap(linalg.zi_scale((0, -1), y), half) for y in doubled]
-    rep = Representation(alg, antiherm, n)
+    rep = Representation(alg, antiherm, n, check=False)
     return SunBasis(rep=rep, hermitian=herm, trace_norms=[Fraction(t, 4) for t in sq_norms],
                     doubled=doubled)
 
@@ -355,20 +369,17 @@ def sun_generators(n: int) -> SunBasis:
 # symmetric invariant polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SymInvariantPoly:
+class SymInvariantPoly(FieldEq):
     """Fully symmetric rank-m tensor on 1..dim, stored on sorted tuples."""
 
-    order: int
-    dim: int
-    terms: dict = field(default_factory=dict)
+    _fields = ("order", "dim", "terms")
 
-    def __post_init__(self):
+    def __init__(self, order, dim, terms=None):
         clean = {}
-        for idx, v in self.terms.items():
+        for idx, v in (terms or {}).items():
             if not is_zero(v):
                 clean[tuple(sorted(idx))] = rat(v)
-        self.terms = clean
+        self.order, self.dim, self.terms = order, dim, clean
 
     def get(self, idx):
         return self.terms.get(tuple(sorted(idx)), Fraction(0))
@@ -738,11 +749,3 @@ def check_poly_vanishing_identity(alg: LieAlgebra, k: SymInvariantPoly) -> bool:
         if tot:
             return False
     return True
-
-
-def antisym_ray_equal(a: AntisymTensor, b: AntisymTensor) -> bool:
-    return a.rank == b.rank and a.dim == b.dim and ray_equal(a.entries, b.entries)
-
-
-def sym_ray_equal(a: SymInvariantPoly, b: SymInvariantPoly) -> bool:
-    return a.order == b.order and a.dim == b.dim and ray_equal(a.terms, b.terms)

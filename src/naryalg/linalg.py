@@ -8,9 +8,9 @@ column): nonzero value} with 0-based indices and int, `Fraction` or
 when its map is empty, and two matrices are equal exactly when their maps
 are.  A map does not know its size: the object that holds the matrices
 (`lie.Representation.dim_v`, the dimension of an algebra) does.  The
-kernel is `sp_mul`, `sp_commutator`, `sp_anticommutator`, `sp_trace` (Tr ab
-without forming ab), `sp_scale`, `sp_identity` and `sp_sum` (linear
-combinations, through `scalars.accumulate`).
+kernel is `sp_mul`, `sp_commutator`, `sp_trace` (Tr ab without forming
+ab), `sp_scale`, `sp_identity` and `sp_sum` (linear combinations, through
+`scalars.accumulate`).
 
 The su(n) generators and the gamma matrices are built on the same format
 with Gaussian-integer (ℤ[i]) values held as int pairs (re, im): every
@@ -140,19 +140,11 @@ def sp_trace(a, b):
     return tot
 
 
-def _sp_bracket(a, b, sign):
+def sp_commutator(a, b):
     out = sp_mul(a, b)
     for key, v in sp_mul(b, a).items():
-        accumulate(out, key, sign * v)
+        accumulate(out, key, -v)
     return out
-
-
-def sp_commutator(a, b):
-    return _sp_bracket(a, b, -1)
-
-
-def sp_anticommutator(a, b):
-    return _sp_bracket(a, b, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ rows at those points alone with the coordinates and divide by D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
@@ -78,15 +77,14 @@ from .cohomology import (CohomologyReport, apply, apply_rows, column_vector, com
 from .filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
                        check_fa_representation, check_fi)
 from .scalars import ZERO, accumulate, is_zero, rat
-from .tensors import IdentityReport, insert_sign, sort_blocks
+from .tensors import FieldEq, IdentityReport, insert_sign, sort_blocks
 
 
 # ---------------------------------------------------------------------------
 # cochains
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NCochain:
+class NCochain(FieldEq):
     """Cochain for one of the three Filippov complexes.
 
     complex_kind: 'trivial' | 'module' | 'deformation'
@@ -99,20 +97,15 @@ class NCochain:
     vectors (tuples) of length dim_v.
     """
 
-    complex_kind: str
-    order: int
-    arity: int
-    dim: int
-    dim_v: int
-    data: dict = field(default_factory=dict)
+    _fields = ("complex_kind", "order", "arity", "dim", "dim_v", "data")
 
-    def __post_init__(self):
+    def __init__(self, complex_kind, order, arity, dim, dim_v, data=None):
         clean = {}  # tuples from lists, as in `scalars.common_denominator`
-        for key, vec in self.data.items():
+        for key, vec in (data or {}).items():
             vec = tuple([rat(v) for v in vec])
             if all(v == 0 for v in vec):
                 continue
-            ckey, s = sort_blocks(key) if self.order else (key, 1)
+            ckey, s = sort_blocks(key) if order else (key, 1)
             if s == 0:
                 continue
             vec = tuple([s * v for v in vec])
@@ -122,8 +115,9 @@ class NCochain:
                     del clean[ckey]
             else:
                 clean[ckey] = vec
-        self.data = clean
-        self._zero = (Fraction(0),) * self.dim_v
+        self.complex_kind, self.order, self.arity = complex_kind, order, arity
+        self.dim, self.dim_v, self.data = dim, dim_v, clean
+        self._zero = (Fraction(0),) * dim_v
 
     @classmethod
     def _canonical(cls, complex_kind, order, arity, dim, dim_v, data):
@@ -682,21 +676,19 @@ def mc_zero_cochain(fa: FilippovAlgebra) -> NCochain:
 # Leibniz algebras (binary, non-antisymmetric)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LeibnizAlgebra:
+class LeibnizAlgebra(FieldEq):
     """Bracket tensor B_{ij}^k without symmetry; validity = left identity
     [X,[Y,Z]] = [[X,Y],Z] + [Y,[X,Z]]."""
 
-    dim: int
-    b: dict = field(default_factory=dict)  # (i, j) -> {k: value}
+    _fields = ("dim", "b")
 
-    def __post_init__(self):
-        clean = {}
-        for (i, j), row in self.b.items():
+    def __init__(self, dim, b=None):
+        clean = {}  # (i, j) -> {k: value}
+        for (i, j), row in (b or {}).items():
             row2 = {k: rat(v) for k, v in row.items() if not is_zero(v)}
             if row2:
                 clean[(i, j)] = row2
-        self.b = clean
+        self.dim, self.b = dim, clean
 
     def row(self, i, j):
         return self.b.get((i, j), {})

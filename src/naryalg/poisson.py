@@ -29,14 +29,13 @@ differentiates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from .lie import LieAlgebra
 from .poly import Poly, add_packed_product, pack, unpack
 from .scalars import common_denominator, is_zero
-from .tensors import AntisymTensor, BracketTensor, insert_sign, wedge
+from .tensors import AntisymTensor, BracketTensor, FieldEq, insert_sign, wedge
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +198,11 @@ def _poly_det(rows):
 # generalized Poisson structures (even order)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GPSReport:
-    snb_ok: bool
-    coords_ok: bool
-    witness: tuple | None = None
+class GPSReport(FieldEq):
+    _fields = ("snb_ok", "coords_ok", "witness")
+
+    def __init__(self, snb_ok, coords_ok, witness=None):
+        self.snb_ok, self.coords_ok, self.witness = snb_ok, coords_ok, witness
 
     @property
     def ok(self):
@@ -261,13 +260,15 @@ def linear_gps_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> AntisymTen
 # Nambu-Poisson conditions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NPReport:
-    differential_ok: bool
-    differential_witness: tuple | None
-    algebraic_ok: bool
-    algebraic_witness: tuple | None
-    decomposable_hint: object = None
+class NPReport(FieldEq):
+    _fields = ("differential_ok", "differential_witness", "algebraic_ok", "algebraic_witness",
+               "decomposable_hint")
+
+    def __init__(self, differential_ok, differential_witness, algebraic_ok, algebraic_witness,
+                 decomposable_hint=None):
+        self.differential_ok, self.differential_witness = differential_ok, differential_witness
+        self.algebraic_ok, self.algebraic_witness = algebraic_ok, algebraic_witness
+        self.decomposable_hint = decomposable_hint
 
     @property
     def ok(self):
@@ -407,16 +408,18 @@ def np_even_implies_gps(lam: AntisymTensor) -> bool:
 # decomposability of constant tensors
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Decomposition:
-    vectors: list
-    scale: Fraction
+class Decomposition(FieldEq):
+    _fields = ("vectors", "scale")
+
+    def __init__(self, vectors, scale):
+        self.vectors, self.scale = vectors, scale
 
 
-@dataclass
-class PluckerViolation:
-    i_tuple: tuple
-    j_tuple: tuple
+class PluckerViolation(FieldEq):
+    _fields = ("i_tuple", "j_tuple")
+
+    def __init__(self, i_tuple, j_tuple):
+        self.i_tuple, self.j_tuple = i_tuple, j_tuple
 
 
 def _decomposable_hint(lam: AntisymTensor):

@@ -19,29 +19,24 @@ carries or borrows, as the constructor rejects negative exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
 from .scalars import accumulate, is_zero
 
 
-@dataclass
 class Poly:
-    nvars: int
-    terms: dict = field(default_factory=dict)  # exponent tuple -> coeff
-
-    def __post_init__(self):
-        clean = {}
-        for e, c in self.terms.items():
+    def __init__(self, nvars, terms=None):
+        clean = {}  # exponent tuple -> coeff
+        for e, c in (terms or {}).items():
             e = tuple(e)
-            if len(e) != self.nvars:
+            if len(e) != nvars:
                 raise ValueError("exponent length mismatch")
             if any(k < 0 for k in e):
                 raise ValueError(f"negative exponent in {e}")
             if not is_zero(c):
                 clean[e] = Fraction(c) if not isinstance(c, Fraction) else c
-        self.terms = clean
+        self.nvars, self.terms = nvars, clean
 
     # -- constructors -------------------------------------------------------
     @classmethod

@@ -48,7 +48,12 @@ cached position blocks onto m and derives no sign.
 `nested_bracket_residuals` is the one nested-bracket scan: it decides the
 generalized and mixed Jacobi identities (`gla`) and, at arity 2, the Jacobi
 identity (`lie.check_jacobi`).  Every identity check returns an
-`IdentityReport`.
+`IdentityReport`, an immutable, hashable value.
+
+The package's classes write their own constructors; no class is generated
+at import.  `FieldEq` gives the ones that callers compare (the tensors, the
+`.alg` file record, cochains and most reports) equality by a tuple of named
+fields, within one class.
 
 The epsilon scan `eps_identities_check` sorts each distinct index tuple once
 per call into a table of its (sorted key, sign) and the keyed signs of its
@@ -65,7 +70,6 @@ entry, 0 = 0 on both sides, is skipped.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
 from itertools import combinations, product
@@ -253,8 +257,24 @@ class _SignedTable(dict):
         return v
 
 
-@dataclass
-class AntisymTensor:
+class FieldEq:
+    """Equality of two instances of one class by the attributes named in
+    `_fields`, which the repr lists; an instance is then unhashable."""
+
+    _fields = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class AntisymTensor(FieldEq):
     """Fully antisymmetric rank-r tensor on indices 1..dim, sparse canonical:
     `entries` maps sorted index tuples to nonzero values.
 
@@ -262,24 +282,22 @@ class AntisymTensor:
     sums duplicates and drops what cancels; it rejects a key whose length is
     not the rank or which holds an index outside 1..dim.  `zero` is what a
     read of an absent entry returns; it is the zero of the value type when
-    that is not a number (`Poly.zero(dim)` for multivector fields).
+    that is not a number (`Poly.zero(dim)` for multivector fields).  Two
+    tensors of one class are equal when their rank, dim and entries are;
+    `zero` is not compared.
     """
 
-    rank: int
-    dim: int
-    entries: dict = field(default_factory=dict)
-    zero: object = field(default=ZERO, repr=False, compare=False)
+    _fields = ("rank", "dim", "entries")
 
-    def __post_init__(self):
+    def __init__(self, rank, dim, entries=None, zero=ZERO):
         clean = {}
-        for idx, v in self.entries.items():
-            if len(idx) != self.rank or (idx and not 1 <= min(idx) <= max(idx) <= self.dim):
-                raise ValueError(f"index tuple {idx} does not fit rank {self.rank} "
-                                 f"on 1..{self.dim}")
+        for idx, v in (entries or {}).items():
+            if len(idx) != rank or (idx and not 1 <= min(idx) <= max(idx) <= dim):
+                raise ValueError(f"index tuple {idx} does not fit rank {rank} on 1..{dim}")
             key, s = sort_sign(idx)
             if s:
                 accumulate(clean, key, v if s == 1 else -v)
-        self.entries = clean
+        self.rank, self.dim, self.entries, self.zero = rank, dim, clean, zero
 
     @classmethod
     def from_function(cls, rank, dim, f):
@@ -326,6 +344,11 @@ class AntisymTensor:
                          entries=entries)
         return out
 
+    def copy(self):
+        """A copy with an entry map of its own, which a caller may change
+        without changing this tensor; it skips the constructor."""
+        return self._with(dict(self.entries))
+
     def __add__(self, other):
         if type(other) is not type(self) or (self.rank, self.dim) != (other.rank, other.dim):
             raise ValueError("shape mismatch")
@@ -360,8 +383,7 @@ def wedge(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:
 # structure constants of n-ary brackets
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BracketTensor:
+class BracketTensor(FieldEq):
     """Structure constants C_{i_1..i_n}^j of an n-ary bracket on basis
     1..dim, antisymmetric in the lower indices.
 
@@ -376,23 +398,20 @@ class BracketTensor:
     `row` sorts its tuple on every read.  The identity scans read `signed`
     instead, a table from raw lower-index tuples to signed rows that sorts
     each tuple once, on its first read; they read it on the copy of
-    `integer_scaled`, so their sums run on ints.
+    `integer_scaled`, so their sums run on ints.  Two tensors of one class
+    are equal when their arity, dim, constants and metric are.
     """
 
-    arity: int
-    dim: int
-    c: dict = field(default_factory=dict)
-    metric: list | None = None
-
+    _fields = ("arity", "dim", "c", "metric")
     kind = None
 
-    def __post_init__(self):
+    def __init__(self, arity, dim, c=None, metric=None):
         clean = {}
-        for idx, row in self.c.items():
-            if len(idx) != self.arity:
-                raise ValueError(f"expected {self.arity} lower indices at {idx}")
-            if not all(1 <= i <= self.dim for i in (*idx, *row)):
-                raise ValueError(f"index outside 1..{self.dim} at {idx} -> {sorted(row)}")
+        for idx, row in (c or {}).items():
+            if len(idx) != arity:
+                raise ValueError(f"expected {arity} lower indices at {idx}")
+            if not all(1 <= i <= dim for i in (*idx, *row)):
+                raise ValueError(f"index outside 1..{dim} at {idx} -> {sorted(row)}")
             key, s = sort_sign(idx)
             if s == 0:
                 if any(not is_zero(v) for v in row.values()):
@@ -404,7 +423,7 @@ class BracketTensor:
             if key in clean and clean[key] != row2:
                 raise ValueError(f"inconsistent antisymmetry at {idx}")
             clean[key] = row2
-        self.c = clean
+        self.arity, self.dim, self.c, self.metric = arity, dim, clean, metric
 
     @classmethod
     def from_table(cls, arity, dim, c):
@@ -436,15 +455,27 @@ class BracketTensor:
             for j, v in row.items():
                 yield idx, j, v
 
+    def _with(self, c):
+        """This tensor (its class and attributes) on the table c, without a
+        `signed` table or a memo of its own; it skips the constructor."""
+        out = object.__new__(type(self))
+        vars(out).update({k: v for k, v in vars(self).items() if k not in ("signed", "_memo")})
+        out.c = c
+        return out
+
+    def copy(self):
+        """A copy with rows and metric rows of its own, which a caller may
+        change without changing this tensor, and no memo."""
+        out = self._with({key: dict(row) for key, row in self.c.items()})
+        if self.metric is not None:
+            out.metric = [list(row) for row in self.metric]
+        return out
+
     def scaled(self, factor):
         """A shallow copy whose table holds factor * C as plain ints; factor
         must be a multiple of every denominator of C.  The copy skips the
-        constructor, which would turn the ints back into `Fraction`s, and
-        starts without a `signed` table or a memo of its own."""
-        out = object.__new__(type(self))
-        vars(out).update({k: v for k, v in vars(self).items() if k not in ("signed", "_memo")})
-        out.c = {key: scaled_to_ints(row, factor) for key, row in self.c.items()}
-        return out
+        constructor, which would turn the ints back into `Fraction`s."""
+        return self._with({key: scaled_to_ints(row, factor) for key, row in self.c.items()})
 
     def memoized(self, key, build):
         """build() kept under key on this tensor from its first call (a raise
@@ -486,12 +517,31 @@ def ray_equal(a: dict, b: dict) -> bool:
 # identity reports and the nested-bracket residual
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class IdentityReport:
-    """The verdict of an identity check and its first failing entry; frozen,
-    since a memoized report is shared by every caller."""
-    ok: bool
-    witness: tuple | None = None
+    """The verdict of an identity check and its first failing entry, true
+    when `ok`.  It cannot be changed, since a memoized report is shared by
+    every caller; it is hashable, and equal to the reports of the same
+    verdict and witness."""
+
+    __slots__ = ("ok", "witness")
+
+    def __init__(self, ok, witness=None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not IdentityReport:
+            return NotImplemented
+        return (self.ok, self.witness) == (other.ok, other.witness)
+
+    def __hash__(self):
+        return hash((self.ok, self.witness))
 
     def __bool__(self):
         return self.ok

@@ -1,5 +1,4 @@
 import random
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -88,8 +87,10 @@ def test_memoized_reports_equal_the_reference_scans(make):
         reports = {form: check_fi(fa, form) for form in FI_FORMS}
         assert reports == {form: dense.FI_REFERENCE[form](fa) for form in FI_FORMS}
         assert not reports["short"].ok and reports["ghost"] is reports["derivation"]
-    with pytest.raises(FrozenInstanceError):  # no reader changes what the next one reads
+    before = (reports["derivation"].ok, reports["derivation"].witness)
+    with pytest.raises(AttributeError):  # no reader changes what the next one reads
         reports["derivation"].ok = True
+    assert (check_fi(fa).ok, check_fi(fa).witness) == before == (False, before[1])
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +628,8 @@ def test_gamma_matrices_anticommutation():
         for a in range(d):
             for b in range(d):
                 want = linalg.sp_scale(2, ident) if a == b else {}
-                assert linalg.sp_anticommutator(gam[a], gam[b]) == want
+                products = [(1, linalg.sp_mul(gam[a], gam[b])), (1, linalg.sp_mul(gam[b], gam[a]))]
+                assert linalg.sp_sum(products) == want
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

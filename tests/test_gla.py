@@ -14,8 +14,7 @@ from naryalg.gla import (GLAlgebra, GhostOperator, basis_one_form,
                          duality_factor_holds, evaluate_cochain, ghost_operators,
                          gla_from_cocycle, higher_exterior_derivative,
                          leibniz_rule_holds, lie_as_gla, multibracket,
-                         multibracket_weighted, odd_arity_defect,
-                         resolve_even_bracket)
+                         odd_arity_defect, resolve_even_bracket)
 from naryalg.lie import cocycle_from_invariant_poly, killing_invariant_poly
 from naryalg.scalars import accumulate
 from naryalg.tensors import AntisymTensor, ray_equal
@@ -55,12 +54,6 @@ def test_multibracket_fully_antisymmetric():
     base = multibracket(ms)
     swapped = multibracket([ms[1], ms[0], ms[2], ms[3]])
     assert swapped == linalg.sp_scale(-1, base)
-
-
-def test_weighted_variant_divides_by_factorial():
-    rng = random.Random(3)
-    ms = [rmat(rng) for _ in range(3)]
-    assert multibracket_weighted(ms) == linalg.sp_scale(Fraction(1, 6), multibracket(ms))
 
 
 def test_odd_arity_double_bracket_equals_n_times_full():

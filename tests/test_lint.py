@@ -8,7 +8,11 @@ defines, imports, reads or calls a name of the deleted dense matrix layer
 (`mat_mul`, `commutator`, `trace`, ..), the su(n) and gamma-matrix
 constructions and the Clifford realization with its anticommutation lemma
 make no generic sparse product and no multibracket (they stay on
-`zi_*`), and no
+`zi_*`), `sun_generators` checks the su(n) closure on its ℤ[i] generators
+(through any call it makes, a constructor passed check=False aside, it
+reaches neither `lie.closure_residual` nor an `sp_*` operation), no module
+imports `dataclasses` (every class writes its own constructor, so an
+import generates no code), and no
 `__init__`, `__post_init__` or `__missing__` outside `tensors.py` sorts a key
 with `sort_sign`: the one sign-canonical container is
 `tensors.AntisymTensor`.  The two coboundary row kernels (`_ce_rows`,
@@ -285,6 +289,103 @@ def test_no_dense_matrix_layer_in_src(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_su_and_gamma_constructions_use_the_integer_kernel(path):
     assert generic_product_calls(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# the su(n) closure is checked on the ℤ[i] generators: `sun_generators`
+# reaches neither the `GaussianRational` closure scan nor a generic sparse
+# product, through any call it makes
+# ---------------------------------------------------------------------------
+
+CLOSURE_ENTRY = "sun_generators"
+SLOW_CLOSURE = "closure_residual"
+
+
+def definitions_by_name(sources):
+    """name -> the function definitions of that name in the sources
+    (module-level functions and methods), a class standing for its
+    `__init__` and `__post_init__`."""
+    defs = {}
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef):
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                defs.setdefault(node.name, []).extend(
+                    n for n in node.body if isinstance(n, ast.FunctionDef)
+                    and n.name in ("__init__", "__post_init__"))
+    return defs
+
+
+def skips_its_check(call):
+    return any(k.arg == "check" and isinstance(k.value, ast.Constant) and k.value.value is False
+               for k in call.keywords)
+
+
+def slow_closure_reach(sources):
+    """The slow closure scan and the `sp_*` operations that `sun_generators`
+    reaches: its calls, followed into every definition of the called name (a
+    class into its constructor) except where the call passes check=False."""
+    defs = definitions_by_name(sources)
+    todo, seen, called = list(defs.get(CLOSURE_ENTRY, [])), set(), set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for call in ast.walk(fn):
+            name = called_name(call) if isinstance(call, ast.Call) else None
+            if name:
+                called.add(name)
+                if not skips_its_check(call):
+                    todo += defs.get(name, [])
+    return sorted(n for n in called if n == SLOW_CLOSURE or n.startswith("sp_"))
+
+
+def test_scan_sees_a_slow_closure_reached_from_sun_generators():
+    source = ("def sun_generators(n):\n    alg = build(n)\n"
+              "    Representation(alg, [], n, check=False)\n"
+              "    return Representation(alg, [], n)\n"
+              "def build(n):\n    return linalg.sp_mul(n, n)\n"
+              "class Representation:\n    def __init__(self, alg, mats, dim_v, check=True):\n"
+              "        if check:\n            closure_residual(alg, mats)\n"
+              "def closure_residual(alg, mats):\n    return sp_commutator(mats[0], mats[1])\n")
+    assert slow_closure_reach([source]) == ["closure_residual", "sp_commutator", "sp_mul"]
+    fast = source.replace("sp_mul", "zi_mul").replace("(alg, [], n)\n",
+                                                      "(alg, [], n, check=False)\n")
+    assert slow_closure_reach([fast]) == []
+
+
+def test_sun_generators_check_closure_on_the_integer_kernel():
+    sources = [path.read_text() for path in MODULES]
+    assert len(definitions_by_name(sources)[CLOSURE_ENTRY]) == 1
+    assert slow_closure_reach(sources) == []
+
+
+# ---------------------------------------------------------------------------
+# no dataclasses: every class of the package writes its own constructor, so
+# an import generates no code
+# ---------------------------------------------------------------------------
+
+def dataclasses_imports(source):
+    """The line of every import of the standard `dataclasses` module."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "dataclasses"
+                                                          for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.partition(".")[0] == "dataclasses")
+
+
+def test_scan_sees_a_dataclasses_import():
+    source = ("import dataclasses\nfrom dataclasses import dataclass, field\n"
+              "def f():\n    import dataclasses as dc\n    from .dataclasses import x\n"
+              "import os, dataclasses\nfrom . import tensors\n")
+    assert dataclasses_imports(source) == [1, 2, 4, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert dataclasses_imports(path.read_text()) == []
 
 
 # ---------------------------------------------------------------------------

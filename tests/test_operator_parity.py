@@ -8,6 +8,7 @@ one entry and ask both paths for the same verdict or witness."""
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 
 import pytest
 
@@ -20,7 +21,7 @@ from naryalg.filippov import (adjoint_fa_representation, ad_of_sum, check_fa_rep
                               fundamental_compose, gamma_matrices,
                               orthogonal_relations_hold, so_dual_generators,
                               trace_extension_bracket, trace_extension_structure)
-from naryalg.gla import multibracket, multibracket_weighted, odd_arity_defect, resolve_even_bracket
+from naryalg.gla import multibracket, odd_arity_defect, resolve_even_bracket
 from naryalg.lie import associator_check
 from naryalg.nary_cohomology import (LeibnizAlgebra, leibniz_coboundary, leibniz_extension,
                                      leibniz_rep_conditions)
@@ -93,7 +94,8 @@ def test_multibracket_matches_dense(name, mats, size):
             args = rng.sample(mats, min(k, len(mats)))
             want = dense.multibracket(dense_all(args, size))
             assert dense.to_dense(multibracket(args), size) == want
-            assert dense.to_dense(multibracket_weighted(args), size) == \
+            weighted = linalg.sp_scale(Fraction(1, factorial(len(args))), multibracket(args))
+            assert dense.to_dense(weighted, size) == \
                 dense.multibracket_weighted(dense_all(args, size))
 
 

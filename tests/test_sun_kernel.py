@@ -1,7 +1,9 @@
 """The sparse ℤ[i] matrix kernel of `linalg` against dense `GaussianRational`
 arithmetic, and the su(n) generators, closure residual, symmetrized traces
 and gamma matrices built on it against their dense references; the sparse
-generators and gamma matrices are compared through `to_dense`."""
+generators and gamma matrices are compared through `to_dense`.  The su(n)
+closure, which `sun_generators` checks on ℤ[i], holds on the
+`GaussianRational` path too, and a flipped constant fails the ℤ[i] check."""
 
 import hashlib
 import random
@@ -13,7 +15,8 @@ import dense_reference as dense
 from naryalg import catalog, linalg
 from naryalg.algfile import AlgebraFile
 from naryalg.filippov import gamma_matrices
-from naryalg.lie import Representation, check_invariance, closure_residual, symmetrized_trace_poly
+from naryalg.lie import (LieAlgebra, Representation, check_invariance, closure_residual,
+                         sun_generators, symmetrized_trace_poly)
 from naryalg.scalars import GaussianRational
 
 
@@ -140,6 +143,31 @@ def test_flipped_sign_gives_the_dense_witness(n):
         assert wit == dense.closure_residual(alg, [dense.to_dense(m, n) for m in mats])
         with pytest.raises(ValueError, match="not a representation"):
             Representation(alg, mats, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_su_closes_on_the_gaussian_rational_matrices(n):
+    assert closure_residual(catalog.su(n), catalog.sun_basis(n).rep.mats) is None
+
+
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_flipped_constant_fails_the_integer_closure_check(n, position, monkeypatch):
+    """Negative control: one extracted constant negated before the algebra
+    is built; the ℤ[i] check names the pair it belongs to."""
+    build, flipped = LieAlgebra.from_entries.__func__, []
+
+    def flip_one(cls, dim, entries):
+        entries = list(entries)
+        (i, j, k), v = entries[position]
+        entries[position] = ((i, j, k), -v)
+        flipped.append((i, j))
+        return build(cls, dim, entries)
+
+    monkeypatch.setattr(LieAlgebra, "from_entries", classmethod(flip_one))
+    with pytest.raises(ValueError) as err:
+        sun_generators(n)
+    assert str(err.value) == f"not a representation: residual at {flipped[0]}"
 
 
 # ---------------------------------------------------------------------------
