@@ -262,7 +262,6 @@ class FieldEq:
     `_fields`, which the repr lists; an instance is then unhashable."""
 
     _fields = ()
-    __hash__ = None
 
     def __eq__(self, other):
         if type(other) is not type(self):
