@@ -4,11 +4,14 @@ Subpackages by topic:
 
   scalars, tensors, poly, linalg   -- exact arithmetic foundations
   lie, cohomology                  -- binary algebras and their complexes
-  gla                              -- even multibrackets, coderivations, BRST
+  gla                              -- even multibrackets and their identities
   filippov                         -- n-Lie algebras and their invariants
   nary_cohomology                  -- Filippov complexes as one Leibniz complex
   poisson                          -- multivector fields and tensor conditions
   catalog, algfile, cli            -- named examples, files, batch front-end
+  claims                           -- the paper's checkable statements that no
+                                      command runs; imported by nothing here,
+                                      load it with `import naryalg.claims`
 """
 
 from .scalars import GaussianRational

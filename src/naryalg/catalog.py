@@ -1,11 +1,12 @@
 """Named catalog of the algebras every suite runs against, plus corrupted
 negative controls.
 
-su(n) and the su(3) cocycles and GLA are built once per process and kept;
-each call hands out a copy of the kept object (`copy`), so a caller that
-sets a metric, edits a table row or plants a memo on its result changes no
-later call.  `sun_basis` hands out the kept generator basis itself, whose
-algebra the copies are taken from: its readers must not change it."""
+The su(n) generator bases and the su(3) cocycles and GLA are built once per
+process and kept; each call hands out a copy of the kept object (`copy`),
+so a caller that sets a metric, edits a table row or plants a memo on its
+result changes no later call.  su(n) is a copy of the kept basis's algebra,
+so the immutable entries of its memo, such as the inverse Killing form that
+`su3_gla4` builds, serve every copy (`BracketTensor.memoized`)."""
 
 from __future__ import annotations
 
@@ -20,13 +21,15 @@ from .lie import (LieAlgebra, check_jacobi, cocycle_from_invariant_poly,
 from .nary_cohomology import LeibnizAlgebra
 
 
-@cache
+_sun = cache(sun_generators)
+
+
 def sun_basis(n):
-    return sun_generators(n)
+    return _sun(n).copy()
 
 
 def su(n) -> LieAlgebra:
-    return sun_basis(n).algebra.copy()
+    return _sun(n).algebra.copy()
 
 
 def _copies(build):
@@ -78,19 +81,19 @@ def nhw(n_blocks=1) -> FilippovAlgebra:
 
 @_copies
 def su3_five_cocycle():
-    basis = sun_basis(3)
+    basis = _sun(3)
     return cocycle_from_invariant_poly(basis.algebra, symmetrized_trace_poly(basis, 3))
 
 
 @_copies
 def su3_three_cocycle():
-    alg = sun_basis(3).algebra
+    alg = _sun(3).algebra
     return cocycle_from_invariant_poly(alg, killing_invariant_poly(alg))
 
 
 @_copies
 def su3_gla4() -> GLAlgebra:
-    return gla_from_cocycle(sun_basis(3).algebra, su3_five_cocycle())
+    return gla_from_cocycle(_sun(3).algebra, su3_five_cocycle())
 
 
 def nilpotent_leibniz() -> LeibnizAlgebra:

@@ -1,7 +1,8 @@
 """Chevalley-Eilenberg cohomology for an arbitrary representation: the
-coboundary, exact cohomology dimensions, the Casimir-built homotopy operator
-behind Whitehead's lemma, central extensions, and deformation cocycles with
-their obstruction classes.
+coboundary, exact cohomology dimensions, and the trivialization of central
+extensions.  The Casimir-built homotopy operator behind Whitehead's lemma,
+central extensions and deformation cocycles with their obstruction classes
+are in `claims`.
 
 A V-valued p-cochain (`Cochain`) is a rank-p `tensors.AntisymTensor`: its
 value at a strictly increasing index tuple is the target vector with
@@ -70,7 +71,7 @@ from itertools import combinations
 from math import comb
 
 from . import linalg
-from .lie import LieAlgebra, Representation, check_jacobi, inverse_killing_form
+from .lie import LieAlgebra, check_jacobi
 from .scalars import ZERO, LinearForm, accumulate, common_denominator, rat
 from .tensors import AntisymTensor, FieldEq
 
@@ -346,148 +347,11 @@ def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport
 
 
 # ---------------------------------------------------------------------------
-# Whitehead homotopy operator
-# ---------------------------------------------------------------------------
-
-def quadratic_casimir(alg: LieAlgebra, rho: Representation):
-    """I_2(rho) = k^{ij} rho_i rho_j as a sparse matrix; raises through the
-    inverse Killing form."""
-    kinv = inverse_killing_form(alg)
-    mats = rho.mats
-    return linalg.sp_sum((kinv[i][j], linalg.sp_mul(mats[i], mats[j]))
-                         for i in range(alg.dim) for j in range(alg.dim) if kinv[i][j] != 0)
-
-
-def homotopy_contraction(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
-    """(tau Om)^A_{i_1..i_{p-1}} = k^{ij} rho(X_i)^A_B Om^B_{j i_1..i_{p-1}}."""
-    kinv = inverse_killing_form(alg)
-    rows = [_matrix_rows(m) for m in rho.mats]
-    p = om.rank
-    data = {}
-    for idx in combinations(range(1, om.dim + 1), p - 1):
-        for a in range(1, om.dim_v + 1):
-            tot = Fraction(0)
-            for i in range(1, om.dim + 1):
-                for j in range(1, om.dim + 1):
-                    kij = kinv[i - 1][j - 1]
-                    if kij == 0:
-                        continue
-                    for b, coeff in rows[i - 1].get(a - 1, ()):
-                        tot += kij * coeff * om.get(b + 1, (j,) + idx)
-            if tot != 0:
-                data[(a, idx)] = tot
-    return Cochain(p - 1, om.dim, om.dim_v, data)
-
-
-def whitehead_homotopy(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
-    """Return the (p-1)-cochain tau(Om) I_2(rho)^{-1} whose coboundary
-    reproduces the cocycle Om (requires invertible Killing form and a scalar,
-    invertible quadratic Casimir)."""
-    cas = quadratic_casimir(alg, rho)
-    c0 = cas.get((0, 0), 0)
-    if cas != linalg.sp_scale(c0, linalg.sp_identity(rho.dim_v)):
-        raise ValueError("quadratic Casimir is not scalar (rho not irreducible)")
-    if c0 == 0:
-        raise ValueError("quadratic Casimir is singular (rho trivial?)")
-    return homotopy_contraction(alg, rho, om).scale(Fraction(1) / c0)
-
-
-def laplacian_identity_holds(alg: LieAlgebra, rho, om: Cochain) -> bool:
-    """(s tau + tau s) Om = I_2(rho) Om entrywise on the given cochain."""
-    c0 = quadratic_casimir(alg, rho).get((0, 0), 0)
-    left = coboundary(alg, rho, homotopy_contraction(alg, rho, om)) \
-        + homotopy_contraction(alg, rho, coboundary(alg, rho, om))
-    return left == om.scale(c0)
-
-
-# ---------------------------------------------------------------------------
 # central extensions
 # ---------------------------------------------------------------------------
-
-def central_extension(alg: LieAlgebra, om2: Cochain) -> LieAlgebra:
-    """Extend by one central generator using a scalar 2-cocycle:
-    [X~_i, X~_j] = C_ij^k X~_k + Om(X_i, X_j) Xi."""
-    if om2.rank != 2 or om2.dim_v != 1:
-        raise ValueError("need a scalar 2-cochain")
-    if not coboundary(alg, None, om2).is_zero():
-        raise ValueError("not a 2-cocycle: extension would break the Jacobi identity")
-    r = alg.dim
-    entries = [((i, j, k), v) for (i, j), row in alg.c.items() for k, v in row.items()]
-    entries += [((i, j, r + 1), v) for (_, (i, j)), v in om2.data.items()]
-    ext = LieAlgebra.from_entries(r + 1, entries)
-    rep = check_jacobi(ext)
-    if not rep.ok:
-        raise AssertionError(f"extension failed the Jacobi identity at {rep.witness}")
-    return ext
 
 
 def trivialize_extension(alg: LieAlgebra, om2: Cochain):
     """Solve s(Om1) = Om2 for a 1-cochain; returns the basis-change vector
     Om1 (X~'_k = X~_k - Om1_k Xi) or None when the class is non-trivial."""
     return preimage(CEComplex(alg), 1, om2.data)
-
-
-# ---------------------------------------------------------------------------
-# deformations
-# ---------------------------------------------------------------------------
-
-class DeformationReport:
-    def __init__(self, is_cocycle, is_coboundary, obstruction, obstruction_is_cocycle,
-                 obstruction_is_coboundary, obstruction_potential):
-        self.is_cocycle, self.is_coboundary = is_cocycle, is_coboundary
-        self.obstruction = obstruction  # the Cochain gamma, or None
-        self.obstruction_is_cocycle = obstruction_is_cocycle
-        self.obstruction_is_coboundary = obstruction_is_coboundary
-        self.obstruction_potential = obstruction_potential  # a Cochain, or None
-
-
-def deformation_check(alg: LieAlgebra, alpha: Cochain) -> DeformationReport:
-    """First-order deformation analysis of an algebra-valued 2-cochain.
-
-    Checks the ad-cocycle condition; when it holds, builds the quadratic
-    obstruction gamma(X,Y,Z) = alpha(X, alpha(Y,Z)) + cycl., verifies it is a
-    3-cocycle, and classifies it in degree-3 cohomology by an exact solve.
-    """
-    if alpha.rank != 2 or alpha.dim_v != alg.dim:
-        raise ValueError("need an algebra-valued 2-cochain")
-    rho = alg.adjoint_rep()
-    s_alpha = coboundary(alg, rho, alpha)
-    if not s_alpha.is_zero():
-        return DeformationReport(False, False, None, None, None, None)
-
-    is_cob = _coboundary_preimage(alg, rho, alpha) is not None
-
-    r = alg.dim
-    gamma = Cochain(3, r, r, {(a, idx): v for idx in basis_tuples(r, 3)
-                              for a, v in enumerate(_alpha_nested_cyclic(alg, alpha, idx), 1)})
-    g_cocycle = coboundary(alg, rho, gamma).is_zero()
-    pot = _coboundary_preimage(alg, rho, gamma)
-    return DeformationReport(True, is_cob, gamma, g_cocycle, pot is not None, pot)
-
-
-def _alpha_nested_cyclic(alg, alpha, idx):
-    """alpha(X, alpha(Y, Z)) + cyclic over the three slots, as a vector."""
-    r = alg.dim
-    out = [Fraction(0)] * r
-    x, y, z = idx
-    for (i, j, k) in ((x, y, z), (y, z, x), (z, x, y)):
-        inner = alpha.value((j, k))
-        for l in range(1, r + 1):
-            if inner[l - 1] == 0:
-                continue
-            for a in range(1, r + 1):
-                out[a - 1] += inner[l - 1] * alpha.get(a, (i, l))
-    return out
-
-
-def _coboundary_preimage(alg, rho, om):
-    """Exact solve s(beta) = om over the (p-1)-cochain coordinates."""
-    cx, p = CEComplex(alg, rho, om.dim_v), om.rank - 1
-    sol = preimage(cx, p, om.data)
-    return None if sol is None else Cochain(p, om.dim, om.dim_v, dict(zip(cx.coords(p), sol)))
-
-
-def mc_cochain(alg: LieAlgebra) -> Cochain:
-    """The algebra-valued identity 1-cochain omega(X_i) = X_i."""
-    data = {(a, (a,)): Fraction(1) for a in range(1, alg.dim + 1)}
-    return Cochain(1, alg.dim, alg.dim, data)

@@ -1,20 +1,22 @@
 """Ordinary Lie algebras by structure constants: Jacobi validation, Killing
 form, metric invariance, su(n) generator bases, symmetric invariant
-polynomials, and the two-way bridge between invariant polynomials and
-odd-rank cocycles.  `LieAlgebra` is the arity-2 `tensors.BracketTensor`;
-that class is the one storage of structure constants.
+polynomials, and the bridge from invariant polynomials to odd-rank
+cocycles (the way back, from a cocycle to its invariant, is in `claims`).
+`LieAlgebra` is the arity-2 `tensors.BracketTensor`; that class is the one
+storage of structure constants.
 
 `check_jacobi` reads the arity-2 residual of
 `tensors.nested_bracket_residuals`; `trace_form` is the one Tr(ad_X ad_Y)
-scan, the Killing form at arity 2 and `filippov.kasymov_form` above it.
+scan, the Killing form at arity 2 and `claims.kasymov_form` above it.
 
 Integer tables.  The Jacobi, trace-form and metric scans, `check_invariance`,
-`cocycle_from_invariant_poly`, `cocycle_condition_residual`,
-`invariance_condition_residual` and `check_poly_vanishing_identity` sum
-ints: the rows of D C (`BracketTensor.integer_scaled`), the tail table of
-D' k (`_poly_table`) and D'' Omega.  Every residual is linear in each of
-them, so the factors move no zero and no witness; an output entry is
-divided by its factor once, into a `Fraction`.
+`cocycle_from_invariant_poly` and `cocycle_condition_residual` (and, in
+`claims`, `invariance_condition_residual` and
+`check_poly_vanishing_identity`) sum ints: the rows of D C
+(`BracketTensor.integer_scaled`), the tail table of D' k (`_poly_table`)
+and D'' Omega.  Every residual is linear in each of them, so the factors
+move no zero and no witness; an output entry is divided by its factor
+once, into a `Fraction`.
 
 Conventions.  Structure constants C_{ij}^k are real rationals with
 [X_i, X_j] = C_{ij}^k X_k in an antihermitian-type basis.  The su(n)
@@ -229,10 +231,11 @@ class Representation:
     [rho_i, rho_j] = C_ij^k rho_k, entrywise exact.
 
     The constructor checks the closure with `closure_residual` and raises
-    ValueError at the first failing pair.  Two builders pass check=False,
+    ValueError at the first failing pair.  Three builders pass check=False,
     as the scan would repeat a check made elsewhere: `adjoint_rep`, whose
-    closure is the Jacobi identity (`check_jacobi`), and `sun_generators`,
-    which checks the closure on the doubled ℤ[i] generators it holds."""
+    closure is the Jacobi identity (`check_jacobi`), `sun_generators`,
+    which checks the closure on the doubled ℤ[i] generators it holds, and
+    `SunBasis.copy`, whose matrices are those of a checked basis."""
 
     def __init__(self, algebra, mats, dim_v, check=True):
         if check:
@@ -255,26 +258,6 @@ def closure_residual(alg: LieAlgebra, mats):
     return None
 
 
-def associator_check(mats) -> bool:
-    """The alternated associator of any three matrices equals
-    [[A,B],C] + [[B,C],A] + [[C,A],B] and both vanish (associativity)."""
-    mul, com = linalg.sp_mul, linalg.sp_commutator
-
-    def assoc(a, b, c):
-        return linalg.sp_sum([(1, mul(mul(a, b), c)), (-1, mul(a, mul(b, c)))])
-    for a in mats:
-        for b in mats:
-            for c in mats:
-                alt = linalg.sp_sum((s, assoc(x, y, z)) for s, (x, y, z) in [
-                    (1, (a, b, c)), (1, (b, c, a)), (1, (c, a, b)),
-                    (-1, (b, a, c)), (-1, (a, c, b)), (-1, (c, b, a))])
-                cyc = linalg.sp_sum((1, com(com(x, y), z))
-                                    for x, y, z in [(a, b, c), (b, c, a), (c, a, b)])
-                if alt != cyc or cyc:
-                    return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # su(n) generators
 # ---------------------------------------------------------------------------
@@ -289,6 +272,14 @@ class SunBasis:
     @property
     def algebra(self):
         return self.rep.algebra
+
+    def copy(self):
+        """A copy with an algebra (`BracketTensor.copy`), matrices and lists
+        of its own, which a caller may change without changing this basis."""
+        rep = Representation(self.algebra.copy(), [dict(m) for m in self.rep.mats],
+                             self.rep.dim_v, check=False)
+        return SunBasis(rep, [dict(m) for m in self.hermitian], list(self.trace_norms),
+                        [dict(m) for m in self.doubled])
 
 
 def sun_generators(n: int) -> SunBasis:
@@ -481,25 +472,6 @@ def killing_invariant_poly(alg: LieAlgebra) -> SymInvariantPoly:
     return SymInvariantPoly(2, alg.dim, terms)
 
 
-def symmetrized_product(k1: SymInvariantPoly, k2: SymInvariantPoly) -> SymInvariantPoly:
-    """Weight-one symmetrized product k_( .. k'_.. ): the standard source of
-    non-primitive invariants (e.g. delta-delta)."""
-    if k1.dim != k2.dim:
-        raise ValueError("dimension mismatch")
-    m = k1.order + k2.order
-    fact = factorial(m)
-    terms = {}
-    for idx in combinations_with_replacement(range(1, k1.dim + 1), m):
-        mult = fact // _n_arrangements(idx)
-        tot = Fraction(0)
-        for p in set(permutations(idx)):
-            tot += k1.get(p[:k1.order]) * k2.get(p[k1.order:])
-        v = tot * mult / fact
-        if v != 0:
-            terms[idx] = v
-    return SymInvariantPoly(m, k1.dim, terms)
-
-
 # ---------------------------------------------------------------------------
 # the polynomial <-> cocycle bridge
 # ---------------------------------------------------------------------------
@@ -592,160 +564,3 @@ def cocycle_condition_residual(alg: LieAlgebra, omega: AntisymTensor):
                 m_key = rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]
                 accumulate(res, m_key, -v * w_t if (pa + pb) & 1 else v * w_t)
     return min(res) if res else None
-
-
-def invariance_condition_residual(alg: LieAlgebra, omega: AntisymTensor):
-    """First violation of sum_s C_{i j_s}^k Omega_{j_1.. k ..j_p} = 0, or None.
-
-    The residual is scattered from Omega's nonzero entries: one whose slot
-    s holds k adds, for every (i, j) with C_{ij}^k != 0, sign * C_{ij}^k
-    Omega at (i, its key with slot s set to j, sign-sorted).  The least
-    nonzero (i, idx) is the first a scan over i and the sorted p-tuples
-    reaches."""
-    into = {}  # k -> [(i, j, D C_{ij}^k)]
-    for (a, b), row in alg.integer_scaled()[1].c.items():
-        for kk, v in row.items():
-            into.setdefault(kk, []).extend(((a, b, v), (b, a, -v)))
-    dw = common_denominator(omega.entries.values())
-    res = {}
-    for key, w in scaled_to_ints(omega.entries, dw).items():
-        for s, kk in enumerate(key):
-            rest = key[:s] + key[s + 1:]
-            for i, j, v in into.get(kk, ()):
-                pj = bisect_left(rest, j)
-                if rest[pj:pj + 1] == (j,):
-                    continue
-                # j moves from slot s to slot pj of the sorted key
-                accumulate(res, (i, rest[:pj] + (j,) + rest[pj:]),
-                           -v * w if (s - pj) & 1 else v * w)
-    return min(res) if res else None
-
-
-def invariant_poly_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> SymInvariantPoly:
-    """Order-m symmetric invariant from a (2m-1)-cocycle:
-
-        t^{i_1..i_m} = Omega^{j_1..j_{2m-2} i_m}
-                       C^{i_1}_{j_1 j_2} .. C^{i_{m-1}}_{j_{2m-3} j_{2m-2}}
-
-    All Omega indices are raised with the inverse Killing form (which must
-    exist).  The result is reported with its indices lowered again by the
-    Killing form: that representative lives on the same ray, is the one the
-    lower-index invariance condition applies to, and for a scalar metric the
-    two differ only by an overall factor.
-    """
-    if cocycle_condition_residual(alg, omega) is not None:
-        raise ValueError("input is not a cocycle")
-    r = alg.dim
-    m = (omega.rank + 1) // 2
-    kf, kinv = killing_form(alg), inverse_killing_form(alg)
-
-    # raise every index of Omega
-    up_raw = {}
-    for key, v in omega.entries.items():
-        expansions = [((), v)]
-        for l in key:
-            expansions = [(seq + (u,), w * kinv[u - 1][l - 1])
-                          for seq, w in expansions
-                          for u in range(1, r + 1) if kinv[u - 1][l - 1] != 0]
-        for seq, w in expansions:
-            accumulate(up_raw, seq, w)
-    omega_up = AntisymTensor(omega.rank, r, up_raw)
-
-    dense = {}
-    for skey, v in omega_up.entries.items():
-        # choose the slot playing i_m, shuffle the rest into C-pairs
-        for pos in range(len(skey)):
-            last = skey[pos]
-            rest = skey[:pos] + skey[pos + 1:]
-            move_sign = (-1) ** (len(skey) - 1 - pos)
-            for blocks, sign in shuffle_splits(rest, [2] * (m - 1)):
-                partial = [((), Fraction(1))]
-                for pair in blocks:
-                    row = alg.c.get(pair)
-                    if not row:
-                        partial = []
-                        break
-                    partial = [(seq + (u,), c * w) for seq, c in partial
-                               for u, w in row.items()]
-                for seq, c in partial:
-                    accumulate(dense, seq + (last,), move_sign * sign * v * c)
-
-    # `dense` carries t-up on every ordered index tuple; confirm symmetry
-    sym_check = {}
-    for key, v in dense.items():
-        skey = tuple(sorted(key))
-        if sym_check.setdefault(skey, v) != v:
-            raise ArithmeticError(f"output not symmetric at {key}")
-
-    # lower every index with the Killing form, summing over the full dense map
-    low = {}
-    for key, v in dense.items():
-        expansions = [((), v)]
-        for u in key:
-            expansions = [(seq + (i,), w * kf[i - 1][u - 1])
-                          for seq, w in expansions
-                          for i in range(1, r + 1) if kf[i - 1][u - 1] != 0]
-        for seq, w in expansions:
-            accumulate(low, seq, w)
-    terms = {}
-    for key, v in low.items():
-        skey = tuple(sorted(key))
-        if terms.setdefault(skey, v) != v:
-            raise ArithmeticError(f"lowered output not symmetric at {key}")
-    poly = SymInvariantPoly(m, r, terms)
-    if check_invariance(alg, poly) is not None:
-        raise ArithmeticError("output polynomial fails invariance")
-    return poly
-
-
-def _matching_sum(c, memo, s):
-    """{sorted l-tuple: sum over the perfect matchings of the sorted tuple s
-    of sign * prod C^{l_a}_{pair_a}}, C read from the table c, expanded
-    along s's first index as a Pfaffian; memo holds every tuple done."""
-    got = memo.get(s)
-    if got is None:
-        got = {}
-        for j in range(1, len(s)):
-            row = c.get((s[0], s[j]))
-            if not row:
-                continue
-            sub = _matching_sum(c, memo, s[1:j] + s[j + 1:])
-            for tail, w in sub.items():
-                w = -w if (j - 1) & 1 else w
-                for l, v in row.items():
-                    pl = bisect_left(tail, l)
-                    accumulate(got, tail[:pl] + (l,) + tail[pl:], v * w)
-        memo[s] = got
-    return got
-
-
-def check_poly_vanishing_identity(alg: LieAlgebra, k: SymInvariantPoly) -> bool:
-    """eps^{j_1..j_{2m}}_{i..} C^{l_1}_{j_1 j_2} .. C^{l_m}_{j_{2m-1} j_{2m}}
-    k_{l_1..l_m} = 0: total antisymmetrization over 2m indices of the m-fold
-    C-product contracted with an invariant k.
-
-    The m! orderings of a pair matching give equal terms, so each sorted
-    2m-tuple sums its matchings once, expanded along its first index: the
-    first pair's row of D C against the tail table of D' k, at the sorted
-    l-tuples of the matchings of the rest (`_matching_sum`)."""
-    m = k.order
-    r = alg.dim
-    if 2 * m > r:
-        return True  # epsilon over more indices than the dimension
-    c = alg.integer_scaled()[1].c
-    table = _poly_table(k)[1]
-    memo = {(): {(): 1}}
-    for idx in combinations(range(1, r + 1), 2 * m):
-        tot = 0
-        for j in range(1, 2 * m):
-            row = c.get((idx[0], idx[j]))
-            if not row:
-                continue
-            sign = -1 if (j - 1) & 1 else 1
-            for tail, w in _matching_sum(c, memo, idx[1:j] + idx[j + 1:]).items():
-                k_row = table.get(tail)
-                if k_row:
-                    tot += sign * w * sum(v * k_row[l] for l, v in row.items() if l in k_row)
-        if tot:
-            return False
-    return True

@@ -31,7 +31,7 @@ and one solitary element.  Its keys absorb Z into the last block: a key is
 are then the rank-n antisymmetric tensors that the extension problem needs,
 since a central extension adds constants f(X_1..X_{n-1}, Z) antisymmetric in
 all n arguments; that the coboundary keeps this joint antisymmetry is a
-tested property (`jointly_antisymmetric_in_last_slot`).  Module keys are the
+tested property (`claims.jointly_antisymmetric_in_last_slot`).  Module keys are the
 p-tuples of sorted blocks.  Signs of unsorted blocks are tracked on reads.
 
 `_leibniz_delta` is the one evaluation of delta: it writes D delta straight
@@ -54,13 +54,13 @@ None, D and the tables are memoized on the algebra per kind and size
 given rho builds them anew.  A complex lists its keys, for its coordinates,
 once per degree, counts dim C^p without them, and keeps no matrix.
 `coboundary_matrix` divides the rows by D; `cohomology.complex_dims` ranks
-them undivided, `fa_coboundary_*` and `leibniz_coboundary` (a
+them undivided, `fa_coboundary_*` and `claims.leibniz_coboundary` (a
 `LeibnizComplex`: given rational actions, D = 1) apply delta through
 `cohomology.apply`, and `deformation_preimage` and `trivialize_fa_extension`
 invert it through `cohomology.preimage`, on coordinates (key, a).
-`coboundary_at` (delta at given points) and the checks built on it
-(`jointly_antisymmetric_in_last_slot`, `duality_pairing_holds`) dot the
-rows at those points alone with the coordinates and divide by D.
+`coboundary_at` (delta at given points) and the checks built on it in
+`claims` (`jointly_antisymmetric_in_last_slot`, `duality_pairing_holds`)
+dot the rows at those points alone with the coordinates and divide by D.
 """
 
 from __future__ import annotations
@@ -491,25 +491,6 @@ def _apply(fa, alpha, kind, rho):
     return NCochain._canonical(kind, p + 1, fa.arity, fa.dim, alpha.dim_v, data)
 
 
-def jointly_antisymmetric_in_last_slot(fa, kind, alpha, p_out) -> bool:
-    """Verify that the coboundary of a trivial or deformation cochain is
-    antisymmetric under exchanging the solitary slot with any member of the
-    last block (full joint antisymmetry then follows from the in-block
-    antisymmetry).  Every point and its exchange are evaluated at once."""
-    n, d = fa.arity, fa.dim
-    rng = range(1, d + 1)
-    blocks = list(combinations(rng, n - 1))
-    points, swapped = [], []
-    for bs in product(blocks, repeat=p_out - 1):
-        for last_blk in blocks:
-            for z in rng:
-                points.append(([*bs, last_blk], z))
-                swapped.append(([*bs, last_blk[:-1] + (z,)], last_blk[-1]))
-    values = coboundary_at(fa, kind, alpha, points + swapped)
-    return all(tuple(-v for v in vec2) == vec
-               for vec, vec2 in zip(values[:len(points)], values[len(points):]))
-
-
 # ---------------------------------------------------------------------------
 # matrices and cohomology dimensions
 # ---------------------------------------------------------------------------
@@ -538,72 +519,8 @@ def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> Cohomology
 
 
 # ---------------------------------------------------------------------------
-# homology dual to the trivial complex
-# ---------------------------------------------------------------------------
-
-def homology_boundary(fa: FilippovAlgebra, chain):
-    """chain: (blocks tuple, z, coeff) triples; boundary per the dual of the
-    trivial coboundary:
-
-        d(X_1..X_p, Z) = sum_{i<j} (-1)^i (..^i.., X_i.X_j, .., Z)
-                       + sum_i (-1)^i (..^i.., X_i . Z)
-
-    with X_i.X_j and X_i . Z read from `fundamental_tables`."""
-    return _boundary(fundamental_tables(fa), chain)
-
-
-def _boundary(tables, chain):
-    blocks, bracket, action = tables[:3]
-    num = {x: i for i, x in enumerate(blocks)}
-    out = {}
-    for raw, z, coeff in chain:
-        xs, sign = sort_blocks(raw)  # the boundary is linear in each block
-        for i in range(len(xs) if sign else 0):
-            rest, x = xs[:i] + xs[i + 1:], num[xs[i]]
-            c = (-1) ** (i + 1) * sign * coeff
-            for j in range(i + 1, len(xs)):
-                for y, v in bracket[x][num[xs[j]]]:
-                    accumulate(out, (rest[:j - 1] + (blocks[y],) + rest[j:], z), c * v)
-            for l, v in action[x][z - 1]:
-                accumulate(out, (rest, l + 1), c * v)
-    return out
-
-
-def duality_pairing_holds(fa: FilippovAlgebra, alpha: NCochain, chains) -> bool:
-    """alpha(boundary(c)) = (delta alpha)(c) on every basis chain c =
-    (blocks, z) of chains; delta alpha is evaluated at all of them at once,
-    and the boundaries read one set of `fundamental_tables`."""
-    tables = fundamental_tables(fa)
-    chains = [(list(blocks), z) for blocks, z in chains]
-    for (blocks, z), rhs in zip(chains, coboundary_at(fa, "trivial", alpha, chains)):
-        lhs = Fraction(0)
-        for (bs, l), v in _boundary(tables, [(tuple(blocks), z, Fraction(1))]).items():
-            key = tuple(bs[:-1]) + (tuple(bs[-1]) + (l,),) if alpha.order else (l,)
-            lhs += v * alpha.value(key)[0]
-        if lhs != rhs[0]:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # central extensions and deformation obstructions
 # ---------------------------------------------------------------------------
-
-def fa_central_extension(fa: FilippovAlgebra, alpha: NCochain) -> FilippovAlgebra:
-    """Extend by a central generator with the scalar 1-cocycle alpha."""
-    if alpha.order != 1 or alpha.dim_v != 1:
-        raise ValueError("need a scalar 1-cochain")
-    if not fa_coboundary_trivial(fa, alpha).is_zero():
-        raise ValueError("not a 1-cocycle: the extension would violate the identity")
-    d = fa.dim
-    f = {k: dict(row) for k, row in fa.f.items()}
-    for (key,), vec in alpha.data.items():
-        f.setdefault(key, {})[d + 1] = vec[0]
-    ext = FilippovAlgebra(fa.arity, d + 1, f)
-    rep = check_fi(ext)
-    if not rep.ok:
-        raise AssertionError(f"extension fails the identity at {rep.witness}")
-    return ext
 
 
 def trivialize_fa_extension(fa: FilippovAlgebra, alpha: NCochain):
@@ -614,46 +531,6 @@ def trivialize_fa_extension(fa: FilippovAlgebra, alpha: NCochain):
     return preimage(FAComplex(fa, "trivial"), alpha.order - 1, _flat(alpha.data))
 
 
-def deformation_obstruction(fa: FilippovAlgebra, alpha: NCochain):
-    """gamma(X, Y, Z) = a(X, a(Y, Z)) - a(a(X, ).Y, Z) - a(Y, a(X, Z)) for an
-    algebra-valued deformation 1-cocycle; returns (gamma, gamma_is_cocycle,
-    preimage or None)."""
-    if alpha.order != 1 or alpha.complex_kind != "deformation":
-        raise ValueError("need a deformation 1-cochain")
-    if not fa_coboundary_deformation(fa, alpha).is_zero():
-        raise ValueError("alpha is not a deformation 1-cocycle")
-    n, d = fa.arity, fa.dim
-    rng = range(1, d + 1)
-    blocks = list(combinations(rng, n - 1))
-
-    def a_val(block, z):  # raw blocks: alpha.value applies their sign
-        return alpha.value((tuple(block) + (z,),))
-
-    def add(out, sign, av, vec_at):
-        """out += sign * sum_b av[b] vec_at(b)."""
-        for b, c in enumerate(av, 1):
-            if c:
-                for t, w in enumerate(vec_at(b)):
-                    out[t] += sign * c * w
-
-    data = {}
-    for bx in blocks:
-        for by in blocks:
-            for z in rng:
-                out = [Fraction(0)] * d
-                add(out, 1, a_val(by, z), lambda b: a_val(bx, b))  # a(X, a(Y, Z))
-                add(out, -1, a_val(bx, z), lambda b: a_val(by, b))  # -a(Y, a(X, Z))
-                for i in range(n - 1):  # -a(a(X, ).Y, Z): a(X, Y_i) into slot i of Y
-                    add(out, -1, a_val(bx, by[i]),
-                        lambda b: a_val(by[:i] + (b,) + by[i + 1:], z))
-                if any(out):
-                    data[(bx, by + (z,))] = tuple(out)
-    gamma = NCochain("deformation", 2, n, d, d, data)
-    g_cocycle = fa_coboundary_deformation(fa, gamma).is_zero()
-    pre = deformation_preimage(fa, gamma)
-    return gamma, g_cocycle, pre
-
-
 def deformation_preimage(fa: FilippovAlgebra, target: NCochain):
     """Solve delta(beta) = target over deformation (p-1)-cochains."""
     cx, p = FAComplex(fa, "deformation", size=target.dim_v), target.order - 1
@@ -662,14 +539,6 @@ def deformation_preimage(fa: FilippovAlgebra, target: NCochain):
         return None
     return NCochain("deformation", p, fa.arity, fa.dim, cx.size,
                     dict(zip(cx.keys(p), _vectors(sol, cx.size))))
-
-
-def mc_zero_cochain(fa: FilippovAlgebra) -> NCochain:
-    """alpha0(X) = -X; its trivial coboundary has the structure constants as
-    coordinates (the Maurer-Cartan statement for these algebras)."""
-    data = {(z,): tuple(Fraction(-1 if t == z - 1 else 0) for t in range(fa.dim))
-            for z in range(1, fa.dim + 1)}
-    return NCochain("trivial", 0, fa.arity, fa.dim, fa.dim, data)
 
 
 # ---------------------------------------------------------------------------
@@ -737,42 +606,3 @@ def leibniz_rep_conditions(lb: LeibnizAlgebra, left, right):
                                                           (1, linalg.sp_mul(li, rj))]):
                 return ("right-compat", i, j)
     return None
-
-
-def leibniz_coboundary(lb: LeibnizAlgebra, left, right, omega: dict, p: int, dim_v: int):
-    """The Leibniz coboundary of the module docstring on raw p-cochains
-    omega: tuple (length p) -> target vector of length dim_v, with the sparse
-    matrices l_X = left[X - 1] and r_X = right[X - 1]; returns the nonzero
-    values of delta omega on all (p+1)-tuples.  Note that the first sum stops
-    at p, not p+1; actions that fail the representation conditions raise
-    ValueError (`LeibnizComplex`)."""
-    cx = LeibnizComplex(lb, left, right, dim_v)
-    values = _vectors(apply(cx, p, _flat(omega)), dim_v)
-    return {key: vec for key, vec in zip(cx.keys(p + 1), values) if any(vec)}
-
-
-def leibniz_extension(lb: LeibnizAlgebra, left, right, omega2: dict, dim_a: int) -> LeibnizAlgebra:
-    """Extension on A + L with bracket
-    [(A1,X1),(A2,X2)] = (l_{X1} A2 + r_{X2} A1 + w(X1,X2), [X1,X2]);
-    basis order: A-part first (1..dim_a), then L-part."""
-    if leibniz_coboundary(lb, left, right, omega2, 2, dim_a):
-        raise ValueError("omega2 is not a 2-cocycle")
-    d = lb.dim
-    b = {}
-    for (i, j), row in lb.b.items():
-        b[(dim_a + i, dim_a + j)] = {dim_a + k: v for k, v in row.items()}
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            vec = omega2.get((i, j), ())
-            b.setdefault((dim_a + i, dim_a + j), {}).update((a + 1, v) for a, v in enumerate(vec))
-        # [X_i, A_a] = left action; [A_a, X_i] = right action
-        for (t, a), v in left[i - 1].items():
-            b.setdefault((dim_a + i, a + 1), {})[t + 1] = v
-        for (t, a), v in right[i - 1].items():
-            b.setdefault((a + 1, dim_a + i), {})[t + 1] = v
-    ext = LeibnizAlgebra(dim_a + d, b)
-    rep = ext.check_left_identity()
-    if not rep.ok:
-        raise AssertionError(f"extension fails the left identity at {rep.witness}")
-    return ext
-

@@ -1,7 +1,8 @@
 """Antisymmetric multivector fields with polynomial components: the
 Schouten-Nijenhuis bracket, generalized-Poisson (even) and Nambu-Poisson
-tensor conditions, linear tensors built from Lie-algebra data, Jacobian
-n-brackets, and decomposability of constant tensors.
+tensor conditions, linear tensors built from Lie-algebra data, and
+decomposability of constant tensors.  The graded Jacobi identity, brackets
+of functions and the Jacobian (Nambu) brackets are in `claims`.
 
 Everything is exact: conditions on tensors are polynomial identities checked
 monomial by monomial, never numerically.
@@ -160,38 +161,6 @@ def schouten_bracket(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:
                                            for e, c in terms.items()})
              for kk, terms in _bracket_terms(at, bt, a.rank, b.rank).items() if terms}
     return AntisymTensor(a.rank + b.rank - 1, m, dict(sorted(comps.items())), a.zero)
-
-
-def graded_jacobi_residual(a, b, c) -> AntisymTensor:
-    """(-1)^{pr}[[A,B],C] + (-1)^{qp}[[B,C],A] + (-1)^{rq}[[C,A],B]."""
-    p, q, r = a.rank, b.rank, c.rank
-    t1 = schouten_bracket(schouten_bracket(a, b), c).scale(Fraction((-1) ** (p * r)))
-    t2 = schouten_bracket(schouten_bracket(b, c), a).scale(Fraction((-1) ** (q * p)))
-    t3 = schouten_bracket(schouten_bracket(c, a), b).scale(Fraction((-1) ** (r * q)))
-    return t1 + t2 + t3
-
-
-# ---------------------------------------------------------------------------
-# brackets of functions from a multivector
-# ---------------------------------------------------------------------------
-
-def bracket_of_functions(lam: AntisymTensor, fs) -> Poly:
-    """{f_1..f_n} = sum_{sorted I} lam^I det(d f_k / d x_{I_l})."""
-    n = lam.rank
-    if len(fs) != n:
-        raise ValueError("wrong number of functions")
-    m = lam.dim
-    grads = [[f.diff(i) for i in range(1, m + 1)] for f in fs]
-    return sum((comp * _poly_det([[grads[k][i - 1] for i in idx] for k in range(n)])
-                for idx, comp in lam.entries.items()), Poly.zero(m))
-
-
-def _poly_det(rows):
-    """Laplace expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    return sum((rows[0][j] * _poly_det([r[:j] + r[j + 1:] for r in rows[1:]]) * (-1) ** j
-                for j in range(len(rows))), Poly.zero(rows[0][0].nvars))
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +363,6 @@ def _sigma_pairs(table, n, m):
                     yield it, jt, it2, jt2
 
 
-def np_even_implies_gps(lam: AntisymTensor) -> bool:
-    """For an even-order tensor passing both Nambu-Poisson conditions, the
-    self-bracket condition holds as well (computed, not assumed)."""
-    if lam.rank % 2:
-        raise ValueError("even order required")
-    if not np_check(lam).ok:
-        raise ValueError("input does not satisfy the Nambu-Poisson conditions")
-    return gps_check(lam).ok
-
-
 # ---------------------------------------------------------------------------
 # decomposability of constant tensors
 # ---------------------------------------------------------------------------
@@ -453,79 +412,3 @@ def decompose_constant(n, m, entries):
         if sum((-1) ** k * get(it + (jt[k],)) * get(jt[:k] + jt[k + 1:]) for k in range(n + 1)):
             return PluckerViolation(it, jt)
     raise AssertionError("pivot factorization failed but no violated relation found")
-
-
-# ---------------------------------------------------------------------------
-# Jacobian (Nambu) brackets on R^n
-# ---------------------------------------------------------------------------
-
-def nambu_bracket(fs, density=Fraction(1)) -> Poly:
-    """{f_1..f_n} = det(d f_i / d x_j) / e for a nonzero constant density e."""
-    n = len(fs)
-    if fs[0].nvars != n:
-        raise ValueError("need n polynomials in n variables")
-    if is_zero(density):
-        raise ValueError("density must be a nonzero constant")
-    rows = [[f.diff(j) for j in range(1, n + 1)] for f in fs]
-    return _poly_det(rows) * (Fraction(1) / Fraction(density))
-
-
-def _fi_residual(bracket, fs, gs) -> Poly:
-    """{f_1..f_{n-1}, {g_1..g_n}} - sum_i {g_1.., {f.., g_i}, ..g_n} for the
-    bracket of functions `bracket` (a callable on a list of polynomials)."""
-    out = bracket(list(fs) + [bracket(gs)])
-    for i in range(len(gs)):
-        out = out - bracket(gs[:i] + [bracket(list(fs) + [gs[i]])] + gs[i + 1:])
-    return out
-
-
-def nambu_fi_residual(fs, gs, density=Fraction(1)) -> Poly:
-    """The fundamental-identity residual (`_fi_residual`) of the Jacobian
-    bracket as a polynomial: identically zero."""
-    return _fi_residual(lambda args: nambu_bracket(args, density), fs, gs)
-
-
-def nambu_leibniz_residual(fs, g, h, slot, density=Fraction(1)) -> Poly:
-    """Leibniz rule in the chosen slot: {.. f_slot = g h ..} - g{..h..} -
-    {..g..}h."""
-    def at_slot(f):
-        return nambu_bracket(list(fs[:slot]) + [f] + list(fs[slot + 1:]), density)
-
-    return at_slot(g * h) - g * at_slot(h) - at_slot(g) * h
-
-
-def hamiltonian_derivation_residual(lam: AntisymTensor, hs, gs) -> Poly:
-    """For the bracket of lam: {H_1..H_{n-1}, {g_1..g_n}} - sum_i {g_1..,
-    {H.., g_i}, ..} (`_fi_residual`); vanishes when lam is a Nambu-Poisson
-    tensor."""
-    return _fi_residual(lambda args: bracket_of_functions(lam, args), hs, gs)
-
-
-# ---------------------------------------------------------------------------
-# the block-Jacobian realization of the extended abelian 3-algebra
-# ---------------------------------------------------------------------------
-
-def nhw_bracket(fs, n_blocks: int) -> Poly:
-    """sum_a d(f_1,f_2,f_3)/d(x_a, y_a, z_a) on R^{3N}: variables ordered
-    x_1..x_N, y_1..y_N, z_1..z_N."""
-    if len(fs) != 3:
-        raise ValueError("three functions required")
-    m = 3 * n_blocks
-    out = Poly.zero(m)
-    for a in range(1, n_blocks + 1):
-        cols = (a, n_blocks + a, 2 * n_blocks + a)
-        rows = [[f.diff(c) for c in cols] for f in fs]
-        out = out + _poly_det(rows)
-    return out
-
-
-def nhw_realization_check(n_blocks: int = 2) -> bool:
-    """{x^a, y^b, z^c} = 1 exactly when a = b = c (0 otherwise), and any two
-    coordinates from the same family bracket to zero."""
-    m = 3 * n_blocks
-    x, y, z = ([Poly.var(m, f * n_blocks + a) for a in range(1, n_blocks + 1)] for f in range(3))
-    # same-family pairs kill the determinant columns across blocks
-    return all(nhw_bracket([x[a], y[b], z[c]], n_blocks) == (1 if a == b == c else 0)
-               and not nhw_bracket([x[a], x[b], z[c]], n_blocks)
-               and not nhw_bracket([y[a], z[b], z[c]], n_blocks)
-               for a, b, c in product(range(n_blocks), repeat=3))

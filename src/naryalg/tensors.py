@@ -24,7 +24,9 @@ Lie, generalized Lie and Filippov algebras, which differ only in their
 characteristic identity.  The same signed table, with whole rows {j: value}
 as its entries, serves the identity scans; `integer_scaled` gives the copy
 holding D C as ints, D the least common denominator of the constants;
-`memoized` keeps what later layers build on one algebra, never on a copy.
+`memoized` keeps what later layers build on one algebra; a `copy` reads
+the immutable entries of its origin's memo (the inverse Killing form) and
+builds the rest anew.
 
 The sign kernels (`perm_sign`, `sort_sign`, `merge_sign`, `gen_kronecker`)
 give their signs as plain ints in {-1, 0, 1}: they count inversions and never
@@ -456,18 +458,24 @@ class BracketTensor(FieldEq):
 
     def _with(self, c):
         """This tensor (its class and attributes) on the table c, without a
-        `signed` table or a memo of its own; it skips the constructor."""
+        `signed` table, a memo or an origin of its own; it skips the
+        constructor."""
         out = object.__new__(type(self))
-        vars(out).update({k: v for k, v in vars(self).items() if k not in ("signed", "_memo")})
+        vars(out).update({k: v for k, v in vars(self).items()
+                          if k not in ("signed", "_memo", "_origin")})
         out.c = c
         return out
 
     def copy(self):
         """A copy with rows and metric rows of its own, which a caller may
-        change without changing this tensor, and no memo."""
+        change without changing this tensor, and no memo of its own.  Its
+        `memoized` reads the immutable entries of this tensor's memo, now
+        and later: they were built on the constants the copy starts with,
+        and, like its own entries, do not follow later edits of its rows."""
         out = self._with({key: dict(row) for key, row in self.c.items()})
         if self.metric is not None:
             out.metric = [list(row) for row in self.metric]
+        out._origin = self
         return out
 
     def scaled(self, factor):
@@ -478,10 +486,21 @@ class BracketTensor(FieldEq):
 
     def memoized(self, key, build):
         """build() kept under key on this tensor from its first call (a raise
-        keeps nothing); nothing mutates a tensor, so it never goes stale."""
+        keeps nothing); nothing mutates a tensor, so it never goes stale.  A
+        `copy` first looks in the memos of the tensors it was copied from,
+        and takes an entry there that no reader can change (`_immutable`:
+        the inverse Killing form, an FI report, the FA tables of nested
+        tuples); an entry that holds a tensor or a dict is built again."""
         memo = vars(self).setdefault("_memo", {})
         if key not in memo:
-            memo[key] = build()
+            src = self
+            while (src := vars(src).get("_origin")) is not None:
+                kept = vars(src).get("_memo", {})
+                if key in kept and _immutable(kept[key]):
+                    memo[key] = kept[key]
+                    break
+            else:
+                memo[key] = build()
         return memo[key]
 
     def integer_scaled(self, d=1):
@@ -495,21 +514,12 @@ def _negated_row(row):
     return {j: -v for j, v in row.items()}
 
 
-def levi_civita(dim) -> AntisymTensor:
-    """epsilon_{1...d} = +1."""
-    return AntisymTensor(dim, dim, {tuple(range(1, dim + 1)): Fraction(1)})
-
-
-def ray_equal(a: dict, b: dict) -> bool:
-    """Exact proportionality of two sparse maps by a nonzero scalar."""
-    if not a or not b:
-        return not a and not b
-    if set(a) != set(b):
-        return False
-    k0 = next(iter(a))
-    va, vb = a[k0], b[k0]
-    # cross-multiplied comparison avoids choosing which side to divide
-    return all(a[k] * vb == b[k] * va for k in a)
+def _immutable(value):
+    """True for a value no reader can change: None, a number, a string, an
+    `IdentityReport`, or a tuple of such values."""
+    if isinstance(value, tuple):
+        return all(map(_immutable, value))
+    return value is None or isinstance(value, (int, Fraction, str, IdentityReport))
 
 
 # ---------------------------------------------------------------------------

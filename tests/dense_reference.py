@@ -88,6 +88,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from naryalg import cohomology, linalg, nary_cohomology
 from naryalg.algfile import KINDS, AlgebraFile, ParseError
+from naryalg.claims import ray_equal
 from naryalg.filippov import (CliffordReport, FARepresentation, FilippovAlgebra,
                               adjoint_fa_representation, check_metric_fa, fundamental_compose,
                               simple_fa)
@@ -98,7 +99,7 @@ from naryalg.poly import Poly, add_product
 from naryalg.scalars import (ZERO, GaussianRational, LinearForm, accumulate, is_zero, parse_scalar,
                              rat)
 from naryalg.tensors import (AntisymTensor, IdentityReport, fold_antisym, gen_kronecker,
-                             insert_sign, merge_sign, perm_sign, ray_equal, sort_blocks, sort_sign)
+                             insert_sign, merge_sign, perm_sign, sort_blocks, sort_sign)
 
 
 def rref(mat):

@@ -20,11 +20,12 @@ from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
 from naryalg.catalog import sun_basis
+from naryalg.claims import (check_poly_vanishing_identity, invariance_condition_residual,
+                            symmetrized_product)
 from naryalg.gla import GLAlgebra, check_gji, check_mgji, gla_from_cocycle
 from naryalg.lie import (LieAlgebra, SymInvariantPoly, check_invariance,
-                         check_poly_vanishing_identity, cocycle_condition_residual,
-                         cocycle_from_invariant_poly, invariance_condition_residual,
-                         killing_invariant_poly, symmetrized_product, symmetrized_trace_poly)
+                         cocycle_condition_residual, cocycle_from_invariant_poly,
+                         killing_invariant_poly, symmetrized_trace_poly)
 from naryalg.tensors import AntisymTensor, nested_bracket_residuals
 
 values = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)

@@ -18,8 +18,9 @@ from test_nary_cohomology import fa_shear_copy
 
 from naryalg import linalg
 from naryalg.catalog import a4, a5, a13, corrupted, heisenberg, nhw, su
+from naryalg.claims import direct_sum
 from naryalg.cohomology import CEComplex, CohomologyReport, complex_dims
-from naryalg.filippov import check_fi, direct_sum
+from naryalg.filippov import check_fi
 from naryalg.nary_cohomology import KINDS, FAComplex, LeibnizAlgebra, LeibnizComplex
 
 LIE = {"su2": lambda: su(2), "su3": lambda: su(3), "heisenberg": heisenberg, "r2": r2}

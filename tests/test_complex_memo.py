@@ -3,21 +3,28 @@ complex on memoized tables gives the matrices, coordinates, dimensions and
 mirrors of one built on a new copy of the algebra; the default size and the
 complex's own size read one table set; the memo keeps tables, the Jacobi
 verdict and the FI report alone, never a key or coordinate list; a
-given rho, a copy of the algebra and a construction that raises keep
-nothing; and the memo lives and dies with the algebra object, not with an
-equal one."""
+given rho, a scaled copy of the algebra and a construction that raises
+keep nothing; the memo lives and dies with the algebra object, not with an
+equal one; and a copy (`BracketTensor.copy`) reads the entries of its
+origin's memo that no reader can change, so one su(3) Killing form is
+inverted for the catalog's kept algebra and every copy of it."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from naryalg import linalg
 from naryalg.catalog import a4, a5, heisenberg, nhw, su
 from naryalg.cohomology import CEComplex, coboundary_matrix, cohomology_dims
-from naryalg.filippov import FARepresentation, adjoint_fa_representation
-from naryalg.lie import LieAlgebra
+from naryalg.filippov import FARepresentation, adjoint_fa_representation, check_fi
+from naryalg.lie import LieAlgebra, inverse_killing_form
 from naryalg.nary_cohomology import (FAComplex, NCochain, fa_coboundary_trivial,
                                      fa_cohomology_dims, trivialize_fa_extension)
 from naryalg.tensors import IdentityReport
@@ -196,3 +203,62 @@ def test_the_memo_lives_and_dies_with_its_algebra():
     del one
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# a copy reads the immutable entries of its origin's memo
+# ---------------------------------------------------------------------------
+
+def test_a_copy_reads_the_immutable_entries_of_its_origin(monkeypatch):
+    calls = []
+    inverse = linalg.inverse
+    monkeypatch.setattr(linalg, "inverse", lambda a: calls.append(a) or inverse(a))
+    alg = fresh(su(3))
+    before = alg.copy()
+    kinv = inverse_killing_form(alg)
+    after, grandchild = alg.copy(), before.copy()
+    assert all(inverse_killing_form(x) is kinv for x in (before, after, grandchild))
+    assert len(calls) == 1 and "kinv" in memo(before)
+    # the CE tables hold the scaled algebra, a tensor: each copy builds its own
+    assert CEComplex(before).ialg is not CEComplex(alg).ialg
+    # a scaled copy has other constants and reads nothing: kinv(2 C) = kinv(C) / 4
+    assert inverse_killing_form(before.scaled(2)) == tuple(
+        tuple(v / 4 for v in row) for row in kinv)
+    assert len(calls) == 2
+    # the FI report and the FA tables are immutable, so an FA copy reads them
+    fa = a4()
+    report, left = check_fi(fa), FAComplex(fa, "deformation").left
+    copy = fa.copy()
+    assert check_fi(copy) is report and FAComplex(copy, "deformation").left is left
+
+
+def test_a_copy_reads_no_entry_that_a_reader_could_change():
+    alg = fresh(su(3))
+    alg.memoized("rows", lambda: {(1, 2): {3: 1}})
+    alg.memoized("pair", lambda: (1, [2]))
+    copy = alg.copy()
+    assert copy.memoized("rows", dict) == {} and copy.memoized("pair", tuple) == ()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHECKS_SETUP = """
+from naryalg import catalog, linalg, poisson
+calls = []
+inverse = linalg.inverse
+linalg.inverse = lambda a: calls.append(a) or inverse(a)
+su3 = catalog.su(3)
+catalog.su3_gla4()
+poisson.linear_gps_from_cocycle(su3, catalog.su3_five_cocycle())
+print(len(calls))
+"""
+
+
+def test_the_checks_objects_invert_one_killing_form():
+    # a fresh process, as the su(3) objects are built once per process: a
+    # copy of su(3) taken before the catalog inverts the Killing form of its
+    # kept algebra for su3_gla4 reads that inverse when it needs its own
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", CHECKS_SETUP], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["1"]

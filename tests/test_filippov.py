@@ -7,22 +7,19 @@ import pytest
 import dense_reference as dense
 from naryalg import filippov, linalg
 from naryalg.catalog import a4, a5, a13, corrupted, nhw
-from naryalg.filippov import (FI_FORMS, FilippovAlgebra,
-                              ad_of_sum, adjoint_fa_representation, append_center,
-                              candidate_constants_antisymmetric, check_fa_representation,
-                              check_fi, check_metric_fa, clifford_realization,
-                              compose_matches_commutator, derivation_space_dim,
-                              direct_sum, fundamental_compose, gamma_matrices,
-                              gauge_algebra, inder_lie_algebra,
-                              kasymov_bilinear_nondegenerate, kasymov_form,
-                              orthogonal_relations_hold, semisimplicity_check,
-                              simple_fa, subordinate, trace_extension_bracket,
-                              trace_extension_structure, vector_product, _kernel,
-                              _minimal_polynomial)
+from naryalg.claims import (_kernel, _minimal_polynomial, ad_of_sum, append_center,
+                            candidate_constants_antisymmetric, compose_matches_commutator,
+                            derivation_space_dim, direct_sum, gauge_algebra, inder_lie_algebra,
+                            kasymov_bilinear_nondegenerate, kasymov_form,
+                            orthogonal_relations_hold, ray_equal, semisimplicity_check,
+                            subordinate, trace_extension_bracket, trace_extension_structure,
+                            vector_product)
+from naryalg.filippov import (FI_FORMS, FilippovAlgebra, adjoint_fa_representation,
+                              check_fa_representation, check_fi, check_metric_fa,
+                              clifford_realization, fundamental_compose, gamma_matrices, simple_fa)
 from naryalg.lie import check_jacobi, killing_form
 from naryalg.nary_cohomology import fa_cohomology_dims
-from naryalg.tensors import (AntisymTensor, IdentityReport, gen_kronecker, ray_equal,
-                            sort_sign)
+from naryalg.tensors import AntisymTensor, IdentityReport, gen_kronecker, sort_sign
 
 
 def basis_vec(i, d):

@@ -6,18 +6,16 @@ import pytest
 
 from naryalg import linalg
 from naryalg.catalog import su, su3_five_cocycle, su3_gla4, su3_three_cocycle
+from naryalg.claims import (GhostOperator, basis_one_form, brst_nilpotency, coderivation_apply,
+                            coderivation_nilpotency, coderivation_on_multivector,
+                            derivative_squared_vanishes, duality_factor_holds, evaluate_cochain,
+                            ghost_operators, higher_exterior_derivative, leibniz_rule_holds,
+                            multibracket, odd_arity_defect, ray_equal, resolve_even_bracket)
 from naryalg.cohomology import Cochain, coboundary
-from naryalg.gla import (GLAlgebra, GhostOperator, basis_one_form,
-                         brst_nilpotency, check_gji, check_mgji,
-                         coderivation_apply, coderivation_nilpotency,
-                         coderivation_on_multivector, derivative_squared_vanishes,
-                         duality_factor_holds, evaluate_cochain, ghost_operators,
-                         gla_from_cocycle, higher_exterior_derivative,
-                         leibniz_rule_holds, lie_as_gla, multibracket,
-                         odd_arity_defect, resolve_even_bracket)
+from naryalg.gla import GLAlgebra, check_gji, check_mgji, gla_from_cocycle, lie_as_gla
 from naryalg.lie import cocycle_from_invariant_poly, killing_invariant_poly
 from naryalg.scalars import accumulate
-from naryalg.tensors import AntisymTensor, ray_equal
+from naryalg.tensors import AntisymTensor
 
 
 def rmat(rng, n=3):

@@ -24,8 +24,8 @@ import dense_reference as ref
 from naryalg.catalog import (a4, a5, a13, corrupted, euclidean_rotations_2d, heisenberg, nhw,
                              r2_abelian, su)
 from naryalg import linalg
-from naryalg.filippov import (FI_FORMS, FilippovAlgebra, check_fi, check_metric_fa,
-                              inder_lie_algebra, simple_fa)
+from naryalg.claims import inder_lie_algebra
+from naryalg.filippov import FI_FORMS, FilippovAlgebra, check_fi, check_metric_fa, simple_fa
 from naryalg.lie import LieAlgebra, check_jacobi, check_metric_invariance, killing_form
 from naryalg.scalars import GaussianRational
 

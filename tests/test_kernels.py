@@ -16,9 +16,8 @@ import pytest
 import dense_reference as dense
 from naryalg import filippov, linalg, nary_cohomology, poisson, tensors
 from naryalg.catalog import a4, a5, corrupted, nhw, su
-from naryalg.filippov import (FilippovAlgebra, append_center, check_fi, clifford_realization,
-                              simple_fa)
-from naryalg.gla import multibracket
+from naryalg.claims import append_center, multibracket
+from naryalg.filippov import FilippovAlgebra, check_fi, clifford_realization, simple_fa
 from naryalg.poly import Poly
 from naryalg.scalars import GaussianRational
 from naryalg.tensors import (AntisymTensor, IdentityReport, eps_identities_check, gen_kronecker,

@@ -14,14 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from naryalg import LeibnizAlgebra, linalg
 from naryalg.catalog import a4, a5, corrupted, heisenberg, nhw, nilpotent_leibniz, su
+from naryalg.claims import leibniz_coboundary, leibniz_extension
 from naryalg.cohomology import (Cochain, basis_tuples, coboundary, complex_dims, integer_scaling,
                                 unscale_rows)
 from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
                               fundamental_compose)
-from naryalg.nary_cohomology import (LeibnizComplex, NCochain, coboundary_at,
-                                     coboundary_matrix, fa_coboundary_deformation,
-                                     fa_coboundary_module, fa_coboundary_trivial,
-                                     fundamental_tables, leibniz_coboundary, leibniz_extension,
+from naryalg.nary_cohomology import (LeibnizComplex, NCochain, coboundary_at, coboundary_matrix,
+                                     fa_coboundary_deformation, fa_coboundary_module,
+                                     fa_coboundary_trivial, fundamental_tables,
                                      leibniz_rep_conditions, module_keys, trivial_keys)
 from naryalg.scalars import LinearForm
 from naryalg.tensors import sort_sign

@@ -6,17 +6,17 @@ import pytest
 
 from naryalg import linalg
 from naryalg.catalog import heisenberg, su, su3_three_cocycle, sun_basis
-from naryalg.cohomology import Cochain, homotopy_contraction, quadratic_casimir
+from naryalg.claims import (associator_check, check_poly_vanishing_identity, homotopy_contraction,
+                            invariance_condition_residual, invariant_poly_from_cocycle,
+                            quadratic_casimir, ray_equal, symmetrized_product)
+from naryalg.cohomology import Cochain
 from naryalg.gla import gla_from_cocycle
-from naryalg.lie import (LieAlgebra, Representation, SymInvariantPoly,
-                         associator_check, check_invariance,
-                         check_jacobi, check_metric_invariance,
-                         check_poly_vanishing_identity, closure_residual,
+from naryalg.lie import (LieAlgebra, Representation, SymInvariantPoly, check_invariance,
+                         check_jacobi, check_metric_invariance, closure_residual,
                          cocycle_condition_residual, cocycle_from_invariant_poly,
-                         invariance_condition_residual, invariant_poly_from_cocycle,
-                         inverse_killing_form, killing_form, killing_invariant_poly, sun_generators,
-                         symmetrized_product, symmetrized_trace_poly)
-from naryalg.tensors import AntisymTensor, gen_kronecker, ray_equal
+                         inverse_killing_form, killing_form, killing_invariant_poly,
+                         sun_generators, symmetrized_trace_poly)
+from naryalg.tensors import AntisymTensor, gen_kronecker
 
 
 def eps_lie():

@@ -36,9 +36,17 @@ builders of a complex's tables (`_fa_tables`, `_fa_actions`, `_unimodular`)
 are read only by the constructor that memoizes them on the algebra, and the
 complement-ranking kernel `linalg.complement_rank` only by `complex_dims`.
 `argparse.ArgumentParser` is read only by `cli._parser`, which is cached, so
-a process builds its parser once."""
+a process builds its parser once.  The claims built on the cohomology
+complexes keep their one solve and one dot product in `claims.py` too.
+No other module imports `claims`, so `import naryalg.cli` with every other
+module of the package leaves it unloaded; no top-level name is defined both
+in `claims.py` and in another module; and the modules that every process
+compiles stay within a budget of AST nodes."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -724,15 +732,25 @@ def test_every_cohomology_dims_function_is_in_the_tree():
 
 COHOMOLOGY_MODULES = [SRC / "cohomology.py", SRC / "nary_cohomology.py"]
 READ_ONLY_IN = {"solve": {"preimage"}, "apply_rows": {"apply", "coboundary_at"}}
+# the definitions of claims.py built on the complexes of the two modules
+COHOMOLOGY_CLAIMS = {
+    "quadratic_casimir", "homotopy_contraction", "whitehead_homotopy", "laplacian_identity_holds",
+    "central_extension", "DeformationReport", "deformation_check", "_alpha_nested_cyclic",
+    "_coboundary_preimage", "mc_cochain", "jointly_antisymmetric_in_last_slot",
+    "homology_boundary", "_boundary", "duality_pairing_holds", "fa_central_extension",
+    "deformation_obstruction", "mc_zero_cochain", "leibniz_coboundary", "leibniz_extension"}
 
 
-def reads_outside_their_function(source):
+def reads_outside_their_function(source, only=None):
     """(enclosing module-level definition, name) of every read of a name of
     `READ_ONLY_IN`, as a name or an attribute, outside the module-level
-    functions allowed to read it ("<module>" for a read at module level)."""
+    functions allowed to read it ("<module>" for a read at module level);
+    with `only`, the definitions of other names are not scanned."""
     found = []
     for node in ast.parse(source).body:
         owner = getattr(node, "name", "<module>")
+        if only is not None and isinstance(node, DEFS) and owner not in only:
+            continue
         found += [(owner, name) for name in _reads(node, READ_ONLY_IN)
                   if not (isinstance(node, ast.FunctionDef) and owner in READ_ONLY_IN[name])]
     return found
@@ -747,6 +765,8 @@ def test_scan_sees_a_second_solve_or_dot_product():
     assert reads_outside_their_function(source) == [("trivialize", "solve"),
                                                     ("FAComplex", "apply_rows"),
                                                     ("<module>", "solve")]
+    assert reads_outside_their_function(source, {"preimage", "trivialize"}) == [
+        ("trivialize", "solve"), ("<module>", "solve")]
 
 
 @pytest.mark.parametrize("path", COHOMOLOGY_MODULES, ids=lambda p: p.name)
@@ -754,10 +774,17 @@ def test_one_solve_and_one_dot_product_per_job(path):
     assert reads_outside_their_function(path.read_text()) == []
 
 
+def test_the_cohomology_claims_keep_one_solve_and_one_dot_product():
+    source = (SRC / "claims.py").read_text()
+    assert reads_outside_their_function(source, COHOMOLOGY_CLAIMS) == []
+
+
 def test_the_solve_and_the_dot_product_are_in_the_tree():
     defined = {node.name for path in COHOMOLOGY_MODULES
                for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
     assert set().union(*READ_ONLY_IN.values()) <= defined
+    claims = ast.parse((SRC / "claims.py").read_text()).body
+    assert COHOMOLOGY_CLAIMS <= {node.name for node in claims if isinstance(node, DEFS)}
 
 
 # ---------------------------------------------------------------------------
@@ -876,3 +903,97 @@ def test_the_cached_parser_builder_is_in_the_tree():
     assert len(builder) == 1
     assert [d.id for d in builder[0].decorator_list if isinstance(d, ast.Name)] == ["cache"]
     assert _reads(builder[0], {"ArgumentParser"})
+
+
+# ---------------------------------------------------------------------------
+# the claim layer stays out of the eager import path: no other module imports
+# `claims`, no top-level name is defined both there and in another module,
+# and the modules that every process compiles stay within a node budget
+# ---------------------------------------------------------------------------
+
+CLAIMS = SRC / "claims.py"
+EAGER = [path for path in MODULES if path != CLAIMS]
+# compile time follows the AST nodes, `sum(1 for _ in ast.walk(tree))`
+EAGER_NODE_BUDGET = 32_872
+
+
+def claims_imports(source):
+    """The line of every import of the package's `claims` module, relative
+    or by the package's name, and of every string that names it
+    (`importlib`)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[:2] == ["naryalg", "claims"] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:  # by name: naryalg or naryalg.<module>
+                if module.partition(".")[0] != "naryalg":
+                    continue
+                module = module.partition(".")[2]
+            hit = (module.partition(".")[0] == "claims" if module
+                   else any(a.name == "claims" for a in node.names))
+        else:
+            hit = isinstance(node, ast.Constant) and node.value in ("naryalg.claims", ".claims")
+        if hit:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def top_level_names(source):
+    """Every name a module binds at its top level by a def, a class or an
+    assignment (an import binds no definition)."""
+    body = ast.parse(source).body
+    return ({node.name for node in body if isinstance(node, DEFS)}
+            | {name for node in body for name in assigned_names(node)})
+
+
+def node_count(source):
+    return sum(1 for _ in ast.walk(ast.parse(source)))
+
+
+def test_scan_sees_an_import_of_the_claims():
+    source = ("from . import claims\nfrom .claims import gauge_algebra\n"
+              "import naryalg.claims as c\nfrom naryalg import claims, lie\n"
+              "from naryalg.claims import vector_product\n"
+              "def f():\n    from .claims import direct_sum\n"
+              "    return importlib.import_module('naryalg.claims')\n"
+              "from .lie import claims_table\nfrom . import cohomology\nimport claims\n"
+              "from .cohomology import claims\n")
+    assert claims_imports(source) == [1, 2, 3, 4, 5, 7, 8]
+
+
+def test_scan_sees_a_name_defined_twice():
+    claims = "def gauge_algebra(fa, g):\n    pass\nclass GaugeAlgebra:\n    pass\nX = 1\n"
+    eager = ("from .lie import gauge_algebra\ndef _kernel(m):\n    pass\n"
+             "class GaugeAlgebra:\n    pass\nX: int = 2\n")
+    assert top_level_names(claims) & top_level_names(eager) == {"GaugeAlgebra", "X"}
+
+
+def test_scan_counts_every_node():
+    assert node_count("x = 1\n") == 5  # Module, Assign, Name, its Store context, Constant
+
+
+@pytest.mark.parametrize("path", EAGER, ids=lambda p: p.name)
+def test_no_eager_module_imports_the_claims(path):
+    assert claims_imports(path.read_text()) == []
+
+
+def test_every_claim_is_defined_in_claims_alone():
+    eager = set().union(*(top_level_names(path.read_text()) for path in EAGER))
+    assert top_level_names(CLAIMS.read_text()) & eager == set()
+
+
+def test_the_eager_modules_stay_within_their_node_budget():
+    assert sum(node_count(path.read_text()) for path in EAGER) <= EAGER_NODE_BUDGET
+
+
+def test_importing_every_other_module_leaves_the_claims_unloaded():
+    script = "".join(f"import naryalg.{path.stem}\n" for path in EAGER if path.stem != "__init__")
+    script += ("import sys\nprint('naryalg.claims' in sys.modules)\n"
+               "import naryalg.claims\nprint('naryalg.claims' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True)
+    assert "import naryalg.cli\n" in script and out.stdout.split() == ["False", "True"]

@@ -7,16 +7,14 @@ import pytest
 import dense_reference as dense
 from naryalg import linalg
 from naryalg.catalog import a4, a5, nhw
+from naryalg.claims import (deformation_obstruction, duality_pairing_holds, fa_central_extension,
+                            homology_boundary, jointly_antisymmetric_in_last_slot, mc_zero_cochain)
 from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
                               check_fa_representation, check_fi)
 from naryalg.nary_cohomology import (FAComplex, NCochain, coboundary_at, coboundary_matrix,
-                                     deformation_obstruction,
-                                     deformation_preimage, duality_pairing_holds,
-                                     fa_central_extension, fa_coboundary_deformation,
+                                     deformation_preimage, fa_coboundary_deformation,
                                      fa_coboundary_module, fa_coboundary_trivial,
-                                     fa_cohomology_dims, homology_boundary,
-                                     jointly_antisymmetric_in_last_slot,
-                                     mc_zero_cochain, module_keys, trivial_keys,
+                                     fa_cohomology_dims, module_keys, trivial_keys,
                                      trivialize_fa_extension)
 from naryalg.tensors import insert_sign
 

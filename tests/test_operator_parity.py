@@ -15,16 +15,13 @@ import pytest
 import dense_reference as dense
 from naryalg import linalg
 from naryalg.catalog import a4, a5, nhw, su, sun_basis
-from naryalg.cohomology import quadratic_casimir
-from naryalg.filippov import (adjoint_fa_representation, ad_of_sum, check_fa_representation,
-                              clifford_realization, compose_matches_commutator,
-                              fundamental_compose, gamma_matrices,
-                              orthogonal_relations_hold, so_dual_generators,
-                              trace_extension_bracket, trace_extension_structure)
-from naryalg.gla import multibracket, odd_arity_defect, resolve_even_bracket
-from naryalg.lie import associator_check
-from naryalg.nary_cohomology import (LeibnizAlgebra, leibniz_coboundary, leibniz_extension,
-                                     leibniz_rep_conditions)
+from naryalg.claims import (ad_of_sum, associator_check, compose_matches_commutator,
+                            leibniz_coboundary, leibniz_extension, multibracket, odd_arity_defect,
+                            orthogonal_relations_hold, quadratic_casimir, resolve_even_bracket,
+                            so_dual_generators, trace_extension_bracket, trace_extension_structure)
+from naryalg.filippov import (adjoint_fa_representation, check_fa_representation,
+                              clifford_realization, fundamental_compose, gamma_matrices)
+from naryalg.nary_cohomology import LeibnizAlgebra, leibniz_rep_conditions
 
 FA = {"a4": a4, "a5": a5, "nhw2": lambda: nhw(2)}
 

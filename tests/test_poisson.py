@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from naryalg.catalog import a4, a5, a13, nhw, su, su3_five_cocycle
-from naryalg.filippov import append_center, direct_sum
-from naryalg.poisson import (Decomposition, PluckerViolation,
-                             bracket_multivector, decompose_constant, gps_check,
-                             graded_jacobi_residual, hamiltonian_derivation_residual,
-                             lie_poisson_bivector, linear_gps_from_cocycle, nambu_bracket,
-                             nambu_fi_residual, nambu_leibniz_residual, nhw_realization_check,
-                             np_check, np_even_implies_gps, schouten_bracket,
-                             wedge_vectors)
+from naryalg.claims import (append_center, direct_sum, graded_jacobi_residual,
+                            hamiltonian_derivation_residual, nambu_bracket, nambu_fi_residual,
+                            nambu_leibniz_residual, nhw_realization_check, np_even_implies_gps)
+from naryalg.poisson import (Decomposition, PluckerViolation, bracket_multivector,
+                             decompose_constant, gps_check, lie_poisson_bivector,
+                             linear_gps_from_cocycle, np_check, schouten_bracket, wedge_vectors)
 from naryalg.poly import Poly
 from naryalg.tensors import AntisymTensor, merge_sign, shuffle_splits, sort_sign, wedge
 

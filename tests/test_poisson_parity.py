@@ -20,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 import dense_reference as ref
 from naryalg.catalog import su, su3_five_cocycle
+from naryalg.claims import graded_jacobi_residual
 from naryalg.poisson import (_add_sigma, _integer_table, _radix, _sigma_pairs, gps_check,
-                             graded_jacobi_residual, lie_poisson_bivector,
-                             linear_gps_from_cocycle, np_check, schouten_bracket)
+                             lie_poisson_bivector, linear_gps_from_cocycle, np_check,
+                             schouten_bracket)
 from naryalg.poly import Poly
 from naryalg.tensors import AntisymTensor, shuffle_splits
 

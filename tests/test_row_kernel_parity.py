@@ -12,8 +12,8 @@ import pytest
 
 import dense_reference as dense
 from naryalg.catalog import a4, a5, a13, corrupted, heisenberg, nhw, su
+from naryalg.claims import direct_sum
 from naryalg.cohomology import CEComplex
-from naryalg.filippov import direct_sum
 from naryalg.lie import LieAlgebra
 from naryalg.nary_cohomology import (FAComplex, LeibnizComplex, NCochain, coboundary_at,
                                      module_keys, trivial_keys)

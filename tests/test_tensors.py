@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_reference as dense
+from naryalg.claims import levi_civita
 from naryalg.lie import LieAlgebra
-from naryalg.tensors import (AntisymTensor, BracketTensor,
-                             eps_identities_check, fold_antisym, gen_kronecker,
-                             levi_civita, merge_sign,
-                             insert_sign, perm_sign, shuffle_splits, sort_blocks, sort_sign)
+from naryalg.tensors import (AntisymTensor, BracketTensor, eps_identities_check, fold_antisym,
+                             gen_kronecker, merge_sign, insert_sign, perm_sign, shuffle_splits,
+                             sort_blocks, sort_sign)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ compare by value, what the comparison reads and ignores, and which are
 immutable and hashable.  The parse fuzz compares `AlgebraFile`s, the parity
 tests compare tensors, algebras, cochains and reports, and a memoized
 `IdentityReport` is shared by every caller.  The catalog hands out copies
-of what it keeps: changing one result changes no later call, and a copy
-runs no constructor."""
+of what it keeps, the su(n) generator bases included: changing one result
+changes no later call, and a copy runs no constructor."""
 
 from fractions import Fraction
 
@@ -15,7 +15,7 @@ from naryalg.algfile import AlgebraFile
 from naryalg.cohomology import Cochain
 from naryalg.filippov import FilippovAlgebra
 from naryalg.gla import GLAlgebra
-from naryalg.lie import LieAlgebra
+from naryalg.lie import LieAlgebra, sun_generators
 from naryalg.nary_cohomology import LeibnizAlgebra, NCochain
 from naryalg.poly import Poly
 from naryalg.scalars import LinearForm
@@ -138,3 +138,21 @@ def test_catalog_copies_run_no_constructor(monkeypatch):
         monkeypatch.setattr(cls, "__init__", refuse)
     copies = [make() for make in (*CACHED_ALGEBRAS.values(), *CACHED_COCYCLES.values())]
     assert copies == warm and all(a is not b for a, b in zip(copies, warm))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_changing_a_catalog_basis_leaves_the_next_call_unchanged(n):
+    want, alg_file = sun_generators(n), AlgebraFile.from_object(catalog.su(n)).emit()
+    first = catalog.sun_basis(n)
+    first.algebra.metric = [[Fraction(int(i == j)) for j in range(first.algebra.dim)]
+                            for i in range(first.algebra.dim)]
+    first.algebra.c[min(first.algebra.c)].clear()
+    for mats in (first.rep.mats, first.hermitian, first.doubled):
+        mats[0].clear()
+    first.trace_norms[0] = 0
+    fresh = catalog.sun_basis(n)
+    assert catalog.su(n).metric is None and fresh.algebra.metric is None
+    assert AlgebraFile.from_object(catalog.su(n)).emit() == alg_file
+    assert fresh.algebra == want.algebra and fresh.rep.mats == want.rep.mats
+    assert (fresh.hermitian, fresh.trace_norms, fresh.doubled) == (
+        want.hermitian, want.trace_norms, want.doubled)
