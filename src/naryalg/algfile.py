@@ -16,6 +16,12 @@ written.
 A malformed line is a `ParseError` at its line and at the column of the
 offending token (the first surplus token, or where a missing one belongs).
 
+Integer tokens -- arity, dim, indices and exponents -- are ASCII digits
+with an optional leading '-' (`INTEGER`), and scalar literals are ASCII
+(`scalars.parse_scalar`): a digit separator (`0_1`), a '+' sign or a
+non-ASCII digit (`١`, the fullwidth `１`), all of which `int` would read,
+is refused at its column.
+
 `parse` reads a file in one pass: it splits each line once at its ':' and
 '->' and reads the indices with `str.split` and `int`; columns are worked
 out (`_column`) only for an error.  Each distinct scalar text is parsed once
@@ -40,6 +46,8 @@ from .poly import Poly
 from .scalars import GaussianRational, format_scalar, parse_scalar
 from .tensors import AntisymTensor, BracketTensor, FieldEq
 
+# an integer token: arity, dim, an index or an exponent, in ASCII digits
+INTEGER = re.compile(r"-?[0-9]+")
 # the structure-constant kinds, each stored as a BracketTensor subclass
 BRACKETS = {cls.kind: cls for cls in (LieAlgebra, GLAlgebra, FilippovAlgebra)}
 KINDS = (*BRACKETS, "leibniz", "multivector")
@@ -63,16 +71,19 @@ def _column(line, start, text="", k=0):
 
 def _ints(text, what, error, start=0):
     """The integers of the tokens of `text`, the piece of the stripped line
-    at offset `start`; a token that is not one is an `error` at its column."""
+    at offset `start`; a token outside `INTEGER` is an `error` at its
+    column.  On ASCII text free of '_' and '+', `int` takes exactly the
+    tokens of that form."""
     tokens = text.split()
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        for k, tok in enumerate(tokens):
-            try:
-                int(tok)
-            except ValueError:
-                raise error(f"{what} must be integers, got {tok!r}", start, text, k) from None
+    if text.isascii() and "_" not in text and "+" not in text:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    for k, tok in enumerate(tokens):
+        if not INTEGER.fullmatch(tok):
+            raise error(f"{what} must be integers, got {tok!r}", start, text, k)
+    return list(map(int, tokens))
 
 
 def _header(line):
@@ -88,10 +99,9 @@ def _header(line):
     if head[0] not in KINDS:
         raise error(f"unknown kind {head[0]!r}", 0)
     for k in (1, 2):
-        try:
-            head[k] = int(head[k])
-        except ValueError:
-            raise error(f"arity and dim must be integers, got {head[k]!r}", k) from None
+        if not INTEGER.fullmatch(head[k]):
+            raise error(f"arity and dim must be integers, got {head[k]!r}", k)
+        head[k] = int(head[k])
     kind, arity, dim, scalar_kind = head
     if arity < 1:
         raise error(f"arity must be positive, got {arity}", 1)

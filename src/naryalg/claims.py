@@ -18,7 +18,8 @@ Sections follow the paper:
   Filippov         -- the vector product, fundamental objects, the Lie
                       algebra of inner derivations and its so(n+1)
                       relations, Kasymov's semisimplicity criterion,
-                      subordinated algebras, derivations, trace extensions
+                      subordinated algebras, derivations, trace extensions,
+                      the double commutator of the Clifford realization
   FA cohomology    -- the homology dual to the trivial complex, central
                       extensions, deformation obstructions, and the binary
                       Leibniz extension
@@ -59,7 +60,8 @@ from operator import mul
 
 from . import linalg
 from .cohomology import CEComplex, Cochain, _matrix_rows, apply, basis_tuples, coboundary, preimage
-from .filippov import FilippovAlgebra, check_fi, check_metric_fa, fundamental_compose
+from .filippov import (FilippovAlgebra, _zi_gammas, anticommuting_brackets, check_fi,
+                       check_metric_fa, fundamental_compose, lowered_form)
 from .gla import GLAlgebra, gla_from_cocycle
 from .lie import (LieAlgebra, Representation, SymInvariantPoly, _n_arrangements, _poly_table,
                   check_invariance, check_jacobi, check_metric_invariance,
@@ -70,8 +72,8 @@ from .nary_cohomology import (LeibnizAlgebra, LeibnizComplex, NCochain, _flat, _
 from .poisson import gps_check, np_check, schouten_bracket
 from .poly import Poly
 from .scalars import GaussianRational, accumulate, common_denominator, is_zero, scaled_to_ints
-from .tensors import (AntisymTensor, gen_kronecker, merge_sign, perm_sign, shuffle_splits,
-                      sort_blocks, sort_sign, wedge)
+from .tensors import (AntisymTensor, IdentityReport, gen_kronecker, merge_sign, perm_sign,
+                      shuffle_splits, sort_blocks, sort_sign, wedge)
 
 
 # ===========================================================================
@@ -251,7 +253,7 @@ def invariant_poly_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> SymInv
         if terms.setdefault(skey, v) != v:
             raise ArithmeticError(f"lowered output not symmetric at {key}")
     poly = SymInvariantPoly(m, r, terms)
-    if check_invariance(alg, poly) is not None:
+    if not check_invariance(alg, poly).ok:
         raise ArithmeticError("output polynomial fails invariance")
     return poly
 
@@ -1033,6 +1035,32 @@ def trace_extension_structure(bracket_n, basis) -> FilippovAlgebra:
     return fa
 
 
+# ---------------------------------------------------------------------------
+# the double commutator of the Clifford realization of A4
+# ---------------------------------------------------------------------------
+
+def clifford_double_commutator() -> IdentityReport:
+    """6 [[g_a, g_b] top, g_c] = [top, g_a, g_b, g_c] for every a, b, c on
+    the four euclidean gammas and top = g_1 g_2 g_3 g_4, the weight-one
+    4-bracket on the right read as 4! times its ordered product
+    (`filippov.anticommuting_brackets`, which checks that top anticommutes
+    with each gamma); both sides are linear in top, so the plain product
+    serves.  The witness is the first failing (a, b, c)."""
+    gam, _ = _zi_gammas(4)
+    top = gam[0]
+    for g in gam[1:]:
+        top = linalg.zi_mul(top, g)
+    tuples = list(product((4,), range(4), range(4), range(4)))
+    table = anticommuting_brackets(gam + [top], tuples, known=4)
+    for t in tuples:
+        _, a, b, c = t
+        lhs = linalg.zi_commutator(linalg.zi_mul(linalg.zi_commutator(gam[a], gam[b]), top),
+                                   gam[c])
+        if linalg.zi_scale((6, 0), lhs) != linalg.zi_scale((24, 0), table[t]):
+            return IdentityReport(False, (a, b, c))
+    return IdentityReport(True)
+
+
 # ===========================================================================
 # Filippov and Leibniz algebra cohomology
 # ===========================================================================
@@ -1270,7 +1298,8 @@ def np_even_implies_gps(lam: AntisymTensor) -> bool:
     self-bracket condition holds as well (computed, not assumed)."""
     if lam.rank % 2:
         raise ValueError("even order required")
-    if not np_check(lam).ok:
+    differential, algebraic = np_check(lam)
+    if not (differential.ok and algebraic.ok):
         raise ValueError("input does not satisfy the Nambu-Poisson conditions")
     return gps_check(lam).ok
 
@@ -1391,19 +1420,20 @@ def gauge_algebra(fa: FilippovAlgebra, g) -> GaugeAlgebra:
     other than 3 and on a metric that is not invariant or is singular."""
     if fa.arity != 3:
         raise ValueError(f"the gauge algebra is defined for 3-Lie algebras, not arity {fa.arity}")
-    met = check_metric_fa(fa, g)
-    if not met.invariant:
-        raise ValueError(f"the metric is not invariant (at {met.witness})")
-    if not met.nondegenerate:
+    invariance = check_metric_fa(fa, g)
+    if not invariance.ok:
+        raise ValueError(f"the metric is not invariant (at {invariance.witness})")
+    if not linalg.nondegenerate(g).ok:
         raise ValueError("the metric is singular")
+    lowered = lowered_form(fa, g)
     inder = inder_lie_algebra(fa)
     labels, kas = kasymov_form(fa)
     at = [labels.index(lab) for lab in inder.basis_labels]
     k1 = [[kas[i][j] for j in at] for i in at]
-    k2 = [[met.lowered.get(x + y) for y in inder.basis_labels] for x in inder.basis_labels]
+    k2 = [[lowered.get(x + y) for y in inder.basis_labels] for x in inder.basis_labels]
     pulled = {x: [sum(map(mul, row, inder.projection[x])) for row in k2] for x in labels}
     ill = next(((x, y) for x in labels for y in labels
-                if met.lowered.get(x + y) != sum(map(mul, pulled[x], inder.projection[y]))),
+                if lowered.get(x + y) != sum(map(mul, pulled[x], inder.projection[y]))),
                None)
     levels = None
     if not is_zero(linalg.det(k1)):
@@ -1412,8 +1442,8 @@ def gauge_algebra(fa: FilippovAlgebra, g) -> GaugeAlgebra:
                                 for r, row in enumerate(j)])
                   for lam in _rational_roots(_minimal_polynomial(j))}
     return GaugeAlgebra(inder, k1, k2, ill,
-                        check_metric_invariance(inder.lie, k1).invariant,
-                        check_metric_invariance(inder.lie, k2).invariant,
+                        check_metric_invariance(inder.lie, k1).ok,
+                        check_metric_invariance(inder.lie, k2).ok,
                         linalg.signature(k2), levels)
 
 

@@ -28,8 +28,8 @@ from .gla import GLAlgebra, check_gji
 from .lie import LieAlgebra, check_jacobi, check_metric_invariance
 from .nary_cohomology import FAComplex, LeibnizAlgebra
 from .cohomology import CEComplex, complex_dims
-from .poisson import gps_check, np_check, schouten_bracket
-from .tensors import AntisymTensor
+from .poisson import gps_check, np_check, plucker_check, schouten_bracket
+from .tensors import AntisymTensor, IdentityReport
 
 DEFAULT_MAX_DIM = 8
 # the most coordinates a cochain space may have before a coboundary into it
@@ -55,7 +55,8 @@ class CheckRun:
         self.failed = 0
         self.count = 0
 
-    def record(self, name, ok, witness=None):
+    def record(self, name, report):
+        ok, witness = report.ok, report.witness
         self.count += 1
         if not ok:
             self.failed += 1
@@ -95,28 +96,27 @@ def identity_suite(obj, run: CheckRun):
     else:  # a Leibniz algebra: `cmd_check` refuses a multivector file
         reports = [("left-leibniz-identity", obj.check_left_identity())]
     for name, rep in reports:
-        run.record(name, rep.ok, rep.witness)
+        run.record(name, rep)
 
 
 def metric_suite(obj, metric, run: CheckRun):
     if metric is None:
         metric = linalg.identity(obj.dim)
         _human("  (no metric block; using the identity matrix)")
+    nondegenerate = ("metric-nondegenerate", linalg.nondegenerate(metric))
     if isinstance(obj, LieAlgebra):
-        rep = check_metric_invariance(obj, metric)
-        run.record("metric-invariance", rep.invariant, rep.witness)
-        run.record("metric-nondegenerate", rep.nondegenerate)
+        records = [("metric-invariance", check_metric_invariance(obj, metric)), nondegenerate]
     else:  # a Filippov algebra: `cmd_check` runs the suite on these two alone
-        rep = check_metric_fa(obj, metric)
-        run.record("metric-nondegenerate", rep.nondegenerate)
-        run.record("metric-invariance", rep.invariant, rep.witness)
+        records = [nondegenerate, ("metric-invariance", check_metric_fa(obj, metric))]
+    for name, rep in records:
+        run.record(name, rep)
 
 
 def cohomology_suite(cx, run: CheckRun, p_max):
     rep = complex_dims(cx, p_max)
     kind = {} if cx.kind == "ce" else {"complex": cx.kind}
     _emit({"check": "cohomology-dims", **kind, "H": _jsonable(rep.dims_h)})
-    run.record("cohomology-consistent", all(v >= 0 for v in rep.dims_h.values()))
+    run.record("cohomology-consistent", IdentityReport(all(v >= 0 for v in rep.dims_h.values())))
 
 
 def _oversized(cx, p_max):
@@ -239,10 +239,10 @@ def _generate_object(args):
         return catalog.nhw(args.N)
     if kind == "clifford":
         from .filippov import clifford_realization
-        rep = clifford_realization(args.n)
-        if not (rep.identity_ok and rep.matches_simple):
+        induced, rep = clifford_realization(args.n)
+        if not rep.ok:
             raise AssertionError("realization failed to reproduce the simple algebra")
-        return rep.induced
+        return induced
     raise ValueError(f"unknown generation kind {kind!r}")
 
 
@@ -259,6 +259,7 @@ def cmd_cohomology(args) -> int:
     if isinstance(obj, LieAlgebra):
         if args.complex not in ("ce", "trivial"):
             return _input_error("binary algebras use the ce complex")
+        identity, rep = "Jacobi", check_jacobi(obj)
         cx = CEComplex(obj, obj.adjoint_rep() if args.rep == "ad" else None)
         p_max = min(p_max, obj.dim)  # every cochain space above the dimension is zero
     elif isinstance(obj, FilippovAlgebra):
@@ -266,6 +267,7 @@ def cmd_cohomology(args) -> int:
             return _input_error("n-ary complexes are trivial|module|deformation")
         if args.rep == "ad" and args.complex != "module":
             return _input_error(f"--rep ad applies to the module complex, not {args.complex}")
+        identity, rep = "Filippov", check_fi(obj)
         rho = None  # the module complex of rho None is the adjoint one
         if args.complex == "module" and args.rep == "0":
             # the one-dimensional trivial module: every rho(X) is zero
@@ -274,6 +276,8 @@ def cmd_cohomology(args) -> int:
         cx = FAComplex(obj, args.complex, rho)
     else:
         return _input_error("cohomology applies to lie or filippov files")
+    if not rep.ok:  # then delta does not square to zero: no cohomology to report
+        return _input_error(f"the algebra fails the {identity} identity at {rep.witness}")
     msg = _oversized(cx, p_max)
     if msg:
         return _input_error(msg)
@@ -299,19 +303,18 @@ def cmd_poisson(args) -> int:
     run = CheckRun()
     if args.check == "gps":
         try:
-            rep = gps_check(obj)
+            run.record("self-bracket-zero", gps_check(obj))
         except ValueError as exc:
             return _input_error(str(exc))
-        run.record("self-bracket-zero", rep.ok, rep.witness)
     elif args.check == "np":
-        rep = np_check(obj)
-        run.record("differential-condition", rep.differential_ok, rep.differential_witness)
-        run.record("algebraic-condition", rep.algebraic_ok, rep.algebraic_witness)
-        if rep.decomposable_hint is not None:
-            _emit({"decomposable": type(rep.decomposable_hint).__name__ == "Decomposition"})
+        differential, algebraic = np_check(obj)
+        run.record("differential-condition", differential)
+        run.record("algebraic-condition", algebraic)
+        if obj.entries and all(p.is_constant() for p in obj.entries.values()):
+            const = {k: p.eval([0] * obj.dim) for k, p in obj.entries.items()}
+            _emit({"decomposable": plucker_check(obj.rank, obj.dim, const).ok})
     elif args.check == "snb-self":
-        out = schouten_bracket(obj, obj)
-        run.record("snb-self", out.is_zero())
+        run.record("snb-self", IdentityReport(schouten_bracket(obj, obj).is_zero()))
     _human(f"{run.count - run.failed}/{run.count} checks passed")
     return run.exit_code
 

@@ -13,16 +13,22 @@ value} (see `linalg`), so "as matrices" means equal maps; the metric is a
 bilinear form and stays a dense list of rows.
 
 The metric invariance scan is `lie.metric_scan`, the scan of the Killing
-form's invariance.
+form's invariance; `lowered_form` builds an invariant metric's (n+1)-form.
+
+Every check here -- the three forms of the identity, metric invariance and
+the representation conditions -- returns the package's one verdict type,
+`tensors.IdentityReport`, and `clifford_realization` returns its induced
+algebra beside one.  The double-commutator identity of the n = 3
+realization is `claims.clifford_double_commutator`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from . import linalg
-from .lie import MetricReport, metric_scan
+from .lie import metric_scan
 from .scalars import accumulate, is_zero
 from .tensors import (AntisymTensor, BracketTensor, IdentityReport, fold_antisym, gen_kronecker,
                       perm_sign, shuffle_splits, sort_sign)
@@ -219,34 +225,39 @@ def fundamental_compose(fa: FilippovAlgebra, x_labels, y_labels) -> AntisymTenso
 # metric structure
 # ---------------------------------------------------------------------------
 
-def check_metric_fa(fa: FilippovAlgebra, g) -> MetricReport:
-    """Invariance f_{a.. b}^l g_{lc} + f_{a.. c}^l g_{bl} = 0 for all slots,
-    the first failing (a.., b, c) its witness (`lie.metric_scan`); builds
-    the fully lowered constants, asserts their total antisymmetry, and
-    verifies the equivalent fully-lowered form of the identity.  An
-    invariant g on an algebra that fails the FI fails that form: the report
-    is then not invariant, and its witness is the first failing (a.., b).
-    A singular g is reported (nondegenerate False) and its invariance still
-    checked; an asymmetric g raises ValueError."""
-    d, n = fa.dim, fa.arity
-    nondeg, wit = metric_scan(fa, g)
-    if wit is not None:
-        return MetricReport(False, nondeg, wit)
-
-    lowered_raw = {}
+def lowered_form(fa: FilippovAlgebra, g) -> AntisymTensor:
+    """The fully lowered constants f_{a_1..a_n c} = f_{a_1..a_n}^b g_{bc},
+    the (n+1)-form of an invariant metric g; raises ValueError when they
+    are not totally antisymmetric, which invariance of g rules out."""
+    d = fa.dim
+    raw = {}
     for idx, row in fa.f.items():
         for b, v in row.items():
             for c in range(1, d + 1):
                 w = v * g[b - 1][c - 1]
                 if w != 0:
                     key = idx + (c,)
-                    lowered_raw[key] = lowered_raw.get(key, Fraction(0)) + w
+                    raw[key] = raw.get(key, Fraction(0)) + w
     # a sum that cancels on a repeated index is the antisymmetric value
-    ent, _ = fold_antisym({k: v for k, v in lowered_raw.items() if v or perm_sign(k)})
+    ent, _ = fold_antisym({k: v for k, v in raw.items() if v or perm_sign(k)})
     if ent is None:
-        raise AssertionError("lowered constants not antisymmetric")
-    lowered = AntisymTensor(n + 1, d, ent)
+        raise ValueError("lowered constants not antisymmetric: the metric is not invariant")
+    return AntisymTensor(fa.arity + 1, d, ent)
 
+
+def check_metric_fa(fa: FilippovAlgebra, g) -> IdentityReport:
+    """Invariance f_{a.. b}^l g_{lc} + f_{a.. c}^l g_{bl} = 0 for all slots,
+    the first failing (a.., b, c) its witness (`lie.metric_scan`); then the
+    equivalent identity on the `lowered_form` of g.  An invariant g on an
+    algebra that fails the FI fails that form: the report is then not
+    invariant, and its witness is the first failing (a.., b).  A singular
+    g is checked like any other (nondegeneracy is `linalg.nondegenerate`);
+    an asymmetric g raises ValueError."""
+    d, n = fa.dim, fa.arity
+    rep = metric_scan(fa, g)
+    if not rep.ok:
+        return rep
+    lowered = lowered_form(fa, g)
     # fully lowered identity: sum_i f_{a..b_i}^l f_{b_1..l@i..b_{n+1}} = 0
     for a_idx in combinations(range(1, d + 1), n - 1):
         for b_idx in combinations(range(1, d + 1), n + 1):
@@ -255,8 +266,8 @@ def check_metric_fa(fa: FilippovAlgebra, g) -> MetricReport:
                 for l, v in fa.f_row(a_idx + (b_idx[i],)).items():
                     tot += v * lowered.get(b_idx[:i] + (l,) + b_idx[i + 1:])
             if tot != 0:  # g is invariant, but fa fails the FI
-                return MetricReport(False, nondeg, (a_idx, b_idx))
-    return MetricReport(True, nondeg, lowered=lowered)
+                return IdentityReport(False, (a_idx, b_idx))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +282,15 @@ class FARepresentation:
         self.mats, self.dim_v = mats, dim_v
 
 
-def check_fa_representation(fa: FilippovAlgebra, rho: FARepresentation) -> bool:
+def check_fa_representation(fa: FilippovAlgebra, rho: FARepresentation) -> IdentityReport:
     """Both defining conditions must hold as identities of sparse matrices:
 
       [rho(X), rho(Y)] = rho(X.Y)
       rho(X_1..X_{n-2}, [Y_1..Y_n]) =
           sum_i (-1)^{n-i} rho(Y_1..^i..Y_n) rho(X_1..X_{n-2} Y_i)
-    """
+
+    The witness is the first failing pair: (X, Y) of the first condition,
+    else (X_1..X_{n-2}, Y_1..Y_n) of the second."""
     d, n = fa.dim, fa.arity
     labels = list(combinations(range(1, d + 1), n - 1))
 
@@ -291,7 +304,7 @@ def check_fa_representation(fa: FilippovAlgebra, rho: FARepresentation) -> bool:
             rhs = linalg.sp_sum((v, rho_get(lab))
                                 for lab, v in fundamental_compose(fa, x, y).items())
             if lhs != rhs:
-                return False
+                return IdentityReport(False, (x, y))
 
     for xs in combinations(range(1, d + 1), n - 2):
         for ys in combinations(range(1, d + 1), n):
@@ -301,8 +314,8 @@ def check_fa_representation(fa: FilippovAlgebra, rho: FARepresentation) -> bool:
                                                     rho_get(xs + (ys[i],))))
                 for i in range(n))
             if lhs != rhs:
-                return False
-    return True
+                return IdentityReport(False, (xs, ys))
+    return IdentityReport(True)
 
 
 def adjoint_fa_representation(fa: FilippovAlgebra) -> FARepresentation:
@@ -394,15 +407,10 @@ def anticommuting_brackets(mats, tuples, known=0):
     return out
 
 
-class CliffordReport:
-    def __init__(self, n, identity_ok, double_commutator_ok, induced, matches_simple):
-        self.n, self.identity_ok = n, identity_ok
-        self.double_commutator_ok = double_commutator_ok  # None unless n = 3
-        self.induced, self.matches_simple = induced, matches_simple
-
-
-def clifford_realization(n: int) -> CliffordReport:
-    """Gamma-matrix realization of the euclidean simple algebras.
+def clifford_realization(n: int):
+    """(induced, report): the Filippov algebra of the gamma-matrix
+    realization of the euclidean simple algebras, and the verdict that the
+    realization holds and induces `simple_fa(n, [1] * (n + 1))`.
 
     n odd (3, 5): weight-one bracket [g_{a_1},..,g_{a_n}, top]' equals
     -eps_{a_1..a_{n+1}} g_{a_{n+1}} on D = n+1 gammas, top = g_1 .. g_D up to
@@ -435,8 +443,7 @@ def clifford_realization(n: int) -> CliffordReport:
         mats, tail = gam + [_chirality(gam, size)], ()
     subsets = {idx: tuple(i - 1 for i in idx) + tail
                for idx in combinations(range(1, n + 2), n)}
-    dc_tuples = list(product((d,), range(4), range(4), range(4))) if n == 3 else []
-    table = anticommuting_brackets(mats, list(subsets.values()) + dc_tuples, known=d)
+    table = anticommuting_brackets(mats, list(subsets.values()), known=d)
     phase = (1, 0)
     if n % 2:
         # the normalization of the top gamma is free; fix its phase (1 when
@@ -464,15 +471,4 @@ def clifford_realization(n: int) -> CliffordReport:
     induced = FilippovAlgebra(n, n + 1, f)
     # n odd: the gamma identity carries -eps = (-1)^n eps; n even: +eps.
     # simple_fa uses (-1)^n eps in both cases, so the two must coincide.
-    matches = induced.arity == ref.arity and induced.dim == ref.dim and induced.f == ref.f
-
-    dc = None
-    if n == 3:
-        # 6 [[g_a, g_b] top, g_c] = [top, g_a, g_b, g_c], the right side 4!
-        # times its ordered product; both sides are linear in the top gamma,
-        # so the plain product serves
-        dc = all(linalg.zi_scale((6, 0), linalg.zi_commutator(
-                     linalg.zi_mul(linalg.zi_commutator(gam[a], gam[b]), top), gam[c]))
-                 == linalg.zi_scale((24, 0), table[d, a, b, c])
-                 for _, a, b, c in dc_tuples)
-    return CliffordReport(n, clean and matches, dc, induced, matches)
+    return induced, IdentityReport(clean and induced.f == ref.f)

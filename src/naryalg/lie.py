@@ -8,6 +8,10 @@ storage of structure constants.
 `check_jacobi` reads the arity-2 residual of
 `tensors.nested_bracket_residuals`; `trace_form` is the one Tr(ad_X ad_Y)
 scan, the Killing form at arity 2 and `claims.kasymov_form` above it.
+`check_jacobi`, `metric_scan` (with `check_metric_invariance` on it) and
+`check_invariance` answer with the package's one verdict type,
+`tensors.IdentityReport`; a metric's nondegeneracy is the separate verdict
+`linalg.nondegenerate`.
 
 Integer tables.  The Jacobi, trace-form and metric scans, `check_invariance`,
 `cocycle_from_invariant_poly` and `cocycle_condition_residual` (and, in
@@ -157,19 +161,6 @@ def inverse_killing_form(alg: LieAlgebra):
     return alg.memoized("kinv", lambda: tuple(map(tuple, linalg.inverse(killing_form(alg)))))
 
 
-class MetricReport(FieldEq):
-    _fields = ("invariant", "nondegenerate", "witness", "lowered")
-
-    def __init__(self, invariant, nondegenerate, witness=None, lowered=None):
-        self.invariant, self.nondegenerate, self.witness = invariant, nondegenerate, witness
-        self.lowered = lowered  # a Filippov metric's invariant (n+1)-form
-
-    @property
-    def metric(self):
-        """g is an invariant metric: invariant and nondegenerate."""
-        return self.invariant and self.nondegenerate
-
-
 def _integer_parts(g):
     """D g as int matrices: its real part, and its imaginary part when g has
     one (g may be Gaussian); D is the least common multiple of the
@@ -184,17 +175,16 @@ def _integer_parts(g):
             for part in parts]
 
 
-def metric_scan(alg: BracketTensor, g):
-    """(nondegenerate, witness) of a symmetric metric g, which may be
-    Gaussian: an exact determinant test, and the first (X, i, j), X over the
-    sorted (arity-1)-labels and i <= j, with C_{X i}^s g_{sj} + C_{X j}^s
-    g_{is} != 0, or None.  The sums run on the signed rows of D C
-    (`BracketTensor.integer_scaled`) and on the integer parts of D' g: the
-    condition is linear in C and in g, so the factors move no zero."""
+def metric_scan(alg: BracketTensor, g) -> IdentityReport:
+    """The invariance of a symmetric metric g, which may be Gaussian: its
+    witness is the first (X, i, j), X over the sorted (arity-1)-labels and
+    i <= j, with C_{X i}^s g_{sj} + C_{X j}^s g_{is} != 0.  The sums run on
+    the signed rows of D C (`BracketTensor.integer_scaled`) and on the
+    integer parts of D' g: the condition is linear in C and in g, so the
+    factors move no zero.  Nondegeneracy is `linalg.nondegenerate`."""
     r = alg.dim
     if any(g[i][j] != g[j][i] for i in range(r) for j in range(r)):
         raise ValueError("metric must be symmetric")
-    nondeg = not is_zero(linalg.det(g))
     rows = alg.integer_scaled()[1].signed
     parts = _integer_parts(g)
     for x in combinations(range(1, r + 1), alg.arity - 1):
@@ -209,17 +199,17 @@ def metric_scan(alg: BracketTensor, g):
                     for s, v in ad[j].items():
                         tot += v * hi[s - 1]
                     if tot:
-                        return nondeg, (x, i + 1, j + 1)
-    return nondeg, None
+                        return IdentityReport(False, (x, i + 1, j + 1))
+    return IdentityReport(True)
 
 
-def check_metric_invariance(alg: LieAlgebra, g) -> MetricReport:
+def check_metric_invariance(alg: LieAlgebra, g) -> IdentityReport:
     """`metric_scan` at arity 2, its witness ((l,), i, j) read as (l, i, j)."""
-    nondeg, wit = metric_scan(alg, g)
-    if wit is None:
-        return MetricReport(True, nondeg)
-    (l,), i, j = wit
-    return MetricReport(False, nondeg, (l, i, j))
+    rep = metric_scan(alg, g)
+    if rep.ok:
+        return rep
+    (l,), i, j = rep.witness
+    return IdentityReport(False, (l, i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +382,9 @@ def _poly_table(k: SymInvariantPoly):
     return d, {tail: dict(sorted(row.items())) for tail, row in table.items()}
 
 
-def check_invariance(alg: LieAlgebra, k: SymInvariantPoly):
-    """First violation of sum_s C_{l i_s}^t k_{i_1..t..i_m} = 0, or None.
+def check_invariance(alg: LieAlgebra, k: SymInvariantPoly) -> IdentityReport:
+    """The invariance sum_s C_{l i_s}^t k_{i_1..t..i_m} = 0 of k, its first
+    violation (l, idx) the witness.
 
     The residual is scattered from k's nonzero terms: a term K and a slot
     value t of K add count_i(idx) C_{li}^t k_K at (l, idx), idx = sorted(K
@@ -411,7 +402,7 @@ def check_invariance(alg: LieAlgebra, k: SymInvariantPoly):
                 for i, v in cols.get((l, t), {}).items():
                     idx = tuple(sorted(tail + (i,)))
                     accumulate(res, (l, idx), idx.count(i) * v * w)
-    return min(res) if res else None
+    return IdentityReport(False, min(res)) if res else IdentityReport(True)
 
 
 def _n_arrangements(idx):
@@ -491,9 +482,9 @@ def cocycle_from_invariant_poly(alg: LieAlgebra, k: SymInvariantPoly) -> Antisym
     The tail table, read at every arrangement of a tail, gives every nonzero
     k_{rho ..} at once; each entry is scaled by 2^{m-2}/(D^{m-1} D') once.
     """
-    wit = check_invariance(alg, k)
-    if wit is not None:
-        raise ValueError(f"polynomial is not invariant; residual at {wit}")
+    rep = check_invariance(alg, k)
+    if not rep.ok:
+        raise ValueError(f"polynomial is not invariant; residual at {rep.witness}")
     m = k.order
     r = alg.dim
     rank = 2 * m - 1

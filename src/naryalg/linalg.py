@@ -67,9 +67,11 @@ small (on su(4) the largest basis entry stays below 10^7).
 `integer_echelon` reads `.numerator` and `.denominator`, so its entries are
 rational.  Two reductions keep their own loops.  `det` runs in any exact
 field: an `.alg` metric block may be written over Q(i), and a metric is
-nondegenerate exactly when its determinant is nonzero.  `signature` reduces
-rows and columns together (a congruence, not a row echelon form), since
-Sylvester's law of inertia is about congruence.
+nondegenerate exactly when its determinant is nonzero, the verdict that
+`nondegenerate` returns as a `tensors.IdentityReport`, the package's one
+report type.  `signature` reduces rows and columns together (a
+congruence, not a row echelon form), since Sylvester's law of inertia is
+about congruence.
 
 All arithmetic is exact, so ranks and solutions are deterministic and free
 of rounding; this is what turns the cohomology dimensions into integers
@@ -82,6 +84,7 @@ from itertools import compress
 from math import gcd
 
 from .scalars import GaussianRational, accumulate, common_denominator, is_zero
+from .tensors import IdentityReport
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +258,12 @@ def det(a):
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return sign * d
+
+
+def nondegenerate(g) -> IdentityReport:
+    """The verdict det g != 0 on a bilinear form g, which may be Gaussian;
+    it has no witness."""
+    return IdentityReport(not is_zero(det(g)))
 
 
 def signature(sym):

@@ -387,13 +387,16 @@ class FAComplex(LeibnizComplex):
     when rho is None.  The module complex defaults to the adjoint module;
     the trivial complex takes any size (the trivial module tensored with
     Q^size), the others only their own dim_v.  A given rho that fails
-    `filippov.check_fa_representation` raises ValueError."""
+    `filippov.check_fa_representation` raises ValueError, naming the
+    failing pair."""
 
     def __init__(self, fa, kind, rho=None, size=None):
         if kind not in KINDS:
             raise ValueError(f"unknown complex kind {kind!r}: expected one of {', '.join(KINDS)}")
-        if rho is not None and not check_fa_representation(fa, rho):
-            raise ValueError("rho fails the representation conditions")
+        if rho is not None:
+            rep = check_fa_representation(fa, rho)
+            if not rep.ok:
+                raise ValueError(f"rho fails the representation conditions at {rep.witness}")
         own = 1 if kind == "trivial" else fa.dim  # the deformation and adjoint modules: g
         if kind == "module" and rho is not None:
             own = rho.dim_v

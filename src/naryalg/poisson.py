@@ -26,6 +26,11 @@ Index sets are bit masks, so a pair costs one test and one parity count.
 The Nambu-Poisson scans stop at the first failing tuple of a fixed order;
 the differential one loops rho only over the variables of the entries it
 differentiates.
+
+Every condition answers with the package's one verdict type,
+`tensors.IdentityReport`: `gps_check` with one, `np_check` with the pair
+(differential, algebraic), and `plucker_check` with the decomposability
+of a constant tensor, whose candidate factors `pivot_factors` builds.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from itertools import combinations, product
 from .lie import LieAlgebra
 from .poly import Poly, add_packed_product, pack, unpack
 from .scalars import common_denominator, is_zero
-from .tensors import AntisymTensor, BracketTensor, FieldEq, insert_sign, wedge
+from .tensors import AntisymTensor, BracketTensor, IdentityReport, insert_sign, wedge
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +172,12 @@ def schouten_bracket(a: AntisymTensor, b: AntisymTensor) -> AntisymTensor:
 # generalized Poisson structures (even order)
 # ---------------------------------------------------------------------------
 
-class GPSReport(FieldEq):
-    _fields = ("snb_ok", "coords_ok", "witness")
-
-    def __init__(self, snb_ok, coords_ok, witness=None):
-        self.snb_ok, self.coords_ok, self.witness = snb_ok, coords_ok, witness
-
-    @property
-    def ok(self):
-        return self.snb_ok and self.coords_ok
-
-    def __bool__(self):
-        return self.ok
-
-
-def gps_check(lam: AntisymTensor) -> GPSReport:
+def gps_check(lam: AntisymTensor) -> IdentityReport:
     """[Lambda, Lambda] = 0 via the Schouten bracket AND via the coordinates
     condition  w_{s[j_1..j_{2s-1}} d^s w_{j_{2s}..j_{4s-1}]} = 0; the two
     verdicts must agree (they are separate contractions of the integer table
-    of D Lambda).  The witness is the least failing j_1..j_{2s-1}."""
+    of D Lambda), and an AssertionError says when they do not.  The witness
+    is the least failing j_1..j_{2s-1}."""
     _check_rank(lam)
     if lam.rank % 2:
         raise ValueError("the self-bracket condition is empty for odd order")
@@ -194,10 +186,9 @@ def gps_check(lam: AntisymTensor) -> GPSReport:
     snb_ok = not any(_bracket_terms(tab, tab, n, n).values())
     coords = _scatter({}, grads, _holders(table.entries, True), 1)
     witness = min((_key(kk) for kk, terms in coords.items() if terms), default=None)
-    coords_ok = witness is None
-    if snb_ok != coords_ok:
+    if snb_ok != (witness is None):
         raise AssertionError("the two self-bracket evaluations disagree")
-    return GPSReport(snb_ok, coords_ok, witness)
+    return IdentityReport(snb_ok, witness)
 
 
 def bracket_multivector(bt: BracketTensor) -> AntisymTensor:
@@ -229,31 +220,13 @@ def linear_gps_from_cocycle(alg: LieAlgebra, omega: AntisymTensor) -> AntisymTen
 # Nambu-Poisson conditions
 # ---------------------------------------------------------------------------
 
-class NPReport(FieldEq):
-    _fields = ("differential_ok", "differential_witness", "algebraic_ok", "algebraic_witness",
-               "decomposable_hint")
-
-    def __init__(self, differential_ok, differential_witness, algebraic_ok, algebraic_witness,
-                 decomposable_hint=None):
-        self.differential_ok, self.differential_witness = differential_ok, differential_witness
-        self.algebraic_ok, self.algebraic_witness = algebraic_ok, algebraic_witness
-        self.decomposable_hint = decomposable_hint
-
-    @property
-    def ok(self):
-        return self.differential_ok and self.algebraic_ok
-
-    def __bool__(self):
-        return self.ok
-
-
-def np_check(lam: AntisymTensor) -> NPReport:
-    """Differential condition
+def np_check(lam: AntisymTensor):
+    """(differential, algebraic): the reports of the differential condition
 
         eta_{i.. rho} d^rho eta_{j_1..j_n}
           - sum_k (-1)^{k-1} (d^rho eta_{i.. j_k}) eta_{rho j..^k..} = 0
 
-    plus the algebraic condition Sigma + P(Sigma) = 0 where
+    and of the algebraic condition Sigma + P(Sigma) = 0 where
 
         Sigma_{i.. j..} = eta_{i..} eta_{j..}
                         - sum_k eta_{i_1..i_{n-1} j_k} eta_{j_1.. i_n @k ..j_n}
@@ -298,8 +271,9 @@ def np_check(lam: AntisymTensor) -> NPReport:
         if dw:
             break
 
+    differential = IdentityReport(dw is None, dw)
     if n == 2:
-        return NPReport(dw is None, dw, True, None, _decomposable_hint(lam))
+        return differential, IdentityReport(True)
 
     aw = None
     for it, jt, it2, jt2 in _sigma_pairs(table, n, m):
@@ -309,7 +283,7 @@ def np_check(lam: AntisymTensor) -> NPReport:
         if terms:
             aw = (it, jt)
             break
-    return NPReport(dw is None, dw, aw is None, aw, _decomposable_hint(lam))
+    return differential, IdentityReport(aw is None, aw)
 
 
 def _add_sigma(terms, table, n, it, jt):
@@ -367,48 +341,34 @@ def _sigma_pairs(table, n, m):
 # decomposability of constant tensors
 # ---------------------------------------------------------------------------
 
-class Decomposition(FieldEq):
-    _fields = ("vectors", "scale")
-
-    def __init__(self, vectors, scale):
-        self.vectors, self.scale = vectors, scale
-
-
-class PluckerViolation(FieldEq):
-    _fields = ("i_tuple", "j_tuple")
-
-    def __init__(self, i_tuple, j_tuple):
-        self.i_tuple, self.j_tuple = i_tuple, j_tuple
-
-
-def _decomposable_hint(lam: AntisymTensor):
-    if not lam.entries or not all(p.is_constant() for p in lam.entries.values()):
-        return None
-    const = {k: p.eval([Fraction(0)] * lam.dim) for k, p in lam.entries.items()}
-    return decompose_constant(lam.rank, lam.dim, const)
-
-
-def decompose_constant(n, m, entries):
-    """Greedy pivot factorization of a constant antisymmetric tensor: from a
-    pivot P with T_P != 0 build candidate vectors (w_k)_j = T_{P[:k] j P[k+1:]};
-    their wedge must reproduce T_P^{n-1} T exactly, otherwise some Plucker
-    relation fails and a violated instance is returned."""
+def pivot_factors(n, m, entries):
+    """(vectors, scale) of the greedy pivot factorization of a constant
+    antisymmetric tensor T: from the least key P with T_P != 0, the vectors
+    (w_k)_j = T_{P[:k] j P[k+1:]} and the scale 1 / T_P^{n-1}.  When T is
+    decomposable, T is scale times the wedge of the vectors; ([], 0) for
+    the zero tensor."""
     if not entries:
-        return Decomposition([], Fraction(0))
+        return [], Fraction(0)
     get = AntisymTensor(n, m, entries).get
     pivot = min(entries)
-    pv = entries[pivot]
     vectors = [[get(pivot[:k] + (j,) + pivot[k + 1:]) for j in range(1, m + 1)]
                for k in range(n)]
-    w = wedge_vectors(vectors, m)
-    want = {k: v * pv ** (n - 1) for k, v in entries.items()}
-    got = {k: p.eval([Fraction(0)] * m) for k, p in w.entries.items()}
-    if got == want:
-        return Decomposition(vectors, Fraction(1) / pv ** (n - 1))
-    # find a violated Plucker relation:
-    # sum_k (-1)^k T_{i_1..i_{n-1} j_k} T_{j_0..^k..j_n} = 0
+    return vectors, 1 / entries[pivot] ** (n - 1)
+
+
+def plucker_check(n, m, entries) -> IdentityReport:
+    """Decomposability of a constant antisymmetric tensor T: it holds when
+    the wedge of T's `pivot_factors`, times their scale, is T.  Otherwise
+    a Plucker relation
+    sum_k (-1)^k T_{i_1..i_{n-1} j_k} T_{j_0..^k..j_n} = 0 fails, and the
+    first violated (i_tuple, j_tuple) is the witness."""
+    vectors, scale = pivot_factors(n, m, entries)
+    if not entries or {k: scale * p.eval([Fraction(0)] * m)
+                       for k, p in wedge_vectors(vectors, m).entries.items()} == entries:
+        return IdentityReport(True)
+    get = AntisymTensor(n, m, entries).get
     rng = range(1, m + 1)
     for it, jt in product(combinations(rng, n - 1), combinations(rng, n + 1)):
         if sum((-1) ** k * get(it + (jt[k],)) * get(jt[:k] + jt[k + 1:]) for k in range(n + 1)):
-            return PluckerViolation(it, jt)
+            return IdentityReport(False, (it, jt))
     raise AssertionError("pivot factorization failed but no violated relation found")

@@ -221,11 +221,14 @@ def accumulate(d: dict, key, v) -> None:
 
 def parse_scalar(text: str):
     """Parse `p/q` or `p/q+r/si` (Gaussian) literals used by .alg files.  A
-    literal holds no whitespace: `1 2` is an error, not 12.  Nor does it
-    hold the exponents and digit separators `Fraction` would accept:
-    `1e1000000` would build a million-digit integer from nine bytes, and
+    literal is ASCII, so no non-ASCII digit (`١`) reads as a number, and
+    holds no whitespace: `1 2` is an error, not 12.  Nor does it hold the
+    exponents and digit separators `Fraction` would accept: `1e1000000`
+    would build a million-digit integer from nine bytes, and
     `format_scalar` writes neither form."""
     s = text.strip()
+    if not s.isascii():
+        raise ValueError(f"non-ASCII character in the scalar {s!r}")
     if any(c.isspace() for c in s):
         raise ValueError(f"whitespace inside the scalar {s!r}")
     if any(c in "eE_" for c in s):

@@ -49,13 +49,20 @@ cached position blocks onto m and derives no sign.
 
 `nested_bracket_residuals` is the one nested-bracket scan: it decides the
 generalized and mixed Jacobi identities (`gla`) and, at arity 2, the Jacobi
-identity (`lie.check_jacobi`).  Every identity check returns an
-`IdentityReport`, an immutable, hashable value.
+identity (`lie.check_jacobi`).
+
+`IdentityReport` is the one verdict type: every check of the package --
+the Jacobi, generalized Jacobi, Filippov and left Leibniz identities, the
+epsilon identities, metric invariance and nondegeneracy, the self-bracket
+and the two Nambu-Poisson conditions, the Plucker relations, the Clifford
+realization, representations and invariant polynomials -- returns one (or
+a pair), true when `ok`, with its first failing entry as the witness.  A
+construction returns its object, never a report.
 
 The package's classes write their own constructors; no class is generated
 at import.  `FieldEq` gives the ones that callers compare (the tensors, the
-`.alg` file record, cochains and most reports) equality by a tuple of named
-fields, within one class.
+`.alg` file record, cochains and the cohomology reports) equality by a
+tuple of named fields, within one class.
 
 The epsilon scan `eps_identities_check` sorts each distinct index tuple once
 per call into a table of its (sorted key, sign) and the keyed signs of its

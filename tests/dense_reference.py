@@ -89,12 +89,10 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from naryalg import cohomology, linalg, nary_cohomology
 from naryalg.algfile import KINDS, AlgebraFile, ParseError
 from naryalg.claims import ray_equal
-from naryalg.filippov import (CliffordReport, FARepresentation, FilippovAlgebra,
-                              adjoint_fa_representation, check_metric_fa, fundamental_compose,
-                              simple_fa)
+from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
+                              fundamental_compose, lowered_form, simple_fa)
 from naryalg.gla import GLAlgebra, lie_as_gla
-from naryalg.lie import LieAlgebra, MetricReport, Representation, SymInvariantPoly, killing_form
-from naryalg.poisson import GPSReport, NPReport, _decomposable_hint
+from naryalg.lie import LieAlgebra, Representation, SymInvariantPoly, killing_form
 from naryalg.poly import Poly, add_product
 from naryalg.scalars import (ZERO, GaussianRational, LinearForm, accumulate, is_zero, parse_scalar,
                              rat)
@@ -658,8 +656,7 @@ def k2_invariant_and_so4_split(fa):
     k1_ok = ray_equal(k1_vals, pattern)
 
     # k2 = lowered structure constants as a pair form
-    met = check_metric_fa(fa, linalg.identity(4))
-    low = met.lowered
+    low = lowered_form(fa, linalg.identity(4))
     k2_vals = {}
     k2_mat = linalg.zeros(6, 6)
     for i, pa in enumerate(pairs):
@@ -829,9 +826,10 @@ def homology_boundary(fa, chain):
     return out
 
 
-def check_fa_representation(fa, rho) -> bool:
+def check_fa_representation(fa, rho) -> IdentityReport:
     """rho: sorted wedge label -> matrix, extended with antisymmetry.  Both
-    defining conditions must hold as matrix identities:
+    defining conditions must hold as matrix identities; the first failing
+    pair is the witness:
 
       [rho(X), rho(Y)] = rho(X.Y)
       rho(X_1..X_{n-2}, [Y_1..Y_n]) =
@@ -855,7 +853,7 @@ def check_fa_representation(fa, rho) -> bool:
             for lab, v in fundamental_compose(fa, x, y).items():
                 rhs = mat_add(rhs, mat_scale(v, rho_get(lab)))
             if not mat_eq(lhs, rhs):
-                return False
+                return IdentityReport(False, (x, y))
 
     for xs in combinations(range(1, d + 1), n - 2):
         for ys in combinations(range(1, d + 1), n):
@@ -868,12 +866,13 @@ def check_fa_representation(fa, rho) -> bool:
                 term = mat_mul(rho_get(rest), rho_get(xs + (ys[i],)))
                 rhs = mat_add(rhs, mat_scale(Fraction((-1) ** (n - i - 1)), term))
             if not mat_eq(lhs, rhs):
-                return False
-    return True
+                return IdentityReport(False, (xs, ys))
+    return IdentityReport(True)
 
 
 def clifford_realization(n: int):
-    """Gamma-matrix realization of the euclidean simple algebras.
+    """(induced, report): gamma-matrix realization of the euclidean simple
+    algebras.
 
     n odd (3, 5): weight-one bracket [g_{a_1},..,g_{a_n}, chirality]' equals
     -eps_{a_1..a_{n+1}} g_{a_{n+1}} on D = n+1 gammas.  n even (4): the D = n
@@ -924,22 +923,28 @@ def clifford_realization(n: int):
     # n odd: the gamma identity carries -eps = (-1)^n eps; n even: +eps.
     # simple_fa uses (-1)^n eps in both cases, so the two must coincide.
     matches = induced.arity == ref.arity and induced.dim == ref.dim and induced.f == ref.f
-    identity_ok = identity_ok and matches
+    return induced, IdentityReport(identity_ok and matches)
 
-    dc = None
-    if n == 3:
-        # both sides are linear in the top gamma, so the plain product serves
-        top = prod
-        dc = True
-        for a in range(4):
-            for b in range(4):
-                for c in range(4):
-                    lhs = mat_scale(GaussianRational(6), commutator(
-                        mat_mul(commutator(gam[a], gam[b]), top), gam[c]))
-                    rhs = multibracket([top, gam[a], gam[b], gam[c]])
-                    if not mat_eq(lhs, rhs):
-                        dc = False
-    return CliffordReport(n, identity_ok, dc, induced, matches)
+
+def clifford_double_commutator():
+    """6 [[g_a, g_b] top, g_c] = [top, g_a, g_b, g_c] over all a, b, c on
+    the four euclidean gammas, top = g_1 g_2 g_3 g_4, with dense products
+    and the full weight-one multibracket."""
+    gam, _ = gamma_matrices(4)
+    top = gam[0]
+    for g in gam[1:]:
+        top = mat_mul(top, g)
+    # both sides are linear in the top gamma, so the plain product serves
+    dc = True
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
+                lhs = mat_scale(GaussianRational(6), commutator(
+                    mat_mul(commutator(gam[a], gam[b]), top), gam[c]))
+                rhs = multibracket([top, gam[a], gam[b], gam[c]])
+                if not mat_eq(lhs, rhs):
+                    dc = False
+    return IdentityReport(dc)
 
 
 def _expand_bracket(basis, n, fixed):
@@ -1558,8 +1563,9 @@ def kasymov_form_by_rows(fa):
 
 
 def check_metric_invariance(alg, g):
-    """C_{li}^s g_{sj} + C_{lj}^s g_{is} = 0 for all l, i, j; plus an exact
-    determinant test of nondegeneracy (g may be Gaussian)."""
+    """(invariance, nondegenerate): C_{li}^s g_{sj} + C_{lj}^s g_{is} = 0
+    for all l, i, j, and an exact determinant test of nondegeneracy (g may
+    be Gaussian)."""
     r = alg.dim
     if any(g[i][j] != g[j][i] for i in range(r) for j in range(r)):
         raise ValueError("metric must be symmetric")
@@ -1574,14 +1580,14 @@ def check_metric_invariance(alg, g):
                 for s, v in alg.c_row(l, j).items():
                     tot += v * g[i - 1][s - 1]
                 if tot != 0:
-                    return MetricReport(False, nondeg, (l, i, j))
-    return MetricReport(True, nondeg, None)
+                    return IdentityReport(False, (l, i, j)), IdentityReport(nondeg)
+    return IdentityReport(True), IdentityReport(nondeg)
 
 
 def metric_fa_scan(fa, g):
-    """(invariant, nondegenerate, witness) of the invariance of g under a
-    Filippov algebra, f_{a.. b}^l g_{lc} + f_{a.. c}^l g_{bl} = 0 for all
-    (a.., b <= c), on `f_row` reads of `Fraction` constants."""
+    """(invariance, nondegenerate) of g under a Filippov algebra,
+    f_{a.. b}^l g_{lc} + f_{a.. c}^l g_{bl} = 0 for all (a.., b <= c), on
+    `f_row` reads of `Fraction` constants."""
     d, n = fa.dim, fa.arity
     if any(g[i][j] != g[j][i] for i in range(d) for j in range(d)):
         raise ValueError("metric must be symmetric")
@@ -1595,8 +1601,8 @@ def metric_fa_scan(fa, g):
                 for l, v in fa.f_row(a_idx + (c,)).items():
                     tot += v * g[b - 1][l - 1]
                 if tot != 0:
-                    return False, nondeg, (a_idx, b, c)
-    return True, nondeg, None
+                    return IdentityReport(False, (a_idx, b, c)), IdentityReport(nondeg)
+    return IdentityReport(True), IdentityReport(nondeg)
 
 
 def _fi_accumulate(out, coeff, row):
@@ -1769,12 +1775,13 @@ def gps_check(lam):
             break
     if snb_ok != coords_ok:
         raise AssertionError("the two self-bracket evaluations disagree")
-    return GPSReport(snb_ok, coords_ok, witness)
+    return IdentityReport(coords_ok, witness)
 
 
 def np_check(lam):
-    """Both Nambu-Poisson conditions on the Fraction Polys, every Sigma pair
-    of a row read (rows whose middle block repeats an index skipped)."""
+    """(differential, algebraic): both Nambu-Poisson conditions on the
+    Fraction Polys, every Sigma pair of a row read (rows whose middle block
+    repeats an index skipped)."""
     n = lam.rank
     m = lam.dim
     table, zero = lam.signed, lam.zero
@@ -1809,7 +1816,7 @@ def np_check(lam):
             break
 
     if n == 2:
-        return NPReport(diff_ok, dw, True, None, _decomposable_hint(lam))
+        return IdentityReport(diff_ok, dw), IdentityReport(True)
 
     alg_ok = True
     aw = None
@@ -1843,7 +1850,7 @@ def np_check(lam):
                 break
         if not alg_ok:
             break
-    return NPReport(diff_ok, dw, alg_ok, aw, _decomposable_hint(lam))
+    return IdentityReport(diff_ok, dw), IdentityReport(alg_ok, aw)
 
 
 # ---------------------------------------------------------------------------
@@ -1875,7 +1882,8 @@ def eps_pair_expansion_check(p: int, d: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def check_invariance(alg, k):
-    """First violation of sum_s C_{l i_s}^t k_{i_1..t..i_m} = 0, or None."""
+    """The invariance sum_s C_{l i_s}^t k_{i_1..t..i_m} = 0, its first
+    violation (l, idx) the witness."""
     m = k.order
     for l in range(1, alg.dim + 1):
         for idx in combinations_with_replacement(range(1, alg.dim + 1), m):
@@ -1884,15 +1892,15 @@ def check_invariance(alg, k):
                 for t, v in alg.c_row(l, idx[s]).items():
                     tot += v * k.get(idx[:s] + (t,) + idx[s + 1:])
             if tot != 0:
-                return (l, idx)
-    return None
+                return IdentityReport(False, (l, idx))
+    return IdentityReport(True)
 
 
 def cocycle_from_invariant_poly(alg, k):
     """Rank-(2m-1) cocycle from an order-m invariant, one `k.get` per rho."""
-    wit = check_invariance(alg, k)
-    if wit is not None:
-        raise ValueError(f"polynomial is not invariant; residual at {wit}")
+    rep = check_invariance(alg, k)
+    if not rep.ok:
+        raise ValueError(f"polynomial is not invariant; residual at {rep.witness}")
     m = k.order
     r = alg.dim
     rank = 2 * m - 1
@@ -2064,15 +2072,14 @@ def gla_from_cocycle(alg, omega):
 
 def _int_tokens(text, line_no, col0, what):
     """(column, integer) for each whitespace-separated token of `text`, which
-    starts at column col0 of line line_no; a token that is not an integer is
-    a ParseError at its own column."""
+    starts at column col0 of line line_no; a token that is not an integer
+    in ASCII digits, `-?[0-9]+`, is a ParseError at its own column."""
     out = []
     for m in re.finditer(r"\S+", text):
-        try:
-            out.append((col0 + m.start(), int(m.group())))
-        except ValueError:
+        if not re.fullmatch(r"-?[0-9]+", m.group()):
             raise ParseError(line_no, col0 + m.start(),
-                             f"{what} must be integers, got {m.group()!r}") from None
+                             f"{what} must be integers, got {m.group()!r}")
+        out.append((col0 + m.start(), int(m.group())))
     return out
 
 

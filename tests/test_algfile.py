@@ -349,3 +349,46 @@ def outcome(parse, text):
 @given(mutated_files())
 def test_the_reader_agrees_with_the_reference_on_mutated_files(text):
     assert outcome(AlgebraFile.parse, text) == outcome(dense.parse_alg, text)
+
+
+# ---------------------------------------------------------------------------
+# integer tokens are ASCII digits with an optional '-', scalars are ASCII
+# ---------------------------------------------------------------------------
+
+REFUSED_TOKENS = {
+    "separator": ("lie 2 3 rational\n1 0_2 -> 3 : 1\n",
+                  "line 2, column 3: indices must be integers, got '0_2'"),
+    "arabic-indic": ("lie 2 3 rational\n1 ٢ -> 3 : 1\n",
+                     "line 2, column 3: indices must be integers, got '٢'"),
+    "plus": ("lie 2 3 rational\n1 +2 -> 3 : 1\n",
+             "line 2, column 3: indices must be integers, got '+2'"),
+    "fullwidth-target": ("lie 2 3 rational\n1 2 -> ３ : 1\n",
+                         "line 2, column 8: indices must be integers, got '３'"),
+    "exponent": ("multivector 2 3 rational\n1 2 -> 0 ０ 1 : 1\n",
+                 "line 2, column 10: indices must be integers, got '０'"),
+    "metric-index": ("lie 2 3 rational\nmetric\n1 ١ : 1\n",
+                     "line 3, column 3: metric indices must be integers, got '١'"),
+    "arity": ("lie ２ 3 rational\n", "line 1, column 5: arity and dim must be integers, got '２'"),
+    "dim": ("lie 2 1_0 rational\n", "line 1, column 7: arity and dim must be integers, got '1_0'"),
+    "scalar": ("lie 2 3 rational\n1 2 -> 3 : ١\n", "line 2, column 11: bad scalar '١'"),
+    "fullwidth-scalar": ("lie 2 3 rational\n1 2 -> 3 : １/2\n",
+                         "line 2, column 11: bad scalar '１/2'"),
+    "gaussian-scalar": ("lie 2 3 gaussian\n1 2 -> 3 : 1+١i\n",
+                        "line 2, column 11: bad scalar '1+١i'"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_TOKENS))
+def test_a_token_outside_ascii_digits_is_refused_at_its_column(name, tmp_path):
+    # int() and Fraction() read every one of these tokens as a number
+    text, message = REFUSED_TOKENS[name]
+    with pytest.raises(ParseError) as exc:
+        AlgebraFile.parse(text)
+    assert str(exc.value) == message
+    assert outcome(dense.parse_alg, text) == outcome(AlgebraFile.parse, text)
+    path = tmp_path / f"{name}.alg"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["check", str(path)]) == 2
+    assert err.getvalue() == f"input error: {message}\n"

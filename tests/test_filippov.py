@@ -8,7 +8,8 @@ import dense_reference as dense
 from naryalg import filippov, linalg
 from naryalg.catalog import a4, a5, a13, corrupted, nhw
 from naryalg.claims import (_kernel, _minimal_polynomial, ad_of_sum, append_center,
-                            candidate_constants_antisymmetric, compose_matches_commutator,
+                            candidate_constants_antisymmetric, clifford_double_commutator,
+                            compose_matches_commutator,
                             derivation_space_dim, direct_sum, gauge_algebra, inder_lie_algebra,
                             kasymov_bilinear_nondegenerate, kasymov_form,
                             orthogonal_relations_hold, ray_equal, semisimplicity_check,
@@ -16,7 +17,8 @@ from naryalg.claims import (_kernel, _minimal_polynomial, ad_of_sum, append_cent
                             vector_product)
 from naryalg.filippov import (FI_FORMS, FilippovAlgebra, adjoint_fa_representation,
                               check_fa_representation, check_fi, check_metric_fa,
-                              clifford_realization, fundamental_compose, gamma_matrices, simple_fa)
+                              clifford_realization, fundamental_compose, gamma_matrices,
+                              lowered_form, simple_fa)
 from naryalg.lie import check_jacobi, killing_form
 from naryalg.nary_cohomology import fa_cohomology_dims
 from naryalg.tensors import AntisymTensor, IdentityReport, gen_kronecker, sort_sign
@@ -112,7 +114,7 @@ def test_simple_family_satisfies_identity(n, signs):
 def test_all_plus_signs_bring_an_identity_metric():
     fa = a4()
     assert fa.metric == linalg.identity(4)
-    assert check_metric_fa(fa, fa.metric).metric
+    assert invariant_metric(fa, fa.metric)
 
 
 def test_sign_validation():
@@ -345,30 +347,36 @@ def test_semisimplicity_on_sums_and_extensions_is_pinned(name, semisimple):
 # metric structure
 # ---------------------------------------------------------------------------
 
+def invariant_metric(fa, g):
+    """g is an invariant metric of fa: invariant and nondegenerate."""
+    return check_metric_fa(fa, g).ok and linalg.nondegenerate(g).ok
+
+
 def test_a4_metric_and_lowered_form():
-    rep = check_metric_fa(a4(), linalg.identity(4))
-    assert rep.metric
-    assert rep.lowered.entries == {(1, 2, 3, 4): Fraction(-1)}
+    assert invariant_metric(a4(), linalg.identity(4))
+    assert lowered_form(a4(), linalg.identity(4)).entries == {(1, 2, 3, 4): Fraction(-1)}
 
 
 def test_abelian_metric_for_any_inner_product():
     g = linalg.identity(4)
     g[3][3] = Fraction(2)
-    assert check_metric_fa(FilippovAlgebra(3, 4, {}), g).metric
+    assert invariant_metric(FilippovAlgebra(3, 4, {}), g)
 
 
 def test_stretched_metric_fails():
     g = linalg.identity(4)
     g[3][3] = Fraction(2)
     rep = check_metric_fa(a4(), g)
-    assert not rep.metric and rep.witness is not None
+    assert not rep.ok and rep.witness is not None
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        lowered_form(a4(), g)
 
 
 def test_degenerate_metric_rejected():
     # the zero form is invariant but singular: reported, not raised
     rep = check_metric_fa(a4(), linalg.zeros(4, 4))
-    assert rep.invariant and not rep.nondegenerate and not rep.metric
-    assert rep.witness is None and rep.lowered.entries == {}
+    assert rep.ok and not linalg.nondegenerate(linalg.zeros(4, 4)).ok
+    assert rep.witness is None and lowered_form(a4(), linalg.zeros(4, 4)).entries == {}
     g = linalg.identity(4)
     g[0][1] = Fraction(1)
     with pytest.raises(ValueError, match="symmetric"):
@@ -392,13 +400,13 @@ def test_an_invariant_metric_on_a_bracket_that_fails_the_fi_is_reported():
     fa = omega_bracket()
     assert check_fi(fa).witness == ((1, 3), (2, 3, 5), 6)
     rep = check_metric_fa(fa, linalg.identity(6))
-    assert not rep.invariant and rep.nondegenerate and not rep.metric
-    assert rep.witness == ((1, 3), (2, 3, 5, 6)) and rep.lowered is None
+    assert not rep.ok and linalg.nondegenerate(linalg.identity(6)).ok
+    assert rep.witness == ((1, 3), (2, 3, 5, 6))
 
 
 def test_subordinated_metric_algebra_stays_metric():
     sub = subordinate(a4(), basis_vec(4, 4))
-    assert check_metric_fa(sub, linalg.identity(4)).metric
+    assert invariant_metric(sub, linalg.identity(4))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +576,7 @@ def test_w_so3_is_pinned():
     # pinned: computed values, not derived
     fa, g = w_so3()
     assert all(check_fi(fa, form).ok for form in FI_FORMS)
-    assert check_metric_fa(fa, g).metric and linalg.signature(g) == (4, 1, 0)
+    assert invariant_metric(fa, g) and linalg.signature(g) == (4, 1, 0)
     assert derivation_space_dim(fa) == 8
     assert len(inder_lie_algebra(fa).basis_labels) == 6
     assert fa_cohomology_dims(fa, "trivial", 1).dims_h == {0: 1, 1: 0}
@@ -610,7 +618,8 @@ def test_broken_representation_detected():
     fa = a4()
     rho = adjoint_fa_representation(fa)
     rho.mats[(1, 2)] = linalg.sp_identity(4)
-    assert not check_fa_representation(fa, rho)
+    rep = check_fa_representation(fa, rho)
+    assert not rep.ok and rep.witness == ((1, 2), (1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -631,13 +640,13 @@ def test_gamma_matrices_anticommutation():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_clifford_realization_matches_simple_algebra(n):
-    rep = clifford_realization(n)
-    assert rep.identity_ok and rep.matches_simple
-    assert check_fi(rep.induced).ok
+    induced, rep = clifford_realization(n)
+    assert rep.ok and induced.f == simple_fa(n, [1] * (n + 1)).f
+    assert check_fi(induced).ok
 
 
 def test_clifford_double_commutator_identity():
-    assert clifford_realization(3).double_commutator_ok
+    assert clifford_double_commutator() == IdentityReport(True)
 
 
 # ---------------------------------------------------------------------------

@@ -375,8 +375,8 @@ def test_anticommuting_brackets_raise_on_a_commuting_pair(known):
 
 
 def clifford_products(n):
-    """The ℤ[i] products clifford_realization(n) makes beyond the gammas,
-    for n = 4, 5: the top gamma (n odd, n products) or the chirality (n
+    """The ℤ[i] products clifford_realization(n) makes beyond the gammas:
+    the top gamma (n odd, n products) or the chirality (n
     even, n - 1 and its square), two per anticommutator of that matrix with
     each of the n + n % 2 gammas, and the n + 1 weight-one brackets, each
     the ordered product of n matrices and, for n odd, the top slot."""
@@ -384,7 +384,7 @@ def clifford_products(n):
     return n + 2 * d + (n + 1) * (n - 1 + n % 2)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_clifford_realization_makes_one_ordered_product_per_bracket(monkeypatch, n):
     calls = [0]
     right = linalg.zi_mul
@@ -397,7 +397,7 @@ def test_clifford_realization_makes_one_ordered_product_per_bracket(monkeypatch,
     filippov._zi_gammas(n + n % 2)
     construction = calls[0]
     calls[0] = 0
-    assert clifford_realization(n).identity_ok
+    assert clifford_realization(n)[1].ok
     assert calls[0] - construction == clifford_products(n)
 
 

@@ -229,7 +229,8 @@ def test_every_public_definition_is_used_or_tested():
 DENSE_NAMES = {"mat_add", "mat_sub", "mat_scale", "mat_mul", "mat_eq", "transpose", "trace",
                "commutator", "anticommutator", "is_zero_matrix", "conj_transpose", "zi_to_dense"}
 KERNEL_FUNCTIONS = {"sun_generators", "symmetrized_trace_poly", "gamma_matrices", "_zi_gammas",
-                    "_chirality", "anticommuting_brackets", "clifford_realization"}
+                    "_chirality", "anticommuting_brackets", "clifford_realization",
+                    "clifford_double_commutator"}
 GENERIC_PRODUCTS = {"sp_mul", "sp_commutator", "sp_anticommutator", "sp_trace", "multibracket"}
 
 
@@ -914,7 +915,7 @@ def test_the_cached_parser_builder_is_in_the_tree():
 CLAIMS = SRC / "claims.py"
 EAGER = [path for path in MODULES if path != CLAIMS]
 # compile time follows the AST nodes, `sum(1 for _ in ast.walk(tree))`
-EAGER_NODE_BUDGET = 32_872
+EAGER_NODE_BUDGET = 32_479
 
 
 def claims_imports(source):

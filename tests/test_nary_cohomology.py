@@ -16,7 +16,7 @@ from naryalg.nary_cohomology import (FAComplex, NCochain, coboundary_at, cobound
                                      fa_coboundary_module, fa_coboundary_trivial,
                                      fa_cohomology_dims, module_keys, trivial_keys,
                                      trivialize_fa_extension)
-from naryalg.tensors import insert_sign
+from naryalg.tensors import IdentityReport, insert_sign
 
 ALGEBRAS = {"a4": a4, "nhw1": lambda: nhw(1)}
 
@@ -503,3 +503,15 @@ def test_a_module_that_fails_the_representation_conditions_is_refused():
                  lambda: coboundary_at(fa, "module", alpha, [([(1, 2)], None)], rho)):
         with pytest.raises(ValueError, match="representation conditions"):
             call()
+
+
+def test_the_complex_of_a_bad_module_names_the_failing_pair():
+    # the same rho: [rho(X_1 ^ X_3), rho(X_1 ^ X_4)] = 0, while X_1 ^ X_3 .
+    # X_1 ^ X_4 = -X_1 ^ X_2 (f_134^2 = -1 on A4) reads rho = -1
+    fa = a4()
+    rho = FARepresentation({lab: {(0, 0): 1} if lab == (1, 2) else {}
+                            for lab in combinations(range(1, 5), 2)}, 1)
+    assert check_fa_representation(fa, rho) == IdentityReport(False, ((1, 3), (1, 4)))
+    with pytest.raises(ValueError) as exc:
+        FAComplex(fa, "module", rho)
+    assert str(exc.value) == "rho fails the representation conditions at ((1, 3), (1, 4))"

@@ -15,8 +15,8 @@ import pytest
 import dense_reference as dense
 from naryalg import linalg
 from naryalg.catalog import a4, a5, nhw, su, sun_basis
-from naryalg.claims import (ad_of_sum, associator_check, compose_matches_commutator,
-                            leibniz_coboundary, leibniz_extension, multibracket, odd_arity_defect,
+from naryalg.claims import (ad_of_sum, associator_check, clifford_double_commutator,
+                            compose_matches_commutator, leibniz_coboundary, leibniz_extension, multibracket, odd_arity_defect,
                             orthogonal_relations_hold, quadratic_casimir, resolve_even_bracket,
                             so_dual_generators, trace_extension_bracket, trace_extension_structure)
 from naryalg.filippov import (adjoint_fa_representation, check_fa_representation,
@@ -151,7 +151,7 @@ def test_fa_representation_check_matches_dense(name):
     rho.mats[lab] = {**rho.mats[lab], key: -rho.mats[lab][key]}
     got = check_fa_representation(fa, rho)
     assert got == dense.check_fa_representation(fa, dense_fa_rep(rho))
-    assert got == (name == "nhw2")
+    assert got.ok == (name == "nhw2")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -220,10 +220,13 @@ def test_leibniz_extension_reads_the_sparse_actions():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_clifford_realization_matches_dense(n):
-    got, want = clifford_realization(n), dense.clifford_realization(n)
-    assert (got.identity_ok, got.double_commutator_ok, got.matches_simple) == \
-        (want.identity_ok, want.double_commutator_ok, want.matches_simple)
-    assert got.induced.f == want.induced.f
+    (got, got_rep), (want, want_rep) = clifford_realization(n), dense.clifford_realization(n)
+    assert got_rep == want_rep
+    assert got.f == want.f
+
+
+def test_clifford_double_commutator_matches_dense():
+    assert clifford_double_commutator() == dense.clifford_double_commutator()
 
 
 def test_trace_extensions_match_dense():

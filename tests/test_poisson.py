@@ -10,11 +10,11 @@ from naryalg.catalog import a4, a5, a13, nhw, su, su3_five_cocycle
 from naryalg.claims import (append_center, direct_sum, graded_jacobi_residual,
                             hamiltonian_derivation_residual, nambu_bracket, nambu_fi_residual,
                             nambu_leibniz_residual, nhw_realization_check, np_even_implies_gps)
-from naryalg.poisson import (Decomposition, PluckerViolation, bracket_multivector,
-                             decompose_constant, gps_check, lie_poisson_bivector,
-                             linear_gps_from_cocycle, np_check, schouten_bracket, wedge_vectors)
+from naryalg.poisson import (bracket_multivector, gps_check, lie_poisson_bivector,
+                             linear_gps_from_cocycle, np_check, pivot_factors, plucker_check,
+                             schouten_bracket, wedge_vectors)
 from naryalg.poly import Poly
-from naryalg.tensors import AntisymTensor, merge_sign, shuffle_splits, sort_sign, wedge
+from naryalg.tensors import AntisymTensor, IdentityReport, merge_sign, shuffle_splits, sort_sign, wedge
 
 
 def multivector(order, m, comps):
@@ -203,9 +203,8 @@ def test_fast_built_polys_are_canonical(a, b, c, lam, other):
                    a.diff(1), a.diff(3)]
         results += schouten_bracket(lam, other).entries.values()
         results += schouten_bracket(other, lam).entries.values()
-        rep = gps_check(lam)
+        gps_check(lam)  # raises when its two evaluations disagree
         results += [lam.get(idx) for idx in product(range(1, 4), repeat=2)]
-    assert rep.snb_ok == rep.coords_ok
     for p in results + built:
         assert_canonical(p)
 
@@ -218,17 +217,17 @@ def test_lie_poisson_bivector_of_su3_is_gps_and_np():
     lam = lie_poisson_bivector(su(3))
     assert lam.rank == 2 and lam.dim == 8
     assert gps_check(lam).ok
-    rep = np_check(lam)
-    assert rep.ok and rep.differential_witness is None
+    differential, algebraic = np_check(lam)
+    assert differential == algebraic == IdentityReport(True)
 
 
 def test_linear_four_vector_of_su3_is_gps_but_not_np():
     lam = linear_gps_from_cocycle(su(3), su3_five_cocycle())
     assert lam.rank == 4
     assert gps_check(lam).ok
-    rep = np_check(lam)
-    assert not rep.ok
-    assert rep.differential_witness is not None or rep.algebraic_witness is not None
+    differential, algebraic = np_check(lam)
+    assert not (differential.ok and algebraic.ok)
+    assert differential.witness is not None or algebraic.witness is not None
 
 
 def test_linear_gps_from_a_non_cocycle_raises():
@@ -241,10 +240,10 @@ def test_linear_gps_from_a_non_cocycle_raises():
 def test_np_witnesses_of_the_linear_four_vector_are_pinned():
     # both witnesses as found by the per-pair products of the first np_check
     lam = linear_gps_from_cocycle(su(3), su3_five_cocycle())
-    rep = np_check(lam)
-    assert rep.differential_witness == ((1, 2, 3), (1, 2, 4, 5))
-    assert rep.algebraic_witness == ((1, 1, 2, 2), (3, 4, 5, 6))
-    assert (rep.algebraic_ok, rep.algebraic_witness) == reference_np_algebraic(lam)
+    differential, algebraic = np_check(lam)
+    assert differential.witness == ((1, 2, 3), (1, 2, 4, 5))
+    assert algebraic.witness == ((1, 1, 2, 2), (3, 4, 5, 6))
+    assert (algebraic.ok, algebraic.witness) == reference_np_algebraic(lam)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -257,8 +256,8 @@ def test_np_algebraic_condition_matches_the_reference_loop(seed):
     else:
         lam = wedge_vectors([[Fraction(rng.randint(-2, 2)) for _ in range(4)]
                              for _ in range(3)], 4)
-    rep = np_check(lam)
-    assert (rep.algebraic_ok, rep.algebraic_witness) == reference_np_algebraic(lam)
+    _, algebraic = np_check(lam)
+    assert (algebraic.ok, algebraic.witness) == reference_np_algebraic(lam)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -272,17 +271,16 @@ def test_np_algebraic_condition_of_four_vectors_matches_the_reference_loop(seed)
     else:
         lam = wedge_vectors([[Fraction(rng.randint(-2, 2)) for _ in range(4)]
                              for _ in range(4)], 4)
-    rep = np_check(lam)
-    assert rep.algebraic_ok == (seed == 0)
-    assert (rep.algebraic_ok, rep.algebraic_witness) == reference_np_algebraic(lam)
+    _, algebraic = np_check(lam)
+    assert algebraic.ok == (seed == 0)
+    assert (algebraic.ok, algebraic.witness) == reference_np_algebraic(lam)
 
 
 def test_a_non_jacobi_bivector_fails_both_forms_of_gps():
     # x3 d1^d2 + x2 d2^d3: {x1, {x2, x3}} + cycl. = -x3 != 0
     m = 3
     lam = multivector(2, m, {(1, 2): Poly.var(m, 3), (2, 3): Poly.var(m, 2)})
-    rep = gps_check(lam)
-    assert (rep.snb_ok, rep.coords_ok, rep.witness) == (False, False, (1, 2, 3))
+    assert gps_check(lam) == IdentityReport(False, (1, 2, 3))
     assert schouten_bracket(lam, lam).entries == {(1, 2, 3): Poly.var(m, 3) * -2}
 
 
@@ -339,25 +337,25 @@ def test_wedge_drops_cancelling_components():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(6))
-def test_decompose_constant_round_trips(seed):
+def test_pivot_factors_round_trip(seed):
     rng = random.Random(seed)
     m, n = 5, rng.randint(2, 3)
     vectors = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(n)]
     t = wedge_vectors(vectors, m)
     entries = {k: p.eval([Fraction(0)] * m) for k, p in t.entries.items()}
-    dec = decompose_constant(n, m, entries)
-    assert isinstance(dec, Decomposition)
+    assert plucker_check(n, m, entries) == IdentityReport(True)
+    factors, scale = pivot_factors(n, m, entries)
     if not entries:
-        assert dec.vectors == [] and dec.scale == 0
+        assert factors == [] and scale == 0
         return
-    back = wedge_vectors(dec.vectors, m).scale(dec.scale)
+    back = wedge_vectors(factors, m).scale(scale)
     assert {k: p.eval([Fraction(0)] * m) for k, p in back.entries.items()} == entries
 
 
-def test_decompose_constant_names_a_plucker_violation():
+def test_plucker_check_names_a_violated_relation():
     # d1^d2 + d3^d4 is not decomposable
-    dec = decompose_constant(2, 4, {(1, 2): Fraction(1), (3, 4): Fraction(1)})
-    assert isinstance(dec, PluckerViolation)
+    rep = plucker_check(2, 4, {(1, 2): Fraction(1), (3, 4): Fraction(1)})
+    assert rep == IdentityReport(False, ((1,), (2, 3, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +427,6 @@ NP_TABLE = {
 @pytest.mark.parametrize("name", list(NP_TABLE))
 def test_linear_tensors_of_filippov_algebras_are_nambu_poisson_as_theory_says(name):
     build, witness = NP_TABLE[name]
-    rep = np_check(bracket_multivector(build()))
-    assert (rep.differential_ok, rep.differential_witness) == (True, None)
-    assert (rep.algebraic_ok, rep.algebraic_witness) == (witness is None, witness)
+    differential, algebraic = np_check(bracket_multivector(build()))
+    assert differential == IdentityReport(True)
+    assert algebraic == IdentityReport(witness is None, witness)
