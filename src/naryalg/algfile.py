@@ -20,7 +20,8 @@ Integer tokens -- arity, dim, indices and exponents -- are ASCII digits
 with an optional leading '-' (`INTEGER`), and scalar literals are ASCII
 (`scalars.parse_scalar`): a digit separator (`0_1`), a '+' sign or a
 non-ASCII digit (`١`, the fullwidth `１`), all of which `int` would read,
-is refused at its column.
+is refused at its column, and so is a non-ASCII space outside a comment
+line (U+00A0, U+2003: `str.split` separators; `_ascii_spaces`).
 
 `parse` reads a file in one pass: it splits each line once at its ':' and
 '->' and reads the indices with `str.split` and `int`; columns are worked
@@ -69,6 +70,13 @@ def _column(line, start, text="", k=0):
     return indent + start + (tokens[k] if k < len(tokens) else len(text)) + 1
 
 
+def _ascii_spaces(line, no):
+    """Refuse the first non-ASCII whitespace character of a non-ASCII line."""
+    for col, ch in enumerate(line, 1):
+        if ch.isspace() and not ch.isascii():
+            raise ParseError(no, col, f"separators must be ASCII, got U+{ord(ch):04X}")
+
+
 def _ints(text, what, error, start=0):
     """The integers of the tokens of `text`, the piece of the stripped line
     at offset `start`; a token outside `INTEGER` is an `error` at its
@@ -89,6 +97,8 @@ def _ints(text, what, error, start=0):
 def _header(line):
     """(kind, arity, dim, scalar kind) of the header line, checked against
     each other."""
+    if not line.isascii():
+        _ascii_spaces(line, 1)
     head = line.split()
     if len(head) != 4:
         raise ParseError(1, 1, "header must be: kind arity dim scalar")
@@ -166,6 +176,8 @@ class AlgebraFile(FieldEq):
             stripped = line.strip()
             if not stripped or stripped[0] == "#":
                 continue
+            if not line.isascii():
+                _ascii_spaces(line, no)
             if stripped == "metric":
                 if metric is not None:
                     raise error("a second metric block")

@@ -66,9 +66,9 @@ from .gla import GLAlgebra, gla_from_cocycle
 from .lie import (LieAlgebra, Representation, SymInvariantPoly, _n_arrangements, _poly_table,
                   check_invariance, check_jacobi, check_metric_invariance,
                   cocycle_condition_residual, inverse_killing_form, killing_form, trace_form)
-from .nary_cohomology import (LeibnizAlgebra, LeibnizComplex, NCochain, _flat, _vectors,
-                              coboundary_at, deformation_preimage, fa_coboundary_deformation,
-                              fa_coboundary_trivial, fundamental_tables)
+from .nary_cohomology import (FAComplex, LeibnizAlgebra, LeibnizComplex, NCochain, _flat,
+                              _vectors, coboundary_at, deformation_preimage, fa_coboundary_trivial,
+                              fa_coboundary_deformation, fundamental_tables)
 from .poisson import gps_check, np_check, schouten_bracket
 from .poly import Poly
 from .scalars import GaussianRational, accumulate, common_denominator, is_zero, scaled_to_ints
@@ -1075,6 +1075,7 @@ def jointly_antisymmetric_in_last_slot(fa, kind, alpha, p_out) -> bool:
     antisymmetric under exchanging the solitary slot with any member of the
     last block (full joint antisymmetry then follows from the in-block
     antisymmetry).  Every point and its exchange are evaluated at once."""
+    cx = FAComplex(fa, kind, size=alpha.dim_v)
     n, d = fa.arity, fa.dim
     rng = range(1, d + 1)
     blocks = list(combinations(rng, n - 1))
@@ -1084,7 +1085,7 @@ def jointly_antisymmetric_in_last_slot(fa, kind, alpha, p_out) -> bool:
             for z in rng:
                 points.append(([*bs, last_blk], z))
                 swapped.append(([*bs, last_blk[:-1] + (z,)], last_blk[-1]))
-    values = coboundary_at(fa, kind, alpha, points + swapped)
+    values = coboundary_at(cx, alpha, points + swapped)
     return all(tuple(-v for v in vec2) == vec
                for vec, vec2 in zip(values[:len(points)], values[len(points):]))
 
@@ -1127,7 +1128,8 @@ def duality_pairing_holds(fa: FilippovAlgebra, alpha: NCochain, chains) -> bool:
     and the boundaries read one set of `fundamental_tables`."""
     tables = fundamental_tables(fa)
     chains = [(list(blocks), z) for blocks, z in chains]
-    for (blocks, z), rhs in zip(chains, coboundary_at(fa, "trivial", alpha, chains)):
+    cx = FAComplex(fa, "trivial", size=alpha.dim_v)
+    for (blocks, z), rhs in zip(chains, coboundary_at(cx, alpha, chains)):
         lhs = Fraction(0)
         for (bs, l), v in _boundary(tables, [(tuple(blocks), z, Fraction(1))]).items():
             key = tuple(bs[:-1]) + (tuple(bs[-1]) + (l,),) if alpha.order else (l,)

@@ -21,16 +21,17 @@ pairs, and for every sorted (p-1)-tuple r the placement of each l into r:
 the column of r + l and the sign of the one bisection that sorts it, or
 None when l is in r.  A term is then one list read, and with dim_v = 1 the
 bracket terms of a target are its row, not a copy.
-`coboundary_matrix` divides the rows by D (int where integral, else
-`Fraction`).  A `CEComplex` holds what every degree reads.  With rho None
-its D, D C, unimodular flag (below) and Jacobi verdict are built once per
-algebra, for every dim_v, and memoized on it (`BracketTensor.memoized`); a
-given rho builds them anew, and no list, matrix, rank or solution is kept.
-For every complex of this module and of `nary_cohomology`, s is ranked,
-applied and inverted in one place each, on the rows of D s that
-`cx.matrix(p)` gives: `complex_dims` ranks them, `apply` dots them with a
-cochain's coordinates and divides by D, and `preimage` solves D s x' = y and
-returns x = D x', the solution of s x = y.
+
+A `CEComplex` is the one handle on a complex, holding what every degree
+reads; `coboundary_matrix(cx, p)` gives D s_p as (rows, D).  With rho None
+its D, D C and unimodular flag (below) are built once per algebra, for every
+dim_v, and memoized on it (`BracketTensor.memoized`); a given rho builds
+them once per complex.  No list, matrix, rank or solution is kept.  For
+every complex of this module and of `nary_cohomology`, s is ranked, applied
+and inverted in one place each, on the rows of D s that `cx.matrix(p)`
+gives: `complex_dims` ranks them, `apply` dots them with a cochain's
+coordinates and divides by D, and `preimage` solves D s x' = y and returns
+x = D x', the solution of s x = y.
 
 Ranks and preimages.  Both come from the fraction-free elimination of
 `linalg.integer_echelon`, whose solutions set every non-pivot coordinate to
@@ -43,12 +44,13 @@ unpinned column, with the coordinates of C^{p+1} numbered shortest row of
 D s first, and its leads pin the coordinates of C^{p+1}.  Exactly dim H^p of
 its rows reduce to zero, against dim C^p - rank s_p from scratch.  The step
 needs s^2 = 0, so only a closed complex (`cx.closed`) pins: the trivial
-`CEComplex` of an algebra that satisfies the Jacobi identity (the verdict is
-memoized with its tables), a `nary_cohomology.FAComplex` of one that
-satisfies the FI, and a `LeibnizComplex` whose algebra satisfies the left
-identity.  A CE complex with a given rho is not tested, since the test costs
-more than the step saves.  On a complex that is not closed nothing is
-pinned, and the same loop ranks every degree in full.
+`CEComplex` of an algebra that satisfies the Jacobi identity (the verdict of
+`lie.check_jacobi`, memoized on the algebra as `check_fi`'s is), a
+`nary_cohomology.FAComplex` of one that satisfies the FI, and a
+`LeibnizComplex` whose algebra satisfies the left identity.  A CE complex
+with a given rho is not tested, since the test costs more than the step
+saves.  On a complex that is not closed nothing is pinned, and the same
+loop ranks every degree in full.
 
 Poincare duality.  For the trivial representation (any dim_v) of a
 unimodular algebra, tr ad_X = sum_j C_{ij}^j = 0 for every X_i, the Hodge
@@ -129,10 +131,10 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
 
 
 def _ce_rows(cx, p):
-    """(D, the rows of D s: C^p -> C^{p+1}) of the complex cx: one
-    {column: int} per coordinate of `coord_basis(dim, p + 1, dim_v)` (see the
-    module docstring for the columns and the tables of a degree)."""
-    d, mrows, dim_v, n = cx.d, cx.mrows, cx.dim_v, cx.alg.dim
+    """The rows of D s: C^p -> C^{p+1} of the complex cx: one {column: int}
+    per coordinate of `coord_basis(dim, p + 1, dim_v)` (see the module
+    docstring for the columns and the tables of a degree)."""
+    mrows, dim_v, n = cx.mrows, cx.dim_v, cx.alg.dim
     col = {idx: i for i, idx in enumerate(basis_tuples(n, p))}
     targets = basis_tuples(n, p + 1)
     # positions are 0-based here; the 1-based (-1)^{j+k}
@@ -169,7 +171,7 @@ def _ce_rows(cx, p):
             for rest, s, mr in faces:
                 for b, v in mr.get(a, ()):
                     accumulate(row, b * len(col) + rest, s * v)
-    return d, rows
+    return rows
 
 
 def _matrix_rows(m):
@@ -198,15 +200,6 @@ def integer_scaling(alg, mats=()):
     d, ialg = alg.integer_scaled(common_denominator([v for m in mats for v in m.values()]))
     return d, ialg, [{key: v.numerator * (d // v.denominator) for key, v in m.items()}
                      for m in mats]
-
-
-def unscale_rows(rows, d):
-    """The rows of d * delta divided by d: int where integral, else Fraction."""
-    if d == 1:
-        return rows
-    # one division per distinct value; the rows share the immutable quotients
-    quo = {v: Fraction(v, d) if v % d else v // d for v in {v for r in rows for v in r.values()}}
-    return [{c: quo[v] for c, v in row.items()} for row in rows]
 
 
 def apply_rows(rows, x, d):
@@ -241,17 +234,11 @@ def preimage(cx, p, y):
     return x if x is None or cx.d == 1 else [v * cx.d if v else v for v in x]
 
 
-def coboundary_matrix(alg: LieAlgebra, rho, p, dim_v, *, integer=False, _tables=None):
-    """Sparse matrix of s: C^p -> C^{p+1} in the canonical coordinate bases,
-    as (rows, src, dst): one {column: value} row per coordinate in dst, the
-    columns indexed by src: the rows of `_ce_rows` divided by D.  With
-    integer=True the rows of D s come back undivided, as ints: they span
-    what the rows of s span, so they give the same rank.  A caller that
-    assembles several degrees passes the `CEComplex` of its call.
-    """
-    cx = _tables or CEComplex(alg, rho, dim_v)
-    d, rows = _ce_rows(cx, p)
-    return rows if integer else unscale_rows(rows, d), cx.coords(p), cx.coords(p + 1)
+def coboundary_matrix(cx, p):
+    """s: C^p -> C^{p+1} of the `CEComplex` cx as (rows, D), s = rows / D:
+    the int rows of D s (`_ce_rows`), which give its rank, one per coordinate
+    of `cx.coords(p + 1)`, their columns indexed by `cx.coords(p)`."""
+    return _ce_rows(cx, p), cx.d
 
 
 class CohomologyReport(FieldEq):
@@ -292,13 +279,19 @@ class CEComplex:
             raise ValueError("representation/target dimension mismatch")
         self.alg, self.rho, self.dim_v = alg, rho, dim_v
         if rho is None:
-            self.d, self.ialg, self.unimodular, self.closed = alg.memoized("ce", lambda: (
-                *integer_scaling(alg)[:2], _unimodular(alg), check_jacobi(alg).ok))
+            self.d, self.ialg, self.unimodular = alg.memoized("ce", lambda: (
+                *integer_scaling(alg)[:2], _unimodular(alg)))
             self.mrows = [{}] * alg.dim
-        else:  # a given rho is not tested for closure: the test costs more than it saves
+        else:
             self.d, self.ialg, imats = integer_scaling(alg, rho.mats)
             self.mrows = [_matrix_rows(m) for m in imats]
-            self.unimodular = self.closed = False
+            self.unimodular = False
+
+    @property
+    def closed(self):
+        """Whether rho is None and the algebra passes the memoized
+        `check_jacobi` (module docstring)."""
+        return self.rho is None and check_jacobi(self.alg).ok
 
     def dim(self, p):
         return comb(self.alg.dim, p) * self.dim_v
@@ -314,7 +307,7 @@ class CEComplex:
 
     def matrix(self, p):
         """The integer rows of D s_p."""
-        return coboundary_matrix(self.alg, self.rho, p, self.dim_v, integer=True, _tables=self)[0]
+        return coboundary_matrix(self, p)[0]
 
 
 def complex_dims(cx, p_max) -> CohomologyReport:

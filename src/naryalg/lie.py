@@ -117,13 +117,16 @@ class LieAlgebra(BracketTensor):
 def check_jacobi(alg: LieAlgebra) -> IdentityReport:
     """C_{[ij}^l C_{k]l}^s = 0 over all (i<j<k, s), read off the residual of
     `tensors.nested_bracket_residuals` on the table of D C; the least
-    ((i, j, k), s) with a nonzero residual is the witness."""
-    c = alg.integer_scaled()[1].c
-    res = nested_bracket_residuals(c, c, alg.dim)
-    if res:
-        (i, j, k), s = min(res)
-        return IdentityReport(False, (i, j, k, s))
-    return IdentityReport(True)
+    ((i, j, k), s) with a nonzero residual is the witness.  The report is
+    memoized on alg under "jacobi", as `check_fi`'s is under "fi"."""
+    def scan():
+        c = alg.integer_scaled()[1].c
+        res = nested_bracket_residuals(c, c, alg.dim)
+        if res:
+            (i, j, k), s = min(res)
+            return IdentityReport(False, (i, j, k, s))
+        return IdentityReport(True)
+    return alg.memoized("jacobi", scan)
 
 
 def trace_form(alg: BracketTensor):

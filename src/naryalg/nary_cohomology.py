@@ -48,32 +48,32 @@ p >= 1, is column ((X_1 B + .. + X_{p-1}) N + l) size + a, l the number of
 its last block; a module or binary key is its block numbers in mixed radix B
 (N = B, the identity placement), and (z; a) of degree 0 is z size + a.  The
 kernel walks the target points grouped by their first p blocks, works out
-what those fix once per group, and builds and hashes no key.  With rho
-None, D and the tables are memoized on the algebra per kind and size
-(`BracketTensor.memoized`), the kinds sharing one `fundamental_tables`; a
-given rho builds them anew.  A complex lists its keys, for its coordinates,
-once per degree, counts dim C^p without them, and keeps no matrix.
-`coboundary_matrix` divides the rows by D; `cohomology.complex_dims` ranks
-them undivided, `fa_coboundary_*` and `claims.leibniz_coboundary` (a
-`LeibnizComplex`: given rational actions, D = 1) apply delta through
-`cohomology.apply`, and `deformation_preimage` and `trivialize_fa_extension`
-invert it through `cohomology.preimage`, on coordinates (key, a).
-`coboundary_at` (delta at given points) and the checks built on it in
-`claims` (`jointly_antisymmetric_in_last_slot`, `duality_pairing_holds`)
-dot the rows at those points alone with the coordinates and divide by D.
+what those fix once per group, and builds and hashes no key.  A complex
+(`FAComplex`, or `LeibnizComplex` for the binary row) is the one handle that
+every call takes: it is built, and a given rho checked, once; with rho None,
+D and the tables are memoized on the algebra per kind and size, the kinds
+sharing one `fundamental_tables`.  It lists its keys once per degree and
+keeps no matrix.  `coboundary_matrix(cx, p)` gives D delta_p as (rows, D);
+`cohomology.complex_dims` ranks the rows (`cx.matrix`), `fa_coboundary` and
+`claims.leibniz_coboundary` (given rational actions, D = 1) apply delta
+through `cohomology.apply`, and `deformation_preimage` and
+`trivialize_fa_extension` invert it through `cohomology.preimage`, on
+coordinates (key, a).  `coboundary_at` (delta at given points) and the
+checks built on it in `claims` dot the rows at those points alone with the
+coordinates and divide by D.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, product
 from math import comb
 from operator import mul
 
 from . import linalg
 from .cohomology import (CohomologyReport, apply, apply_rows, column_vector, complex_dims,
-                         integer_scaling, preimage, unscale_rows)
+                         integer_scaling, preimage)
 from .filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
                        check_fa_representation, check_fi)
 from .scalars import ZERO, accumulate, is_zero, rat
@@ -349,20 +349,14 @@ class LeibnizComplex:
         if wit is not None:
             raise ValueError(f"actions fail the representation conditions at {wit}")
         rng = range(1, lb.dim + 1)
-        self.lb, self.size, self._key_lists = lb, size, {}
+        self.lb, self.size = lb, size
         self.closed = lb.check_left_identity().ok
-        self._list_keys = lambda p: list(product(rng, repeat=p))
+        self.keys = cache(lambda p: list(product(rng, repeat=p)))  # of C^p, once per degree
         self.bracket = tuple(tuple(tuple((k - 1, v) for k, v in lb.row(x, y).items())
                                    for y in rng) for x in rng)
         self.left = tuple((_matrix_terms(m),) for m in left)
         self.right = tuple((_matrix_terms(m),) for m in right)
         self.place, self.split = _plain(lb.dim)
-
-    def keys(self, p):
-        """The keys of C^p (`_list_keys`), listed once per degree."""
-        if p not in self._key_lists:
-            self._key_lists[p] = self._list_keys(p)
-        return self._key_lists[p]
 
     def coords(self, p):
         """The coordinates (key, a) of C^p, in column order."""
@@ -375,8 +369,8 @@ class LeibnizComplex:
         return None
 
     def matrix(self, p):
-        """The rows of delta_p."""
-        return coboundary_matrix(self.lb, self.kind, p, integer=True, _tables=self)[0]
+        """The integer rows of D delta_p (D = 1 here; an `FAComplex` has its own)."""
+        return coboundary_matrix(self, p)[0]
 
 
 class FAComplex(LeibnizComplex):
@@ -403,18 +397,15 @@ class FAComplex(LeibnizComplex):
         if size is not None and size != own and kind != "trivial":
             raise _misfit(kind, size, own)
         self.fa, self.kind, self.rho, self.size = fa, kind, rho, size or own
-        self._key_lists = {}
-        self._list_keys = partial(module_keys if kind == "module" else trivial_keys, fa)
+        self.keys = cache(partial(module_keys if kind == "module" else trivial_keys, fa))
         build = partial(_fa_tables, fa, kind, rho, self.size)
         self.d, self.bracket, self.left, self.right, self.place, self.split = (
             build() if rho is not None else fa.memoized((kind, self.size), build))
 
     @property
     def closed(self):
-        """Whether fa satisfies the FI, which makes delta square to zero
-        (a given rho is a representation, tested by the constructor):
-        the verdict of `check_fi`'s report, which is memoized on fa, so the
-        scan runs once per algebra for this gate and the identity checks."""
+        """Whether fa passes the memoized `check_fi`, which makes delta square
+        to zero (a given rho is a representation, tested by the constructor)."""
         return check_fi(self.fa).ok
 
     def dim(self, p):
@@ -424,10 +415,6 @@ class FAComplex(LeibnizComplex):
         if self.kind == "module":
             return comb(d, n - 1) ** p * self.size
         return (comb(d, n - 1) ** (p - 1) * comb(d, n) if p else d) * self.size
-
-    def matrix(self, p):
-        """The integer rows of D delta_p."""
-        return coboundary_matrix(self.fa, self.kind, p, self.rho, integer=True, _tables=self)[0]
 
 
 def _misfit(kind, size, want):
@@ -440,27 +427,39 @@ def _flat(data):
     return {(key, a): v for key, vec in data.items() for a, v in enumerate(vec) if v}
 
 
-def coboundary_at(fa: FilippovAlgebra, kind, alpha: NCochain, points, rho=None):
-    """(delta alpha)(X_1..X_{p+1}, Z) of the complex `kind` at each (raw
-    blocks, Z) of points (Z None for the module complex, else in 1..dim), in
-    order, from one `FAComplex`: the blocks are sorted here, and their sign
-    applied."""
-    cx, p = FAComplex(fa, kind, rho, alpha.dim_v), alpha.order
-    num = {x: i for i, x in enumerate(combinations(range(1, fa.dim + 1), fa.arity - 1))}
-    plain, groups, signs = kind in PLAIN, [], []
+def _coords_of(cx, alpha):
+    """`_flat` of alpha, a cochain of the `FAComplex` cx; another dim_v raises."""
+    if alpha.dim_v != cx.size:
+        raise _misfit(cx.kind, alpha.dim_v, cx.size)
+    return _flat(alpha.data)
+
+
+def coboundary_at(cx, alpha: NCochain, points):
+    """(delta alpha)(X_1..X_{p+1}, Z) on the `FAComplex` cx at each (raw
+    blocks, Z) of points (Z None for the module complex), in order: the
+    blocks are sorted here, and their sign applied.  A point of another
+    block count, a block not of n - 1 indices in 1..dim or a Z off 1..dim
+    raises ValueError."""
+    fa, p = cx.fa, alpha.order
+    x = column_vector(cx, p, _coords_of(cx, alpha))
+    rng = range(1, fa.dim + 1)
+    num = {block: i for i, block in enumerate(combinations(rng, fa.arity - 1))}
+    plain, groups, signs = cx.kind in PLAIN, [], []
     for blocks, z in points:
         if len(blocks) != p + 1:
             raise ValueError(f"a {p}-cochain's coboundary takes {p + 1} blocks")
-        if not (plain or z in range(1, fa.dim + 1)):
+        for block in blocks:
+            if len(block) != fa.arity - 1 or not all(i in rng for i in block):
+                raise ValueError(f"block {block!r} is not {fa.arity - 1} indices in 1..{fa.dim}")
+        if not (plain or z in rng):
             raise ValueError(f"point {z!r} outside 1..{fa.dim}")
         xs, s = sort_blocks(blocks)
         signs.append(s)
         if s:
-            xs = [num[x] for x in xs]
+            xs = [num[b] for b in xs]
             groups.append((tuple(xs[:-1]), ((xs[-1], 0 if plain else z - 1),)))
-    x = column_vector(cx, p, _flat(alpha.data))
-    values = iter(_vectors(apply_rows(_leibniz_delta(cx, p, groups), x, cx.d), alpha.dim_v))
-    zero = (0,) * alpha.dim_v
+    values = iter(_vectors(apply_rows(_leibniz_delta(cx, p, groups), x, cx.d), cx.size))
+    zero = (0,) * cx.size
     return [tuple(s * v for v in next(values)) if s else zero for s in signs]
 
 
@@ -468,50 +467,39 @@ def coboundary_at(fa: FilippovAlgebra, kind, alpha: NCochain, points, rho=None):
 # user-facing operators on canonical cochains
 # ---------------------------------------------------------------------------
 
-def fa_coboundary_trivial(fa: FilippovAlgebra, alpha: NCochain) -> NCochain:
-    return _apply(fa, alpha, "trivial", None)
-
-
-def fa_coboundary_module(fa: FilippovAlgebra, rho, alpha: NCochain) -> NCochain:
-    return _apply(fa, alpha, "module", rho)
-
-
-def fa_coboundary_deformation(fa: FilippovAlgebra, alpha: NCochain) -> NCochain:
-    return _apply(fa, alpha, "deformation", None)
-
-
 def _vectors(values, size):
     """The values grouped into consecutive tuples of length size."""
     return [tuple(values[i:i + size]) for i in range(0, len(values), size)]
 
 
-def _apply(fa, alpha, kind, rho):
-    """delta alpha on the canonical keys of its complex; a value that sums no
-    term is the int 0, which becomes the `Fraction` zero."""
-    cx, p = FAComplex(fa, kind, rho, alpha.dim_v), alpha.order
-    values = [v or ZERO for v in apply(cx, p, _flat(alpha.data))]
-    data = {key: vec for key, vec in zip(cx.keys(p + 1), _vectors(values, alpha.dim_v)) if any(vec)}
-    return NCochain._canonical(kind, p + 1, fa.arity, fa.dim, alpha.dim_v, data)
+def fa_coboundary(cx, alpha: NCochain) -> NCochain:
+    """delta alpha on the `FAComplex` cx, on the canonical keys of C^{p+1}; a
+    value that sums no term is the int 0, which becomes the `Fraction` zero."""
+    p = alpha.order
+    values = [v or ZERO for v in apply(cx, p, _coords_of(cx, alpha))]
+    data = {key: vec for key, vec in zip(cx.keys(p + 1), _vectors(values, cx.size)) if any(vec)}
+    return NCochain._canonical(cx.kind, p + 1, cx.fa.arity, cx.fa.dim, cx.size, data)
+
+
+def fa_coboundary_trivial(fa: FilippovAlgebra, alpha: NCochain) -> NCochain:
+    return fa_coboundary(FAComplex(fa, "trivial", size=alpha.dim_v), alpha)
+
+
+def fa_coboundary_deformation(fa: FilippovAlgebra, alpha: NCochain) -> NCochain:
+    return fa_coboundary(FAComplex(fa, "deformation", size=alpha.dim_v), alpha)
 
 
 # ---------------------------------------------------------------------------
 # matrices and cohomology dimensions
 # ---------------------------------------------------------------------------
 
-def coboundary_matrix(fa: FilippovAlgebra, kind, p, rho=None, *, integer=False, _tables=None):
-    """Sparse matrix of delta: C^p -> C^{p+1} over the canonical coordinates,
-    as (rows, src, dst): one {column: value} row per (key, target index) in
-    dst, the columns indexed by the (key, target index) pairs of src.  The
-    rows are those of `_leibniz_delta` on the constants and module matrices
-    scaled to ints, divided by their common denominator D; with integer=True
-    they come back undivided, as ints, which give the same rank.  A caller
-    that assembles several degrees passes the `FAComplex` of its call; the
-    binary complex (kind "binary") is always given by its `LeibnizComplex`.
-    """
-    cx = _tables or FAComplex(fa, kind, rho)
-    rows = _leibniz_delta(cx, p, [(head, cx.split)  # the keys of C^{p+1}, in order
-                                  for head in product(range(len(cx.bracket)), repeat=p)])
-    return rows if integer else unscale_rows(rows, cx.d), cx.coords(p), cx.coords(p + 1)
+def coboundary_matrix(cx, p):
+    """delta: C^p -> C^{p+1} of the complex cx (`FAComplex` or
+    `LeibnizComplex`) as (rows, D), delta = rows / D: the int rows of D delta
+    (`_leibniz_delta` over every key of C^{p+1}), which give its rank, one
+    per coordinate of `cx.coords(p + 1)`, columns indexed by `cx.coords(p)`."""
+    return _leibniz_delta(cx, p, [(head, cx.split)  # the keys of C^{p+1}, in order
+                                  for head in product(range(len(cx.bracket)), repeat=p)]), cx.d
 
 
 def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> CohomologyReport:
@@ -529,9 +517,8 @@ def fa_cohomology_dims(fa: FilippovAlgebra, kind, p_max, rho=None) -> Cohomology
 def trivialize_fa_extension(fa: FilippovAlgebra, alpha: NCochain):
     """Solve alpha = delta(beta) over scalar 0-cochains; returns the basis
     change vector or None when the class is non-trivial."""
-    if alpha.dim_v != 1:
-        raise _misfit("trivial", alpha.dim_v, 1)
-    return preimage(FAComplex(fa, "trivial"), alpha.order - 1, _flat(alpha.data))
+    cx = FAComplex(fa, "trivial")
+    return preimage(cx, alpha.order - 1, _coords_of(cx, alpha))
 
 
 def deformation_preimage(fa: FilippovAlgebra, target: NCochain):

@@ -25,8 +25,8 @@ characteristic identity.  The same signed table, with whole rows {j: value}
 as its entries, serves the identity scans; `integer_scaled` gives the copy
 holding D C as ints, D the least common denominator of the constants;
 `memoized` keeps what later layers build on one algebra; a `copy` reads
-the immutable entries of its origin's memo (the inverse Killing form) and
-builds the rest anew.
+the immutable entries of its origin's memo (the inverse Killing form, the
+identity reports) while its rows equal its origin's.
 
 The sign kernels (`perm_sign`, `sort_sign`, `merge_sign`, `gen_kronecker`)
 give their signs as plain ints in {-1, 0, 1}: they count inversions and never
@@ -476,9 +476,8 @@ class BracketTensor(FieldEq):
     def copy(self):
         """A copy with rows and metric rows of its own, which a caller may
         change without changing this tensor, and no memo of its own.  Its
-        `memoized` reads the immutable entries of this tensor's memo, now
-        and later: they were built on the constants the copy starts with,
-        and, like its own entries, do not follow later edits of its rows."""
+        `memoized` reads the immutable entries of this tensor's memo while
+        its rows equal this tensor's, on which they were built."""
         out = self._with({key: dict(row) for key, row in self.c.items()})
         if self.metric is not None:
             out.metric = [list(row) for row in self.metric]
@@ -494,16 +493,17 @@ class BracketTensor(FieldEq):
     def memoized(self, key, build):
         """build() kept under key on this tensor from its first call (a raise
         keeps nothing); nothing mutates a tensor, so it never goes stale.  A
-        `copy` first looks in the memos of the tensors it was copied from,
-        and takes an entry there that no reader can change (`_immutable`:
-        the inverse Killing form, an FI report, the FA tables of nested
-        tuples); an entry that holds a tensor or a dict is built again."""
+        `copy` first looks in the memos of the tensors it was copied from
+        whose rows still equal its own, and takes an entry there that no
+        reader can change (`_immutable`: the inverse Killing form, a Jacobi
+        or FI report, the FA tables of nested tuples); an entry that holds a
+        tensor or a dict is built again."""
         memo = vars(self).setdefault("_memo", {})
         if key not in memo:
             src = self
             while (src := vars(src).get("_origin")) is not None:
                 kept = vars(src).get("_memo", {})
-                if key in kept and _immutable(kept[key]):
+                if key in kept and _immutable(kept[key]) and src.c == self.c:
                     memo[key] = kept[key]
                     break
             else:

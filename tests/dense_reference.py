@@ -1313,10 +1313,9 @@ def ce_coboundary_coords(alg, om):
 
 
 def ce_coboundary_matrix(alg, rho, p, dim_v):
-    """(rows, src, dst) of s from one `ce_coboundary` on the generic cochain
-    whose coordinate src[i] is the linear form x_i, on the constants and
-    matrices scaled to ints by their common denominator D; the rows are
-    divided by D."""
+    """(rows, D, src, dst) of D s from one `ce_coboundary` on the generic
+    cochain whose coordinate src[i] is the linear form x_i, on the constants
+    and matrices scaled to ints by their common denominator D."""
     src = cohomology.coord_basis(alg.dim, p, dim_v)
     dst = cohomology.coord_basis(alg.dim, p + 1, dim_v)
     d, ialg, imats = cohomology.integer_scaling(alg, () if rho is None else rho.mats)
@@ -1324,11 +1323,7 @@ def ce_coboundary_matrix(alg, rho, p, dim_v):
     generic = cohomology.Cochain(p, alg.dim, dim_v,
                                  {key: LinearForm({i: 1}) for i, key in enumerate(src)})
     out = ce_coboundary(ialg, irho, generic).data
-    rows = [out.get(key, LinearForm()) for key in dst]
-    if d != 1:
-        rows = [{c: v // d if v % d == 0 else Fraction(v, d) for c, v in row.items()}
-                for row in rows]
-    return rows, src, dst
+    return [out.get(key, LinearForm()) for key in dst], d, src, dst
 
 
 def cohomology_dims_all_degrees(alg, rho, p_max, dim_v=None):
@@ -1337,10 +1332,10 @@ def cohomology_dims_all_degrees(alg, rho, p_max, dim_v=None):
     if dim_v is None:
         dim_v = 1 if rho is None else rho.dim_v
     dims_c, ranks = {}, {}
+    cx = cohomology.CEComplex(alg, rho, dim_v)
     for p in range(0, p_max + 1):
-        rows, src, _ = cohomology.coboundary_matrix(alg, rho, p, dim_v, integer=True)
-        dims_c[p] = len(src)
-        ranks[p] = linalg.rank(rows)
+        dims_c[p] = len(cx.coords(p))
+        ranks[p] = linalg.rank(cx.matrix(p))
     return cohomology.CohomologyReport.from_ranks(dims_c, ranks)
 
 
@@ -2090,10 +2085,19 @@ def _count_error(line_no, tokens, want, end_col, message):
     return ParseError(line_no, col, message)
 
 
+def _non_ascii_space(line, line_no):
+    """A ParseError at the first whitespace character outside ASCII."""
+    m = re.search(r"[^\x00-\x7f]", re.sub(r"\S", "x", line))
+    if m:
+        raise ParseError(line_no, m.start() + 1,
+                         f"separators must be ASCII, got U+{ord(line[m.start()]):04X}")
+
+
 def parse_alg(text):
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, 1, "empty file")
+    _non_ascii_space(lines[0], 1)
     head = [(m.start() + 1, m.group()) for m in re.finditer(r"\S+", lines[0])]
     if len(head) != 4:
         raise ParseError(1, 1, "header must be: kind arity dim scalar")
@@ -2126,6 +2130,7 @@ def parse_alg(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        _non_ascii_space(line, no)
         col0 = len(line) - len(line.lstrip()) + 1  # column of stripped[0]
         if stripped == "metric":
             if in_metric:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dense_reference as dense
 from naryalg import algfile, catalog, cli
@@ -294,7 +294,8 @@ FUZZ_SOURCES = [
                 with_metric(catalog.a13(), [[GaussianRational(int(i == j), int(i + j == 3))
                                              for j in range(4)] for i in range(4)]))
 ] + [AlgebraFile.from_object(catalog.corrupted(catalog.a4())).emit()]
-INSERTS = [" ", "  ", "\t", ":", "->", "#", "-", "/", "i", "0", "9", "x", "metric", "1/0"]
+INSERTS = [" ", "  ", "\t", ":", "->", "#", "-", "/", "i", "0", "9", "x", "metric", "1/0",
+           "\u00a0", "\u2003"]
 
 
 @st.composite
@@ -352,6 +353,35 @@ def test_the_reader_agrees_with_the_reference_on_mutated_files(text):
 
 
 # ---------------------------------------------------------------------------
+# the CLI on mutated files: an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+def run_cli(argv):
+    """(exit code, stderr) of one `cli.main` call, stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_files(), st.sampled_from(["ce", "trivial", "module", "deformation"]))
+def test_the_cli_ends_every_mutated_file_in_an_exit_code(tmp_path, text, complex_kind):
+    path = tmp_path / "mutated.alg"
+    path.write_text(text, encoding="utf-8")
+    parsed = outcome(dense.parse_alg, text)
+    for argv in (["check", str(path), "--suite", "all"],
+                 ["cohomology", str(path), "--pmax", "1", "--complex", complex_kind]):
+        code, err = run_cli(argv)
+        assert code in (0, 1, 2), argv
+        if isinstance(parsed, tuple):  # a parse error: exit 2 at its line and column,
+            line_no, col, _ = parsed   # unless the header's dim is above the cap
+            assert code == 2, argv
+            assert f"line {line_no}, column {col}" in err or "above the cap" in err, argv
+
+
+# ---------------------------------------------------------------------------
 # integer tokens are ASCII digits with an optional '-', scalars are ASCII
 # ---------------------------------------------------------------------------
 
@@ -378,10 +408,8 @@ REFUSED_TOKENS = {
 }
 
 
-@pytest.mark.parametrize("name", list(REFUSED_TOKENS))
-def test_a_token_outside_ascii_digits_is_refused_at_its_column(name, tmp_path):
-    # int() and Fraction() read every one of these tokens as a number
-    text, message = REFUSED_TOKENS[name]
+def assert_refused(name, text, message, tmp_path):
+    """The reader, its reference and `naryalg check` refuse text with message."""
     with pytest.raises(ParseError) as exc:
         AlgebraFile.parse(text)
     assert str(exc.value) == message
@@ -392,3 +420,37 @@ def test_a_token_outside_ascii_digits_is_refused_at_its_column(name, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert cli.main(["check", str(path)]) == 2
     assert err.getvalue() == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("name", list(REFUSED_TOKENS))
+def test_a_token_outside_ascii_digits_is_refused_at_its_column(name, tmp_path):
+    # int() and Fraction() read every one of these tokens as a number
+    assert_refused(name, *REFUSED_TOKENS[name], tmp_path)
+
+
+REFUSED_SEPARATORS = {
+    "nbsp": ("lie 2 3 rational\n1 2\u00a0-> 3 : 1\n",
+             "line 2, column 4: separators must be ASCII, got U+00A0"),
+    "em-space": ("lie 2 3 rational\n1\u20032 -> 3 : 1\n",
+                 "line 2, column 2: separators must be ASCII, got U+2003"),
+    "header": ("lie\u00a02 3 rational\n", "line 1, column 4: separators must be ASCII, got U+00A0"),
+    "indent": ("lie 2 3 rational\nmetric\n\u20031 1 : 1\n",
+               "line 3, column 1: separators must be ASCII, got U+2003"),
+    "around-the-value": ("lie 2 3 rational\n1 2 -> 3 :\u00a01\n",
+                         "line 2, column 11: separators must be ASCII, got U+00A0"),
+    "after-a-bad-token": ("lie 2 3 rational\n1 x -> 3 : 1\u00a0\n",
+                          "line 2, column 13: separators must be ASCII, got U+00A0"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSED_SEPARATORS))
+def test_a_non_ascii_separator_is_refused_at_its_column(name, tmp_path):
+    # str.split() reads these as separators: such a file once loaded as if
+    # it were written with ASCII spaces
+    assert_refused(name, *REFUSED_SEPARATORS[name], tmp_path)
+
+
+def test_comment_and_blank_lines_keep_any_character():
+    text = "lie 2 3 rational\n# a comment\u00a0with\u2003spaces\n\u00a0\n1 2 -> 3 : 1\n"
+    assert AlgebraFile.parse(text) == dense.parse_alg(text) == AlgebraFile.parse(
+        "lie 2 3 rational\n1 2 -> 3 : 1\n")

@@ -11,7 +11,7 @@ from naryalg.catalog import euclidean_rotations_2d, heisenberg, r2_abelian, su
 from naryalg.claims import (_coboundary_preimage, central_extension, deformation_check,
                             laplacian_identity_holds, mc_cochain, quadratic_casimir,
                             whitehead_homotopy)
-from naryalg.cohomology import (Cochain, basis_tuples, coboundary, coboundary_matrix,
+from naryalg.cohomology import (CEComplex, Cochain, basis_tuples, coboundary, coboundary_matrix,
                                 cohomology_dims, coord_basis, trivialize_extension)
 from naryalg.lie import LieAlgebra, Representation, check_jacobi
 from naryalg.scalars import GaussianRational
@@ -82,6 +82,11 @@ def unit_cochain_columns(alg, rho, p, dim_v, cols):
     return [{j: img[key] for j, img in images.items() if key in img} for key in dst]
 
 
+def scaled(rows, d):
+    """The rows times d: D s from the rows of s."""
+    return [{c: d * v for c, v in row.items()} for row in rows]
+
+
 @pytest.mark.parametrize("name", ["heisenberg", "su2", "su3"])
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_row_assembly_matches_unit_cochain_columns(name, adjoint):
@@ -89,31 +94,32 @@ def test_row_assembly_matches_unit_cochain_columns(name, adjoint):
     rho = alg.adjoint_rep() if adjoint else None
     dim_v = alg.dim if adjoint else 1
     rng = random.Random(13)
+    cx = CEComplex(alg, rho, dim_v)
     for p in range(4):
-        rows, src, dst = coboundary_matrix(alg, rho, p, dim_v)
+        (rows, d), src, dst = coboundary_matrix(cx, p), cx.coords(p), cx.coords(p + 1)
         assert src == coord_basis(alg.dim, p, dim_v)
         assert dst == coord_basis(alg.dim, p + 1, dim_v) and len(rows) == len(dst)
         # every column up to 64, else a seeded sample of 16: the reference
         # takes about 0.1 s per su(3) adjoint column of degree 3
         cols = range(len(src)) if len(src) <= 64 else sorted(rng.sample(range(len(src)), 16))
         restricted = [{j: row[j] for j in cols if j in row} for row in rows]
-        assert restricted == unit_cochain_columns(alg, rho, p, dim_v, cols)
+        assert restricted == scaled(unit_cochain_columns(alg, rho, p, dim_v, cols), d)
         assert all(j in range(len(src)) for row in rows for j in row)
 
 
 @pytest.mark.parametrize("name,adjoint,p", [("su4", False, p) for p in range(3)]
                          + [("su3", True, p) for p in range(2)])
 def test_rows_equal_the_generic_cochain_reference(name, adjoint, p):
-    # D = 6 for su(4) and 2 for su(3): the same rows, dict for dict, and the
-    # same scalar types as one reference coboundary of the generic cochain
+    # D = 6 for su(4) and 2 for su(3): the same rows of D s, dict for dict,
+    # all ints, as one reference coboundary of the generic cochain
     alg = su(int(name[2]))
     rho = alg.adjoint_rep() if adjoint else None
     dim_v = alg.dim if adjoint else 1
-    got = coboundary_matrix(alg, rho, p, dim_v)
-    want = dense.ce_coboundary_matrix(alg, rho, p, dim_v)
-    assert got == want
-    assert [{c: type(v) for c, v in row.items()} for row in got[0]] == \
-        [{c: type(v) for c, v in row.items()} for row in want[0]]
+    cx = CEComplex(alg, rho, dim_v)
+    rows, d, src, dst = dense.ce_coboundary_matrix(alg, rho, p, dim_v)
+    assert coboundary_matrix(cx, p) == (rows, d) and d == (6 if name == "su4" else 2)
+    assert (cx.coords(p), cx.coords(p + 1)) == (src, dst)
+    assert all(type(v) is int for row in cx.matrix(p) for v in row.values())
 
 
 PARITY_ALGEBRAS = {"heisenberg": heisenberg(), "su2": su(2), "su3": su(3)}
@@ -153,9 +159,11 @@ def test_row_assembly_scales_by_the_representation_denominators():
     rho = Representation(alg, [linalg.sp_mul(qinv, linalg.sp_mul(m, q))
                                for m in alg.adjoint_rep().mats], 3)
     assert any(x.denominator > 1 for m in rho.mats for x in m.values())
+    cx = CEComplex(alg, rho, 3)
+    assert cx.d > 1
     for p in range(3):
-        rows, src, _ = coboundary_matrix(alg, rho, p, 3)
-        assert rows == unit_cochain_columns(alg, rho, p, 3, range(len(src)))
+        rows, d = coboundary_matrix(cx, p)
+        assert rows == scaled(unit_cochain_columns(alg, rho, p, 3, range(cx.dim(p))), d)
     assert [cohomology_dims(alg, rho, 2).dims_h[p] for p in range(3)] == [0, 0, 0]
 
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 import dense_reference as ref
 from naryalg import linalg
 from naryalg.catalog import heisenberg, r2_abelian, su
-from naryalg.cohomology import coboundary_matrix, cohomology_dims
+from naryalg.cohomology import CEComplex, coboundary_matrix, cohomology_dims
 from naryalg.lie import LieAlgebra
 
 values = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
@@ -59,8 +59,8 @@ def tables(draw, unimodular):
 
 
 def ranks(alg, dim_v=1):
-    return [linalg.rank(coboundary_matrix(alg, None, p, dim_v, integer=True)[0])
-            for p in range(alg.dim)]
+    cx = CEComplex(alg, None, dim_v)
+    return [linalg.rank(coboundary_matrix(cx, p)[0]) for p in range(alg.dim)]
 
 
 @settings(max_examples=60, deadline=None)

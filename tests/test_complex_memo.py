@@ -1,13 +1,14 @@
 """The tables `CEComplex` and `FAComplex` memoize on their algebra: a
 complex on memoized tables gives the matrices, coordinates, dimensions and
 mirrors of one built on a new copy of the algebra; the default size and the
-complex's own size read one table set; the memo keeps tables, the Jacobi
-verdict and the FI report alone, never a key or coordinate list; a
-given rho, a scaled copy of the algebra and a construction that raises
-keep nothing; the memo lives and dies with the algebra object, not with an
-equal one; and a copy (`BracketTensor.copy`) reads the entries of its
-origin's memo that no reader can change, so one su(3) Killing form is
-inverted for the catalog's kept algebra and every copy of it."""
+complex's own size read one table set; the memo keeps tables and the
+Jacobi and FI reports alone, never a key or coordinate list; a given rho, a
+scaled copy of the algebra and a construction that raises keep nothing; the
+memo lives and dies with the algebra object, not with an equal one; and a
+copy (`BracketTensor.copy`) reads the entries of its origin's memo that no
+reader can change while its rows equal its origin's, so one su(3) Killing
+form is inverted for the catalog's kept algebra and every copy of it, and a
+copy whose rows were edited reads no verdict of its origin."""
 
 import gc
 import os
@@ -20,11 +21,11 @@ from itertools import combinations
 
 import pytest
 
-from naryalg import linalg
+from naryalg import catalog, linalg
 from naryalg.catalog import a4, a5, heisenberg, nhw, su
-from naryalg.cohomology import CEComplex, coboundary_matrix, cohomology_dims
+from naryalg.cohomology import CEComplex, cohomology_dims
 from naryalg.filippov import FARepresentation, adjoint_fa_representation, check_fi
-from naryalg.lie import LieAlgebra, inverse_killing_form
+from naryalg.lie import LieAlgebra, check_jacobi, inverse_killing_form
 from naryalg.nary_cohomology import (FAComplex, NCochain, fa_coboundary_trivial,
                                      fa_cohomology_dims, trivialize_fa_extension)
 from naryalg.tensors import IdentityReport
@@ -132,18 +133,19 @@ def test_the_memo_keeps_tables_and_no_lists():
     cohomology_dims(alg, None, 8, 2)
     for kind in KINDS:
         fa_cohomology_dims(fa, kind, 2)
-    assert set(memo(alg)) == {"ce"}
-    # and the FI report whose verdict gates `complex_dims`'s complement ranking
+    # and the Jacobi and FI reports whose verdicts gate `complex_dims`'s
+    # complement ranking, each under its own key
+    assert set(memo(alg)) == {"ce", "jacobi"} and len(memo(alg)["ce"]) == 3
     assert set(memo(fa)) == {"fundamental", ("trivial", 1), ("module", 4), ("deformation", 4),
                              "fi"}
-    assert memo(fa)["fi"] == IdentityReport(True) and memo(alg)["ce"][3] is True
+    assert memo(fa)["fi"] == IdentityReport(True) == memo(alg)["jacobi"]
     one, two = FAComplex(fa, "deformation"), FAComplex(fa, "deformation")
     assert one.keys(2) == two.keys(2) and one.keys(2) is not two.keys(2)
     assert one.place is two.place and read_only(one.place)
-    src = coboundary_matrix(alg, None, 2, 1)[1]
+    src = CEComplex(alg).coords(2)
     want = list(src)
     src.reverse()
-    assert coboundary_matrix(alg, None, 2, 1)[1] == CEComplex(alg).coords(2) == want
+    assert CEComplex(alg).coords(2) == want
 
 
 @pytest.mark.parametrize("name", sorted(FILIPPOV))
@@ -230,6 +232,26 @@ def test_a_copy_reads_the_immutable_entries_of_its_origin(monkeypatch):
     report, left = check_fi(fa), FAComplex(fa, "deformation").left
     copy = fa.copy()
     assert check_fi(copy) is report and FAComplex(copy, "deformation").left is left
+
+
+def test_an_edited_copy_reads_no_verdict_of_its_origin():
+    # the Jacobi report is immutable, so a copy could take its origin's: a
+    # row edited before any check on the copy must make the check fail
+    kept = catalog._sun(3).algebra
+    assert check_jacobi(kept).ok and "jacobi" in memo(kept)
+    for make in (lambda: catalog.su(3), lambda: catalog.su(3).copy()):
+        alg = make()
+        row = alg.c[min(alg.c)]
+        row[min(row)] *= -1
+        assert not check_jacobi(alg).ok
+    same = catalog.su(3)
+    assert check_jacobi(same) is memo(kept)["jacobi"]
+    # the FI report likewise (a sign flip would give another valid A4)
+    fa = a4()
+    assert check_fi(fa).ok
+    edited = fa.copy()
+    edited.c[(1, 2, 3)][1] = Fraction(1)
+    assert not check_fi(edited).ok and check_fi(fa.copy()) is check_fi(fa)
 
 
 def test_a_copy_reads_no_entry_that_a_reader_could_change():

@@ -15,12 +15,11 @@ from hypothesis import given, settings, strategies as st
 from naryalg import LeibnizAlgebra, linalg
 from naryalg.catalog import a4, a5, corrupted, heisenberg, nhw, nilpotent_leibniz, su
 from naryalg.claims import leibniz_coboundary, leibniz_extension
-from naryalg.cohomology import (Cochain, basis_tuples, coboundary, complex_dims, integer_scaling,
-                                unscale_rows)
+from naryalg.cohomology import Cochain, basis_tuples, coboundary, complex_dims, integer_scaling
 from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
                               fundamental_compose)
-from naryalg.nary_cohomology import (LeibnizComplex, NCochain, coboundary_at, coboundary_matrix,
-                                     fa_coboundary_deformation, fa_coboundary_module,
+from naryalg.nary_cohomology import (FAComplex, LeibnizComplex, NCochain, coboundary_at,
+                                     coboundary_matrix, fa_coboundary, fa_coboundary_deformation,
                                      fa_coboundary_trivial, fundamental_tables,
                                      leibniz_rep_conditions, module_keys, trivial_keys)
 from naryalg.scalars import LinearForm
@@ -160,7 +159,8 @@ def ref_apply(fa, alpha, kind, rho):
 
 
 def ref_coboundary_matrix(fa, kind, p, rho):
-    """`coboundary_matrix` on the reference `_apply`."""
+    """(rows of D delta, D, src, dst) from the reference `ref_apply` of the
+    generic cochain on the constants and module matrices scaled by D."""
     dv = {"trivial": 1, "deformation": fa.dim}.get(kind) or rho.dim_v
     keys = module_keys if kind == "module" else trivial_keys
     src = [(key, a) for key in keys(fa, p) for a in range(dv)]
@@ -173,7 +173,7 @@ def ref_coboundary_matrix(fa, kind, p, rho):
     out = ref_apply(ifa, generic, kind, irho).data
     dst = [(key, t) for key in keys(fa, p + 1) for t in range(dv)]
     zero = (0,) * dv
-    return unscale_rows([out.get(key, zero)[t] or LinearForm() for key, t in dst], d), src, dst
+    return [out.get(key, zero)[t] or LinearForm() for key, t in dst], d, src, dst
 
 
 def ref_leibniz_apply(lb, left, right, omega, p, dim_v):
@@ -231,12 +231,11 @@ PARITY_CASES = ([(name, kind, p) for name in ALGEBRAS for kind in KINDS for p in
 def test_coboundary_matrix_equals_the_three_formulas(name, kind, p):
     fa = ALGEBRAS[name]()
     rho = adjoint_fa_representation(fa) if kind == "module" else None
-    got = coboundary_matrix(fa, kind, p, rho)
-    want = ref_coboundary_matrix(fa, kind, p, rho)
-    assert got == want
-    # the same scalar types: int where integral, as the reference returns
-    assert [{c: type(v) for c, v in row.items()} for row in got[0]] == \
-        [{c: type(v) for c, v in row.items()} for row in want[0]]
+    cx = FAComplex(fa, kind, rho)
+    rows, d, src, dst = ref_coboundary_matrix(fa, kind, p, rho)
+    assert coboundary_matrix(cx, p) == (rows, d)
+    assert (cx.coords(p), cx.coords(p + 1)) == (src, dst)
+    assert all(type(v) is int for row in cx.matrix(p) for v in row.values())
 
 
 def seeded_cochain(fa, kind, p, rng):
@@ -256,17 +255,20 @@ def test_named_evaluations_on_raw_blocks_equal_the_formulas(name, p):
     rho = adjoint_fa_representation(fa)
     triv, mod, deform = (seeded_cochain(fa, kind, p, rng) for kind in KINDS)
     chains = list(product(product(range(1, fa.dim + 1), repeat=2), repeat=p + 1))
-    assert coboundary_at(fa, "module", mod, [(bs, None) for bs in chains], rho) == \
+    assert coboundary_at(FAComplex(fa, "module", rho), mod, [(bs, None) for bs in chains]) == \
         [ref_module_eval(fa, rho, mod, bs) for bs in chains]
     points = [(bs, z) for bs in chains for z in range(1, fa.dim + 1)]
-    assert coboundary_at(fa, "trivial", triv, points) == \
+    assert coboundary_at(FAComplex(fa, "trivial"), triv, points) == \
         [ref_trivial_eval(fa, triv, bs, z) for bs, z in points]
-    assert coboundary_at(fa, "deformation", deform, points) == \
+    assert coboundary_at(FAComplex(fa, "deformation"), deform, points) == \
         [ref_deformation_eval(fa, deform, bs, z) for bs, z in points]
 
 
 PARITY_ALGEBRAS = {name: ALGEBRAS[name]() for name in ("a4", "a5", "nhw1")}
 ADJOINT = {name: adjoint_fa_representation(fa) for name, fa in PARITY_ALGEBRAS.items()}
+# one complex per algebra and kind, the module ones on the given adjoint rho
+COMPLEXES = {(name, kind): FAComplex(fa, kind, ADJOINT[name] if kind == "module" else None)
+             for name, fa in PARITY_ALGEBRAS.items() for kind in KINDS}
 fractions = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=6)).map(Fraction)
 
 
@@ -292,7 +294,7 @@ def test_operators_equal_the_three_formulas(name, kind, data):
     fa, rho = PARITY_ALGEBRAS[name], ADJOINT[name]
     alpha = data.draw(fa_cochains(name, kind))
     got = {"trivial": lambda: fa_coboundary_trivial(fa, alpha),
-           "module": lambda: fa_coboundary_module(fa, rho, alpha),
+           "module": lambda: fa_coboundary(COMPLEXES[name, kind], alpha),
            "deformation": lambda: fa_coboundary_deformation(fa, alpha)}[kind]()
     assert got == ref_apply(fa, alpha, kind, rho)
 
@@ -311,15 +313,16 @@ def test_evaluations_on_raw_blocks_equal_the_three_formulas(name, kind, data):
     block = st.one_of(st.permutations(range(1, fa.dim + 1)).map(lambda t: tuple(t[:m])),
                       st.lists(labels, min_size=m, max_size=m).map(tuple))
     chain = st.lists(block, min_size=alpha.order + 1, max_size=alpha.order + 1)
+    cx = COMPLEXES[name, kind]
     for blocks, z in data.draw(st.lists(st.tuples(chain, labels), min_size=1, max_size=8)):
         if kind == "module":
-            assert coboundary_at(fa, kind, alpha, [(blocks, None)], rho) == \
+            assert coboundary_at(cx, alpha, [(blocks, None)]) == \
                 [ref_module_eval(fa, rho, alpha, blocks)]
         elif kind == "trivial":
-            assert coboundary_at(fa, kind, alpha, [(blocks, z)]) == \
+            assert coboundary_at(cx, alpha, [(blocks, z)]) == \
                 [ref_trivial_eval(fa, alpha, blocks, z)]
         else:
-            assert coboundary_at(fa, kind, alpha, [(blocks, z)]) == \
+            assert coboundary_at(cx, alpha, [(blocks, z)]) == \
                 [ref_deformation_eval(fa, alpha, blocks, z)]
 
 
@@ -363,7 +366,8 @@ def as_leibniz(alg):
 def test_binary_module_complex_is_the_dense_leibniz_coboundary(n, p):
     alg = su(n)
     fa = FilippovAlgebra(2, alg.dim, alg.c)
-    rows, src, dst = coboundary_matrix(fa, "module", p, adjoint_fa_representation(fa))
+    cx = FAComplex(fa, "module", adjoint_fa_representation(fa))
+    rows, src, dst = cx.matrix(p), cx.coords(p), cx.coords(p + 1)
     lb, ad, minus_ad = as_leibniz(alg)
     d = alg.dim
     # the generic cochain: coordinate (key, a) of src is the form x_column
@@ -371,7 +375,8 @@ def test_binary_module_complex_is_the_dense_leibniz_coboundary(n, p):
                for i, (key, _) in enumerate(src[::d])}
     out = ref_leibniz_apply(lb, ad, minus_ad, generic, p, d)
     zero = (0,) * d
-    assert rows == [out.get(tuple(b for (b,) in key), zero)[t] or LinearForm() for key, t in dst]
+    want = [out.get(tuple(b for (b,) in key), zero)[t] or LinearForm() for key, t in dst]
+    assert rows == [{c: cx.d * v for c, v in row.items()} for row in want]
 
 
 @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (3, 1), (3, 2)])

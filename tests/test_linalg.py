@@ -273,11 +273,11 @@ def test_echelon_matches_fraction_reference_on_coboundary_matrices(name, kind, p
     if name == "su3":
         alg = su(3)
         rho, dim_v = (alg.adjoint_rep(), alg.dim) if kind == "adjoint" else (None, 1)
-        rows = co.coboundary_matrix(alg, rho, p, dim_v)[0]
+        rows = co.CEComplex(alg, rho, dim_v).matrix(p)
     else:
         fa = a4() if name == "a4" else nhw(1)
         rho = adjoint_fa_representation(fa) if kind == "module" else None
-        rows = nc.coboundary_matrix(fa, kind, p, rho)[0]
+        rows = nc.FAComplex(fa, kind, rho).matrix(p)
     assert_matches_reference(rows)
 
 

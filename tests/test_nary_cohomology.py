@@ -1,19 +1,20 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 import dense_reference as dense
-from naryalg import linalg
+from naryalg import linalg, nary_cohomology
 from naryalg.catalog import a4, a5, nhw
 from naryalg.claims import (deformation_obstruction, duality_pairing_holds, fa_central_extension,
                             homology_boundary, jointly_antisymmetric_in_last_slot, mc_zero_cochain)
 from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
                               check_fa_representation, check_fi)
 from naryalg.nary_cohomology import (FAComplex, NCochain, coboundary_at, coboundary_matrix,
-                                     deformation_preimage, fa_coboundary_deformation,
-                                     fa_coboundary_module, fa_coboundary_trivial,
+                                     deformation_preimage, fa_coboundary,
+                                     fa_coboundary_deformation, fa_coboundary_trivial,
                                      fa_cohomology_dims, module_keys, trivial_keys,
                                      trivialize_fa_extension)
 from naryalg.tensors import IdentityReport, insert_sign
@@ -21,10 +22,11 @@ from naryalg.tensors import IdentityReport, insert_sign
 ALGEBRAS = {"a4": a4, "nhw1": lambda: nhw(1)}
 
 
-def unit_cochain_matrix(fa, kind, p, rho, dv):
-    """(rows, src, dst) of delta with each column the coboundary of a unit
-    cochain, through the user-facing operators: the column-wise assembly,
-    kept as the reference."""
+def unit_cochain_matrix(cx, p):
+    """(rows, src, dst) of delta_p on the complex cx with each column the
+    coboundary of a unit cochain, through the user-facing operator: the
+    column-wise assembly, kept as the reference."""
+    fa, kind, dv = cx.fa, cx.kind, cx.size
     keys = module_keys if kind == "module" else trivial_keys
     src = [(key, a) for key in keys(fa, p) for a in range(dv)]
     dst = [(key, t) for key in keys(fa, p + 1) for t in range(dv)]
@@ -32,15 +34,20 @@ def unit_cochain_matrix(fa, kind, p, rho, dv):
     for key, a in src:
         unit = NCochain(kind, p, fa.arity, fa.dim, dv,
                         {key: tuple(Fraction(t == a) for t in range(dv))})
-        if kind == "trivial":
-            images.append(fa_coboundary_trivial(fa, unit))
-        elif kind == "module":
-            images.append(fa_coboundary_module(fa, rho, unit))
-        else:
-            images.append(fa_coboundary_deformation(fa, unit))
+        images.append(fa_coboundary(cx, unit))
     rows = [{j: img.value(key)[t] for j, img in enumerate(images) if img.value(key)[t]}
             for key, t in dst]
     return rows, src, dst
+
+
+def assert_rows_are_d_delta(cx, p):
+    """coboundary_matrix(cx, p) is (rows, D) with rows = D delta_p in ints,
+    delta_p the unit-cochain reference, on the coordinates of cx."""
+    rows, d = coboundary_matrix(cx, p)
+    want, src, dst = unit_cochain_matrix(cx, p)
+    assert (d, src, dst) == (cx.d, cx.coords(p), cx.coords(p + 1))
+    assert rows == [{c: d * v for c, v in row.items()} for row in want]
+    assert all(type(v) is int for row in rows for v in row.values())
 
 
 # A5 has arity 4: its blocks have odd length, so a sign (-1)^len(X) shows
@@ -53,8 +60,7 @@ UNIT_PARITY = {**ALGEBRAS, "a5": a5}
 def test_row_assembly_matches_unit_cochain_columns(name, kind, p):
     fa = UNIT_PARITY[name]()
     rho = adjoint_fa_representation(fa) if kind == "module" else None
-    dv = 1 if kind == "trivial" else fa.dim
-    assert coboundary_matrix(fa, kind, p, rho) == unit_cochain_matrix(fa, kind, p, rho, dv)
+    assert_rows_are_d_delta(FAComplex(fa, kind, rho), p)
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -69,7 +75,9 @@ def test_row_assembly_scales_by_the_module_denominators(p):
     rho = FARepresentation({lab: linalg.sp_mul(qinv, linalg.sp_mul(m, q))
                             for lab, m in adjoint_fa_representation(fa).mats.items()}, 4)
     assert any(x.denominator > 1 for m in rho.mats.values() for x in m.values())
-    assert coboundary_matrix(fa, "module", p, rho) == unit_cochain_matrix(fa, "module", p, rho, 4)
+    cx = FAComplex(fa, "module", rho)
+    assert cx.d > 1
+    assert_rows_are_d_delta(cx, p)
 
 
 def test_simple_a4_has_no_trivial_cohomology_through_degree_3():
@@ -178,18 +186,13 @@ def test_kernel_built_cochains_are_what_the_constructor_makes(name, kind):
     # the coboundary operators skip the constructor's pass: their data must
     # already be canonical, also where a value sums no term (unit cochains)
     fa = ALGEBRAS[name]()
-    rho = adjoint_fa_representation(fa) if kind == "module" else None
+    cx = FAComplex(fa, kind, adjoint_fa_representation(fa) if kind == "module" else None)
     keys = module_keys if kind == "module" else trivial_keys
     for p in (0, 1):
         dv = 1 if kind == "trivial" else fa.dim
         unit = NCochain(kind, p, fa.arity, fa.dim, dv, {keys(fa, p)[-1]: (Fraction(1),) * dv})
         for alpha in (unit, random_cochain(fa, kind, p, 11)):
-            if kind == "trivial":
-                out = fa_coboundary_trivial(fa, alpha)
-            elif kind == "module":
-                out = fa_coboundary_module(fa, rho, alpha)
-            else:
-                out = fa_coboundary_deformation(fa, alpha)
+            out = fa_coboundary(cx, alpha)
             rebuilt = NCochain(kind, p + 1, fa.arity, fa.dim, dv, dict(out.data))
             assert out == rebuilt
             assert all(type(v) is Fraction for vec in out.data.values() for v in vec)
@@ -244,15 +247,12 @@ def test_coboundary_squares_to_zero(name, kind, p):
     fa = ALGEBRAS[name]()
     alpha = random_cochain(fa, kind, p, seed=20 + p)
     if kind == "trivial":
-        once = fa_coboundary_trivial(fa, alpha)
-        twice = fa_coboundary_trivial(fa, once)
+        twice = fa_coboundary_trivial(fa, fa_coboundary_trivial(fa, alpha))
     elif kind == "module":
-        rho = adjoint_fa_representation(fa)
-        once = fa_coboundary_module(fa, rho, alpha)
-        twice = fa_coboundary_module(fa, rho, once)
+        cx = FAComplex(fa, kind, adjoint_fa_representation(fa))
+        twice = fa_coboundary(cx, fa_coboundary(cx, alpha))
     else:
-        once = fa_coboundary_deformation(fa, alpha)
-        twice = fa_coboundary_deformation(fa, once)
+        twice = fa_coboundary_deformation(fa, fa_coboundary_deformation(fa, alpha))
     assert twice.is_zero()
 
 
@@ -276,7 +276,7 @@ def test_one_evaluation_of_many_points_reads_each_point(kind, p):
     rng = random.Random(54)
     points = [([tuple(rng.sample(range(1, 5), 2)) for _ in range(p + 1)], rng.randint(1, 4))
               for _ in range(60)] + [([(1, 1)] + [(2, 3)] * p, 4)]
-    got = coboundary_at(fa, kind, alpha, points)
+    got = coboundary_at(FAComplex(fa, kind), alpha, points)
     assert got == [delta.value((*bs[:-1], bs[-1] + (z,))) for bs, z in points]
     assert any(any(vec) for vec in got) and any(not any(vec) for vec in got)
 
@@ -298,8 +298,9 @@ def test_module_complex_takes_its_dimension_from_rho():
 def test_the_module_complex_defaults_to_the_adjoint_module(name):
     fa = ALGEBRAS[name]()
     rho = adjoint_fa_representation(fa)
+    default, given = FAComplex(fa, "module"), FAComplex(fa, "module", rho)
     for p in range(3):
-        assert coboundary_matrix(fa, "module", p) == coboundary_matrix(fa, "module", p, rho)
+        assert coboundary_matrix(default, p) == coboundary_matrix(given, p)
     assert fa_cohomology_dims(fa, "module", 1) == fa_cohomology_dims(fa, "module", 1, rho)
 
 
@@ -308,8 +309,8 @@ def test_the_dimension_of_the_coefficients_is_not_a_parameter():
     rho = adjoint_fa_representation(a4())
     with pytest.raises(TypeError):
         fa_cohomology_dims(a4(), "module", 1, dim_v=2, rho=rho)
-    with pytest.raises(TypeError):
-        coboundary_matrix(a4(), "module", 1, 2, rho)
+    with pytest.raises(ValueError, match="dim_v 2"):
+        FAComplex(a4(), "module", rho, 2)
 
 
 def test_a_target_of_the_wrong_dimension_is_refused():
@@ -323,9 +324,11 @@ def test_a_target_of_the_wrong_dimension_is_refused():
         trivialize_fa_extension(fa, target)
     with pytest.raises(ValueError, match="dim_v"):
         deformation_preimage(fa, NCochain("deformation", 1, 3, 4, 1, {((1, 2, 3),): (1,)}))
-    rho = adjoint_fa_representation(fa)
+    cx = FAComplex(fa, "module", adjoint_fa_representation(fa))
     with pytest.raises(ValueError, match="dim_v"):
-        fa_coboundary_module(fa, rho, NCochain("module", 0, 3, 4, 1, {(): (1,)}))
+        fa_coboundary(cx, NCochain("module", 0, 3, 4, 1, {(): (1,)}))
+    with pytest.raises(ValueError, match="dim_v"):
+        coboundary_at(cx, NCochain("module", 0, 3, 4, 1, {(): (1,)}), [([(1, 2)], None)])
     with pytest.raises(ValueError, match="dim_v"):
         fa_coboundary_deformation(fa, NCochain("deformation", 0, 3, 4, 1, {(1,): (1,)}))
 
@@ -335,13 +338,45 @@ def test_an_evaluation_takes_one_block_more_than_the_order():
     # and one raised a TypeError from inside the key sort
     fa = a4()
     alpha = random_cochain(fa, "trivial", 1, seed=52)
-    assert coboundary_at(fa, "trivial", alpha, [([(1, 2), (3, 4)], 1)]) == \
+    cx = FAComplex(fa, "trivial")
+    assert coboundary_at(cx, alpha, [([(1, 2), (3, 4)], 1)]) == \
         [fa_coboundary_trivial(fa, alpha).value(((1, 2), (3, 4, 1)))]
     with pytest.raises(ValueError, match="takes 2 blocks"):
-        coboundary_at(fa, "trivial", alpha, [([(1, 2)], 3)])
+        coboundary_at(cx, alpha, [([(1, 2)], 3)])
     with pytest.raises(ValueError, match="takes 2 blocks"):
-        coboundary_at(fa, "deformation", random_cochain(fa, "deformation", 1, seed=53),
+        coboundary_at(FAComplex(fa, "deformation"), random_cochain(fa, "deformation", 1, seed=53),
                       [([(1, 2), (2, 3), (3, 4)], 1)])
+
+
+@pytest.mark.parametrize("kind", ["trivial", "module", "deformation"])
+@pytest.mark.parametrize("block", [(1, 2, 3), (1,), (), (1, 9), (0, 2), (5, 5)])
+def test_an_evaluation_refuses_a_malformed_block(kind, block):
+    # a block of the wrong length or with an index outside 1..dim once
+    # raised a bare KeyError from the block numbering
+    fa = a4()
+    cx = FAComplex(fa, kind)
+    alpha = random_cochain(fa, kind, 1, seed=56)
+    with pytest.raises(ValueError, match=re.escape(f"block {block!r} is not 2 indices in 1..4")):
+        coboundary_at(cx, alpha, [([(1, 2), (3, 4)], 1), ([block, (1, 2)], 4)])
+    with pytest.raises(ValueError, match=re.escape(f"block {block!r}")):
+        coboundary_at(cx, alpha, [([(1, 2), block], 4)])
+
+
+def test_one_complex_checks_its_rho_once(monkeypatch):
+    # a complex with a given rho was once built, and rho checked, anew on
+    # every coboundary_matrix, coboundary_at and module coboundary call
+    calls = []
+    check = nary_cohomology.check_fa_representation
+    monkeypatch.setattr(nary_cohomology, "check_fa_representation",
+                        lambda fa, rho: calls.append(rho) or check(fa, rho))
+    fa = a4()
+    cx = FAComplex(fa, "module", adjoint_fa_representation(fa))
+    alpha = random_cochain(fa, "module", 1, seed=57)
+    delta = fa_coboundary(cx, alpha)
+    for blocks in product(combinations(range(1, 5), 2), repeat=2):
+        assert coboundary_at(cx, alpha, [(blocks, None)]) == [delta.value(blocks)]
+    assert fa_coboundary(cx, delta).is_zero() and coboundary_matrix(cx, 2)[1] == 1
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +417,8 @@ def test_central_extension_by_a_non_cocycle_is_refused():
 
 def deformation_cocycles(fa, seed, count):
     """Seeded integer combinations of a basis of the deformation 1-cocycles."""
-    rows, src, _ = coboundary_matrix(fa, "deformation", 1)
+    cx = FAComplex(fa, "deformation")
+    rows, src = cx.matrix(1), cx.coords(1)
     basis = dense.nullspace([[row.get(c, 0) for c in range(len(src))] for row in rows])
     rng = random.Random(seed)
     out = []
@@ -454,14 +490,11 @@ def test_shear_copy_is_a_denser_a4():
 def test_degrees_read_the_same_rows_from_one_table_set(name, kind):
     fa = SHARED[name]()
     rho = adjoint_fa_representation(fa) if kind == "module" else None
-    tables = FAComplex(fa, kind, rho)
+    shared = FAComplex(fa, kind, rho)
     for p in range(3):
-        for integer in (False, True):
-            alone = coboundary_matrix(fa, kind, p, rho, integer=integer)
-            shared = coboundary_matrix(fa, kind, p, rho, integer=integer, _tables=tables)
-            assert shared == alone
-            assert [list(row.items()) for row in shared[0]] == \
-                [list(row.items()) for row in alone[0]]
+        alone = FAComplex(fa, kind, rho).matrix(p)
+        assert [list(row.items()) for row in shared.matrix(p)] == \
+            [list(row.items()) for row in alone]
 
 
 @pytest.mark.parametrize("name", sorted(SHARED))
@@ -481,7 +514,7 @@ def test_a_misspelled_complex_kind_is_refused():
     # "deformaton" once fell through every branch and ran the trivial complex
     fa = a4()
     for call in (lambda: fa_cohomology_dims(fa, "deformaton", 1),
-                 lambda: coboundary_matrix(fa, "deformaton", 0),
+                 lambda: FAComplex(fa, "deformaton"),
                  lambda: jointly_antisymmetric_in_last_slot(
                      fa, "deformaton", random_cochain(fa, "deformation", 0, seed=3), 1)):
         with pytest.raises(ValueError, match="'deformaton'.*trivial, module, deformation"):
@@ -495,12 +528,8 @@ def test_a_module_that_fails_the_representation_conditions_is_refused():
     rho = FARepresentation({lab: {(0, 0): 1} if lab == (1, 2) else {}
                             for lab in combinations(range(1, 5), 2)}, 1)
     assert not check_fa_representation(fa, rho)
-    alpha = NCochain("module", 0, 3, 4, 1, {(): (1,)})
     for call in (lambda: fa_cohomology_dims(fa, "module", 2, rho),
-                 lambda: FAComplex(fa, "module", rho),
-                 lambda: coboundary_matrix(fa, "module", 0, rho),
-                 lambda: fa_coboundary_module(fa, rho, alpha),
-                 lambda: coboundary_at(fa, "module", alpha, [([(1, 2)], None)], rho)):
+                 lambda: FAComplex(fa, "module", rho)):
         with pytest.raises(ValueError, match="representation conditions"):
             call()
 

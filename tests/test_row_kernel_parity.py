@@ -111,21 +111,22 @@ def ref_coboundary_at(fa, kind, alpha, points):
 @pytest.mark.parametrize("name", ["a4", "a5", "nhw1"])
 def test_coboundary_at_points_that_are_no_key(name, kind):
     fa, rng = FILIPPOV[name](), random.Random(11)
-    size = FAComplex(fa, kind).size
+    cx = FAComplex(fa, kind)
+    size = cx.size
     keys = module_keys if kind == "module" else trivial_keys
     for p in range(3):
         alpha = NCochain(kind, p, fa.arity, fa.dim, size,
                          {key: tuple(rng.randint(-2, 2) for _ in range(size))
                           for key in rng.sample(keys(fa, p), min(6, len(keys(fa, p))))})
         points = raw_points(fa, kind, p, rng)
-        assert coboundary_at(fa, kind, alpha, points) == ref_coboundary_at(fa, kind, alpha, points)
+        assert coboundary_at(cx, alpha, points) == ref_coboundary_at(fa, kind, alpha, points)
 
 
 def test_a_point_outside_the_algebra_is_refused():
     alpha = NCochain("trivial", 0, 3, 4, 1, {(1,): (1,)})
     for z in (0, 5, None):
         with pytest.raises(ValueError, match="outside 1..4"):
-            coboundary_at(a4(), "trivial", alpha, [([(1, 2)], z)])
+            coboundary_at(FAComplex(a4(), "trivial"), alpha, [([(1, 2)], z)])
 
 
 # ---------------------------------------------------------------------------
