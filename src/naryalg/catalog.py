@@ -4,9 +4,9 @@ negative controls.
 The su(n) generator bases and the su(3) cocycles and GLA are built once per
 process and kept; each call hands out a copy of the kept object (`copy`),
 so a caller that sets a metric, edits a table row or plants a memo on its
-result changes no later call.  su(n) is a copy of the kept basis's algebra,
-so the immutable entries of its memo, such as the inverse Killing form that
-`su3_gla4` builds, serve every copy (`BracketTensor.memoized`)."""
+result changes no later call.  A copy starts with an empty memo
+(`BracketTensor.memoized`): su(n) inverts its own Killing form, not the
+one that `su3_gla4` inverted on the kept basis's algebra."""
 
 from __future__ import annotations
 

@@ -837,7 +837,7 @@ def candidate_constants_antisymmetric(fa: FilippovAlgebra) -> bool:
             sb = perm_sign(pb)
             for pc in permutations(range(n - 1)):
                 sc = perm_sign(pc)
-                v = fa.f_get(a + (b[pb[0]],), c[pc[0]])
+                v = fa.get(a + (b[pb[0]],), c[pc[0]])
                 if v == 0:
                     continue
                 prod = v
@@ -950,7 +950,7 @@ def subordinate(fa: FilippovAlgebra, a_vec) -> FilippovAlgebra:
             c = a_vec[a - 1]
             if is_zero(c):
                 continue
-            for b, v in fa.f_row((a,) + idx).items():
+            for b, v in fa.row((a,) + idx).items():
                 row[b] = row.get(b, Fraction(0)) + c * v
         row = {b: v for b, v in row.items() if v != 0}
         if row:
@@ -988,11 +988,11 @@ def derivation_space_dim(fa: FilippovAlgebra) -> int:
     for idx in combinations(range(1, d + 1), n):
         for b in range(1, d + 1):
             row = {}
-            for l, v in fa.f_row(idx).items():
+            for l, v in fa.row(idx).items():
                 accumulate(row, dslot(b, l), v)
             for i in range(n):
                 for l in range(1, d + 1):
-                    accumulate(row, dslot(l, idx[i]), -fa.f_get(idx[:i] + (l,) + idx[i + 1:], b))
+                    accumulate(row, dslot(l, idx[i]), -fa.get(idx[:i] + (l,) + idx[i + 1:], b))
             rows.append(row)
     return d * d - linalg.rank(rows)
 

@@ -222,7 +222,11 @@ def cmd_generate(args) -> int:
 
 
 def _generate_object(args):
+    """The object of a `generate` kind, its dimension checked against the cap
+    before anything is built."""
     kind = args.kind
+    _check_dim({"simple-fa": args.n + 1, "clifford": args.n + 1, "nhw": 3 * args.N + 1,
+                "heisenberg": 3, "gla-from-su": 8}.get(kind, 0))
     if kind == "simple-fa":
         signs = args.signs or "+" * (args.n + 1)
         if set(signs) - {"+", "-"}:

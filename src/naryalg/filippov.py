@@ -5,7 +5,8 @@ realizations.  The vector product, the Lie algebra of inner derivations,
 the Kasymov form and semisimplicity, the BLG gauge algebra, subordinated
 algebras, derivations and trace-extended brackets are in `claims`.
 `FilippovAlgebra` stores its constants as a `tensors.BracketTensor`, the one
-storage of structure constants.
+storage of structure constants, whose `ad_matrix` is the ad map of a
+fundamental object.
 
 Every operator here -- an ad map, a representation matrix, a gamma matrix
 and the brackets built from them -- is a sparse map {(row, column): nonzero
@@ -40,7 +41,8 @@ from .tensors import (AntisymTensor, BracketTensor, IdentityReport, fold_antisym
 
 class FilippovAlgebra(BracketTensor):
     """Arity-n algebra on 1..dim: the `BracketTensor` of f_{a_1..a_n}^b, read
-    as `f` in the notation of the n-Lie literature."""
+    as `f` in the notation of the n-Lie literature.  `f_row` is
+    `BracketTensor.row` under the name that `bench/tracing.py` wraps."""
 
     kind = "filippov"
 
@@ -49,7 +51,6 @@ class FilippovAlgebra(BracketTensor):
         return self.c
 
     f_row = BracketTensor.row
-    f_get = BracketTensor.get
 
     def bracket(self, vectors):
         """Bracket of dense coordinate vectors."""
@@ -63,15 +64,6 @@ class FilippovAlgebra(BracketTensor):
             for b, v in row.items():
                 out[b - 1] += coeff * v
         return out
-
-    def ad_matrix(self, labels):
-        """(ad_{a_1..a_{n-1}})^l_b = f_{a_1..a_{n-1} b}^l as a sparse dim x dim
-        matrix."""
-        key, s = sort_sign(labels)
-        if s == 0:
-            return {}
-        return {(l - 1, b - 1): s * v for b in range(1, self.dim + 1)
-                for l, v in self.f_row(key + (b,)).items()}
 
 
 def _alternant(vectors, idx):
@@ -216,7 +208,7 @@ def fundamental_compose(fa: FilippovAlgebra, x_labels, y_labels) -> AntisymTenso
     signed wedge labels."""
     raw = {}
     for i, y in enumerate(y_labels):
-        for l, v in fa.f_row(tuple(x_labels) + (y,)).items():
+        for l, v in fa.row(tuple(x_labels) + (y,)).items():
             accumulate(raw, tuple(y_labels[:i]) + (l,) + tuple(y_labels[i + 1:]), v)
     return AntisymTensor(fa.arity - 1, fa.dim, raw)
 
@@ -263,7 +255,7 @@ def check_metric_fa(fa: FilippovAlgebra, g) -> IdentityReport:
         for b_idx in combinations(range(1, d + 1), n + 1):
             tot = Fraction(0)
             for i in range(n + 1):
-                for l, v in fa.f_row(a_idx + (b_idx[i],)).items():
+                for l, v in fa.row(a_idx + (b_idx[i],)).items():
                     tot += v * lowered.get(b_idx[:i] + (l,) + b_idx[i + 1:])
             if tot != 0:  # g is invariant, but fa fails the FI
                 return IdentityReport(False, (a_idx, b_idx))

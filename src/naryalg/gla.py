@@ -1,7 +1,8 @@
 """Even multibrackets: the generalized Jacobi identity (GJI) and its
 mixed-order variant, and the higher-order algebras built from odd cocycles.
 `GLAlgebra` stores its constants as a `tensors.BracketTensor`, the one
-storage of structure constants.  Matrix multibrackets and their
+storage of structure constants, and reads them through its readers
+(`row`, `get`, `signed`, `ad_matrix`).  Matrix multibrackets and their
 resolutions into two-brackets, coderivations and higher exterior
 derivatives on the exterior algebra, and the complete BRST operator on
 ghost variables are in `claims`.
@@ -41,9 +42,6 @@ class GLAlgebra(BracketTensor):
         if arity % 2:
             raise ValueError("bracket arity must be even")
         super().__init__(arity, dim, c, metric)
-
-    c_row = BracketTensor.row
-    c_get = BracketTensor.get
 
 
 def check_gji(g: GLAlgebra) -> IdentityReport:

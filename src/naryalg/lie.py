@@ -3,7 +3,9 @@ form, metric invariance, su(n) generator bases, symmetric invariant
 polynomials, and the bridge from invariant polynomials to odd-rank
 cocycles (the way back, from a cocycle to its invariant, is in `claims`).
 `LieAlgebra` is the arity-2 `tensors.BracketTensor`; that class is the one
-storage of structure constants.
+storage of structure constants and holds its readers (`row`, `get`,
+`signed`, `ad_matrix`), which a Lie algebra reads with pairs (i, j) and
+one-label ad maps (i,).
 
 `check_jacobi` reads the arity-2 residual of
 `tensors.nested_bracket_residuals`; `trace_form` is the one Tr(ad_X ad_Y)
@@ -49,9 +51,8 @@ from .tensors import (AntisymTensor, BracketTensor, FieldEq, IdentityReport, fol
 
 class LieAlgebra(BracketTensor):
     """dim-r Lie algebra: the arity-2 `BracketTensor`, whose table `c` maps
-    sorted pairs (i, j), i < j, to {k: C_ij^k}.  The pair reads
-    `c_get`/`c_row` take the two indices directly and apply the
-    antisymmetry sign by one comparison.
+    sorted pairs (i, j), i < j, to {k: C_ij^k}.  `c_row` is
+    `BracketTensor.row` under the name that `bench/tracing.py` wraps.
     """
 
     kind = "lie"
@@ -80,19 +81,7 @@ class LieAlgebra(BracketTensor):
             row[k] = row.get(k, Fraction(0)) + s * rat(v)
         return cls(dim, c)
 
-    def c_get(self, i, j, k):
-        if i == j:
-            return Fraction(0)
-        key, s = ((i, j), 1) if i < j else ((j, i), -1)
-        return s * self.c.get(key, {}).get(k, Fraction(0))
-
-    def c_row(self, i, j):
-        """{k: C_ij^k} with sign handling; empty when i == j."""
-        if i == j:
-            return {}
-        key, s = ((i, j), 1) if i < j else ((j, i), -1)
-        row = self.c.get(key, {})
-        return row if s == 1 else {k: -v for k, v in row.items()}
+    c_row = BracketTensor.row
 
     def bracket(self, x, y):
         """Bracket of coordinate vectors (dense lists, slot k-1 = basis k)."""
@@ -104,13 +93,8 @@ class LieAlgebra(BracketTensor):
                     out[k - 1] += w * v
         return out
 
-    def ad_matrix(self, i):
-        """(ad_{X_i})^k_j = C_{ij}^k as a sparse dim x dim matrix."""
-        return {(k - 1, j - 1): v for j in range(1, self.dim + 1)
-                for k, v in self.c_row(i, j).items()}
-
     def adjoint_rep(self):
-        return Representation(self, [self.ad_matrix(i) for i in range(1, self.dim + 1)],
+        return Representation(self, [self.ad_matrix((i,)) for i in range(1, self.dim + 1)],
                               self.dim, check=False)
 
 
@@ -243,7 +227,7 @@ def closure_residual(alg: LieAlgebra, mats):
     for i in range(1, alg.dim + 1):
         for j in range(i + 1, alg.dim + 1):
             res = linalg.sp_commutator(mats[i - 1], mats[j - 1])
-            for k, v in alg.c_row(i, j).items():
+            for k, v in alg.row((i, j)).items():
                 for key, w in mats[k - 1].items():
                     accumulate(res, key, -v * w)
             if res:

@@ -42,14 +42,7 @@ sparse rows {column: nonzero value} over the integers, fraction-free
 Each step scales r by a nonzero rational and subtracts a multiple of b, so
 the row space never changes.  The leading columns of the result depend only
 on the row space: they are the lexicographically first independent columns.
-`rank` counts them, on the transpose when the nonzero rows outnumber the
-nonzero columns more than twice: a tall coboundary (A4's deformation delta_2
-has 540 nonzero rows over 96 columns, rank 90) then reduces its few columns
-instead of driving most of its rows to zero, and the rank does not depend on
-the orientation.  A near-square matrix keeps its rows, since its transpose
-can grow the coefficients (on one seeded dense copy of su(3), delta_3, 70 x
-56, the largest basis entry grows from 6 to 18 bits and the elimination
-takes twice as long).  `complement_rank`, the kernel of
+`rank` counts them.  `complement_rank`, the kernel of
 `cohomology.complex_dims`, always reduces the transpose, and numbers its
 columns by the length of the rows they come from, shortest first: on nine
 seeded dense copies of su(3) the largest basis entry of delta_3 then stays
@@ -378,15 +371,7 @@ def echelon(rows):
 
 
 def rank(rows) -> int:
-    """The rank of sparse rows, ranked on the transpose when the nonzero
-    rows outnumber the nonzero columns more than twice."""
-    rows = [row for row in rows if row]
-    if len(rows) > 2 * len(set().union(*rows)):
-        cols = {}
-        for i, row in enumerate(rows):
-            for c, v in row.items():
-                cols.setdefault(c, {})[i] = v
-        rows = cols.values()
+    """The rank of sparse rows: the size of their echelon basis."""
     return len(integer_echelon(rows))
 
 

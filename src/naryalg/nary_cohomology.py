@@ -248,7 +248,7 @@ def fundamental_tables(fa: FilippovAlgebra):
     rng = range(1, fa.dim + 1)
     blocks = tuple(combinations(rng, fa.arity - 1))
     num = {x: i for i, x in enumerate(blocks)}
-    action = tuple(tuple(tuple((l - 1, v) for l, v in fa.f_row(x + (z,)).items()) for z in rng)
+    action = tuple(tuple(tuple((l - 1, v) for l, v in fa.row(x + (z,)).items()) for z in rng)
                    for x in blocks)
     bracket = []
     for acts in action:

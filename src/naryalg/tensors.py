@@ -24,9 +24,10 @@ Lie, generalized Lie and Filippov algebras, which differ only in their
 characteristic identity.  The same signed table, with whole rows {j: value}
 as its entries, serves the identity scans; `integer_scaled` gives the copy
 holding D C as ints, D the least common denominator of the constants;
-`memoized` keeps what later layers build on one algebra; a `copy` reads
-the immutable entries of its origin's memo (the inverse Killing form, the
-identity reports) while its rows equal its origin's.
+`memoized` keeps what later layers build on one algebra object, and a
+`copy` starts with an empty memo.  `row`, `get`, `signed` and `ad_matrix`
+are the readers of every arity: a Lie algebra reads them with pairs and
+the one-label ad map ad_{(i,)}.
 
 The sign kernels (`perm_sign`, `sort_sign`, `merge_sign`, `gen_kronecker`)
 give their signs as plain ints in {-1, 0, 1}: they count inversions and never
@@ -450,6 +451,15 @@ class BracketTensor(FieldEq):
     def get(self, idx, j):
         return self.row(idx).get(j, Fraction(0))
 
+    def ad_matrix(self, labels):
+        """(ad_{x_1..x_{n-1}})^l_b = C_{x_1..x_{n-1} b}^l as a sparse dim x dim
+        matrix, at any order of the n-1 labels (one label at arity 2)."""
+        key, s = sort_sign(labels)
+        if s == 0:
+            return {}
+        return {(l - 1, b - 1): s * v for b in range(1, self.dim + 1)
+                for l, v in self.row(key + (b,)).items()}
+
     @cached_property
     def signed(self) -> _SignedTable:
         """The signed row table: any lower-index tuple -> {j: C_idx^j}, one
@@ -465,23 +475,18 @@ class BracketTensor(FieldEq):
 
     def _with(self, c):
         """This tensor (its class and attributes) on the table c, without a
-        `signed` table, a memo or an origin of its own; it skips the
-        constructor."""
+        `signed` table or a memo; it skips the constructor."""
         out = object.__new__(type(self))
-        vars(out).update({k: v for k, v in vars(self).items()
-                          if k not in ("signed", "_memo", "_origin")})
+        vars(out).update({k: v for k, v in vars(self).items() if k not in ("signed", "_memo")})
         out.c = c
         return out
 
     def copy(self):
         """A copy with rows and metric rows of its own, which a caller may
-        change without changing this tensor, and no memo of its own.  Its
-        `memoized` reads the immutable entries of this tensor's memo while
-        its rows equal this tensor's, on which they were built."""
+        change without changing this tensor, and an empty memo."""
         out = self._with({key: dict(row) for key, row in self.c.items()})
         if self.metric is not None:
             out.metric = [list(row) for row in self.metric]
-        out._origin = self
         return out
 
     def scaled(self, factor):
@@ -491,23 +496,12 @@ class BracketTensor(FieldEq):
         return self._with({key: scaled_to_ints(row, factor) for key, row in self.c.items()})
 
     def memoized(self, key, build):
-        """build() kept under key on this tensor from its first call (a raise
-        keeps nothing); nothing mutates a tensor, so it never goes stale.  A
-        `copy` first looks in the memos of the tensors it was copied from
-        whose rows still equal its own, and takes an entry there that no
-        reader can change (`_immutable`: the inverse Killing form, a Jacobi
-        or FI report, the FA tables of nested tuples); an entry that holds a
-        tensor or a dict is built again."""
+        """build() kept under key on this tensor object from its first call
+        (a raise keeps nothing); nothing mutates a tensor, so it never goes
+        stale."""
         memo = vars(self).setdefault("_memo", {})
         if key not in memo:
-            src = self
-            while (src := vars(src).get("_origin")) is not None:
-                kept = vars(src).get("_memo", {})
-                if key in kept and _immutable(kept[key]) and src.c == self.c:
-                    memo[key] = kept[key]
-                    break
-            else:
-                memo[key] = build()
+            memo[key] = build()
         return memo[key]
 
     def integer_scaled(self, d=1):
@@ -519,14 +513,6 @@ class BracketTensor(FieldEq):
 
 def _negated_row(row):
     return {j: -v for j, v in row.items()}
-
-
-def _immutable(value):
-    """True for a value no reader can change: None, a number, a string, an
-    `IdentityReport`, or a tuple of such values."""
-    if isinstance(value, tuple):
-        return all(map(_immutable, value))
-    return value is None or isinstance(value, (int, Fraction, str, IdentityReport))
 
 
 # ---------------------------------------------------------------------------

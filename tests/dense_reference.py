@@ -28,10 +28,10 @@ from one evaluation on the generic cochain of linear forms: the references
 of the integer row kernel of `cohomology`.
 
 The identity scans as they stood before they read the signed row table of
-the integer-scaled constants: the Jacobi scan with one `c_get` per (l, s),
-the three forms of the Filippov identity on `f_row` reads of `Fraction`
+the integer-scaled constants: the Jacobi scan with one `get` per (l, s),
+the three forms of the Filippov identity on `row` reads of `Fraction`
 constants, the Killing form, the Kasymov form as a `Fraction` loop of
-`f_row`/`f_get` reads, and the metric invariance scans of a Lie and of a
+`row`/`get` reads, and the metric invariance scans of a Lie and of a
 Filippov algebra.  They are the references of the identity, trace-form and
 metric parity tests.
 
@@ -51,7 +51,7 @@ The plus/minus split of the inner derivations of the euclidean 3-algebra on
 R^4 into two su(2) blocks, with its report type and its invariance scan on
 wedge-label pairs: the A4 reference of `filippov.gauge_algebra`.  The
 homology boundary as first written, with one `fundamental_compose` tensor
-per block pair and one `f_row` per (block, z): the reference of
+per block pair and one `row` per (block, z): the reference of
 `nary_cohomology.homology_boundary`, which reads `fundamental_tables`.
 
 The bridge from invariant polynomials to cocycles and generalized Lie
@@ -222,7 +222,7 @@ def closure_residual(alg, mats):
     for i in range(1, alg.dim + 1):
         for j in range(i + 1, alg.dim + 1):
             m = commutator(mats[i - 1], mats[j - 1])
-            for k, v in alg.c_row(i, j).items():
+            for k, v in alg.row((i, j)).items():
                 m = mat_sub(m, mat_scale(v, mats[k - 1]))
             if not is_zero_matrix(m):
                 return (i, j)
@@ -376,7 +376,7 @@ def lie_ad_matrix(alg, i):
     """(ad_{X_i})^k_j = C_{ij}^k as a dim x dim matrix."""
     m = linalg.zeros(alg.dim, alg.dim)
     for j in range(1, alg.dim + 1):
-        for k, v in alg.c_row(i, j).items():
+        for k, v in alg.row((i, j)).items():
             m[k - 1][j - 1] = v
     return m
 
@@ -388,7 +388,7 @@ def fa_ad_matrix(fa, labels):
     if s == 0:
         return m
     for b in range(1, fa.dim + 1):
-        for l, v in fa.f_row(key + (b,)).items():
+        for l, v in fa.row(key + (b,)).items():
             m[l - 1][b - 1] = s * v
     return m
 
@@ -821,7 +821,7 @@ def homology_boundary(fa, chain):
                     rest2 = list(rest)
                     rest2[j - 1] = lab
                     add(rest2, z, (-1) ** (i + 1) * coeff * v)
-            for l, v in fa.f_row(tuple(blocks[i]) + (z,)).items():
+            for l, v in fa.row(tuple(blocks[i]) + (z,)).items():
                 add(rest, l, (-1) ** (i + 1) * coeff * v)
     return out
 
@@ -1277,7 +1277,7 @@ def ce_coboundary(alg, rho, om):
                 for k in range(j + 1, p + 1):
                     rest = tuple(idx[t] for t in range(p + 1) if t not in (j, k))
                     sign = (-1) ** (j + k)
-                    for l, v in alg.c_row(idx[j], idx[k]).items():
+                    for l, v in alg.row((idx[j], idx[k])).items():
                         if l not in rest:
                             tot += sign * v * om.get(a, (l,) + rest)
             if tot:
@@ -1417,7 +1417,7 @@ def keyed_fundamental_tables(fa):
     as {l: value}."""
     rng = range(1, fa.dim + 1)
     blocks = list(combinations(rng, fa.arity - 1))
-    action = {(x, z): fa.f_row(x + (z,)) for x in blocks for z in rng}
+    action = {(x, z): fa.row(x + (z,)) for x in blocks for z in rng}
     bracket = {}
     for x in blocks:
         for y in blocks:
@@ -1515,12 +1515,12 @@ def check_jacobi(alg):
     for i, j, k in combinations(range(1, r + 1), 3):
         for s in range(1, r + 1):
             tot = Fraction(0)
-            for l, v in alg.c_row(i, j).items():
-                tot += v * alg.c_get(l, k, s)
-            for l, v in alg.c_row(j, k).items():
-                tot += v * alg.c_get(l, i, s)
-            for l, v in alg.c_row(k, i).items():
-                tot += v * alg.c_get(l, j, s)
+            for l, v in alg.row((i, j)).items():
+                tot += v * alg.get((l, k), s)
+            for l, v in alg.row((j, k)).items():
+                tot += v * alg.get((l, i), s)
+            for l, v in alg.row((k, i)).items():
+                tot += v * alg.get((l, j), s)
             if tot != 0:
                 return IdentityReport(False, (i, j, k, s))
     return IdentityReport(True)
@@ -1534,8 +1534,8 @@ def killing_form_by_rows(alg):
         for j in range(i, r + 1):
             tot = Fraction(0)
             for l in range(1, r + 1):
-                for s, v in alg.c_row(i, l).items():
-                    tot += v * alg.c_get(j, s, l)
+                for s, v in alg.row((i, l)).items():
+                    tot += v * alg.get((j, s), l)
             k[i - 1][j - 1] = tot
             k[j - 1][i - 1] = tot
     return k
@@ -1543,7 +1543,7 @@ def killing_form_by_rows(alg):
 
 def kasymov_form_by_rows(fa):
     """(wedge labels, k): k(X, Y) = Tr(ad_X ad_Y) as a symmetric matrix over
-    the sorted wedge labels, on `f_row`/`f_get` reads of `Fraction`
+    the sorted wedge labels, on `row`/`get` reads of `Fraction`
     constants."""
     labels = list(combinations(range(1, fa.dim + 1), fa.arity - 1))
     mat = linalg.zeros(len(labels), len(labels))
@@ -1551,8 +1551,8 @@ def kasymov_form_by_rows(fa):
         for j in range(i, len(labels)):
             tot = Fraction(0)
             for c in range(1, fa.dim + 1):
-                for l, v in fa.f_row(labels[j] + (c,)).items():
-                    tot += v * fa.f_get(la + (l,), c)
+                for l, v in fa.row(labels[j] + (c,)).items():
+                    tot += v * fa.get(la + (l,), c)
             mat[i][j] = mat[j][i] = tot
     return labels, mat
 
@@ -1567,12 +1567,12 @@ def check_metric_invariance(alg, g):
     nondeg = not is_zero(linalg.det(g))
     for l in range(1, r + 1):
         for i in range(1, r + 1):
-            row_li = alg.c_row(l, i)
+            row_li = alg.row((l, i))
             for j in range(i, r + 1):
                 tot = Fraction(0)
                 for s, v in row_li.items():
                     tot += v * g[s - 1][j - 1]
-                for s, v in alg.c_row(l, j).items():
+                for s, v in alg.row((l, j)).items():
                     tot += v * g[i - 1][s - 1]
                 if tot != 0:
                     return IdentityReport(False, (l, i, j)), IdentityReport(nondeg)
@@ -1582,7 +1582,7 @@ def check_metric_invariance(alg, g):
 def metric_fa_scan(fa, g):
     """(invariance, nondegenerate) of g under a Filippov algebra,
     f_{a.. b}^l g_{lc} + f_{a.. c}^l g_{bl} = 0 for all (a.., b <= c), on
-    `f_row` reads of `Fraction` constants."""
+    `row` reads of `Fraction` constants."""
     d, n = fa.dim, fa.arity
     if any(g[i][j] != g[j][i] for i in range(d) for j in range(d)):
         raise ValueError("metric must be symmetric")
@@ -1591,9 +1591,9 @@ def metric_fa_scan(fa, g):
         for b in range(1, d + 1):
             for c in range(b, d + 1):
                 tot = Fraction(0)
-                for l, v in fa.f_row(a_idx + (b,)).items():
+                for l, v in fa.row(a_idx + (b,)).items():
                     tot += v * g[l - 1][c - 1]
-                for l, v in fa.f_row(a_idx + (c,)).items():
+                for l, v in fa.row(a_idx + (c,)).items():
                     tot += v * g[b - 1][l - 1]
                 if tot != 0:
                     return IdentityReport(False, (a_idx, b, c)), IdentityReport(nondeg)
@@ -1620,11 +1620,11 @@ def fi_derivation(fa):
         for b_idx in combinations(range(1, d + 1), n):
             lhs = {}
             for l, v in fa.f.get(b_idx, {}).items():
-                _fi_accumulate(lhs, v, fa.f_row(a_idx + (l,)))
+                _fi_accumulate(lhs, v, fa.row(a_idx + (l,)))
             rhs = {}
             for k in range(n):
-                for l, v in fa.f_row(a_idx + (b_idx[k],)).items():
-                    _fi_accumulate(rhs, v, fa.f_row(b_idx[:k] + (l,) + b_idx[k + 1:]))
+                for l, v in fa.row(a_idx + (b_idx[k],)).items():
+                    _fi_accumulate(rhs, v, fa.row(b_idx[:k] + (l,) + b_idx[k + 1:]))
             s = _first_difference(lhs, rhs, d)
             if s is not None:
                 return IdentityReport(False, (a_idx, b_idx, s))
@@ -1641,7 +1641,7 @@ def fi_short(fa):
             tot = {}
             for a_blk, b1_blk, sign, a_row in splits:
                 for l, v in a_row.items():
-                    _fi_accumulate(tot, sign * v, fa.f_row(b1_blk + spect + (l,)))
+                    _fi_accumulate(tot, sign * v, fa.row(b1_blk + spect + (l,)))
             s = _first_difference(tot, {}, d)
             if s is not None:
                 return IdentityReport(False, (u, spect, s))
@@ -1661,15 +1661,15 @@ def fi_ghost(fa):
         for c_idx in combinations(range(1, d + 1), n):
             lhs = {}
             for l, v in fa.f.get(c_idx, {}).items():
-                _fi_accumulate(lhs, v, fa.f_row(b_idx + (l,)))
+                _fi_accumulate(lhs, v, fa.row(b_idx + (l,)))
             rhs = {}
             for first, rest, sgn in perms:
-                row = fa.f_row(b_idx + (c_idx[first],))
+                row = fa.row(b_idx + (c_idx[first],))
                 if not row:
                     continue
                 rest_idx = tuple(c_idx[i] for i in rest)
                 for l, v in row.items():
-                    _fi_accumulate(rhs, sgn * v, fa.f_row(rest_idx + (l,)))
+                    _fi_accumulate(rhs, sgn * v, fa.row(rest_idx + (l,)))
             rhs = {s: weight * v for s, v in rhs.items()}
             s = _first_difference(lhs, rhs, d)
             if s is not None:
@@ -1884,7 +1884,7 @@ def check_invariance(alg, k):
         for idx in combinations_with_replacement(range(1, alg.dim + 1), m):
             tot = Fraction(0)
             for s in range(m):
-                for t, v in alg.c_row(l, idx[s]).items():
+                for t, v in alg.row((l, idx[s])).items():
                     tot += v * k.get(idx[:s] + (t,) + idx[s + 1:])
             if tot != 0:
                 return IdentityReport(False, (l, idx))
@@ -1917,7 +1917,7 @@ def cocycle_from_invariant_poly(alg, k):
             if not partial:
                 continue
             for sigma in range(1, r + 1):
-                last_row = alg.c_row(single, sigma)
+                last_row = alg.row((single, sigma))
                 if not last_row:
                     continue
                 for ls, c in partial:
@@ -1963,7 +1963,7 @@ def invariance_condition_residual(alg, omega):
         for idx in combinations(range(1, alg.dim + 1), p):
             tot = Fraction(0)
             for s in range(p):
-                for kk, v in alg.c_row(i, idx[s]).items():
+                for kk, v in alg.row((i, idx[s])).items():
                     tot += v * omega.get(idx[:s] + (kk,) + idx[s + 1:])
             if tot != 0:
                 return (i, idx)

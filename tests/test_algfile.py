@@ -205,8 +205,8 @@ def test_lie_pair_reads_agree_with_the_shared_read():
     alg = catalog.su(3)
     for i in range(1, 9):
         for j in range(1, 9):
-            assert alg.c_row(i, j) == alg.row((i, j))
-            assert all(alg.c_get(i, j, k) == alg.get((i, j), k) for k in range(1, 9))
+            assert alg.row((i, j)) == alg.signed[i, j]
+            assert all(alg.get((i, j), k) == alg.signed[i, j].get(k, 0) for k in range(1, 9))
 
 
 @pytest.mark.parametrize("build", [lambda: catalog.su(2), catalog.su3_gla4, catalog.a4],

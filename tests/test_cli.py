@@ -116,6 +116,39 @@ def test_generate_rejects_what_it_cannot_write(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cap,args,dim", [
+    (None, ["simple-fa", "--n", "9"], 10),
+    (None, ["nhw", "--N", "3"], 10),
+    ("3", ["simple-fa"], 4),
+    ("3", ["clifford", "--n", "3"], 4),
+    ("3", ["nhw"], 4),
+    ("3", ["gla-from-su"], 8),
+])
+def test_generate_refuses_a_dimension_above_the_cap(tmp_path, capsys, monkeypatch, cap, args,
+                                                     dim):
+    # generate once built whatever it was asked for: simple-fa --n 600 took
+    # 20 s to write a 601-dimensional file that every reader refuses
+    if cap is None:
+        monkeypatch.delenv("NARY_MAX_DIM", raising=False)
+    else:
+        monkeypatch.setenv("NARY_MAX_DIM", cap)
+    out = tmp_path / "out.alg"
+    assert cli.main(["generate", *args, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (f"input error: dimension {dim} above the cap {cap or 8}"
+                                       " (override with NARY_MAX_DIM)\n")
+    assert not out.exists()
+
+
+def test_generate_writes_a_dimension_the_cap_allows(tmp_path, monkeypatch):
+    out = tmp_path / "out.alg"
+    monkeypatch.setenv("NARY_MAX_DIM", "10")
+    assert cli.main(["generate", "nhw", "--N", "3", "-o", str(out)]) == 0
+    assert out.read_text() == AlgebraFile.from_object(catalog.nhw(3)).emit()
+    monkeypatch.setenv("NARY_MAX_DIM", "3")
+    assert cli.main(["generate", "heisenberg", "-o", str(out)]) == 0
+    assert out.read_text() == AlgebraFile.from_object(heisenberg()).emit()
+
+
 @pytest.mark.parametrize("where", ["missing/x.alg", ""])
 def test_generate_names_an_output_path_it_cannot_open(tmp_path, capsys, where):
     # an output in a missing directory, or a directory itself, once ended in

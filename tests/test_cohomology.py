@@ -33,7 +33,7 @@ def test_identity_cochain_gives_structure_constants():
     for i in range(1, 4):
         for j in range(1, 4):
             for k in range(1, 4):
-                assert s.get(k, (i, j)) == -alg.c_get(i, j, k)
+                assert s.get(k, (i, j)) == -alg.get((i, j), k)
 
 
 def test_coboundary_vanishes_at_top_degree():
@@ -350,7 +350,7 @@ def test_rotation_translation_algebra_admits_true_deformation():
     for i in range(1, 4):
         for j in range(i + 1, 4):
             for k in range(1, 4):
-                v = alg.c_get(i, j, k) + alpha.get(k, (i, j))
+                v = alg.get((i, j), k) + alpha.get(k, (i, j))
                 if v:
                     entries.append(((i, j, k), v))
     deformed = LieAlgebra.from_entries(3, entries)

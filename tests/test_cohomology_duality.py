@@ -28,7 +28,7 @@ values = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
 
 def traces(alg):
     """tr ad_{X_i} for i = 1..dim, from the diagonals of the ad matrices."""
-    return [sum(v for (a, b), v in alg.ad_matrix(i).items() if a == b)
+    return [sum(v for (a, b), v in alg.ad_matrix((i,)).items() if a == b)
             for i in range(1, alg.dim + 1)]
 
 

@@ -281,8 +281,8 @@ def reference_semisimple(fa):
     rows = []
     for fill in combinations(range(1, d + 1), n - 2):
         for lb in combinations(range(1, d + 1), n - 1):
-            rows.append([sum((v * fa.f_get((z,) + fill + (l,), c)
-                              for c in range(1, d + 1) for l, v in fa.f_row(lb + (c,)).items()),
+            rows.append([sum((v * fa.get((z,) + fill + (l,), c)
+                              for c in range(1, d + 1) for l, v in fa.row(lb + (c,)).items()),
                              Fraction(0)) for z in range(1, d + 1)])
     return not dense.nullspace(rows) if rows else d == 0
 
@@ -293,11 +293,11 @@ def reference_derivation_dim(fa):
     for idx in combinations(range(1, d + 1), n):
         for b in range(1, d + 1):
             row = [Fraction(0)] * (d * d)
-            for l, v in fa.f_row(idx).items():
+            for l, v in fa.row(idx).items():
                 row[(b - 1) * d + l - 1] += v
             for i in range(n):
                 for l in range(1, d + 1):
-                    row[(l - 1) * d + idx[i] - 1] -= fa.f_get(idx[:i] + (l,) + idx[i + 1:], b)
+                    row[(l - 1) * d + idx[i] - 1] -= fa.get(idx[:i] + (l,) + idx[i + 1:], b)
             rows.append(row)
     return len(dense.nullspace(rows))
 

@@ -179,7 +179,7 @@ def test_derivative_of_basis_form_gives_structure_constants():
     g = su3_gla4()
     for sigma in (1, 4, 8):
         dw = higher_exterior_derivative(g, basis_one_form(8, sigma))
-        assert all(dw.get(k) == g.c_get(k, sigma)
+        assert all(dw.get(k) == g.get(k, sigma)
                    for k in combinations(range(1, 9), 4))
 
 

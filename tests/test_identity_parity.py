@@ -4,7 +4,7 @@
 `lie.check_metric_invariance` and the invariance scan of
 `filippov.check_metric_fa` (both `lie.metric_scan`) read whole signed rows of the
 integer-scaled constants; their references in `dense_reference` read one
-`c_get`/`f_row` at a time on `Fraction` constants.  `check_jacobi` reads the
+`get`/`row` at a time on `Fraction` constants.  `check_jacobi` reads the
 arity-2 residual of `tensors.nested_bracket_residuals`, so the first failing
 triple and its least s must come out of the whole residual as the reference
 scan finds them.  Random bracket tables --

@@ -174,11 +174,11 @@ def fi_derivation_per_s(fa):
             for s in range(1, d + 1):
                 lhs = Fraction(0)
                 for l, v in b_row.items():
-                    lhs += v * fa.f_get(a_idx + (l,), s)
+                    lhs += v * fa.get(a_idx + (l,), s)
                 rhs = Fraction(0)
                 for k in range(n):
-                    for l, v in fa.f_row(a_idx + (b_idx[k],)).items():
-                        rhs += v * fa.f_get(b_idx[:k] + (l,) + b_idx[k + 1:], s)
+                    for l, v in fa.row(a_idx + (b_idx[k],)).items():
+                        rhs += v * fa.get(b_idx[:k] + (l,) + b_idx[k + 1:], s)
                 if lhs != rhs:
                     return False, (a_idx, b_idx, s)
     return True, None
@@ -192,7 +192,7 @@ def fi_short_per_s(fa):
                 tot = Fraction(0)
                 for (a_blk, b1_blk), sign in shuffle_splits(u, [n, 1]):
                     for l, v in fa.f.get(a_blk, {}).items():
-                        tot += sign * v * fa.f_get(b1_blk + spect + (l,), s)
+                        tot += sign * v * fa.get(b1_blk + spect + (l,), s)
                 if tot != 0:
                     return False, (u, spect, s)
     return True, None
@@ -208,14 +208,14 @@ def fi_ghost_per_s(fa):
             for s in range(1, d + 1):
                 lhs = Fraction(0)
                 for l, v in fa.f.get(c_idx, {}).items():
-                    lhs += v * fa.f_get(b_idx + (l,), s)
+                    lhs += v * fa.get(b_idx + (l,), s)
                 rhs = Fraction(0)
                 for p in permutations(range(n)):
                     sgn = inversion_sign(p)
                     first = c_idx[p[0]]
                     rest = tuple(c_idx[i] for i in p[1:])
-                    for l, v in fa.f_row(b_idx + (first,)).items():
-                        rhs += sgn * v * fa.f_get(rest + (l,), s)
+                    for l, v in fa.row(b_idx + (first,)).items():
+                        rhs += sgn * v * fa.get(rest + (l,), s)
                 rhs = rhs * Fraction((-1) ** (n - 1), fact)
                 if lhs != rhs:
                     return False, (b_idx, c_idx, s)

@@ -53,7 +53,7 @@ def ref_trivial_eval(fa, alpha, blocks, z):
                 for t in range(dim_v):
                     out[t] += sgn * vec[t]
         rest = [blocks[t] for t in range(p1) if t != i]
-        for l, v in fa.f_row(tuple(blocks[i]) + (z,)).items():
+        for l, v in fa.row(tuple(blocks[i]) + (z,)).items():
             vec = alpha_at(rest, l)
             sgn = (-1) ** (i + 1) * v
             for t in range(dim_v):
@@ -117,7 +117,7 @@ def ref_deformation_eval(fa, alpha, blocks, z):
         for b in range(1, dim_v + 1):
             if av[b - 1] == 0:
                 continue
-            for l, v in fa.f_row(tuple(blocks[i]) + (b,)).items():
+            for l, v in fa.row(tuple(blocks[i]) + (b,)).items():
                 out[l - 1] += (-1) ** i * av[b - 1] * v
     last = blocks[-1]
     first = blocks[:-1]
@@ -131,7 +131,7 @@ def ref_deformation_eval(fa, alpha, blocks, z):
             if av[b - 1] == 0:
                 continue
             lab = last[:i] + (b,) + last[i + 1:]
-            for l, v in fa.f_row(tuple(lab) + (z,)).items():
+            for l, v in fa.row(tuple(lab) + (z,)).items():
                 out[l - 1] += (-1) ** p * av[b - 1] * v
     return tuple(out)
 
@@ -357,8 +357,8 @@ def test_fundamental_objects_of_a_corrupted_algebra_fail_the_left_identity(make,
 def as_leibniz(alg):
     """A Lie algebra as a Leibniz algebra, with its adjoint matrices."""
     rng = range(1, alg.dim + 1)
-    lb = LeibnizAlgebra(alg.dim, {(i, j): alg.c_row(i, j) for i in rng for j in rng})
-    ad = [alg.ad_matrix(i) for i in rng]
+    lb = LeibnizAlgebra(alg.dim, {(i, j): alg.row((i, j)) for i in rng for j in rng})
+    ad = [alg.ad_matrix((i,)) for i in rng]
     return lb, ad, [linalg.sp_scale(-1, m) for m in ad]
 
 

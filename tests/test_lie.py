@@ -66,7 +66,7 @@ def test_killing_two_path_agreement():
     # independent path: traces of products of ad matrices
     for alg in (su(2), su(3), heisenberg()):
         k = killing_form(alg)
-        ads = [alg.ad_matrix(i) for i in range(1, alg.dim + 1)]
+        ads = [alg.ad_matrix((i,)) for i in range(1, alg.dim + 1)]
         for i in range(alg.dim):
             for j in range(alg.dim):
                 assert k[i][j] == linalg.sp_trace(ads[i], ads[j])
@@ -97,7 +97,7 @@ def test_su2_is_halved_pauli_basis():
     # structure constants are exactly the alternating symbol
     alg = basis.algebra
     for p in [(1, 2, 3), (2, 3, 1), (3, 1, 2)]:
-        assert alg.c_get(*p) == 1
+        assert alg.get(p[:2], p[2]) == 1
     assert basis.trace_norms == [Fraction(1, 2)] * 3
 
 
@@ -189,7 +189,7 @@ def test_su2_killing_gives_three_cocycle_proportional_to_constants():
     alg = su(2)
     om = cocycle_from_invariant_poly(alg, killing_invariant_poly(alg))
     lowered = AntisymTensor.from_function(
-        3, 3, lambda i, j, k: sum(alg.c_get(i, j, l) * killing_form(alg)[l - 1][k - 1]
+        3, 3, lambda i, j, k: sum(alg.get((i, j), l) * killing_form(alg)[l - 1][k - 1]
                                   for l in range(1, 4)))
     assert (om.rank, om.dim) == (lowered.rank, lowered.dim)
     assert ray_equal(om.entries, lowered.entries)

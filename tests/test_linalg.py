@@ -340,7 +340,7 @@ def test_rows_that_reduce_to_zero_leave_no_basis_row():
 
 
 # ---------------------------------------------------------------------------
-# rank on the transpose of tall matrices
+# rank of tall, wide and near-square matrices
 # ---------------------------------------------------------------------------
 
 def transpose_rows(rows):
@@ -349,21 +349,6 @@ def transpose_rows(rows):
         for c, v in row.items():
             out.setdefault(c, {})[i] = v
     return list(out.values())
-
-
-def echelon_input(rows):
-    """(linalg.rank(rows), the rows `rank` handed to `integer_echelon`)."""
-    fed, right = [], linalg.integer_echelon
-
-    def spy(given):
-        fed.extend(given)
-        return right(fed)
-
-    linalg.integer_echelon = spy
-    try:
-        return linalg.rank(rows), fed
-    finally:
-        linalg.integer_echelon = right
 
 
 @st.composite
@@ -383,26 +368,7 @@ def shaped_matrices(draw):
 @given(shaped_matrices())
 def test_rank_is_the_rank_of_the_transpose(a):
     rows = dense.sparse(a)
-    nonzero = [row for row in rows if row]
-    ncols = len(set().union(*nonzero))
-    got, fed = echelon_input(rows)
-    assert got == linalg.rank(transpose_rows(rows)) == dense.rank(a)
-    # the nonzero rows, or the nonzero columns when the rows outnumber them
-    # more than twice
-    assert len(fed) == (ncols if len(nonzero) > 2 * ncols else len(nonzero))
-
-
-def test_rank_transposes_past_twice_the_columns_only():
-    # 7 nonzero rows over 3 columns are ranked on the transpose, 6 are not;
-    # the empty rows count toward neither
-    base = [{0: 1, 1: 2}, {1: 1, 2: -1}, {0: 1, 1: 3, 2: -1}]
-    for copies, transposed in ((6, False), (7, True)):
-        rows = [dict(base[i % 3]) for i in range(copies)] + [{}] * 9
-        got, fed = echelon_input(rows)
-        assert got == 2
-        assert len(fed) == (3 if transposed else copies)
-        assert sorted(map(len, fed)) == (sorted(map(len, transpose_rows(rows))) if transposed
-                                         else sorted(map(len, rows[:copies])))
+    assert linalg.rank(rows) == linalg.rank(transpose_rows(rows)) == dense.rank(a)
 
 
 def test_empty_rows_are_dropped_before_elimination(monkeypatch):

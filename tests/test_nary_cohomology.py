@@ -389,7 +389,7 @@ def test_coboundary_of_mc_zero_cochain_is_the_structure_constants(name):
     fa = {"a4": a4, "a5": a5, "nhw1": lambda: nhw(1)}[name]()
     delta = fa_coboundary_trivial(fa, mc_zero_cochain(fa))
     for (idx,) in (key for key in trivial_keys(fa, 1)):
-        assert delta.value((idx,)) == tuple(fa.f_get(idx, t) for t in range(1, fa.dim + 1))
+        assert delta.value((idx,)) == tuple(fa.get(idx, t) for t in range(1, fa.dim + 1))
     if name == "a4":
         assert delta.data[((1, 2, 3),)] == (0, 0, 0, -1)
 
@@ -403,7 +403,7 @@ def test_central_extension_by_a_trivial_one_cocycle():
     ext = fa_central_extension(fa, alpha)
     assert ext.dim == 5 and check_fi(ext).ok
     for (idx,), (v,) in alpha.data.items():
-        assert ext.f_get(idx, 5) == v
+        assert ext.get(idx, 5) == v
 
 
 def test_central_extension_by_a_non_cocycle_is_refused():

@@ -14,7 +14,7 @@ import pytest
 
 import dense_reference as dense
 from naryalg import linalg
-from naryalg.catalog import a4, a5, nhw, su, sun_basis
+from naryalg.catalog import a4, a5, nhw, su, su3_gla4, sun_basis
 from naryalg.claims import (ad_of_sum, associator_check, clifford_double_commutator,
                             compose_matches_commutator, leibniz_coboundary, leibniz_extension, multibracket, odd_arity_defect,
                             orthogonal_relations_hold, quadratic_casimir, resolve_even_bracket,
@@ -22,6 +22,7 @@ from naryalg.claims import (ad_of_sum, associator_check, clifford_double_commuta
 from naryalg.filippov import (adjoint_fa_representation, check_fa_representation,
                               clifford_realization, fundamental_compose, gamma_matrices)
 from naryalg.nary_cohomology import LeibnizAlgebra, leibniz_rep_conditions
+from naryalg.tensors import perm_sign
 
 FA = {"a4": a4, "a5": a5, "nhw2": lambda: nhw(2)}
 
@@ -38,11 +39,30 @@ def dense_all(mats, size):
 def test_lie_ad_matrices_match_dense(n):
     alg = su(n)
     for i in range(1, alg.dim + 1):
-        m = alg.ad_matrix(i)
+        m = alg.ad_matrix((i,))
         assert dense.to_dense(m, alg.dim) == dense.lie_ad_matrix(alg, i)
         assert m == dense.to_map(dense.lie_ad_matrix(alg, i))
     rep = alg.adjoint_rep()
-    assert rep.dim_v == alg.dim and rep.mats == [alg.ad_matrix(i) for i in range(1, alg.dim + 1)]
+    assert rep.dim_v == alg.dim and rep.mats == [alg.ad_matrix((i,)) for i in range(1, alg.dim + 1)]
+
+
+def test_gla_ad_matrices_match_a_dense_read_of_the_constants():
+    # ad_X of the 4-bracket of su3-gla4 on three labels X, read off the stored
+    # constants: slot t of a sorted key is the column, moved to the end
+    g = su3_gla4()
+    d = g.dim
+    want = {}
+    for key, row in g.c.items():
+        for t, b in enumerate(key):
+            m = want.setdefault(key[:t] + key[t + 1:], linalg.zeros(d, d))
+            for l, v in row.items():
+                m[l - 1][b - 1] = (-1) ** (len(key) - 1 - t) * v
+    assert want
+    # unsorted and repeated labels too
+    for labels in product(range(1, d + 1), repeat=g.arity - 1):
+        m = want.get(tuple(sorted(labels)), linalg.zeros(d, d))
+        sign = perm_sign(labels)
+        assert dense.to_dense(g.ad_matrix(labels), d) == [[sign * v for v in r] for r in m]
 
 
 @pytest.mark.parametrize("name", sorted(FA))
@@ -171,7 +191,7 @@ def test_quadratic_casimir_matches_dense(n):
 
 def as_leibniz(alg):
     rng = range(1, alg.dim + 1)
-    lb = LeibnizAlgebra(alg.dim, {(i, j): alg.c_row(i, j) for i in rng for j in rng})
+    lb = LeibnizAlgebra(alg.dim, {(i, j): alg.row((i, j)) for i in rng for j in rng})
     ad = alg.adjoint_rep().mats
     return lb, ad, [linalg.sp_scale(-1, m) for m in ad]
 
