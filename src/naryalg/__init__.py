@@ -3,7 +3,8 @@
 Subpackages by topic:
 
   scalars, tensors, poly, linalg   -- exact arithmetic foundations
-  lie, cohomology                  -- binary algebras and their complexes
+  lie, cohomology                  -- binary algebras, the modules of every
+                                      arity, and the CE complex
   gla                              -- even multibrackets and their identities
   filippov                         -- n-Lie algebras and their invariants
   nary_cohomology                  -- Filippov complexes as one Leibniz complex

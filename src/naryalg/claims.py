@@ -61,11 +61,12 @@ from operator import mul
 from . import linalg
 from .cohomology import CEComplex, Cochain, _matrix_rows, apply, basis_tuples, coboundary, preimage
 from .filippov import (FilippovAlgebra, _zi_gammas, anticommuting_brackets, check_fi,
-                       check_metric_fa, fundamental_compose, lowered_form)
+                       check_metric_fa, lowered_form)
 from .gla import GLAlgebra, gla_from_cocycle
 from .lie import (LieAlgebra, Representation, SymInvariantPoly, _n_arrangements, _poly_table,
                   check_invariance, check_jacobi, check_metric_invariance,
-                  cocycle_condition_residual, inverse_killing_form, killing_form, trace_form)
+                  cocycle_condition_residual, fundamental_compose, inverse_killing_form,
+                  killing_form, trace_form)
 from .nary_cohomology import (FAComplex, LeibnizAlgebra, LeibnizComplex, NCochain, _flat,
                               _vectors, coboundary_at, deformation_preimage, fa_coboundary_trivial,
                               fa_coboundary_deformation, fundamental_tables)
@@ -319,7 +320,7 @@ def quadratic_casimir(alg: LieAlgebra, rho: Representation):
     """I_2(rho) = k^{ij} rho_i rho_j as a sparse matrix; raises through the
     inverse Killing form."""
     kinv = inverse_killing_form(alg)
-    mats = rho.mats
+    mats = [rho.mats[(i,)] for i in range(1, alg.dim + 1)]
     return linalg.sp_sum((kinv[i][j], linalg.sp_mul(mats[i], mats[j]))
                          for i in range(alg.dim) for j in range(alg.dim) if kinv[i][j] != 0)
 
@@ -327,7 +328,7 @@ def quadratic_casimir(alg: LieAlgebra, rho: Representation):
 def homotopy_contraction(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
     """(tau Om)^A_{i_1..i_{p-1}} = k^{ij} rho(X_i)^A_B Om^B_{j i_1..i_{p-1}}."""
     kinv = inverse_killing_form(alg)
-    rows = [_matrix_rows(m) for m in rho.mats]
+    rows = [_matrix_rows(rho.mats[(i,)]) for i in range(1, alg.dim + 1)]
     p = om.rank
     data = {}
     for idx in combinations(range(1, om.dim + 1), p - 1):

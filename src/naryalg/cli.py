@@ -23,9 +23,9 @@ from itertools import combinations
 
 from . import catalog, linalg
 from .algfile import AlgebraFile, ParseError
-from .filippov import FI_FORMS, FARepresentation, FilippovAlgebra, check_fi, check_metric_fa
+from .filippov import FI_FORMS, FilippovAlgebra, check_fi, check_metric_fa
 from .gla import GLAlgebra, check_gji
-from .lie import LieAlgebra, check_jacobi, check_metric_invariance
+from .lie import LieAlgebra, Representation, check_jacobi, check_metric_invariance
 from .nary_cohomology import FAComplex, LeibnizAlgebra
 from .cohomology import CEComplex, complex_dims
 from .poisson import gps_check, np_check, plucker_check, schouten_bracket
@@ -275,8 +275,8 @@ def cmd_cohomology(args) -> int:
         rho = None  # the module complex of rho None is the adjoint one
         if args.complex == "module" and args.rep == "0":
             # the one-dimensional trivial module: every rho(X) is zero
-            rho = FARepresentation({lab: {} for lab in
-                                    combinations(range(1, obj.dim + 1), obj.arity - 1)}, 1)
+            rho = Representation(obj, {lab: {} for lab in
+                                       combinations(range(1, obj.dim + 1), obj.arity - 1)}, 1)
         cx = FAComplex(obj, args.complex, rho)
     else:
         return _input_error("cohomology applies to lie or filippov files")

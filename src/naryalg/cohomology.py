@@ -25,13 +25,14 @@ bracket terms of a target are its row, not a copy.
 A `CEComplex` is the one handle on a complex, holding what every degree
 reads; `coboundary_matrix(cx, p)` gives D s_p as (rows, D).  With rho None
 its D, D C and unimodular flag (below) are built once per algebra, for every
-dim_v, and memoized on it (`BracketTensor.memoized`); a given rho builds
-them once per complex.  No list, matrix, rank or solution is kept.  For
-every complex of this module and of `nary_cohomology`, s is ranked, applied
-and inverted in one place each, on the rows of D s that `cx.matrix(p)`
-gives: `complex_dims` ranks them, `apply` dots them with a cochain's
-coordinates and divides by D, and `preimage` solves D s x' = y and returns
-x = D x', the solution of s x = y.
+dim_v, and memoized on it (`BracketTensor.memoized`); a given rho, a
+`lie.Representation` keyed (i,) and checked when it was built, builds them
+once per complex and is not checked again.  No list, matrix, rank or
+solution is kept.  For every complex of this module and of
+`nary_cohomology`, s is ranked, applied and inverted in one place each, on
+the rows of D s that `cx.matrix(p)` gives: `complex_dims` ranks them,
+`apply` dots them with a cochain's coordinates and divides by D, and
+`preimage` solves D s x' = y and returns x = D x', the solution of s x = y.
 
 Ranks and preimages.  Both come from the fraction-free elimination of
 `linalg.integer_echelon`, whose solutions set every non-pivot coordinate to
@@ -123,8 +124,9 @@ def coboundary(alg: LieAlgebra, rho, om: Cochain) -> Cochain:
         (s Om)(X_1..X_{p+1}) = sum_i (-1)^{i+1} rho(X_i) Om(..^i..)
                              + sum_{j<k} (-1)^{j+k} Om([X_j,X_k], ..^j..^k..)
 
-    `rho` is None for the trivial representation, else a Representation
-    acting on the target; its matrices must be rational.
+    `rho` is None for the trivial representation, else a
+    `lie.Representation` acting on the target, keyed (i,); its matrices
+    must be rational.
     """
     cx, p = CEComplex(alg, rho, om.dim_v), om.rank
     return Cochain(p + 1, alg.dim, om.dim_v, dict(zip(cx.coords(p + 1), apply(cx, p, om.data))))
@@ -267,8 +269,10 @@ def _unimodular(alg: LieAlgebra):
 class CEComplex:
     """The complex of rho (None: the trivial module Q^dim_v, dim_v default
     1) as `complex_dims`, `apply` and `preimage` read it: D, D C and the rows
-    of each D rho matrix for `_ce_rows`, dim C^p, its coordinates, the
-    mirror rule and whether it is closed (module docstring)."""
+    of each D rho_(i,) matrix for `_ce_rows`, dim C^p, its coordinates, the
+    mirror rule and whether it is closed (module docstring).  A given rho is
+    a `lie.Representation`, checked when it was built: the complex checks
+    it no further."""
 
     kind = "ce"
 
@@ -283,7 +287,8 @@ class CEComplex:
                 *integer_scaling(alg)[:2], _unimodular(alg)))
             self.mrows = [{}] * alg.dim
         else:
-            self.d, self.ialg, imats = integer_scaling(alg, rho.mats)
+            self.d, self.ialg, imats = integer_scaling(
+                alg, [rho.mats[(i,)] for i in range(1, alg.dim + 1)])
             self.mrows = [_matrix_rows(m) for m in imats]
             self.unimodular = False
 
@@ -331,12 +336,14 @@ def complex_dims(cx, p_max) -> CohomologyReport:
     return CohomologyReport.from_ranks(dims_c, ranks)
 
 
-def cohomology_dims(alg: LieAlgebra, rho, p_max, dim_v=None) -> CohomologyReport:
-    """Exact Z/B/H dimensions of the complex of rho (None: trivial) for
-    degrees 0..p_max; the representation matrices must be rational.  With
-    rho None and a unimodular algebra, a degree p above its mirror n-1-p
-    takes its rank from the mirror (`CEComplex.mirror`)."""
-    return complex_dims(CEComplex(alg, rho, dim_v), p_max)
+def cohomology_dims(alg: LieAlgebra, rho, p_max) -> CohomologyReport:
+    """Exact Z/B/H dimensions of the complex of rho (None: the trivial
+    module Q) for degrees 0..p_max; the representation matrices must be
+    rational.  With rho None and a unimodular algebra, a degree p above its
+    mirror n-1-p takes its rank from the mirror (`CEComplex.mirror`).  The
+    trivial module Q^dim_v is `complex_dims(CEComplex(alg, None, dim_v),
+    p_max)`."""
+    return complex_dims(CEComplex(alg, rho), p_max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,28 @@
 """Filippov (n-Lie) algebras: validation of the characteristic identity in
-its derivation, short and ghost forms, the simple algebras, fundamental
-objects, metric structure, representations and Clifford (gamma-matrix)
-realizations.  The vector product, the Lie algebra of inner derivations,
-the Kasymov form and semisimplicity, the BLG gauge algebra, subordinated
-algebras, derivations and trace-extended brackets are in `claims`.
-`FilippovAlgebra` stores its constants as a `tensors.BracketTensor`, the one
-storage of structure constants, whose `ad_matrix` is the ad map of a
-fundamental object.
+its derivation, short and ghost forms, the simple algebras, metric
+structure and Clifford (gamma-matrix) realizations.  The vector product,
+the Lie algebra of inner derivations, the Kasymov form and semisimplicity,
+the BLG gauge algebra, subordinated algebras, derivations and
+trace-extended brackets are in `claims`.  `FilippovAlgebra` stores its
+constants as a `tensors.BracketTensor`, the one storage of structure
+constants, whose `ad_matrix` is the ad map of a fundamental object.
 
-Every operator here -- an ad map, a representation matrix, a gamma matrix
-and the brackets built from them -- is a sparse map {(row, column): nonzero
-value} (see `linalg`), so "as matrices" means equal maps; the metric is a
-bilinear form and stays a dense list of rows.
+A module of an n-Lie algebra is the one `lie.Representation` of every
+arity, keyed by sorted (n-1)-labels and checked by
+`lie.check_representation` when it is built; the product X . Y of
+fundamental objects is `lie.fundamental_compose`, and the adjoint module
+is `FilippovAlgebra.adjoint_rep`, the builder of `LieAlgebra`.
+
+Every operator here -- an ad map, a gamma matrix and the brackets built
+from them -- is a sparse map {(row, column): nonzero value} (see
+`linalg`), so "as matrices" means equal maps; the metric is a bilinear
+form and stays a dense list of rows.
 
 The metric invariance scan is `lie.metric_scan`, the scan of the Killing
 form's invariance; `lowered_form` builds an invariant metric's (n+1)-form.
 
-Every check here -- the three forms of the identity, metric invariance and
-the representation conditions -- returns the package's one verdict type,
+Every check here -- the three forms of the identity and metric
+invariance -- returns the package's one verdict type,
 `tensors.IdentityReport`, and `clifford_realization` returns its induced
 algebra beside one.  The double-commutator identity of the n = 3
 realization is `claims.clifford_double_commutator`.
@@ -29,10 +34,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .lie import metric_scan
+from .lie import LieAlgebra, metric_scan
 from .scalars import accumulate, is_zero
 from .tensors import (AntisymTensor, BracketTensor, IdentityReport, fold_antisym, gen_kronecker,
-                      perm_sign, shuffle_splits, sort_sign)
+                      perm_sign, shuffle_splits)
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +47,8 @@ from .tensors import (AntisymTensor, BracketTensor, IdentityReport, fold_antisym
 class FilippovAlgebra(BracketTensor):
     """Arity-n algebra on 1..dim: the `BracketTensor` of f_{a_1..a_n}^b, read
     as `f` in the notation of the n-Lie literature.  `f_row` is
-    `BracketTensor.row` under the name that `bench/tracing.py` wraps."""
+    `BracketTensor.row` under the name that `bench/tracing.py` wraps, and
+    `adjoint_rep` is the one adjoint builder, `LieAlgebra.adjoint_rep`."""
 
     kind = "filippov"
 
@@ -51,6 +57,7 @@ class FilippovAlgebra(BracketTensor):
         return self.c
 
     f_row = BracketTensor.row
+    adjoint_rep = LieAlgebra.adjoint_rep
 
     def bracket(self, vectors):
         """Bracket of dense coordinate vectors."""
@@ -198,22 +205,6 @@ def simple_fa(n: int, signs) -> FilippovAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# fundamental objects
-# ---------------------------------------------------------------------------
-
-
-def fundamental_compose(fa: FilippovAlgebra, x_labels, y_labels) -> AntisymTensor:
-    """X . Y = sum_i (Y_1, .., [X, Y_i], .., Y_{n-1}) on basis labels, as a
-    formal sum of fundamental objects: a rank-(n-1) tensor keyed by sorted,
-    signed wedge labels."""
-    raw = {}
-    for i, y in enumerate(y_labels):
-        for l, v in fa.row(tuple(x_labels) + (y,)).items():
-            accumulate(raw, tuple(y_labels[:i]) + (l,) + tuple(y_labels[i + 1:]), v)
-    return AntisymTensor(fa.arity - 1, fa.dim, raw)
-
-
-# ---------------------------------------------------------------------------
 # metric structure
 # ---------------------------------------------------------------------------
 
@@ -260,60 +251,6 @@ def check_metric_fa(fa: FilippovAlgebra, g) -> IdentityReport:
             if tot != 0:  # g is invariant, but fa fails the FI
                 return IdentityReport(False, (a_idx, b_idx))
     return rep
-
-
-# ---------------------------------------------------------------------------
-# representations in the fundamental-object sense
-# ---------------------------------------------------------------------------
-
-class FARepresentation:
-    """rho: sorted wedge label -> sparse dim_v x dim_v matrix (see `linalg`),
-    extended to unsorted labels with antisymmetry."""
-
-    def __init__(self, mats, dim_v):
-        self.mats, self.dim_v = mats, dim_v
-
-
-def check_fa_representation(fa: FilippovAlgebra, rho: FARepresentation) -> IdentityReport:
-    """Both defining conditions must hold as identities of sparse matrices:
-
-      [rho(X), rho(Y)] = rho(X.Y)
-      rho(X_1..X_{n-2}, [Y_1..Y_n]) =
-          sum_i (-1)^{n-i} rho(Y_1..^i..Y_n) rho(X_1..X_{n-2} Y_i)
-
-    The witness is the first failing pair: (X, Y) of the first condition,
-    else (X_1..X_{n-2}, Y_1..Y_n) of the second."""
-    d, n = fa.dim, fa.arity
-    labels = list(combinations(range(1, d + 1), n - 1))
-
-    def rho_get(lab):
-        key, s = sort_sign(lab)
-        return linalg.sp_scale(s, rho.mats[key]) if s else {}
-
-    for x in labels:
-        for y in labels:
-            lhs = linalg.sp_commutator(rho_get(x), rho_get(y))
-            rhs = linalg.sp_sum((v, rho_get(lab))
-                                for lab, v in fundamental_compose(fa, x, y).items())
-            if lhs != rhs:
-                return IdentityReport(False, (x, y))
-
-    for xs in combinations(range(1, d + 1), n - 2):
-        for ys in combinations(range(1, d + 1), n):
-            lhs = linalg.sp_sum((v, rho_get(xs + (l,))) for l, v in fa.f.get(ys, {}).items())
-            rhs = linalg.sp_sum(
-                ((-1) ** (n - i - 1), linalg.sp_mul(rho_get(ys[:i] + ys[i + 1:]),
-                                                    rho_get(xs + (ys[i],))))
-                for i in range(n))
-            if lhs != rhs:
-                return IdentityReport(False, (xs, ys))
-    return IdentityReport(True)
-
-
-def adjoint_fa_representation(fa: FilippovAlgebra) -> FARepresentation:
-    return FARepresentation({lab: fa.ad_matrix(lab)
-                             for lab in combinations(range(1, fa.dim + 1), fa.arity - 1)},
-                            fa.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,14 @@ storage of structure constants and holds its readers (`row`, `get`,
 `signed`, `ad_matrix`), which a Lie algebra reads with pairs (i, j) and
 one-label ad maps (i,).
 
+Modules of every arity live here too, since `filippov` imports this
+module: `Representation` maps each sorted (arity-1)-label to a sparse
+matrix (a Lie module is keyed (i,)), and its constructor is the one place
+a module is checked, by its shape and by `check_representation`, the two
+conditions of an n-Lie module on the product X . Y of fundamental objects
+(`fundamental_compose`), which at arity 2 read the Lie closure.  The
+adjoint builder `LieAlgebra.adjoint_rep` is read by `FilippovAlgebra` too.
+
 `check_jacobi` reads the arity-2 residual of
 `tensors.nested_bracket_residuals`; `trace_form` is the one Tr(ad_X ad_Y)
 scan, the Killing form at arity 2 and `claims.kasymov_form` above it.
@@ -42,7 +50,7 @@ from . import linalg
 from .scalars import (GaussianRational, accumulate, common_denominator, is_zero, rat,
                       scaled_to_ints)
 from .tensors import (AntisymTensor, BracketTensor, FieldEq, IdentityReport, fold_antisym,
-                      nested_bracket_residuals, shuffle_splits)
+                      nested_bracket_residuals, shuffle_splits, sort_sign)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +102,12 @@ class LieAlgebra(BracketTensor):
         return out
 
     def adjoint_rep(self):
-        return Representation(self, [self.ad_matrix((i,)) for i in range(1, self.dim + 1)],
-                              self.dim, check=False)
+        """The adjoint module X -> ad_X on every sorted (arity-1)-label X,
+        taken as it is (`Representation._canonical`): its conditions are the
+        algebra's own identity (`check_jacobi`, `filippov.check_fi`).
+        `FilippovAlgebra` binds this builder too."""
+        labels = combinations(range(1, self.dim + 1), self.arity - 1)
+        return Representation._canonical(self, {x: self.ad_matrix(x) for x in labels}, self.dim)
 
 
 def check_jacobi(alg: LieAlgebra) -> IdentityReport:
@@ -204,35 +216,95 @@ def check_metric_invariance(alg: LieAlgebra, g) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 class Representation:
-    """Sparse dim_v x dim_v matrices rho_i (see `linalg`) with
-    [rho_i, rho_j] = C_ij^k rho_k, entrywise exact.
+    """A module of `algebra`, at any arity n: rho, a sparse dim_v x dim_v
+    matrix (see `linalg`) for each sorted (n-1)-label X = X_1 ^ .. ^ X_{n-1},
+    read at an unsorted label with antisymmetry.  At n = 2 the labels are
+    (i,) and rho is a Lie representation, [rho_i, rho_j] = C_ij^k rho_k.
 
-    The constructor checks the closure with `closure_residual` and raises
-    ValueError at the first failing pair.  Three builders pass check=False,
-    as the scan would repeat a check made elsewhere: `adjoint_rep`, whose
-    closure is the Jacobi identity (`check_jacobi`), `sun_generators`,
-    which checks the closure on the doubled ℤ[i] generators it holds, and
-    `SunBasis.copy`, whose matrices are those of a checked basis."""
+    The constructor is the one place a module is checked.  It refuses a
+    missing, extra or unsorted label and a matrix key outside 0..dim_v-1,
+    naming it, and then a rho that fails `check_representation`, naming its
+    witness; no complex checks its module again.  Three builders derive a
+    module from something already checked and take it as it is
+    (`_canonical`):
+    `LieAlgebra.adjoint_rep`, whose conditions are the algebra's identity,
+    `sun_generators`, which checks the closure on the doubled ℤ[i]
+    generators it holds, and `SunBasis.copy`."""
 
-    def __init__(self, algebra, mats, dim_v, check=True):
-        if check:
-            bad = closure_residual(algebra, mats)
-            if bad is not None:
-                raise ValueError(f"not a representation: residual at {bad}")
+    def __init__(self, algebra, mats, dim_v):
+        labels = list(combinations(range(1, algebra.dim + 1), algebra.arity - 1))
+        for x in mats:
+            if x not in labels:
+                raise ValueError(f"label {x!r} is not a sorted {algebra.arity - 1}-label "
+                                 f"of 1..{algebra.dim}")
+        span = range(dim_v)
+        for x in labels:
+            if x not in mats:
+                raise ValueError(f"no matrix for label {x}")
+            for key in mats[x]:
+                if len(key) != 2 or key[0] not in span or key[1] not in span:
+                    raise ValueError(f"entry {key!r} of label {x} is outside 0..{dim_v - 1}")
         self.algebra, self.mats, self.dim_v = algebra, mats, dim_v
+        rep = check_representation(algebra, self)
+        if not rep.ok:
+            raise ValueError(f"not a representation: residual at {rep.witness}")
+
+    @classmethod
+    def _canonical(cls, algebra, mats, dim_v):
+        """A module on matrices derived from a checked object, taken as they
+        are, without the constructor's shape check and scan."""
+        out = object.__new__(cls)
+        out.algebra, out.mats, out.dim_v = algebra, mats, dim_v
+        return out
 
 
-def closure_residual(alg: LieAlgebra, mats):
-    """None when [rho_i, rho_j] - C_ij^k rho_k = 0 exactly; else first (i, j)."""
-    for i in range(1, alg.dim + 1):
-        for j in range(i + 1, alg.dim + 1):
-            res = linalg.sp_commutator(mats[i - 1], mats[j - 1])
-            for k, v in alg.row((i, j)).items():
-                for key, w in mats[k - 1].items():
-                    accumulate(res, key, -v * w)
-            if res:
-                return (i, j)
-    return None
+def fundamental_compose(alg: BracketTensor, x_labels, y_labels) -> AntisymTensor:
+    """X . Y = sum_i (Y_1, .., [X, Y_i], .., Y_{n-1}) on basis labels, as a
+    formal sum of fundamental objects: a rank-(n-1) tensor keyed by sorted,
+    signed wedge labels.  At n = 2 it is the bracket [X, Y]."""
+    raw = {}
+    for i, y in enumerate(y_labels):
+        for l, v in alg.row(tuple(x_labels) + (y,)).items():
+            accumulate(raw, tuple(y_labels[:i]) + (l,) + tuple(y_labels[i + 1:]), v)
+    return AntisymTensor(alg.arity - 1, alg.dim, raw)
+
+
+def check_representation(alg: BracketTensor, rho: Representation) -> IdentityReport:
+    """Both defining conditions of a module, as identities of sparse
+    matrices:
+
+      [rho(X), rho(Y)] = rho(X.Y)
+      rho(X_1..X_{n-2}, [Y_1..Y_n]) =
+          sum_i (-1)^{n-i} rho(Y_1..^i..Y_n) rho(X_1..X_{n-2} Y_i)
+
+    The witness is the first failing pair: (X, Y) of the first condition,
+    else (X_1..X_{n-2}, Y_1..Y_n) of the second.  At n = 2 both read the
+    Lie closure, and the witness is ((i,), (j,)) with i < j."""
+    d, n = alg.dim, alg.arity
+    labels = list(combinations(range(1, d + 1), n - 1))
+
+    def rho_get(lab):
+        key, s = sort_sign(lab)
+        return linalg.sp_scale(s, rho.mats[key]) if s else {}
+
+    for x in labels:
+        for y in labels:
+            lhs = linalg.sp_commutator(rho_get(x), rho_get(y))
+            rhs = linalg.sp_sum((v, rho_get(lab))
+                                for lab, v in fundamental_compose(alg, x, y).items())
+            if lhs != rhs:
+                return IdentityReport(False, (x, y))
+
+    for xs in combinations(range(1, d + 1), n - 2):
+        for ys in combinations(range(1, d + 1), n):
+            lhs = linalg.sp_sum((v, rho_get(xs + (l,))) for l, v in alg.c.get(ys, {}).items())
+            rhs = linalg.sp_sum(
+                ((-1) ** (n - i - 1), linalg.sp_mul(rho_get(ys[:i] + ys[i + 1:]),
+                                                    rho_get(xs + (ys[i],))))
+                for i in range(n))
+            if lhs != rhs:
+                return IdentityReport(False, (xs, ys))
+    return IdentityReport(True)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +314,7 @@ def closure_residual(alg: LieAlgebra, mats):
 class SunBasis:
     def __init__(self, rep, hermitian, trace_norms, doubled):
         self.rep = rep                  # antihermitian matrices, real closure
-        self.hermitian = hermitian      # X_i = i * rep.mats[i-1], sparse
+        self.hermitian = hermitian      # X_i = i * rep.mats[(i,)], sparse
         self.trace_norms = trace_norms  # Tr(X_i X_i), rational, diagonal metric
         self.doubled = doubled          # Y_i = 2 X_i as sparse ℤ[i] matrices
 
@@ -253,8 +325,9 @@ class SunBasis:
     def copy(self):
         """A copy with an algebra (`BracketTensor.copy`), matrices and lists
         of its own, which a caller may change without changing this basis."""
-        rep = Representation(self.algebra.copy(), [dict(m) for m in self.rep.mats],
-                             self.rep.dim_v, check=False)
+        rep = Representation._canonical(self.algebra.copy(),
+                                        {x: dict(m) for x, m in self.rep.mats.items()},
+                                        self.rep.dim_v)
         return SunBasis(rep, [dict(m) for m in self.hermitian], list(self.trace_norms),
                         [dict(m) for m in self.doubled])
 
@@ -286,10 +359,12 @@ def sun_generators(n: int) -> SunBasis:
         -i D [Y_i, Y_j] = sum_k 2 D C_ij^k Y_k
 
     in ℤ[i], on the commutator the extraction computed; a residual raises
-    ValueError at the first failing (i, j).  The `GaussianRational` matrices
-    `hermitian` Y_i / 2 and `rep.mats` -i Y_i / 2 are wrapped once at the
-    end, into a representation that skips its own `closure_residual` scan:
-    that scan would repeat the check in `GaussianRational` arithmetic.
+    ValueError at the first failing ((i,), (j,)), the witness of
+    `check_representation`.  The `GaussianRational` matrices `hermitian`
+    Y_i / 2 and `rep.mats` -i Y_i / 2 are wrapped once at the end, into a
+    representation taken as it is (`Representation._canonical`): the
+    constructor's scan would repeat the check in `GaussianRational`
+    arithmetic.
     """
     if not 2 <= n <= 4:
         raise ValueError("sun_generators: desk scale is 2 <= n <= 4")
@@ -324,11 +399,12 @@ def sun_generators(n: int) -> SunBasis:
     for (i, j), cm in commutators.items():
         want = linalg.zi_sum((2 * v, doubled[k - 1]) for k, v in ialg.c.get((i, j), {}).items())
         if linalg.zi_scale((0, -d), cm) != want:
-            raise ValueError(f"not a representation: residual at {(i, j)}")
+            raise ValueError(f"not a representation: residual at {((i,), (j,))}")
     half = Fraction(1, 2)
     herm = [linalg.zi_wrap(y, half) for y in doubled]
-    antiherm = [linalg.zi_wrap(linalg.zi_scale((0, -1), y), half) for y in doubled]
-    rep = Representation(alg, antiherm, n, check=False)
+    antiherm = {(i,): linalg.zi_wrap(linalg.zi_scale((0, -1), y), half)
+                for i, y in enumerate(doubled, 1)}
+    rep = Representation._canonical(alg, antiherm, n)
     return SunBasis(rep=rep, hermitian=herm, trace_norms=[Fraction(t, 4) for t in sq_norms],
                     doubled=doubled)
 

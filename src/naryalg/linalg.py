@@ -7,7 +7,8 @@ column): nonzero value} with 0-based indices and int, `Fraction` or
 `GaussianRational` values; no zero is stored, so a matrix is zero exactly
 when its map is empty, and two matrices are equal exactly when their maps
 are.  A map does not know its size: the object that holds the matrices
-(`lie.Representation.dim_v`, the dimension of an algebra) does.  The
+does (`lie.Representation.dim_v` for a module of any arity, the dimension
+of an algebra for its ad maps).  The
 kernel is `sp_mul`, `sp_commutator`, `sp_trace` (Tr ab without forming
 ab), `sp_scale`, `sp_identity` and `sp_sum` (linear combinations, through
 `scalars.accumulate`).

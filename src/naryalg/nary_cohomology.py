@@ -2,7 +2,7 @@
 
 The fundamental objects X = X_1 ^ .. ^ X_{n-1} of an n-Lie algebra g span a
 Leibniz algebra L = wedge^{n-1} g under the bracket
-X . Y = sum_k (Y_1, .., [X, Y_k], .., Y_{n-1}) (`filippov.fundamental_compose`),
+X . Y = sum_k (Y_1, .., [X, Y_k], .., Y_{n-1}) (`lie.fundamental_compose`),
 and L acts on g by X . Z = [X_1, .., X_{n-1}, Z] (Daletskii-Takhtajan,
 Lett. Math. Phys. 39 (1997) 127).  Every complex of this module is the
 Leibniz complex of L with coefficients in a module M with a left action l
@@ -50,7 +50,8 @@ its last block; a module or binary key is its block numbers in mixed radix B
 kernel walks the target points grouped by their first p blocks, works out
 what those fix once per group, and builds and hashes no key.  A complex
 (`FAComplex`, or `LeibnizComplex` for the binary row) is the one handle that
-every call takes: it is built, and a given rho checked, once; with rho None,
+every call takes: it is built once, and a given rho, a `lie.Representation`
+checked when it was built, is not checked again; with rho None,
 D and the tables are memoized on the algebra per kind and size, the kinds
 sharing one `fundamental_tables`.  It lists its keys once per degree and
 keeps no matrix.  `coboundary_matrix(cx, p)` gives D delta_p as (rows, D);
@@ -74,8 +75,7 @@ from operator import mul
 from . import linalg
 from .cohomology import (CohomologyReport, apply, apply_rows, column_vector, complex_dims,
                          integer_scaling, preimage)
-from .filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
-                       check_fa_representation, check_fi)
+from .filippov import FilippovAlgebra, check_fi
 from .scalars import ZERO, accumulate, is_zero, rat
 from .tensors import FieldEq, IdentityReport, insert_sign, sort_blocks
 
@@ -277,23 +277,23 @@ def _fa_tables(fa, kind, rho, size):
     on fa's memo."""
     default = rho is None
     if kind == "module" and default:
-        rho = adjoint_fa_representation(fa)
-    labels = [] if rho is None else list(rho.mats)
-    d, ifa, imats = integer_scaling(fa, [rho.mats[lab] for lab in labels])
-    irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), size)
+        rho = fa.adjoint_rep()
+    mats = {} if rho is None else rho.mats
+    d, ifa, imats = integer_scaling(fa, mats.values())
     build = partial(fundamental_tables, ifa)
     tables = fa.memoized("fundamental", build) if default else build()
-    return (d, *_fa_actions(ifa, tables, kind, irho, size))
+    return (d, *_fa_actions(ifa, tables, kind, dict(zip(mats, imats)), size))
 
 
-def _fa_actions(fa, tables, kind, rho, size):
+def _fa_actions(fa, tables, kind, mats, size):
     """(bracket, left, right, place, split) of the complex `kind` on cochains
-    of dimension size, from the `fundamental_tables` of fa, as `_leibniz_delta`
+    of dimension size, from the `fundamental_tables` of fa and, for the
+    module complex, the module matrices mats by label, as `_leibniz_delta`
     reads them; an action entry with no term is left out."""
     blocks, bracket, action, place, split = tables
     if kind == "module":
-        left = tuple((_matrix_terms(rho.mats[x]),) for x in blocks)
-        right = tuple((_matrix_terms(rho.mats[x], -1),) for x in blocks)
+        left = tuple((_matrix_terms(mats[x]),) for x in blocks)
+        right = tuple((_matrix_terms(mats[x], -1),) for x in blocks)
         return (bracket, left, right, *_plain(len(blocks)))
     rng, fiber = range(fa.dim), range(size)
     num = {x: i for i, x in enumerate(blocks)}
@@ -380,17 +380,13 @@ class FAComplex(LeibnizComplex):
     and module matrices scaled by D, and its placement table, memoized on fa
     when rho is None.  The module complex defaults to the adjoint module;
     the trivial complex takes any size (the trivial module tensored with
-    Q^size), the others only their own dim_v.  A given rho that fails
-    `filippov.check_fa_representation` raises ValueError, naming the
-    failing pair."""
+    Q^size), the others only their own dim_v.  A given rho is a
+    `lie.Representation`, checked when it was built: the complex checks it
+    no further."""
 
     def __init__(self, fa, kind, rho=None, size=None):
         if kind not in KINDS:
             raise ValueError(f"unknown complex kind {kind!r}: expected one of {', '.join(KINDS)}")
-        if rho is not None:
-            rep = check_fa_representation(fa, rho)
-            if not rep.ok:
-                raise ValueError(f"rho fails the representation conditions at {rep.witness}")
         own = 1 if kind == "trivial" else fa.dim  # the deformation and adjoint modules: g
         if kind == "module" and rho is not None:
             own = rho.dim_v
@@ -405,7 +401,7 @@ class FAComplex(LeibnizComplex):
     @property
     def closed(self):
         """Whether fa passes the memoized `check_fi`, which makes delta square
-        to zero (a given rho is a representation, tested by the constructor)."""
+        to zero (a given rho is a representation, checked when it was built)."""
         return check_fi(self.fa).ok
 
     def dim(self, p):

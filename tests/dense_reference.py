@@ -85,14 +85,14 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from types import SimpleNamespace
 
 from naryalg import cohomology, linalg, nary_cohomology
 from naryalg.algfile import KINDS, AlgebraFile, ParseError
 from naryalg.claims import ray_equal
-from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
-                              fundamental_compose, lowered_form, simple_fa)
+from naryalg.filippov import FilippovAlgebra, lowered_form, simple_fa
 from naryalg.gla import GLAlgebra, lie_as_gla
-from naryalg.lie import LieAlgebra, Representation, SymInvariantPoly, killing_form
+from naryalg.lie import LieAlgebra, SymInvariantPoly, fundamental_compose, killing_form
 from naryalg.poly import Poly, add_product
 from naryalg.scalars import (ZERO, GaussianRational, LinearForm, accumulate, is_zero, parse_scalar,
                              rat)
@@ -1256,8 +1256,8 @@ def ce_coboundary(alg, rho, om):
         if rho.dim_v != om.dim_v:
             raise ValueError("representation/target dimension mismatch")
         rows = []
-        for m in rho.mats:
-            by_row = {}
+        for i in range(1, alg.dim + 1):
+            m, by_row = rho.mats[(i,)], {}
             for (a, b), v in sorted(m.items()):
                 by_row.setdefault(a, []).append((b, v))
             rows.append(by_row)
@@ -1318,8 +1318,10 @@ def ce_coboundary_matrix(alg, rho, p, dim_v):
     and matrices scaled to ints by their common denominator D."""
     src = cohomology.coord_basis(alg.dim, p, dim_v)
     dst = cohomology.coord_basis(alg.dim, p + 1, dim_v)
-    d, ialg, imats = cohomology.integer_scaling(alg, () if rho is None else rho.mats)
-    irho = None if rho is None else Representation(ialg, imats, rho.dim_v, check=False)
+    mats = {} if rho is None else rho.mats
+    d, ialg, imats = cohomology.integer_scaling(alg, mats.values())
+    # the scaled matrices as the complex reads them, unchecked like the module
+    irho = None if rho is None else SimpleNamespace(mats=dict(zip(mats, imats)), dim_v=rho.dim_v)
     generic = cohomology.Cochain(p, alg.dim, dim_v,
                                  {key: LinearForm({i: 1}) for i, key in enumerate(src)})
     out = ce_coboundary(ialg, irho, generic).data
@@ -1465,11 +1467,11 @@ def fa_rows(fa, kind, p, rho=None, size=None, points=None):
     at the given (sorted blocks, z) points (z None for the module complex).
     Column (key, a) of the i-th key of C^p is i * size + a."""
     if kind == "module" and rho is None:
-        rho = adjoint_fa_representation(fa)
+        rho = fa.adjoint_rep()
     size = size or (1 if kind == "trivial" else fa.dim if rho is None else rho.dim_v)
     labels = [] if rho is None else list(rho.mats)
     d, ifa, imats = cohomology.integer_scaling(fa, [rho.mats[lab] for lab in labels])
-    irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), size)
+    irho = None if rho is None else SimpleNamespace(mats=dict(zip(labels, imats)), dim_v=size)
     bracket, left, right = keyed_fa_actions(ifa, keyed_fundamental_tables(ifa), kind, irho, size)
     keys = nary_cohomology.module_keys if kind == "module" else nary_cohomology.trivial_keys
     if points is None:

@@ -11,7 +11,6 @@ from naryalg import cohomology as co
 from naryalg import nary_cohomology as nc
 from naryalg.algfile import AlgebraFile
 from naryalg.catalog import a4, heisenberg
-from naryalg.filippov import FARepresentation
 from naryalg.poisson import lie_poisson_bivector
 
 
@@ -409,7 +408,7 @@ def complexes(kind):
                 ((catalog.su(3), 4), (heisenberg(), 6)) for rho in (None, alg.adjoint_rep())]
     out = [(nc.FAComplex(fa, kind), range(4)) for fa in (a4(), catalog.nhw(1))]
     if kind == "module":
-        zero = FARepresentation({lab: {} for lab in combinations(range(1, 5), 2)}, 1)
+        zero = lie.Representation(a4(), {lab: {} for lab in combinations(range(1, 5), 2)}, 1)
         out.append((nc.FAComplex(a4(), kind, zero), range(4)))
     return out
 

@@ -156,9 +156,9 @@ def test_row_assembly_scales_by_the_representation_denominators():
          [Fraction(1, 7), Fraction(0), Fraction(1)]]
     qinv = dense.to_map(linalg.inverse(q))
     q = dense.to_map(q)
-    rho = Representation(alg, [linalg.sp_mul(qinv, linalg.sp_mul(m, q))
-                               for m in alg.adjoint_rep().mats], 3)
-    assert any(x.denominator > 1 for m in rho.mats for x in m.values())
+    rho = Representation(alg, {x: linalg.sp_mul(qinv, linalg.sp_mul(m, q))
+                               for x, m in alg.adjoint_rep().mats.items()}, 3)
+    assert any(x.denominator > 1 for m in rho.mats.values() for x in m.values())
     cx = CEComplex(alg, rho, 3)
     assert cx.d > 1
     for p in range(3):
@@ -172,7 +172,8 @@ def test_complex_representation_is_rejected():
     # X_k -> -i sigma_k / 2 of su(2)) raises instead of giving a dimension
     i = GaussianRational(0, 1)
     sigma = ({(0, 1): 1, (1, 0): 1}, {(0, 1): -i, (1, 0): i}, {(0, 0): 1, (1, 1): -1})
-    rho = Representation(su(2), [linalg.sp_scale(i * Fraction(-1, 2), s) for s in sigma], 2)
+    rho = Representation(su(2), {(k,): linalg.sp_scale(i * Fraction(-1, 2), s)
+                                 for k, s in enumerate(sigma, 1)}, 2)
     with pytest.raises(ValueError, match="imaginary"):
         cohomology_dims(su(2), rho, 1)
 

@@ -18,9 +18,9 @@ import pytest
 
 from naryalg import catalog
 from naryalg.catalog import a4, a5, heisenberg, nhw, su
-from naryalg.cohomology import CEComplex, cohomology_dims
-from naryalg.filippov import FARepresentation, adjoint_fa_representation, check_fi
-from naryalg.lie import LieAlgebra, check_jacobi, inverse_killing_form
+from naryalg.cohomology import CEComplex, complex_dims
+from naryalg.filippov import check_fi
+from naryalg.lie import LieAlgebra, Representation, check_jacobi, inverse_killing_form
 from naryalg.nary_cohomology import (FAComplex, NCochain, fa_coboundary_trivial,
                                      fa_cohomology_dims, trivialize_fa_extension)
 from naryalg.tensors import IdentityReport
@@ -67,7 +67,7 @@ FILIPPOV = {"a4": a4, "a5": a5, "nhw1": lambda: nhw(1), "nhw2": lambda: nhw(2)}
 @pytest.mark.parametrize("name", sorted(LIE))
 def test_a_memoized_ce_complex_is_a_fresh_one(name, dim_v):
     alg = LIE[name]()
-    cohomology_dims(alg, None, alg.dim, dim_v)  # builds the memo and ranks on it
+    complex_dims(CEComplex(alg, None, dim_v), alg.dim)  # builds the memo and ranks on it
     cx = CEComplex(alg, None, dim_v)
     new = CEComplex(fresh(alg), None, dim_v)
     assert cx.ialg is CEComplex(alg).ialg and new.ialg is not cx.ialg
@@ -125,7 +125,7 @@ def test_the_memo_keeps_tables_and_no_lists():
     # changes them changes no later complex; the placement table is one of
     # the algebra's tables, shared, and read-only (nested tuples)
     alg, fa = fresh(su(3)), a4()
-    cohomology_dims(alg, None, 8, 2)
+    complex_dims(CEComplex(alg, None, 2), 8)
     for kind in KINDS:
         fa_cohomology_dims(fa, kind, 2)
     # and the Jacobi and FI reports whose verdicts gate `complex_dims`'s
@@ -162,7 +162,7 @@ def test_each_fa_memo_entry_holds_int_tables_alone(name):
 
 def test_a_given_rho_builds_its_tables_per_call():
     fa, alg = a4(), fresh(su(3))
-    rho, ad = adjoint_fa_representation(fa), alg.adjoint_rep()
+    rho, ad = fa.adjoint_rep(), alg.adjoint_rep()
     assert FAComplex(fa, "module", rho).left is not FAComplex(fa, "module", rho).left
     assert CEComplex(alg, ad).ialg is not CEComplex(alg, ad).ialg
     assert memo(fa) == memo(alg) == {}
@@ -179,12 +179,12 @@ def test_copies_leave_the_memo_behind():
 
 def test_a_construction_that_raises_stores_nothing():
     fa = a4()
-    no_module = FARepresentation({lab: {(0, 0): 1} if lab == (1, 2) else {}
-                                  for lab in combinations(range(1, 5), 2)}, 1)
+    no_module = {lab: {(0, 0): 1} if lab == (1, 2) else {} for lab in combinations(range(1, 5), 2)}
     for call, match in ((lambda: FAComplex(fa, "deformaton"), "unknown complex kind"),
                         (lambda: FAComplex(fa, "deformation", size=3), "dim_v 3"),
                         (lambda: FAComplex(fa, "module", size=1), "dim_v 1"),
-                        (lambda: FAComplex(fa, "module", no_module), "representation")):
+                        (lambda: FAComplex(fa, "module", Representation(fa, no_module, 1)),
+                         "representation")):
         with pytest.raises(ValueError, match=match):
             call()
         assert memo(fa) == {}

@@ -15,11 +15,9 @@ from naryalg.claims import (_kernel, _minimal_polynomial, ad_of_sum, append_cent
                             orthogonal_relations_hold, ray_equal, semisimplicity_check,
                             subordinate, trace_extension_bracket, trace_extension_structure,
                             vector_product)
-from naryalg.filippov import (FI_FORMS, FilippovAlgebra, adjoint_fa_representation,
-                              check_fa_representation, check_fi, check_metric_fa,
-                              clifford_realization, fundamental_compose, gamma_matrices,
-                              lowered_form, simple_fa)
-from naryalg.lie import check_jacobi, killing_form
+from naryalg.filippov import (FI_FORMS, FilippovAlgebra, check_fi, check_metric_fa,
+                              clifford_realization, gamma_matrices, lowered_form, simple_fa)
+from naryalg.lie import check_jacobi, check_representation, fundamental_compose, killing_form
 from naryalg.nary_cohomology import fa_cohomology_dims
 from naryalg.tensors import AntisymTensor, IdentityReport, gen_kronecker, sort_sign
 
@@ -611,14 +609,14 @@ def test_subordinate_a5():
 
 def test_adjoint_satisfies_both_representation_conditions():
     for fa in (a4(), a13(), nhw(1)):
-        assert check_fa_representation(fa, adjoint_fa_representation(fa))
+        assert check_representation(fa, fa.adjoint_rep())
 
 
 def test_broken_representation_detected():
     fa = a4()
-    rho = adjoint_fa_representation(fa)
+    rho = fa.adjoint_rep()
     rho.mats[(1, 2)] = linalg.sp_identity(4)
-    rep = check_fa_representation(fa, rho)
+    rep = check_representation(fa, rho)
     assert not rep.ok and rep.witness == ((1, 2), (1, 3))
 
 

@@ -8,6 +8,7 @@ dense binary Leibniz coboundary that the single Leibniz evaluation of
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,8 @@ from naryalg import LeibnizAlgebra, linalg
 from naryalg.catalog import a4, a5, corrupted, heisenberg, nhw, nilpotent_leibniz, su
 from naryalg.claims import leibniz_coboundary, leibniz_extension
 from naryalg.cohomology import Cochain, basis_tuples, coboundary, complex_dims, integer_scaling
-from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
-                              fundamental_compose)
+from naryalg.filippov import FilippovAlgebra
+from naryalg.lie import fundamental_compose
 from naryalg.nary_cohomology import (FAComplex, LeibnizComplex, NCochain, coboundary_at,
                                      coboundary_matrix, fa_coboundary, fa_coboundary_deformation,
                                      fa_coboundary_trivial, fundamental_tables,
@@ -166,7 +167,7 @@ def ref_coboundary_matrix(fa, kind, p, rho):
     src = [(key, a) for key in keys(fa, p) for a in range(dv)]
     labels = [] if rho is None else list(rho.mats)
     d, ifa, imats = integer_scaling(fa, [rho.mats[lab] for lab in labels])
-    irho = None if rho is None else FARepresentation(dict(zip(labels, imats)), dv)
+    irho = None if rho is None else SimpleNamespace(mats=dict(zip(labels, imats)), dim_v=dv)
     generic = NCochain(kind, p, fa.arity, fa.dim, dv,
                        {key: tuple(LinearForm({i * dv + a: 1}) for a in range(dv))
                         for i, key in enumerate(keys(fa, p))})
@@ -230,7 +231,7 @@ PARITY_CASES = ([(name, kind, p) for name in ALGEBRAS for kind in KINDS for p in
 @pytest.mark.parametrize("name,kind,p", PARITY_CASES)
 def test_coboundary_matrix_equals_the_three_formulas(name, kind, p):
     fa = ALGEBRAS[name]()
-    rho = adjoint_fa_representation(fa) if kind == "module" else None
+    rho = fa.adjoint_rep() if kind == "module" else None
     cx = FAComplex(fa, kind, rho)
     rows, d, src, dst = ref_coboundary_matrix(fa, kind, p, rho)
     assert coboundary_matrix(cx, p) == (rows, d)
@@ -252,7 +253,7 @@ def test_named_evaluations_on_raw_blocks_equal_the_formulas(name, p):
     # that may repeat an index of the last block
     fa = ALGEBRAS[name]()
     rng = random.Random(60 + p)
-    rho = adjoint_fa_representation(fa)
+    rho = fa.adjoint_rep()
     triv, mod, deform = (seeded_cochain(fa, kind, p, rng) for kind in KINDS)
     chains = list(product(product(range(1, fa.dim + 1), repeat=2), repeat=p + 1))
     assert coboundary_at(FAComplex(fa, "module", rho), mod, [(bs, None) for bs in chains]) == \
@@ -265,7 +266,7 @@ def test_named_evaluations_on_raw_blocks_equal_the_formulas(name, p):
 
 
 PARITY_ALGEBRAS = {name: ALGEBRAS[name]() for name in ("a4", "a5", "nhw1")}
-ADJOINT = {name: adjoint_fa_representation(fa) for name, fa in PARITY_ALGEBRAS.items()}
+ADJOINT = {name: fa.adjoint_rep() for name, fa in PARITY_ALGEBRAS.items()}
 # one complex per algebra and kind, the module ones on the given adjoint rho
 COMPLEXES = {(name, kind): FAComplex(fa, kind, ADJOINT[name] if kind == "module" else None)
              for name, fa in PARITY_ALGEBRAS.items() for kind in KINDS}
@@ -366,7 +367,7 @@ def as_leibniz(alg):
 def test_binary_module_complex_is_the_dense_leibniz_coboundary(n, p):
     alg = su(n)
     fa = FilippovAlgebra(2, alg.dim, alg.c)
-    cx = FAComplex(fa, "module", adjoint_fa_representation(fa))
+    cx = FAComplex(fa, "module", fa.adjoint_rep())
     rows, src, dst = cx.matrix(p), cx.coords(p), cx.coords(p + 1)
     lb, ad, minus_ad = as_leibniz(alg)
     d = alg.dim

@@ -1,18 +1,19 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from naryalg import linalg
-from naryalg.catalog import heisenberg, su, su3_three_cocycle, sun_basis
+from naryalg.catalog import a4, heisenberg, r2_abelian, su, su3_three_cocycle, sun_basis
 from naryalg.claims import (associator_check, check_poly_vanishing_identity, homotopy_contraction,
                             invariance_condition_residual, invariant_poly_from_cocycle,
                             quadratic_casimir, ray_equal, symmetrized_product)
-from naryalg.cohomology import Cochain
+from naryalg.cohomology import Cochain, cohomology_dims
 from naryalg.gla import gla_from_cocycle
 from naryalg.lie import (LieAlgebra, Representation, SymInvariantPoly, check_invariance,
-                         check_jacobi, check_metric_invariance, closure_residual,
+                         check_jacobi, check_metric_invariance, check_representation,
                          cocycle_condition_residual, cocycle_from_invariant_poly,
                          inverse_killing_form, killing_form, killing_invariant_poly,
                          sun_generators, symmetrized_trace_poly)
@@ -105,7 +106,7 @@ def test_su2_is_halved_pauli_basis():
 def test_sun_closure_and_jacobi(n):
     basis = sun_basis(n)
     assert basis.algebra.dim == n * n - 1
-    assert closure_residual(basis.algebra, basis.rep.mats) is None
+    assert check_representation(basis.algebra, basis.rep).ok
     assert check_jacobi(basis.algebra).ok
 
 
@@ -134,7 +135,61 @@ def test_associator_on_su2():
 def test_representation_rejects_bad_matrices():
     alg = su(2)
     with pytest.raises(ValueError):
-        Representation(alg, [linalg.sp_identity(2)] * 3, 2)
+        Representation(alg, {(i,): linalg.sp_identity(2) for i in range(1, 4)}, 2)
+
+
+# ---------------------------------------------------------------------------
+# the shape of a module: one sorted (arity-1)-label per matrix, every matrix
+# key inside dim_v x dim_v
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key", [(0, 3), (0, 1), (-1, 0)])
+def test_a_matrix_key_outside_the_module_is_refused(key):
+    # on the abelian r2, rho(X_1) with an entry at (0, 3) of a 1 x 1 matrix
+    # once gave H = 0, 0, 0 where the zero module gives 1, 2, 1
+    alg = r2_abelian()
+    with pytest.raises(ValueError, match=re.escape(f"entry {key} of label (1,) is outside 0..0")):
+        Representation(alg, {(1,): {key: 1}, (2,): {}}, 1)
+    zero = Representation(alg, {(1,): {}, (2,): {}}, 1)
+    assert [cohomology_dims(alg, zero, 2).dims_h[p] for p in range(3)] == [1, 2, 1]
+
+
+def test_a_module_that_leaves_out_a_label_is_refused():
+    # an A4-module with X_1 ^ X_2 alone once ended in KeyError (1, 3) when
+    # its complex was ranked
+    with pytest.raises(ValueError, match=re.escape("no matrix for label (1, 3)")):
+        Representation(a4(), {(1, 2): {}}, 1)
+
+
+def test_a_short_lie_module_is_refused():
+    # two matrices for the three generators of su(2) once ended in an
+    # IndexError when the module was built
+    mats = {(i,): m for i, m in enumerate(su(2).adjoint_rep().mats.values(), 1) if i < 3}
+    with pytest.raises(ValueError, match=re.escape("no matrix for label (3,)")):
+        Representation(su(2), mats, 3)
+
+
+@pytest.mark.parametrize("label", [(2, 1), (1, 5), (1, 2, 3), (4,), 1])
+def test_an_extra_or_unsorted_label_is_refused(label):
+    mats = {lab: {} for lab in combinations(range(1, 5), 2)}
+    mats[label] = {}
+    with pytest.raises(ValueError, match=re.escape(f"label {label!r} is not a sorted 2-label")):
+        Representation(a4(), mats, 1)
+
+
+def test_the_derived_modules_are_taken_as_they_are(monkeypatch):
+    # the adjoint, the su(n) generators and a basis copy come from checked
+    # objects: the constructor, with its shape check and scan, runs on none
+    calls = []
+    init = Representation.__init__
+    monkeypatch.setattr(Representation, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
+    basis = sun_generators(2)
+    for rep in (su(3).adjoint_rep(), a4().adjoint_rep(), basis.rep, basis.copy().rep):
+        assert type(rep) is Representation
+    assert calls == []
+    assert Representation(basis.algebra, dict(basis.rep.mats), 2).dim_v == 2
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

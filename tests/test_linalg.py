@@ -10,7 +10,6 @@ from naryalg import cohomology as co
 from naryalg import linalg
 from naryalg import nary_cohomology as nc
 from naryalg.catalog import a4, nhw, su
-from naryalg.filippov import adjoint_fa_representation
 from naryalg.scalars import GaussianRational, is_zero
 
 
@@ -276,7 +275,7 @@ def test_echelon_matches_fraction_reference_on_coboundary_matrices(name, kind, p
         rows = co.CEComplex(alg, rho, dim_v).matrix(p)
     else:
         fa = a4() if name == "a4" else nhw(1)
-        rho = adjoint_fa_representation(fa) if kind == "module" else None
+        rho = fa.adjoint_rep() if kind == "module" else None
         rows = nc.FAComplex(fa, kind, rho).matrix(p)
     assert_matches_reference(rows)
 

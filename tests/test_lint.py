@@ -1,20 +1,25 @@
 """Lint scans of the package: sparse exact maps accumulate through
 `scalars.accumulate` alone (no module pops a key by hand with
 `.pop(key, None)`), the non-validating `Poly._canonical` constructor is
-called from `poly.py` and `poisson.py` alone (and `NCochain._canonical`
-from `nary_cohomology.py` alone), every public function,
-class, method or property has a caller in `src/` or a test, no module
-defines, imports, reads or calls a name of the deleted dense matrix layer
-(`mat_mul`, `commutator`, `trace`, ..), the su(n) and gamma-matrix
-constructions and the Clifford realization with its anticommutation lemma
-make no generic sparse product and no multibracket (they stay on
-`zi_*`), `sun_generators` checks the su(n) closure on its ℤ[i] generators
-(through any call it makes, a constructor passed check=False aside, it
-reaches neither `lie.closure_residual` nor an `sp_*` operation), no module
+called from `poly.py` and `poisson.py` alone (`NCochain._canonical` from
+`nary_cohomology.py` alone, and `Representation._canonical`, the trusted
+constructor of a module derived from a checked one, from `lie.py` alone),
+every public function, class, method or property has a caller in `src/` or
+a test, no module defines, imports, reads or calls a name of the deleted
+dense matrix layer (`mat_mul`, `commutator`, `trace`, ..), the su(n) and
+gamma-matrix constructions and the Clifford realization with its
+anticommutation lemma make no generic sparse product and no multibracket
+(they stay on `zi_*`), `sun_generators` checks the su(n) closure on its
+ℤ[i] generators (through any call it makes, the trusted
+`Representation._canonical` aside, it reaches neither
+`lie.check_representation` nor an `sp_*` operation), the package defines
+one module type for every arity, `lie.Representation`, with one
+`check_representation` and one adjoint builder, `adjoint_rep`, and neither
+cohomology module reads the check (no complex checks a module), no module
 imports `dataclasses` (every class writes its own constructor, so an
-import generates no code), and no
-`__init__`, `__post_init__` or `__missing__` outside `tensors.py` sorts a key
-with `sort_sign`: the one sign-canonical container is
+import generates no code), and no `__init__`, `__post_init__` or
+`__missing__` outside `tensors.py` sorts a key with `sort_sign`: the one
+sign-canonical container is
 `tensors.AntisymTensor`.  The two coboundary row kernels (`_ce_rows`,
 `_leibniz_delta`) build no `LinearForm` and call no sort kernel, and the
 identity scans (Jacobi, the derivation and short Filippov forms, the
@@ -100,8 +105,9 @@ def test_no_hand_rolled_accumulation(path):
 FAST_CONSTRUCTOR = "_canonical"
 FAST_CONSTRUCTOR_USERS = {"poly.py", "poisson.py"}
 # a class's own non-validating constructor, for the module whose kernels
-# build its instances in canonical form
-OWN_FAST_CONSTRUCTORS = {"nary_cohomology.py": "NCochain"}
+# build its instances in canonical form, or, for `Representation`, whose
+# builders derive a module from one already checked
+OWN_FAST_CONSTRUCTORS = {"nary_cohomology.py": "NCochain", "lie.py": "Representation"}
 
 
 def fast_constructor_uses(source, filename):
@@ -124,6 +130,10 @@ def test_scan_sees_a_fast_constructor_call():
     own = "def h(k, d):\n    return NCochain._canonical(k, 1, 3, 4, 1, d)\n"
     assert fast_constructor_uses(own, "nary_cohomology.py") == []
     assert fast_constructor_uses(own, "filippov.py") == [2]
+    trusted = "def adjoint(fa, mats):\n    return Representation._canonical(fa, mats, fa.dim)\n"
+    assert fast_constructor_uses(trusted, "lie.py") == []
+    assert fast_constructor_uses(trusted, "filippov.py") == [2]
+    assert fast_constructor_uses(trusted, "nary_cohomology.py") == [2]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -306,12 +316,13 @@ def test_su_and_gamma_constructions_use_the_integer_kernel(path):
 
 # ---------------------------------------------------------------------------
 # the su(n) closure is checked on the ℤ[i] generators: `sun_generators`
-# reaches neither the `GaussianRational` closure scan nor a generic sparse
-# product, through any call it makes
+# reaches neither the `GaussianRational` representation check nor a generic
+# sparse product, through any call it makes
 # ---------------------------------------------------------------------------
 
 CLOSURE_ENTRY = "sun_generators"
-SLOW_CLOSURE = "closure_residual"
+SLOW_CLOSURE = "check_representation"
+TRUSTED_CONSTRUCTOR = "_canonical"
 
 
 def definitions_by_name(sources):
@@ -331,14 +342,16 @@ def definitions_by_name(sources):
 
 
 def skips_its_check(call):
-    return any(k.arg == "check" and isinstance(k.value, ast.Constant) and k.value.value is False
-               for k in call.keywords)
+    """Whether the call is `<Class>._canonical(..)`, the trusted constructor
+    that takes a derived module as it is."""
+    return isinstance(call.func, ast.Attribute) and call.func.attr == TRUSTED_CONSTRUCTOR
 
 
 def slow_closure_reach(sources):
-    """The slow closure scan and the `sp_*` operations that `sun_generators`
-    reaches: its calls, followed into every definition of the called name (a
-    class into its constructor) except where the call passes check=False."""
+    """The representation check and the `sp_*` operations that
+    `sun_generators` reaches: its calls, followed into every definition of
+    the called name (a class into its constructor) except through the
+    trusted constructor."""
     defs = definitions_by_name(sources)
     todo, seen, called = list(defs.get(CLOSURE_ENTRY, [])), set(), set()
     while todo:
@@ -357,22 +370,65 @@ def slow_closure_reach(sources):
 
 def test_scan_sees_a_slow_closure_reached_from_sun_generators():
     source = ("def sun_generators(n):\n    alg = build(n)\n"
-              "    Representation(alg, [], n, check=False)\n"
-              "    return Representation(alg, [], n)\n"
+              "    Representation._canonical(alg, {}, n)\n"
+              "    return Representation(alg, {}, n)\n"
               "def build(n):\n    return linalg.sp_mul(n, n)\n"
-              "class Representation:\n    def __init__(self, alg, mats, dim_v, check=True):\n"
-              "        if check:\n            closure_residual(alg, mats)\n"
-              "def closure_residual(alg, mats):\n    return sp_commutator(mats[0], mats[1])\n")
-    assert slow_closure_reach([source]) == ["closure_residual", "sp_commutator", "sp_mul"]
-    fast = source.replace("sp_mul", "zi_mul").replace("(alg, [], n)\n",
-                                                      "(alg, [], n, check=False)\n")
+              "class Representation:\n    def __init__(self, alg, mats, dim_v):\n"
+              "        check_representation(alg, self)\n"
+              "    @classmethod\n    def _canonical(cls, alg, mats, dim_v):\n"
+              "        return sp_scale(1, cls(alg, mats, dim_v))\n"
+              "def check_representation(alg, rho):\n    return sp_commutator(rho, rho)\n")
+    assert slow_closure_reach([source]) == ["check_representation", "sp_commutator", "sp_mul"]
+    fast = source.replace("sp_mul", "zi_mul").replace("return Representation(",
+                                                      "return Representation._canonical(")
     assert slow_closure_reach([fast]) == []
+    trusted, public = (ast.parse(text).body[0].value for text in (
+        "Representation._canonical(alg, {}, n)\n", "Representation(alg, {}, n)\n"))
+    assert skips_its_check(trusted) and not skips_its_check(public)
 
 
 def test_sun_generators_check_closure_on_the_integer_kernel():
     sources = [path.read_text() for path in MODULES]
     assert len(definitions_by_name(sources)[CLOSURE_ENTRY]) == 1
     assert slow_closure_reach(sources) == []
+
+
+# ---------------------------------------------------------------------------
+# one module type for every arity: one `Representation` class, one
+# `check_representation` and one adjoint builder, and no complex checks a
+# module (its constructor does)
+# ---------------------------------------------------------------------------
+
+MODULE_TYPE = ["Representation", "adjoint_rep", "check_representation"]
+COMPLEX_MODULES = ("cohomology.py", "nary_cohomology.py")
+
+
+def module_definitions(sources):
+    """The sorted names of the classes, functions and methods in the sources
+    that name a module type, a module check or an adjoint builder."""
+    return sorted(node.name for text in sources for node in ast.walk(ast.parse(text))
+                  if isinstance(node, DEFS) and ("representation" in node.name.lower()
+                                                 or "adjoint" in node.name
+                                                 or node.name == "closure_residual"))
+
+
+def test_scan_sees_a_second_module_type():
+    source = ("class FARepresentation:\n    pass\n"
+              "def closure_residual(alg, mats):\n    pass\n"
+              "def check_fa_representation(fa, rho):\n    pass\n"
+              "class FilippovAlgebra:\n    def adjoint_rep(self):\n        pass\n"
+              "def adjoint_fa_representation(fa):\n    pass\n"
+              "def leibniz_rep_conditions(lb, left, right):\n    pass\n")
+    assert module_definitions([source]) == ["FARepresentation", "adjoint_fa_representation",
+                                            "adjoint_rep", "check_fa_representation",
+                                            "closure_residual"]
+
+
+def test_one_module_type_one_check_and_one_adjoint_builder():
+    assert module_definitions(path.read_text() for path in MODULES) == MODULE_TYPE
+    for name in COMPLEX_MODULES:
+        names, attrs = referenced_names(ast.parse((SRC / name).read_text()))
+        assert "check_representation" not in names | attrs
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +1034,7 @@ def test_the_cached_parser_builder_is_in_the_tree():
 CLAIMS = SRC / "claims.py"
 EAGER = [path for path in MODULES if path != CLAIMS]
 # compile time follows the AST nodes, `sum(1 for _ in ast.walk(tree))`
-EAGER_NODE_BUDGET = 31_931
+EAGER_NODE_BUDGET = 31_915
 
 
 def claims_imports(source):

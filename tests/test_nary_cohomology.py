@@ -6,12 +6,12 @@ from itertools import combinations, product
 import pytest
 
 import dense_reference as dense
-from naryalg import linalg, nary_cohomology
+from naryalg import lie, linalg
 from naryalg.catalog import a4, a5, nhw
 from naryalg.claims import (deformation_obstruction, duality_pairing_holds, fa_central_extension,
                             homology_boundary, jointly_antisymmetric_in_last_slot, mc_zero_cochain)
-from naryalg.filippov import (FARepresentation, FilippovAlgebra, adjoint_fa_representation,
-                              check_fa_representation, check_fi)
+from naryalg.filippov import FilippovAlgebra, check_fi
+from naryalg.lie import Representation, check_representation
 from naryalg.nary_cohomology import (FAComplex, NCochain, coboundary_at, coboundary_matrix,
                                      deformation_preimage, fa_coboundary,
                                      fa_coboundary_deformation, fa_coboundary_trivial,
@@ -59,7 +59,7 @@ UNIT_PARITY = {**ALGEBRAS, "a5": a5}
 @pytest.mark.parametrize("p", [0, 1])
 def test_row_assembly_matches_unit_cochain_columns(name, kind, p):
     fa = UNIT_PARITY[name]()
-    rho = adjoint_fa_representation(fa) if kind == "module" else None
+    rho = fa.adjoint_rep() if kind == "module" else None
     assert_rows_are_d_delta(FAComplex(fa, kind, rho), p)
 
 
@@ -72,8 +72,8 @@ def test_row_assembly_scales_by_the_module_denominators(p):
     q[0][1], q[2][3], q[3][0] = Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)
     qinv = dense.to_map(linalg.inverse(q))
     q = dense.to_map(q)
-    rho = FARepresentation({lab: linalg.sp_mul(qinv, linalg.sp_mul(m, q))
-                            for lab, m in adjoint_fa_representation(fa).mats.items()}, 4)
+    rho = Representation(fa, {lab: linalg.sp_mul(qinv, linalg.sp_mul(m, q))
+                              for lab, m in fa.adjoint_rep().mats.items()}, 4)
     assert any(x.denominator > 1 for m in rho.mats.values() for x in m.values())
     cx = FAComplex(fa, "module", rho)
     assert cx.d > 1
@@ -186,7 +186,7 @@ def test_kernel_built_cochains_are_what_the_constructor_makes(name, kind):
     # the coboundary operators skip the constructor's pass: their data must
     # already be canonical, also where a value sums no term (unit cochains)
     fa = ALGEBRAS[name]()
-    cx = FAComplex(fa, kind, adjoint_fa_representation(fa) if kind == "module" else None)
+    cx = FAComplex(fa, kind, fa.adjoint_rep() if kind == "module" else None)
     keys = module_keys if kind == "module" else trivial_keys
     for p in (0, 1):
         dv = 1 if kind == "trivial" else fa.dim
@@ -249,7 +249,7 @@ def test_coboundary_squares_to_zero(name, kind, p):
     if kind == "trivial":
         twice = fa_coboundary_trivial(fa, fa_coboundary_trivial(fa, alpha))
     elif kind == "module":
-        cx = FAComplex(fa, kind, adjoint_fa_representation(fa))
+        cx = FAComplex(fa, kind, fa.adjoint_rep())
         twice = fa_coboundary(cx, fa_coboundary(cx, alpha))
     else:
         twice = fa_coboundary_deformation(fa, fa_coboundary_deformation(fa, alpha))
@@ -289,7 +289,7 @@ def test_module_complex_takes_its_dimension_from_rho():
     # theory: a simple FA has no invariants and no outer derivations in the
     # adjoint module, H^0 = H^1 = 0; a dim_v knob once defaulted to 1 here
     # and gave dims_c 1, 6 and H 1, 0
-    rep = fa_cohomology_dims(a4(), "module", 1, rho=adjoint_fa_representation(a4()))
+    rep = fa_cohomology_dims(a4(), "module", 1, rho=a4().adjoint_rep())
     assert [rep.dims_c[p] for p in range(2)] == [4, 24]
     assert [rep.dims_h[p] for p in range(2)] == [0, 0]
 
@@ -297,7 +297,7 @@ def test_module_complex_takes_its_dimension_from_rho():
 @pytest.mark.parametrize("name", sorted(ALGEBRAS))
 def test_the_module_complex_defaults_to_the_adjoint_module(name):
     fa = ALGEBRAS[name]()
-    rho = adjoint_fa_representation(fa)
+    rho = fa.adjoint_rep()
     default, given = FAComplex(fa, "module"), FAComplex(fa, "module", rho)
     for p in range(3):
         assert coboundary_matrix(default, p) == coboundary_matrix(given, p)
@@ -306,7 +306,7 @@ def test_the_module_complex_defaults_to_the_adjoint_module(name):
 
 def test_the_dimension_of_the_coefficients_is_not_a_parameter():
     # with dim_v=2 the adjoint module complex of A4 once gave H^1 = -2
-    rho = adjoint_fa_representation(a4())
+    rho = a4().adjoint_rep()
     with pytest.raises(TypeError):
         fa_cohomology_dims(a4(), "module", 1, dim_v=2, rho=rho)
     with pytest.raises(ValueError, match="dim_v 2"):
@@ -324,7 +324,7 @@ def test_a_target_of_the_wrong_dimension_is_refused():
         trivialize_fa_extension(fa, target)
     with pytest.raises(ValueError, match="dim_v"):
         deformation_preimage(fa, NCochain("deformation", 1, 3, 4, 1, {((1, 2, 3),): (1,)}))
-    cx = FAComplex(fa, "module", adjoint_fa_representation(fa))
+    cx = FAComplex(fa, "module", fa.adjoint_rep())
     with pytest.raises(ValueError, match="dim_v"):
         fa_coboundary(cx, NCochain("module", 0, 3, 4, 1, {(): (1,)}))
     with pytest.raises(ValueError, match="dim_v"):
@@ -362,21 +362,23 @@ def test_an_evaluation_refuses_a_malformed_block(kind, block):
         coboundary_at(cx, alpha, [([(1, 2), block], 4)])
 
 
-def test_one_complex_checks_its_rho_once(monkeypatch):
+def test_a_complex_checks_no_module(monkeypatch):
     # a complex with a given rho was once built, and rho checked, anew on
-    # every coboundary_matrix, coboundary_at and module coboundary call
-    calls = []
-    check = nary_cohomology.check_fa_representation
-    monkeypatch.setattr(nary_cohomology, "check_fa_representation",
-                        lambda fa, rho: calls.append(rho) or check(fa, rho))
+    # every coboundary_matrix, coboundary_at and module coboundary call; a
+    # module is checked where it is built, and no complex checks it again
     fa = a4()
-    cx = FAComplex(fa, "module", adjoint_fa_representation(fa))
+    rho = Representation(fa, fa.adjoint_rep().mats, 4)
+    calls = []
+    check = lie.check_representation
+    monkeypatch.setattr(lie, "check_representation",
+                        lambda fa, rho: calls.append(rho) or check(fa, rho))
+    cx = FAComplex(fa, "module", rho)
     alpha = random_cochain(fa, "module", 1, seed=57)
     delta = fa_coboundary(cx, alpha)
     for blocks in product(combinations(range(1, 5), 2), repeat=2):
         assert coboundary_at(cx, alpha, [(blocks, None)]) == [delta.value(blocks)]
     assert fa_coboundary(cx, delta).is_zero() and coboundary_matrix(cx, 2)[1] == 1
-    assert len(calls) == 1
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +491,7 @@ def test_shear_copy_is_a_denser_a4():
 @pytest.mark.parametrize("kind", ["trivial", "module", "deformation"])
 def test_degrees_read_the_same_rows_from_one_table_set(name, kind):
     fa = SHARED[name]()
-    rho = adjoint_fa_representation(fa) if kind == "module" else None
+    rho = fa.adjoint_rep() if kind == "module" else None
     shared = FAComplex(fa, kind, rho)
     for p in range(3):
         alone = FAComplex(fa, kind, rho).matrix(p)
@@ -525,22 +527,18 @@ def test_a_module_that_fails_the_representation_conditions_is_refused():
     # the one-dimensional rho sending X_1 ^ X_2 to 1 and every other block to
     # 0 is no A4-module; its complex once reported H = 0, -1, -6 through p = 2
     fa = a4()
-    rho = FARepresentation({lab: {(0, 0): 1} if lab == (1, 2) else {}
-                            for lab in combinations(range(1, 5), 2)}, 1)
-    assert not check_fa_representation(fa, rho)
-    for call in (lambda: fa_cohomology_dims(fa, "module", 2, rho),
-                 lambda: FAComplex(fa, "module", rho)):
-        with pytest.raises(ValueError, match="representation conditions"):
-            call()
+    mats = {lab: {(0, 0): 1} if lab == (1, 2) else {} for lab in combinations(range(1, 5), 2)}
+    with pytest.raises(ValueError, match="not a representation"):
+        Representation(fa, mats, 1)
 
 
-def test_the_complex_of_a_bad_module_names_the_failing_pair():
+def test_a_bad_module_names_the_failing_pair():
     # the same rho: [rho(X_1 ^ X_3), rho(X_1 ^ X_4)] = 0, while X_1 ^ X_3 .
     # X_1 ^ X_4 = -X_1 ^ X_2 (f_134^2 = -1 on A4) reads rho = -1
     fa = a4()
-    rho = FARepresentation({lab: {(0, 0): 1} if lab == (1, 2) else {}
-                            for lab in combinations(range(1, 5), 2)}, 1)
-    assert check_fa_representation(fa, rho) == IdentityReport(False, ((1, 3), (1, 4)))
+    rho = Representation(fa, {lab: {} for lab in combinations(range(1, 5), 2)}, 1)
+    rho.mats[(1, 2)] = {(0, 0): 1}
+    assert check_representation(fa, rho) == IdentityReport(False, ((1, 3), (1, 4)))
     with pytest.raises(ValueError) as exc:
-        FAComplex(fa, "module", rho)
-    assert str(exc.value) == "rho fails the representation conditions at ((1, 3), (1, 4))"
+        Representation(fa, rho.mats, 1)
+    assert str(exc.value) == "not a representation: residual at ((1, 3), (1, 4))"

@@ -19,8 +19,8 @@ from naryalg.claims import (ad_of_sum, associator_check, clifford_double_commuta
                             compose_matches_commutator, leibniz_coboundary, leibniz_extension, multibracket, odd_arity_defect,
                             orthogonal_relations_hold, quadratic_casimir, resolve_even_bracket,
                             so_dual_generators, trace_extension_bracket, trace_extension_structure)
-from naryalg.filippov import (adjoint_fa_representation, check_fa_representation,
-                              clifford_realization, fundamental_compose, gamma_matrices)
+from naryalg.filippov import clifford_realization, gamma_matrices
+from naryalg.lie import check_representation, fundamental_compose
 from naryalg.nary_cohomology import LeibnizAlgebra, leibniz_rep_conditions
 from naryalg.tensors import perm_sign
 
@@ -43,7 +43,8 @@ def test_lie_ad_matrices_match_dense(n):
         assert dense.to_dense(m, alg.dim) == dense.lie_ad_matrix(alg, i)
         assert m == dense.to_map(dense.lie_ad_matrix(alg, i))
     rep = alg.adjoint_rep()
-    assert rep.dim_v == alg.dim and rep.mats == [alg.ad_matrix((i,)) for i in range(1, alg.dim + 1)]
+    assert rep.dim_v == alg.dim and rep.mats == {(i,): alg.ad_matrix((i,))
+                                                 for i in range(1, alg.dim + 1)}
 
 
 def test_gla_ad_matrices_match_a_dense_read_of_the_constants():
@@ -91,9 +92,9 @@ def bracket_inputs():
     for n in (2, 3):
         basis = sun_basis(n)
         out.append((f"su{n}-hermitian", basis.hermitian, n))
-        out.append((f"su{n}-antihermitian", basis.rep.mats, n))
+        out.append((f"su{n}-antihermitian", list(basis.rep.mats.values()), n))
         alg = su(n)
-        out.append((f"su{n}-ad", alg.adjoint_rep().mats, alg.dim))
+        out.append((f"su{n}-ad", list(alg.adjoint_rep().mats.values()), alg.dim))
     for d in (4, 6):
         gam, chi = gamma_matrices(d)
         out.append((f"gamma{d}", gam + [chi], 2 ** (d // 2)))
@@ -160,16 +161,16 @@ def dense_fa_rep(rho):
 @pytest.mark.parametrize("name", sorted(FA))
 def test_fa_representation_check_matches_dense(name):
     fa = FA[name]()
-    rho = adjoint_fa_representation(fa)
-    assert check_fa_representation(fa, rho) == dense.check_fa_representation(fa, dense_fa_rep(rho))
-    assert check_fa_representation(fa, rho)
+    rho = fa.adjoint_rep()
+    assert check_representation(fa, rho) == dense.check_fa_representation(fa, dense_fa_rep(rho))
+    assert check_representation(fa, rho)
     # negative control: one entry of one matrix flipped; both checks agree,
     # and on the simple algebras both reject it (the nilpotent nhw2 has
     # flips that stay representations)
     lab = next(lab for lab, m in rho.mats.items() if m)
     key = min(rho.mats[lab])
     rho.mats[lab] = {**rho.mats[lab], key: -rho.mats[lab][key]}
-    got = check_fa_representation(fa, rho)
+    got = check_representation(fa, rho)
     assert got == dense.check_fa_representation(fa, dense_fa_rep(rho))
     assert got.ok == (name == "nhw2")
 
@@ -179,7 +180,7 @@ def test_quadratic_casimir_matches_dense(n):
     alg = su(n)
     for rep in (alg.adjoint_rep(), sun_basis(n).rep):
         got = quadratic_casimir(alg, rep)
-        want = dense.quadratic_casimir(alg, dense_all(rep.mats, rep.dim_v))
+        want = dense.quadratic_casimir(alg, dense_all(list(rep.mats.values()), rep.dim_v))
         assert dense.to_dense(got, rep.dim_v) == want
     # theory: the Casimir of a simple algebra is scalar on an irreducible
     # module; these are the values of this normalization
@@ -192,7 +193,7 @@ def test_quadratic_casimir_matches_dense(n):
 def as_leibniz(alg):
     rng = range(1, alg.dim + 1)
     lb = LeibnizAlgebra(alg.dim, {(i, j): alg.row((i, j)) for i in rng for j in rng})
-    ad = alg.adjoint_rep().mats
+    ad = list(alg.adjoint_rep().mats.values())
     return lb, ad, [linalg.sp_scale(-1, m) for m in ad]
 
 

@@ -14,12 +14,11 @@ import pytest
 from naryalg import linalg
 from naryalg.catalog import a4, corrupted, heisenberg, nhw, su, su3_gla4
 from naryalg.claims import clifford_double_commutator
-from naryalg.filippov import (adjoint_fa_representation, check_fa_representation, check_fi,
-                              check_metric_fa, clifford_realization)
+from naryalg.filippov import check_fi, check_metric_fa, clifford_realization
 from naryalg.gla import check_gji
 from naryalg.lie import (SymInvariantPoly, check_invariance, check_jacobi,
-                         check_metric_invariance, killing_form, killing_invariant_poly,
-                         metric_scan)
+                         check_metric_invariance, check_representation, killing_form,
+                         killing_invariant_poly, metric_scan)
 from naryalg.poisson import (bracket_multivector, gps_check, lie_poisson_bivector, np_check,
                              plucker_check)
 from naryalg.tensors import IdentityReport
@@ -32,7 +31,7 @@ def stretched(d):
 
 
 def broken_adjoint(fa):
-    rho = adjoint_fa_representation(fa)
+    rho = fa.adjoint_rep()
     rho.mats[(1, 2)] = linalg.sp_identity(fa.dim)
     return rho
 
@@ -54,9 +53,9 @@ CASES = {
     "check_invariance": (
         lambda: check_invariance(su(2), killing_invariant_poly(su(2))),
         lambda: check_invariance(su(2), SymInvariantPoly(2, 3, {(1, 1): Fraction(1)}))),
-    "check_fa_representation": (
-        lambda: check_fa_representation(a4(), adjoint_fa_representation(a4())),
-        lambda: check_fa_representation(a4(), broken_adjoint(a4()))),
+    "check_representation": (
+        lambda: check_representation(a4(), a4().adjoint_rep()),
+        lambda: check_representation(a4(), broken_adjoint(a4()))),
     "gps_check": (lambda: gps_check(lie_poisson_bivector(su(3))),
                   lambda: gps_check(lie_poisson_bivector(corrupted(su(3))))),
     "np_check": (lambda: np_check(bracket_multivector(a4())),

@@ -15,7 +15,7 @@ import dense_reference as dense
 from naryalg import catalog, linalg
 from naryalg.algfile import AlgebraFile
 from naryalg.filippov import gamma_matrices
-from naryalg.lie import (LieAlgebra, Representation, check_invariance, closure_residual,
+from naryalg.lie import (LieAlgebra, Representation, check_invariance, check_representation,
                          sun_generators, symmetrized_trace_poly)
 from naryalg.scalars import GaussianRational
 
@@ -85,7 +85,7 @@ def test_sun_generators_match_dense_reference(n):
     assert basis.trace_norms == norms
     assert basis.rep.dim_v == n
     assert [dense.to_dense(m, n) for m in basis.hermitian] == herm
-    assert [dense.to_dense(m, n) for m in basis.rep.mats] == antiherm
+    assert [dense.to_dense(m, n) for m in basis.rep.mats.values()] == antiherm
     assert [dense.to_map(m) for m in herm] == basis.hermitian
     assert [linalg.zi_wrap(y, Fraction(1, 2)) for y in basis.doubled] == basis.hermitian
     assert dense.closure_residual(alg, antiherm) is None
@@ -134,20 +134,23 @@ def test_flipped_sign_gives_the_dense_witness(n):
     and the sparse residual names the same first pair as the dense one."""
     basis = catalog.sun_basis(n)
     alg = basis.algebra
-    for k in range(alg.dim):
-        mats = [dict(m) for m in basis.rep.mats]
-        key = min(mats[k])
-        mats[k][key] = -mats[k][key]
-        wit = closure_residual(alg, mats)
+    for k in range(1, alg.dim + 1):
+        rep = basis.copy().rep
+        mats = rep.mats
+        key = min(mats[(k,)])
+        mats[(k,)][key] = -mats[(k,)][key]
+        wit = check_representation(alg, rep).witness
         assert wit is not None
-        assert wit == dense.closure_residual(alg, [dense.to_dense(m, n) for m in mats])
-        with pytest.raises(ValueError, match="not a representation"):
+        i, j = dense.closure_residual(alg, [dense.to_dense(m, n) for m in mats.values()])
+        assert wit == ((i,), (j,))
+        with pytest.raises(ValueError) as err:
             Representation(alg, mats, n)
+        assert str(err.value) == f"not a representation: residual at {wit}"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_su_closes_on_the_gaussian_rational_matrices(n):
-    assert closure_residual(catalog.su(n), catalog.sun_basis(n).rep.mats) is None
+    assert check_representation(catalog.su(n), catalog.sun_basis(n).rep).ok
 
 
 @pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
@@ -161,7 +164,7 @@ def test_a_flipped_constant_fails_the_integer_closure_check(n, position, monkeyp
         entries = list(entries)
         (i, j, k), v = entries[position]
         entries[position] = ((i, j, k), -v)
-        flipped.append((i, j))
+        flipped.append(((i,), (j,)))
         return build(cls, dim, entries)
 
     monkeypatch.setattr(LieAlgebra, "from_entries", classmethod(flip_one))

@@ -147,8 +147,8 @@ def test_changing_a_catalog_basis_leaves_the_next_call_unchanged(n):
     first.algebra.metric = [[Fraction(int(i == j)) for j in range(first.algebra.dim)]
                             for i in range(first.algebra.dim)]
     first.algebra.c[min(first.algebra.c)].clear()
-    for mats in (first.rep.mats, first.hermitian, first.doubled):
-        mats[0].clear()
+    for m in (first.rep.mats[(1,)], first.hermitian[0], first.doubled[0]):
+        m.clear()
     first.trace_norms[0] = 0
     fresh = catalog.sun_basis(n)
     assert catalog.su(n).metric is None and fresh.algebra.metric is None
